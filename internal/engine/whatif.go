@@ -213,10 +213,10 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 
 	// Step 3: WHEN defines the update set S (pre-update values only). With a
 	// plan cache, the WHEN clause compiles (once per shape) into a
-	// cost-ordered pushdown program scanning interned columns; the program
-	// is validated error-free at compile time or marks itself a fallback,
-	// so the planned and unplanned paths compute the same set — including
-	// error behaviour — to the bit.
+	// cost-ordered pushdown program scanning the view's column codes
+	// (relation.Relation.Coded); the program is validated error-free at
+	// compile time or marks itself a fallback, so the planned and unplanned
+	// paths compute the same set — including error behaviour — to the bit.
 	inS := make([]bool, v.rel.Len())
 	planApplied := false
 	if o.Plans != nil {

@@ -10,6 +10,7 @@ import (
 	"hyper/internal/causal"
 	"hyper/internal/hyperql"
 	"hyper/internal/obs"
+	"hyper/internal/plan"
 	"hyper/internal/relation"
 )
 
@@ -66,7 +67,7 @@ func scoreCandidates(ctx context.Context, db *relation.Database, model *causal.M
 	// queues; out is indexed by the original job order, so results (and the
 	// deterministic first-error choice) are unchanged.
 	if o.Engine.Plans != nil && len(qs) > 0 {
-		if rank := o.Engine.Plans.AttrRank(db, qs[0].Use, attrs); rank != nil {
+		if rank := plan.AttrRank(db, qs[0].Use, attrs); rank != nil {
 			byRank := func(idxs []int) {
 				sort.SliceStable(idxs, func(a, b int) bool {
 					return rank[jobs[idxs[a]].attr] < rank[jobs[idxs[b]].attr]

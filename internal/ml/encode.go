@@ -31,6 +31,9 @@ type Encoder struct {
 }
 
 // NewEncoder learns an encoding for the given columns from all rows of rel.
+// It reads rel's shared per-column projections (relation.Relation.Coded):
+// whether a column is all numeric and, for a categorical one, its distinct
+// values — no per-row key is formatted.
 func NewEncoder(rel *relation.Relation, cols []string) *Encoder {
 	e := &Encoder{
 		cols:   append([]string(nil), cols...),
@@ -41,24 +44,15 @@ func NewEncoder(rel *relation.Relation, cols []string) *Encoder {
 	for ci, col := range cols {
 		idx := rel.Schema().MustIndex(col)
 		e.idxs[ci] = idx
-		numeric := true
-		distinct := make(map[string]relation.Value)
-		for _, row := range rel.Rows() {
-			v := row[idx]
-			if v.IsNull() {
-				continue
-			}
-			if !v.Kind().Numeric() {
-				numeric = false
-			}
-			distinct[v.Key()] = v
-		}
-		if numeric {
+		cc := rel.Coded(idx)
+		if cc.Numeric {
 			continue
 		}
-		keys := make([]string, 0, len(distinct))
-		for k := range distinct {
-			keys = append(keys, k)
+		keys := make([]string, 0, len(cc.Values))
+		for _, v := range cc.Values {
+			if !v.IsNull() {
+				keys = append(keys, v.Key())
+			}
 		}
 		sort.Strings(keys)
 		m := make(map[string]float64, len(keys))

@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"context"
 	"encoding/binary"
 	"math"
 	"runtime"
@@ -9,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"hyper/internal/relation"
-	"hyper/internal/shard"
 )
 
 // Frame is the columnar encoded view shared by every estimator of a query:
@@ -54,32 +52,25 @@ func NewFrame(enc *Encoder, rel *relation.Relation) *Frame {
 	return NewFrameWorkers(enc, rel, 0)
 }
 
-// NewFrameWorkers is NewFrame with an explicit worker fan-out for encoding
-// and later interning (0 = GOMAXPROCS, 1 = serial — the engine passes its
-// Shards knob so nested pools don't multiply). Column order follows the
-// encoder's feature columns. Encoding parallelizes over the canonical row
-// shards; each row writes its own cells, so the buffer content is identical
-// for any worker count.
+// NewFrameWorkers is NewFrame with an explicit worker fan-out for later
+// interning (0 = GOMAXPROCS, 1 = serial — the engine passes its Shards knob
+// so nested pools don't multiply). Column order follows the encoder's
+// feature columns. Each column is filled from rel's shared projection
+// (relation.Relation.Coded): the encoder maps the column's distinct values
+// once and the rows gather through their codes. That equals EncodeInto per
+// row because values sharing a canonical key encode alike (up to the sign
+// of zero and NaN payload, which canonBits erases and no fit reads).
 func NewFrameWorkers(enc *Encoder, rel *relation.Relation, workers int) *Frame {
 	n, dim := rel.Len(), enc.Dim()
 	f := &Frame{rows: n, dim: dim, workers: workers, data: make([]float64, n*dim)}
-	plan := shard.Rows(n, 0)
-	workers = plan.Workers(workers)
-	bufs := make([][]float64, workers)
-	_ = shard.Run(context.Background(), plan, workers, func(w, _, lo, hi int) error {
-		row := bufs[w]
-		if row == nil {
-			row = make([]float64, dim)
-			bufs[w] = row
+	for c, name := range enc.cols {
+		cc := rel.Coded(rel.Schema().MustIndex(name))
+		byCode := make([]float64, len(cc.Values))
+		for code, v := range cc.Values {
+			byCode[code] = enc.EncodeValue(c, v)
 		}
-		for r := lo; r < hi; r++ {
-			enc.EncodeInto(rel, rel.Row(r), row)
-			for c, v := range row {
-				f.data[c*n+r] = v
-			}
-		}
-		return nil
-	})
+		cc.Gather(byCode, f.data[c*n:(c+1)*n])
+	}
 	return f
 }
 

@@ -1,10 +1,6 @@
 package ml
 
-import (
-	"math"
-
-	"hyper/internal/relation"
-)
+import "hyper/internal/relation"
 
 // ColumnStats summarizes one relation column for the planner's cost model:
 // the distinct-value count drives selectivity estimates for equality and IN
@@ -34,53 +30,25 @@ type ColumnStats struct {
 	Max float64 `json:"max"`
 }
 
-// CollectStats scans rel once and summarizes every column. This is the same
-// single pass a Frame encode performs; the planner memoizes the result per
-// view, so stats are collected once per materialized view, not per query.
+// CollectStats summarizes every column of rel. Each summary is rendered from
+// the relation's shared per-column projection (relation.Relation.Coded), so
+// a column some consumer already projected costs nothing here and a fresh
+// one is interned once, key-free, and left behind for the next consumer. The
+// planner does not call this: it reads the projections of just the columns a
+// query names.
 func CollectStats(rel *relation.Relation) []ColumnStats {
 	cols := rel.Schema().Columns()
 	out := make([]ColumnStats, len(cols))
 	n := rel.Len()
 	for c := range cols {
+		col := rel.Coded(c)
 		st := ColumnStats{
-			Name: cols[c].Name, Rows: n, Numeric: true,
-			Min: math.Inf(1), Max: math.Inf(-1),
+			Name: cols[c].Name, Rows: n, Card: col.Card(),
+			Numeric: col.Numeric, HasNaN: col.HasNaN, MaxAbs: col.MaxAbs,
+			Min: col.Min, Max: col.Max,
 		}
-		distinct := make(map[string]struct{})
-		nulls := 0
-		for i := 0; i < n; i++ {
-			v := rel.Row(i)[c]
-			if v.IsNull() {
-				nulls++
-				continue
-			}
-			distinct[v.Key()] = struct{}{}
-			switch v.Kind() {
-			case relation.KindInt, relation.KindFloat:
-				f := v.AsFloat()
-				if math.IsNaN(f) {
-					st.HasNaN = true
-					continue
-				}
-				if a := math.Abs(f); a > st.MaxAbs {
-					st.MaxAbs = a
-				}
-				if f < st.Min {
-					st.Min = f
-				}
-				if f > st.Max {
-					st.Max = f
-				}
-			default:
-				st.Numeric = false
-			}
-		}
-		st.Card = len(distinct)
 		if n > 0 {
-			st.NullFrac = float64(nulls) / float64(n)
-		}
-		if st.Min > st.Max { // no numeric values seen
-			st.Min, st.Max = 0, 0
+			st.NullFrac = float64(col.Nulls) / float64(n)
 		}
 		out[c] = st
 	}

@@ -8,32 +8,30 @@ import (
 	"time"
 
 	"hyper/internal/hyperql"
-	"hyper/internal/ml"
 	"hyper/internal/relation"
 )
 
 // Cache is the bounded fingerprint-keyed plan cache: compiled what-if plans
-// keyed by shape fingerprint over the schema signature, plus the supporting
-// per-view artifacts they execute against (column stats, interned columns,
-// howto attribute ranks). One LRU list orders every artifact kind together;
-// the bound caps total artifacts, so a long-lived session cannot grow the
-// planner's memory without limit.
+// keyed by shape fingerprint over the schema signature, in one LRU list. The
+// bound caps plans only — the column data plans read (stats, codes) is not
+// held here but memoized per column on the relation itself
+// (relation.Relation.Coded), where it lives and dies with the relation.
 //
 // Cache identity is fingerprint + schema signature: hyperql.Fingerprint
 // hashes the signature into the key's domain, so a structurally identical
 // query against a re-uploaded database with a different schema can never be
-// served a stale pushdown program. Hits, misses, and evictions count plan
-// lookups only (supporting artifacts are internal); Compiles counts plan
-// compilations.
+// served a stale pushdown program. Compilation is single-flight per
+// fingerprint: of concurrent lookups missing the same shape, one counts the
+// miss and compiles, the rest count hits and wait for its plan.
 //
 // All methods are safe for concurrent use. Like engine.Cache, a Cache must
 // only be shared across queries against the same database.
 type Cache struct {
 	mu        sync.Mutex
-	entries   map[string]*entry
-	head      *entry // most recently used
-	tail      *entry // least recently used
-	max       int    // maximum entries; 0 = unbounded
+	entries   map[string]*entry // by fingerprint
+	head      *entry            // most recently used
+	tail      *entry            // least recently used
+	max       int               // maximum entries; 0 = unbounded
 	onCompile func(ms float64)
 
 	hits, misses, evictions, compiles uint64
@@ -41,20 +39,13 @@ type Cache struct {
 
 type entry struct {
 	key        string
-	val        any
+	once       sync.Once // compiles plan; later lookups wait on it
+	plan       *WhatIfPlan
 	prev, next *entry
 }
 
-// Artifact key prefixes.
-const (
-	kindPlan  = "p\x00"
-	kindStats = "s\x00"
-	kindCols  = "c\x00"
-	kindRank  = "r\x00"
-)
-
-// NewCache returns an empty plan cache holding at most max artifacts;
-// max <= 0 means unbounded.
+// NewCache returns an empty plan cache holding at most max plans; max <= 0
+// means unbounded.
 func NewCache(max int) *Cache {
 	if max < 0 {
 		max = 0
@@ -97,51 +88,34 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// Len returns the current number of cached artifacts.
+// Len returns the current number of cached plans.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
 }
 
-// get looks a key up, promoting it; counted lookups maintain the hit/miss
-// counters (plan lookups), uncounted ones (supporting artifacts) do not.
-func (c *Cache) get(key string, counted bool) (any, bool) {
+// lookup returns fp's entry, promoting it on a hit and inserting an empty
+// one (evicting past the bound) on a miss.
+func (c *Cache) lookup(fp string) (e *entry, hit bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
-		if counted {
-			c.misses++
-		}
-		return nil, false
-	}
-	if counted {
+	if e, ok := c.entries[fp]; ok {
 		c.hits++
-	}
-	c.moveToFront(e)
-	return e.val, true
-}
-
-func (c *Cache) put(key string, val any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		e.val = val
 		c.moveToFront(e)
-		return
+		return e, true
 	}
-	e := &entry{key: key, val: val}
-	c.entries[key] = e
+	c.misses++
+	e = &entry{key: fp}
+	c.entries[fp] = e
 	c.pushFront(e)
 	for c.max > 0 && len(c.entries) > c.max {
 		lru := c.tail
 		c.unlink(lru)
 		delete(c.entries, lru.key)
-		if strings.HasPrefix(lru.key, kindPlan) {
-			c.evictions++
-		}
+		c.evictions++
 	}
+	return e, false
 }
 
 func (c *Cache) pushFront(e *entry) {
@@ -223,28 +197,24 @@ func Fingerprint(db *relation.Database, q hyperql.Query) string {
 }
 
 // WhatIf returns the compiled plan for q against the resolved relevant view
-// rel (compiling and caching on miss) and whether it was a cache hit.
-// viewKey is the engine's view cache key; the plan's supporting artifacts
-// (stats, interned columns) are stored under it.
-func (c *Cache) WhatIf(db *relation.Database, viewKey string, q *hyperql.WhatIf, rel *relation.Relation) (*WhatIfPlan, bool) {
-	sig := dataKey(db)
-	fp := hyperql.Fingerprint("plan\x00"+sig, q)
-	if v, ok := c.get(kindPlan+fp, true); ok {
-		return v.(*WhatIfPlan), true
-	}
-	start := time.Now()
-	p := compileWhatIf(q, fp, rel, c.viewStats(sig, viewKey, rel))
-	p.colsKey = kindCols + sig + "\x00" + viewKey
-	c.put(kindPlan+fp, p)
-	ms := float64(time.Since(start).Nanoseconds()) / 1e6
-	c.mu.Lock()
-	c.compiles++
-	obs := c.onCompile
-	c.mu.Unlock()
-	if obs != nil {
-		obs(ms)
-	}
-	return p, false
+// rel (compiling and caching on miss) and whether it was a cache hit. The
+// view-key argument is unused — a plan's column data is memoized on rel, not
+// under a cache key — and stays only so callers keep their shape.
+func (c *Cache) WhatIf(db *relation.Database, _ string, q *hyperql.WhatIf, rel *relation.Relation) (*WhatIfPlan, bool) {
+	e, hit := c.lookup(Fingerprint(db, q))
+	e.once.Do(func() {
+		start := time.Now()
+		e.plan = compileWhatIf(q, e.key, rel)
+		ms := float64(time.Since(start).Nanoseconds()) / 1e6
+		c.mu.Lock()
+		c.compiles++
+		obs := c.onCompile
+		c.mu.Unlock()
+		if obs != nil {
+			obs(ms)
+		}
+	})
+	return e.plan, hit
 }
 
 // Apply executes p's WHEN program over rel into inS (len rel.Len()),
@@ -256,43 +226,21 @@ func (c *Cache) Apply(p *WhatIfPlan, q *hyperql.WhatIf, rel *relation.Relation, 
 	if p == nil || p.Fallback || len(inS) != rel.Len() {
 		return 0, false
 	}
-	vc := c.columns(p.colsKey)
-	pushed, err := p.apply(q.When, rel, vc, inS)
+	pushed, err := p.apply(q.When, rel, inS)
 	if err != nil {
 		return 0, false
 	}
 	return pushed, true
 }
 
-// viewStats memoizes the one-pass per-column stats of a view.
-func (c *Cache) viewStats(sig, viewKey string, rel *relation.Relation) []ml.ColumnStats {
-	key := kindStats + sig + "\x00" + viewKey
-	if v, ok := c.get(key, false); ok {
-		return v.([]ml.ColumnStats)
-	}
-	st := ml.CollectStats(rel)
-	c.put(key, st)
-	return st
-}
-
-// columns returns the interned-column store for a view, creating it on
-// first use.
-func (c *Cache) columns(key string) *viewColumns {
-	if v, ok := c.get(key, false); ok {
-		return v.(*viewColumns)
-	}
-	vc := &viewColumns{}
-	c.put(key, vc)
-	return vc
-}
-
 // AttrRank orders HOWTOUPDATE attributes for candidate scoring by ascending
 // base-relation cardinality (most selective attribute first — its frequency
 // estimators are cheapest and its candidates prune fastest), original order
 // breaking ties. It returns nil — meaning "keep the query order" — when the
-// USE clause is a sub-select (no base relation to collect stats from) or an
-// attribute is missing. The rank is memoized per (schema, relation).
-func (c *Cache) AttrRank(db *relation.Database, use *hyperql.UseClause, attrs []string) map[string]int {
+// USE clause is a sub-select (no base relation to read cardinalities from)
+// or an attribute is missing. Only the named attributes' columns are
+// projected, and the candidate what-ifs' encoders reuse those projections.
+func AttrRank(db *relation.Database, use *hyperql.UseClause, attrs []string) map[string]int {
 	if use == nil || use.Table == "" {
 		return nil
 	}
@@ -300,25 +248,15 @@ func (c *Cache) AttrRank(db *relation.Database, use *hyperql.UseClause, attrs []
 	if rel == nil {
 		return nil
 	}
-	key := kindRank + dataKey(db) + "\x00" + use.Table
-	var stats []ml.ColumnStats
-	if v, ok := c.get(key, false); ok {
-		stats = v.([]ml.ColumnStats)
-	} else {
-		stats = ml.CollectStats(rel)
-		c.put(key, stats)
-	}
-	card := make(map[string]int, len(stats))
-	for _, st := range stats {
-		card[st.Name] = st.Card
-	}
-	order := make([]string, len(attrs))
-	copy(order, attrs)
+	card := make(map[string]int, len(attrs))
 	for _, a := range attrs {
-		if _, ok := card[a]; !ok {
+		ci, ok := rel.Schema().Index(a)
+		if !ok {
 			return nil
 		}
+		card[a] = rel.Coded(ci).Card()
 	}
+	order := append([]string(nil), attrs...)
 	sort.SliceStable(order, func(i, j int) bool {
 		return card[order[i]] < card[order[j]]
 	})
@@ -327,15 +265,4 @@ func (c *Cache) AttrRank(db *relation.Database, use *hyperql.UseClause, attrs []
 		rank[a] = i
 	}
 	return rank
-}
-
-// SeedAttrRank pre-populates the memoized base-relation stats AttrRank reads,
-// under db's current (version-folded) identity. The MVCC append path calls it
-// with incrementally merged digest stats so that how-to planning against a
-// freshly published snapshot never rescans the base relation.
-func (c *Cache) SeedAttrRank(db *relation.Database, table string, stats []ml.ColumnStats) {
-	if db.Relation(table) == nil {
-		return
-	}
-	c.put(kindRank+dataKey(db)+"\x00"+table, stats)
 }

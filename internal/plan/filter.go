@@ -3,61 +3,11 @@ package plan
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"hyper/internal/hyperql"
 	"hyper/internal/relation"
 	"hyper/internal/sqlmini"
 )
-
-// viewColumns memoizes the interned columnar projection of one view: per
-// column, a uint32 code per row (interned by canonical value key), the
-// float64 value for range scans, and a null mask. Columns are built lazily
-// on first use by a pushed conjunct and shared by every plan against the
-// view, so the encode cost is paid once per (view, column).
-type viewColumns struct {
-	mu   sync.Mutex
-	cols map[int]*internedColumn
-}
-
-type internedColumn struct {
-	codes  []uint32
-	byKey  map[string]uint32
-	floats []float64
-	nulls  []bool
-}
-
-func (vc *viewColumns) column(rel *relation.Relation, ci int) *internedColumn {
-	vc.mu.Lock()
-	defer vc.mu.Unlock()
-	if vc.cols == nil {
-		vc.cols = make(map[int]*internedColumn)
-	}
-	if c := vc.cols[ci]; c != nil {
-		return c
-	}
-	n := rel.Len()
-	c := &internedColumn{
-		codes:  make([]uint32, n),
-		byKey:  make(map[string]uint32),
-		floats: make([]float64, n),
-		nulls:  make([]bool, n),
-	}
-	for i := 0; i < n; i++ {
-		v := rel.Row(i)[ci]
-		key := v.Key()
-		code, ok := c.byKey[key]
-		if !ok {
-			code = uint32(len(c.byKey))
-			c.byKey[key] = code
-		}
-		c.codes[i] = code
-		c.floats[i] = v.AsFloat()
-		c.nulls[i] = v.IsNull()
-	}
-	vc.cols[ci] = c
-	return c
-}
 
 var errBind = fmt.Errorf("plan: bound query does not match compiled shape")
 
@@ -65,7 +15,7 @@ var errBind = fmt.Errorf("plan: bound query does not match compiled shape")
 // mask into inS (len rel.Len()), re-binding literal values from when's AST
 // at each conjunct's recorded position. It returns the number of conjuncts
 // that actually ran as columnar scans.
-func (p *WhatIfPlan) apply(when hyperql.Expr, rel *relation.Relation, vc *viewColumns, inS []bool) (int, error) {
+func (p *WhatIfPlan) apply(when hyperql.Expr, rel *relation.Relation, inS []bool) (int, error) {
 	for i := range inS {
 		inS[i] = true
 	}
@@ -79,7 +29,7 @@ func (p *WhatIfPlan) apply(when hyperql.Expr, rel *relation.Relation, vc *viewCo
 	pushed := 0
 	for _, c := range p.Conjuncts {
 		node := conjs[c.Pos]
-		if c.Op != OpResidual && p.applyPushed(c, node, rel, vc, inS) {
+		if c.Op != OpResidual && applyPushed(c, node, rel.Coded(c.colIdx), inS) {
 			pushed++
 			continue
 		}
@@ -116,40 +66,37 @@ func litGuard(v relation.Value, colNaN bool) bool {
 	return !math.IsNaN(f) && math.Abs(f) < maxExactAbs && !colNaN
 }
 
-// applyPushed runs one columnar conjunct, narrowing inS. It returns false
-// when the node's shape mismatches the compiled conjunct or a bound literal
+// applyPushed runs one columnar conjunct, narrowing inS. Every operator
+// reduces to the same scan: decide once per distinct value (per code) whether
+// rows holding it stay, then filter the rows through their codes. NULL rows
+// carry NULL's own code, so a NULL literal in an IN list matches them and no
+// other literal does — exactly Value.Equal. It returns false when the node's
+// shape mismatches the compiled conjunct or the column or a bound literal
 // violates an exactness guard; the caller then evaluates the conjunct's AST
 // residually, which is always exact.
-func (p *WhatIfPlan) applyPushed(c Conjunct, node hyperql.Expr, rel *relation.Relation, vc *viewColumns, inS []bool) bool {
+func applyPushed(c Conjunct, node hyperql.Expr, col *relation.CodedColumn, inS []bool) bool {
+	keep := make([]bool, len(col.Values))
 	switch c.Op {
 	case OpIn:
 		in, ok := node.(*hyperql.InList)
 		if !ok || in.Neg != c.Neg {
 			return false
 		}
-		col := vc.column(rel, c.colIdx)
-		set := make(map[uint32]bool, len(in.Vals))
+		if c.Neg {
+			for code := range keep {
+				keep[code] = true
+			}
+		}
 		for _, ve := range in.Vals {
 			lit, ok := ve.(*hyperql.Literal)
-			if !ok {
-				return false
-			}
-			if !litGuard(lit.Val, c.colNaN) {
+			if !ok || !litGuard(lit.Val, col.HasNaN) {
 				return false
 			}
 			// Values absent from the column's code space can never match.
-			if code, present := col.byKey[lit.Val.Key()]; present {
-				set[code] = true
+			if code, present := col.Code(lit.Val); present {
+				keep[code] = !c.Neg
 			}
 		}
-		// NULL rows carry NULL's own code, so a NULL literal in the list
-		// matches them and any other literal does not — exactly Value.Equal.
-		for i := range inS {
-			if inS[i] {
-				inS[i] = set[col.codes[i]] != c.Neg
-			}
-		}
-		return true
 	default:
 		b, ok := node.(*hyperql.Binary)
 		if !ok {
@@ -164,60 +111,44 @@ func (p *WhatIfPlan) applyPushed(c Conjunct, node hyperql.Expr, rel *relation.Re
 			return false
 		}
 		v := lit.Val
-		if v.IsNull() {
+		switch {
+		case v.IsNull():
 			// Any comparison against NULL is false for every row.
-			for i := range inS {
-				inS[i] = false
-			}
-			return true
-		}
-		if !litGuard(v, c.colNaN) {
+		case !litGuard(v, col.HasNaN):
 			return false
-		}
-		col := vc.column(rel, c.colIdx)
-		switch c.Op {
-		case OpEq:
-			code, present := col.byKey[v.Key()]
-			for i := range inS {
-				if inS[i] {
-					inS[i] = present && col.codes[i] == code
-				}
+		case c.Op == OpEq:
+			if code, present := col.Code(v); present {
+				keep[code] = true
 			}
-		case OpNe:
-			code, present := col.byKey[v.Key()]
-			for i := range inS {
-				if inS[i] {
-					inS[i] = !col.nulls[i] && !(present && col.codes[i] == code)
-				}
+		case c.Op == OpNe:
+			for code, cv := range col.Values {
+				keep[code] = !cv.IsNull()
+			}
+			if code, present := col.Code(v); present {
+				keep[code] = false
 			}
 		default: // OpLt, OpLe, OpGt, OpGe
-			if !v.Kind().Numeric() {
-				// Cross-kind ordering follows kind ranks, not magnitudes;
-				// leave it to the exact residual path.
+			// Cross-kind ordering follows kind ranks, not magnitudes; leave
+			// it to the exact residual path.
+			if !v.Kind().Numeric() || !rangeExact(col) {
 				return false
 			}
 			f := v.AsFloat()
-			for i := range inS {
-				if !inS[i] {
-					continue
-				}
-				if col.nulls[i] {
-					inS[i] = false
-					continue
-				}
-				x := col.floats[i]
+			for code, cv := range col.Values {
+				x := cv.AsFloat() // NaN for NULL: every comparison is false
 				switch c.Op {
 				case OpLt:
-					inS[i] = x < f
+					keep[code] = x < f
 				case OpLe:
-					inS[i] = x <= f
+					keep[code] = x <= f
 				case OpGt:
-					inS[i] = x > f
+					keep[code] = x > f
 				default:
-					inS[i] = x >= f
+					keep[code] = x >= f
 				}
 			}
 		}
-		return true
 	}
+	col.Narrow(keep, inS)
+	return true
 }

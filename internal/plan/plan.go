@@ -1,11 +1,12 @@
 // Package plan is the cost-based planning layer between the hyperql AST and
 // the engine. It compiles the WHEN clause of a what-if query into a
 // pushdown program — a cost-ordered sequence of conjunct filters where
-// equality and IN predicates scan interned per-column codes and range
-// predicates scan numeric columns directly — and caches the compiled,
-// literal-free plan in a bounded LRU keyed by the query's shape fingerprint
-// plus the database schema signature. Literals are re-bound from the live
-// query on every execution, so a cached plan never pins constants.
+// equality, IN and range predicates are decided once per distinct column
+// value and applied through the relation's shared per-column codes
+// (relation.Relation.Coded) — and caches the compiled, literal-free plan in
+// a bounded LRU keyed by the query's shape fingerprint plus the database
+// schema signature. Literals are re-bound from the live query on every
+// execution, so a cached plan never pins constants.
 //
 // The planner's contract is bit-identity: a planned evaluation must produce
 // exactly the update set a row-at-a-time sqlmini.EvalBool loop would. Two
@@ -28,7 +29,6 @@ import (
 	"strings"
 
 	"hyper/internal/hyperql"
-	"hyper/internal/ml"
 	"hyper/internal/relation"
 )
 
@@ -94,8 +94,7 @@ type Conjunct struct {
 	// Sel is the estimated selectivity in [0,1] (lower = more selective).
 	Sel float64
 
-	colIdx int  // schema index of Col in the view
-	colNaN bool // column contains NaN: numeric-literal equality is unsafe
+	colIdx int // schema index of Col in the view
 	shape  string
 }
 
@@ -118,7 +117,6 @@ type WhatIfPlan struct {
 	// ViewRows is the view size the plan's stats were collected over.
 	ViewRows int
 
-	colsKey string // interned-column store key (set by the cache)
 	explain string
 }
 
@@ -205,8 +203,10 @@ func validate(e hyperql.Expr, rel *relation.Relation) error {
 }
 
 // compileWhatIf builds the pushdown program of q's WHEN clause against the
-// resolved view rel using per-column stats for the cost model.
-func compileWhatIf(q *hyperql.WhatIf, fp string, rel *relation.Relation, stats []ml.ColumnStats) *WhatIfPlan {
+// resolved view rel. The cost model reads rel's per-column projections
+// (relation.Relation.Coded) for exactly the columns pushable conjuncts name:
+// a query without WHEN, or one whose tree falls back, touches no column.
+func compileWhatIf(q *hyperql.WhatIf, fp string, rel *relation.Relation) *WhatIfPlan {
 	p := &WhatIfPlan{Fingerprint: fp, ViewRows: rel.Len()}
 	if q.When == nil {
 		p.explain = renderExplain(p, q)
@@ -218,14 +218,10 @@ func compileWhatIf(q *hyperql.WhatIf, fp string, rel *relation.Relation, stats [
 		p.explain = renderExplain(p, q)
 		return p
 	}
-	byName := make(map[string]ml.ColumnStats, len(stats))
-	for _, st := range stats {
-		byName[st.Name] = st
-	}
 	conjs := SplitAnd(q.When)
 	p.Conjuncts = make([]Conjunct, len(conjs))
 	for i, e := range conjs {
-		p.Conjuncts[i] = classify(e, i, rel, byName)
+		p.Conjuncts[i] = classify(e, i, rel)
 	}
 	// Cost-based ordering: most selective first, stable on original
 	// position. Residual conjuncts take part like any other — validation
@@ -237,11 +233,20 @@ func compileWhatIf(q *hyperql.WhatIf, fp string, rel *relation.Relation, stats [
 	return p
 }
 
+// rangeExact reports whether float ordering over col's values coincides with
+// Value.Compare: ordering a column with non-numeric values through floats
+// diverges from Compare's kind ranking, NaN compares equal to every number,
+// and int64 magnitudes at or past maxExactAbs round.
+func rangeExact(col *relation.CodedColumn) bool {
+	return col.Numeric && !col.HasNaN && col.MaxAbs < maxExactAbs
+}
+
 // classify compiles one conjunct: a comparison or IN between a bare column
 // reference and literals becomes a columnar filter, anything else stays
-// residual. Guards that depend only on column stats apply here; guards that
-// depend on the literal value apply at bind time.
-func classify(e hyperql.Expr, pos int, rel *relation.Relation, stats map[string]ml.ColumnStats) Conjunct {
+// residual. Guards that depend only on the column apply here (and again at
+// bind time, against the column then scanned); guards that depend on the
+// literal value apply at bind time only.
+func classify(e hyperql.Expr, pos int, rel *relation.Relation) Conjunct {
 	c := Conjunct{Pos: pos, Op: OpResidual, Sel: 0.5, shape: maskLiterals(e)}
 	switch x := e.(type) {
 	case *hyperql.Binary:
@@ -262,23 +267,17 @@ func classify(e hyperql.Expr, pos int, rel *relation.Relation, stats map[string]
 		if col == nil {
 			return c
 		}
-		st, ok := stats[col.Name]
-		if !ok {
-			return c
-		}
 		op, isRange := compileOp(x.Op, flip)
 		if op == OpResidual {
 			return c
 		}
-		if isRange && (!st.Numeric || st.HasNaN || st.MaxAbs >= maxExactAbs) {
-			// Ordering a column with non-numeric values through float keys
-			// diverges from Value.Compare's kind ranking; keep the exact path.
+		ci := rel.Schema().MustIndex(col.Name)
+		cc := rel.Coded(ci)
+		if isRange && !rangeExact(cc) {
 			return c
 		}
-		c.Op, c.Col, c.Flip = op, col.Name, flip
-		c.colIdx = rel.Schema().MustIndex(col.Name)
-		c.colNaN = st.HasNaN
-		c.Sel = selectivity(op, st, 1)
+		c.Op, c.Col, c.Flip, c.colIdx = op, col.Name, flip, ci
+		c.Sel = selectivity(op, cc, rel.Len(), 1)
 	case *hyperql.InList:
 		col, ok := x.X.(*hyperql.ColRef)
 		if !ok {
@@ -289,14 +288,9 @@ func classify(e hyperql.Expr, pos int, rel *relation.Relation, stats map[string]
 				return c
 			}
 		}
-		st, ok := stats[col.Name]
-		if !ok {
-			return c
-		}
-		c.Op, c.Col, c.Neg = OpIn, col.Name, x.Neg
-		c.colIdx = rel.Schema().MustIndex(col.Name)
-		c.colNaN = st.HasNaN
-		c.Sel = selectivity(OpIn, st, len(x.Vals))
+		ci := rel.Schema().MustIndex(col.Name)
+		c.Op, c.Col, c.Neg, c.colIdx = OpIn, col.Name, x.Neg, ci
+		c.Sel = selectivity(OpIn, rel.Coded(ci), rel.Len(), len(x.Vals))
 		if x.Neg {
 			c.Sel = 1 - c.Sel
 		}
@@ -338,16 +332,19 @@ func compileOp(op string, flip bool) (Op, bool) {
 	}
 }
 
-// selectivity estimates the fraction of rows a conjunct keeps, from column
-// stats alone (plans are shape-keyed, so literal values are unavailable):
-// equality keeps ~1/card of the non-null rows, IN scales by list arity,
-// ranges use the classic one-third heuristic.
-func selectivity(op Op, st ml.ColumnStats, arity int) float64 {
-	card := float64(st.Card)
+// selectivity estimates the fraction of rows a conjunct keeps, from the
+// column summary alone (plans are shape-keyed, so literal values are
+// unavailable): equality keeps ~1/card of the non-null rows, IN scales by
+// list arity, ranges use the classic one-third heuristic.
+func selectivity(op Op, col *relation.CodedColumn, rows, arity int) float64 {
+	card := float64(col.Card())
 	if card < 1 {
 		card = 1
 	}
-	nonNull := 1 - st.NullFrac
+	nonNull := 1.0
+	if rows > 0 {
+		nonNull = 1 - float64(col.Nulls)/float64(rows)
+	}
 	switch op {
 	case OpEq:
 		return nonNull / card

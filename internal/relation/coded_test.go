@@ -1,0 +1,237 @@
+package relation
+
+import (
+	"math"
+	"sync"
+	"testing"
+)
+
+// keyParityValues covers every place Value.Key() merges or separates values:
+// the kinds, the zeros, NaN payloads, infinities, whole floats on both sides
+// of the 1e15 int-formatting threshold, int/float merges, and strings whose
+// first byte collides with a kind tag.
+func keyParityValues() []Value {
+	nanPayload := math.Float64frombits(0x7ff8000000000abc)
+	negNaN := math.Float64frombits(0xfff8000000000001)
+	vs := []Value{
+		Null,
+		Bool(false), Bool(true),
+		Int(0), Int(1), Int(-1), Int(42), Int(math.MaxInt64), Int(math.MinInt64),
+		Int(999999999999999), Int(1000000000000000), Int(-1000000000000000), Int(1 << 53), Int(1<<53 + 1),
+		Float(0), Float(math.Copysign(0, -1)), Float(1), Float(-1), Float(42), Float(0.5), Float(-0.5),
+		Float(math.NaN()), Float(nanPayload), Float(negNaN),
+		Float(math.Inf(1)), Float(math.Inf(-1)),
+		Float(999999999999999), Float(1e15), Float(-1e15), Float(1e15 + 2), Float(1 << 53), Float(1e300),
+		Float(math.SmallestNonzeroFloat64), Float(math.MaxFloat64),
+		String(""), String("a"), String("0"), String("42"), String("t"), String("f"), String("NaN"),
+	}
+	for _, tag := range []string{"\x00", "\x01", "\x02", "\x03", "\x04"} {
+		vs = append(vs, String(tag), String(tag+"t"), String(tag+"0"), String(tag+"42"))
+	}
+	return vs
+}
+
+// codeAt returns the code of row i at whichever width the column stores.
+func codeAt(c *CodedColumn, i int) uint32 {
+	if c.wide != nil {
+		return c.wide[i]
+	}
+	return uint32(c.narrow[i])
+}
+
+func checkKeyParity(t *testing.T, a, b Value) {
+	t.Helper()
+	if got, want := keyOf(a) == keyOf(b), a.Key() == b.Key(); got != want {
+		t.Fatalf("typed keys of %#v and %#v equal = %v, Key() strings equal = %v", a, b, got, want)
+	}
+}
+
+func TestValueKeyParity(t *testing.T) {
+	vs := keyParityValues()
+	for _, a := range vs {
+		for _, b := range vs {
+			checkKeyParity(t, a, b)
+		}
+	}
+}
+
+func fuzzValue(kind uint8, i int64, fbits uint64, s string) Value {
+	switch kind % 5 {
+	case 0:
+		return Null
+	case 1:
+		return Bool(i&1 == 1)
+	case 2:
+		return Int(i)
+	case 3:
+		return Float(math.Float64frombits(fbits))
+	default:
+		return String(s)
+	}
+}
+
+// FuzzColumnKeyParity holds the column store's interning to Value.Key()
+// identity: for two arbitrary values — and the int/float/sign relatives of
+// each, which is where Key() merges — typed keys agree with key strings, and
+// a column holding both assigns them one code exactly when their keys match.
+func FuzzColumnKeyParity(f *testing.F) {
+	vs := keyParityValues()
+	for i, a := range vs {
+		b := vs[(i*7+3)%len(vs)]
+		f.Add(uint8(a.kind), a.i, math.Float64bits(a.f), a.s, uint8(b.kind), b.i, math.Float64bits(b.f), b.s)
+	}
+	f.Fuzz(func(t *testing.T, ka uint8, ia int64, fa uint64, sa string, kb uint8, ib int64, fb uint64, sb string) {
+		a, b := fuzzValue(ka, ia, fa, sa), fuzzValue(kb, ib, fb, sb)
+		relatives := func(v Value) []Value {
+			out := []Value{v}
+			switch v.kind {
+			case KindInt:
+				out = append(out, Float(float64(v.i)))
+			case KindFloat:
+				out = append(out, Float(-v.f), Int(int64(v.f)), Float(math.Trunc(v.f)))
+			}
+			return out
+		}
+		all := append(relatives(a), relatives(b)...)
+		rel := NewRelation("T", MustSchema(Column{Name: "ID", Key: true}, Column{Name: "V"}))
+		for i, v := range all {
+			rel.MustInsert(Int(int64(i)), v)
+		}
+		col := rel.Coded(1)
+		for i, x := range all {
+			for j, y := range all {
+				checkKeyParity(t, x, y)
+				if got, want := codeAt(col, i) == codeAt(col, j), x.Key() == y.Key(); got != want {
+					t.Fatalf("rows %#v and %#v share a code = %v, share a Key() = %v", x, y, got, want)
+				}
+			}
+			if code, ok := col.Code(x); !ok || code != codeAt(col, i) {
+				t.Fatalf("Code(%#v) = %d,%v, want the row's code %d", x, code, ok, codeAt(col, i))
+			}
+		}
+	})
+}
+
+func TestCodedColumn(t *testing.T) {
+	rel := NewRelation("T", MustSchema(Column{Name: "ID", Key: true}, Column{Name: "V"}, Column{Name: "S"}))
+	vals := []Value{Int(3), Null, Float(3), Float(-2.5), Int(7), Null, Float(math.NaN())}
+	for i, v := range vals {
+		rel.MustInsert(Int(int64(i)), v, String("s"))
+	}
+	if rel.CodedColumns() != 0 {
+		t.Fatal("a fresh relation reports built columns")
+	}
+	c := rel.Coded(1)
+	wantCodes := []uint32{0, 1, 0, 2, 3, 1, 4} // first-seen order, Int(3) ≡ Float(3), NULL its own code
+	for i, want := range wantCodes {
+		if codeAt(c, i) != want {
+			t.Fatalf("row %d: code %d, want %v", i, codeAt(c, i), wantCodes)
+		}
+	}
+	if c.Card() != 4 || c.Nulls != 2 || !c.Numeric || !c.HasNaN || c.MaxAbs != 7 || c.Min != -2.5 || c.Max != 7 {
+		t.Errorf("summary = card %d nulls %d numeric %v nan %v maxabs %v min %v max %v",
+			c.Card(), c.Nulls, c.Numeric, c.HasNaN, c.MaxAbs, c.Min, c.Max)
+	}
+	if len(c.Values) != 5 || !c.Values[1].IsNull() || c.Values[2].AsFloat() != -2.5 {
+		t.Errorf("values %v", c.Values)
+	}
+	if _, ok := c.Code(Int(8)); ok {
+		t.Error("Code found a value no row holds")
+	}
+	if s := rel.Coded(2); s.Numeric || s.Card() != 1 || s.Min != 0 || s.Max != 0 {
+		t.Errorf("string column summary = %+v", s)
+	}
+	if rel.Coded(1) != c || rel.CodedColumns() != 2 {
+		t.Error("Coded rebuilt a built column")
+	}
+
+	// The store describes one immutable state: mutation drops it, and an
+	// extension never inherits it.
+	ext, err := rel.Extend([]Tuple{{Int(100), Int(9), String("s")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ext.CodedColumns() != 0 || rel.CodedColumns() != 2 {
+		t.Errorf("after Extend: child %d built, parent %d built, want 0 and 2", ext.CodedColumns(), rel.CodedColumns())
+	}
+	if got := ext.Coded(1); codeAt(got, len(vals)) != uint32(len(got.Values)-1) || got.Max != 9 {
+		t.Errorf("extended column: last row code %d of %d values, max %v", codeAt(got, len(vals)), len(got.Values), got.Max)
+	}
+	if err := rel.Set(0, "V", Int(50)); err != nil {
+		t.Fatal(err)
+	}
+	if rel.CodedColumns() != 0 || rel.Coded(1).Max != 50 {
+		t.Error("Set did not drop the built columns")
+	}
+	rel.MustInsert(Int(200), Int(60), String("s"))
+	if rel.CodedColumns() != 0 || rel.Coded(1).Max != 60 {
+		t.Error("Insert did not drop the built columns")
+	}
+}
+
+// TestCodedWidths drives a column across the one-byte code limit (the 257th
+// distinct value widens the codes already assigned) and holds the codes, Gather and
+// Narrow to the same answers at both widths.
+func TestCodedWidths(t *testing.T) {
+	for _, distinct := range []int{256, 257, 300} {
+		rel := NewRelation("T", MustSchema(Column{Name: "ID", Key: true}, Column{Name: "V"}))
+		const rows = 1000
+		for i := 0; i < rows; i++ {
+			rel.MustInsert(Int(int64(i)), Int(int64(i%distinct)))
+		}
+		c := rel.Coded(1)
+		if (c.wide != nil) != (distinct > 256) || (c.wide == nil) == (c.narrow == nil) {
+			t.Fatalf("%d distinct values: wide=%v narrow=%v", distinct, c.wide != nil, c.narrow != nil)
+		}
+		byCode := make([]float64, len(c.Values))
+		keep := make([]bool, len(c.Values))
+		for code := range byCode {
+			byCode[code] = float64(10 * code)
+			keep[code] = code%3 == 0
+		}
+		got := make([]float64, rows)
+		c.Gather(byCode, got)
+		set := make([]bool, rows)
+		for i := range set {
+			set[i] = i%2 == 0
+		}
+		c.Narrow(keep, set)
+		for i := 0; i < rows; i++ {
+			code := i % distinct // first-seen order
+			if codeAt(c, i) != uint32(code) || got[i] != float64(10*code) || set[i] != (i%2 == 0 && code%3 == 0) {
+				t.Fatalf("%d distinct values, row %d: code %d gather %v set %v", distinct, i, codeAt(c, i), got[i], set[i])
+			}
+		}
+	}
+}
+
+// TestCodedSingleFlight: concurrent first readers of one column share one
+// build. Run under -race.
+func TestCodedSingleFlight(t *testing.T) {
+	rel := NewRelation("T", MustSchema(Column{Name: "ID", Key: true}, Column{Name: "V"}))
+	for i := 0; i < 2000; i++ {
+		rel.MustInsert(Int(int64(i)), Int(int64(i%17)))
+	}
+	const n = 8
+	got := make([]*CodedColumn, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			got[g] = rel.Coded(1)
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for g := 1; g < n; g++ {
+		if got[g] != got[0] {
+			t.Fatalf("goroutine %d got its own build", g)
+		}
+	}
+	if rel.CodedColumns() != 1 {
+		t.Errorf("built columns = %d, want 1", rel.CodedColumns())
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Tuple is one row of a relation; index i holds the value of schema column i.
@@ -20,6 +21,7 @@ type Relation struct {
 	schema *Schema
 	rows   []Tuple
 	keyset map[string]int // key encoding -> row index
+	coded  atomic.Pointer[codedStore]
 }
 
 // NewRelation creates an empty relation with the given name and schema.
@@ -87,6 +89,7 @@ func (r *Relation) Insert(t Tuple) error {
 	}
 	r.keyset[k] = len(r.rows)
 	r.rows = append(r.rows, row)
+	r.coded.Store(nil)
 	return nil
 }
 
@@ -219,6 +222,7 @@ func (r *Relation) Set(i int, col string, v Value) error {
 		return fmt.Errorf("relation %s: column %s is a key and immutable", r.name, col)
 	}
 	r.rows[i][ci] = v
+	r.coded.Store(nil)
 	return nil
 }
 

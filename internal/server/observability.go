@@ -49,7 +49,7 @@ func (s *Server) registerMetrics() {
 		func() float64 {
 			return s.sumPlanCaches(func(c hyper.PlanCacheStats) float64 { return float64(c.Evictions) })
 		})
-	r.GaugeFunc("hyper_plan_cache_entries", "Plan-cache artifacts (plans, stats, interned columns) summed over live sessions.",
+	r.GaugeFunc("hyper_plan_cache_entries", "Compiled plans cached, summed over live sessions.",
 		func() float64 {
 			return s.sumPlanCaches(func(c hyper.PlanCacheStats) float64 { return float64(c.Entries) })
 		})

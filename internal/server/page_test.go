@@ -52,12 +52,13 @@ func TestPaginationStableWalk(t *testing.T) {
 		}
 	}
 
-	// Jobs paginate by numeric id order.
+	// Jobs paginate by numeric id order. One job per session: five at once
+	// on one session would race the default per-session limit of four.
 	var ids []string
 	for i := 0; i < 5; i++ {
 		var job JobInfo
 		if code := do(t, "POST", ts.URL+"/v1/jobs", JobRequest{
-			Session: "alpha", Kind: "whatif", Query: germanCount,
+			Session: names[i], Kind: "whatif", Query: germanCount,
 		}, &job); code != http.StatusOK {
 			t.Fatalf("submit job %d: status %d", i, code)
 		}

@@ -59,7 +59,9 @@ func TestServerPlanCacheStatsAndSessionDelete(t *testing.T) {
 }
 
 // TestServerPlanCacheEntriesOverride checks the per-session bound override on
-// session creation.
+// session creation, and that the bound counts compiled plans and nothing
+// else: three shapes through a bound of two leave two entries and one
+// eviction (the column data they scanned is held by the relation, not here).
 func TestServerPlanCacheEntriesOverride(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	bound := 2
@@ -76,6 +78,18 @@ func TestServerPlanCacheEntriesOverride(t *testing.T) {
 	}
 	if info.Plan.MaxEntries != bound {
 		t.Fatalf("plan cache bound = %d, want %d", info.Plan.MaxEntries, bound)
+	}
+	for _, when := range []string{"Age = 2", "Sex = 1", "Age >= 1 AND Sex = 0"} {
+		q := "USE German WHEN " + when + " UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)"
+		var res WhatIfResponse
+		if code := do(t, "POST", ts.URL+"/v1/whatif", QueryRequest{Session: "tiny", Query: q}, &res); code != http.StatusOK {
+			t.Fatalf("whatif WHEN %s: status %d", when, code)
+		}
+	}
+	var stats StatsResponse
+	do(t, "GET", ts.URL+"/v1/stats", nil, &stats)
+	if p := stats.Plan; p.Entries != 2 || p.Evictions != 1 || p.Compiles != 3 {
+		t.Fatalf("plan stats = %+v, want 2 entries / 1 eviction / 3 compiles", p)
 	}
 }
 

@@ -55,11 +55,25 @@ func do(t *testing.T, method, url string, body any, out any) int {
 // createSession makes a small german session named name.
 func createSession(t *testing.T, ts *httptest.Server, name string) {
 	t.Helper()
+	createSessionScale(t, ts, name, 0.3) // 1500 rows: fast but non-trivial
+}
+
+// createSlowSession makes a 20k-row session for the slow-query-log tests: a
+// cold what-if over it takes several times the 1 ms threshold (the smallest
+// the config can express), where the 1,500-row session answers in about
+// 1 ms and would log only sometimes.
+func createSlowSession(t *testing.T, ts *httptest.Server, name string) {
+	t.Helper()
+	createSessionScale(t, ts, name, 4)
+}
+
+func createSessionScale(t *testing.T, ts *httptest.Server, name string, scale float64) {
+	t.Helper()
 	var info SessionInfo
 	code := do(t, "POST", ts.URL+"/v1/sessions", CreateSessionRequest{
 		Name:    name,
 		Dataset: "german",
-		Scale:   0.3, // 1500 rows: fast but non-trivial
+		Scale:   scale,
 		Options: &SessionOptions{Mode: "full", Seed: 7},
 	}, &info)
 	if code != http.StatusOK {

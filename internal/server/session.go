@@ -415,8 +415,7 @@ type AppendResponse struct {
 // handleAppendRows is POST /v1/sessions/{name}/rows: parse the appended CSV
 // rows against the live schema, extend the database copy-on-write (shared
 // tuple storage, bumped version), advance the per-relation stats digests
-// over only the new tail shards, pre-seed the version-qualified rank stats
-// so no query ever rescans history, and atomically publish the new head.
+// over only the new tail shards, and atomically publish the new head.
 // Running queries hold their resolved snapshotEntry and are unaffected.
 func (s *Server) handleAppendRows(r *http.Request) (any, error) {
 	e, err := s.session(r.PathValue("name"))
@@ -475,15 +474,6 @@ func (s *Server) handleAppendRows(r *http.Request) (any, error) {
 		f, u := d.Advance(newDB.Relation(name))
 		fitted += f
 		reused += u
-		// Seed the new version's rank stats from the digest merge: the
-		// merged stats are bit-identical to a fresh CollectStats, so the
-		// planner's behavior is unchanged while the full-table rescan the
-		// version-qualified cache key would otherwise force is skipped.
-		if stats := d.Stats(); len(stats) > 0 {
-			if pc := sess.PlanCache(); pc != nil {
-				pc.SeedAttrRank(newDB, name, stats)
-			}
-		}
 	}
 	stampAppend(r.Context(), e, appends, fitted, reused)
 

@@ -87,7 +87,7 @@ func TestTraceRingMetricsAndSlowLog(t *testing.T) {
 	srv := New(Config{SlowQueryMs: 1, SlowQueryLog: syncWriter{&slowMu, &slow}})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	createSession(t, ts, "g")
+	createSlowSession(t, ts, "g")
 
 	req, _ := json.Marshal(QueryRequest{Session: "g", Query: germanCount})
 	resp, err := http.Post(ts.URL+"/v1/whatif", "application/json", strings.NewReader(string(req)))
@@ -148,8 +148,8 @@ func TestTraceRingMetricsAndSlowLog(t *testing.T) {
 		t.Errorf("metrics lint: %v", problems)
 	}
 
-	// The 1ms threshold makes every real evaluation slow: the structured log
-	// line must carry the same trace id.
+	// The 1ms threshold makes a cold 20k-row evaluation slow: the structured
+	// log line must carry the same trace id.
 	slowMu.Lock()
 	logged := slow.String()
 	slowMu.Unlock()

@@ -176,7 +176,7 @@ func TestSlowLogCarriesCostAndShape(t *testing.T) {
 	srv := New(Config{SlowQueryMs: 1, SlowQueryLog: syncWriter{&slowMu, &slow}})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	createSession(t, ts, "g")
+	createSlowSession(t, ts, "g")
 	if code := do(t, "POST", ts.URL+"/v1/whatif", QueryRequest{Session: "g", Query: germanCount}, nil); code != http.StatusOK {
 		t.Fatalf("whatif: status %d", code)
 	}
