@@ -222,9 +222,9 @@ func checkDistTrace(cbase string) {
 			Root *span  `json:"root"`
 		} `json:"trace"`
 	}
-	status, payload := post(cbase, "/v1/whatif?trace=1", map[string]any{
-		"session": "german", "placement": "workers",
-		"query": `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`,
+	status, payload := post(cbase, "/v1/sessions/german/whatif?trace=1", map[string]any{
+		"placement": "workers",
+		"query":     `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`,
 	})
 	if status != http.StatusOK {
 		fatalf("traced whatif: status %d: %s", status, payload)
@@ -482,8 +482,8 @@ func runSmoke(hyperd string) {
 	for _, g := range whatifGoldens {
 		run := func(placement string) ([]byte, whatIfResp) {
 			var r whatIfResp
-			status, payload := post(cbase, "/v1/whatif", map[string]any{
-				"session": g.session, "query": g.query, "placement": placement,
+			status, payload := post(cbase, "/v1/sessions/"+g.session+"/whatif", map[string]any{
+				"query": g.query, "placement": placement,
 			})
 			if status != http.StatusOK {
 				fatalf("%s (%s): status %d: %s", g.name, placement, status, payload)
@@ -512,8 +512,8 @@ func runSmoke(hyperd string) {
 
 	for _, g := range howtoGoldens {
 		run := func(placement string) []byte {
-			status, payload := post(cbase, "/v1/howto", map[string]any{
-				"session": g.session, "query": g.query, "placement": placement,
+			status, payload := post(cbase, "/v1/sessions/"+g.session+"/howto", map[string]any{
+				"query": g.query, "placement": placement,
 			})
 			if status != http.StatusOK {
 				fatalf("%s (%s): status %d: %s", g.name, placement, status, payload)
@@ -811,8 +811,8 @@ func runChaos(hyperd string) {
 	whatifBase := map[string][]byte{}
 	for _, g := range whatifGoldens {
 		var r whatIfResp
-		status, payload := post(cbase, "/v1/whatif", map[string]any{
-			"session": g.session, "query": g.query, "placement": "local",
+		status, payload := post(cbase, "/v1/sessions/"+g.session+"/whatif", map[string]any{
+			"query": g.query, "placement": "local",
 		})
 		if status != http.StatusOK {
 			fatalf("%s baseline: status %d: %s", g.name, status, payload)
@@ -821,8 +821,8 @@ func runChaos(hyperd string) {
 	}
 	howtoBase := map[string][]byte{}
 	for _, g := range howtoGoldens {
-		status, payload := post(cbase, "/v1/howto", map[string]any{
-			"session": g.session, "query": g.query, "placement": "local",
+		status, payload := post(cbase, "/v1/sessions/"+g.session+"/howto", map[string]any{
+			"query": g.query, "placement": "local",
 		})
 		if status != http.StatusOK {
 			fatalf("%s baseline: status %d: %s", g.name, status, payload)
@@ -834,8 +834,8 @@ func runChaos(hyperd string) {
 	count := whatifGoldens[0] // german-count drives the failure choreography
 	countEval := func(step string) whatIfResp {
 		var r whatIfResp
-		status, payload := post(cbase, "/v1/whatif", map[string]any{
-			"session": count.session, "query": count.query, "placement": "workers",
+		status, payload := post(cbase, "/v1/sessions/"+count.session+"/whatif", map[string]any{
+			"query": count.query, "placement": "workers",
 		})
 		if status != http.StatusOK {
 			fatalf("%s: status %d: %s", step, status, payload)
@@ -949,8 +949,8 @@ func runChaos(hyperd string) {
 	// over the surviving worker ("workers" for what-if, "fit" for how-to).
 	for _, g := range whatifGoldens {
 		var r whatIfResp
-		status, payload := post(cbase, "/v1/whatif", map[string]any{
-			"session": g.session, "query": g.query, "placement": "workers",
+		status, payload := post(cbase, "/v1/sessions/"+g.session+"/whatif", map[string]any{
+			"query": g.query, "placement": "workers",
 		})
 		if status != http.StatusOK {
 			fatalf("%s (post-restart): status %d: %s", g.name, status, payload)
@@ -967,8 +967,8 @@ func runChaos(hyperd string) {
 		fmt.Fprintf(os.Stderr, "distsmoke: %-14s ok post-restart (degraded=quarantine, bytes == local)\n", g.name)
 	}
 	for _, g := range howtoGoldens {
-		status, payload := post(cbase, "/v1/howto", map[string]any{
-			"session": g.session, "query": g.query, "placement": "fit",
+		status, payload := post(cbase, "/v1/sessions/"+g.session+"/howto", map[string]any{
+			"query": g.query, "placement": "fit",
 		})
 		if status != http.StatusOK {
 			fatalf("%s (post-restart): status %d: %s", g.name, status, payload)

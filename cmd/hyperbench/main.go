@@ -1,6 +1,8 @@
 // Command hyperbench regenerates the tables and figures of the HypeR paper
-// (Section 5). Each experiment prints the rows/series the paper reports;
-// EXPERIMENTS.md records the comparison against the published shapes.
+// (Section 5). Each experiment prints the rows/series the paper reports, to
+// be compared with the published shapes; bench_test.go at the repository root
+// reports the same quantities (query-output error, solution quality) as
+// `go test -bench` metrics.
 //
 // Usage:
 //
@@ -8,23 +10,10 @@
 //	hyperbench -exp table1,fig10 -scale 1.0 -seed 42
 //
 // Experiments: table1, fig6, fig8, fig9, fig10, fig11, fig12, usecases,
-// backdoor, howto-quality, all. Scale multiplies the paper's dataset sizes;
-// 1.0 reproduces the full 1M-row runs.
+// backdoor, howto-quality, ablation, all. Scale multiplies the paper's
+// dataset sizes; 1.0 reproduces the full 1M-row runs.
 //
-// The additional "serve" experiment (not part of "all") benchmarks the
-// hyperd HTTP serving path — queries/sec, p50/p95 latency, cold vs. cached
-// repeat evaluation, cache hit rate — and writes the machine-readable
-// BENCH_serve.json (-out) tracking the serving perf trajectory across PRs:
-//
-//	hyperbench -exp serve -scale 0.5 -serve-queries 200 -serve-conc 8
-//
-// The "engine" experiment (also not part of "all") benchmarks the evaluation
-// hot path off the HTTP stack — cold what-if latency, how-to wall time
-// (parallel vs. GOMAXPROCS=1), trained-model counts, estimator fit/predict
-// allocations, and a shard sweep (worker fan-out 1/2/4/8 at 5k and 50k
-// rows) — and writes BENCH_engine.json (-engine-out):
-//
-//	hyperbench -exp engine -scale 1.0 -shards 4
+// Performance is measured elsewhere: `bash bench/run.sh` (see bench/README.md).
 package main
 
 import (
@@ -58,11 +47,6 @@ func main() {
 	exp := flag.String("exp", "all", "comma-separated experiments to run (or 'all')")
 	scale := flag.Float64("scale", 0.1, "dataset size multiplier relative to the paper (1.0 = full)")
 	seed := flag.Int64("seed", 7, "random seed")
-	serveQueries := flag.Int("serve-queries", 200, "serve: total requests")
-	serveConc := flag.Int("serve-conc", 8, "serve: concurrent clients")
-	out := flag.String("out", "BENCH_serve.json", "serve: output path for the machine-readable result")
-	engineOut := flag.String("engine-out", "BENCH_engine.json", "engine: output path for the machine-readable result")
-	shards := flag.Int("shards", 0, "engine: worker fan-out for the headline metrics (0 = GOMAXPROCS); the shard sweep always runs 1/2/4/8")
 	flag.Parse()
 
 	want := map[string]bool{}
@@ -72,26 +56,6 @@ func main() {
 	cfg := experiments.Config{Scale: *scale, Seed: *seed, W: os.Stdout}
 
 	ran := 0
-	if want["serve"] {
-		fmt.Printf("=== serve (scale %.2g) ===\n", *scale)
-		start := time.Now()
-		if err := runServe(*scale, *seed, *serveQueries, *serveConc, *out); err != nil {
-			fmt.Fprintf(os.Stderr, "hyperbench: serve: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("--- serve done in %s ---\n\n", time.Since(start).Round(time.Millisecond))
-		ran++
-	}
-	if want["engine"] {
-		fmt.Printf("=== engine (scale %.2g) ===\n", *scale)
-		start := time.Now()
-		if err := runEngine(*scale, *seed, *shards, *engineOut); err != nil {
-			fmt.Fprintf(os.Stderr, "hyperbench: engine: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("--- engine done in %s ---\n\n", time.Since(start).Round(time.Millisecond))
-		ran++
-	}
 	for _, r := range runners {
 		if !want["all"] && !want[r.name] {
 			continue
@@ -106,14 +70,11 @@ func main() {
 		ran++
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "hyperbench: no experiment matched %q; known: ", *exp)
+		known := make([]string, len(runners))
 		for i, r := range runners {
-			if i > 0 {
-				fmt.Fprint(os.Stderr, ", ")
-			}
-			fmt.Fprint(os.Stderr, r.name)
+			known[i] = r.name
 		}
-		fmt.Fprintln(os.Stderr, ", serve, engine")
+		fmt.Fprintf(os.Stderr, "hyperbench: no experiment matched %q; known: %s\n", *exp, strings.Join(known, ", "))
 		os.Exit(2)
 	}
 }

@@ -9,7 +9,7 @@
 //
 //	hyperd -addr :8080 -preload toy,german
 //	curl localhost:8080/v1/datasets
-//	curl -X POST localhost:8080/v1/whatif -d '{"session":"german","query":"USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)"}'
+//	curl -X POST localhost:8080/v1/sessions/german/whatif -d '{"query":"USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)"}'
 //	curl -X POST localhost:8080/v1/jobs -d '{"session":"german","kind":"howto","query":"USE German HOWTOUPDATE Status LIMIT UPDATES <= 1 TOMAXIMIZE COUNT(Credit = 1)"}'
 //	curl localhost:8080/v1/stats
 //

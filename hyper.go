@@ -22,8 +22,8 @@
 //	    OUTPUT AVG(POST(Rtng))
 //	    FOR PRE(Category) = 'Laptop'`)
 //
-// See DESIGN.md for the architecture and EXPERIMENTS.md for the
-// reproduction of the paper's evaluation.
+// See DESIGN.md for the architecture; `go run ./cmd/hyperbench -exp all
+// -scale 0.05` and bench_test.go reproduce the paper's evaluation.
 package hyper
 
 import (

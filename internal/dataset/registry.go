@@ -9,10 +9,9 @@ import (
 )
 
 // Builder is a named dataset constructor for the serving layer: cmd/hyperd
-// creates sessions from registry names, and hyperbench's serving benchmark
-// picks its workload here. Scale multiplies the default row counts (1.0
-// reproduces the sizes used throughout the tests; serving sessions usually
-// want less).
+// creates sessions from registry names. Scale multiplies the default row
+// counts (1.0 reproduces the sizes used throughout the tests; serving
+// sessions usually want less).
 type Builder struct {
 	Name        string
 	Description string

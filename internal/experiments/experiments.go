@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 5). Each experiment prints the same rows/series the
-// paper reports; EXPERIMENTS.md records how the measured shapes compare to
-// the published ones. The cmd/hyperbench binary and the repository-root
-// benchmarks are thin wrappers over this package.
+// paper reports, to be compared with the published shapes:
+// `go run ./cmd/hyperbench -exp all -scale 0.05` prints them all, and the
+// repository-root bench_test.go reports the plotted quantities as benchmark
+// metrics. Both are thin wrappers over this package.
 package experiments
 
 import (

@@ -14,8 +14,8 @@ import (
 // it rides the context (ContextWithMeter / MeterFromContext), never cache
 // identity, every method is nil-safe so instrumentation points cost one
 // pointer check when metering is off, and a metered evaluation returns
-// bit-identical results to an unmetered one (enforced <2% overhead by
-// cmd/benchguard, like tracing).
+// bit-identical results to an unmetered one (the benchmark's traced run
+// reports its cost as obs.meter_overhead_pct, like tracing).
 //
 // In dist mode each worker runs its request under a fresh Meter and returns
 // it in the eval/fit response; the coordinator Folds the child meters into

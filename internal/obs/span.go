@@ -8,8 +8,8 @@
 // cache identity, so a traced evaluation returns bit-identical results to an
 // untraced one. When no span is in the context every instrumentation point
 // is a single nil check — the package must stay cheap enough that always-on
-// request tracing costs under 2% of a cold what-if (enforced by
-// cmd/benchguard).
+// request tracing is lost in the noise of a cold what-if (the benchmark's
+// traced run reports it as obs.trace_overhead_pct).
 //
 // The span tree is deliberately tiny: names, wall-clock durations, and a
 // flat attribute bag per span. Cross-process traces are stitched by value:

@@ -108,16 +108,16 @@ func TestServerPlacement(t *testing.T) {
 		// "fit" runs first: on a cold session cache its estimator fits go
 		// through the remote transport (a warm cache would have nothing left
 		// to fit — the artifacts are identical either way).
-		if st, p := distPost(t, base, "/v1/whatif", QueryRequest{Session: "g", Query: src, Placement: "fit"}, &fit); st != 200 {
+		if st, p := distPost(t, base, "/v1/sessions/g/whatif", QueryRequest{Query: src, Placement: "fit"}, &fit); st != 200 {
 			t.Fatalf("fit: %d %s", st, p)
 		}
-		if st, p := distPost(t, base, "/v1/whatif", QueryRequest{Session: "g", Query: src, Placement: "local"}, &local); st != 200 {
+		if st, p := distPost(t, base, "/v1/sessions/g/whatif", QueryRequest{Query: src, Placement: "local"}, &local); st != 200 {
 			t.Fatalf("local: %d %s", st, p)
 		}
-		if st, p := distPost(t, base, "/v1/whatif", QueryRequest{Session: "g", Query: src, Placement: "workers"}, &workers); st != 200 {
+		if st, p := distPost(t, base, "/v1/sessions/g/whatif", QueryRequest{Query: src, Placement: "workers"}, &workers); st != 200 {
 			t.Fatalf("workers: %d %s", st, p)
 		}
-		if st, p := distPost(t, base, "/v1/whatif", QueryRequest{Session: "g", Query: src}, &auto); st != 200 {
+		if st, p := distPost(t, base, "/v1/sessions/g/whatif", QueryRequest{Query: src}, &auto); st != 200 {
 			t.Fatalf("auto: %d %s", st, p)
 		}
 		ref := stableOf(&local)
@@ -141,10 +141,10 @@ func TestServerPlacement(t *testing.T) {
 	// local run exactly.
 	howto := `USE German HOWTOUPDATE Status LIMIT UPDATES <= 1 TOMAXIMIZE COUNT(Credit = 1)`
 	var hLocal, hFit HowToResponse
-	if st, p := distPost(t, base, "/v1/howto", QueryRequest{Session: "g", Query: howto, Placement: "fit"}, &hFit); st != 200 {
+	if st, p := distPost(t, base, "/v1/sessions/g/howto", QueryRequest{Query: howto, Placement: "fit"}, &hFit); st != 200 {
 		t.Fatalf("howto fit: %d %s", st, p)
 	}
-	if st, p := distPost(t, base, "/v1/howto", QueryRequest{Session: "g", Query: howto, Placement: "local"}, &hLocal); st != 200 {
+	if st, p := distPost(t, base, "/v1/sessions/g/howto", QueryRequest{Query: howto, Placement: "local"}, &hLocal); st != 200 {
 		t.Fatalf("howto local: %d %s", st, p)
 	}
 	if hLocal.Objective != hFit.Objective || hLocal.Base != hFit.Base || len(hLocal.Choices) != len(hFit.Choices) {
@@ -157,10 +157,10 @@ func TestServerPlacement(t *testing.T) {
 	}
 
 	// Placement validation.
-	if st, _ := distPost(t, base, "/v1/howto", QueryRequest{Session: "g", Query: howto, Placement: "workers"}, nil); st != http.StatusBadRequest {
+	if st, _ := distPost(t, base, "/v1/sessions/g/howto", QueryRequest{Query: howto, Placement: "workers"}, nil); st != http.StatusBadRequest {
 		t.Fatalf("howto placement=workers status %d, want 400", st)
 	}
-	if st, _ := distPost(t, base, "/v1/whatif", QueryRequest{Session: "g", Query: queries[0], Placement: "bogus"}, nil); st != http.StatusBadRequest {
+	if st, _ := distPost(t, base, "/v1/sessions/g/whatif", QueryRequest{Query: queries[0], Placement: "bogus"}, nil); st != http.StatusBadRequest {
 		t.Fatalf("placement=bogus status %d, want 400", st)
 	}
 
@@ -197,8 +197,8 @@ func TestServerPlacementJob(t *testing.T) {
 		t.Fatalf("create session: %d %s", st, p)
 	}
 	var local WhatIfResponse
-	if st, p := distPost(t, base, "/v1/whatif", QueryRequest{
-		Session: "g", Query: `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`, Placement: "local",
+	if st, p := distPost(t, base, "/v1/sessions/g/whatif", QueryRequest{
+		Query: `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`, Placement: "local",
 	}, &local); st != 200 {
 		t.Fatalf("local: %d %s", st, p)
 	}

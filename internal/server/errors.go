@@ -110,17 +110,6 @@ func (w *envelopeWriter) Write(p []byte) (int, error) {
 	return w.ResponseWriter.Write(p)
 }
 
-// deprecatedAlias marks a legacy route that survives as a thin alias of a
-// resource-oriented successor: responses carry an RFC 8594 Deprecation
-// header and a successor Link so clients can migrate mechanically.
-func deprecatedAlias(successor string, h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+successor+">; rel=\"successor-version\"")
-		h.ServeHTTP(w, r)
-	})
-}
-
 // jsonContentType reports whether a raw response body looks like our JSON
 // (used only by tests asserting no endpoint emits a bare error page).
 func looksLikeJSON(body []byte) bool {

@@ -27,19 +27,19 @@ func TestErrorStatusTable(t *testing.T) {
 		want   int
 	}{
 		// Unknown resources -> 404.
-		{"whatif unknown session", "POST", "/v1/whatif", `{"session":"nope","query":"x"}`, 404},
-		{"howto unknown session", "POST", "/v1/howto", `{"session":"nope","query":"x"}`, 404},
-		{"explain unknown session", "POST", "/v1/explain", `{"session":"nope","query":"x"}`, 404},
-		{"batch unknown session", "POST", "/v1/batch", `{"session":"nope","queries":[{"query":"x"}]}`, 404},
+		{"whatif unknown session", "POST", "/v1/sessions/nope/whatif", `{"query":"x"}`, 404},
+		{"howto unknown session", "POST", "/v1/sessions/nope/howto", `{"query":"x"}`, 404},
+		{"explain unknown session", "POST", "/v1/sessions/nope/explain", `{"query":"x"}`, 404},
+		{"batch unknown session", "POST", "/v1/sessions/nope/batch", `{"queries":[{"query":"x"}]}`, 404},
 		{"jobs unknown session", "POST", "/v1/jobs", `{"session":"nope","query":"x"}`, 404},
 		{"delete unknown session", "DELETE", "/v1/sessions/nope", "", 404},
 		{"get unknown job", "GET", "/v1/jobs/nope", "", 404},
 		{"cancel unknown job", "DELETE", "/v1/jobs/nope", "", 404},
 
 		// Malformed HyperQL -> 400.
-		{"whatif bad query", "POST", "/v1/whatif", `{"session":"g","query":"` + badQL + `"}`, 400},
-		{"howto bad query", "POST", "/v1/howto", `{"session":"g","query":"` + badQL + `"}`, 400},
-		{"explain bad query", "POST", "/v1/explain", `{"session":"g","query":"` + badQL + `"}`, 400},
+		{"whatif bad query", "POST", "/v1/sessions/g/whatif", `{"query":"` + badQL + `"}`, 400},
+		{"howto bad query", "POST", "/v1/sessions/g/howto", `{"query":"` + badQL + `"}`, 400},
+		{"explain bad query", "POST", "/v1/sessions/g/explain", `{"query":"` + badQL + `"}`, 400},
 		{"jobs bad query", "POST", "/v1/jobs", `{"session":"g","query":"` + badQL + `"}`, 400},
 		{"jobs bad howto query", "POST", "/v1/jobs", `{"session":"g","kind":"howto","query":"` + badQL + `"}`, 400},
 		// Kind/query mismatches are rejected at submission, not queued.
@@ -47,12 +47,12 @@ func TestErrorStatusTable(t *testing.T) {
 		{"jobs whatif query as howto", "POST", "/v1/jobs", `{"session":"g","kind":"howto","query":"USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)"}`, 400},
 
 		// Semantically invalid requests -> 400.
-		{"howto bad method", "POST", "/v1/howto", `{"session":"g","query":"x","method":"annealing"}`, 400},
+		{"howto bad method", "POST", "/v1/sessions/g/howto", `{"query":"x","method":"annealing"}`, 400},
 		{"jobs bad method", "POST", "/v1/jobs", `{"session":"g","kind":"howto","query":"USE German HOWTOUPDATE Status TOMAXIMIZE COUNT(Credit = 1)","method":"annealing"}`, 400},
 		{"jobs bad kind", "POST", "/v1/jobs", `{"session":"g","kind":"teleport","query":"x"}`, 400},
 		{"jobs empty batch", "POST", "/v1/jobs", `{"session":"g","kind":"batch"}`, 400},
 		{"jobs bad state filter", "GET", "/v1/jobs?state=bogus", "", 400},
-		{"batch empty", "POST", "/v1/batch", `{"session":"g","queries":[]}`, 400},
+		{"batch empty", "POST", "/v1/sessions/g/batch", `{"queries":[]}`, 400},
 		{"session missing name", "POST", "/v1/sessions", `{"dataset":"german"}`, 400},
 		{"session unknown dataset", "POST", "/v1/sessions", `{"name":"x","dataset":"nope"}`, 400},
 		{"session no source", "POST", "/v1/sessions", `{"name":"x"}`, 400},
@@ -60,10 +60,10 @@ func TestErrorStatusTable(t *testing.T) {
 		{"session bad mode", "POST", "/v1/sessions", `{"name":"x","dataset":"german","options":{"mode":"psychic"}}`, 400},
 
 		// Malformed JSON bodies -> 400 on every POST endpoint.
-		{"whatif bad body", "POST", "/v1/whatif", `{"nope`, 400},
-		{"howto bad body", "POST", "/v1/howto", `{"nope`, 400},
-		{"explain bad body", "POST", "/v1/explain", `{"nope`, 400},
-		{"batch bad body", "POST", "/v1/batch", `{"nope`, 400},
+		{"whatif bad body", "POST", "/v1/sessions/g/whatif", `{"nope`, 400},
+		{"howto bad body", "POST", "/v1/sessions/g/howto", `{"nope`, 400},
+		{"explain bad body", "POST", "/v1/sessions/g/explain", `{"nope`, 400},
+		{"batch bad body", "POST", "/v1/sessions/g/batch", `{"nope`, 400},
 		{"jobs bad body", "POST", "/v1/jobs", `{"nope`, 400},
 		{"sessions bad body", "POST", "/v1/sessions", `{"nope`, 400},
 		{"sessions unknown field", "POST", "/v1/sessions", `{"surprise":1}`, 400},
@@ -132,7 +132,13 @@ func TestErrorEnvelopeTable(t *testing.T) {
 		retryable bool
 	}{
 		{"mux unrouted path", "GET", "/v2/nope", "", 404, "not_found", false},
-		{"mux wrong method", "DELETE", "/v1/whatif", "", 405, "method_not_allowed", false},
+		{"mux wrong method", "DELETE", "/v1/sessions/g/whatif", "", 405, "method_not_allowed", false},
+		// The body-addressed query routes are gone: a well-formed legacy
+		// request gets the standard 404 envelope, not a mux page or a 500.
+		{"legacy whatif gone", "POST", "/v1/whatif", `{"session":"g","query":"` + germanCount + `"}`, 404, "not_found", false},
+		{"legacy howto gone", "POST", "/v1/howto", `{"session":"g","query":"x"}`, 404, "not_found", false},
+		{"legacy explain gone", "POST", "/v1/explain", `{"session":"g","query":"` + germanCount + `"}`, 404, "not_found", false},
+		{"legacy batch gone", "POST", "/v1/batch", `{"session":"g","queries":[{"query":"x"}]}`, 404, "not_found", false},
 		{"get unknown session", "GET", "/v1/sessions/nope", "", 404, "not_found", false},
 		{"scoped whatif unknown session", "POST", "/v1/sessions/nope/whatif", `{"query":"x"}`, 404, "not_found", false},
 		{"session mismatch", "POST", "/v1/sessions/g/whatif", `{"session":"other","query":"x"}`, 400, "session_mismatch", false},
@@ -193,40 +199,5 @@ func TestErrorEnvelopeTable(t *testing.T) {
 	}
 	if envelope.Code != "session_limit" || !envelope.Retryable {
 		t.Fatalf("session-limit envelope = %+v, want retryable session_limit", envelope)
-	}
-}
-
-// TestDeprecatedAliases: the body-addressed query routes survive as thin
-// aliases of the session-scoped resources and say so in their headers.
-func TestDeprecatedAliases(t *testing.T) {
-	ts := newTestServer(t, Config{})
-	createSession(t, ts, "g")
-	for _, kind := range []string{"whatif", "howto", "explain", "batch"} {
-		body := `{"session":"g","query":"x"}`
-		if kind == "batch" {
-			body = `{"session":"g","queries":[{"query":"x"}]}`
-		}
-		resp, err := http.Post(ts.URL+"/v1/"+kind, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Errorf("POST /v1/%s: no Deprecation header", kind)
-		}
-		if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/sessions/{name}/"+kind) {
-			t.Errorf("POST /v1/%s: Link = %q, want successor-version pointer", kind, link)
-		}
-		// The successor route must NOT be marked deprecated.
-		succ, err := http.Post(ts.URL+"/v1/sessions/g/"+kind, "application/json", strings.NewReader(`{"query":"x"}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, succ.Body)
-		succ.Body.Close()
-		if succ.Header.Get("Deprecation") != "" {
-			t.Errorf("POST /v1/sessions/g/%s: unexpectedly deprecated", kind)
-		}
 	}
 }

@@ -64,7 +64,7 @@ func TestJobSubmitPollComplete(t *testing.T) {
 
 	const query = `USE German HOWTOUPDATE Status LIMIT UPDATES <= 1 TOMAXIMIZE COUNT(Credit = 1)`
 	var sync HowToResponse
-	if code := do(t, "POST", ts.URL+"/v1/howto", QueryRequest{Session: "g", Query: query}, &sync); code != http.StatusOK {
+	if code := do(t, "POST", ts.URL+"/v1/sessions/g/howto", QueryRequest{Query: query}, &sync); code != http.StatusOK {
 		t.Fatalf("sync howto: status %d", code)
 	}
 
@@ -161,7 +161,7 @@ func TestJobCancelMidSolve(t *testing.T) {
 	// The session (and its artifact cache) stays consistent: the same
 	// session answers the synchronous endpoint normally afterwards.
 	var res WhatIfResponse
-	if code := do(t, "POST", ts.URL+"/v1/whatif", QueryRequest{Session: "g", Query: germanCount}, &res); code != http.StatusOK {
+	if code := do(t, "POST", ts.URL+"/v1/sessions/g/whatif", QueryRequest{Query: germanCount}, &res); code != http.StatusOK {
 		t.Fatalf("post-cancel whatif: status %d", code)
 	}
 	if res.Value <= 0 {

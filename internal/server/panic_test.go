@@ -22,7 +22,7 @@ func TestPanicRecovery(t *testing.T) {
 	})
 
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/whatif", nil))
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sessions/g/whatif", nil))
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status %d, want 500", rec.Code)
 	}
@@ -51,7 +51,7 @@ func TestPanicRecovery(t *testing.T) {
 		return map[string]int{"fine": 1}, nil
 	})
 	rec = httptest.NewRecorder()
-	ok.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/whatif", nil))
+	ok.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sessions/g/whatif", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("post-panic request: status %d, want 200", rec.Code)
 	}

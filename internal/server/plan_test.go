@@ -19,7 +19,7 @@ func TestServerPlanCacheStatsAndSessionDelete(t *testing.T) {
 
 	for i := 0; i < 2; i++ {
 		var res WhatIfResponse
-		if code := do(t, "POST", ts.URL+"/v1/whatif", QueryRequest{Session: "g", Query: germanPlanned}, &res); code != http.StatusOK {
+		if code := do(t, "POST", ts.URL+"/v1/sessions/g/whatif", QueryRequest{Query: germanPlanned}, &res); code != http.StatusOK {
 			t.Fatalf("whatif %d: status %d", i, code)
 		}
 	}
@@ -51,7 +51,7 @@ func TestServerPlanCacheStatsAndSessionDelete(t *testing.T) {
 	// stale reuse from the deleted session.
 	createSession(t, ts, "g")
 	var res WhatIfResponse
-	do(t, "POST", ts.URL+"/v1/whatif", QueryRequest{Session: "g", Query: germanPlanned}, &res)
+	do(t, "POST", ts.URL+"/v1/sessions/g/whatif", QueryRequest{Query: germanPlanned}, &res)
 	do(t, "GET", ts.URL+"/v1/stats", nil, &stats)
 	if stats.Plan.Hits != 0 || stats.Plan.Misses < 1 {
 		t.Fatalf("plan stats after recreate = %+v, want a fresh miss and no hits", stats.Plan)
@@ -82,7 +82,7 @@ func TestServerPlanCacheEntriesOverride(t *testing.T) {
 	for _, when := range []string{"Age = 2", "Sex = 1", "Age >= 1 AND Sex = 0"} {
 		q := "USE German WHEN " + when + " UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)"
 		var res WhatIfResponse
-		if code := do(t, "POST", ts.URL+"/v1/whatif", QueryRequest{Session: "tiny", Query: q}, &res); code != http.StatusOK {
+		if code := do(t, "POST", ts.URL+"/v1/sessions/tiny/whatif", QueryRequest{Query: q}, &res); code != http.StatusOK {
 			t.Fatalf("whatif WHEN %s: status %d", when, code)
 		}
 	}
@@ -136,9 +136,8 @@ func TestServerPlanSchemaChangeInvalidation(t *testing.T) {
 	explainFP := func() string {
 		t.Helper()
 		var res ExplainResponse
-		code := do(t, "POST", ts.URL+"/v1/explain", QueryRequest{
-			Session: "mine",
-			Query:   `USE Loans WHEN Savings = 1 UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`,
+		code := do(t, "POST", ts.URL+"/v1/sessions/mine/explain", QueryRequest{
+			Query: `USE Loans WHEN Savings = 1 UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`,
 		}, &res)
 		if code != http.StatusOK {
 			t.Fatalf("explain: status %d", code)

@@ -16,9 +16,9 @@ import (
 // QueryRequest targets one session with one HypeRQL query. The zero Method
 // runs the default engine for the query kind.
 type QueryRequest struct {
-	// Session names the target session. On the resource-scoped routes
-	// (POST /v1/sessions/{name}/whatif etc.) the path wins; a non-empty body
-	// session that disagrees with the path is a 400.
+	// Session names the target session. The route's path
+	// (POST /v1/sessions/{name}/whatif etc.) is authoritative; a non-empty
+	// body session that disagrees with it is a 400.
 	Session string `json:"session,omitempty"`
 	Query   string `json:"query"`
 	// Method selects the how-to formulation: "" or "ip" (integer program),
@@ -166,7 +166,7 @@ func toHowToResponse(r *hyper.HowToResult) *HowToResponse {
 
 // sessionScopedQuery decodes a QueryRequest addressed by path: the route's
 // {name} is authoritative, and a conflicting body session is rejected so a
-// copy-pasted legacy body can't silently target the wrong session.
+// copy-pasted body can't silently target the wrong session.
 func (s *Server) sessionScopedQuery(r *http.Request) (*sessionEntry, QueryRequest, error) {
 	var req QueryRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -182,27 +182,11 @@ func (s *Server) sessionScopedQuery(r *http.Request) (*sessionEntry, QueryReques
 	return e, req, err
 }
 
-func (s *Server) handleWhatIf(r *http.Request) (any, error) {
-	var req QueryRequest
-	if err := decodeBody(r, &req); err != nil {
-		return nil, err
-	}
-	e, err := s.session(req.Session)
-	if err != nil {
-		return nil, err
-	}
-	return s.runWhatIf(r, e, req)
-}
-
 func (s *Server) handleSessionWhatIf(r *http.Request) (any, error) {
 	e, req, err := s.sessionScopedQuery(r)
 	if err != nil {
 		return nil, err
 	}
-	return s.runWhatIf(r, e, req)
-}
-
-func (s *Server) runWhatIf(r *http.Request, e *sessionEntry, req QueryRequest) (any, error) {
 	sn, err := e.resolve(req.Snapshot)
 	if err != nil {
 		return nil, err
@@ -244,27 +228,11 @@ func rejectDeltaVs(req QueryRequest) error {
 	return nil
 }
 
-func (s *Server) handleHowTo(r *http.Request) (any, error) {
-	var req QueryRequest
-	if err := decodeBody(r, &req); err != nil {
-		return nil, err
-	}
-	e, err := s.session(req.Session)
-	if err != nil {
-		return nil, err
-	}
-	return s.runHowTo(r, e, req)
-}
-
 func (s *Server) handleSessionHowTo(r *http.Request) (any, error) {
 	e, req, err := s.sessionScopedQuery(r)
 	if err != nil {
 		return nil, err
 	}
-	return s.runHowTo(r, e, req)
-}
-
-func (s *Server) runHowTo(r *http.Request, e *sessionEntry, req QueryRequest) (any, error) {
 	if err := rejectDeltaVs(req); err != nil {
 		return nil, err
 	}
@@ -276,27 +244,11 @@ func (s *Server) runHowTo(r *http.Request, e *sessionEntry, req QueryRequest) (a
 	return e.howTo(r.Context(), sn, req, nil)
 }
 
-func (s *Server) handleExplain(r *http.Request) (any, error) {
-	var req QueryRequest
-	if err := decodeBody(r, &req); err != nil {
-		return nil, err
-	}
-	e, err := s.session(req.Session)
-	if err != nil {
-		return nil, err
-	}
-	return s.runExplain(r, e, req)
-}
-
 func (s *Server) handleSessionExplain(r *http.Request) (any, error) {
 	e, req, err := s.sessionScopedQuery(r)
 	if err != nil {
 		return nil, err
 	}
-	return s.runExplain(r, e, req)
-}
-
-func (s *Server) runExplain(r *http.Request, e *sessionEntry, req QueryRequest) (any, error) {
 	if err := rejectDeltaVs(req); err != nil {
 		return nil, err
 	}
@@ -479,8 +431,8 @@ type BatchQuery struct {
 
 // BatchRequest fans N queries against one session across a worker pool.
 type BatchRequest struct {
-	// Session names the target session (resource-scoped batch routes take
-	// it from the path instead; a conflicting body session is a 400).
+	// Session names the target session (the batch route takes it from the
+	// path; a conflicting body session is a 400).
 	Session string       `json:"session,omitempty"`
 	Queries []BatchQuery `json:"queries"`
 	// Workers caps the pool for this request; 0 uses the server default,
@@ -508,18 +460,6 @@ type BatchResponse struct {
 	Trace *obs.TraceJSON `json:"trace,omitempty"`
 }
 
-func (s *Server) handleBatch(r *http.Request) (any, error) {
-	var req BatchRequest
-	if err := decodeBody(r, &req); err != nil {
-		return nil, err
-	}
-	e, err := s.session(req.Session)
-	if err != nil {
-		return nil, err
-	}
-	return s.runBatchRequest(r, e, req)
-}
-
 func (s *Server) handleSessionBatch(r *http.Request) (any, error) {
 	var req BatchRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -535,10 +475,6 @@ func (s *Server) handleSessionBatch(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.runBatchRequest(r, e, req)
-}
-
-func (s *Server) runBatchRequest(r *http.Request, e *sessionEntry, req BatchRequest) (any, error) {
 	if len(req.Queries) == 0 {
 		return nil, errf(http.StatusBadRequest, "batch has no queries")
 	}
@@ -557,7 +493,7 @@ func (s *Server) batchWorkers(want int) int {
 // runBatch fans the queries across a bounded worker pool. ctx cancellation
 // stops in-flight evaluations (their elements report the context error) and
 // skips unstarted ones; progress, when non-nil, counts completed elements.
-// It is shared by the synchronous /v1/batch handler and batch jobs.
+// It is shared by the synchronous batch handler and batch jobs.
 func (e *sessionEntry) runBatch(ctx context.Context, queries []BatchQuery, workers int, progress hyper.Progress) *BatchResponse {
 	if workers > len(queries) {
 		workers = len(queries)

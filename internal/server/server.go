@@ -28,10 +28,6 @@
 //	GET    /v1/usage                          per-query-shape usage analytics (?limit=, ?after=)
 //	GET    /v1/usage/{session}                usage analytics filtered to one session's shapes
 //
-// The body-addressed query routes (POST /v1/whatif, /v1/howto, /v1/explain,
-// /v1/batch) survive as thin deprecated aliases of the session-scoped
-// routes; their responses carry a Deprecation header and a successor Link.
-//
 // Every error, on every /v1 route (including the mux's own 404/405), is the
 // same JSON envelope: {"error": ..., "code": ..., "retryable": ...}.
 //
@@ -85,7 +81,7 @@ type Config struct {
 	// a session's plan cache is dropped with the session, so a schema can
 	// never outlive its plans.
 	PlanCacheEntries int
-	// BatchWorkers is the worker-pool size for /v1/batch (and the cap on a
+	// BatchWorkers is the worker-pool size for batch requests (and the cap on a
 	// request's own workers field). Default GOMAXPROCS.
 	BatchWorkers int
 	// MaxSessions caps the number of live sessions. Default 64.
@@ -305,13 +301,6 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("POST /v1/sessions/{name}/howto", s.instrument("howto", s.handleSessionHowTo))
 	mux.Handle("POST /v1/sessions/{name}/explain", s.instrument("explain", s.handleSessionExplain))
 	mux.Handle("POST /v1/sessions/{name}/batch", s.instrument("batch", s.handleSessionBatch))
-
-	// Legacy body-addressed query routes: thin deprecated aliases of the
-	// session-scoped successors above (same handlers, session from body).
-	mux.Handle("POST /v1/whatif", deprecatedAlias("/v1/sessions/{name}/whatif", s.instrument("whatif", s.handleWhatIf)))
-	mux.Handle("POST /v1/howto", deprecatedAlias("/v1/sessions/{name}/howto", s.instrument("howto", s.handleHowTo)))
-	mux.Handle("POST /v1/explain", deprecatedAlias("/v1/sessions/{name}/explain", s.instrument("explain", s.handleExplain)))
-	mux.Handle("POST /v1/batch", deprecatedAlias("/v1/sessions/{name}/batch", s.instrument("batch", s.handleBatch)))
 
 	mux.Handle("POST /v1/jobs", s.instrument("jobs", s.handleSubmitJob))
 	mux.Handle("GET /v1/jobs", s.instrument("jobs", s.handleListJobs))

@@ -91,14 +91,14 @@ func TestServerWhatIfAndCacheReuse(t *testing.T) {
 	createSession(t, ts, "g")
 
 	var first WhatIfResponse
-	if code := do(t, "POST", ts.URL+"/v1/whatif", QueryRequest{Session: "g", Query: germanCount}, &first); code != http.StatusOK {
+	if code := do(t, "POST", ts.URL+"/v1/sessions/g/whatif", QueryRequest{Query: germanCount}, &first); code != http.StatusOK {
 		t.Fatalf("whatif: status %d", code)
 	}
 	if first.Value <= 0 || first.ViewRows == 0 {
 		t.Fatalf("degenerate what-if response: %+v", first)
 	}
 	var second WhatIfResponse
-	do(t, "POST", ts.URL+"/v1/whatif", QueryRequest{Session: "g", Query: germanCount}, &second)
+	do(t, "POST", ts.URL+"/v1/sessions/g/whatif", QueryRequest{Query: germanCount}, &second)
 	if second.Value != first.Value {
 		t.Errorf("repeat query changed value: %v vs %v", second.Value, first.Value)
 	}
@@ -126,9 +126,8 @@ func TestServerHowTo(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	createSession(t, ts, "g")
 	var res HowToResponse
-	code := do(t, "POST", ts.URL+"/v1/howto", QueryRequest{
-		Session: "g",
-		Query:   `USE German HOWTOUPDATE Status LIMIT UPDATES <= 1 TOMAXIMIZE COUNT(Credit = 1)`,
+	code := do(t, "POST", ts.URL+"/v1/sessions/g/howto", QueryRequest{
+		Query: `USE German HOWTOUPDATE Status LIMIT UPDATES <= 1 TOMAXIMIZE COUNT(Credit = 1)`,
 	}, &res)
 	if code != http.StatusOK {
 		t.Fatalf("howto: status %d", code)
@@ -138,7 +137,7 @@ func TestServerHowTo(t *testing.T) {
 	}
 	// Unknown method is a client error.
 	var errResp map[string]string
-	code = do(t, "POST", ts.URL+"/v1/howto", QueryRequest{Session: "g", Query: "x", Method: "annealing"}, &errResp)
+	code = do(t, "POST", ts.URL+"/v1/sessions/g/howto", QueryRequest{Query: "x", Method: "annealing"}, &errResp)
 	if code != http.StatusBadRequest || errResp["error"] == "" {
 		t.Errorf("bad method: status %d, body %v", code, errResp)
 	}
@@ -148,7 +147,7 @@ func TestServerExplain(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	createSession(t, ts, "g")
 	var res ExplainResponse
-	code := do(t, "POST", ts.URL+"/v1/explain", QueryRequest{Session: "g", Query: germanCount}, &res)
+	code := do(t, "POST", ts.URL+"/v1/sessions/g/explain", QueryRequest{Query: germanCount}, &res)
 	if code != http.StatusOK {
 		t.Fatalf("explain: status %d", code)
 	}
@@ -164,7 +163,6 @@ func TestServerBatchMixedAndConcurrent(t *testing.T) {
 	ts := newTestServer(t, Config{BatchWorkers: 4})
 	createSession(t, ts, "g")
 	req := BatchRequest{
-		Session: "g",
 		Queries: []BatchQuery{
 			{Kind: "whatif", Query: germanCount},
 			{Kind: "whatif", Query: `USE German UPDATE(Savings) = 2 OUTPUT COUNT(Credit = 1)`},
@@ -175,7 +173,7 @@ func TestServerBatchMixedAndConcurrent(t *testing.T) {
 		Workers: 4,
 	}
 	var res BatchResponse
-	if code := do(t, "POST", ts.URL+"/v1/batch", req, &res); code != http.StatusOK {
+	if code := do(t, "POST", ts.URL+"/v1/sessions/g/batch", req, &res); code != http.StatusOK {
 		t.Fatalf("batch: status %d", code)
 	}
 	if len(res.Results) != 5 {
@@ -207,8 +205,7 @@ func TestServerBatchMixedAndConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			var r BatchResponse
-			do(t, "POST", ts.URL+"/v1/batch", BatchRequest{
-				Session: "g",
+			do(t, "POST", ts.URL+"/v1/sessions/g/batch", BatchRequest{
 				Queries: []BatchQuery{{Query: germanCount}},
 			}, &r)
 			if len(r.Results) == 1 && r.Results[0].WhatIf != nil {
@@ -229,7 +226,7 @@ func TestServerSessionLifecycleAndErrors(t *testing.T) {
 
 	// Query against a missing session.
 	var errResp ErrorResponse
-	if code := do(t, "POST", ts.URL+"/v1/whatif", QueryRequest{Session: "nope", Query: germanCount}, &errResp); code != http.StatusNotFound {
+	if code := do(t, "POST", ts.URL+"/v1/sessions/nope/whatif", QueryRequest{Query: germanCount}, &errResp); code != http.StatusNotFound {
 		t.Errorf("missing session: status %d, want 404", code)
 	}
 	// Unknown dataset.
@@ -306,9 +303,8 @@ func TestServerCSVSession(t *testing.T) {
 		t.Errorf("rows = %d, want 60", info.Rows)
 	}
 	var res WhatIfResponse
-	code = do(t, "POST", ts.URL+"/v1/whatif", QueryRequest{
-		Session: "mine",
-		Query:   `USE Loans UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`,
+	code = do(t, "POST", ts.URL+"/v1/sessions/mine/whatif", QueryRequest{
+		Query: `USE Loans UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`,
 	}, &res)
 	if code != http.StatusOK {
 		t.Fatalf("csv whatif: status %d", code)

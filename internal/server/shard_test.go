@@ -16,7 +16,7 @@ func TestShardKnobAndGauges(t *testing.T) {
 	createSession(t, ts, "s1")
 
 	var base WhatIfResponse
-	if code := do(t, "POST", ts.URL+"/v1/whatif", QueryRequest{Session: "s1", Query: germanCount}, &base); code != http.StatusOK {
+	if code := do(t, "POST", ts.URL+"/v1/sessions/s1/whatif", QueryRequest{Query: germanCount}, &base); code != http.StatusOK {
 		t.Fatalf("whatif: status %d", code)
 	}
 	if base.ShardPlan < 1 || base.ShardWorkers < 1 {
@@ -24,7 +24,7 @@ func TestShardKnobAndGauges(t *testing.T) {
 	}
 	for _, shards := range []int{1, 2, 7} {
 		var got WhatIfResponse
-		if code := do(t, "POST", ts.URL+"/v1/whatif", QueryRequest{Session: "s1", Query: germanCount, Shards: shards}, &got); code != http.StatusOK {
+		if code := do(t, "POST", ts.URL+"/v1/sessions/s1/whatif", QueryRequest{Query: germanCount, Shards: shards}, &got); code != http.StatusOK {
 			t.Fatalf("whatif shards=%d: status %d", shards, code)
 		}
 		if got.Value != base.Value || got.Sum != base.Sum || got.Count != base.Count {

@@ -24,11 +24,12 @@ import (
 // fan-out); fold reduces in plan order.
 var whatIfSkeleton = regexp.MustCompile(`^whatif\(eval_shards\(fit(,fit)*\),fold,prepare\(blocks,plan,train,view\)\)$`)
 
-// tracedWhatIf posts one what-if with ?trace=1 and returns the response.
+// tracedWhatIf posts one what-if with ?trace=1 to req.Session and returns
+// the response.
 func tracedWhatIf(t *testing.T, base string, req QueryRequest) *WhatIfResponse {
 	t.Helper()
 	var res WhatIfResponse
-	if code := do(t, "POST", base+"/v1/whatif?trace=1", req, &res); code != http.StatusOK {
+	if code := do(t, "POST", base+"/v1/sessions/"+req.Session+"/whatif?trace=1", req, &res); code != http.StatusOK {
 		t.Fatalf("traced whatif: status %d", code)
 	}
 	if res.Trace == nil || res.Trace.Root == nil {
@@ -89,8 +90,8 @@ func TestTraceRingMetricsAndSlowLog(t *testing.T) {
 	t.Cleanup(ts.Close)
 	createSlowSession(t, ts, "g")
 
-	req, _ := json.Marshal(QueryRequest{Session: "g", Query: germanCount})
-	resp, err := http.Post(ts.URL+"/v1/whatif", "application/json", strings.NewReader(string(req)))
+	req, _ := json.Marshal(QueryRequest{Query: germanCount})
+	resp, err := http.Post(ts.URL+"/v1/sessions/g/whatif", "application/json", strings.NewReader(string(req)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,17 +29,17 @@ func TestUsageEndpointAggregatesByShape(t *testing.T) {
 		`USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`,
 		`USE German UPDATE(Status) = 4 OUTPUT COUNT(Credit = 0)`,
 	} {
-		if code := do(t, "POST", ts.URL+"/v1/whatif", QueryRequest{Session: "g", Query: q}, nil); code != http.StatusOK {
+		if code := do(t, "POST", ts.URL+"/v1/sessions/g/whatif", QueryRequest{Query: q}, nil); code != http.StatusOK {
 			t.Fatalf("whatif: status %d", code)
 		}
 	}
-	if code := do(t, "POST", ts.URL+"/v1/whatif", QueryRequest{
-		Session: "g", Query: `USE German UPDATE(Savings) = 2 OUTPUT COUNT(Credit = 1) FOR PRE(Age) = 2`,
+	if code := do(t, "POST", ts.URL+"/v1/sessions/g/whatif", QueryRequest{
+		Query: `USE German UPDATE(Savings) = 2 OUTPUT COUNT(Credit = 1) FOR PRE(Age) = 2`,
 	}, nil); code != http.StatusOK {
 		t.Fatalf("whatif: status %d", code)
 	}
-	if code := do(t, "POST", ts.URL+"/v1/howto", QueryRequest{
-		Session: "g", Query: `USE German HOWTOUPDATE Status LIMIT UPDATES <= 1 TOMAXIMIZE COUNT(Credit = 1)`,
+	if code := do(t, "POST", ts.URL+"/v1/sessions/g/howto", QueryRequest{
+		Query: `USE German HOWTOUPDATE Status LIMIT UPDATES <= 1 TOMAXIMIZE COUNT(Credit = 1)`,
 	}, nil); code != http.StatusOK {
 		t.Fatalf("howto: status %d", code)
 	}
@@ -127,11 +127,11 @@ func TestTraceListFilters(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	createSession(t, ts, "g")
 	for i := 0; i < 2; i++ {
-		if code := do(t, "POST", ts.URL+"/v1/whatif", QueryRequest{Session: "g", Query: germanCount}, nil); code != http.StatusOK {
+		if code := do(t, "POST", ts.URL+"/v1/sessions/g/whatif", QueryRequest{Query: germanCount}, nil); code != http.StatusOK {
 			t.Fatalf("whatif: status %d", code)
 		}
 	}
-	if code := do(t, "POST", ts.URL+"/v1/explain", QueryRequest{Session: "g", Query: germanCount}, nil); code != http.StatusOK {
+	if code := do(t, "POST", ts.URL+"/v1/sessions/g/explain", QueryRequest{Query: germanCount}, nil); code != http.StatusOK {
 		t.Fatalf("explain: status %d", code)
 	}
 
@@ -177,7 +177,7 @@ func TestSlowLogCarriesCostAndShape(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	createSlowSession(t, ts, "g")
-	if code := do(t, "POST", ts.URL+"/v1/whatif", QueryRequest{Session: "g", Query: germanCount}, nil); code != http.StatusOK {
+	if code := do(t, "POST", ts.URL+"/v1/sessions/g/whatif", QueryRequest{Query: germanCount}, nil); code != http.StatusOK {
 		t.Fatalf("whatif: status %d", code)
 	}
 
