@@ -10,8 +10,9 @@ import (
 
 // TestSessionConcurrentQueries hammers one cache-sharing Session from many
 // goroutines running what-if, explain, and how-to queries interleaved with
-// SetOptions calls; under -race this is the public-API concurrency stress
-// test. Every goroutine must observe the same values as a serial run.
+// SetOptions and SetPlanCache calls; under -race this is the public-API
+// concurrency stress test. Every goroutine must observe the same values as a
+// serial run.
 func TestSessionConcurrentQueries(t *testing.T) {
 	g := dataset.GermanSyn(2000, 7)
 	s := NewSessionWithCache(g.DB, g.Model, NewCacheBounded(128))
@@ -37,6 +38,7 @@ func TestSessionConcurrentQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	plans := NewPlanCache(8)
 	const goroutines = 12
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
@@ -70,6 +72,13 @@ func TestSessionConcurrentQueries(t *testing.T) {
 					// Snapshot semantics: writing the same options back must
 					// not disturb queries in flight.
 					s.SetOptions(opts)
+					// Likewise the plan cache: attaching or detaching it only
+					// decides whether compiled plans are kept.
+					if it%2 == 0 {
+						s.SetPlanCache(plans)
+					} else {
+						s.SetPlanCache(nil)
+					}
 				case 3:
 					res, err := s.HowTo(howtoSrc)
 					if err != nil {

@@ -190,9 +190,9 @@ type Cache = engine.Cache
 type CacheStats = engine.CacheStats
 
 // PlanCache is the bounded, fingerprint-keyed compiled-plan cache: repeat
-// query shapes skip planning, WHEN predicates push down into columnar
-// scans, and results stay bit-identical to unplanned evaluation. See
-// internal/plan for the contract.
+// query shapes skip planning. It only memoizes — every session pushes WHEN
+// predicates down into columnar scans through the planner's program, with or
+// without one. See internal/plan for the contract.
 type PlanCache = plan.Cache
 
 // PlanCacheStats reports plan-cache hit/miss/eviction/compile counters.
@@ -248,12 +248,22 @@ func (s *Session) Cache() *Cache { return s.cache }
 // SetPlanCache attaches a compiled-plan cache shared by the session's
 // queries (and by sessions later derived with With). Like the artifact
 // cache it must only serve queries against this session's database; drop it
-// with the session. A nil argument detaches planning.
-func (s *Session) SetPlanCache(p *PlanCache) { s.plans = p }
+// with the session. A nil argument detaches it: queries then compile their
+// plan per call and evaluate exactly as before. Queries already in flight
+// keep the cache they started with.
+func (s *Session) SetPlanCache(p *PlanCache) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.plans = p
+}
 
-// PlanCache returns the session's compiled-plan cache (nil when planning is
-// not enabled).
-func (s *Session) PlanCache() *PlanCache { return s.plans }
+// PlanCache returns the session's compiled-plan cache (nil when compiled
+// plans are not kept).
+func (s *Session) PlanCache() *PlanCache {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.plans
+}
 
 // With returns a derived session sharing this session's database, causal
 // model and caches, with its own options. It is how a server applies
@@ -261,7 +271,7 @@ func (s *Session) PlanCache() *PlanCache { return s.plans }
 // the shared session's state: the derived session is as concurrency-safe as
 // the original, and artifacts still flow through the one shared cache.
 func (s *Session) With(o Options) *Session {
-	d := &Session{db: s.db, model: s.model, cache: s.cache, plans: s.plans}
+	d := &Session{db: s.db, model: s.model, cache: s.cache, plans: s.PlanCache()}
 	d.opts = o
 	return d
 }
@@ -287,7 +297,7 @@ func (s *Session) Append(rows map[string][]Tuple) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Session{db: db, model: s.model, cache: s.cache, plans: s.plans}
+	d := &Session{db: db, model: s.model, cache: s.cache, plans: s.PlanCache()}
 	d.opts = s.Options()
 	return d, nil
 }
@@ -325,7 +335,7 @@ func (s *Session) Validate() error {
 // (not the live session state) flows through the whole evaluation, so a
 // concurrent SetOptions cannot tear a running query.
 func (s *Session) engineOpts() engine.Options {
-	return engineOptsFrom(s.Options(), s.cache, s.plans)
+	return engineOptsFrom(s.Options(), s.cache, s.PlanCache())
 }
 
 func engineOptsFrom(o Options, cache *engine.Cache, plans *plan.Cache) engine.Options {
@@ -355,7 +365,7 @@ func (s *Session) EngineOptions() engine.Options {
 func (s *Session) howtoOpts() howto.Options {
 	o := s.Options()
 	return howto.Options{
-		Engine:  engineOptsFrom(o, s.cache, s.plans),
+		Engine:  engineOptsFrom(o, s.cache, s.PlanCache()),
 		Buckets: o.Buckets,
 	}
 }
@@ -485,11 +495,9 @@ func (s *Session) Explain(src string) (string, error) {
 	fmt.Fprintf(&b, "  FOR disjuncts: %d\n", res.Disjuncts)
 	fmt.Fprintf(&b, "  backdoor set:  %v\n", res.Backdoor)
 	fmt.Fprintf(&b, "  estimator:     %s over %d training rows\n", res.EstimatorUsed, res.SampledRows)
-	if res.PlanText != "" {
-		fmt.Fprintf(&b, "  compiled plan (cache %s):\n", map[bool]string{true: "hit", false: "miss"}[res.PlanCacheHit])
-		for _, line := range strings.Split(strings.TrimRight(res.PlanText, "\n"), "\n") {
-			fmt.Fprintf(&b, "    %s\n", line)
-		}
+	fmt.Fprintf(&b, "  compiled plan (cache %s):\n", map[bool]string{true: "hit", false: "miss"}[res.PlanCacheHit])
+	for _, line := range strings.Split(strings.TrimRight(res.PlanText, "\n"), "\n") {
+		fmt.Fprintf(&b, "    %s\n", line)
 	}
 	return b.String(), nil
 }

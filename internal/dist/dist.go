@@ -87,7 +87,9 @@ func WireOptionsFrom(o engine.Options) WireOptions {
 }
 
 // EngineOptions rebuilds the engine options on the worker side. The worker
-// attaches its own per-frame cache.
+// attaches its own per-frame cache; it keeps no plan cache, which changes
+// nothing it computes — the engine compiles the WHEN program per request and
+// pushes it down exactly as the coordinator does.
 func (w WireOptions) EngineOptions() engine.Options {
 	return engine.Options{
 		Mode:            engine.Mode(w.Mode),

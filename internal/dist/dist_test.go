@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 	"hyper/internal/dataset"
 	"hyper/internal/engine"
 	"hyper/internal/hyperql"
+	"hyper/internal/obs"
 	"hyper/internal/relation"
 )
 
@@ -90,13 +92,13 @@ func newTestCoordinatorCfg(t *testing.T, cfg CoordinatorConfig, workers ...*test
 // TestDistributedEvalGolden pins the distributed path against the same
 // golden constants the engine parity tests pin for the single-process path:
 // 2 real HTTP workers, each rebuilding the database from the shipped frame,
-// must reproduce the pinned value to the last bit.
+// must reproduce the pinned value to the last bit and agree with a local
+// evaluation on every result bit. Workers carry no plan cache, and need none:
+// a direct POST /dist/v1/eval shows the worker computing the WHEN set through
+// the planner's pushdown (a plan stage in its meter and trace) and selecting
+// the coordinator's number of rows.
 func TestDistributedEvalGolden(t *testing.T) {
-	goldens := []struct {
-		name, ds, query, value string
-	}{
-		{"german-freq-count", "german", `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`, "875.68587543540139"},
-		{"toy-avg-forest", "toy", `USE (SELECT T1.PID, T1.Category, T1.Price, T1.Brand,
+	const toyQuery = `USE (SELECT T1.PID, T1.Category, T1.Price, T1.Brand,
 			AVG(T2.Rating) AS Rtng
 			FROM Product AS T1, Review AS T2
 			WHERE T1.PID = T2.PID
@@ -104,16 +106,23 @@ func TestDistributedEvalGolden(t *testing.T) {
 			WHEN Brand = 'Asus'
 			UPDATE(Price) = 1.1 * PRE(Price)
 			OUTPUT AVG(POST(Rtng))
-			FOR PRE(Category) = 'Laptop'`, "2.6302810387072708"},
+			FOR PRE(Category) = 'Laptop'`
+	goldens := []struct {
+		name, ds, query, value string
+		pushed                 int // WHEN conjuncts the worker must run as columnar scans
+	}{
+		{"german-freq-count", "german", `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`, "875.68587543540139", 0},
+		{"german-when", "german", `USE German WHEN Sex = 1 AND Age = 2 UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`, "545.88571428571436", 2},
+		{"toy-avg-forest", "toy", toyQuery, "2.6302810387072708", 1},
 	}
 	for _, g := range goldens {
 		t.Run(g.name, func(t *testing.T) {
 			w1, w2 := newTestWorker(t), newTestWorker(t)
-			c, _ := newTestCoordinator(t, w1, w2)
+			c, client := newTestCoordinator(t, w1, w2)
 			db, model := distDataset(t, g.ds)
+			frame, opts := NewFrame(db, model), engine.Options{Seed: 7}
 			res, err := c.EvaluateWhatIf(context.Background(), EvalSpec{
-				DB: db, Model: model, Frame: NewFrame(db, model),
-				Query: g.query, Options: engine.Options{Seed: 7},
+				DB: db, Model: model, Frame: frame, Query: g.query, Options: opts,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -124,8 +133,74 @@ func TestDistributedEvalGolden(t *testing.T) {
 			if res.Placement != "workers" {
 				t.Fatalf("placement %q, want workers", res.Placement)
 			}
+			q, err := hyperql.ParseWhatIf(g.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			local, err := engine.Evaluate(db, model, q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g17(res.Value) != g17(local.Value) || g17(res.Sum) != g17(local.Sum) || g17(res.Count) != g17(local.Count) ||
+				res.UpdatedRows != local.UpdatedRows {
+				t.Fatalf("workers %s/%s/%s S=%d != local %s/%s/%s S=%d", g17(res.Value), g17(res.Sum), g17(res.Count), res.UpdatedRows,
+					g17(local.Value), g17(local.Sum), g17(local.Count), local.UpdatedRows)
+			}
+			if local.PlanPushed != g.pushed {
+				t.Fatalf("local evaluation pushed %d conjuncts, want %d", local.PlanPushed, g.pushed)
+			}
+
+			// The worker side of the same query, asked directly.
+			id, err := frame.ID()
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := json.Marshal(EvalRequest{Frame: id, Query: g.query, Options: WireOptionsFrom(opts), Shards: []int{0}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			req, err := http.NewRequest(http.MethodPost, w1.ts.URL+pathEval, bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set(obs.TraceIDHeader, "golden-"+g.name)
+			resp, err := client.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var er EvalResponse
+			if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("worker eval: status %d, decode err %v", resp.StatusCode, err)
+			}
+			if er.Meta.UpdatedRows != res.UpdatedRows {
+				t.Fatalf("worker selected %d rows, coordinator %d", er.Meta.UpdatedRows, res.UpdatedRows)
+			}
+			if _, ok := er.Meter.StagesMs["plan"]; !ok {
+				t.Fatalf("worker meter has no plan stage: %v", er.Meter.StagesMs)
+			}
+			planSpan := findSpan(er.Spans, "plan")
+			if planSpan == nil {
+				t.Fatal("worker trace has no plan span")
+			}
+			if got, _ := planSpan.Attrs["pushed"].(float64); int(got) != g.pushed {
+				t.Fatalf("worker plan span pushed=%v, want %d", planSpan.Attrs["pushed"], g.pushed)
+			}
 		})
 	}
+}
+
+// findSpan returns the first span named name in the tree under s.
+func findSpan(s *obs.SpanJSON, name string) *obs.SpanJSON {
+	if s == nil || s.Name == name {
+		return s
+	}
+	for _, c := range s.Children {
+		if f := findSpan(c, name); f != nil {
+			return f
+		}
+	}
+	return nil
 }
 
 // TestDistributedEvalParity checks multi-shard, multi-worker distribution

@@ -204,6 +204,7 @@ func TestErrorPaths(t *testing.T) {
 		{`USE German UPDATE(Status) = 3 AND UPDATE(Status) = 2 OUTPUT COUNT(*)`, "updated twice"},
 		{`USE German UPDATE(Status) = 3 OUTPUT AVG(PRE(Credit))`, "PRE"},
 		{`USE German UPDATE(Status) = 3 OUTPUT COUNT(*) FOR PRE(Nope) = 1`, "unknown column"},
+		{`USE German WHEN Nope = 1 UPDATE(Status) = 3 OUTPUT COUNT(*)`, `engine: WHEN: sqlmini: unknown column "Nope" in German`},
 	}
 	for _, c := range cases {
 		q, err := hyperql.ParseWhatIf(c.src)

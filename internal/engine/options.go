@@ -142,14 +142,13 @@ type Options struct {
 	// cache must only be shared across queries on the same database and
 	// causal model.
 	Cache *Cache
-	// Plans, when non-nil, caches compiled query plans — WHEN pushdown
-	// programs, cost-based conjunct order, per-view column stats — keyed by
-	// shape fingerprint + schema signature, so structurally identical
-	// queries skip planning. Purely an execution knob excluded from
-	// estimator cache identity: planned and unplanned evaluation are
-	// bit-identical (the plan validates itself error-free or falls back to
-	// the row loop). Like Cache it must only be shared across queries on
-	// the same database.
+	// Plans, when non-nil, keeps compiled query plans — WHEN pushdown
+	// programs in cost-based conjunct order — keyed by shape fingerprint +
+	// schema signature, so structurally identical queries skip planning. It
+	// selects no code path: the planner's program computes the update set
+	// either way, and nil only means every query compiles its own plan.
+	// Excluded from estimator cache identity. Like Cache it must only be
+	// shared across queries on the same database.
 	Plans *plan.Cache
 	// Progress, when non-nil, receives tuple-evaluation progress updates
 	// (stage "tuples"). It does not participate in cache identity: progress

@@ -9,6 +9,8 @@ import (
 	"hyper/internal/dataset"
 	"hyper/internal/hyperql"
 	"hyper/internal/plan"
+	"hyper/internal/relation"
+	"hyper/internal/sqlmini"
 	"hyper/internal/stats"
 )
 
@@ -20,11 +22,12 @@ var fuzzData = sync.OnceValue(func() *dataset.Single {
 
 // randomPlannedQuery generates a well-formed what-if whose WHEN clause
 // deliberately walks the planner's classification space: pushable equality,
-// inequality, ranges, IN/NOT IN, AND chains, plus residual shapes (NOT,
-// arithmetic) and no WHEN at all.
+// inequality, ranges, IN/NOT IN, AND chains, residual shapes (NOT,
+// arithmetic), an unknown column (the plan falls back; the query fails unless
+// an earlier never-true conjunct short-circuits it) and no WHEN at all.
 func randomPlannedQuery(rng *stats.RNG) string {
 	conj := func() string {
-		switch rng.Intn(8) {
+		switch rng.Intn(9) {
 		case 0:
 			return fmt.Sprintf("Age = %d", rng.Intn(5)) // incl. never-true code 4
 		case 1:
@@ -39,6 +42,8 @@ func randomPlannedQuery(rng *stats.RNG) string {
 			return fmt.Sprintf("Age NOT IN (%d)", rng.Intn(4))
 		case 6:
 			return fmt.Sprintf("NOT (Sex = %d)", rng.Intn(2)) // residual (unary NOT)
+		case 7:
+			return fmt.Sprintf("Nope = %d", rng.Intn(2)) // unknown column: fallback
 		default:
 			return fmt.Sprintf("Age + Sex = %d", rng.Intn(4)) // residual (arithmetic)
 		}
@@ -89,11 +94,33 @@ func bitsEqual(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
-// FuzzPlanParity is the planner's bit-identity fuzzer: for a random
-// well-formed what-if, evaluating through the cost-based planner (cold
-// compile, then a cache-warm repeat) must produce results bit-for-bit equal
-// to the unplanned row-at-a-time path — Value, Sum, and Count alike, at a
-// serial and a parallel fan-out. CI runs this as a 30s smoke; locally:
+// oracleMask is the independent reference for the update set: the whole WHEN
+// tree through sqlmini.EvalBool, row by row in row order, stopping at the
+// first failing row. No production code evaluates a WHEN tree this way; the
+// planner's program must agree with it on every mask and every error.
+func oracleMask(when hyperql.Expr, rel *relation.Relation) ([]bool, error) {
+	mask := make([]bool, rel.Len())
+	for i := range mask {
+		if when == nil {
+			mask[i] = true
+			continue
+		}
+		ok, err := sqlmini.EvalBool(when, sqlmini.RowEnv{Rel: rel, Row: rel.Row(i)})
+		if err != nil {
+			return nil, err
+		}
+		mask[i] = ok
+	}
+	return mask, nil
+}
+
+// FuzzPlanParity is the planner's bit-identity fuzzer. For a random
+// well-formed what-if it holds the planner's update-set mask and error to
+// oracleMask over the relevant view, then evaluates the query three ways —
+// without a plan cache, through a cold one, and cache-warm — at a serial and
+// a parallel fan-out: all three must fail with the oracle's error or agree
+// bit-for-bit on Value, Sum and Count, select the oracle's number of rows and
+// push the same conjuncts. CI runs this as a 30s smoke; locally:
 //
 //	go test -fuzz=FuzzPlanParity -fuzztime=30s ./internal/engine
 func FuzzPlanParity(f *testing.F) {
@@ -108,27 +135,62 @@ func FuzzPlanParity(f *testing.F) {
 		if err != nil {
 			t.Fatalf("generated query does not parse: %q: %v", src, err)
 		}
+		v, _, _, _, err := resolveView(g.DB, q, Options{})
+		if err != nil {
+			t.Fatalf("%q: view: %v", src, err)
+		}
+		want, wantErr := oracleMask(q.When, v.rel)
+		var noCache *plan.Cache
+		qp, _ := noCache.WhatIf(g.DB, "", q, v.rel)
+		inS := make([]bool, v.rel.Len())
+		if _, err := qp.Apply(q.When, v.rel, inS); fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("%q: planner err=%v, oracle err=%v; plan:\n%s", src, err, wantErr, qp.Explain())
+		}
+		wantRows := 0
+		for i := range want {
+			if inS[i] != want[i] {
+				t.Fatalf("%q: row %d planner=%v oracle=%v; plan:\n%s", src, i, inS[i], want[i], qp.Explain())
+			}
+			if want[i] {
+				wantRows++
+			}
+		}
 		for _, shards := range []int{1, 4} {
-			base := Options{Seed: 1, Shards: shards}
-			want, wantErr := Evaluate(g.DB, g.Model, q, base)
-
-			planned := base
-			planned.Cache = NewCache()
-			planned.Plans = plan.NewCache(0)
-			for rep, label := range []string{"cold", "warm"} {
-				got, err := Evaluate(g.DB, g.Model, q, planned)
-				if (err == nil) != (wantErr == nil) {
-					t.Fatalf("%q shards=%d %s: planned err=%v, unplanned err=%v", src, shards, label, err, wantErr)
-				}
-				if err != nil {
+			cached := Options{Seed: 1, Shards: shards, Cache: NewCache(), Plans: plan.NewCache(0)}
+			var first *Result
+			for _, run := range []struct {
+				label string
+				opts  Options
+			}{
+				{"no-cache", Options{Seed: 1, Shards: shards}},
+				{"cold", cached},
+				{"warm", cached},
+			} {
+				got, err := Evaluate(g.DB, g.Model, q, run.opts)
+				if wantErr != nil {
+					if err == nil || err.Error() != "engine: WHEN: "+wantErr.Error() {
+						t.Fatalf("%q shards=%d %s: err=%v, oracle err=%v", src, shards, run.label, err, wantErr)
+					}
 					continue
 				}
-				if !bitsEqual(got.Value, want.Value) || !bitsEqual(got.Sum, want.Sum) || !bitsEqual(got.Count, want.Count) {
-					t.Fatalf("%q shards=%d %s: planned (%v,%v,%v) != unplanned (%v,%v,%v); plan:\n%s",
-						src, shards, label, got.Value, got.Sum, got.Count, want.Value, want.Sum, want.Count, got.PlanText)
+				if err != nil {
+					t.Fatalf("%q shards=%d %s: %v", src, shards, run.label, err)
 				}
-				if rep == 1 && !got.PlanCacheHit {
-					t.Fatalf("%q shards=%d: warm repeat missed the plan cache", src, shards)
+				if got.UpdatedRows != wantRows {
+					t.Fatalf("%q shards=%d %s: UpdatedRows=%d, oracle selects %d", src, shards, run.label, got.UpdatedRows, wantRows)
+				}
+				if got.PlanCacheHit != (run.label == "warm") {
+					t.Fatalf("%q shards=%d %s: PlanCacheHit=%v", src, shards, run.label, got.PlanCacheHit)
+				}
+				if first == nil {
+					first = got
+					continue
+				}
+				if !bitsEqual(got.Value, first.Value) || !bitsEqual(got.Sum, first.Sum) || !bitsEqual(got.Count, first.Count) ||
+					got.PlanPushed != first.PlanPushed {
+					t.Fatalf("%q shards=%d %s: (%v,%v,%v) pushed=%d != no-cache (%v,%v,%v) pushed=%d; plan:\n%s",
+						src, shards, run.label, got.Value, got.Sum, got.Count, got.PlanPushed,
+						first.Value, first.Sum, first.Count, first.PlanPushed, got.PlanText)
 				}
 			}
 		}

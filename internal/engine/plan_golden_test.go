@@ -106,15 +106,18 @@ func TestPlanGolden(t *testing.T) {
 	}
 }
 
-// TestPlannedParityGoldens re-runs every pinned parity case through the
-// planner and holds it to the same 17-digit goldens as the unplanned path —
-// cache-cold, then cache-warm (the repeat must be served from the plan
-// cache), at a serial and a parallel fan-out. This is the bit-identity
-// contract on real pinned numbers rather than fuzzer-generated ones.
+// TestPlannedParityGoldens re-runs every pinned parity case through a plan
+// cache and holds it to the same 17-digit goldens TestWhatIfParityGoldens
+// checks without one — cache-cold, then cache-warm (the repeat must be served
+// from the plan cache), at a serial and a parallel fan-out — and to the
+// no-cache run's update-set size and pushed-conjunct count: the cache decides
+// only whether the plan is kept, on real pinned numbers rather than
+// fuzzer-generated ones.
 func TestPlannedParityGoldens(t *testing.T) {
 	for _, c := range parityCases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
+			noCache := parityEval(t, c)
 			for _, shards := range []int{1, 4} {
 				opts := c.opts
 				opts.Shards = shards
@@ -135,6 +138,10 @@ func TestPlannedParityGoldens(t *testing.T) {
 					}
 					if got := f17(res.Count); got != c.count {
 						t.Errorf("shards=%d %s: count = %s, golden %s", shards, label, got, c.count)
+					}
+					if res.UpdatedRows != noCache.UpdatedRows || res.PlanPushed != noCache.PlanPushed {
+						t.Errorf("shards=%d %s: updated=%d pushed=%d, without a plan cache updated=%d pushed=%d",
+							shards, label, res.UpdatedRows, res.PlanPushed, noCache.UpdatedRows, noCache.PlanPushed)
 					}
 					if rep == 1 && !res.PlanCacheHit {
 						t.Errorf("shards=%d: warm repeat missed the plan cache", shards)

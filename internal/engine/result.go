@@ -66,18 +66,18 @@ type Result struct {
 	// is false.
 	DegradedReason string
 
-	// PlanFingerprint is the 16-hex shape fingerprint of the compiled plan
-	// (empty when no plan cache was configured). Like Placement it is pure
-	// diagnostics: planning can never change a result.
+	// PlanFingerprint is the 16-hex shape fingerprint of the compiled plan.
+	// Like Placement it is pure diagnostics.
 	PlanFingerprint string
 	// PlanCacheHit reports whether the compiled plan was served from the
-	// plan cache (planning was skipped entirely).
+	// plan cache (planning was skipped entirely); always false without one.
 	PlanCacheHit bool
 	// PlanPushed is the number of WHEN conjuncts executed as columnar scans
-	// over interned codes (0 when unplanned or when the plan fell back).
+	// over interned codes (0 when the plan fell back to the whole-tree
+	// residual program). It does not depend on whether a plan cache is set.
 	PlanPushed int
 	// PlanText is the deterministic, literal-free EXPLAIN rendering of the
-	// compiled plan (empty when unplanned).
+	// compiled plan.
 	PlanText string
 
 	// Timing breakdown.

@@ -211,43 +211,29 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 	bsp.Set("cache_hit", blocksHit)
 	bsp.End()
 
-	// Step 3: WHEN defines the update set S (pre-update values only). With a
-	// plan cache, the WHEN clause compiles (once per shape) into a
-	// cost-ordered pushdown program scanning the view's column codes
-	// (relation.Relation.Coded); the program is validated error-free at
-	// compile time or marks itself a fallback, so the planned and unplanned
-	// paths compute the same set — including error behaviour — to the bit.
+	// Step 3: WHEN defines the update set S (pre-update values only). The
+	// planner owns the whole step: the clause compiles — once per shape when
+	// a plan cache is attached, per call otherwise — into a cost-ordered
+	// pushdown program scanning the view's column codes
+	// (relation.Relation.Coded), and a tree it cannot prove error-free runs
+	// as the degenerate whole-tree program, so S and any error are those of
+	// a row-at-a-time sqlmini.EvalBool loop to the bit.
+	tp := time.Now()
+	_, psp := obs.Start(ctx, "plan")
+	qp, planHit := o.Plans.WhatIf(db, viewKey, q, v.rel)
+	res.PlanTime = time.Since(tp)
+	meter.AddStage("plan", res.PlanTime)
+	res.PlanFingerprint = qp.Fingerprint
+	res.PlanCacheHit = planHit
+	res.PlanText = qp.Explain()
 	inS := make([]bool, v.rel.Len())
-	planApplied := false
-	if o.Plans != nil {
-		tp := time.Now()
-		_, psp := obs.Start(ctx, "plan")
-		qp, planHit := o.Plans.WhatIf(db, viewKey, q, v.rel)
-		res.PlanTime = time.Since(tp)
-		meter.AddStage("plan", res.PlanTime)
-		res.PlanFingerprint = qp.Fingerprint
-		res.PlanCacheHit = planHit
-		res.PlanText = qp.Explain()
-		if q.When != nil {
-			res.PlanPushed, planApplied = o.Plans.Apply(qp, q, v.rel, inS)
-		}
-		psp.Set("cache_hit", planHit)
-		psp.Set("pushed", res.PlanPushed)
-		psp.Set("fallback", qp.Fallback)
-		psp.End()
-	}
-	if !planApplied {
-		for i := range inS {
-			if q.When == nil {
-				inS[i] = true
-				continue
-			}
-			ok, err := sqlmini.EvalBool(q.When, sqlmini.RowEnv{Rel: v.rel, Row: v.rel.Row(i)})
-			if err != nil {
-				return nil, fmt.Errorf("engine: WHEN: %w", err)
-			}
-			inS[i] = ok
-		}
+	res.PlanPushed, err = o.Plans.Apply(qp, q, v.rel, inS)
+	psp.Set("cache_hit", planHit)
+	psp.Set("pushed", res.PlanPushed)
+	psp.Set("fallback", qp.Fallback)
+	psp.End()
+	if err != nil {
+		return nil, fmt.Errorf("engine: WHEN: %w", err)
 	}
 	for _, s := range inS {
 		if s {

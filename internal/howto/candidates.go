@@ -6,8 +6,8 @@ import (
 
 	"hyper/internal/hyperql"
 	"hyper/internal/ml"
+	"hyper/internal/plan"
 	"hyper/internal/relation"
-	"hyper/internal/sqlmini"
 )
 
 // Candidates enumerates the permissible update set S_B for every attribute
@@ -18,6 +18,10 @@ import (
 // constraints filter the set: range bounds, IN lists, and the normalized L1
 // distance over the WHEN tuples.
 func Candidates(db *relation.Database, q *hyperql.HowTo, o Options) (map[string][]hyperql.UpdateSpec, error) {
+	return candidates(db, q, o, whenSets{})
+}
+
+func candidates(db *relation.Database, q *hyperql.HowTo, o Options, ws whenSets) (map[string][]hyperql.UpdateSpec, error) {
 	o = o.withDefaults()
 	out := make(map[string][]hyperql.UpdateSpec, len(q.Attrs))
 	for _, attr := range q.Attrs {
@@ -29,7 +33,7 @@ func Candidates(db *relation.Database, q *hyperql.HowTo, o Options) (map[string]
 		if !rel.Schema().Col(ci).Mutable {
 			return nil, fmt.Errorf("howto: attribute %q is immutable", attr)
 		}
-		specs, err := candidatesFor(rel, attr, q, o)
+		specs, err := candidatesFor(rel, attr, q, o, ws)
 		if err != nil {
 			return nil, err
 		}
@@ -41,7 +45,7 @@ func Candidates(db *relation.Database, q *hyperql.HowTo, o Options) (map[string]
 	return out, nil
 }
 
-func candidatesFor(rel *relation.Relation, attr string, q *hyperql.HowTo, o Options) ([]hyperql.UpdateSpec, error) {
+func candidatesFor(rel *relation.Relation, attr string, q *hyperql.HowTo, o Options, ws whenSets) ([]hyperql.UpdateSpec, error) {
 	rangeLo, rangeHi := math.Inf(-1), math.Inf(1)
 	var inVals []relation.Value
 	theta := math.Inf(1)
@@ -65,7 +69,7 @@ func candidatesFor(rel *relation.Relation, attr string, q *hyperql.HowTo, o Opti
 	}
 
 	// Pre-update values of the WHEN tuples, for the L1 feasibility check.
-	pres, err := whenValues(rel, attr, q.When)
+	pres, err := ws.values(rel, attr, q.When)
 	if err != nil {
 		return nil, err
 	}
@@ -132,26 +136,35 @@ func candidatesFor(rel *relation.Relation, attr string, q *hyperql.HowTo, o Opti
 	return specs, nil
 }
 
-// whenValues returns the pre-update float values of attr for the rows
-// satisfying the WHEN predicate (all rows when nil). The predicate is
-// evaluated over the base relation, which the how-to syntax guarantees
-// contains the update attribute.
-func whenValues(rel *relation.Relation, attr string, when hyperql.Expr) ([]float64, error) {
+// whenSets memoizes a how-to's WHEN set over each base relation holding one
+// of its update attributes, so a how-to computes the mask once per relation
+// however many attributes and passes (L1 feasibility, update costs) read it.
+type whenSets map[*relation.Relation][]bool
+
+// values returns the pre-update float values of attr for the rows of rel in
+// the WHEN set, which the planner's program decides over the base relation
+// (the how-to syntax guarantees it contains the update attribute). A WHEN
+// the plan cannot validate there — it may name view-only columns such as
+// aggregates — selects all rows, as does a nil one.
+func (ws whenSets) values(rel *relation.Relation, attr string, when hyperql.Expr) ([]float64, error) {
+	inS, ok := ws[rel]
+	if !ok {
+		inS = make([]bool, rel.Len())
+		p := plan.Compile(rel, when)
+		if p.Fallback {
+			when = nil // undecidable on the base relation: Apply(nil) keeps every row
+		}
+		if _, err := p.Apply(when, rel, inS); err != nil {
+			return nil, fmt.Errorf("howto: WHEN: %w", err)
+		}
+		ws[rel] = inS
+	}
 	ci := rel.Schema().MustIndex(attr)
 	var out []float64
-	for _, row := range rel.Rows() {
-		if when != nil {
-			ok, err := sqlmini.EvalBool(when, sqlmini.RowEnv{Rel: rel, Row: row})
-			if err != nil {
-				// WHEN may reference view columns absent from the base
-				// relation (aggregates); fall back to all rows.
-				return nil, nil
-			}
-			if !ok {
-				continue
-			}
+	for i, in := range inS {
+		if in {
+			out = append(out, rel.Row(i)[ci].AsFloat())
 		}
-		out = append(out, row[ci].AsFloat())
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package howto
 
 import (
+	"math"
 	"testing"
 
 	"hyper/internal/dataset"
@@ -83,6 +84,46 @@ func TestCandidatesL1FiltersByWhenSet(t *testing.T) {
 	if len(cands["CreditAmount"]) >= len(all["CreditAmount"]) {
 		t.Errorf("L1 bound should prune candidates: %d vs %d",
 			len(cands["CreditAmount"]), len(all["CreditAmount"]))
+	}
+}
+
+// TestCandidatesL1WithViewOnlyWhen pins what a WHEN that cannot be decided
+// on the base relation means for the L1 limit: Rtng exists only in the USE
+// view, so the limit is checked over every Product row — exactly as if WHEN
+// were absent — for candidate feasibility and update costs alike. (Dropping
+// the check instead would let all eight buckets through.)
+func TestCandidatesL1WithViewOnlyWhen(t *testing.T) {
+	db, _ := dataset.Toy()
+	const use = `USE (SELECT T1.PID, T1.Category, T1.Price, T1.Brand, AVG(T2.Rating) AS Rtng
+		FROM Product AS T1, Review AS T2 WHERE T1.PID = T2.PID
+		GROUP BY T1.PID, T1.Category, T1.Price, T1.Brand) `
+	const tail = `HOWTOUPDATE Price
+		LIMIT 0 <= POST(Price) <= 1000 AND L1(PRE(Price), POST(Price)) <= 250
+		TOMAXIMIZE AVG(POST(Rtng))`
+	q := parseHT(t, use+`WHEN Rtng >= 3 `+tail)
+	ws := whenSets{}
+	got, err := candidates(db, q, Options{Buckets: 8}, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Candidates(db, parseHT(t, use+tail), Options{Buckets: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Mean |v - Price| over the five products is within 250 only for the
+	// bucket midpoint nearest the median price.
+	if len(got["Price"]) != 1 || got["Price"][0].Const.AsFloat() != 562.5 {
+		t.Fatalf("candidates = %v, want the single midpoint 562.5", got["Price"])
+	}
+	if len(want["Price"]) != 1 || want["Price"][0] != got["Price"][0] {
+		t.Errorf("view-only WHEN candidates %v differ from the no-WHEN candidates %v", got["Price"], want["Price"])
+	}
+	costs, err := updateCosts(db, q, "Price", got["Price"], ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantCost := (436.5 + 33.5 + 36.5 + 13.5 + 546.51) / 5; math.Abs(costs[0]-wantCost) > 1e-9 {
+		t.Errorf("update cost = %v, want %v (mean over all rows)", costs[0], wantCost)
 	}
 }
 

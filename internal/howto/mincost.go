@@ -10,7 +10,6 @@ import (
 	"hyper/internal/hyperql"
 	"hyper/internal/ip"
 	"hyper/internal/relation"
-	"hyper/internal/sqlmini"
 )
 
 // MinimizeCost solves the alternate how-to formulation of Section 4.3
@@ -36,7 +35,8 @@ func MinimizeCostContext(ctx context.Context, db *relation.Database, model *caus
 	if !q.Maximize {
 		return nil, fmt.Errorf("howto: MinimizeCost requires a TOMAXIMIZE objective defining the target aggregate")
 	}
-	cands, err := Candidates(db, q, o)
+	ws := whenSets{}
+	cands, err := candidates(db, q, o, ws)
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +55,7 @@ func MinimizeCostContext(ctx context.Context, db *relation.Database, model *caus
 	}
 	costsByAttr := map[string][]float64{}
 	for _, attr := range q.Attrs {
-		costs, err := updateCosts(db, q, attr, cands[attr])
+		costs, err := updateCosts(db, q, attr, cands[attr], ws)
 		if err != nil {
 			return nil, err
 		}
@@ -149,32 +149,15 @@ func MinimizeCostContext(ctx context.Context, db *relation.Database, model *caus
 
 // updateCosts computes the normalized L1 cost of each candidate: the mean
 // absolute change it applies to the WHEN tuples (Section 4.1's cost model).
-func updateCosts(db *relation.Database, q *hyperql.HowTo, attr string, specs []hyperql.UpdateSpec) ([]float64, error) {
+func updateCosts(db *relation.Database, q *hyperql.HowTo, attr string, specs []hyperql.UpdateSpec, ws whenSets) ([]float64, error) {
 	rel, err := db.FindRelationOf(attr)
 	if err != nil {
 		return nil, err
 	}
-	ci := rel.Schema().MustIndex(attr)
-	numeric := rel.Schema().Col(ci).Kind.Numeric()
-	var pres []float64
-	for _, row := range rel.Rows() {
-		if q.When != nil {
-			ok, err := sqlmini.EvalBool(q.When, sqlmini.RowEnv{Rel: rel, Row: row})
-			if err != nil {
-				// WHEN may reference view-only columns; cost over all rows.
-				pres = nil
-				break
-			}
-			if !ok {
-				continue
-			}
-		}
-		pres = append(pres, row[ci].AsFloat())
-	}
-	if pres == nil {
-		for _, row := range rel.Rows() {
-			pres = append(pres, row[ci].AsFloat())
-		}
+	numeric := rel.Schema().Col(rel.Schema().MustIndex(attr)).Kind.Numeric()
+	pres, err := ws.values(rel, attr, q.When)
+	if err != nil {
+		return nil, err
 	}
 	costs := make([]float64, len(specs))
 	for si, spec := range specs {

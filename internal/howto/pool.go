@@ -60,23 +60,21 @@ func scoreCandidates(ctx context.Context, db *relation.Database, model *causal.M
 	defer sp.End()
 	sp.Set("candidates", len(jobs))
 	sp.Set("attrs", len(attrs))
-	// Cost-based scheduling: when a plan cache is attached, run low-cardinality
-	// attributes first — their frequency estimators are cheapest to train and
-	// their candidates complete fastest, so the pool drains the cheap work
-	// while the expensive estimators warm. This reorders only the dispatch
-	// queues; out is indexed by the original job order, so results (and the
-	// deterministic first-error choice) are unchanged.
-	if o.Engine.Plans != nil && len(qs) > 0 {
-		if rank := plan.AttrRank(db, qs[0].Use, attrs); rank != nil {
-			byRank := func(idxs []int) {
-				sort.SliceStable(idxs, func(a, b int) bool {
-					return rank[jobs[idxs[a]].attr] < rank[jobs[idxs[b]].attr]
-				})
-			}
-			byRank(warm)
-			byRank(rest)
-			sp.Set("cost_ordered", true)
+	// Cost-based scheduling: run low-cardinality attributes first — their
+	// frequency estimators are cheapest to train and their candidates
+	// complete fastest, so the pool drains the cheap work while the expensive
+	// estimators warm. This reorders only the dispatch queues; out is indexed
+	// by the original job order, so results (and the deterministic
+	// first-error choice) are unchanged.
+	if rank := plan.AttrRank(db, qs[0].Use, attrs); rank != nil {
+		byRank := func(idxs []int) {
+			sort.SliceStable(idxs, func(a, b int) bool {
+				return rank[jobs[idxs[a]].attr] < rank[jobs[idxs[b]].attr]
+			})
 		}
+		byRank(warm)
+		byRank(rest)
+		sp.Set("cost_ordered", true)
 	}
 	// The shard fan-out knob governs candidate-level parallelism too: a
 	// how-to is shard-parallel across candidates, each candidate a what-if

@@ -197,14 +197,20 @@ func Fingerprint(db *relation.Database, q hyperql.Query) string {
 }
 
 // WhatIf returns the compiled plan for q against the resolved relevant view
-// rel (compiling and caching on miss) and whether it was a cache hit. The
-// view-key argument is unused — a plan's column data is memoized on rel, not
-// under a cache key — and stays only so callers keep their shape.
+// rel (compiling and caching on miss) and whether it was a cache hit. A nil c
+// keeps nothing: every call compiles, exactly as a miss would. The view-key
+// argument is unused — a plan's column data is memoized on rel, not under a
+// cache key — and stays only so callers keep their shape.
 func (c *Cache) WhatIf(db *relation.Database, _ string, q *hyperql.WhatIf, rel *relation.Relation) (*WhatIfPlan, bool) {
+	if c == nil {
+		c = NewCache(0)
+	}
 	e, hit := c.lookup(Fingerprint(db, q))
 	e.once.Do(func() {
 		start := time.Now()
-		e.plan = compileWhatIf(q, e.key, rel)
+		e.plan = Compile(rel, q.When)
+		e.plan.Fingerprint = e.key
+		e.plan.explain = renderExplain(e.plan, q)
 		ms := float64(time.Since(start).Nanoseconds()) / 1e6
 		c.mu.Lock()
 		c.compiles++
@@ -217,20 +223,10 @@ func (c *Cache) WhatIf(db *relation.Database, _ string, q *hyperql.WhatIf, rel *
 	return e.plan, hit
 }
 
-// Apply executes p's WHEN program over rel into inS (len rel.Len()),
-// re-binding literals from q. It reports the number of conjuncts run as
-// columnar scans and whether the program applied; ok=false (a defensive
-// bind mismatch) leaves inS unspecified and the caller must fall back to
-// the row-at-a-time loop.
-func (c *Cache) Apply(p *WhatIfPlan, q *hyperql.WhatIf, rel *relation.Relation, inS []bool) (pushed int, ok bool) {
-	if p == nil || p.Fallback || len(inS) != rel.Len() {
-		return 0, false
-	}
-	pushed, err := p.apply(q.When, rel, inS)
-	if err != nil {
-		return 0, false
-	}
-	return pushed, true
+// Apply runs p over rel into inS (len rel.Len()) with q's literals; it is
+// p.Apply(q.When, rel, inS) and reads no cache state, so a nil c is fine.
+func (c *Cache) Apply(p *WhatIfPlan, q *hyperql.WhatIf, rel *relation.Relation, inS []bool) (pushed int, err error) {
+	return p.Apply(q.When, rel, inS)
 }
 
 // AttrRank orders HOWTOUPDATE attributes for candidate scoring by ascending

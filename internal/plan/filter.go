@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"fmt"
 	"math"
 
 	"hyper/internal/hyperql"
@@ -9,33 +8,39 @@ import (
 	"hyper/internal/sqlmini"
 )
 
-var errBind = fmt.Errorf("plan: bound query does not match compiled shape")
+// wholeTree is the degenerate program: the entire WHEN tree as one residual
+// conjunct.
+var wholeTree = []Conjunct{{Op: OpResidual}}
 
-// apply executes the compiled WHEN program over rel, writing the update-set
+// Apply executes the compiled WHEN program over rel, writing the update-set
 // mask into inS (len rel.Len()), re-binding literal values from when's AST
 // at each conjunct's recorded position. It returns the number of conjuncts
-// that actually ran as columnar scans.
-func (p *WhatIfPlan) apply(when hyperql.Expr, rel *relation.Relation, inS []bool) (int, error) {
+// that actually ran as columnar scans. A fallback plan — or one whose
+// conjunct count does not match when, which only a fingerprint collision
+// could produce — runs the whole tree as a single residual conjunct in row
+// order: that is the reference row loop itself, so it returns the first
+// failing row's error and none on a zero-row relation. Validated plans
+// cannot fail.
+func (p *WhatIfPlan) Apply(when hyperql.Expr, rel *relation.Relation, inS []bool) (int, error) {
 	for i := range inS {
 		inS[i] = true
 	}
 	if when == nil {
 		return 0, nil
 	}
-	conjs := SplitAnd(when)
-	if len(conjs) != len(p.Conjuncts) {
-		return 0, errBind
+	conjs, prog := SplitAnd(when), p.Conjuncts
+	if p.Fallback || len(conjs) != len(prog) {
+		conjs, prog = []hyperql.Expr{when}, wholeTree
 	}
 	pushed := 0
-	for _, c := range p.Conjuncts {
+	for _, c := range prog {
 		node := conjs[c.Pos]
 		if c.Op != OpResidual && applyPushed(c, node, rel.Coded(c.colIdx), inS) {
 			pushed++
 			continue
 		}
 		// Residual (or guard-demoted) conjunct: evaluate its own AST on the
-		// rows still in the set. Compile-time validation proved the tree
-		// error-free, so the error return is a defensive impossibility.
+		// rows still in the set.
 		env := sqlmini.RowEnv{Rel: rel}
 		for i := range inS {
 			if !inS[i] {

@@ -1,20 +1,22 @@
 // Package plan is the cost-based planning layer between the hyperql AST and
-// the engine. It compiles the WHEN clause of a what-if query into a
-// pushdown program — a cost-ordered sequence of conjunct filters where
-// equality, IN and range predicates are decided once per distinct column
-// value and applied through the relation's shared per-column codes
-// (relation.Relation.Coded) — and caches the compiled, literal-free plan in
-// a bounded LRU keyed by the query's shape fingerprint plus the database
-// schema signature. Literals are re-bound from the live query on every
-// execution, so a cached plan never pins constants.
+// the engine, and the one place a WHEN expression and a relation become an
+// update-set mask: Compile builds a pushdown program — a cost-ordered
+// sequence of conjunct filters where equality, IN and range predicates are
+// decided once per distinct column value and applied through the relation's
+// shared per-column codes (relation.Relation.Coded) — and Apply runs it. A
+// Cache keeps compiled, literal-free plans in a bounded LRU keyed by the
+// query's shape fingerprint plus the database schema signature; a nil one
+// compiles per call into the same program. Literals are re-bound from the
+// live query on every execution, so a cached plan never pins constants.
 //
-// The planner's contract is bit-identity: a planned evaluation must produce
-// exactly the update set a row-at-a-time sqlmini.EvalBool loop would. Two
-// mechanisms enforce it. First, a plan only reorders or pushes conjuncts
-// when the whole WHEN tree is provably error-free (every column resolves,
-// only evaluable node types appear); otherwise the plan marks itself as a
-// fallback and the engine keeps the original loop, preserving error
-// behaviour exactly. Second, every pushed predicate carries exactness
+// The planner's contract is bit-identity: a program must produce exactly the
+// update set, and exactly the error, of a row-at-a-time sqlmini.EvalBool loop
+// over the whole tree (kept only as the oracle in tests). Two mechanisms
+// enforce it. First, a plan only reorders or pushes conjuncts when the whole
+// WHEN tree is provably error-free (every column resolves, only evaluable
+// node types appear); otherwise it marks itself a fallback and runs the
+// whole tree as one residual conjunct in row order — that loop itself,
+// error behaviour included. Second, every pushed predicate carries exactness
 // guards: interned-code equality matches relation.Value.Compare only when
 // neither side is NaN and numeric magnitudes stay below 1e15 (where
 // canonical keys merge ints with whole floats), and range scans require an
@@ -109,8 +111,8 @@ type WhatIfPlan struct {
 	// estimated half-selectivity like any other.
 	Conjuncts []Conjunct
 	// Fallback marks a WHEN clause that could not be proven error-free (an
-	// unresolvable column, an unsupported node); the engine must keep the
-	// row-at-a-time loop so error behaviour is preserved exactly.
+	// unresolvable column, an unsupported node): Apply runs the whole tree as
+	// one residual conjunct in row order, preserving error behaviour exactly.
 	Fallback bool
 	// FallbackReason says why (empty unless Fallback).
 	FallbackReason string
@@ -154,7 +156,7 @@ func SplitAnd(e hyperql.Expr) []hyperql.Expr {
 // rel: every node type is evaluable and every column reference resolves.
 // Evaluation errors are structural (row-independent), so a validated tree
 // can be evaluated in any order, on any subset of rows, without changing
-// whether — or with what — the original left-to-right row loop would fail.
+// whether — or with what — a left-to-right row loop over the tree would fail.
 func validate(e hyperql.Expr, rel *relation.Relation) error {
 	switch x := e.(type) {
 	case *hyperql.Literal:
@@ -202,23 +204,22 @@ func validate(e hyperql.Expr, rel *relation.Relation) error {
 	}
 }
 
-// compileWhatIf builds the pushdown program of q's WHEN clause against the
-// resolved view rel. The cost model reads rel's per-column projections
-// (relation.Relation.Coded) for exactly the columns pushable conjuncts name:
-// a query without WHEN, or one whose tree falls back, touches no column.
-func compileWhatIf(q *hyperql.WhatIf, fp string, rel *relation.Relation) *WhatIfPlan {
-	p := &WhatIfPlan{Fingerprint: fp, ViewRows: rel.Len()}
-	if q.When == nil {
-		p.explain = renderExplain(p, q)
+// Compile builds the pushdown program of a WHEN expression against rel (the
+// resolved relevant view, or a how-to's base relation). The cost model reads
+// rel's per-column projections (relation.Relation.Coded) for exactly the
+// columns pushable conjuncts name: a nil WHEN, or one whose tree falls back,
+// touches no column.
+func Compile(rel *relation.Relation, when hyperql.Expr) *WhatIfPlan {
+	p := &WhatIfPlan{ViewRows: rel.Len()}
+	if when == nil {
 		return p
 	}
-	if err := validate(q.When, rel); err != nil {
+	if err := validate(when, rel); err != nil {
 		p.Fallback = true
 		p.FallbackReason = err.Error()
-		p.explain = renderExplain(p, q)
 		return p
 	}
-	conjs := SplitAnd(q.When)
+	conjs := SplitAnd(when)
 	p.Conjuncts = make([]Conjunct, len(conjs))
 	for i, e := range conjs {
 		p.Conjuncts[i] = classify(e, i, rel)
@@ -229,7 +230,6 @@ func compileWhatIf(q *hyperql.WhatIf, fp string, rel *relation.Relation) *WhatIf
 	sort.SliceStable(p.Conjuncts, func(a, b int) bool {
 		return p.Conjuncts[a].Sel < p.Conjuncts[b].Sel
 	})
-	p.explain = renderExplain(p, q)
 	return p
 }
 

@@ -71,10 +71,10 @@ func parseWhen(t testing.TB, when string) *hyperql.WhatIf {
 	return q
 }
 
-// rowLoopMask computes the reference update-set mask the way the engine's
-// unplanned path does: sqlmini.EvalBool per row over the whole WHEN tree.
-func rowLoopMask(t testing.TB, when hyperql.Expr, rel *relation.Relation) []bool {
-	t.Helper()
+// oracleMask is the reference the planner is held to (no production code
+// evaluates a WHEN tree this way): sqlmini.EvalBool per row, in row order,
+// over the whole tree, stopping at the first failing row.
+func oracleMask(when hyperql.Expr, rel *relation.Relation) ([]bool, error) {
 	mask := make([]bool, rel.Len())
 	env := sqlmini.RowEnv{Rel: rel}
 	for i := range mask {
@@ -85,9 +85,19 @@ func rowLoopMask(t testing.TB, when hyperql.Expr, rel *relation.Relation) []bool
 		env.Row = rel.Row(i)
 		ok, err := sqlmini.EvalBool(when, env)
 		if err != nil {
-			t.Fatalf("row %d: %v", i, err)
+			return nil, err
 		}
 		mask[i] = ok
+	}
+	return mask, nil
+}
+
+// rowLoopMask is oracleMask for WHEN clauses that must evaluate.
+func rowLoopMask(t testing.TB, when hyperql.Expr, rel *relation.Relation) []bool {
+	t.Helper()
+	mask, err := oracleMask(when, rel)
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
 	}
 	return mask
 }
@@ -155,66 +165,84 @@ func TestFallbackOnUnresolvableWhen(t *testing.T) {
 	if !strings.Contains(p.FallbackReason, "Nope") {
 		t.Errorf("fallback reason %q does not name the column", p.FallbackReason)
 	}
-	inS := make([]bool, rel.Len())
-	if _, ok := c.Apply(p, q, rel, inS); ok {
-		t.Fatal("Apply accepted a fallback plan")
+	if len(p.Conjuncts) != 0 || p.Pushed() != 0 {
+		t.Errorf("fallback plan carries conjuncts %v", p.Conjuncts)
 	}
 }
 
 // TestApplyMatchesRowLoop is the bit-identity property at the mask level:
 // for every WHEN shape (pushed, residual, guard-demoted, absent values,
-// NULLs, NaN columns, oversized magnitudes), Apply must produce exactly the
-// row-at-a-time EvalBool mask.
+// NULLs, NaN columns, oversized magnitudes, and trees that fall back), Apply
+// must produce exactly the row-at-a-time EvalBool mask — or exactly its
+// error — with a plan cache and without one.
 func TestApplyMatchesRowLoop(t *testing.T) {
-	db, rel := testDB(t)
+	db, full := testDB(t)
+	empty := relation.NewRelation("Items", full.Schema())
 	cases := []struct {
 		when      string
 		minPushed int
+		fallback  bool
+		rel       *relation.Relation
 	}{
-		{"", 0},
-		{"Cat = 'a'", 1},
-		{"Cat = 'zz'", 1}, // absent value: pushed scan, empty set
-		{"Cat != 'a'", 1},
-		{"Qty = 1", 1},  // NULL row must stay excluded
-		{"Qty != 1", 1}, // ...for != too (NULL != 1 is not true)
-		{"Price <= 40", 1},
-		{"55 < Price", 1}, // flipped literal side
-		{"Cat IN ('a', 'd')", 1},
-		{"Cat NOT IN ('a')", 1},
-		{"Qty IN (1, 3)", 1},
-		{"Wild > 2", 0},                // NaN column: compile-time demotion
-		{"Big = 20000000000000000", 0}, // literal >= 1e15: bind-time demotion
-		{"Mix < 3", 0},                 // mixed kinds: ordering stays residual
-		{"NOT (Cat = 'a')", 0},         // unary NOT is residual
-		{"ID + 1 = 3", 0},              // arithmetic is residual
-		{"Cat = 'a' AND Price > 25 AND Qty IN (1, 2)", 3},
-		{"Price > 25 AND Wild > 2 AND Cat != 'b'", 2},
-		{"Cat IN ('a', 'b') AND ID + 1 = 3 AND Qty != 2", 2},
+		{"", 0, false, full},
+		{"Cat = 'a'", 1, false, full},
+		{"Cat = 'zz'", 1, false, full}, // absent value: pushed scan, empty set
+		{"Cat != 'a'", 1, false, full},
+		{"Qty = 1", 1, false, full},  // NULL row must stay excluded
+		{"Qty != 1", 1, false, full}, // ...for != too (NULL != 1 is not true)
+		{"Price <= 40", 1, false, full},
+		{"55 < Price", 1, false, full}, // flipped literal side
+		{"Cat IN ('a', 'd')", 1, false, full},
+		{"Cat NOT IN ('a')", 1, false, full},
+		{"Qty IN (1, 3)", 1, false, full},
+		{"Wild > 2", 0, false, full},                // NaN column: compile-time demotion
+		{"Big = 20000000000000000", 0, false, full}, // literal >= 1e15: bind-time demotion
+		{"Mix < 3", 0, false, full},                 // mixed kinds: ordering stays residual
+		{"NOT (Cat = 'a')", 0, false, full},         // unary NOT is residual
+		{"ID + 1 = 3", 0, false, full},              // arithmetic is residual
+		{"Cat = 'a' AND Price > 25 AND Qty IN (1, 2)", 3, false, full},
+		{"Price > 25 AND Wild > 2 AND Cat != 'b'", 2, false, full},
+		{"Cat IN ('a', 'b') AND ID + 1 = 3 AND Qty != 2", 2, false, full},
+		// Fallback shapes: the whole tree runs as one residual conjunct in
+		// row order, so the oracle's error behaviour is the plan's.
+		{"Nope = 1", 0, true, full},                // first row fails
+		{"Cat = 'a' AND Nope = 1", 0, true, full},  // fails on the first row reaching Nope
+		{"Nope = 1", 0, true, empty},               // zero rows: no error, empty S
+		{"Cat = 'zz' AND Nope = 1", 0, true, full}, // AND short-circuits: no error, empty S
+		{"Cat != 'zz' OR Nope = 1", 0, true, full}, // OR short-circuits: no error, every row
 	}
 	for _, tc := range cases {
-		t.Run(tc.when, func(t *testing.T) {
-			c := NewCache(0)
-			q := parseWhen(t, tc.when)
-			p, _ := c.WhatIf(db, "v", q, rel)
-			if p.Fallback {
-				t.Fatalf("unexpected fallback: %s", p.FallbackReason)
-			}
-			inS := make([]bool, rel.Len())
-			pushed, ok := c.Apply(p, q, rel, inS)
-			if !ok {
-				t.Fatal("Apply rejected a non-fallback plan")
-			}
-			if pushed < tc.minPushed {
-				t.Errorf("pushed = %d, want >= %d", pushed, tc.minPushed)
-			}
-			want := rowLoopMask(t, q.When, rel)
-			for i := range want {
-				if inS[i] != want[i] {
-					t.Fatalf("row %d: planned=%v rowloop=%v\nmask   %v\nwant   %v\n%s",
-						i, inS[i], want[i], inS, want, p.Explain())
+		for _, c := range []*Cache{NewCache(0), nil} {
+			name := fmt.Sprintf("%s/rows=%d/cache=%v", tc.when, tc.rel.Len(), c != nil)
+			t.Run(name, func(t *testing.T) {
+				q := parseWhen(t, tc.when)
+				p, hit := c.WhatIf(db, "v", q, tc.rel)
+				if hit {
+					t.Fatal("first compile reported a cache hit")
 				}
-			}
-		})
+				if p.Fallback != tc.fallback {
+					t.Fatalf("fallback = %v (%s), want %v", p.Fallback, p.FallbackReason, tc.fallback)
+				}
+				inS := make([]bool, tc.rel.Len())
+				pushed, err := c.Apply(p, q, tc.rel, inS)
+				want, wantErr := oracleMask(q.When, tc.rel)
+				if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Fatalf("planned err = %v, row loop err = %v", err, wantErr)
+				}
+				if err != nil {
+					return
+				}
+				if pushed < tc.minPushed {
+					t.Errorf("pushed = %d, want >= %d", pushed, tc.minPushed)
+				}
+				for i := range want {
+					if inS[i] != want[i] {
+						t.Fatalf("row %d: planned=%v rowloop=%v\nmask   %v\nwant   %v\n%s",
+							i, inS[i], want[i], inS, want, p.Explain())
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -236,8 +264,8 @@ func TestCacheHitReusesPlanAndRebindsLiterals(t *testing.T) {
 	}
 	for q, wantCat := range map[*hyperql.WhatIf]string{q1: "a", q2: "b"} {
 		inS := make([]bool, rel.Len())
-		if _, ok := c.Apply(p2, q, rel, inS); !ok {
-			t.Fatal("Apply failed")
+		if _, err := c.Apply(p2, q, rel, inS); err != nil {
+			t.Fatalf("Apply: %v", err)
 		}
 		want := rowLoopMask(t, q.When, rel)
 		for i := range want {
@@ -443,8 +471,8 @@ func TestConcurrentPlanners(t *testing.T) {
 				i := (g + it) % len(qs)
 				p, _ := c.WhatIf(db, "v", qs[i], rel)
 				inS := make([]bool, rel.Len())
-				if _, ok := c.Apply(p, qs[i], rel, inS); !ok {
-					errs <- fmt.Errorf("goroutine %d iter %d: Apply failed", g, it)
+				if _, err := c.Apply(p, qs[i], rel, inS); err != nil {
+					errs <- fmt.Errorf("goroutine %d iter %d: Apply: %v", g, it, err)
 					return
 				}
 				for r := range inS {
