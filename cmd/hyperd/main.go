@@ -63,7 +63,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	cacheEntries := flag.Int("cache-entries", 512, "per-session cache bound in artifacts (-1 = unbounded)")
-	planCacheEntries := flag.Int("plan-cache-entries", 256, "per-session compiled-plan cache bound in artifacts (-1 = unbounded)")
+	planCacheEntries := flag.Int("plan-cache-entries", 256, "per-session compiled-plan cache bound in plans (-1 = unbounded)")
 	workers := flag.Int("batch-workers", 0, "batch worker-pool size (0 = GOMAXPROCS)")
 	maxSessions := flag.Int("max-sessions", 64, "maximum live sessions")
 	jobWorkers := flag.Int("job-workers", 2, "async job worker-pool size")

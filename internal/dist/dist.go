@@ -56,33 +56,28 @@ const (
 const codeFrameMissing = "frame_missing"
 
 // WireOptions is the JSON form of the semantic engine options. It carries
-// exactly the fields the serving layer can set (hyper.Options plus the
-// engine's DNF caps); Cache/Progress/RemoteFit are process-local and the
-// Forest hyperparameters follow from Seed via the engine defaults.
+// exactly the fields the serving layer can set (hyper.Options);
+// Cache/Progress/RemoteFit are process-local.
 type WireOptions struct {
-	Mode            int   `json:"mode,omitempty"`
-	SampleSize      int   `json:"sample_size,omitempty"`
-	Seed            int64 `json:"seed,omitempty"`
-	Estimator       int   `json:"estimator,omitempty"`
-	Shards          int   `json:"shards,omitempty"`
-	ShardRows       int   `json:"shard_rows,omitempty"`
-	MaxDisjuncts    int   `json:"max_disjuncts,omitempty"`
-	MaxDomainExpand int   `json:"max_domain_expand,omitempty"`
-	DisableBlocks   bool  `json:"disable_blocks,omitempty"`
+	Mode          int   `json:"mode,omitempty"`
+	SampleSize    int   `json:"sample_size,omitempty"`
+	Seed          int64 `json:"seed,omitempty"`
+	Estimator     int   `json:"estimator,omitempty"`
+	Shards        int   `json:"shards,omitempty"`
+	ShardRows     int   `json:"shard_rows,omitempty"`
+	DisableBlocks bool  `json:"disable_blocks,omitempty"`
 }
 
 // WireOptionsFrom strips an engine option set to its wire form.
 func WireOptionsFrom(o engine.Options) WireOptions {
 	return WireOptions{
-		Mode:            int(o.Mode),
-		SampleSize:      o.SampleSize,
-		Seed:            o.Seed,
-		Estimator:       int(o.Estimator),
-		Shards:          o.Shards,
-		ShardRows:       o.ShardRows,
-		MaxDisjuncts:    o.MaxDisjuncts,
-		MaxDomainExpand: o.MaxDomainExpand,
-		DisableBlocks:   o.DisableBlocks,
+		Mode:          int(o.Mode),
+		SampleSize:    o.SampleSize,
+		Seed:          o.Seed,
+		Estimator:     int(o.Estimator),
+		Shards:        o.Shards,
+		ShardRows:     o.ShardRows,
+		DisableBlocks: o.DisableBlocks,
 	}
 }
 
@@ -92,15 +87,13 @@ func WireOptionsFrom(o engine.Options) WireOptions {
 // pushes it down exactly as the coordinator does.
 func (w WireOptions) EngineOptions() engine.Options {
 	return engine.Options{
-		Mode:            engine.Mode(w.Mode),
-		SampleSize:      w.SampleSize,
-		Seed:            w.Seed,
-		Estimator:       engine.EstimatorKind(w.Estimator),
-		Shards:          w.Shards,
-		ShardRows:       w.ShardRows,
-		MaxDisjuncts:    w.MaxDisjuncts,
-		MaxDomainExpand: w.MaxDomainExpand,
-		DisableBlocks:   w.DisableBlocks,
+		Mode:          engine.Mode(w.Mode),
+		SampleSize:    w.SampleSize,
+		Seed:          w.Seed,
+		Estimator:     engine.EstimatorKind(w.Estimator),
+		Shards:        w.Shards,
+		ShardRows:     w.ShardRows,
+		DisableBlocks: w.DisableBlocks,
 	}
 }
 

@@ -11,13 +11,13 @@ import (
 	"strconv"
 	"time"
 
-	"sync"
 	"sync/atomic"
 
 	"hyper/internal/causal"
 	"hyper/internal/engine"
 	"hyper/internal/fault"
 	"hyper/internal/hyperql"
+	"hyper/internal/lru"
 	"hyper/internal/obs"
 	"hyper/internal/relation"
 )
@@ -62,11 +62,8 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 // evaluation state from frame + query + options, so workers can join, die,
 // and rejoin freely without affecting any result.
 type Worker struct {
-	cfg WorkerConfig
-
-	mu     sync.Mutex
-	frames map[string]*workerFrame
-	order  []string // LRU: least recently used first
+	cfg    WorkerConfig
+	frames *lru.Cache[*workerFrame] // by content address
 
 	// inflight counts eval/fit requests currently executing, so a draining
 	// worker (SIGTERM) can finish them before deregistering.
@@ -96,7 +93,6 @@ type workerFrame struct {
 func NewWorker(cfg WorkerConfig) *Worker {
 	w := &Worker{
 		cfg:     cfg.withDefaults(),
-		frames:  make(map[string]*workerFrame),
 		metrics: obs.NewRegistry(),
 		traces:  obs.NewRecorder(obs.DefaultTraceCapacity),
 	}
@@ -105,8 +101,12 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	w.fits = w.metrics.Counter("hyper_worker_fits_total", "Fit requests answered successfully.")
 	w.frameBytes = w.metrics.Counter("hyper_worker_frame_bytes_received_total", "Frame bytes accepted into the store.")
 	w.evictions = w.metrics.Counter("hyper_worker_frame_evictions_total", "Frames evicted by the LRU bound.")
+	w.frames = lru.New(w.cfg.MaxFrames, func(id string, _ *workerFrame) {
+		w.evictions.Inc()
+		w.logf("dist worker: evicted frame %.12s", id)
+	})
 	w.metrics.GaugeFunc("hyper_worker_frames", "Frames currently in the store.",
-		func() float64 { w.mu.Lock(); defer w.mu.Unlock(); return float64(len(w.frames)) })
+		func() float64 { return float64(w.frames.Len()) })
 	w.metrics.CounterFunc("hyper_worker_traces_recorded_total", "Coordinator-traced requests captured into the trace ring.",
 		func() float64 { return float64(w.traces.Recorded()) })
 	w.metrics.GaugeFunc("hyper_worker_inflight", "Eval/fit requests currently executing.",
@@ -193,45 +193,14 @@ func (w *Worker) logf(format string, args ...any) {
 }
 
 // FrameIDs returns the stored frame ids, least recently used first.
-func (w *Worker) FrameIDs() []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]string(nil), w.order...)
-}
-
-// frame fetches a stored frame, marking it most recently used.
-func (w *Worker) frame(id string) (*workerFrame, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	f, ok := w.frames[id]
-	if !ok {
-		return nil, false
-	}
-	for i, o := range w.order {
-		if o == id {
-			w.order = append(append(w.order[:i:i], w.order[i+1:]...), id)
-			break
-		}
-	}
-	return f, true
-}
+func (w *Worker) FrameIDs() []string { return w.frames.Keys() }
 
 // store inserts a frame, evicting the least recently used past the bound.
+// Frames are content-addressed, so an identical re-ship keeps the resident
+// frame (and the artifacts its cache has accumulated). The build returns at
+// once and cannot fail, so no caller waits long enough to need a context.
 func (w *Worker) store(id string, f *workerFrame) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, dup := w.frames[id]; dup {
-		return // content-addressed: an identical re-ship changes nothing
-	}
-	w.frames[id] = f
-	w.order = append(w.order, id)
-	for len(w.frames) > w.cfg.MaxFrames {
-		evict := w.order[0]
-		w.order = w.order[1:]
-		delete(w.frames, evict)
-		w.evictions.Inc()
-		w.logf("dist worker: evicted frame %.12s", evict)
-	}
+	_, _, _ = w.frames.Do(context.Background(), id, func() (*workerFrame, error) { return f, nil })
 }
 
 // traceRequest starts a worker-local trace when the coordinator stamped the
@@ -319,7 +288,7 @@ func (w *Worker) putDeltaFrame(rw http.ResponseWriter, id string, body []byte) {
 		writeError(rw, http.StatusBadRequest, "", "decoding frame delta: %v", err)
 		return
 	}
-	base, ok := w.frame(d.Base)
+	base, ok := w.frames.Get(d.Base)
 	if !ok {
 		// The coordinator ships version chains bottom-up, so a missing base
 		// means it was evicted in between; frame_missing makes the
@@ -350,7 +319,7 @@ func (w *Worker) putDeltaFrame(rw http.ResponseWriter, id string, body []byte) {
 // evalFrame resolves the frame of a compute request, mapping a miss to the
 // frame_missing protocol error.
 func (w *Worker) evalFrame(rw http.ResponseWriter, id string) (*workerFrame, bool) {
-	f, ok := w.frame(id)
+	f, ok := w.frames.Get(id)
 	if !ok {
 		writeError(rw, http.StatusNotFound, codeFrameMissing, "frame %.12s not on this worker", id)
 		return nil, false

@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"context"
 	"strconv"
 	"strings"
-	"sync"
+
+	"hyper/internal/lru"
 )
 
 // Cache memoizes the expensive, update-constant-independent artifacts of
@@ -25,25 +27,10 @@ import (
 //
 // All methods are safe for concurrent use. A Cache must only be reused
 // across queries against the same database and causal model.
-type Cache struct {
-	mu      sync.Mutex
-	entries map[string]*cacheEntry
-	head    *cacheEntry // most recently used
-	tail    *cacheEntry // least recently used
-	max     int         // maximum entries; 0 = unbounded
+type Cache = lru.Cache[any]
 
-	hits, misses, evictions uint64
-}
-
-// cacheEntry is a node of the intrusive LRU list. One list orders all three
-// artifact kinds together; keys are kind-prefixed so they cannot collide.
-type cacheEntry struct {
-	key        string
-	val        any
-	prev, next *cacheEntry
-}
-
-// Key prefixes per artifact kind.
+// Key prefixes per artifact kind: one LRU orders all three kinds together, so
+// keys are kind-prefixed and cannot collide.
 const (
 	kindView   = "v\x00"
 	kindBlocks = "b\x00"
@@ -63,150 +50,25 @@ func NewCache() *Cache { return NewCacheBounded(0) }
 // (views, block decompositions, and estimator sets each count as one);
 // max <= 0 means unbounded. Long-lived daemons should set a bound so the
 // cache cannot grow without limit.
-func NewCacheBounded(max int) *Cache {
-	if max < 0 {
-		max = 0
-	}
-	return &Cache{entries: make(map[string]*cacheEntry), max: max}
-}
+func NewCacheBounded(max int) *Cache { return lru.New[any](max, nil) }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness counters.
-type CacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Entries   int    `json:"entries"`
-	// MaxEntries is the configured bound (0 = unbounded).
-	MaxEntries int `json:"max_entries"`
+type CacheStats = lru.Stats
+
+// memo returns the artifact cached under key, building it on a miss. Builds
+// are single-flight (lru.Cache.Do): concurrent cold queries sharing c build
+// each artifact once and the rest wait for it. A nil c builds every time.
+func memo[T any](ctx context.Context, c *Cache, key string, build func() (T, error)) (v T, hit bool, err error) {
+	if c == nil {
+		v, err = build()
+		return v, false, err
+	}
+	a, hit, err := c.Do(ctx, key, func() (any, error) { return build() })
+	if err != nil {
+		return v, false, err
+	}
+	return a.(T), hit, nil
 }
-
-// HitRate returns Hits / (Hits + Misses), or 0 before any lookup.
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
-// Stats returns a snapshot of the cache counters.
-func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Hits:       c.hits,
-		Misses:     c.misses,
-		Evictions:  c.evictions,
-		Entries:    len(c.entries),
-		MaxEntries: c.max,
-	}
-}
-
-// Len returns the current number of cached artifacts.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// get looks up a kind-prefixed key, promoting it to most recently used.
-func (c *Cache) get(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.moveToFront(e)
-	return e.val, true
-}
-
-// put inserts (or refreshes) a kind-prefixed key, evicting from the LRU tail
-// past the bound.
-func (c *Cache) put(key string, val any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		e.val = val
-		c.moveToFront(e)
-		return
-	}
-	e := &cacheEntry{key: key, val: val}
-	c.entries[key] = e
-	c.pushFront(e)
-	for c.max > 0 && len(c.entries) > c.max {
-		lru := c.tail
-		c.unlink(lru)
-		delete(c.entries, lru.key)
-		c.evictions++
-	}
-}
-
-func (c *Cache) pushFront(e *cacheEntry) {
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *Cache) unlink(e *cacheEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *Cache) moveToFront(e *cacheEntry) {
-	if c.head == e {
-		return
-	}
-	c.unlink(e)
-	c.pushFront(e)
-}
-
-func (c *Cache) getView(key string) (*view, bool) {
-	v, ok := c.get(kindView + key)
-	if !ok {
-		return nil, false
-	}
-	return v.(*view), true
-}
-
-func (c *Cache) putView(key string, v *view) { c.put(kindView+key, v) }
-
-func (c *Cache) getBlocks(key string) (blockInfo, bool) {
-	b, ok := c.get(kindBlocks + key)
-	if !ok {
-		return blockInfo{}, false
-	}
-	return b.(blockInfo), true
-}
-
-func (c *Cache) putBlocks(key string, b blockInfo) { c.put(kindBlocks+key, b) }
-
-func (c *Cache) getEst(key string) (*estimatorSet, bool) {
-	e, ok := c.get(kindEst + key)
-	if !ok {
-		return nil, false
-	}
-	return e.(*estimatorSet), true
-}
-
-func (c *Cache) putEst(key string, e *estimatorSet) { c.put(kindEst+key, e) }
 
 // estKey builds the identity of an estimator set: everything that affects
 // training except the update constants.

@@ -10,105 +10,6 @@ import (
 	"hyper/internal/hyperql"
 )
 
-func TestCacheLRUEviction(t *testing.T) {
-	c := NewCacheBounded(3)
-	for i := 0; i < 3; i++ {
-		c.put(fmt.Sprintf("k%d", i), i)
-	}
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", c.Len())
-	}
-	// Touch k0 so k1 becomes the LRU entry.
-	if _, ok := c.get("k0"); !ok {
-		t.Fatal("k0 missing before eviction")
-	}
-	c.put("k3", 3)
-	if _, ok := c.get("k1"); ok {
-		t.Error("k1 should have been evicted as LRU")
-	}
-	for _, k := range []string{"k0", "k2", "k3"} {
-		if _, ok := c.get(k); !ok {
-			t.Errorf("%s should have survived eviction", k)
-		}
-	}
-	st := c.Stats()
-	if st.Evictions != 1 {
-		t.Errorf("Evictions = %d, want 1", st.Evictions)
-	}
-	if st.Entries != 3 || st.MaxEntries != 3 {
-		t.Errorf("Entries/Max = %d/%d, want 3/3", st.Entries, st.MaxEntries)
-	}
-}
-
-func TestCacheBoundNeverExceeded(t *testing.T) {
-	c := NewCacheBounded(8)
-	for i := 0; i < 100; i++ {
-		c.put(fmt.Sprintf("k%d", i), i)
-		if c.Len() > 8 {
-			t.Fatalf("after insert %d: Len = %d exceeds bound 8", i, c.Len())
-		}
-	}
-	st := c.Stats()
-	if st.Evictions != 92 {
-		t.Errorf("Evictions = %d, want 92", st.Evictions)
-	}
-	// The 8 most recent keys survive, in full.
-	for i := 92; i < 100; i++ {
-		if _, ok := c.get(fmt.Sprintf("k%d", i)); !ok {
-			t.Errorf("k%d should be resident", i)
-		}
-	}
-}
-
-func TestCacheUnboundedByDefault(t *testing.T) {
-	c := NewCache()
-	for i := 0; i < 1000; i++ {
-		c.put(fmt.Sprintf("k%d", i), i)
-	}
-	if c.Len() != 1000 {
-		t.Fatalf("Len = %d, want 1000 (unbounded)", c.Len())
-	}
-	if ev := c.Stats().Evictions; ev != 0 {
-		t.Errorf("Evictions = %d, want 0", ev)
-	}
-}
-
-func TestCachePutRefreshesExistingKey(t *testing.T) {
-	c := NewCacheBounded(2)
-	c.put("a", 1)
-	c.put("b", 2)
-	c.put("a", 10) // refresh, not insert: b stays, a moves to front
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
-	}
-	v, ok := c.get("a")
-	if !ok || v.(int) != 10 {
-		t.Errorf("a = %v,%v, want 10,true", v, ok)
-	}
-	c.put("c", 3) // evicts b (a was refreshed then hit)
-	if _, ok := c.get("b"); ok {
-		t.Error("b should have been evicted")
-	}
-}
-
-func TestCacheHitMissCounters(t *testing.T) {
-	c := NewCache()
-	c.get("absent")
-	c.put("k", 1)
-	c.get("k")
-	c.get("k")
-	st := c.Stats()
-	if st.Hits != 2 || st.Misses != 1 {
-		t.Errorf("hits/misses = %d/%d, want 2/1", st.Hits, st.Misses)
-	}
-	if got := st.HitRate(); math.Abs(got-2.0/3.0) > 1e-12 {
-		t.Errorf("HitRate = %v, want 2/3", got)
-	}
-	if (CacheStats{}).HitRate() != 0 {
-		t.Error("empty HitRate should be 0")
-	}
-}
-
 // TestEstKeyDistinguishesSeeds guards the serving-path invariant that a
 // shared session cache never serves an estimator trained under a different
 // seed: the seed drives sampling and forest randomness, so it is part of
@@ -214,5 +115,52 @@ func TestCacheConcurrentEvaluate(t *testing.T) {
 	}
 	if st := c.Stats(); st.Entries > 4 {
 		t.Errorf("bound violated under concurrency: %d entries", st.Entries)
+	}
+}
+
+// TestCacheColdHerd: concurrent cold queries sharing one cache build each
+// artifact and train each model once — the misses and trainings of a serial
+// cold run, not eight times them — and agree with it to the bit.
+func TestCacheColdHerd(t *testing.T) {
+	g := dataset.GermanSyn(3000, 7)
+	q, err := hyperql.ParseWhatIf(`USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1) FOR PRE(Age) = 2`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := NewCacheBounded(64)
+	want, err := Evaluate(g.DB, g.Model, q, Options{Mode: ModeFull, Seed: 7, Cache: serial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines = 8
+	c := NewCacheBounded(64)
+	got := make([]*Result, goroutines)
+	errs := make([]error, goroutines)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[w], errs[w] = Evaluate(g.DB, g.Model, q, Options{Mode: ModeFull, Seed: 7, Cache: c})
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for w, res := range got {
+		if errs[w] != nil {
+			t.Fatal(errs[w])
+		}
+		if res.Value != want.Value || res.Sum != want.Sum || res.Count != want.Count {
+			t.Errorf("goroutine %d: value/sum/count = %v/%v/%v, serial %v/%v/%v",
+				w, res.Value, res.Sum, res.Count, want.Value, want.Sum, want.Count)
+		}
+		if res.TrainedModels != want.TrainedModels {
+			t.Errorf("goroutine %d: TrainedModels = %d, serial %d", w, res.TrainedModels, want.TrainedModels)
+		}
+	}
+	if st, ser := c.Stats(), serial.Stats(); st.Misses != ser.Misses || st.Entries != ser.Entries {
+		t.Errorf("herd stats %+v, serial %+v: every artifact should be built once", st, ser)
 	}
 }

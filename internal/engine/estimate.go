@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"sync"
 
+	"hyper/internal/lru"
 	"hyper/internal/ml"
 	"hyper/internal/obs"
 	"hyper/internal/relation"
@@ -35,10 +35,8 @@ type estimatorSet struct {
 	// the others fit whole-frame. The plan depends only on the training-set
 	// size and Options.ShardRows, so fitted models are independent of the
 	// worker fan-out.
-	fitPlan  shard.Plan
-	mu       sync.Mutex
-	cache    map[string]ml.Regressor
-	inflight map[string]chan struct{} // single-flight: key -> done signal
+	fitPlan shard.Plan
+	models  *lru.Cache[ml.Regressor] // trained regressors by labeling key, unbounded
 }
 
 // newEstimatorSet prepares the shared columnar frame. featCols is the
@@ -55,7 +53,7 @@ func newEstimatorSet(ctx context.Context, view *relation.Relation, featCols []st
 		keepFirst: keepFirst,
 		enc:       ml.NewEncoder(view, featCols),
 		opts:      opts,
-		cache:     make(map[string]ml.Regressor),
+		models:    lru.New[ml.Regressor](0, nil),
 	}
 	s.frame = ml.NewFrameWorkers(s.enc, view, opts.Shards)
 	n := view.Len()
@@ -118,22 +116,12 @@ func (s *estimatorSet) chooseKind() string {
 	return "forest"
 }
 
-// cached returns the regressor for key if it is already trained, without
-// building labels or closures — the per-tuple fast path.
-func (s *estimatorSet) cached(key string) (ml.Regressor, bool) {
-	s.mu.Lock()
-	m, ok := s.cache[key]
-	s.mu.Unlock()
-	return m, ok
-}
-
 // fitExec is the per-call execution context of an estimator training: the
-// evaluation's cancellation, worker fan-out, and (when the caller knows the
-// event-subset mask) the remote fitter that can compute the per-shard fit
-// off-process. It is passed per call — never stored — because a cached
-// estimator set outlives the request that built it, and execution knobs
-// must follow the current request, not the one that warmed the cache
-// (results cannot differ either way; the fit plan is fixed).
+// evaluation's cancellation, worker fan-out, and the remote fitter that can
+// compute the per-shard fit off-process. It is passed per call — never
+// stored — because a cached estimator set outlives the request that built
+// it, and execution knobs must follow the current request, not the one that
+// warmed the cache (results cannot differ either way; the fit plan is fixed).
 type fitExec struct {
 	ctx      context.Context
 	workers  int
@@ -141,113 +129,82 @@ type fitExec struct {
 	query    string       // canonical query text for the remote fitter
 	opts     Options      // evaluation options, forwarded to the fitter
 	mask     uint64       // event-subset bitmask identifying the model
-	maskOK   bool         // mask is meaningful (subset-enumerable path)
 	weighted bool
 }
 
 // model returns (training on demand) the regressor for the labeled target.
 // key must uniquely identify the labeling function. Safe for concurrent use;
 // forest seeds derive from the key so results are independent of training
-// order. Training is single-flight: when shard workers (or how-to candidate
-// scorers) race on a cold key, one goroutine trains while the rest wait for
-// its result — without this, a worker fan-out of N multiplies every cold
-// training N-fold, the thundering herd that erased the sharded path's win.
-// A labeling error aborts the training without caching anything: a
-// regressor fitted on partially failed labels must never be served to
-// waiters or later queries.
+// order. Training is single-flight (lru.Cache.Do): when shard workers (or
+// how-to candidate scorers) race on a cold key, one goroutine trains while
+// the rest wait for its result — without this, a worker fan-out of N
+// multiplies every cold training N-fold. A labeling error aborts the
+// training without caching anything (a regressor fitted on partially failed
+// labels must never be served); the next waiter retrains and deterministically
+// hits the same error.
 //
 // When ex carries a remote fitter and the estimator is shard-mergeable, the
 // per-shard fit is dispatched off-process and the wire parts merge in fit-
 // plan order; any remote failure falls back to the local fit, which is
 // bit-identical by construction — distribution can move work, never results.
 func (s *estimatorSet) model(key string, ex fitExec, label func(viewRow int) (float64, error)) (ml.Regressor, error) {
-	s.mu.Lock()
-	for {
-		if m, ok := s.cache[key]; ok {
-			s.mu.Unlock()
-			return m, nil
+	m, _, err := s.models.Do(ex.ctx, key, func() (ml.Regressor, error) {
+		// Training is the expensive step of the estimator fitting loop; a
+		// cancelled query stops here rather than fitting another regressor it
+		// will never use. Already-trained models stay valid.
+		if err := ex.ctx.Err(); err != nil {
+			return nil, err
 		}
-		ch, busy := s.inflight[key]
-		if !busy {
-			break
-		}
-		s.mu.Unlock()
-		<-ch
-		s.mu.Lock()
-	}
-	if s.inflight == nil {
-		s.inflight = make(map[string]chan struct{})
-	}
-	done := make(chan struct{})
-	s.inflight[key] = done
-	s.mu.Unlock()
-	// Release waiters even if labeling errors or fitting panics, so a
-	// poisoned key cannot deadlock the pool (a waiter re-checks the cache,
-	// finds nothing, and becomes the next trainer — deterministically
-	// hitting the same labeling error).
-	committed := false
-	defer func() {
-		s.mu.Lock()
-		delete(s.inflight, key)
-		s.mu.Unlock()
-		if !committed {
-			close(done)
-		}
-	}()
+		// One span per actual training (memo hits and single-flight waiters
+		// never reach here), so a trace's fit-span count equals the trained
+		// model count at any shard fan-out.
+		_, fsp := obs.Start(ex.ctx, "fit")
+		defer fsp.End()
+		fsp.Set("estimator", s.kind)
+		fsp.Set("weighted", ex.weighted)
 
-	// One span per actual training (cache hits and single-flight waiters
-	// never reach here), so a trace's fit-span count equals the trained
-	// model count at any shard fan-out.
-	_, fsp := obs.Start(ex.ctx, "fit")
-	defer fsp.End()
-	fsp.Set("estimator", s.kind)
-	fsp.Set("weighted", ex.weighted)
-
-	var m ml.Regressor
-	if s.kind == "freq" && ex.fitter != nil && ex.maskOK {
-		if rm, err := s.remoteFit(ex); err == nil {
-			m = rm
-		}
-		// Errors fall through to the local fit below: per-shard fits merged
-		// in plan order are bit-identical to the local fit, so losing the
-		// workers mid-training can never change a result — only where the
-		// work ran.
-		fsp.Set("remote", m != nil)
-	}
-	if m == nil {
-		y := make([]float64, len(s.trainRows))
-		for i, r := range s.trainRows {
-			v, err := label(r)
-			if err != nil {
-				return nil, err
+		var m ml.Regressor
+		if s.kind == "freq" && ex.fitter != nil {
+			if rm, err := s.remoteFit(ex); err == nil {
+				m = rm
 			}
-			y[i] = v
+			// Errors fall through to the local fit below: per-shard fits merged
+			// in plan order are bit-identical to the local fit, so losing the
+			// workers mid-training can never change a result — only where the
+			// work ran.
+			fsp.Set("remote", m != nil)
 		}
-		switch s.kind {
-		case "freq":
-			m = ml.FitFreqFrameSharded(s.frame, s.trainRows, y, s.keepFirst, s.fitPlan, ex.workers)
-		case "linear":
-			m = ml.FitLinearFrame(s.frame, s.trainRows, y, 1e-6)
-		default:
-			p := s.opts.Forest
-			h := fnv.New64a()
-			h.Write([]byte(key))
-			p.Seed = s.opts.Seed ^ int64(h.Sum64())
-			// Forest over linear residuals: the forest captures nonlinearity
-			// in-distribution while the linear trend extrapolates at the edges
-			// of the observed support, where hypothetical updates often land.
-			m = ml.FitBoostedFrame(s.frame, s.trainRows, y, p)
+		if m == nil {
+			y := make([]float64, len(s.trainRows))
+			for i, r := range s.trainRows {
+				v, err := label(r)
+				if err != nil {
+					return nil, err
+				}
+				y[i] = v
+			}
+			switch s.kind {
+			case "freq":
+				m = ml.FitFreqFrameSharded(s.frame, s.trainRows, y, s.keepFirst, s.fitPlan, ex.workers)
+			case "linear":
+				m = ml.FitLinearFrame(s.frame, s.trainRows, y, 1e-6)
+			default:
+				p := ml.DefaultForestParams()
+				h := fnv.New64a()
+				h.Write([]byte(key))
+				p.Seed = s.opts.Seed ^ int64(h.Sum64())
+				// Forest over linear residuals: the forest captures nonlinearity
+				// in-distribution while the linear trend extrapolates at the edges
+				// of the observed support, where hypothetical updates often land.
+				m = ml.FitBoostedFrame(s.frame, s.trainRows, y, p)
+			}
 		}
-	}
-	// Charged only from the single-flight training path (like the fit span),
-	// so the meter's fits_trained equals trainedModels() at any fan-out.
-	obs.MeterFromContext(ex.ctx).AddFitTrained()
-	s.mu.Lock()
-	s.cache[key] = m
-	s.mu.Unlock()
-	committed = true
-	close(done)
-	return m, nil
+		// Charged only from the single-flight training path (like the fit span),
+		// so the meter's fits_trained equals trainedModels() at any fan-out.
+		obs.MeterFromContext(ex.ctx).AddFitTrained()
+		return m, nil
+	})
+	return m, err
 }
 
 // remoteFit asks the remote fitter for one wire part per fit-plan shard and
@@ -272,11 +229,7 @@ func (s *estimatorSet) shardedFit() bool {
 }
 
 // trainedModels returns the number of regressors fitted so far.
-func (s *estimatorSet) trainedModels() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.cache)
-}
+func (s *estimatorSet) trainedModels() int { return s.models.Len() }
 
 // featureVectorInto gathers a view row's features from the shared frame
 // into dst, which must have length len(featCols).

@@ -106,14 +106,6 @@ type Options struct {
 	Seed int64
 	// Estimator selects the conditional estimator.
 	Estimator EstimatorKind
-	// Forest overrides forest hyperparameters; zero value uses defaults.
-	Forest ml.ForestParams
-	// MaxDisjuncts caps the DNF expansion of the FOR clause (A.2.3 notes the
-	// 2^t blowup is in query complexity, not data). Defaults to 64.
-	MaxDisjuncts int
-	// MaxDomainExpand caps the domain expansion of mixed Pre/Post literals
-	// (A.2.4). Defaults to 64 distinct values.
-	MaxDomainExpand int
 	// DisableBlocks turns off block-independent decomposition (used by the
 	// ablation benchmarks; results must not change).
 	DisableBlocks bool
@@ -175,16 +167,6 @@ func (o *Options) withDefaults() Options {
 		// Normalized here (not just inside shard.Rows) so ShardRows=0 and an
 		// explicit default produce the same estimator cache identity.
 		out.ShardRows = shard.DefaultTargetRows
-	}
-	if out.MaxDisjuncts <= 0 {
-		out.MaxDisjuncts = 64
-	}
-	if out.MaxDomainExpand <= 0 {
-		out.MaxDomainExpand = 64
-	}
-	if out.Forest.NumTrees <= 0 {
-		out.Forest = ml.DefaultForestParams()
-		out.Forest.Seed = out.Seed
 	}
 	return out
 }

@@ -254,9 +254,6 @@ func FitEventPartialContext(ctx context.Context, db *relation.Database, model *c
 	if !ml.ShardMergeable(est.kind) {
 		return nil, fmt.Errorf("engine: estimator %q is not shard-mergeable", est.kind)
 	}
-	if len(p.ev.events) > 64 {
-		return nil, fmt.Errorf("engine: %d distinct post events exceed the 64-bit subset masks", len(p.ev.events))
-	}
 	if len(p.ev.events) < 64 && mask>>uint(len(p.ev.events)) != 0 {
 		return nil, fmt.Errorf("engine: event mask %#x references events beyond the query's %d", mask, len(p.ev.events))
 	}
@@ -276,12 +273,7 @@ func FitEventPartialContext(ctx context.Context, db *relation.Database, model *c
 		seen[s] = true
 	}
 
-	lits := p.ev.maskLits(mask)
-	all := lits
-	if p.ev.outCond != nil {
-		all = append(append([]hyperql.Expr(nil), lits...), p.ev.outCond)
-	}
-	label := p.ev.labelFor(all, weighted)
+	label := p.ev.labelFor(p.ev.eventLits(mask), weighted)
 	for _, s := range shards {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -293,7 +285,7 @@ func FitEventPartialContext(ctx context.Context, db *relation.Database, model *c
 			for i, r := range rows {
 				v, err := label(r)
 				if err != nil {
-					return nil, fmt.Errorf("engine: labeling post event: %w", err)
+					return nil, err
 				}
 				y[i] = v
 			}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -91,29 +90,23 @@ func resolveView(db *relation.Database, q *hyperql.WhatIf, o Options) (v *view, 
 		seen[u.Attr] = true
 		updateAttrs = append(updateAttrs, u.Attr)
 	}
-	viewKey = q.Use.String() + "\x00" + q.Updates[0].Attr
 	// MVCC: a versioned database folds its snapshot version into the view
 	// key, which transitively versions every artifact keyed off it — the
-	// view itself, block decompositions, estimator sets, and the plan
-	// cache's supporting stats — so a query pinned to snapshot v keeps
-	// hitting v's artifacts after appends while the new head never reads
-	// stale ones. Version 0 (bare-library databases) keeps historical keys.
-	if ver := db.Version(); ver > 0 {
-		viewKey = "@v" + strconv.FormatInt(ver, 10) + "\x00" + viewKey
+	// view itself, block decompositions and estimator sets — so a query
+	// pinned to snapshot v keeps hitting v's artifacts after appends while
+	// the new head never reads stale ones. Version 0 (bare-library
+	// databases) keeps historical keys.
+	viewKey = q.Use.String() + "\x00" + q.Updates[0].Attr
+	if tag := db.VersionTag(); tag != "" {
+		viewKey = tag + "\x00" + viewKey
 	}
-	if o.Cache != nil {
-		if cached, ok := o.Cache.getView(viewKey); ok {
-			v, hit = cached, true
-		}
-	}
-	if v == nil {
-		v, err = buildView(db, q.Use, q.Updates[0].Attr)
-		if err != nil {
-			return nil, "", nil, false, err
-		}
-		if o.Cache != nil {
-			o.Cache.putView(viewKey, v)
-		}
+	// buildView takes no context — neither its builder nor a waiter gives up
+	// mid-view; both observe cancellation right after this stage.
+	v, hit, err = memo(context.Background(), o.Cache, kindView+viewKey, func() (*view, error) {
+		return buildView(db, q.Use, q.Updates[0].Attr)
+	})
+	if err != nil {
+		return nil, "", nil, false, err
 	}
 	for _, a := range updateAttrs[1:] {
 		if !v.rel.Schema().Has(a) {
@@ -181,24 +174,16 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 	res.Blocks = 1
 	if model != nil && !o.DisableBlocks {
 		var bi blockInfo
-		cached := false
-		if o.Cache != nil {
-			bi, cached = o.Cache.getBlocks(viewKey)
-		}
-		blocksHit = cached
-		if !cached {
+		bi, blocksHit, err = memo(ctx, o.Cache, kindBlocks+viewKey, func() (blockInfo, error) {
 			byRel, nBlocks, err := causal.RowBlocks(db, model)
 			if err != nil {
-				return nil, err
+				return blockInfo{}, err
 			}
 			ids, err := v.blockIDs(byRel[v.updateRel.Name()])
-			if err != nil {
-				return nil, err
-			}
-			bi = blockInfo{blockOf: ids, nBlocks: nBlocks}
-			if o.Cache != nil {
-				o.Cache.putBlocks(viewKey, bi)
-			}
+			return blockInfo{blockOf: ids, nBlocks: nBlocks}, err
+		})
+		if err != nil {
+			return nil, err
 		}
 		blockOf = bi.blockOf
 		res.Blocks = bi.nBlocks
@@ -293,7 +278,11 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 	}
 
 	// Step 7: normalize FOR into disjoint pre/post disjuncts.
-	disjuncts, err := normalizeFor(q.For, v.rel, o.MaxDisjuncts, o.MaxDomainExpand)
+	// The caps are fixed: at most 64 disjuncts (A.2.3 — the 2^t blowup is in
+	// query complexity, not data) and 64 distinct values per mixed Pre/Post
+	// literal (A.2.4). Distinct post events never outnumber disjuncts, so an
+	// event subset always fits a 64-bit mask.
+	disjuncts, err := normalizeFor(q.For, v.rel, 64, 64)
 	if err != nil {
 		return nil, err
 	}
@@ -324,10 +313,7 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 		featCols = appendPredicateAttrs(featCols, v.rel, q.When, disjuncts, updateAttrs)
 	}
 	estHit := false
-	makeEst := func(eo Options) *estimatorSet {
-		if eo.Cache == nil {
-			return newEstimatorSet(ctx, augView, featCols, len(updateAttrs), queryText, eo)
-		}
+	makeEst := func(eo Options) (*estimatorSet, error) {
 		whenKey, forKey := "", ""
 		if q.When != nil {
 			whenKey = q.When.String()
@@ -336,19 +322,17 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 			forKey = q.For.String()
 		}
 		forKey += "\x00" + q.Output.String()
-		key := estKey(viewKey, whenKey, forKey, featCols, eo)
-		if cached, ok := eo.Cache.getEst(key); ok {
-			estHit = true
+		key := kindEst + estKey(viewKey, whenKey, forKey, featCols, eo)
+		est, hit, err := memo(ctx, eo.Cache, key, func() (*estimatorSet, error) {
+			return newEstimatorSet(ctx, augView, featCols, len(updateAttrs), queryText, eo), nil
+		})
+		if estHit = hit; hit {
 			// Set-level hits are the fan-out-independent "served from cache"
 			// signal; per-model hits inside the tuple loop are worker-local
 			// memo traffic and deliberately not charged.
 			meter.AddFitCached()
-			return cached
 		}
-		estHit = false
-		e := newEstimatorSet(ctx, augView, featCols, len(updateAttrs), queryText, eo)
-		eo.Cache.putEst(key, e)
-		return e
+		return est, err
 	}
 	endTrainSpan := func(est *estimatorSet) {
 		meter.AddStage("train", res.TrainTime)
@@ -357,7 +341,10 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 		tsp.Set("cache_hit", estHit)
 		tsp.End()
 	}
-	est := makeEst(o)
+	est, err := makeEst(o)
+	if err != nil {
+		return nil, err
+	}
 	if o.DryRun {
 		res.EstimatorUsed = est.kind
 		res.SampledRows = len(est.trainRows)
@@ -374,7 +361,9 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 		if frac := supportedFraction(est, v, updateAttrs, postVals, summaries, inS); frac < 0.8 {
 			o2 := o
 			o2.Estimator = EstimatorForest
-			est = makeEst(o2)
+			if est, err = makeEst(o2); err != nil {
+				return nil, err
+			}
 		}
 	}
 	res.EstimatorUsed = est.kind
@@ -841,11 +830,6 @@ func (e *evaluator) inclusionExclusion(i int, active []int, x []float64, weighte
 	if len(e.evBuf) > 12 {
 		return 0, fmt.Errorf("engine: FOR predicate has %d distinct post events per tuple; limit is 12", len(e.evBuf))
 	}
-	if len(e.events) > 64 {
-		// Too many distinct events for subset bitmasks (possible only with a
-		// raised MaxDisjuncts); build keys per subset instead of memoizing.
-		return e.inclusionExclusionSlow(x, weighted)
-	}
 	total := 0.0
 	n := len(e.evBuf)
 	for mask := 1; mask < 1<<n; mask++ {
@@ -870,35 +854,6 @@ func (e *evaluator) inclusionExclusion(i int, active []int, x []float64, weighte
 	return total, nil
 }
 
-// inclusionExclusionSlow is the unmemoized enumeration over the active
-// events in e.evBuf, used when the distinct-event count exceeds the 64-bit
-// subset masks.
-func (e *evaluator) inclusionExclusionSlow(x []float64, weighted bool) (float64, error) {
-	n := len(e.evBuf)
-	total := 0.0
-	for mask := 1; mask < 1<<n; mask++ {
-		var lits []hyperql.Expr
-		bits := 0
-		for b := 0; b < n; b++ {
-			if mask&(1<<b) != 0 {
-				lits = append(lits, e.events[e.evBuf[b]]...)
-				bits++
-			}
-		}
-		m, err := e.eventModel(lits, weighted, 0, false)
-		if err != nil {
-			return 0, err
-		}
-		p := m.Predict(x)
-		if bits%2 == 1 {
-			total += p
-		} else {
-			total -= p
-		}
-	}
-	return total, nil
-}
-
 // predictEventMask predicts at features x with the regressor for the event
 // subset gm (a bitmask over e.events, conjoined with outCond) — Y-weighted
 // when weighted. The per-worker memo makes the steady-state path
@@ -909,8 +864,7 @@ func (e *evaluator) predictEventMask(gm uint64, x []float64, weighted bool) (flo
 	if m, ok := e.modelMemo[mk]; ok {
 		return m.Predict(x), nil
 	}
-	lits := e.maskLits(gm)
-	m, err := e.eventModel(lits, weighted, gm, true)
+	m, err := e.eventModel(gm, weighted)
 	if err != nil {
 		return 0, err
 	}
@@ -921,58 +875,40 @@ func (e *evaluator) predictEventMask(gm uint64, x []float64, weighted bool) (flo
 	return m.Predict(x), nil
 }
 
-// maskLits collects the post literals of the event subset gm, in event-id
-// order. The same construction runs on both ends of the remote-fit
-// transport, so a mask is an unambiguous cross-process model identity.
-func (e *evaluator) maskLits(gm uint64) []hyperql.Expr {
+// eventLits collects the conjunction identifying the model of event subset
+// gm: the subset's post literals in event-id order, then outCond. The same
+// construction runs on both ends of the remote-fit transport, so a mask is
+// an unambiguous cross-process model identity.
+func (e *evaluator) eventLits(gm uint64) []hyperql.Expr {
 	var lits []hyperql.Expr
 	for id, ev := range e.events {
 		if gm&(1<<uint(id)) != 0 {
 			lits = append(lits, ev...)
 		}
 	}
+	if e.outCond != nil {
+		lits = append(lits, e.outCond)
+	}
 	return lits
 }
 
 // eventModel returns (training on demand) the regressor for the event
-// (lits ∧ outCond), Y-weighted when weighted. It is the single place the
-// conjunction and its cache key are built, so the key, the forest seed
-// derived from it, and the label function cannot drift apart. mask (valid
-// when maskOK) is the event-subset bitmask identifying the same model to a
-// remote fitter.
-func (e *evaluator) eventModel(lits []hyperql.Expr, weighted bool, mask uint64, maskOK bool) (ml.Regressor, error) {
-	all := lits
-	if e.outCond != nil {
-		all = append(append([]hyperql.Expr(nil), lits...), e.outCond)
-	}
+// subset mask conjoined with outCond, Y-weighted when weighted. The cache
+// key, the forest seed derived from it, and the label function all come from
+// the one eventLits conjunction, so they cannot drift apart; the mask
+// identifies the same model to a remote fitter.
+func (e *evaluator) eventModel(mask uint64, weighted bool) (ml.Regressor, error) {
+	all := e.eventLits(mask)
 	key := eventKey(all)
 	if weighted {
 		key = "Y*" + key
 	}
-	if m, ok := e.est.cached(key); ok {
-		return m, nil
-	}
-	// Training an event model is the expensive step of the estimator fitting
-	// loop; a cancelled query stops here rather than fitting another
-	// regressor it will never use. Already-cached models above stay valid.
-	if e.ctx != nil {
-		if err := e.ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
 	ex := fitExec{
-		ctx: e.ctx, workers: e.opts.Shards,
+		ctx: e.ctx, workers: e.opts.Shards, fitter: e.opts.RemoteFit,
 		query: e.queryText, opts: e.opts,
-		mask: mask, maskOK: maskOK, weighted: weighted,
+		mask: mask, weighted: weighted,
 	}
-	if maskOK {
-		ex.fitter = e.opts.RemoteFit
-	}
-	m, err := e.est.model(key, ex, e.labelFor(all, weighted))
-	if err != nil {
-		return nil, fmt.Errorf("engine: labeling post event: %w", err)
-	}
-	return m, nil
+	return e.est.model(key, ex, e.labelFor(all, weighted))
 }
 
 // labelFor builds the training-label function of the event conjunction
@@ -985,7 +921,7 @@ func (e *evaluator) labelFor(all []hyperql.Expr, weighted bool) func(r int) (flo
 		for _, lit := range all {
 			ok, err := sqlmini.EvalBool(lit, env)
 			if err != nil {
-				return 0, err
+				return 0, fmt.Errorf("engine: labeling post event: %w", err)
 			}
 			if !ok {
 				return 0, nil

@@ -2,9 +2,7 @@ package howto
 
 import (
 	"context"
-	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"hyper/internal/causal"
@@ -12,6 +10,7 @@ import (
 	"hyper/internal/obs"
 	"hyper/internal/plan"
 	"hyper/internal/relation"
+	"hyper/internal/shard"
 )
 
 // scored is one candidate update evaluated under every objective query
@@ -29,11 +28,12 @@ type scored struct {
 // changing any result; the returned slice is in deterministic
 // (attribute, candidate) order regardless of completion order.
 //
-// Scoring runs in two phases: the first candidate of each attribute is
-// evaluated first (concurrently across attributes), which trains that
-// attribute's estimator set exactly once, and only then are the remaining
-// candidates fanned out — avoiding a thundering herd of workers all
-// training the same cold estimator.
+// The dispatch queue puts the first candidate of each attribute ahead of the
+// rest, so the pool starts every attribute's estimator set as early as it
+// can. No barrier follows them: the shared cache builds each cold artifact
+// single-flight, so a worker that reaches a candidate whose set another
+// worker is still training waits inside the cache for exactly that set
+// while the rest of the pool keeps scoring.
 //
 // ctx cancellation is observed between candidates (and inside each
 // candidate's engine evaluation); o.Progress, when set, receives one
@@ -45,11 +45,11 @@ func scoreCandidates(ctx context.Context, db *relation.Database, model *causal.M
 		spec hyperql.UpdateSpec
 	}
 	var jobs []job
-	var warm, rest []int
+	var first, rest []int
 	for _, attr := range attrs {
 		for ci, spec := range cands[attr] {
 			if ci == 0 {
-				warm = append(warm, len(jobs))
+				first = append(first, len(jobs))
 			} else {
 				rest = append(rest, len(jobs))
 			}
@@ -63,7 +63,7 @@ func scoreCandidates(ctx context.Context, db *relation.Database, model *causal.M
 	// Cost-based scheduling: run low-cardinality attributes first — their
 	// frequency estimators are cheapest to train and their candidates
 	// complete fastest, so the pool drains the cheap work while the expensive
-	// estimators warm. This reorders only the dispatch queues; out is indexed
+	// estimators warm. This reorders only the dispatch queue; out is indexed
 	// by the original job order, so results (and the deterministic
 	// first-error choice) are unchanged.
 	if rank := plan.AttrRank(db, qs[0].Use, attrs); rank != nil {
@@ -72,22 +72,18 @@ func scoreCandidates(ctx context.Context, db *relation.Database, model *causal.M
 				return rank[jobs[idxs[a]].attr] < rank[jobs[idxs[b]].attr]
 			})
 		}
-		byRank(warm)
+		byRank(first)
 		byRank(rest)
 		sp.Set("cost_ordered", true)
 	}
+	queue := append(first, rest...)
 	// The shard fan-out knob governs candidate-level parallelism too: a
 	// how-to is shard-parallel across candidates, each candidate a what-if
 	// over the shared cache. Results are independent of the pool width (the
 	// output slice is in deterministic candidate order and every candidate's
 	// engine evaluation reduces over the canonical shard plan).
-	workers := o.Engine.Shards
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	pool := shard.Rows(len(queue), 1) // one candidate per slot
+	workers := pool.Workers(o.Engine.Shards)
 	if workers > 1 {
 		// Candidate-level parallelism already saturates the cores; keep the
 		// engine's nested tuple-evaluation fan-out from multiplying it.
@@ -95,68 +91,25 @@ func scoreCandidates(ctx context.Context, db *relation.Database, model *causal.M
 	}
 	out := make([]scored, len(jobs))
 	errs := make([]error, len(jobs))
-	var failed atomic.Bool
 	var scoredCount atomic.Int64
-	run := func(ji int) {
-		if failed.Load() {
-			return
-		}
-		if err := ctx.Err(); err != nil {
-			errs[ji] = err
-			failed.Store(true)
-			return
-		}
+	poolErr := shard.Run(ctx, pool, workers, func(_, qi, _, _ int) error {
+		ji := queue[qi]
 		j := jobs[ji]
 		vals := make([]float64, len(qs))
 		for oi, q := range qs {
-			v, err := evalCandidate(ctx, db, model, q, []hyperql.UpdateSpec{j.spec}, o)
-			if err != nil {
-				errs[ji] = err
-				failed.Store(true)
-				return
+			if vals[oi], errs[ji] = evalCandidate(ctx, db, model, q, []hyperql.UpdateSpec{j.spec}, o); errs[ji] != nil {
+				return errs[ji]
 			}
-			vals[oi] = v
 		}
 		out[ji] = scored{attr: j.attr, spec: j.spec, vals: vals}
 		if o.Progress != nil {
 			o.Progress("candidates", int(scoredCount.Add(1)), len(jobs))
 		}
-	}
-	runPhase := func(idxs []int) {
-		if len(idxs) == 0 {
-			return
-		}
-		w := workers
-		if w > len(idxs) {
-			w = len(idxs)
-		}
-		if w <= 1 {
-			for _, ji := range idxs {
-				run(ji)
-			}
-			return
-		}
-		feed := make(chan int)
-		var wg sync.WaitGroup
-		for i := 0; i < w; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ji := range feed {
-					run(ji)
-				}
-			}()
-		}
-		for _, ji := range idxs {
-			feed <- ji
-		}
-		close(feed)
-		wg.Wait()
-	}
-	runPhase(warm)
-	runPhase(rest)
-	// First error in job order, so failures are as deterministic as results.
-	for _, err := range errs {
+		return nil
+	})
+	// First error in job order, so failures are as deterministic as results;
+	// poolErr alone means the context ended before any candidate failed.
+	for _, err := range append(errs, poolErr) {
 		if err != nil {
 			return nil, err
 		}

@@ -45,7 +45,7 @@ func TestHowToShardCountParityMultiShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	var base *Result
-	for _, shards := range []int{1, 2, 3, 7} {
+	for _, shards := range []int{1, 2, 3, 4, 7} {
 		res, err := Evaluate(g.DB, g.Model, q, Options{Engine: engine.Options{Seed: 7, Shards: shards}})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
@@ -56,6 +56,9 @@ func TestHowToShardCountParityMultiShard(t *testing.T) {
 		}
 		if res.String() != base.String() {
 			t.Errorf("shards=%d: %s\n  want  %s", shards, res, base)
+		}
+		if res.WhatIfEvals != base.WhatIfEvals {
+			t.Errorf("shards=%d: WhatIfEvals = %d, want %d", shards, res.WhatIfEvals, base.WhatIfEvals)
 		}
 		if f17h(res.Objective) != f17h(base.Objective) || f17h(res.Base) != f17h(base.Base) {
 			t.Errorf("shards=%d: objective %s base %s, want %s %s",

@@ -1,18 +1,19 @@
 package plan
 
 import (
+	"context"
 	"sort"
-	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"hyper/internal/hyperql"
+	"hyper/internal/lru"
 	"hyper/internal/relation"
 )
 
 // Cache is the bounded fingerprint-keyed plan cache: compiled what-if plans
-// keyed by shape fingerprint over the schema signature, in one LRU list. The
+// keyed by shape fingerprint over the schema signature, in one lru.Cache. The
 // bound caps plans only — the column data plans read (stats, codes) is not
 // held here but memoized per column on the relation itself
 // (relation.Relation.Coded), where it lives and dies with the relation.
@@ -21,45 +22,32 @@ import (
 // hashes the signature into the key's domain, so a structurally identical
 // query against a re-uploaded database with a different schema can never be
 // served a stale pushdown program. Compilation is single-flight per
-// fingerprint: of concurrent lookups missing the same shape, one counts the
-// miss and compiles, the rest count hits and wait for its plan.
+// fingerprint (lru.Cache.Do): of concurrent lookups missing the same shape,
+// one counts the miss and compiles, the rest count hits and wait for its plan.
 //
 // All methods are safe for concurrent use. Like engine.Cache, a Cache must
 // only be shared across queries against the same database.
 type Cache struct {
-	mu        sync.Mutex
-	entries   map[string]*entry // by fingerprint
-	head      *entry            // most recently used
-	tail      *entry            // least recently used
-	max       int               // maximum entries; 0 = unbounded
-	onCompile func(ms float64)
-
-	hits, misses, evictions, compiles uint64
-}
-
-type entry struct {
-	key        string
-	once       sync.Once // compiles plan; later lookups wait on it
-	plan       *WhatIfPlan
-	prev, next *entry
+	plans     *lru.Cache[*WhatIfPlan]
+	compiles  atomic.Uint64
+	onCompile atomic.Pointer[func(ms float64)]
 }
 
 // NewCache returns an empty plan cache holding at most max plans; max <= 0
 // means unbounded.
 func NewCache(max int) *Cache {
-	if max < 0 {
-		max = 0
-	}
-	return &Cache{entries: make(map[string]*entry), max: max}
+	return &Cache{plans: lru.New[*WhatIfPlan](max, nil)}
 }
 
 // SetCompileObserver installs a callback invoked with each plan compilation
 // latency in milliseconds (the serving layer feeds its histogram through
 // it). Pass nil to remove. Observers must be safe for concurrent use.
 func (c *Cache) SetCompileObserver(fn func(ms float64)) {
-	c.mu.Lock()
-	c.onCompile = fn
-	c.mu.Unlock()
+	if fn == nil {
+		c.onCompile.Store(nil)
+		return
+	}
+	c.onCompile.Store(&fn)
 }
 
 // Stats is a point-in-time snapshot of plan-cache counters.
@@ -76,81 +64,19 @@ type Stats struct {
 
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	st := c.plans.Stats()
 	return Stats{
-		Hits:       c.hits,
-		Misses:     c.misses,
-		Evictions:  c.evictions,
-		Compiles:   c.compiles,
-		Entries:    len(c.entries),
-		MaxEntries: c.max,
+		Hits:       st.Hits,
+		Misses:     st.Misses,
+		Evictions:  st.Evictions,
+		Compiles:   c.compiles.Load(),
+		Entries:    st.Entries,
+		MaxEntries: st.MaxEntries,
 	}
 }
 
 // Len returns the current number of cached plans.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// lookup returns fp's entry, promoting it on a hit and inserting an empty
-// one (evicting past the bound) on a miss.
-func (c *Cache) lookup(fp string) (e *entry, hit bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[fp]; ok {
-		c.hits++
-		c.moveToFront(e)
-		return e, true
-	}
-	c.misses++
-	e = &entry{key: fp}
-	c.entries[fp] = e
-	c.pushFront(e)
-	for c.max > 0 && len(c.entries) > c.max {
-		lru := c.tail
-		c.unlink(lru)
-		delete(c.entries, lru.key)
-		c.evictions++
-	}
-	return e, false
-}
-
-func (c *Cache) pushFront(e *entry) {
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *Cache) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *Cache) moveToFront(e *entry) {
-	if c.head == e {
-		return
-	}
-	c.unlink(e)
-	c.pushFront(e)
-}
+func (c *Cache) Len() int { return c.plans.Len() }
 
 // dataKey is the cache-identity string of a database: the schema signature,
 // plus — for MVCC-versioned instances — the snapshot version. Version 0 (the
@@ -161,8 +87,8 @@ func (c *Cache) moveToFront(e *entry) {
 // head can never be served stale stats.
 func dataKey(db *relation.Database) string {
 	sig := Signature(db)
-	if v := db.Version(); v > 0 {
-		return sig + "\x00@v" + strconv.FormatInt(v, 10)
+	if tag := db.VersionTag(); tag != "" {
+		return sig + "\x00" + tag
 	}
 	return sig
 }
@@ -202,25 +128,28 @@ func Fingerprint(db *relation.Database, q hyperql.Query) string {
 // argument is unused — a plan's column data is memoized on rel, not under a
 // cache key — and stays only so callers keep their shape.
 func (c *Cache) WhatIf(db *relation.Database, _ string, q *hyperql.WhatIf, rel *relation.Relation) (*WhatIfPlan, bool) {
-	if c == nil {
-		c = NewCache(0)
+	fp := Fingerprint(db, q)
+	compile := func() *WhatIfPlan {
+		p := Compile(rel, q.When)
+		p.Fingerprint = fp
+		p.explain = renderExplain(p, q)
+		return p
 	}
-	e, hit := c.lookup(Fingerprint(db, q))
-	e.once.Do(func() {
+	if c == nil {
+		return compile(), false
+	}
+	// Compile cannot fail and a waiter has nothing to give up on, so Do's
+	// error is always nil.
+	p, hit, _ := c.plans.Do(context.Background(), fp, func() (*WhatIfPlan, error) {
 		start := time.Now()
-		e.plan = Compile(rel, q.When)
-		e.plan.Fingerprint = e.key
-		e.plan.explain = renderExplain(e.plan, q)
-		ms := float64(time.Since(start).Nanoseconds()) / 1e6
-		c.mu.Lock()
-		c.compiles++
-		obs := c.onCompile
-		c.mu.Unlock()
-		if obs != nil {
-			obs(ms)
+		p := compile()
+		c.compiles.Add(1)
+		if obs := c.onCompile.Load(); obs != nil {
+			(*obs)(float64(time.Since(start).Nanoseconds()) / 1e6)
 		}
+		return p, nil
 	})
-	return e.plan, hit
+	return p, hit
 }
 
 // Apply runs p over rel into inS (len rel.Len()) with q's literals; it is

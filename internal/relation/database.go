@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"sort"
+	"strconv"
 )
 
 // ForeignKey declares that Child.ChildCol references Parent.ParentCol. HypeR
@@ -101,6 +102,16 @@ func (d *Database) FindRelationOf(attr string) (*Relation, error) {
 // Version returns the database's snapshot version (0 until SetVersion or
 // Extend).
 func (d *Database) Version() int64 { return d.version }
+
+// VersionTag is the snapshot version as every cache identity spells it:
+// "@v<version>", or "" at version 0 so unversioned (bare-library) databases
+// keep their historical keys.
+func (d *Database) VersionTag() string {
+	if d.version <= 0 {
+		return ""
+	}
+	return "@v" + strconv.FormatInt(d.version, 10)
+}
 
 // SetVersion overrides the snapshot version. Serving layers call it once at
 // session creation so every published snapshot — including the first — has

@@ -76,10 +76,10 @@ type Config struct {
 	// CacheEntries bounds each session's engine cache (artifacts, not
 	// bytes). Default 512; <0 means unbounded.
 	CacheEntries int
-	// PlanCacheEntries bounds each session's compiled-plan cache (plans plus
-	// their supporting per-view artifacts). Default 256; <0 means unbounded;
-	// a session's plan cache is dropped with the session, so a schema can
-	// never outlive its plans.
+	// PlanCacheEntries bounds each session's compiled-plan cache, in plans
+	// (the column data plans read is memoized on the relation, not here).
+	// Default 256; <0 means unbounded; a session's plan cache is dropped with
+	// the session, so a schema can never outlive its plans.
 	PlanCacheEntries int
 	// BatchWorkers is the worker-pool size for batch requests (and the cap on a
 	// request's own workers field). Default GOMAXPROCS.

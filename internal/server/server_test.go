@@ -221,6 +221,34 @@ func TestServerBatchMixedAndConcurrent(t *testing.T) {
 	}
 }
 
+// TestServerColdBatchBuildsOnce: a cold batch's workers land on one session
+// cache together; each artifact is still built once, so the session reports
+// the misses of a one-worker run however wide the pool.
+func TestServerColdBatchBuildsOnce(t *testing.T) {
+	ts := newTestServer(t, Config{BatchWorkers: 8})
+	var queries []BatchQuery
+	for i := 0; i < 8; i++ {
+		queries = append(queries, BatchQuery{Query: fmt.Sprintf(
+			`USE German UPDATE(Status) = %d OUTPUT COUNT(Credit = 1) FOR PRE(Age) = %d`, i%4, i/4)})
+	}
+	misses := map[int]uint64{}
+	for _, workers := range []int{1, 8} {
+		name := fmt.Sprintf("w%d", workers)
+		createSession(t, ts, name)
+		var res BatchResponse
+		do(t, "POST", ts.URL+"/v1/sessions/"+name+"/batch", BatchRequest{Queries: queries, Workers: workers}, &res)
+		if res.Errors != 0 || res.Workers != workers {
+			t.Fatalf("workers=%d: errors %d, pool %d", workers, res.Errors, res.Workers)
+		}
+		var info SessionInfo
+		do(t, "GET", ts.URL+"/v1/sessions/"+name, nil, &info)
+		misses[workers] = info.Cache.Misses
+	}
+	if misses[1] == 0 || misses[8] != misses[1] {
+		t.Errorf("session cache misses: %d at workers=8, %d at workers=1; want equal", misses[8], misses[1])
+	}
+}
+
 func TestServerSessionLifecycleAndErrors(t *testing.T) {
 	ts := newTestServer(t, Config{MaxSessions: 2})
 
