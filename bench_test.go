@@ -7,6 +7,7 @@ package hyper
 // (query-output error, solution quality) alongside ns/op.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -176,7 +177,7 @@ TOMAXIMIZE COUNT(Credit = 1)`)
 		b.Run(fmt.Sprintf("buckets%d", buckets), func(b *testing.B) {
 			var res *howto.Result
 			for i := 0; i < b.N; i++ {
-				res, err = howto.Evaluate(g.DB, g.Model, q,
+				res, err = howto.Evaluate(context.Background(), g.DB, g.Model, q,
 					howto.Options{Engine: engine.Options{Seed: 7}, Buckets: buckets})
 				if err != nil {
 					b.Fatal(err)
@@ -269,14 +270,14 @@ HOWTOUPDATE `
 		}
 		b.Run(fmt.Sprintf("ip-attrs%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := howto.Evaluate(st.DB, st.Model, q, howto.Options{Engine: engine.Options{Seed: 7}}); err != nil {
+				if _, err := howto.Evaluate(context.Background(), st.DB, st.Model, q, howto.Options{Engine: engine.Options{Seed: 7}}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("bruteforce-attrs%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := howto.BruteForce(st.DB, st.Model, q, howto.Options{Engine: engine.Options{Seed: 7}}); err != nil {
+				if _, err := howto.BruteForce(context.Background(), st.DB, st.Model, q, howto.Options{Engine: engine.Options{Seed: 7}}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -316,14 +317,14 @@ TOMAXIMIZE COUNT(Credit = 1)`)
 		g := dataset.GermanSyn(size, 7)
 		b.Run(fmt.Sprintf("ip/rows%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := howto.Evaluate(g.DB, g.Model, q, howto.Options{Engine: engine.Options{Seed: 7}}); err != nil {
+				if _, err := howto.Evaluate(context.Background(), g.DB, g.Model, q, howto.Options{Engine: engine.Options{Seed: 7}}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("bruteforce/rows%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := howto.BruteForce(g.DB, g.Model, q, howto.Options{Engine: engine.Options{Seed: 7}}); err != nil {
+				if _, err := howto.BruteForce(context.Background(), g.DB, g.Model, q, howto.Options{Engine: engine.Options{Seed: 7}}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -405,7 +405,7 @@ func (s *Session) HowToContext(ctx context.Context, src string, progress Progres
 	}
 	opts := s.howtoOpts()
 	opts.Progress = progress
-	return howto.EvaluateContext(ctx, s.db, s.model, q, opts)
+	return howto.Evaluate(ctx, s.db, s.model, q, opts)
 }
 
 // HowToBruteForce evaluates a how-to query with the exhaustive Opt-HowTo
@@ -424,7 +424,7 @@ func (s *Session) HowToBruteForceContext(ctx context.Context, src string, progre
 	}
 	opts := s.howtoOpts()
 	opts.Progress = progress
-	return howto.BruteForceContext(ctx, s.db, s.model, q, opts)
+	return howto.BruteForce(ctx, s.db, s.model, q, opts)
 }
 
 // HowToMinimizeCost solves the alternate how-to formulation (Section 4.3,
@@ -443,7 +443,7 @@ func (s *Session) HowToMinimizeCostContext(ctx context.Context, src string, targ
 	}
 	opts := s.howtoOpts()
 	opts.Progress = progress
-	return howto.MinimizeCostContext(ctx, s.db, s.model, q, target, opts)
+	return howto.MinimizeCost(ctx, s.db, s.model, q, target, opts)
 }
 
 // HowToLexicographic evaluates a preferential multi-objective how-to query:
@@ -469,7 +469,7 @@ func (s *Session) HowToLexicographicContext(ctx context.Context, progress Progre
 	}
 	opts := s.howtoOpts()
 	opts.Progress = progress
-	return howto.LexicographicContext(ctx, s.db, s.model, qs, opts)
+	return howto.Lexicographic(ctx, s.db, s.model, qs, opts)
 }
 
 // Explain plans a what-if query without evaluating it, returning a
@@ -522,7 +522,7 @@ func (s *Session) QueryContext(ctx context.Context, src string, progress Progres
 	case *hyperql.HowTo:
 		opts := s.howtoOpts()
 		opts.Progress = progress
-		return howto.EvaluateContext(ctx, s.db, s.model, qq, opts)
+		return howto.Evaluate(ctx, s.db, s.model, qq, opts)
 	default:
 		return nil, fmt.Errorf("hyper: unknown query type %T", q)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"hyper/internal/dataset"
@@ -41,7 +42,7 @@ func HowToQuality(cfg Config) error {
 
 	g := dataset.GermanSyn(cfg.n(20000), cfg.Seed)
 	q := mustParseHowTo(fig12HowToQuery)
-	res, err := howto.Evaluate(g.DB, g.Model, q, howto.Options{Engine: engine.Options{Seed: cfg.Seed}})
+	res, err := howto.Evaluate(context.Background(), g.DB, g.Model, q, howto.Options{Engine: engine.Options{Seed: cfg.Seed}})
 	if err != nil {
 		return err
 	}
@@ -82,7 +83,7 @@ TOMAXIMIZE AVG(POST(Grade))`
 	if err != nil {
 		return err
 	}
-	stRes, err := howto.Evaluate(st.DB, st.Model, stQ, howto.Options{Engine: engine.Options{Seed: cfg.Seed}})
+	stRes, err := howto.Evaluate(context.Background(), st.DB, st.Model, stQ, howto.Options{Engine: engine.Options{Seed: cfg.Seed}})
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"time"
 
@@ -90,7 +91,7 @@ TOMAXIMIZE AVG(POST(Grade))`
 		opts := howto.Options{Engine: engine.Options{Seed: cfg.Seed}}
 
 		start := time.Now()
-		if _, err := howto.Evaluate(st2.DB, st2.Model, q, opts); err != nil {
+		if _, err := howto.Evaluate(context.Background(), st2.DB, st2.Model, q, opts); err != nil {
 			return err
 		}
 		hTime := time.Since(start)
@@ -98,7 +99,7 @@ TOMAXIMIZE AVG(POST(Grade))`
 		bfTime := "skipped (exp.)"
 		if k <= 4 {
 			start = time.Now()
-			if _, err := howto.BruteForce(st2.DB, st2.Model, q, opts); err != nil {
+			if _, err := howto.BruteForce(context.Background(), st2.DB, st2.Model, q, opts); err != nil {
 				return err
 			}
 			bfTime = time.Since(start).Round(time.Millisecond).String()

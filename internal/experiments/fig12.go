@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"hyper/internal/dataset"
@@ -71,13 +72,13 @@ func Fig12(cfg Config) error {
 		g := dataset.GermanSyn(size, cfg.Seed)
 
 		start := time.Now()
-		if _, err := howto.Evaluate(g.DB, g.Model, q, howto.Options{Engine: engine.Options{Seed: cfg.Seed}}); err != nil {
+		if _, err := howto.Evaluate(context.Background(), g.DB, g.Model, q, howto.Options{Engine: engine.Options{Seed: cfg.Seed}}); err != nil {
 			return err
 		}
 		tIP := time.Since(start)
 
 		start = time.Now()
-		if _, err := howto.Evaluate(g.DB, g.Model, q, howto.Options{
+		if _, err := howto.Evaluate(context.Background(), g.DB, g.Model, q, howto.Options{
 			Engine: engine.Options{Seed: cfg.Seed, SampleSize: 100000}}); err != nil {
 			return err
 		}
@@ -86,7 +87,7 @@ func Fig12(cfg Config) error {
 		bf := "skipped (exp.)"
 		if size <= cfg.n(100000) {
 			start = time.Now()
-			if _, err := howto.BruteForce(g.DB, g.Model, q, howto.Options{Engine: engine.Options{Seed: cfg.Seed}}); err != nil {
+			if _, err := howto.BruteForce(context.Background(), g.DB, g.Model, q, howto.Options{Engine: engine.Options{Seed: cfg.Seed}}); err != nil {
 				return err
 			}
 			bf = time.Since(start).Round(time.Millisecond).String()

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"hyper/internal/dataset"
@@ -57,7 +58,7 @@ func Fig9(cfg Config) error {
 		}
 		hOpts := howto.Options{Engine: engine.Options{Seed: cfg.Seed}, Buckets: buckets}
 		start := time.Now()
-		hRes, err := howto.Evaluate(g.DB, g.Model, q, hOpts)
+		hRes, err := howto.Evaluate(context.Background(), g.DB, g.Model, q, hOpts)
 		if err != nil {
 			return err
 		}
@@ -68,7 +69,7 @@ func Fig9(cfg Config) error {
 		}
 
 		start = time.Now()
-		dRes, err := howto.BruteForce(g.DB, g.Model, q, hOpts)
+		dRes, err := howto.BruteForce(context.Background(), g.DB, g.Model, q, hOpts)
 		if err != nil {
 			return err
 		}

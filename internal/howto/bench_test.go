@@ -6,6 +6,7 @@ package howto
 // shows the scoring pool's scaling with GOMAXPROCS.
 
 import (
+	"context"
 	"testing"
 
 	"hyper/internal/dataset"
@@ -25,7 +26,7 @@ func BenchmarkHowTo(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Evaluate(g.DB, g.Model, q, Options{Engine: engine.Options{Seed: 7}})
+		res, err := Evaluate(context.Background(), g.DB, g.Model, q, Options{Engine: engine.Options{Seed: 7}})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,12 +1,27 @@
 // Package howto implements HypeR's how-to queries (Section 4): reverse data
 // management questions of the form "how should these attributes be updated
-// to maximize this aggregate, subject to constraints". Each how-to query is
-// compiled to a 0/1 integer program over candidate hypothetical updates
-// (Equations 7-9): candidates are enumerated per attribute from the LIMIT
-// constraints (continuous domains are bucketized, Figure 9), each
-// candidate's marginal effect is a what-if evaluation (Definition 7), and
-// the IP selects at most one update per attribute. The exhaustive Opt-HowTo
-// baseline of Section 5.1 is provided for comparison.
+// to maximize this aggregate, subject to constraints". A how-to query is one
+// 0/1 integer program over candidate hypothetical updates (Equations 7-9),
+// and the package builds it in one pipeline:
+//
+//   - table (newTable): candidates are enumerated per attribute from the
+//     LIMIT constraints (continuous domains are bucketized, Figure 9), each
+//     candidate's marginal effect under every objective is a what-if
+//     evaluation (Definition 7) scored across a worker pool, and the query
+//     meter is charged for both;
+//   - model ((*table).model, addBudget): a binary variable per candidate for
+//     a caller-supplied objective row, SOS-1 per attribute, the optional
+//     UPDATES <= k row;
+//   - result ((*table).result): choices in attribute order, the objective as
+//     base plus the chosen deltas.
+//
+// The formulations are what they add to it. Lexicographic (Example 11)
+// solves one model per objective, pinning the higher-priority ones;
+// Evaluate (Section 4.3) is Lexicographic of one objective that then reports
+// zero-gain selections as "no change"; MinimizeCost (footnote 3) puts the
+// negated update costs in the objective row and adds the target row. The
+// exhaustive Opt-HowTo baseline of Section 5.1 (BruteForce, BruteForceWith)
+// shares none of this and is the method's independent oracle.
 package howto
 
 import (
@@ -18,7 +33,6 @@ import (
 	"hyper/internal/causal"
 	"hyper/internal/engine"
 	"hyper/internal/hyperql"
-	"hyper/internal/ip"
 	"hyper/internal/obs"
 	"hyper/internal/relation"
 )
@@ -125,128 +139,41 @@ func (r *Result) String() string {
 	return fmt.Sprintf("%s} objective=%.6g (base=%.6g)", s, r.Objective, r.Base)
 }
 
-// Evaluate answers a how-to query with the IP formulation of Section 4.3.
-func Evaluate(db *relation.Database, model *causal.Model, q *hyperql.HowTo, opts Options) (*Result, error) {
-	return EvaluateContext(context.Background(), db, model, q, opts)
-}
-
-// EvaluateContext is Evaluate with cancellation: ctx flows into every
-// candidate what-if evaluation (observed inside the engine's tuple loop and
-// estimator training), the scoring worker pool, and the IP branch and
-// bound, so a cancelled or deadline-expired context stops the solve
-// mid-flight with ctx.Err().
-func EvaluateContext(ctx context.Context, db *relation.Database, model *causal.Model, q *hyperql.HowTo, opts Options) (*Result, error) {
-	o := opts.withDefaults()
-	start := time.Now()
-	cands, err := Candidates(db, q, o)
+// Evaluate answers a how-to query with the IP formulation of Section 4.3:
+// the single-objective case of Lexicographic, keeping only the selected
+// updates that improve the objective. ctx flows into every candidate
+// what-if evaluation (observed inside the engine's tuple loop and estimator
+// training), the scoring worker pool, and the IP branch and bound, so a
+// cancelled or deadline-expired context stops the solve mid-flight with
+// ctx.Err().
+func Evaluate(ctx context.Context, db *relation.Database, model *causal.Model, q *hyperql.HowTo, opts Options) (*Result, error) {
+	t, err := newTable(ctx, db, model, []*hyperql.HowTo{q}, opts)
 	if err != nil {
 		return nil, err
 	}
-	base, err := baseObjective(ctx, db, model, q, o)
+	selected, nodes, err := t.solveLexicographic(ctx)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Base: base}
-
-	// Marginal effect of each candidate: a candidate what-if query
-	// (Definition 7) evaluated by the engine, scored across the worker pool
-	// (candidates share the artifact cache, so only the prediction points
-	// differ).
-	type cvar struct {
-		attr  string
-		spec  hyperql.UpdateSpec
-		delta float64
-	}
-	scoredVars, err := scoreCandidates(ctx, db, model, []*hyperql.HowTo{q}, q.Attrs, cands, o)
-	if err != nil {
-		return nil, err
-	}
-	var vars []cvar
-	byAttr := map[string][]int{}
-	for _, s := range scoredVars {
-		res.WhatIfEvals++
-		vars = append(vars, cvar{attr: s.attr, spec: s.spec, delta: s.vals[0] - base})
-		byAttr[s.attr] = append(byAttr[s.attr], len(vars)-1)
-	}
-	res.Candidates = len(vars)
-	meter := obs.MeterFromContext(ctx)
-	meter.AddCandidates(res.Candidates)
-	meter.AddWhatIfEvals(res.WhatIfEvals)
-
-	// Build and solve the IP: maximize Σ delta·δ (negated for TOMINIMIZE)
-	// subject to SOS-1 per attribute and the optional update budget.
-	m := ip.NewModel()
-	for i, v := range vars {
-		obj := v.delta
-		if !q.Maximize {
-			obj = -obj
-		}
-		m.AddVar(fmt.Sprintf("%s=%d", v.attr, i), obj)
-	}
-	for _, attr := range q.Attrs {
-		if len(byAttr[attr]) > 0 {
-			if err := m.AddAtMostOne(byAttr[attr]); err != nil {
-				return nil, err
-			}
+	// The IP may pick a zero-delta variable when ties exist; report those
+	// attributes as "no change".
+	gains := t.gains(0)
+	improving := selected[:0]
+	for _, vi := range selected {
+		if gains[vi] > 1e-12 {
+			improving = append(improving, vi)
 		}
 	}
-	if k, ok := budget(q); ok {
-		all := make([]int, len(vars))
-		coef := make([]float64, len(vars))
-		for i := range vars {
-			all[i] = i
-			coef[i] = 1
-		}
-		if err := m.AddLE(all, coef, float64(k)); err != nil {
-			return nil, err
-		}
-	}
-	sol, err := m.SolveContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	res.IPNodes = sol.Nodes
-
-	chosen := map[string]*cvar{}
-	for _, vi := range sol.Selected() {
-		// Only keep selections that improve the objective; the IP may pick a
-		// zero-delta variable when ties exist.
-		v := vars[vi]
-		gain := v.delta
-		if !q.Maximize {
-			gain = -gain
-		}
-		if gain > 1e-12 {
-			vv := v
-			chosen[v.attr] = &vv
-		}
-	}
-	res.Objective = base
-	for _, attr := range q.Attrs {
-		c := Choice{Attr: attr}
-		if v := chosen[attr]; v != nil {
-			c.Update = &v.spec
-			c.Delta = v.delta
-			res.Objective += v.delta
-		}
-		res.Choices = append(res.Choices, c)
-	}
-	res.Total = time.Since(start)
-	return res, nil
+	return t.result(improving, nodes), nil
 }
 
 // BruteForce is the Opt-HowTo baseline: it enumerates every combination of
 // candidate updates (including "no change" per attribute), evaluates the
 // combined what-if query for each, and returns the best. Exponential in the
-// number of attributes (Figure 11b / 12b).
-func BruteForce(db *relation.Database, model *causal.Model, q *hyperql.HowTo, opts Options) (*Result, error) {
-	return BruteForceContext(context.Background(), db, model, q, opts)
-}
-
-// BruteForceContext is BruteForce with cancellation: ctx is observed before
-// every combination evaluation (and inside each underlying what-if), so the
-// exponential search aborts promptly when cancelled.
-func BruteForceContext(ctx context.Context, db *relation.Database, model *causal.Model, q *hyperql.HowTo, opts Options) (*Result, error) {
+// number of attributes (Figure 11b / 12b). ctx is observed before every
+// combination evaluation (and inside each underlying what-if), so the
+// search aborts promptly when cancelled.
+func BruteForce(ctx context.Context, db *relation.Database, model *causal.Model, q *hyperql.HowTo, opts Options) (*Result, error) {
 	o := opts.withDefaults()
 	start := time.Now()
 	cands, err := Candidates(db, q, o)
@@ -270,6 +197,9 @@ func BruteForceContext(ctx context.Context, db *relation.Database, model *causal
 	if err != nil {
 		return nil, err
 	}
+	meter := obs.MeterFromContext(ctx)
+	meter.AddCandidates(res.Candidates)
+	meter.AddWhatIfEvals(res.WhatIfEvals)
 	res.Base = base
 	res.Total = time.Since(start)
 	return res, nil

@@ -1,6 +1,7 @@
 package howto
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -22,7 +23,7 @@ func TestHowToPicksStrongestAttributes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	res, err := Evaluate(g.DB, g.Model, q, Options{Engine: engine.Options{Seed: 1}})
+	res, err := Evaluate(context.Background(), g.DB, g.Model, q, Options{Engine: engine.Options{Seed: 1}})
 	if err != nil {
 		t.Fatalf("evaluate: %v", err)
 	}
@@ -56,11 +57,11 @@ TOMAXIMIZE COUNT(Credit = 1)`
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	ipRes, err := Evaluate(g.DB, g.Model, q, Options{Engine: engine.Options{Seed: 1}})
+	ipRes, err := Evaluate(context.Background(), g.DB, g.Model, q, Options{Engine: engine.Options{Seed: 1}})
 	if err != nil {
 		t.Fatalf("ip evaluate: %v", err)
 	}
-	bfRes, err := BruteForce(g.DB, g.Model, q, Options{Engine: engine.Options{Seed: 1}})
+	bfRes, err := BruteForce(context.Background(), g.DB, g.Model, q, Options{Engine: engine.Options{Seed: 1}})
 	if err != nil {
 		t.Fatalf("brute force: %v", err)
 	}
@@ -109,7 +110,7 @@ TOMAXIMIZE COUNT(Credit = 1)`
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	res, err := Evaluate(g.DB, g.Model, q, Options{Engine: engine.Options{Seed: 1}})
+	res, err := Evaluate(context.Background(), g.DB, g.Model, q, Options{Engine: engine.Options{Seed: 1}})
 	if err != nil {
 		t.Fatalf("evaluate: %v", err)
 	}
@@ -163,7 +164,7 @@ func TestHowToAgainstGroundTruthOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	res, err := Evaluate(g.DB, g.Model, q, Options{Engine: engine.Options{Seed: 1}})
+	res, err := Evaluate(context.Background(), g.DB, g.Model, q, Options{Engine: engine.Options{Seed: 1}})
 	if err != nil {
 		t.Fatalf("evaluate: %v", err)
 	}
@@ -213,11 +214,11 @@ func TestLexicographic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := Evaluate(g.DB, g.Model, q1, Options{Engine: engine.Options{Seed: 1}})
+	single, err := Evaluate(context.Background(), g.DB, g.Model, q1, Options{Engine: engine.Options{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := Lexicographic(g.DB, g.Model, []*hyperql.HowTo{q1, q2}, Options{Engine: engine.Options{Seed: 1}})
+	multi, err := Lexicographic(context.Background(), g.DB, g.Model, []*hyperql.HowTo{q1, q2}, Options{Engine: engine.Options{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

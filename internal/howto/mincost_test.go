@@ -1,6 +1,7 @@
 package howto
 
 import (
+	"context"
 	"testing"
 
 	"hyper/internal/dataset"
@@ -18,12 +19,12 @@ TOMAXIMIZE COUNT(Credit = 1)`)
 	opts := Options{Engine: engine.Options{Seed: 1}, Buckets: 8}
 
 	// First find what maximization achieves, then ask for a modest target.
-	maxRes, err := Evaluate(g.DB, g.Model, q, opts)
+	maxRes, err := Evaluate(context.Background(), g.DB, g.Model, q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	target := maxRes.Base + 0.3*(maxRes.Objective-maxRes.Base)
-	res, err := MinimizeCost(g.DB, g.Model, q, target, opts)
+	res, err := MinimizeCost(context.Background(), g.DB, g.Model, q, target, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ TOMAXIMIZE COUNT(Credit = 1)`)
 func TestMinimizeCostInfeasibleTarget(t *testing.T) {
 	g := dataset.GermanSyn(2000, 109)
 	q := parseHT(t, `USE German HOWTOUPDATE Housing TOMAXIMIZE COUNT(Credit = 1)`)
-	_, err := MinimizeCost(g.DB, g.Model, q, float64(g.Rel().Len())+1000,
+	_, err := MinimizeCost(context.Background(), g.DB, g.Model, q, float64(g.Rel().Len())+1000,
 		Options{Engine: engine.Options{Seed: 1}})
 	if err == nil {
 		t.Fatal("unreachable target should fail")
@@ -66,7 +67,7 @@ func TestMinimizeCostInfeasibleTarget(t *testing.T) {
 func TestMinimizeCostZeroTargetIsFree(t *testing.T) {
 	g := dataset.GermanSyn(2000, 113)
 	q := parseHT(t, `USE German HOWTOUPDATE Status TOMAXIMIZE COUNT(Credit = 1)`)
-	res, err := MinimizeCost(g.DB, g.Model, q, 0, Options{Engine: engine.Options{Seed: 1}})
+	res, err := MinimizeCost(context.Background(), g.DB, g.Model, q, 0, Options{Engine: engine.Options{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package howto
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"hyper/internal/causal"
 	"hyper/internal/hyperql"
@@ -15,141 +14,69 @@ import (
 // extension of Section 4.3): the queries share USE/WHEN/HOWTOUPDATE/LIMIT
 // but carry objectives in decreasing priority. The IP is re-solved per
 // objective with the previously achieved objective values added as equality
-// constraints (Example 11).
-func Lexicographic(db *relation.Database, model *causal.Model, qs []*hyperql.HowTo, opts Options) (*Result, error) {
-	return LexicographicContext(context.Background(), db, model, qs, opts)
-}
-
-// LexicographicContext is Lexicographic with cancellation: ctx flows into
-// candidate scoring and every per-objective IP solve.
-func LexicographicContext(ctx context.Context, db *relation.Database, model *causal.Model, qs []*hyperql.HowTo, opts Options) (*Result, error) {
+// constraints (Example 11). ctx flows into candidate scoring and every
+// per-objective IP solve.
+func Lexicographic(ctx context.Context, db *relation.Database, model *causal.Model, qs []*hyperql.HowTo, opts Options) (*Result, error) {
 	if len(qs) == 0 {
 		return nil, fmt.Errorf("howto: no objectives")
 	}
-	o := opts.withDefaults()
-	start := time.Now()
-	q0 := qs[0]
-	cands, err := Candidates(db, q0, o)
+	t, err := newTable(ctx, db, model, qs, opts)
 	if err != nil {
 		return nil, err
 	}
-
-	// Evaluate each candidate's delta under every objective.
-	type cvar struct {
-		attr   string
-		spec   hyperql.UpdateSpec
-		deltas []float64 // per objective
+	selected, nodes, err := t.solveLexicographic(ctx)
+	if err != nil {
+		return nil, err
 	}
-	var vars []cvar
-	byAttr := map[string][]int{}
-	bases := make([]float64, len(qs))
-	whatIfEvals := 0
-	for oi, q := range qs {
-		bases[oi], err = baseObjective(ctx, db, model, q, o)
-		if err != nil {
+	return t.result(selected, nodes), nil
+}
+
+// lexModel is the program of priority level oi: that objective's gains, the
+// budget, and every higher-priority objective pinned to the delta sum its
+// own level achieved (within a small tolerance, as a <= / >= pair).
+func (t *table) lexModel(oi int, pinned []float64) (*ip.Model, error) {
+	m, err := t.model(t.gains(oi))
+	if err != nil {
+		return nil, err
+	}
+	if err := t.addBudget(m); err != nil {
+		return nil, err
+	}
+	for pi, target := range pinned {
+		const tol = 1e-6
+		if err := m.AddLE(t.all, t.deltas[pi], target+tol); err != nil {
+			return nil, err
+		}
+		if err := m.AddGE(t.all, t.deltas[pi], target-tol); err != nil {
 			return nil, err
 		}
 	}
-	scoredVars, err := scoreCandidates(ctx, db, model, qs, q0.Attrs, cands, o)
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range scoredVars {
-		cv := cvar{attr: s.attr, spec: s.spec, deltas: make([]float64, len(qs))}
-		for oi := range qs {
-			whatIfEvals++
-			cv.deltas[oi] = s.vals[oi] - bases[oi]
-		}
-		vars = append(vars, cv)
-		byAttr[s.attr] = append(byAttr[s.attr], len(vars)-1)
-	}
+	return m, nil
+}
 
-	buildModel := func(objIdx int, pinned []float64) (*ip.Model, error) {
-		m := ip.NewModel()
-		for i, v := range vars {
-			obj := v.deltas[objIdx]
-			if !qs[objIdx].Maximize {
-				obj = -obj
-			}
-			m.AddVar(fmt.Sprintf("%s=%d", v.attr, i), obj)
-		}
-		for _, attr := range q0.Attrs {
-			if len(byAttr[attr]) > 0 {
-				if err := m.AddAtMostOne(byAttr[attr]); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if k, ok := budget(q0); ok {
-			all := make([]int, len(vars))
-			coef := make([]float64, len(vars))
-			for i := range vars {
-				all[i] = i
-				coef[i] = 1
-			}
-			if err := m.AddLE(all, coef, float64(k)); err != nil {
-				return nil, err
-			}
-		}
-		// Pin previously optimized objectives (within a small tolerance, as
-		// a <= / >= pair).
-		for pi, target := range pinned {
-			idx := make([]int, len(vars))
-			coef := make([]float64, len(vars))
-			for i, v := range vars {
-				idx[i] = i
-				coef[i] = v.deltas[pi]
-			}
-			const tol = 1e-6
-			if err := m.AddLE(idx, coef, target+tol); err != nil {
-				return nil, err
-			}
-			if err := m.AddGE(idx, coef, target-tol); err != nil {
-				return nil, err
-			}
-		}
-		return m, nil
-	}
-
+// solveLexicographic optimizes the table's objectives in priority order and
+// returns the last level's selection with the nodes explored across levels.
+// With one objective it is the plain IP of Equations 7-9.
+func (t *table) solveLexicographic(ctx context.Context) (selected []int, nodes int, err error) {
 	var pinned []float64
-	var lastSol *ip.Solution
-	totalNodes := 0
-	for oi := range qs {
-		m, err := buildModel(oi, pinned)
+	for oi := range t.qs {
+		m, err := t.lexModel(oi, pinned)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		sol, err := m.SolveContext(ctx)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		totalNodes += sol.Nodes
-		lastSol = sol
+		nodes += sol.Nodes
+		selected = sol.Selected()
 		// The achieved delta-sum for this objective becomes a constraint for
 		// the next one.
 		achieved := 0.0
-		for _, vi := range sol.Selected() {
-			achieved += vars[vi].deltas[oi]
+		for _, vi := range selected {
+			achieved += t.deltas[oi][vi]
 		}
 		pinned = append(pinned, achieved)
 	}
-
-	res := &Result{Base: bases[0], WhatIfEvals: whatIfEvals, Candidates: len(vars), IPNodes: totalNodes}
-	chosen := map[string]*cvar{}
-	for _, vi := range lastSol.Selected() {
-		v := vars[vi]
-		chosen[v.attr] = &v
-	}
-	res.Objective = bases[0]
-	for _, attr := range q0.Attrs {
-		c := Choice{Attr: attr}
-		if v := chosen[attr]; v != nil {
-			c.Update = &v.spec
-			c.Delta = v.deltas[0]
-			res.Objective += v.deltas[0]
-		}
-		res.Choices = append(res.Choices, c)
-	}
-	res.Total = time.Since(start)
-	return res, nil
+	return selected, nodes, nil
 }

@@ -7,6 +7,7 @@ package howto
 // string pins the full outcome.
 
 import (
+	"context"
 	"os"
 	"testing"
 
@@ -20,10 +21,17 @@ import (
 type howtoParityCase struct {
 	name   string
 	cont   bool // german-cont instead of german
+	toy    bool // the paper's toy Product/Review database
 	method string
 	srcs   []string
 	target float64 // mincost only
 	golden string
+	// Solver-side counters and the full-precision objective, recorded at the
+	// commit before the shared table/model builder replaced the three
+	// hand-written formulations: a reordered constraint row or a dropped
+	// candidate moves these even when the rendered golden does not.
+	cands, evals, nodes int
+	objective           string // 17 significant digits
 }
 
 var howtoParityCases = []howtoParityCase{
@@ -35,6 +43,7 @@ var howtoParityCases = []howtoParityCase{
 			HOWTOUPDATE Status, Savings, Housing, CreditAmount
 			TOMAXIMIZE COUNT(Credit = 1)`},
 		golden: "{Status: = 3, Savings: = 3, Housing: = 2, CreditAmount: = 3} objective=1370.7 (base=528)",
+		cands:  15, evals: 15, nodes: 1, objective: "1370.6955527052924",
 	},
 	{
 		name:   "ip-budget-one",
@@ -45,6 +54,7 @@ var howtoParityCases = []howtoParityCase{
 			LIMIT UPDATES <= 1
 			TOMAXIMIZE COUNT(Credit = 1)`},
 		golden: "{Status: = 3, Savings: no change, Housing: no change, CreditAmount: no change} objective=875.686 (base=528)",
+		cands:  15, evals: 15, nodes: 1, objective: "875.68587543540139",
 	},
 	{
 		name:   "brute-two-attrs",
@@ -55,6 +65,7 @@ var howtoParityCases = []howtoParityCase{
 			LIMIT UPDATES <= 2
 			TOMAXIMIZE COUNT(Credit = 1)`},
 		golden: "{Status: = 3, Housing: = 2} objective=891.438 (base=528)",
+		cands:  7, evals: 20, nodes: 0, objective: "891.43766917555399",
 	},
 	{
 		name:   "mincost-target",
@@ -65,6 +76,7 @@ var howtoParityCases = []howtoParityCase{
 			HOWTOUPDATE Status, Housing
 			TOMAXIMIZE COUNT(Credit = 1)`},
 		golden: "{Status: = 2, Housing: no change} objective=641.296 (base=528)",
+		cands:  7, evals: 7, nodes: 7, objective: "641.2956537422923",
 	},
 	{
 		name:   "lexicographic",
@@ -74,6 +86,7 @@ var howtoParityCases = []howtoParityCase{
 			`USE German HOWTOUPDATE Status, Savings TOMAXIMIZE AVG(POST(Savings))`,
 		},
 		golden: "{Status: = 3, Savings: = 3} objective=1144.25 (base=528)",
+		cands:  8, evals: 16, nodes: 2, objective: "1144.2469461214682",
 	},
 	{
 		name:   "ip-continuous-linear",
@@ -85,24 +98,55 @@ var howtoParityCases = []howtoParityCase{
 			LIMIT 1000 <= POST(CreditAmount) <= 3000
 			TOMAXIMIZE COUNT(Credit = 1)`},
 		golden: "{CreditAmount: = 2875} objective=369.179 (base=366)",
+		cands:  8, evals: 8, nodes: 1, objective: "369.17882405298974",
+	},
+	{
+		name:   "mincost-budget-one",
+		method: "mincost",
+		target: 700,
+		srcs: []string{`
+			USE German
+			HOWTOUPDATE Status, Housing
+			LIMIT UPDATES <= 1
+			TOMAXIMIZE COUNT(Credit = 1)`},
+		golden: "{Status: = 3, Housing: no change} objective=875.686 (base=528)",
+		cands:  7, evals: 7, nodes: 3, objective: "875.68587543540139",
+	},
+	{
+		name:   "ip-minimize",
+		method: "ip",
+		srcs: []string{`
+			USE German
+			HOWTOUPDATE Status, Savings
+			TOMINIMIZE COUNT(Credit = 1)`},
+		golden: "{Status: = 0, Savings: = 0} objective=102.911 (base=528)",
+		cands:  8, evals: 8, nodes: 1, objective: "102.91051430161139",
+	},
+	{
+		name:   "lexicographic-three-mixed",
+		method: "lex",
+		srcs: []string{
+			`USE German HOWTOUPDATE Status, Savings, Housing TOMAXIMIZE COUNT(Credit = 1)`,
+			`USE German HOWTOUPDATE Status, Savings, Housing TOMINIMIZE AVG(POST(Savings))`,
+			`USE German HOWTOUPDATE Status, Savings, Housing TOMAXIMIZE AVG(POST(Housing))`,
+		},
+		golden: "{Status: = 3, Savings: = 3, Housing: = 2} objective=1288.6 (base=528)",
+		cands:  11, evals: 33, nodes: 3, objective: "1288.5982089181293",
 	},
 }
 
-func howtoParityEval(t testing.TB, c howtoParityCase) *Result {
-	t.Helper()
-	return howtoParityEvalOpts(t, c, Options{Engine: engine.Options{Seed: 7}})
-}
-
-// howtoParityEvalOpts is howtoParityEval with explicit options (the shard
-// parity tests sweep the worker fan-out).
-func howtoParityEvalOpts(t testing.TB, c howtoParityCase, opts Options) *Result {
+// load builds the case's database and causal model and parses its queries.
+func (c howtoParityCase) load(t testing.TB) (*relation.Database, *causal.Model, []*hyperql.HowTo) {
 	t.Helper()
 	var db *relation.Database
 	var model *causal.Model
-	if c.cont {
+	switch {
+	case c.toy:
+		db, model = dataset.Toy()
+	case c.cont:
 		g := dataset.GermanSynContinuous(1000, 7)
 		db, model = g.DB, g.Model
-	} else {
+	default:
 		g := dataset.GermanSyn(1000, 7)
 		db, model = g.DB, g.Model
 	}
@@ -114,17 +158,30 @@ func howtoParityEvalOpts(t testing.TB, c howtoParityCase, opts Options) *Result 
 		}
 		qs[i] = q
 	}
+	return db, model, qs
+}
+
+func howtoParityEval(t testing.TB, c howtoParityCase) *Result {
+	t.Helper()
+	return howtoParityEvalOpts(t, c, Options{Engine: engine.Options{Seed: 7}})
+}
+
+// howtoParityEvalOpts is howtoParityEval with explicit options (the shard
+// parity tests sweep the worker fan-out).
+func howtoParityEvalOpts(t testing.TB, c howtoParityCase, opts Options) *Result {
+	t.Helper()
+	db, model, qs := c.load(t)
 	var res *Result
 	var err error
 	switch c.method {
 	case "ip":
-		res, err = Evaluate(db, model, qs[0], opts)
+		res, err = Evaluate(context.Background(), db, model, qs[0], opts)
 	case "brute":
-		res, err = BruteForce(db, model, qs[0], opts)
+		res, err = BruteForce(context.Background(), db, model, qs[0], opts)
 	case "mincost":
-		res, err = MinimizeCost(db, model, qs[0], c.target, opts)
+		res, err = MinimizeCost(context.Background(), db, model, qs[0], c.target, opts)
 	case "lex":
-		res, err = Lexicographic(db, model, qs, opts)
+		res, err = Lexicographic(context.Background(), db, model, qs, opts)
 	default:
 		t.Fatalf("%s: unknown method %q", c.name, c.method)
 	}
@@ -142,6 +199,13 @@ func TestHowToParityGoldens(t *testing.T) {
 			if got := res.String(); got != c.golden {
 				t.Errorf("result = %s\n  golden = %s", got, c.golden)
 			}
+			if res.Candidates != c.cands || res.WhatIfEvals != c.evals || res.IPNodes != c.nodes {
+				t.Errorf("candidates/whatif_evals/ip_nodes = %d/%d/%d, recorded %d/%d/%d",
+					res.Candidates, res.WhatIfEvals, res.IPNodes, c.cands, c.evals, c.nodes)
+			}
+			if got := f17h(res.Objective); got != c.objective {
+				t.Errorf("objective = %s, recorded %s", got, c.objective)
+			}
 		})
 	}
 }
@@ -154,6 +218,7 @@ func TestDumpHowToGoldens(t *testing.T) {
 	}
 	for _, c := range howtoParityCases {
 		res := howtoParityEval(t, c)
-		t.Logf("%s: %q", c.name, res.String())
+		t.Logf("%s: %q cands=%d evals=%d nodes=%d objective=%q", c.name, res.String(),
+			res.Candidates, res.WhatIfEvals, res.IPNodes, f17h(res.Objective))
 	}
 }

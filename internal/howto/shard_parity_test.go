@@ -8,6 +8,7 @@ package howto
 // the serial result bit for bit.
 
 import (
+	"context"
 	"strconv"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestHowToShardCountParityMultiShard(t *testing.T) {
 	}
 	var base *Result
 	for _, shards := range []int{1, 2, 3, 4, 7} {
-		res, err := Evaluate(g.DB, g.Model, q, Options{Engine: engine.Options{Seed: 7, Shards: shards}})
+		res, err := Evaluate(context.Background(), g.DB, g.Model, q, Options{Engine: engine.Options{Seed: 7, Shards: shards}})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}

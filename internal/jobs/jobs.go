@@ -281,14 +281,12 @@ type Stats struct {
 	Expired   uint64 `json:"expired"`
 	Rejected  uint64 `json:"rejected"`
 
-	// P50WaitMs / P95WaitMs are queue-wait quantiles over a bounded window
-	// of recently started jobs.
+	// P50WaitMs / P95WaitMs are queue-wait quantiles over every job started
+	// since the manager did, interpolated within obs.LatencyBucketsMs buckets
+	// (like the /v1/stats endpoint quantiles), not exact order statistics.
 	P50WaitMs float64 `json:"p50_wait_ms"`
 	P95WaitMs float64 `json:"p95_wait_ms"`
 }
-
-// waitWindow bounds the queue-wait samples kept for quantile estimation.
-const waitWindow = 1024
 
 // Manager owns the queue, the worker pool, and the job table.
 type Manager struct {
@@ -304,9 +302,8 @@ type Manager struct {
 	running   int
 	draining  bool
 	stopped   bool
-	idle      chan struct{} // closed when draining and running == 0
-	waitRing  []time.Duration
-	waitNext  int
+	idle      chan struct{}  // closed when draining and running == 0
+	waits     *obs.Histogram // queue wait of every started job, ms
 	completed uint64
 	failed    uint64
 	cancelled uint64
@@ -323,6 +320,7 @@ func NewManager(cfg Config) *Manager {
 		byID:    make(map[string]*Job),
 		perSess: make(map[string]int),
 		idle:    make(chan struct{}),
+		waits:   obs.NewHistogram(obs.LatencyBucketsMs),
 	}
 	m.cond = sync.NewCond(&m.mu)
 	for i := 0; i < m.cfg.Workers; i++ {
@@ -423,7 +421,7 @@ func (m *Manager) next() *Job {
 		}
 		j.state = StateRunning
 		j.started = time.Now()
-		m.recordWaitLocked(j.started.Sub(j.submitted))
+		m.waits.Observe(float64(j.started.Sub(j.submitted)) / float64(time.Millisecond))
 		ctx := context.Background()
 		var cancel context.CancelFunc
 		if !j.deadline.IsZero() {
@@ -648,7 +646,6 @@ func (m *Manager) Stats() Stats {
 			queued++
 		}
 	}
-	p50, p95 := waitQuantilesLocked(m.waitRing)
 	return Stats{
 		Queued:    queued,
 		Running:   m.running,
@@ -657,28 +654,9 @@ func (m *Manager) Stats() Stats {
 		Cancelled: m.cancelled,
 		Expired:   m.expired,
 		Rejected:  m.rejected,
-		P50WaitMs: float64(p50) / float64(time.Millisecond),
-		P95WaitMs: float64(p95) / float64(time.Millisecond),
+		P50WaitMs: m.waits.Quantile(0.50),
+		P95WaitMs: m.waits.Quantile(0.95),
 	}
-}
-
-func (m *Manager) recordWaitLocked(d time.Duration) {
-	if len(m.waitRing) < waitWindow {
-		m.waitRing = append(m.waitRing, d)
-		return
-	}
-	m.waitRing[m.waitNext] = d
-	m.waitNext = (m.waitNext + 1) % waitWindow
-}
-
-func waitQuantilesLocked(ring []time.Duration) (p50, p95 time.Duration) {
-	if len(ring) == 0 {
-		return 0, 0
-	}
-	sorted := append([]time.Duration(nil), ring...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	at := func(q float64) time.Duration { return sorted[int(q*float64(len(sorted)-1))] }
-	return at(0.50), at(0.95)
 }
 
 // Drain shuts the manager down gracefully: it stops admitting jobs, cancels

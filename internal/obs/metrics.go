@@ -220,7 +220,9 @@ var LatencyBucketsMs = []float64{0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000
 // evaluated, shards run, fits): decade steps from 1 to 10M.
 var CountBuckets = []float64{1, 10, 100, 1000, 10000, 100000, 1e6, 1e7}
 
-func newHistogram(bounds []float64) *Histogram {
+// NewHistogram returns an unregistered histogram with the given upper bounds
+// (nil uses LatencyBucketsMs), for a component that keeps its own quantiles.
+func NewHistogram(bounds []float64) *Histogram {
 	if len(bounds) == 0 {
 		bounds = LatencyBucketsMs
 	}
@@ -235,7 +237,7 @@ func newHistogram(bounds []float64) *Histogram {
 // Histogram registers and returns a histogram with the given upper bounds
 // (nil uses LatencyBucketsMs).
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	h := newHistogram(bounds)
+	h := NewHistogram(bounds)
 	r.register(&family{name: name, help: help, typ: "histogram", hist: h})
 	return h
 }
@@ -343,7 +345,7 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if h = v.series[key]; h == nil {
-		h = newHistogram(v.bounds)
+		h = NewHistogram(v.bounds)
 		v.series[key] = h
 	}
 	return h

@@ -116,7 +116,7 @@ func TestRecorderRing(t *testing.T) {
 }
 
 func TestHistogramQuantiles(t *testing.T) {
-	h := newHistogram([]float64{1, 10, 100})
+	h := NewHistogram([]float64{1, 10, 100})
 	for i := 0; i < 90; i++ {
 		h.Observe(0.5) // bucket le=1
 	}
@@ -136,7 +136,7 @@ func TestHistogramQuantiles(t *testing.T) {
 		t.Fatalf("p95 = %v, want in (10,100]", p95)
 	}
 	// Overflow values clamp to the largest finite bound.
-	h2 := newHistogram([]float64{1})
+	h2 := NewHistogram([]float64{1})
 	h2.Observe(99)
 	if got := h2.Quantile(0.5); got != 1 {
 		t.Fatalf("overflow quantile = %v, want 1", got)

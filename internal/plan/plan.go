@@ -400,7 +400,7 @@ func renderExplain(p *WhatIfPlan, q *hyperql.WhatIf) string {
 	fmt.Fprintf(&b, "plan %s\n", p.Fingerprint)
 	fmt.Fprintf(&b, "  view: %s (%d rows)\n", q.Use.String(), p.ViewRows)
 	if p.Fallback {
-		fmt.Fprintf(&b, "  when: fallback to row loop (%s)\n", p.FallbackReason)
+		fmt.Fprintf(&b, "  when: whole tree as one residual conjunct, in row order (%s)\n", p.FallbackReason)
 		return b.String()
 	}
 	if len(p.Conjuncts) == 0 {

@@ -141,9 +141,9 @@ func (s *Server) handleSubmitJob(r *http.Request) (any, error) {
 	if kind == "" {
 		kind = "whatif"
 	}
-	// The job pins its data version now: sn is the immutable snapshot every
-	// runner closure below evaluates, no matter how long the job queues or
-	// how many appends land meanwhile.
+	// The job pins its data version now: the runner below evaluates
+	// sn.version, no matter how long the job queues or how many appends land
+	// meanwhile.
 	sn, err := e.resolve(req.Snapshot)
 	if err != nil {
 		return nil, err
@@ -167,36 +167,12 @@ func (s *Server) handleSubmitJob(r *http.Request) (any, error) {
 		if _, err := hyperql.ParseWhatIf(req.Query); err != nil {
 			return nil, errf(http.StatusBadRequest, "%v", err)
 		}
-		if kind == "whatif" {
-			deltaVs := req.DeltaVs
-			qr := QueryRequest{Query: req.Query, DeltaVs: deltaVs, Shards: req.Shards, Placement: req.Placement}
-			run = func(ctx context.Context, p *jobs.Progress) (any, error) {
-				stampShape(ctx, e, "whatif", req.Query)
-				resp, err := e.whatIf(ctx, sn, req.Query, req.Shards, req.Placement, p.Report)
-				if err == nil && deltaVs != 0 {
-					resp.Delta, err = e.whatIfDelta(ctx, resp.Value, qr)
-				}
-				return resp, err
-			}
-		} else {
-			run = func(ctx context.Context, p *jobs.Progress) (any, error) {
-				stampShape(ctx, e, "explain", req.Query)
-				return e.explain(sn, req.Query)
-			}
-		}
 	case "howto":
 		if _, err := hyperql.ParseHowTo(req.Query); err != nil {
 			return nil, errf(http.StatusBadRequest, "%v", err)
 		}
-		switch req.Method {
-		case "", "ip", "brute", "mincost":
-		default:
-			return nil, errf(http.StatusBadRequest, "unknown how-to method %q (want ip|brute|mincost)", req.Method)
-		}
-		qr := QueryRequest{Query: req.Query, Method: req.Method, Target: req.Target, Shards: req.Shards, Placement: req.Placement}
-		run = func(ctx context.Context, p *jobs.Progress) (any, error) {
-			stampShape(ctx, e, "howto", req.Query)
-			return e.howTo(ctx, sn, qr, p.Report)
+		if _, err := howToMethod(req.Method); err != nil {
+			return nil, err
 		}
 	case "batch":
 		if len(req.Queries) == 0 {
@@ -223,6 +199,18 @@ func (s *Server) handleSubmitJob(r *http.Request) (any, error) {
 		}
 	default:
 		return nil, errf(http.StatusBadRequest, "unknown job kind %q (want %s)", req.Kind, jobKinds)
+	}
+	if run == nil {
+		// A single query runs through the dispatch the scoped routes use,
+		// with the snapshot pinned above.
+		qr := QueryRequest{
+			Query: req.Query, Method: req.Method, Target: req.Target,
+			Snapshot: sn.version, DeltaVs: req.DeltaVs, Shards: req.Shards, Placement: req.Placement,
+		}
+		run = func(ctx context.Context, p *jobs.Progress) (any, error) {
+			stampShape(ctx, e, kind, req.Query)
+			return e.run(ctx, kind, qr, p.Report)
+		}
 	}
 
 	opts := jobs.SubmitOptions{Session: req.Session, Kind: kind, Priority: req.Priority, DataVersion: sn.version}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -182,82 +181,61 @@ func (s *Server) sessionScopedQuery(r *http.Request) (*sessionEntry, QueryReques
 	return e, req, err
 }
 
-func (s *Server) handleSessionWhatIf(r *http.Request) (any, error) {
-	e, req, err := s.sessionScopedQuery(r)
-	if err != nil {
-		return nil, err
-	}
-	sn, err := e.resolve(req.Snapshot)
-	if err != nil {
-		return nil, err
-	}
-	stampShape(r.Context(), e, "whatif", req.Query)
-	resp, err := e.whatIf(r.Context(), sn, req.Query, req.Shards, req.Placement, nil)
-	if err != nil {
-		return nil, err
-	}
-	if req.DeltaVs != 0 {
-		resp.Delta, err = e.whatIfDelta(r.Context(), resp.Value, req)
+// handleSessionQuery serves POST /v1/sessions/{name}/{kind}.
+func (s *Server) handleSessionQuery(kind string) func(*http.Request) (any, error) {
+	return func(r *http.Request) (any, error) {
+		e, req, err := s.sessionScopedQuery(r)
 		if err != nil {
 			return nil, err
 		}
+		stampShape(r.Context(), e, kind, req.Query)
+		return e.run(r.Context(), kind, req, nil)
 	}
-	return resp, nil
 }
 
-// whatIfDelta evaluates the same what-if as of req.DeltaVs and folds the
-// comparison: both evaluations are pinned, so the delta is a pure function
-// of the two immutable versions.
-func (e *sessionEntry) whatIfDelta(ctx context.Context, value float64, req QueryRequest) (*WhatIfDelta, error) {
-	vs, err := e.resolve(req.DeltaVs)
-	if err != nil {
-		return nil, err
-	}
-	vsResp, err := e.whatIf(ctx, vs, req.Query, req.Shards, req.Placement, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &WhatIfDelta{VsSnapshot: vs.version, VsValue: vsResp.Value, Delta: value - vsResp.Value}, nil
-}
-
-// rejectDeltaVs guards the endpoints delta comparisons don't apply to.
-func rejectDeltaVs(req QueryRequest) error {
-	if req.DeltaVs != 0 {
-		return errf(http.StatusBadRequest, "delta_vs applies to what-if queries only")
-	}
-	return nil
-}
-
-func (s *Server) handleSessionHowTo(r *http.Request) (any, error) {
-	e, req, err := s.sessionScopedQuery(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := rejectDeltaVs(req); err != nil {
-		return nil, err
-	}
+// run is the one query dispatch behind the scoped routes, batch elements and
+// jobs: it resolves the snapshot pin (an unknown version is a 404), rejects
+// delta_vs on anything but a what-if, and evaluates the query as kind
+// (whatif|howto|explain, "" = whatif). The result is a *WhatIfResponse,
+// *HowToResponse or *ExplainResponse; progress may be nil.
+func (e *sessionEntry) run(ctx context.Context, kind string, req QueryRequest, progress hyper.Progress) (any, error) {
 	sn, err := e.resolve(req.Snapshot)
 	if err != nil {
 		return nil, err
 	}
-	stampShape(r.Context(), e, "howto", req.Query)
-	return e.howTo(r.Context(), sn, req, nil)
-}
-
-func (s *Server) handleSessionExplain(r *http.Request) (any, error) {
-	e, req, err := s.sessionScopedQuery(r)
-	if err != nil {
-		return nil, err
+	if kind == "" {
+		kind = "whatif"
 	}
-	if err := rejectDeltaVs(req); err != nil {
-		return nil, err
+	if req.DeltaVs != 0 && kind != "whatif" {
+		return nil, errf(http.StatusBadRequest, "delta_vs applies to what-if queries only")
 	}
-	sn, err := e.resolve(req.Snapshot)
-	if err != nil {
-		return nil, err
+	switch kind {
+	case "whatif":
+		resp, err := e.whatIf(ctx, sn, req, progress)
+		if err != nil {
+			return nil, err
+		}
+		if req.DeltaVs != 0 {
+			// Both evaluations are pinned, so the delta is a pure function of
+			// the two immutable versions.
+			vs, err := e.resolve(req.DeltaVs)
+			if err != nil {
+				return nil, err
+			}
+			vsResp, err := e.whatIf(ctx, vs, req, nil)
+			if err != nil {
+				return nil, err
+			}
+			resp.Delta = &WhatIfDelta{VsSnapshot: vs.version, VsValue: vsResp.Value, Delta: resp.Value - vsResp.Value}
+		}
+		return resp, nil
+	case "howto":
+		return e.howTo(ctx, sn, req, progress)
+	case "explain":
+		return e.explain(sn, req.Query)
+	default:
+		return nil, errf(http.StatusBadRequest, "unknown query kind %q (want whatif|howto|explain)", kind)
 	}
-	stampShape(r.Context(), e, "explain", req.Query)
-	return e.explain(sn, req.Query)
 }
 
 // sessionFor applies a per-request shard fan-out override to a snapshot's
@@ -306,12 +284,13 @@ func (e *sessionEntry) resolvePlacement(placement, kind string) (string, error) 
 
 // whatIf evaluates one what-if query against a pinned snapshot under ctx
 // (cancelled requests and cancelled jobs stop the engine mid-evaluation);
-// shards > 0 overrides the session's worker fan-out for this request;
-// placement selects where the evaluation runs (results are identical
+// req.Shards > 0 overrides the session's worker fan-out for this request;
+// req.Placement selects where the evaluation runs (results are identical
 // everywhere); progress may be nil.
-func (e *sessionEntry) whatIf(ctx context.Context, sn *snapshotEntry, query string, shards int, placement string, progress hyper.Progress) (*WhatIfResponse, error) {
+func (e *sessionEntry) whatIf(ctx context.Context, sn *snapshotEntry, req QueryRequest, progress hyper.Progress) (*WhatIfResponse, error) {
 	e.queries.Add(1)
-	pl, err := e.resolvePlacement(placement, "whatif")
+	query, shards := req.Query, req.Shards
+	pl, err := e.resolvePlacement(req.Placement, "whatif")
 	if err != nil {
 		return nil, err
 	}
@@ -345,6 +324,30 @@ func (e *sessionEntry) whatIf(ctx context.Context, sn *snapshotEntry, query stri
 	return out, nil
 }
 
+// howToSolver runs one how-to formulation on a session.
+type howToSolver func(ctx context.Context, sess *hyper.Session, req QueryRequest, progress hyper.Progress) (*hyper.HowToResult, error)
+
+// howToMethod maps QueryRequest.Method to its formulation; job submission
+// validates with it and execution dispatches through it.
+func howToMethod(method string) (howToSolver, error) {
+	switch method {
+	case "", "ip":
+		return func(ctx context.Context, sess *hyper.Session, req QueryRequest, progress hyper.Progress) (*hyper.HowToResult, error) {
+			return sess.HowToContext(ctx, req.Query, progress)
+		}, nil
+	case "brute":
+		return func(ctx context.Context, sess *hyper.Session, req QueryRequest, progress hyper.Progress) (*hyper.HowToResult, error) {
+			return sess.HowToBruteForceContext(ctx, req.Query, progress)
+		}, nil
+	case "mincost":
+		return func(ctx context.Context, sess *hyper.Session, req QueryRequest, progress hyper.Progress) (*hyper.HowToResult, error) {
+			return sess.HowToMinimizeCostContext(ctx, req.Query, req.Target, progress)
+		}, nil
+	default:
+		return nil, errf(http.StatusBadRequest, "unknown how-to method %q (want ip|brute|mincost)", method)
+	}
+}
+
 func (e *sessionEntry) howTo(ctx context.Context, sn *snapshotEntry, req QueryRequest, progress hyper.Progress) (*HowToResponse, error) {
 	e.queries.Add(1)
 	pl, err := e.resolvePlacement(req.Placement, "howto")
@@ -358,17 +361,11 @@ func (e *sessionEntry) howTo(ctx context.Context, sn *snapshotEntry, req QueryRe
 		// so its shard-mergeable fits distribute over the same transport.
 		sess, fitter = e.fitSession(sn, req.Shards)
 	}
-	var res *hyper.HowToResult
-	switch req.Method {
-	case "", "ip":
-		res, err = sess.HowToContext(ctx, req.Query, progress)
-	case "brute":
-		res, err = sess.HowToBruteForceContext(ctx, req.Query, progress)
-	case "mincost":
-		res, err = sess.HowToMinimizeCostContext(ctx, req.Query, req.Target, progress)
-	default:
-		return nil, errf(http.StatusBadRequest, "unknown how-to method %q (want ip|brute|mincost)", req.Method)
+	solve, err := howToMethod(req.Method)
+	if err != nil {
+		return nil, err
 	}
+	res, err := solve(ctx, sess, req, progress)
 	if err != nil {
 		return nil, queryError(ctx, err)
 	}
@@ -545,48 +542,21 @@ func (e *sessionEntry) runBatch(ctx context.Context, queries []BatchQuery, worke
 func (e *sessionEntry) runBatchQuery(ctx context.Context, i int, q BatchQuery) BatchResult {
 	start := time.Now()
 	out := BatchResult{Index: i}
-	sn, err := e.resolve(q.Snapshot)
+	res, err := e.run(ctx, q.Kind, QueryRequest{
+		Query: q.Query, Method: q.Method, Target: q.Target,
+		Snapshot: q.Snapshot, DeltaVs: q.DeltaVs, Shards: q.Shards, Placement: q.Placement,
+	}, nil)
 	if err != nil {
 		out.Error = err.Error()
-		out.TotalMs = float64(time.Since(start)) / float64(time.Millisecond)
-		return out
-	}
-	switch q.Kind {
-	case "", "whatif":
-		res, err := e.whatIf(ctx, sn, q.Query, q.Shards, q.Placement, nil)
-		if err == nil && q.DeltaVs != 0 {
-			res.Delta, err = e.whatIfDelta(ctx, res.Value,
-				QueryRequest{Query: q.Query, DeltaVs: q.DeltaVs, Shards: q.Shards, Placement: q.Placement})
-		}
-		if err != nil {
-			out.Error = err.Error()
-		} else {
+	} else {
+		switch res := res.(type) {
+		case *WhatIfResponse:
 			out.WhatIf = res
-		}
-	case "howto":
-		if q.DeltaVs != 0 {
-			out.Error = "delta_vs applies to what-if queries only"
-			break
-		}
-		res, err := e.howTo(ctx, sn, QueryRequest{Query: q.Query, Method: q.Method, Target: q.Target, Shards: q.Shards, Placement: q.Placement}, nil)
-		if err != nil {
-			out.Error = err.Error()
-		} else {
+		case *HowToResponse:
 			out.HowTo = res
-		}
-	case "explain":
-		if q.DeltaVs != 0 {
-			out.Error = "delta_vs applies to what-if queries only"
-			break
-		}
-		res, err := e.explain(sn, q.Query)
-		if err != nil {
-			out.Error = err.Error()
-		} else {
+		case *ExplainResponse:
 			out.Plan = res.Plan
 		}
-	default:
-		out.Error = fmt.Sprintf("unknown query kind %q (want whatif|howto|explain)", q.Kind)
 	}
 	out.TotalMs = float64(time.Since(start)) / float64(time.Millisecond)
 	return out

@@ -297,9 +297,9 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("DELETE /v1/sessions/{name}", s.instrument("sessions", s.handleDeleteSession))
 	mux.Handle("POST /v1/sessions/{name}/rows", s.instrument("append", s.handleAppendRows))
 	mux.Handle("GET /v1/sessions/{name}/snapshots", s.instrument("sessions", s.handleListSnapshots))
-	mux.Handle("POST /v1/sessions/{name}/whatif", s.instrument("whatif", s.handleSessionWhatIf))
-	mux.Handle("POST /v1/sessions/{name}/howto", s.instrument("howto", s.handleSessionHowTo))
-	mux.Handle("POST /v1/sessions/{name}/explain", s.instrument("explain", s.handleSessionExplain))
+	mux.Handle("POST /v1/sessions/{name}/whatif", s.instrument("whatif", s.handleSessionQuery("whatif")))
+	mux.Handle("POST /v1/sessions/{name}/howto", s.instrument("howto", s.handleSessionQuery("howto")))
+	mux.Handle("POST /v1/sessions/{name}/explain", s.instrument("explain", s.handleSessionQuery("explain")))
 	mux.Handle("POST /v1/sessions/{name}/batch", s.instrument("batch", s.handleSessionBatch))
 
 	mux.Handle("POST /v1/jobs", s.instrument("jobs", s.handleSubmitJob))

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"hyper/internal/hyperql"
 	"hyper/internal/obs"
 )
 
@@ -24,7 +25,7 @@ func TestUsageEndpointAggregatesByShape(t *testing.T) {
 	createSession(t, ts, "g")
 
 	// Two what-ifs of the same shape (different literals), one structurally
-	// different what-if, one how-to.
+	// different what-if, one how-to per method (each its own shape).
 	for _, q := range []string{
 		`USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`,
 		`USE German UPDATE(Status) = 4 OUTPUT COUNT(Credit = 0)`,
@@ -38,18 +39,30 @@ func TestUsageEndpointAggregatesByShape(t *testing.T) {
 	}, nil); code != http.StatusOK {
 		t.Fatalf("whatif: status %d", code)
 	}
-	if code := do(t, "POST", ts.URL+"/v1/sessions/g/howto", QueryRequest{
-		Query: `USE German HOWTOUPDATE Status LIMIT UPDATES <= 1 TOMAXIMIZE COUNT(Credit = 1)`,
-	}, nil); code != http.StatusOK {
-		t.Fatalf("howto: status %d", code)
+	howtos := []QueryRequest{
+		{Method: "ip", Query: `USE German HOWTOUPDATE Status LIMIT UPDATES <= 1 TOMAXIMIZE COUNT(Credit = 1)`},
+		{Method: "mincost", Target: 900, Query: `USE German HOWTOUPDATE Status, Housing TOMAXIMIZE COUNT(Credit = 1)`},
+		{Method: "brute", Query: `USE German HOWTOUPDATE Housing TOMAXIMIZE COUNT(Credit = 1)`},
+	}
+	whatIfEvals := map[string]int{} // shape fingerprint -> the response's whatif_evals
+	for _, req := range howtos {
+		var resp HowToResponse
+		if code := do(t, "POST", ts.URL+"/v1/sessions/g/howto", req, &resp); code != http.StatusOK {
+			t.Fatalf("howto %s: status %d", req.Method, code)
+		}
+		q, err := hyperql.Parse(req.Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whatIfEvals[hyperql.Shape(q)] = resp.WhatIfEvals
 	}
 
 	var usage UsageResponse
 	if code := do(t, "GET", ts.URL+"/v1/usage", nil, &usage); code != http.StatusOK {
 		t.Fatalf("usage: status %d", code)
 	}
-	if len(usage.Shapes) != 3 {
-		t.Fatalf("usage rows = %d, want 3: %+v", len(usage.Shapes), usage.Shapes)
+	if len(usage.Shapes) != 5 {
+		t.Fatalf("usage rows = %d, want 5: %+v", len(usage.Shapes), usage.Shapes)
 	}
 	// Hottest first: the repeated shape leads with count 2.
 	top := usage.Shapes[0]
@@ -76,16 +89,28 @@ func TestUsageEndpointAggregatesByShape(t *testing.T) {
 	if !kinds["howto"] {
 		t.Errorf("no howto row in %+v", usage.Shapes)
 	}
-	// The how-to's cost vector carries the solver-side counters.
+	// Every how-to method's cost vector carries the solver-side counters.
 	for _, row := range usage.Shapes {
-		if row.Kind == "howto" && (row.Cost.HowToCandidates == 0 || row.Cost.WhatIfEvals == 0) {
-			t.Errorf("howto cost vector missing candidate accounting: %+v", row.Cost)
+		if row.Kind != "howto" {
+			continue
 		}
+		want, ok := whatIfEvals[row.Shape]
+		if !ok {
+			t.Errorf("unexpected howto row %q", row.Shape)
+		}
+		delete(whatIfEvals, row.Shape)
+		if row.Cost.HowToCandidates == 0 || row.Cost.WhatIfEvals != uint64(want) {
+			t.Errorf("howto %q: cost vector candidates=%d whatif_evals=%d, response whatif_evals=%d",
+				row.Shape, row.Cost.HowToCandidates, row.Cost.WhatIfEvals, want)
+		}
+	}
+	if len(whatIfEvals) != 0 {
+		t.Errorf("how-to shapes without a usage row: %v", whatIfEvals)
 	}
 
 	// Session filtering: the real session returns all rows, a stranger none.
 	var filtered UsageResponse
-	if code := do(t, "GET", ts.URL+"/v1/usage/g", nil, &filtered); code != http.StatusOK || len(filtered.Shapes) != 3 {
+	if code := do(t, "GET", ts.URL+"/v1/usage/g", nil, &filtered); code != http.StatusOK || len(filtered.Shapes) != 5 {
 		t.Fatalf("usage/g: status %d, %d rows", code, len(filtered.Shapes))
 	}
 	if code := do(t, "GET", ts.URL+"/v1/usage/nosuch", nil, &filtered); code != http.StatusOK || len(filtered.Shapes) != 0 {
