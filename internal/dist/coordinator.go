@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path"
 	"sort"
 	"strconv"
 	"sync"
@@ -19,6 +20,7 @@ import (
 	"hyper/internal/engine"
 	"hyper/internal/fault"
 	"hyper/internal/hyperql"
+	"hyper/internal/lru"
 	"hyper/internal/ml"
 	"hyper/internal/obs"
 	"hyper/internal/relation"
@@ -50,8 +52,10 @@ type CoordinatorConfig struct {
 	// Logf, when non-nil, receives coordinator events (registrations,
 	// drops, requeues, frame ships).
 	Logf func(format string, args ...any)
-	// Metrics, when non-nil, receives the coordinator's hyper_dist_* metric
-	// families at construction time (the same atomics /v1/stats reads).
+	// Metrics, when non-nil, receives the coordinator's metric families at
+	// construction time: the hyper_dist_* series (functions over the counters
+	// and registry /v1/stats reads, plus the per-worker requeue events) and
+	// hyper_fault_injected_total.
 	Metrics *obs.Registry
 	// Retry is the unified failure policy for every worker RPC (frame
 	// ships included); the zero value takes the RetryPolicy defaults.
@@ -139,18 +143,18 @@ type Coordinator struct {
 	faultInjected *obs.CounterVec
 }
 
-// remoteWorker is one registered worker. shipped tracks the frames this
-// worker has confirmed, so steady-state dispatch skips the 404 round-trip;
-// breaker is the worker's quarantine circuit.
+// remoteWorker is one registered worker. frames is the ledger of frames this
+// worker has confirmed, so steady-state dispatch skips the 404 round-trip:
+// an unbounded internal/lru instance whose single-flight build is the ship,
+// so a hit means shipped. breaker is the worker's quarantine circuit.
 type remoteWorker struct {
 	id      string
 	url     string
 	breaker *breaker
+	frames  *lru.Cache[struct{}]
 
 	mu       sync.Mutex
 	lastBeat time.Time
-	shipped  map[string]bool
-	shipping map[string]chan struct{} // frame id -> in-flight ship (single-flight)
 }
 
 func (w *remoteWorker) beat() {
@@ -163,27 +167,6 @@ func (w *remoteWorker) aliveAt(ttl time.Duration) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return time.Since(w.lastBeat) <= ttl
-}
-
-func (w *remoteWorker) hasFrame(id string) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.shipped[id]
-}
-
-func (w *remoteWorker) markFrame(id string) {
-	w.mu.Lock()
-	if w.shipped == nil {
-		w.shipped = make(map[string]bool)
-	}
-	w.shipped[id] = true
-	w.mu.Unlock()
-}
-
-func (w *remoteWorker) frameCount() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.shipped)
 }
 
 // NewCoordinator returns a coordinator, re-adopting a previously persisted
@@ -243,9 +226,14 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	return c
 }
 
-// newWorkerBreaker builds a breaker with the coordinator's K/cooldown.
-func (c *Coordinator) newWorkerBreaker() *breaker {
-	return newBreaker(c.cfg.BreakerFailures, c.cfg.BreakerCooldown)
+// newRemoteWorker builds a registry entry: a breaker with the coordinator's
+// K/cooldown, an empty shipped-frame ledger, and a lease that starts now.
+func (c *Coordinator) newRemoteWorker(id, url string) *remoteWorker {
+	return &remoteWorker{
+		id: id, url: url, lastBeat: time.Now(),
+		breaker: newBreaker(c.cfg.BreakerFailures, c.cfg.BreakerCooldown),
+		frames:  lru.New[struct{}](0, nil),
+	}
 }
 
 // quarantinedCount reports workers whose circuit is open within cooldown.
@@ -342,7 +330,7 @@ func (c *Coordinator) Register(id, url string) {
 	c.mu.Lock()
 	w, ok := c.workers[id]
 	if !ok || w.url != url {
-		w = &remoteWorker{id: id, url: url, breaker: c.newWorkerBreaker()}
+		w = c.newRemoteWorker(id, url)
 		c.workers[id] = w
 	}
 	c.mu.Unlock()
@@ -352,26 +340,13 @@ func (c *Coordinator) Register(id, url string) {
 	c.saveState()
 }
 
-// alive snapshots the assignable workers — within their heartbeat lease and
-// not quarantined — sorted by id so shard assignment is deterministic given
-// a membership set.
-func (c *Coordinator) alive() []*remoteWorker {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []*remoteWorker
-	for _, w := range c.workers {
-		if w.aliveAt(c.cfg.TTL) && w.breaker.allow() {
-			out = append(out, w)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
-}
-
-// eligible is alive minus the workers this operation has already given up
-// on. Skipping a quarantined worker is a degradation event for the run: the
-// query is executing below the full registered fleet.
-func (c *Coordinator) eligible(run *queryRun) []*remoteWorker {
+// assignable snapshots the workers that may be given shards — within their
+// heartbeat lease and not quarantined — sorted by id so shard assignment is
+// deterministic given a membership set. run, when non-nil, is the operation
+// asking: the workers it has already given up on are left out, and skipping a
+// quarantined worker is a degradation event for it (the query is executing
+// below the full registered fleet).
+func (c *Coordinator) assignable(run *queryRun) []*remoteWorker {
 	c.mu.Lock()
 	quarantined := false
 	var out []*remoteWorker
@@ -379,7 +354,7 @@ func (c *Coordinator) eligible(run *queryRun) []*remoteWorker {
 		if !w.aliveAt(c.cfg.TTL) {
 			continue
 		}
-		if run.isBad(w.id) {
+		if run != nil && run.isBad(w.id) {
 			// Already failed this operation: its exclusion was noted as
 			// worker_lost when it failed, not as a quarantine skip.
 			continue
@@ -391,7 +366,7 @@ func (c *Coordinator) eligible(run *queryRun) []*remoteWorker {
 		out = append(out, w)
 	}
 	c.mu.Unlock()
-	if quarantined {
+	if quarantined && run != nil {
 		run.note(degradeQuarantine)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
@@ -400,7 +375,7 @@ func (c *Coordinator) eligible(run *queryRun) []*remoteWorker {
 
 // WorkersAlive returns the number of assignable workers (leased, not
 // quarantined).
-func (c *Coordinator) WorkersAlive() int { return len(c.alive()) }
+func (c *Coordinator) WorkersAlive() int { return len(c.assignable(nil)) }
 
 // WorkerInfos snapshots the registry for listings and stats.
 func (c *Coordinator) WorkerInfos() []WorkerInfo {
@@ -419,7 +394,7 @@ func (c *Coordinator) WorkerInfos() []WorkerInfo {
 			ID: w.id, URL: w.url,
 			Alive:       time.Since(w.lastBeat) <= c.cfg.TTL,
 			LastBeatMs:  float64(time.Since(w.lastBeat)) / float64(time.Millisecond),
-			Frames:      len(w.shipped),
+			Frames:      w.frames.Len(),
 			Quarantined: w.breaker.state() == breakerOpen,
 			Fails:       fails,
 		}
@@ -527,47 +502,49 @@ func (e terminalError) Error() string { return e.err.Error() }
 // 4xx response other than the frame_missing miss is terminal; transport
 // failures and 5xx are retryable — the policy retries in place, and only
 // once it gives up does the caller exclude the worker and requeue.
-func (c *Coordinator) postWorker(ctx context.Context, run *queryRun, w *remoteWorker, frame *Frame, path string, req, dst any) error {
+func (c *Coordinator) postWorker(ctx context.Context, run *queryRun, w *remoteWorker, frame *Frame, path string, request, dst any) error {
 	frameID, _, err := frame.Payload()
 	if err != nil {
 		return terminalError{err}
 	}
-	// Best effort: the authoritative signal is the worker's own
-	// frame_missing answer below (a restarted worker forgets frames the
-	// coordinator shipped to its previous life).
-	if err := c.retry(ctx, run, func(actx context.Context) error {
-		return c.ensureFrame(actx, w, frame)
-	}); err != nil {
-		return err
+	body, err := json.Marshal(request)
+	if err != nil {
+		return terminalError{err}
 	}
 	for miss := 0; ; miss++ {
+		// Best effort: the authoritative signal is the worker's own
+		// frame_missing answer below (a restarted worker forgets frames the
+		// coordinator shipped to its previous life).
+		if err := c.retry(ctx, run, func(actx context.Context) error {
+			return c.ensureFrame(actx, w, frame)
+		}); err != nil {
+			return err
+		}
 		var frameMissing bool
 		err := c.retry(ctx, run, func(actx context.Context) error {
 			frameMissing = false
-			status, body, err := c.roundTrip(actx, w, http.MethodPost, path, req)
+			status, raw, err := c.roundTrip(actx, w, fault.PointWorkerDial, http.MethodPost, path, body)
 			if err != nil {
 				return err
 			}
 			switch {
 			case status == http.StatusOK:
-				if err := json.Unmarshal(body, dst); err != nil {
+				if err := json.Unmarshal(raw, dst); err != nil {
 					return fmt.Errorf("dist: decoding %s response from %s: %w", path, w.id, err)
 				}
 				// Charge the bytes of the one request the worker accepted —
 				// the exact Content-Length the worker metered on its side, so
 				// a retry-free query reconciles shipped == received.
-				if raw, merr := json.Marshal(req); merr == nil {
-					obs.MeterFromContext(ctx).AddDistBytesShipped(len(raw))
-				}
+				obs.MeterFromContext(ctx).AddDistBytesShipped(len(body))
 				return nil
-			case status == http.StatusNotFound && errCode(body) == codeFrameMissing:
-				// Not a failed attempt: the outer loop re-ships the frame.
+			case status == http.StatusNotFound && errCode(raw) == codeFrameMissing:
+				// Not a failed attempt: the next turn of the loop re-ships.
 				frameMissing = true
 				return nil
 			case status >= 400 && status < 500:
-				return terminalError{fmt.Errorf("dist: worker %s: %s", w.id, errMessage(body, status))}
+				return terminalError{fmt.Errorf("dist: worker %s: %s", w.id, errMessage(raw, status))}
 			default:
-				return fmt.Errorf("dist: worker %s: %s", w.id, errMessage(body, status))
+				return fmt.Errorf("dist: worker %s: %s", w.id, errMessage(raw, status))
 			}
 		})
 		if err != nil {
@@ -585,67 +562,47 @@ func (c *Coordinator) postWorker(ctx context.Context, run *queryRun, w *remoteWo
 			return frameThrashError{fmt.Errorf("dist: worker %s evicted frame %.12s twice mid-request (frame-store thrash; raise -worker-frames)", w.id, frameID)}
 		}
 		// The worker lost the frame (restart, LRU eviction): forget our
-		// shipped mark and re-ship through the single-flight.
-		w.mu.Lock()
-		delete(w.shipped, frameID)
-		w.mu.Unlock()
-		if err := c.retry(ctx, run, func(actx context.Context) error {
-			return c.ensureFrame(actx, w, frame)
-		}); err != nil {
-			return err
-		}
+		// ledger entry so the next ensureFrame ships again.
+		w.frames.Forget(frameID)
 	}
 }
 
 // ensureFrame makes sure the worker holds the frame, shipping it at most
-// once per (worker, frame) at a time: concurrent cold requests (a how-to's
+// once per (worker, frame) at a time: the ship is the single-flight build of
+// the worker's ledger entry, so concurrent cold requests (a how-to's
 // parallel candidate fits, a batch fan-out) wait for the one in-flight
-// upload instead of each PUTting the full snapshot.
+// upload instead of each PUTting the full snapshot, a failed ship records
+// nothing and the next waiter ships, and a waiter whose context ends returns.
 func (c *Coordinator) ensureFrame(ctx context.Context, w *remoteWorker, frame *Frame) error {
 	id, _, err := frame.Payload()
 	if err != nil {
 		return terminalError{err}
 	}
+	if _, ok := w.frames.Get(id); ok {
+		// The warm path: a worker that holds a frame needs none of its
+		// ancestors, so the version chain below it is not looked at.
+		return nil
+	}
 	// A delta frame is only applicable on a worker that holds its parent:
 	// ensure the chain bottom-up before shipping the delta, so an append on
 	// top of an already-shipped base moves only the new rows. (A worker that
 	// evicted the base between the two PUTs answers frame_missing, handled
-	// below in shipFrame.)
+	// in shipFrame.) The parents are ensured here, not inside the build: a
+	// build must not call Do on the cache it fills.
 	if p := frame.Parent(); p != nil {
 		if err := c.ensureFrame(ctx, w, p); err != nil {
 			return err
 		}
 	}
-	for {
-		w.mu.Lock()
-		if w.shipped[id] {
-			w.mu.Unlock()
-			return nil
-		}
-		ch, busy := w.shipping[id]
-		if !busy {
-			if w.shipping == nil {
-				w.shipping = make(map[string]chan struct{})
-			}
-			ch = make(chan struct{})
-			w.shipping[id] = ch
-			w.mu.Unlock()
-			err := c.shipFrame(ctx, w, frame) // marks shipped on success
-			w.mu.Lock()
-			delete(w.shipping, id)
-			w.mu.Unlock()
-			close(ch)
-			return err
-		}
-		w.mu.Unlock()
-		select {
-		case <-ch:
-			// The in-flight ship finished; re-check (a failed ship loops
-			// back and this caller becomes the next shipper).
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+	_, hit, err := w.frames.Do(ctx, id, func() (struct{}, error) {
+		return struct{}{}, c.shipFrame(ctx, w, frame)
+	})
+	if err == nil && !hit {
+		// Persisted here rather than in the build, where the ledger does
+		// not hold the id yet.
+		c.saveState()
 	}
+	return err
 }
 
 func errCode(body []byte) string {
@@ -662,19 +619,15 @@ func errMessage(body []byte, status int) string {
 	return fmt.Sprintf("status %d", status)
 }
 
-func (c *Coordinator) roundTrip(ctx context.Context, w *remoteWorker, method, path string, payload any) (int, []byte, error) {
-	if err := c.faultHit(fault.PointWorkerDial); err != nil {
+// roundTrip is the one coordinator→worker HTTP exchange: it consults the
+// caller's fault point (worker_dial for compute RPCs, frame_ship for ships —
+// chaos rules count hits per point), sends body, and returns the status and
+// response body.
+func (c *Coordinator) roundTrip(ctx context.Context, w *remoteWorker, point fault.Point, method, path string, body []byte) (int, []byte, error) {
+	if err := c.faultHit(point); err != nil {
 		return 0, nil, err
 	}
-	var body io.Reader
-	if payload != nil {
-		raw, err := json.Marshal(payload)
-		if err != nil {
-			return 0, nil, terminalError{err}
-		}
-		body = bytes.NewReader(raw)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, w.url+path, body)
+	req, err := http.NewRequestWithContext(ctx, method, w.url+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, nil, terminalError{err}
 	}
@@ -683,7 +636,7 @@ func (c *Coordinator) roundTrip(ctx context.Context, w *remoteWorker, method, pa
 	if traceID := obs.TraceIDFromContext(ctx); traceID != "" {
 		// Cross-process trace propagation: a stamped compute request asks the
 		// worker to trace its evaluation and return the span tree in the
-		// response body for grafting.
+		// response body for grafting. (A frame PUT carries it unread.)
 		req.Header.Set(obs.TraceIDHeader, traceID)
 	}
 	resp, err := c.cfg.Client.Do(req)
@@ -704,45 +657,30 @@ func (c *Coordinator) shipFrame(ctx context.Context, w *remoteWorker, frame *Fra
 	if err != nil {
 		return terminalError{err}
 	}
-	if err := c.faultHit(fault.PointFrameShip); err != nil {
-		return err
-	}
 	_, ssp := obs.Start(ctx, "ship_frame")
 	defer ssp.End()
 	ssp.Set("worker", w.id)
 	ssp.Set("bytes", len(body))
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, w.url+pathFrames+id, bytes.NewReader(body))
-	if err != nil {
-		return terminalError{err}
-	}
-	req.Header.Set("Content-Type", "application/json")
-	setSecret(req, c.cfg.Secret)
-	resp, err := c.cfg.Client.Do(req)
+	status, raw, err := c.roundTrip(ctx, w, fault.PointFrameShip, http.MethodPut, pathFrames+id, body)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode == http.StatusNotFound && errCode(raw) == codeFrameMissing && frame.Parent() != nil {
+	if status == http.StatusNotFound && errCode(raw) == codeFrameMissing && frame.Parent() != nil {
 		// The worker evicted (or never durably held) the delta's base
-		// between the chain ship and this PUT. Forget the parent's shipped
-		// mark so the next ensureFrame re-ships the chain; report the miss
+		// between the chain ship and this PUT. Forget the parent's ledger
+		// entry so the next ensureFrame re-ships the chain; report the miss
 		// retryable so the caller's retry policy drives that re-ship.
-		if pid, _, perr := frame.Parent().Payload(); perr == nil {
-			w.mu.Lock()
-			delete(w.shipped, pid)
-			w.mu.Unlock()
+		if pid, perr := frame.Parent().ID(); perr == nil {
+			w.frames.Forget(pid)
 		}
-		return fmt.Errorf("dist: shipping delta frame to %s: %s", w.id, errMessage(raw, resp.StatusCode))
+		return fmt.Errorf("dist: shipping delta frame to %s: %s", w.id, errMessage(raw, status))
 	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("dist: shipping frame to %s: %s", w.id, errMessage(raw, resp.StatusCode))
+	if status != http.StatusOK {
+		return fmt.Errorf("dist: shipping frame to %s: %s", w.id, errMessage(raw, status))
 	}
-	w.markFrame(id)
 	obs.MeterFromContext(ctx).AddFrameBytes(len(body))
 	c.framesShipped.Add(1)
 	c.logf("dist: shipped frame %.12s to worker %s (%d bytes)", id, w.id, len(body))
-	c.saveState()
 	return nil
 }
 
@@ -761,6 +699,119 @@ func splitContiguous(ids []int, n int) [][]int {
 		}
 	}
 	return chunks
+}
+
+// scatterOp is what distinguishes one scattered operation from another; R is
+// its route's response type.
+type scatterOp[R any] struct {
+	route  string    // pathEval | pathFit
+	frame  *Frame    // shipped to a worker before its first chunk
+	run    *queryRun // the operation's resilience scope (budget, bad set, ladder)
+	shards int       // shard ids 0..shards-1 are scattered
+	// request builds the route's request for one chunk of shard ids.
+	request func(frameID string, chunk []int) any
+	// shape says how a reply fails to hold exactly its chunk's shards, in
+	// order (nil when it does).
+	shape func(resp *R, chunk []int) error
+	// absorb takes in a shape-checked reply. Calls are serialized; an error
+	// ends the operation.
+	absorb func(workerID string, resp *R, chunk []int) error
+	// fallback is the ladder's last rung: no assignable worker is left to
+	// take the pending shards.
+	fallback func(pending []int) error
+}
+
+// scatter drives one distributed operation: the pending shard ids go out in
+// rounds of contiguous chunks, one per assignable worker (sorted by id) and
+// each on its own goroutine under a worker_<op> span. A reply is grafted,
+// metered, shape-checked and handed to the operation. A terminal error or
+// cancellation ends the operation; a worker the retry policy gave up on is
+// excluded and its chunk requeues onto the survivors in the next round; with
+// no assignable worker left the operation's fallback takes what is pending.
+func scatter[R any, PR interface {
+	*R
+	replier
+}](ctx context.Context, c *Coordinator, op scatterOp[R]) error {
+	name := path.Base(op.route) // "eval" | "fit"
+	span := "worker_" + name
+	pending := make([]int, op.shards)
+	for i := range pending {
+		pending[i] = i
+	}
+	for round := 0; len(pending) > 0; round++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		ws := c.assignable(op.run)
+		if len(ws) == 0 {
+			op.run.note(degradeLocalFallback)
+			return op.fallback(pending)
+		}
+		var (
+			mu     sync.Mutex
+			failed []int
+			fatal  error
+			wg     sync.WaitGroup
+		)
+		for i, chunk := range splitContiguous(pending, len(ws)) {
+			w := ws[i]
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				wctx, wsp := obs.Start(ctx, span)
+				wsp.Set("worker", w.id)
+				wsp.Set("shards", len(chunk))
+				assignID := c.beginAssignment(w.id, op.route, chunk)
+				// A frame that cannot be encoded has no id; postWorker reports it.
+				frameID, _ := op.frame.ID()
+				var resp R
+				err := c.postWorker(wctx, op.run, w, op.frame, op.route, op.request(frameID, chunk), &resp)
+				c.endAssignment(assignID)
+				rep := PR(&resp).shared()
+				wsp.Set("error", err != nil)
+				if err == nil {
+					wsp.Graft(rep.Spans)
+				}
+				wsp.End()
+				mu.Lock()
+				defer mu.Unlock()
+				var term terminalError
+				if err != nil && !errors.As(err, &term) && ctx.Err() == nil {
+					// The retry policy gave up on this worker, not on the
+					// operation: its chunk goes to the survivors.
+					c.workerFailed(op.run, w, err)
+					failed = append(failed, chunk...)
+					return
+				}
+				if err == nil {
+					w.breaker.onSuccess()
+					// Fold the worker's cost vector into the query meter (the
+					// worker_* ledger); the operation charges the coordinator-
+					// side ledger, and the two must agree when retries == 0.
+					obs.MeterFromContext(ctx).Fold(rep.Meter)
+					if serr := op.shape(&resp, chunk); serr != nil {
+						err = fmt.Errorf("dist: worker %s %s shape mismatch (%v)", w.id, name, serr)
+					} else {
+						err = op.absorb(w.id, &resp, chunk)
+					}
+				}
+				if err != nil && fatal == nil {
+					fatal = err
+				}
+			}()
+		}
+		wg.Wait()
+		if fatal != nil {
+			return fatal
+		}
+		if len(failed) > 0 {
+			sort.Ints(failed)
+			c.requeues.Add(1)
+			c.logf("dist: requeueing %d shards of %s after worker loss (round %d)", len(failed), op.route, round)
+		}
+		pending = failed
+	}
+	return nil
 }
 
 // EvalSpec carries one distributed what-if evaluation.
@@ -802,135 +853,73 @@ func (c *Coordinator) EvaluateWhatIf(ctx context.Context, spec EvalSpec) (*engin
 	defer dsp.End()
 	dsp.Set("plan", planShards)
 	run := newQueryRun(c.cfg.Retry)
-	pending := make([]int, planShards)
-	for i := range pending {
-		pending[i] = i
-	}
 
 	var (
-		mu         sync.Mutex
 		partials   = make([]engine.ShardPartial, 0, planShards)
 		meta       engine.PartialMeta
-		haveMeta   bool
-		metaErr    error
 		usedRemote = map[string]bool{}
-		doneShards int
 		localDone  int
 	)
-	report := func() {
-		if spec.Progress != nil {
-			spec.Progress("shards", doneShards, planShards)
-		}
-	}
-	absorb := func(workerID string, pr *engine.PartialResult, n int) {
-		if !haveMeta {
+	// take adds one partial result — a worker's reply or the local
+	// fallback's — to the merge, holding its metadata to what came before.
+	take := func(from string, pr *engine.PartialResult) error {
+		if len(partials) == 0 {
 			meta = pr.Meta
-			haveMeta = true
 		} else if !meta.Consistent(pr.Meta) {
-			metaErr = fmt.Errorf("dist: worker %s evaluation metadata diverges from the merged plan (determinism violation): %+v vs %+v",
-				workerID, pr.Meta, meta)
-			return
+			return fmt.Errorf("dist: worker %s evaluation metadata diverges from the merged plan (determinism violation): %+v vs %+v",
+				from, pr.Meta, meta)
 		} else if pr.Meta.TrainedModels > meta.TrainedModels {
 			// Diagnostics only: each worker trains the models its shards
 			// demanded; report the widest set.
 			meta.TrainedModels = pr.Meta.TrainedModels
 		}
 		partials = append(partials, pr.Partials...)
-		doneShards += n
-		report()
-	}
-
-	for round := 0; len(pending) > 0; round++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if spec.Progress != nil {
+			spec.Progress("shards", len(partials), planShards)
 		}
-		ws := c.eligible(run)
-		if len(ws) == 0 {
-			// Local fallback — the ladder's last rung: the coordinator
-			// process evaluates whatever is left. Same plan, same partials,
-			// same merge.
+		return nil
+	}
+	wire := WireOptionsFrom(spec.Options)
+	err = scatter(ctx, c, scatterOp[EvalResponse]{
+		route: pathEval, frame: spec.Frame, run: run, shards: planShards,
+		request: func(frameID string, chunk []int) any {
+			return EvalRequest{Frame: frameID, Query: spec.Query, Options: wire, Shards: chunk}
+		},
+		shape: func(resp *EvalResponse, chunk []int) error {
+			if len(resp.Partials) != len(chunk) {
+				return fmt.Errorf("%d partials for %d shards", len(resp.Partials), len(chunk))
+			}
+			for i, s := range chunk {
+				if got := resp.Partials[i].Shard; got != s {
+					return fmt.Errorf("partial %d is shard %d, asked for shard %d", i, got, s)
+				}
+			}
+			return nil
+		},
+		absorb: func(workerID string, resp *EvalResponse, chunk []int) error {
+			obs.MeterFromContext(ctx).AddRemoteShards(len(chunk))
+			usedRemote[workerID] = true
+			return take(workerID, &resp.PartialResult)
+		},
+		// The coordinator process evaluates whatever is left: same plan,
+		// same partials, same merge. Metadata diverging from what a worker
+		// already delivered surfaces as the determinism violation it is, not
+		// as a confusing partial-count mismatch from the merge.
+		fallback: func(pending []int) error {
 			c.localFallbacks.Add(1)
-			run.note(degradeLocalFallback)
 			lopts := spec.Options
 			lopts.Progress = nil
 			lopts.RemoteFit = nil
 			pr, err := engine.EvaluatePartialContext(ctx, spec.DB, spec.Model, q, lopts, pending)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			mu.Lock()
-			absorb("local", pr, len(pending))
-			localDone += len(pending)
-			err = metaErr
-			mu.Unlock()
-			if err != nil {
-				// The locally computed metadata diverges from what a worker
-				// already delivered: surface the determinism violation, not
-				// a confusing partial-count mismatch from the merge.
-				return nil, err
-			}
-			pending = nil
-			break
-		}
-		chunks := splitContiguous(pending, len(ws))
-		var failed []int
-		var wg sync.WaitGroup
-		for i, chunk := range chunks {
-			wg.Add(1)
-			go func(w *remoteWorker, chunk []int) {
-				defer wg.Done()
-				wctx, wsp := obs.Start(ctx, "worker_eval")
-				wsp.Set("worker", w.id)
-				wsp.Set("shards", len(chunk))
-				assignID := c.beginAssignment(w.id, pathEval, chunk)
-				var resp EvalResponse
-				err := c.postWorker(wctx, run, w, spec.Frame, pathEval, EvalRequest{
-					Frame:   mustFrameID(spec.Frame),
-					Query:   spec.Query,
-					Options: WireOptionsFrom(spec.Options),
-					Shards:  chunk,
-				}, &resp)
-				c.endAssignment(assignID)
-				wsp.Set("error", err != nil)
-				if err == nil {
-					wsp.Graft(resp.Spans)
-				}
-				wsp.End()
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					var term terminalError
-					if errors.As(err, &term) || ctx.Err() != nil {
-						if metaErr == nil {
-							metaErr = err
-						}
-						return
-					}
-					c.workerFailed(run, w, err)
-					failed = append(failed, chunk...)
-					return
-				}
-				w.breaker.onSuccess()
-				// Fold the worker's cost vector into the query meter (the
-				// worker_* ledger) and charge the coordinator-side dispatch
-				// ledger; the two sides must agree when retries == 0.
-				meter := obs.MeterFromContext(ctx)
-				meter.Fold(resp.Meter)
-				meter.AddRemoteShards(len(chunk))
-				absorb(w.id, &resp.PartialResult, len(chunk))
-				usedRemote[w.id] = true
-			}(ws[i], chunk)
-		}
-		wg.Wait()
-		if metaErr != nil {
-			return nil, metaErr
-		}
-		if len(failed) > 0 {
-			sort.Ints(failed)
-			c.requeues.Add(1)
-			c.logf("dist: requeueing %d shards after worker loss (round %d)", len(failed), round)
-		}
-		pending = failed
+			localDone = len(pending)
+			return take("local", pr)
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	res, err := engine.MergePartials(meta, partials)
@@ -954,11 +943,6 @@ func (c *Coordinator) EvaluateWhatIf(ctx context.Context, spec EvalSpec) (*engin
 	c.remoteEvals.Add(1)
 	c.remoteShards.Add(uint64(planShards - localDone))
 	return res, nil
-}
-
-func mustFrameID(f *Frame) string {
-	id, _, _ := f.Payload()
-	return id
 }
 
 // Fitter returns a session-bound fitter (an engine.RemoteFitter) that
@@ -1033,7 +1017,6 @@ func (f *SessionFitter) fit(ctx context.Context, query string, o engine.Options,
 	if fitShards <= 0 {
 		return nil, fmt.Errorf("dist: fit plan has %d shards", fitShards)
 	}
-	c := f.c
 	out := &fitParts{}
 	if cells {
 		out.parts = make([]*ml.FreqWire, fitShards)
@@ -1041,98 +1024,42 @@ func (f *SessionFitter) fit(ctx context.Context, query string, o engine.Options,
 	if support {
 		out.support = make([]*ml.SupportWire, fitShards)
 	}
-	pending := make([]int, fitShards)
-	for i := range pending {
-		pending[i] = i
+	wire, maskText := WireOptionsFrom(o), strconv.FormatUint(mask, 10)
+	err := scatter(ctx, f.c, scatterOp[FitResponse]{
+		route: pathFit, frame: f.frame, run: f.run, shards: fitShards,
+		request: func(frameID string, chunk []int) any {
+			return FitRequest{
+				Frame: frameID, Query: query, Options: wire, Mask: maskText,
+				Weighted: weighted, Cells: cells, Support: support, Shards: chunk,
+			}
+		},
+		shape: func(resp *FitResponse, chunk []int) error {
+			if resp.FitPlan != fitShards ||
+				(cells && len(resp.Parts) != len(chunk)) ||
+				(support && len(resp.Support) != len(chunk)) {
+				return fmt.Errorf("plan %d vs %d, %d/%d parts for %d shards",
+					resp.FitPlan, fitShards, len(resp.Parts), len(resp.Support), len(chunk))
+			}
+			return nil
+		},
+		absorb: func(workerID string, resp *FitResponse, chunk []int) error {
+			for j, s := range chunk {
+				if cells {
+					out.parts[s] = resp.Parts[j]
+				}
+				if support {
+					out.support[s] = resp.Support[j]
+				}
+			}
+			f.markUsed(workerID)
+			return nil
+		},
+		// The engine reacts to ErrNoWorkers by fitting locally.
+		fallback: func([]int) error { return ErrNoWorkers },
+	})
+	if err != nil {
+		return nil, err
 	}
-	wireOpts := WireOptionsFrom(o)
-	for len(pending) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ws := c.eligible(f.run)
-		if len(ws) == 0 {
-			// The engine reacts to ErrNoWorkers by fitting locally — the
-			// fit path's last ladder rung.
-			f.run.note(degradeLocalFallback)
-			return nil, ErrNoWorkers
-		}
-		chunks := splitContiguous(pending, len(ws))
-		var (
-			mu      sync.Mutex
-			failed  []int
-			termErr error
-			wg      sync.WaitGroup
-		)
-		for i, chunk := range chunks {
-			wg.Add(1)
-			go func(w *remoteWorker, chunk []int) {
-				defer wg.Done()
-				wctx, wsp := obs.Start(ctx, "worker_fit")
-				wsp.Set("worker", w.id)
-				wsp.Set("shards", len(chunk))
-				defer wsp.End()
-				assignID := c.beginAssignment(w.id, pathFit, chunk)
-				defer c.endAssignment(assignID)
-				var resp FitResponse
-				err := c.postWorker(wctx, f.run, w, f.frame, pathFit, FitRequest{
-					Frame:    mustFrameID(f.frame),
-					Query:    query,
-					Options:  wireOpts,
-					Mask:     strconv.FormatUint(mask, 10),
-					Weighted: weighted,
-					Cells:    cells,
-					Support:  support,
-					Shards:   chunk,
-				}, &resp)
-				wsp.Set("error", err != nil)
-				if err == nil {
-					wsp.Graft(resp.Spans)
-				}
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					var term terminalError
-					if errors.As(err, &term) || ctx.Err() != nil {
-						if termErr == nil {
-							termErr = err
-						}
-						return
-					}
-					c.workerFailed(f.run, w, err)
-					failed = append(failed, chunk...)
-					return
-				}
-				w.breaker.onSuccess()
-				obs.MeterFromContext(ctx).Fold(resp.Meter)
-				if resp.FitPlan != fitShards ||
-					(cells && len(resp.Parts) != len(chunk)) ||
-					(support && len(resp.Support) != len(chunk)) {
-					termErr = fmt.Errorf("dist: worker %s fit shape mismatch (plan %d vs %d, %d/%d parts for %d shards)",
-						w.id, resp.FitPlan, fitShards, len(resp.Parts), len(resp.Support), len(chunk))
-					return
-				}
-				for j, s := range chunk {
-					if cells {
-						out.parts[s] = resp.Parts[j]
-					}
-					if support {
-						out.support[s] = resp.Support[j]
-					}
-				}
-				f.markUsed(w.id)
-			}(ws[i], chunk)
-		}
-		wg.Wait()
-		if termErr != nil {
-			return nil, termErr
-		}
-		if len(failed) > 0 {
-			sort.Ints(failed)
-			c.requeues.Add(1)
-		}
-		pending = failed
-	}
-	c.remoteFits.Add(1)
+	f.c.remoteFits.Add(1)
 	return out, nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -240,5 +242,68 @@ func TestDistributedDeltaColdWorker(t *testing.T) {
 	}
 	if got := tw.puts.Load(); got != 2 {
 		t.Fatalf("cold worker received %d ships, want 2 (base then delta)", got)
+	}
+}
+
+// TestWarmDispatchSkipsVersionChain: a worker that holds a frame needs none
+// of its ancestors, so a dispatch against a head the ledger lists must not
+// look at — let alone re-send — the chain below it. The ledger here is what
+// a coordinator restored from a state file naming only the head would hold.
+func TestWarmDispatchSkipsVersionChain(t *testing.T) {
+	const src = `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`
+	opts := engine.Options{Seed: 7, ShardRows: 512}
+
+	big := dataset.GermanSyn(1200, 7).DB.Relation("German")
+	base := dataset.GermanSyn(1000, 7)
+	model := base.Model
+	db := base.DB
+	db.SetVersion(1)
+	head := NewFrame(db, model)
+	for lo := 1000; lo < 1200; lo += 100 { // two appends: a three-frame chain
+		var rows []relation.Tuple
+		for i := lo; i < lo+100; i++ {
+			rows = append(rows, big.Row(i))
+		}
+		appends := map[string][]relation.Tuple{"German": rows}
+		next, err := db.Extend(appends)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, head = next, NewFrameDelta(head, next, model, appends)
+	}
+	spec := EvalSpec{DB: db, Model: model, Frame: head, Query: src, Options: opts}
+
+	tw := newTestWorker(t)
+	c1, _ := newTestCoordinator(t, tw)
+	want, err := c1.EvaluateWhatIf(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tw.puts.Load(); got != 3 {
+		t.Fatalf("cold worker received %d ships, want the chain's 3", got)
+	}
+
+	headID, err := head.ID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	statePath := filepath.Join(t.TempDir(), "dist-state.json")
+	raw, err := json.Marshal(persistedState{Workers: []persistedWorker{{ID: "w1", URL: tw.ts.URL, Frames: []string{headID}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(statePath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c2, _ := newTestCoordinatorCfg(t, CoordinatorConfig{StatePath: statePath})
+	got, err := c2.EvaluateWhatIf(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g17(got.Value) != g17(want.Value) || got.RemoteWorkers != 1 {
+		t.Fatalf("restored coordinator: value %s over %d workers, want %s over 1", g17(got.Value), got.RemoteWorkers, g17(want.Value))
+	}
+	if n := tw.puts.Load() - 3; n != 0 {
+		t.Fatalf("dispatch against a resident head re-sent %d ancestor frames, want 0", n)
 	}
 }

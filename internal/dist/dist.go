@@ -23,6 +23,35 @@
 //     survive — the reduction order never depends on who computed what, so
 //     failures move work without moving results.
 //
+// Both computations are shard-indexed and merge in plan order, so everything
+// around them exists once:
+//
+//   - scatter is the coordinator's dispatch loop for eval and fit alike:
+//     shard ids go out in rounds of contiguous chunks over the assignable
+//     workers, every reply is grafted, metered and checked to hold exactly
+//     its chunk's shards before the operation sees it, a worker the retry
+//     policy gave up on is excluded and its chunk requeued (one log line,
+//     one hyper_dist_requeues_total tick), and with no worker left the
+//     operation's own last rung runs (local evaluation of the pending
+//     shards for eval; ErrNoWorkers, which makes the engine fit locally, for
+//     fit). An operation supplies its request per chunk, what it absorbs per
+//     reply, and that last rung.
+//
+//   - roundTrip is the one HTTP exchange (secret, trace header, fault
+//     point): postWorker sends a compute request's bytes through it under
+//     the retry policy, shipFrame a frame body.
+//
+//   - Each registered worker's shipped-frame ledger is an unbounded
+//     internal/lru cache whose single-flight build is the ship: a hit means
+//     shipped, concurrent cold requests share one upload, a failed ship
+//     records nothing, and a worker's frame_missing answer Forgets the entry
+//     so the next dispatch ships again. The ledger is checked before the
+//     frame's ancestors, so a warm dispatch never walks the version chain.
+//
+//   - Worker.compute is the one handler body behind both routes: in-flight
+//     count, fault point, decode, frame lookup, parse, options, trace, meter,
+//     respond; handleEval and handleFit are the engine call each makes.
+//
 // Everything on the wire is JSON. Both ends re-derive the deterministic
 // parts of an evaluation (plan, block decomposition, estimator choice,
 // training) from the same frame + query + semantic options; the coordinator
@@ -106,20 +135,41 @@ type EvalRequest struct {
 	Shards  []int       `json:"shards"`
 }
 
-// EvalResponse is the worker's answer: the engine's partial result, plus the
-// worker-local span tree when the coordinator asked for tracing by stamping
-// the X-Hyper-Trace-Id header on the request. The coordinator grafts Spans
-// under its per-worker span, stitching one end-to-end trace across
-// processes; span timestamps are the worker's clock (durations are the
-// authoritative numbers), and tracing never touches Partials.
+// computeRequest is what the worker's compute wrapper reads of either
+// request before the route's own work starts.
+type computeRequest interface {
+	target() (frame, query string, opts WireOptions)
+}
+
+func (r *EvalRequest) target() (string, string, WireOptions) { return r.Frame, r.Query, r.Options }
+func (r *FitRequest) target() (string, string, WireOptions)  { return r.Frame, r.Query, r.Options }
+
+// reply is the part of a compute response both routes share. Spans is the
+// worker-local span tree, present when the coordinator asked for tracing by
+// stamping the X-Hyper-Trace-Id header on the request: the coordinator
+// grafts it under its per-worker span, stitching one end-to-end trace across
+// processes (span timestamps are the worker's clock — durations are the
+// authoritative numbers — and tracing never touches the computed parts).
+// Meter is the worker-side cost vector of the request (shards run, tuples
+// evaluated, fits, bytes received); the coordinator folds it into the
+// query's meter — the worker_* ledger the reconciliation invariant checks
+// against the coordinator's own shipped/dispatched totals.
+type reply struct {
+	Spans *obs.SpanJSON  `json:"spans,omitempty"`
+	Meter *obs.MeterJSON `json:"meter,omitempty"`
+}
+
+// replier is either response type, as the worker's compute wrapper and the
+// coordinator's scatter loop see it: through its shared reply.
+type replier interface{ shared() *reply }
+
+func (r *reply) shared() *reply { return r }
+
+// EvalResponse is the worker's answer to an eval: the engine's partial
+// result plus the shared reply.
 type EvalResponse struct {
 	engine.PartialResult
-	Spans *obs.SpanJSON `json:"spans,omitempty"`
-	// Meter is the worker-side cost vector of this request (shards run,
-	// tuples evaluated, fits, bytes received). The coordinator folds it into
-	// the query's meter — the worker_* ledger the reconciliation invariant
-	// checks against the coordinator's own shipped/dispatched totals.
-	Meter *obs.MeterJSON `json:"meter,omitempty"`
+	reply
 }
 
 // FitRequest asks a worker for the per-shard partial indexes of a
@@ -138,16 +188,13 @@ type FitRequest struct {
 	Shards   []int       `json:"shards"`
 }
 
-// FitResponse carries one wire part per requested shard, in request order.
-// Spans is the worker's span tree for the fit, present only when the
-// request was traced (see EvalResponse).
+// FitResponse carries one wire part per requested shard, in request order,
+// plus the shared reply.
 type FitResponse struct {
 	FitPlan int               `json:"fit_plan"`
 	Parts   []*ml.FreqWire    `json:"parts,omitempty"`
 	Support []*ml.SupportWire `json:"support,omitempty"`
-	Spans   *obs.SpanJSON     `json:"spans,omitempty"`
-	// Meter mirrors EvalResponse.Meter for fit requests.
-	Meter *obs.MeterJSON `json:"meter,omitempty"`
+	reply
 }
 
 // RegisterRequest announces a worker to the coordinator. URL is the base

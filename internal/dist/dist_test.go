@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -39,12 +42,14 @@ func distDataset(t testing.TB, name string) (*relation.Database, *causal.Model) 
 }
 
 // testWorker is one in-process worker behind a real HTTP listener, with
-// request counters and a kill switch that aborts its next eval mid-request.
+// request counters and a kill switch that aborts its next compute request
+// (eval or fit) mid-request.
 type testWorker struct {
 	w        *Worker
 	ts       *httptest.Server
 	puts     atomic.Int64
 	evals    atomic.Int64
+	fits     atomic.Int64
 	killEval atomic.Bool
 }
 
@@ -56,10 +61,14 @@ func newTestWorker(t *testing.T) *testWorker {
 		switch {
 		case r.Method == http.MethodPut:
 			tw.puts.Add(1)
-		case r.URL.Path == pathEval:
-			tw.evals.Add(1)
+		case r.URL.Path == pathEval || r.URL.Path == pathFit:
+			if r.URL.Path == pathEval {
+				tw.evals.Add(1)
+			} else {
+				tw.fits.Add(1)
+			}
 			if tw.killEval.Load() {
-				// Die mid-evaluation: the connection is severed without a
+				// Die mid-request: the connection is severed without a
 				// response, exactly what a killed worker process looks like
 				// to the coordinator.
 				panic(http.ErrAbortHandler)
@@ -264,11 +273,13 @@ func TestDistributedEvalParity(t *testing.T) {
 	}
 }
 
-// TestWorkerLossRequeue kills one worker mid-evaluation and asserts the
-// coordinator requeues its shards onto the survivor, quarantines the dead
-// worker (it stays registered, excluded from assignment), reports the
-// degradation, keeps the result bit-identical, and leaks no goroutines.
-// (CI runs this under -race.)
+// TestWorkerLossRequeue kills one worker mid-request, on each compute route,
+// and asserts the coordinator requeues its shards onto the survivor (logging
+// the requeue), quarantines the dead worker (it stays registered, excluded
+// from assignment), reports the degradation, keeps the result bit-identical,
+// and leaks no goroutines. Then the survivor dies too and the route's last
+// rung takes over: local evaluation of the pending shards for eval,
+// ErrNoWorkers and the engine's local fit for fit. (CI runs this under -race.)
 func TestWorkerLossRequeue(t *testing.T) {
 	opts := engine.Options{Seed: 7, ShardRows: 128} // 1000 rows -> 8 plan shards
 	src := `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`
@@ -282,72 +293,193 @@ func TestWorkerLossRequeue(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	before := runtime.NumGoroutine()
-	w1, w2 := newTestWorker(t), newTestWorker(t)
-	// One failure quarantines, one attempt per RPC: the dead worker is hit
-	// exactly once and every later round skips it.
-	c, client := newTestCoordinatorCfg(t, CoordinatorConfig{
-		BreakerFailures: 1,
-		Retry:           RetryPolicy{MaxAttempts: 1},
-	}, w1, w2)
-	w2.killEval.Store(true) // w2 dies on its first eval dispatch
+	for _, row := range []struct {
+		route string
+		calls func(*testWorker) int64
+	}{
+		{pathEval, func(tw *testWorker) int64 { return tw.evals.Load() }},
+		{pathFit, func(tw *testWorker) int64 { return tw.fits.Load() }},
+	} {
+		t.Run(strings.TrimPrefix(row.route, "/dist/v1/"), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			w1, w2 := newTestWorker(t), newTestWorker(t)
+			var logMu sync.Mutex
+			var logged []string
+			// One failure quarantines, one attempt per RPC: the dead worker is
+			// hit exactly once and every later round skips it.
+			c, client := newTestCoordinatorCfg(t, CoordinatorConfig{
+				BreakerFailures: 1,
+				Retry:           RetryPolicy{MaxAttempts: 1},
+				Logf: func(format string, args ...any) {
+					logMu.Lock()
+					logged = append(logged, fmt.Sprintf(format, args...))
+					logMu.Unlock()
+				},
+			}, w1, w2)
+			w2.killEval.Store(true) // w2 dies on its first dispatch
 
+			db, model := distDataset(t, "german")
+			// run answers the query over the row's route — shards scattered
+			// for eval, fits scattered under a local evaluation for fit — and
+			// reports the ladder that operation fell down.
+			var fitter *SessionFitter
+			run := func() (res *engine.Result, degraded bool, reason string) {
+				t.Helper()
+				var err error
+				if row.route == pathEval {
+					res, err = c.EvaluateWhatIf(context.Background(), EvalSpec{
+						DB: db, Model: model, Frame: NewFrame(db, model), Query: src, Options: opts,
+					})
+					if err == nil {
+						degraded, reason = res.Degraded, res.DegradedReason
+					}
+				} else {
+					fitter = c.Fitter(NewFrame(db, model))
+					ropts := opts
+					ropts.RemoteFit = fitter
+					res, err = engine.EvaluateContext(context.Background(), db, model, q, ropts)
+					degraded, reason = fitter.Degraded()
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, degraded, reason
+			}
+
+			res, degraded, reason := run()
+			if g17(res.Value) != g17(want.Value) {
+				t.Fatalf("post-requeue value %s != local %s", g17(res.Value), g17(want.Value))
+			}
+			if !degraded || reason != "worker_lost" {
+				t.Fatalf("degraded=%v reason=%q, want true/worker_lost", degraded, reason)
+			}
+			if row.route == pathEval && res.RemoteWorkers != 1 {
+				t.Fatalf("RemoteWorkers %d, want 1 (the survivor)", res.RemoteWorkers)
+			}
+			if row.route == pathFit && fitter.WorkersUsed() != 1 {
+				t.Fatalf("WorkersUsed %d, want 1 (the survivor)", fitter.WorkersUsed())
+			}
+			st := c.Stats()
+			if st.WorkersLost != 1 || st.Requeues != 1 || st.WorkersQuarantined != 1 {
+				t.Fatalf("stats after loss: %+v (want 1 lost, 1 requeue, 1 quarantined)", st)
+			}
+			if st.WorkersAlive != 1 || st.WorkersRegistered != 2 {
+				t.Fatalf("alive=%d registered=%d, want 1 assignable of 2 registered (quarantine, not drop)", st.WorkersAlive, st.WorkersRegistered)
+			}
+			if row.calls(w2) != 1 || row.calls(w1) < 2 {
+				t.Fatalf("%s counts: w1=%d w2=%d (w2 must have died on its only dispatch)", row.route, row.calls(w1), row.calls(w2))
+			}
+			logMu.Lock()
+			requeueLogged := false
+			for _, line := range logged {
+				if strings.Contains(line, "requeueing") && strings.Contains(line, row.route) {
+					requeueLogged = true
+				}
+			}
+			logMu.Unlock()
+			if !requeueLogged {
+				t.Fatalf("no requeue line naming %s in the coordinator log: %q", row.route, logged)
+			}
+
+			// All workers gone mid-stream: the route's last rung still
+			// produces the identical result, reporting the full ladder.
+			w1.killEval.Store(true)
+			res2, degraded, reason := run()
+			if g17(res2.Value) != g17(want.Value) {
+				t.Fatalf("local-fallback value %s != local %s", g17(res2.Value), g17(want.Value))
+			}
+			if !degraded || reason != "worker_lost,quarantine,local_fallback" {
+				t.Fatalf("degraded=%v reason=%q, want the full ladder", degraded, reason)
+			}
+			if row.route == pathEval {
+				if got := c.Stats().LocalFallbacks; got != 1 {
+					t.Fatalf("local fallbacks %d, want 1", got)
+				}
+			} else if _, err := fitter.SupportParts(context.Background(), src, opts, 8); !errors.Is(err, ErrNoWorkers) {
+				t.Fatalf("fit with every worker gone: err %v, want ErrNoWorkers", err)
+			}
+
+			w1.ts.Close()
+			w2.ts.Close()
+			client.CloseIdleConnections()
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if after := runtime.NumGoroutine(); after > before+2 {
+				t.Fatalf("goroutine leak: %d before, %d after", before, after)
+			}
+		})
+	}
+}
+
+// TestDistLedgerReconciles pins the cross-process byte ledger in-process: the
+// coordinator charges each accepted request's body once — the bytes the
+// worker metered as its Content-Length — so a retry-free query's dispatch
+// ledger equals the workers' summed ledger exactly.
+func TestDistLedgerReconciles(t *testing.T) {
+	opts := engine.Options{Seed: 7, ShardRows: 128} // 8 plan shards
+	c, _ := newTestCoordinator(t, newTestWorker(t), newTestWorker(t))
 	db, model := distDataset(t, "german")
-	res, err := c.EvaluateWhatIf(context.Background(), EvalSpec{
-		DB: db, Model: model, Frame: NewFrame(db, model), Query: src, Options: opts,
+	meter := obs.NewMeter()
+	res, err := c.EvaluateWhatIf(obs.ContextWithMeter(context.Background(), meter), EvalSpec{
+		DB: db, Model: model, Frame: NewFrame(db, model),
+		Query: `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`, Options: opts,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g17(res.Value) != g17(want.Value) {
-		t.Fatalf("post-requeue value %s != local %s", g17(res.Value), g17(want.Value))
+	mj := meter.JSON()
+	if mj.Retries != 0 || mj.RemoteShards != uint64(res.ShardPlan) || mj.WorkerShardsRun != mj.RemoteShards {
+		t.Fatalf("retries %d, remote shards %d, worker shards %d; want 0 retries and the plan's %d shards on both sides",
+			mj.Retries, mj.RemoteShards, mj.WorkerShardsRun, res.ShardPlan)
 	}
-	if res.RemoteWorkers != 1 {
-		t.Fatalf("RemoteWorkers %d, want 1 (the survivor)", res.RemoteWorkers)
+	if mj.DistBytesShipped == 0 || mj.DistBytesShipped != mj.WorkerBytes || !mj.Reconciled() {
+		t.Fatalf("shipped %d bytes, workers received %d (reconciled=%v); want equal and > 0",
+			mj.DistBytesShipped, mj.WorkerBytes, mj.Reconciled())
 	}
-	if !res.Degraded || res.DegradedReason != "worker_lost" {
-		t.Fatalf("degraded=%v reason=%q, want true/worker_lost", res.Degraded, res.DegradedReason)
-	}
-	st := c.Stats()
-	if st.WorkersLost != 1 || st.Requeues != 1 || st.WorkersQuarantined != 1 {
-		t.Fatalf("stats after loss: %+v (want 1 lost, 1 requeue, 1 quarantined)", st)
-	}
-	if st.WorkersAlive != 1 || st.WorkersRegistered != 2 {
-		t.Fatalf("alive=%d registered=%d, want 1 assignable of 2 registered (quarantine, not drop)", st.WorkersAlive, st.WorkersRegistered)
-	}
-	if w2.evals.Load() != 1 || w1.evals.Load() < 2 {
-		t.Fatalf("eval counts: w1=%d w2=%d (w2 must have died on its only dispatch)", w1.evals.Load(), w2.evals.Load())
-	}
+}
 
-	// All workers gone mid-stream: the coordinator falls back to local
-	// evaluation and still produces the identical result, reporting the
-	// full degradation ladder.
-	w1.killEval.Store(true)
-	res2, err := c.EvaluateWhatIf(context.Background(), EvalSpec{
-		DB: db, Model: model, Frame: NewFrame(db, model), Query: src, Options: opts,
+// TestEvalReplyShapeChecked: a worker answering shards it was not asked for
+// fails the operation with an error naming that worker — not an anonymous
+// merge failure later — and a wrong reply is not requeued.
+func TestEvalReplyShapeChecked(t *testing.T) {
+	inner := NewWorker(WorkerConfig{}).Handler()
+	var evals atomic.Int64
+	stub := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == pathEval {
+			// Evaluate the first chunk's shards whatever the request said.
+			evals.Add(1)
+			var req EvalRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				t.Error(err)
+			}
+			req.Shards = []int{0, 1}
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Error(err)
+			}
+			r = r.Clone(r.Context())
+			r.Body, r.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))
+		}
+		inner.ServeHTTP(rw, r)
+	}))
+	defer stub.Close()
+
+	c, _ := newTestCoordinator(t, newTestWorker(t))
+	c.Register("w2", stub.URL) // sorted second: asked for shards 2 and 3
+	db, model := distDataset(t, "german")
+	_, err := c.EvaluateWhatIf(context.Background(), EvalSpec{
+		DB: db, Model: model, Frame: NewFrame(db, model),
+		Query:   `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`,
+		Options: engine.Options{Seed: 7, ShardRows: 256}, // 4 plan shards
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err == nil || !strings.Contains(err.Error(), "worker w2 eval shape mismatch") {
+		t.Fatalf("err = %v, want an eval shape mismatch naming worker w2", err)
 	}
-	if g17(res2.Value) != g17(want.Value) {
-		t.Fatalf("local-fallback value %s != local %s", g17(res2.Value), g17(want.Value))
-	}
-	if c.Stats().LocalFallbacks != 1 {
-		t.Fatalf("local fallbacks %d, want 1", c.Stats().LocalFallbacks)
-	}
-	if !res2.Degraded || res2.DegradedReason != "worker_lost,quarantine,local_fallback" {
-		t.Fatalf("degraded=%v reason=%q, want the full ladder", res2.Degraded, res2.DegradedReason)
-	}
-
-	w1.ts.Close()
-	w2.ts.Close()
-	client.CloseIdleConnections()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before+2 {
-		t.Fatalf("goroutine leak: %d before, %d after", before, after)
+	if st := c.Stats(); st.Requeues != 0 || st.WorkersLost != 0 || evals.Load() != 1 {
+		t.Fatalf("requeues %d, lost %d, stub evals %d; a wrong reply must end the operation, not requeue it",
+			st.Requeues, st.WorkersLost, evals.Load())
 	}
 }
 

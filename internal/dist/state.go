@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -94,12 +95,7 @@ func (c *Coordinator) snapshotState() persistedState {
 		return st.Assignments[i].Path < st.Assignments[j].Path
 	})
 	for _, w := range ws {
-		w.mu.Lock()
-		pw := persistedWorker{ID: w.id, URL: w.url}
-		for id := range w.shipped {
-			pw.Frames = append(pw.Frames, id)
-		}
-		w.mu.Unlock()
+		pw := persistedWorker{ID: w.id, URL: w.url, Frames: w.frames.Keys()}
 		sort.Strings(pw.Frames)
 		pw.Fails, pw.Open, pw.OpenedAt = w.breaker.snapshot()
 		st.Workers = append(st.Workers, pw)
@@ -168,16 +164,13 @@ func (c *Coordinator) loadState() error {
 	}
 	c.mu.Lock()
 	for _, pw := range st.Workers {
-		w := &remoteWorker{id: pw.ID, url: pw.URL, breaker: c.newWorkerBreaker()}
 		// A fresh lease: the restored worker has one TTL to heartbeat back
 		// in before it goes stale, rather than being judged on a lastBeat
 		// from the previous incarnation's clock.
-		w.lastBeat = time.Now()
-		if len(pw.Frames) > 0 {
-			w.shipped = make(map[string]bool, len(pw.Frames))
-			for _, id := range pw.Frames {
-				w.shipped[id] = true
-			}
+		w := c.newRemoteWorker(pw.ID, pw.URL)
+		for _, id := range pw.Frames {
+			// Shipped in the previous life: the build has nothing to do.
+			_, _, _ = w.frames.Do(context.Background(), id, func() (struct{}, error) { return struct{}{}, nil })
 		}
 		w.breaker.restore(pw.Fails, pw.Open, pw.OpenedAt)
 		c.workers[pw.ID] = w

@@ -316,93 +316,78 @@ func (w *Worker) putDeltaFrame(rw http.ResponseWriter, id string, body []byte) {
 	writeJSON(rw, http.StatusOK, map[string]any{"ok": true})
 }
 
-// evalFrame resolves the frame of a compute request, mapping a miss to the
-// frame_missing protocol error.
-func (w *Worker) evalFrame(rw http.ResponseWriter, id string) (*workerFrame, bool) {
-	f, ok := w.frames.Get(id)
-	if !ok {
-		writeError(rw, http.StatusNotFound, codeFrameMissing, "frame %.12s not on this worker", id)
-		return nil, false
+// compute serves one compute route, named by its fault point ("eval",
+// "fit"). What the two routes share is here, once: the in-flight count Drain
+// waits on, the fault point, decoding the request, resolving its frame (a
+// miss is the frame_missing protocol error) and query, the engine options
+// over the frame's cache, the trace the coordinator may have asked for, and
+// a fresh per-request meter that the engine charges through the context and
+// the coordinator folds into the query's. run does the route's own work and
+// returns its response, whose shared reply the wrapper fills in; an error
+// from run answers 400.
+func (w *Worker) compute(rw http.ResponseWriter, r *http.Request, point fault.Point, req computeRequest,
+	run func(ctx context.Context, f *workerFrame, q *hyperql.WhatIf, opts engine.Options) (replier, error)) {
+	w.inflight.Add(1)
+	defer w.inflight.Add(-1)
+	if !w.injectFault(rw, point) {
+		return
 	}
-	return f, true
+	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
+		writeError(rw, http.StatusBadRequest, "", "decoding %s request: %v", point, err)
+		return
+	}
+	frameID, query, wire := req.target()
+	f, ok := w.frames.Get(frameID)
+	if !ok {
+		writeError(rw, http.StatusNotFound, codeFrameMissing, "frame %.12s not on this worker", frameID)
+		return
+	}
+	q, err := hyperql.ParseWhatIf(query)
+	if err != nil {
+		writeError(rw, http.StatusBadRequest, "", "%v", err)
+		return
+	}
+	opts := wire.EngineOptions()
+	opts.Cache = f.cache
+	ctx, finish := w.traceRequest(r, string(point))
+	meter := obs.NewMeter()
+	meter.AddDistBytesReceived(int(r.ContentLength))
+	resp, err := run(obs.ContextWithMeter(ctx, meter), f, q, opts)
+	if err != nil {
+		writeError(rw, http.StatusBadRequest, "", "%v", err)
+		return
+	}
+	*resp.shared() = reply{Spans: finish(), Meter: meter.JSON()}
+	writeJSON(rw, http.StatusOK, resp)
 }
 
 func (w *Worker) handleEval(rw http.ResponseWriter, r *http.Request) {
-	w.inflight.Add(1)
-	defer w.inflight.Add(-1)
-	if !w.injectFault(rw, fault.PointEval) {
-		return
-	}
 	var req EvalRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(rw, http.StatusBadRequest, "", "decoding eval request: %v", err)
-		return
-	}
-	f, ok := w.evalFrame(rw, req.Frame)
-	if !ok {
-		return
-	}
-	q, err := hyperql.ParseWhatIf(req.Query)
-	if err != nil {
-		writeError(rw, http.StatusBadRequest, "", "%v", err)
-		return
-	}
-	opts := req.Options.EngineOptions()
-	opts.Cache = f.cache
-	ctx, finish := w.traceRequest(r, "eval")
-	// A fresh per-request meter: the engine charges it through the context,
-	// and the coordinator folds the returned vector into the query's meter.
-	meter := obs.NewMeter()
-	meter.AddDistBytesReceived(int(r.ContentLength))
-	ctx = obs.ContextWithMeter(ctx, meter)
-	res, err := engine.EvaluatePartialContext(ctx, f.db, f.model, q, opts, req.Shards)
-	if err != nil {
-		writeError(rw, http.StatusBadRequest, "", "%v", err)
-		return
-	}
-	w.evals.Inc()
-	w.evalShards.Add(len(req.Shards))
-	w.logf("dist worker: eval frame=%.12s shards=%v plan=%d", req.Frame, req.Shards, res.Meta.Plan)
-	writeJSON(rw, http.StatusOK, EvalResponse{PartialResult: *res, Spans: finish(), Meter: meter.JSON()})
+	w.compute(rw, r, fault.PointEval, &req, func(ctx context.Context, f *workerFrame, q *hyperql.WhatIf, opts engine.Options) (replier, error) {
+		res, err := engine.EvaluatePartialContext(ctx, f.db, f.model, q, opts, req.Shards)
+		if err != nil {
+			return nil, err
+		}
+		w.evals.Inc()
+		w.evalShards.Add(len(req.Shards))
+		w.logf("dist worker: eval frame=%.12s shards=%v plan=%d", req.Frame, req.Shards, res.Meta.Plan)
+		return &EvalResponse{PartialResult: *res}, nil
+	})
 }
 
 func (w *Worker) handleFit(rw http.ResponseWriter, r *http.Request) {
-	w.inflight.Add(1)
-	defer w.inflight.Add(-1)
-	if !w.injectFault(rw, fault.PointFit) {
-		return
-	}
 	var req FitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(rw, http.StatusBadRequest, "", "decoding fit request: %v", err)
-		return
-	}
-	f, ok := w.evalFrame(rw, req.Frame)
-	if !ok {
-		return
-	}
-	q, err := hyperql.ParseWhatIf(req.Query)
-	if err != nil {
-		writeError(rw, http.StatusBadRequest, "", "%v", err)
-		return
-	}
-	mask, err := strconv.ParseUint(req.Mask, 10, 64)
-	if err != nil {
-		writeError(rw, http.StatusBadRequest, "", "bad mask %q: %v", req.Mask, err)
-		return
-	}
-	opts := req.Options.EngineOptions()
-	opts.Cache = f.cache
-	ctx, finish := w.traceRequest(r, "fit")
-	meter := obs.NewMeter()
-	meter.AddDistBytesReceived(int(r.ContentLength))
-	ctx = obs.ContextWithMeter(ctx, meter)
-	part, err := engine.FitEventPartialContext(ctx, f.db, f.model, q, opts, mask, req.Weighted, req.Cells, req.Support, req.Shards)
-	if err != nil {
-		writeError(rw, http.StatusBadRequest, "", "%v", err)
-		return
-	}
-	w.fits.Inc()
-	w.logf("dist worker: fit frame=%.12s mask=%s shards=%v", req.Frame, req.Mask, req.Shards)
-	writeJSON(rw, http.StatusOK, FitResponse{FitPlan: part.FitPlan, Parts: part.Parts, Support: part.Support, Spans: finish(), Meter: meter.JSON()})
+	w.compute(rw, r, fault.PointFit, &req, func(ctx context.Context, f *workerFrame, q *hyperql.WhatIf, opts engine.Options) (replier, error) {
+		mask, err := strconv.ParseUint(req.Mask, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad mask %q: %v", req.Mask, err)
+		}
+		part, err := engine.FitEventPartialContext(ctx, f.db, f.model, q, opts, mask, req.Weighted, req.Cells, req.Support, req.Shards)
+		if err != nil {
+			return nil, err
+		}
+		w.fits.Inc()
+		w.logf("dist worker: fit frame=%.12s mask=%s shards=%v", req.Frame, req.Mask, req.Shards)
+		return &FitResponse{FitPlan: part.FitPlan, Parts: part.Parts, Support: part.Support}, nil
+	})
 }

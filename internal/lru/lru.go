@@ -1,7 +1,8 @@
 // Package lru is the repository's one memo: a bounded, string-keyed,
 // least-recently-used cache whose only fill path is a single-flight build.
-// The engine's artifact cache, the plan cache, the dist worker's frame store
-// and the estimator set's per-model memo are all instances of it.
+// The engine's artifact cache, the plan cache, the dist worker's frame store,
+// the dist coordinator's per-worker shipped-frame ledger and the estimator
+// set's per-model memo are all instances of it.
 package lru
 
 import (
@@ -120,6 +121,19 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 		c.misses++
 	}
 	return v, ok
+}
+
+// Forget drops key's value, if cached, so the next Do rebuilds it. It is an
+// invalidation by the caller, not an eviction: no counter moves and onEvict
+// is not called. A build in flight for key is left alone and its value is
+// cached when it ends.
+func (c *Cache[V]) Forget(key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		c.order.Remove(el)
+		delete(c.entries, key)
+	}
 }
 
 // Do returns key's value, building and caching it on a miss. Builds are

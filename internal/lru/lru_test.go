@@ -246,3 +246,47 @@ func TestCancelledWaiterReturnsBuilderFinishes(t *testing.T) {
 		t.Errorf("Get(k) = %v,%v after the build; want 9 cached", v, ok)
 	}
 }
+
+// TestForget: a forgotten value is rebuilt by the next Do — one more miss,
+// nothing counted or reported as evicted — and forgetting an absent key does
+// nothing.
+func TestForget(t *testing.T) {
+	evicted := 0
+	c := New(2, func(string, int) { evicted++ })
+	put(t, c, "a", 1)
+	put(t, c, "b", 2)
+	c.Forget("absent")
+	c.Forget("a")
+	if got, want := c.Keys(), []string{"b"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Keys = %v after Forget(a), want %v", got, want)
+	}
+	put(t, c, "a", 10) // fails unless Do rebuilds
+	if v, ok := c.Get("a"); !ok || v != 10 {
+		t.Errorf("Get(a) = %v,%v; want the rebuilt 10", v, ok)
+	}
+	if st := c.Stats(); st.Misses != 3 || st.Evictions != 0 || st.Entries != 2 || evicted != 0 {
+		t.Errorf("stats = %+v, onEvict calls %d; want 3 misses (one rebuild), no evictions, 2 entries", st, evicted)
+	}
+}
+
+// TestForgetDuringBuild: Forget drops cached values only, so one that
+// arrives while the key is being built leaves the built value cached.
+func TestForgetDuringBuild(t *testing.T) {
+	c := New[int](0, nil)
+	building, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _, _ = c.Do(bg, "k", func() (int, error) {
+			close(building)
+			<-release
+			return 9, nil
+		})
+	}()
+	<-building
+	c.Forget("k")
+	close(release)
+	<-done
+	if v, ok := c.Get("k"); !ok || v != 9 {
+		t.Errorf("Get(k) = %v,%v after a Forget during its build; want 9 cached", v, ok)
+	}
+}
