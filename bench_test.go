@@ -429,6 +429,33 @@ func BenchmarkRepeatWhatIf(b *testing.B) {
 	})
 }
 
+// BenchmarkWhatIfJoinForest is the benchmark's join_forest operation in
+// miniature: the Figure-1 join + GROUP BY view, cross-tuple blocks and a
+// forest fit, on a session whose engine cache and plan cache are fresh per
+// iteration so every stage runs in full.
+func BenchmarkWhatIfJoinForest(b *testing.B) {
+	am := dataset.AmazonSyn(2000, 12, 7)
+	const src = `
+USE (SELECT T1.PID, T1.Category, T1.Price, T1.Brand, T1.Color, T1.Quality,
+            AVG(T2.Rating) AS Rtng
+     FROM Product AS T1, Review AS T2
+     WHERE T1.PID = T2.PID
+     GROUP BY T1.PID, T1.Category, T1.Price, T1.Brand, T1.Color, T1.Quality)
+WHEN Category = 'Laptop'
+UPDATE(Price) = 0.90 * PRE(Price)
+OUTPUT AVG(POST(Rtng))
+FOR PRE(Category) = 'Laptop'`
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := NewSessionWithCache(am.DB, am.Model, NewCache())
+		s.SetPlanCache(NewPlanCache(0))
+		s.SetOptions(Options{Seed: 7})
+		if _, err := s.WhatIf(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkExperimentHarness exercises the full experiment drivers at tiny
 // scale, ensuring the cmd/hyperbench paths stay healthy.
 func BenchmarkExperimentHarness(b *testing.B) {

@@ -21,17 +21,28 @@ const toyUse = `USE (SELECT T1.PID, T1.Category, T1.Price, T1.Brand,
 	WHERE T1.PID = T2.PID
 	GROUP BY T1.PID, T1.Category, T1.Price, T1.Brand)`
 
+// amazonUse is the benchmark's Figure-1 view (bench/gen.go amazonView): one
+// row per product with its average review rating.
+const amazonUse = `USE (SELECT T1.PID, T1.Category, T1.Price, T1.Brand, T1.Color, T1.Quality,
+	AVG(T2.Rating) AS Rtng
+	FROM Product AS T1, Review AS T2
+	WHERE T1.PID = T2.PID
+	GROUP BY T1.PID, T1.Category, T1.Price, T1.Brand, T1.Color, T1.Quality)`
+
 // parityCase is one pinned query; golden fields are filled from a reference
 // run of the pre-columnar engine (formatted with strconv 'g' 17).
 type parityCase struct {
 	name      string
-	dataset   string // "toy", "german", "german-cont"
+	dataset   string // "toy", "german", "german-cont", "amazon"
 	query     string
 	opts      Options
 	estimator string
 	value     string
 	sum       string
 	count     string
+	// Checked when viewRows != 0: the amazon rows also pin the join's view
+	// size, the update set and the number of forests fitted.
+	viewRows, updated, trained int
 }
 
 var parityCases = []parityCase{
@@ -114,6 +125,39 @@ var parityCases = []parityCase{
 		sum:       "377.29518332199797",
 		count:     "377.29518332199797",
 	},
+	// The two join_forest benchmark templates over Amazon-Syn, recorded at
+	// the commit before the split search ran on column ranks and the join on
+	// codes: the join + GROUP BY view feeding a forest is the shape that
+	// change speeds up, and these rows hold it to the old bits.
+	{
+		name:    "amazon-avg-for-forest",
+		dataset: "amazon",
+		query: amazonUse + `
+			WHEN Category = 'Laptop'
+			UPDATE(Price) = 0.90 * PRE(Price)
+			OUTPUT AVG(POST(Rtng))
+			FOR PRE(Category) = 'Laptop'`,
+		opts:      Options{Seed: 7},
+		estimator: "forest",
+		value:     "4.1136798655841149",
+		sum:       "271.50287112855159",
+		count:     "66",
+		viewRows:  300, updated: 66, trained: 2,
+	},
+	{
+		name:    "amazon-count-forest",
+		dataset: "amazon",
+		query: amazonUse + `
+			WHEN Category = 'Phone'
+			UPDATE(Price) = 1.10 * PRE(Price)
+			OUTPUT COUNT(POST(Rtng) >= 4)`,
+		opts:      Options{Seed: 7},
+		estimator: "forest",
+		value:     "204.6225173253587",
+		sum:       "204.6225173253587",
+		count:     "204.6225173253587",
+		viewRows:  300, updated: 67, trained: 1,
+	},
 }
 
 func parityEval(t testing.TB, c parityCase) *Result {
@@ -133,6 +177,9 @@ func parityEval(t testing.TB, c parityCase) *Result {
 	case "german-cont":
 		g := dataset.GermanSynContinuous(1000, 7)
 		res, err = Evaluate(g.DB, g.Model, q, c.opts)
+	case "amazon":
+		a := dataset.AmazonSyn(300, 6, 7)
+		res, err = Evaluate(a.DB, a.Model, q, c.opts)
 	default:
 		t.Fatalf("%s: unknown dataset %q", c.name, c.dataset)
 	}
@@ -160,6 +207,10 @@ func TestWhatIfParityGoldens(t *testing.T) {
 			}
 			if got := f17(res.Count); got != c.count {
 				t.Errorf("count = %s, golden %s", got, c.count)
+			}
+			if c.viewRows != 0 && (res.ViewRows != c.viewRows || res.UpdatedRows != c.updated || res.TrainedModels != c.trained) {
+				t.Errorf("view rows/updated/trained = %d/%d/%d, golden %d/%d/%d",
+					res.ViewRows, res.UpdatedRows, res.TrainedModels, c.viewRows, c.updated, c.trained)
 			}
 		})
 	}

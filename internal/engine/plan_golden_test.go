@@ -74,6 +74,9 @@ func renderPlans(t *testing.T) string {
 	var b strings.Builder
 	cases := append(append([]parityCase{}, parityCases...), planOnlyCases...)
 	for _, c := range cases {
+		if c.dataset == "amazon" {
+			continue // answer-only rows: plans.golden pins the toy/German plans
+		}
 		opts := c.opts
 		opts.Plans = plan.NewCache(0)
 		opts.Cache = NewCache()

@@ -22,6 +22,7 @@ type howtoParityCase struct {
 	name   string
 	cont   bool // german-cont instead of german
 	toy    bool // the paper's toy Product/Review database
+	amazon bool // dataset.AmazonSyn(300, 6, 7)
 	method string
 	srcs   []string
 	target float64 // mincost only
@@ -133,6 +134,26 @@ var howtoParityCases = []howtoParityCase{
 		golden: "{Status: = 3, Savings: = 3, Housing: = 2} objective=1288.6 (base=528)",
 		cands:  11, evals: 33, nodes: 3, objective: "1288.5982089181293",
 	},
+	{
+		// The howto_ip benchmark's Amazon query over the Figure-1 join view,
+		// recorded at the commit before the split search ran on column ranks
+		// and the join on codes: every candidate fits forests on that view.
+		name:   "ip-amazon-join-view",
+		method: "ip",
+		amazon: true,
+		srcs: []string{`
+			USE (SELECT T1.PID, T1.Category, T1.Price, T1.Brand, T1.Color, T1.Quality,
+			            AVG(T2.Rating) AS Rtng
+			     FROM Product AS T1, Review AS T2
+			     WHERE T1.PID = T2.PID
+			     GROUP BY T1.PID, T1.Category, T1.Price, T1.Brand, T1.Color, T1.Quality)
+			WHEN Category = 'Laptop'
+			HOWTOUPDATE Price, Color
+			LIMIT 300 <= POST(Price) <= 1200
+			TOMAXIMIZE AVG(POST(Rtng))`},
+		golden: "{Price: no change, Color: = Black} objective=4.11526 (base=4.07518)",
+		cands:  13, evals: 13, nodes: 1, objective: "4.1152632275132284",
+	},
 }
 
 // load builds the case's database and causal model and parses its queries.
@@ -143,6 +164,9 @@ func (c howtoParityCase) load(t testing.TB) (*relation.Database, *causal.Model, 
 	switch {
 	case c.toy:
 		db, model = dataset.Toy()
+	case c.amazon:
+		a := dataset.AmazonSyn(300, 6, 7)
+		db, model = a.DB, a.Model
 	case c.cont:
 		g := dataset.GermanSynContinuous(1000, 7)
 		db, model = g.DB, g.Model

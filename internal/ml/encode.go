@@ -5,6 +5,17 @@
 // estimator with a non-zero-support index (the optimization of A.4), feature
 // encoding from relational values, and equi-width discretization used by the
 // how-to engine.
+//
+// Trees are grown on a Frame. The first tree fitted on a frame builds its
+// rank store (per column: the distinct values ascending and every row's rank
+// among them), which every later tree, forest and how-to candidate on that
+// frame shares. The split search reads a node's distinct values off those
+// ranks instead of sorting them, bins the node's rows by candidate threshold
+// in one pass, and from the bin sums discards every threshold whose gain is
+// provably below the best one; the single-pass gain the trees have always
+// used (splitGain) then decides among the few that remain, so the fitted
+// trees are bit for bit those of evaluating it on every candidate (see
+// bestSplit and splitEps in tree.go).
 package ml
 
 import (

@@ -29,7 +29,9 @@ type Forest struct {
 // FitForest trains a random forest on (X, y). When p.Tree.MaxFeatures is 0
 // it defaults to ceil(dim/3), the standard regression-forest heuristic.
 // Trees are trained in parallel; determinism is preserved by deriving one
-// RNG per tree from the seed.
+// RNG per tree from the seed. The trees share the frame's rank store (built
+// by the first of them) and each keeps one set of scratch buffers for all of
+// its nodes.
 func FitForest(X [][]float64, y []float64, p ForestParams) *Forest {
 	return FitForestFrame(FrameFromRows(X), nil, y, p)
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"math"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -29,6 +31,11 @@ type Frame struct {
 	codes      []uint32 // codes[c*rows+r]: interned code of that value
 	dicts      []dict   // per-column value (canonical bits) -> code
 	card       []uint32 // distinct values per column
+
+	// Per-column order index, built lazily by rankStore the first time a
+	// tree is fitted on the frame (freq and linear fits never need it).
+	rankOnce sync.Once
+	ranks    *rankStore
 }
 
 // dict interns encoded float values. Keys are canonical IEEE bits so that
@@ -116,8 +123,13 @@ func (f *Frame) intern() {
 		}
 	}
 	// Columns intern independently (codes are per-column, assigned in row
-	// order), so interning fans out across columns without changing any
-	// code; the pool is bounded by the frame's construction fan-out hint.
+	// order), so interning fans out across columns without changing any code.
+	f.eachColumn(internCol)
+}
+
+// eachColumn runs fn once per column, fanned out over a pool bounded by the
+// frame's construction fan-out hint. fn must touch only its own column.
+func (f *Frame) eachColumn(fn func(c int)) {
 	w := f.workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -125,28 +137,84 @@ func (f *Frame) intern() {
 	if w > f.dim {
 		w = f.dim
 	}
-	if w > 1 {
-		var nextCol atomic.Int64
-		var wg sync.WaitGroup
-		for i := 0; i < w; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					c := int(nextCol.Add(1)) - 1
-					if c >= f.dim {
-						return
-					}
-					internCol(c)
-				}
-			}()
+	if w <= 1 {
+		for c := 0; c < f.dim; c++ {
+			fn(c)
 		}
-		wg.Wait()
 		return
 	}
-	for c := 0; c < f.dim; c++ {
-		internCol(c)
+	var nextCol atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < w; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				c := int(nextCol.Add(1)) - 1
+				if c >= f.dim {
+					return
+				}
+				fn(c)
+			}
+		}()
 	}
+	wg.Wait()
+}
+
+// rankStore is a frame's per-column order index, the substrate of the tree
+// split search: which values a node holds, in ascending order, becomes a
+// question about small integers instead of a sort of the node's values. It
+// costs 4 bytes per row per column plus the distinct values, and lives as
+// long as the frame does (in the engine: while the estimator set is cached).
+type rankStore struct {
+	// vals[c] holds column c's distinct non-NaN values ascending (-0 and +0
+	// are one value), followed by a single NaN when the column has any: NaN
+	// ranks last, so a walk in rank order meets it after every real value.
+	vals [][]float64
+	// rank[c*rows+r] indexes vals[c] at the value of row r.
+	rank []uint32
+	// maxCard is the longest vals[c].
+	maxCard int
+}
+
+// rankStore returns the frame's order index, building it on first use
+// (idempotent, safe for concurrent use: concurrent first callers share one
+// build, like Intern).
+func (f *Frame) rankStore() *rankStore {
+	f.rankOnce.Do(func() {
+		s := &rankStore{vals: make([][]float64, f.dim), rank: make([]uint32, f.rows*f.dim)}
+		f.eachColumn(func(c int) {
+			col := f.Col(c)
+			sorted := append([]float64(nil), col...)
+			sort.Float64s(sorted) // NaNs first
+			nan := 0
+			for nan < len(sorted) && sorted[nan] != sorted[nan] {
+				nan++
+			}
+			distinct := slices.Compact(sorted[nan:])
+			// Copied out so the index keeps the distinct values only, not
+			// the sorted column they were compacted in.
+			vals := append(make([]float64, 0, len(distinct)+1), distinct...)
+			real := vals
+			if nan > 0 {
+				vals = append(vals, math.NaN())
+			}
+			rank := s.rank[c*f.rows : (c+1)*f.rows]
+			for r, v := range col {
+				if v != v {
+					rank[r] = uint32(len(real))
+				} else {
+					rank[r] = uint32(sort.SearchFloat64s(real, v))
+				}
+			}
+			s.vals[c] = vals
+		})
+		for _, v := range s.vals {
+			s.maxCard = max(s.maxCard, len(v))
+		}
+		f.ranks = s
+	})
+	return f.ranks
 }
 
 // Rows returns the number of encoded rows.

@@ -2,7 +2,8 @@ package ml
 
 import (
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"hyper/internal/stats"
 )
@@ -74,32 +75,78 @@ func FitTree(X [][]float64, y []float64, rows []int, p TreeParams, rng *stats.RN
 // FitTreeFrame trains a regression tree over frame rows. sel maps training
 // positions to frame rows (nil for identity); y is parallel to positions;
 // rows selects positions (with repetition, enabling bootstrap) and may be
-// nil for all.
+// nil for all. rows is not modified.
 func FitTreeFrame(fr *Frame, sel []int, y []float64, rows []int, p TreeParams, rng *stats.RNG) *Tree {
+	own := slices.Clone(rows)
 	if rows == nil {
-		rows = make([]int, len(y))
-		for i := range rows {
-			rows[i] = i
+		own = make([]int, len(y))
+		for i := range own {
+			own[i] = i
 		}
 	}
+	return fitTreeOwned(fr, sel, y, own, p, rng)
+}
+
+// fitTreeOwned is FitTreeFrame over a row list the builder may reorder.
+func fitTreeOwned(fr *Frame, sel []int, y []float64, rows []int, p TreeParams, rng *stats.RNG) *Tree {
+	b := newTreeBuilder(fr, sel, y, len(rows), p, rng)
+	return &Tree{dim: fr.dim, root: b.build(rows, 0)}
+}
+
+// treeBuilder grows one tree. Everything below the frame and label fields
+// is scratch sized once per tree and reused by every node and feature, so
+// induction allocates tree nodes and nothing else.
+type treeBuilder struct {
+	X     frameView
+	y     []float64
+	p     TreeParams
+	rng   *stats.RNG
+	dim   int
+	ranks *rankStore
+
+	feats []int // the current node's candidate features
+	spill []int // right-hand rows while a node's row list is partitioned
+
+	// Per node: z[i] = y[rows[i]] - node mean.
+	z []float64
+	// Per (node, feature): the rank of each node row, which ranks occur
+	// (stamp[rank] == epoch), those ranks ascending, and each one's bin.
+	rk      []uint32
+	stamp   []uint32
+	epoch   uint32
+	present []uint32
+	binOf   []int32
+	// Per (node, feature): the candidate thresholds ascending; the rows, sum
+	// of z and sum of z^2 of each bin (bin j holds the values that first go
+	// left at threshold j; the last bin never goes left), turned into the
+	// totals left of each threshold; and the approximate gains.
+	thr         []float64
+	cnt         []int
+	s1, s2      []float64
+	approx      []float64
+	searches    int // (node, feature) searches run
+	candidates  int // thresholds they held
+	exactPasses int // splitGain passes they needed
+}
+
+func newTreeBuilder(fr *Frame, sel []int, y []float64, n int, p TreeParams, rng *stats.RNG) *treeBuilder {
 	if p.MaxThresholds <= 0 {
 		p.MaxThresholds = 32
 	}
 	if p.MinLeaf <= 0 {
 		p.MinLeaf = 1
 	}
-	t := &Tree{dim: fr.dim}
-	b := &treeBuilder{X: frameView{fr: fr, sel: sel}, y: y, p: p, rng: rng, dim: fr.dim}
-	t.root = b.build(rows, 0)
-	return t
-}
-
-type treeBuilder struct {
-	X   frameView
-	y   []float64
-	p   TreeParams
-	rng *stats.RNG
-	dim int
+	ranks := fr.rankStore()
+	k := p.MaxThresholds
+	return &treeBuilder{
+		X: frameView{fr: fr, sel: sel}, y: y, p: p, rng: rng, dim: fr.dim, ranks: ranks,
+		feats: make([]int, 0, fr.dim), spill: make([]int, 0, n),
+		z: make([]float64, n), rk: make([]uint32, n),
+		stamp: make([]uint32, ranks.maxCard), present: make([]uint32, 0, min(n, ranks.maxCard)),
+		binOf: make([]int32, ranks.maxCard),
+		thr:   make([]float64, 0, k), approx: make([]float64, k),
+		cnt: make([]int, k+1), s1: make([]float64, k+1), s2: make([]float64, k+1),
+	}
 }
 
 func (b *treeBuilder) build(rows []int, depth int) *treeNode {
@@ -107,46 +154,84 @@ func (b *treeBuilder) build(rows []int, depth int) *treeNode {
 	if len(rows) < 2*b.p.MinLeaf || (b.p.MaxDepth > 0 && depth >= b.p.MaxDepth) || sse <= 1e-12 {
 		return &treeNode{leaf: true, value: mean}
 	}
-	feat, thr, gain := b.bestSplit(rows, sse)
+	feat, thr, gain := b.bestSplit(rows, mean, sse)
 	if gain <= 1e-12 {
 		return &treeNode{leaf: true, value: mean}
 	}
-	var left, right []int
+	// Stable partition in place: both sides keep the node's row order, which
+	// the order-sensitive exact pass of the children depends on.
+	col, nl, spill := b.X.col(feat), 0, b.spill[:0]
 	for _, r := range rows {
-		if b.X.at(r, feat) <= thr {
-			left = append(left, r)
+		if col[b.X.rowOf(r)] <= thr {
+			rows[nl] = r
+			nl++
 		} else {
-			right = append(right, r)
+			spill = append(spill, r)
 		}
 	}
-	if len(left) < b.p.MinLeaf || len(right) < b.p.MinLeaf {
+	copy(rows[nl:], spill)
+	if nl < b.p.MinLeaf || len(rows)-nl < b.p.MinLeaf {
 		return &treeNode{leaf: true, value: mean}
 	}
 	return &treeNode{
 		feature:   feat,
 		threshold: thr,
-		left:      b.build(left, depth+1),
-		right:     b.build(right, depth+1),
+		left:      b.build(rows[:nl], depth+1),
+		right:     b.build(rows[nl:], depth+1),
 	}
 }
 
-// bestSplit scans candidate features/thresholds and returns the split with
-// the largest SSE reduction.
-func (b *treeBuilder) bestSplit(rows []int, parentSSE float64) (feat int, thr, gain float64) {
-	feats := b.candidateFeatures()
+// bestSplit returns the (feature, threshold) with the largest SSE reduction
+// over the node's candidate features and, per feature, up to MaxThresholds
+// midpoints between the distinct values the node holds — the first such
+// pair in (feature, ascending threshold) order when several tie — or
+// feature -1 and gain 0 when no split reduces the SSE.
+//
+// splitGain is the only arbiter: a candidate wins by g > bestGain on the
+// value splitGain returns, in that iteration order. What this function adds
+// is a filter that decides which candidates splitGain has to see. Per
+// feature, one pass over the node's rows accumulates the count, sum of z and
+// sum of z^2 of every threshold bin (z = y - node mean), and prefix and
+// suffix sums over the bins give every threshold j its exact row counts and
+// an approximate gain g~_j = parentSSE - sse(left) - sse(right) with
+// sse(side) = sum z^2 - (sum z)^2 / n. Let g_j be what splitGain returns.
+//
+//   - Counts are exact, so a threshold that leaves a side under MinLeaf is
+//     known to have g_j = 0, which never beats bestGain >= 0: dropped.
+//   - |g~_j - g_j| <= eps (splitEps), so with m = max_j g~_j every
+//     threshold with g~_j < m - 2 eps has g_j < g~_j + eps < m - eps <= g of
+//     the arg-max of g~: strictly below a threshold that is evaluated, so
+//     it is not the first maximum. Dropped.
+//   - g~_j + eps <= bestGain means g_j <= bestGain: not an update. Dropped.
+//
+// The survivors go through splitGain in the original order, so the winner,
+// its threshold bits and its gain bits are those of running splitGain on
+// every candidate. The comparisons are written so that a NaN g~ survives.
+func (b *treeBuilder) bestSplit(rows []int, mean, parentSSE float64) (feat int, thr, gain float64) {
+	sumY2 := 0.0
+	for i, r := range rows {
+		v := b.y[r]
+		sumY2 += v * v
+		b.z[i] = v - mean
+	}
+	eps := splitEps(len(rows), sumY2)
 	bestGain := 0.0
 	bestFeat, bestThr := -1, 0.0
-	vals := make([]float64, 0, len(rows))
-	for _, f := range feats {
-		col := b.X.col(f)
-		vals = vals[:0]
-		for _, r := range rows {
-			vals = append(vals, col[b.X.rowOf(r)])
+	for _, f := range b.candidateFeatures() {
+		thresholds := b.binThresholds(rows, f)
+		b.searches++
+		b.candidates += len(thresholds)
+		if len(thresholds) == 0 {
+			continue
 		}
-		thresholds := candidateThresholds(vals, b.p.MaxThresholds)
-		for _, t := range thresholds {
-			g := b.splitGain(rows, f, t, parentSSE)
-			if g > bestGain {
+		top := b.approxGains(len(rows), parentSSE)
+		for j, t := range thresholds {
+			g := b.approx[j]
+			if b.cnt[j] < b.p.MinLeaf || len(rows)-b.cnt[j] < b.p.MinLeaf || g < top-2*eps || g+eps <= bestGain {
+				continue
+			}
+			b.exactPasses++
+			if g := b.splitGain(rows, f, t, parentSSE); g > bestGain {
 				bestGain, bestFeat, bestThr = g, f, t
 			}
 		}
@@ -154,15 +239,198 @@ func (b *treeBuilder) bestSplit(rows []int, parentSSE float64) (feat int, thr, g
 	return bestFeat, bestThr, bestGain
 }
 
+// splitEps bounds |g~ - g| for a node of n rows whose labels have sum of
+// squares sumY2, where g = parentSSE - m2L - m2R is splitGain's value and g~
+// the bin-sum value of approxGains. Both estimate the same real number
+// parentSSE - SSE(left) - SSE(right). With u = 2^-53, A = sumY2, and every
+// bound to first order in u:
+//
+//   - Welford over a side of m rows. Write a_k = v_k - mean_{k-1}; the
+//     computed running mean errs by e_k with
+//     k|e_k| <= (k-1)|e_{k-1}| + 2u|a_k| + u|v_1 + ... + v_k|, hence
+//     |e_k| <= u sqrt(A_side) (sqrt(m+1) + 4.83), using
+//     sum_{k>=2} |a_k| <= sqrt(2 m SSE) and |v_1 + ... + v_k| <= sqrt(k A_side);
+//     m2 errs by at most (m+3) u SSE + 2 max|e_k| sum_{k>=2} |a_k|
+//     <= (4m + 14 sqrt(m) + 5) u A_side (SSE <= A_side). This is the
+//     n kappa u of Chan, Golub and LeVeque (1983) with its constant written
+//     out. Over the two sides: at most (4n + 14 sqrt(n) + 5) u A.
+//   - The centred sums over a side. A prefix or suffix sum is a chain of at
+//     most k additions per term, k <= n + MaxThresholds <= 2n (rows into
+//     bins, bins into sums; both sides are accumulated, neither is obtained
+//     by subtraction, so there is no cancellation term). sum z^2 errs by
+//     (k+1) u sum z^2, (sum z)^2/n by (2k+2) u sum z^2 (Cauchy-Schwarz),
+//     their difference by u sum z^2 more, and rounding z = y - mean itself
+//     moves the side's SSE by 2u sum z^2. sum z^2 over the node is its SSE
+//     <= A, so over the two sides: at most (6n + 8) u A.
+//   - The two subtractions from parentSSE <= A: at most 3u A for g, 3u A
+//     for g~.
+//
+// That is (10n + 14 sqrt(n) + 19) u A; eps = 32 (n+4) u A is three times it
+// and more, which also absorbs the rounding of A itself and every
+// second-order term (n u < 2^-20 for any frame that fits in memory).
+// Underflow adds at most n 2^-1074, nothing against eps >= 32 n u 1e-12:
+// build only searches nodes whose SSE, a lower bound on A, exceeds 1e-12.
+// When A is not finite, or so large that a sum of n squares could overflow,
+// eps is +Inf and every threshold that passes MinLeaf takes the exact pass.
+func splitEps(n int, sumY2 float64) float64 {
+	scale := float64(n+4) * sumY2
+	if !(scale <= math.MaxFloat64/8) {
+		return math.Inf(1)
+	}
+	return scale * 32 / (1 << 53)
+}
+
+// candidateFeatures draws the node's feature subset into scratch: all
+// features in order, or MaxFeatures of them drawn without replacement.
 func (b *treeBuilder) candidateFeatures() []int {
 	if b.p.MaxFeatures <= 0 || b.p.MaxFeatures >= b.dim || b.rng == nil {
-		all := make([]int, b.dim)
-		for i := range all {
-			all[i] = i
+		b.feats = b.feats[:0]
+		for i := 0; i < b.dim; i++ {
+			b.feats = append(b.feats, i)
 		}
-		return all
+		return b.feats
 	}
-	return b.rng.SampleIndexes(b.dim, b.p.MaxFeatures)
+	b.feats = b.rng.SampleIndexesInto(b.feats, b.dim, b.p.MaxFeatures)
+	return b.feats
+}
+
+// binThresholds finds feature f's candidate thresholds for the node
+// and assigns every value the node holds to its bin, leaving b.rk, b.binOf
+// and b.thr set for approxGains.
+//
+// The candidates are the midpoints (d[i]+d[i+1])/2 of the node's distinct
+// values d in ascending order — all of them when there are at most
+// MaxThresholds, else the MaxThresholds at indexes i*len(mids)/MaxThresholds
+// — where every NaN row counts as a distinct value of its own, ahead of the
+// real ones (NaN never equals its neighbour). A NaN midpoint (next to a NaN
+// row, or between -Inf and +Inf) takes no row left and is never a candidate,
+// but it holds its place in the index arithmetic. The rest are returned
+// ascending.
+func (b *treeBuilder) binThresholds(rows []int, f int) []float64 {
+	vals := b.ranks.vals[f]
+	rank := b.ranks.rank[f*b.X.fr.rows : (f+1)*b.X.fr.rows]
+	nanRank := uint32(len(vals)) // no such rank unless the column has NaN
+	if n := len(vals); n > 0 && vals[n-1] != vals[n-1] {
+		nanRank = uint32(n - 1)
+	}
+
+	// The ranks present in the node, ascending: stamped as they are met,
+	// then either sorted or read off the stamp array, whichever is less work.
+	b.epoch++
+	if b.epoch == 0 { // wrapped: stale stamps could alias the new epoch
+		clear(b.stamp)
+		b.epoch = 1
+	}
+	present, nans := b.present[:0], 0
+	for i, r := range rows {
+		k := rank[b.X.rowOf(r)]
+		b.rk[i] = k
+		if k == nanRank {
+			nans++
+		}
+		if b.stamp[k] != b.epoch {
+			b.stamp[k] = b.epoch
+			present = append(present, k)
+		}
+	}
+	if len(present)*bits.Len(uint(len(present))) < len(vals) {
+		slices.Sort(present)
+	} else {
+		present = present[:0]
+		for k, s := range b.stamp[:len(vals)] {
+			if s == b.epoch {
+				present = append(present, uint32(k))
+			}
+		}
+	}
+	b.present = present
+
+	// d = nans NaN entries, then the real values present; mids[i] pairs
+	// d[i] with d[i+1].
+	thr := b.thr[:0]
+	real := len(present)
+	if nans > 0 {
+		real--
+	}
+	mids := nans + real - 1
+	mid := func(i int) {
+		if i < nans {
+			return
+		}
+		if t := (vals[present[i-nans]] + vals[present[i-nans+1]]) / 2; t == t {
+			thr = append(thr, t)
+		}
+	}
+	if mids <= b.p.MaxThresholds {
+		for i := 0; i < mids; i++ {
+			mid(i)
+		}
+	} else {
+		for i := 0; i < b.p.MaxThresholds; i++ {
+			mid(i * mids / b.p.MaxThresholds)
+		}
+	}
+	b.thr = thr
+
+	// A value's bin is the first threshold it is <= to, compared against
+	// the thresholds themselves: the midpoint of adjacent floats can round
+	// onto its upper neighbour, so positions alone do not decide it. NaN is
+	// <= nothing and lands in the last bin, which never goes left.
+	j := 0
+	for _, k := range present {
+		for j < len(thr) && !(vals[k] <= thr[j]) {
+			j++
+		}
+		b.binOf[k] = int32(j)
+	}
+	return thr
+}
+
+// approxGains accumulates the node's rows into the bins binThresholds
+// assigned and leaves, per threshold j, the exact row count left of it in
+// b.cnt[j] (the rest of the n rows are right of it) and the approximate gain
+// in b.approx[j]. It returns the largest approximate gain among thresholds
+// both of whose sides reach MinLeaf (-Inf when there is none).
+func (b *treeBuilder) approxGains(n int, parentSSE float64) float64 {
+	k := len(b.thr)
+	cnt, s1, s2 := b.cnt[:k+1], b.s1[:k+1], b.s2[:k+1]
+	clear(cnt)
+	clear(s1)
+	clear(s2)
+	for i, r := range b.rk[:n] {
+		j, z := b.binOf[r], b.z[i]
+		cnt[j]++
+		s1[j] += z
+		s2[j] += z * z
+	}
+	// Right of threshold j is bins j+1..k, summed from the right: b.approx[j]
+	// holds the right side's SSE until the left side's is known.
+	nR, sR, qR := 0, 0.0, 0.0
+	for j := k - 1; j >= 0; j-- {
+		nR += cnt[j+1]
+		sR += s1[j+1]
+		qR += s2[j+1]
+		b.approx[j] = qR - sR*sR/float64(nR)
+	}
+	// Left of it is bins 0..j: prefix sums in place.
+	top := math.Inf(-1)
+	for j := 0; j < k; j++ {
+		if j > 0 {
+			cnt[j] += cnt[j-1]
+			s1[j] += s1[j-1]
+			s2[j] += s2[j-1]
+		}
+		if cnt[j] < b.p.MinLeaf || n-cnt[j] < b.p.MinLeaf {
+			continue
+		}
+		sseL := s2[j] - s1[j]*s1[j]/float64(cnt[j])
+		g := parentSSE - sseL - b.approx[j]
+		b.approx[j] = g
+		if g > top {
+			top = g
+		}
+	}
+	return top
 }
 
 // splitGain computes the SSE reduction of splitting rows on X[f] <= t using
@@ -189,34 +457,6 @@ func (b *treeBuilder) splitGain(rows []int, f int, t, parentSSE float64) float64
 		return 0
 	}
 	return parentSSE - m2L - m2R
-}
-
-// candidateThresholds picks up to maxT midpoints between distinct sorted
-// values (all midpoints when few distinct values, quantile-spaced otherwise).
-func candidateThresholds(vals []float64, maxT int) []float64 {
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	distinct := sorted[:0]
-	for i, v := range sorted {
-		if i == 0 || v != distinct[len(distinct)-1] {
-			distinct = append(distinct, v)
-		}
-	}
-	if len(distinct) < 2 {
-		return nil
-	}
-	mids := make([]float64, 0, len(distinct)-1)
-	for i := 0; i+1 < len(distinct); i++ {
-		mids = append(mids, (distinct[i]+distinct[i+1])/2)
-	}
-	if len(mids) <= maxT {
-		return mids
-	}
-	out := make([]float64, 0, maxT)
-	for i := 0; i < maxT; i++ {
-		out = append(out, mids[i*len(mids)/maxT])
-	}
-	return out
 }
 
 func meanSSE(y []float64, rows []int) (mean, sse float64) {

@@ -120,6 +120,14 @@ func (c *CodedColumn) Code(v Value) (uint32, bool) {
 	return c.dict.get(keyOf(v))
 }
 
+// At returns the code of row i.
+func (c *CodedColumn) At(i int) uint32 {
+	if c.wide != nil {
+		return c.wide[i]
+	}
+	return uint32(c.narrow[i])
+}
+
 // Gather sets dst[i] = byCode[code of row i] for every row: a per-row
 // projection of anything decided once per distinct value.
 func (c *CodedColumn) Gather(byCode, dst []float64) {

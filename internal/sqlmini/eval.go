@@ -1,8 +1,11 @@
 // Package sqlmini evaluates the SQL fragment HypeR embeds in the USE
 // operator (Section 3.1): SELECT with column and aggregate projections, FROM
-// with multiple tables, WHERE with equi-joins and filters, and GROUP BY. It
-// also provides the general expression evaluator used by the engine for
-// WHEN and FOR predicates with PRE()/POST() environments.
+// with multiple tables, WHERE with equi-joins and filters, and GROUP BY. The
+// one executor (RunSelect) keeps joined rows as tuples of base-row indexes
+// and joins and groups on the relations' shared column codes, never on
+// formatted key strings. It also provides the general expression evaluator
+// used by the engine for WHEN and FOR predicates with PRE()/POST()
+// environments.
 package sqlmini
 
 import (

@@ -1,7 +1,9 @@
 package sqlmini
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 
 	"hyper/internal/hyperql"
@@ -9,36 +11,49 @@ import (
 )
 
 // RunSelect evaluates a USE sub-select against db and materializes the
-// relevant view as a relation named name. Joins are executed as left-deep
-// hash joins over the equality conjuncts of WHERE; the residual predicate
-// filters the joined rows; GROUP BY groups and computes the aggregates.
+// relevant view as a relation named name.
+//
+// A joined row is never built: it is a tuple of base-row indexes, one per
+// FROM table, and every later step reads the base rows through it. Joins run
+// left-deep over the equality conjuncts of WHERE, on the tables' shared
+// column codes (relation.Relation.Coded): the right column's dictionary is
+// translated into the left column's code space once per distinct value, the
+// right rows are bucketed per key in right-row order, and each left tuple
+// probes by code. Codes intern under relation.Value's canonical-key
+// identity, so NULL joins NULL and Int 3 joins Float 3.0, as keys formatted
+// per row did. Joined rows come out in left order, then right-row order; the
+// residual predicate filters them in that order; GROUP BY forms groups in
+// first-seen order and every aggregate adds its rows in that order, so SUM
+// and AVG are summed in one fixed order whatever the key representation.
 func RunSelect(db *relation.Database, sel *hyperql.SelectStmt, name string) (*relation.Relation, error) {
 	j, err := newJoiner(db, sel)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := j.run()
-	if err != nil {
+	if err := j.run(); err != nil {
 		return nil, err
 	}
 	if len(sel.GroupBy) == 0 {
-		return j.project(rows, name)
+		return j.project(name)
 	}
-	return j.groupProject(rows, name)
+	return j.groupProject(name)
 }
 
-// joiner holds the combined schema of all FROM tables.
+// joiner executes one select over its FROM tables.
 type joiner struct {
-	db      *relation.Database
 	sel     *hyperql.SelectStmt
 	tables  []*relation.Relation // in FROM order
 	aliases []string
-	offsets []int // column offset of each table in the combined row
-	width   int
+	// rows holds the joined rows back to back, len(tables) base-row indexes
+	// each (set by run).
+	rows []int32
 }
 
+// colRef is a resolved column reference: a FROM table and a column of it.
+type colRef struct{ table, col int }
+
 func newJoiner(db *relation.Database, sel *hyperql.SelectStmt) (*joiner, error) {
-	j := &joiner{db: db, sel: sel}
+	j := &joiner{sel: sel}
 	for _, tr := range sel.From {
 		r := db.Relation(tr.Name)
 		if r == nil {
@@ -55,149 +70,249 @@ func newJoiner(db *relation.Database, sel *hyperql.SelectStmt) (*joiner, error) 
 		}
 		j.tables = append(j.tables, r)
 		j.aliases = append(j.aliases, alias)
-		j.offsets = append(j.offsets, j.width)
-		j.width += r.Schema().Len()
 	}
 	return j, nil
 }
 
-// resolve maps a column reference to its combined-row offset.
-func (j *joiner) resolve(table, name string) (int, error) {
+// resolve maps a column reference to its table and column.
+func (j *joiner) resolve(table, name string) (colRef, error) {
 	if table != "" {
 		for ti, a := range j.aliases {
 			if a == table || j.tables[ti].Name() == table {
 				ci, ok := j.tables[ti].Schema().Index(name)
 				if !ok {
-					return -1, fmt.Errorf("sqlmini: table %q has no column %q", table, name)
+					return colRef{}, fmt.Errorf("sqlmini: table %q has no column %q", table, name)
 				}
-				return j.offsets[ti] + ci, nil
+				return colRef{ti, ci}, nil
 			}
 		}
-		return -1, fmt.Errorf("sqlmini: unknown table %q", table)
+		return colRef{}, fmt.Errorf("sqlmini: unknown table %q", table)
 	}
-	found := -1
+	found := false
+	var ref colRef
 	for ti, r := range j.tables {
 		if ci, ok := r.Schema().Index(name); ok {
-			if found >= 0 {
-				return -1, fmt.Errorf("sqlmini: column %q is ambiguous", name)
+			if found {
+				return colRef{}, fmt.Errorf("sqlmini: column %q is ambiguous", name)
 			}
-			found = j.offsets[ti] + ci
+			found, ref = true, colRef{ti, ci}
 		}
 	}
-	if found < 0 {
-		return -1, fmt.Errorf("sqlmini: unknown column %q", name)
+	if !found {
+		return colRef{}, fmt.Errorf("sqlmini: unknown column %q", name)
 	}
-	return found, nil
+	return ref, nil
 }
 
-// sourceCol returns the schema column for a combined-row offset.
-func (j *joiner) sourceCol(off int) relation.Column {
-	for ti := len(j.tables) - 1; ti >= 0; ti-- {
-		if off >= j.offsets[ti] {
-			return j.tables[ti].Schema().Col(off - j.offsets[ti])
-		}
-	}
-	panic("sqlmini: offset out of range")
+// value reads column c of a joined row.
+func (j *joiner) value(tuple []int32, c colRef) relation.Value {
+	return j.tables[c.table].Row(int(tuple[c.table]))[c.col]
 }
 
-// joinCond is one equi-join conjunct between two tables.
-type joinCond struct {
-	leftOff, rightOff int
-	rightTable        int
+// outputCol is the view column a projected source column becomes.
+func (j *joiner) outputCol(c colRef, name string) relation.Column {
+	src := j.tables[c.table].Schema().Col(c.col)
+	return relation.Column{Name: name, Kind: src.Kind, Key: src.Key, Mutable: src.Mutable}
 }
 
-// run executes the joins and the residual filter, returning combined rows.
-func (j *joiner) run() ([][]relation.Value, error) {
-	conjuncts := splitAnd(j.sel.Where)
+// joinCond is one equi-join conjunct, oriented so right is in the later table.
+type joinCond struct{ left, right colRef }
+
+// run executes the joins and the residual filter, leaving the joined rows in
+// j.rows.
+func (j *joiner) run() error {
+	nt := len(j.tables)
 	var residual []hyperql.Expr
 	// joinsFor[t] holds equi-join conditions usable when table t joins in.
-	joinsFor := make([][]joinCond, len(j.tables))
-	for _, c := range conjuncts {
+	joinsFor := make([][]joinCond, nt)
+	for _, c := range splitAnd(j.sel.Where) {
 		if jc, ok := j.asJoinCond(c); ok {
-			joinsFor[jc.rightTable] = append(joinsFor[jc.rightTable], jc)
+			joinsFor[jc.right.table] = append(joinsFor[jc.right.table], jc)
 			continue
 		}
 		residual = append(residual, c)
 	}
 
-	// Left-deep pipeline: start with table 0, hash-join each next table.
-	cur := make([][]relation.Value, 0, j.tables[0].Len())
-	for _, row := range j.tables[0].Rows() {
-		combined := make([]relation.Value, j.width)
-		copy(combined[j.offsets[0]:], row)
-		cur = append(cur, combined)
+	// Left-deep pipeline: start with table 0, join each next table.
+	cur := make([]int32, j.tables[0].Len()*nt)
+	for i := 0; i*nt < len(cur); i++ {
+		cur[i*nt] = int32(i)
 	}
-	for t := 1; t < len(j.tables); t++ {
-		conds := joinsFor[t]
-		next := make([][]relation.Value, 0, len(cur))
-		rt := j.tables[t]
-		if len(conds) == 0 {
-			// Cross product (rare; guarded by size).
-			if len(cur)*rt.Len() > 5_000_000 {
-				return nil, fmt.Errorf("sqlmini: refusing cross product of %d x %d rows; add a join condition", len(cur), rt.Len())
-			}
-			for _, c := range cur {
-				for _, row := range rt.Rows() {
-					nc := append([]relation.Value(nil), c...)
-					copy(nc[j.offsets[t]:], row)
-					next = append(next, nc)
-				}
-			}
-			cur = next
+	for t := 1; t < nt; t++ {
+		if conds := joinsFor[t]; len(conds) > 0 {
+			cur = j.equiJoin(cur, t, conds)
 			continue
 		}
-		// Build hash on the new table keyed by its join columns.
-		hash := make(map[string][]int, rt.Len())
-		for ri, row := range rt.Rows() {
-			var kb strings.Builder
-			for _, c := range conds {
-				kb.WriteString(row[c.rightOff-j.offsets[t]].Key())
-				kb.WriteByte('|')
-			}
-			k := kb.String()
-			hash[k] = append(hash[k], ri)
+		// Cross product (rare; guarded by size).
+		n := j.tables[t].Len()
+		if len(cur)/nt*n > 5_000_000 {
+			return fmt.Errorf("sqlmini: refusing cross product of %d x %d rows; add a join condition", len(cur)/nt, n)
 		}
-		for _, c := range cur {
-			var kb strings.Builder
-			for _, cond := range conds {
-				kb.WriteString(c[cond.leftOff].Key())
-				kb.WriteByte('|')
-			}
-			for _, ri := range hash[kb.String()] {
-				nc := append([]relation.Value(nil), c...)
-				copy(nc[j.offsets[t]:], rt.Row(ri))
-				next = append(next, nc)
+		next := make([]int32, 0, len(cur)*n)
+		for k := 0; k < len(cur); k += nt {
+			for ri := 0; ri < n; ri++ {
+				next = append(next, cur[k:k+nt]...)
+				next[len(next)-nt+t] = int32(ri)
 			}
 		}
 		cur = next
 	}
 
-	if len(residual) == 0 {
-		return cur, nil
-	}
-	out := cur[:0]
-	for _, row := range cur {
-		env := combinedEnv{j: j, row: row}
-		keep := true
-		for _, c := range residual {
-			ok, err := EvalBool(c, env)
-			if err != nil {
-				return nil, err
+	if len(residual) > 0 {
+		env := &tupleEnv{j: j, refs: make(map[[2]string]resolved)}
+		out := cur[:0]
+	rows:
+		for k := 0; k < len(cur); k += nt {
+			env.tuple = cur[k : k+nt]
+			for _, c := range residual {
+				ok, err := EvalBool(c, env)
+				if err != nil {
+					return err
+				}
+				if !ok {
+					continue rows
+				}
 			}
-			if !ok {
-				keep = false
-				break
+			out = append(out, env.tuple...)
+		}
+		cur = out
+	}
+	j.rows = cur
+	return nil
+}
+
+// equiJoin joins table t to the tuples in cur on conds and returns the
+// matches: for each tuple of cur in order, the matching rows of t in row
+// order.
+func (j *joiner) equiJoin(cur []int32, t int, conds []joinCond) []int32 {
+	nt, rt := len(j.tables), j.tables[t]
+	// Per conjunct: both columns' codes, and the right column's code -> the
+	// left column's code for the same value (-1: the left column lacks it).
+	left := make([]*relation.CodedColumn, len(conds))
+	right := make([]*relation.CodedColumn, len(conds))
+	toLeft := make([][]int32, len(conds))
+	alphabet := make([]int, len(conds))
+	for k, c := range conds {
+		left[k] = j.tables[c.left.table].Coded(c.left.col)
+		right[k] = rt.Coded(c.right.col)
+		toLeft[k] = make([]int32, len(right[k].Values))
+		for rc, v := range right[k].Values {
+			toLeft[k][rc] = -1
+			if lc, ok := left[k].Code(v); ok {
+				toLeft[k][rc] = int32(lc)
 			}
 		}
-		if keep {
-			out = append(out, row)
+		alphabet[k] = len(left[k].Values)
+	}
+
+	// Bucket the right rows by key, each bucket in row order (a counting
+	// sort over the ids of the distinct keys).
+	keys := newTupleIndex(alphabet)
+	digits := make([]uint32, len(conds))
+	ids := make([]int32, rt.Len())
+	var fill []int32 // per key id: its row count, then its write cursor
+build:
+	for ri := range ids {
+		ids[ri] = -1
+		for k := range conds {
+			lc := toLeft[k][right[k].At(ri)]
+			if lc < 0 {
+				continue build
+			}
+			digits[k] = uint32(lc)
+		}
+		id, _ := keys.id(digits, true)
+		if int(id) == len(fill) {
+			fill = append(fill, 0)
+		}
+		fill[id]++
+		ids[ri] = id
+	}
+	start := make([]int32, len(fill)+1)
+	for id, n := range fill {
+		start[id+1] = start[id] + n
+		fill[id] = start[id]
+	}
+	byKey := make([]int32, start[len(fill)])
+	for ri, id := range ids {
+		if id >= 0 {
+			byKey[fill[id]] = int32(ri)
+			fill[id]++
 		}
 	}
-	return out, nil
+
+	next := make([]int32, 0, len(cur))
+	for k := 0; k < len(cur); k += nt {
+		tuple := cur[k : k+nt]
+		for c, cond := range conds {
+			digits[c] = left[c].At(int(tuple[cond.left.table]))
+		}
+		id, ok := keys.id(digits, false)
+		if !ok {
+			continue
+		}
+		for _, ri := range byKey[start[id]:start[id+1]] {
+			next = append(next, tuple...)
+			next[len(next)-nt+t] = ri
+		}
+	}
+	return next
+}
+
+// tupleIndex gives the distinct tuples of small integers it is shown dense
+// ids in first-seen order. Digit d of a tuple is below alphabet[d]; tuples
+// are radix-packed into a uint64 when the alphabets' product fits and keyed
+// by their bytes otherwise (the packing ml's frame keys use). Either way
+// distinct tuples have distinct keys: unlike concatenated per-value key
+// strings, they cannot collide.
+type tupleIndex struct {
+	stride []uint64 // nil: the alphabets are too wide to pack
+	packed map[uint64]int32
+	wide   map[string]int32
+	buf    []byte
+}
+
+func newTupleIndex(alphabet []int) *tupleIndex {
+	stride := make([]uint64, len(alphabet))
+	acc := uint64(1)
+	for d, a := range alphabet {
+		stride[d] = acc
+		a := uint64(max(a, 1))
+		if acc > math.MaxUint64/a {
+			return &tupleIndex{wide: make(map[string]int32)}
+		}
+		acc *= a
+	}
+	return &tupleIndex{stride: stride, packed: make(map[uint64]int32)}
+}
+
+// id returns the tuple's id. A tuple not seen before gets the next id (the
+// number of distinct tuples so far) when add is set, and ok false otherwise.
+func (x *tupleIndex) id(digits []uint32, add bool) (id int32, ok bool) {
+	if x.stride != nil {
+		key := uint64(0)
+		for d, v := range digits {
+			key += uint64(v) * x.stride[d]
+		}
+		if id, ok = x.packed[key]; !ok && add {
+			id = int32(len(x.packed))
+			x.packed[key] = id
+		}
+		return id, ok || add
+	}
+	x.buf = x.buf[:0]
+	for _, v := range digits {
+		x.buf = binary.LittleEndian.AppendUint32(x.buf, v)
+	}
+	if id, ok = x.wide[string(x.buf)]; !ok && add {
+		id = int32(len(x.wide))
+		x.wide[string(x.buf)] = id
+	}
+	return id, ok || add
 }
 
 // asJoinCond recognizes "a.x = b.y" conjuncts whose sides live in different
-// tables, returning a joinCond oriented so rightTable is the later table.
+// tables, returning a joinCond oriented so right is in the later table.
 func (j *joiner) asJoinCond(e hyperql.Expr) (joinCond, bool) {
 	b, ok := e.(*hyperql.Binary)
 	if !ok || b.Op != "=" {
@@ -208,74 +323,73 @@ func (j *joiner) asJoinCond(e hyperql.Expr) (joinCond, bool) {
 	if !ok1 || !ok2 {
 		return joinCond{}, false
 	}
-	lo, err1 := j.resolve(lc.Table, lc.Name)
-	ro, err2 := j.resolve(rc.Table, rc.Name)
-	if err1 != nil || err2 != nil {
+	l, err1 := j.resolve(lc.Table, lc.Name)
+	r, err2 := j.resolve(rc.Table, rc.Name)
+	if err1 != nil || err2 != nil || l.table == r.table {
 		return joinCond{}, false
 	}
-	lt, rt := j.tableOf(lo), j.tableOf(ro)
-	if lt == rt {
-		return joinCond{}, false
+	if l.table > r.table {
+		l, r = r, l
 	}
-	if lt > rt {
-		lo, ro = ro, lo
-		lt, rt = rt, lt
-	}
-	return joinCond{leftOff: lo, rightOff: ro, rightTable: rt}, true
+	return joinCond{left: l, right: r}, true
 }
 
-func (j *joiner) tableOf(off int) int {
-	for ti := len(j.tables) - 1; ti >= 0; ti-- {
-		if off >= j.offsets[ti] {
-			return ti
-		}
-	}
-	return 0
+// tupleEnv is the Env of the residual predicate over one joined row. Each
+// distinct column reference is resolved once per select, on the first row
+// that evaluates it (so a reference no row reaches never raises its error).
+type tupleEnv struct {
+	j     *joiner
+	tuple []int32
+	refs  map[[2]string]resolved
 }
 
-type combinedEnv struct {
-	j   *joiner
-	row []relation.Value
+type resolved struct {
+	col colRef
+	err error
 }
 
-func (e combinedEnv) Lookup(table, name string, _ hyperql.Temporal) (relation.Value, error) {
-	off, err := e.j.resolve(table, name)
-	if err != nil {
-		return relation.Null, err
+func (e *tupleEnv) Lookup(table, name string, _ hyperql.Temporal) (relation.Value, error) {
+	r, ok := e.refs[[2]string{table, name}]
+	if !ok {
+		r.col, r.err = e.j.resolve(table, name)
+		e.refs[[2]string{table, name}] = r
 	}
-	return e.row[off], nil
+	if r.err != nil {
+		return relation.Null, r.err
+	}
+	return e.j.value(e.tuple, r.col), nil
 }
 
 // project materializes a non-grouped select (columns only).
-func (j *joiner) project(rows [][]relation.Value, name string) (*relation.Relation, error) {
+func (j *joiner) project(name string) (*relation.Relation, error) {
 	var cols []relation.Column
-	var offs []int
+	var refs []colRef
 	for _, item := range j.sel.Items {
 		c, ok := item.Expr.(*hyperql.ColRef)
 		if !ok {
 			return nil, fmt.Errorf("sqlmini: aggregate select item %s requires GROUP BY", item.Expr)
 		}
-		off, err := j.resolve(c.Table, c.Name)
+		ref, err := j.resolve(c.Table, c.Name)
 		if err != nil {
 			return nil, err
 		}
-		src := j.sourceCol(off)
 		cn := item.Alias
 		if cn == "" {
 			cn = c.Name
 		}
-		cols = append(cols, relation.Column{Name: cn, Kind: src.Kind, Key: src.Key, Mutable: src.Mutable})
-		offs = append(offs, off)
+		cols = append(cols, j.outputCol(ref, cn))
+		refs = append(refs, ref)
 	}
 	schema, err := relation.NewSchema(cols...)
 	if err != nil {
 		return nil, err
 	}
 	out := relation.NewRelation(name, schema)
-	for _, row := range rows {
-		t := make(relation.Tuple, len(offs))
-		for i, off := range offs {
-			t[i] = row[off]
+	nt := len(j.tables)
+	t := make(relation.Tuple, len(refs)) // Insert copies it
+	for k := 0; k < len(j.rows); k += nt {
+		for i, ref := range refs {
+			t[i] = j.value(j.rows[k:k+nt], ref)
 		}
 		if err := out.Insert(t); err != nil {
 			return nil, err
@@ -285,63 +399,58 @@ func (j *joiner) project(rows [][]relation.Value, name string) (*relation.Relati
 }
 
 // groupProject materializes a grouped select with aggregates.
-func (j *joiner) groupProject(rows [][]relation.Value, name string) (*relation.Relation, error) {
-	groupOffs := make([]int, len(j.sel.GroupBy))
+func (j *joiner) groupProject(name string) (*relation.Relation, error) {
+	groupRefs := make([]colRef, len(j.sel.GroupBy))
 	for i, g := range j.sel.GroupBy {
-		off, err := j.resolve(g.Table, g.Name)
+		ref, err := j.resolve(g.Table, g.Name)
 		if err != nil {
 			return nil, err
 		}
-		groupOffs[i] = off
+		groupRefs[i] = ref
 	}
 	// Classify select items: each must be a group-by column or an aggregate.
 	type itemPlan struct {
-		isAgg    bool
-		groupPos int                // for columns: index into groupOffs
-		agg      *hyperql.Aggregate // for aggregates
-		argOff   int                // combined offset of aggregate argument (-1 for *)
-		name     string
-		col      relation.Column
+		isAgg bool
+		ref   colRef             // the group-by column, or the aggregate's argument
+		agg   *hyperql.Aggregate // for aggregates
+		star  bool               // aggregate over *
+		col   relation.Column
 	}
 	var plans []itemPlan
 	for _, item := range j.sel.Items {
 		switch x := item.Expr.(type) {
 		case *hyperql.ColRef:
-			off, err := j.resolve(x.Table, x.Name)
+			ref, err := j.resolve(x.Table, x.Name)
 			if err != nil {
 				return nil, err
 			}
-			gp := -1
-			for i, g := range groupOffs {
-				if g == off {
-					gp = i
-				}
+			grouped := false
+			for _, g := range groupRefs {
+				grouped = grouped || g == ref
 			}
-			if gp < 0 {
+			if !grouped {
 				return nil, fmt.Errorf("sqlmini: column %s must appear in GROUP BY or an aggregate", x)
 			}
 			cn := item.Alias
 			if cn == "" {
 				cn = x.Name
 			}
-			src := j.sourceCol(off)
-			plans = append(plans, itemPlan{groupPos: gp, name: cn,
-				col: relation.Column{Name: cn, Kind: src.Kind, Key: src.Key, Mutable: src.Mutable}})
+			plans = append(plans, itemPlan{ref: ref, col: j.outputCol(ref, cn)})
 		case *hyperql.Aggregate:
 			if !x.Func.Valid() {
 				return nil, fmt.Errorf("sqlmini: unsupported aggregate %q", x.Func)
 			}
-			argOff := -1
+			p := itemPlan{isAgg: true, agg: x, star: x.Expr == nil}
 			if x.Expr != nil {
 				c, ok := x.Expr.(*hyperql.ColRef)
 				if !ok {
 					return nil, fmt.Errorf("sqlmini: aggregate argument must be a column, got %s", x.Expr)
 				}
-				off, err := j.resolve(c.Table, c.Name)
+				ref, err := j.resolve(c.Table, c.Name)
 				if err != nil {
 					return nil, err
 				}
-				argOff = off
+				p.ref = ref
 			}
 			cn := item.Alias
 			if cn == "" {
@@ -351,8 +460,8 @@ func (j *joiner) groupProject(rows [][]relation.Value, name string) (*relation.R
 			if x.Func == hyperql.AggCount {
 				kind = relation.KindInt
 			}
-			plans = append(plans, itemPlan{isAgg: true, agg: x, argOff: argOff, name: cn,
-				col: relation.Column{Name: cn, Kind: kind, Mutable: true}})
+			p.col = relation.Column{Name: cn, Kind: kind, Mutable: true}
+			plans = append(plans, p)
 		default:
 			return nil, fmt.Errorf("sqlmini: unsupported select item %s", item.Expr)
 		}
@@ -367,66 +476,64 @@ func (j *joiner) groupProject(rows [][]relation.Value, name string) (*relation.R
 	}
 	out := relation.NewRelation(name, schema)
 
-	// Group rows.
-	type group struct {
-		key    []relation.Value
-		sums   []float64
-		counts []int
-	}
-	groups := make(map[string]*group)
-	var order []string
-	for _, row := range rows {
-		var kb strings.Builder
-		for _, off := range groupOffs {
-			kb.WriteString(row[off].Key())
-			kb.WriteByte('|')
-		}
-		k := kb.String()
-		g := groups[k]
-		if g == nil {
-			key := make([]relation.Value, len(groupOffs))
-			for i, off := range groupOffs {
-				key[i] = row[off]
-			}
-			g = &group{key: key, sums: make([]float64, len(plans)), counts: make([]int, len(plans))}
-			groups[k] = g
-			order = append(order, k)
-		}
-		for pi, p := range plans {
-			if !p.isAgg {
-				continue
-			}
-			if p.argOff < 0 {
-				g.counts[pi]++
-				continue
-			}
-			v := row[p.argOff]
-			if v.IsNull() {
-				continue
-			}
-			g.sums[pi] += v.AsFloat()
-			g.counts[pi]++
+	// Group the joined rows: per row a tuple of digits, one per group source.
+	sources := j.groupSources(groupRefs)
+	alphabet := make([]int, len(sources))
+	for d, s := range sources {
+		alphabet[d] = j.tables[s.table].Len()
+		if s.codes != nil {
+			alphabet[d] = len(s.codes.Values)
 		}
 	}
-	for _, k := range order {
-		g := groups[k]
-		t := make(relation.Tuple, len(plans))
-		for pi, p := range plans {
-			if !p.isAgg {
-				t[pi] = g.key[p.groupPos]
-				continue
+	groups := newTupleIndex(alphabet)
+	digits := make([]uint32, len(sources))
+	var first []int    // per group: offset in j.rows of its first joined row
+	var sums []float64 // per group, per select item
+	var counts []int
+	nt, np := len(j.tables), len(plans)
+	for k := 0; k < len(j.rows); k += nt {
+		tuple := j.rows[k : k+nt]
+		for d, s := range sources {
+			digits[d] = uint32(tuple[s.table])
+			if s.codes != nil {
+				digits[d] = s.codes.At(int(tuple[s.table]))
 			}
-			switch p.agg.Func {
-			case hyperql.AggCount:
-				t[pi] = relation.Int(int64(g.counts[pi]))
-			case hyperql.AggSum:
-				t[pi] = relation.Float(g.sums[pi])
-			case hyperql.AggAvg:
-				if g.counts[pi] == 0 {
-					t[pi] = relation.Null
-				} else {
-					t[pi] = relation.Float(g.sums[pi] / float64(g.counts[pi]))
+		}
+		id, _ := groups.id(digits, true)
+		g := int(id)
+		if g == len(first) {
+			first = append(first, k)
+			sums = append(sums, make([]float64, np)...)
+			counts = append(counts, make([]int, np)...)
+		}
+		for pi, p := range plans {
+			switch {
+			case !p.isAgg:
+			case p.star:
+				counts[g*np+pi]++
+			default:
+				if v := j.value(tuple, p.ref); !v.IsNull() {
+					sums[g*np+pi] += v.AsFloat()
+					counts[g*np+pi]++
 				}
+			}
+		}
+	}
+	t := make(relation.Tuple, np) // Insert copies it
+	for g, k := range first {
+		for pi, p := range plans {
+			sum, n := sums[g*np+pi], counts[g*np+pi]
+			switch {
+			case !p.isAgg:
+				t[pi] = j.value(j.rows[k:k+nt], p.ref)
+			case p.agg.Func == hyperql.AggCount:
+				t[pi] = relation.Int(int64(n))
+			case p.agg.Func == hyperql.AggSum:
+				t[pi] = relation.Float(sum)
+			case n == 0: // AVG over no non-NULL value
+				t[pi] = relation.Null
+			default:
+				t[pi] = relation.Float(sum / float64(n))
 			}
 		}
 		if err := out.Insert(t); err != nil {
@@ -434,6 +541,47 @@ func (j *joiner) groupProject(rows [][]relation.Value, name string) (*relation.R
 		}
 	}
 	return out, nil
+}
+
+// groupSource is one digit of a group key: a column's code, or — codes nil —
+// the row index of a table whose whole primary key is grouped on.
+type groupSource struct {
+	table int
+	codes *relation.CodedColumn
+}
+
+// groupSources turns the GROUP BY columns into digit sources. A table whose
+// declared primary key is entirely among them contributes its row index as
+// one digit and none of its columns is coded: primary keys are unique within
+// a relation, so the row determines, and is determined by, that table's
+// part of the group key (the USE contract of Section 3.1 — group on the key
+// of the entity the view has one row for). Every other column contributes
+// its code.
+func (j *joiner) groupSources(groupRefs []colRef) []groupSource {
+	covered := make([]bool, len(j.tables))
+	for ti, r := range j.tables {
+		keys := r.Schema().KeyIndexes()
+		covered[ti] = len(keys) > 0
+		for _, ci := range keys {
+			grouped := false
+			for _, g := range groupRefs {
+				grouped = grouped || g == colRef{ti, ci}
+			}
+			covered[ti] = covered[ti] && grouped
+		}
+	}
+	var sources []groupSource
+	byRow := make([]bool, len(j.tables))
+	for _, g := range groupRefs {
+		switch {
+		case !covered[g.table]:
+			sources = append(sources, groupSource{g.table, j.tables[g.table].Coded(g.col)})
+		case !byRow[g.table]:
+			byRow[g.table] = true
+			sources = append(sources, groupSource{table: g.table})
+		}
+	}
+	return sources
 }
 
 // splitAnd flattens a conjunction into its conjuncts.

@@ -1,0 +1,180 @@
+package sqlmini
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"hyper/internal/hyperql"
+	"hyper/internal/relation"
+	"hyper/internal/stats"
+)
+
+// parityDB builds a small random database whose joins match often: NULL and
+// repeated join keys, an int key column (A.k) against a float one (B.k, whole
+// and fractional values), string keys, NULLs under the aggregates, a table
+// with a composite key (C) and one whose twelve columns are too wide to
+// radix-pack once it has 82 rows or more (W).
+func parityDB(seed int64, nA, nB, nC, nW int) *relation.Database {
+	rng := stats.NewRNG(seed)
+	strs := []string{"x", "y", "z"}
+	intOrNull := func(n int) relation.Value {
+		if rng.Intn(5) == 0 {
+			return relation.Null
+		}
+		return relation.Int(int64(rng.Intn(n)))
+	}
+	a := relation.NewRelation("A", relation.MustSchema(
+		relation.Column{Name: "id", Kind: relation.KindInt, Key: true},
+		relation.Column{Name: "k", Kind: relation.KindInt},
+		relation.Column{Name: "s", Kind: relation.KindString},
+		relation.Column{Name: "v", Kind: relation.KindInt, Mutable: true},
+		relation.Column{Name: "w", Kind: relation.KindFloat, Mutable: true},
+	))
+	for i := 0; i < nA; i++ {
+		a.MustInsert(relation.Int(int64(i)), intOrNull(5), relation.String(strs[rng.Intn(3)]),
+			intOrNull(10), relation.Float(rng.Float64()*10))
+	}
+	b := relation.NewRelation("B", relation.MustSchema(
+		relation.Column{Name: "bid", Kind: relation.KindInt, Key: true},
+		relation.Column{Name: "k", Kind: relation.KindFloat},
+		relation.Column{Name: "s", Kind: relation.KindString},
+		relation.Column{Name: "bv", Kind: relation.KindInt, Mutable: true},
+	))
+	for i := 0; i < nB; i++ {
+		k := relation.Null
+		switch rng.Intn(6) {
+		case 0:
+		case 1:
+			k = relation.Float(2.5)
+		default:
+			k = relation.Float(float64(rng.Intn(6)))
+		}
+		b.MustInsert(relation.Int(int64(i)), k, relation.String(strs[rng.Intn(3)]), intOrNull(10))
+	}
+	c := relation.NewRelation("C", relation.MustSchema(
+		relation.Column{Name: "k1", Kind: relation.KindInt, Key: true},
+		relation.Column{Name: "k2", Kind: relation.KindString, Key: true},
+		relation.Column{Name: "cv", Kind: relation.KindFloat, Mutable: true},
+	))
+	for i := 0; i < nC; i++ {
+		c.MustInsert(relation.Int(int64(i/3)), relation.String(strs[i%3]), relation.Float(rng.NormFloat64()))
+	}
+	wcols := []relation.Column{{Name: "wid", Kind: relation.KindInt, Key: true}}
+	for j := 0; j < 12; j++ {
+		wcols = append(wcols, relation.Column{Name: fmt.Sprintf("w%d", j), Kind: relation.KindInt})
+	}
+	w := relation.NewRelation("W", relation.MustSchema(wcols...))
+	for i := 0; i < nW; i++ {
+		row := relation.Tuple{relation.Int(int64(i))}
+		for j := 0; j < 12; j++ {
+			row = append(row, relation.Int(int64(i/2+j)))
+		}
+		w.MustInsert(row...)
+	}
+	db := relation.NewDatabase()
+	db.MustAdd(a)
+	db.MustAdd(b)
+	db.MustAdd(c)
+	db.MustAdd(w)
+	return db
+}
+
+var paritySelects = []string{
+	// No GROUP BY: joins on NULL keys, Int 3 against Float 3.0, string keys.
+	`SELECT A.id, B.bid FROM A, B WHERE A.k = B.k`,
+	`SELECT A.id, B.bid, A.w FROM A, B WHERE B.s = A.s`,
+	`SELECT id, w FROM A`,
+	// Three tables; two conjuncts between one pair; conjuncts to two tables.
+	`SELECT A.id, B.bid, C.k1, C.k2 FROM A, B, C WHERE A.k = B.k AND B.s = C.k2`,
+	`SELECT A.id, B.bid FROM A, B WHERE A.k = B.k AND A.s = B.s`,
+	`SELECT A.id, B.bid, C.k1, C.k2 FROM A, B, C WHERE C.k1 = A.k AND C.k2 = B.s`,
+	// A join-less pair (cross product), alone and ahead of a join.
+	`SELECT A.id, C.k1, C.k2 FROM A, C`,
+	`SELECT A.id, C.k1, C.k2, B.bid FROM A, C, B WHERE A.k = B.k`,
+	// Residual filters: over both tables, one that errors on the first row
+	// that survives the join, one whose error an OR short-circuits for most
+	// rows, and a filter on a single table.
+	`SELECT A.id, B.bid FROM A, B WHERE A.k = B.k AND A.v + B.bv > 6`,
+	`SELECT A.id, B.bid FROM A, B WHERE A.k = B.k AND Nope = 1`,
+	`SELECT A.id, B.bid FROM A, B WHERE A.k = B.k AND (A.v < 8 OR Nope = 1)`,
+	`SELECT id FROM A WHERE v >= 3 AND w < 7`,
+	// Aggregates: COUNT(*), SUM and AVG over NULLs, over a left-table column.
+	`SELECT A.s, COUNT(*) AS n, SUM(B.bv) AS sb, AVG(B.bv) AS ab, SUM(A.w) AS sw, AVG(A.v) AS av FROM A, B WHERE A.k = B.k GROUP BY A.s`,
+	`SELECT k, COUNT(*) AS n, AVG(v) AS av FROM A GROUP BY k`,
+	// GROUP BY covering a table's key (single and composite) and not.
+	`SELECT A.id, A.s, AVG(B.bv) AS ab, COUNT(*) AS n FROM A, B WHERE A.k = B.k GROUP BY A.id, A.s`,
+	`SELECT C.k1, C.k2, SUM(A.w) AS sw, COUNT(*) AS n FROM A, C WHERE C.k1 = A.k GROUP BY C.k1, C.k2`,
+	`SELECT C.k1, SUM(C.cv) AS sc, COUNT(*) AS n FROM C GROUP BY C.k1`,
+	`SELECT A.id, C.k1, COUNT(*) AS n FROM A, C WHERE C.k1 = A.k GROUP BY A.id, C.k1`,
+	`SELECT C.k1, C.k2, A.s, SUM(A.w) AS sw FROM A, C WHERE C.k1 = A.k GROUP BY C.k1, C.k2, A.s`,
+	`SELECT A.id, B.bid, COUNT(*) AS n FROM A, B WHERE A.s = B.s GROUP BY A.id, B.bid`,
+	`SELECT A.s, B.s AS bs, COUNT(*) AS n FROM A, B WHERE A.k = B.k AND A.v >= 2 GROUP BY A.s, B.s`,
+	// Alphabets too wide to pack (from 82 rows of W).
+	`SELECT w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11, COUNT(*) AS n FROM W GROUP BY w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11`,
+	`SELECT X.wid, Y.wid AS yid FROM W AS X, W AS Y WHERE X.w0 = Y.w0 AND X.w1 = Y.w1 AND X.w2 = Y.w2 AND X.w3 = Y.w3 AND X.w4 = Y.w4 AND X.w5 = Y.w5 AND X.w6 = Y.w6 AND X.w7 = Y.w7 AND X.w8 = Y.w8 AND X.w9 = Y.w9 AND X.w10 = Y.w10 AND X.w11 = Y.w11`,
+	// Errors after the join: a duplicate view key, an ungrouped column, an
+	// aggregate without GROUP BY.
+	`SELECT A.id FROM A, B WHERE A.k = B.k`,
+	`SELECT A.s, A.v FROM A GROUP BY A.s`,
+	`SELECT AVG(w) FROM A`,
+}
+
+func parseSelect(t testing.TB, src string) *hyperql.SelectStmt {
+	t.Helper()
+	q, err := hyperql.Parse("USE (" + src + ") UPDATE(w) = 1 OUTPUT COUNT(*)")
+	if err != nil {
+		t.Fatalf("parse %q: %v", src, err)
+	}
+	return q.(*hyperql.WhatIf).Use.Select
+}
+
+// checkSelectParity holds RunSelect to the []Value-row executor on one
+// database: same rows in the same order, same schema, or the same error.
+func checkSelectParity(t testing.TB, db *relation.Database, src string) {
+	t.Helper()
+	sel := parseSelect(t, src)
+	want, wantErr := refRunSelect(db, sel, "V")
+	got, gotErr := RunSelect(db, sel, "V")
+	if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
+		t.Fatalf("%s\n  error %v, reference %v", src, gotErr, wantErr)
+	}
+	if wantErr != nil {
+		return
+	}
+	if !reflect.DeepEqual(got.Schema().Columns(), want.Schema().Columns()) {
+		t.Fatalf("%s\n  schema %v, reference %v", src, got.Schema(), want.Schema())
+	}
+	if !reflect.DeepEqual(got.Rows(), want.Rows()) {
+		t.Fatalf("%s\n  rows differ from the reference:\n%v\nreference:\n%v", src, got, want)
+	}
+}
+
+func TestRunSelectMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		// Seed 6 has an empty A: joins, groups and the cross product over
+		// no rows.
+		nA := []int{30, 17, 40, 3, 25, 0}[seed-1]
+		db := parityDB(seed, nA, 25, 12, 100)
+		for _, src := range paritySelects {
+			checkSelectParity(t, db, src)
+		}
+	}
+	// The cross-product guard: 2300 x 2300 rows is past the 5,000,000 limit,
+	// refused before anything is materialized.
+	big := parityDB(7, 2300, 1, 2300, 1)
+	checkSelectParity(t, big, `SELECT A.id, C.k1, C.k2 FROM A, C`)
+	if _, err := RunSelect(big, parseSelect(t, `SELECT A.id, C.k1, C.k2 FROM A, C`), "V"); err == nil {
+		t.Error("a 2300 x 2300 cross product should be refused")
+	}
+}
+
+func FuzzRunSelectParity(f *testing.F) {
+	for i := range paritySelects {
+		f.Add(int64(i), uint8(20), uint8(20), uint8(9), uint8(95), uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, nA, nB, nC, nW, query uint8) {
+		db := parityDB(seed, int(nA)%48, int(nB)%48, int(nC)%24, int(nW)%128)
+		checkSelectParity(t, db, paritySelects[int(query)%len(paritySelects)])
+	})
+}

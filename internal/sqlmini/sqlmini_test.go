@@ -265,3 +265,39 @@ func TestNullComparisonsAreFalse(t *testing.T) {
 		}
 	}
 }
+
+// TestCompositeKeysDoNotCollide: a string's Value.Key() is "\x04"+s
+// unescaped, so a key formed by concatenating Key()+"|" per column made
+// ("x|\x04y", "z") and ("x", "y|\x04z") one GROUP BY group and one join key.
+// Groups and join keys are tuples of codes now and cannot collide.
+// relation.keyOf and view.keyOfViewRow share that encoding and are not
+// changed here, which is why the grouped select carries SUM(v): without a
+// column that differs, the output relation's own whole-tuple key would
+// reject the second group as a duplicate.
+func TestCompositeKeysDoNotCollide(t *testing.T) {
+	mk := func(name string) *relation.Relation {
+		r := relation.NewRelation(name, relation.MustSchema(
+			relation.Column{Name: "id", Kind: relation.KindInt, Key: true},
+			relation.Column{Name: "a", Kind: relation.KindString},
+			relation.Column{Name: "b", Kind: relation.KindString},
+			relation.Column{Name: "v", Kind: relation.KindInt},
+		))
+		return r
+	}
+	l, r := mk("L"), mk("R")
+	l.MustInsert(relation.Int(1), relation.String("x|\x04y"), relation.String("z"), relation.Int(1))
+	l.MustInsert(relation.Int(2), relation.String("x"), relation.String("y|\x04z"), relation.Int(2))
+	r.MustInsert(relation.Int(1), relation.String("x"), relation.String("y|\x04z"), relation.Int(5))
+	db := relation.NewDatabase()
+	db.MustAdd(l)
+	db.MustAdd(r)
+
+	g := runSelect(t, db, `SELECT a, b, SUM(v) AS s FROM L GROUP BY a, b`)
+	if g.Len() != 2 {
+		t.Errorf("GROUP BY a, b formed %d groups, want 2", g.Len())
+	}
+	j := runSelect(t, db, `SELECT L.id, R.v FROM L, R WHERE L.a = R.a AND L.b = R.b`)
+	if j.Len() != 1 || j.Value(0, "id").AsInt() != 2 {
+		t.Errorf("two-conjunct join matched %d rows (want only L.id = 2):\n%v", j.Len(), j)
+	}
+}

@@ -8,6 +8,7 @@ package stats
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // RNG is a deterministic 64-bit PCG-XSH-RR style generator. The zero value
@@ -105,20 +106,43 @@ func (r *RNG) Perm(n int) []int {
 
 // SampleIndexes returns k distinct indexes drawn without replacement from
 // [0, n), in random order. If k >= n it returns a permutation of [0, n).
-func (r *RNG) SampleIndexes(n, k int) []int {
-	if k >= n {
-		return r.Perm(n)
+func (r *RNG) SampleIndexes(n, k int) []int { return r.SampleIndexesInto(nil, n, k) }
+
+// SampleIndexesInto is SampleIndexes appending to dst[:0], so a caller that
+// samples repeatedly (a tree's per-node feature subset) allocates nothing
+// once dst has capacity k. The draws do not depend on dst.
+func (r *RNG) SampleIndexesInto(dst []int, n, k int) []int {
+	out := dst[:0]
+	if cap(out) < min(k, n) {
+		out = make([]int, 0, min(k, n))
 	}
-	// Floyd's algorithm.
-	chosen := make(map[int]struct{}, k)
-	out := make([]int, 0, k)
-	for j := n - k; j < n; j++ {
-		t := r.Intn(j + 1)
-		if _, ok := chosen[t]; ok {
-			t = j
+	if k >= n {
+		for i := 0; i < n; i++ {
+			out = append(out, i)
 		}
-		chosen[t] = struct{}{}
-		out = append(out, t)
+	} else {
+		// Floyd's algorithm. Membership among the indexes chosen so far is
+		// a scan while they are few and a set past that.
+		var chosen map[int]struct{}
+		if k > 16 {
+			chosen = make(map[int]struct{}, k)
+		}
+		for j := n - k; j < n; j++ {
+			t := r.Intn(j + 1)
+			dup := false
+			if chosen == nil {
+				dup = slices.Contains(out, t)
+			} else {
+				_, dup = chosen[t]
+			}
+			if dup {
+				t = j
+			}
+			if chosen != nil {
+				chosen[t] = struct{}{}
+			}
+			out = append(out, t)
+		}
 	}
 	// Shuffle for random order.
 	for i := len(out) - 1; i > 0; i-- {

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -61,6 +62,46 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 	if math.Abs(s.StdDev()-1) > 0.02 {
 		t.Errorf("normal stddev = %.4f", s.StdDev())
+	}
+}
+
+// refSampleIndexes is SampleIndexes as it stood before SampleIndexesInto:
+// Floyd's algorithm over a set, then the shuffle.
+func refSampleIndexes(r *RNG, n, k int) []int {
+	if k >= n {
+		return r.Perm(n)
+	}
+	chosen := make(map[int]struct{}, k)
+	out := make([]int, 0, k)
+	for j := n - k; j < n; j++ {
+		t := r.Intn(j + 1)
+		if _, ok := chosen[t]; ok {
+			t = j
+		}
+		chosen[t] = struct{}{}
+		out = append(out, t)
+	}
+	for i := len(out) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		out[i], out[j] = out[j], out[i]
+	}
+	return out
+}
+
+// TestSampleIndexesIntoDrawsUnchanged: the scan-for-membership and reused
+// destination of SampleIndexesInto change neither the indexes returned nor
+// the generator state left behind, on either side of the scan/set switch.
+func TestSampleIndexesIntoDrawsUnchanged(t *testing.T) {
+	scratch := make([]int, 0, 4)
+	for seed := int64(1); seed <= 50; seed++ {
+		for _, nk := range [][2]int{{5, 2}, {4, 2}, {7, 3}, {3, 3}, {2, 5}, {40, 16}, {40, 17}, {1000, 50}} {
+			a, b := NewRNG(seed), NewRNG(seed)
+			want := refSampleIndexes(a, nk[0], nk[1])
+			scratch = b.SampleIndexesInto(scratch, nk[0], nk[1])
+			if !slices.Equal(scratch, want) || a.Intn(1<<30) != b.Intn(1<<30) {
+				t.Fatalf("seed %d n=%d k=%d: %v, reference %v (or the generators diverged)", seed, nk[0], nk[1], scratch, want)
+			}
+		}
 	}
 }
 
