@@ -1,8 +1,9 @@
 // Command distsmoke is the distributed-path smoke gate: it boots one real
 // hyperd coordinator process plus two real hyperd worker processes, runs
-// the toy and german what-if/how-to goldens through every placement
-// ("local", "workers", "fit"), and fails on any byte of divergence between
-// the distributed results and the single-node ones. CI runs it on every
+// the toy and german what-if goldens through both placements ("local",
+// "workers"), and fails on any byte of divergence between the distributed
+// results and the single-node ones (a how-to never leaves the serving
+// process, so it has no distributed result to compare). CI runs it on every
 // pull request (the dist-smoke job), so the bit-identity contract of the
 // shard transport is enforced against real processes and real sockets, not
 // just in-process test doubles.
@@ -163,16 +164,6 @@ type whatIfResp struct {
 	// byte-compared stable subset): the chaos suite asserts them.
 	Degraded       bool   `json:"degraded"`
 	DegradedReason string `json:"degraded_reason"`
-}
-
-// stableHowTo strips a how-to response of wall-clock fields.
-type stableHowTo struct {
-	Choices     json.RawMessage `json:"choices"`
-	Objective   float64         `json:"objective"`
-	Base        float64         `json:"base"`
-	Candidates  int             `json:"candidates"`
-	WhatIfEvals int             `json:"whatif_evals"`
-	IPNodes     int             `json:"ip_nodes"`
 }
 
 func stableBytes(payload []byte, dst any) []byte {
@@ -418,16 +409,6 @@ var whatifGoldens = []golden{
 		FOR PRE(Category) = 'Laptop'`},
 }
 
-var howtoGoldens = []golden{
-	{"german-howto", "german", `USE German HOWTOUPDATE Status LIMIT UPDATES <= 1 TOMAXIMIZE COUNT(Credit = 1)`},
-	{"toy-howto", "toy", `USE (SELECT T1.PID, T1.Category, T1.Price, T1.Brand,
-		AVG(T2.Rating) AS Rtng
-		FROM Product AS T1, Review AS T2
-		WHERE T1.PID = T2.PID
-		GROUP BY T1.PID, T1.Category, T1.Price, T1.Brand)
-		HOWTOUPDATE Price LIMIT UPDATES <= 1 TOMAXIMIZE AVG(POST(Rtng))`},
-}
-
 // createSessions makes the toy and german sessions on a coordinator — the
 // toy catalog (multi-relation, forest estimator) and a german build at a
 // shard granularity that spreads the plan over both workers
@@ -493,40 +474,16 @@ func runSmoke(hyperd string) {
 			}
 			return stableBytes(payload, &r.stable), r
 		}
-		// "fit" first so the cold session cache exercises remote fitting.
-		fitBytes, _ := run("fit")
 		workersBytes, wresp := run("workers")
 		localBytes, _ := run("local")
 		if !bytes.Equal(workersBytes, localBytes) {
 			fatalf("%s: placement=workers diverges from local:\n  workers: %s\n  local:   %s", g.name, workersBytes, localBytes)
 		}
-		if !bytes.Equal(fitBytes, localBytes) {
-			fatalf("%s: placement=fit diverges from local:\n  fit:   %s\n  local: %s", g.name, fitBytes, localBytes)
-		}
 		if wresp.Placement != "workers" || wresp.RemoteWorkers < 1 {
 			fatalf("%s: distributed run reports placement=%q remote_workers=%d — the workers were not used",
 				g.name, wresp.Placement, wresp.RemoteWorkers)
 		}
-		fmt.Fprintf(os.Stderr, "distsmoke: %-14s ok (local == workers == fit): %s\n", g.name, localBytes)
-	}
-
-	for _, g := range howtoGoldens {
-		run := func(placement string) []byte {
-			status, payload := post(cbase, "/v1/sessions/"+g.session+"/howto", map[string]any{
-				"query": g.query, "placement": placement,
-			})
-			if status != http.StatusOK {
-				fatalf("%s (%s): status %d: %s", g.name, placement, status, payload)
-			}
-			var s stableHowTo
-			return stableBytes(payload, &s)
-		}
-		fitBytes := run("fit") // cold cache: fits go through the workers
-		localBytes := run("local")
-		if !bytes.Equal(fitBytes, localBytes) {
-			fatalf("%s: placement=fit diverges from local:\n  fit:   %s\n  local: %s", g.name, fitBytes, localBytes)
-		}
-		fmt.Fprintf(os.Stderr, "distsmoke: %-14s ok (local == fit): %s\n", g.name, localBytes)
+		fmt.Fprintf(os.Stderr, "distsmoke: %-14s ok (local == workers): %s\n", g.name, localBytes)
 	}
 
 	// The coordinator must have actually distributed work.
@@ -534,7 +491,6 @@ func runSmoke(hyperd string) {
 		Dist struct {
 			RemoteEvals   uint64 `json:"remote_evals"`
 			RemoteShards  uint64 `json:"remote_shards"`
-			RemoteFits    uint64 `json:"remote_fits"`
 			FramesShipped uint64 `json:"frames_shipped"`
 			WorkersAlive  int    `json:"workers_alive"`
 		} `json:"dist"`
@@ -549,7 +505,7 @@ func runSmoke(hyperd string) {
 		fatalf("stats: %v", err)
 	}
 	if stats.Dist.WorkersAlive != 2 || stats.Dist.RemoteEvals == 0 || stats.Dist.RemoteShards == 0 ||
-		stats.Dist.RemoteFits == 0 || stats.Dist.FramesShipped == 0 {
+		stats.Dist.FramesShipped == 0 {
 		fatalf("coordinator gauges say the distributed path did not run: %+v", stats.Dist)
 	}
 	fmt.Fprintf(os.Stderr, "distsmoke: gauges: %+v\n", stats.Dist)
@@ -589,7 +545,6 @@ func runSmoke(hyperd string) {
 		requireSeries(name, ws,
 			"hyper_worker_evals_total",
 			"hyper_worker_eval_shards_total",
-			"hyper_worker_fits_total",
 			"hyper_worker_frames",
 		)
 		requireHealthGauges(name, ws)
@@ -819,18 +774,6 @@ func runChaos(hyperd string) {
 		}
 		whatifBase[g.name] = stableBytes(payload, &r.stable)
 	}
-	howtoBase := map[string][]byte{}
-	for _, g := range howtoGoldens {
-		status, payload := post(cbase, "/v1/sessions/"+g.session+"/howto", map[string]any{
-			"query": g.query, "placement": "local",
-		})
-		if status != http.StatusOK {
-			fatalf("%s baseline: status %d: %s", g.name, status, payload)
-		}
-		var s stableHowTo
-		howtoBase[g.name] = stableBytes(payload, &s)
-	}
-
 	count := whatifGoldens[0] // german-count drives the failure choreography
 	countEval := func(step string) whatIfResp {
 		var r whatIfResp
@@ -946,7 +889,7 @@ func runChaos(hyperd string) {
 	fmt.Fprintf(os.Stderr, "distsmoke: restart ok — fleet re-adopted from state, quarantine intact, zero frames re-shipped\n")
 
 	// Every golden must still match its pre-crash local baseline, distributed
-	// over the surviving worker ("workers" for what-if, "fit" for how-to).
+	// over the surviving worker.
 	for _, g := range whatifGoldens {
 		var r whatIfResp
 		status, payload := post(cbase, "/v1/sessions/"+g.session+"/whatif", map[string]any{
@@ -966,20 +909,6 @@ func runChaos(hyperd string) {
 		}
 		fmt.Fprintf(os.Stderr, "distsmoke: %-14s ok post-restart (degraded=quarantine, bytes == local)\n", g.name)
 	}
-	for _, g := range howtoGoldens {
-		status, payload := post(cbase, "/v1/sessions/"+g.session+"/howto", map[string]any{
-			"query": g.query, "placement": "fit",
-		})
-		if status != http.StatusOK {
-			fatalf("%s (post-restart): status %d: %s", g.name, status, payload)
-		}
-		var s stableHowTo
-		if got := stableBytes(payload, &s); !bytes.Equal(got, howtoBase[g.name]) {
-			fatalf("%s (post-restart) diverges from pre-crash local baseline:\n  got:   %s\n  local: %s", g.name, got, howtoBase[g.name])
-		}
-		fmt.Fprintf(os.Stderr, "distsmoke: %-14s ok post-restart (fit bytes == local)\n", g.name)
-	}
-
 	// The surviving worker drains and exits cleanly on SIGTERM.
 	w1.stopClean()
 	fmt.Fprintf(os.Stderr, "distsmoke: worker1 drained and exited cleanly on SIGTERM\n")

@@ -20,9 +20,8 @@
 // register themselves (with heartbeats) and are handed contiguous ranges of
 // each query's canonical shard plan; session frames ship to a worker on
 // first touch and results merge in plan order, bit-identical to a local
-// run. The per-request "placement" knob ("local" | "workers" | "fit")
-// selects the execution path; see README.md for the worker-mode
-// walkthrough.
+// run. The per-request "placement" knob ("local" | "workers") selects the
+// execution path; see README.md for the worker-mode walkthrough.
 //
 // Preloaded sessions are named after their dataset. See internal/server for
 // the full API surface and DESIGN.md for the architecture.

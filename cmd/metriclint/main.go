@@ -63,7 +63,6 @@ var (
 	workerCore = []string{
 		"hyper_worker_evals_total",
 		"hyper_worker_eval_shards_total",
-		"hyper_worker_fits_total",
 		"hyper_worker_frame_bytes_received_total",
 		"hyper_worker_frames",
 		"hyper_worker_traces_recorded_total",

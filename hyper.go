@@ -140,26 +140,11 @@ type Options struct {
 	// regroups floating-point reductions, so distinct granularities keep
 	// distinct cache artifacts.
 	ShardRows int
-	// RemoteFit, when non-nil, offloads shard-mergeable estimator fits to a
-	// distribution layer (internal/dist provides the implementation). Like
-	// Shards it is purely an execution knob: remote and local fits are
-	// bit-identical, and any remote failure falls back to the local fit.
-	RemoteFit RemoteFitter
 }
-
-// RemoteFitter is the hook a distribution layer implements to fit
-// shard-mergeable estimators off-process; see engine.RemoteFitter.
-type RemoteFitter = engine.RemoteFitter
 
 // WithShards returns a copy of o with the shard fan-out set.
 func (o Options) WithShards(n int) Options {
 	o.Shards = n
-	return o
-}
-
-// WithRemoteFit returns a copy of o with the remote fitter set.
-func (o Options) WithRemoteFit(f RemoteFitter) Options {
-	o.RemoteFit = f
 	return o
 }
 
@@ -345,7 +330,6 @@ func engineOptsFrom(o Options, cache *engine.Cache, plans *plan.Cache) engine.Op
 		Seed:       o.Seed,
 		Shards:     o.Shards,
 		ShardRows:  o.ShardRows,
-		RemoteFit:  o.RemoteFit,
 		Cache:      cache,
 		Plans:      plans,
 	}

@@ -9,9 +9,7 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"path"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,16 +19,10 @@ import (
 	"hyper/internal/fault"
 	"hyper/internal/hyperql"
 	"hyper/internal/lru"
-	"hyper/internal/ml"
 	"hyper/internal/obs"
 	"hyper/internal/relation"
 	"hyper/internal/stats"
 )
-
-// ErrNoWorkers is returned when a distributed operation is requested and no
-// live worker is registered (callers decide between failing the request and
-// falling back to local evaluation).
-var ErrNoWorkers = errors.New("dist: no live workers")
 
 // CoordinatorConfig tunes the coordinator; the zero value is usable.
 type CoordinatorConfig struct {
@@ -120,7 +112,6 @@ type Coordinator struct {
 	framesShipped  atomic.Uint64
 	remoteEvals    atomic.Uint64 // distributed what-if evaluations completed
 	remoteShards   atomic.Uint64 // plan shards evaluated on remote workers
-	remoteFits     atomic.Uint64 // remote shard-mergeable fits completed
 	localFallbacks atomic.Uint64 // times pending shards fell back to local
 	retries        atomic.Uint64 // RPC retries under the unified policy
 	restored       atomic.Uint64 // workers re-adopted from the state file
@@ -209,8 +200,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 			func() float64 { return float64(c.remoteEvals.Load()) })
 		r.CounterFunc("hyper_dist_remote_shards_total", "Plan shards evaluated on remote workers.",
 			func() float64 { return float64(c.remoteShards.Load()) })
-		r.CounterFunc("hyper_dist_remote_fits_total", "Remote shard-mergeable fits completed.",
-			func() float64 { return float64(c.remoteFits.Load()) })
 		r.CounterFunc("hyper_dist_local_fallbacks_total", "Times pending shards fell back to local evaluation.",
 			func() float64 { return float64(c.localFallbacks.Load()) })
 		c.requeueEvents = r.CounterVec("hyper_dist_requeue_events_total",
@@ -457,7 +446,6 @@ type Stats struct {
 	FramesShipped      uint64 `json:"frames_shipped"`
 	RemoteEvals        uint64 `json:"remote_evals"`
 	RemoteShards       uint64 `json:"remote_shards"`
-	RemoteFits         uint64 `json:"remote_fits"`
 	LocalFallbacks     uint64 `json:"local_fallbacks"`
 	Retries            uint64 `json:"retries"`
 	RestoredWorkers    uint64 `json:"restored_workers"`
@@ -480,7 +468,6 @@ func (c *Coordinator) Stats() Stats {
 		FramesShipped:      c.framesShipped.Load(),
 		RemoteEvals:        c.remoteEvals.Load(),
 		RemoteShards:       c.remoteShards.Load(),
-		RemoteFits:         c.remoteFits.Load(),
 		LocalFallbacks:     c.localFallbacks.Load(),
 		Retries:            c.retries.Load(),
 		RestoredWorkers:    c.restored.Load(),
@@ -569,8 +556,8 @@ func (c *Coordinator) postWorker(ctx context.Context, run *queryRun, w *remoteWo
 
 // ensureFrame makes sure the worker holds the frame, shipping it at most
 // once per (worker, frame) at a time: the ship is the single-flight build of
-// the worker's ledger entry, so concurrent cold requests (a how-to's
-// parallel candidate fits, a batch fan-out) wait for the one in-flight
+// the worker's ledger entry, so concurrent cold requests (a batch fan-out,
+// several clients on one new session) wait for the one in-flight
 // upload instead of each PUTting the full snapshot, a failed ship records
 // nothing and the next waiter ships, and a waiter whose context ends returns.
 func (c *Coordinator) ensureFrame(ctx context.Context, w *remoteWorker, frame *Frame) error {
@@ -701,40 +688,81 @@ func splitContiguous(ids []int, n int) [][]int {
 	return chunks
 }
 
-// scatterOp is what distinguishes one scattered operation from another; R is
-// its route's response type.
-type scatterOp[R any] struct {
-	route  string    // pathEval | pathFit
-	frame  *Frame    // shipped to a worker before its first chunk
-	run    *queryRun // the operation's resilience scope (budget, bad set, ladder)
-	shards int       // shard ids 0..shards-1 are scattered
-	// request builds the route's request for one chunk of shard ids.
-	request func(frameID string, chunk []int) any
-	// shape says how a reply fails to hold exactly its chunk's shards, in
-	// order (nil when it does).
-	shape func(resp *R, chunk []int) error
-	// absorb takes in a shape-checked reply. Calls are serialized; an error
-	// ends the operation.
-	absorb func(workerID string, resp *R, chunk []int) error
-	// fallback is the ladder's last rung: no assignable worker is left to
-	// take the pending shards.
-	fallback func(pending []int) error
+// EvalSpec carries one distributed what-if evaluation.
+type EvalSpec struct {
+	DB      *relation.Database
+	Model   *causal.Model
+	Frame   *Frame
+	Query   string
+	Options engine.Options
+	// Progress, when non-nil, receives "shards" updates as remote shard
+	// batches complete (the jobs layer surfaces them as shards_done/total).
+	Progress engine.ProgressFunc
 }
 
-// scatter drives one distributed operation: the pending shard ids go out in
+// evalOp is one distributed what-if in flight: what is being evaluated, its
+// resilience scope, and the merge so far.
+type evalOp struct {
+	spec EvalSpec
+	q    *hyperql.WhatIf
+	run  *queryRun // budget, bad set, degradation ladder
+	plan int       // shard ids 0..plan-1 are scattered
+
+	// The merge so far; take is never called concurrently.
+	partials   []engine.ShardPartial
+	meta       engine.PartialMeta
+	usedRemote map[string]bool
+	localDone  int
+}
+
+// take adds one partial result — a worker's reply or the local fallback's —
+// to the merge, holding its metadata to what came before.
+func (op *evalOp) take(from string, pr *engine.PartialResult) error {
+	if len(op.partials) == 0 {
+		op.meta = pr.Meta
+	} else if !op.meta.Consistent(pr.Meta) {
+		return fmt.Errorf("dist: worker %s evaluation metadata diverges from the merged plan (determinism violation): %+v vs %+v",
+			from, pr.Meta, op.meta)
+	} else if pr.Meta.TrainedModels > op.meta.TrainedModels {
+		// Diagnostics only: each worker trains the models its shards
+		// demanded; report the widest set.
+		op.meta.TrainedModels = pr.Meta.TrainedModels
+	}
+	op.partials = append(op.partials, pr.Partials...)
+	if op.spec.Progress != nil {
+		op.spec.Progress("shards", len(op.partials), op.plan)
+	}
+	return nil
+}
+
+// shapeError says how a reply fails to hold exactly its chunk's shards, in
+// order (nil when it does): a wrong reply must name its worker here, not
+// surface later as an anonymous merge failure.
+func shapeError(resp *EvalResponse, chunk []int) error {
+	if len(resp.Partials) != len(chunk) {
+		return fmt.Errorf("%d partials for %d shards", len(resp.Partials), len(chunk))
+	}
+	for i, s := range chunk {
+		if got := resp.Partials[i].Shard; got != s {
+			return fmt.Errorf("partial %d is shard %d, asked for shard %d", i, got, s)
+		}
+	}
+	return nil
+}
+
+// scatter drives the evaluation's dispatch: the pending shard ids go out in
 // rounds of contiguous chunks, one per assignable worker (sorted by id) and
-// each on its own goroutine under a worker_<op> span. A reply is grafted,
-// metered, shape-checked and handed to the operation. A terminal error or
+// each on its own goroutine under a worker_eval span. A reply is grafted,
+// metered, shape-checked and taken into the merge. A terminal error or
 // cancellation ends the operation; a worker the retry policy gave up on is
 // excluded and its chunk requeues onto the survivors in the next round; with
-// no assignable worker left the operation's fallback takes what is pending.
-func scatter[R any, PR interface {
-	*R
-	replier
-}](ctx context.Context, c *Coordinator, op scatterOp[R]) error {
-	name := path.Base(op.route) // "eval" | "fit"
-	span := "worker_" + name
-	pending := make([]int, op.shards)
+// no assignable worker left the coordinator process evaluates what is pending
+// — same plan, same partials, same merge.
+func (c *Coordinator) scatter(ctx context.Context, op *evalOp) error {
+	// A frame that cannot be encoded has no id; postWorker reports it.
+	frameID, _ := op.spec.Frame.ID()
+	wire := WireOptionsFrom(op.spec.Options)
+	pending := make([]int, op.plan)
 	for i := range pending {
 		pending[i] = i
 	}
@@ -745,7 +773,18 @@ func scatter[R any, PR interface {
 		ws := c.assignable(op.run)
 		if len(ws) == 0 {
 			op.run.note(degradeLocalFallback)
-			return op.fallback(pending)
+			c.localFallbacks.Add(1)
+			lopts := op.spec.Options
+			lopts.Progress = nil
+			pr, err := engine.EvaluatePartialContext(ctx, op.spec.DB, op.spec.Model, op.q, lopts, pending)
+			if err != nil {
+				return err
+			}
+			op.localDone = len(pending)
+			// Metadata diverging from what a worker already delivered surfaces
+			// as the determinism violation it is, not as a confusing
+			// partial-count mismatch from the merge.
+			return op.take("local", pr)
 		}
 		var (
 			mu     sync.Mutex
@@ -758,19 +797,17 @@ func scatter[R any, PR interface {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				wctx, wsp := obs.Start(ctx, span)
+				wctx, wsp := obs.Start(ctx, "worker_eval")
 				wsp.Set("worker", w.id)
 				wsp.Set("shards", len(chunk))
-				assignID := c.beginAssignment(w.id, op.route, chunk)
-				// A frame that cannot be encoded has no id; postWorker reports it.
-				frameID, _ := op.frame.ID()
-				var resp R
-				err := c.postWorker(wctx, op.run, w, op.frame, op.route, op.request(frameID, chunk), &resp)
+				assignID := c.beginAssignment(w.id, pathEval, chunk)
+				var resp EvalResponse
+				err := c.postWorker(wctx, op.run, w, op.spec.Frame, pathEval,
+					EvalRequest{Frame: frameID, Query: op.spec.Query, Options: wire, Shards: chunk}, &resp)
 				c.endAssignment(assignID)
-				rep := PR(&resp).shared()
 				wsp.Set("error", err != nil)
 				if err == nil {
-					wsp.Graft(rep.Spans)
+					wsp.Graft(resp.Spans)
 				}
 				wsp.End()
 				mu.Lock()
@@ -786,13 +823,16 @@ func scatter[R any, PR interface {
 				if err == nil {
 					w.breaker.onSuccess()
 					// Fold the worker's cost vector into the query meter (the
-					// worker_* ledger); the operation charges the coordinator-
-					// side ledger, and the two must agree when retries == 0.
-					obs.MeterFromContext(ctx).Fold(rep.Meter)
-					if serr := op.shape(&resp, chunk); serr != nil {
-						err = fmt.Errorf("dist: worker %s %s shape mismatch (%v)", w.id, name, serr)
+					// worker_* ledger) and charge the coordinator-side ledger;
+					// the two must agree when retries == 0.
+					meter := obs.MeterFromContext(ctx)
+					meter.Fold(resp.Meter)
+					if serr := shapeError(&resp, chunk); serr != nil {
+						err = fmt.Errorf("dist: worker %s eval shape mismatch (%v)", w.id, serr)
 					} else {
-						err = op.absorb(w.id, &resp, chunk)
+						meter.AddRemoteShards(len(chunk))
+						op.usedRemote[w.id] = true
+						err = op.take(w.id, &resp.PartialResult)
 					}
 				}
 				if err != nil && fatal == nil {
@@ -807,23 +847,11 @@ func scatter[R any, PR interface {
 		if len(failed) > 0 {
 			sort.Ints(failed)
 			c.requeues.Add(1)
-			c.logf("dist: requeueing %d shards of %s after worker loss (round %d)", len(failed), op.route, round)
+			c.logf("dist: requeueing %d shards of %s after worker loss (round %d)", len(failed), pathEval, round)
 		}
 		pending = failed
 	}
 	return nil
-}
-
-// EvalSpec carries one distributed what-if evaluation.
-type EvalSpec struct {
-	DB      *relation.Database
-	Model   *causal.Model
-	Frame   *Frame
-	Query   string
-	Options engine.Options
-	// Progress, when non-nil, receives "shards" updates as remote shard
-	// batches complete (the jobs layer surfaces them as shards_done/total).
-	Progress engine.ProgressFunc
 }
 
 // EvaluateWhatIf runs one what-if query with its plan shards distributed
@@ -852,214 +880,34 @@ func (c *Coordinator) EvaluateWhatIf(ctx context.Context, spec EvalSpec) (*engin
 	ctx, dsp := obs.Start(ctx, "dist_eval")
 	defer dsp.End()
 	dsp.Set("plan", planShards)
-	run := newQueryRun(c.cfg.Retry)
-
-	var (
-		partials   = make([]engine.ShardPartial, 0, planShards)
-		meta       engine.PartialMeta
-		usedRemote = map[string]bool{}
-		localDone  int
-	)
-	// take adds one partial result — a worker's reply or the local
-	// fallback's — to the merge, holding its metadata to what came before.
-	take := func(from string, pr *engine.PartialResult) error {
-		if len(partials) == 0 {
-			meta = pr.Meta
-		} else if !meta.Consistent(pr.Meta) {
-			return fmt.Errorf("dist: worker %s evaluation metadata diverges from the merged plan (determinism violation): %+v vs %+v",
-				from, pr.Meta, meta)
-		} else if pr.Meta.TrainedModels > meta.TrainedModels {
-			// Diagnostics only: each worker trains the models its shards
-			// demanded; report the widest set.
-			meta.TrainedModels = pr.Meta.TrainedModels
-		}
-		partials = append(partials, pr.Partials...)
-		if spec.Progress != nil {
-			spec.Progress("shards", len(partials), planShards)
-		}
-		return nil
+	op := &evalOp{
+		spec: spec, q: q, run: newQueryRun(c.cfg.Retry), plan: planShards,
+		partials:   make([]engine.ShardPartial, 0, planShards),
+		usedRemote: map[string]bool{},
 	}
-	wire := WireOptionsFrom(spec.Options)
-	err = scatter(ctx, c, scatterOp[EvalResponse]{
-		route: pathEval, frame: spec.Frame, run: run, shards: planShards,
-		request: func(frameID string, chunk []int) any {
-			return EvalRequest{Frame: frameID, Query: spec.Query, Options: wire, Shards: chunk}
-		},
-		shape: func(resp *EvalResponse, chunk []int) error {
-			if len(resp.Partials) != len(chunk) {
-				return fmt.Errorf("%d partials for %d shards", len(resp.Partials), len(chunk))
-			}
-			for i, s := range chunk {
-				if got := resp.Partials[i].Shard; got != s {
-					return fmt.Errorf("partial %d is shard %d, asked for shard %d", i, got, s)
-				}
-			}
-			return nil
-		},
-		absorb: func(workerID string, resp *EvalResponse, chunk []int) error {
-			obs.MeterFromContext(ctx).AddRemoteShards(len(chunk))
-			usedRemote[workerID] = true
-			return take(workerID, &resp.PartialResult)
-		},
-		// The coordinator process evaluates whatever is left: same plan,
-		// same partials, same merge. Metadata diverging from what a worker
-		// already delivered surfaces as the determinism violation it is, not
-		// as a confusing partial-count mismatch from the merge.
-		fallback: func(pending []int) error {
-			c.localFallbacks.Add(1)
-			lopts := spec.Options
-			lopts.Progress = nil
-			lopts.RemoteFit = nil
-			pr, err := engine.EvaluatePartialContext(ctx, spec.DB, spec.Model, q, lopts, pending)
-			if err != nil {
-				return err
-			}
-			localDone = len(pending)
-			return take("local", pr)
-		},
-	})
-	if err != nil {
+	if err := c.scatter(ctx, op); err != nil {
 		return nil, err
 	}
 
-	res, err := engine.MergePartials(meta, partials)
+	res, err := engine.MergePartials(op.meta, op.partials)
 	if err != nil {
 		return nil, err
 	}
 	res.Placement = "workers"
-	res.RemoteWorkers = len(usedRemote)
-	res.ShardWorkers = len(usedRemote)
+	res.RemoteWorkers = len(op.usedRemote)
+	res.ShardWorkers = len(op.usedRemote)
 	if res.ShardWorkers == 0 {
 		res.ShardWorkers = 1
 	}
 	res.Total = time.Since(start)
 	res.EvalTime = res.Total
-	res.Degraded, res.DegradedReason = run.degraded()
-	dsp.Set("workers", len(usedRemote))
-	dsp.Set("local_shards", localDone)
+	res.Degraded, res.DegradedReason = op.run.degraded()
+	dsp.Set("workers", len(op.usedRemote))
+	dsp.Set("local_shards", op.localDone)
 	if res.Degraded {
 		dsp.Set("degraded", res.DegradedReason)
 	}
 	c.remoteEvals.Add(1)
-	c.remoteShards.Add(uint64(planShards - localDone))
+	c.remoteShards.Add(uint64(planShards - op.localDone))
 	return res, nil
-}
-
-// Fitter returns a session-bound fitter (an engine.RemoteFitter) that
-// distributes shard-mergeable estimator fits (freq cells and support sets)
-// over the live workers, with the same requeue-on-loss policy as
-// evaluation. When no workers survive it returns an error and the engine's
-// local fit takes over — bit-identical either way. Callers wanting
-// per-request diagnostics create one fitter per request and read
-// WorkersUsed afterwards.
-func (c *Coordinator) Fitter(frame *Frame) *SessionFitter {
-	return &SessionFitter{c: c, frame: frame, run: newQueryRun(c.cfg.Retry)}
-}
-
-// SessionFitter implements engine.RemoteFitter over the coordinator's
-// worker pool for one session frame.
-type SessionFitter struct {
-	c     *Coordinator
-	frame *Frame
-	run   *queryRun // the request's resilience scope (budget, bad set, ladder)
-
-	mu   sync.Mutex
-	used map[string]bool // worker ids that contributed at least one part
-}
-
-// WorkersUsed reports how many distinct workers contributed fit parts
-// through this fitter (0 when every fit was cache-warm or fell back local).
-func (f *SessionFitter) WorkersUsed() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.used)
-}
-
-// Degraded reports whether the fits routed through this fitter fell below
-// the full healthy fleet, and why (the same ladder codes as evaluation).
-func (f *SessionFitter) Degraded() (bool, string) {
-	return f.run.degraded()
-}
-
-func (f *SessionFitter) markUsed(id string) {
-	f.mu.Lock()
-	if f.used == nil {
-		f.used = make(map[string]bool)
-	}
-	f.used[id] = true
-	f.mu.Unlock()
-}
-
-func (f *SessionFitter) FitFreqParts(ctx context.Context, query string, o engine.Options, mask uint64, weighted bool, fitShards int) ([]*ml.FreqWire, error) {
-	resp, err := f.fit(ctx, query, o, mask, weighted, true, false, fitShards)
-	if err != nil {
-		return nil, err
-	}
-	return resp.parts, nil
-}
-
-func (f *SessionFitter) SupportParts(ctx context.Context, query string, o engine.Options, fitShards int) ([]*ml.SupportWire, error) {
-	resp, err := f.fit(ctx, query, o, 0, false, false, true, fitShards)
-	if err != nil {
-		return nil, err
-	}
-	return resp.support, nil
-}
-
-type fitParts struct {
-	parts   []*ml.FreqWire
-	support []*ml.SupportWire
-}
-
-// fit distributes one shard-mergeable fit over the live workers, collecting
-// one part per fit-plan shard (in plan order) with requeue on worker loss.
-func (f *SessionFitter) fit(ctx context.Context, query string, o engine.Options, mask uint64, weighted, cells, support bool, fitShards int) (*fitParts, error) {
-	if fitShards <= 0 {
-		return nil, fmt.Errorf("dist: fit plan has %d shards", fitShards)
-	}
-	out := &fitParts{}
-	if cells {
-		out.parts = make([]*ml.FreqWire, fitShards)
-	}
-	if support {
-		out.support = make([]*ml.SupportWire, fitShards)
-	}
-	wire, maskText := WireOptionsFrom(o), strconv.FormatUint(mask, 10)
-	err := scatter(ctx, f.c, scatterOp[FitResponse]{
-		route: pathFit, frame: f.frame, run: f.run, shards: fitShards,
-		request: func(frameID string, chunk []int) any {
-			return FitRequest{
-				Frame: frameID, Query: query, Options: wire, Mask: maskText,
-				Weighted: weighted, Cells: cells, Support: support, Shards: chunk,
-			}
-		},
-		shape: func(resp *FitResponse, chunk []int) error {
-			if resp.FitPlan != fitShards ||
-				(cells && len(resp.Parts) != len(chunk)) ||
-				(support && len(resp.Support) != len(chunk)) {
-				return fmt.Errorf("plan %d vs %d, %d/%d parts for %d shards",
-					resp.FitPlan, fitShards, len(resp.Parts), len(resp.Support), len(chunk))
-			}
-			return nil
-		},
-		absorb: func(workerID string, resp *FitResponse, chunk []int) error {
-			for j, s := range chunk {
-				if cells {
-					out.parts[s] = resp.Parts[j]
-				}
-				if support {
-					out.support[s] = resp.Support[j]
-				}
-			}
-			f.markUsed(workerID)
-			return nil
-		},
-		// The engine reacts to ErrNoWorkers by fitting locally.
-		fallback: func([]int) error { return ErrNoWorkers },
-	})
-	if err != nil {
-		return nil, err
-	}
-	f.c.remoteFits.Add(1)
-	return out, nil
 }

@@ -8,10 +8,8 @@
 //
 //   - A worker (cmd/hyperd -worker) holds content-addressed frame snapshots
 //     (a session's database + causal model, shipped on first touch), and
-//     serves two stateless computations over them: per-shard what-if
-//     evaluation (engine.EvaluatePartialContext → block-window partials)
-//     and per-shard shard-mergeable estimator fits
-//     (engine.FitEventPartialContext → freq-cell / support-set wire maps).
+//     serves one stateless computation over them: per-shard what-if
+//     evaluation (engine.EvaluatePartialContext → block-window partials).
 //
 //   - The coordinator registers workers (registration + heartbeats with a
 //     lease TTL), assigns contiguous plan shard ranges to the live workers,
@@ -23,23 +21,22 @@
 //     survive — the reduction order never depends on who computed what, so
 //     failures move work without moving results.
 //
-// Both computations are shard-indexed and merge in plan order, so everything
-// around them exists once:
+// Scattering what-if plan shards is the one distributed operation (estimator
+// fits stay in the process that needs them: the only shard-mergeable
+// estimator is the cheap one, and a round trip costs more than its fit), and
+// each job around it has one mechanism:
 //
-//   - scatter is the coordinator's dispatch loop for eval and fit alike:
-//     shard ids go out in rounds of contiguous chunks over the assignable
-//     workers, every reply is grafted, metered and checked to hold exactly
-//     its chunk's shards before the operation sees it, a worker the retry
-//     policy gave up on is excluded and its chunk requeued (one log line,
-//     one hyper_dist_requeues_total tick), and with no worker left the
-//     operation's own last rung runs (local evaluation of the pending
-//     shards for eval; ErrNoWorkers, which makes the engine fit locally, for
-//     fit). An operation supplies its request per chunk, what it absorbs per
-//     reply, and that last rung.
+//   - scatter is the coordinator's dispatch loop: shard ids go out in rounds
+//     of contiguous chunks over the assignable workers, every reply is
+//     grafted, metered and checked to hold exactly its chunk's shards before
+//     it joins the merge, a worker the retry policy gave up on is excluded
+//     and its chunk requeued (one log line, one hyper_dist_requeues_total
+//     tick), and with no worker left the coordinator evaluates the pending
+//     shards itself.
 //
 //   - roundTrip is the one HTTP exchange (secret, trace header, fault
-//     point): postWorker sends a compute request's bytes through it under
-//     the retry policy, shipFrame a frame body.
+//     point): postWorker sends an eval request's bytes through it under the
+//     retry policy, shipFrame a frame body.
 //
 //   - Each registered worker's shipped-frame ledger is an unbounded
 //     internal/lru cache whose single-flight build is the ship: a hit means
@@ -47,10 +44,6 @@
 //     records nothing, and a worker's frame_missing answer Forgets the entry
 //     so the next dispatch ships again. The ledger is checked before the
 //     frame's ancestors, so a warm dispatch never walks the version chain.
-//
-//   - Worker.compute is the one handler body behind both routes: in-flight
-//     count, fault point, decode, frame lookup, parse, options, trace, meter,
-//     respond; handleEval and handleFit are the engine call each makes.
 //
 // Everything on the wire is JSON. Both ends re-derive the deterministic
 // parts of an evaluation (plan, block decomposition, estimator choice,
@@ -65,7 +58,6 @@ import (
 	"strings"
 
 	"hyper/internal/engine"
-	"hyper/internal/ml"
 	"hyper/internal/obs"
 )
 
@@ -75,7 +67,6 @@ const (
 	pathPing    = "/dist/v1/ping"
 	pathFrames  = "/dist/v1/frames/" // + frame id (PUT)
 	pathEval    = "/dist/v1/eval"
-	pathFit     = "/dist/v1/fit"
 	pathWorkers = "/dist/v1/workers" // coordinator: register/beat/list
 )
 
@@ -86,7 +77,7 @@ const codeFrameMissing = "frame_missing"
 
 // WireOptions is the JSON form of the semantic engine options. It carries
 // exactly the fields the serving layer can set (hyper.Options);
-// Cache/Progress/RemoteFit are process-local.
+// Cache/Plans/Progress are process-local.
 type WireOptions struct {
 	Mode          int   `json:"mode,omitempty"`
 	SampleSize    int   `json:"sample_size,omitempty"`
@@ -135,66 +126,21 @@ type EvalRequest struct {
 	Shards  []int       `json:"shards"`
 }
 
-// computeRequest is what the worker's compute wrapper reads of either
-// request before the route's own work starts.
-type computeRequest interface {
-	target() (frame, query string, opts WireOptions)
-}
-
-func (r *EvalRequest) target() (string, string, WireOptions) { return r.Frame, r.Query, r.Options }
-func (r *FitRequest) target() (string, string, WireOptions)  { return r.Frame, r.Query, r.Options }
-
-// reply is the part of a compute response both routes share. Spans is the
-// worker-local span tree, present when the coordinator asked for tracing by
-// stamping the X-Hyper-Trace-Id header on the request: the coordinator
-// grafts it under its per-worker span, stitching one end-to-end trace across
-// processes (span timestamps are the worker's clock — durations are the
-// authoritative numbers — and tracing never touches the computed parts).
-// Meter is the worker-side cost vector of the request (shards run, tuples
-// evaluated, fits, bytes received); the coordinator folds it into the
-// query's meter — the worker_* ledger the reconciliation invariant checks
-// against the coordinator's own shipped/dispatched totals.
-type reply struct {
-	Spans *obs.SpanJSON  `json:"spans,omitempty"`
-	Meter *obs.MeterJSON `json:"meter,omitempty"`
-}
-
-// replier is either response type, as the worker's compute wrapper and the
-// coordinator's scatter loop see it: through its shared reply.
-type replier interface{ shared() *reply }
-
-func (r *reply) shared() *reply { return r }
-
 // EvalResponse is the worker's answer to an eval: the engine's partial
-// result plus the shared reply.
+// result, then what the request cost. Spans is the worker-local span tree,
+// present when the coordinator asked for tracing by stamping the
+// X-Hyper-Trace-Id header on the request: the coordinator grafts it under its
+// per-worker span, stitching one end-to-end trace across processes (span
+// timestamps are the worker's clock — durations are the authoritative
+// numbers — and tracing never touches the computed parts). Meter is the
+// worker-side cost vector of the request (shards run, tuples evaluated, fits,
+// bytes received); the coordinator folds it into the query's meter — the
+// worker_* ledger the reconciliation invariant checks against the
+// coordinator's own shipped/dispatched totals.
 type EvalResponse struct {
 	engine.PartialResult
-	reply
-}
-
-// FitRequest asks a worker for the per-shard partial indexes of a
-// shard-mergeable estimator fit: the freq cells of the event subset Mask
-// (Y-weighted when Weighted) and/or the support-set keys, over the listed
-// fit-plan shards. Mask is decimal-encoded because JSON numbers cannot carry
-// a full uint64.
-type FitRequest struct {
-	Frame    string      `json:"frame"`
-	Query    string      `json:"query"`
-	Options  WireOptions `json:"options"`
-	Mask     string      `json:"mask"`
-	Weighted bool        `json:"weighted,omitempty"`
-	Cells    bool        `json:"cells,omitempty"`
-	Support  bool        `json:"support,omitempty"`
-	Shards   []int       `json:"shards"`
-}
-
-// FitResponse carries one wire part per requested shard, in request order,
-// plus the shared reply.
-type FitResponse struct {
-	FitPlan int               `json:"fit_plan"`
-	Parts   []*ml.FreqWire    `json:"parts,omitempty"`
-	Support []*ml.SupportWire `json:"support,omitempty"`
-	reply
+	Spans *obs.SpanJSON  `json:"spans,omitempty"`
+	Meter *obs.MeterJSON `json:"meter,omitempty"`
 }
 
 // RegisterRequest announces a worker to the coordinator. URL is the base

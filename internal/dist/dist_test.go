@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -42,14 +41,12 @@ func distDataset(t testing.TB, name string) (*relation.Database, *causal.Model) 
 }
 
 // testWorker is one in-process worker behind a real HTTP listener, with
-// request counters and a kill switch that aborts its next compute request
-// (eval or fit) mid-request.
+// request counters and a kill switch that aborts its next eval mid-request.
 type testWorker struct {
 	w        *Worker
 	ts       *httptest.Server
 	puts     atomic.Int64
 	evals    atomic.Int64
-	fits     atomic.Int64
 	killEval atomic.Bool
 }
 
@@ -61,12 +58,8 @@ func newTestWorker(t *testing.T) *testWorker {
 		switch {
 		case r.Method == http.MethodPut:
 			tw.puts.Add(1)
-		case r.URL.Path == pathEval || r.URL.Path == pathFit:
-			if r.URL.Path == pathEval {
-				tw.evals.Add(1)
-			} else {
-				tw.fits.Add(1)
-			}
+		case r.URL.Path == pathEval:
+			tw.evals.Add(1)
 			if tw.killEval.Load() {
 				// Die mid-request: the connection is severed without a
 				// response, exactly what a killed worker process looks like
@@ -273,13 +266,12 @@ func TestDistributedEvalParity(t *testing.T) {
 	}
 }
 
-// TestWorkerLossRequeue kills one worker mid-request, on each compute route,
-// and asserts the coordinator requeues its shards onto the survivor (logging
-// the requeue), quarantines the dead worker (it stays registered, excluded
-// from assignment), reports the degradation, keeps the result bit-identical,
-// and leaks no goroutines. Then the survivor dies too and the route's last
-// rung takes over: local evaluation of the pending shards for eval,
-// ErrNoWorkers and the engine's local fit for fit. (CI runs this under -race.)
+// TestWorkerLossRequeue kills one worker mid-request and asserts the
+// coordinator requeues its shards onto the survivor (logging the requeue),
+// quarantines the dead worker (it stays registered, excluded from
+// assignment), reports the degradation, keeps the result bit-identical, and
+// leaks no goroutines. Then the survivor dies too and the last rung takes
+// over: local evaluation of the pending shards. (CI runs this under -race.)
 func TestWorkerLossRequeue(t *testing.T) {
 	opts := engine.Options{Seed: 7, ShardRows: 128} // 1000 rows -> 8 plan shards
 	src := `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`
@@ -293,124 +285,95 @@ func TestWorkerLossRequeue(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, row := range []struct {
-		route string
-		calls func(*testWorker) int64
-	}{
-		{pathEval, func(tw *testWorker) int64 { return tw.evals.Load() }},
-		{pathFit, func(tw *testWorker) int64 { return tw.fits.Load() }},
-	} {
-		t.Run(strings.TrimPrefix(row.route, "/dist/v1/"), func(t *testing.T) {
-			before := runtime.NumGoroutine()
-			w1, w2 := newTestWorker(t), newTestWorker(t)
-			var logMu sync.Mutex
-			var logged []string
-			// One failure quarantines, one attempt per RPC: the dead worker is
-			// hit exactly once and every later round skips it.
-			c, client := newTestCoordinatorCfg(t, CoordinatorConfig{
-				BreakerFailures: 1,
-				Retry:           RetryPolicy{MaxAttempts: 1},
-				Logf: func(format string, args ...any) {
-					logMu.Lock()
-					logged = append(logged, fmt.Sprintf(format, args...))
-					logMu.Unlock()
-				},
-			}, w1, w2)
-			w2.killEval.Store(true) // w2 dies on its first dispatch
+	// One subtest, named for the one compute route: its own goroutine
+	// baseline, and the name CI's run filters and logs have always shown.
+	t.Run("eval", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		w1, w2 := newTestWorker(t), newTestWorker(t)
+		var logMu sync.Mutex
+		var logged []string
+		// One failure quarantines, one attempt per RPC: the dead worker is
+		// hit exactly once and every later round skips it.
+		c, client := newTestCoordinatorCfg(t, CoordinatorConfig{
+			BreakerFailures: 1,
+			Retry:           RetryPolicy{MaxAttempts: 1},
+			Logf: func(format string, args ...any) {
+				logMu.Lock()
+				logged = append(logged, fmt.Sprintf(format, args...))
+				logMu.Unlock()
+			},
+		}, w1, w2)
+		w2.killEval.Store(true) // w2 dies on its first dispatch
 
-			db, model := distDataset(t, "german")
-			// run answers the query over the row's route — shards scattered
-			// for eval, fits scattered under a local evaluation for fit — and
-			// reports the ladder that operation fell down.
-			var fitter *SessionFitter
-			run := func() (res *engine.Result, degraded bool, reason string) {
-				t.Helper()
-				var err error
-				if row.route == pathEval {
-					res, err = c.EvaluateWhatIf(context.Background(), EvalSpec{
-						DB: db, Model: model, Frame: NewFrame(db, model), Query: src, Options: opts,
-					})
-					if err == nil {
-						degraded, reason = res.Degraded, res.DegradedReason
-					}
-				} else {
-					fitter = c.Fitter(NewFrame(db, model))
-					ropts := opts
-					ropts.RemoteFit = fitter
-					res, err = engine.EvaluateContext(context.Background(), db, model, q, ropts)
-					degraded, reason = fitter.Degraded()
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res, degraded, reason
+		db, model := distDataset(t, "german")
+		run := func() *engine.Result {
+			t.Helper()
+			res, err := c.EvaluateWhatIf(context.Background(), EvalSpec{
+				DB: db, Model: model, Frame: NewFrame(db, model), Query: src, Options: opts,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
+			return res
+		}
 
-			res, degraded, reason := run()
-			if g17(res.Value) != g17(want.Value) {
-				t.Fatalf("post-requeue value %s != local %s", g17(res.Value), g17(want.Value))
+		res := run()
+		if g17(res.Value) != g17(want.Value) {
+			t.Fatalf("post-requeue value %s != local %s", g17(res.Value), g17(want.Value))
+		}
+		if !res.Degraded || res.DegradedReason != "worker_lost" {
+			t.Fatalf("degraded=%v reason=%q, want true/worker_lost", res.Degraded, res.DegradedReason)
+		}
+		if res.RemoteWorkers != 1 {
+			t.Fatalf("RemoteWorkers %d, want 1 (the survivor)", res.RemoteWorkers)
+		}
+		st := c.Stats()
+		if st.WorkersLost != 1 || st.Requeues != 1 || st.WorkersQuarantined != 1 {
+			t.Fatalf("stats after loss: %+v (want 1 lost, 1 requeue, 1 quarantined)", st)
+		}
+		if st.WorkersAlive != 1 || st.WorkersRegistered != 2 {
+			t.Fatalf("alive=%d registered=%d, want 1 assignable of 2 registered (quarantine, not drop)", st.WorkersAlive, st.WorkersRegistered)
+		}
+		if w2.evals.Load() != 1 || w1.evals.Load() < 2 {
+			t.Fatalf("eval counts: w1=%d w2=%d (w2 must have died on its only dispatch)", w1.evals.Load(), w2.evals.Load())
+		}
+		logMu.Lock()
+		requeueLogged := false
+		for _, line := range logged {
+			if strings.Contains(line, "requeueing") && strings.Contains(line, pathEval) {
+				requeueLogged = true
 			}
-			if !degraded || reason != "worker_lost" {
-				t.Fatalf("degraded=%v reason=%q, want true/worker_lost", degraded, reason)
-			}
-			if row.route == pathEval && res.RemoteWorkers != 1 {
-				t.Fatalf("RemoteWorkers %d, want 1 (the survivor)", res.RemoteWorkers)
-			}
-			if row.route == pathFit && fitter.WorkersUsed() != 1 {
-				t.Fatalf("WorkersUsed %d, want 1 (the survivor)", fitter.WorkersUsed())
-			}
-			st := c.Stats()
-			if st.WorkersLost != 1 || st.Requeues != 1 || st.WorkersQuarantined != 1 {
-				t.Fatalf("stats after loss: %+v (want 1 lost, 1 requeue, 1 quarantined)", st)
-			}
-			if st.WorkersAlive != 1 || st.WorkersRegistered != 2 {
-				t.Fatalf("alive=%d registered=%d, want 1 assignable of 2 registered (quarantine, not drop)", st.WorkersAlive, st.WorkersRegistered)
-			}
-			if row.calls(w2) != 1 || row.calls(w1) < 2 {
-				t.Fatalf("%s counts: w1=%d w2=%d (w2 must have died on its only dispatch)", row.route, row.calls(w1), row.calls(w2))
-			}
-			logMu.Lock()
-			requeueLogged := false
-			for _, line := range logged {
-				if strings.Contains(line, "requeueing") && strings.Contains(line, row.route) {
-					requeueLogged = true
-				}
-			}
-			logMu.Unlock()
-			if !requeueLogged {
-				t.Fatalf("no requeue line naming %s in the coordinator log: %q", row.route, logged)
-			}
+		}
+		logMu.Unlock()
+		if !requeueLogged {
+			t.Fatalf("no requeue line naming %s in the coordinator log: %q", pathEval, logged)
+		}
 
-			// All workers gone mid-stream: the route's last rung still
-			// produces the identical result, reporting the full ladder.
-			w1.killEval.Store(true)
-			res2, degraded, reason := run()
-			if g17(res2.Value) != g17(want.Value) {
-				t.Fatalf("local-fallback value %s != local %s", g17(res2.Value), g17(want.Value))
-			}
-			if !degraded || reason != "worker_lost,quarantine,local_fallback" {
-				t.Fatalf("degraded=%v reason=%q, want the full ladder", degraded, reason)
-			}
-			if row.route == pathEval {
-				if got := c.Stats().LocalFallbacks; got != 1 {
-					t.Fatalf("local fallbacks %d, want 1", got)
-				}
-			} else if _, err := fitter.SupportParts(context.Background(), src, opts, 8); !errors.Is(err, ErrNoWorkers) {
-				t.Fatalf("fit with every worker gone: err %v, want ErrNoWorkers", err)
-			}
+		// All workers gone mid-stream: the last rung still produces the
+		// identical result, reporting the full ladder.
+		w1.killEval.Store(true)
+		res2 := run()
+		if g17(res2.Value) != g17(want.Value) {
+			t.Fatalf("local-fallback value %s != local %s", g17(res2.Value), g17(want.Value))
+		}
+		if !res2.Degraded || res2.DegradedReason != "worker_lost,quarantine,local_fallback" {
+			t.Fatalf("degraded=%v reason=%q, want the full ladder", res2.Degraded, res2.DegradedReason)
+		}
+		if got := c.Stats().LocalFallbacks; got != 1 {
+			t.Fatalf("local fallbacks %d, want 1", got)
+		}
 
-			w1.ts.Close()
-			w2.ts.Close()
-			client.CloseIdleConnections()
-			deadline := time.Now().Add(2 * time.Second)
-			for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
-				time.Sleep(10 * time.Millisecond)
-			}
-			if after := runtime.NumGoroutine(); after > before+2 {
-				t.Fatalf("goroutine leak: %d before, %d after", before, after)
-			}
-		})
-	}
+		w1.ts.Close()
+		w2.ts.Close()
+		client.CloseIdleConnections()
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before+2 {
+			t.Fatalf("goroutine leak: %d before, %d after", before, after)
+		}
+	})
 }
 
 // TestDistLedgerReconciles pins the cross-process byte ledger in-process: the
@@ -480,39 +443,6 @@ func TestEvalReplyShapeChecked(t *testing.T) {
 	if st := c.Stats(); st.Requeues != 0 || st.WorkersLost != 0 || evals.Load() != 1 {
 		t.Fatalf("requeues %d, lost %d, stub evals %d; a wrong reply must end the operation, not requeue it",
 			st.Requeues, st.WorkersLost, evals.Load())
-	}
-}
-
-// TestRemoteFitOverHTTP drives the engine's remote-fit hook through a real
-// worker: every shard-mergeable fit (cells + support) runs off-process and
-// the result matches the purely local evaluation bit for bit.
-func TestRemoteFitOverHTTP(t *testing.T) {
-	opts := engine.Options{Seed: 7, ShardRows: 256}
-	src := `USE German UPDATE(Savings) = 2 OUTPUT COUNT(Credit = 1) FOR PRE(Age) = 2`
-	ldb, lmodel := distDataset(t, "german")
-	q, err := hyperql.ParseWhatIf(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := engine.EvaluateContext(context.Background(), ldb, lmodel, q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	w1 := newTestWorker(t)
-	c, _ := newTestCoordinator(t, w1)
-	db, model := distDataset(t, "german")
-	ropts := opts
-	ropts.RemoteFit = c.Fitter(NewFrame(db, model))
-	got, err := engine.EvaluateContext(context.Background(), db, model, q, ropts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g17(got.Value) != g17(want.Value) {
-		t.Fatalf("remote-fit value %s != local %s", g17(got.Value), g17(want.Value))
-	}
-	if st := c.Stats(); st.RemoteFits == 0 {
-		t.Fatalf("no remote fits recorded: %+v", st)
 	}
 }
 
@@ -716,7 +646,6 @@ func TestFrameShipSingleFlight(t *testing.T) {
 	c, _ := newTestCoordinator(t, tw)
 	db, model := distDataset(t, "german")
 	frame := NewFrame(db, model)
-	fitter := c.Fitter(frame)
 	opts := engine.Options{Seed: 7, ShardRows: 256}
 
 	const conc = 8
@@ -726,18 +655,19 @@ func TestFrameShipSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// Distinct masks -> distinct fits, all racing on the cold frame.
-			_, errs[i] = fitter.SupportParts(context.Background(),
-				`USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`, opts, 4)
+			_, errs[i] = c.EvaluateWhatIf(context.Background(), EvalSpec{
+				DB: db, Model: model, Frame: frame, Options: opts,
+				Query: `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`,
+			})
 		}(i)
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			t.Fatalf("fit %d: %v", i, err)
+			t.Fatalf("eval %d: %v", i, err)
 		}
 	}
 	if got := tw.puts.Load(); got != 1 {
-		t.Fatalf("frame shipped %d times under %d concurrent cold fits, want exactly 1", got, conc)
+		t.Fatalf("frame shipped %d times under %d concurrent cold evals, want exactly 1", got, conc)
 	}
 }

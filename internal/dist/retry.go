@@ -12,10 +12,10 @@ import (
 )
 
 // RetryPolicy is the unified failure-handling knob for every
-// coordinator->worker RPC (frame ships, evals, fits). One policy replaces
+// coordinator->worker RPC (frame ships and evals). One policy replaces
 // the ad-hoc per-call retry logic: each RPC gets a per-attempt timeout and
 // up to MaxAttempts tries with capped exponential backoff and seeded
-// jitter, and each distributed operation (one what-if, one fit) gets a
+// jitter, and each distributed operation (one what-if) gets a
 // Budget of retries across all of its RPCs so a systemically failing
 // cluster degrades to requeue/local-fallback instead of retrying forever.
 // The zero value takes the defaults below.

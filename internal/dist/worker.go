@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"sync/atomic"
@@ -30,15 +29,15 @@ type WorkerConfig struct {
 	MaxBodyBytes int64
 	// CacheEntries bounds each frame's engine artifact cache. Default 256.
 	CacheEntries int
-	// Secret, when non-empty, requires every compute request (frames, eval,
-	// fit) to present the shared dist secret — set it when untrusted peers
+	// Secret, when non-empty, requires every compute request (frames, eval)
+	// to present the shared dist secret — set it when untrusted peers
 	// can reach the worker's listener, mirroring the coordinator's Secret.
 	Secret string
 	// Logf, when non-nil, receives one line per request.
 	Logf func(format string, args ...any)
 	// Fault, when non-nil, is the armed fault injector consulted at the
-	// worker-side injection points (eval, fit). Nil — the production
-	// default — costs one pointer check per request.
+	// worker-side injection point (eval). Nil — the production default —
+	// costs one pointer check per request.
 	Fault *fault.Injector
 }
 
@@ -57,7 +56,7 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 
 // Worker serves the shard-transport compute endpoints: it stores shipped
 // frames (content-addressed, LRU-bounded) and evaluates per-shard what-if
-// partials and shard-mergeable fits against them. A worker is stateless
+// partials against them. A worker is stateless
 // beyond its frame cache: every computation re-derives the deterministic
 // evaluation state from frame + query + options, so workers can join, die,
 // and rejoin freely without affecting any result.
@@ -65,7 +64,7 @@ type Worker struct {
 	cfg    WorkerConfig
 	frames *lru.Cache[*workerFrame] // by content address
 
-	// inflight counts eval/fit requests currently executing, so a draining
+	// inflight counts eval requests currently executing, so a draining
 	// worker (SIGTERM) can finish them before deregistering.
 	inflight atomic.Int64
 
@@ -76,7 +75,6 @@ type Worker struct {
 	traces     *obs.Recorder
 	evals      *obs.Counter // eval requests answered successfully
 	evalShards *obs.Counter // plan shards evaluated (successful evals only)
-	fits       *obs.Counter // fit requests answered successfully
 	frameBytes *obs.Counter // frame bytes accepted into the store
 	evictions  *obs.Counter // frames evicted by the LRU bound
 }
@@ -98,7 +96,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	}
 	w.evals = w.metrics.Counter("hyper_worker_evals_total", "Eval requests answered successfully.")
 	w.evalShards = w.metrics.Counter("hyper_worker_eval_shards_total", "Plan shards evaluated by this worker (successful evals only).")
-	w.fits = w.metrics.Counter("hyper_worker_fits_total", "Fit requests answered successfully.")
 	w.frameBytes = w.metrics.Counter("hyper_worker_frame_bytes_received_total", "Frame bytes accepted into the store.")
 	w.evictions = w.metrics.Counter("hyper_worker_frame_evictions_total", "Frames evicted by the LRU bound.")
 	w.frames = lru.New(w.cfg.MaxFrames, func(id string, _ *workerFrame) {
@@ -109,7 +106,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		func() float64 { return float64(w.frames.Len()) })
 	w.metrics.CounterFunc("hyper_worker_traces_recorded_total", "Coordinator-traced requests captured into the trace ring.",
 		func() float64 { return float64(w.traces.Recorded()) })
-	w.metrics.GaugeFunc("hyper_worker_inflight", "Eval/fit requests currently executing.",
+	w.metrics.GaugeFunc("hyper_worker_inflight", "Eval requests currently executing.",
 		func() float64 { return float64(w.inflight.Load()) })
 	obs.RegisterRuntimeMetrics(w.metrics)
 	faultInjected := w.metrics.CounterVec("hyper_fault_injected_total",
@@ -120,10 +117,10 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	return w
 }
 
-// InFlight reports the eval/fit requests currently executing.
+// InFlight reports the eval requests currently executing.
 func (w *Worker) InFlight() int { return int(w.inflight.Load()) }
 
-// Drain blocks until no eval/fit request is in flight or ctx expires —
+// Drain blocks until no eval request is in flight or ctx expires —
 // the graceful-shutdown half of the requeue contract: a SIGTERM'd worker
 // finishes the shards it was assigned instead of forcing the coordinator
 // through a retry/requeue round-trip.
@@ -177,7 +174,6 @@ func (w *Worker) Handler() http.Handler {
 	mux.HandleFunc("GET "+pathPing, w.handlePing)
 	mux.HandleFunc("PUT "+pathFrames+"{id}", guarded(w.handlePutFrame))
 	mux.HandleFunc("POST "+pathEval, guarded(w.handleEval))
-	mux.HandleFunc("POST "+pathFit, guarded(w.handleFit))
 	// Observability surface, unauthenticated like the ping: metric values
 	// and span shapes carry no session data.
 	mux.Handle("GET /metrics", w.metrics.Handler())
@@ -316,78 +312,45 @@ func (w *Worker) putDeltaFrame(rw http.ResponseWriter, id string, body []byte) {
 	writeJSON(rw, http.StatusOK, map[string]any{"ok": true})
 }
 
-// compute serves one compute route, named by its fault point ("eval",
-// "fit"). What the two routes share is here, once: the in-flight count Drain
-// waits on, the fault point, decoding the request, resolving its frame (a
-// miss is the frame_missing protocol error) and query, the engine options
-// over the frame's cache, the trace the coordinator may have asked for, and
-// a fresh per-request meter that the engine charges through the context and
-// the coordinator folds into the query's. run does the route's own work and
-// returns its response, whose shared reply the wrapper fills in; an error
-// from run answers 400.
-func (w *Worker) compute(rw http.ResponseWriter, r *http.Request, point fault.Point, req computeRequest,
-	run func(ctx context.Context, f *workerFrame, q *hyperql.WhatIf, opts engine.Options) (replier, error)) {
+// handleEval serves the compute route: the in-flight count Drain waits on,
+// the fault point, decoding the request, resolving its frame (a miss is the
+// frame_missing protocol error) and query, the engine options over the
+// frame's cache, the trace the coordinator may have asked for, and a fresh
+// per-request meter that the engine charges through the context and the
+// coordinator folds into the query's. An evaluation error answers 400.
+func (w *Worker) handleEval(rw http.ResponseWriter, r *http.Request) {
 	w.inflight.Add(1)
 	defer w.inflight.Add(-1)
-	if !w.injectFault(rw, point) {
+	if !w.injectFault(rw, fault.PointEval) {
 		return
 	}
-	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
-		writeError(rw, http.StatusBadRequest, "", "decoding %s request: %v", point, err)
+	var req EvalRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		writeError(rw, http.StatusBadRequest, "", "decoding eval request: %v", err)
 		return
 	}
-	frameID, query, wire := req.target()
-	f, ok := w.frames.Get(frameID)
+	f, ok := w.frames.Get(req.Frame)
 	if !ok {
-		writeError(rw, http.StatusNotFound, codeFrameMissing, "frame %.12s not on this worker", frameID)
+		writeError(rw, http.StatusNotFound, codeFrameMissing, "frame %.12s not on this worker", req.Frame)
 		return
 	}
-	q, err := hyperql.ParseWhatIf(query)
+	q, err := hyperql.ParseWhatIf(req.Query)
 	if err != nil {
 		writeError(rw, http.StatusBadRequest, "", "%v", err)
 		return
 	}
-	opts := wire.EngineOptions()
+	opts := req.Options.EngineOptions()
 	opts.Cache = f.cache
-	ctx, finish := w.traceRequest(r, string(point))
+	ctx, finish := w.traceRequest(r, "eval")
 	meter := obs.NewMeter()
 	meter.AddDistBytesReceived(int(r.ContentLength))
-	resp, err := run(obs.ContextWithMeter(ctx, meter), f, q, opts)
+	res, err := engine.EvaluatePartialContext(obs.ContextWithMeter(ctx, meter), f.db, f.model, q, opts, req.Shards)
 	if err != nil {
 		writeError(rw, http.StatusBadRequest, "", "%v", err)
 		return
 	}
-	*resp.shared() = reply{Spans: finish(), Meter: meter.JSON()}
-	writeJSON(rw, http.StatusOK, resp)
-}
-
-func (w *Worker) handleEval(rw http.ResponseWriter, r *http.Request) {
-	var req EvalRequest
-	w.compute(rw, r, fault.PointEval, &req, func(ctx context.Context, f *workerFrame, q *hyperql.WhatIf, opts engine.Options) (replier, error) {
-		res, err := engine.EvaluatePartialContext(ctx, f.db, f.model, q, opts, req.Shards)
-		if err != nil {
-			return nil, err
-		}
-		w.evals.Inc()
-		w.evalShards.Add(len(req.Shards))
-		w.logf("dist worker: eval frame=%.12s shards=%v plan=%d", req.Frame, req.Shards, res.Meta.Plan)
-		return &EvalResponse{PartialResult: *res}, nil
-	})
-}
-
-func (w *Worker) handleFit(rw http.ResponseWriter, r *http.Request) {
-	var req FitRequest
-	w.compute(rw, r, fault.PointFit, &req, func(ctx context.Context, f *workerFrame, q *hyperql.WhatIf, opts engine.Options) (replier, error) {
-		mask, err := strconv.ParseUint(req.Mask, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad mask %q: %v", req.Mask, err)
-		}
-		part, err := engine.FitEventPartialContext(ctx, f.db, f.model, q, opts, mask, req.Weighted, req.Cells, req.Support, req.Shards)
-		if err != nil {
-			return nil, err
-		}
-		w.fits.Inc()
-		w.logf("dist worker: fit frame=%.12s mask=%s shards=%v", req.Frame, req.Mask, req.Shards)
-		return &FitResponse{FitPlan: part.FitPlan, Parts: part.Parts, Support: part.Support}, nil
-	})
+	w.evals.Inc()
+	w.evalShards.Add(len(req.Shards))
+	w.logf("dist worker: eval frame=%.12s shards=%v plan=%d", req.Frame, req.Shards, res.Meta.Plan)
+	writeJSON(rw, http.StatusOK, &EvalResponse{PartialResult: *res, Spans: finish(), Meter: meter.JSON()})
 }

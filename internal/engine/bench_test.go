@@ -62,9 +62,9 @@ func BenchmarkEstimatorFit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := newEstimatorSet(context.Background(), rel, featCols, 1, "bench", opts)
+		s := newEstimatorSet(rel, featCols, 1, opts)
 		ci := rel.Schema().MustIndex("Credit")
-		m, err := s.model("bench", fitExec{ctx: context.Background(), workers: 1}, func(r int) (float64, error) {
+		m, err := s.model(context.Background(), "bench", 1, false, func(r int) (float64, error) {
 			if rel.Row(r)[ci].AsInt() == 1 {
 				return 1, nil
 			}

@@ -3,8 +3,10 @@ package engine
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"hyper/internal/dataset"
 	"hyper/internal/hyperql"
@@ -163,4 +165,37 @@ func TestCacheColdHerd(t *testing.T) {
 	if st, ser := c.Stats(), serial.Stats(); st.Misses != ser.Misses || st.Entries != ser.Entries {
 		t.Errorf("herd stats %+v, serial %+v: every artifact should be built once", st, ser)
 	}
+}
+
+// TestCachedEstimatorSetDoesNotPinRequest: an estimator set lives in the
+// cache long after the request that built it, so it must not keep that
+// request's Progress (a job's bound Report method) reachable.
+func TestCachedEstimatorSetDoesNotPinRequest(t *testing.T) {
+	g := dataset.GermanSyn(500, 7)
+	q, err := hyperql.ParseWhatIf(`USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCacheBounded(64)
+	collected := make(chan struct{})
+	func() {
+		job := new([64]byte) // stands in for the job behind a progress callback
+		runtime.SetFinalizer(job, func(*[64]byte) { close(collected) })
+		opts := Options{Seed: 7, Cache: c, Progress: func(string, int, int) { _ = job[0] }}
+		if _, err := Evaluate(g.DB, g.Model, q, opts); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			if c.Stats().Entries == 0 {
+				t.Fatal("the cache is empty; the test proved nothing")
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the request's Progress is still reachable from the cache after the request returned")
 }

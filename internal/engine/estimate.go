@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"hash/fnv"
 
 	"hyper/internal/lru"
@@ -29,7 +28,7 @@ type estimatorSet struct {
 	trainRows []int
 	keys      *ml.SupportSet // exact feature combinations seen (freq only)
 	kind      string
-	opts      Options
+	seed      int64 // Options.Seed: forest seeds derive from it and the model key
 	// fitPlan is the canonical shard plan over trainRows. Shard-mergeable
 	// estimators (ml.ShardMergeable) fit per shard and merge in plan order;
 	// the others fit whole-frame. The plan depends only on the training-set
@@ -42,17 +41,16 @@ type estimatorSet struct {
 // newEstimatorSet prepares the shared columnar frame. featCols is the
 // concatenation of update attributes, the backdoor set, and any summary
 // columns; sampling (HypeR-sampled) draws SampleSize rows without
-// replacement. query is the canonical query text, forwarded to a remote
-// fitter (opts.RemoteFit) so the support index can be assembled from
-// per-shard parts computed off-process; any remote failure falls back to
-// the local sharded build, which is bit-identical.
-func newEstimatorSet(ctx context.Context, view *relation.Relation, featCols []string, keepFirst int, query string, opts Options) *estimatorSet {
+// replacement. Of opts the set keeps the seed and the estimator kind it
+// chose: it lives in the session's engine cache long after the request that
+// built it, so it must not hold that request's Progress, Cache or Plans.
+func newEstimatorSet(view *relation.Relation, featCols []string, keepFirst int, opts Options) *estimatorSet {
 	s := &estimatorSet{
 		view:      view,
 		featCols:  append([]string(nil), featCols...),
 		keepFirst: keepFirst,
 		enc:       ml.NewEncoder(view, featCols),
-		opts:      opts,
+		seed:      opts.Seed,
 		models:    lru.New[ml.Regressor](0, nil),
 	}
 	s.frame = ml.NewFrameWorkers(s.enc, view, opts.Shards)
@@ -66,19 +64,10 @@ func newEstimatorSet(ctx context.Context, view *relation.Relation, featCols []st
 			s.trainRows[i] = i
 		}
 	}
-	s.kind = s.chooseKind()
+	s.kind = s.chooseKind(opts.Estimator)
 	s.fitPlan = shard.Rows(len(s.trainRows), opts.ShardRows)
 	if s.kind == "freq" {
-		if opts.RemoteFit != nil {
-			if parts, err := opts.RemoteFit.SupportParts(ctx, query, opts, s.fitPlan.Shards()); err == nil && len(parts) == s.fitPlan.Shards() {
-				if keys, err := ml.MergeSupportWires(s.frame, parts); err == nil {
-					s.keys = keys
-				}
-			}
-		}
-		if s.keys == nil {
-			s.keys = ml.NewSupportSetSharded(s.frame, s.trainRows, s.fitPlan, opts.Shards)
-		}
+		s.keys = ml.NewSupportSetSharded(s.frame, s.trainRows, s.fitPlan, opts.Shards)
 	}
 	return s
 }
@@ -92,8 +81,8 @@ func (s *estimatorSet) hasSupport(x []float64) bool {
 // chooseKind applies the auto rule: the exact frequency estimator when every
 // feature is discrete (the support-index optimization of A.4), a random
 // forest otherwise.
-func (s *estimatorSet) chooseKind() string {
-	switch s.opts.Estimator {
+func (s *estimatorSet) chooseKind(want EstimatorKind) string {
+	switch want {
 	case EstimatorFreq:
 		return "freq"
 	case EstimatorForest:
@@ -110,26 +99,10 @@ func (s *estimatorSet) chooseKind() string {
 	if !continuous {
 		return "freq"
 	}
-	if s.opts.Estimator == EstimatorLinear {
+	if want == EstimatorLinear {
 		return "linear"
 	}
 	return "forest"
-}
-
-// fitExec is the per-call execution context of an estimator training: the
-// evaluation's cancellation, worker fan-out, and the remote fitter that can
-// compute the per-shard fit off-process. It is passed per call — never
-// stored — because a cached estimator set outlives the request that built
-// it, and execution knobs must follow the current request, not the one that
-// warmed the cache (results cannot differ either way; the fit plan is fixed).
-type fitExec struct {
-	ctx      context.Context
-	workers  int
-	fitter   RemoteFitter // nil = fit locally
-	query    string       // canonical query text for the remote fitter
-	opts     Options      // evaluation options, forwarded to the fitter
-	mask     uint64       // event-subset bitmask identifying the model
-	weighted bool
 }
 
 // model returns (training on demand) the regressor for the labeled target.
@@ -143,83 +116,56 @@ type fitExec struct {
 // labels must never be served); the next waiter retrains and deterministically
 // hits the same error.
 //
-// When ex carries a remote fitter and the estimator is shard-mergeable, the
-// per-shard fit is dispatched off-process and the wire parts merge in fit-
-// plan order; any remote failure falls back to the local fit, which is
-// bit-identical by construction — distribution can move work, never results.
-func (s *estimatorSet) model(key string, ex fitExec, label func(viewRow int) (float64, error)) (ml.Regressor, error) {
-	m, _, err := s.models.Do(ex.ctx, key, func() (ml.Regressor, error) {
+// ctx, workers (the shard fan-out of a sharded fit) and weighted (a span
+// attribute) are the calling request's, passed per call and never stored: a
+// cached set outlives the request that built it. Results cannot differ either
+// way; the fit plan is fixed.
+func (s *estimatorSet) model(ctx context.Context, key string, workers int, weighted bool, label func(viewRow int) (float64, error)) (ml.Regressor, error) {
+	m, _, err := s.models.Do(ctx, key, func() (ml.Regressor, error) {
 		// Training is the expensive step of the estimator fitting loop; a
 		// cancelled query stops here rather than fitting another regressor it
 		// will never use. Already-trained models stay valid.
-		if err := ex.ctx.Err(); err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		// One span per actual training (memo hits and single-flight waiters
 		// never reach here), so a trace's fit-span count equals the trained
 		// model count at any shard fan-out.
-		_, fsp := obs.Start(ex.ctx, "fit")
+		_, fsp := obs.Start(ctx, "fit")
 		defer fsp.End()
 		fsp.Set("estimator", s.kind)
-		fsp.Set("weighted", ex.weighted)
+		fsp.Set("weighted", weighted)
 
-		var m ml.Regressor
-		if s.kind == "freq" && ex.fitter != nil {
-			if rm, err := s.remoteFit(ex); err == nil {
-				m = rm
+		y := make([]float64, len(s.trainRows))
+		for i, r := range s.trainRows {
+			v, err := label(r)
+			if err != nil {
+				return nil, err
 			}
-			// Errors fall through to the local fit below: per-shard fits merged
-			// in plan order are bit-identical to the local fit, so losing the
-			// workers mid-training can never change a result — only where the
-			// work ran.
-			fsp.Set("remote", m != nil)
+			y[i] = v
 		}
-		if m == nil {
-			y := make([]float64, len(s.trainRows))
-			for i, r := range s.trainRows {
-				v, err := label(r)
-				if err != nil {
-					return nil, err
-				}
-				y[i] = v
-			}
-			switch s.kind {
-			case "freq":
-				m = ml.FitFreqFrameSharded(s.frame, s.trainRows, y, s.keepFirst, s.fitPlan, ex.workers)
-			case "linear":
-				m = ml.FitLinearFrame(s.frame, s.trainRows, y, 1e-6)
-			default:
-				p := ml.DefaultForestParams()
-				h := fnv.New64a()
-				h.Write([]byte(key))
-				p.Seed = s.opts.Seed ^ int64(h.Sum64())
-				// Forest over linear residuals: the forest captures nonlinearity
-				// in-distribution while the linear trend extrapolates at the edges
-				// of the observed support, where hypothetical updates often land.
-				m = ml.FitBoostedFrame(s.frame, s.trainRows, y, p)
-			}
+		var m ml.Regressor
+		switch s.kind {
+		case "freq":
+			m = ml.FitFreqFrameSharded(s.frame, s.trainRows, y, s.keepFirst, s.fitPlan, workers)
+		case "linear":
+			m = ml.FitLinearFrame(s.frame, s.trainRows, y, 1e-6)
+		default:
+			p := ml.DefaultForestParams()
+			h := fnv.New64a()
+			h.Write([]byte(key))
+			p.Seed = s.seed ^ int64(h.Sum64())
+			// Forest over linear residuals: the forest captures nonlinearity
+			// in-distribution while the linear trend extrapolates at the edges
+			// of the observed support, where hypothetical updates often land.
+			m = ml.FitBoostedFrame(s.frame, s.trainRows, y, p)
 		}
 		// Charged only from the single-flight training path (like the fit span),
 		// so the meter's fits_trained equals trainedModels() at any fan-out.
-		obs.MeterFromContext(ex.ctx).AddFitTrained()
+		obs.MeterFromContext(ctx).AddFitTrained()
 		return m, nil
 	})
 	return m, err
-}
-
-// remoteFit asks the remote fitter for one wire part per fit-plan shard and
-// merges them in plan order. The merged estimator equals the local
-// FitFreqFrameSharded result bit for bit (same cells, same fold order), so
-// callers may use remote and local fits interchangeably.
-func (s *estimatorSet) remoteFit(ex fitExec) (ml.Regressor, error) {
-	parts, err := ex.fitter.FitFreqParts(ex.ctx, ex.query, ex.opts, ex.mask, ex.weighted, s.fitPlan.Shards())
-	if err != nil {
-		return nil, err
-	}
-	if len(parts) != s.fitPlan.Shards() {
-		return nil, fmt.Errorf("engine: remote fit returned %d parts, fit plan has %d shards", len(parts), s.fitPlan.Shards())
-	}
-	return ml.MergeFreqWires(s.frame, s.keepFirst, parts)
 }
 
 // shardedFit reports whether this set's estimator kind fits per shard with

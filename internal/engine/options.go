@@ -9,9 +9,6 @@
 package engine
 
 import (
-	"context"
-
-	"hyper/internal/ml"
 	"hyper/internal/plan"
 	"hyper/internal/shard"
 )
@@ -67,26 +64,6 @@ const (
 	// expresses the IP objective through a linear regression function φ.
 	EstimatorLinear
 )
-
-// RemoteFitter is the hook a distribution layer implements to fit
-// shard-mergeable estimators off-process. The engine identifies a model by
-// the canonical query text plus the event-subset bitmask (and Y-weighting);
-// the fitter returns one wire-encoded partial index per shard of the
-// canonical fit plan, in plan order, each fitted by any process that can
-// prepare the same evaluation. The engine merges the parts in plan order,
-// reconstructing exactly the estimator a local fit would produce — so a
-// fitter can fail (or be absent) at any time and the engine's local
-// fallback cannot change a result. Implementations must be safe for
-// concurrent use: shard workers and how-to candidate scorers fit models in
-// parallel.
-type RemoteFitter interface {
-	// FitFreqParts fits the frequency estimator of the query's event subset
-	// mask (Y-weighted when weighted) per fit-plan shard, returning
-	// fitShards parts in plan order.
-	FitFreqParts(ctx context.Context, query string, o Options, mask uint64, weighted bool, fitShards int) ([]*ml.FreqWire, error)
-	// SupportParts builds the support-set index per fit-plan shard.
-	SupportParts(ctx context.Context, query string, o Options, fitShards int) ([]*ml.SupportWire, error)
-}
 
 // ProgressFunc receives coarse progress updates during evaluation: stage is
 // a short label ("tuples" for the engine's per-tuple loop, "candidates" for
@@ -146,11 +123,6 @@ type Options struct {
 	// (stage "tuples"). It does not participate in cache identity: progress
 	// reporting never changes a result.
 	Progress ProgressFunc
-	// RemoteFit, when non-nil, lets shard-mergeable estimator fits run
-	// off-process (see RemoteFitter). Like Shards it is purely an execution
-	// knob excluded from cache identity: remote and local fits are
-	// bit-identical, and any remote failure falls back to the local fit.
-	RemoteFit RemoteFitter
 }
 
 // WithShards returns a copy of o with the execution fan-out set; results

@@ -6,7 +6,6 @@ import (
 
 	"hyper/internal/causal"
 	"hyper/internal/hyperql"
-	"hyper/internal/ml"
 	"hyper/internal/relation"
 	"hyper/internal/shard"
 )
@@ -17,9 +16,7 @@ import (
 // id) — independent of which process computes them. A coordinator can
 // therefore hand disjoint shard subsets to remote workers, collect their
 // PartialResults, and MergePartials them in plan order to reconstruct the
-// exact Result a single process would produce. The same property holds for
-// shard-mergeable estimator fits through FitEventPartialContext, whose
-// per-shard freq-cell maps merge via internal/ml's wire encoding.
+// exact Result a single process would produce.
 
 // ShardPartial is the serializable block-window partial of one plan shard:
 // the per-block (sum, count) accumulators over the window of block ids the
@@ -216,84 +213,4 @@ func MergePartials(meta PartialMeta, parts []ShardPartial) (*Result, error) {
 	}
 	foldPartials(res, ordered, meta.Blocks, agg)
 	return res, nil
-}
-
-// EventFitPartial is the result of a per-shard shard-mergeable fit: one
-// wire-encoded partial index per requested fit-plan shard (and, when asked,
-// the matching support-set partials).
-type EventFitPartial struct {
-	// FitPlan is the canonical fit plan's shard count (over the training
-	// rows), which both ends must agree on.
-	FitPlan   int               `json:"fit_plan"`
-	Estimator string            `json:"estimator"`
-	Parts     []*ml.FreqWire    `json:"parts,omitempty"`
-	Support   []*ml.SupportWire `json:"support,omitempty"`
-}
-
-// FitEventPartialContext fits the frequency estimator of the query's event
-// subset `mask` (a bitmask over the distinct post events, conjoined with the
-// OUTPUT condition; Y-weighted when weighted) over the listed shards of the
-// canonical fit plan, returning one wire part per listed shard in the order
-// listed. wantCells/wantSupport select which indexes to build. Because the
-// event list, the fit plan, the training rows and the labeling are all
-// deterministic in (data, query, semantic options), a coordinator that
-// merges the parts of every fit-plan shard in plan order reconstructs
-// exactly the estimator its own local fit would have produced.
-func FitEventPartialContext(ctx context.Context, db *relation.Database, model *causal.Model, q *hyperql.WhatIf, opts Options, mask uint64, weighted bool, wantCells, wantSupport bool, shards []int) (*EventFitPartial, error) {
-	if opts.DryRun {
-		return nil, fmt.Errorf("engine: partial fit has no dry-run form")
-	}
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("engine: no fit shards requested")
-	}
-	p, err := prepareEvaluation(ctx, db, model, q, opts)
-	if err != nil {
-		return nil, err
-	}
-	est := p.ev.est
-	if !ml.ShardMergeable(est.kind) {
-		return nil, fmt.Errorf("engine: estimator %q is not shard-mergeable", est.kind)
-	}
-	if len(p.ev.events) < 64 && mask>>uint(len(p.ev.events)) != 0 {
-		return nil, fmt.Errorf("engine: event mask %#x references events beyond the query's %d", mask, len(p.ev.events))
-	}
-	if weighted && p.ev.yIdx < 0 {
-		return nil, fmt.Errorf("engine: weighted fit requested but the query has no Y column")
-	}
-	fitPlan := est.fitPlan
-	out := &EventFitPartial{FitPlan: fitPlan.Shards(), Estimator: est.kind}
-	seen := make([]bool, fitPlan.Shards())
-	for _, s := range shards {
-		if s < 0 || s >= fitPlan.Shards() {
-			return nil, fmt.Errorf("engine: fit shard %d out of plan range [0,%d)", s, fitPlan.Shards())
-		}
-		if seen[s] {
-			return nil, fmt.Errorf("engine: fit shard %d requested twice", s)
-		}
-		seen[s] = true
-	}
-
-	label := p.ev.labelFor(p.ev.eventLits(mask), weighted)
-	for _, s := range shards {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		lo, hi := fitPlan.Bounds(s)
-		rows := est.trainRows[lo:hi]
-		if wantCells {
-			y := make([]float64, len(rows))
-			for i, r := range rows {
-				v, err := label(r)
-				if err != nil {
-					return nil, err
-				}
-				y[i] = v
-			}
-			out.Parts = append(out.Parts, ml.EncodeFreqWire(ml.FitFreqFrame(est.frame, rows, y, est.keepFirst)))
-		}
-		if wantSupport {
-			out.Support = append(out.Support, ml.EncodeSupportWire(ml.NewSupportSet(est.frame, rows)))
-		}
-	}
-	return out, nil
 }

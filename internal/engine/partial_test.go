@@ -14,7 +14,6 @@ import (
 	"hyper/internal/causal"
 	"hyper/internal/dataset"
 	"hyper/internal/hyperql"
-	"hyper/internal/ml"
 	"hyper/internal/relation"
 )
 
@@ -152,125 +151,6 @@ func TestMergePartialsValidation(t *testing.T) {
 	if _, err := MergePartials(PartialMeta{Plan: 2, Blocks: 3, Agg: "median"}, ok); err == nil {
 		t.Error("unknown aggregate accepted")
 	}
-}
-
-// replicaFitter implements RemoteFitter by preparing the same evaluation in
-// an independent "process" (fresh dataset build, fresh cache) and fitting
-// the requested shards there — the engine-level contract a dist worker
-// fulfils over HTTP.
-type replicaFitter struct {
-	t     *testing.T
-	ds    string
-	calls int
-}
-
-func (f *replicaFitter) parts(ctx context.Context, query string, o Options, mask uint64, weighted, cells, support bool, n int) (*EventFitPartial, error) {
-	f.calls++
-	db, model := partialDataset(f.t, f.ds)
-	q, err := hyperql.ParseWhatIf(query)
-	if err != nil {
-		return nil, err
-	}
-	o.Cache = NewCache()
-	o.RemoteFit = nil // the replica is a leaf
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
-	return FitEventPartialContext(ctx, db, model, q, o, mask, weighted, cells, support, ids)
-}
-
-func (f *replicaFitter) FitFreqParts(ctx context.Context, query string, o Options, mask uint64, weighted bool, fitShards int) ([]*ml.FreqWire, error) {
-	p, err := f.parts(ctx, query, o, mask, weighted, true, false, fitShards)
-	if err != nil {
-		return nil, err
-	}
-	return p.Parts, nil
-}
-
-func (f *replicaFitter) SupportParts(ctx context.Context, query string, o Options, fitShards int) ([]*ml.SupportWire, error) {
-	p, err := f.parts(ctx, query, o, 0, false, false, true, fitShards)
-	if err != nil {
-		return nil, err
-	}
-	return p.Support, nil
-}
-
-// TestRemoteFitParity runs the freq-estimator queries with every fit
-// delegated to an independent replica process and checks bit-identity with
-// the purely local run — including the query with a FOR clause, whose
-// event-subset masks must mean the same thing on both ends.
-func TestRemoteFitParity(t *testing.T) {
-	queries := []string{
-		`USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`,
-		`USE German UPDATE(Savings) = 2 OUTPUT COUNT(Credit = 1) FOR PRE(Age) = 2`,
-		`USE German UPDATE(Housing) = 1 OUTPUT AVG(POST(Credit))`,
-	}
-	for _, src := range queries {
-		q, err := hyperql.ParseWhatIf(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := Options{Seed: 7, ShardRows: 256}
-		db, model := partialDataset(t, "german")
-		want, err := EvaluateContext(context.Background(), db, model, q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fitter := &replicaFitter{t: t, ds: "german"}
-		ropts := opts
-		ropts.RemoteFit = fitter
-		rdb, rmodel := partialDataset(t, "german")
-		got, err := EvaluateContext(context.Background(), rdb, rmodel, q, ropts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fitter.calls == 0 {
-			t.Fatalf("%s: remote fitter was never consulted", src)
-		}
-		if g17(got.Value) != g17(want.Value) || g17(got.Sum) != g17(want.Sum) || g17(got.Count) != g17(want.Count) {
-			t.Fatalf("%s: remote-fit value/sum/count %s/%s/%s != local %s/%s/%s",
-				src, g17(got.Value), g17(got.Sum), g17(got.Count),
-				g17(want.Value), g17(want.Sum), g17(want.Count))
-		}
-		if got.EstimatorUsed != want.EstimatorUsed {
-			t.Fatalf("%s: estimator %q != %q", src, got.EstimatorUsed, want.EstimatorUsed)
-		}
-	}
-}
-
-// TestRemoteFitFallback proves a failing fitter cannot change a result: the
-// engine falls back to the local fit.
-func TestRemoteFitFallback(t *testing.T) {
-	q, err := hyperql.ParseWhatIf(`USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{Seed: 7, ShardRows: 256}
-	db, model := partialDataset(t, "german")
-	want, err := EvaluateContext(context.Background(), db, model, q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ropts := opts
-	ropts.RemoteFit = failingFitter{}
-	got, err := EvaluateContext(context.Background(), db, model, q, ropts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g17(got.Value) != g17(want.Value) {
-		t.Fatalf("fallback value %s != %s", g17(got.Value), g17(want.Value))
-	}
-}
-
-type failingFitter struct{}
-
-func (failingFitter) FitFreqParts(context.Context, string, Options, uint64, bool, int) ([]*ml.FreqWire, error) {
-	return nil, context.DeadlineExceeded
-}
-
-func (failingFitter) SupportParts(context.Context, string, Options, int) ([]*ml.SupportWire, error) {
-	return nil, context.DeadlineExceeded
 }
 
 // TestEmptyViewEvaluates pins the empty-relevant-view path: zero rows must

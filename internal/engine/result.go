@@ -49,12 +49,11 @@ type Result struct {
 	ShardedFit bool
 	// Placement names the execution placement that produced the result:
 	// "" or "local" for a single-process evaluation, "workers" when plan
-	// shards were evaluated on remote workers and merged in plan order,
-	// "fit" when tuple evaluation ran locally with remote estimator fits.
+	// shards were evaluated on remote workers and merged in plan order.
 	// Like ShardWorkers it can never change a result.
 	Placement string
 	// RemoteWorkers is the number of distinct remote workers that
-	// contributed shards or fits (0 for a purely local run).
+	// contributed shards (0 for a purely local run).
 	RemoteWorkers int
 	// Degraded reports that a distributed execution fell below the full
 	// healthy worker fleet: a worker failed mid-query, quarantined workers

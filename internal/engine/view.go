@@ -119,51 +119,37 @@ func qualifyRef(db *relation.Database, sel *hyperql.SelectStmt, c *hyperql.ColRe
 	return found, nil
 }
 
-// keyOfViewRow returns the key encoding of a view row with respect to the
-// update relation's key columns (present in the view by the USE contract).
-func (v *view) keyOfViewRow(row relation.Tuple) (string, error) {
-	keyIdx := v.updateRel.Schema().KeyIndexes()
-	key := ""
-	for _, ki := range keyIdx {
-		name := v.updateRel.Schema().Col(ki).Name
-		vi, ok := v.rel.Schema().Index(name)
-		if !ok {
-			return "", fmt.Errorf("engine: relevant view is missing key column %q of relation %s", name, v.updateRel.Name())
-		}
-		key += row[vi].Key() + "|"
-	}
-	return key, nil
-}
-
 // blockIDs assigns each view row the id of its block (blocks are defined
 // over base-relation tuples; rowBlock holds the update relation's per-row
-// block ids). View rows map to update-relation tuples by key; rows whose key
-// is missing from the base relation map to block 0. When the view IS the
-// update relation (a USE over a bare table), the mapping is the identity and
-// no per-row key encoding happens at all.
+// block ids). View rows map to update-relation tuples through that relation's
+// own key index (its key columns are present in the view by the USE
+// contract); rows whose key is missing from the base relation map to block 0.
+// When the view IS the update relation (a USE over a bare table), the mapping
+// is the identity and no per-row key encoding happens at all.
 func (v *view) blockIDs(rowBlock []int) ([]int, error) {
 	if v.rel == v.updateRel {
 		// Copy: rowBlock is a subslice of RowBlocks' all-relations buffer,
 		// and the result outlives this call in the engine cache.
 		return append([]int(nil), rowBlock...), nil
 	}
-	// Index base rows by key encoding.
-	keyIdx := v.updateRel.Schema().KeyIndexes()
-	baseKey := make(map[string]int, v.updateRel.Len())
-	for i, row := range v.updateRel.Rows() {
-		k := ""
-		for _, ki := range keyIdx {
-			k += row[ki].Key() + "|"
+	base := v.updateRel.Schema()
+	keyIdx := base.KeyIndexes()
+	viewIdx := make([]int, len(keyIdx))
+	for j, ki := range keyIdx {
+		name := base.Col(ki).Name
+		vi, ok := v.rel.Schema().Index(name)
+		if !ok {
+			return nil, fmt.Errorf("engine: relevant view is missing key column %q of relation %s", name, v.updateRel.Name())
 		}
-		baseKey[k] = i
+		viewIdx[j] = vi
 	}
 	out := make([]int, v.rel.Len())
+	probe := make(relation.Tuple, base.Len()) // LookupKey reads the key columns only
 	for i, row := range v.rel.Rows() {
-		k, err := v.keyOfViewRow(row)
-		if err != nil {
-			return nil, err
+		for j, ki := range keyIdx {
+			probe[ki] = row[viewIdx[j]]
 		}
-		if br, ok := baseKey[k]; ok {
+		if br := v.updateRel.LookupKey(probe); br >= 0 {
 			out[i] = rowBlock[br]
 		}
 	}

@@ -1,0 +1,89 @@
+package engine
+
+import (
+	"testing"
+
+	"hyper/internal/causal"
+	"hyper/internal/hyperql"
+	"hyper/internal/relation"
+)
+
+// TestViewBlockIDsCompositeKey: under a USE (SELECT …) view, rows find their
+// base tuple — and so their block — through the update relation's own key
+// index, also when the key has several columns whose strings hold the bytes a
+// naive concatenation would separate them with.
+func TestViewBlockIDsCompositeKey(t *testing.T) {
+	item := relation.NewRelation("Item", relation.MustSchema(
+		relation.Column{Name: "Store", Kind: relation.KindString, Key: true},
+		relation.Column{Name: "SKU", Kind: relation.KindString, Key: true},
+		relation.Column{Name: "Cat", Kind: relation.KindString},
+		relation.Column{Name: "Price", Kind: relation.KindFloat, Mutable: true},
+		relation.Column{Name: "Sold", Kind: relation.KindInt, Mutable: true},
+	))
+	for i, r := range []struct{ store, sku, cat string }{
+		{"x|\x04y", "z", "a"},
+		{"n", "1", "b"},
+		{"x", "y|\x04z", "c"},
+		{"o", "2", "a"},
+		{"m", "1", "c"},
+	} {
+		item.MustInsert(relation.String(r.store), relation.String(r.sku), relation.String(r.cat),
+			relation.Float(float64(10+i)), relation.Int(int64(i)))
+	}
+	db := relation.NewDatabase()
+	db.MustAdd(item)
+	model := causal.NewModel()
+	model.AddEdge("Item.Price", "Item.Sold")
+	// Tuples of one category share a block, so block ids are not row indexes.
+	model.AddCross(causal.CrossEdge{FromRel: "Item", FromAttr: "Price",
+		ToRel: "Item", ToAttr: "Price", GroupBy: "Item.Cat"})
+
+	q, err := hyperql.ParseWhatIf(`USE (SELECT T.Store, T.SKU, T.Cat, T.Price, T.Sold FROM Item AS T)
+		UPDATE(Price) = 1.1 * PRE(Price) OUTPUT AVG(POST(Sold))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := buildView(db, q.Use, "Price")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.rel == v.updateRel || v.rel.Len() != item.Len() {
+		t.Fatalf("want a materialized view of %d rows, got %d (identity=%v)", item.Len(), v.rel.Len(), v.rel == v.updateRel)
+	}
+	byRel, nBlocks, err := causal.RowBlocks(db, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nBlocks != 3 {
+		t.Fatalf("%d blocks, want one per category", nBlocks)
+	}
+	ids, err := v.blockIDs(byRel["Item"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range v.rel.Rows() {
+		base := -1
+		for j, b := range item.Rows() {
+			if b[0].Equal(row[0]) && b[1].Equal(row[1]) {
+				base = j
+			}
+		}
+		if base < 0 || ids[i] != byRel["Item"][base] {
+			t.Errorf("view row %d %v: block %d, want that of base row %d in %v", i, row[:2], ids[i], base, byRel["Item"])
+		}
+	}
+
+	// A view without the update relation's key columns cannot be mapped back.
+	q2, err := hyperql.ParseWhatIf(`USE (SELECT T.Store, T.Price, T.Sold FROM Item AS T)
+		UPDATE(Price) = 1.1 * PRE(Price) OUTPUT AVG(POST(Sold))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := buildView(db, q2.Use, "Price")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v2.blockIDs(byRel["Item"]); err == nil {
+		t.Error("a view missing key column SKU mapped its rows to blocks")
+	}
+}

@@ -306,7 +306,6 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 	// of FOR attributes, Figure 11a).
 	tt := time.Now()
 	_, tsp := obs.Start(ctx, "train")
-	queryText := q.String()
 	augView, sumCols := augmentView(v.rel, summaries)
 	featCols := append(append(append([]string{}, updateAttrs...), backdoor...), sumCols...)
 	if o.Mode != ModeIndep {
@@ -324,7 +323,7 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 		forKey += "\x00" + q.Output.String()
 		key := kindEst + estKey(viewKey, whenKey, forKey, featCols, eo)
 		est, hit, err := memo(ctx, eo.Cache, key, func() (*estimatorSet, error) {
-			return newEstimatorSet(ctx, augView, featCols, len(updateAttrs), queryText, eo), nil
+			return newEstimatorSet(augView, featCols, len(updateAttrs), eo), nil
 		})
 		if estHit = hit; hit {
 			// Set-level hits are the fan-out-independent "served from cache"
@@ -380,7 +379,7 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 	// construction.
 	ev := &evaluator{
 		ctx: ctx,
-		v:   v, est: est, q: q, opts: o, queryText: queryText,
+		v:   v, est: est, q: q, opts: o,
 		updateAttrs: updateAttrs, postVals: postVals,
 		summaries: summaries, yCol: yCol, outCond: outCond,
 		disjuncts: disjuncts, inS: inS,
@@ -589,7 +588,6 @@ type evaluator struct {
 	est         *estimatorSet
 	q           *hyperql.WhatIf
 	opts        Options
-	queryText   string // canonical query text, forwarded to remote fitters
 	updateAttrs []string
 	postVals    map[string][]relation.Value
 	summaries   []summaryFeature
@@ -876,9 +874,7 @@ func (e *evaluator) predictEventMask(gm uint64, x []float64, weighted bool) (flo
 }
 
 // eventLits collects the conjunction identifying the model of event subset
-// gm: the subset's post literals in event-id order, then outCond. The same
-// construction runs on both ends of the remote-fit transport, so a mask is
-// an unambiguous cross-process model identity.
+// gm: the subset's post literals in event-id order, then outCond.
 func (e *evaluator) eventLits(gm uint64) []hyperql.Expr {
 	var lits []hyperql.Expr
 	for id, ev := range e.events {
@@ -895,26 +891,18 @@ func (e *evaluator) eventLits(gm uint64) []hyperql.Expr {
 // eventModel returns (training on demand) the regressor for the event
 // subset mask conjoined with outCond, Y-weighted when weighted. The cache
 // key, the forest seed derived from it, and the label function all come from
-// the one eventLits conjunction, so they cannot drift apart; the mask
-// identifies the same model to a remote fitter.
+// the one eventLits conjunction, so they cannot drift apart.
 func (e *evaluator) eventModel(mask uint64, weighted bool) (ml.Regressor, error) {
 	all := e.eventLits(mask)
 	key := eventKey(all)
 	if weighted {
 		key = "Y*" + key
 	}
-	ex := fitExec{
-		ctx: e.ctx, workers: e.opts.Shards, fitter: e.opts.RemoteFit,
-		query: e.queryText, opts: e.opts,
-		mask: mask, weighted: weighted,
-	}
-	return e.est.model(key, ex, e.labelFor(all, weighted))
+	return e.est.model(e.ctx, key, e.opts.Shards, weighted, e.labelFor(all, weighted))
 }
 
 // labelFor builds the training-label function of the event conjunction
-// (all ∧), Y-weighted when weighted. Both the in-process training path and
-// the remote per-shard fit label through this one function, so the two can
-// never disagree on a row's label.
+// (all ∧), Y-weighted when weighted.
 func (e *evaluator) labelFor(all []hyperql.Expr, weighted bool) func(r int) (float64, error) {
 	return func(r int) (float64, error) {
 		env := sqlmini.RowEnv{Rel: e.v.rel, Row: e.v.rel.Row(r)}

@@ -1,6 +1,6 @@
 // Package fault is HypeR's deterministic fault-injection substrate: seeded,
 // rule-based injectors attached to named injection points across the dist
-// stack (worker dials, eval/fit RPCs, frame ships, heartbeats, coordinator
+// stack (worker dials, eval RPCs, frame ships, heartbeats, coordinator
 // state persistence). A chaos run configures rules like "fail the first
 // frame ship" or "kill the process on the third eval"; the instrumented call
 // sites consult the injector and act on its decision, so the failure modes
@@ -31,19 +31,18 @@ import (
 )
 
 // Point names one instrumented injection site. The dist stack threads these
-// through its transport; new points are cheap (a Decide call) and should be
-// added wherever a failure mode needs to be reproducible.
+// through its transport; new points are cheap (a Decide call and a case in
+// Rule.validate) and should be added wherever a failure mode needs to be
+// reproducible.
 type Point string
 
 // The injection points wired through the stack.
 const (
-	// PointWorkerDial covers every coordinator->worker compute RPC
-	// (eval/fit round trips), coordinator side.
+	// PointWorkerDial covers every coordinator->worker compute RPC (the
+	// eval round trip), coordinator side.
 	PointWorkerDial Point = "worker_dial"
 	// PointEval is the worker's eval endpoint, worker side.
 	PointEval Point = "eval"
-	// PointFit is the worker's fit endpoint, worker side.
-	PointFit Point = "fit"
 	// PointFrameShip covers frame snapshot uploads, coordinator side.
 	PointFrameShip Point = "frame_ship"
 	// PointHeartbeat is the worker's heartbeat loop, worker side.
@@ -97,8 +96,11 @@ func (r Rule) validate() error {
 	default:
 		return fmt.Errorf("fault: unknown mode %q", r.Mode)
 	}
-	if r.Point == "" {
-		return errors.New("fault: rule has no point")
+	switch r.Point {
+	case PointWorkerDial, PointEval, PointFrameShip, PointHeartbeat, PointPersist:
+	default:
+		// No call site consults any other name: the rule could never fire.
+		return fmt.Errorf("fault: unknown point %q (want worker_dial|eval|frame_ship|heartbeat|persist)", r.Point)
 	}
 	if r.Mode == ModeDelay && r.Delay <= 0 {
 		return fmt.Errorf("fault: delay rule at %s needs ms=<positive>", r.Point)

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -186,6 +187,15 @@ func TestParse(t *testing.T) {
 	for _, spec := range bad {
 		if _, err := Parse(spec, 1); err == nil {
 			t.Errorf("Parse(%q) accepted a bad spec", spec)
+		}
+	}
+
+	// A rule at a point no call site consults can never fire: a typo, or the
+	// removed fit point, is an error that names the points that exist.
+	for _, spec := range []string{"evel:kill", "fit:error"} {
+		_, err := Parse(spec, 1)
+		if err == nil || !strings.Contains(err.Error(), "worker_dial|eval|frame_ship|heartbeat|persist") {
+			t.Errorf("Parse(%q) = %v, want an error naming the valid points", spec, err)
 		}
 	}
 }

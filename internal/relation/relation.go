@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -45,20 +46,25 @@ func (r *Relation) Row(i int) Tuple { return r.rows[i] }
 func (r *Relation) Rows() []Tuple { return r.rows }
 
 // keyOf encodes the primary-key attributes of t. With no declared key, the
-// whole tuple is the key.
+// whole tuple is the key. Each attribute's Value.Key is written behind its
+// length, so distinct keys of several attributes never encode alike whatever
+// bytes their strings hold (a separator can occur inside a string).
 func (r *Relation) keyOf(t Tuple) string {
-	idx := r.schema.KeyIndexes()
 	var b strings.Builder
-	if len(idx) == 0 {
-		for _, v := range t {
-			b.WriteString(v.Key())
-			b.WriteByte('|')
-		}
-		return b.String()
+	part := func(v Value) {
+		k := v.Key()
+		var n [binary.MaxVarintLen64]byte
+		b.Write(n[:binary.PutUvarint(n[:], uint64(len(k)))])
+		b.WriteString(k)
 	}
-	for _, i := range idx {
-		b.WriteString(t[i].Key())
-		b.WriteByte('|')
+	if idx := r.schema.KeyIndexes(); len(idx) > 0 {
+		for _, i := range idx {
+			part(t[i])
+		}
+	} else {
+		for _, v := range t {
+			part(v)
+		}
 	}
 	return b.String()
 }

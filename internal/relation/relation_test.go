@@ -89,6 +89,34 @@ func TestRelationInsertAndLookup(t *testing.T) {
 	}
 }
 
+// TestCompositeKeyEncodingIsInjective: two distinct keys of several string
+// attributes must not encode alike, whatever bytes the strings hold — the
+// second Insert used to fail as a duplicate of the first.
+func TestCompositeKeyEncodingIsInjective(t *testing.T) {
+	r := NewRelation("T", MustSchema(
+		Column{Name: "A", Kind: KindString, Key: true},
+		Column{Name: "B", Kind: KindString, Key: true},
+		Column{Name: "V", Kind: KindInt},
+	))
+	rows := []Tuple{
+		{String("x|\x04y"), String("z"), Int(1)},
+		{String("x"), String("y|\x04z"), Int(2)},
+	}
+	for _, row := range rows {
+		if err := r.Insert(row); err != nil {
+			t.Fatalf("distinct composite keys collided: %v", err)
+		}
+	}
+	for i, row := range rows {
+		if got := r.LookupKey(row); got != i {
+			t.Errorf("LookupKey(%v) = %d, want %d", row, got, i)
+		}
+	}
+	if err := r.Insert(Tuple{String("x"), String("y|\x04z"), Int(3)}); err == nil {
+		t.Error("a true duplicate composite key was accepted")
+	}
+}
+
 func TestRelationColumnDomainMinMax(t *testing.T) {
 	r := NewRelation("T", testSchema(t))
 	for i, sc := range []float64{3, 1, 2, 1} {

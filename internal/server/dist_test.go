@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -104,13 +105,7 @@ func TestServerPlacement(t *testing.T) {
 		`USE German UPDATE(Housing) = 1 OUTPUT AVG(POST(Credit))`,
 	}
 	for _, src := range queries {
-		var local, workers, fit, auto WhatIfResponse
-		// "fit" runs first: on a cold session cache its estimator fits go
-		// through the remote transport (a warm cache would have nothing left
-		// to fit — the artifacts are identical either way).
-		if st, p := distPost(t, base, "/v1/sessions/g/whatif", QueryRequest{Query: src, Placement: "fit"}, &fit); st != 200 {
-			t.Fatalf("fit: %d %s", st, p)
-		}
+		var local, workers, auto WhatIfResponse
 		if st, p := distPost(t, base, "/v1/sessions/g/whatif", QueryRequest{Query: src, Placement: "local"}, &local); st != 200 {
 			t.Fatalf("local: %d %s", st, p)
 		}
@@ -121,7 +116,7 @@ func TestServerPlacement(t *testing.T) {
 			t.Fatalf("auto: %d %s", st, p)
 		}
 		ref := stableOf(&local)
-		for name, r := range map[string]*WhatIfResponse{"workers": &workers, "fit": &fit, "auto": &auto} {
+		for name, r := range map[string]*WhatIfResponse{"workers": &workers, "auto": &auto} {
 			if got := stableOf(r); got != ref {
 				t.Fatalf("%s: placement %s diverges:\n%s\nvs local\n%s", src, name, got, ref)
 			}
@@ -132,36 +127,22 @@ func TestServerPlacement(t *testing.T) {
 		if auto.Placement != "workers" {
 			t.Fatalf("auto placement resolved to %q with live workers", auto.Placement)
 		}
-		if fit.Placement != "fit" {
-			t.Fatalf("fit response placement=%q", fit.Placement)
-		}
 	}
 
-	// How-to: "fit" distributes candidate fits; the choices must match the
-	// local run exactly.
+	// A how-to runs in the serving process, with or without live workers.
 	howto := `USE German HOWTOUPDATE Status LIMIT UPDATES <= 1 TOMAXIMIZE COUNT(Credit = 1)`
-	var hLocal, hFit HowToResponse
-	if st, p := distPost(t, base, "/v1/sessions/g/howto", QueryRequest{Query: howto, Placement: "fit"}, &hFit); st != 200 {
-		t.Fatalf("howto fit: %d %s", st, p)
+	var hAuto, hLocal HowToResponse
+	if st, p := distPost(t, base, "/v1/sessions/g/howto", QueryRequest{Query: howto}, &hAuto); st != 200 {
+		t.Fatalf("howto auto: %d %s", st, p)
 	}
 	if st, p := distPost(t, base, "/v1/sessions/g/howto", QueryRequest{Query: howto, Placement: "local"}, &hLocal); st != 200 {
 		t.Fatalf("howto local: %d %s", st, p)
 	}
-	if hLocal.Objective != hFit.Objective || hLocal.Base != hFit.Base || len(hLocal.Choices) != len(hFit.Choices) {
-		t.Fatalf("howto fit diverges: %+v vs %+v", hFit, hLocal)
+	if hLocal.Objective != hAuto.Objective || hLocal.Base != hAuto.Base || len(hLocal.Choices) != len(hAuto.Choices) {
+		t.Fatalf("howto auto diverges: %+v vs %+v", hAuto, hLocal)
 	}
-	for i := range hLocal.Choices {
-		if hLocal.Choices[i] != hFit.Choices[i] {
-			t.Fatalf("howto choice %d: %+v vs %+v", i, hFit.Choices[i], hLocal.Choices[i])
-		}
-	}
-
-	// Placement validation.
 	if st, _ := distPost(t, base, "/v1/sessions/g/howto", QueryRequest{Query: howto, Placement: "workers"}, nil); st != http.StatusBadRequest {
 		t.Fatalf("howto placement=workers status %d, want 400", st)
-	}
-	if st, _ := distPost(t, base, "/v1/sessions/g/whatif", QueryRequest{Query: queries[0], Placement: "bogus"}, nil); st != http.StatusBadRequest {
-		t.Fatalf("placement=bogus status %d, want 400", st)
 	}
 
 	// Stats surface the coordinator gauges and worker registry.
@@ -180,8 +161,64 @@ func TestServerPlacement(t *testing.T) {
 	if stats.Dist.WorkersAlive != 2 || len(stats.Dist.Workers) != 2 {
 		t.Fatalf("dist stats workers: %+v", stats.Dist)
 	}
-	if stats.Dist.RemoteEvals == 0 || stats.Dist.FramesShipped == 0 || stats.Dist.RemoteFits == 0 {
+	if stats.Dist.RemoteEvals == 0 || stats.Dist.FramesShipped == 0 {
 		t.Fatalf("dist gauges not moving: %+v", stats.Dist.Stats)
+	}
+}
+
+// TestPlacementValidated: a placement the query cannot run under is a 400
+// naming the valid values on every way in — the scoped routes, a batch
+// element (element-local, the batch itself answers 200) and job submission,
+// which must not queue a job doomed to fail when it runs. "fit" is as
+// unknown as any other value.
+func TestPlacementValidated(t *testing.T) {
+	base := distTestServer(t, 1)
+	if st, p := distPost(t, base, "/v1/sessions", CreateSessionRequest{Name: "g", Dataset: "german"}, nil); st != 200 {
+		t.Fatalf("create session: %d %s", st, p)
+	}
+	whatif := `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`
+	howto := `USE German HOWTOUPDATE Status LIMIT UPDATES <= 1 TOMAXIMIZE COUNT(Credit = 1)`
+	const unknown, whatIfOnly = "(want local|workers)", "applies to what-if queries only"
+	for _, tc := range []struct {
+		name, path string
+		body       any
+		want       string // substring of the 400's error
+	}{
+		{"whatif fit", "/v1/sessions/g/whatif", QueryRequest{Query: whatif, Placement: "fit"}, `unknown placement "fit" ` + unknown},
+		{"whatif bogus", "/v1/sessions/g/whatif", QueryRequest{Query: whatif, Placement: "bogus"}, unknown},
+		{"howto fit", "/v1/sessions/g/howto", QueryRequest{Query: howto, Placement: "fit"}, `unknown placement "fit" ` + unknown},
+		{"howto bogus", "/v1/sessions/g/howto", QueryRequest{Query: howto, Placement: "bogus"}, unknown},
+		{"job whatif fit", "/v1/jobs", JobRequest{Session: "g", Query: whatif, Placement: "fit"}, unknown},
+		{"job whatif bogus", "/v1/jobs", JobRequest{Session: "g", Kind: "whatif", Query: whatif, Placement: "bogus"}, unknown},
+		{"job howto fit", "/v1/jobs", JobRequest{Session: "g", Kind: "howto", Query: howto, Placement: "fit"}, unknown},
+		{"job howto workers", "/v1/jobs", JobRequest{Session: "g", Kind: "howto", Query: howto, Placement: "workers"}, whatIfOnly},
+		{"job batch element", "/v1/jobs", JobRequest{Session: "g", Kind: "batch", Queries: []BatchQuery{
+			{Query: whatif}, {Kind: "howto", Query: howto, Placement: "workers"},
+		}}, whatIfOnly},
+	} {
+		st, payload := distPost(t, base, tc.path, tc.body, nil)
+		var body struct{ Error string }
+		if err := json.Unmarshal(payload, &body); err != nil {
+			t.Fatalf("%s: %v (%s)", tc.name, err, payload)
+		}
+		if st != http.StatusBadRequest || !strings.Contains(body.Error, tc.want) {
+			t.Errorf("%s: status %d error %q, want 400 containing %q", tc.name, st, body.Error, tc.want)
+		}
+	}
+
+	var batch BatchResponse
+	if st, p := distPost(t, base, "/v1/sessions/g/batch", BatchRequest{Queries: []BatchQuery{
+		{Query: whatif, Placement: "fit"}, {Query: whatif, Placement: "bogus"}, {Query: whatif, Placement: "workers"},
+	}}, &batch); st != 200 {
+		t.Fatalf("batch: %d %s", st, p)
+	}
+	if batch.Errors != 2 || batch.Results[2].WhatIf == nil {
+		t.Fatalf("batch: %d errors, third element %+v; want the two bad placements to fail alone", batch.Errors, batch.Results[2])
+	}
+	for _, r := range batch.Results[:2] {
+		if !strings.Contains(r.Error, unknown) {
+			t.Errorf("batch element %d error %q, want it to name the valid placements", r.Index, r.Error)
+		}
 	}
 }
 

@@ -160,7 +160,8 @@ func (s *Server) handleSubmitJob(r *http.Request) (any, error) {
 
 	// Reject malformed submissions now (HTTP 400) rather than queueing a
 	// job doomed to fail: the query must parse as the submitted kind, the
-	// how-to method must be known, a batch must have elements.
+	// how-to method must be known, the placement must be one the kind can
+	// run under, a batch must have elements.
 	var run jobs.Runner
 	switch kind {
 	case "whatif", "explain":
@@ -192,6 +193,9 @@ func (s *Server) handleSubmitJob(r *http.Request) (any, error) {
 			} else if _, err := e.resolve(queries[i].Snapshot); err != nil {
 				return nil, err
 			}
+			if err := e.checkPlacement(queries[i].Placement, queries[i].Kind); err != nil {
+				return nil, err
+			}
 		}
 		run = func(ctx context.Context, p *jobs.Progress) (any, error) {
 			stampBatchShape(ctx, e, queries)
@@ -201,6 +205,9 @@ func (s *Server) handleSubmitJob(r *http.Request) (any, error) {
 		return nil, errf(http.StatusBadRequest, "unknown job kind %q (want %s)", req.Kind, jobKinds)
 	}
 	if run == nil {
+		if err := e.checkPlacement(req.Placement, kind); err != nil {
+			return nil, err
+		}
 		// A single query runs through the dispatch the scoped routes use,
 		// with the snapshot pinned above.
 		qr := QueryRequest{
@@ -239,6 +246,19 @@ func (s *Server) handleSubmitJob(r *http.Request) (any, error) {
 	}
 	snap, _ := s.jobs.Get(j.ID())
 	return toJobInfo(snap), nil
+}
+
+// checkPlacement reports the error run would answer a query of this kind
+// with because of its placement (explain does not read the knob).
+func (e *sessionEntry) checkPlacement(placement, kind string) error {
+	if kind == "explain" {
+		return nil
+	}
+	if kind == "" {
+		kind = "whatif"
+	}
+	_, err := e.resolvePlacement(placement, kind)
+	return err
 }
 
 func (s *Server) handleGetJob(r *http.Request) (any, error) {

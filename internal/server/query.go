@@ -41,9 +41,8 @@ type QueryRequest struct {
 	// Placement selects where the evaluation runs; like Shards it can never
 	// change a result. "" = auto (distribute what-if plan shards over live
 	// registered workers, local otherwise), "local" = this process only,
-	// "workers" = distribute plan shards (what-if only), "fit" = evaluate
-	// locally but offload shard-mergeable estimator fits to the workers
-	// (what-if and how-to).
+	// "workers" = distribute plan shards (what-if only; a how-to always runs
+	// in this process).
 	Placement string `json:"placement,omitempty"`
 }
 
@@ -138,12 +137,8 @@ type HowToResponse struct {
 	WhatIfEvals int           `json:"whatif_evals"`
 	IPNodes     int           `json:"ip_nodes"`
 	// Snapshot is the session version this evaluation saw.
-	Snapshot int64 `json:"snapshot,omitempty"`
-	// Degraded reports that remote fits ran on less than the full worker
-	// fleet (placement "fit" only); the choices are still exact.
-	Degraded       bool    `json:"degraded,omitempty"`
-	DegradedReason string  `json:"degraded_reason,omitempty"`
-	TotalMs        float64 `json:"total_ms"`
+	Snapshot int64   `json:"snapshot,omitempty"`
+	TotalMs  float64 `json:"total_ms"`
 	// Trace is the request's rendered span tree (?trace=1 only).
 	Trace *obs.TraceJSON `json:"trace,omitempty"`
 }
@@ -248,21 +243,9 @@ func (e *sessionEntry) sessionFor(sn *snapshotEntry, shards int) *hyper.Session 
 	return sn.sess.With(sn.sess.Options().WithShards(shards))
 }
 
-// fitSession derives a session whose shard-mergeable estimator fits are
-// offloaded to the registered workers (placement "fit"). The fitter is
-// per-request so WorkersUsed reports this request's remote contribution —
-// 0 means every fit was cache-warm or fell back local.
-func (e *sessionEntry) fitSession(sn *snapshotEntry, shards int) (*hyper.Session, *dist.SessionFitter) {
-	fitter := e.dist.Fitter(sn.frame)
-	opts := e.sessionFor(sn, shards).Options().WithRemoteFit(fitter)
-	return sn.sess.With(opts), fitter
-}
-
 // resolvePlacement validates the placement knob against the query kind and
 // resolves "" (auto): what-if queries distribute over live workers when any
-// are registered, how-to queries stay local unless "fit" is asked for
-// explicitly (a how-to evaluates many candidate queries; per-fit round
-// trips are worth it only when the caller says so).
+// are registered; everything else runs in this process.
 func (e *sessionEntry) resolvePlacement(placement, kind string) (string, error) {
 	switch placement {
 	case "":
@@ -270,15 +253,15 @@ func (e *sessionEntry) resolvePlacement(placement, kind string) (string, error) 
 			return "workers", nil
 		}
 		return "local", nil
-	case "local", "fit":
+	case "local":
 		return placement, nil
 	case "workers":
 		if kind != "whatif" {
-			return "", errf(http.StatusBadRequest, "placement %q applies to what-if queries only (use \"fit\" for how-to)", placement)
+			return "", errf(http.StatusBadRequest, "placement %q applies to what-if queries only", placement)
 		}
 		return placement, nil
 	default:
-		return "", errf(http.StatusBadRequest, "unknown placement %q (want local|workers|fit)", placement)
+		return "", errf(http.StatusBadRequest, "unknown placement %q (want local|workers)", placement)
 	}
 }
 
@@ -295,23 +278,14 @@ func (e *sessionEntry) whatIf(ctx context.Context, sn *snapshotEntry, req QueryR
 		return nil, err
 	}
 	var res *hyper.WhatIfResult
-	switch pl {
-	case "workers":
-		sess := e.sessionFor(sn, shards)
+	sess := e.sessionFor(sn, shards)
+	if pl == "workers" {
 		res, err = e.dist.EvaluateWhatIf(ctx, dist.EvalSpec{
 			DB: sess.DB(), Model: sess.Model(), Frame: sn.frame,
 			Query: query, Options: sess.EngineOptions(), Progress: progress,
 		})
-	case "fit":
-		sess, fitter := e.fitSession(sn, shards)
+	} else {
 		res, err = sess.WhatIfContext(ctx, query, progress)
-		if res != nil {
-			res.Placement = "fit"
-			res.RemoteWorkers = fitter.WorkersUsed()
-			res.Degraded, res.DegradedReason = fitter.Degraded()
-		}
-	default:
-		res, err = e.sessionFor(sn, shards).WhatIfContext(ctx, query, progress)
 	}
 	if err != nil {
 		return nil, queryError(ctx, err)
@@ -350,30 +324,19 @@ func howToMethod(method string) (howToSolver, error) {
 
 func (e *sessionEntry) howTo(ctx context.Context, sn *snapshotEntry, req QueryRequest, progress hyper.Progress) (*HowToResponse, error) {
 	e.queries.Add(1)
-	pl, err := e.resolvePlacement(req.Placement, "howto")
-	if err != nil {
+	if _, err := e.resolvePlacement(req.Placement, "howto"); err != nil {
 		return nil, err
-	}
-	sess := e.sessionFor(sn, req.Shards)
-	var fitter *dist.SessionFitter
-	if pl == "fit" {
-		// Every candidate what-if of the how-to shares the snapshot's frame,
-		// so its shard-mergeable fits distribute over the same transport.
-		sess, fitter = e.fitSession(sn, req.Shards)
 	}
 	solve, err := howToMethod(req.Method)
 	if err != nil {
 		return nil, err
 	}
-	res, err := solve(ctx, sess, req, progress)
+	res, err := solve(ctx, e.sessionFor(sn, req.Shards), req, progress)
 	if err != nil {
 		return nil, queryError(ctx, err)
 	}
 	out := toHowToResponse(res)
 	out.Snapshot = sn.version
-	if fitter != nil {
-		out.Degraded, out.DegradedReason = fitter.Degraded()
-	}
 	return out, nil
 }
 
