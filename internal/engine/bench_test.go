@@ -62,14 +62,14 @@ func BenchmarkEstimatorFit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := newEstimatorSet(rel, featCols, 1, opts)
+		s := newEstimatorSet(&view{rel: rel}, rel, featCols, 1, opts)
 		ci := rel.Schema().MustIndex("Credit")
-		m, err := s.model(context.Background(), "bench", 1, false, func(r int) (float64, error) {
+		m, err := s.model(context.Background(), "bench", 1, false, &labeler{eval: func(r int) (float64, error) {
 			if rel.Row(r)[ci].AsInt() == 1 {
 				return 1, nil
 			}
 			return 0, nil
-		})
+		}})
 		if err != nil || m == nil {
 			b.Fatalf("no model: %v", err)
 		}

@@ -1,0 +1,194 @@
+package engine
+
+import (
+	"math"
+
+	"hyper/internal/hyperql"
+	"hyper/internal/relation"
+)
+
+// Tuple classes. A tuple's contribution (tuple) and its training label under
+// any post event (labelFor) are functions of whether WHEN selected the tuple
+// and of its own values in a handful of view columns — nothing else about the
+// row, and nothing about its position. Rows that agree on all of those form a
+// class, and a view whose columns are small discrete domains has far fewer
+// classes than rows (German-Syn: a few hundred for 5,000), so the expression
+// interpreter runs once per class and the rows gather its result. The rows
+// are still added one by one in row order — the partition changes who
+// computes an addend, never which addends are added or in what order — so
+// every partial, block sum and answer keeps its bits at any fan-out.
+
+// classKey is the radix packing of a tuple class: digit 0 is the WHEN bit,
+// digit j+1 the relation.Coded code of the j-th column tuple() reads.
+type classKey struct {
+	cols   []*relation.CodedColumn
+	stride []uint64
+	space  uint64 // product of the alphabets: every key is below it
+}
+
+// classColumns lists the view columns through which tuple() and the label
+// functions read a row: the prediction features (a ψ summary is a per-group
+// constant, before and after the update, and stands for its group column),
+// the update attributes (post-update values and the affected bit derive from
+// the WHEN bit and the pre-update value), Y, and whatever the normalised FOR
+// literals and the OUTPUT condition reference. ok is false when an expression
+// names a column the view lacks: every row then fails the way it does today.
+func (e *evaluator) classColumns() (cols []int, ok bool) {
+	sch := e.v.rel.Schema()
+	seen := make([]bool, sch.Len())
+	add := func(ci int) {
+		if !seen[ci] {
+			seen[ci] = true
+			cols = append(cols, ci)
+		}
+	}
+	for _, name := range e.est.featCols {
+		if ci, isCol := sch.Index(name); isCol { // otherwise a ψ feature
+			add(ci)
+		}
+	}
+	for _, s := range e.summaries {
+		add(s.group)
+	}
+	for _, ci := range e.updIdx {
+		add(ci)
+	}
+	if e.yIdx >= 0 {
+		add(e.yIdx)
+	}
+	exprs := []hyperql.Expr{e.outCond}
+	for _, d := range e.disjuncts {
+		exprs = append(append(exprs, d.pre...), d.post...)
+	}
+	missing := false
+	for _, x := range exprs {
+		hyperql.Walk(x, func(n hyperql.Expr) bool {
+			name := ""
+			switch n := n.(type) {
+			case *hyperql.ColRef:
+				name = n.Name
+			case *hyperql.L1Dist:
+				name = n.Attr
+			default:
+				return true
+			}
+			if ci, isCol := sch.Index(name); isCol {
+				add(ci)
+			} else {
+				missing = true
+			}
+			return true
+		})
+	}
+	return cols, !missing
+}
+
+// classKey packs the class columns, or reports that the rows must be
+// evaluated one by one. Every rule reads the data, none is a setting: a
+// referenced column is missing; a column is not exact (its codes follow
+// Value.Key(), which merges -0.0 with +0.0 and Int 0, Int 3 with Float 3.0 and
+// all NaNs, so a class representative's Y or arithmetic could differ from the
+// row's in bits); a column alone has more distinct values than half the rows
+// (continuous attributes: nothing would collapse); or the alphabets' product
+// overflows the key. The view must not be empty.
+func (e *evaluator) classKey() (classKey, bool) {
+	cols, ok := e.classColumns()
+	if !ok {
+		return classKey{}, false
+	}
+	rel := e.v.rel
+	k := classKey{cols: make([]*relation.CodedColumn, len(cols)), stride: make([]uint64, len(cols)), space: 2}
+	for j, ci := range cols {
+		cc := rel.Coded(ci)
+		alpha := uint64(len(cc.Values))
+		if !cc.Exact || cc.Card() > rel.Len()/2 || k.space > math.MaxUint64/alpha {
+			return classKey{}, false
+		}
+		k.cols[j], k.stride[j] = cc, k.space
+		k.space *= alpha
+	}
+	return k, true
+}
+
+// partition assigns every view row its class: dense ids in first-seen row
+// order, through a direct-index table while the key space is small and a map
+// past that. It gives up (nil) once the classes outnumber half the rows — the
+// table lookups would cost what they save.
+func (k classKey) partition(inS []bool) (classOf []uint32, classes int) {
+	n := len(inS)
+	var direct []uint32 // class id + 1 by key
+	var sparse map[uint64]uint32
+	if k.space <= uint64(max(1<<16, 4*n)) {
+		direct = make([]uint32, k.space)
+	} else {
+		sparse = make(map[uint64]uint32)
+	}
+	classOf = make([]uint32, n)
+	for i, s := range inS {
+		key := uint64(0)
+		if s {
+			key = 1
+		}
+		for j, cc := range k.cols {
+			key += uint64(cc.At(i)) * k.stride[j]
+		}
+		var id uint32
+		if direct != nil {
+			id = direct[key]
+		} else {
+			id = sparse[key]
+		}
+		if id == 0 {
+			if classes++; classes > n/2 {
+				return nil, 0
+			}
+			id = uint32(classes)
+			if direct != nil {
+				direct[key] = id
+			} else {
+				sparse[key] = id
+			}
+		}
+		classOf[i] = id - 1
+	}
+	return classOf, classes
+}
+
+// classVal is what a function of the tuple class returned for one class:
+// tuple()'s (sum, count), or a training label in sum.
+type classVal struct {
+	sum, cnt float64
+	seen     bool
+}
+
+// labeler yields the training labels of one post-event conjunction: eval runs
+// the label expressions on a view row; label answers from the row's class
+// after the class's first row. One labeler serves one single-flight fit, on
+// that fit's goroutine, so its table needs no lock.
+type labeler struct {
+	eval    func(viewRow int) (float64, error)
+	classOf []uint32 // nil: every row evaluates
+	classes int
+	byClass []classVal // allocated by the first label: most labelers never fit
+	evals   int        // eval calls made
+}
+
+func (l *labeler) label(viewRow int) (float64, error) {
+	var own classVal // the per-row path's slot: never marked seen
+	slot := &own
+	if l.classOf != nil {
+		if l.byClass == nil {
+			l.byClass = make([]classVal, l.classes)
+		}
+		slot = &l.byClass[l.classOf[viewRow]]
+	}
+	if !slot.seen {
+		y, err := l.eval(viewRow)
+		if err != nil {
+			return 0, err
+		}
+		l.evals++
+		slot.sum, slot.seen = y, l.classOf != nil
+	}
+	return slot.sum, nil
+}

@@ -38,13 +38,15 @@ type estimatorSet struct {
 	models  *lru.Cache[ml.Regressor] // trained regressors by labeling key, unbounded
 }
 
-// newEstimatorSet prepares the shared columnar frame. featCols is the
+// newEstimatorSet prepares the shared columnar frame over view, which is v's
+// relation or its ψ-augmented copy (same rows, same order). featCols is the
 // concatenation of update attributes, the backdoor set, and any summary
 // columns; sampling (HypeR-sampled) draws SampleSize rows without
-// replacement. Of opts the set keeps the seed and the estimator kind it
-// chose: it lives in the session's engine cache long after the request that
-// built it, so it must not hold that request's Progress, Cache or Plans.
-func newEstimatorSet(view *relation.Relation, featCols []string, keepFirst int, opts Options) *estimatorSet {
+// replacement, and an unsampled set trains on v's shared identity list. Of
+// opts the set keeps the seed and the estimator kind it chose: it lives in
+// the session's engine cache long after the request that built it, so it must
+// not hold that request's Progress, Cache or Plans.
+func newEstimatorSet(v *view, view *relation.Relation, featCols []string, keepFirst int, opts Options) *estimatorSet {
 	s := &estimatorSet{
 		view:      view,
 		featCols:  append([]string(nil), featCols...),
@@ -59,10 +61,7 @@ func newEstimatorSet(view *relation.Relation, featCols []string, keepFirst int, 
 		rng := stats.NewRNG(opts.Seed ^ 0x5ab0)
 		s.trainRows = rng.SampleIndexes(n, opts.SampleSize)
 	} else {
-		s.trainRows = make([]int, n)
-		for i := range s.trainRows {
-			s.trainRows[i] = i
-		}
+		s.trainRows = v.identityRows()
 	}
 	s.kind = s.chooseKind(opts.Estimator)
 	s.fitPlan = shard.Rows(len(s.trainRows), opts.ShardRows)
@@ -120,7 +119,7 @@ func (s *estimatorSet) chooseKind(want EstimatorKind) string {
 // attribute) are the calling request's, passed per call and never stored: a
 // cached set outlives the request that built it. Results cannot differ either
 // way; the fit plan is fixed.
-func (s *estimatorSet) model(ctx context.Context, key string, workers int, weighted bool, label func(viewRow int) (float64, error)) (ml.Regressor, error) {
+func (s *estimatorSet) model(ctx context.Context, key string, workers int, weighted bool, lab *labeler) (ml.Regressor, error) {
 	m, _, err := s.models.Do(ctx, key, func() (ml.Regressor, error) {
 		// Training is the expensive step of the estimator fitting loop; a
 		// cancelled query stops here rather than fitting another regressor it
@@ -138,12 +137,13 @@ func (s *estimatorSet) model(ctx context.Context, key string, workers int, weigh
 
 		y := make([]float64, len(s.trainRows))
 		for i, r := range s.trainRows {
-			v, err := label(r)
+			v, err := lab.label(r)
 			if err != nil {
 				return nil, err
 			}
 			y[i] = v
 		}
+		fsp.Set("label_evals", lab.evals)
 		var m ml.Regressor
 		switch s.kind {
 		case "freq":

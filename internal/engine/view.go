@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 
 	"hyper/internal/causal"
 	"hyper/internal/hyperql"
@@ -17,6 +18,25 @@ type view struct {
 	rel       *relation.Relation
 	updateRel *relation.Relation // base relation R containing the update attribute
 	qualified map[string]string  // view column -> "Rel.Attr" source
+
+	// The identity row list [0, Len): what an unsampled estimator set trains
+	// on. Built on first use and shared by every set over this view — at 8
+	// bytes a row it would otherwise be each cached set's second-largest
+	// allocation — and collected with the view.
+	identityOnce sync.Once
+	identity     []int
+}
+
+// identityRows returns the shared list of all view rows in order. Callers
+// must not write to it.
+func (v *view) identityRows() []int {
+	v.identityOnce.Do(func() {
+		v.identity = make([]int, v.rel.Len())
+		for i := range v.identity {
+			v.identity[i] = i
+		}
+	})
+	return v.identity
 }
 
 // buildView materializes the USE clause (step 1 of Section 3.2). The view
@@ -64,10 +84,21 @@ func buildView(db *relation.Database, use *hyperql.UseClause, updateAttr string)
 			v.qualified[name] = q
 		}
 	}
+	base, err := v.updateSource(db, updateAttr)
+	if err != nil {
+		return nil, err
+	}
+	v.updateRel = base
+	return v, nil
+}
+
+// updateSource validates one update attribute against the model of Section
+// 3.1 — a view column whose qualified source is a mutable column of a base
+// relation — and returns that relation.
+func (v *view) updateSource(db *relation.Database, updateAttr string) (*relation.Relation, error) {
 	if !v.rel.Schema().Has(updateAttr) {
 		return nil, fmt.Errorf("engine: update attribute %q is not a column of the relevant view", updateAttr)
 	}
-	// Locate the base relation of the update attribute.
 	q, ok := v.qualified[updateAttr]
 	if !ok {
 		return nil, fmt.Errorf("engine: update attribute %q has no source mapping", updateAttr)
@@ -84,8 +115,7 @@ func buildView(db *relation.Database, use *hyperql.UseClause, updateAttr string)
 	if !col.Mutable {
 		return nil, fmt.Errorf("engine: update attribute %s.%s is immutable", relName, attr)
 	}
-	v.updateRel = base
-	return v, nil
+	return base, nil
 }
 
 // qualifyRef resolves a column reference of the USE sub-select to its

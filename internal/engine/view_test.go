@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"hyper/internal/causal"
+	"hyper/internal/dataset"
 	"hyper/internal/hyperql"
 	"hyper/internal/relation"
 )
@@ -85,5 +87,49 @@ func TestViewBlockIDsCompositeKey(t *testing.T) {
 	}
 	if _, err := v2.blockIDs(byRel["Item"]); err == nil {
 		t.Error("a view missing key column SKU mapped its rows to blocks")
+	}
+}
+
+// TestWhatIfValidatesEveryUpdate: the memoized view build validates the
+// update attribute that keys it; every further UPDATE of a query must pass
+// the same checks — a mutable column of the one updated relation — however
+// the attributes are ordered.
+func TestWhatIfValidatesEveryUpdate(t *testing.T) {
+	g := dataset.GermanSyn(2000, 7)
+	a := dataset.AmazonSyn(300, 6, 7)
+	for _, tc := range []struct {
+		name    string
+		db      *relation.Database
+		model   *causal.Model
+		query   string
+		wantErr string // "" = the query answers
+	}{
+		{"immutable second", g.DB, g.Model,
+			`USE German UPDATE(Status) = 3 AND UPDATE(Age) = 1 OUTPUT COUNT(Credit = 1)`,
+			"engine: update attribute German.Age is immutable"},
+		{"immutable first", g.DB, g.Model,
+			`USE German UPDATE(Age) = 1 AND UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`,
+			"engine: update attribute German.Age is immutable"},
+		{"two mutable attributes", g.DB, g.Model,
+			`USE German UPDATE(Status) = 3 AND UPDATE(Savings) = 1 OUTPUT COUNT(Credit = 1)`, ""},
+		{"aggregate of another relation", a.DB, a.Model,
+			amazonUse + ` UPDATE(Price) = 1.1 * PRE(Price) AND UPDATE(Rtng) = 5 OUTPUT COUNT(POST(Rtng) >= 4)`,
+			"engine: update attribute Review.Rating is outside the updated relation Product"},
+		{"not a view column", g.DB, g.Model,
+			`USE German UPDATE(Status) = 3 AND UPDATE(Nope) = 1 OUTPUT COUNT(Credit = 1)`,
+			`engine: update attribute "Nope" is not a column of the relevant view`},
+	} {
+		q, err := hyperql.ParseWhatIf(tc.query)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		// The second run finds the view in the cache: validation is per query.
+		opts := Options{Seed: 7, Cache: NewCache()}
+		for run := 0; run < 2; run++ {
+			_, err = Evaluate(tc.db, tc.model, q, opts)
+			if got := fmt.Sprint(err); (tc.wantErr == "" && err != nil) || (tc.wantErr != "" && got != tc.wantErr) {
+				t.Errorf("%s, run %d: err = %v, want %q", tc.name, run, err, tc.wantErr)
+			}
+		}
 	}
 }

@@ -108,9 +108,15 @@ func resolveView(db *relation.Database, q *hyperql.WhatIf, o Options) (v *view, 
 	if err != nil {
 		return nil, "", nil, false, err
 	}
+	// The memoized build validated the first update attribute, which keys it;
+	// the others are this query's own. All must update the one relation R.
 	for _, a := range updateAttrs[1:] {
-		if !v.rel.Schema().Has(a) {
-			return nil, "", nil, false, fmt.Errorf("engine: update attribute %q is not a column of the relevant view", a)
+		base, err := v.updateSource(db, a)
+		if err != nil {
+			return nil, "", nil, false, err
+		}
+		if base.Name() != v.updateRel.Name() {
+			return nil, "", nil, false, fmt.Errorf("engine: update attribute %s is outside the updated relation %s", v.qualified[a], v.updateRel.Name())
 		}
 	}
 	return v, viewKey, updateAttrs, hit, nil
@@ -131,6 +137,7 @@ type evalPrep struct {
 	agg     hyperql.AggFunc
 	plan    shard.Plan
 	start   time.Time
+	perRow  bool // tests only: evaluate without tuple classes
 }
 
 func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal.Model, q *hyperql.WhatIf, opts Options) (*evalPrep, error) {
@@ -323,7 +330,7 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 		forKey += "\x00" + q.Output.String()
 		key := kindEst + estKey(viewKey, whenKey, forKey, featCols, eo)
 		est, hit, err := memo(ctx, eo.Cache, key, func() (*estimatorSet, error) {
-			return newEstimatorSet(augView, featCols, len(updateAttrs), eo), nil
+			return newEstimatorSet(v, augView, featCols, len(updateAttrs), eo), nil
 		})
 		if estHit = hit; hit {
 			// Set-level hits are the fan-out-independent "served from cache"
@@ -462,6 +469,15 @@ func (p *evalPrep) evalShards(ctx context.Context, ids []int) ([]ShardPartial, e
 	meter.AddShards(len(ids))
 	meter.AddTuples(total)
 	evStart := time.Now()
+	// The class partition covers the whole view whichever shards run here:
+	// lazy fits label every training row. It belongs to this evaluation alone
+	// and is garbage once the request returns.
+	if !p.perRow {
+		if key, ok := p.ev.classKey(); ok {
+			p.ev.classOf, p.ev.classes = key.partition(p.ev.inS)
+		}
+	}
+	sp.Set("classes", p.ev.classes)
 	locals := make([]*evaluator, workers)
 	parts := make([]ShardPartial, len(ids))
 	nBlocks := p.nBlocks
@@ -481,6 +497,7 @@ func (p *evalPrep) evalShards(ctx context.Context, ids []int) ([]ShardPartial, e
 		if local == nil {
 			cp := *p.ev
 			cp.activeBuf, cp.xBuf, cp.evBuf, cp.modelMemo = nil, nil, nil, nil
+			cp.byClass = make([]classVal, cp.classes)
 			local = &cp
 			locals[w] = local
 		}
@@ -510,6 +527,7 @@ func (p *evalPrep) evalShards(ctx context.Context, ids []int) ([]ShardPartial, e
 		}
 		sum := make([]float64, maxB-minB+1)
 		cnt := make([]float64, maxB-minB+1)
+		classOf, byClass := local.classOf, local.byClass
 		for i := lo; i < hi; i++ {
 			if (i-lo)%stride == 0 && i > lo {
 				if err := ctx.Err(); err != nil {
@@ -519,13 +537,25 @@ func (p *evalPrep) evalShards(ctx context.Context, ids []int) ([]ShardPartial, e
 					p.o.Progress("tuples", int(tuplesDone.Add(stride)), total)
 				}
 			}
-			ts, tc, err := local.tuple(i)
-			if err != nil {
-				return err
+			// A class's first row in this worker computes the class's
+			// contribution; the rest read it. Either way this row adds its
+			// own addends here, in row order.
+			var own classVal // the per-row path's slot: never marked seen
+			slot := &own
+			if classOf != nil {
+				slot = &byClass[classOf[i]]
+			}
+			if !slot.seen {
+				ts, tc, err := local.tuple(i)
+				if err != nil {
+					return err
+				}
+				local.evaluated++
+				*slot = classVal{sum: ts, cnt: tc, seen: classOf != nil}
 			}
 			b := blockAt(i) - minB
-			sum[b] += ts
-			cnt[b] += tc
+			sum[b] += slot.sum
+			cnt[b] += slot.cnt
 		}
 		parts[idx] = ShardPartial{Shard: s, MinBlock: minB, Sum: sum, Cnt: cnt}
 		if p.o.Progress != nil {
@@ -536,6 +566,13 @@ func (p *evalPrep) evalShards(ctx context.Context, ids []int) ([]ShardPartial, e
 	if err != nil {
 		return nil, err
 	}
+	evaluated := 0
+	for _, local := range locals {
+		if local != nil {
+			evaluated += local.evaluated
+		}
+	}
+	sp.Set("evaluated", evaluated)
 	meter.AddStage("eval", time.Since(evStart))
 	return parts, nil
 }
@@ -613,6 +650,15 @@ type evaluator struct {
 	eventID   []int                    // disjunct index -> event id (-1 = empty post)
 	evBuf     []int                    // per-tuple active event ids (scratch)
 	modelMemo map[memoKey]ml.Regressor // per-worker event-subset -> model
+
+	// Tuple classes (classes.go), set by evalShards for one evaluation:
+	// classOf[i] is the class of view row i, nil when the rows evaluate one
+	// by one. byClass is the worker-local table of tuple() by class and
+	// evaluated the worker's count of tuple() calls.
+	classOf   []uint32
+	classes   int
+	byClass   []classVal
+	evaluated int
 }
 
 // memoKey identifies a model by its post-event subset (a bitmask over
@@ -902,9 +948,10 @@ func (e *evaluator) eventModel(mask uint64, weighted bool) (ml.Regressor, error)
 }
 
 // labelFor builds the training-label function of the event conjunction
-// (all ∧), Y-weighted when weighted.
-func (e *evaluator) labelFor(all []hyperql.Expr, weighted bool) func(r int) (float64, error) {
-	return func(r int) (float64, error) {
+// (all ∧), Y-weighted when weighted. Like tuple() it reads only the row's
+// class columns, so it labels by class when the rows are partitioned.
+func (e *evaluator) labelFor(all []hyperql.Expr, weighted bool) *labeler {
+	return &labeler{classOf: e.classOf, classes: e.classes, eval: func(r int) (float64, error) {
 		env := sqlmini.RowEnv{Rel: e.v.rel, Row: e.v.rel.Row(r)}
 		for _, lit := range all {
 			ok, err := sqlmini.EvalBool(lit, env)
@@ -919,7 +966,7 @@ func (e *evaluator) labelFor(all []hyperql.Expr, weighted bool) func(r int) (flo
 			return e.v.rel.Row(r)[e.yIdx].AsFloat(), nil
 		}
 		return 1, nil
-	}
+	}}
 }
 
 func clamp01(x float64) float64 {
@@ -1098,9 +1145,10 @@ func appendPredicateAttrs(featCols []string, rel *relation.Relation, when hyperq
 // attribute over the tuples sharing a GroupBy value, before and after the
 // update.
 type summaryFeature struct {
-	name string
-	pre  []float64
-	post []float64
+	name  string
+	group int // view column the means are grouped by
+	pre   []float64
+	post  []float64
 }
 
 // buildSummaries derives ψ features from the model's cross-tuple edges whose
@@ -1147,9 +1195,10 @@ func buildSummaries(v *view, model *causal.Model, updateAttrs []string, postVals
 			a.n++
 		}
 		sf := summaryFeature{
-			name: "psi_" + attr + "_by_" + gAttr,
-			pre:  make([]float64, n),
-			post: make([]float64, n),
+			name:  "psi_" + attr + "_by_" + gAttr,
+			group: gi,
+			pre:   make([]float64, n),
+			post:  make([]float64, n),
 		}
 		for i := 0; i < n; i++ {
 			a := groups[keys[i]]

@@ -28,9 +28,9 @@ type Frame struct {
 	// Interned codes, built lazily by Intern (tree/forest/linear fits never
 	// need them; the freq estimator and the support set do).
 	internOnce sync.Once
-	codes      []uint32 // codes[c*rows+r]: interned code of that value
-	dicts      []dict   // per-column value (canonical bits) -> code
-	card       []uint32 // distinct values per column
+	codes      []codeColumn // per column: interned code of each row's value
+	dicts      []dict       // per-column value (canonical bits) -> code
+	card       []uint32     // distinct values per column
 
 	// Per-column order index, built lazily by rankStore the first time a
 	// tree is fitted on the frame (freq and linear fits never need it).
@@ -102,25 +102,47 @@ func FrameFromRows(X [][]float64) *Frame {
 // for concurrent use). Codes are dense, in first-seen row order per column.
 func (f *Frame) Intern() { f.internOnce.Do(f.intern) }
 
+// codeColumn holds one column's row codes at the width
+// relation.CodedColumn stores its own: a byte per row while the column has
+// at most 256 distinct values, four bytes once it has more. A cached
+// estimator set keeps its frame's codes alive beside 8 bytes of data per
+// cell, and discrete features — the only ones the freq estimator and the
+// support set are chosen for — rarely leave the narrow form.
+type codeColumn struct {
+	narrow []uint8  // while the column has at most 256 distinct values ...
+	wide   []uint32 // ... and past that (exactly one of the two is set)
+}
+
 func (f *Frame) intern() {
-	f.codes = make([]uint32, f.rows*f.dim)
+	f.codes = make([]codeColumn, f.dim)
 	f.dicts = make([]dict, f.dim)
 	f.card = make([]uint32, f.dim)
 	internCol := func(c int) {
 		d := make(dict)
 		f.dicts[c] = d
-		col := f.data[c*f.rows : (c+1)*f.rows]
-		codes := f.codes[c*f.rows : (c+1)*f.rows]
-		for r, v := range col {
+		codes := codeColumn{narrow: make([]uint8, f.rows)}
+		for r, v := range f.Col(c) {
 			b := canonBits(v)
 			code, ok := d[b]
 			if !ok {
 				code = f.card[c]
 				d[b] = code
 				f.card[c]++
+				if code == 256 { // the 257th distinct value: widen the codes so far
+					codes.wide = make([]uint32, f.rows)
+					for j, code := range codes.narrow[:r] {
+						codes.wide[j] = uint32(code)
+					}
+					codes.narrow = nil
+				}
 			}
-			codes[r] = code
+			if codes.wide != nil {
+				codes.wide[r] = code
+			} else {
+				codes.narrow[r] = uint8(code)
+			}
 		}
+		f.codes[c] = codes
 	}
 	// Columns intern independently (codes are per-column, assigned in row
 	// order), so interning fans out across columns without changing any code.
@@ -230,6 +252,18 @@ func (f *Frame) Col(c int) []float64 { return f.data[c*f.rows : (c+1)*f.rows] }
 func (f *Frame) Gather(r int, dst []float64) {
 	for c := 0; c < f.dim; c++ {
 		dst[c] = f.data[c*f.rows+r]
+	}
+}
+
+// codeRow copies the interned codes of row r into dst, which must have
+// length Dim(). The frame must be interned.
+func (f *Frame) codeRow(r int, dst []uint32) {
+	for c, col := range f.codes {
+		if col.wide != nil {
+			dst[c] = col.wide[r]
+		} else {
+			dst[c] = uint32(col.narrow[r])
+		}
 	}
 }
 
@@ -357,22 +391,22 @@ func NewSupportSet(f *Frame, rows []int) *SupportSet {
 	f.Intern()
 	s := &SupportSet{keyer: newKeyer(f)}
 	codes := make([]uint32, f.dim)
+	// The maps grow as combinations appear instead of being sized for
+	// len(rows) of them: discrete rows repeat (German-Syn: a few hundred
+	// combinations in 5,000 rows), and the engine caches this set, so a
+	// row-count hint is empty slots retained per estimator set.
 	if s.packed() {
-		s.set = make(map[uint64]struct{}, len(rows))
+		s.set = make(map[uint64]struct{})
 		for _, r := range rows {
-			for c := 0; c < f.dim; c++ {
-				codes[c] = f.codes[c*f.rows+r]
-			}
+			f.codeRow(r, codes)
 			s.set[s.packKey(codes)] = struct{}{}
 		}
 		return s
 	}
-	s.setW = make(map[string]struct{}, len(rows))
+	s.setW = make(map[string]struct{})
 	buf := make([]byte, 0, 4*f.dim)
 	for _, r := range rows {
-		for c := 0; c < f.dim; c++ {
-			codes[c] = f.codes[c*f.rows+r]
-		}
+		f.codeRow(r, codes)
 		buf = wideKey(buf, codes, f.dim)
 		if _, ok := s.setW[string(buf)]; !ok {
 			s.setW[string(buf)] = struct{}{}

@@ -238,3 +238,107 @@ func TestSupportSetMatchesEstimator(t *testing.T) {
 		}
 	}
 }
+
+// refInternFlat is the frame's code layout before codes narrowed to a byte:
+// one flat []uint32, codes[c*rows+r], assigned in first-seen row order per
+// column. Kept here as the reference the per-column narrow/wide columns are
+// held to.
+func refInternFlat(f *Frame) (codes []uint32, card []uint32) {
+	codes = make([]uint32, f.rows*f.dim)
+	card = make([]uint32, f.dim)
+	for c := 0; c < f.dim; c++ {
+		d := make(dict)
+		for r, v := range f.Col(c) {
+			b := canonBits(v)
+			code, ok := d[b]
+			if !ok {
+				code = card[c]
+				d[b] = code
+				card[c]++
+			}
+			codes[c*f.rows+r] = code
+		}
+	}
+	return codes, card
+}
+
+// TestFrameCodesNarrowWide: a column stays one byte per row through its
+// 256th distinct value and widens at the 257th, and at either width the
+// frame hands out the codes of the flat layout — so the estimator fitted on
+// it, its support counts and the support set are those of the reference,
+// packed and wide keys alike.
+func TestFrameCodesNarrowWide(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pad  int // further 257-value columns, to overflow the packed key
+	}{{"packed", 0}, {"wide-keys", 7}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := stats.NewRNG(11)
+			const n = 3000
+			dim := 3 + tc.pad
+			X := make([][]float64, n)
+			y := make([]float64, n)
+			for r := range X {
+				// Columns 0 and 1 take their last value late, so the widening
+				// copies a long narrow prefix.
+				X[r] = make([]float64, dim)
+				X[r][0] = float64(rng.Intn(255))
+				X[r][1] = float64(rng.Intn(256))
+				X[r][2] = float64(rng.Intn(3))
+				for c := 3; c < dim; c++ {
+					X[r][c] = float64(r % 257)
+				}
+				y[r] = float64(rng.Intn(5))
+			}
+			X[n-2][0], X[n-2][1] = 255, 256 // the 256th and the 257th value
+			X[n-1][0], X[n-1][1] = 255, 256
+			fr := FrameFromRows(X)
+			fr.Intern()
+			if fr.card[0] != 256 || fr.codes[0].narrow == nil || fr.codes[0].wide != nil {
+				t.Fatalf("256-value column: card %d, narrow %v, wide %v", fr.card[0], fr.codes[0].narrow != nil, fr.codes[0].wide != nil)
+			}
+			if fr.card[1] != 257 || fr.codes[1].narrow != nil || fr.codes[1].wide == nil {
+				t.Fatalf("257-value column: card %d, narrow %v, wide %v", fr.card[1], fr.codes[1].narrow != nil, fr.codes[1].wide != nil)
+			}
+			flat, card := refInternFlat(fr)
+			got := make([]uint32, dim)
+			for r := 0; r < n; r++ {
+				fr.codeRow(r, got)
+				for c := range got {
+					if got[c] != flat[c*n+r] {
+						t.Fatalf("row %d column %d: code %d, flat layout %d", r, c, got[c], flat[c*n+r])
+					}
+				}
+			}
+			for c := range card {
+				if fr.card[c] != card[c] {
+					t.Fatalf("column %d: card %d, flat layout %d", c, fr.card[c], card[c])
+				}
+			}
+
+			rows := make([]int, n)
+			for i := range rows {
+				rows[i] = i
+			}
+			f := FitFreqFrame(fr, rows, y, 1)
+			if f.packed() != (tc.pad == 0) {
+				t.Fatalf("packed = %v with %d columns", f.packed(), dim)
+			}
+			ref := refFitFreq(X, y, 1)
+			if f.Support() != len(ref.exact) {
+				t.Fatalf("Support = %d, reference %d", f.Support(), len(ref.exact))
+			}
+			probes := probesFor(rng, X, dim)
+			comparePredictions(t, f, ref, probes, tc.name)
+			set := NewSupportSet(fr, rows)
+			if set.Len() != len(ref.exact) {
+				t.Fatalf("SupportSet.Len = %d, reference %d", set.Len(), len(ref.exact))
+			}
+			for _, x := range probes {
+				if has, n := set.Has(x), ref.supportOf(x); has != (n > 0) {
+					t.Fatalf("Has(%v) = %v, reference support %d", x, has, n)
+				}
+			}
+		})
+	}
+}

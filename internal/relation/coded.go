@@ -100,6 +100,12 @@ type CodedColumn struct {
 	// MaxAbs, Min and Max summarize the non-NaN numeric values (all 0 when
 	// there are none).
 	MaxAbs, Min, Max float64
+	// Exact reports that every row holds its code's entry in Values to the
+	// bit. Value.Key() identity is coarser than that: -0.0, +0.0 and Int 0
+	// share a code, as do Int 3 and Float 3.0 and every NaN payload, so only
+	// over an exact column may a consumer compute on Values[code] in place of
+	// the row's own value and expect the row's result.
+	Exact bool
 
 	narrow []uint8  // row codes while len(Values) <= 256 ...
 	wide   []uint32 // ... and past that (exactly one of the two is set)
@@ -163,6 +169,7 @@ func buildCoded(rows []Tuple, ci int) *CodedColumn {
 	c := &CodedColumn{
 		narrow:  make([]uint8, len(rows)),
 		Numeric: true,
+		Exact:   true,
 		Min:     math.Inf(1),
 		Max:     math.Inf(-1),
 	}
@@ -181,6 +188,10 @@ func buildCoded(rows []Tuple, ci int) *CodedColumn {
 				}
 				c.narrow = nil
 			}
+		} else if w := c.Values[code]; v.kind != w.kind || math.Float64bits(v.f) != math.Float64bits(w.f) {
+			// Same key, so ints, bools and strings agree already; what a
+			// key leaves open is the kind and a float's bits.
+			c.Exact = false
 		}
 		if c.wide != nil {
 			c.wide[i] = code

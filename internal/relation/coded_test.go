@@ -109,7 +109,49 @@ func FuzzColumnKeyParity(f *testing.F) {
 				t.Fatalf("Code(%#v) = %d,%v, want the row's code %d", x, code, ok, codeAt(col, i))
 			}
 		}
+		if want := holdsValuesExactly(col, all); col.Exact != want {
+			t.Fatalf("Exact = %v over %#v, want %v", col.Exact, all, want)
+		}
 	})
+}
+
+// holdsValuesExactly is the oracle of CodedColumn.Exact: every row's value
+// equals its code's entry in Values field by field, floats by their bits.
+func holdsValuesExactly(c *CodedColumn, rows []Value) bool {
+	for i, v := range rows {
+		w := c.Values[codeAt(c, i)]
+		if v.kind != w.kind || v.i != w.i || math.Float64bits(v.f) != math.Float64bits(w.f) || v.s != w.s {
+			return false
+		}
+	}
+	return true
+}
+
+func TestCodedExact(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, tc := range []struct {
+		name string
+		vals []Value
+		want bool
+	}{
+		{"ints with repeats and nulls", []Value{Int(3), Null, Int(3), Int(0), Null, Int(0)}, true},
+		{"strings and bools", []Value{String("a"), Bool(true), String("a"), Bool(true), Bool(false)}, true},
+		{"repeated floats", []Value{Float(2.5), Float(3), Float(2.5), Float(3), Float(negZero), Float(negZero)}, true},
+		{"one NaN payload", []Value{Float(math.NaN()), Float(math.NaN())}, true},
+		{"signed zeros", []Value{Float(0), Float(1), Float(negZero)}, false},
+		{"int zero and negative zero", []Value{Int(0), Float(negZero)}, false},
+		{"int and whole float", []Value{Int(3), Int(4), Float(3)}, false},
+		{"two NaN payloads", []Value{Float(math.NaN()), Float(math.Float64frombits(0x7ff8000000000abc))}, false},
+	} {
+		rel := NewRelation("T", MustSchema(Column{Name: "ID", Key: true}, Column{Name: "V"}))
+		for i, v := range tc.vals {
+			rel.MustInsert(Int(int64(i)), v)
+		}
+		c := rel.Coded(1)
+		if c.Exact != tc.want || c.Exact != holdsValuesExactly(c, tc.vals) {
+			t.Errorf("%s: Exact = %v, want %v", tc.name, c.Exact, tc.want)
+		}
+	}
 }
 
 func TestCodedColumn(t *testing.T) {

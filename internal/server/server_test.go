@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -304,6 +305,24 @@ func TestServerSessionLifecycleAndErrors(t *testing.T) {
 	do(t, "GET", ts.URL+"/v1/sessions", nil, &list)
 	if len(list.Sessions) != 1 {
 		t.Errorf("after delete, %d sessions remain, want 1", len(list.Sessions))
+	}
+}
+
+// TestWhatIfValidatesEveryUpdate is the HTTP face of the engine test of the
+// same name: an intervention on an immutable attribute is the client's error
+// wherever in the UPDATE list it stands.
+func TestWhatIfValidatesEveryUpdate(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	createSession(t, ts, "g")
+	for _, q := range []string{
+		`USE German UPDATE(Status) = 3 AND UPDATE(Age) = 1 OUTPUT COUNT(Credit = 1)`,
+		`USE German UPDATE(Age) = 1 AND UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`,
+	} {
+		var errResp ErrorResponse
+		code := do(t, "POST", ts.URL+"/v1/sessions/g/whatif", QueryRequest{Query: q}, &errResp)
+		if code != http.StatusBadRequest || !strings.Contains(errResp.Error, "German.Age is immutable") {
+			t.Errorf("%s: status %d, error %q; want 400 naming German.Age", q, code, errResp.Error)
+		}
 	}
 }
 
