@@ -38,7 +38,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		_, gt := am.CounterfactualAvgRating(nil, func(p float64) float64 { return c.f * p })
+		gt := am.CounterfactualShareRated(4, func(p float64) float64 { return c.f * p })
 		fmt.Printf("%-22s %17.1f%% %17.1f%%\n", c.label, 100*res.Value/float64(res.ViewRows), 100*gt)
 	}
 

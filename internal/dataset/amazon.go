@@ -135,13 +135,12 @@ func amazonModel() *causal.Model {
 	return m
 }
 
-// CounterfactualAvgRating recomputes every review with the recorded noise
-// after applying priceFn to the prices of products selected by sel (nil
-// selects all) and returns (a) the average rating over all products and (b)
-// the fraction of reviews with rating >= 4. Category mean prices are
-// recomputed, so the competitive cross-tuple channel is part of the ground
-// truth.
-func (a *Amazon) CounterfactualAvgRating(sel func(prodIdx int) bool, priceFn func(pre float64) float64) (avg float64, fracGE4 float64) {
+// counterfactualRatings recomputes every review's rating with the recorded
+// noise after applying priceFn to the prices of the products selected by sel
+// (nil selects all), and calls visit once per review in generation order.
+// Category mean prices are recomputed first, so the competitive cross-tuple
+// channel is part of the ground truth.
+func (a *Amazon) counterfactualRatings(sel func(prodIdx int) bool, priceFn func(pre float64) float64, visit func(prodIdx, rating int)) {
 	n := len(a.prod)
 	newPrice := make([]float64, n)
 	catSum := map[int]float64{}
@@ -156,18 +155,57 @@ func (a *Amazon) CounterfactualAvgRating(sel func(prodIdx int) bool, priceFn fun
 		catSum[c] += p
 		catN[c]++
 	}
-	total, ge4 := 0.0, 0
 	for r, pi := range a.revProd {
 		c := int(a.prod[pi][0])
 		mean := catSum[c] / float64(catN[c])
 		_, rating := reviewEq(a.prod[pi][1], newPrice[pi], mean, categoryBasePrice[c], a.revNz[r])
+		visit(pi, rating)
+	}
+}
+
+// CounterfactualAvgRating returns, after the price update (see
+// counterfactualRatings), (a) the average rating over all reviews and (b)
+// the fraction of reviews with rating >= 4.
+func (a *Amazon) CounterfactualAvgRating(sel func(prodIdx int) bool, priceFn func(pre float64) float64) (avg float64, fracGE4 float64) {
+	total, ge4 := 0.0, 0
+	a.counterfactualRatings(sel, priceFn, func(_, rating int) {
 		total += float64(rating)
 		if rating >= 4 {
 			ge4++
 		}
-	}
+	})
 	m := float64(len(a.revProd))
 	return total / m, float64(ge4) / m
+}
+
+// counterfactualProductRatings returns each product's rating sum and review
+// count after the price update; sum[i]/n[i] is a row of the engine's
+// per-product AVG(Rating) view.
+func (a *Amazon) counterfactualProductRatings(sel func(prodIdx int) bool, priceFn func(pre float64) float64) (sum []float64, n []int) {
+	sum = make([]float64, len(a.prod))
+	n = make([]int, len(a.prod))
+	a.counterfactualRatings(sel, priceFn, func(pi, rating int) {
+		sum[pi] += float64(rating)
+		n[pi]++
+	})
+	return sum, n
+}
+
+// CounterfactualShareRated returns the share of products whose mean rating
+// is at least min after applying priceFn to every price: the ground truth of
+// COUNT(POST(Rtng) >= min) over the per-product view, as a share of its rows.
+func (a *Amazon) CounterfactualShareRated(min float64, priceFn func(pre float64) float64) float64 {
+	sum, n := a.counterfactualProductRatings(nil, priceFn)
+	hit, m := 0, 0
+	for i := range sum {
+		if n[i] > 0 {
+			m++
+			if sum[i]/float64(n[i]) >= min {
+				hit++
+			}
+		}
+	}
+	return float64(hit) / float64(m)
 }
 
 // CategoryIndex returns the code of a category name, or -1.
@@ -183,46 +221,19 @@ func (a *Amazon) CategoryIndex(name string) int {
 // ProductCategory returns the category code of product i.
 func (a *Amazon) ProductCategory(i int) int { return int(a.prod[i][0]) }
 
-// CounterfactualCategoryAvgRating is CounterfactualAvgRating restricted to
-// the reviews of one category's products: it returns the average per-product
-// mean rating within the category after applying priceFn to the selected
-// products (nil sel selects all). Used to validate cross-tuple (ψ) effects:
-// cutting ONE product's price changes its competitors' ratings through the
-// category mean.
+// CounterfactualCategoryAvgRating returns the average per-product mean
+// rating within one category after applying priceFn to the selected products
+// (nil sel selects all) — matching the engine's AVG over the per-product
+// AVG(Rating) view. Used to validate cross-tuple (ψ) effects: cutting ONE
+// product's price changes its competitors' ratings through the category
+// mean.
 func (a *Amazon) CounterfactualCategoryAvgRating(category string, sel func(prodIdx int) bool, priceFn func(pre float64) float64) float64 {
 	want := a.CategoryIndex(category)
-	n := len(a.prod)
-	newPrice := make([]float64, n)
-	catSum := map[int]float64{}
-	catN := map[int]int{}
-	for i := 0; i < n; i++ {
-		p := a.prod[i][2]
-		if sel == nil || sel(i) {
-			p = priceFn(p)
-		}
-		newPrice[i] = p
-		c := int(a.prod[i][0])
-		catSum[c] += p
-		catN[c]++
-	}
-	// Per-product mean rating, then mean over the category's products —
-	// matching the engine's AVG over the per-product AVG(Rating) view.
-	prodSum := make([]float64, n)
-	prodN := make([]int, n)
-	for r, pi := range a.revProd {
-		c := int(a.prod[pi][0])
-		if c != want {
-			continue
-		}
-		mean := catSum[c] / float64(catN[c])
-		_, rating := reviewEq(a.prod[pi][1], newPrice[pi], mean, categoryBasePrice[c], a.revNz[r])
-		prodSum[pi] += float64(rating)
-		prodN[pi]++
-	}
+	sum, n := a.counterfactualProductRatings(sel, priceFn)
 	total, m := 0.0, 0
-	for i := 0; i < n; i++ {
-		if prodN[i] > 0 {
-			total += prodSum[i] / float64(prodN[i])
+	for i := range sum {
+		if n[i] > 0 && a.ProductCategory(i) == want {
+			total += sum[i] / float64(n[i])
 			m++
 		}
 	}

@@ -231,6 +231,48 @@ func TestAmazonPriceCutRaisesRatings(t *testing.T) {
 	}
 }
 
+// TestAmazonShareRated pins the per-product ground truth against a count made
+// by hand from the generated Review relation: on a world small enough to
+// read, the identity update must give the share of products whose observed
+// mean rating is at least 4 — a different quantity from the share of reviews
+// rated at least 4, which CounterfactualAvgRating reports.
+func TestAmazonShareRated(t *testing.T) {
+	am := AmazonSyn(12, 3, 5)
+	rev := am.DB.Relation("Review")
+	pi, ri := rev.Schema().MustIndex("PID"), rev.Schema().MustIndex("Rating")
+	sum, n := map[int64]float64{}, map[int64]int{}
+	reviewsGE4 := 0
+	for _, row := range rev.Rows() {
+		sum[row[pi].AsInt()] += row[ri].AsFloat()
+		n[row[pi].AsInt()]++
+		if row[ri].AsInt() >= 4 {
+			reviewsGE4++
+		}
+	}
+	productsGE4 := 0
+	for pid := range sum {
+		if sum[pid]/float64(n[pid]) >= 4 {
+			productsGE4++
+		}
+	}
+	if len(sum) != 12 {
+		t.Fatalf("%d products have reviews, want all 12", len(sum))
+	}
+	identity := func(p float64) float64 { return p }
+	if got, want := am.CounterfactualShareRated(4, identity), float64(productsGE4)/12; got != want {
+		t.Errorf("share of products rated >= 4: %v, by hand %d of 12 = %v", got, productsGE4, want)
+	}
+	if _, perReview := am.CounterfactualAvgRating(nil, identity); perReview != float64(reviewsGE4)/float64(rev.Len()) {
+		t.Errorf("share of reviews rated >= 4: %v, by hand %d of %d", perReview, reviewsGE4, rev.Len())
+	}
+	if productsGE4*rev.Len() == reviewsGE4*12 {
+		t.Errorf("the per-product and per-review shares coincide (%d of 12, %d of %d): pick a seed that tells them apart", productsGE4, reviewsGE4, rev.Len())
+	}
+	if cut := am.CounterfactualShareRated(4, func(p float64) float64 { return 0.5 * p }); cut < float64(productsGE4)/12 {
+		t.Errorf("halving every price lowered the share: %v", cut)
+	}
+}
+
 func TestAmazonPricePercentile(t *testing.T) {
 	am := AmazonSyn(1000, 5, 12)
 	p20, p80 := am.PricePercentile(0.2), am.PricePercentile(0.8)

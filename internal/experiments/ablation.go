@@ -1,76 +1,45 @@
 package experiments
 
 import (
-	"time"
+	"fmt"
 
 	"hyper/internal/dataset"
 	"hyper/internal/engine"
-	"hyper/internal/prcm"
 )
 
 // Ablations quantifies the design choices DESIGN.md calls out, beyond what
-// the paper measures directly:
+// the paper measures directly, on one German-Syn Count query:
 //
 //  1. Block-independent decomposition must not change any result
-//     (Proposition 1) — we report the value delta (must be 0) and the time
-//     with and without.
+//     (Proposition 1): the estimate with and without it.
 //  2. Estimator choice: the exact frequency index vs the boosted forest vs
-//     the linear model, by ground-truth error and time, on the same query.
-//  3. Estimator-cache reuse across how-to candidates: first vs second
-//     evaluation time of an identical-structure query.
-func Ablations(cfg Config) error {
-	cfg = cfg.defaults()
-	g := dataset.GermanSyn(cfg.n(100000), cfg.Seed)
-	n := float64(g.Rel().Len())
-	q := mustParseWhatIf(`USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`)
-	post := g.World.Counterfactual(prcm.Intervention{Attr: "Status", Fn: func(float64) float64 { return 3 }})
-	truth := fracGood(post, "Credit", 1)
+//     the linear model, against the ground truth.
+//  3. Estimator-cache reuse across how-to candidates: a first query trains
+//     the forest, a second of identical structure reuses it.
+func Ablations(cfg Config) ([]Row, error) {
+	r := &run{Config: cfg}
+	g := dataset.GermanSyn(r.n(100000), r.Seed)
+	row := Row{Dataset: "German-Syn (100k)", Query: "Status = 3", Truth: semShare(g, "Credit", "Status", 3)}
+	src := countQuery("German", "Status", 3, "Credit")
 
-	// 1. Blocks on/off.
-	withB, tWith, err := timeEval(g.DB, g.Model, q, engine.Options{Seed: cfg.Seed})
-	if err != nil {
-		return err
-	}
-	withoutB, tWithout, err := timeEval(g.DB, g.Model, q, engine.Options{Seed: cfg.Seed, DisableBlocks: true})
-	if err != nil {
-		return err
-	}
-	cfg.printf("Ablation 1: block-independent decomposition (Proposition 1)\n")
-	cfg.printf("  with blocks:    value=%.4f  time=%s  (%d blocks)\n", withB.Value/n, tWith.Round(time.Millisecond), withB.Blocks)
-	cfg.printf("  without blocks: value=%.4f  time=%s\n", withoutB.Value/n, tWithout.Round(time.Millisecond))
-	cfg.printf("  value delta: %g (must be 0)\n", withB.Value-withoutB.Value)
-
-	// 2. Estimators.
-	cfg.printf("\nAblation 2: estimator choice (truth = %.4f)\n", truth)
-	cfg.printf("  %-8s %12s %12s\n", "kind", "|err|", "time")
-	for _, e := range []struct {
-		name string
-		kind engine.EstimatorKind
-	}{
-		{"freq", engine.EstimatorFreq},
-		{"forest", engine.EstimatorForest},
-		{"linear", engine.EstimatorLinear},
-	} {
-		res, tm, err := timeEval(g.DB, g.Model, q, engine.Options{Seed: cfg.Seed, Estimator: e.kind})
-		if err != nil {
-			return err
+	for _, t := range []struct {
+		exp  string
+		arms []string
+	}{{"ablation-blocks", []string{HypeR, NoBlocks}}, {"ablation-estimators", []string{Freq, Forest, Linear}}} {
+		row.Exp = t.exp
+		for _, arm := range t.arms {
+			row.Arm = arm
+			r.add(r.whatIf(row, g.DB, g.Model, src, r.options(arm)))
 		}
-		cfg.printf("  %-8s %12.4f %12s\n", e.name, abs(res.Value/n-truth), tm.Round(time.Millisecond))
 	}
 
-	// 3. Cache reuse.
-	cache := engine.NewCache()
-	q1 := mustParseWhatIf(`USE German UPDATE(Status) = 1 OUTPUT COUNT(Credit = 1)`)
-	q2 := mustParseWhatIf(`USE German UPDATE(Status) = 2 OUTPUT COUNT(Credit = 1)`)
-	_, tCold, err := timeEval(g.DB, g.Model, q1, engine.Options{Seed: cfg.Seed, Cache: cache, Estimator: engine.EstimatorForest})
-	if err != nil {
-		return err
+	row.Exp = "ablation-cache"
+	o := r.options(Forest)
+	o.Cache = engine.NewCache()
+	for v, arm := range []string{"cold (trains)", "warm (reuses)"} {
+		v++
+		row.Query, row.Arm, row.Truth = fmt.Sprint("Status = ", v), arm, semShare(g, "Credit", "Status", v)
+		r.add(r.whatIf(row, g.DB, g.Model, countQuery("German", "Status", v, "Credit"), o))
 	}
-	_, tWarm, err := timeEval(g.DB, g.Model, q2, engine.Options{Seed: cfg.Seed, Cache: cache, Estimator: engine.EstimatorForest})
-	if err != nil {
-		return err
-	}
-	cfg.printf("\nAblation 3: cross-candidate cache (forest estimator)\n")
-	cfg.printf("  cold (train): %s\n  warm (reuse): %s\n", tCold.Round(time.Millisecond), tWarm.Round(time.Millisecond))
-	return nil
+	return r.done()
 }

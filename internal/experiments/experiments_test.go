@@ -1,157 +1,47 @@
 package experiments
 
 import (
-	"bytes"
-	"strconv"
 	"strings"
 	"testing"
 )
 
-// runExp executes an experiment at tiny scale and returns its output.
-func runExp(t *testing.T, fn func(Config) error) string {
-	t.Helper()
-	var buf bytes.Buffer
-	cfg := Config{Scale: 0.002, Seed: 7, W: &buf}
-	if err := fn(cfg); err != nil {
-		t.Fatalf("experiment failed: %v", err)
-	}
-	return buf.String()
-}
-
-func TestTable1Runs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	out := runExp(t, Table1)
-	for _, want := range []string{"Adult", "German", "Amazon", "Student-Syn", "German-Syn (1M)", "HypeR-NB"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Table1 output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestFig6Runs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	out := runExp(t, Fig6)
-	if !strings.Contains(out, "Figure 6a") || !strings.Contains(out, "Figure 6b") {
-		t.Errorf("Fig6 output incomplete:\n%s", out)
-	}
-}
-
-func TestFig8Shape(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Fig8(Config{Scale: 0.05, Seed: 7, W: &buf}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	// Shape assertion: the Status row's gap must exceed the Investment
-	// row's gap (the paper's attribute-importance finding).
-	statusGap, investGap := lastFloat(t, out, "Status "), lastFloat(t, out, "Investment")
-	if statusGap <= investGap {
-		t.Errorf("Status gap %.3f should exceed Investment gap %.3f\n%s", statusGap, investGap, out)
-	}
-	// Adult: Workclass must be the weakest lever.
-	work := lastFloat(t, out, "Workclass")
-	marital := lastFloat(t, out, "MaritalStatus")
-	if work >= marital {
-		t.Errorf("Workclass gap %.3f should be below MaritalStatus gap %.3f", work, marital)
-	}
-}
-
-// lastFloat extracts the last numeric field of the first line starting with
-// prefix.
-func lastFloat(t *testing.T, out, prefix string) float64 {
-	t.Helper()
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, prefix) {
-			fields := strings.Fields(line)
-			var v float64
-			if _, err := fmtSscan(fields[len(fields)-1], &v); err != nil {
-				t.Fatalf("parsing %q: %v", line, err)
-			}
-			return v
-		}
-	}
-	t.Fatalf("no line starts with %q in:\n%s", prefix, out)
-	return 0
-}
-
-func TestFig10Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	var buf bytes.Buffer
-	if err := Fig10(Config{Scale: 0.02, Seed: 7, W: &buf}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "Figure 10a") || !strings.Contains(out, "Figure 10b") {
-		t.Fatalf("output incomplete:\n%s", out)
-	}
-}
-
-func TestUseCasesRuns(t *testing.T) {
-	out := runExp(t, UseCases)
-	for _, want := range []string{"German", "Adult", "Amazon", "married"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("UseCases missing %q", want)
-		}
-	}
-}
-
-func TestBackdoorSizeRuns(t *testing.T) {
-	out := runExp(t, BackdoorSize)
-	if !strings.Contains(out, "Age") {
-		t.Errorf("backdoor output should mention the minimal set:\n%s", out)
-	}
-}
-
-func TestHowToQualityRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	out := runExp(t, HowToQuality)
-	if !strings.Contains(out, "Opt-HowTo") || !strings.Contains(out, "budget 1") {
-		t.Errorf("HowToQuality incomplete:\n%s", out)
-	}
-}
-
-func TestAblationsRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	out := runExp(t, Ablations)
-	if !strings.Contains(out, "value delta: 0 (must be 0)") {
-		t.Errorf("block ablation should report a zero delta:\n%s", out)
-	}
-	for _, want := range []string{"freq", "forest", "linear", "cold", "warm"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("ablation output missing %q", want)
-		}
-	}
-}
-
 func TestConfigScaling(t *testing.T) {
-	c := Config{Scale: 0.5}.defaults()
+	c := Config{Scale: 0.5}
 	if c.n(1000) != 500 {
 		t.Errorf("n(1000) = %d", c.n(1000))
 	}
 	if c.n(10) != 500 {
 		t.Errorf("floor: n(10) = %d", c.n(10))
 	}
-	d := Config{}.defaults()
-	if d.Scale != 1.0 || d.W == nil {
-		t.Error("defaults")
+	if got := (Config{}).n(1000); got != 1000 {
+		t.Errorf("a zero Scale is full size: n(1000) = %d", got)
+	}
+	if got := c.options(Sampled).SampleSize; got != 50000 {
+		t.Errorf("the sample cap scales with the data: %d", got)
 	}
 }
 
-func fmtSscan(s string, v *float64) (int, error) {
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, err
+func TestSelect(t *testing.T) {
+	for _, c := range []struct {
+		spec, want, wantErr string
+	}{
+		{spec: "all", want: "table1 fig6 fig8 fig9 fig10 fig11 fig12 usecases backdoor howto-quality ablation"},
+		{spec: "fig10, table1", want: "table1 fig10"},
+		{spec: "all,fig8", want: "table1 fig6 fig8 fig9 fig10 fig11 fig12 usecases backdoor howto-quality ablation"},
+		{spec: "table1,fig99", wantErr: `unknown experiment "fig99"; known: table1, fig6,`},
+		{spec: "", wantErr: `unknown experiment ""`},
+	} {
+		got, err := Select(c.spec)
+		var names []string
+		for _, e := range got {
+			names = append(names, e.Name)
+		}
+		if c.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) || got != nil {
+				t.Errorf("Select(%q) = %v, %v; want an error containing %q", c.spec, names, err, c.wantErr)
+			}
+		} else if err != nil || strings.Join(names, " ") != c.want {
+			t.Errorf("Select(%q) = %v, %v; want %s", c.spec, names, err, c.want)
+		}
 	}
-	*v = f
-	return 1, nil
 }

@@ -1,117 +1,43 @@
 package experiments
 
-import (
-	"hyper/internal/dataset"
-	"hyper/internal/engine"
-	"hyper/internal/hyperql"
-	"hyper/internal/prcm"
-)
+import "hyper/internal/dataset"
 
-// studentViewFor returns the relevant-view USE clause for a Student-Syn
-// what-if query updating attr: attendance updates use the per-student
-// grouped view; participation-attribute updates use the per-participation
-// joined view.
-func studentQuery(attr string, value string) string {
-	if attr == dataset.StudentAttendance {
-		return `
-USE (SELECT S.SID, S.Age, S.Gender, S.Country, S.Attendance,
-            AVG(P.Grade) AS Grade
-     FROM Student AS S, Participation AS P
-     WHERE S.SID = P.SID
-     GROUP BY S.SID, S.Age, S.Gender, S.Country, S.Attendance)
-UPDATE(Attendance) = ` + value + `
-OUTPUT AVG(POST(Grade))`
-	}
-	return `
-USE (SELECT P.SID, P.Course, P.Discussion, P.HandRaised, P.Announcements,
-            P.Assignment, P.Grade, S.Age, S.Gender, S.Country, S.Attendance
-     FROM Participation AS P, Student AS S
-     WHERE P.SID = S.SID)
-UPDATE(` + attr + `) = ` + value + `
-OUTPUT AVG(POST(Grade))`
-}
-
-// Fig10 reproduces Figure 10: what-if query output per updated attribute for
-// German-Syn (1M) and Student-Syn, comparing the ground truth (structural
-// equations) with HypeR, HypeR-sampled, HypeR-NB and Indep. The paper's
-// shape: all HypeR variants within ~5% of ground truth; Indep biased by
+// Fig10 reproduces Figure 10: what-if query output per updated attribute
+// (each forced to its maximum) for German-Syn (1M) — share of good credit —
+// and Student-Syn — average grade — comparing the structural-equation ground
+// truth with HypeR, HypeR-sampled, HypeR-NB and Indep. The paper's shape:
+// all HypeR variants within ~5% of ground truth; Indep biased by
 // correlation (most visibly when updating Status).
-func Fig10(cfg Config) error {
-	cfg = cfg.defaults()
+func Fig10(cfg Config) ([]Row, error) {
+	r := &run{Config: cfg}
 
-	// (a) German-Syn: fraction of good credit when each attribute is forced
-	// to its maximum value.
-	g := dataset.GermanSyn(cfg.n(1000000), cfg.Seed)
-	n := float64(g.Rel().Len())
-	cfg.printf("Figure 10a: German-Syn (1M) — fraction good credit after update to max\n")
-	cfg.printf("%-14s %8s %8s %10s %10s %8s\n", "Attribute", "Truth", "HypeR", "H-sampled", "HypeR-NB", "Indep")
-	gAttrs := []struct {
+	g := dataset.GermanSyn(r.n(1000000), r.Seed)
+	for _, a := range []struct {
 		name string
-		max  float64
-	}{
-		{"Status", 3}, {"Savings", 3}, {"Housing", 2}, {"CreditAmount", 3},
-	}
-	for _, a := range gAttrs {
-		post := g.World.Counterfactual(prcm.Intervention{Attr: a.name, Fn: func(float64) float64 { return a.max }})
-		truth := fracGood(post, "Credit", 1)
-		q := mustParseWhatIf("USE German UPDATE(" + a.name + ") = " + fmtIntPart(int(a.max)) + " OUTPUT COUNT(Credit = 1)")
-		vals := map[string]float64{}
-		for _, m := range []struct {
-			label string
-			opts  engine.Options
-		}{
-			{"hyper", engine.Options{Mode: engine.ModeFull, Seed: cfg.Seed}},
-			{"sampled", engine.Options{Mode: engine.ModeFull, Seed: cfg.Seed, SampleSize: 100000}},
-			{"nb", engine.Options{Mode: engine.ModeNB, Seed: cfg.Seed}},
-			{"indep", engine.Options{Mode: engine.ModeIndep, Seed: cfg.Seed}},
-		} {
-			res, _, err := timeEval(g.DB, g.Model, q, m.opts)
-			if err != nil {
-				return err
-			}
-			vals[m.label] = res.Value / n
+		max  int
+	}{{"Status", 3}, {"Savings", 3}, {"Housing", 2}, {"CreditAmount", 3}} {
+		row := Row{Exp: "fig10a", Dataset: "German-Syn (1M)", Query: a.name, X: a.max, Truth: semShare(g, "Credit", a.name, a.max)}
+		for _, arm := range []string{HypeR, Sampled, NB, Indep} {
+			row.Arm = arm
+			r.add(r.whatIf(row, g.DB, g.Model, countQuery("German", a.name, a.max, "Credit"), r.options(arm)))
 		}
-		cfg.printf("%-14s %8.3f %8.3f %10.3f %10.3f %8.3f\n",
-			a.name, truth, vals["hyper"], vals["sampled"], vals["nb"], vals["indep"])
 	}
 
-	// (b) Student-Syn: average grade when each attribute is forced to its
-	// maximum value.
-	st := dataset.StudentSyn(cfg.n(10000), 5, cfg.Seed+1)
-	cfg.printf("\nFigure 10b: Student-Syn — average grade after update to max\n")
-	cfg.printf("%-14s %8s %8s %10s %8s\n", "Attribute", "Truth", "HypeR", "HypeR-NB", "Indep")
-	sAttrs := []struct {
+	st := dataset.StudentSyn(r.n(10000), 5, r.Seed+1)
+	for _, a := range []struct {
 		name string
-		max  float64
+		max  int
 	}{
 		{dataset.StudentAssignment, 100}, {dataset.StudentAttendance, 9},
 		{dataset.StudentAnnouncements, 10}, {dataset.StudentHandRaised, 10},
 		{dataset.StudentDiscussion, 10},
-	}
-	for _, a := range sAttrs {
-		truth := st.CounterfactualAvgGrade(a.name, func(float64) float64 { return a.max })
-		src := studentQuery(a.name, fmtIntPart(int(a.max)))
-		q, err := hyperql.ParseWhatIf(src)
-		if err != nil {
-			return err
+	} {
+		row := Row{Exp: "fig10b", Dataset: "Student-Syn", Query: a.name, X: a.max,
+			Truth: st.CounterfactualAvgGrade(a.name, func(float64) float64 { return float64(a.max) })}
+		for _, arm := range []string{HypeR, NB, Indep} {
+			row.Arm = arm
+			r.add(r.whatIf(row, st.DB, st.Model, studentQuery(a.name, a.max, "AVG(POST(Grade))"), r.options(arm)))
 		}
-		vals := map[string]float64{}
-		for _, m := range []struct {
-			label string
-			opts  engine.Options
-		}{
-			{"hyper", engine.Options{Mode: engine.ModeFull, Seed: cfg.Seed}},
-			{"nb", engine.Options{Mode: engine.ModeNB, Seed: cfg.Seed}},
-			{"indep", engine.Options{Mode: engine.ModeIndep, Seed: cfg.Seed}},
-		} {
-			res, _, err := timeEval(st.DB, st.Model, q, m.opts)
-			if err != nil {
-				return err
-			}
-			vals[m.label] = res.Value
-		}
-		cfg.printf("%-14s %8.2f %8.2f %10.2f %8.2f\n",
-			a.name, truth, vals["hyper"], vals["nb"], vals["indep"])
 	}
-	return nil
+	return r.done()
 }

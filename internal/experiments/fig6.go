@@ -1,79 +1,57 @@
 package experiments
 
 import (
-	"time"
-
 	"hyper/internal/dataset"
-	"hyper/internal/engine"
 	"hyper/internal/stats"
 )
 
-// Fig6 reproduces Figure 6: the effect of the HypeR-sampled training-sample
-// size on (a) query-output quality (mean and standard deviation across
-// seeds, against the full-data HypeR value) and (b) running time, on
-// German-Syn (1M).
-func Fig6(cfg Config) error {
-	cfg = cfg.defaults()
-	g := dataset.GermanSyn(cfg.n(1000000), cfg.Seed)
-	n := float64(g.Rel().Len())
-	q := mustParseWhatIf(`USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`)
+// Fig6 reproduces Figure 6 on German-Syn (1M): the effect of the
+// HypeR-sampled training-sample size x on (a) query output — mean and
+// standard deviation across five seeds, beside the full-data HypeR value —
+// and (b) running time.
+func Fig6(cfg Config) ([]Row, error) {
+	r := &run{Config: cfg}
+	g := dataset.GermanSyn(r.n(1000000), r.Seed)
+	n := g.Rel().Len()
+	src := countQuery("German", "Status", 3, "Credit")
+	row := Row{Dataset: "German-Syn (1M)", Query: "Status = 3", Truth: semShare(g, "Credit", "Status", 3)}
 
-	full, _, err := timeEval(g.DB, g.Model, q, engine.Options{Mode: engine.ModeFull, Seed: cfg.Seed})
-	if err != nil {
-		return err
-	}
-	cfg.printf("Figure 6a: HypeR-sampled output vs sample size (HypeR full = %.4f)\n", full.Value/n)
-	cfg.printf("%-12s %10s %10s %10s\n", "SampleSize", "mean", "stddev", "|err|")
-	for _, size := range []int{1000, 50000, 100000, 200000} {
-		if size > g.Rel().Len() {
-			continue
-		}
+	row.Exp, row.Arm, row.X = "fig6a", HypeR, n
+	r.add(r.whatIf(row, g.DB, g.Model, src, r.options(HypeR)))
+	row.Arm = Sampled
+	for _, frac := range []float64{0.025, 0.05, 0.1, 0.2, 0.5} {
+		row.X = int(frac * float64(n))
 		var s stats.Summary
-		for seed := int64(0); seed < 5; seed++ {
-			res, _, err := timeEval(g.DB, g.Model, q,
-				engine.Options{Mode: engine.ModeFull, Seed: cfg.Seed + seed*101, SampleSize: size})
-			if err != nil {
-				return err
-			}
-			s.Add(res.Value / n)
+		var last Row
+		for k := int64(0); k < 5; k++ {
+			o := r.options(Sampled)
+			o.Seed, o.SampleSize = r.Seed+101*k, row.X
+			last = r.whatIf(row, g.DB, g.Model, src, o)
+			s.Add(last.Estimate)
 		}
-		cfg.printf("%-12d %10.4f %10.4f %10.4f\n", size, s.Mean(), s.StdDev(), abs(s.Mean()-full.Value/n))
+		last.Estimate, last.Spread = s.Mean(), s.StdDev()
+		r.add(last)
 	}
 
-	cfg.printf("\nFigure 6b: running time vs sample size\n")
-	cfg.printf("%-12s %12s %12s\n", "SampleSize", "HypeR", "HypeR-sampled")
+	// The figure's shape depends on regressor-training cost dominating, so
+	// (b) forces the paper's random-forest estimator (the exact-frequency
+	// index would make training nearly free). HypeR "at this sample size"
+	// trains on exactly x rows; HypeR-sampled stops growing at its cap.
+	row.Exp = "fig6b"
 	for _, frac := range []float64{0.1, 0.25, 0.5, 0.75, 1.0} {
-		size := int(frac * float64(g.Rel().Len()))
-		if size < 1000 {
+		row.X = int(frac * float64(n))
+		if row.X < 1000 {
 			continue
 		}
-		// The figure's shape depends on regressor-training cost dominating,
-		// so this experiment forces the paper's random-forest estimator
-		// (the exact-frequency index would make training nearly free).
-		// HypeR "at this sample size" trains on exactly size rows (the
-		// figure's x axis); HypeR-sampled caps at 100k.
-		_, tFull, err := timeEval(g.DB, g.Model, q,
-			engine.Options{Mode: engine.ModeFull, Seed: cfg.Seed, SampleSize: size, Estimator: engine.EstimatorForest})
-		if err != nil {
-			return err
+		for _, arm := range []string{HypeR, Sampled} {
+			o := r.options(Forest)
+			o.SampleSize = row.X
+			if arm == Sampled {
+				o.SampleSize = min(row.X, r.sampleCap())
+			}
+			row.Arm = arm
+			r.add(r.whatIf(row, g.DB, g.Model, src, o))
 		}
-		cap100 := 100000
-		if cap100 > size {
-			cap100 = size
-		}
-		_, tSampled, err := timeEval(g.DB, g.Model, q,
-			engine.Options{Mode: engine.ModeFull, Seed: cfg.Seed, SampleSize: cap100, Estimator: engine.EstimatorForest})
-		if err != nil {
-			return err
-		}
-		cfg.printf("%-12d %12s %12s\n", size, tFull.Round(time.Millisecond), tSampled.Round(time.Millisecond))
 	}
-	return nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
+	return r.done()
 }

@@ -1,74 +1,45 @@
 package experiments
 
 import (
-	"hyper/internal/causal"
+	"fmt"
+
 	"hyper/internal/dataset"
-	"hyper/internal/engine"
-	"hyper/internal/relation"
 )
 
-// Fig8 reproduces Figure 8: for the German and Adult datasets, each listed
+// Fig8 reproduces Figure 8: on the German and Adult datasets each listed
 // attribute is hypothetically set to its domain minimum and maximum and the
-// query output (fraction of good-credit / high-income individuals) is
-// reported; a larger min-max gap denotes higher attribute importance. The
-// paper's shape: Status and CreditHistory dominate on German; MaritalStatus,
-// Occupation and Education dominate on Adult while Workclass is weak.
-func Fig8(cfg Config) error {
-	cfg = cfg.defaults()
-
-	german := dataset.GermanLike(cfg.n(1000), cfg.Seed)
-	cfg.printf("Figure 8a: German — query output when each attribute is set to min/max\n")
-	cfg.printf("%-15s %10s %10s %10s\n", "Attribute", "min", "max", "gap")
-	gAttrs := []struct {
-		name     string
-		min, max int
+// share of good-credit / high-income individuals is reported, with the
+// max − min gap as a third row; a larger gap denotes higher attribute
+// importance. The paper's shape: Status and CreditHistory dominate on
+// German; MaritalStatus, Occupation and Education dominate on Adult while
+// Workclass is weak.
+func Fig8(cfg Config) ([]Row, error) {
+	r := &run{Config: cfg}
+	type attr struct {
+		name string
+		max  int
+	}
+	for _, d := range []struct {
+		exp, table, outcome string
+		g                   *dataset.Single
+		attrs               []attr
 	}{
-		{"Status", 0, 3}, {"CreditHistory", 0, 4}, {"Housing", 0, 2}, {"Investment", 0, 3},
-	}
-	for _, a := range gAttrs {
-		lo, hi, err := minMaxOutput(german.DB, german.Model, "German", a.name, a.min, a.max, "Credit", cfg.Seed)
-		if err != nil {
-			return err
+		{"fig8a", "German", "Credit", dataset.GermanLike(r.n(1000), r.Seed),
+			[]attr{{"Status", 3}, {"CreditHistory", 4}, {"Housing", 2}, {"Investment", 3}}},
+		{"fig8b", "Adult", "Income", dataset.AdultSyn(r.n(32000), r.Seed+1),
+			[]attr{{"MaritalStatus", 1}, {"Occupation", 5}, {"Education", 4}, {"Workclass", 3}}},
+	} {
+		for _, a := range d.attrs {
+			row := Row{Exp: d.exp, Dataset: d.table, Arm: HypeR}
+			var ends [2]Row
+			for i, v := range []int{0, a.max} {
+				row.Query, row.Truth = fmt.Sprintf("%s = %d", a.name, v), semShare(d.g, d.outcome, a.name, v)
+				ends[i] = r.whatIf(row, d.g.DB, d.g.Model, countQuery(d.table, a.name, v, d.outcome), r.options(HypeR))
+			}
+			gap := Row{Exp: d.exp, Dataset: d.table, Query: a.name + " gap", Arm: HypeR,
+				Estimate: ends[1].Estimate - ends[0].Estimate, Truth: ends[1].Truth - ends[0].Truth}
+			r.add(ends[0], ends[1], gap)
 		}
-		cfg.printf("%-15s %10.3f %10.3f %10.3f\n", a.name, lo, hi, hi-lo)
 	}
-
-	adult := dataset.AdultSyn(cfg.n(32000), cfg.Seed+1)
-	cfg.printf("\nFigure 8b: Adult — query output when each attribute is set to min/max\n")
-	cfg.printf("%-15s %10s %10s %10s\n", "Attribute", "min", "max", "gap")
-	aAttrs := []struct {
-		name     string
-		min, max int
-	}{
-		{"MaritalStatus", 0, 1}, {"Occupation", 0, 5}, {"Education", 0, 4}, {"Workclass", 0, 3},
-	}
-	for _, a := range aAttrs {
-		lo, hi, err := minMaxOutput(adult.DB, adult.Model, "Adult", a.name, a.min, a.max, "Income", cfg.Seed)
-		if err != nil {
-			return err
-		}
-		cfg.printf("%-15s %10.3f %10.3f %10.3f\n", a.name, lo, hi, hi-lo)
-	}
-	return nil
-}
-
-// minMaxOutput runs the Figure 7 template: fraction of individuals with a
-// positive outcome when attr is hypothetically set to minV / maxV.
-func minMaxOutput(db *relation.Database, model *causal.Model, table, attr string, minV, maxV int, outcome string, seed int64) (lo, hi float64, err error) {
-	run := func(v int) (float64, error) {
-		q := mustParseWhatIf("USE " + table + " UPDATE(" + attr + ") = " + fmtIntPart(v) +
-			" OUTPUT COUNT(" + outcome + " = 1)")
-		res, _, err := timeEval(db, model, q, engine.Options{Mode: engine.ModeFull, Seed: seed})
-		if err != nil {
-			return 0, err
-		}
-		return res.Value / float64(db.Relation(table).Len()), nil
-	}
-	if lo, err = run(minV); err != nil {
-		return 0, 0, err
-	}
-	if hi, err = run(maxV); err != nil {
-		return 0, 0, err
-	}
-	return lo, hi, nil
+	return r.done()
 }

@@ -1,140 +1,48 @@
 package experiments
 
 import (
-	"time"
+	"fmt"
 
 	"hyper/internal/causal"
 	"hyper/internal/dataset"
-	"hyper/internal/engine"
-	"hyper/internal/hyperql"
 	"hyper/internal/relation"
 )
 
-// amazonCountQuery is the Table 1 workload on the Amazon database: the
-// effect of a hypothetical laptop price cut on the count of highly-rated
-// products.
-const amazonCountQuery = `
-USE (SELECT T1.PID, T1.Category, T1.Price, T1.Brand, T1.Quality,
-            AVG(T2.Rating) AS Rtng
-     FROM Product AS T1, Review AS T2
-     WHERE T1.PID = T2.PID
-     GROUP BY T1.PID, T1.Category, T1.Price, T1.Brand, T1.Quality)
-WHEN Category = 'Laptop'
-UPDATE(Price) = 0.9 * PRE(Price)
-OUTPUT COUNT(POST(Rtng) >= 4)`
+// Table1 reproduces Table 1: a Count what-if query per dataset under HypeR,
+// HypeR-NB and Indep, plus the sampled variant on the largest dataset. The
+// runtime is the second of two passes, which keeps large datasets affordable
+// while smoothing allocator noise on small ones.
+func Table1(cfg Config) ([]Row, error) {
+	r := &run{Config: cfg}
+	adult := dataset.AdultSyn(r.n(32000), r.Seed)
+	german := dataset.GermanLike(r.n(1000), r.Seed+1)
+	amazon := dataset.AmazonSyn(r.n(3000), 18, r.Seed+2)
+	student := dataset.StudentSyn(r.n(10000), 5, r.Seed+3)
+	g20 := dataset.GermanSyn(r.n(20000), r.Seed+4)
+	g1m := dataset.GermanSyn(r.n(1000000), r.Seed+5)
+	germanSrc := countQuery("German", "Status", 3, "Credit") + germanCountFor
 
-// studentCountQuery is the Table 1 workload on Student-Syn: the effect of
-// perfect attendance on the count of passing students.
-const studentCountQuery = `
-USE (SELECT S.SID, S.Age, S.Gender, S.Country, S.Attendance,
-            AVG(P.Grade) AS Grade
-     FROM Student AS S, Participation AS P
-     WHERE S.SID = P.SID
-     GROUP BY S.SID, S.Age, S.Gender, S.Country, S.Attendance)
-UPDATE(Attendance) = 9
-OUTPUT COUNT(POST(Grade) >= 60)`
-
-const germanCountQuery = `
-USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1) FOR PRE(Age) = 2`
-
-const adultCountQuery = `
-USE Adult UPDATE(MaritalStatus) = 1 OUTPUT COUNT(*) FOR POST(Income) = 1 AND PRE(Age) = 2`
-
-// Table1 reproduces Table 1: average runtime of a Count what-if query per
-// dataset for HypeR, HypeR-NB and Indep, plus the sampled variant on the
-// largest dataset.
-func Table1(cfg Config) error {
-	cfg = cfg.defaults()
-	type row struct {
-		name  string
-		attrs string
-		rows  string
-		db    *relation.Database
-		model *causal.Model
-		query string
-	}
-
-	adult := dataset.AdultSyn(cfg.n(32000), cfg.Seed)
-	german := dataset.GermanLike(cfg.n(1000), cfg.Seed+1)
-	amazon := dataset.AmazonSyn(cfg.n(3000), 18, cfg.Seed+2)
-	student := dataset.StudentSyn(cfg.n(10000), 5, cfg.Seed+3)
-	g20 := dataset.GermanSyn(cfg.n(20000), cfg.Seed+4)
-	g1m := dataset.GermanSyn(cfg.n(1000000), cfg.Seed+5)
-
-	rows := []row{
-		{"Adult", "15", itoa(adult.Rel().Len()), adult.DB, adult.Model, adultCountQuery},
-		{"German", "21", itoa(german.Rel().Len()), german.DB, german.Model, germanCountQuery},
-		{"Amazon", "6,4", itoa2(amazon.DB.Relation("Product").Len(), amazon.DB.Relation("Review").Len()), amazon.DB, amazon.Model, amazonCountQuery},
-		{"Student-Syn", "5,7", itoa2(student.DB.Relation("Student").Len(), student.DB.Relation("Participation").Len()), student.DB, student.Model, studentCountQuery},
-		{"German-Syn (20k)", "7", itoa(g20.Rel().Len()), g20.DB, g20.Model, germanCountQuery},
-		{"German-Syn (1M)", "7", itoa(g1m.Rel().Len()), g1m.DB, g1m.Model, germanCountQuery},
-	}
-
-	cfg.printf("Table 1: average runtime for a Count what-if query\n")
-	cfg.printf("%-18s %-6s %-12s %12s %12s %12s %14s\n",
-		"Dataset", "Att#", "Rows", "HypeR", "HypeR-NB", "Indep", "HypeR-sampled")
-	for _, r := range rows {
-		q := mustParseWhatIf(r.query)
-		tFull, err := avgTime(r.db, r.model, q, engine.Options{Mode: engine.ModeFull, Seed: cfg.Seed})
-		if err != nil {
-			return err
+	for _, d := range []struct {
+		name, query, src string
+		db               *relation.Database
+		model            *causal.Model
+	}{
+		{"Adult", "MaritalStatus = 1 | Age = 2", fmt.Sprintf(adultCountSrc, 1) + " AND PRE(Age) = 2", adult.DB, adult.Model},
+		{"German", "Status = 3 | Age = 2", germanSrc, german.DB, german.Model},
+		{"Amazon", "laptop prices × 0.9", amazonQuery("Category = 'Laptop'", 0.9, "COUNT(POST(Rtng) >= 4)"), amazon.DB, amazon.Model},
+		{"Student-Syn", "Attendance = 9", studentQuery(dataset.StudentAttendance, 9, "COUNT(POST(Grade) >= 60)"), student.DB, student.Model},
+		{"German-Syn (20k)", "Status = 3 | Age = 2", germanSrc, g20.DB, g20.Model},
+		{"German-Syn (1M)", "Status = 3 | Age = 2", germanSrc, g1m.DB, g1m.Model},
+	} {
+		arms := []string{HypeR, NB, Indep}
+		if d.db == g1m.DB {
+			arms = append(arms, Sampled)
 		}
-		tNB, err := avgTime(r.db, r.model, q, engine.Options{Mode: engine.ModeNB, Seed: cfg.Seed})
-		if err != nil {
-			return err
+		for _, arm := range arms {
+			row := Row{Exp: "table1", Dataset: d.name, Query: d.query, Arm: arm, Truth: none}
+			r.whatIf(row, d.db, d.model, d.src, r.options(arm))
+			r.add(r.whatIf(row, d.db, d.model, d.src, r.options(arm)))
 		}
-		tIndep, err := avgTime(r.db, r.model, q, engine.Options{Mode: engine.ModeIndep, Seed: cfg.Seed})
-		if err != nil {
-			return err
-		}
-		sampled := "-"
-		if r.name == "German-Syn (1M)" {
-			ts, err := avgTime(r.db, r.model, q, engine.Options{Mode: engine.ModeFull, Seed: cfg.Seed, SampleSize: 100000})
-			if err != nil {
-				return err
-			}
-			sampled = ts.Round(time.Millisecond).String()
-		}
-		cfg.printf("%-18s %-6s %-12s %12s %12s %12s %14s\n", r.name, r.attrs, r.rows,
-			tFull.Round(time.Millisecond), tNB.Round(time.Millisecond),
-			tIndep.Round(time.Millisecond), sampled)
 	}
-	return nil
-}
-
-func avgTime(db *relation.Database, model *causal.Model, q *hyperql.WhatIf, opts engine.Options) (time.Duration, error) {
-	// One warm pass plus one timed pass keeps large datasets affordable
-	// while smoothing allocator noise on small ones.
-	if _, _, err := timeEval(db, model, q, opts); err != nil {
-		return 0, err
-	}
-	_, t, err := timeEval(db, model, q, opts)
-	return t, err
-}
-
-func itoa(n int) string { return fmtInt(n) }
-
-func itoa2(a, b int) string { return fmtInt(a) + "," + fmtInt(b) }
-
-func fmtInt(n int) string {
-	switch {
-	case n >= 1000000 && n%1000000 == 0:
-		return fmtIntPart(n/1000000) + "M"
-	case n >= 1000:
-		return fmtIntPart(n/1000) + "k"
-	default:
-		return fmtIntPart(n)
-	}
-}
-
-func fmtIntPart(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	digits := []byte{}
-	for n > 0 {
-		digits = append([]byte{byte('0' + n%10)}, digits...)
-		n /= 10
-	}
-	return string(digits)
+	return r.done()
 }

@@ -1,166 +1,67 @@
 package experiments
 
 import (
+	"fmt"
 	"sort"
 
 	"hyper/internal/dataset"
-	"hyper/internal/engine"
 )
 
 // UseCases reproduces the real-world what-if case studies of Section 5.3
 // (query templates of Figure 7): German credit drivers, the Adult
 // marital-status effect on income, and Amazon price effects on ratings.
-func UseCases(cfg Config) error {
-	cfg = cfg.defaults()
-	if err := germanUseCase(cfg); err != nil {
-		return err
-	}
-	if err := adultUseCase(cfg); err != nil {
-		return err
-	}
-	return amazonUseCase(cfg)
-}
+func UseCases(cfg Config) ([]Row, error) {
+	r := &run{Config: cfg}
 
-func germanUseCase(cfg Config) error {
-	g := dataset.GermanLike(cfg.n(1000), cfg.Seed)
-	n := float64(g.Rel().Len())
-	run := func(src string) (float64, error) {
-		res, _, err := timeEval(g.DB, g.Model, mustParseWhatIf(src), engine.Options{Seed: cfg.Seed})
-		if err != nil {
-			return 0, err
-		}
-		return res.Value / n, nil
-	}
-	cfg.printf("Use case (German, Figure 7a): fraction with good credit after update\n")
-	for _, c := range []struct{ label, src string }{
-		{"Status = max", `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`},
-		{"Status = min", `USE German UPDATE(Status) = 0 OUTPUT COUNT(Credit = 1)`},
-		{"CreditHistory = max", `USE German UPDATE(CreditHistory) = 4 OUTPUT COUNT(Credit = 1)`},
-		{"CreditHistory = min", `USE German UPDATE(CreditHistory) = 0 OUTPUT COUNT(Credit = 1)`},
-		{"Housing = max", `USE German UPDATE(Housing) = 2 OUTPUT COUNT(Credit = 1)`},
-		{"Investment = max", `USE German UPDATE(Investment) = 3 OUTPUT COUNT(Credit = 1)`},
-		{"Status+CreditHistory = max", `USE German UPDATE(Status) = 3 AND UPDATE(CreditHistory) = 4 OUTPUT COUNT(Credit = 1)`},
-	} {
-		v, err := run(c.src)
-		if err != nil {
-			return err
-		}
-		cfg.printf("  %-28s %6.1f%%\n", c.label, 100*v)
-	}
-	base := fracGood(g.Rel(), "Credit", 1)
-	cfg.printf("  %-28s %6.1f%%\n", "(no update)", 100*base)
-	return nil
-}
-
-func adultUseCase(cfg Config) error {
-	a := dataset.AdultSyn(cfg.n(32000), cfg.Seed+1)
-	n := float64(a.Rel().Len())
-	cfg.printf("\nUse case (Adult, Figure 7b): fraction with income > 50K after update\n")
+	g := dataset.GermanLike(r.n(1000), r.Seed)
+	row := Row{Exp: "usecase-german", Dataset: "German", Arm: HypeR}
 	for _, c := range []struct {
-		label string
-		src   string
-	}{
-		{"everyone married", `USE Adult UPDATE(MaritalStatus) = 1 OUTPUT COUNT(*) FOR POST(Income) = 1`},
-		{"everyone never-married", `USE Adult UPDATE(MaritalStatus) = 0 OUTPUT COUNT(*) FOR POST(Income) = 1`},
-		{"everyone divorced", `USE Adult UPDATE(MaritalStatus) = 2 OUTPUT COUNT(*) FOR POST(Income) = 1`},
-	} {
-		res, _, err := timeEval(a.DB, a.Model, mustParseWhatIf(c.src), engine.Options{Seed: cfg.Seed})
-		if err != nil {
-			return err
-		}
-		cfg.printf("  %-28s %6.1f%%\n", c.label, 100*res.Value/n)
+		attr string
+		v    int
+	}{{"Status", 3}, {"Status", 0}, {"CreditHistory", 4}, {"CreditHistory", 0}, {"Housing", 2}, {"Investment", 3}} {
+		row.Query, row.Truth = fmt.Sprintf("%s = %d", c.attr, c.v), semShare(g, "Credit", c.attr, c.v)
+		r.add(r.whatIf(row, g.DB, g.Model, countQuery("German", c.attr, c.v, "Credit"), r.options(HypeR)))
 	}
-	cfg.printf("  %-28s %6.1f%%\n", "(no update)", 100*fracGood(a.Rel(), "Income", 1))
-	return nil
-}
+	row.Query, row.Truth = "Status = 3 and CreditHistory = 4", none
+	r.add(r.whatIf(row, g.DB, g.Model,
+		`USE German UPDATE(Status) = 3 AND UPDATE(CreditHistory) = 4 OUTPUT COUNT(Credit = 1)`, r.options(HypeR)))
+	observed := countOnes(g.Rel(), "Credit") / float64(g.Rel().Len())
+	r.add(Row{Exp: row.Exp, Dataset: row.Dataset, Query: "(no update)", Arm: "observed", Estimate: observed, Truth: observed})
 
-func amazonUseCase(cfg Config) error {
-	am := dataset.AmazonSyn(cfg.n(3000), 18, cfg.Seed+2)
-	cfg.printf("\nUse case (Amazon): price updates vs product ratings\n")
+	a := dataset.AdultSyn(r.n(32000), r.Seed+1)
+	row = Row{Exp: "usecase-adult", Dataset: "Adult", Arm: HypeR}
+	for v, label := range []string{"everyone never-married", "everyone married", "everyone divorced"} {
+		row.Query, row.Truth = label, semShare(a, "Income", "MaritalStatus", v)
+		r.add(r.whatIf(row, a.DB, a.Model, fmt.Sprintf(adultCountSrc, v), r.options(HypeR)))
+	}
+	observed = countOnes(a.Rel(), "Income") / float64(a.Rel().Len())
+	r.add(Row{Exp: row.Exp, Dataset: row.Dataset, Query: "(no update)", Arm: "observed", Estimate: observed, Truth: observed})
 
-	// Fraction of products with average rating >= 4 as all prices move up or
+	// Share of products with average rating >= 4 as all prices move up or
 	// down proportionally (the paper's 80th/60th/40th-percentile sweep:
 	// cheaper products earn better ratings).
-	for _, c := range []struct {
-		label string
-		f     float64
-	}{
-		{"prices raised 20%", 1.2},
-		{"prices unchanged", 1.0},
-		{"prices reduced 20%", 0.8},
-		{"prices reduced 40%", 0.6},
-	} {
-		src := `
-USE (SELECT T1.PID, T1.Category, T1.Price, T1.Brand, T1.Quality,
-            AVG(T2.Rating) AS Rtng
-     FROM Product AS T1, Review AS T2
-     WHERE T1.PID = T2.PID
-     GROUP BY T1.PID, T1.Category, T1.Price, T1.Brand, T1.Quality)
-UPDATE(Price) = ` + fmtFloat(c.f) + ` * PRE(Price)
-OUTPUT COUNT(POST(Rtng) >= 4)`
-		res, _, err := timeEval(am.DB, am.Model, mustParseWhatIf(src), engine.Options{Seed: cfg.Seed})
-		if err != nil {
-			return err
-		}
-		_, gtFrac := am.CounterfactualAvgRating(nil, func(p float64) float64 { return c.f * p })
-		cfg.printf("  %-24s HypeR frac(avg rating>=4) = %5.1f%%   ground truth (reviews>=4) = %5.1f%%\n",
-			c.label, 100*res.Value/float64(res.ViewRows), 100*gtFrac)
+	am := dataset.AmazonSyn(r.n(3000), 18, r.Seed+2)
+	row = Row{Exp: "usecase-amazon", Dataset: "Amazon", Arm: HypeR}
+	for _, f := range []float64{1.2, 1.0, 0.8, 0.6} {
+		row.Query = fmt.Sprintf("prices × %g", f)
+		row.Truth = am.CounterfactualShareRated(4, func(p float64) float64 { return f * p })
+		r.add(r.whatIf(row, am.DB, am.Model, amazonQuery("", f, "COUNT(POST(Rtng) >= 4)"), r.options(HypeR)))
 	}
 
-	// Per-brand rating lift from a 20% price cut, ranked.
-	type lift struct {
-		brand string
-		delta float64
-	}
-	var lifts []lift
+	// Per-brand average-rating lift from a 20% price cut, ranked.
+	var lifts []Row
+	row = Row{Exp: "usecase-amazon-brands", Dataset: "Amazon", Arm: HypeR, Truth: none}
 	for _, brand := range []string{"Apple", "Dell", "Toshiba", "Acer", "Asus"} {
-		src := `
-USE (SELECT T1.PID, T1.Category, T1.Price, T1.Brand, T1.Quality,
-            AVG(T2.Rating) AS Rtng
-     FROM Product AS T1, Review AS T2
-     WHERE T1.PID = T2.PID
-     GROUP BY T1.PID, T1.Category, T1.Price, T1.Brand, T1.Quality)
-WHEN Brand = '` + brand + `'
-UPDATE(Price) = 0.8 * PRE(Price)
-OUTPUT AVG(POST(Rtng))
-FOR PRE(Brand) = '` + brand + `'`
-		res, _, err := timeEval(am.DB, am.Model, mustParseWhatIf(src), engine.Options{Seed: cfg.Seed})
-		if err != nil {
-			return err
-		}
-		baseSrc := `
-USE (SELECT T1.PID, T1.Category, T1.Price, T1.Brand, T1.Quality,
-            AVG(T2.Rating) AS Rtng
-     FROM Product AS T1, Review AS T2
-     WHERE T1.PID = T2.PID
-     GROUP BY T1.PID, T1.Category, T1.Price, T1.Brand, T1.Quality)
-WHEN Brand = '` + brand + `'
-UPDATE(Price) = 1 * PRE(Price)
-OUTPUT AVG(POST(Rtng))
-FOR PRE(Brand) = '` + brand + `'`
-		baseRes, _, err := timeEval(am.DB, am.Model, mustParseWhatIf(baseSrc), engine.Options{Seed: cfg.Seed})
-		if err != nil {
-			return err
-		}
-		lifts = append(lifts, lift{brand, res.Value - baseRes.Value})
+		when := "Brand = '" + brand + "'"
+		output := "AVG(POST(Rtng)) FOR PRE(Brand) = '" + brand + "'"
+		row.Query = brand + " prices × 0.8, lift"
+		cut := r.whatIf(row, am.DB, am.Model, amazonQuery(when, 0.8, output), r.options(HypeR))
+		base := r.whatIf(row, am.DB, am.Model, amazonQuery(when, 1, output), r.options(HypeR))
+		cut.Estimate -= base.Estimate
+		cut.Runtime += base.Runtime
+		lifts = append(lifts, cut)
 	}
-	sort.Slice(lifts, func(i, j int) bool { return lifts[i].delta > lifts[j].delta })
-	cfg.printf("  rating lift from a 20%% price cut, by brand:\n")
-	for _, l := range lifts {
-		cfg.printf("    %-10s %+.3f\n", l.brand, l.delta)
-	}
-	return nil
-}
-
-func fmtFloat(f float64) string {
-	// Two decimals are plenty for price constants in generated queries.
-	i := int(f * 100)
-	return fmtIntPart(i/100) + "." + fmtIntPart2(i%100)
-}
-
-func fmtIntPart2(n int) string {
-	if n < 10 {
-		return "0" + fmtIntPart(n)
-	}
-	return fmtIntPart(n)
+	sort.SliceStable(lifts, func(i, j int) bool { return lifts[i].Estimate > lifts[j].Estimate })
+	r.add(lifts...)
+	return r.done()
 }
