@@ -22,8 +22,9 @@
 //	    OUTPUT AVG(POST(Rtng))
 //	    FOR PRE(Category) = 'Laptop'`)
 //
-// See DESIGN.md for the architecture; `go run ./cmd/hyperbench -exp all
-// -scale 0.05` and bench_test.go reproduce the paper's evaluation.
+// See DESIGN.md for the architecture. The paper's evaluation is EXPERIMENTS.md:
+// `go run ./cmd/hyperbench -exp all -scale 0.02` prints its tables and
+// TestFidelity (internal/experiments) holds them to the paper's shapes.
 package hyper
 
 import (

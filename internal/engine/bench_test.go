@@ -62,7 +62,7 @@ func BenchmarkEstimatorFit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := newEstimatorSet(&view{rel: rel}, rel, featCols, 1, opts)
+		s := newEstimatorSet(&view{rel: rel}, featCols, nil, 1, opts)
 		ci := rel.Schema().MustIndex("Credit")
 		m, err := s.model(context.Background(), "bench", 1, false, &labeler{eval: func(r int) (float64, error) {
 			if rel.Row(r)[ci].AsInt() == 1 {

@@ -1,0 +1,346 @@
+package engine
+
+// Oracle of bind-on-read. Until it was computed where tuple() reads it, the
+// engine materialised every view row's post-update values and affected bit
+// per evaluation (and summed the ψ groups under Key() strings). Those loops
+// live on here as the reference: every row's (sum, count), every summary and
+// every answer must equal theirs to the bit.
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"testing"
+
+	"hyper/internal/causal"
+	"hyper/internal/dataset"
+	"hyper/internal/hyperql"
+	"hyper/internal/relation"
+	"hyper/internal/sqlmini"
+)
+
+// boundRef is what the materialised loops computed for one evaluation.
+type boundRef struct {
+	postVals  map[string][]relation.Value
+	summaries []summaryFeature
+	affected  []bool
+}
+
+// materialise runs the former Steps 4 and 5 of prepareEvaluation and the
+// affected loop of evaluator.prepare over p's view, WHEN set and updates.
+// ignoreWhen doctors it: every row counts as selected.
+func materialise(p *evalPrep, model *causal.Model, ignoreWhen bool) (boundRef, error) {
+	rel, e := p.v.rel, p.ev
+	ref := boundRef{postVals: make(map[string][]relation.Value)}
+	for _, u := range e.q.Updates {
+		ci := rel.Schema().MustIndex(u.Attr)
+		vals := make([]relation.Value, rel.Len())
+		for i := 0; i < rel.Len(); i++ {
+			pre := rel.Row(i)[ci]
+			if e.inS[i] || ignoreWhen {
+				vals[i] = u.Apply(pre)
+			} else {
+				vals[i] = pre
+			}
+		}
+		ref.postVals[u.Attr] = vals
+	}
+	if model != nil {
+		for _, ce := range model.Cross {
+			src := causal.Qualify(ce.FromRel, ce.FromAttr)
+			var attr string
+			for _, a := range e.updateAttrs {
+				if p.v.qualified[a] == src {
+					attr = a
+				}
+			}
+			if attr == "" {
+				continue
+			}
+			_, gAttr := causal.SplitQualified(ce.GroupBy)
+			gi, ok := rel.Schema().Index(gAttr)
+			if !ok {
+				return ref, fmt.Errorf("engine: cross-edge group attribute %q is not in the relevant view", gAttr)
+			}
+			ai := rel.Schema().MustIndex(attr)
+			n := rel.Len()
+			type acc struct {
+				preSum, postSum float64
+				n               int
+			}
+			groups := map[string]*acc{}
+			keys := make([]string, n)
+			for i := 0; i < n; i++ {
+				k := rel.Row(i)[gi].Key()
+				keys[i] = k
+				a := groups[k]
+				if a == nil {
+					a = &acc{}
+					groups[k] = a
+				}
+				a.preSum += rel.Row(i)[ai].AsFloat()
+				a.postSum += ref.postVals[attr][i].AsFloat()
+				a.n++
+			}
+			sf := summaryFeature{name: "psi_" + attr + "_by_" + gAttr, group: gi, pre: make([]float64, n), post: make([]float64, n)}
+			for i := 0; i < n; i++ {
+				a := groups[keys[i]]
+				sf.pre[i] = a.preSum / float64(a.n)
+				sf.post[i] = a.postSum / float64(a.n)
+			}
+			ref.summaries = append(ref.summaries, sf)
+		}
+	}
+	ref.affected = make([]bool, rel.Len())
+	for i := range ref.affected {
+		if e.inS[i] || ignoreWhen {
+			for ai, a := range e.updateAttrs {
+				if !ref.postVals[a][i].Equal(rel.Row(i)[e.updIdx[ai]]) {
+					ref.affected[i] = true
+				}
+			}
+		}
+		if !ref.affected[i] {
+			for _, s := range ref.summaries {
+				if math.Abs(s.post[i]-s.pre[i]) > 1e-12 {
+					ref.affected[i] = true
+					break
+				}
+			}
+		}
+	}
+	return ref, nil
+}
+
+// tuple is evaluator.tuple as it read the materialised arrays.
+func (ref boundRef) tuple(e *evaluator, i int) (sum, count float64, err error) {
+	row := e.v.rel.Row(i)
+	env := sqlmini.RowEnv{Rel: e.v.rel, Row: row}
+	var active []int
+	for k, d := range e.disjuncts {
+		ok := true
+		for _, lit := range d.pre {
+			pass, err := sqlmini.EvalBool(lit, env)
+			if err != nil {
+				return 0, 0, fmt.Errorf("engine: FOR: %w", err)
+			}
+			if !pass {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			active = append(active, k)
+		}
+	}
+	if len(active) == 0 {
+		return 0, 0, nil
+	}
+	if !ref.affected[i] {
+		p, err := e.observedEvent(i, active)
+		if err != nil || p == 0 {
+			return 0, 0, err
+		}
+		y := 1.0
+		if e.yIdx >= 0 {
+			y = row[e.yIdx].AsFloat()
+		}
+		return y, 1, nil
+	}
+	x := make([]float64, len(e.est.featCols))
+	e.est.featureVectorInto(i, x)
+	for ai, a := range e.updateAttrs {
+		x[e.featUpd[ai]] = e.est.encodeAt(e.featUpd[ai], ref.postVals[a][i])
+	}
+	for si, s := range ref.summaries {
+		x[e.featSum[si]] = s.post[i]
+	}
+	if count, err = e.inclusionExclusion(i, active, x, false); err != nil {
+		return 0, 0, err
+	}
+	count = clamp01(count)
+	if e.yIdx < 0 {
+		return count, count, nil
+	}
+	sum, err = e.inclusionExclusion(i, active, x, true)
+	return sum, count, err
+}
+
+// supportedFraction is the freq → forest probe as it read postVals.
+func (ref boundRef) supportedFraction(e *evaluator) float64 {
+	n := e.v.rel.Len()
+	if n == 0 {
+		return 1
+	}
+	step := max(n/200, 1)
+	checked, supported := 0, 0
+	x := make([]float64, len(e.est.featCols))
+	for i := 0; i < n; i += step {
+		if !e.inS[i] {
+			continue
+		}
+		e.est.featureVectorInto(i, x)
+		for _, a := range e.updateAttrs {
+			fi := e.est.featureIndex(a)
+			x[fi] = e.est.encodeAt(fi, ref.postVals[a][i])
+		}
+		for _, s := range ref.summaries {
+			x[e.est.featureIndex(s.name)] = s.post[i]
+		}
+		checked++
+		if e.est.hasSupport(x) {
+			supported++
+		}
+	}
+	if checked == 0 {
+		return 1
+	}
+	return float64(supported) / float64(checked)
+}
+
+// runBoundRef evaluates q from the materialised arrays: every row through
+// ref.tuple — held on the way to the engine's own tuple(), row by row —, then
+// evalShards' block windows over the canonical plan and the one fold.
+// differs counts the rows on which a doctored reference parts from tuple().
+func runBoundRef(db *relation.Database, model *causal.Model, q *hyperql.WhatIf, opts Options, doctored bool) (run classRun, differs int, err error) {
+	p, perr := prepareEvaluation(context.Background(), db, model, q, opts)
+	if perr != nil {
+		return classRun{err: perr}, 0, nil
+	}
+	ref, err := materialise(p, model, doctored)
+	if err != nil {
+		return classRun{}, 0, err
+	}
+	e := p.ev
+	if len(ref.summaries) != len(e.summaries) {
+		return classRun{}, 0, fmt.Errorf("%d summaries, materialised %d", len(e.summaries), len(ref.summaries))
+	}
+	for si, s := range ref.summaries {
+		g := e.summaries[si]
+		if g.name != s.name || g.group != s.group {
+			return classRun{}, 0, fmt.Errorf("summary %d is %s by column %d, materialised %s by %d", si, g.name, g.group, s.name, s.group)
+		}
+		for i := range s.pre {
+			if !doctored && (!bitsEqual(g.pre[i], s.pre[i]) || !bitsEqual(g.post[i], s.post[i])) {
+				return classRun{}, 0, fmt.Errorf("summary %s row %d: (%v,%v), materialised (%v,%v)", s.name, i, g.pre[i], g.post[i], s.pre[i], s.post[i])
+			}
+		}
+	}
+	if e.est.kind == "freq" && !doctored {
+		if got, want := supportedFraction(e.est, p.v, q.Updates, e.summaries, e.inS), ref.supportedFraction(e); got != want {
+			return classRun{}, 0, fmt.Errorf("supported fraction %v, materialised %v", got, want)
+		}
+	}
+	n := p.v.rel.Len()
+	sum, cnt := make([]float64, n), make([]float64, n)
+	for i := 0; i < n; i++ {
+		var rerr error
+		sum[i], cnt[i], rerr = ref.tuple(e, i)
+		gs, gc, gerr := e.tuple(i)
+		if fmt.Sprint(gerr) != fmt.Sprint(rerr) || !bitsEqual(gs, sum[i]) || !bitsEqual(gc, cnt[i]) {
+			if !doctored {
+				return classRun{}, 0, fmt.Errorf("row %d: tuple() = (%v,%v) %v, materialised (%v,%v) %v", i, gs, gc, gerr, sum[i], cnt[i], rerr)
+			}
+			differs++
+		}
+		if rerr != nil {
+			return classRun{err: rerr}, differs, nil
+		}
+	}
+	parts := make([]ShardPartial, p.plan.Shards())
+	for s := range parts {
+		lo, hi := p.plan.Bounds(s)
+		minB, maxB := p.nBlocks, -1
+		for i := lo; i < hi; i++ {
+			minB, maxB = min(minB, p.blockOf[i]), max(maxB, p.blockOf[i])
+		}
+		parts[s] = ShardPartial{Shard: s, MinBlock: minB, Sum: make([]float64, maxB-minB+1), Cnt: make([]float64, maxB-minB+1)}
+		for i := lo; i < hi; i++ {
+			parts[s].Sum[p.blockOf[i]-minB] += sum[i]
+			parts[s].Cnt[p.blockOf[i]-minB] += cnt[i]
+		}
+	}
+	foldPartials(p.res, parts, p.nBlocks, p.agg)
+	p.res.TrainedModels = e.est.trainedModels()
+	return classRun{parts: parts, res: p.res, meta: p.meta()}, differs, nil
+}
+
+// checkBindParity holds the engine's evaluation of src — partitioned and row
+// by row, serial and parallel — to the materialised reference.
+func checkBindParity(t testing.TB, db *relation.Database, model *causal.Model, src string, opts Options) {
+	t.Helper()
+	q, err := hyperql.ParseWhatIf(src)
+	if err != nil {
+		t.Fatalf("generated query does not parse: %q: %v", src, err)
+	}
+	opts.ShardRows = 128
+	want, _, err := runBoundRef(db, model, q, opts, false)
+	if err != nil {
+		t.Fatalf("%q: %v", src, err)
+	}
+	for _, shards := range []int{1, 4} {
+		opts.Shards = shards
+		for _, perRow := range []bool{false, true} {
+			if err := diffClassRuns(runClassEval(db, model, q, opts, nil, perRow), want); err != nil {
+				t.Fatalf("%q shards=%d perRow=%v against the materialised loops: %v", src, shards, perRow, err)
+			}
+		}
+	}
+}
+
+func TestBindOnReadMatchesMaterialised(t *testing.T) {
+	amazon := dataset.AmazonSyn(300, 6, 7)
+	for _, tc := range []struct {
+		name, world, query string
+	}{
+		{"set, WHEN selects some", "base", `USE T WHEN G >= 1 UPDATE(X) = 2 OUTPUT AVG(POST(Y))`},
+		{"set, WHEN selects none", "base", `USE T WHEN G >= 99 UPDATE(X) = 2 OUTPUT AVG(POST(Y)) FOR PRE(Z) = 1 OR POST(Y) >= 1`},
+		{"set, no WHEN", "base", `USE T UPDATE(X) = 3 OUTPUT COUNT(POST(Y) > 0.5 AND S != 'c')`},
+		{"shift", "base", `USE T WHEN S = 'a' UPDATE(X) = 1 + PRE(X) OUTPUT SUM(POST(Y)) FOR POST(Y) >= 0.75`},
+		{"scale, zero rows stay put", "base", `USE T WHEN Z != 1 UPDATE(X) = 2 * PRE(X) OUTPUT AVG(POST(Y))`},
+		{"two update attributes", "base", `USE T WHEN G <= 2 UPDATE(X) = 1 AND UPDATE(W) = 1 + PRE(W) OUTPUT COUNT(Y >= 0.75)`},
+		{"psi, some", "psi", `USE T WHEN S = 'a' UPDATE(X) = 1 + PRE(X) OUTPUT AVG(POST(Y)) FOR PRE(Z) = 1 OR POST(Y) >= 1`},
+		{"psi, none: no group shifts", "psi", `USE T WHEN G >= 99 UPDATE(X) = 2 OUTPUT AVG(POST(Y))`},
+		{"psi, two updates", "psi", `USE T UPDATE(X) = 2 * PRE(X) AND UPDATE(W) = 0 OUTPUT COUNT(Y >= 0.75)`},
+		{"signed zeros updated", "zeros", `USE T WHEN G >= 1 UPDATE(F) = 0 OUTPUT AVG(POST(Y))`},
+		{"signed zeros scaled", "zeros", `USE T UPDATE(F) = -1 * PRE(F) OUTPUT SUM(POST(Y))`},
+		{"Int 3 beside Float 3.0, set", "mixed", `USE T UPDATE(F) = 3 OUTPUT AVG(POST(Y)) FOR ` + overflowLit},
+		{"Int 3 beside Float 3.0, shift", "mixed", `USE T WHEN S != 'b' UPDATE(F) = 2 + PRE(F) OUTPUT COUNT(Y >= 0.75)`},
+		{"NaN payloads, set", "nan", `USE T UPDATE(F) = 1.5 OUTPUT AVG(POST(Y))`},
+		{"NaN payloads, scale", "nan", `USE T WHEN G >= 1 UPDATE(F) = 2 * PRE(F) OUTPUT SUM(POST(Y))`},
+		{"Amazon, cross-tuple edge", "amazon", amazonUse + ` WHEN Category = 'Laptop' UPDATE(Price) = 0.90 * PRE(Price) OUTPUT AVG(POST(Rtng)) FOR PRE(Category) = 'Laptop'`},
+		{"Amazon, every product", "amazon", amazonUse + ` UPDATE(Price) = 50 + PRE(Price) OUTPUT COUNT(POST(Rtng) >= 4)`},
+		{"Amazon, no product", "amazon", amazonUse + ` WHEN Category = 'Nope' UPDATE(Price) = 500 OUTPUT AVG(POST(Rtng))`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, model := amazon.DB, amazon.Model
+			if tc.world != "amazon" {
+				db, model = classWorld(tc.world)
+			}
+			checkBindParity(t, db, model, tc.query, Options{Seed: 3})
+		})
+	}
+}
+
+// TestBindOracleBites: the reference is able to disagree. Doctored to ignore
+// WHEN — the bit every post-update value and affected bit hangs on — it parts
+// from tuple() on rows WHEN left out, and only when WHEN leaves some out.
+func TestBindOracleBites(t *testing.T) {
+	db, model := classWorld("psi")
+	for src, wantDiff := range map[string]bool{
+		`USE T WHEN G >= 1 UPDATE(X) = 1 + PRE(X) OUTPUT AVG(POST(Y))`: true,
+		`USE T UPDATE(X) = 1 + PRE(X) OUTPUT AVG(POST(Y))`:             false,
+	} {
+		q, err := hyperql.ParseWhatIf(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, differs, err := runBoundRef(db, model, q, Options{Seed: 3}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (differs > 0) != wantDiff {
+			t.Errorf("%s: the doctored reference differs on %d rows, want some = %v", src, differs, wantDiff)
+		}
+	}
+}

@@ -29,16 +29,19 @@ import (
 // across queries against the same database and causal model.
 type Cache = lru.Cache[any]
 
-// Key prefixes per artifact kind: one LRU orders all three kinds together, so
-// keys are kind-prefixed and cannot collide.
+// Key prefixes per artifact kind: one LRU orders every kind together, so keys
+// are kind-prefixed and cannot collide.
 const (
-	kindView   = "v\x00"
-	kindBlocks = "b\x00"
-	kindEst    = "e\x00"
+	kindView      = "v\x00" // + view key: the relevant view of a USE
+	kindRowBlocks = "r\x00" // + version tag: the database's block decomposition
+	kindBlocks    = "b\x00" // + view key + R: a materialized view's rows → R's blocks
+	kindEst       = "e\x00"
 )
 
-type blockInfo struct {
-	blockOf []int
+// rowBlocks is causal.RowBlocks' answer: every base tuple's block id by
+// relation, and the block count.
+type rowBlocks struct {
+	byRel   map[string][]int
 	nBlocks int
 }
 

@@ -59,6 +59,53 @@ func TestCacheSharedEvaluate(t *testing.T) {
 	}
 }
 
+// TestCacheOneViewPerUse: the view and the block decomposition are functions
+// of USE (and the snapshot), not of what a query updates. What-ifs over one
+// USE that update different attributes — a how-to's candidates, a session's
+// templates — add an estimator set each and nothing else: a bare-table view
+// reads its blocks off the database's decomposition, a sub-select view maps
+// its rows to the updated relation once.
+func TestCacheOneViewPerUse(t *testing.T) {
+	g := dataset.GermanSyn(1000, 7)
+	a := dataset.AmazonSyn(200, 4, 7)
+	for _, tc := range []struct {
+		name    string
+		data    *dataset.Single
+		queries []string
+		first   int // artifacts the first query builds
+	}{
+		{"bare table", g, []string{
+			`USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`,
+			`USE German UPDATE(Savings) = 2 OUTPUT COUNT(Credit = 1)`,
+			`USE German UPDATE(Housing) = 1 AND UPDATE(Status) = 2 OUTPUT COUNT(Credit = 1)`,
+		}, 3}, // view, database blocks, estimator set
+		{"sub-select", &dataset.Single{DB: a.DB, Model: a.Model}, []string{
+			amazonUse + ` UPDATE(Price) = 0.9 * PRE(Price) OUTPUT AVG(POST(Rtng))`,
+			amazonUse + ` UPDATE(Color) = 'Red' OUTPUT AVG(POST(Rtng))`,
+			amazonUse + ` UPDATE(Color) = 'Blue' AND UPDATE(Price) = 500 OUTPUT AVG(POST(Rtng))`,
+		}, 4}, // ... and the view rows' block ids
+	} {
+		c := NewCache()
+		for i, src := range tc.queries {
+			q, err := hyperql.ParseWhatIf(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cached, err := Evaluate(tc.data.DB, tc.data.Model, q, Options{Seed: 7, Cache: c})
+			if err != nil {
+				t.Fatalf("%s: %v", src, err)
+			}
+			alone, err := Evaluate(tc.data.DB, tc.data.Model, q, Options{Seed: 7})
+			if err != nil || !bitsEqual(cached.Value, alone.Value) || cached.Blocks != alone.Blocks {
+				t.Errorf("%s query %d: %v in %d blocks through the shared cache, %v in %d alone (%v)", tc.name, i, cached.Value, cached.Blocks, alone.Value, alone.Blocks, err)
+			}
+			if st := c.Stats(); st.Entries != tc.first+i || int(st.Misses) != tc.first+i {
+				t.Errorf("%s: %d artifacts and %d misses after query %d, want %d: one estimator set per query on top of the first's", tc.name, st.Entries, st.Misses, i, tc.first+i)
+			}
+		}
+	}
+}
+
 // TestCacheConcurrentEvaluate hammers one shared cache from many goroutines
 // running a mix of what-if queries; run under -race this is the engine-level
 // concurrency stress test.

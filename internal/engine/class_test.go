@@ -66,7 +66,7 @@ func classWorld(kind string) (*relation.Database, *causal.Model) {
 		relation.Column{Name: "Z", Kind: relation.KindInt},
 		relation.Column{Name: "X", Kind: relation.KindInt, Mutable: true},
 		relation.Column{Name: "W", Kind: relation.KindInt, Mutable: true},
-		relation.Column{Name: "F", Kind: fKind},
+		relation.Column{Name: "F", Kind: fKind, Mutable: true},
 		relation.Column{Name: "Y", Kind: relation.KindFloat, Mutable: true},
 	))
 	negZero := math.Copysign(0, -1)
@@ -143,13 +143,19 @@ func randomClassQuery(rng *stats.RNG) string {
 	default:
 		src += "WHEN NOT (S = 'b') AND X + W >= 1 "
 	}
-	switch rng.Intn(4) {
+	switch rng.Intn(7) {
 	case 0:
 		src += fmt.Sprintf("UPDATE(X) = %d ", rng.Intn(4)) // incl. the unseen value 3
 	case 1:
 		src += "UPDATE(X) = 1 + PRE(X) "
 	case 2:
 		src += fmt.Sprintf("UPDATE(X) = %d AND UPDATE(W) = %d ", rng.Intn(3), rng.Intn(2))
+	case 3:
+		src += fmt.Sprintf("UPDATE(X) = %d * PRE(X) ", rng.Intn(3)) // a zero row stays put
+	case 4: // the column that may be inexact: set, shift or scale
+		src += []string{"UPDATE(F) = 3 ", "UPDATE(F) = 0 ", "UPDATE(F) = 2 + PRE(F) ", "UPDATE(F) = -1 * PRE(F) "}[rng.Intn(4)]
+	case 5:
+		src += fmt.Sprintf("UPDATE(F) = 1.5 AND UPDATE(W) = %d ", rng.Intn(2))
 	default:
 		src += fmt.Sprintf("UPDATE(W) = %d ", rng.Intn(2))
 	}
@@ -406,7 +412,8 @@ func TestClassEvalMatchesPerRow(t *testing.T) {
 // fuzzer's 800 rows or classGerman) under the planner fuzzer's generator, or
 // a class world under randomClassQuery —
 // with random sampling, mode and estimator, and holds the partitioned
-// evaluation to the per-row one. CI runs it as a 30 s smoke; locally:
+// evaluation to the per-row one and both to the materialised loops of
+// bind_test.go. CI runs it as a 30 s smoke; locally:
 //
 //	go test -fuzz=FuzzClassEvalParity -fuzztime=30s -run '^$' ./internal/engine
 func FuzzClassEvalParity(f *testing.F) {
@@ -435,10 +442,13 @@ func FuzzClassEvalParity(f *testing.F) {
 				src = twoUpdates(src)
 			}
 			checkClassParity(t, g.DB, g.Model, src, opts)
+			checkBindParity(t, g.DB, g.Model, src, opts)
 			return
 		}
 		db, model := classWorld(classWorldKinds[rng.Intn(len(classWorldKinds))])
-		checkClassParity(t, db, model, randomClassQuery(rng), opts)
+		src := randomClassQuery(rng)
+		checkClassParity(t, db, model, src, opts)
+		checkBindParity(t, db, model, src, opts)
 	})
 }
 

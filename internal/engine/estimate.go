@@ -15,15 +15,17 @@ import (
 // estimatorSet trains and caches the conditional-expectation regressors
 // E[label | B, C] used by the backdoor plug-in estimate (Eq. 35-40). One
 // regressor is trained per distinct post-event (or per Y-weighted event);
-// all share one columnar encoded frame (ml.Frame), built once over the full
-// relevant view: training selects the (sampled) rows by index, and tuple
-// evaluation gathers prediction points from the same buffer instead of
-// re-encoding each tuple.
+// all share one columnar frame (ml.Frame) over the full relevant view:
+// training selects the (sampled) rows by index, and tuple evaluation gathers
+// prediction points from the same columns instead of re-encoding each tuple.
+// The frame owns none of them. A view column's is the column's one encoding
+// (relation.CodedColumn.Encoded), shared by every set over the view; a ψ
+// summary's is the pre-update group means of the evaluation that built the
+// set, which only this set reads.
 type estimatorSet struct {
-	view      *relation.Relation
 	featCols  []string
-	keepFirst int // number of leading update-attribute features
-	enc       *ml.Encoder
+	keepFirst int                     // number of leading update-attribute features
+	coded     []*relation.CodedColumn // per feature, its view column; nil for a ψ summary
 	frame     *ml.Frame
 	trainRows []int
 	keys      *ml.SupportSet // exact feature combinations seen (freq only)
@@ -38,32 +40,42 @@ type estimatorSet struct {
 	models  *lru.Cache[ml.Regressor] // trained regressors by labeling key, unbounded
 }
 
-// newEstimatorSet prepares the shared columnar frame over view, which is v's
-// relation or its ψ-augmented copy (same rows, same order). featCols is the
-// concatenation of update attributes, the backdoor set, and any summary
-// columns; sampling (HypeR-sampled) draws SampleSize rows without
-// replacement, and an unsampled set trains on v's shared identity list. Of
-// opts the set keeps the seed and the estimator kind it chose: it lives in
-// the session's engine cache long after the request that built it, so it must
-// not hold that request's Progress, Cache or Plans.
-func newEstimatorSet(v *view, view *relation.Relation, featCols []string, keepFirst int, opts Options) *estimatorSet {
+// newEstimatorSet assembles the frame over v. featCols is the concatenation
+// of update attributes, the backdoor set, the summaries' names and the
+// predicate attributes; sampling (HypeR-sampled) draws SampleSize rows
+// without replacement, and an unsampled set trains on v's shared identity
+// list. Of opts the set keeps the seed and the estimator kind it chose: it
+// lives in the session's engine cache long after the request that built it,
+// so it must not hold that request's Progress, Cache or Plans.
+func newEstimatorSet(v *view, featCols []string, summaries []summaryFeature, keepFirst int, opts Options) *estimatorSet {
 	s := &estimatorSet{
-		view:      view,
 		featCols:  append([]string(nil), featCols...),
 		keepFirst: keepFirst,
-		enc:       ml.NewEncoder(view, featCols),
+		coded:     make([]*relation.CodedColumn, len(featCols)),
 		seed:      opts.Seed,
 		models:    lru.New[ml.Regressor](0, nil),
 	}
-	s.frame = ml.NewFrameWorkers(s.enc, view, opts.Shards)
-	n := view.Len()
+	cols := make([][]float64, len(featCols))
+	continuous := len(summaries) > 0 // a group mean is a float
+	for i, name := range featCols {
+		if ci, ok := v.rel.Schema().Index(name); ok {
+			s.coded[i] = v.rel.Coded(ci)
+			cols[i] = s.coded[i].Encoded()
+			continuous = continuous || v.rel.Schema().Col(ci).Kind == relation.KindFloat
+		}
+	}
+	for _, sf := range summaries {
+		cols[s.featureIndex(sf.name)] = sf.pre
+	}
+	s.frame = ml.FrameOfColumns(cols, opts.Shards)
+	n := v.rel.Len()
 	if opts.SampleSize > 0 && opts.SampleSize < n {
 		rng := stats.NewRNG(opts.Seed ^ 0x5ab0)
 		s.trainRows = rng.SampleIndexes(n, opts.SampleSize)
 	} else {
 		s.trainRows = v.identityRows()
 	}
-	s.kind = s.chooseKind(opts.Estimator)
+	s.kind = chooseKind(opts.Estimator, continuous)
 	s.fitPlan = shard.Rows(len(s.trainRows), opts.ShardRows)
 	if s.kind == "freq" {
 		s.keys = ml.NewSupportSetSharded(s.frame, s.trainRows, s.fitPlan, opts.Shards)
@@ -80,25 +92,15 @@ func (s *estimatorSet) hasSupport(x []float64) bool {
 // chooseKind applies the auto rule: the exact frequency estimator when every
 // feature is discrete (the support-index optimization of A.4), a random
 // forest otherwise.
-func (s *estimatorSet) chooseKind(want EstimatorKind) string {
-	switch want {
-	case EstimatorFreq:
+func chooseKind(want EstimatorKind, continuous bool) string {
+	switch {
+	case want == EstimatorFreq:
 		return "freq"
-	case EstimatorForest:
+	case want == EstimatorForest:
 		return "forest"
-	}
-	continuous := false
-	for _, col := range s.featCols {
-		k := s.view.Schema().Col(s.view.Schema().MustIndex(col)).Kind
-		if k == relation.KindFloat {
-			continuous = true
-			break
-		}
-	}
-	if !continuous {
+	case !continuous:
 		return "freq"
-	}
-	if want == EstimatorLinear {
+	case want == EstimatorLinear:
 		return "linear"
 	}
 	return "forest"
@@ -193,7 +195,7 @@ func (s *estimatorSet) featureIndex(col string) int {
 	return -1
 }
 
-// encodeAt encodes a raw value for feature position i.
+// encodeAt encodes a raw value for feature position i, a view column's.
 func (s *estimatorSet) encodeAt(i int, v relation.Value) float64 {
-	return s.enc.EncodeValue(i, v)
+	return s.coded[i].Encode(v)
 }

@@ -129,7 +129,7 @@ func PlanContext(ctx context.Context, db *relation.Database, model *causal.Model
 	if err := ctx.Err(); err != nil {
 		return 0, 0, err
 	}
-	v, _, _, _, err := resolveView(db, q, o)
+	v, _, _, _, _, err := resolveView(db, q, o)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -135,7 +135,7 @@ func FuzzPlanParity(f *testing.F) {
 		if err != nil {
 			t.Fatalf("generated query does not parse: %q: %v", src, err)
 		}
-		v, _, _, _, err := resolveView(g.DB, q, Options{})
+		v, _, _, _, _, err := resolveView(g.DB, q, Options{})
 		if err != nil {
 			t.Fatalf("%q: view: %v", src, err)
 		}

@@ -11,13 +11,13 @@ import (
 )
 
 // view is the materialized relevant view V_rel plus the metadata linking its
-// columns back to the base database: which base relation the update
-// attribute lives in and the qualified source attribute of each view column
-// (aggregated columns map to the attribute inside the aggregate).
+// columns back to the base database: the qualified source attribute of each
+// view column (aggregated columns map to the attribute inside the aggregate).
+// It is a function of the USE clause alone; which base relation a query
+// updates is the query's (updateSource).
 type view struct {
 	rel       *relation.Relation
-	updateRel *relation.Relation // base relation R containing the update attribute
-	qualified map[string]string  // view column -> "Rel.Attr" source
+	qualified map[string]string // view column -> "Rel.Attr" source
 
 	// The identity row list [0, Len): what an unsampled estimator set trains
 	// on. Built on first use and shared by every set over this view — at 8
@@ -42,7 +42,7 @@ func (v *view) identityRows() []int {
 // buildView materializes the USE clause (step 1 of Section 3.2). The view
 // always has one row per tuple of the update relation R, keyed by R's key,
 // which the USE contract guarantees (the sub-select groups by R's key).
-func buildView(db *relation.Database, use *hyperql.UseClause, updateAttr string) (*view, error) {
+func buildView(db *relation.Database, use *hyperql.UseClause) (*view, error) {
 	v := &view{qualified: make(map[string]string)}
 	if use.Table != "" {
 		r := db.Relation(use.Table)
@@ -84,11 +84,6 @@ func buildView(db *relation.Database, use *hyperql.UseClause, updateAttr string)
 			v.qualified[name] = q
 		}
 	}
-	base, err := v.updateSource(db, updateAttr)
-	if err != nil {
-		return nil, err
-	}
-	v.updateRel = base
 	return v, nil
 }
 
@@ -149,27 +144,22 @@ func qualifyRef(db *relation.Database, sel *hyperql.SelectStmt, c *hyperql.ColRe
 	return found, nil
 }
 
-// blockIDs assigns each view row the id of its block (blocks are defined
-// over base-relation tuples; rowBlock holds the update relation's per-row
-// block ids). View rows map to update-relation tuples through that relation's
-// own key index (its key columns are present in the view by the USE
-// contract); rows whose key is missing from the base relation map to block 0.
-// When the view IS the update relation (a USE over a bare table), the mapping
-// is the identity and no per-row key encoding happens at all.
-func (v *view) blockIDs(rowBlock []int) ([]int, error) {
-	if v.rel == v.updateRel {
-		// Copy: rowBlock is a subslice of RowBlocks' all-relations buffer,
-		// and the result outlives this call in the engine cache.
-		return append([]int(nil), rowBlock...), nil
-	}
-	base := v.updateRel.Schema()
+// blockIDs assigns each row of a materialized view the id of its block
+// (blocks are defined over base-relation tuples; rowBlock holds the update
+// relation's per-row block ids). View rows map to update-relation tuples
+// through that relation's own key index (its key columns are present in the
+// view by the USE contract); rows whose key is missing from the base relation
+// map to block 0. A view that IS the update relation (a USE over a bare
+// table) needs none of this: its rows' blocks are rowBlock itself.
+func (v *view) blockIDs(updateRel *relation.Relation, rowBlock []int) ([]int, error) {
+	base := updateRel.Schema()
 	keyIdx := base.KeyIndexes()
 	viewIdx := make([]int, len(keyIdx))
 	for j, ki := range keyIdx {
 		name := base.Col(ki).Name
 		vi, ok := v.rel.Schema().Index(name)
 		if !ok {
-			return nil, fmt.Errorf("engine: relevant view is missing key column %q of relation %s", name, v.updateRel.Name())
+			return nil, fmt.Errorf("engine: relevant view is missing key column %q of relation %s", name, updateRel.Name())
 		}
 		viewIdx[j] = vi
 	}
@@ -179,7 +169,7 @@ func (v *view) blockIDs(rowBlock []int) ([]int, error) {
 		for j, ki := range keyIdx {
 			probe[ki] = row[viewIdx[j]]
 		}
-		if br := v.updateRel.LookupKey(probe); br >= 0 {
+		if br := updateRel.LookupKey(probe); br >= 0 {
 			out[i] = rowBlock[br]
 		}
 	}

@@ -45,12 +45,12 @@ func TestViewBlockIDsCompositeKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := buildView(db, q.Use, "Price")
+	v, err := buildView(db, q.Use)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.rel == v.updateRel || v.rel.Len() != item.Len() {
-		t.Fatalf("want a materialized view of %d rows, got %d (identity=%v)", item.Len(), v.rel.Len(), v.rel == v.updateRel)
+	if v.rel == item || v.rel.Len() != item.Len() {
+		t.Fatalf("want a materialized view of %d rows, got %d (identity=%v)", item.Len(), v.rel.Len(), v.rel == item)
 	}
 	byRel, nBlocks, err := causal.RowBlocks(db, model)
 	if err != nil {
@@ -59,7 +59,7 @@ func TestViewBlockIDsCompositeKey(t *testing.T) {
 	if nBlocks != 3 {
 		t.Fatalf("%d blocks, want one per category", nBlocks)
 	}
-	ids, err := v.blockIDs(byRel["Item"])
+	ids, err := v.blockIDs(item, byRel["Item"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,19 +81,18 @@ func TestViewBlockIDsCompositeKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := buildView(db, q2.Use, "Price")
+	v2, err := buildView(db, q2.Use)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v2.blockIDs(byRel["Item"]); err == nil {
+	if _, err := v2.blockIDs(item, byRel["Item"]); err == nil {
 		t.Error("a view missing key column SKU mapped its rows to blocks")
 	}
 }
 
-// TestWhatIfValidatesEveryUpdate: the memoized view build validates the
-// update attribute that keys it; every further UPDATE of a query must pass
-// the same checks — a mutable column of the one updated relation — however
-// the attributes are ordered.
+// TestWhatIfValidatesEveryUpdate: the memoized view is the USE clause's alone;
+// every UPDATE of a query must pass the same checks against it — a mutable
+// column of the one updated relation — however the attributes are ordered.
 func TestWhatIfValidatesEveryUpdate(t *testing.T) {
 	g := dataset.GermanSyn(2000, 7)
 	a := dataset.AmazonSyn(300, 6, 7)

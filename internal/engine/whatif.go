@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -73,22 +74,15 @@ func EvaluateContext(ctx context.Context, db *relation.Database, model *causal.M
 
 // resolveView materializes (or fetches from cache) the relevant view of the
 // query, validating the UPDATE clause on the way. It returns the view, its
-// cache key, and the distinct update attributes.
-func resolveView(db *relation.Database, q *hyperql.WhatIf, o Options) (v *view, viewKey string, updateAttrs []string, hit bool, err error) {
+// cache key, the distinct update attributes and the one base relation R they
+// all update. The view is a function of USE alone, so the candidates of a
+// how-to and a session's query templates share it whatever they update.
+func resolveView(db *relation.Database, q *hyperql.WhatIf, o Options) (v *view, viewKey string, updateAttrs []string, updateRel *relation.Relation, hit bool, err error) {
 	if len(q.Updates) == 0 {
-		return nil, "", nil, false, fmt.Errorf("engine: what-if query has no UPDATE clause")
+		return nil, "", nil, nil, false, fmt.Errorf("engine: what-if query has no UPDATE clause")
 	}
 	if q.Output == nil || !q.Output.Func.Valid() {
-		return nil, "", nil, false, fmt.Errorf("engine: what-if query has no valid OUTPUT aggregate")
-	}
-	updateAttrs = make([]string, 0, len(q.Updates))
-	seen := map[string]bool{}
-	for _, u := range q.Updates {
-		if seen[u.Attr] {
-			return nil, "", nil, false, fmt.Errorf("engine: attribute %q updated twice", u.Attr)
-		}
-		seen[u.Attr] = true
-		updateAttrs = append(updateAttrs, u.Attr)
+		return nil, "", nil, nil, false, fmt.Errorf("engine: what-if query has no valid OUTPUT aggregate")
 	}
 	// MVCC: a versioned database folds its snapshot version into the view
 	// key, which transitively versions every artifact keyed off it — the
@@ -96,30 +90,36 @@ func resolveView(db *relation.Database, q *hyperql.WhatIf, o Options) (v *view, 
 	// pinned to snapshot v keeps hitting v's artifacts after appends while
 	// the new head never reads stale ones. Version 0 (bare-library
 	// databases) keeps historical keys.
-	viewKey = q.Use.String() + "\x00" + q.Updates[0].Attr
+	viewKey = q.Use.String()
 	if tag := db.VersionTag(); tag != "" {
 		viewKey = tag + "\x00" + viewKey
 	}
 	// buildView takes no context — neither its builder nor a waiter gives up
 	// mid-view; both observe cancellation right after this stage.
 	v, hit, err = memo(context.Background(), o.Cache, kindView+viewKey, func() (*view, error) {
-		return buildView(db, q.Use, q.Updates[0].Attr)
+		return buildView(db, q.Use)
 	})
 	if err != nil {
-		return nil, "", nil, false, err
+		return nil, "", nil, nil, false, err
 	}
-	// The memoized build validated the first update attribute, which keys it;
-	// the others are this query's own. All must update the one relation R.
-	for _, a := range updateAttrs[1:] {
-		base, err := v.updateSource(db, a)
+	// Every update attribute is this query's own to validate: distinct, and
+	// all in the one relation R.
+	for _, u := range q.Updates {
+		if slices.Contains(updateAttrs, u.Attr) {
+			return nil, "", nil, nil, false, fmt.Errorf("engine: attribute %q updated twice", u.Attr)
+		}
+		updateAttrs = append(updateAttrs, u.Attr)
+		base, err := v.updateSource(db, u.Attr)
 		if err != nil {
-			return nil, "", nil, false, err
+			return nil, "", nil, nil, false, err
 		}
-		if base.Name() != v.updateRel.Name() {
-			return nil, "", nil, false, fmt.Errorf("engine: update attribute %s is outside the updated relation %s", v.qualified[a], v.updateRel.Name())
+		if updateRel == nil {
+			updateRel = base
+		} else if base != updateRel {
+			return nil, "", nil, nil, false, fmt.Errorf("engine: update attribute %s is outside the updated relation %s", v.qualified[u.Attr], updateRel.Name())
 		}
 	}
-	return v, viewKey, updateAttrs, hit, nil
+	return v, viewKey, updateAttrs, updateRel, hit, nil
 }
 
 // evalPrep is a fully prepared what-if evaluation: everything up to (but not
@@ -159,7 +159,7 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 	// cache is provided.
 	tv := time.Now()
 	_, vsp := obs.Start(ctx, "view")
-	v, viewKey, updateAttrs, viewHit, err := resolveView(db, q, o)
+	v, viewKey, updateAttrs, updateRel, viewHit, err := resolveView(db, q, o)
 	if err != nil {
 		return nil, err
 	}
@@ -173,27 +173,36 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 		return nil, err
 	}
 
-	// Step 2: block-independent decomposition (memoized likewise).
+	// Step 2: block-independent decomposition (memoized likewise). The
+	// decomposition of the database is the model's alone — one per version,
+	// whatever the query — and a view that is R itself reads R's slice of it;
+	// only a materialized view maps its rows to R's tuples, once per (view, R).
 	tb := time.Now()
 	_, bsp := obs.Start(ctx, "blocks")
 	blocksHit := false
 	var blockOf []int
 	res.Blocks = 1
 	if model != nil && !o.DisableBlocks {
-		var bi blockInfo
-		bi, blocksHit, err = memo(ctx, o.Cache, kindBlocks+viewKey, func() (blockInfo, error) {
+		var rb rowBlocks
+		rb, blocksHit, err = memo(ctx, o.Cache, kindRowBlocks+db.VersionTag(), func() (rowBlocks, error) {
 			byRel, nBlocks, err := causal.RowBlocks(db, model)
-			if err != nil {
-				return blockInfo{}, err
-			}
-			ids, err := v.blockIDs(byRel[v.updateRel.Name()])
-			return blockInfo{blockOf: ids, nBlocks: nBlocks}, err
+			return rowBlocks{byRel: byRel, nBlocks: nBlocks}, err
 		})
 		if err != nil {
 			return nil, err
 		}
-		blockOf = bi.blockOf
-		res.Blocks = bi.nBlocks
+		ofR := rb.byRel[updateRel.Name()]
+		blockOf, res.Blocks = ofR, rb.nBlocks
+		if v.rel != updateRel {
+			var idsHit bool
+			blockOf, idsHit, err = memo(ctx, o.Cache, kindBlocks+viewKey+"\x00"+updateRel.Name(), func() ([]int, error) {
+				return v.blockIDs(updateRel, ofR)
+			})
+			if err != nil {
+				return nil, err
+			}
+			blocksHit = blocksHit && idsHit
+		}
 	} else {
 		blockOf = make([]int, v.rel.Len())
 	}
@@ -233,27 +242,14 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 		}
 	}
 
-	// Step 4: post-update values of the update attributes for rows in S.
-	postVals := make(map[string][]relation.Value, len(updateAttrs))
-	for _, u := range q.Updates {
-		ci := v.rel.Schema().MustIndex(u.Attr)
-		vals := make([]relation.Value, v.rel.Len())
-		for i := 0; i < v.rel.Len(); i++ {
-			pre := v.rel.Row(i)[ci]
-			if inS[i] {
-				vals[i] = u.Apply(pre)
-			} else {
-				vals[i] = pre
-			}
-		}
-		postVals[u.Attr] = vals
-	}
+	// Step 4, post-update values, is not a stage: a row's is postUpdate of its
+	// WHEN bit and pre-update value, computed where tuple() reads it.
 
 	// Step 5: cross-tuple summary features (the ψ functions of Section 2.2):
 	// when the model declares a cross-tuple edge out of an update attribute,
 	// the group mean of that attribute becomes a feature, and its post-update
 	// shift propagates the update to non-updated tuples in the same group.
-	summaries, err := buildSummaries(v, model, updateAttrs, postVals)
+	summaries, err := buildSummaries(v, model, q.Updates, inS)
 	if err != nil {
 		return nil, err
 	}
@@ -296,7 +292,7 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 	res.Disjuncts = len(disjuncts)
 
 	// Step 8: backdoor set.
-	backdoor, err := backdoorColumns(v, model, updateAttrs, yCol, outCond, disjuncts, o.Mode)
+	backdoor, err := backdoorColumns(v, updateRel, model, updateAttrs, yCol, outCond, disjuncts, o.Mode)
 	if err != nil {
 		return nil, err
 	}
@@ -306,15 +302,17 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 		return nil, err
 	}
 
-	// Step 9: build the (possibly summary-augmented) view and the estimator.
+	// Step 9: the feature columns and the estimator.
 	// Proposition 2 conditions the post-update probabilities on μ_When and
 	// μ_For,Pre, so the attributes those predicates reference join the
 	// conditioning features (this is what makes runtime grow with the number
 	// of FOR attributes, Figure 11a).
 	tt := time.Now()
 	_, tsp := obs.Start(ctx, "train")
-	augView, sumCols := augmentView(v.rel, summaries)
-	featCols := append(append(append([]string{}, updateAttrs...), backdoor...), sumCols...)
+	featCols := append(append([]string{}, updateAttrs...), backdoor...)
+	for _, s := range summaries {
+		featCols = append(featCols, s.name)
+	}
 	if o.Mode != ModeIndep {
 		featCols = appendPredicateAttrs(featCols, v.rel, q.When, disjuncts, updateAttrs)
 	}
@@ -330,7 +328,7 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 		forKey += "\x00" + q.Output.String()
 		key := kindEst + estKey(viewKey, whenKey, forKey, featCols, eo)
 		est, hit, err := memo(ctx, eo.Cache, key, func() (*estimatorSet, error) {
-			return newEstimatorSet(v, augView, featCols, len(updateAttrs), eo), nil
+			return newEstimatorSet(v, featCols, summaries, len(updateAttrs), eo), nil
 		})
 		if estHit = hit; hit {
 			// Set-level hits are the fan-out-independent "served from cache"
@@ -364,7 +362,7 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 		// with no support in the data; when most prediction points are
 		// unsupported, fall back to the generalizing forest (the paper's
 		// default estimator).
-		if frac := supportedFraction(est, v, updateAttrs, postVals, summaries, inS); frac < 0.8 {
+		if frac := supportedFraction(est, v, q.Updates, summaries, inS); frac < 0.8 {
 			o2 := o
 			o2.Estimator = EstimatorForest
 			if est, err = makeEst(o2); err != nil {
@@ -387,8 +385,8 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 	ev := &evaluator{
 		ctx: ctx,
 		v:   v, est: est, q: q, opts: o,
-		updateAttrs: updateAttrs, postVals: postVals,
-		summaries: summaries, yCol: yCol, outCond: outCond,
+		updateAttrs: updateAttrs, summaries: summaries,
+		yCol: yCol, outCond: outCond,
 		disjuncts: disjuncts, inS: inS,
 	}
 	if err := ev.prepare(); err != nil {
@@ -626,7 +624,6 @@ type evaluator struct {
 	q           *hyperql.WhatIf
 	opts        Options
 	updateAttrs []string
-	postVals    map[string][]relation.Value
 	summaries   []summaryFeature
 	yCol        string
 	outCond     hyperql.Expr
@@ -637,7 +634,6 @@ type evaluator struct {
 	updIdx    []int // view column indexes of update attrs
 	featUpd   []int // feature positions of update attrs
 	featSum   []int // feature positions of summary features
-	affected  []bool
 	activeBuf []int
 	xBuf      []float64 // prediction-point scratch, reused across tuples
 
@@ -706,27 +702,36 @@ func (e *evaluator) prepare() error {
 		}
 		e.eventID[k] = id
 	}
-	// A tuple is affected when its own update attribute changes or a summary
-	// feature (group mean) shifts; unaffected tuples are evaluated exactly.
-	e.affected = make([]bool, e.v.rel.Len())
-	for i := range e.affected {
-		if e.inS[i] {
-			for ai, a := range e.updateAttrs {
-				if !e.postVals[a][i].Equal(e.v.rel.Row(i)[e.updIdx[ai]]) {
-					e.affected[i] = true
-				}
-			}
-		}
-		if !e.affected[i] {
-			for _, s := range e.summaries {
-				if math.Abs(s.post[i]-s.pre[i]) > 1e-12 {
-					e.affected[i] = true
-					break
-				}
+	return nil
+}
+
+// postUpdate is a view row's value of an update attribute after the update:
+// the rows WHEN selected take u's function of their pre-update value, the
+// rest keep it.
+func postUpdate(u hyperql.UpdateSpec, inS bool, pre relation.Value) relation.Value {
+	if inS {
+		return u.Apply(pre)
+	}
+	return pre
+}
+
+// isAffected reports whether the update reaches view row i: its own update
+// attribute changes or a summary feature (group mean) shifts. Unaffected
+// tuples are evaluated exactly.
+func (e *evaluator) isAffected(i int, row relation.Tuple) bool {
+	if e.inS[i] {
+		for ai, ci := range e.updIdx {
+			if !e.q.Updates[ai].Apply(row[ci]).Equal(row[ci]) {
+				return true
 			}
 		}
 	}
-	return nil
+	for _, s := range e.summaries {
+		if math.Abs(s.post[i]-s.pre[i]) > 1e-12 {
+			return true
+		}
+	}
+	return false
 }
 
 // tuple returns the (expected-sum, expected-count) contribution of view row
@@ -757,7 +762,7 @@ func (e *evaluator) tuple(i int) (sum, count float64, err error) {
 		return 0, 0, nil
 	}
 
-	if !e.affected[i] {
+	if !e.isAffected(i, row) {
 		// Exact evaluation: the post-update state equals the pre-update
 		// state for this tuple, so the indicator is observed.
 		p, err := e.observedEvent(i, e.activeBuf)
@@ -783,8 +788,8 @@ func (e *evaluator) tuple(i int) (sum, count float64, err error) {
 	}
 	x := e.xBuf
 	e.est.featureVectorInto(i, x)
-	for ai, a := range e.updateAttrs {
-		x[e.featUpd[ai]] = e.est.encodeAt(e.featUpd[ai], e.postVals[a][i])
+	for ai, ci := range e.updIdx {
+		x[e.featUpd[ai]] = e.est.encodeAt(e.featUpd[ai], postUpdate(e.q.Updates[ai], e.inS[i], row[ci]))
 	}
 	for si, s := range e.summaries {
 		x[e.featSum[si]] = s.post[i]
@@ -980,7 +985,7 @@ func clamp01(x float64) float64 {
 }
 
 // backdoorColumns derives the conditioning set as view column names.
-func backdoorColumns(v *view, model *causal.Model, updateAttrs []string, yCol string, outCond hyperql.Expr, disjuncts []disjunct, mode Mode) ([]string, error) {
+func backdoorColumns(v *view, updateRel *relation.Relation, model *causal.Model, updateAttrs []string, yCol string, outCond hyperql.Expr, disjuncts []disjunct, mode Mode) ([]string, error) {
 	if mode == ModeIndep {
 		return nil, nil
 	}
@@ -1005,8 +1010,8 @@ func backdoorColumns(v *view, model *causal.Model, updateAttrs []string, yCol st
 		isUpdate[a] = true
 	}
 	keyCols := map[string]bool{}
-	for _, ki := range v.updateRel.Schema().KeyIndexes() {
-		keyCols[v.updateRel.Schema().Col(ki).Name] = true
+	for _, ki := range updateRel.Schema().KeyIndexes() {
+		keyCols[updateRel.Schema().Col(ki).Name] = true
 	}
 
 	if mode == ModeNB || model == nil {
@@ -1073,7 +1078,7 @@ func backdoorColumns(v *view, model *causal.Model, updateAttrs []string, yCol st
 
 // supportedFraction samples up to 200 updated rows and reports the fraction
 // whose post-update feature combination occurs exactly in the training data.
-func supportedFraction(est *estimatorSet, v *view, updateAttrs []string, postVals map[string][]relation.Value, summaries []summaryFeature, inS []bool) float64 {
+func supportedFraction(est *estimatorSet, v *view, updates []hyperql.UpdateSpec, summaries []summaryFeature, inS []bool) float64 {
 	n := v.rel.Len()
 	if n == 0 {
 		return 1
@@ -1089,9 +1094,9 @@ func supportedFraction(est *estimatorSet, v *view, updateAttrs []string, postVal
 			continue
 		}
 		est.featureVectorInto(i, x)
-		for _, a := range updateAttrs {
-			fi := est.featureIndex(a)
-			x[fi] = est.encodeAt(fi, postVals[a][i])
+		for _, u := range updates {
+			fi := est.featureIndex(u.Attr)
+			x[fi] = est.encodeAt(fi, u.Apply(v.rel.Row(i)[v.rel.Schema().MustIndex(u.Attr)]))
 		}
 		for _, s := range summaries {
 			fi := est.featureIndex(s.name)
@@ -1152,89 +1157,56 @@ type summaryFeature struct {
 }
 
 // buildSummaries derives ψ features from the model's cross-tuple edges whose
-// source is an update attribute.
-func buildSummaries(v *view, model *causal.Model, updateAttrs []string, postVals map[string][]relation.Value) ([]summaryFeature, error) {
+// source is an update attribute. Groups are the codes of the GroupBy column
+// (relation.Coded: Value.Key() identity), summed in row order.
+func buildSummaries(v *view, model *causal.Model, updates []hyperql.UpdateSpec, inS []bool) ([]summaryFeature, error) {
 	if model == nil {
 		return nil, nil
 	}
 	var out []summaryFeature
 	for _, ce := range model.Cross {
 		src := causal.Qualify(ce.FromRel, ce.FromAttr)
-		var attr string
-		for _, a := range updateAttrs {
-			if v.qualified[a] == src {
-				attr = a
+		ui := -1
+		for i, u := range updates {
+			if v.qualified[u.Attr] == src {
+				ui = i
 			}
 		}
-		if attr == "" {
+		if ui < 0 {
 			continue
 		}
+		u := updates[ui]
 		_, gAttr := causal.SplitQualified(ce.GroupBy)
 		gi, ok := v.rel.Schema().Index(gAttr)
 		if !ok {
 			return nil, fmt.Errorf("engine: cross-edge group attribute %q is not in the relevant view", gAttr)
 		}
-		ai := v.rel.Schema().MustIndex(attr)
+		ai := v.rel.Schema().MustIndex(u.Attr)
 		n := v.rel.Len()
 		type acc struct {
 			preSum, postSum float64
 			n               int
 		}
-		groups := map[string]*acc{}
-		keys := make([]string, n)
-		for i := 0; i < n; i++ {
-			k := v.rel.Row(i)[gi].Key()
-			keys[i] = k
-			a := groups[k]
-			if a == nil {
-				a = &acc{}
-				groups[k] = a
-			}
-			a.preSum += v.rel.Row(i)[ai].AsFloat()
-			a.postSum += postVals[attr][i].AsFloat()
+		group := v.rel.Coded(gi)
+		groups := make([]acc, len(group.Values))
+		for i, row := range v.rel.Rows() {
+			a := &groups[group.At(i)]
+			a.preSum += row[ai].AsFloat()
+			a.postSum += postUpdate(u, inS[i], row[ai]).AsFloat()
 			a.n++
 		}
 		sf := summaryFeature{
-			name:  "psi_" + attr + "_by_" + gAttr,
+			name:  "psi_" + u.Attr + "_by_" + gAttr,
 			group: gi,
 			pre:   make([]float64, n),
 			post:  make([]float64, n),
 		}
-		for i := 0; i < n; i++ {
-			a := groups[keys[i]]
+		for i := range sf.pre {
+			a := groups[group.At(i)]
 			sf.pre[i] = a.preSum / float64(a.n)
 			sf.post[i] = a.postSum / float64(a.n)
 		}
 		out = append(out, sf)
 	}
 	return out, nil
-}
-
-// augmentView appends summary feature columns (pre-update values) to a copy
-// of the view; returns the augmented relation and the new column names.
-// Without summaries the original view is returned as is.
-func augmentView(rel *relation.Relation, summaries []summaryFeature) (*relation.Relation, []string) {
-	if len(summaries) == 0 {
-		return rel, nil
-	}
-	cols := rel.Schema().Columns()
-	var names []string
-	for _, s := range summaries {
-		cols = append(cols, relation.Column{Name: s.name, Kind: relation.KindFloat, Mutable: true})
-		names = append(names, s.name)
-	}
-	schema := relation.MustSchema(cols...)
-	out := relation.NewRelation(rel.Name(), schema)
-	for i, row := range rel.Rows() {
-		t := make(relation.Tuple, len(cols))
-		copy(t, row)
-		for si, s := range summaries {
-			t[rel.Schema().Len()+si] = relation.Float(s.pre[i])
-		}
-		if err := out.Insert(t); err != nil {
-			// Keys are copied unchanged; duplicates cannot occur.
-			panic(err)
-		}
-	}
-	return out, names
 }

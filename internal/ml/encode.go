@@ -18,11 +18,7 @@
 // bestSplit and splitEps in tree.go).
 package ml
 
-import (
-	"sort"
-
-	"hyper/internal/relation"
-)
+import "hyper/internal/relation"
 
 // Regressor is a fitted model mapping an encoded feature vector to a real
 // prediction. Implementations must be safe for concurrent Predict calls.
@@ -31,46 +27,30 @@ type Regressor interface {
 }
 
 // Encoder maps relational values of a fixed list of feature columns into
-// dense float vectors. Numeric values pass through; strings and booleans get
-// stable ordinal codes learned from the data (sorted order, so codes are
-// deterministic). Unseen categories map to -1.
+// dense float vectors by the rule of relation.CodedColumn.Encode: numeric
+// values pass through; strings and booleans get stable ordinal codes learned
+// from the data (sorted order, so codes are deterministic). Unseen categories
+// map to -1.
 type Encoder struct {
 	cols   []string
-	codes  []map[string]float64 // nil for numeric columns
-	schema *relation.Schema     // schema the column indexes were resolved on
-	idxs   []int                // schema column index per feature
+	coded  []*relation.CodedColumn // the columns the encoding was learned from
+	schema *relation.Schema        // schema the column indexes were resolved on
+	idxs   []int                   // schema column index per feature
 }
 
-// NewEncoder learns an encoding for the given columns from all rows of rel.
-// It reads rel's shared per-column projections (relation.Relation.Coded):
-// whether a column is all numeric and, for a categorical one, its distinct
-// values — no per-row key is formatted.
+// NewEncoder learns an encoding for the given columns from all rows of rel:
+// it is that of rel's shared per-column projections (relation.Relation.Coded),
+// so encoders over one relation agree and none formats a per-row key.
 func NewEncoder(rel *relation.Relation, cols []string) *Encoder {
 	e := &Encoder{
 		cols:   append([]string(nil), cols...),
-		codes:  make([]map[string]float64, len(cols)),
+		coded:  make([]*relation.CodedColumn, len(cols)),
 		schema: rel.Schema(),
 		idxs:   make([]int, len(cols)),
 	}
 	for ci, col := range cols {
-		idx := rel.Schema().MustIndex(col)
-		e.idxs[ci] = idx
-		cc := rel.Coded(idx)
-		if cc.Numeric {
-			continue
-		}
-		keys := make([]string, 0, len(cc.Values))
-		for _, v := range cc.Values {
-			if !v.IsNull() {
-				keys = append(keys, v.Key())
-			}
-		}
-		sort.Strings(keys)
-		m := make(map[string]float64, len(keys))
-		for i, k := range keys {
-			m[k] = float64(i)
-		}
-		e.codes[ci] = m
+		e.idxs[ci] = rel.Schema().MustIndex(col)
+		e.coded[ci] = rel.Coded(e.idxs[ci])
 	}
 	return e
 }
@@ -82,24 +62,7 @@ func (e *Encoder) Columns() []string { return append([]string(nil), e.cols...) }
 func (e *Encoder) Dim() int { return len(e.cols) }
 
 // EncodeValue encodes the value of feature i.
-func (e *Encoder) EncodeValue(i int, v relation.Value) float64 {
-	if e.codes[i] == nil {
-		if v.IsNull() {
-			return 0
-		}
-		if v.Kind() == relation.KindBool {
-			if v.AsBool() {
-				return 1
-			}
-			return 0
-		}
-		return v.AsFloat()
-	}
-	if c, ok := e.codes[i][v.Key()]; ok {
-		return c
-	}
-	return -1
-}
+func (e *Encoder) EncodeValue(i int, v relation.Value) float64 { return e.coded[i].Encode(v) }
 
 // Encode encodes one tuple of rel into a feature vector (allocating).
 func (e *Encoder) Encode(rel *relation.Relation, row relation.Tuple) []float64 {

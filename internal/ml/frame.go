@@ -13,17 +13,21 @@ import (
 )
 
 // Frame is the columnar encoded view shared by every estimator of a query:
-// one flat column-major float64 buffer (all rows of the relevant view,
-// encoded once) plus, per column, an interned integer code for each value.
-// Codes are what make the frequency estimator's support index string-free —
-// a feature combination becomes a row of small integers, packed into a
-// single uint64 key where the column cardinalities allow it.
+// one float64 column per feature (all rows of the relevant view) plus, per
+// column, an interned integer code for each value. Codes are what make the
+// frequency estimator's support index string-free — a feature combination
+// becomes a row of small integers, packed into a single uint64 key where the
+// column cardinalities allow it.
 //
-// A Frame is immutable after construction and safe for concurrent use.
+// A frame over a relation does not own its columns: each is the relation
+// column's one encoding (relation.CodedColumn.Encoded), shared with every
+// other frame over that column, so nothing — no fit, no caller of Col — may
+// write to a column. A Frame is immutable after construction and safe for
+// concurrent use.
 type Frame struct {
 	rows, dim int
-	workers   int       // construction/intern fan-out hint (0 = GOMAXPROCS)
-	data      []float64 // data[c*rows+r]: value of column c at row r
+	workers   int         // construction/intern fan-out hint (0 = GOMAXPROCS)
+	cols      [][]float64 // cols[c][r]: value of column c at row r
 
 	// Interned codes, built lazily by Intern (tree/forest/linear fits never
 	// need them; the freq estimator and the support set do).
@@ -62,21 +66,33 @@ func NewFrame(enc *Encoder, rel *relation.Relation) *Frame {
 // NewFrameWorkers is NewFrame with an explicit worker fan-out for later
 // interning (0 = GOMAXPROCS, 1 = serial — the engine passes its Shards knob
 // so nested pools don't multiply). Column order follows the encoder's
-// feature columns. Each column is filled from rel's shared projection
-// (relation.Relation.Coded): the encoder maps the column's distinct values
-// once and the rows gather through their codes. That equals EncodeInto per
-// row because values sharing a canonical key encode alike (up to the sign
-// of zero and NaN payload, which canonBits erases and no fit reads).
+// feature columns. A column enc learned from rel itself is rel's shared
+// encoding; only under an encoder learned elsewhere does the frame fill a
+// column of its own. Either equals EncodeInto per row because values sharing
+// a canonical key encode alike (up to the sign of zero and NaN payload, which
+// canonBits erases and no fit reads).
 func NewFrameWorkers(enc *Encoder, rel *relation.Relation, workers int) *Frame {
-	n, dim := rel.Len(), enc.Dim()
-	f := &Frame{rows: n, dim: dim, workers: workers, data: make([]float64, n*dim)}
+	cols := make([][]float64, enc.Dim())
 	for c, name := range enc.cols {
 		cc := rel.Coded(rel.Schema().MustIndex(name))
-		byCode := make([]float64, len(cc.Values))
-		for code, v := range cc.Values {
-			byCode[code] = enc.EncodeValue(c, v)
+		if cc == enc.coded[c] {
+			cols[c] = cc.Encoded()
+			continue
 		}
-		cc.Gather(byCode, f.data[c*n:(c+1)*n])
+		cols[c] = make([]float64, rel.Len())
+		for r := range cols[c] {
+			cols[c][r] = enc.EncodeValue(c, cc.Values[cc.At(r)])
+		}
+	}
+	return FrameOfColumns(cols, workers)
+}
+
+// FrameOfColumns is the frame over the given equal-length columns, which it
+// keeps without copying and, like every reader of a frame, never writes.
+func FrameOfColumns(cols [][]float64, workers int) *Frame {
+	f := &Frame{dim: len(cols), workers: workers, cols: cols}
+	if len(cols) > 0 {
+		f.rows = len(cols[0])
 	}
 	return f
 }
@@ -89,13 +105,17 @@ func FrameFromRows(X [][]float64) *Frame {
 	if n > 0 {
 		dim = len(X[0])
 	}
-	f := &Frame{rows: n, dim: dim, data: make([]float64, n*dim)}
+	data := make([]float64, n*dim)
+	cols := make([][]float64, dim)
+	for c := range cols {
+		cols[c] = data[c*n : (c+1)*n]
+	}
 	for r, x := range X {
 		for c, v := range x {
-			f.data[c*n+r] = v
+			cols[c][r] = v
 		}
 	}
-	return f
+	return FrameOfColumns(cols, 0)
 }
 
 // Intern assigns per-column integer codes to every value (idempotent, safe
@@ -105,9 +125,10 @@ func (f *Frame) Intern() { f.internOnce.Do(f.intern) }
 // codeColumn holds one column's row codes at the width
 // relation.CodedColumn stores its own: a byte per row while the column has
 // at most 256 distinct values, four bytes once it has more. A cached
-// estimator set keeps its frame's codes alive beside 8 bytes of data per
-// cell, and discrete features — the only ones the freq estimator and the
-// support set are chosen for — rarely leave the narrow form.
+// estimator set keeps its frame's codes alive — they, not the shared columns,
+// are what a set costs per cell — and discrete features, the only ones the
+// freq estimator and the support set are chosen for, rarely leave the narrow
+// form.
 type codeColumn struct {
 	narrow []uint8  // while the column has at most 256 distinct values ...
 	wide   []uint32 // ... and past that (exactly one of the two is set)
@@ -246,12 +267,12 @@ func (f *Frame) Rows() int { return f.rows }
 func (f *Frame) Dim() int { return f.dim }
 
 // Col returns the contiguous value slice of column c (must not be mutated).
-func (f *Frame) Col(c int) []float64 { return f.data[c*f.rows : (c+1)*f.rows] }
+func (f *Frame) Col(c int) []float64 { return f.cols[c] }
 
 // Gather copies row r into dst, which must have length Dim().
 func (f *Frame) Gather(r int, dst []float64) {
-	for c := 0; c < f.dim; c++ {
-		dst[c] = f.data[c*f.rows+r]
+	for c, col := range f.cols {
+		dst[c] = col[r]
 	}
 }
 

@@ -34,16 +34,15 @@ func FitLinearFrame(fr *Frame, sel []int, y []float64, ridge float64) *Linear {
 		a[i] = make([]float64, m)
 	}
 	v := make([]float64, m)
-	n := fr.rows
 	for pos := range y {
 		r := pos
 		if sel != nil {
 			r = sel[pos]
 		}
 		for i := 0; i < d; i++ {
-			xi := fr.data[i*n+r]
+			xi := fr.cols[i][r]
 			for j := i; j < d; j++ {
-				a[i][j] += xi * fr.data[j*n+r]
+				a[i][j] += xi * fr.cols[j][r]
 			}
 			a[i][m-1] += xi
 			v[i] += xi * y[pos]

@@ -91,7 +91,9 @@ func TestCollectStatsMatchesReference(t *testing.T) {
 
 // TestFrameMatchesEncodeInto holds the column-major frame fill to the
 // per-row encoding it replaced, over numeric, categorical, boolean and
-// NULL-bearing columns.
+// NULL-bearing columns: the frame over the encoder's own relation, whose
+// columns are the relation's shared encodings, and one over a relation the
+// encoder did not learn from (here every second row), which gathers its own.
 func TestFrameMatchesEncodeInto(t *testing.T) {
 	rel := relation.NewRelation("F", relation.MustSchema(
 		relation.Column{Name: "ID", Key: true},
@@ -112,14 +114,26 @@ func TestFrameMatchesEncodeInto(t *testing.T) {
 		rel.MustInsert(relation.Int(int64(i)), relation.Int(int64(i%9)), cat, relation.Bool(i%2 == 0), sparse)
 	}
 	enc := NewEncoder(rel, []string{"Sparse", "Cat", "Num", "Flag"})
-	f := NewFrameWorkers(enc, rel, 1)
-	want, got := make([]float64, enc.Dim()), make([]float64, enc.Dim())
-	for r := 0; r < rel.Len(); r++ {
-		enc.EncodeInto(rel, rel.Row(r), want)
-		f.Gather(r, got)
-		for c := range want {
-			if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
-				t.Fatalf("row %d feature %d: frame %v, EncodeInto %v", r, c, got[c], want[c])
+	var evens []int
+	for i := 0; i < rel.Len(); i += 2 {
+		evens = append(evens, i)
+	}
+	for _, over := range []*relation.Relation{rel, rel.Sample(evens)} {
+		f := NewFrameWorkers(enc, over, 1)
+		want, got := make([]float64, enc.Dim()), make([]float64, enc.Dim())
+		for r := 0; r < over.Len(); r++ {
+			enc.EncodeInto(over, over.Row(r), want)
+			f.Gather(r, got)
+			for c := range want {
+				if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+					t.Fatalf("row %d feature %d: frame %v, EncodeInto %v", r, c, got[c], want[c])
+				}
+			}
+		}
+		for c, name := range enc.Columns() {
+			sharedCol := &f.Col(c)[0] == &over.Coded(over.Schema().MustIndex(name)).Encoded()[0]
+			if sharedCol != (over == rel) {
+				t.Errorf("column %s shares the relation's encoding = %v over the encoder's own relation = %v", name, sharedCol, over == rel)
 			}
 		}
 	}

@@ -49,13 +49,13 @@ func (v frameView) at(pos, c int) float64 {
 	if v.sel != nil {
 		pos = v.sel[pos]
 	}
-	return v.fr.data[c*v.fr.rows+pos]
+	return v.fr.cols[c][pos]
 }
 
 // col returns feature c's contiguous column (indexed by frame row, not
 // position; callers holding positions must map through rowOf).
 func (v frameView) col(c int) []float64 {
-	return v.fr.data[c*v.fr.rows : (c+1)*v.fr.rows]
+	return v.fr.cols[c]
 }
 
 func (v frameView) rowOf(pos int) int {

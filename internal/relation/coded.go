@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -86,8 +87,9 @@ func (d *dict) put(k valueKey, code uint32) {
 // planner's cost model and exactness guards read. It is built once per
 // (relation, column) by Relation.Coded and shared by every consumer — the
 // planner's stats and pushdown scans, the encoder's dictionaries, the frame
-// encode. Row codes are stored one byte each while the column has at most
-// 256 distinct values, four bytes otherwise. Fields must not be mutated.
+// encode, and every estimator frame, which points at Encoded. Row codes are
+// stored one byte each while the column has at most 256 distinct values,
+// four bytes otherwise. Fields must not be mutated.
 type CodedColumn struct {
 	// Values holds the first-seen value of each code.
 	Values []Value
@@ -110,6 +112,11 @@ type CodedColumn struct {
 	narrow []uint8  // row codes while len(Values) <= 256 ...
 	wide   []uint32 // ... and past that (exactly one of the two is set)
 	dict   dict
+
+	// The feature encoding, built by the first Encode or Encoded.
+	encOnce sync.Once
+	byCode  []float64 // Encode of each code's value
+	encoded []float64 // byCode gathered over the rows
 }
 
 // Card returns the number of distinct non-null values.
@@ -134,19 +141,57 @@ func (c *CodedColumn) At(i int) uint32 {
 	return uint32(c.narrow[i])
 }
 
-// Gather sets dst[i] = byCode[code of row i] for every row: a per-row
-// projection of anything decided once per distinct value.
-func (c *CodedColumn) Gather(byCode, dst []float64) {
-	if c.wide != nil {
-		gather(c.wide, byCode, dst)
-	} else {
-		gather(c.narrow, byCode, dst)
+// Encode maps v to the float the estimators read for this column, a function
+// of the column alone. Over a Numeric column numbers pass through, a bool is
+// 0 or 1 and NULL is 0. Over any other column a value is the rank of its
+// Key() among the column's sorted distinct non-null keys, and NULL or a value
+// no row holds is -1.
+func (c *CodedColumn) Encode(v Value) float64 {
+	switch {
+	case !c.Numeric:
+		c.encOnce.Do(c.encode)
+		if code, ok := c.Code(v); ok {
+			return c.byCode[code]
+		}
+		return -1
+	case v.kind == KindNull:
+		return 0
+	case v.kind == KindBool:
+		return float64(v.AsInt())
 	}
+	return v.AsFloat()
 }
 
-func gather[C uint8 | uint32](codes []C, byCode, dst []float64) {
-	for i, code := range codes {
-		dst[i] = byCode[code]
+// Encoded returns Encode of every row's value (of its code's first-seen
+// value, which encodes alike up to the sign of zero and a NaN's payload). It
+// is built once and shared by every frame over the column: callers must not
+// write to it.
+func (c *CodedColumn) Encoded() []float64 {
+	c.encOnce.Do(c.encode)
+	return c.encoded
+}
+
+func (c *CodedColumn) encode() {
+	c.byCode = make([]float64, len(c.Values))
+	keys := make([]string, len(c.Values))
+	var ranked []int // the codes Key() ranks: a non-numeric column's non-null values
+	for code, v := range c.Values {
+		switch {
+		case c.Numeric:
+			c.byCode[code] = c.Encode(v)
+		case v.IsNull():
+			c.byCode[code] = -1
+		default:
+			keys[code], ranked = v.Key(), append(ranked, code)
+		}
+	}
+	sort.Slice(ranked, func(i, j int) bool { return keys[ranked[i]] < keys[ranked[j]] })
+	for rank, code := range ranked {
+		c.byCode[code] = float64(rank)
+	}
+	c.encoded = make([]float64, max(len(c.narrow), len(c.wide)))
+	for i := range c.encoded {
+		c.encoded[i] = c.byCode[c.At(i)]
 	}
 }
 

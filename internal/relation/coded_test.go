@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -212,8 +213,8 @@ func TestCodedColumn(t *testing.T) {
 }
 
 // TestCodedWidths drives a column across the one-byte code limit (the 257th
-// distinct value widens the codes already assigned) and holds the codes, Gather and
-// Narrow to the same answers at both widths.
+// distinct value widens the codes already assigned) and holds the codes,
+// Encoded and Narrow to the same answers at both widths.
 func TestCodedWidths(t *testing.T) {
 	for _, distinct := range []int{256, 257, 300} {
 		rel := NewRelation("T", MustSchema(Column{Name: "ID", Key: true}, Column{Name: "V"}))
@@ -225,14 +226,11 @@ func TestCodedWidths(t *testing.T) {
 		if (c.wide != nil) != (distinct > 256) || (c.wide == nil) == (c.narrow == nil) {
 			t.Fatalf("%d distinct values: wide=%v narrow=%v", distinct, c.wide != nil, c.narrow != nil)
 		}
-		byCode := make([]float64, len(c.Values))
 		keep := make([]bool, len(c.Values))
-		for code := range byCode {
-			byCode[code] = float64(10 * code)
+		for code := range keep {
 			keep[code] = code%3 == 0
 		}
-		got := make([]float64, rows)
-		c.Gather(byCode, got)
+		got := c.Encoded() // an int column: every row's own value
 		set := make([]bool, rows)
 		for i := range set {
 			set[i] = i%2 == 0
@@ -240,8 +238,8 @@ func TestCodedWidths(t *testing.T) {
 		c.Narrow(keep, set)
 		for i := 0; i < rows; i++ {
 			code := i % distinct // first-seen order
-			if codeAt(c, i) != uint32(code) || got[i] != float64(10*code) || set[i] != (i%2 == 0 && code%3 == 0) {
-				t.Fatalf("%d distinct values, row %d: code %d gather %v set %v", distinct, i, codeAt(c, i), got[i], set[i])
+			if codeAt(c, i) != uint32(code) || got[i] != float64(code) || set[i] != (i%2 == 0 && code%3 == 0) {
+				t.Fatalf("%d distinct values, row %d: code %d encoded %v set %v", distinct, i, codeAt(c, i), got[i], set[i])
 			}
 		}
 	}
@@ -275,5 +273,146 @@ func TestCodedSingleFlight(t *testing.T) {
 	}
 	if rel.CodedColumns() != 1 {
 		t.Errorf("built columns = %d, want 1", rel.CodedColumns())
+	}
+}
+
+// domainByRowScan is Domain as it was before it read the column's projection:
+// the last row holding a key represents it.
+func domainByRowScan(r *Relation, col string) map[string]Value {
+	ci := r.schema.MustIndex(col)
+	seen := make(map[string]Value)
+	for _, row := range r.rows {
+		seen[row[ci].Key()] = row[ci]
+	}
+	return seen
+}
+
+func sameValueBits(a, b Value) bool {
+	return a.kind == b.kind && a.i == b.i && a.s == b.s && math.Float64bits(a.f) == math.Float64bits(b.f)
+}
+
+// TestDomainMatchesRowScan holds Domain to the row scan it replaced — one
+// representative per key, the last row's, to the bit — over exact and inexact
+// columns, NULLs included, and shows the inexact ones tell the two ends apart:
+// there the projection's own first-row values are not the answer.
+func TestDomainMatchesRowScan(t *testing.T) {
+	negZero, nanB := math.Copysign(0, -1), math.Float64frombits(0x7ff8000000000abc)
+	for _, tc := range []struct {
+		name  string
+		exact bool
+		vals  []Value
+	}{
+		{"ints with NULLs", true, []Value{Int(3), Null, Int(1), Int(3), Int(2), Null, Int(1)}},
+		{"strings and bools", true, []Value{String("b"), Bool(true), String("a"), String("b"), Bool(false), Null}},
+		{"Int 3 beside Float 3.0", false, []Value{Int(3), Int(1), Float(3), Float(1.5), Int(1)}},
+		{"Float 3.0 beside Int 3", false, []Value{Float(3), Int(1), Int(3)}},
+		{"signed zeros", false, []Value{Float(0), Float(1), Float(negZero), Null}},
+		{"NaN payloads", false, []Value{Float(math.NaN()), Float(2), Float(nanB)}},
+		{"every key relative", false, append(keyParityValues(), keyParityValues()...)},
+		{"empty", true, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRelation("T", MustSchema(Column{Name: "ID", Kind: KindInt, Key: true}, Column{Name: "C"}))
+			for i, v := range tc.vals {
+				r.MustInsert(Int(int64(i)), v)
+			}
+			cc := r.Coded(1)
+			if cc.Exact != tc.exact {
+				t.Fatalf("Exact = %v, want %v", cc.Exact, tc.exact)
+			}
+			want := domainByRowScan(r, "C")
+			got := r.Domain("C")
+			if len(got) != len(want) {
+				t.Fatalf("%d values, the row scan has %d", len(got), len(want))
+			}
+			for i, v := range got {
+				if w, ok := want[v.Key()]; !ok || !sameValueBits(v, w) {
+					t.Errorf("Domain holds %#v, the row scan %#v under that key", v, w)
+				}
+				if i > 0 && v.Compare(got[i-1]) < 0 {
+					t.Errorf("Domain is not sorted at %d: %v after %v", i, v, got[i-1])
+				}
+			}
+			firstEnd := true // the projection's first-row values would do
+			for _, v := range cc.Values {
+				firstEnd = firstEnd && sameValueBits(v, want[v.Key()])
+			}
+			if firstEnd != tc.exact {
+				t.Errorf("first-row representatives match the row scan = %v on a column with Exact = %v: the case cannot tell the ends apart", firstEnd, tc.exact)
+			}
+		})
+	}
+}
+
+// TestEncodeMatchesKeyRanks holds CodedColumn.Encode and Encoded to the rule
+// ml.Encoder applied per estimator set before the column owned it: numbers
+// pass through a numeric column (NULL 0, a bool 0/1), and elsewhere a value is
+// the rank of its Key() among the column's sorted non-null keys, -1 when the
+// column holds none.
+func TestEncodeMatchesKeyRanks(t *testing.T) {
+	probes := append(keyParityValues(), String("zzz"), Int(7), Float(2.5))
+	for name, vals := range map[string][]Value{
+		"numeric":     {Int(3), Float(2.5), Null, Int(-1), Float(3), Float(math.Inf(1)), Int(3)},
+		"categorical": {String("b"), String("a"), Null, Int(3), Bool(true), String("b"), Float(0.5), Bool(false)},
+		"bools":       {Bool(true), Bool(false), Bool(true)},
+		"all NULL":    {Null, Null},
+		"empty":       nil,
+		"every key":   keyParityValues(),
+	} {
+		r := NewRelation("T", MustSchema(Column{Name: "ID", Kind: KindInt, Key: true}, Column{Name: "C"}))
+		numeric := true
+		ranks := map[string]float64{}
+		for i, v := range vals {
+			r.MustInsert(Int(int64(i)), v)
+			if !v.IsNull() {
+				numeric = numeric && v.Kind().Numeric()
+				ranks[v.Key()] = 0
+			}
+		}
+		keys := make([]string, 0, len(ranks))
+		for k := range ranks {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for i, k := range keys {
+			ranks[k] = float64(i)
+		}
+		want := func(v Value) float64 {
+			if numeric {
+				switch {
+				case v.IsNull():
+					return 0
+				case v.Kind() == KindBool && v.AsBool():
+					return 1
+				case v.Kind() == KindBool:
+					return 0
+				}
+				return v.AsFloat()
+			}
+			if c, ok := ranks[v.Key()]; ok {
+				return c
+			}
+			return -1
+		}
+		cc := r.Coded(1)
+		for _, v := range append(probes, vals...) {
+			if got, w := cc.Encode(v), want(v); math.Float64bits(got) != math.Float64bits(w) && !(got != got && w != w) {
+				t.Errorf("%s: Encode(%#v) = %v, the key-rank rule gives %v", name, v, got, w)
+			}
+		}
+		enc := cc.Encoded()
+		if len(enc) != len(vals) {
+			t.Fatalf("%s: %d encoded rows for %d", name, len(enc), len(vals))
+		}
+		for i, v := range vals {
+			// A row reads its code's first-seen value: alike up to the sign of
+			// zero and a NaN's payload, which == and the NaN test erase.
+			if w := want(v); enc[i] != w && !(enc[i] != enc[i] && w != w) {
+				t.Errorf("%s: row %d (%#v) encodes %v, the key-rank rule gives %v", name, i, v, enc[i], w)
+			}
+		}
+		if len(enc) > 0 && &enc[0] != &cc.Encoded()[0] {
+			t.Errorf("%s: Encoded built a second column", name)
+		}
 	}
 }

@@ -154,16 +154,19 @@ func (r *Relation) Column(col string) []Value {
 	return out
 }
 
-// Domain returns the distinct values of the named column sorted by Compare.
+// Domain returns the distinct values of the named column (distinct under
+// Value.Key()) sorted by Compare. They are the column's shared projection
+// (Coded), which holds the first row of each key where Domain has always
+// answered with the last: the two differ only over an inexact column — Int 3
+// beside Float 3.0 — and only there are the rows read.
 func (r *Relation) Domain(col string) []Value {
 	ci := r.schema.MustIndex(col)
-	seen := make(map[string]Value)
-	for _, row := range r.rows {
-		seen[row[ci].Key()] = row[ci]
-	}
-	out := make([]Value, 0, len(seen))
-	for _, v := range seen {
-		out = append(out, v)
+	cc := r.Coded(ci)
+	out := append([]Value(nil), cc.Values...)
+	if !cc.Exact {
+		for i, row := range r.rows {
+			out[cc.At(i)] = row[ci]
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
