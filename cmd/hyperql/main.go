@@ -16,6 +16,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -98,7 +99,7 @@ func main() {
 	s.SetOptions(opts)
 
 	run := func(src string) {
-		res, err := s.Query(src)
+		res, err := s.Query(context.Background(), src, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			return

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -49,17 +50,17 @@ TOMAXIMIZE COUNT(Credit = 1)`)
 	fmt.Printf("  %s\n", ht)
 
 	fmt.Println("\nCheapest way to reach 70% good credit (cost-minimizing how-to):")
-	mc, err := s.HowToMinimizeCost(`
+	mc, err := s.HowToMinimizeCost(context.Background(), `
 USE German
 HOWTOUPDATE Status, Savings, Housing, CreditAmount
-TOMAXIMIZE COUNT(Credit = 1)`, 0.70*n)
+TOMAXIMIZE COUNT(Credit = 1)`, 0.70*n, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  %s\n", mc)
 
 	fmt.Println("\nLexicographic: first maximize good credit, then prefer high savings:")
-	lex, err := s.HowToLexicographic(`
+	lex, err := s.HowToLexicographic(context.Background(), nil, `
 USE German
 HOWTOUPDATE Status, Savings
 TOMAXIMIZE COUNT(Credit = 1)`, `

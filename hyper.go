@@ -355,7 +355,8 @@ func (s *Session) howtoOpts() howto.Options {
 	}
 }
 
-// WhatIf parses and evaluates a what-if query.
+// WhatIf parses and evaluates a what-if query. (WhatIf / WhatIfContext and
+// HowTo / HowToContext stay paired until bench/ stops compiling against both.)
 func (s *Session) WhatIf(src string) (*WhatIfResult, error) {
 	return s.WhatIfContext(context.Background(), src, nil)
 }
@@ -395,14 +396,9 @@ func (s *Session) HowToContext(ctx context.Context, src string, progress Progres
 
 // HowToBruteForce evaluates a how-to query with the exhaustive Opt-HowTo
 // baseline (exponential in the number of update attributes; for comparison
-// and testing).
-func (s *Session) HowToBruteForce(src string) (*HowToResult, error) {
-	return s.HowToBruteForceContext(context.Background(), src, nil)
-}
-
-// HowToBruteForceContext is HowToBruteForce with cancellation and progress
-// ("combos" updates, one per evaluated combination).
-func (s *Session) HowToBruteForceContext(ctx context.Context, src string, progress Progress) (*HowToResult, error) {
+// and testing). ctx cancels it mid-search; progress, when non-nil, receives
+// one "combos" update per evaluated combination.
+func (s *Session) HowToBruteForce(ctx context.Context, src string, progress Progress) (*HowToResult, error) {
 	q, err := hyperql.ParseHowTo(src)
 	if err != nil {
 		return nil, err
@@ -414,14 +410,9 @@ func (s *Session) HowToBruteForceContext(ctx context.Context, src string, progre
 
 // HowToMinimizeCost solves the alternate how-to formulation (Section 4.3,
 // footnote 3): minimize the total normalized L1 update cost subject to the
-// query's TOMAXIMIZE aggregate reaching at least target.
-func (s *Session) HowToMinimizeCost(src string, target float64) (*HowToResult, error) {
-	return s.HowToMinimizeCostContext(context.Background(), src, target, nil)
-}
-
-// HowToMinimizeCostContext is HowToMinimizeCost with cancellation and
-// candidate-scoring progress.
-func (s *Session) HowToMinimizeCostContext(ctx context.Context, src string, target float64, progress Progress) (*HowToResult, error) {
+// query's TOMAXIMIZE aggregate reaching at least target. ctx and progress are
+// HowToContext's.
+func (s *Session) HowToMinimizeCost(ctx context.Context, src string, target float64, progress Progress) (*HowToResult, error) {
 	q, err := hyperql.ParseHowTo(src)
 	if err != nil {
 		return nil, err
@@ -433,14 +424,9 @@ func (s *Session) HowToMinimizeCostContext(ctx context.Context, src string, targ
 
 // HowToLexicographic evaluates a preferential multi-objective how-to query:
 // sources are complete how-to queries sharing USE/WHEN/HOWTOUPDATE/LIMIT
-// whose objectives are optimized in the given priority order.
-func (s *Session) HowToLexicographic(srcs ...string) (*HowToResult, error) {
-	return s.HowToLexicographicContext(context.Background(), nil, srcs...)
-}
-
-// HowToLexicographicContext is HowToLexicographic with cancellation and
-// candidate-scoring progress.
-func (s *Session) HowToLexicographicContext(ctx context.Context, progress Progress, srcs ...string) (*HowToResult, error) {
+// whose objectives are optimized in the given priority order. ctx and
+// progress are HowToContext's.
+func (s *Session) HowToLexicographic(ctx context.Context, progress Progress, srcs ...string) (*HowToResult, error) {
 	if len(srcs) == 0 {
 		return nil, fmt.Errorf("hyper: no objectives")
 	}
@@ -468,7 +454,7 @@ func (s *Session) Explain(src string) (string, error) {
 	}
 	opts := s.engineOpts()
 	opts.DryRun = true
-	res, err := engine.Evaluate(s.db, s.model, q, opts)
+	res, err := engine.EvaluateContext(context.Background(), s.db, s.model, q, opts)
 	if err != nil {
 		return "", err
 	}
@@ -487,14 +473,9 @@ func (s *Session) Explain(src string) (string, error) {
 	return b.String(), nil
 }
 
-// Query parses src and dispatches to WhatIf or HowTo; the result is either a
-// *WhatIfResult or a *HowToResult.
-func (s *Session) Query(src string) (any, error) {
-	return s.QueryContext(context.Background(), src, nil)
-}
-
-// QueryContext is Query with cancellation and progress.
-func (s *Session) QueryContext(ctx context.Context, src string, progress Progress) (any, error) {
+// Query parses src and dispatches to WhatIfContext or HowToContext; the
+// result is either a *WhatIfResult or a *HowToResult.
+func (s *Session) Query(ctx context.Context, src string, progress Progress) (any, error) {
 	q, err := hyperql.Parse(src)
 	if err != nil {
 		return nil, err

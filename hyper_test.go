@@ -1,6 +1,7 @@
 package hyper
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -84,14 +85,14 @@ func TestFigure5QueryOnToyDatabase(t *testing.T) {
 func TestQueryDispatch(t *testing.T) {
 	db, model := dataset.Toy()
 	s := NewSession(db, model)
-	r1, err := s.Query(`USE Product UPDATE(Price) = 500 OUTPUT AVG(POST(Quality))`)
+	r1, err := s.Query(context.Background(), `USE Product UPDATE(Price) = 500 OUTPUT AVG(POST(Quality))`, nil)
 	if err != nil {
 		t.Fatalf("what-if dispatch: %v", err)
 	}
 	if _, ok := r1.(*WhatIfResult); !ok {
 		t.Errorf("expected *WhatIfResult, got %T", r1)
 	}
-	r2, err := s.Query(`USE Product HOWTOUPDATE Price LIMIT 100 <= POST(Price) <= 1000 TOMAXIMIZE AVG(POST(Quality))`)
+	r2, err := s.Query(context.Background(), `USE Product HOWTOUPDATE Price LIMIT 100 <= POST(Price) <= 1000 TOMAXIMIZE AVG(POST(Quality))`, nil)
 	if err != nil {
 		t.Fatalf("how-to dispatch: %v", err)
 	}

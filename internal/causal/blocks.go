@@ -15,15 +15,6 @@ type Block struct {
 	Rows map[string][]int
 }
 
-// Size returns the total number of tuples in the block.
-func (b Block) Size() int {
-	n := 0
-	for _, rs := range b.Rows {
-		n += len(rs)
-	}
-	return n
-}
-
 // Decomposition is an ordered list of blocks forming a partition of the
 // database.
 type Decomposition struct {

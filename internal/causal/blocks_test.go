@@ -55,7 +55,11 @@ func TestDecomposeFKOnly(t *testing.T) {
 	}
 	sizes := map[int]int{}
 	for _, b := range dec.Blocks {
-		sizes[b.Size()]++
+		n := 0
+		for _, rows := range b.Rows {
+			n += len(rows)
+		}
+		sizes[n]++
 	}
 	if sizes[1] != 2 || sizes[2] != 1 || sizes[3] != 1 {
 		t.Errorf("block size histogram = %v", sizes)
@@ -203,27 +207,6 @@ func TestModelValidate(t *testing.T) {
 	cyc.AddEdge("Review.Rating", "Product.Price")
 	if err := cyc.Validate(db); err == nil {
 		t.Error("cyclic model should fail validation")
-	}
-}
-
-func TestCanonicalModel(t *testing.T) {
-	db := twoTableDB(t)
-	m := CanonicalModel(db, "Product", "Price")
-	if !m.Attr.IsAcyclic() {
-		t.Error("canonical model must be acyclic")
-	}
-	if !m.Attr.Has("Product.Price") {
-		t.Error("canonical model must include the update attribute")
-	}
-	// Category (immutable non-key) must point at Price.
-	found := false
-	for _, e := range m.Attr.Edges() {
-		if e[0] == "Product.Category" && e[1] == "Product.Price" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("immutable attributes should be treated as confounders")
 	}
 }
 

@@ -54,9 +54,6 @@ func (g *Graph) AddEdge(from, to string) {
 // Len returns the number of nodes.
 func (g *Graph) Len() int { return len(g.nodes) }
 
-// Name returns the name of node i.
-func (g *Graph) Name(i int) string { return g.nodes[i] }
-
 // Nodes returns all node names in insertion order.
 func (g *Graph) Nodes() []string { return append([]string(nil), g.nodes...) }
 
@@ -68,34 +65,6 @@ func (g *Graph) ID(name string) (int, bool) {
 
 // Has reports whether the named node exists.
 func (g *Graph) Has(name string) bool { _, ok := g.index[name]; return ok }
-
-// Parents returns the parent names of the named node, sorted.
-func (g *Graph) Parents(name string) []string {
-	i, ok := g.index[name]
-	if !ok {
-		return nil
-	}
-	out := make([]string, 0, len(g.in[i]))
-	for _, p := range g.in[i] {
-		out = append(out, g.nodes[p])
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Children returns the child names of the named node, sorted.
-func (g *Graph) Children(name string) []string {
-	i, ok := g.index[name]
-	if !ok {
-		return nil
-	}
-	out := make([]string, 0, len(g.out[i]))
-	for _, c := range g.out[i] {
-		out = append(out, g.nodes[c])
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Edges returns all edges as [from, to] name pairs, sorted.
 func (g *Graph) Edges() [][2]string {
@@ -165,19 +134,6 @@ func (g *Graph) IsAcyclic() bool {
 	return err == nil
 }
 
-// TopoNames returns node names in topological order.
-func (g *Graph) TopoNames() ([]string, error) {
-	ids, err := g.TopoSort()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = g.nodes[id]
-	}
-	return out, nil
-}
-
 // descendantsOf returns the set (as bool slice) of nodes reachable from any
 // seed by directed edges, excluding the seeds themselves unless reachable.
 func (g *Graph) reach(seeds []int, adj [][]int) []bool {
@@ -201,14 +157,6 @@ func (g *Graph) reach(seeds []int, adj [][]int) []bool {
 func (g *Graph) Descendants(names ...string) []string {
 	seeds := g.ids(names)
 	seen := g.reach(seeds, g.out)
-	return g.selectNames(seen)
-}
-
-// Ancestors returns the names of all strict ancestors of the named nodes,
-// sorted.
-func (g *Graph) Ancestors(names ...string) []string {
-	seeds := g.ids(names)
-	seen := g.reach(seeds, g.in)
 	return g.selectNames(seen)
 }
 
@@ -258,20 +206,6 @@ func (g *Graph) ConnectedTo(a, b string) bool {
 		}
 	}
 	return false
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	ng := NewGraph()
-	for _, n := range g.nodes {
-		ng.AddNode(n)
-	}
-	for f, cs := range g.out {
-		for _, c := range cs {
-			ng.AddEdge(g.nodes[f], g.nodes[c])
-		}
-	}
-	return ng
 }
 
 // RemoveOutEdges returns a copy of the graph with all edges leaving the

@@ -84,38 +84,3 @@ func (m *Model) Validate(db *relation.Database) error {
 	}
 	return nil
 }
-
-// CanonicalModel returns the "no background knowledge" model of the paper
-// (Section 2.2): every attribute of the update relation is a potential
-// confounder of every other, i.e., the backdoor set degenerates to all
-// attributes. Represented as a graph where each non-update attribute points
-// at both the update and every mutable attribute.
-func CanonicalModel(db *relation.Database, updateRel, updateAttr string) *Model {
-	m := NewModel()
-	r := db.Relation(updateRel)
-	if r == nil {
-		return m
-	}
-	u := Qualify(updateRel, updateAttr)
-	m.Attr.AddNode(u)
-	for _, c := range r.Schema().Columns() {
-		if c.Name == updateAttr {
-			continue
-		}
-		n := Qualify(updateRel, c.Name)
-		if c.Mutable {
-			// The update may affect every mutable attribute.
-			m.AddEdge(u, n)
-		} else if !c.Key {
-			// Every immutable attribute is a potential common cause of the
-			// update and of every mutable attribute.
-			m.AddEdge(n, u)
-			for _, c2 := range r.Schema().Columns() {
-				if c2.Mutable && c2.Name != updateAttr {
-					m.AddEdge(n, Qualify(updateRel, c2.Name))
-				}
-			}
-		}
-	}
-	return m
-}

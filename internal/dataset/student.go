@@ -29,12 +29,8 @@ type Student struct {
 	partNz [][]float64 // [i*perCourse+c]: noises for the 5 participation equations
 }
 
-const (
-	stuAge = iota
-	stuGender
-	stuCountry
-	stuAttendance
-)
+// stuAttendance is Attendance's position in a stu row.
+const stuAttendance = 3
 
 // Student equation set, shared by generation and counterfactuals.
 

@@ -139,7 +139,7 @@ func TestDistributedEvalGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			local, err := engine.Evaluate(db, model, q, opts)
+			local, err := engine.EvaluateContext(context.Background(), db, model, q, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -548,7 +548,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.Evaluate(db2, model2, q, engine.Options{Seed: 7})
+	res, err := engine.EvaluateContext(context.Background(), db2, model2, q, engine.Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

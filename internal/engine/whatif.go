@@ -17,22 +17,17 @@ import (
 	"hyper/internal/sqlmini"
 )
 
-// Evaluate computes the result of a what-if query q on db under the causal
-// model (nil model falls back to the canonical no-background behaviour of
-// ModeNB). It implements the computation of Section 3.3: relevant view →
+// EvaluateContext computes the result of a what-if query q on db under the
+// causal model (nil model falls back to the canonical no-background behaviour
+// of ModeNB). It implements the computation of Section 3.3: relevant view →
 // WHEN set → block decomposition → FOR normalization → backdoor adjustment →
-// per-block aggregation.
-func Evaluate(db *relation.Database, model *causal.Model, q *hyperql.WhatIf, opts Options) (*Result, error) {
-	return EvaluateContext(context.Background(), db, model, q, opts)
-}
-
-// EvaluateContext is Evaluate with cancellation: ctx is observed between
-// pipeline stages, before each estimator training, and inside the parallel
-// per-tuple loop, so a cancelled or deadline-expired context stops the
-// evaluation mid-solve (returning ctx.Err()) instead of running to
-// completion. Artifacts already placed in the cache (views, blocks, fully
-// trained estimators) remain valid — training is atomic per model, so a
-// cancelled query never leaves a partially trained regressor behind.
+// per-block aggregation. ctx is observed between pipeline stages, before each
+// estimator training, and inside the parallel per-tuple loop, so a cancelled
+// or deadline-expired context stops the evaluation mid-solve (returning
+// ctx.Err()) instead of running to completion. Artifacts already placed in
+// the cache (views, blocks, fully trained estimators) remain valid — training
+// is atomic per model, so a cancelled query never leaves a partially trained
+// regressor behind.
 func EvaluateContext(ctx context.Context, db *relation.Database, model *causal.Model, q *hyperql.WhatIf, opts Options) (*Result, error) {
 	// Tracing rides the context like the other execution-only knobs
 	// (Progress, Shards): an untraced context makes every obs.Start a nil

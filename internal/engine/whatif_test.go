@@ -1,13 +1,22 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"hyper/internal/causal"
 	"hyper/internal/dataset"
 	"hyper/internal/hyperql"
 	"hyper/internal/prcm"
+	"hyper/internal/relation"
 )
+
+// Evaluate is EvaluateContext under the background context, for the tests of
+// this package that have nothing to cancel.
+func Evaluate(db *relation.Database, model *causal.Model, q *hyperql.WhatIf, opts Options) (*Result, error) {
+	return EvaluateContext(context.Background(), db, model, q, opts)
+}
 
 // evalGerman runs a what-if query against a German-Syn instance.
 func evalGerman(t *testing.T, g *dataset.Single, src string, opts Options) *Result {

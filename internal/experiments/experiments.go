@@ -244,7 +244,7 @@ func (r *run) whatIf(row Row, db *relation.Database, model *causal.Model, src st
 		return row
 	}
 	start := time.Now()
-	res, err := engine.Evaluate(db, model, q, o)
+	res, err := engine.EvaluateContext(context.Background(), db, model, q, o)
 	if err != nil {
 		r.err = fmt.Errorf("%s %s %s: %w", row.Exp, row.Query, row.Arm, err)
 		return row

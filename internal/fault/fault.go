@@ -5,8 +5,8 @@
 // frame ship" or "kill the process on the third eval"; the instrumented call
 // sites consult the injector and act on its decision, so the failure modes
 // the resilience layer claims to survive are reproducibly triggerable — in
-// unit tests, under -race, and against real processes (cmd/distsmoke
-// -chaos).
+// unit tests, under -race, and against real processes (TestChaos in
+// cmd/hyperd, behind the smoke build tag).
 //
 // The package is nil-safe in the same way internal/obs is: every method has
 // a nil-receiver fast path, so production builds that configure no faults

@@ -128,6 +128,15 @@ func shapeUse(b *strings.Builder, u *UseClause) {
 	b.WriteString(")")
 }
 
+// ShapeExpr renders e with every literal replaced by '?': the text of one
+// expression inside Shape, and of a conjunct in a shape-keyed plan's EXPLAIN,
+// which must not leak the constants of whichever query compiled it.
+func ShapeExpr(e Expr) string {
+	var b strings.Builder
+	shapeExpr(&b, e)
+	return b.String()
+}
+
 // shapeExpr mirrors the Expr String() renderings with every Literal as '?'.
 // SelectStmt internals and list values are traversed here explicitly — Walk
 // does not descend into them.

@@ -162,16 +162,6 @@ type Job struct {
 // ID returns the job's identifier.
 func (j *Job) ID() string { return j.id }
 
-// Session returns the session the job was submitted against.
-func (j *Job) Session() string { return j.session }
-
-// Kind returns the caller-supplied kind label.
-func (j *Job) Kind() string { return j.kind }
-
-// Progress returns the job's progress counters (live; safe to read while
-// the job runs).
-func (j *Job) Progress() *Progress { return &j.progress }
-
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 

@@ -5,12 +5,7 @@ package ml
 // (A.4), so its per-row cost — and especially per-row allocations — is the
 // engine's hot path.
 
-import (
-	"fmt"
-	"testing"
-
-	"hyper/internal/relation"
-)
+import "testing"
 
 // benchFreqData builds a discrete feature matrix shaped like the German
 // conditioning set: dim features with small integer domains.
@@ -50,27 +45,6 @@ func BenchmarkFreqPredict(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if v := f.Predict(X[i%len(X)]); v < 0 {
 			b.Fatal("negative mean")
-		}
-	}
-}
-
-func BenchmarkEncoderMatrix(b *testing.B) {
-	rel := relation.NewRelation("T", relation.MustSchema(
-		relation.Column{Name: "ID", Kind: relation.KindInt, Key: true},
-		relation.Column{Name: "N", Kind: relation.KindFloat},
-		relation.Column{Name: "C", Kind: relation.KindString},
-		relation.Column{Name: "D", Kind: relation.KindInt},
-	))
-	for i := 0; i < 5000; i++ {
-		rel.MustInsert(relation.Int(int64(i)), relation.Float(float64(i%97)/7),
-			relation.String(fmt.Sprintf("cat%d", i%11)), relation.Int(int64(i%5)))
-	}
-	enc := NewEncoder(rel, []string{"N", "C", "D"})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if m := enc.Matrix(rel); len(m) != rel.Len() {
-			b.Fatal("bad matrix")
 		}
 	}
 }

@@ -55,21 +55,11 @@ func NewEncoder(rel *relation.Relation, cols []string) *Encoder {
 	return e
 }
 
-// Columns returns the encoded feature column names in order.
-func (e *Encoder) Columns() []string { return append([]string(nil), e.cols...) }
-
 // Dim returns the number of features.
 func (e *Encoder) Dim() int { return len(e.cols) }
 
 // EncodeValue encodes the value of feature i.
 func (e *Encoder) EncodeValue(i int, v relation.Value) float64 { return e.coded[i].Encode(v) }
-
-// Encode encodes one tuple of rel into a feature vector (allocating).
-func (e *Encoder) Encode(rel *relation.Relation, row relation.Tuple) []float64 {
-	out := make([]float64, len(e.cols))
-	e.EncodeInto(rel, row, out)
-	return out
-}
 
 // EncodeInto encodes one tuple into dst, which must have length Dim().
 // Column positions are precomputed at construction; a relation with a
@@ -84,22 +74,4 @@ func (e *Encoder) EncodeInto(rel *relation.Relation, row relation.Tuple, dst []f
 	for i, col := range e.cols {
 		dst[i] = e.EncodeValue(i, row[rel.Schema().MustIndex(col)])
 	}
-}
-
-// Matrix encodes every row of rel into a feature matrix.
-func (e *Encoder) Matrix(rel *relation.Relation) [][]float64 {
-	idxs := make([]int, len(e.cols))
-	for i, col := range e.cols {
-		idxs[i] = rel.Schema().MustIndex(col)
-	}
-	out := make([][]float64, rel.Len())
-	flat := make([]float64, rel.Len()*len(e.cols))
-	for r, row := range rel.Rows() {
-		vec := flat[r*len(e.cols) : (r+1)*len(e.cols)]
-		for i, idx := range idxs {
-			vec[i] = e.EncodeValue(i, row[idx])
-		}
-		out[r] = vec
-	}
-	return out
 }

@@ -88,6 +88,3 @@ func (f *Forest) Predict(x []float64) float64 {
 	}
 	return s / float64(len(f.trees))
 }
-
-// NumTrees returns the ensemble size.
-func (f *Forest) NumTrees() int { return len(f.trees) }

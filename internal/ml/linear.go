@@ -136,8 +136,3 @@ func (l *Linear) Predict(x []float64) float64 {
 	}
 	return s
 }
-
-// Coefficients returns a copy of the weights and the intercept.
-func (l *Linear) Coefficients() ([]float64, float64) {
-	return append([]float64(nil), l.w...), l.b
-}

@@ -54,15 +54,3 @@ func CollectStats(rel *relation.Relation) []ColumnStats {
 	}
 	return out
 }
-
-// Cards returns the per-column distinct-value counts of the frame's interned
-// code space (forcing interning if it has not happened yet). The planner and
-// the frequency estimator agree on cardinality through this one encoding.
-func (f *Frame) Cards() []int {
-	f.Intern()
-	out := make([]int, len(f.card))
-	for i, c := range f.card {
-		out[i] = int(c)
-	}
-	return out
-}

@@ -113,7 +113,8 @@ func TestFrameMatchesEncodeInto(t *testing.T) {
 		}
 		rel.MustInsert(relation.Int(int64(i)), relation.Int(int64(i%9)), cat, relation.Bool(i%2 == 0), sparse)
 	}
-	enc := NewEncoder(rel, []string{"Sparse", "Cat", "Num", "Flag"})
+	cols := []string{"Sparse", "Cat", "Num", "Flag"}
+	enc := NewEncoder(rel, cols)
 	var evens []int
 	for i := 0; i < rel.Len(); i += 2 {
 		evens = append(evens, i)
@@ -130,7 +131,7 @@ func TestFrameMatchesEncodeInto(t *testing.T) {
 				}
 			}
 		}
-		for c, name := range enc.Columns() {
+		for c, name := range cols {
 			sharedCol := &f.Col(c)[0] == &over.Coded(over.Schema().MustIndex(name)).Encoded()[0]
 			if sharedCol != (over == rel) {
 				t.Errorf("column %s shares the relation's encoding = %v over the encoder's own relation = %v", name, sharedCol, over == rel)

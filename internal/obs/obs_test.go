@@ -48,7 +48,7 @@ func TestStartWithoutTracerIsNoop(t *testing.T) {
 	// All nil-span methods must be safe.
 	sp.Set("k", 1)
 	sp.End()
-	sp.Child("c").End()
+	sp.ChildAt("c", time.Now()).End()
 	sp.Graft(&SpanJSON{Name: "g"})
 }
 
@@ -59,7 +59,7 @@ func TestConcurrentChildren(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := tr.Root().Child("fit")
+			c := tr.Root().ChildAt("fit", time.Now())
 			c.Set("i", 1)
 			c.End()
 		}()
@@ -78,7 +78,7 @@ func TestGraft(t *testing.T) {
 		Attrs:    map[string]any{"shards": float64(10)},
 		Children: []*SpanJSON{{Name: "fit", DurMs: 3}},
 	}
-	w := tr.Root().Child("worker_eval")
+	w := tr.Root().ChildAt("worker_eval", time.Now())
 	w.Graft(remote)
 	w.End()
 	tr.Finish()
@@ -102,7 +102,7 @@ func TestRecorderRing(t *testing.T) {
 	if r.Recorded() != 3 {
 		t.Fatalf("recorded = %d", r.Recorded())
 	}
-	list := r.List()
+	list := r.ListFiltered(TraceFilter{})
 	if len(list) != 2 {
 		t.Fatalf("ring holds %d, want 2", len(list))
 	}

@@ -91,11 +91,6 @@ func countSpans(sj *SpanJSON) int {
 	return n
 }
 
-// List returns summaries of the buffered traces, newest first.
-func (r *Recorder) List() []TraceSummary {
-	return r.ListFiltered(TraceFilter{})
-}
-
 // TraceFilter narrows a trace listing: Kind matches the trace name exactly
 // ("" matches all), MinMs drops traces faster than the threshold, and Limit
 // caps the number returned (0 = all). Newest traces always win the cap.

@@ -109,12 +109,6 @@ func (s *Span) childAt(name string, at time.Time) *Span {
 	return c
 }
 
-// Child opens a child span directly (no context derivation) — for call
-// sites that manage their own span handles, e.g. per-worker dispatch spans.
-func (s *Span) Child(name string) *Span {
-	return s.childAt(name, time.Now())
-}
-
 // ChildAt opens a child with an explicit start time; used for intervals
 // observed after the fact (job queue wait: submitted -> started).
 func (s *Span) ChildAt(name string, at time.Time) *Span {

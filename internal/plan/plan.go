@@ -247,7 +247,7 @@ func rangeExact(col *relation.CodedColumn) bool {
 // bind time, against the column then scanned); guards that depend on the
 // literal value apply at bind time only.
 func classify(e hyperql.Expr, pos int, rel *relation.Relation) Conjunct {
-	c := Conjunct{Pos: pos, Op: OpResidual, Sel: 0.5, shape: maskLiterals(e)}
+	c := Conjunct{Pos: pos, Op: OpResidual, Sel: 0.5, shape: hyperql.ShapeExpr(e)}
 	switch x := e.(type) {
 	case *hyperql.Binary:
 		var col *hyperql.ColRef
@@ -360,37 +360,6 @@ func selectivity(op Op, col *relation.CodedColumn, rows, arity int) float64 {
 		return nonNull / 3
 	default:
 		return 0.5
-	}
-}
-
-// maskLiterals renders an expression with every literal replaced by '?',
-// so EXPLAIN output of a shape-keyed plan never leaks the constants of
-// whichever query happened to compile it.
-func maskLiterals(e hyperql.Expr) string {
-	switch x := e.(type) {
-	case *hyperql.Literal:
-		return "?"
-	case *hyperql.Binary:
-		return fmt.Sprintf("(%s %s %s)", maskLiterals(x.L), x.Op, maskLiterals(x.R))
-	case *hyperql.Unary:
-		if x.Op == "NOT" {
-			return fmt.Sprintf("(NOT %s)", maskLiterals(x.X))
-		}
-		return fmt.Sprintf("(%s%s)", x.Op, maskLiterals(x.X))
-	case *hyperql.InList:
-		parts := make([]string, len(x.Vals))
-		for i, v := range x.Vals {
-			parts[i] = maskLiterals(v)
-		}
-		op := "IN"
-		if x.Neg {
-			op = "NOT IN"
-		}
-		return fmt.Sprintf("(%s %s (%s))", maskLiterals(x.X), op, strings.Join(parts, ", "))
-	case nil:
-		return ""
-	default:
-		return x.String()
 	}
 }
 

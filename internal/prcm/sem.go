@@ -204,13 +204,3 @@ func (s *SEM) AttrIndex(name string) int {
 	}
 	return -1
 }
-
-// CategoricalMax returns the largest code of a categorical attribute and
-// true, or 0 and false for continuous attributes.
-func (s *SEM) CategoricalMax(name string) (int, bool) {
-	i := s.AttrIndex(name)
-	if i < 0 || s.Attrs[i].Card == 0 {
-		return 0, false
-	}
-	return s.Attrs[i].Card - 1, true
-}

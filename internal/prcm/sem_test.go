@@ -160,12 +160,6 @@ func TestAttrHelpers(t *testing.T) {
 	if sem.AttrIndex("Y") != 1 || sem.AttrIndex("Nope") != -1 {
 		t.Error("AttrIndex")
 	}
-	if max, ok := sem.CategoricalMax("X"); !ok || max != 4 {
-		t.Errorf("CategoricalMax(X) = %d, %v", max, ok)
-	}
-	if _, ok := sem.CategoricalMax("Y"); ok {
-		t.Error("continuous attribute has no categorical max")
-	}
 }
 
 // Property: the average treatment effect computed by counterfactual pairs

@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"bytes"
+	"encoding/csv"
 	"strings"
 	"testing"
 )
@@ -119,4 +121,97 @@ func TestParseAppendRowsExplicitKeys(t *testing.T) {
 	if len(rows) != 1 || rows[0][0].AsInt() != 7 {
 		t.Fatalf("rows = %v, want one row with ID 7", rows)
 	}
+}
+
+// FuzzParseAppendRows feeds arbitrary CSV bytes and a staging offset to
+// ParseAppendRows over a relation with a declared key and one with the
+// synthetic RowID key. Nothing may panic; an accepted batch names exactly
+// the schema's columns; and Extend either refuses the tuples — leaving
+// the base as it was — or returns the relation that inserting the base's
+// rows and then the batch's records one by one builds: same rows, same
+// kinds, same key index.
+func FuzzParseAppendRows(f *testing.F) {
+	for _, seed := range []struct {
+		csv    string
+		offset uint8
+	}{
+		{"ID,V,W\n7,b,2.5\n", 0}, {"ID,V,W\n1,dup,0\n", 0}, {"ID,V,W\nx,b,2\n", 0}, {"ID,V,W\n8,9,true\n8,c,1\n", 0},
+		{"V,W\nz,3\n", 0}, {"V,W\nz,3\nw,4\n", 1}, {"V,W\n\"q,\"\"r\",NULL\n", 200}, {"W,V\n1,2\n", 0}, {"V\n1\n", 0},
+		{"V,W\n1\n", 0}, {"", 0}, {"V,W\n\"open,3\n", 0}, {"RowID,V,W\n9,z,3\n", 0},
+	} {
+		f.Add([]byte(seed.csv), seed.offset)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, offset uint8) {
+		for _, base := range []struct {
+			csv  string
+			keys []string
+		}{
+			{"ID,V,W\n1,a,0.5\n2,b,1.5\n", []string{"ID"}},
+			{"V,W\nx,1\ny,2\n", nil},
+		} {
+			rel, err := ReadCSVKeyed("T", strings.NewReader(base.csv), base.keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tuples, err := rel.ParseAppendRows(bytes.NewReader(data), int(offset))
+			if err != nil {
+				continue
+			}
+			recs, err := csv.NewReader(bytes.NewReader(data)).ReadAll()
+			if err != nil || len(recs) != len(tuples)+1 {
+				t.Fatalf("%d tuples accepted from CSV that encoding/csv reads as %d records (%v)", len(tuples), len(recs), err)
+			}
+			// A RowID-keyed relation numbers the rows itself when the header
+			// leaves RowID out, and takes the caller's RowIDs when it is there.
+			names := rel.Schema().Names()
+			synthetic := base.keys == nil && len(recs[0]) == len(names)-1
+			if synthetic {
+				names = names[1:]
+			}
+			if strings.Join(recs[0], "\x00") != strings.Join(names, "\x00") {
+				t.Fatalf("accepted header %q for columns %q", recs[0], names)
+			}
+
+			want := NewRelation("T", rel.Schema())
+			for _, row := range rel.Rows() {
+				want.MustInsert(row...)
+			}
+			var wantErr error
+			for i, rec := range recs[1:] {
+				var row Tuple
+				if synthetic {
+					row = append(row, Int(int64(rel.Len()+int(offset)+i)))
+				}
+				for _, field := range rec {
+					row = append(row, Parse(field))
+				}
+				if wantErr = want.Insert(row); wantErr != nil {
+					break
+				}
+			}
+			grown, err := rel.Extend(tuples)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("Extend: %v; row by row: %v", err, wantErr)
+			}
+			if rel.Len() != 2 || rel.LookupKey(rel.Row(1)) != 1 {
+				t.Fatal("the base relation changed")
+			}
+			if err != nil {
+				continue
+			}
+			if grown.Len() != want.Len() {
+				t.Fatalf("extended to %d rows, row by row %d", grown.Len(), want.Len())
+			}
+			for i, row := range want.Rows() {
+				for c, v := range row {
+					if g := grown.Row(i)[c]; g.Kind() != v.Kind() || g.Key() != v.Key() {
+						t.Fatalf("row %d column %d: extended %v (%s), row by row %v (%s)", i, c, g, g.Kind(), v, v.Kind())
+					}
+				}
+				if grown.LookupKey(row) != i {
+					t.Fatalf("row %d: key resolves to row %d of the extension", i, grown.LookupKey(row))
+				}
+			}
+		}
+	})
 }

@@ -200,12 +200,6 @@ func TestCodedColumn(t *testing.T) {
 	if got := ext.Coded(1); codeAt(got, len(vals)) != uint32(len(got.Values)-1) || got.Max != 9 {
 		t.Errorf("extended column: last row code %d of %d values, max %v", codeAt(got, len(vals)), len(got.Values), got.Max)
 	}
-	if err := rel.Set(0, "V", Int(50)); err != nil {
-		t.Fatal(err)
-	}
-	if rel.CodedColumns() != 0 || rel.Coded(1).Max != 50 {
-		t.Error("Set did not drop the built columns")
-	}
 	rel.MustInsert(Int(200), Int(60), String("s"))
 	if rel.CodedColumns() != 0 || rel.Coded(1).Max != 60 {
 		t.Error("Insert did not drop the built columns")

@@ -2,7 +2,6 @@ package relation
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 )
 
@@ -165,16 +164,4 @@ func (d *Database) TotalRows() int {
 		n += r.Len()
 	}
 	return n
-}
-
-// QualifiedAttrs lists every attribute as "Relation.Attr", sorted.
-func (d *Database) QualifiedAttrs() []string {
-	var out []string
-	for _, name := range d.order {
-		for _, c := range d.rels[name].Schema().Columns() {
-			out = append(out, name+"."+c.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -144,16 +144,6 @@ func (r *Relation) Value(i int, col string) Value {
 	return r.rows[i][r.schema.MustIndex(col)]
 }
 
-// Column returns all values of the named column in row order.
-func (r *Relation) Column(col string) []Value {
-	ci := r.schema.MustIndex(col)
-	out := make([]Value, len(r.rows))
-	for i, row := range r.rows {
-		out[i] = row[ci]
-	}
-	return out
-}
-
 // Domain returns the distinct values of the named column (distinct under
 // Value.Key()) sorted by Compare. They are the column's shared projection
 // (Coded), which holds the first row of each key where Domain has always
@@ -196,19 +186,6 @@ func (r *Relation) MinMax(col string) (min, max float64, ok bool) {
 	return min, max, ok
 }
 
-// Filter returns a new relation (same name and schema) holding the rows for
-// which keep returns true.
-func (r *Relation) Filter(keep func(Tuple) bool) *Relation {
-	out := NewRelation(r.name, r.schema)
-	for _, row := range r.rows {
-		if keep(row) {
-			out.rows = append(out.rows, row)
-			out.keyset[out.keyOf(row)] = len(out.rows) - 1
-		}
-	}
-	return out
-}
-
 // Clone returns a deep copy of the relation; tuples are copied so the clone
 // can be mutated independently (used to materialize possible worlds).
 func (r *Relation) Clone() *Relation {
@@ -221,18 +198,6 @@ func (r *Relation) Clone() *Relation {
 		out.keyset[k] = v
 	}
 	return out
-}
-
-// Set overwrites the value of the named column in row i. Key columns are
-// immutable and attempting to change one is an error.
-func (r *Relation) Set(i int, col string, v Value) error {
-	ci := r.schema.MustIndex(col)
-	if r.schema.Col(ci).Key {
-		return fmt.Errorf("relation %s: column %s is a key and immutable", r.name, col)
-	}
-	r.rows[i][ci] = v
-	r.coded.Store(nil)
-	return nil
 }
 
 // Sample returns a new relation containing the rows at the given indexes.

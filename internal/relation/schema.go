@@ -95,17 +95,6 @@ func (s *Schema) KeyIndexes() []int {
 	return out
 }
 
-// MutableNames returns the names of mutable columns in order.
-func (s *Schema) MutableNames() []string {
-	var out []string
-	for _, c := range s.cols {
-		if c.Mutable {
-			out = append(out, c.Name)
-		}
-	}
-	return out
-}
-
 // String renders the schema as "name kind [key] [mutable], ...".
 func (s *Schema) String() string {
 	var b strings.Builder

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"net/http"
 )
 
@@ -108,11 +107,4 @@ func (w *envelopeWriter) Write(p []byte) (int, error) {
 		return len(p), nil
 	}
 	return w.ResponseWriter.Write(p)
-}
-
-// jsonContentType reports whether a raw response body looks like our JSON
-// (used only by tests asserting no endpoint emits a bare error page).
-func looksLikeJSON(body []byte) bool {
-	t := bytes.TrimSpace(body)
-	return len(t) > 0 && (t[0] == '{' || t[0] == '[')
 }

@@ -172,7 +172,7 @@ func (s *Server) handleSubmitJob(r *http.Request) (any, error) {
 		if _, err := hyperql.ParseHowTo(req.Query); err != nil {
 			return nil, errf(http.StatusBadRequest, "%v", err)
 		}
-		if _, err := howToMethod(req.Method); err != nil {
+		if _, err := howToMethod(sn.sess, req.Method, req.Target); err != nil {
 			return nil, err
 		}
 	case "batch":

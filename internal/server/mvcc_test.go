@@ -1,16 +1,21 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"hyper"
+	"hyper/internal/histcheck"
 )
 
 // loansRow renders row i of the deterministic synthetic Loans table the
@@ -265,13 +270,79 @@ func TestMVCCJobsPinVersion(t *testing.T) {
 	}
 }
 
-// TestMVCCIsolation is the randomized black-box isolation checker the CI
-// mvcc-check step runs for 30 seconds under -race: concurrent appenders
-// grow a session while readers hammer pinned and head queries, asserting
-// that (a) every published version answers identically forever after —
-// appends can never disturb a snapshot a reader holds — and (b) head
-// versions observed by any one reader are monotonic. Runtime scales with
-// HYPER_MVCC_CHECK_SECONDS (default ~2s for plain `go test`).
+// isoQuery and isoValue label the two renderings TestMVCCIsolation records:
+// a what-if response's placement-independent fields, and the bare value a
+// delta_vs response carries for its comparison version.
+const isoQuery, isoValue = "loans", "loans.value"
+
+// loansHeader is the header line every Loans CSV body starts with.
+var loansHeader = loansCSV(0, 0)
+
+func valueDigest(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+// loansOracle is the specification's side of TestMVCCIsolation: the answer
+// of a fresh library session (version 0, no cache, one shard worker, nothing
+// the server built) over the creation rows plus the history's own append
+// payloads 2..v, read row by row from the concatenated CSV.
+func loansOracle(rows0 int, recs []histcheck.Record) histcheck.Oracle {
+	payloads := map[int64]string{}
+	for _, r := range recs {
+		if r.Op == histcheck.Append {
+			payloads[r.Version] = r.Payload
+		}
+	}
+	return func(_, query string, version int64) (string, error) {
+		csv := loansCSV(0, rows0)
+		for v := int64(2); v <= version; v++ {
+			rows, ok := strings.CutPrefix(payloads[v], loansHeader)
+			if !ok {
+				return "", fmt.Errorf("the history has no append payload for version %d", v)
+			}
+			csv += rows
+		}
+		rel, err := hyper.ReadCSVKeyed("Loans", strings.NewReader(csv), nil)
+		if err != nil {
+			return "", err
+		}
+		db := hyper.NewDatabase()
+		if err := db.Add(rel); err != nil {
+			return "", err
+		}
+		model := hyper.NewCausalModel()
+		model.AddEdge("Loans.Status", "Loans.Credit")
+		model.AddEdge("Loans.Savings", "Loans.Credit")
+		sess := hyper.NewSession(db, model)
+		sess.SetOptions(hyper.Options{Seed: 7, ShardRows: 256, Shards: 1})
+		res, err := sess.WhatIf(loansQuery)
+		if err != nil {
+			return "", err
+		}
+		if query == isoValue {
+			return valueDigest(res.Value), nil
+		}
+		// Through the wire encoding, as every recorded answer went.
+		raw, err := json.Marshal(toWhatIfResponse(res))
+		if err != nil {
+			return "", err
+		}
+		var wire WhatIfResponse
+		if err := json.Unmarshal(raw, &wire); err != nil {
+			return "", err
+		}
+		return stableOf(&wire), nil
+	}
+}
+
+// TestMVCCIsolation is the black-box isolation check CI's mvcc-check step
+// runs for 30 seconds under -race: two appenders grow a session while three
+// readers issue pinned and head what-ifs — local or over the two workers,
+// one in eight through /v1/jobs, one in eight with delta_vs — and every
+// client records what it sent and what came back. Nothing is compared while
+// the load runs; the recorded history is then checked offline against the
+// append-only snapshot-isolation specification (internal/histcheck) with a
+// fresh library session as the oracle, so a server that is consistently
+// wrong fails too. Runtime scales with HYPER_MVCC_CHECK_SECONDS (default
+// ~2s for plain `go test`).
 func TestMVCCIsolation(t *testing.T) {
 	duration := 2 * time.Second
 	if s := os.Getenv("HYPER_MVCC_CHECK_SECONDS"); s != "" {
@@ -281,137 +352,211 @@ func TestMVCCIsolation(t *testing.T) {
 		}
 		duration = time.Duration(secs) * time.Second
 	}
-	srv := New(Config{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	createLoansSession(t, ts.URL, "iso", 400)
+	base := distTestServer(t, 2)
+	const rows0 = 400
+	createLoansSession(t, base, "iso", rows0)
 
-	// goldens maps version -> the stable rendering of the pinned query
-	// result, recorded by whichever appender published the version. Readers
-	// replay pinned queries against it for the rest of the run.
-	var goldens sync.Map // int64 -> string
-	var versions []int64 // published order, guarded by versionsMu
-	var versionsMu sync.Mutex
-
-	query := func(snapshot int64) (*WhatIfResponse, int) {
-		var res WhatIfResponse
-		code := do(t, "POST", ts.URL+"/v1/sessions/iso/whatif", QueryRequest{
-			Query: loansQuery, Snapshot: snapshot,
-		}, &res)
-		return &res, code
+	// call is the goroutine-safe HTTP exchange of the load: 0 on a transport
+	// or decoding failure, which it reports itself.
+	call := func(method, path string, body, out any) int {
+		raw, err := json.Marshal(body)
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		req, err := http.NewRequest(method, base+path, bytes.NewReader(raw))
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Errorf("%s %s: decoding the response: %v", method, path, err)
+			return 0
+		}
+		return resp.StatusCode
 	}
-	res, code := query(0)
-	if code != http.StatusOK {
-		t.Fatalf("seed query: status %d", code)
+	// viaJob runs req as an asynchronous job and decodes its result.
+	viaJob := func(req QueryRequest, res *WhatIfResponse) bool {
+		var job JobInfo
+		if code := call("POST", "/v1/jobs", JobRequest{
+			Session: "iso", Kind: "whatif", Query: req.Query, Snapshot: req.Snapshot, Placement: req.Placement,
+		}, &job); code != http.StatusOK {
+			t.Errorf("job submit: status %d", code)
+			return false
+		}
+		for giveUp := time.Now().Add(30 * time.Second); job.State != "done"; {
+			if job.State == "failed" || time.Now().After(giveUp) {
+				t.Errorf("job %s is %s: %s", job.ID, job.State, job.Error)
+				return false
+			}
+			time.Sleep(2 * time.Millisecond)
+			if code := call("GET", "/v1/jobs/"+job.ID, nil, &job); code != http.StatusOK {
+				t.Errorf("job poll: status %d", code)
+				return false
+			}
+		}
+		raw, err := json.Marshal(job.Result)
+		if err == nil {
+			err = json.Unmarshal(raw, res)
+		}
+		if err != nil {
+			t.Errorf("job %s result: %v", job.ID, err)
+		}
+		return err == nil
 	}
-	goldens.Store(int64(1), stableOf(res))
-	versions = []int64{1}
 
-	const maxRows = 6000
+	var (
+		log  histcheck.Log
+		head atomic.Int64 // the newest version an appender has been told of
+		wg   sync.WaitGroup
+		kind struct{ local, workers, job, delta atomic.Int64 }
+	)
+	head.Store(1)
 	deadline := time.Now().Add(duration)
-	var wg sync.WaitGroup
-	fail := func(format string, args ...any) {
-		t.Errorf(format, args...)
-	}
 
-	// Appenders: random small batches of random rows. Appends serialize
-	// server-side; each publishes a distinct version whose golden is
-	// recorded immediately via a pinned query.
+	// distTestServer's workers are handlers, not daemons: nothing heartbeats
+	// for them, and a run longer than the lease would finish on local
+	// fallbacks alone.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for time.Now().Before(deadline) {
+			for _, id := range []string{"tw1", "tw2"} {
+				if resp, err := http.Post(base+"/dist/v1/workers/"+id+"/beat", "application/json", nil); err == nil {
+					resp.Body.Close()
+				}
+			}
+			time.Sleep(time.Second)
+		}
+	}()
+
 	for a := 0; a < 2; a++ {
 		wg.Add(1)
-		go func(seed int64) {
+		go func(a int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
+			rng := rand.New(rand.NewSource(int64(100 + a)))
 			for time.Now().Before(deadline) {
-				batch := "Status,Savings,Credit\n"
+				batch := loansHeader
 				for i := 0; i < 1+rng.Intn(20); i++ {
 					batch += fmt.Sprintf("%d,%d,%d\n", rng.Intn(4), rng.Intn(3), rng.Intn(2))
 				}
 				var resp AppendResponse
-				code := do(t, "POST", ts.URL+"/v1/sessions/iso/rows", AppendRequest{
-					Tables: []AppendTable{{Name: "Loans", Data: batch}},
-				}, &resp)
+				start := time.Now()
+				code := call("POST", "/v1/sessions/iso/rows", AppendRequest{Tables: []AppendTable{{Name: "Loans", Data: batch}}}, &resp)
+				end := time.Now()
 				if code != http.StatusOK {
-					fail("append: status %d", code)
+					t.Errorf("append: status %d", code)
 					return
 				}
-				res, code := query(resp.Version)
-				if code != http.StatusOK {
-					fail("golden query v%d: status %d", resp.Version, code)
-					return
+				log.Add(histcheck.Record{
+					Proc: fmt.Sprintf("appender-%d", a), Session: "iso", Op: histcheck.Append,
+					Version: resp.Version, Payload: batch, Start: start, End: end,
+				})
+				for h := head.Load(); h < resp.Version && !head.CompareAndSwap(h, resp.Version); h = head.Load() {
 				}
-				if res.Snapshot != resp.Version {
-					fail("golden query v%d answered snapshot %d", resp.Version, res.Snapshot)
-					return
-				}
-				goldens.Store(resp.Version, stableOf(res))
-				versionsMu.Lock()
-				versions = append(versions, resp.Version)
-				versionsMu.Unlock()
-				if resp.Rows >= maxRows {
-					return // bound total work; readers keep verifying
-				}
-				time.Sleep(time.Duration(rng.Intn(5)) * time.Millisecond)
+				// About 250 appends per appender however long the run: versions
+				// keep arriving between reads until the end, and the oracle's
+				// work (one fresh session per observed version) stays bounded.
+				time.Sleep(time.Duration(rng.Int63n(int64(duration) / 125)))
 			}
-		}(int64(100 + a))
+		}(a)
 	}
 
-	// Readers: replay random published versions against their goldens and
-	// check head monotonicity.
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
-		go func(seed int64) {
+		go func(r int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			var lastHead int64
+			proc := fmt.Sprintf("reader-%d", r)
+			rng := rand.New(rand.NewSource(int64(200 + r)))
 			for time.Now().Before(deadline) {
-				versionsMu.Lock()
-				v := versions[rng.Intn(len(versions))]
-				versionsMu.Unlock()
-				res, code := query(v)
-				if code != http.StatusOK {
-					fail("pinned query v%d: status %d", v, code)
+				h := head.Load()
+				req := QueryRequest{Query: loansQuery, Placement: "local"}
+				seen := &kind.local
+				if rng.Intn(2) == 0 {
+					req.Placement, seen = "workers", &kind.workers
+				}
+				// A local read pins any published version. A worker holds a
+				// bounded set of frames, each shipped as a delta over its
+				// parent's, so a workers-placed read pins near the head.
+				pick := func() int64 {
+					if req.Placement == "workers" {
+						return h - rng.Int63n(min(h, 4))
+					}
+					return 1 + rng.Int63n(h)
+				}
+				if rng.Intn(4) != 0 { // else the head
+					req.Snapshot = pick()
+				}
+				var res WhatIfResponse
+				var ok bool
+				start := time.Now()
+				switch rng.Intn(8) {
+				case 0:
+					ok, seen = viaJob(req, &res), &kind.job
+				case 1:
+					req.DeltaVs = pick()
+					fallthrough
+				default:
+					code := call("POST", "/v1/sessions/iso/whatif", req, &res)
+					if ok = code == http.StatusOK; !ok {
+						t.Errorf("%s: what-if %+v: status %d", proc, req, code)
+					}
+				}
+				end := time.Now()
+				if !ok {
 					return
 				}
-				want, _ := goldens.Load(v)
-				if got := stableOf(res); got != want.(string) {
-					fail("snapshot %d changed its answer:\n got %s\nwant %s", v, got, want)
-					return
+				seen.Add(1)
+				rec := histcheck.Record{
+					Proc: proc, Session: "iso", Op: histcheck.Read, Query: isoQuery,
+					Pin: req.Snapshot, Version: res.Snapshot, Placement: req.Placement, Degraded: res.Degraded,
+					Digest: stableOf(&res), Start: start, End: end,
 				}
-				if res.Snapshot != v {
-					fail("pinned query v%d answered snapshot %d", v, res.Snapshot)
-					return
-				}
-				if rng.Intn(4) == 0 {
-					res, code := query(0)
-					if code != http.StatusOK {
-						fail("head query: status %d", code)
+				log.Add(rec)
+				if req.DeltaVs != 0 {
+					// One request, two observations: the comparison version's
+					// value is a pinned read of its own.
+					d := res.Delta
+					if d == nil || d.Delta != res.Value-d.VsValue {
+						t.Errorf("%s: delta_vs=%d answered %+v beside value %v", proc, req.DeltaVs, d, res.Value)
 						return
 					}
-					if res.Snapshot < lastHead {
-						fail("head went backwards: %d after %d", res.Snapshot, lastHead)
-						return
-					}
-					lastHead = res.Snapshot
-					// A head answer is itself a pinned answer for that
-					// version once its golden exists.
-					if want, ok := goldens.Load(res.Snapshot); ok {
-						if got := stableOf(res); got != want.(string) {
-							fail("head (v%d) diverges from its golden:\n got %s\nwant %s", res.Snapshot, got, want)
-							return
-						}
-					}
+					kind.delta.Add(1)
+					rec.Query, rec.Pin, rec.Version, rec.Digest = isoValue, req.DeltaVs, d.VsSnapshot, valueDigest(d.VsValue)
+					log.Add(rec)
 				}
 			}
-		}(int64(200 + r))
+		}(r)
 	}
 	wg.Wait()
-
-	versionsMu.Lock()
-	published := len(versions)
-	versionsMu.Unlock()
-	if published < 3 {
-		t.Fatalf("checker published only %d versions — not exercising concurrency", published)
+	if t.Failed() {
+		return
 	}
-	t.Logf("mvcc checker: %d versions published and verified over %v", published, duration)
+
+	recs := log.Records()
+	if vs := histcheck.Check(recs, loansOracle(rows0, recs)); len(vs) > 0 {
+		path, err := log.DumpFile(t.Name())
+		for _, v := range vs[:min(len(vs), 20)] {
+			t.Error(v)
+		}
+		t.Fatalf("%d violations of the specification; history written to %s (%v)", len(vs), path, err)
+	}
+	published := head.Load() - 1
+	if published < 3 {
+		t.Fatalf("only %d versions were published — not exercising concurrency", published)
+	}
+	if kind.local.Load() == 0 || kind.workers.Load() == 0 || kind.job.Load() == 0 || kind.delta.Load() == 0 {
+		t.Fatalf("reads recorded: local %d, workers %d, job %d, delta_vs %d — every kind must occur",
+			kind.local.Load(), kind.workers.Load(), kind.job.Load(), kind.delta.Load())
+	}
+	var stats StatsResponse
+	do(t, "GET", base+"/v1/stats", nil, &stats)
+	t.Logf("mvcc checker: %d versions published, %d records (local %d, workers %d, job %d, delta_vs %d) checked over %v; fleet: %+v",
+		published, len(recs), kind.local.Load(), kind.workers.Load(), kind.job.Load(), kind.delta.Load(), duration, stats.Dist.Stats)
 }

@@ -124,9 +124,6 @@ func (s *Server) sumPlanCaches(f func(hyper.PlanCacheStats) float64) float64 {
 // cmd/metriclint instantiates a server to lint exactly this registry).
 func (s *Server) Metrics() *obs.Registry { return s.metrics }
 
-// Traces returns the server's trace ring.
-func (s *Server) Traces() *obs.Recorder { return s.traces }
-
 // attachTrace inlines a rendered trace into a query response when the
 // client asked for it with ?trace=1. Only the typed query payloads carry a
 // trace field; anything else ignores the ask rather than failing it.

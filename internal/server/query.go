@@ -298,24 +298,17 @@ func (e *sessionEntry) whatIf(ctx context.Context, sn *snapshotEntry, req QueryR
 	return out, nil
 }
 
-// howToSolver runs one how-to formulation on a session.
-type howToSolver func(ctx context.Context, sess *hyper.Session, req QueryRequest, progress hyper.Progress) (*hyper.HowToResult, error)
-
-// howToMethod maps QueryRequest.Method to its formulation; job submission
-// validates with it and execution dispatches through it.
-func howToMethod(method string) (howToSolver, error) {
+// howToMethod binds the formulation QueryRequest.Method names to sess; job
+// submission validates with it and execution dispatches through it.
+func howToMethod(sess *hyper.Session, method string, target float64) (func(context.Context, string, hyper.Progress) (*hyper.HowToResult, error), error) {
 	switch method {
 	case "", "ip":
-		return func(ctx context.Context, sess *hyper.Session, req QueryRequest, progress hyper.Progress) (*hyper.HowToResult, error) {
-			return sess.HowToContext(ctx, req.Query, progress)
-		}, nil
+		return sess.HowToContext, nil
 	case "brute":
-		return func(ctx context.Context, sess *hyper.Session, req QueryRequest, progress hyper.Progress) (*hyper.HowToResult, error) {
-			return sess.HowToBruteForceContext(ctx, req.Query, progress)
-		}, nil
+		return sess.HowToBruteForce, nil
 	case "mincost":
-		return func(ctx context.Context, sess *hyper.Session, req QueryRequest, progress hyper.Progress) (*hyper.HowToResult, error) {
-			return sess.HowToMinimizeCostContext(ctx, req.Query, req.Target, progress)
+		return func(ctx context.Context, src string, progress hyper.Progress) (*hyper.HowToResult, error) {
+			return sess.HowToMinimizeCost(ctx, src, target, progress)
 		}, nil
 	default:
 		return nil, errf(http.StatusBadRequest, "unknown how-to method %q (want ip|brute|mincost)", method)
@@ -327,11 +320,11 @@ func (e *sessionEntry) howTo(ctx context.Context, sn *snapshotEntry, req QueryRe
 	if _, err := e.resolvePlacement(req.Placement, "howto"); err != nil {
 		return nil, err
 	}
-	solve, err := howToMethod(req.Method)
+	solve, err := howToMethod(e.sessionFor(sn, req.Shards), req.Method, req.Target)
 	if err != nil {
 		return nil, err
 	}
-	res, err := solve(ctx, e.sessionFor(sn, req.Shards), req, progress)
+	res, err := solve(ctx, req.Query, progress)
 	if err != nil {
 		return nil, queryError(ctx, err)
 	}

@@ -261,10 +261,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Dist returns the embedded shard coordinator (worker registry, distributed
-// evaluation, fit transport).
-func (s *Server) Dist() *dist.Coordinator { return s.dist }
-
 // Drain gracefully shuts the job subsystem down: no new jobs are admitted
 // (submissions get HTTP 503), queued jobs are cancelled, and running jobs
 // are awaited until ctx expires — then cancelled and awaited (promptly,

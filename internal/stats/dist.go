@@ -53,7 +53,3 @@ func (e Exponential) Sample(r *RNG) float64 {
 	}
 	return -math.Log(u) / e.Lambda
 }
-
-// Logistic applies the standard logistic function, useful in structural
-// equations that map a linear score to a probability.
-func Logistic(x float64) float64 { return 1 / (1 + math.Exp(-x)) }

@@ -1,6 +1,6 @@
 // Package stats provides the deterministic statistics substrate used across
 // HypeR: a splittable PCG-style random number generator, common
-// distributions, streaming summaries, and histograms. Every stochastic
+// distributions and streaming summaries. Every stochastic
 // component in the repository draws from this package so that experiments
 // are exactly reproducible from a seed.
 package stats
@@ -62,9 +62,6 @@ func (r *RNG) Intn(n int) int {
 	}
 	return int(r.next() % uint64(n))
 }
-
-// Int63 returns a non-negative random int64.
-func (r *RNG) Int63() int64 { return int64(r.next() >> 1) }
 
 // Float64 returns a uniform float in [0, 1).
 func (r *RNG) Float64() float64 {

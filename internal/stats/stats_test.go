@@ -167,9 +167,6 @@ func TestSummaryWelford(t *testing.T) {
 	if Mean(xs) != 5 {
 		t.Errorf("Mean = %g", Mean(xs))
 	}
-	if math.Abs(StdDev(xs)-math.Sqrt(32.0/7)) > 1e-12 {
-		t.Errorf("StdDev = %g", StdDev(xs))
-	}
 }
 
 func TestQuantile(t *testing.T) {
@@ -215,41 +212,11 @@ func TestDistributions(t *testing.T) {
 	if math.Abs(s.Mean()-0.5) > 0.02 {
 		t.Errorf("Exp(2) mean=%.3f", s.Mean())
 	}
-	if math.Abs(Logistic(0)-0.5) > 1e-12 {
-		t.Errorf("Logistic(0) = %g", Logistic(0))
-	}
 	c := Categorical{Weights: []float64{1, 0, 1}}
 	for i := 0; i < 100; i++ {
 		if v := c.Sample(r); v == 1 {
 			t.Fatal("zero-weight category sampled")
 		}
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i))
-	}
-	if h.Total() != 10 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	for b := 0; b < 5; b++ {
-		if h.Counts[b] != 2 {
-			t.Errorf("bucket %d = %d", b, h.Counts[b])
-		}
-		if h.Frac(b) != 0.2 {
-			t.Errorf("frac %d = %g", b, h.Frac(b))
-		}
-	}
-	if h.Bucket(-5) != 0 || h.Bucket(100) != 4 {
-		t.Error("clamping failed")
-	}
-	if h.Midpoint(0) != 1 {
-		t.Errorf("midpoint = %g", h.Midpoint(0))
-	}
-	if h.String() == "" {
-		t.Error("String should render")
 	}
 }
 

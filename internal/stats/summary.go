@@ -68,15 +68,6 @@ func Mean(xs []float64) float64 {
 	return t / float64(len(xs))
 }
 
-// StdDev returns the unbiased standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	var s Summary
-	for _, x := range xs {
-		s.Add(x)
-	}
-	return s.StdDev()
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs by linear
 // interpolation on the sorted copy. It returns NaN for empty input.
 func Quantile(xs []float64, q float64) float64 {

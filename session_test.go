@@ -1,6 +1,7 @@
 package hyper
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -23,7 +24,7 @@ func TestSessionHowToBruteForceAgreesWithIP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf, err := s.HowToBruteForce(src)
+	bf, err := s.HowToBruteForce(context.Background(), src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestSessionHowToBruteForceAgreesWithIP(t *testing.T) {
 
 func TestSessionHowToMinimizeCost(t *testing.T) {
 	s, n := germanSession(t)
-	res, err := s.HowToMinimizeCost(`USE German HOWTOUPDATE Status, Savings TOMAXIMIZE COUNT(Credit = 1)`, 0.65*n)
+	res, err := s.HowToMinimizeCost(context.Background(), `USE German HOWTOUPDATE Status, Savings TOMAXIMIZE COUNT(Credit = 1)`, 0.65*n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestSessionHowToMinimizeCost(t *testing.T) {
 
 func TestSessionHowToLexicographic(t *testing.T) {
 	s, _ := germanSession(t)
-	res, err := s.HowToLexicographic(
+	res, err := s.HowToLexicographic(context.Background(), nil,
 		`USE German HOWTOUPDATE Status, Savings TOMAXIMIZE COUNT(Credit = 1)`,
 		`USE German HOWTOUPDATE Status, Savings TOMINIMIZE AVG(POST(Savings))`)
 	if err != nil {
@@ -58,7 +59,7 @@ func TestSessionHowToLexicographic(t *testing.T) {
 	if len(res.Choices) != 2 {
 		t.Errorf("choices = %v", res.Choices)
 	}
-	if _, err := s.HowToLexicographic(); err == nil {
+	if _, err := s.HowToLexicographic(context.Background(), nil); err == nil {
 		t.Error("no objectives should fail")
 	}
 }
@@ -118,9 +119,9 @@ func TestParseErrorsSurface(t *testing.T) {
 	for _, call := range []func() error{
 		func() error { _, err := s.WhatIf(`garbage`); return err },
 		func() error { _, err := s.HowTo(`garbage`); return err },
-		func() error { _, err := s.HowToBruteForce(`garbage`); return err },
-		func() error { _, err := s.HowToMinimizeCost(`garbage`, 1); return err },
-		func() error { _, err := s.Query(`garbage`); return err },
+		func() error { _, err := s.HowToBruteForce(context.Background(), `garbage`, nil); return err },
+		func() error { _, err := s.HowToMinimizeCost(context.Background(), `garbage`, 1, nil); return err },
+		func() error { _, err := s.Query(context.Background(), `garbage`, nil); return err },
 		func() error { _, err := Parse(`garbage`); return err },
 	} {
 		if err := call(); err == nil || !strings.Contains(err.Error(), "hyperql") {
