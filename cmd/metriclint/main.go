@@ -42,8 +42,6 @@ var (
 		"hyper_jobs_queued",
 		"hyper_jobs_running",
 		"hyper_jobs_completed_total",
-		"hyper_whatif_evals_total",
-		"hyper_whatif_shards_run_total",
 		"hyper_dist_workers_alive",
 		"hyper_dist_remote_shards_total",
 		"hyper_dist_requeue_events_total",
@@ -53,7 +51,6 @@ var (
 		"hyper_dist_persist_errors_total",
 		"hyper_fault_injected_total",
 		"hyper_server_panics_total",
-		"hyper_query_cost_wall_ms",
 		"hyper_query_cost_tuples",
 		"hyper_query_cost_shards",
 		"hyper_go_goroutines",

@@ -11,7 +11,6 @@ import (
 	"os"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hyper/internal/causal"
@@ -45,9 +44,9 @@ type CoordinatorConfig struct {
 	// drops, requeues, frame ships).
 	Logf func(format string, args ...any)
 	// Metrics, when non-nil, receives the coordinator's metric families at
-	// construction time: the hyper_dist_* series (functions over the counters
-	// and registry /v1/stats reads, plus the per-worker requeue events) and
-	// hyper_fault_injected_total.
+	// construction time: the hyper_dist_* series (the counters /v1/stats reads
+	// back, registry gauges, the per-worker requeue events) and
+	// hyper_fault_injected_total. Nil keeps them in a private registry.
 	Metrics *obs.Registry
 	// Retry is the unified failure policy for every worker RPC (frame
 	// ships included); the zero value takes the RetryPolicy defaults.
@@ -59,8 +58,8 @@ type CoordinatorConfig struct {
 	// its half-open probe. Default 30s.
 	BreakerCooldown time.Duration
 	// StatePath, when non-empty, persists the coordinator state (worker
-	// registry, shipped frames, quarantine, in-flight assignments) to this
-	// JSON file so a restarted coordinator re-adopts its fleet.
+	// registry, shipped frames, quarantine) to this JSON file so a restarted
+	// coordinator re-adopts its fleet.
 	StatePath string
 	// Fault, when non-nil, is the armed fault injector consulted at the
 	// coordinator-side injection points (worker_dial, frame_ship, persist).
@@ -100,22 +99,21 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 type Coordinator struct {
 	cfg CoordinatorConfig
 
-	mu        sync.Mutex
-	workers   map[string]*remoteWorker
-	assigns   map[uint64]persistedAssignment // in-flight shard batches, by seq
-	assignSeq uint64
+	mu      sync.Mutex
+	workers map[string]*remoteWorker
 
-	// Gauges (surfaced through /v1/stats).
-	registered     atomic.Uint64 // registrations accepted (incl. re-registrations)
-	lost           atomic.Uint64 // workers quarantined after dispatch failures
-	requeues       atomic.Uint64 // shard batches requeued after a worker loss
-	framesShipped  atomic.Uint64
-	remoteEvals    atomic.Uint64 // distributed what-if evaluations completed
-	remoteShards   atomic.Uint64 // plan shards evaluated on remote workers
-	localFallbacks atomic.Uint64 // times pending shards fell back to local
-	retries        atomic.Uint64 // RPC retries under the unified policy
-	restored       atomic.Uint64 // workers re-adopted from the state file
-	persistErrors  atomic.Uint64 // failed (best-effort) state saves
+	// Counters, registered in the metrics registry /metrics serves and read
+	// back by Stats for /v1/stats: each count exists once.
+	registered     *obs.Counter // registrations accepted (incl. re-registrations)
+	lost           *obs.Counter // workers quarantined after dispatch failures
+	requeues       *obs.Counter // shard batches requeued after a worker loss
+	framesShipped  *obs.Counter
+	remoteEvals    *obs.Counter // distributed what-if evaluations completed
+	remoteShards   *obs.Counter // plan shards evaluated on remote workers
+	localFallbacks *obs.Counter // times pending shards fell back to local
+	retries        *obs.Counter // RPC retries under the unified policy
+	restored       *obs.Counter // workers re-adopted from the state file
+	persistErrors  *obs.Counter // failed (best-effort) state saves
 
 	// jitter is the seeded backoff-jitter stream (guarded: retries from
 	// concurrent dispatch goroutines draw from one sequence).
@@ -127,9 +125,8 @@ type Coordinator struct {
 
 	// requeueEvents labels each worker failure that requeued shards with
 	// who failed and why (reason: lease_expired | dial_fail |
-	// frame_missing); nil without a metrics registry (every obs vec/counter
-	// method no-ops on nil). faultInjected counts injector firings by point
-	// and mode.
+	// frame_missing). faultInjected counts injector firings by point and
+	// mode.
 	requeueEvents *obs.CounterVec
 	faultInjected *obs.CounterVec
 }
@@ -165,6 +162,35 @@ func (w *remoteWorker) aliveAt(ttl time.Duration) bool {
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	c := &Coordinator{cfg: cfg.withDefaults(), workers: make(map[string]*remoteWorker)}
 	c.jitter = stats.NewRNG(c.cfg.JitterSeed)
+	r := c.cfg.Metrics
+	if r == nil {
+		r = obs.NewRegistry()
+	}
+	r.GaugeFunc("hyper_dist_workers_alive", "Registered workers within their heartbeat lease.",
+		func() float64 { return float64(c.WorkersAlive()) })
+	r.GaugeFunc("hyper_dist_workers_registered", "Workers in the registry, alive or not.",
+		func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(len(c.workers)) })
+	c.registered = r.Counter("hyper_dist_registrations_total", "Worker registrations accepted (including re-registrations).")
+	c.lost = r.Counter("hyper_dist_workers_lost_total", "Workers quarantined after dispatch failures.")
+	c.retries = r.Counter("hyper_dist_retries_total", "Worker RPC retries under the unified retry policy.")
+	r.GaugeFunc("hyper_dist_breaker_state", "Workers currently quarantined (circuit open, cooldown not yet elapsed).",
+		func() float64 { return float64(c.quarantinedCount()) })
+	c.restored = r.Counter("hyper_dist_workers_restored_total", "Workers re-adopted from the persisted state file at startup.")
+	c.persistErrors = r.Counter("hyper_dist_persist_errors_total", "Best-effort coordinator state saves that failed.")
+	c.requeues = r.Counter("hyper_dist_requeues_total", "Shard batches requeued after a worker loss.")
+	c.framesShipped = r.Counter("hyper_dist_frames_shipped_total", "Frame snapshots shipped to workers.")
+	c.remoteEvals = r.Counter("hyper_dist_remote_evals_total", "Distributed what-if evaluations completed.")
+	c.remoteShards = r.Counter("hyper_dist_remote_shards_total", "Plan shards evaluated on remote workers.")
+	c.localFallbacks = r.Counter("hyper_dist_local_fallbacks_total", "Times pending shards fell back to local evaluation.")
+	c.requeueEvents = r.CounterVec("hyper_dist_requeue_events_total",
+		"Worker failures that requeued shards, by worker and failure reason.", "worker", "reason")
+	c.faultInjected = r.CounterVec("hyper_fault_injected_total",
+		"Faults fired by the deterministic injector, by point and mode.", "point", "mode")
+	// The injector observer increments the vec; with no injector armed the
+	// family still exists (at zero) so the metric schema is role-stable.
+	c.cfg.Fault.SetOnFire(func(p fault.Point, m fault.Mode) {
+		c.faultInjected.With(string(p), string(m)).Inc()
+	})
 	if c.cfg.StatePath != "" {
 		if err := c.loadState(); err != nil {
 			// Never discard operator state silently: move the unreadable
@@ -175,43 +201,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 			}
 		}
 	}
-	if r := c.cfg.Metrics; r != nil {
-		r.GaugeFunc("hyper_dist_workers_alive", "Registered workers within their heartbeat lease.",
-			func() float64 { return float64(c.WorkersAlive()) })
-		r.GaugeFunc("hyper_dist_workers_registered", "Workers in the registry, alive or not.",
-			func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(len(c.workers)) })
-		r.CounterFunc("hyper_dist_registrations_total", "Worker registrations accepted (including re-registrations).",
-			func() float64 { return float64(c.registered.Load()) })
-		r.CounterFunc("hyper_dist_workers_lost_total", "Workers quarantined after dispatch failures.",
-			func() float64 { return float64(c.lost.Load()) })
-		r.CounterFunc("hyper_dist_retries_total", "Worker RPC retries under the unified retry policy.",
-			func() float64 { return float64(c.retries.Load()) })
-		r.GaugeFunc("hyper_dist_breaker_state", "Workers currently quarantined (circuit open, cooldown not yet elapsed).",
-			func() float64 { return float64(c.quarantinedCount()) })
-		r.CounterFunc("hyper_dist_workers_restored_total", "Workers re-adopted from the persisted state file at startup.",
-			func() float64 { return float64(c.restored.Load()) })
-		r.CounterFunc("hyper_dist_persist_errors_total", "Best-effort coordinator state saves that failed.",
-			func() float64 { return float64(c.persistErrors.Load()) })
-		r.CounterFunc("hyper_dist_requeues_total", "Shard batches requeued after a worker loss.",
-			func() float64 { return float64(c.requeues.Load()) })
-		r.CounterFunc("hyper_dist_frames_shipped_total", "Frame snapshots shipped to workers.",
-			func() float64 { return float64(c.framesShipped.Load()) })
-		r.CounterFunc("hyper_dist_remote_evals_total", "Distributed what-if evaluations completed.",
-			func() float64 { return float64(c.remoteEvals.Load()) })
-		r.CounterFunc("hyper_dist_remote_shards_total", "Plan shards evaluated on remote workers.",
-			func() float64 { return float64(c.remoteShards.Load()) })
-		r.CounterFunc("hyper_dist_local_fallbacks_total", "Times pending shards fell back to local evaluation.",
-			func() float64 { return float64(c.localFallbacks.Load()) })
-		c.requeueEvents = r.CounterVec("hyper_dist_requeue_events_total",
-			"Worker failures that requeued shards, by worker and failure reason.", "worker", "reason")
-		c.faultInjected = r.CounterVec("hyper_fault_injected_total",
-			"Faults fired by the deterministic injector, by point and mode.", "point", "mode")
-	}
-	// The injector observer increments the vec; with no injector armed the
-	// family still exists (at zero) so the metric schema is role-stable.
-	c.cfg.Fault.SetOnFire(func(p fault.Point, m fault.Mode) {
-		c.faultInjected.With(string(p), string(m)).Inc()
-	})
 	return c
 }
 
@@ -324,7 +313,7 @@ func (c *Coordinator) Register(id, url string) {
 	}
 	c.mu.Unlock()
 	w.beat()
-	c.registered.Add(1)
+	c.registered.Inc()
 	c.logf("dist: worker %s registered at %s", id, url)
 	c.saveState()
 }
@@ -405,7 +394,7 @@ func (c *Coordinator) workerFailed(run *queryRun, w *remoteWorker, err error) {
 	run.note(degradeWorkerLost)
 	c.requeueEvents.With(w.id, reason).Inc()
 	if w.breaker.onFailure() {
-		c.lost.Add(1)
+		c.lost.Inc()
 		c.logf("dist: quarantining worker %s for %v (%s): %v", w.id, c.cfg.BreakerCooldown, reason, err)
 		c.saveState()
 		return
@@ -462,16 +451,16 @@ func (c *Coordinator) Stats() Stats {
 		WorkersAlive:       c.WorkersAlive(),
 		WorkersRegistered:  registered,
 		WorkersQuarantined: c.quarantinedCount(),
-		Registrations:      c.registered.Load(),
-		WorkersLost:        c.lost.Load(),
-		Requeues:           c.requeues.Load(),
-		FramesShipped:      c.framesShipped.Load(),
-		RemoteEvals:        c.remoteEvals.Load(),
-		RemoteShards:       c.remoteShards.Load(),
-		LocalFallbacks:     c.localFallbacks.Load(),
-		Retries:            c.retries.Load(),
-		RestoredWorkers:    c.restored.Load(),
-		PersistErrors:      c.persistErrors.Load(),
+		Registrations:      c.registered.Value(),
+		WorkersLost:        c.lost.Value(),
+		Requeues:           c.requeues.Value(),
+		FramesShipped:      c.framesShipped.Value(),
+		RemoteEvals:        c.remoteEvals.Value(),
+		RemoteShards:       c.remoteShards.Value(),
+		LocalFallbacks:     c.localFallbacks.Value(),
+		Retries:            c.retries.Value(),
+		RestoredWorkers:    c.restored.Value(),
+		PersistErrors:      c.persistErrors.Value(),
 		FaultsInjected:     c.cfg.Fault.Fired(),
 	}
 }
@@ -666,7 +655,7 @@ func (c *Coordinator) shipFrame(ctx context.Context, w *remoteWorker, frame *Fra
 		return fmt.Errorf("dist: shipping frame to %s: %s", w.id, errMessage(raw, status))
 	}
 	obs.MeterFromContext(ctx).AddFrameBytes(len(body))
-	c.framesShipped.Add(1)
+	c.framesShipped.Inc()
 	c.logf("dist: shipped frame %.12s to worker %s (%d bytes)", id, w.id, len(body))
 	return nil
 }
@@ -773,7 +762,7 @@ func (c *Coordinator) scatter(ctx context.Context, op *evalOp) error {
 		ws := c.assignable(op.run)
 		if len(ws) == 0 {
 			op.run.note(degradeLocalFallback)
-			c.localFallbacks.Add(1)
+			c.localFallbacks.Inc()
 			lopts := op.spec.Options
 			lopts.Progress = nil
 			pr, err := engine.EvaluatePartialContext(ctx, op.spec.DB, op.spec.Model, op.q, lopts, pending)
@@ -800,11 +789,9 @@ func (c *Coordinator) scatter(ctx context.Context, op *evalOp) error {
 				wctx, wsp := obs.Start(ctx, "worker_eval")
 				wsp.Set("worker", w.id)
 				wsp.Set("shards", len(chunk))
-				assignID := c.beginAssignment(w.id, pathEval, chunk)
 				var resp EvalResponse
 				err := c.postWorker(wctx, op.run, w, op.spec.Frame, pathEval,
 					EvalRequest{Frame: frameID, Query: op.spec.Query, Options: wire, Shards: chunk}, &resp)
-				c.endAssignment(assignID)
 				wsp.Set("error", err != nil)
 				if err == nil {
 					wsp.Graft(resp.Spans)
@@ -846,7 +833,7 @@ func (c *Coordinator) scatter(ctx context.Context, op *evalOp) error {
 		}
 		if len(failed) > 0 {
 			sort.Ints(failed)
-			c.requeues.Add(1)
+			c.requeues.Inc()
 			c.logf("dist: requeueing %d shards of %s after worker loss (round %d)", len(failed), pathEval, round)
 		}
 		pending = failed
@@ -907,7 +894,7 @@ func (c *Coordinator) EvaluateWhatIf(ctx context.Context, spec EvalSpec) (*engin
 	if res.Degraded {
 		dsp.Set("degraded", res.DegradedReason)
 	}
-	c.remoteEvals.Add(1)
-	c.remoteShards.Add(uint64(planShards - op.localDone))
+	c.remoteEvals.Inc()
+	c.remoteShards.Add(planShards - op.localDone)
 	return res, nil
 }

@@ -96,6 +96,33 @@ func TestCoordinatorStateReAdoption(t *testing.T) {
 	if got := w1.puts.Load(); got != 1 {
 		t.Fatalf("worker 1 received %d frame ships across both coordinator lives, want 1", got)
 	}
+
+	// A state file from a coordinator that still recorded its in-flight
+	// assignments loads the same way: the fleet is re-adopted, the
+	// assignments array is ignored.
+	t.Run("assignments array", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "dist-state.json")
+		now := time.Now().UTC().Format(time.RFC3339)
+		doc := `{"saved_at": "` + now + `",
+			"workers": [
+				{"id": "w1", "url": "http://127.0.0.1:1", "frames": ["f1", "f2"]},
+				{"id": "w2", "url": "http://127.0.0.1:2", "fails": 1, "open": true, "opened_at": "` + now + `"}
+			],
+			"assignments": [{"worker": "w1", "path": "/dist/v1/eval", "shards": [0, 1, 2]}]}`
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c := NewCoordinator(CoordinatorConfig{StatePath: path, BreakerCooldown: time.Hour})
+		if st := c.Stats(); st.RestoredWorkers != 2 || st.WorkersRegistered != 2 || st.WorkersQuarantined != 1 {
+			t.Fatalf("stats %+v, want 2 restored and registered, 1 quarantined", st)
+		}
+		if infos := c.WorkerInfos(); infos[0].ID != "w1" || infos[0].Frames != 2 {
+			t.Fatalf("workers %+v, want w1 holding its 2 shipped frames", infos)
+		}
+		if _, err := os.Stat(path + ".corrupt"); !os.IsNotExist(err) {
+			t.Fatalf("the state file was moved aside as corrupt: %v", err)
+		}
+	})
 }
 
 // TestCorruptStateFileMovedAside: an unreadable state file must not be

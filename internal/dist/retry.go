@@ -190,7 +190,7 @@ func (c *Coordinator) retry(ctx context.Context, run *queryRun, fn func(context.
 		if attempt >= pol.MaxAttempts || !run.spend() {
 			return err
 		}
-		c.retries.Add(1)
+		c.retries.Inc()
 		// A retried RPC breaks the exact shipped==received accounting for
 		// this query; charging the meter waives its reconciliation invariant.
 		obs.MeterFromContext(ctx).AddRetries(1)

@@ -19,21 +19,19 @@ import (
 // frame re-shipped), and quarantine history evaporated (a misbehaving
 // worker came back fully trusted). With CoordinatorConfig.StatePath set,
 // the coordinator persists a small JSON document — worker registry,
-// per-worker shipped frames, breaker state, and the assignments in flight
-// at save time — on every membership, quarantine, and frame event, via
-// write-to-temp + atomic rename (a crash mid-save leaves the previous
-// state intact). A restarted coordinator re-adopts the fleet: restored
-// workers get a fresh lease (one TTL to heartbeat back in), their frames
-// are not re-shipped, and quarantine continues where it left off.
-// Assignments found in the file are necessarily orphans — the queries that
-// made them died with the previous process — so they are logged and
-// dropped, never resumed.
+// per-worker shipped frames and breaker state — on every membership,
+// quarantine, and frame event, via write-to-temp + atomic rename (a crash
+// mid-save leaves the previous state intact). A restarted coordinator
+// re-adopts the fleet: restored workers get a fresh lease (one TTL to
+// heartbeat back in), their frames are not re-shipped, and quarantine
+// continues where it left off. The queries in flight at a crash died with
+// the process and are not recorded; an "assignments" array written by older
+// coordinators is ignored on load.
 
 // persistedState is the state-file document.
 type persistedState struct {
-	SavedAt     time.Time             `json:"saved_at"`
-	Workers     []persistedWorker     `json:"workers"`
-	Assignments []persistedAssignment `json:"assignments,omitempty"`
+	SavedAt time.Time         `json:"saved_at"`
+	Workers []persistedWorker `json:"workers"`
 }
 
 // persistedWorker is one registry entry: identity, shipped frames, and the
@@ -47,33 +45,6 @@ type persistedWorker struct {
 	OpenedAt time.Time `json:"opened_at,omitempty"`
 }
 
-// persistedAssignment is one dispatched-but-unanswered shard batch.
-type persistedAssignment struct {
-	Worker string `json:"worker"`
-	Path   string `json:"path"`
-	Shards []int  `json:"shards"`
-}
-
-// beginAssignment records a dispatched shard batch so the state file can
-// name what was in flight if the coordinator dies before the answer.
-func (c *Coordinator) beginAssignment(workerID, path string, shards []int) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.assignSeq++
-	id := c.assignSeq
-	if c.assigns == nil {
-		c.assigns = make(map[uint64]persistedAssignment)
-	}
-	c.assigns[id] = persistedAssignment{Worker: workerID, Path: path, Shards: shards}
-	return id
-}
-
-func (c *Coordinator) endAssignment(id uint64) {
-	c.mu.Lock()
-	delete(c.assigns, id)
-	c.mu.Unlock()
-}
-
 // snapshotState renders the current registry under the locks, ready to
 // marshal outside them.
 func (c *Coordinator) snapshotState() persistedState {
@@ -82,18 +53,9 @@ func (c *Coordinator) snapshotState() persistedState {
 	for _, w := range c.workers {
 		ws = append(ws, w)
 	}
-	st := persistedState{SavedAt: time.Now()}
-	for _, a := range c.assigns {
-		st.Assignments = append(st.Assignments, a)
-	}
 	c.mu.Unlock()
+	st := persistedState{SavedAt: time.Now()}
 	sort.Slice(ws, func(i, j int) bool { return ws[i].id < ws[j].id })
-	sort.Slice(st.Assignments, func(i, j int) bool {
-		if st.Assignments[i].Worker != st.Assignments[j].Worker {
-			return st.Assignments[i].Worker < st.Assignments[j].Worker
-		}
-		return st.Assignments[i].Path < st.Assignments[j].Path
-	})
 	for _, w := range ws {
 		pw := persistedWorker{ID: w.id, URL: w.url, Frames: w.frames.Keys()}
 		sort.Strings(pw.Frames)
@@ -116,7 +78,7 @@ func (c *Coordinator) saveState() {
 	c.saveMu.Lock()
 	defer c.saveMu.Unlock()
 	if err := c.writeState(st); err != nil {
-		c.persistErrors.Add(1)
+		c.persistErrors.Inc()
 		c.logf("dist: persisting coordinator state: %v", err)
 	}
 }
@@ -177,12 +139,7 @@ func (c *Coordinator) loadState() error {
 	}
 	restored := len(st.Workers)
 	c.mu.Unlock()
-	c.restored.Add(uint64(restored))
+	c.restored.Add(restored)
 	c.logf("dist: restored %d workers from %s (saved %s)", restored, c.cfg.StatePath, st.SavedAt.Format(time.RFC3339))
-	for _, a := range st.Assignments {
-		// The query behind an in-flight assignment died with the previous
-		// process; its client saw the crash. Name the orphan, drop it.
-		c.logf("dist: orphaned in-flight assignment from previous run: worker=%s path=%s shards=%v", a.Worker, a.Path, a.Shards)
-	}
 	return nil
 }

@@ -2,25 +2,28 @@ package engine
 
 import (
 	"context"
+	"math"
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"hyper/internal/dataset"
 	"hyper/internal/hyperql"
 	"hyper/internal/obs"
 )
 
-// evalMetered evaluates query with a fresh meter riding the context and
-// returns the result plus the meter snapshot.
-func evalMetered(t *testing.T, ds string, size int, query string, opts Options) (*Result, *obs.MeterJSON) {
+// evalMetered evaluates query with a fresh trace and meter riding the context
+// and returns the result, the meter snapshot and the rendered span tree.
+func evalMetered(t *testing.T, ds string, size int, query string, opts Options) (*Result, *obs.MeterJSON, *obs.SpanJSON) {
 	t.Helper()
 	q, err := hyperql.ParseWhatIf(query)
 	if err != nil {
 		t.Fatal(err)
 	}
 	meter := obs.NewMeter()
-	ctx := obs.ContextWithMeter(context.Background(), meter)
+	tr := obs.NewTrace("whatif")
+	ctx := obs.ContextWithMeter(tr.Context(context.Background()), meter)
 	var res *Result
 	switch ds {
 	case "toy":
@@ -38,7 +41,8 @@ func evalMetered(t *testing.T, ds string, size int, query string, opts Options) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, meter.JSON()
+	tr.Finish()
+	return res, meter.JSON(), tr.Root().JSON()
 }
 
 // checkMeterGolden asserts the meter's fan-out-independent counters against
@@ -60,9 +64,71 @@ func checkMeterGolden(t *testing.T, res *Result, mj *obs.MeterJSON) {
 	if mj.FitsCached != 0 {
 		t.Errorf("meter fits cached = %d on a cache-less evaluation", mj.FitsCached)
 	}
-	for _, stage := range []string{"view", "eval"} {
+	for _, stage := range stageNames {
 		if _, ok := mj.StagesMs[stage]; !ok {
 			t.Errorf("meter missing %q stage (stages: %v)", stage, mj.StagesMs)
+		}
+	}
+}
+
+// stageNames are the engine's timed stages: the meter charges each under its
+// span's name.
+var stageNames = []string{"view", "blocks", "plan", "train", "eval_shards", "fold"}
+
+// spanNamed returns the first span of the given name in a depth-first walk.
+func spanNamed(sj *obs.SpanJSON, name string) *obs.SpanJSON {
+	if sj == nil || sj.Name == name {
+		return sj
+	}
+	for _, c := range sj.Children {
+		if found := spanNamed(c, name); found != nil {
+			return found
+		}
+	}
+	return nil
+}
+
+// TestStageTimesAgree pins that each stage is timed once: for view, blocks,
+// plan and train the Result field, the span and the meter entry are the same
+// duration to the nanosecond; for the tuple loop the eval_shards and fold
+// spans equal their meter entries and Result.EvalTime is their sum.
+func TestStageTimesAgree(t *testing.T) {
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	ns := func(ms float64) time.Duration { return time.Duration(math.Round(ms * float64(time.Millisecond))) }
+	cases := []struct {
+		name, dataset string
+		size          int
+		query         string
+	}{
+		{"toy", "toy", 0, parityCases[0].query},
+		{"german-5000", "german", 5000, `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`},
+	}
+	for _, c := range cases {
+		for _, shards := range []int{1, 4} {
+			t.Run(c.name+"/shards="+strconv.Itoa(shards), func(t *testing.T) {
+				res, mj, root := evalMetered(t, c.dataset, c.size, c.query, Options{Seed: 7, Shards: shards})
+				fields := []time.Duration{res.ViewTime, res.BlockTime, res.PlanTime, res.TrainTime}
+				var loop time.Duration
+				for i, name := range stageNames {
+					sp := spanNamed(root, name)
+					if sp == nil {
+						t.Fatalf("no %s span in %s", name, obs.Skeleton(root))
+					}
+					if sp.DurMs != mj.StagesMs[name] {
+						t.Errorf("%s: span %v ms, meter %v ms", name, sp.DurMs, mj.StagesMs[name])
+					}
+					if i < len(fields) {
+						if ms(fields[i]) != sp.DurMs {
+							t.Errorf("%s: Result %v ms, span %v ms", name, ms(fields[i]), sp.DurMs)
+						}
+						continue
+					}
+					loop += ns(sp.DurMs)
+				}
+				if res.EvalTime != loop {
+					t.Errorf("Result.EvalTime %v, eval_shards + fold spans %v", res.EvalTime, loop)
+				}
+			})
 		}
 	}
 }
@@ -98,7 +164,7 @@ func TestMeterGoldenAcrossFanOuts(t *testing.T) {
 			var base *obs.MeterJSON
 			for _, shards := range []int{1, 4} {
 				t.Run("shards="+strconv.Itoa(shards), func(t *testing.T) {
-					res, mj := evalMetered(t, c.dataset, c.size, c.query, Options{Seed: 7, Shards: shards})
+					res, mj, _ := evalMetered(t, c.dataset, c.size, c.query, Options{Seed: 7, Shards: shards})
 					checkMeterGolden(t, res, mj)
 					if base == nil {
 						base = mj
@@ -127,7 +193,7 @@ func TestMeterConcurrentQueriesNoBleed(t *testing.T) {
 	// Sequential references.
 	refs := make([][6]uint64, len(queries))
 	for i, q := range queries {
-		_, mj := evalMetered(t, "german", 2000, q, Options{Seed: 7, Shards: 2})
+		_, mj, _ := evalMetered(t, "german", 2000, q, Options{Seed: 7, Shards: 2})
 		refs[i] = meterCounters(mj)
 	}
 

@@ -41,7 +41,6 @@ func EvaluateContext(ctx context.Context, db *relation.Database, model *causal.M
 	if p.o.DryRun {
 		return p.res, nil
 	}
-	te := time.Now()
 	parts, err := p.evalShards(ctx, nil)
 	if err != nil {
 		return nil, err
@@ -51,13 +50,10 @@ func EvaluateContext(ctx context.Context, db *relation.Database, model *causal.M
 	// worker count (and matches a per-block fold over shards), so the block
 	// sums — and the final aggregate, accumulated in block order — are
 	// reproducible to the bit.
-	_, fsp := obs.Start(ctx, "fold")
-	tf := time.Now()
+	_, fold := obs.StartStage(ctx, "fold")
 	foldPartials(p.res, parts, p.nBlocks, p.agg)
-	fsp.Set("blocks", p.nBlocks)
-	fsp.End()
-	obs.MeterFromContext(ctx).AddStage("fold", time.Since(tf))
-	p.res.EvalTime = time.Since(te)
+	fold.Set("blocks", p.nBlocks)
+	p.res.EvalTime += fold.End()
 	p.res.TrainedModels = p.ev.est.trainedModels()
 	p.res.Total = time.Since(p.start)
 	if p.o.Progress != nil {
@@ -147,23 +143,21 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 	res := &Result{Mode: o.Mode}
 	// The meter rides the context like the span: absent, every charge is a
 	// nil check; present, it accumulates the query's cost vector without
-	// touching cache identity or results.
+	// touching cache identity or results. Each stage below is timed once, by
+	// an obs.Stage, for its span, its meter entry and its Result field.
 	meter := obs.MeterFromContext(ctx)
 
 	// Step 1: relevant view (USE), memoized across candidate queries when a
 	// cache is provided.
-	tv := time.Now()
-	_, vsp := obs.Start(ctx, "view")
+	_, stage := obs.StartStage(ctx, "view")
 	v, viewKey, updateAttrs, updateRel, viewHit, err := resolveView(db, q, o)
 	if err != nil {
 		return nil, err
 	}
-	res.ViewTime = time.Since(tv)
-	meter.AddStage("view", res.ViewTime)
 	res.ViewRows = v.rel.Len()
-	vsp.Set("rows", res.ViewRows)
-	vsp.Set("cache_hit", viewHit)
-	vsp.End()
+	stage.Set("rows", res.ViewRows)
+	stage.Set("cache_hit", viewHit)
+	res.ViewTime = stage.End()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -172,8 +166,7 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 	// decomposition of the database is the model's alone — one per version,
 	// whatever the query — and a view that is R itself reads R's slice of it;
 	// only a materialized view maps its rows to R's tuples, once per (view, R).
-	tb := time.Now()
-	_, bsp := obs.Start(ctx, "blocks")
+	_, stage = obs.StartStage(ctx, "blocks")
 	blocksHit := false
 	var blockOf []int
 	res.Blocks = 1
@@ -201,11 +194,9 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 	} else {
 		blockOf = make([]int, v.rel.Len())
 	}
-	res.BlockTime = time.Since(tb)
-	meter.AddStage("blocks", res.BlockTime)
-	bsp.Set("blocks", res.Blocks)
-	bsp.Set("cache_hit", blocksHit)
-	bsp.End()
+	stage.Set("blocks", res.Blocks)
+	stage.Set("cache_hit", blocksHit)
+	res.BlockTime = stage.End()
 
 	// Step 3: WHEN defines the update set S (pre-update values only). The
 	// planner owns the whole step: the clause compiles — once per shape when
@@ -214,20 +205,17 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 	// (relation.Relation.Coded), and a tree it cannot prove error-free runs
 	// as the degenerate whole-tree program, so S and any error are those of
 	// a row-at-a-time sqlmini.EvalBool loop to the bit.
-	tp := time.Now()
-	_, psp := obs.Start(ctx, "plan")
+	_, stage = obs.StartStage(ctx, "plan")
 	qp, planHit := o.Plans.WhatIf(db, viewKey, q, v.rel)
-	res.PlanTime = time.Since(tp)
-	meter.AddStage("plan", res.PlanTime)
 	res.PlanFingerprint = qp.Fingerprint
 	res.PlanCacheHit = planHit
 	res.PlanText = qp.Explain()
 	inS := make([]bool, v.rel.Len())
 	res.PlanPushed, err = o.Plans.Apply(qp, q, v.rel, inS)
-	psp.Set("cache_hit", planHit)
-	psp.Set("pushed", res.PlanPushed)
-	psp.Set("fallback", qp.Fallback)
-	psp.End()
+	stage.Set("cache_hit", planHit)
+	stage.Set("pushed", res.PlanPushed)
+	stage.Set("fallback", qp.Fallback)
+	res.PlanTime = stage.End()
 	if err != nil {
 		return nil, fmt.Errorf("engine: WHEN: %w", err)
 	}
@@ -302,8 +290,7 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 	// μ_For,Pre, so the attributes those predicates reference join the
 	// conditioning features (this is what makes runtime grow with the number
 	// of FOR attributes, Figure 11a).
-	tt := time.Now()
-	_, tsp := obs.Start(ctx, "train")
+	_, stage = obs.StartStage(ctx, "train")
 	featCols := append(append([]string{}, updateAttrs...), backdoor...)
 	for _, s := range summaries {
 		featCols = append(featCols, s.name)
@@ -333,22 +320,20 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 		}
 		return est, err
 	}
-	endTrainSpan := func(est *estimatorSet) {
-		meter.AddStage("train", res.TrainTime)
-		tsp.Set("estimator", est.kind)
-		tsp.Set("sampled_rows", len(est.trainRows))
-		tsp.Set("cache_hit", estHit)
-		tsp.End()
+	endTrain := func(est *estimatorSet) {
+		res.EstimatorUsed = est.kind
+		res.SampledRows = len(est.trainRows)
+		stage.Set("estimator", est.kind)
+		stage.Set("sampled_rows", res.SampledRows)
+		stage.Set("cache_hit", estHit)
+		res.TrainTime = stage.End()
 	}
 	est, err := makeEst(o)
 	if err != nil {
 		return nil, err
 	}
 	if o.DryRun {
-		res.EstimatorUsed = est.kind
-		res.SampledRows = len(est.trainRows)
-		res.TrainTime = time.Since(tt)
-		endTrainSpan(est)
+		endTrain(est)
 		res.Total = time.Since(start)
 		return &evalPrep{o: o, res: res, v: v, start: start}, nil
 	}
@@ -365,10 +350,7 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 			}
 		}
 	}
-	res.EstimatorUsed = est.kind
-	res.SampledRows = len(est.trainRows)
-	res.TrainTime = time.Since(tt)
-	endTrainSpan(est)
+	endTrain(est)
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -406,17 +388,16 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 // reused across the shards they pick up. Shard placement is
 // scheduling-dependent but cannot influence any partial: a shard's partial
 // is a pure function of the prepared evaluation and its row range, which is
-// what makes partials portable across processes.
+// what makes partials portable across processes. The stage's duration, failed
+// or not, is the evaluation's EvalTime so far (EvaluateContext adds the fold).
 func (p *evalPrep) evalShards(ctx context.Context, ids []int) ([]ShardPartial, error) {
-	ctx, sp := obs.Start(ctx, "eval_shards")
-	defer sp.End()
-	if sp != nil {
-		// Lazily trained models fit from inside the tuple loop through the
-		// evaluator's stored context; repointing it here nests their fit
-		// spans under eval_shards (cancellation semantics are unchanged —
-		// both contexts share the same Done chain).
-		p.ev.ctx = ctx
-	}
+	ctx, stage := obs.StartStage(ctx, "eval_shards")
+	defer func() { p.res.EvalTime = stage.End() }()
+	// Lazily trained models fit from inside the tuple loop through the
+	// evaluator's stored context; repointing it here nests their fit spans
+	// under eval_shards (cancellation semantics are unchanged — both contexts
+	// share the same Done chain).
+	p.ev.ctx = ctx
 	k := p.plan.Shards()
 	if ids == nil {
 		ids = make([]int, k)
@@ -450,10 +431,10 @@ func (p *evalPrep) evalShards(ctx context.Context, ids []int) ([]ShardPartial, e
 	// shards, not row ranges.
 	runPlan := shard.Fixed(len(ids), len(ids))
 	workers := runPlan.Workers(p.o.Shards)
-	sp.Set("plan", k)
-	sp.Set("shards", len(ids))
-	sp.Set("rows", total)
-	sp.Set("workers", workers)
+	stage.Set("plan", k)
+	stage.Set("shards", len(ids))
+	stage.Set("rows", total)
+	stage.Set("workers", workers)
 	// Charge the meter with fan-out-independent totals: the plan, the shards
 	// actually executed here, and the rows they cover. The golden tests pin
 	// these against Result.ShardPlan/ViewRows at any worker count.
@@ -461,7 +442,6 @@ func (p *evalPrep) evalShards(ctx context.Context, ids []int) ([]ShardPartial, e
 	meter.SetPlanShards(k)
 	meter.AddShards(len(ids))
 	meter.AddTuples(total)
-	evStart := time.Now()
 	// The class partition covers the whole view whichever shards run here:
 	// lazy fits label every training row. It belongs to this evaluation alone
 	// and is garbage once the request returns.
@@ -470,7 +450,7 @@ func (p *evalPrep) evalShards(ctx context.Context, ids []int) ([]ShardPartial, e
 			p.ev.classOf, p.ev.classes = key.partition(p.ev.inS)
 		}
 	}
-	sp.Set("classes", p.ev.classes)
+	stage.Set("classes", p.ev.classes)
 	locals := make([]*evaluator, workers)
 	parts := make([]ShardPartial, len(ids))
 	nBlocks := p.nBlocks
@@ -565,8 +545,7 @@ func (p *evalPrep) evalShards(ctx context.Context, ids []int) ([]ShardPartial, e
 			evaluated += local.evaluated
 		}
 	}
-	sp.Set("evaluated", evaluated)
-	meter.AddStage("eval", time.Since(evStart))
+	stage.Set("evaluated", evaluated)
 	return parts, nil
 }
 

@@ -42,9 +42,8 @@ type Meter struct {
 	candidates  atomic.Uint64
 	whatifEvals atomic.Uint64
 
-	// MVCC append accounting: strided digest shards fitted over new rows
-	// vs. sealed shards reused untouched. The reuse counter is the
-	// observable half of the "appends never refit" contract.
+	// MVCC append accounting: strided plan shards holding new rows vs.
+	// shards sealed by earlier versions.
 	appendShardsFit    atomic.Uint64
 	appendShardsReused atomic.Uint64
 
@@ -102,10 +101,10 @@ func (m *Meter) Shape() (session, kind, shape, text string) {
 	return m.session, m.kind, m.shape, m.shapeText
 }
 
-// AddStage accumulates wall time under a stage label ("view", "train",
-// "eval", ...). Stages sum across calls, so a how-to's many candidate
-// what-ifs charge one combined eval figure.
-func (m *Meter) AddStage(name string, d time.Duration) {
+// addStage accumulates wall time under a stage label (a Stage's span name).
+// Stages sum across calls, so a how-to's many candidate what-ifs charge one
+// combined eval_shards figure.
+func (m *Meter) addStage(name string, d time.Duration) {
 	if m == nil || d <= 0 {
 		return
 	}
@@ -165,9 +164,8 @@ func (m *Meter) AddFitCached() {
 	}
 }
 
-// AddAppendShards charges a session append's digest work split: fitted
-// counts shards that scanned new rows, reused counts sealed shards left
-// untouched.
+// AddAppendShards charges a session append's strided shard split: fitted
+// counts shards holding new rows, reused counts shards sealed before it.
 func (m *Meter) AddAppendShards(fitted, reused int) {
 	if m != nil {
 		add(&m.appendShardsFit, fitted)
@@ -248,8 +246,45 @@ func (m *Meter) Fold(mj *MeterJSON) {
 	add(&m.workerFitsCache, int(mj.FitsCached))
 	add(&m.workerBytes, int(mj.DistBytesReceived))
 	for name, ms := range mj.StagesMs {
-		m.AddStage("worker_"+name, time.Duration(ms*float64(time.Millisecond)))
+		m.addStage("worker_"+name, time.Duration(ms*float64(time.Millisecond)))
 	}
+}
+
+// Stage times one pipeline stage once for all three of its records: the span
+// of the stage's name (when the context is traced), the meter entry under the
+// same name (when it is metered) and the duration End returns for the
+// caller's result field. The three read the same two instants, so they agree
+// exactly. A Stage is a value and allocates nothing beyond its span.
+type Stage struct {
+	name  string
+	start time.Time
+	span  *Span
+	meter *Meter
+}
+
+// StartStage opens the named stage under ctx's span and meter and returns a
+// context carrying the stage's span (ctx itself when untraced).
+func StartStage(ctx context.Context, name string) (context.Context, Stage) {
+	st := Stage{name: name, start: time.Now(), meter: MeterFromContext(ctx)}
+	if parent := SpanFromContext(ctx); parent != nil {
+		st.span = parent.childAt(name, st.start)
+		ctx = ContextWithSpan(ctx, st.span)
+	}
+	return ctx, st
+}
+
+// Set records an attribute on the stage's span.
+func (s Stage) Set(key string, val any) { s.span.Set(key, val) }
+
+// End reads the clock once, ends the span at that instant, charges the meter
+// the same duration under the stage's name and returns it.
+func (s Stage) End() time.Duration {
+	d := time.Since(s.start)
+	if s.span != nil {
+		s.span.dur = d
+	}
+	s.meter.addStage(s.name, d)
+	return d
 }
 
 // MeterJSON is the wire and aggregation form of a cost vector: what dist

@@ -13,7 +13,10 @@ import (
 func TestMeterNilSafe(t *testing.T) {
 	var m *Meter
 	m.SetShape("s", "k", "fp", "text")
-	m.AddStage("view", time.Millisecond)
+	m.addStage("view", time.Millisecond)
+	_, st := StartStage(context.Background(), "view") // neither traced nor metered
+	st.Set("rows", 1)
+	st.End()
 	m.AddTuples(1)
 	m.AddShards(1)
 	m.SetPlanShards(1)
@@ -57,8 +60,8 @@ func TestMeterChargesAndJSON(t *testing.T) {
 	m.AddFitTrained()
 	m.AddFitCached()
 	m.AddFitCached()
-	m.AddStage("eval", 2*time.Millisecond)
-	m.AddStage("eval", 3*time.Millisecond)
+	m.addStage("eval_shards", 2*time.Millisecond)
+	m.addStage("eval_shards", 3*time.Millisecond)
 	mj := m.JSON()
 	if mj.TuplesEvaluated != 150 || mj.ShardsRun != 2 || mj.PlanShards != 4 {
 		t.Errorf("counters = %+v", mj)
@@ -66,8 +69,8 @@ func TestMeterChargesAndJSON(t *testing.T) {
 	if mj.FitsTrained != 1 || mj.FitsCached != 2 {
 		t.Errorf("fits = %+v", mj)
 	}
-	if got := mj.StagesMs["eval"]; got < 4.9 || got > 5.1 {
-		t.Errorf("eval stage = %v ms, want 5", got)
+	if got := mj.StagesMs["eval_shards"]; got < 4.9 || got > 5.1 {
+		t.Errorf("eval_shards stage = %v ms, want 5", got)
 	}
 	if s, k, fp, txt := m.Shape(); s != "sess" || k != "whatif" || fp != "abcd" || txt != "USE T ..." {
 		t.Errorf("shape = %q %q %q %q", s, k, fp, txt)
@@ -87,7 +90,7 @@ func TestMeterFoldAndReconcile(t *testing.T) {
 	m.AddDistBytesShipped(40)
 	// Worker side, as returned in the two responses.
 	m.Fold(&MeterJSON{ShardsRun: 2, TuplesEvaluated: 200, DistBytesReceived: 60,
-		StagesMs: map[string]float64{"eval": 1.5}})
+		StagesMs: map[string]float64{"eval_shards": 1.5}})
 	m.Fold(&MeterJSON{ShardsRun: 1, TuplesEvaluated: 100, DistBytesReceived: 40, FitsTrained: 2})
 
 	mj := m.JSON()
@@ -95,7 +98,7 @@ func TestMeterFoldAndReconcile(t *testing.T) {
 		mj.WorkerBytes != 100 || mj.WorkerFitsTrained != 2 {
 		t.Errorf("worker ledger = %+v", mj)
 	}
-	if mj.StagesMs["worker_eval"] == 0 {
+	if mj.StagesMs["worker_eval_shards"] == 0 {
 		t.Error("worker stage times should fold in under a worker_ prefix")
 	}
 	if mj.ShardsRun != 0 {

@@ -86,8 +86,9 @@ func (r *Registry) Counter(name, help string) *Counter {
 }
 
 // CounterFunc registers a counter whose value is read from fn at scrape
-// time — the bridge for pre-existing atomic gauges (dist coordinator, shard
-// gauges, jobs terminal counts) without double bookkeeping.
+// time. A component counts its own events in a Counter it registers; a
+// CounterFunc is only for sums over state another component owns (jobs'
+// terminal counts, caches summed over sessions).
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	r.register(&family{name: name, help: help, typ: "counter", counterFn: fn})
 }

@@ -90,6 +90,52 @@ func stableOf(r *WhatIfResponse) string {
 	return string(raw)
 }
 
+// TestDistStatsMatchMetrics: the coordinator keeps each count once, in the
+// metrics registry, so after a workers-placed query /v1/stats' dist section
+// and /metrics' hyper_dist_* series report the same values.
+func TestDistStatsMatchMetrics(t *testing.T) {
+	base := distTestServer(t, 2)
+	if st, p := distPost(t, base, "/v1/sessions", CreateSessionRequest{
+		Name: "g", Dataset: "german", Options: &SessionOptions{Seed: 7, ShardRows: 256},
+	}, nil); st != http.StatusOK {
+		t.Fatalf("create session: %d %s", st, p)
+	}
+	var res WhatIfResponse
+	if st, p := distPost(t, base, "/v1/sessions/g/whatif", QueryRequest{
+		Query: `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`, Placement: "workers",
+	}, &res); st != http.StatusOK || res.Placement != "workers" {
+		t.Fatalf("workers-placed whatif: %d placement %q %s", st, res.Placement, p)
+	}
+	var stats StatsResponse
+	if code := do(t, "GET", base+"/v1/stats", nil, &stats); code != http.StatusOK {
+		t.Fatalf("stats: status %d", code)
+	}
+	d := stats.Dist
+	if d.Registrations != 2 || d.RemoteEvals != 1 || d.RemoteShards != uint64(res.ShardPlan) || d.FramesShipped != 2 {
+		t.Fatalf("dist stats %+v after one workers-placed query over two workers", d.Stats)
+	}
+	text := scrapeMetrics(t, base)
+	for name, v := range map[string]uint64{
+		"hyper_dist_workers_alive":          uint64(d.WorkersAlive),
+		"hyper_dist_workers_registered":     uint64(d.WorkersRegistered),
+		"hyper_dist_breaker_state":          uint64(d.WorkersQuarantined),
+		"hyper_dist_registrations_total":    d.Registrations,
+		"hyper_dist_workers_lost_total":     d.WorkersLost,
+		"hyper_dist_requeues_total":         d.Requeues,
+		"hyper_dist_frames_shipped_total":   d.FramesShipped,
+		"hyper_dist_remote_evals_total":     d.RemoteEvals,
+		"hyper_dist_remote_shards_total":    d.RemoteShards,
+		"hyper_dist_local_fallbacks_total":  d.LocalFallbacks,
+		"hyper_dist_retries_total":          d.Retries,
+		"hyper_dist_workers_restored_total": d.RestoredWorkers,
+		"hyper_dist_persist_errors_total":   d.PersistErrors,
+	} {
+		if want := fmt.Sprintf("\n%s %d\n", name, v); !strings.Contains(text, want) {
+			t.Errorf("/v1/stats has %s = %d, /metrics does not", name, v)
+		}
+	}
+}
+
 func TestServerPlacement(t *testing.T) {
 	base := distTestServer(t, 2)
 	status, payload := distPost(t, base, "/v1/sessions", CreateSessionRequest{

@@ -9,12 +9,11 @@ import (
 	"hyper/internal/obs"
 )
 
-// registerMetrics bridges the server's pre-existing gauges (sessions, jobs,
-// shard activity, dist coordinator, engine caches) into the metrics
-// registry as scrape-time functions — no double bookkeeping, the atomics
-// the /v1/stats endpoint reads are the same ones /metrics reads. Names
-// follow the stack's scheme (hyper_ prefix, counters end in _total),
-// enforced by Registry.Lint via cmd/metriclint.
+// registerMetrics bridges state other components own (sessions, jobs, engine
+// and plan caches, the trace ring) into the metrics registry as scrape-time
+// functions — no double bookkeeping, /v1/stats and /metrics read the same
+// state. Names follow the stack's scheme (hyper_ prefix, counters end in
+// _total), enforced by Registry.Lint via cmd/metriclint.
 func (s *Server) registerMetrics() {
 	r := s.metrics
 	r.GaugeFunc("hyper_uptime_seconds", "Seconds since the server started.",
@@ -69,24 +68,10 @@ func (s *Server) registerMetrics() {
 	r.CounterFunc("hyper_jobs_rejected_total", "Job submissions rejected by admission control.",
 		func() float64 { return float64(s.jobs.Stats().Rejected) })
 
-	r.CounterFunc("hyper_whatif_evals_total", "What-if evaluations recorded by the shard gauges.",
-		func() float64 { return float64(s.shards.evals.Load()) })
-	r.CounterFunc("hyper_whatif_sharded_evals_total", "What-if evaluations that ran a multi-shard plan.",
-		func() float64 { return float64(s.shards.shardedEvals.Load()) })
-	r.CounterFunc("hyper_whatif_shards_run_total", "Plan shards executed across all what-if evaluations.",
-		func() float64 { return float64(s.shards.shardsRun.Load()) })
-	r.GaugeFunc("hyper_whatif_max_plan_shards", "Largest shard plan seen.",
-		func() float64 { return float64(s.shards.maxPlan.Load()) })
-	r.GaugeFunc("hyper_whatif_max_workers", "Widest shard worker fan-out seen.",
-		func() float64 { return float64(s.shards.maxWorkers.Load()) })
-
 	r.CounterFunc("hyper_traces_recorded_total", "Request traces captured into the trace ring.",
 		func() float64 { return float64(s.traces.Recorded()) })
 
 	obs.RegisterRuntimeMetrics(r)
-	s.costWall = r.HistogramVec("hyper_query_cost_wall_ms",
-		"Per-query wall time in milliseconds, by endpoint (jobs as job:<kind>).",
-		obs.LatencyBucketsMs, "endpoint")
 	s.costTuples = r.HistogramVec("hyper_query_cost_tuples",
 		"Per-query tuples evaluated, by endpoint (jobs as job:<kind>).",
 		obs.CountBuckets, "endpoint")

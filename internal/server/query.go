@@ -290,9 +290,6 @@ func (e *sessionEntry) whatIf(ctx context.Context, sn *snapshotEntry, req QueryR
 	if err != nil {
 		return nil, queryError(ctx, err)
 	}
-	if e.shards != nil {
-		e.shards.record(res.ShardPlan, res.ShardWorkers)
-	}
 	out := toWhatIfResponse(res)
 	out.Snapshot = sn.version
 	return out, nil

@@ -207,7 +207,6 @@ type Server struct {
 	slowMu  sync.Mutex   // serializes SlowQueryLog writes
 
 	// Per-query cost histograms, observed by recordUsage per endpoint.
-	costWall   *obs.HistogramVec
 	costTuples *obs.HistogramVec
 	costShards *obs.HistogramVec
 
@@ -215,8 +214,7 @@ type Server struct {
 	// plan cache feeds it through its compile observer).
 	planCompile *obs.Histogram
 
-	stats  statsRecorder
-	shards shardGauges
+	stats statsRecorder
 }
 
 // New returns a server with an empty session registry and a running job
@@ -231,16 +229,19 @@ func New(cfg Config) *Server {
 		traces:   obs.NewRecorder(cfg.TraceCapacity),
 		usage:    newUsageTable(cfg.UsageEntries),
 	}
+	s.stats.init(s.metrics)
 	s.jobs = jobs.NewManager(jobs.Config{
 		Workers:         cfg.JobWorkers,
 		QueueDepth:      cfg.JobQueueDepth,
 		PerSessionLimit: cfg.JobsPerSession,
 		Retention:       cfg.JobRetention,
 		Trace:           s.traces,
-		// Finished jobs land in the same usage table and cost histograms as
-		// synchronous requests, under a job:<kind> endpoint label.
+		// Finished jobs land in the same usage table, cost histograms and
+		// latency histogram as synchronous requests, under a job:<kind>
+		// endpoint label.
 		Usage: func(kind string, m *obs.Meter, elapsed time.Duration, err error) {
 			s.recordUsage("job:"+kind, m, elapsed, err != nil)
+			s.stats.record("job:"+kind, elapsed, err != nil)
 		},
 	})
 	s.dist = dist.NewCoordinator(dist.CoordinatorConfig{
@@ -254,7 +255,6 @@ func New(cfg Config) *Server {
 		StatePath:       cfg.DistStatePath,
 		Fault:           cfg.Fault,
 	})
-	s.stats.init(s.metrics)
 	s.slow = s.metrics.Counter("hyper_slow_queries_total", "Requests that exceeded the slow-query threshold.")
 	s.panics = s.metrics.Counter("hyper_server_panics_total", "Handler panics recovered into JSON 500 responses.")
 	s.registerMetrics()

@@ -11,7 +11,6 @@ import (
 	"hyper"
 	"hyper/internal/dataset"
 	"hyper/internal/dist"
-	"hyper/internal/ml"
 	"hyper/internal/relation"
 	"hyper/internal/shard"
 )
@@ -30,8 +29,8 @@ type sessionEntry struct {
 	schemaSig string // relation-name signature, the schema half of shape fingerprints
 	created   time.Time
 	queries   atomic.Int64
-	shards    *shardGauges      // server-wide gauges, recorded per what-if
 	dist      *dist.Coordinator // shard transport (placement knob)
+	shardRows int               // the strided plan's rows per shard (append accounting)
 
 	// mu guards the version chain; snaps[i] is version i+1 and the last
 	// element is head. Snapshots are append-only and immutable once
@@ -39,13 +38,8 @@ type sessionEntry struct {
 	mu    sync.RWMutex
 	snaps []*snapshotEntry
 
-	// appendMu serializes appends (parse, extend, digest advance, publish).
-	// digests hold the per-relation incremental column-stats state: strided
-	// shard digests sealed below the fitted watermark, so an append fits
-	// only the tail shards its new rows touch and never rescans history.
-	appendMu     sync.Mutex
-	digests      map[string]*ml.RelationDigest
-	digestTarget int // rows per digest shard (the session's shard granularity)
+	// appendMu serializes appends (parse, extend, publish).
+	appendMu sync.Mutex
 }
 
 // snapshotEntry is one immutable version of a session's data: the derived
@@ -353,24 +347,10 @@ func (s *Server) handleCreateSession(r *http.Request) (any, error) {
 	pc.SetCompileObserver(s.planCompile.Observe)
 	sess.SetPlanCache(pc)
 
-	target := opts.ShardRows
-	if target <= 0 {
-		target = shard.DefaultTargetRows
-	}
 	e := &sessionEntry{
 		name: req.Name, dataset: from, created: time.Now(),
 		schemaSig: strings.Join(db.Names(), ","),
-		shards:    &s.shards, dist: s.dist,
-		digests:      make(map[string]*ml.RelationDigest, len(db.Names())),
-		digestTarget: target,
-	}
-	// Digest the creation state now: the per-shard column stats computed
-	// here are the sealed prefix every future append extends, so append
-	// cost is proportional to the appended tail, never to history.
-	for _, name := range db.Names() {
-		d := ml.NewRelationDigest(target)
-		d.Advance(db.Relation(name))
-		e.digests[name] = d
+		dist:      s.dist, shardRows: opts.ShardRows,
 	}
 	e.snaps = []*snapshotEntry{{
 		version: db.Version(), sess: sess, frame: dist.NewFrame(db, model),
@@ -401,8 +381,9 @@ type AppendRequest struct {
 }
 
 // AppendResponse reports the published snapshot. ShardsFitted/ShardsReused
-// count the incremental stats work: fitted shards scanned appended rows,
-// reused shards were sealed by earlier versions and not rescanned.
+// split each relation's prefix-stable strided shard plan (shard.Strided at
+// the session's shard_rows): fitted shards hold appended rows, reused shards
+// were sealed by earlier versions.
 type AppendResponse struct {
 	Session      string `json:"session"`
 	Version      int64  `json:"version"`
@@ -414,8 +395,7 @@ type AppendResponse struct {
 
 // handleAppendRows is POST /v1/sessions/{name}/rows: parse the appended CSV
 // rows against the live schema, extend the database copy-on-write (shared
-// tuple storage, bumped version), advance the per-relation stats digests
-// over only the new tail shards, and atomically publish the new head.
+// tuple storage, bumped version), and atomically publish the new head.
 // Running queries hold their resolved snapshotEntry and are unaffected.
 func (s *Server) handleAppendRows(r *http.Request) (any, error) {
 	e, err := s.session(r.PathValue("name"))
@@ -461,19 +441,19 @@ func (s *Server) handleAppendRows(r *http.Request) (any, error) {
 	}
 	newDB := sess.DB()
 
-	// Incremental stats: advance each relation's digest over the strided
-	// shard plan. Sealed shards are counted reused and never rescanned —
-	// the acceptance invariant the meter counters below make observable.
+	// The strided plan is prefix-stable: a shard that ends at or below a
+	// relation's previous row count was sealed by an earlier version (reused),
+	// any other holds appended rows (fitted).
 	fitted, reused := 0, 0
 	for _, name := range newDB.Names() {
-		d := e.digests[name]
-		if d == nil {
-			d = ml.NewRelationDigest(e.digestTarget)
-			e.digests[name] = d
+		plan, prev := shard.Strided(newDB.Relation(name).Len(), e.shardRows), db.Relation(name).Len()
+		for i := 0; i < plan.Shards(); i++ {
+			if _, hi := plan.Bounds(i); hi <= prev {
+				reused++
+			} else {
+				fitted++
+			}
 		}
-		f, u := d.Advance(newDB.Relation(name))
-		fitted += f
-		reused += u
 	}
 	stampAppend(r.Context(), e, appends, fitted, reused)
 

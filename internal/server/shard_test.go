@@ -1,16 +1,36 @@
 package server
 
 import (
+	"fmt"
+	"io"
 	"net/http"
+	"strings"
 	"testing"
+	"time"
 
 	"hyper/internal/jobs"
 )
 
+// scrapeMetrics returns the server's /metrics exposition.
+func scrapeMetrics(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
+}
+
 // TestShardKnobAndGauges pins the serving-side shard surface: the per-request
 // shards knob is accepted and execution-only (identical values for every
-// fan-out), responses expose the plan, and /v1/stats accumulates the shard
-// gauges.
+// fan-out), responses expose the plan, and each evaluation's shards and each
+// request's latency are recorded once — in the per-query cost histogram and
+// the request-latency histogram /v1/stats reads, finished jobs included.
 func TestShardKnobAndGauges(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	createSession(t, ts, "s1")
@@ -43,18 +63,32 @@ func TestShardKnobAndGauges(t *testing.T) {
 		t.Errorf("shard_rows=1 session: status %d, want 400", code)
 	}
 
+	var info JobInfo
+	if code := do(t, "POST", ts.URL+"/v1/jobs", JobRequest{Session: "s1", Kind: "whatif", Query: germanCount}, &info); code != http.StatusOK {
+		t.Fatalf("submit job: status %d", code)
+	}
+	if final := pollJob(t, ts, info.ID, 30*time.Second, terminal); final.State != "done" {
+		t.Fatalf("job state %q: %s", final.State, final.Error)
+	}
 	var stats StatsResponse
 	if code := do(t, "GET", ts.URL+"/v1/stats", nil, &stats); code != http.StatusOK {
 		t.Fatalf("stats: status %d", code)
 	}
-	if stats.Shards.Evals < 4 {
-		t.Errorf("shard gauges recorded %d evals, want >= 4", stats.Shards.Evals)
+	if got := stats.Endpoints["job:whatif"].Count; got != 1 {
+		t.Errorf("/v1/stats endpoints[job:whatif].count = %d, want 1", got)
 	}
-	if stats.Shards.ShardsRun < stats.Shards.Evals {
-		t.Errorf("shards_run %d < evals %d", stats.Shards.ShardsRun, stats.Shards.Evals)
-	}
-	if stats.Shards.MaxPlan < 1 || stats.Shards.MaxWorkers < 1 {
-		t.Errorf("gauge maxima missing: %+v", stats.Shards)
+	// Four synchronous what-ifs, each running the whole plan locally: the
+	// histogram's count is the evaluations, its sum the shards run.
+	text := scrapeMetrics(t, ts.URL)
+	for _, want := range []string{
+		`hyper_query_cost_shards_count{endpoint="whatif"} 4`,
+		fmt.Sprintf(`hyper_query_cost_shards_sum{endpoint="whatif"} %d`, 4*base.ShardPlan),
+		`hyper_query_cost_shards_count{endpoint="job:whatif"} 1`,
+		`hyper_request_duration_ms_count{endpoint="job:whatif"} 1`,
+	} {
+		if !strings.Contains(text, "\n"+want+"\n") {
+			t.Errorf("/metrics lacks %q", want)
+		}
 	}
 }
 

@@ -2,62 +2,12 @@ package server
 
 import (
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"hyper/internal/dist"
 	"hyper/internal/jobs"
 	"hyper/internal/obs"
 )
-
-// shardGauges accumulates the server-wide shard activity of the what-if
-// path (synchronous, batched, and job-driven evaluations all route through
-// it). All fields are atomics: evaluations record from request goroutines.
-type shardGauges struct {
-	evals        atomic.Int64 // what-if evaluations recorded
-	shardedEvals atomic.Int64 // ... of which ran a multi-shard plan
-	shardsRun    atomic.Int64 // total shards executed across all plans
-	maxPlan      atomic.Int64 // largest plan seen (shards)
-	maxWorkers   atomic.Int64 // widest worker fan-out seen
-}
-
-func (g *shardGauges) record(planShards, workers int) {
-	g.evals.Add(1)
-	if planShards > 1 {
-		g.shardedEvals.Add(1)
-	}
-	g.shardsRun.Add(int64(planShards))
-	storeMax(&g.maxPlan, int64(planShards))
-	storeMax(&g.maxWorkers, int64(workers))
-}
-
-func storeMax(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// ShardStats is the wire form of the shard gauges.
-type ShardStats struct {
-	Evals        int64 `json:"evals"`
-	ShardedEvals int64 `json:"sharded_evals"`
-	ShardsRun    int64 `json:"shards_run"`
-	MaxPlan      int64 `json:"max_plan"`
-	MaxWorkers   int64 `json:"max_workers"`
-}
-
-func (g *shardGauges) snapshot() ShardStats {
-	return ShardStats{
-		Evals:        g.evals.Load(),
-		ShardedEvals: g.shardedEvals.Load(),
-		ShardsRun:    g.shardsRun.Load(),
-		MaxPlan:      g.maxPlan.Load(),
-		MaxWorkers:   g.maxWorkers.Load(),
-	}
-}
 
 // statsRecorder is the per-endpoint request accounting, backed by the
 // metrics registry: a counter pair plus a fixed-bucket latency histogram
@@ -114,16 +64,15 @@ func (s *statsRecorder) snapshot() map[string]EndpointStats {
 }
 
 // StatsResponse is the /v1/stats payload: server uptime, per-endpoint
-// latency quantiles, per-session query counts and cache effectiveness, the
-// job-queue gauges (queued, running, terminal counters, admission
-// rejections, and queue-wait quantiles), and the shard gauges of the
-// what-if evaluation path.
+// latency quantiles (finished jobs as job:<kind>), per-session query counts
+// and cache effectiveness, the job-queue gauges (queued, running, terminal
+// counters, admission rejections, and queue-wait quantiles), and the shard
+// transport's counters.
 type StatsResponse struct {
 	UptimeS   float64                  `json:"uptime_s"`
 	Sessions  []SessionInfo            `json:"sessions"`
 	Endpoints map[string]EndpointStats `json:"endpoints"`
 	Jobs      jobs.Stats               `json:"jobs"`
-	Shards    ShardStats               `json:"shards"`
 	Dist      DistStats                `json:"dist"`
 	Plan      PlanStats                `json:"plan"`
 }
@@ -157,7 +106,6 @@ func (s *Server) handleStats(*http.Request) (any, error) {
 		Endpoints: s.stats.snapshot(),
 		Sessions:  make([]SessionInfo, len(entries)),
 		Jobs:      s.jobs.Stats(),
-		Shards:    s.shards.snapshot(),
 		Dist:      DistStats{Stats: s.dist.Stats(), Workers: s.dist.WorkerInfos()},
 	}
 	for i, e := range entries {

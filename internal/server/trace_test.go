@@ -138,7 +138,7 @@ func TestTraceRingMetricsAndSlowLog(t *testing.T) {
 		`hyper_request_duration_ms_count{endpoint="whatif"} 1`,
 		"hyper_sessions 1",
 		"hyper_traces_recorded_total 1",
-		"hyper_whatif_evals_total 1",
+		`hyper_query_cost_shards_count{endpoint="whatif"} 1`,
 		"hyper_engine_cache_misses_total",
 	} {
 		if !strings.Contains(text, want) {

@@ -191,21 +191,20 @@ func (s *Server) usagePage(r *http.Request, session string) (any, error) {
 // recordUsage finalizes one metered request: the cost histograms observe the
 // vector under the endpoint label, and — when the query was stamped with a
 // shape — the usage table accumulates it. Called for every traced request
-// and for every finished job (endpoint "job:<kind>").
+// and for every finished job (endpoint "job:<kind>"); the request's latency
+// is hyper_request_duration_ms's, observed by statsRecorder.
 func (s *Server) recordUsage(endpoint string, m *obs.Meter, elapsed time.Duration, failed bool) {
 	if m == nil {
 		return
 	}
 	mj := m.JSON()
-	wallMs := float64(elapsed) / float64(time.Millisecond)
-	s.costWall.With(endpoint).Observe(wallMs)
 	s.costTuples.With(endpoint).Observe(float64(mj.TuplesEvaluated))
 	s.costShards.With(endpoint).Observe(float64(mj.ShardsRun))
 	session, kind, fingerprint, shape := m.Shape()
 	if fingerprint == "" {
 		return
 	}
-	s.usage.record(session, kind, fingerprint, shape, mj, wallMs, failed)
+	s.usage.record(session, kind, fingerprint, shape, mj, float64(elapsed)/float64(time.Millisecond), failed)
 }
 
 // stampShape parses query and stamps the request's meter with the shape
@@ -250,9 +249,8 @@ func stampBatchShape(ctx context.Context, e *sessionEntry, queries []BatchQuery)
 }
 
 // stampAppend stamps an append's meter: the shape aggregates appends by
-// their touched-relation set, and the cost vector carries the incremental
-// stats counters (append_shards_fitted / append_shards_reused) that make
-// "appends never rescan history" an observable invariant in /v1/usage.
+// their touched-relation set, and the cost vector carries the strided shard
+// split (append_shards_fitted / append_shards_reused) the response reports.
 func stampAppend(ctx context.Context, e *sessionEntry, appends map[string][]relation.Tuple, fitted, reused int) {
 	meter := obs.MeterFromContext(ctx)
 	if meter == nil {
