@@ -76,8 +76,8 @@ TOMAXIMIZE AVG(POST(Savings))`)
 func countGood(rel *hyper.Relation) float64 {
 	ci := rel.Schema().MustIndex("Credit")
 	n := 0
-	for _, row := range rel.Rows() {
-		if row[ci].AsInt() == 1 {
+	for i := range rel.Len() {
+		if rel.Value(i, ci).AsInt() == 1 {
 			n++
 		}
 	}

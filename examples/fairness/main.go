@@ -70,8 +70,8 @@ func main() {
 	truthRel := a.World.Counterfactual(prcm.Intervention{Attr: "MaritalStatus", Fn: func(float64) float64 { return 1 }})
 	ii := truthRel.Schema().MustIndex("Income")
 	good := 0
-	for _, row := range truthRel.Rows() {
-		good += int(row[ii].AsInt())
+	for i := range truthRel.Len() {
+		good += int(truthRel.Value(i, ii).AsInt())
 	}
 	truth := float64(good) / n
 	for _, mode := range []hyper.Mode{hyper.ModeFull, hyper.ModeIndep} {

@@ -92,16 +92,18 @@ func tupleUnionFind(db *relation.Database, m *Model) (*UnionFind, []string, map[
 	for _, fk := range db.ForeignKeys() {
 		parent := db.Relation(fk.Parent)
 		child := db.Relation(fk.Child)
-		pc := parent.Schema().MustIndex(fk.ParentCol)
-		cc := child.Schema().MustIndex(fk.ChildCol)
-		// Hash parent key -> row.
-		idx := make(map[string]int, parent.Len())
-		for i, row := range parent.Rows() {
-			idx[row[pc].Key()] = i
+		pc := parent.Coded(parent.Schema().MustIndex(fk.ParentCol))
+		cc := child.Coded(child.Schema().MustIndex(fk.ChildCol))
+		// The parent row of each key (the last holding it), and each child
+		// code's parent code.
+		last := make([]int, len(pc.Values))
+		for i := range parent.Len() {
+			last[pc.At(i)] = i
 		}
-		for i, row := range child.Rows() {
-			if p, ok := idx[row[cc].Key()]; ok {
-				uf.Union(offset[fk.Child]+i, offset[fk.Parent]+p)
+		toParent := cc.Recode(pc)
+		for i := range child.Len() {
+			if p := toParent[cc.At(i)]; p >= 0 {
+				uf.Union(offset[fk.Child]+i, offset[fk.Parent]+last[p])
 			}
 		}
 	}
@@ -121,13 +123,13 @@ func tupleUnionFind(db *relation.Database, m *Model) (*UnionFind, []string, map[
 			if !ok {
 				return nil, nil, nil, 0, fmt.Errorf("causal: cross edge group attribute %q not in %q", gAttr, gRel)
 			}
-			first := make(map[string]int)
-			for i, row := range r.Rows() {
-				k := row[gi].Key()
-				if f, ok := first[k]; ok {
-					uf.Union(offset[gRel]+f, offset[gRel]+i)
+			col := r.Coded(gi)
+			first := make([]int, len(col.Values)) // first row + 1 per code
+			for i := range r.Len() {
+				if f := first[col.At(i)]; f > 0 {
+					uf.Union(offset[gRel]+f-1, offset[gRel]+i)
 				} else {
-					first[k] = i
+					first[col.At(i)] = i + 1
 				}
 			}
 		}
@@ -182,117 +184,4 @@ func locate(names []string, offset map[string]int, db *relation.Database, id int
 		}
 	}
 	panic("causal: tuple id out of range")
-}
-
-// GroundGraph materializes the full ground causal graph of db under model m:
-// one node per (relation, row, attribute), intra-tuple edges from the
-// attribute DAG, and cross-tuple edges expanded per GroupBy group. It is
-// intended for small databases (tests, the toy example of Figure 1); block
-// decomposition of large databases uses Decompose, which never materializes
-// this graph.
-func GroundGraph(db *relation.Database, m *Model) (*Graph, error) {
-	g := NewGraph()
-	node := func(rel string, row int, attr string) string {
-		return fmt.Sprintf("%s[%d].%s", rel, row, attr)
-	}
-	// Intra-tuple edges from the attribute DAG (same relation only).
-	for _, e := range m.Attr.Edges() {
-		fr, fa := SplitQualified(e[0])
-		tr, ta := SplitQualified(e[1])
-		if fr != tr {
-			continue // cross-relation edges are handled via FK/cross rules
-		}
-		r := db.Relation(fr)
-		if r == nil {
-			return nil, fmt.Errorf("causal: ground graph: unknown relation %q", fr)
-		}
-		for i := 0; i < r.Len(); i++ {
-			g.AddEdge(node(fr, i, fa), node(tr, i, ta))
-		}
-	}
-	// Cross-relation intra-entity edges through foreign keys: an edge
-	// Parent.A -> Child.B in the attribute DAG grounds to edges between each
-	// parent row and its children (and vice versa for Child.A -> Parent.B).
-	for _, e := range m.Attr.Edges() {
-		fr, fa := SplitQualified(e[0])
-		tr, ta := SplitQualified(e[1])
-		if fr == tr {
-			continue
-		}
-		for _, fk := range db.ForeignKeys() {
-			var pRel, cRel string = fk.Parent, fk.Child
-			if (fr == pRel && tr == cRel) || (fr == cRel && tr == pRel) {
-				parent := db.Relation(pRel)
-				child := db.Relation(cRel)
-				pc := parent.Schema().MustIndex(fk.ParentCol)
-				cc := child.Schema().MustIndex(fk.ChildCol)
-				idx := make(map[string][]int)
-				for i, row := range child.Rows() {
-					k := row[cc].Key()
-					idx[k] = append(idx[k], i)
-				}
-				for pi, prow := range parent.Rows() {
-					for _, ci := range idx[prow[pc].Key()] {
-						if fr == pRel {
-							g.AddEdge(node(fr, pi, fa), node(tr, ci, ta))
-						} else {
-							g.AddEdge(node(fr, ci, fa), node(tr, pi, ta))
-						}
-					}
-				}
-			}
-		}
-	}
-	// Cross-tuple edges: expand within each GroupBy group (distinct tuples).
-	for _, ce := range m.Cross {
-		gRel, gAttr := SplitQualified(ce.GroupBy)
-		if gRel == "" {
-			gRel = ce.FromRel
-		}
-		if gRel != ce.FromRel || ce.FromRel != ce.ToRel {
-			// Cross edges across relations ground through the FK path above;
-			// only same-relation group edges expand here.
-			continue
-		}
-		r := db.Relation(gRel)
-		gi := r.Schema().MustIndex(gAttr)
-		groups := make(map[string][]int)
-		for i, row := range r.Rows() {
-			k := row[gi].Key()
-			groups[k] = append(groups[k], i)
-		}
-		for _, rows := range groups {
-			for _, i := range rows {
-				for _, j := range rows {
-					if i != j {
-						g.AddEdge(node(ce.FromRel, i, ce.FromAttr), node(ce.ToRel, j, ce.ToAttr))
-					}
-				}
-			}
-		}
-	}
-	return g, nil
-}
-
-// Independent reports whether tuples (relA, rowA) and (relB, rowB) are
-// independent under the ground graph g: no ground variable of one connects
-// to any ground variable of the other.
-func Independent(g *Graph, db *relation.Database, relA string, rowA int, relB string, rowB int) bool {
-	ra, rb := db.Relation(relA), db.Relation(relB)
-	for _, ca := range ra.Schema().Columns() {
-		na := fmt.Sprintf("%s[%d].%s", relA, rowA, ca.Name)
-		if !g.Has(na) {
-			continue
-		}
-		for _, cb := range rb.Schema().Columns() {
-			nb := fmt.Sprintf("%s[%d].%s", relB, rowB, cb.Name)
-			if !g.Has(nb) {
-				continue
-			}
-			if g.ConnectedTo(na, nb) {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -242,12 +242,3 @@ func (a *Amazon) CounterfactualCategoryAvgRating(category string, sel func(prodI
 	}
 	return total / float64(m)
 }
-
-// PricePercentile returns the q-quantile of product prices.
-func (a *Amazon) PricePercentile(q float64) float64 {
-	prices := make([]float64, len(a.prod))
-	for i := range a.prod {
-		prices[i] = a.prod[i][2]
-	}
-	return stats.Quantile(prices, q)
-}

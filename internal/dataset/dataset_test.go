@@ -26,7 +26,8 @@ func TestGermanSynShape(t *testing.T) {
 	// Credit should be a non-degenerate binary outcome.
 	ci := rel.Schema().MustIndex("Credit")
 	ones := 0
-	for _, row := range rel.Rows() {
+	for ix := range rel.Len() {
+		row := rel.Row(ix)
 		v := row[ci].AsInt()
 		if v != 0 && v != 1 {
 			t.Fatalf("credit value %d", v)
@@ -77,7 +78,8 @@ func TestGermanSynStatusEffectDirection(t *testing.T) {
 func fracCredit(rel *relation.Relation) float64 {
 	ci := rel.Schema().MustIndex("Credit")
 	n := 0
-	for _, row := range rel.Rows() {
+	for ix := range rel.Len() {
+		row := rel.Row(ix)
 		n += int(row[ci].AsInt())
 	}
 	return float64(n) / float64(rel.Len())
@@ -205,7 +207,8 @@ func TestAmazonSynStructure(t *testing.T) {
 	// Ratings bounded 1..5.
 	rev := am.DB.Relation("Review")
 	ri := rev.Schema().MustIndex("Rating")
-	for _, row := range rev.Rows() {
+	for ix := range rev.Len() {
+		row := rev.Row(ix)
 		if v := row[ri].AsInt(); v < 1 || v > 5 {
 			t.Fatalf("rating %d out of range", v)
 		}
@@ -223,7 +226,8 @@ func TestAmazonPriceCutRaisesRatings(t *testing.T) {
 	rev := am.DB.Relation("Review")
 	ri := rev.Schema().MustIndex("Rating")
 	sum := 0.0
-	for _, row := range rev.Rows() {
+	for ix := range rev.Len() {
+		row := rev.Row(ix)
 		sum += row[ri].AsFloat()
 	}
 	if math.Abs(baseAvg-sum/float64(rev.Len())) > 1e-9 {
@@ -242,7 +246,8 @@ func TestAmazonShareRated(t *testing.T) {
 	pi, ri := rev.Schema().MustIndex("PID"), rev.Schema().MustIndex("Rating")
 	sum, n := map[int64]float64{}, map[int64]int{}
 	reviewsGE4 := 0
-	for _, row := range rev.Rows() {
+	for ix := range rev.Len() {
+		row := rev.Row(ix)
 		sum[row[pi].AsInt()] += row[ri].AsFloat()
 		n[row[pi].AsInt()]++
 		if row[ri].AsInt() >= 4 {
@@ -273,14 +278,6 @@ func TestAmazonShareRated(t *testing.T) {
 	}
 }
 
-func TestAmazonPricePercentile(t *testing.T) {
-	am := AmazonSyn(1000, 5, 12)
-	p20, p80 := am.PricePercentile(0.2), am.PricePercentile(0.8)
-	if p20 >= p80 {
-		t.Errorf("percentiles out of order: %g >= %g", p20, p80)
-	}
-}
-
 func TestToyMatchesFigure1(t *testing.T) {
 	db, model := Toy()
 	prod, rev := db.Relation("Product"), db.Relation("Review")
@@ -294,7 +291,8 @@ func TestToyMatchesFigure1(t *testing.T) {
 	found := false
 	pi := prod.Schema().MustIndex("Brand")
 	ci := prod.Schema().MustIndex("Price")
-	for _, row := range prod.Rows() {
+	for ix := range prod.Len() {
+		row := prod.Row(ix)
 		if row[pi].AsString() == "Asus" && row[ci].AsFloat() == 529 {
 			found = true
 		}

@@ -177,7 +177,7 @@ func TestDistributedDeltaEval(t *testing.T) {
 		{db, baseFrame},
 		{db2, deltaFrame},
 	} {
-		want, err := engine.EvaluateContext(context.Background(), tc.db.Clone(), model, q, opts)
+		want, err := engine.EvaluateContext(context.Background(), tc.db, model, q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func TestDistributedDeltaColdWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := engine.EvaluateContext(context.Background(), db2.Clone(), base.Model, q, opts)
+	want, err := engine.EvaluateContext(context.Background(), db2, base.Model, q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,10 +118,9 @@ func EncodeSnapshot(db *relation.Database, model *causal.Model) *Snapshot {
 		}
 		rs.Rows = make([][]string, rel.Len())
 		for i := 0; i < rel.Len(); i++ {
-			row := rel.Row(i)
-			enc := make([]string, len(row))
-			for j, v := range row {
-				enc[j] = encodeValue(v)
+			enc := make([]string, len(rs.Columns))
+			for j := range enc {
+				enc[j] = encodeValue(rel.Value(i, j))
 			}
 			rs.Rows[i] = enc
 		}

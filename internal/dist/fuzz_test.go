@@ -58,7 +58,8 @@ func FuzzReadCSVKeyed(f *testing.F) {
 				t.Fatalf("column %d: %+v rebuilt as %+v", c, col, got.Schema().Col(c))
 			}
 		}
-		for i, row := range rel.Rows() {
+		for i := range rel.Len() {
+			row := rel.Row(i)
 			for c, v := range row {
 				if w := got.Row(i)[c]; w.Kind() != v.Kind() || w.Key() != v.Key() {
 					t.Fatalf("row %d column %d: %v (%s) rebuilt as %v (%s)", i, c, v, v.Kind(), w, w.Kind())

@@ -115,7 +115,7 @@ func materialise(p *evalPrep, model *causal.Model, ignoreWhen bool) (boundRef, e
 // tuple is evaluator.tuple as it read the materialised arrays.
 func (ref boundRef) tuple(e *evaluator, i int) (sum, count float64, err error) {
 	row := e.v.rel.Row(i)
-	env := sqlmini.RowEnv{Rel: e.v.rel, Row: row}
+	env := sqlmini.RowEnv{Rel: e.v.rel, Row: i}
 	var active []int
 	for k, d := range e.disjuncts {
 		ok := true

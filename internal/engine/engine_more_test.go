@@ -20,7 +20,8 @@ func TestMultiAttributeUpdate(t *testing.T) {
 	)
 	ci := post.Schema().MustIndex("Credit")
 	good := 0
-	for _, row := range post.Rows() {
+	for ix := range post.Len() {
+		row := post.Row(ix)
 		good += int(row[ci].AsInt())
 	}
 	truth := float64(good) / float64(post.Len())
@@ -67,7 +68,8 @@ func TestUpdateScaleAndShiftForms(t *testing.T) {
 func fracOf(rel *relation.Relation, col string, val int64) float64 {
 	ci := rel.Schema().MustIndex(col)
 	n := 0
-	for _, row := range rel.Rows() {
+	for ix := range rel.Len() {
+		row := rel.Row(ix)
 		if row[ci].AsInt() == val {
 			n++
 		}
@@ -111,7 +113,8 @@ FOR PRE(Category) = 'Laptop'`)
 	bi := prod.Schema().MustIndex("Brand")
 	ci := prod.Schema().MustIndex("Category")
 	asusLaptop := map[int]bool{}
-	for i, row := range prod.Rows() {
+	for i := range prod.Len() {
+		row := prod.Row(i)
 		if row[bi].AsString() == "Asus" && row[ci].AsString() == "Laptop" {
 			asusLaptop[i] = true
 		}

@@ -20,7 +20,8 @@ func TestEngineMatchesPossibleWorldSemantics(t *testing.T) {
 	countGood := func(rel *relation.Relation) float64 {
 		ci := rel.Schema().MustIndex("Credit")
 		c := 0
-		for _, row := range rel.Rows() {
+		for ix := range rel.Len() {
+			row := rel.Row(ix)
 			c += int(row[ci].AsInt())
 		}
 		return float64(c)
@@ -66,7 +67,8 @@ func TestMonteCarloRestrictedUpdateSet(t *testing.T) {
 	n := float64(g.Rel().Len())
 	ai := g.Rel().Schema().MustIndex("Age")
 	rows := map[int]bool{}
-	for i, row := range g.Rel().Rows() {
+	for i := range g.Rel().Len() {
+		row := g.Rel().Row(i)
 		if row[ai].AsInt() == 0 {
 			rows[i] = true
 		}
@@ -74,7 +76,8 @@ func TestMonteCarloRestrictedUpdateSet(t *testing.T) {
 	countGood := func(rel *relation.Relation) float64 {
 		ci := rel.Schema().MustIndex("Credit")
 		c := 0
-		for _, row := range rel.Rows() {
+		for ix := range rel.Len() {
+			row := rel.Row(ix)
 			c += int(row[ci].AsInt())
 		}
 		return float64(c)

@@ -105,7 +105,7 @@ func oracleMask(when hyperql.Expr, rel *relation.Relation) ([]bool, error) {
 			mask[i] = true
 			continue
 		}
-		ok, err := sqlmini.EvalBool(when, sqlmini.RowEnv{Rel: rel, Row: rel.Row(i)})
+		ok, err := sqlmini.EvalBool(when, sqlmini.RowEnv{Rel: rel, Row: i})
 		if err != nil {
 			return nil, err
 		}

@@ -19,23 +19,26 @@ import (
 // linear and forest fits on every set at once (run it under -race) each
 // column still holds what a frame over an untouched copy of the relation does.
 func TestSharedColumns(t *testing.T) {
-	rel := relation.NewRelation("T", relation.MustSchema(
-		relation.Column{Name: "ID", Kind: relation.KindInt, Key: true},
-		relation.Column{Name: "G", Kind: relation.KindInt},
-		relation.Column{Name: "S", Kind: relation.KindString},
-		relation.Column{Name: "C", Kind: relation.KindFloat},
-		relation.Column{Name: "X", Kind: relation.KindInt, Mutable: true},
-		relation.Column{Name: "W", Kind: relation.KindInt, Mutable: true},
-		relation.Column{Name: "Y", Kind: relation.KindFloat, Mutable: true},
-	))
-	rng := stats.NewRNG(17)
-	for i := 0; i < 400; i++ {
-		g, x, w := rng.Intn(4), rng.Intn(3), rng.Intn(2)
-		c := 0.5*float64(g) + rng.Float64()
-		rel.MustInsert(relation.Int(int64(i)), relation.Int(int64(g)), relation.String("abc"[g%3:g%3+1]),
-			relation.Float(c), relation.Int(int64(x)), relation.Int(int64(w)), relation.Float(c+0.3*float64(x+w)+rng.Float64()))
+	build := func() *relation.Relation {
+		rel := relation.NewRelation("T", relation.MustSchema(
+			relation.Column{Name: "ID", Kind: relation.KindInt, Key: true},
+			relation.Column{Name: "G", Kind: relation.KindInt},
+			relation.Column{Name: "S", Kind: relation.KindString},
+			relation.Column{Name: "C", Kind: relation.KindFloat},
+			relation.Column{Name: "X", Kind: relation.KindInt, Mutable: true},
+			relation.Column{Name: "W", Kind: relation.KindInt, Mutable: true},
+			relation.Column{Name: "Y", Kind: relation.KindFloat, Mutable: true},
+		))
+		rng := stats.NewRNG(17)
+		for i := 0; i < 400; i++ {
+			g, x, w := rng.Intn(4), rng.Intn(3), rng.Intn(2)
+			c := 0.5*float64(g) + rng.Float64()
+			rel.MustInsert(relation.Int(int64(i)), relation.Int(int64(g)), relation.String("abc"[g%3:g%3+1]),
+				relation.Float(c), relation.Int(int64(x)), relation.Int(int64(w)), relation.Float(c+0.3*float64(x+w)+rng.Float64()))
+		}
+		return rel
 	}
-	pristine := rel.Clone() // columns of its own: nothing below can reach them
+	rel, pristine := build(), build() // the second's columns are its own: nothing below can reach them
 	db := relation.NewDatabase()
 	db.MustAdd(rel)
 	model := causal.NewModel()
@@ -120,7 +123,8 @@ func TestSharedColumns(t *testing.T) {
 
 	// ψ afresh: the mean of X over the rows sharing a G, summed in row order.
 	var sumX, rowsOf [4]float64
-	for _, row := range pristine.Rows() {
+	for ix := range pristine.Len() {
+		row := pristine.Row(ix)
 		sumX[row[1].AsInt()] += row[4].AsFloat()
 		rowsOf[row[1].AsInt()]++
 	}
@@ -132,7 +136,8 @@ func TestSharedColumns(t *testing.T) {
 		for c, name := range est.featCols {
 			var fresh []float64
 			if name == psi {
-				for _, row := range pristine.Rows() {
+				for ix := range pristine.Len() {
+					row := pristine.Row(ix)
 					fresh = append(fresh, sumX[row[1].AsInt()]/rowsOf[row[1].AsInt()])
 				}
 			} else {

@@ -147,29 +147,48 @@ func qualifyRef(db *relation.Database, sel *hyperql.SelectStmt, c *hyperql.ColRe
 // blockIDs assigns each row of a materialized view the id of its block
 // (blocks are defined over base-relation tuples; rowBlock holds the update
 // relation's per-row block ids). View rows map to update-relation tuples
-// through that relation's own key index (its key columns are present in the
-// view by the USE contract); rows whose key is missing from the base relation
+// through that relation's key (its key columns are present in the view by
+// the USE contract): each key column's view codes are translated into the
+// base column's code space once per distinct value, and a row's translated
+// codes name its base row. Rows whose key is missing from the base relation
 // map to block 0. A view that IS the update relation (a USE over a bare
 // table) needs none of this: its rows' blocks are rowBlock itself.
 func (v *view) blockIDs(updateRel *relation.Relation, rowBlock []int) ([]int, error) {
 	base := updateRel.Schema()
 	keyIdx := base.KeyIndexes()
-	viewIdx := make([]int, len(keyIdx))
+	out := make([]int, v.rel.Len())
+	if len(keyIdx) == 0 {
+		// No declared key: the base relation keys whole tuples, and every
+		// view row probes it with the same all-NULL tuple.
+		if br := updateRel.LookupKey(make(relation.Tuple, base.Len())); br >= 0 {
+			for i := range out {
+				out[i] = rowBlock[br]
+			}
+		}
+		return out, nil
+	}
+	viewCols := make([]*relation.CodedColumn, len(keyIdx))
+	toBase := make([][]int32, len(keyIdx))
 	for j, ki := range keyIdx {
 		name := base.Col(ki).Name
 		vi, ok := v.rel.Schema().Index(name)
 		if !ok {
 			return nil, fmt.Errorf("engine: relevant view is missing key column %q of relation %s", name, updateRel.Name())
 		}
-		viewIdx[j] = vi
+		viewCols[j] = v.rel.Coded(vi)
+		toBase[j] = viewCols[j].Recode(updateRel.Coded(ki))
 	}
-	out := make([]int, v.rel.Len())
-	probe := make(relation.Tuple, base.Len()) // LookupKey reads the key columns only
-	for i, row := range v.rel.Rows() {
-		for j, ki := range keyIdx {
-			probe[ki] = row[viewIdx[j]]
+	codes := make([]uint32, len(keyIdx))
+rows:
+	for i := range out {
+		for j, vc := range viewCols {
+			c := toBase[j][vc.At(i)]
+			if c < 0 {
+				continue rows
+			}
+			codes[j] = uint32(c)
 		}
-		if br := updateRel.LookupKey(probe); br >= 0 {
+		if br := updateRel.KeyRow(codes); br >= 0 {
 			out[i] = rowBlock[br]
 		}
 	}

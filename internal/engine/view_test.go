@@ -63,9 +63,11 @@ func TestViewBlockIDsCompositeKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, row := range v.rel.Rows() {
+	for i := range v.rel.Len() {
+		row := v.rel.Row(i)
 		base := -1
-		for j, b := range item.Rows() {
+		for j := range item.Len() {
+			b := item.Row(j)
 			if b[0].Equal(row[0]) && b[1].Equal(row[1]) {
 				base = j
 			}

@@ -692,10 +692,10 @@ func postUpdate(u hyperql.UpdateSpec, inS bool, pre relation.Value) relation.Val
 // isAffected reports whether the update reaches view row i: its own update
 // attribute changes or a summary feature (group mean) shifts. Unaffected
 // tuples are evaluated exactly.
-func (e *evaluator) isAffected(i int, row relation.Tuple) bool {
+func (e *evaluator) isAffected(i int) bool {
 	if e.inS[i] {
 		for ai, ci := range e.updIdx {
-			if !e.q.Updates[ai].Apply(row[ci]).Equal(row[ci]) {
+			if pre := e.v.rel.Value(i, ci); !e.q.Updates[ai].Apply(pre).Equal(pre) {
 				return true
 			}
 		}
@@ -712,8 +712,7 @@ func (e *evaluator) isAffected(i int, row relation.Tuple) bool {
 // i: count is Pr(FOR-post ∧ OUTPUT-cond | do(U), pre-state), sum is
 // E[Y · 1{...}] under the same distribution (Propositions 4 and 5).
 func (e *evaluator) tuple(i int) (sum, count float64, err error) {
-	row := e.v.rel.Row(i)
-	env := sqlmini.RowEnv{Rel: e.v.rel, Row: row}
+	env := sqlmini.RowEnv{Rel: e.v.rel, Row: i}
 	// Active disjuncts: pre conditions are deterministic on D.
 	e.activeBuf = e.activeBuf[:0]
 	for k, d := range e.disjuncts {
@@ -736,7 +735,7 @@ func (e *evaluator) tuple(i int) (sum, count float64, err error) {
 		return 0, 0, nil
 	}
 
-	if !e.isAffected(i, row) {
+	if !e.isAffected(i) {
 		// Exact evaluation: the post-update state equals the pre-update
 		// state for this tuple, so the indicator is observed.
 		p, err := e.observedEvent(i, e.activeBuf)
@@ -748,7 +747,7 @@ func (e *evaluator) tuple(i int) (sum, count float64, err error) {
 		}
 		y := 1.0
 		if e.yIdx >= 0 {
-			y = row[e.yIdx].AsFloat()
+			y = e.v.rel.Value(i, e.yIdx).AsFloat()
 		}
 		return y, 1, nil
 	}
@@ -763,7 +762,7 @@ func (e *evaluator) tuple(i int) (sum, count float64, err error) {
 	x := e.xBuf
 	e.est.featureVectorInto(i, x)
 	for ai, ci := range e.updIdx {
-		x[e.featUpd[ai]] = e.est.encodeAt(e.featUpd[ai], postUpdate(e.q.Updates[ai], e.inS[i], row[ci]))
+		x[e.featUpd[ai]] = e.est.encodeAt(e.featUpd[ai], postUpdate(e.q.Updates[ai], e.inS[i], e.v.rel.Value(i, ci)))
 	}
 	for si, s := range e.summaries {
 		x[e.featSum[si]] = s.post[i]
@@ -788,7 +787,7 @@ func (e *evaluator) tuple(i int) (sum, count float64, err error) {
 // observedEvent evaluates (∨_active post-conj) ∧ outCond on the observed
 // tuple, returning 0 or 1.
 func (e *evaluator) observedEvent(i int, active []int) (float64, error) {
-	env := sqlmini.RowEnv{Rel: e.v.rel, Row: e.v.rel.Row(i)}
+	env := sqlmini.RowEnv{Rel: e.v.rel, Row: i}
 	if e.outCond != nil {
 		ok, err := sqlmini.EvalBool(e.outCond, env)
 		if err != nil {
@@ -931,7 +930,7 @@ func (e *evaluator) eventModel(mask uint64, weighted bool) (ml.Regressor, error)
 // class columns, so it labels by class when the rows are partitioned.
 func (e *evaluator) labelFor(all []hyperql.Expr, weighted bool) *labeler {
 	return &labeler{classOf: e.classOf, classes: e.classes, eval: func(r int) (float64, error) {
-		env := sqlmini.RowEnv{Rel: e.v.rel, Row: e.v.rel.Row(r)}
+		env := sqlmini.RowEnv{Rel: e.v.rel, Row: r}
 		for _, lit := range all {
 			ok, err := sqlmini.EvalBool(lit, env)
 			if err != nil {
@@ -942,7 +941,7 @@ func (e *evaluator) labelFor(all []hyperql.Expr, weighted bool) *labeler {
 			}
 		}
 		if weighted {
-			return e.v.rel.Row(r)[e.yIdx].AsFloat(), nil
+			return e.v.rel.Value(r, e.yIdx).AsFloat(), nil
 		}
 		return 1, nil
 	}}
@@ -1070,7 +1069,7 @@ func supportedFraction(est *estimatorSet, v *view, updates []hyperql.UpdateSpec,
 		est.featureVectorInto(i, x)
 		for _, u := range updates {
 			fi := est.featureIndex(u.Attr)
-			x[fi] = est.encodeAt(fi, u.Apply(v.rel.Row(i)[v.rel.Schema().MustIndex(u.Attr)]))
+			x[fi] = est.encodeAt(fi, u.Apply(v.rel.Value(i, v.rel.Schema().MustIndex(u.Attr))))
 		}
 		for _, s := range summaries {
 			fi := est.featureIndex(s.name)
@@ -1163,10 +1162,10 @@ func buildSummaries(v *view, model *causal.Model, updates []hyperql.UpdateSpec, 
 		}
 		group := v.rel.Coded(gi)
 		groups := make([]acc, len(group.Values))
-		for i, row := range v.rel.Rows() {
-			a := &groups[group.At(i)]
-			a.preSum += row[ai].AsFloat()
-			a.postSum += postUpdate(u, inS[i], row[ai]).AsFloat()
+		for i := range n {
+			a, pre := &groups[group.At(i)], v.rel.Value(i, ai)
+			a.preSum += pre.AsFloat()
+			a.postSum += postUpdate(u, inS[i], pre).AsFloat()
 			a.n++
 		}
 		sf := summaryFeature{

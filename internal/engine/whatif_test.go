@@ -41,7 +41,8 @@ func groundTruthCountGood(g *dataset.Single, attr string, val float64) float64 {
 	})
 	ci := post.Schema().MustIndex("Credit")
 	n := 0
-	for _, row := range post.Rows() {
+	for ix := range post.Len() {
+		row := post.Row(ix)
 		if row[ci].AsInt() == 1 {
 			n++
 		}
@@ -131,7 +132,8 @@ func TestForPreFiltersPopulation(t *testing.T) {
 	// Count of rows with Age=2.
 	ai := g.Rel().Schema().MustIndex("Age")
 	n := 0
-	for _, row := range g.Rel().Rows() {
+	for ix := range g.Rel().Len() {
+		row := g.Rel().Row(ix)
 		if row[ai].AsInt() == 2 {
 			n++
 		}

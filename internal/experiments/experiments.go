@@ -387,8 +387,8 @@ func semShare(g *dataset.Single, outcome, attr string, v int) float64 {
 func countOnes(rel *relation.Relation, col string) float64 {
 	ci := rel.Schema().MustIndex(col)
 	n := 0
-	for _, row := range rel.Rows() {
-		if row[ci].AsInt() == 1 {
+	for i := range rel.Len() {
+		if rel.Value(i, ci).AsInt() == 1 {
 			n++
 		}
 	}

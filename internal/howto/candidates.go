@@ -163,7 +163,7 @@ func (ws whenSets) values(rel *relation.Relation, attr string, when hyperql.Expr
 	var out []float64
 	for i, in := range inS {
 		if in {
-			out = append(out, rel.Row(i)[ci].AsFloat())
+			out = append(out, rel.Value(i, ci).AsFloat())
 		}
 	}
 	return out, nil

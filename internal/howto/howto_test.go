@@ -81,7 +81,8 @@ TOMAXIMIZE COUNT(Credit = 1)`
 		post := g.World.Counterfactual(ivs...)
 		ci := post.Schema().MustIndex("Credit")
 		n := 0
-		for _, row := range post.Rows() {
+		for ix := range post.Len() {
+			row := post.Row(ix)
 			if row[ci].AsInt() == 1 {
 				n++
 			}
@@ -180,7 +181,8 @@ func TestHowToAgainstGroundTruthOptimum(t *testing.T) {
 		post := g.World.Counterfactual(ivs...)
 		ci := post.Schema().MustIndex("Credit")
 		n := 0
-		for _, row := range post.Rows() {
+		for ix := range post.Len() {
+			row := post.Row(ix)
 			if row[ci].AsInt() == 1 {
 				n++
 			}

@@ -172,9 +172,8 @@ func (d *RelationDigest) Advance(rel *relation.Relation) (fitted, reused int) {
 		}
 		from := sd.hi // rows [lo, sd.hi) were absorbed in a prior call
 		for i := from; i < hi; i++ {
-			row := rel.Row(i)
 			for c := range sd.cols {
-				sd.cols[c].observe(row[c])
+				sd.cols[c].observe(rel.Value(i, c))
 			}
 		}
 		sd.hi = hi

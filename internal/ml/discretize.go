@@ -25,21 +25,6 @@ func NewDiscretizer(lo, hi float64, n int) *Discretizer {
 // Width returns the bucket width.
 func (d *Discretizer) Width() float64 { return (d.Hi - d.Lo) / float64(d.Buckets) }
 
-// Bucket returns the bucket index of x, clamped to [0, Buckets).
-func (d *Discretizer) Bucket(x float64) int {
-	if x <= d.Lo {
-		return 0
-	}
-	if x >= d.Hi {
-		return d.Buckets - 1
-	}
-	i := int((x - d.Lo) / d.Width())
-	if i >= d.Buckets {
-		i = d.Buckets - 1
-	}
-	return i
-}
-
 // Midpoint returns the representative (center) value of bucket i.
 func (d *Discretizer) Midpoint(i int) float64 {
 	return d.Lo + d.Width()*(float64(i)+0.5)
@@ -51,15 +36,6 @@ func (d *Discretizer) Midpoints() []float64 {
 	out := make([]float64, d.Buckets)
 	for i := range out {
 		out[i] = d.Midpoint(i)
-	}
-	return out
-}
-
-// Edges returns the Buckets+1 bucket boundaries.
-func (d *Discretizer) Edges() []float64 {
-	out := make([]float64, d.Buckets+1)
-	for i := range out {
-		out[i] = d.Lo + d.Width()*float64(i)
 	}
 	return out
 }

@@ -293,7 +293,7 @@ func TestFilterPrunes(t *testing.T) {
 	fr := NewFrame(NewEncoder(view, feats), view)
 	y := make([]float64, view.Len())
 	for i := range y {
-		y[i] = view.Value(i, "Rtng").AsFloat()
+		y[i] = view.Value(i, view.Schema().MustIndex("Rtng")).AsFloat()
 	}
 	p := DefaultForestParams()
 	p.Tree.MaxFeatures = 2

@@ -115,11 +115,11 @@ func TestFrameMatchesEncodeInto(t *testing.T) {
 	}
 	cols := []string{"Sparse", "Cat", "Num", "Flag"}
 	enc := NewEncoder(rel, cols)
-	var evens []int
+	evens := relation.NewRelation("F", rel.Schema())
 	for i := 0; i < rel.Len(); i += 2 {
-		evens = append(evens, i)
+		evens.MustInsert(rel.Row(i)...)
 	}
-	for _, over := range []*relation.Relation{rel, rel.Sample(evens)} {
+	for _, over := range []*relation.Relation{rel, evens} {
 		f := NewFrameWorkers(enc, over, 1)
 		want, got := make([]float64, enc.Dim()), make([]float64, enc.Dim())
 		for r := 0; r < over.Len(); r++ {

@@ -46,7 +46,7 @@ func (p *WhatIfPlan) Apply(when hyperql.Expr, rel *relation.Relation, inS []bool
 			if !inS[i] {
 				continue
 			}
-			env.Row = rel.Row(i)
+			env.Row = i
 			ok, err := sqlmini.EvalBool(node, env)
 			if err != nil {
 				return pushed, err

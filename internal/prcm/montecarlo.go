@@ -36,8 +36,8 @@ func (w *World) SampleIntervention(rng *stats.RNG, interventions ...Intervention
 
 	out := relation.NewRelation(s.RelName, s.Schema())
 	vals := make(map[string]float64, len(s.Attrs))
+	t := make(relation.Tuple, len(s.Attrs)+1) // Insert keeps none of it
 	for row := 0; row < w.Rel.Len(); row++ {
-		pre := w.Rel.Row(row)
 		// Rows no intervention touches are unaffected possible-world-wise:
 		// their tuple state carries over unchanged (the paper's zero-
 		// probability worlds are exactly those that change them).
@@ -48,10 +48,10 @@ func (w *World) SampleIntervention(rng *stats.RNG, interventions ...Intervention
 				break
 			}
 		}
-		t := make(relation.Tuple, len(s.Attrs)+1)
-		t[0] = pre[0]
+		for c := range t {
+			t[c] = w.Rel.Value(row, c)
+		}
 		if !touched {
-			copy(t[1:], pre[1:])
 			if err := out.Insert(t); err != nil {
 				panic(err)
 			}
@@ -61,7 +61,7 @@ func (w *World) SampleIntervention(rng *stats.RNG, interventions ...Intervention
 			var v float64
 			switch {
 			case byAttr[a.Name] != nil && (byAttr[a.Name].Rows == nil || byAttr[a.Name].Rows[row]):
-				v = s.clampAttr(a, byAttr[a.Name].Fn(pre[ai+1].AsFloat()))
+				v = s.clampAttr(a, byAttr[a.Name].Fn(t[ai+1].AsFloat()))
 			case downstream[ai]:
 				var nz float64
 				if a.Noise != nil {
@@ -69,7 +69,7 @@ func (w *World) SampleIntervention(rng *stats.RNG, interventions ...Intervention
 				}
 				v = s.clampAttr(a, a.Fn(vals, nz))
 			default:
-				v = pre[ai+1].AsFloat()
+				v = t[ai+1].AsFloat()
 			}
 			vals[a.Name] = v
 			t[ai+1] = s.encode(a, v)

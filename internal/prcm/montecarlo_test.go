@@ -11,7 +11,8 @@ import (
 func meanY(rel *relation.Relation) float64 {
 	yi := rel.Schema().MustIndex("Y")
 	s := 0.0
-	for _, row := range rel.Rows() {
+	for ix := range rel.Len() {
+		row := rel.Row(ix)
 		s += row[yi].AsFloat()
 	}
 	return s / float64(rel.Len())

@@ -112,9 +112,9 @@ func (s *SEM) Generate(n int, seed int64) *World {
 	noise := make([][]float64, n)
 	rng := stats.NewRNG(seed)
 	vals := make(map[string]float64, len(s.Attrs))
+	t := make(relation.Tuple, len(s.Attrs)+1) // Insert keeps none of it
 	for row := 0; row < n; row++ {
 		noise[row] = make([]float64, len(s.Attrs))
-		t := make(relation.Tuple, len(s.Attrs)+1)
 		t[0] = relation.Int(int64(row))
 		for ai, a := range s.Attrs {
 			var nz float64
@@ -176,14 +176,13 @@ func (w *World) Counterfactual(interventions ...Intervention) *relation.Relation
 	}
 	out := relation.NewRelation(s.RelName, s.Schema())
 	vals := make(map[string]float64, len(s.Attrs))
+	t := make(relation.Tuple, len(s.Attrs)+1) // Insert keeps none of it
 	for row := 0; row < w.Rel.Len(); row++ {
-		pre := w.Rel.Row(row)
-		t := make(relation.Tuple, len(s.Attrs)+1)
-		t[0] = pre[0]
+		t[0] = w.Rel.Value(row, 0)
 		for ai, a := range s.Attrs {
 			var v float64
 			if iv, ok := byAttr[a.Name]; ok && (iv.Rows == nil || iv.Rows[row]) {
-				v = s.clampAttr(a, iv.Fn(pre[ai+1].AsFloat()))
+				v = s.clampAttr(a, iv.Fn(w.Rel.Value(row, ai+1).AsFloat()))
 			} else {
 				v = s.clampAttr(a, a.Fn(vals, w.Noise[row][ai]))
 			}

@@ -73,7 +73,8 @@ func TestCategoricalClamping(t *testing.T) {
 			Fn: func(_ map[string]float64, nz float64) float64 { return nz }},
 	})
 	w := sem.Generate(100, 1)
-	for _, row := range w.Rel.Rows() {
+	for ix := range w.Rel.Len() {
+		row := w.Rel.Row(ix)
 		v := row[1].AsInt()
 		if v < 0 || v > 2 {
 			t.Fatalf("categorical value %d out of [0,2]", v)

@@ -3,12 +3,14 @@ package relation
 import (
 	"bytes"
 	"encoding/csv"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
 func TestRelationExtendCopyOnWrite(t *testing.T) {
-	base, err := ReadCSVKeyed("T", strings.NewReader("ID,V\n1,a\n2,b\n"), []string{"ID"})
+	base, err := ReadCSVKeyed("T", strings.NewReader("ID,V\n1,a\n2,b\n5,e\n"), []string{"ID"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -16,14 +18,26 @@ func TestRelationExtendCopyOnWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Len() != 2 || grown.Len() != 3 {
-		t.Fatalf("lens = %d, %d, want 2, 3", base.Len(), grown.Len())
+	sibling, err := base.Extend([]Tuple{{Int(3), String("s")}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The base's rows are shared by pointer, not copied.
-	for i := 0; i < base.Len(); i++ {
-		if &base.Row(i)[0] != &grown.Row(i)[0] {
-			t.Fatalf("row %d storage not shared", i)
+	if base.Len() != 3 || grown.Len() != 4 || sibling.Len() != 4 {
+		t.Fatalf("lens = %d, %d, %d, want 3, 4, 4", base.Len(), grown.Len(), sibling.Len())
+	}
+	// The first extension appends to the base's column storage in place
+	// (past the base's rows, in spare capacity); a sibling copies it.
+	for ci := range base.Schema().Len() {
+		b, g, s := base.Coded(ci), grown.Coded(ci), sibling.Coded(ci)
+		if &b.Values[0] != &g.Values[0] || &b.narrow[0] != &g.narrow[0] {
+			t.Fatalf("column %d storage not shared", ci)
 		}
+		if &b.narrow[0] == &s.narrow[0] {
+			t.Fatalf("column %d storage shared by two extensions", ci)
+		}
+	}
+	if grown.Value(3, 1).AsString() != "c" || sibling.Value(3, 1).AsString() != "s" {
+		t.Errorf("appended rows read %v and %v", grown.Row(3), sibling.Row(3))
 	}
 	// Key lookups resolve in both; the new key only in the extension.
 	if grown.LookupKey(Tuple{Int(3)}) < 0 {
@@ -38,6 +52,110 @@ func TestRelationExtendCopyOnWrite(t *testing.T) {
 	}
 	if _, err := grown.Extend([]Tuple{{Int(9)}}); err == nil {
 		t.Error("wrong arity should fail")
+	}
+}
+
+// TestExtendSharing: two extensions of one parent, each extended once more,
+// run while readers of the parent and of every extension read all they can.
+// The first extension of a relation appends into the storage past its rows
+// and the second copies; neither may write what another reader reads
+// (-race), and each version sees exactly its own rows — the two append
+// different codes and values at the same positions.
+func TestExtendSharing(t *testing.T) {
+	schema := MustSchema(Column{Name: "ID", Kind: KindInt, Key: true}, Column{Name: "V"}, Column{Name: "S", Kind: KindString})
+	parent := NewRelation("T", schema)
+	row := func(version, i int) Tuple {
+		if i < 1000 {
+			version = 0
+		}
+		v := Int(int64(i % 7)) // a code the parent has ...
+		if version > 0 && (i+version)%2 == 0 {
+			v = Int(int64(version*10_000 + i)) // ... or one of the version's own
+		}
+		return Tuple{Int(int64(i)), v, String(fmt.Sprint(version, "/", i%5))}
+	}
+	for i := 0; i < 1000; i++ {
+		parent.MustInsert(row(0, i)...)
+	}
+	batch := func(version, from, n int) []Tuple {
+		out := make([]Tuple, n)
+		for j := range out {
+			out[j] = row(version, from+j)
+		}
+		return out
+	}
+	read := func(r *Relation, version, n int) error {
+		if r.Len() != n {
+			return fmt.Errorf("version %d: %d rows, want %d", version, r.Len(), n)
+		}
+		for i := 0; i < n; i++ {
+			want := row(version, i)
+			for c, v := range want {
+				if got := r.Value(i, c); !sameValueBits(got, v) {
+					return fmt.Errorf("version %d row %d column %d: %v, want %v", version, i, c, got, v)
+				}
+			}
+			if got := r.LookupKey(want); got != i {
+				return fmt.Errorf("version %d: key of row %d resolves to %d", version, i, got)
+			}
+		}
+		if enc := r.Coded(1).Encoded(); len(enc) != n {
+			return fmt.Errorf("version %d: %d encoded rows", version, len(enc))
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	start := make(chan struct{})
+	for version := 1; version <= 2; version++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			child, err := parent.Extend(batch(version, 1000, 100))
+			if err != nil {
+				errs <- err
+				return
+			}
+			var inner sync.WaitGroup
+			inner.Add(1)
+			go func() {
+				defer inner.Done()
+				for range 3 {
+					if err := read(child, version, 1100); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
+			grandchild, err := child.Extend(batch(version, 1100, 50))
+			if err == nil {
+				err = read(grandchild, version, 1150)
+			}
+			if err != nil {
+				errs <- err
+			}
+			inner.Wait()
+		}()
+	}
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for range 3 {
+				if err := read(parent, 0, 1000); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 
@@ -173,8 +291,8 @@ func FuzzParseAppendRows(f *testing.F) {
 			}
 
 			want := NewRelation("T", rel.Schema())
-			for _, row := range rel.Rows() {
-				want.MustInsert(row...)
+			for i := range rel.Len() {
+				want.MustInsert(rel.Row(i)...)
 			}
 			var wantErr error
 			for i, rec := range recs[1:] {
@@ -202,7 +320,8 @@ func FuzzParseAppendRows(f *testing.F) {
 			if grown.Len() != want.Len() {
 				t.Fatalf("extended to %d rows, row by row %d", grown.Len(), want.Len())
 			}
-			for i, row := range want.Rows() {
+			for i := range want.Len() {
+				row := want.Row(i)
 				for c, v := range row {
 					if g := grown.Row(i)[c]; g.Kind() != v.Kind() || g.Key() != v.Key() {
 						t.Fatalf("row %d column %d: extended %v (%s), row by row %v (%s)", i, c, g, g.Kind(), v, v.Kind())

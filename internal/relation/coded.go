@@ -2,9 +2,9 @@ package relation
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // valueKey is the typed, allocation-free form of Value.Key: two values have
@@ -44,9 +44,9 @@ func keyOf(v Value) valueKey {
 // dict interns valueKeys to codes. It is split by tag so that the common
 // numeric lookup hashes one word, not a struct holding a string.
 type dict struct {
-	fixed [3]uint32            // code+1 of NULL, false, true; 0 = absent
-	nums  [2]map[uint64]uint32 // tags 2 and 3, by bits
-	strs  map[string]uint32    // tag 4
+	fixed [3]uint32          // code+1 of NULL, false, true; 0 = absent
+	nums  [2]layered[uint64] // tags 2 and 3, by bits
+	strs  layered[string]    // tag 4
 }
 
 func (d *dict) get(k valueKey) (uint32, bool) {
@@ -55,11 +55,9 @@ func (d *dict) get(k valueKey) (uint32, bool) {
 		c := d.fixed[uint64(k.tag)+k.bits]
 		return c - 1, c != 0
 	case 2, 3:
-		c, ok := d.nums[k.tag-2][k.bits]
-		return c, ok
+		return d.nums[k.tag-2].get(k.bits)
 	default:
-		c, ok := d.strs[k.s]
-		return c, ok
+		return d.strs.get(k.s)
 	}
 }
 
@@ -68,28 +66,27 @@ func (d *dict) put(k valueKey, code uint32) {
 	case 0, 1:
 		d.fixed[uint64(k.tag)+k.bits] = code + 1
 	case 2, 3:
-		if d.nums[k.tag-2] == nil {
-			d.nums[k.tag-2] = make(map[uint64]uint32)
-		}
-		d.nums[k.tag-2][k.bits] = code
+		d.nums[k.tag-2].put(k.bits, code)
 	default:
-		if d.strs == nil {
-			d.strs = make(map[string]uint32)
-		}
-		d.strs[k.s] = code
+		d.strs.put(k.s, code)
 	}
 }
 
-// CodedColumn is the key-free projection of one column of an immutable
-// relation: every row's value interned to a dense code (first-seen order,
-// NULL taking a code of its own) under Value.Key() identity without
-// formatting a key string, plus the value of each code and the summary the
-// planner's cost model and exactness guards read. It is built once per
-// (relation, column) by Relation.Coded and shared by every consumer — the
+func (d dict) fork() dict {
+	d.nums[0], d.nums[1], d.strs = d.nums[0].fork(), d.nums[1].fork(), d.strs.fork()
+	return d
+}
+
+// CodedColumn is one column of a relation, and its only storage: every row's
+// value interned to a dense code (first-seen order, NULL taking a code of its
+// own) under Value.Key() identity without formatting a key string, the value
+// of each code, the rows whose value differs in bits from their code's, and
+// the summary the planner's cost model and exactness guards read, all kept by
+// Insert. Row codes are stored one byte each while the column has at most 256
+// distinct values, four bytes otherwise. Every consumer shares it — the
 // planner's stats and pushdown scans, the encoder's dictionaries, the frame
-// encode, and every estimator frame, which points at Encoded. Row codes are
-// stored one byte each while the column has at most 256 distinct values,
-// four bytes otherwise. Fields must not be mutated.
+// encode and every estimator frame, which points at Encoded. Fields must not
+// be mutated.
 type CodedColumn struct {
 	// Values holds the first-seen value of each code.
 	Values []Value
@@ -110,13 +107,28 @@ type CodedColumn struct {
 	Exact bool
 
 	narrow []uint8  // row codes while len(Values) <= 256 ...
-	wide   []uint32 // ... and past that (exactly one of the two is set)
+	wide   []uint32 // ... and past that
 	dict   dict
+	ranged bool // Min and Max hold a value
 
-	// The feature encoding, built by the first Encode or Encoded.
-	encOnce sync.Once
-	byCode  []float64 // Encode of each code's value
-	encoded []float64 // byCode gathered over the rows
+	// The rows that are not their code's entry in Values to the bit, in row
+	// order, and their own values: what Exact is false for.
+	offRows []int
+	offVals []Value
+
+	enc *encoding // this version's feature encoding, built on first use
+}
+
+// encoding is a column's feature encoding, built by the first Encode or
+// Encoded of one version of the column.
+type encoding struct {
+	once   sync.Once
+	byCode []float64 // Encode of each code's value
+	rows   []float64 // byCode gathered over the rows
+}
+
+func newColumn() *CodedColumn {
+	return &CodedColumn{Numeric: true, Exact: true, enc: new(encoding)}
 }
 
 // Card returns the number of distinct non-null values.
@@ -141,6 +153,18 @@ func (c *CodedColumn) At(i int) uint32 {
 	return uint32(c.narrow[i])
 }
 
+// value returns row i's value exactly as it was inserted.
+func (c *CodedColumn) value(i int) Value {
+	if !c.Exact {
+		if j, off := slices.BinarySearch(c.offRows, i); off {
+			return c.offVals[j]
+		}
+	}
+	return c.Values[c.At(i)]
+}
+
+func (c *CodedColumn) rows() int { return max(len(c.narrow), len(c.wide)) }
+
 // Encode maps v to the float the estimators read for this column, a function
 // of the column alone. Over a Numeric column numbers pass through, a bool is
 // 0 or 1 and NULL is 0. Over any other column a value is the rank of its
@@ -149,9 +173,8 @@ func (c *CodedColumn) At(i int) uint32 {
 func (c *CodedColumn) Encode(v Value) float64 {
 	switch {
 	case !c.Numeric:
-		c.encOnce.Do(c.encode)
 		if code, ok := c.Code(v); ok {
-			return c.byCode[code]
+			return c.encoding().byCode[code]
 		}
 		return -1
 	case v.kind == KindNull:
@@ -164,35 +187,36 @@ func (c *CodedColumn) Encode(v Value) float64 {
 
 // Encoded returns Encode of every row's value (of its code's first-seen
 // value, which encodes alike up to the sign of zero and a NaN's payload). It
-// is built once and shared by every frame over the column: callers must not
-// write to it.
-func (c *CodedColumn) Encoded() []float64 {
-	c.encOnce.Do(c.encode)
-	return c.encoded
-}
+// is built once per version of the column and shared by every frame over
+// that version: callers must not write to it.
+func (c *CodedColumn) Encoded() []float64 { return c.encoding().rows }
 
-func (c *CodedColumn) encode() {
-	c.byCode = make([]float64, len(c.Values))
-	keys := make([]string, len(c.Values))
-	var ranked []int // the codes Key() ranks: a non-numeric column's non-null values
-	for code, v := range c.Values {
-		switch {
-		case c.Numeric:
-			c.byCode[code] = c.Encode(v)
-		case v.IsNull():
-			c.byCode[code] = -1
-		default:
-			keys[code], ranked = v.Key(), append(ranked, code)
+func (c *CodedColumn) encoding() *encoding {
+	e := c.enc
+	e.once.Do(func() {
+		e.byCode = make([]float64, len(c.Values))
+		keys := make([]string, len(c.Values))
+		var ranked []int // the codes Key() ranks: a non-numeric column's non-null values
+		for code, v := range c.Values {
+			switch {
+			case c.Numeric:
+				e.byCode[code] = c.Encode(v)
+			case v.IsNull():
+				e.byCode[code] = -1
+			default:
+				keys[code], ranked = v.Key(), append(ranked, code)
+			}
 		}
-	}
-	sort.Slice(ranked, func(i, j int) bool { return keys[ranked[i]] < keys[ranked[j]] })
-	for rank, code := range ranked {
-		c.byCode[code] = float64(rank)
-	}
-	c.encoded = make([]float64, max(len(c.narrow), len(c.wide)))
-	for i := range c.encoded {
-		c.encoded[i] = c.byCode[c.At(i)]
-	}
+		sort.Slice(ranked, func(i, j int) bool { return keys[ranked[i]] < keys[ranked[j]] })
+		for rank, code := range ranked {
+			e.byCode[code] = float64(rank)
+		}
+		e.rows = make([]float64, c.rows())
+		for i := range e.rows {
+			e.rows[i] = e.byCode[c.At(i)]
+		}
+	})
+	return e
 }
 
 // Narrow clears set[i] for every row whose code has keep[code] false.
@@ -210,103 +234,88 @@ func narrow[C uint8 | uint32](codes []C, keep, set []bool) {
 	}
 }
 
-func buildCoded(rows []Tuple, ci int) *CodedColumn {
-	c := &CodedColumn{
-		narrow:  make([]uint8, len(rows)),
-		Numeric: true,
-		Exact:   true,
-		Min:     math.Inf(1),
-		Max:     math.Inf(-1),
+// Recode maps each code of c to the code other gives the same value, -1
+// where other holds none: a join, foreign-key or key probe between two
+// columns, decided once per distinct value.
+func (c *CodedColumn) Recode(other *CodedColumn) []int32 {
+	out := make([]int32, len(c.Values))
+	for code, v := range c.Values {
+		out[code] = -1
+		if oc, ok := other.Code(v); ok {
+			out[code] = int32(oc)
+		}
 	}
-	for i, row := range rows {
-		v := row[ci]
-		k := keyOf(v)
-		code, ok := c.dict.get(k)
-		if !ok {
-			code = uint32(len(c.Values))
-			c.dict.put(k, code)
-			c.Values = append(c.Values, v)
-			if code == 256 { // the 257th distinct value: widen the codes so far
-				c.wide = make([]uint32, len(rows))
-				for j, b := range c.narrow[:i] {
-					c.wide[j] = uint32(b)
-				}
-				c.narrow = nil
+	return out
+}
+
+// push appends a row holding v, whose key is k and whose code the dictionary
+// gave as code (seen) or will give it (not seen: len(Values)).
+func (c *CodedColumn) push(v Value, k valueKey, code uint32, seen bool) {
+	row := c.rows()
+	if !seen {
+		c.dict.put(k, code)
+		c.Values = append(c.Values, v)
+		c.summarize(v)
+		if code == 256 { // the 257th distinct value: widen the codes so far
+			c.wide = make([]uint32, row, row+row/4+1)
+			for j, b := range c.narrow {
+				c.wide[j] = uint32(b)
 			}
-		} else if w := c.Values[code]; v.kind != w.kind || math.Float64bits(v.f) != math.Float64bits(w.f) {
-			// Same key, so ints, bools and strings agree already; what a
-			// key leaves open is the kind and a float's bits.
-			c.Exact = false
+			c.narrow = nil
 		}
-		if c.wide != nil {
-			c.wide[i] = code
-		} else {
-			c.narrow[i] = uint8(code)
-		}
-		if v.kind == KindNull {
-			c.Nulls++
-		}
+	} else if w := c.Values[code]; v.kind != w.kind || math.Float64bits(v.f) != math.Float64bits(w.f) {
+		// Same key, so ints, bools and strings agree already; what a key
+		// leaves open is the kind and a float's bits.
+		c.offRows, c.offVals = append(c.offRows, row), append(c.offVals, v)
+		c.Exact = false
 	}
-	// Values sharing a key agree on kind class and float value, so the
-	// summary folds over the distinct values instead of the rows.
-	for _, v := range c.Values {
-		f := v.AsFloat()
-		switch {
-		case v.kind == KindNull:
-		case !v.kind.Numeric():
-			c.Numeric = false
-		case math.IsNaN(f):
-			c.HasNaN = true
-		default:
-			c.MaxAbs = math.Max(c.MaxAbs, math.Abs(f))
-			c.Min = math.Min(c.Min, f)
-			c.Max = math.Max(c.Max, f)
-		}
+	if c.wide != nil {
+		c.wide = append(c.wide, code)
+	} else {
+		c.narrow = append(c.narrow, uint8(code))
 	}
-	if c.Min > c.Max { // no numeric values seen
-		c.Min, c.Max = 0, 0
+	if v.kind == KindNull {
+		c.Nulls++
 	}
-	return c
+	if c.enc.rows != nil { // encoded before this row: start over
+		c.enc = new(encoding)
+	}
 }
 
-// codedStore holds the lazily built projections of one relation, one slot
-// per schema column. Each slot builds at most once (concurrent first readers
-// share the build); the store is dropped whole when the relation mutates.
-type codedStore struct {
-	slots []codedSlot
+// summarize folds a new code's value into the summary. Values sharing a key
+// agree on kind class and float value, so folding the distinct values is
+// folding the rows.
+func (c *CodedColumn) summarize(v Value) {
+	f := v.AsFloat()
+	switch {
+	case v.kind == KindNull:
+	case !v.kind.Numeric():
+		c.Numeric = false
+	case math.IsNaN(f):
+		c.HasNaN = true
+	case !c.ranged:
+		c.MaxAbs, c.Min, c.Max, c.ranged = math.Abs(f), f, f, true
+	default:
+		c.MaxAbs = math.Max(c.MaxAbs, math.Abs(f))
+		c.Min = math.Min(c.Min, f)
+		c.Max = math.Max(c.Max, f)
+	}
 }
 
-type codedSlot struct {
-	once sync.Once
-	col  atomic.Pointer[CodedColumn]
+// fork returns the column of a version extending c's. In place, it appends
+// into the spare capacity of c's slices, which no reader of c ever reads;
+// otherwise its first append of each slice copies it. Dictionaries are
+// layered, never copied, and the encoding is the new version's own.
+func (c *CodedColumn) fork(inPlace bool) *CodedColumn {
+	d := *c
+	d.dict = c.dict.fork()
+	d.enc = new(encoding)
+	if !inPlace {
+		d.Values, d.narrow, d.wide = slices.Clip(d.Values), slices.Clip(d.narrow), slices.Clip(d.wide)
+		d.offRows, d.offVals = slices.Clip(d.offRows), slices.Clip(d.offVals)
+	}
+	return &d
 }
 
-// Coded returns the key-free projection of column ci, building it on first
-// use. Concurrent callers share one build per column. The projection
-// describes the relation as of the call: Insert and Set drop every built
-// column, and a relation returned by Extend starts with none.
-func (r *Relation) Coded(ci int) *CodedColumn {
-	s := r.coded.Load()
-	for s == nil {
-		r.coded.CompareAndSwap(nil, &codedStore{slots: make([]codedSlot, r.schema.Len())})
-		s = r.coded.Load()
-	}
-	slot := &s.slots[ci]
-	slot.once.Do(func() { slot.col.Store(buildCoded(r.rows, ci)) })
-	return slot.col.Load()
-}
-
-// CodedColumns reports how many column projections are currently built.
-func (r *Relation) CodedColumns() int {
-	s := r.coded.Load()
-	if s == nil {
-		return 0
-	}
-	n := 0
-	for i := range s.slots {
-		if s.slots[i].col.Load() != nil {
-			n++
-		}
-	}
-	return n
-}
+// Coded returns column ci.
+func (r *Relation) Coded(ci int) *CodedColumn { return r.cols[ci] }

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -161,9 +162,6 @@ func TestCodedColumn(t *testing.T) {
 	for i, v := range vals {
 		rel.MustInsert(Int(int64(i)), v, String("s"))
 	}
-	if rel.CodedColumns() != 0 {
-		t.Fatal("a fresh relation reports built columns")
-	}
 	c := rel.Coded(1)
 	wantCodes := []uint32{0, 1, 0, 2, 3, 1, 4} // first-seen order, Int(3) ≡ Float(3), NULL its own code
 	for i, want := range wantCodes {
@@ -184,25 +182,26 @@ func TestCodedColumn(t *testing.T) {
 	if s := rel.Coded(2); s.Numeric || s.Card() != 1 || s.Min != 0 || s.Max != 0 {
 		t.Errorf("string column summary = %+v", s)
 	}
-	if rel.Coded(1) != c || rel.CodedColumns() != 2 {
-		t.Error("Coded rebuilt a built column")
-	}
 
-	// The store describes one immutable state: mutation drops it, and an
-	// extension never inherits it.
+	// Columns are the relation's storage: an extension appends to its own
+	// version of them and never to the parent's, and an insert into the
+	// parent afterwards reaches neither the extension nor its columns.
 	ext, err := rel.Extend([]Tuple{{Int(100), Int(9), String("s")}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ext.CodedColumns() != 0 || rel.CodedColumns() != 2 {
-		t.Errorf("after Extend: child %d built, parent %d built, want 0 and 2", ext.CodedColumns(), rel.CodedColumns())
-	}
-	if got := ext.Coded(1); codeAt(got, len(vals)) != uint32(len(got.Values)-1) || got.Max != 9 {
+	if got := ext.Coded(1); codeAt(got, len(vals)) != uint32(len(got.Values)-1) || got.Max != 9 || ext.Len() != len(vals)+1 {
 		t.Errorf("extended column: last row code %d of %d values, max %v", codeAt(got, len(vals)), len(got.Values), got.Max)
 	}
+	if rel.Coded(1) != c || c.Max != 7 || len(c.Values) != 5 || rel.Len() != len(vals) {
+		t.Errorf("Extend changed the parent's column: max %v, %d values, %d rows", c.Max, len(c.Values), rel.Len())
+	}
 	rel.MustInsert(Int(200), Int(60), String("s"))
-	if rel.CodedColumns() != 0 || rel.Coded(1).Max != 60 {
-		t.Error("Insert did not drop the built columns")
+	if rel.Coded(1).Max != 60 || ext.Coded(1).Max != 9 || ext.Len() != len(vals)+1 {
+		t.Errorf("insert after Extend: parent max %v, extension max %v with %d rows", rel.Coded(1).Max, ext.Coded(1).Max, ext.Len())
+	}
+	if ext.Value(len(vals), 1).AsInt() != 9 || rel.Value(len(vals), 1).AsInt() != 60 {
+		t.Errorf("row %d reads %v in the extension and %v in the parent", len(vals), ext.Value(len(vals), 1), rel.Value(len(vals), 1))
 	}
 }
 
@@ -239,15 +238,15 @@ func TestCodedWidths(t *testing.T) {
 	}
 }
 
-// TestCodedSingleFlight: concurrent first readers of one column share one
-// build. Run under -race.
+// TestCodedSingleFlight: concurrent first readers of a column's encoding
+// share one build. Run under -race.
 func TestCodedSingleFlight(t *testing.T) {
 	rel := NewRelation("T", MustSchema(Column{Name: "ID", Key: true}, Column{Name: "V"}))
 	for i := 0; i < 2000; i++ {
-		rel.MustInsert(Int(int64(i)), Int(int64(i%17)))
+		rel.MustInsert(Int(int64(i)), String(fmt.Sprint(i%17)))
 	}
 	const n = 8
-	got := make([]*CodedColumn, n)
+	got := make([][]float64, n)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < n; g++ {
@@ -255,18 +254,15 @@ func TestCodedSingleFlight(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			got[g] = rel.Coded(1)
+			got[g] = rel.Coded(1).Encoded()
 		}(g)
 	}
 	close(start)
 	wg.Wait()
 	for g := 1; g < n; g++ {
-		if got[g] != got[0] {
+		if &got[g][0] != &got[0][0] {
 			t.Fatalf("goroutine %d got its own build", g)
 		}
-	}
-	if rel.CodedColumns() != 1 {
-		t.Errorf("built columns = %d, want 1", rel.CodedColumns())
 	}
 }
 
@@ -275,8 +271,9 @@ func TestCodedSingleFlight(t *testing.T) {
 func domainByRowScan(r *Relation, col string) map[string]Value {
 	ci := r.schema.MustIndex(col)
 	seen := make(map[string]Value)
-	for _, row := range r.rows {
-		seen[row[ci].Key()] = row[ci]
+	for i := range r.Len() {
+		v := r.Value(i, ci)
+		seen[v.Key()] = v
 	}
 	return seen
 }

@@ -14,9 +14,9 @@ func (r *Relation) WriteCSV(w io.Writer) error {
 		return err
 	}
 	rec := make([]string, r.schema.Len())
-	for _, row := range r.rows {
-		for i, v := range row {
-			if v.IsNull() {
+	for row := range r.n {
+		for i := range rec {
+			if v := r.Value(row, i); v.IsNull() {
 				rec[i] = ""
 			} else {
 				rec[i] = v.String()

@@ -120,8 +120,9 @@ func (d *Database) SetVersion(v int64) { d.version = v }
 // Extend returns a new database with the given tuples appended to the named
 // relations and the version bumped by one. Untouched relations are shared by
 // pointer (they are frozen prefixes under append-only growth); extended
-// relations get a fresh row index while sharing tuple storage, so readers
-// holding the old version are never perturbed.
+// relations are Relation.Extend's new versions, which share the old ones'
+// storage without writing it, so readers holding the old version are never
+// perturbed.
 func (d *Database) Extend(appends map[string][]Tuple) (*Database, error) {
 	out := &Database{
 		rels:    make(map[string]*Relation, len(d.rels)),
@@ -144,17 +145,6 @@ func (d *Database) Extend(appends map[string][]Tuple) (*Database, error) {
 		out.rels[name] = ext
 	}
 	return out, nil
-}
-
-// Clone deep-copies the database including foreign keys and version.
-func (d *Database) Clone() *Database {
-	out := NewDatabase()
-	for _, name := range d.order {
-		out.MustAdd(d.rels[name].Clone())
-	}
-	out.fks = append([]ForeignKey(nil), d.fks...)
-	out.version = d.version
-	return out
 }
 
 // TotalRows returns the number of tuples across all relations.

@@ -1,8 +1,9 @@
 package relation
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -11,23 +12,51 @@ import (
 // Tuple is one row of a relation; index i holds the value of schema column i.
 type Tuple []Value
 
-// Clone returns a deep copy of the tuple.
-func (t Tuple) Clone() Tuple { return append(Tuple(nil), t...) }
-
-// Relation is a named table: a schema plus an ordered set of tuples. Tuple
-// order is deterministic (insertion order) so that all algorithms downstream
-// are reproducible; set semantics are enforced on primary keys only.
+// Relation is a named table: a schema plus an ordered set of tuples, stored
+// as one CodedColumn per attribute. Tuple order is deterministic (insertion
+// order) so that all algorithms downstream are reproducible. Set semantics
+// hold on the primary key or, with none declared, on the whole tuple: a
+// one-column key is checked through its column's dictionary (each row has a
+// code of its own there, so the code is the row), a wider one through a
+// TupleIndex of its columns' codes (whose ids are the rows). A relation is
+// built by Insert and never changes once shared; Extend derives the next
+// version without copying it.
 type Relation struct {
 	name   string
 	schema *Schema
-	rows   []Tuple
-	keyset map[string]int // key encoding -> row index
-	coded  atomic.Pointer[codedStore]
+	n      int
+	cols   []*CodedColumn
+	key    []int       // the key columns: the declared key, or every column
+	tuples *TupleIndex // the key's code tuples, when it spans other than one column
+	pend   []pending   // Insert's resolved tuple
+	// extended is set by the first Extend, whose relation then owns the
+	// spare capacity past this relation's rows in every column.
+	extended atomic.Bool
+}
+
+// pending is one value of the tuple Insert is adding, resolved to its code.
+type pending struct {
+	v    Value
+	k    valueKey
+	code uint32
+	seen bool
 }
 
 // NewRelation creates an empty relation with the given name and schema.
 func NewRelation(name string, schema *Schema) *Relation {
-	return &Relation{name: name, schema: schema, keyset: make(map[string]int)}
+	r := &Relation{name: name, schema: schema, cols: make([]*CodedColumn, schema.Len()), key: schema.KeyIndexes()}
+	for i := range r.cols {
+		r.cols[i] = newColumn()
+	}
+	if len(r.key) == 0 {
+		for i := range schema.Len() {
+			r.key = append(r.key, i)
+		}
+	}
+	if len(r.key) != 1 { // codes are below MaxInt32, as rows are
+		r.tuples = NewTupleIndex(slices.Repeat([]int{math.MaxInt32}, len(r.key)))
+	}
+	return r
 }
 
 // Name returns the relation name.
@@ -37,66 +66,94 @@ func (r *Relation) Name() string { return r.name }
 func (r *Relation) Schema() *Schema { return r.schema }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int { return len(r.rows) }
+func (r *Relation) Len() int { return r.n }
 
-// Row returns the i-th tuple (not a copy; callers must not mutate it).
-func (r *Relation) Row(i int) Tuple { return r.rows[i] }
+// Value returns the value of column ci in row i, exactly as inserted (after
+// kind coercion).
+func (r *Relation) Value(i, ci int) Value { return r.cols[ci].value(i) }
 
-// Rows returns the underlying tuple slice (not a copy).
-func (r *Relation) Rows() []Tuple { return r.rows }
-
-// keyOf encodes the primary-key attributes of t. With no declared key, the
-// whole tuple is the key. Each attribute's Value.Key is written behind its
-// length, so distinct keys of several attributes never encode alike whatever
-// bytes their strings hold (a separator can occur inside a string).
-func (r *Relation) keyOf(t Tuple) string {
-	var b strings.Builder
-	part := func(v Value) {
-		k := v.Key()
-		var n [binary.MaxVarintLen64]byte
-		b.Write(n[:binary.PutUvarint(n[:], uint64(len(k)))])
-		b.WriteString(k)
+// Row materialises the i-th tuple.
+func (r *Relation) Row(i int) Tuple {
+	t := make(Tuple, len(r.cols))
+	for ci, c := range r.cols {
+		t[ci] = c.value(i)
 	}
-	if idx := r.schema.KeyIndexes(); len(idx) > 0 {
-		for _, i := range idx {
-			part(t[i])
-		}
-	} else {
-		for _, v := range t {
-			part(v)
-		}
-	}
-	return b.String()
+	return t
 }
 
 // Insert appends a tuple. It validates arity and kinds (coercing where a
-// standard conversion exists) and rejects duplicate primary keys.
+// standard conversion exists) and rejects duplicate primary keys. A rejected
+// tuple changes nothing.
 func (r *Relation) Insert(t Tuple) error {
 	if len(t) != r.schema.Len() {
 		return fmt.Errorf("relation %s: tuple arity %d != schema arity %d", r.name, len(t), r.schema.Len())
 	}
-	row := make(Tuple, len(t))
-	for i, v := range t {
-		want := r.schema.Col(i).Kind
-		if want == KindNull || v.IsNull() || v.Kind() == want {
-			row[i] = v
-			continue
-		}
-		c := Coerce(v, want)
-		if c.IsNull() {
-			return fmt.Errorf("relation %s: column %s: cannot coerce %s %q to %s",
-				r.name, r.schema.Col(i).Name, v.Kind(), v.String(), want)
-		}
-		row[i] = c
+	if r.extended.Load() {
+		r.thaw()
 	}
-	k := r.keyOf(row)
-	if _, dup := r.keyset[k]; dup {
+	r.pend = r.pend[:0]
+	for i, v := range t {
+		if want := r.schema.Col(i).Kind; want != KindNull && !v.IsNull() && v.Kind() != want {
+			c := Coerce(v, want)
+			if c.IsNull() {
+				return fmt.Errorf("relation %s: column %s: cannot coerce %s %q to %s",
+					r.name, r.schema.Col(i).Name, v.Kind(), v.String(), want)
+			}
+			v = c
+		}
+		k := keyOf(v)
+		code, seen := r.cols[i].dict.get(k)
+		if !seen {
+			code = uint32(len(r.cols[i].Values))
+		}
+		r.pend = append(r.pend, pending{v, k, code, seen})
+	}
+	var buf [8]uint32
+	digits := buf[:0]
+	dup := true
+	for _, ci := range r.key {
+		dup = dup && r.pend[ci].seen
+		digits = append(digits, r.pend[ci].code)
+	}
+	if dup && r.tuples != nil {
+		_, dup = r.tuples.ID(digits, false)
+	}
+	if dup {
+		row := make(Tuple, len(r.pend))
+		for i, p := range r.pend {
+			row[i] = p.v
+		}
 		return fmt.Errorf("relation %s: duplicate primary key %v", r.name, row)
 	}
-	r.keyset[k] = len(r.rows)
-	r.rows = append(r.rows, row)
-	r.coded.Store(nil)
+	for i, p := range r.pend {
+		r.cols[i].push(p.v, p.k, p.code, p.seen)
+	}
+	if r.tuples != nil {
+		r.tuples.ID(digits, true)
+	}
+	r.n++
 	return nil
+}
+
+// thaw lets Insert write a relation that Extend has shared: its columns stop
+// appending into the storage its first extension owns, and its dictionaries
+// and key index take deltas of their own.
+func (r *Relation) thaw() {
+	f := r.fork(false)
+	r.cols, r.tuples = f.cols, f.tuples
+	r.extended.Store(false)
+}
+
+// fork returns the next version of r, empty of new rows (CodedColumn.fork).
+func (r *Relation) fork(inPlace bool) *Relation {
+	out := &Relation{name: r.name, schema: r.schema, n: r.n, cols: make([]*CodedColumn, len(r.cols)), key: r.key}
+	for i, c := range r.cols {
+		out.cols[i] = c.fork(inPlace)
+	}
+	if r.tuples != nil {
+		out.tuples = r.tuples.fork()
+	}
+	return out
 }
 
 // MustInsert inserts and panics on error; for generators and tests.
@@ -107,21 +164,16 @@ func (r *Relation) MustInsert(vals ...Value) {
 }
 
 // Extend returns a new relation holding this relation's rows plus the given
-// tuples. The receiver is never mutated: the row slice and key index are
-// copied (tuple storage is shared), so readers holding the old relation see
-// a frozen prefix while the extension validates and appends under exactly
-// the Insert rules — arity, kind coercion, and primary-key uniqueness
-// against the full (old + new) row set.
+// tuples, validated and appended under exactly the Insert rules — arity, kind
+// coercion, and primary-key uniqueness against the full (old + new) row set.
+// The receiver is never written, and nothing is copied: the first extension
+// of a relation appends its codes in place past the receiver's rows, later
+// ones (siblings) on copies made by their first append, and dictionaries and
+// key index are a frozen parent plus a delta of the extension's own. So
+// readers holding the old relation see a frozen prefix, and sibling
+// extensions never see each other's rows.
 func (r *Relation) Extend(tuples []Tuple) (*Relation, error) {
-	out := &Relation{
-		name:   r.name,
-		schema: r.schema,
-		rows:   append(make([]Tuple, 0, len(r.rows)+len(tuples)), r.rows...),
-		keyset: make(map[string]int, len(r.keyset)+len(tuples)),
-	}
-	for k, v := range r.keyset {
-		out.keyset[k] = v
-	}
+	out := r.fork(r.extended.CompareAndSwap(false, true))
 	for _, t := range tuples {
 		if err := out.Insert(t); err != nil {
 			return nil, err
@@ -131,102 +183,71 @@ func (r *Relation) Extend(tuples []Tuple) (*Relation, error) {
 }
 
 // LookupKey returns the row index of the tuple whose primary key matches the
-// key attributes of t, or -1.
+// key attributes of t (all of t when no key is declared), or -1.
 func (r *Relation) LookupKey(t Tuple) int {
-	if i, ok := r.keyset[r.keyOf(t)]; ok {
-		return i
+	if len(r.key) == len(r.cols) && len(t) != len(r.cols) {
+		return -1
+	}
+	codes := make([]uint32, len(r.key))
+	for j, ci := range r.key {
+		c, ok := r.cols[ci].Code(t[ci])
+		if !ok {
+			return -1
+		}
+		codes[j] = c
+	}
+	return r.KeyRow(codes)
+}
+
+// KeyRow returns the row whose key columns (the declared key, or every column
+// when none is declared) hold the given codes, one per key column in order,
+// or -1.
+func (r *Relation) KeyRow(codes []uint32) int {
+	if r.tuples == nil {
+		return int(codes[0]) // each row has a key code of its own, in row order
+	}
+	if id, ok := r.tuples.ID(codes, false); ok {
+		return int(id)
 	}
 	return -1
 }
 
-// Value returns the value of the named column in row i.
-func (r *Relation) Value(i int, col string) Value {
-	return r.rows[i][r.schema.MustIndex(col)]
-}
-
 // Domain returns the distinct values of the named column (distinct under
-// Value.Key()) sorted by Compare. They are the column's shared projection
-// (Coded), which holds the first row of each key where Domain has always
-// answered with the last: the two differ only over an inexact column — Int 3
-// beside Float 3.0 — and only there are the rows read.
+// Value.Key()) sorted by Compare, each represented by the last row holding
+// it. Over an exact column those are the column's Values; only over an
+// inexact one — Int 3 beside Float 3.0 — are the rows read.
 func (r *Relation) Domain(col string) []Value {
-	ci := r.schema.MustIndex(col)
-	cc := r.Coded(ci)
+	cc := r.cols[r.schema.MustIndex(col)]
 	out := append([]Value(nil), cc.Values...)
 	if !cc.Exact {
-		for i, row := range r.rows {
-			out[cc.At(i)] = row[ci]
+		for i := range r.n {
+			out[cc.At(i)] = cc.value(i)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }
 
-// MinMax returns the minimum and maximum of a numeric column, ignoring NULLs.
-// ok is false when the column has no numeric values.
+// MinMax returns the minimum and maximum of a numeric column, ignoring NULLs
+// and NaNs. ok is false when the column has no such value.
 func (r *Relation) MinMax(col string) (min, max float64, ok bool) {
-	ci := r.schema.MustIndex(col)
-	for _, row := range r.rows {
-		v := row[ci]
-		if !v.Kind().Numeric() {
-			continue
-		}
-		f := v.AsFloat()
-		if !ok {
-			min, max, ok = f, f, true
-			continue
-		}
-		if f < min {
-			min = f
-		}
-		if f > max {
-			max = f
-		}
-	}
-	return min, max, ok
-}
-
-// Clone returns a deep copy of the relation; tuples are copied so the clone
-// can be mutated independently (used to materialize possible worlds).
-func (r *Relation) Clone() *Relation {
-	out := NewRelation(r.name, r.schema)
-	out.rows = make([]Tuple, len(r.rows))
-	for i, row := range r.rows {
-		out.rows[i] = row.Clone()
-	}
-	for k, v := range r.keyset {
-		out.keyset[k] = v
-	}
-	return out
-}
-
-// Sample returns a new relation containing the rows at the given indexes.
-func (r *Relation) Sample(indexes []int) *Relation {
-	out := NewRelation(r.name, r.schema)
-	for _, i := range indexes {
-		row := r.rows[i]
-		out.rows = append(out.rows, row)
-		out.keyset[out.keyOf(row)] = len(out.rows) - 1
-	}
-	return out
+	cc := r.cols[r.schema.MustIndex(col)]
+	return cc.Min, cc.Max, cc.ranged
 }
 
 // String renders a small ASCII table (up to 12 rows) for debugging.
 func (r *Relation) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s(%s) [%d rows]\n", r.name, strings.Join(r.schema.Names(), ", "), len(r.rows))
-	n := len(r.rows)
-	if n > 12 {
-		n = 12
-	}
+	fmt.Fprintf(&b, "%s(%s) [%d rows]\n", r.name, strings.Join(r.schema.Names(), ", "), r.n)
+	n := min(r.n, 12)
 	for i := 0; i < n; i++ {
-		parts := make([]string, len(r.rows[i]))
-		for j, v := range r.rows[i] {
-			parts[j] = v.String()
+		parts := make([]string, len(r.cols))
+		for j, c := range r.cols {
+			parts[j] = c.value(i).String()
 		}
 		b.WriteString("  " + strings.Join(parts, ", ") + "\n")
 	}
-	if n < len(r.rows) {
+	if n < r.n {
 		b.WriteString("  ...\n")
 	}
 	return b.String()

@@ -114,23 +114,3 @@ func (s *Schema) String() string {
 	}
 	return b.String()
 }
-
-// Project returns a new schema containing only the named columns, in the
-// given order, along with their source positions.
-func (s *Schema) Project(names ...string) (*Schema, []int, error) {
-	cols := make([]Column, 0, len(names))
-	idx := make([]int, 0, len(names))
-	for _, n := range names {
-		i, ok := s.index[n]
-		if !ok {
-			return nil, nil, fmt.Errorf("relation: unknown column %q", n)
-		}
-		cols = append(cols, s.cols[i])
-		idx = append(idx, i)
-	}
-	ns, err := NewSchema(cols...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ns, idx, nil
-}

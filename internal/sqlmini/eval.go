@@ -181,11 +181,11 @@ func truthy(v relation.Value) bool {
 	}
 }
 
-// RowEnv is an Env over a single tuple of a relation; TimeDefault and
-// TimePre and TimePost all read the same row (no update context).
+// RowEnv is an Env over one row of a relation; TimeDefault and TimePre and
+// TimePost all read the same row (no update context).
 type RowEnv struct {
 	Rel *relation.Relation
-	Row relation.Tuple
+	Row int
 }
 
 // Lookup implements Env.
@@ -197,31 +197,5 @@ func (r RowEnv) Lookup(table, name string, _ hyperql.Temporal) (relation.Value, 
 	if !ok {
 		return relation.Null, fmt.Errorf("sqlmini: unknown column %q in %s", name, r.Rel.Name())
 	}
-	return r.Row[i], nil
-}
-
-// PrePostEnv is an Env over a pre-update tuple and a post-update tuple of
-// the same relation. TimeDefault resolves to Default (Pre per the paper,
-// unless the caller flips DefaultPost for OUTPUT/objective clauses).
-type PrePostEnv struct {
-	Rel         *relation.Relation
-	Pre         relation.Tuple
-	Post        relation.Tuple
-	DefaultPost bool
-}
-
-// Lookup implements Env.
-func (p PrePostEnv) Lookup(table, name string, time hyperql.Temporal) (relation.Value, error) {
-	if table != "" && table != p.Rel.Name() {
-		return relation.Null, fmt.Errorf("sqlmini: unknown table %q", table)
-	}
-	i, ok := p.Rel.Schema().Index(name)
-	if !ok {
-		return relation.Null, fmt.Errorf("sqlmini: unknown column %q in %s", name, p.Rel.Name())
-	}
-	post := time == hyperql.TimePost || (time == hyperql.TimeDefault && p.DefaultPost)
-	if post {
-		return p.Post[i], nil
-	}
-	return p.Pre[i], nil
+	return r.Rel.Value(r.Row, i), nil
 }

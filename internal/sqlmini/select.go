@@ -1,9 +1,7 @@
 package sqlmini
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"strings"
 
 	"hyper/internal/hyperql"
@@ -106,7 +104,7 @@ func (j *joiner) resolve(table, name string) (colRef, error) {
 
 // value reads column c of a joined row.
 func (j *joiner) value(tuple []int32, c colRef) relation.Value {
-	return j.tables[c.table].Row(int(tuple[c.table]))[c.col]
+	return j.tables[c.table].Value(int(tuple[c.table]), c.col)
 }
 
 // outputCol is the view column a projected source column becomes.
@@ -195,19 +193,13 @@ func (j *joiner) equiJoin(cur []int32, t int, conds []joinCond) []int32 {
 	for k, c := range conds {
 		left[k] = j.tables[c.left.table].Coded(c.left.col)
 		right[k] = rt.Coded(c.right.col)
-		toLeft[k] = make([]int32, len(right[k].Values))
-		for rc, v := range right[k].Values {
-			toLeft[k][rc] = -1
-			if lc, ok := left[k].Code(v); ok {
-				toLeft[k][rc] = int32(lc)
-			}
-		}
+		toLeft[k] = right[k].Recode(left[k])
 		alphabet[k] = len(left[k].Values)
 	}
 
 	// Bucket the right rows by key, each bucket in row order (a counting
 	// sort over the ids of the distinct keys).
-	keys := newTupleIndex(alphabet)
+	keys := relation.NewTupleIndex(alphabet)
 	digits := make([]uint32, len(conds))
 	ids := make([]int32, rt.Len())
 	var fill []int32 // per key id: its row count, then its write cursor
@@ -221,7 +213,7 @@ build:
 			}
 			digits[k] = uint32(lc)
 		}
-		id, _ := keys.id(digits, true)
+		id, _ := keys.ID(digits, true)
 		if int(id) == len(fill) {
 			fill = append(fill, 0)
 		}
@@ -247,7 +239,7 @@ build:
 		for c, cond := range conds {
 			digits[c] = left[c].At(int(tuple[cond.left.table]))
 		}
-		id, ok := keys.id(digits, false)
+		id, ok := keys.ID(digits, false)
 		if !ok {
 			continue
 		}
@@ -257,58 +249,6 @@ build:
 		}
 	}
 	return next
-}
-
-// tupleIndex gives the distinct tuples of small integers it is shown dense
-// ids in first-seen order. Digit d of a tuple is below alphabet[d]; tuples
-// are radix-packed into a uint64 when the alphabets' product fits and keyed
-// by their bytes otherwise (the packing ml's frame keys use). Either way
-// distinct tuples have distinct keys: unlike concatenated per-value key
-// strings, they cannot collide.
-type tupleIndex struct {
-	stride []uint64 // nil: the alphabets are too wide to pack
-	packed map[uint64]int32
-	wide   map[string]int32
-	buf    []byte
-}
-
-func newTupleIndex(alphabet []int) *tupleIndex {
-	stride := make([]uint64, len(alphabet))
-	acc := uint64(1)
-	for d, a := range alphabet {
-		stride[d] = acc
-		a := uint64(max(a, 1))
-		if acc > math.MaxUint64/a {
-			return &tupleIndex{wide: make(map[string]int32)}
-		}
-		acc *= a
-	}
-	return &tupleIndex{stride: stride, packed: make(map[uint64]int32)}
-}
-
-// id returns the tuple's id. A tuple not seen before gets the next id (the
-// number of distinct tuples so far) when add is set, and ok false otherwise.
-func (x *tupleIndex) id(digits []uint32, add bool) (id int32, ok bool) {
-	if x.stride != nil {
-		key := uint64(0)
-		for d, v := range digits {
-			key += uint64(v) * x.stride[d]
-		}
-		if id, ok = x.packed[key]; !ok && add {
-			id = int32(len(x.packed))
-			x.packed[key] = id
-		}
-		return id, ok || add
-	}
-	x.buf = x.buf[:0]
-	for _, v := range digits {
-		x.buf = binary.LittleEndian.AppendUint32(x.buf, v)
-	}
-	if id, ok = x.wide[string(x.buf)]; !ok && add {
-		id = int32(len(x.wide))
-		x.wide[string(x.buf)] = id
-	}
-	return id, ok || add
 }
 
 // asJoinCond recognizes "a.x = b.y" conjuncts whose sides live in different
@@ -485,7 +425,7 @@ func (j *joiner) groupProject(name string) (*relation.Relation, error) {
 			alphabet[d] = len(s.codes.Values)
 		}
 	}
-	groups := newTupleIndex(alphabet)
+	groups := relation.NewTupleIndex(alphabet)
 	digits := make([]uint32, len(sources))
 	var first []int    // per group: offset in j.rows of its first joined row
 	var sums []float64 // per group, per select item
@@ -499,7 +439,7 @@ func (j *joiner) groupProject(name string) (*relation.Relation, error) {
 				digits[d] = s.codes.At(int(tuple[s.table]))
 			}
 		}
-		id, _ := groups.id(digits, true)
+		id, _ := groups.ID(digits, true)
 		g := int(id)
 		if g == len(first) {
 			first = append(first, k)

@@ -145,7 +145,7 @@ func checkSelectParity(t testing.TB, db *relation.Database, src string) {
 	if !reflect.DeepEqual(got.Schema().Columns(), want.Schema().Columns()) {
 		t.Fatalf("%s\n  schema %v, reference %v", src, got.Schema(), want.Schema())
 	}
-	if !reflect.DeepEqual(got.Rows(), want.Rows()) {
+	if !reflect.DeepEqual(rowsOf(got), rowsOf(want)) {
 		t.Fatalf("%s\n  rows differ from the reference:\n%v\nreference:\n%v", src, got, want)
 	}
 }

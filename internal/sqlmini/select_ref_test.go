@@ -125,7 +125,7 @@ func (j *refJoiner) run() ([][]relation.Value, error) {
 
 	// Left-deep pipeline: start with table 0, hash-join each next table.
 	cur := make([][]relation.Value, 0, j.tables[0].Len())
-	for _, row := range j.tables[0].Rows() {
+	for _, row := range rowsOf(j.tables[0]) {
 		combined := make([]relation.Value, j.width)
 		copy(combined[j.offsets[0]:], row)
 		cur = append(cur, combined)
@@ -134,13 +134,14 @@ func (j *refJoiner) run() ([][]relation.Value, error) {
 		conds := joinsFor[t]
 		next := make([][]relation.Value, 0, len(cur))
 		rt := j.tables[t]
+		rtRows := rowsOf(rt)
 		if len(conds) == 0 {
 			// Cross product (rare; guarded by size).
 			if len(cur)*rt.Len() > 5_000_000 {
 				return nil, fmt.Errorf("sqlmini: refusing cross product of %d x %d rows; add a join condition", len(cur), rt.Len())
 			}
 			for _, c := range cur {
-				for _, row := range rt.Rows() {
+				for _, row := range rtRows {
 					nc := append([]relation.Value(nil), c...)
 					copy(nc[j.offsets[t]:], row)
 					next = append(next, nc)
@@ -151,7 +152,7 @@ func (j *refJoiner) run() ([][]relation.Value, error) {
 		}
 		// Build hash on the new table keyed by its join columns.
 		hash := make(map[string][]int, rt.Len())
-		for ri, row := range rt.Rows() {
+		for ri, row := range rtRows {
 			var kb strings.Builder
 			for _, c := range conds {
 				kb.WriteString(row[c.rightOff-j.offsets[t]].Key())
@@ -168,7 +169,7 @@ func (j *refJoiner) run() ([][]relation.Value, error) {
 			}
 			for _, ri := range hash[kb.String()] {
 				nc := append([]relation.Value(nil), c...)
-				copy(nc[j.offsets[t]:], rt.Row(ri))
+				copy(nc[j.offsets[t]:], rtRows[ri])
 				next = append(next, nc)
 			}
 		}
@@ -437,4 +438,13 @@ func (j *refJoiner) groupProject(rows [][]relation.Value, name string) (*relatio
 		}
 	}
 	return out, nil
+}
+
+// rowsOf materialises every row of r.
+func rowsOf(r *relation.Relation) []relation.Tuple {
+	out := make([]relation.Tuple, r.Len())
+	for i := range out {
+		out[i] = r.Row(i)
+	}
+	return out
 }

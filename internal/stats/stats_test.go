@@ -220,12 +220,6 @@ func TestDistributions(t *testing.T) {
 	}
 }
 
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
-		t.Error("Clamp misbehaves")
-	}
-}
-
 // Property: Summary matches direct two-pass computation.
 func TestSummaryMatchesTwoPassProperty(t *testing.T) {
 	f := func(raw []int8) bool {
