@@ -472,20 +472,21 @@ type terminalError struct{ err error }
 
 func (e terminalError) Error() string { return e.err.Error() }
 
-// postWorker POSTs a compute request to a worker, shipping the frame first
+// postWorker POSTs an eval request to a worker, shipping the frame first
 // and running every RPC under the run's unified retry policy (per-attempt
 // timeouts, backoff with seeded jitter, the operation's retry budget). A
 // 4xx response other than the frame_missing miss is terminal; transport
-// failures and 5xx are retryable — the policy retries in place, and only
-// once it gives up does the caller exclude the worker and requeue.
-func (c *Coordinator) postWorker(ctx context.Context, run *queryRun, w *remoteWorker, frame *Frame, path string, request, dst any) error {
+// failures, 5xx and a reply that does not decode are retryable — the policy
+// retries in place, and only once it gives up does the caller exclude the
+// worker and requeue.
+func (c *Coordinator) postWorker(ctx context.Context, run *queryRun, w *remoteWorker, frame *Frame, request EvalRequest) (*EvalResponse, error) {
 	frameID, _, err := frame.Payload()
 	if err != nil {
-		return terminalError{err}
+		return nil, terminalError{err}
 	}
 	body, err := json.Marshal(request)
 	if err != nil {
-		return terminalError{err}
+		return nil, terminalError{err}
 	}
 	for miss := 0; ; miss++ {
 		// Best effort: the authoritative signal is the worker's own
@@ -494,20 +495,24 @@ func (c *Coordinator) postWorker(ctx context.Context, run *queryRun, w *remoteWo
 		if err := c.retry(ctx, run, func(actx context.Context) error {
 			return c.ensureFrame(actx, w, frame)
 		}); err != nil {
-			return err
+			return nil, err
 		}
-		var frameMissing bool
+		var (
+			resp         *EvalResponse
+			frameMissing bool
+		)
 		err := c.retry(ctx, run, func(actx context.Context) error {
 			frameMissing = false
-			status, raw, err := c.roundTrip(actx, w, fault.PointWorkerDial, http.MethodPost, path, body)
+			status, raw, err := c.roundTrip(actx, w, fault.PointWorkerDial, http.MethodPost, pathEval, body)
 			if err != nil {
 				return err
 			}
 			switch {
 			case status == http.StatusOK:
-				if err := json.Unmarshal(raw, dst); err != nil {
-					return fmt.Errorf("dist: decoding %s response from %s: %w", path, w.id, err)
+				if resp, err = decodeEvalReply(raw); err != nil {
+					return fmt.Errorf("dist: decoding %s reply from %s: %w", pathEval, w.id, err)
 				}
+				obs.SpanFromContext(ctx).Set("resp_bytes", len(raw))
 				// Charge the bytes of the one request the worker accepted —
 				// the exact Content-Length the worker metered on its side, so
 				// a retry-free query reconciles shipped == received.
@@ -524,10 +529,10 @@ func (c *Coordinator) postWorker(ctx context.Context, run *queryRun, w *remoteWo
 			}
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if !frameMissing {
-			return nil
+			return resp, nil
 		}
 		if miss >= 2 {
 			// The worker keeps losing the frame between ship and use (LRU
@@ -535,7 +540,7 @@ func (c *Coordinator) postWorker(ctx context.Context, run *queryRun, w *remoteWo
 			// not a query problem: report it retryable so the caller
 			// requeues elsewhere or falls back locally instead of failing
 			// the user's request.
-			return frameThrashError{fmt.Errorf("dist: worker %s evicted frame %.12s twice mid-request (frame-store thrash; raise -worker-frames)", w.id, frameID)}
+			return nil, frameThrashError{fmt.Errorf("dist: worker %s evicted frame %.12s twice mid-request (frame-store thrash; raise -worker-frames)", w.id, frameID)}
 		}
 		// The worker lost the frame (restart, LRU eviction): forget our
 		// ledger entry so the next ensureFrame ships again.
@@ -789,9 +794,8 @@ func (c *Coordinator) scatter(ctx context.Context, op *evalOp) error {
 				wctx, wsp := obs.Start(ctx, "worker_eval")
 				wsp.Set("worker", w.id)
 				wsp.Set("shards", len(chunk))
-				var resp EvalResponse
-				err := c.postWorker(wctx, op.run, w, op.spec.Frame, pathEval,
-					EvalRequest{Frame: frameID, Query: op.spec.Query, Options: wire, Shards: chunk}, &resp)
+				resp, err := c.postWorker(wctx, op.run, w, op.spec.Frame,
+					EvalRequest{Frame: frameID, Query: op.spec.Query, Options: wire, Shards: chunk})
 				wsp.Set("error", err != nil)
 				if err == nil {
 					wsp.Graft(resp.Spans)
@@ -814,7 +818,7 @@ func (c *Coordinator) scatter(ctx context.Context, op *evalOp) error {
 					// the two must agree when retries == 0.
 					meter := obs.MeterFromContext(ctx)
 					meter.Fold(resp.Meter)
-					if serr := shapeError(&resp, chunk); serr != nil {
+					if serr := shapeError(resp, chunk); serr != nil {
 						err = fmt.Errorf("dist: worker %s eval shape mismatch (%v)", w.id, serr)
 					} else {
 						meter.AddRemoteShards(len(chunk))

@@ -45,11 +45,13 @@
 //     so the next dispatch ships again. The ledger is checked before the
 //     frame's ancestors, so a warm dispatch never walks the version chain.
 //
-// Everything on the wire is JSON. Both ends re-derive the deterministic
-// parts of an evaluation (plan, block decomposition, estimator choice,
-// training) from the same frame + query + semantic options; the coordinator
-// cross-checks the workers' evaluation metadata and fails loudly on any
-// disagreement rather than merging diverging partials.
+// Everything on the wire is JSON except the eval reply, whose partials travel
+// as raw float64 bits behind a JSON header (evalreply.go): it is as large as
+// the view, and JSON cannot carry NaN or ±Inf. Both ends re-derive the
+// deterministic parts of an evaluation (plan, block decomposition, estimator
+// choice, training) from the same frame + query + semantic options; the
+// coordinator cross-checks the workers' evaluation metadata and fails loudly
+// on any disagreement rather than merging diverging partials.
 package dist
 
 import (
@@ -136,11 +138,12 @@ type EvalRequest struct {
 // worker-side cost vector of the request (shards run, tuples evaluated, fits,
 // bytes received); the coordinator folds it into the query's meter — the
 // worker_* ledger the reconciliation invariant checks against the
-// coordinator's own shipped/dispatched totals.
+// coordinator's own shipped/dispatched totals. It travels in the binary
+// layout of evalreply.go, not as JSON.
 type EvalResponse struct {
 	engine.PartialResult
-	Spans *obs.SpanJSON  `json:"spans,omitempty"`
-	Meter *obs.MeterJSON `json:"meter,omitempty"`
+	Spans *obs.SpanJSON
+	Meter *obs.MeterJSON
 }
 
 // RegisterRequest announces a worker to the coordinator. URL is the base

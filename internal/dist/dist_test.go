@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -171,8 +172,12 @@ func TestDistributedEvalGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer resp.Body.Close()
-			var er EvalResponse
-			if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || resp.StatusCode != http.StatusOK {
+			raw, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			er, err := decodeEvalReply(raw)
+			if err != nil || resp.StatusCode != http.StatusOK {
 				t.Fatalf("worker eval: status %d, decode err %v", resp.StatusCode, err)
 			}
 			if er.Meta.UpdatedRows != res.UpdatedRows {
@@ -263,6 +268,60 @@ func TestDistributedEvalParity(t *testing.T) {
 	st := c.Stats()
 	if st.RemoteEvals != uint64(len(queries)) || st.FramesShipped != 3 || st.WorkersLost != 0 {
 		t.Fatalf("unexpected stats: %+v", st)
+	}
+}
+
+// TestDistributedNaNPartial: one NaN in the output column makes the partials
+// that hold it NaN. A healthy fleet must deliver them as they are — the same
+// bits as the local run, no retry, no degradation, both workers used — not
+// fail every attempt and fall back to local evaluation.
+func TestDistributedNaNPartial(t *testing.T) {
+	var csv strings.Builder
+	csv.WriteString("X,Y\n")
+	for i := range 300 {
+		y := strconv.Itoa(i % 7)
+		if i == 151 { // X = 1, the updated value
+			y = "NaN"
+		}
+		fmt.Fprintf(&csv, "%d,%s\n", i%3, y)
+	}
+	rel, err := relation.ReadCSVKeyed("T", strings.NewReader(csv.String()), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := relation.NewDatabase()
+	if err := db.Add(rel); err != nil {
+		t.Fatal(err)
+	}
+	model := causal.NewModel()
+	model.AddEdge("T.X", "T.Y")
+	const src = `USE T UPDATE(X) = 1 OUTPUT AVG(POST(Y))`
+	opts := engine.Options{Seed: 7, ShardRows: 256} // 300 rows -> 2 plan shards
+	q, err := hyperql.ParseWhatIf(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := engine.EvaluateContext(context.Background(), db, model, q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(local.Value) {
+		t.Fatalf("local value %v, want NaN (the fixture lost its NaN)", local.Value)
+	}
+
+	c, _ := newTestCoordinator(t, newTestWorker(t), newTestWorker(t))
+	res, err := c.EvaluateWhatIf(context.Background(), EvalSpec{
+		DB: db, Model: model, Frame: NewFrame(db, model), Query: src, Options: opts,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(res.Value) != math.Float64bits(local.Value) {
+		t.Fatalf("workers value bits %#x != local %#x", math.Float64bits(res.Value), math.Float64bits(local.Value))
+	}
+	if st := c.Stats(); res.Degraded || st.Retries != 0 || res.RemoteWorkers != 2 {
+		t.Fatalf("degraded=%v (%q), retries %d, remote workers %d; want an undegraded answer from both workers with no retry",
+			res.Degraded, res.DegradedReason, st.Retries, res.RemoteWorkers)
 	}
 }
 

@@ -2,12 +2,144 @@ package dist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"math"
+	"reflect"
 	"testing"
 	"unicode/utf8"
 
+	"hyper/internal/engine"
+	"hyper/internal/obs"
 	"hyper/internal/relation"
 )
+
+// FuzzEvalResponseDecode holds the eval reply codec to two properties. Any
+// bytes, read as a reply body, either fail to decode or decode to no more
+// floats than the body holds, and never panic. Any reply the encoder renders
+// — partials cut from the same bytes read as float64 bits, so NaN payloads,
+// ±0, ±Inf and subnormals come through — decodes to the same Meta, Spans,
+// Meter, shard ids, windows and float bits, while the body cut short by one
+// byte, one byte longer or with a foreign magic is refused.
+func FuzzEvalResponseDecode(f *testing.F) {
+	bits := func(ws ...uint64) []byte {
+		var b []byte
+		for _, w := range ws {
+			b = binary.LittleEndian.AppendUint64(b, w)
+		}
+		return b
+	}
+	floatSeeds := [][]byte{
+		bits(0x7ff8000000000001, 0xfff8000000000000, 0x7ff0000000000001, 0x7ff4000000000000), // NaN payloads, signalling too
+		bits(0, 0x8000000000000000, math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1))),
+		bits(1, 0x000fffffffffffff, 0x800fffffffffffff, 0x8000000000000001), // subnormals
+		bits(math.Float64bits(1), math.Float64bits(2.5), math.Float64bits(-3)),
+		nil, // empty partials
+	}
+	for _, fl := range floatSeeds {
+		for _, parts := range []uint8{0, 1, 3} { // zero partials, one, several
+			f.Add(fl, parts)
+			if body, err := encodeEvalReply(fuzzReply(fl, parts)); err == nil {
+				f.Add(body, parts)
+			}
+		}
+	}
+	header := func(h string) []byte {
+		return append(binary.LittleEndian.AppendUint32([]byte("HPE\x01"), uint32(len(h))), h...)
+	}
+	for _, hostile := range [][]byte{
+		[]byte("HPE\x02\x00\x00\x00\x00"), // a future format version
+		binary.LittleEndian.AppendUint32([]byte("HPE\x01"), math.MaxUint32),
+		header(`{"meta":{},"partials":[{"shard":0,"min_block":0,"n":1000000000000}]}`),
+		header(`{"meta":{},"partials":[{"shard":0,"min_block":0,"n":-1}]}`),
+		append(header(`{"meta":{},"partials":[{"shard":0,"min_block":0,"n":1}]}`), bits(1)...), // short float section
+		append(header(`{"meta":{},"partials":[]}`), 0),                                         // trailing byte
+	} {
+		f.Add(hostile, uint8(0))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, parts uint8) {
+		if resp, err := decodeEvalReply(data); err == nil {
+			floats := 0
+			for _, p := range resp.Partials {
+				floats += len(p.Sum) + len(p.Cnt)
+			}
+			if 8*floats > len(data) {
+				t.Fatalf("a %d-byte body decoded to %d floats", len(data), floats)
+			}
+		}
+
+		want := fuzzReply(data, parts)
+		body, err := encodeEvalReply(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := decodeEvalReply(body)
+		if err != nil {
+			t.Fatalf("the encoder's own reply does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(got.Meta, want.Meta) || !reflect.DeepEqual(got.Spans, want.Spans) || !reflect.DeepEqual(got.Meter, want.Meter) {
+			t.Fatalf("header changed in transit:\n got %+v %+v %+v\nwant %+v %+v %+v", got.Meta, got.Spans, got.Meter, want.Meta, want.Spans, want.Meter)
+		}
+		if len(got.Partials) != len(want.Partials) {
+			t.Fatalf("%d partials decoded from %d", len(got.Partials), len(want.Partials))
+		}
+		for i, w := range want.Partials {
+			g := got.Partials[i]
+			if g.Shard != w.Shard || g.MinBlock != w.MinBlock || !sameBits(g.Sum, w.Sum) || !sameBits(g.Cnt, w.Cnt) {
+				t.Fatalf("partial %d: %+v decoded as %+v", i, w, g)
+			}
+		}
+		foreign := append([]byte(nil), body...)
+		foreign[3]++
+		for name, bad := range map[string][]byte{
+			"cut short": body[:len(body)-1], "one byte longer": append(body[:len(body):len(body)], 0), "foreign magic": foreign,
+		} {
+			if _, err := decodeEvalReply(bad); err == nil {
+				t.Fatalf("a reply %s decoded", name)
+			}
+		}
+	})
+}
+
+// fuzzReply builds an eval reply whose floats are data read as float64 bits,
+// cut into parts%4 partials of even length (sums, then counts).
+func fuzzReply(data []byte, parts uint8) *EvalResponse {
+	vals := make([]float64, len(data)/8)
+	for i := range vals {
+		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+	}
+	resp := &EvalResponse{
+		PartialResult: engine.PartialResult{Meta: engine.PartialMeta{
+			Plan: int(parts%4) + 1, Blocks: len(vals), Agg: "avg", Backdoor: []string{"T.X"}, EstimatorUsed: "freq", ViewRows: len(data),
+		}},
+		Spans: &obs.SpanJSON{Name: "eval", StartUnixUs: int64(len(data)), DurMs: 0.25,
+			Attrs: map[string]any{"shards": float64(parts), "error": false}, Children: []*obs.SpanJSON{{Name: "eval_shards"}}},
+		Meter: &obs.MeterJSON{StagesMs: map[string]float64{"eval_shards": 0.5}, ShardsRun: uint64(parts)},
+	}
+	n := int(parts % 4)
+	for i := range n {
+		chunk := vals[i*len(vals)/n : (i+1)*len(vals)/n]
+		half := len(chunk) / 2
+		p := engine.ShardPartial{Shard: i, MinBlock: 7 * i}
+		if half > 0 {
+			p.Sum, p.Cnt = chunk[:half], chunk[half:2*half]
+		}
+		resp.Partials = append(resp.Partials, p)
+	}
+	return resp
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
 
 // FuzzReadCSVKeyed feeds arbitrary CSV bytes to the upload reader, with no
 // key (the synthetic RowID), one declared key or two. Nothing may panic, and

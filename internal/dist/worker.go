@@ -317,7 +317,8 @@ func (w *Worker) putDeltaFrame(rw http.ResponseWriter, id string, body []byte) {
 // frame_missing protocol error) and query, the engine options over the
 // frame's cache, the trace the coordinator may have asked for, and a fresh
 // per-request meter that the engine charges through the context and the
-// coordinator folds into the query's. An evaluation error answers 400.
+// coordinator folds into the query's. An evaluation error answers 400; the
+// reply is the binary body of evalreply.go.
 func (w *Worker) handleEval(rw http.ResponseWriter, r *http.Request) {
 	w.inflight.Add(1)
 	defer w.inflight.Add(-1)
@@ -349,8 +350,16 @@ func (w *Worker) handleEval(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusBadRequest, "", "%v", err)
 		return
 	}
+	// Encoded whole before the status goes out: a failure is a 500 envelope,
+	// never a 200 with a truncated body.
+	body, err := encodeEvalReply(&EvalResponse{PartialResult: *res, Spans: finish(), Meter: meter.JSON()})
+	if err != nil {
+		writeError(rw, http.StatusInternalServerError, "", "%v", err)
+		return
+	}
 	w.evals.Inc()
 	w.evalShards.Add(len(req.Shards))
 	w.logf("dist worker: eval frame=%.12s shards=%v plan=%d", req.Frame, req.Shards, res.Meta.Plan)
-	writeJSON(rw, http.StatusOK, &EvalResponse{PartialResult: *res, Spans: finish(), Meter: meter.JSON()})
+	rw.Header().Set("Content-Type", "application/octet-stream")
+	_, _ = rw.Write(body) // a failed write is the coordinator's transport error
 }

@@ -18,14 +18,15 @@ import (
 // PartialResults, and MergePartials them in plan order to reconstruct the
 // exact Result a single process would produce.
 
-// ShardPartial is the serializable block-window partial of one plan shard:
-// the per-block (sum, count) accumulators over the window of block ids the
-// shard's rows touch. An empty shard has nil Sum/Cnt.
+// ShardPartial is the block-window partial of one plan shard: the per-block
+// (sum, count) accumulators over the window of block ids the shard's rows
+// touch. An empty shard has nil Sum/Cnt. (internal/dist ships it as raw
+// float64 bits: JSON cannot carry a NaN or ±Inf accumulator.)
 type ShardPartial struct {
-	Shard    int       `json:"shard"`
-	MinBlock int       `json:"min_block,omitempty"`
-	Sum      []float64 `json:"sum,omitempty"`
-	Cnt      []float64 `json:"cnt,omitempty"`
+	Shard    int
+	MinBlock int
+	Sum      []float64
+	Cnt      []float64
 }
 
 // PartialMeta is the evaluation metadata a partial evaluation derives
@@ -53,8 +54,8 @@ type PartialMeta struct {
 // PartialResult is what a (possibly remote) partial evaluation returns: the
 // shared metadata plus one partial per evaluated shard.
 type PartialResult struct {
-	Meta     PartialMeta    `json:"meta"`
-	Partials []ShardPartial `json:"partials"`
+	Meta     PartialMeta
+	Partials []ShardPartial
 }
 
 // Consistent reports whether two metas agree on every deterministic field —

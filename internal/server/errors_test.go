@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -109,6 +111,59 @@ func TestErrorStatusTable(t *testing.T) {
 			}
 		})
 	}
+}
+
+// requireEncodingEnvelope checks the answer to a payload JSON cannot carry:
+// the 500 envelope naming the encoding error, never a 200 with an empty body.
+func requireEncodingEnvelope(t *testing.T, status int, contentType string, raw []byte) {
+	t.Helper()
+	var body ErrorResponse
+	if err := json.Unmarshal(raw, &body); err != nil {
+		t.Fatalf("status %d, body %q is not the error envelope: %v", status, raw, err)
+	}
+	if status != http.StatusInternalServerError || contentType != "application/json" ||
+		body.Code != "internal" || !strings.Contains(body.Error, "encoding response") || !strings.Contains(body.Error, "NaN") {
+		t.Fatalf("status %d (%s), envelope %+v; want 500 with code internal naming the NaN encoding error", status, contentType, body)
+	}
+}
+
+// TestWriteJSONUnencodable: a NaN cannot be JSON-encoded, so writeJSON must
+// not have sent its status before finding out.
+func TestWriteJSONUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, WhatIfResponse{Value: math.NaN()})
+	requireEncodingEnvelope(t, rec.Code, rec.Header().Get("Content-Type"), rec.Body.Bytes())
+}
+
+// TestNaNAnswerIsAnEnvelope is the same end to end: a CSV session whose
+// output column holds a NaN answers a local what-if with NaN, which the API
+// reports as the 500 envelope.
+func TestNaNAnswerIsAnEnvelope(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	var info SessionInfo
+	if code := do(t, "POST", ts.URL+"/v1/sessions", CreateSessionRequest{
+		Name: "nan",
+		CSV: &CSVDatabase{
+			Tables: []CSVTable{{Name: "T", Data: "X,Y\n0,1\n1,NaN\n2,3\n1,4\n"}},
+			Model:  &CSVModel{Edges: [][2]string{{"T.X", "T.Y"}}},
+		},
+	}, &info); code != http.StatusOK {
+		t.Fatalf("csv session: status %d", code)
+	}
+	body, err := json.Marshal(QueryRequest{Query: `USE T UPDATE(X) = 1 OUTPUT AVG(POST(Y))`, Placement: "local"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/sessions/nan/whatif", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireEncodingEnvelope(t, resp.StatusCode, resp.Header.Get("Content-Type"), raw)
 }
 
 // TestErrorEnvelopeTable pins the full envelope — code and retryable, not

@@ -194,6 +194,10 @@ func TestJobQueueOverflow429(t *testing.T) {
 			t.Fatalf("submit %d: status %d", i, code)
 		}
 		ids = append(ids, job.ID)
+		if i == 0 {
+			// Only once the worker has taken it does the queue hold two more.
+			pollJob(t, ts, job.ID, 30*time.Second, func(j JobInfo) bool { return j.State == "running" })
+		}
 	}
 
 	var errBody struct {

@@ -53,6 +53,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -445,12 +446,20 @@ func (s *Server) instrument(endpoint string, fn func(r *http.Request) (any, erro
 	})
 }
 
+// writeJSON encodes payload whole before the status goes out, so a payload
+// that cannot be encoded (a NaN answer) is a 500 envelope, not a 200 with an
+// empty body.
 func writeJSON(w http.ResponseWriter, status int, payload any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(payload); err != nil {
+		writeError(w, http.StatusInternalServerError, "", fmt.Sprintf("encoding response: %v", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(payload)
+	_, _ = w.Write(buf.Bytes()) // a failed write is the client's lost connection
 }
 
 // decodeBody strictly decodes the request body into dst.

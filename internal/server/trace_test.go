@@ -221,6 +221,9 @@ func TestDistributedTraceGraft(t *testing.T) {
 		if ws.Attrs["error"] != false {
 			t.Errorf("worker_eval error attr %v", ws.Attrs["error"])
 		}
+		if rb, _ := ws.Attrs["resp_bytes"].(float64); rb <= 0 {
+			t.Errorf("worker_eval resp_bytes attr %v, want the reply's size", ws.Attrs["resp_bytes"])
+		}
 		// The worker returned its own tree and it was grafted under the
 		// coordinator's span: a single cross-process trace.
 		remote := childNamed(ws, "eval")
