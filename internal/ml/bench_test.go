@@ -3,7 +3,8 @@ package ml
 // FreqEstimator fit/predict benchmarks with allocation reporting: the
 // support index is the reason discrete what-ifs stay linear in data size
 // (A.4), so its per-row cost — and especially per-row allocations — is the
-// engine's hot path.
+// engine's hot path. BenchmarkForestFit is the other estimator's: a
+// continuous view's fit is mostly tree induction.
 
 import "testing"
 
@@ -33,6 +34,22 @@ func BenchmarkFreqFit(b *testing.B) {
 		f := FitFreqKeep(X, y, 1)
 		if f.Support() == 0 {
 			b.Fatal("empty support")
+		}
+	}
+}
+
+// BenchmarkForestFit is the fit a continuous Figure-1 what-if pays: the
+// linear stage, then 20 trees over the 4,000-product view at default
+// parameters. Tree induction is most of it. Run with -cpu 1 to time one
+// core's work rather than the forest's fan-out.
+func BenchmarkForestFit(b *testing.B) {
+	fr, y := figure1Frame(b, 4000)
+	p := DefaultForestParams()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if m := FitBoostedFrame(fr, nil, y, p); len(m.forest.trees) != p.NumTrees {
+			b.Fatalf("%d trees, want %d", len(m.forest.trees), p.NumTrees)
 		}
 	}
 }

@@ -12,13 +12,9 @@ type Boosted struct {
 	forest *Forest
 }
 
-// FitBoosted trains the linear stage, then the forest stage on residuals.
-func FitBoosted(X [][]float64, y []float64, p ForestParams) *Boosted {
-	return FitBoostedFrame(FrameFromRows(X), nil, y, p)
-}
-
-// FitBoostedFrame trains both stages over frame rows. sel maps training
-// positions to frame rows (nil for identity); y is parallel to positions.
+// FitBoostedFrame trains the linear stage, then the forest stage on its
+// residuals, over frame rows. sel maps training positions to frame rows (nil
+// for identity); y is parallel to positions.
 func FitBoostedFrame(fr *Frame, sel []int, y []float64, p ForestParams) *Boosted {
 	lin := FitLinearFrame(fr, sel, y, 1e-6)
 	resid := make([]float64, len(y))

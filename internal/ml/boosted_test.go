@@ -20,8 +20,9 @@ func TestBoostedExtrapolatesLinearTrend(t *testing.T) {
 		X[i] = []float64{x}
 		y[i] = 3*x + 0.2*rng.NormFloat64()
 	}
-	b := FitBoosted(X, y, ForestParams{NumTrees: 10, Seed: 21})
-	f := FitForest(X, y, ForestParams{NumTrees: 10, Seed: 21})
+	fr := FrameFromRows(X)
+	b := FitBoostedFrame(fr, nil, y, ForestParams{NumTrees: 10, Seed: 21})
+	f := FitForestFrame(fr, nil, y, ForestParams{NumTrees: 10, Seed: 21})
 	atEdge := b.Predict([]float64{15})
 	if atEdge < 40 {
 		t.Errorf("boosted at x=15 = %.1f, should extrapolate beyond 40", atEdge)
@@ -34,7 +35,7 @@ func TestBoostedExtrapolatesLinearTrend(t *testing.T) {
 func TestBoostedMatchesForestInDistribution(t *testing.T) {
 	f := func(x []float64) float64 { return math.Sin(x[0]) * 4 }
 	X, y := makeXY(3000, 1, 22, f, 0.2)
-	b := FitBoosted(X, y, ForestParams{NumTrees: 15, Seed: 22})
+	b := FitBoostedFrame(FrameFromRows(X), nil, y, ForestParams{NumTrees: 15, Seed: 22})
 	if m := mse(b, X, y); m > 0.5 {
 		t.Errorf("boosted in-distribution MSE = %.3f", m)
 	}

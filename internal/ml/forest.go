@@ -26,18 +26,14 @@ type Forest struct {
 	trees []*Tree
 }
 
-// FitForest trains a random forest on (X, y). When p.Tree.MaxFeatures is 0
-// it defaults to ceil(dim/3), the standard regression-forest heuristic.
-// Trees are trained in parallel; determinism is preserved by deriving one
-// RNG per tree from the seed. The trees share the frame's rank store (built
-// by the first of them) and each keeps one set of scratch buffers for all of
-// its nodes.
-func FitForest(X [][]float64, y []float64, p ForestParams) *Forest {
-	return FitForestFrame(FrameFromRows(X), nil, y, p)
-}
-
 // FitForestFrame trains a random forest over frame rows. sel maps training
 // positions to frame rows (nil for identity); y is parallel to positions.
+// When p.Tree.MaxFeatures is 0 and the frame has more than three features
+// it defaults to ceil(dim/3), the standard regression-forest heuristic; with
+// three or fewer it stays 0, and every split tries every feature. Trees are
+// trained in parallel; determinism is preserved by deriving one RNG per tree
+// from the seed. The trees share the frame's rank store (built by the first
+// of them) and each keeps one set of scratch buffers for all of its nodes.
 func FitForestFrame(fr *Frame, sel []int, y []float64, p ForestParams) *Forest {
 	if p.NumTrees <= 0 {
 		p.NumTrees = 20

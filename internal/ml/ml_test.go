@@ -34,6 +34,25 @@ func mse(m Regressor, X [][]float64, y []float64) float64 {
 	return s / float64(len(X))
 }
 
+// treeDepth is the longest root-to-leaf path of a fitted tree, in splits.
+func treeDepth(n *treeNode) int {
+	if n == nil || n.leaf {
+		return 0
+	}
+	return 1 + max(treeDepth(n.left), treeDepth(n.right))
+}
+
+// treeLeaves counts a fitted tree's leaves.
+func treeLeaves(n *treeNode) int {
+	if n == nil {
+		return 0
+	}
+	if n.leaf {
+		return 1
+	}
+	return treeLeaves(n.left) + treeLeaves(n.right)
+}
+
 func TestTreeFitsStepFunction(t *testing.T) {
 	X, y := makeXY(2000, 2, 1, func(x []float64) float64 {
 		if x[0] > 0 {
@@ -41,20 +60,20 @@ func TestTreeFitsStepFunction(t *testing.T) {
 		}
 		return -10
 	}, 0.5)
-	tree := FitTree(X, y, nil, DefaultTreeParams(), nil)
+	tree := FitTreeFrame(FrameFromRows(X), nil, y, nil, DefaultTreeParams(), nil)
 	if m := mse(tree, X, y); m > 1 {
 		t.Errorf("tree MSE on step function = %.3f", m)
 	}
-	if tree.Depth() < 1 || tree.Leaves() < 2 {
-		t.Errorf("tree depth=%d leaves=%d", tree.Depth(), tree.Leaves())
+	if treeDepth(tree.root) < 1 || treeLeaves(tree.root) < 2 {
+		t.Errorf("tree depth=%d leaves=%d", treeDepth(tree.root), treeLeaves(tree.root))
 	}
 }
 
 func TestTreeConstantTarget(t *testing.T) {
 	X, y := makeXY(100, 2, 2, func([]float64) float64 { return 7 }, 0)
-	tree := FitTree(X, y, nil, DefaultTreeParams(), nil)
-	if tree.Leaves() != 1 {
-		t.Errorf("constant target should yield one leaf, got %d", tree.Leaves())
+	tree := FitTreeFrame(FrameFromRows(X), nil, y, nil, DefaultTreeParams(), nil)
+	if treeLeaves(tree.root) != 1 {
+		t.Errorf("constant target should yield one leaf, got %d", treeLeaves(tree.root))
 	}
 	if tree.Predict([]float64{0, 0}) != 7 {
 		t.Errorf("predict = %g", tree.Predict([]float64{0, 0}))
@@ -64,16 +83,16 @@ func TestTreeConstantTarget(t *testing.T) {
 func TestTreeRespectsDepthAndLeaf(t *testing.T) {
 	X, y := makeXY(1000, 3, 3, func(x []float64) float64 { return x[0] * x[1] }, 0.1)
 	p := TreeParams{MaxDepth: 3, MinLeaf: 50, MaxThresholds: 16}
-	tree := FitTree(X, y, nil, p, nil)
-	if tree.Depth() > 3 {
-		t.Errorf("depth %d exceeds max 3", tree.Depth())
+	tree := FitTreeFrame(FrameFromRows(X), nil, y, nil, p, nil)
+	if treeDepth(tree.root) > 3 {
+		t.Errorf("depth %d exceeds max 3", treeDepth(tree.root))
 	}
 }
 
 func TestForestBeatsGuessOnNonlinear(t *testing.T) {
 	f := func(x []float64) float64 { return math.Sin(x[0]) * 3 * x[1] }
 	X, y := makeXY(3000, 2, 4, f, 0.3)
-	forest := FitForest(X, y, ForestParams{NumTrees: 15, Seed: 4, Tree: DefaultTreeParams()})
+	forest := FitForestFrame(FrameFromRows(X), nil, y, ForestParams{NumTrees: 15, Seed: 4, Tree: DefaultTreeParams()})
 	var base stats.Summary
 	for _, yy := range y {
 		base.Add(yy)
@@ -86,7 +105,7 @@ func TestForestBeatsGuessOnNonlinear(t *testing.T) {
 func TestForestDeterminism(t *testing.T) {
 	X, y := makeXY(500, 3, 5, func(x []float64) float64 { return x[0] + x[2] }, 0.2)
 	p := ForestParams{NumTrees: 8, Seed: 99}
-	a, b := FitForest(X, y, p), FitForest(X, y, p)
+	a, b := FitForestFrame(FrameFromRows(X), nil, y, p), FitForestFrame(FrameFromRows(X), nil, y, p)
 	for i := 0; i < 20; i++ {
 		x := X[i]
 		if a.Predict(x) != b.Predict(x) {

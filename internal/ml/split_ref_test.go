@@ -25,7 +25,7 @@ func (b *treeBuilder) refBestSplit(rows []int, parentSSE float64) (feat int, thr
 		}
 		thresholds := candidateThresholds(vals, b.p.MaxThresholds)
 		for _, t := range thresholds {
-			g := b.splitGain(rows, f, t, parentSSE)
+			g, _, _ := b.splitGain(rows, f, t, parentSSE)
 			if g > bestGain {
 				bestGain, bestFeat, bestThr = g, f, t
 			}

@@ -65,17 +65,11 @@ func (v frameView) rowOf(pos int) int {
 	return v.sel[pos]
 }
 
-// FitTree trains a regression tree on (X, y). rows selects the training rows
-// (with repetition allowed, enabling bootstrap); pass nil for all rows. rng
-// drives feature subsampling and may be nil when MaxFeatures is 0.
-func FitTree(X [][]float64, y []float64, rows []int, p TreeParams, rng *stats.RNG) *Tree {
-	return FitTreeFrame(FrameFromRows(X), nil, y, rows, p, rng)
-}
-
 // FitTreeFrame trains a regression tree over frame rows. sel maps training
 // positions to frame rows (nil for identity); y is parallel to positions;
 // rows selects positions (with repetition, enabling bootstrap) and may be
-// nil for all. rows is not modified.
+// nil for all. rows is not modified. rng drives feature subsampling and may
+// be nil when MaxFeatures is 0.
 func FitTreeFrame(fr *Frame, sel []int, y []float64, rows []int, p TreeParams, rng *stats.RNG) *Tree {
 	own := slices.Clone(rows)
 	if rows == nil {
@@ -90,7 +84,8 @@ func FitTreeFrame(fr *Frame, sel []int, y []float64, rows []int, p TreeParams, r
 // fitTreeOwned is FitTreeFrame over a row list the builder may reorder.
 func fitTreeOwned(fr *Frame, sel []int, y []float64, rows []int, p TreeParams, rng *stats.RNG) *Tree {
 	b := newTreeBuilder(fr, sel, y, len(rows), p, rng)
-	return &Tree{dim: fr.dim, root: b.build(rows, 0)}
+	mean, sse := meanSSE(y, rows)
+	return &Tree{dim: fr.dim, root: b.build(rows, 0, mean, sse)}
 }
 
 // treeBuilder grows one tree. Everything below the frame and label fields
@@ -109,24 +104,31 @@ type treeBuilder struct {
 
 	// Per node: z[i] = y[rows[i]] - node mean.
 	z []float64
-	// Per (node, feature): the rank of each node row, which ranks occur
-	// (stamp[rank] == epoch), those ranks ascending, and each one's bin.
+	// Per (node, feature): the rank of each node row, a bitset marking the
+	// ranks that occur (all zero between features), those ranks ascending,
+	// and each one's bin.
 	rk      []uint32
-	stamp   []uint32
-	epoch   uint32
+	seen    []uint64
 	present []uint32
 	binOf   []int32
-	// Per (node, feature): the candidate thresholds ascending; the rows, sum
-	// of z and sum of z^2 of each bin (bin j holds the values that first go
-	// left at threshold j; the last bin never goes left), turned into the
-	// totals left of each threshold; and the approximate gains.
-	thr         []float64
-	cnt         []int
-	s1, s2      []float64
-	approx      []float64
+	// Per (node, feature): the rows, sum of z and sum of z^2 of each bin
+	// (bin j holds the values that first go left at threshold j; the last
+	// bin never goes left).
+	s1, s2 []float64
+	// Per node: the i-th candidate feature's thresholds and gains.
+	splits      []featureSplits
 	searches    int // (node, feature) searches run
 	candidates  int // thresholds they held
 	exactPasses int // splitGain passes they needed
+}
+
+// featureSplits is one candidate feature's part of a node's split search:
+// its thresholds ascending, the rows left of each (the bin counts until
+// approxGains sums them), and each one's approximate gain.
+type featureSplits struct {
+	thr    []float64
+	left   []int
+	approx []float64
 }
 
 func newTreeBuilder(fr *Frame, sel []int, y []float64, n int, p TreeParams, rng *stats.RNG) *treeBuilder {
@@ -138,54 +140,59 @@ func newTreeBuilder(fr *Frame, sel []int, y []float64, n int, p TreeParams, rng 
 	}
 	ranks := fr.rankStore()
 	k := p.MaxThresholds
-	return &treeBuilder{
+	b := &treeBuilder{
 		X: frameView{fr: fr, sel: sel}, y: y, p: p, rng: rng, dim: fr.dim, ranks: ranks,
 		feats: make([]int, 0, fr.dim), spill: make([]int, 0, n),
 		z: make([]float64, n), rk: make([]uint32, n),
-		stamp: make([]uint32, ranks.maxCard), present: make([]uint32, 0, min(n, ranks.maxCard)),
+		seen: make([]uint64, (ranks.maxCard+63)/64), present: make([]uint32, 0, min(n, ranks.maxCard)),
 		binOf: make([]int32, ranks.maxCard),
-		thr:   make([]float64, 0, k), approx: make([]float64, k),
-		cnt: make([]int, k+1), s1: make([]float64, k+1), s2: make([]float64, k+1),
+		s1:    make([]float64, k+1), s2: make([]float64, k+1),
+		splits: make([]featureSplits, fr.dim),
 	}
+	for i := range b.splits {
+		b.splits[i] = featureSplits{thr: make([]float64, 0, k), left: make([]int, k+1), approx: make([]float64, k)}
+	}
+	return b
 }
 
-func (b *treeBuilder) build(rows []int, depth int) *treeNode {
-	mean, sse := meanSSE(b.y, rows)
+// build grows the subtree over rows, whose labels have the given mean and
+// SSE: meanSSE's values at the root, the winning splitGain pass's below it.
+func (b *treeBuilder) build(rows []int, depth int, mean, sse float64) *treeNode {
 	if len(rows) < 2*b.p.MinLeaf || (b.p.MaxDepth > 0 && depth >= b.p.MaxDepth) || sse <= 1e-12 {
 		return &treeNode{leaf: true, value: mean}
 	}
-	feat, thr, gain := b.bestSplit(rows, mean, sse)
+	feat, thr, gain, l, r := b.bestSplit(rows, mean, sse)
 	if gain <= 1e-12 {
 		return &treeNode{leaf: true, value: mean}
 	}
 	// Stable partition in place: both sides keep the node's row order, which
-	// the order-sensitive exact pass of the children depends on.
+	// the order-sensitive exact pass of the children depends on, and which
+	// is the order splitGain accumulated l and r in. Both sides reach
+	// MinLeaf: splitGain returns 0 otherwise.
 	col, nl, spill := b.X.col(feat), 0, b.spill[:0]
-	for _, r := range rows {
-		if col[b.X.rowOf(r)] <= thr {
-			rows[nl] = r
+	for _, row := range rows {
+		if col[b.X.rowOf(row)] <= thr {
+			rows[nl] = row
 			nl++
 		} else {
-			spill = append(spill, r)
+			spill = append(spill, row)
 		}
 	}
 	copy(rows[nl:], spill)
-	if nl < b.p.MinLeaf || len(rows)-nl < b.p.MinLeaf {
-		return &treeNode{leaf: true, value: mean}
-	}
 	return &treeNode{
 		feature:   feat,
 		threshold: thr,
-		left:      b.build(rows[:nl], depth+1),
-		right:     b.build(rows[nl:], depth+1),
+		left:      b.build(rows[:nl], depth+1, l.mean, l.sse()),
+		right:     b.build(rows[nl:], depth+1, r.mean, r.sse()),
 	}
 }
 
 // bestSplit returns the (feature, threshold) with the largest SSE reduction
 // over the node's candidate features and, per feature, up to MaxThresholds
 // midpoints between the distinct values the node holds — the first such
-// pair in (feature, ascending threshold) order when several tie — or
-// feature -1 and gain 0 when no split reduces the SSE.
+// pair in (feature, ascending threshold) order when several tie — with its
+// gain and the label moments of its two sides, or feature -1 and gain 0
+// when no split reduces the SSE.
 //
 // splitGain is the only arbiter: a candidate wins by g > bestGain on the
 // value splitGain returns, in that iteration order. What this function adds
@@ -195,48 +202,57 @@ func (b *treeBuilder) build(rows []int, depth int) *treeNode {
 // suffix sums over the bins give every threshold j its exact row counts and
 // an approximate gain g~_j = parentSSE - sse(left) - sse(right) with
 // sse(side) = sum z^2 - (sum z)^2 / n. Let g_j be what splitGain returns.
+// Once every candidate feature has its g~:
 //
 //   - Counts are exact, so a threshold that leaves a side under MinLeaf is
 //     known to have g_j = 0, which never beats bestGain >= 0: dropped.
-//   - |g~_j - g_j| <= eps (splitEps), so with m = max_j g~_j every
-//     threshold with g~_j < m - 2 eps has g_j < g~_j + eps < m - eps <= g of
-//     the arg-max of g~: strictly below a threshold that is evaluated, so
-//     it is not the first maximum. Dropped.
+//   - |g~_j - g_j| <= eps (splitEps), so with m the largest g~ of the node,
+//     over all its candidate features, every threshold with g~_j < m - 2 eps
+//     has g_j < g~_j + eps < m - eps <= g of the arg-max of g~: strictly
+//     below a threshold that is evaluated, so it is not the first maximum.
+//     Dropped.
 //   - g~_j + eps <= bestGain means g_j <= bestGain: not an update. Dropped.
 //
 // The survivors go through splitGain in the original order, so the winner,
 // its threshold bits and its gain bits are those of running splitGain on
 // every candidate. The comparisons are written so that a NaN g~ survives.
-func (b *treeBuilder) bestSplit(rows []int, mean, parentSSE float64) (feat int, thr, gain float64) {
+func (b *treeBuilder) bestSplit(rows []int, mean, parentSSE float64) (feat int, thr, bestGain float64, l, r moments) {
 	sumY2 := 0.0
-	for i, r := range rows {
-		v := b.y[r]
+	for i, row := range rows {
+		v := b.y[row]
 		sumY2 += v * v
 		b.z[i] = v - mean
 	}
 	eps := splitEps(len(rows), sumY2)
-	bestGain := 0.0
-	bestFeat, bestThr := -1, 0.0
-	for _, f := range b.candidateFeatures() {
-		thresholds := b.binThresholds(rows, f)
+	feats := b.candidateFeatures()
+	top := math.Inf(-1)
+	for i, f := range feats {
+		s := &b.splits[i]
+		b.binThresholds(rows, f, s)
 		b.searches++
-		b.candidates += len(thresholds)
-		if len(thresholds) == 0 {
+		b.candidates += len(s.thr)
+		if len(s.thr) == 0 {
 			continue
 		}
-		top := b.approxGains(len(rows), parentSSE)
-		for j, t := range thresholds {
-			g := b.approx[j]
-			if b.cnt[j] < b.p.MinLeaf || len(rows)-b.cnt[j] < b.p.MinLeaf || g < top-2*eps || g+eps <= bestGain {
+		if g := b.approxGains(len(rows), parentSSE, s); g > top {
+			top = g
+		}
+	}
+	feat = -1
+	for i, f := range feats {
+		s := &b.splits[i]
+		for j, t := range s.thr {
+			g, nl := s.approx[j], s.left[j]
+			if nl < b.p.MinLeaf || len(rows)-nl < b.p.MinLeaf || g < top-2*eps || g+eps <= bestGain {
 				continue
 			}
 			b.exactPasses++
-			if g := b.splitGain(rows, f, t, parentSSE); g > bestGain {
-				bestGain, bestFeat, bestThr = g, f, t
+			if g, gl, gr := b.splitGain(rows, f, t, parentSSE); g > bestGain {
+				feat, thr, bestGain, l, r = f, t, g, gl, gr
 			}
 		}
 	}
-	return bestFeat, bestThr, bestGain
+	return feat, thr, bestGain, l, r
 }
 
 // splitEps bounds |g~ - g| for a node of n rows whose labels have sum of
@@ -294,9 +310,9 @@ func (b *treeBuilder) candidateFeatures() []int {
 	return b.feats
 }
 
-// binThresholds finds feature f's candidate thresholds for the node
-// and assigns every value the node holds to its bin, leaving b.rk, b.binOf
-// and b.thr set for approxGains.
+// binThresholds writes feature f's candidate thresholds for the node into
+// s.thr and assigns every value the node holds to its bin, leaving b.rk and
+// b.binOf set for approxGains.
 //
 // The candidates are the midpoints (d[i]+d[i+1])/2 of the node's distinct
 // values d in ascending order — all of them when there are at most
@@ -304,9 +320,9 @@ func (b *treeBuilder) candidateFeatures() []int {
 // — where every NaN row counts as a distinct value of its own, ahead of the
 // real ones (NaN never equals its neighbour). A NaN midpoint (next to a NaN
 // row, or between -Inf and +Inf) takes no row left and is never a candidate,
-// but it holds its place in the index arithmetic. The rest are returned
+// but it holds its place in the index arithmetic. The rest are written
 // ascending.
-func (b *treeBuilder) binThresholds(rows []int, f int) []float64 {
+func (b *treeBuilder) binThresholds(rows []int, f int, s *featureSplits) {
 	vals := b.ranks.vals[f]
 	rank := b.ranks.rank[f*b.X.fr.rows : (f+1)*b.X.fr.rows]
 	nanRank := uint32(len(vals)) // no such rank unless the column has NaN
@@ -314,32 +330,36 @@ func (b *treeBuilder) binThresholds(rows []int, f int) []float64 {
 		nanRank = uint32(n - 1)
 	}
 
-	// The ranks present in the node, ascending: stamped as they are met,
-	// then either sorted or read off the stamp array, whichever is less work.
-	b.epoch++
-	if b.epoch == 0 { // wrapped: stale stamps could alias the new epoch
-		clear(b.stamp)
-		b.epoch = 1
-	}
-	present, nans := b.present[:0], 0
+	// The ranks present in the node, ascending: each is marked in the
+	// bitset, and the marks are read back a word at a time, clearing each
+	// word for the next search. A node with too few rows to pay for a walk
+	// over the column's words sorts its ranks instead and clears only the
+	// words they marked.
+	n, nans := len(rows), 0
+	present, words := b.present[:0], b.seen[:(len(vals)+63)/64]
 	for i, r := range rows {
 		k := rank[b.X.rowOf(r)]
 		b.rk[i] = k
 		if k == nanRank {
 			nans++
 		}
-		if b.stamp[k] != b.epoch {
-			b.stamp[k] = b.epoch
-			present = append(present, k)
-		}
+		words[k/64] |= 1 << (k % 64)
 	}
-	if len(present)*bits.Len(uint(len(present))) < len(vals) {
+	if n*bits.Len(uint(n)) < len(words) {
+		present = append(present, b.rk[:n]...)
 		slices.Sort(present)
+		present = slices.Compact(present)
+		for _, k := range present {
+			words[k/64] = 0
+		}
 	} else {
-		present = present[:0]
-		for k, s := range b.stamp[:len(vals)] {
-			if s == b.epoch {
-				present = append(present, uint32(k))
+		for w, word := range words {
+			if word == 0 {
+				continue
+			}
+			words[w] = 0
+			for ; word != 0; word &= word - 1 {
+				present = append(present, uint32(w*64+bits.TrailingZeros64(word)))
 			}
 		}
 	}
@@ -347,7 +367,7 @@ func (b *treeBuilder) binThresholds(rows []int, f int) []float64 {
 
 	// d = nans NaN entries, then the real values present; mids[i] pairs
 	// d[i] with d[i+1].
-	thr := b.thr[:0]
+	thr := s.thr[:0]
 	real := len(present)
 	if nans > 0 {
 		real--
@@ -370,7 +390,7 @@ func (b *treeBuilder) binThresholds(rows []int, f int) []float64 {
 			mid(i * mids / b.p.MaxThresholds)
 		}
 	}
-	b.thr = thr
+	s.thr = thr
 
 	// A value's bin is the first threshold it is <= to, compared against
 	// the thresholds themselves: the midpoint of adjacent floats can round
@@ -383,17 +403,16 @@ func (b *treeBuilder) binThresholds(rows []int, f int) []float64 {
 		}
 		b.binOf[k] = int32(j)
 	}
-	return thr
 }
 
 // approxGains accumulates the node's rows into the bins binThresholds
 // assigned and leaves, per threshold j, the exact row count left of it in
-// b.cnt[j] (the rest of the n rows are right of it) and the approximate gain
-// in b.approx[j]. It returns the largest approximate gain among thresholds
-// both of whose sides reach MinLeaf (-Inf when there is none).
-func (b *treeBuilder) approxGains(n int, parentSSE float64) float64 {
-	k := len(b.thr)
-	cnt, s1, s2 := b.cnt[:k+1], b.s1[:k+1], b.s2[:k+1]
+// s.left[j] (the rest of the n rows are right of it) and the approximate
+// gain in s.approx[j]. It returns the largest approximate gain among
+// thresholds both of whose sides reach MinLeaf (-Inf when there is none).
+func (b *treeBuilder) approxGains(n int, parentSSE float64, s *featureSplits) float64 {
+	k := len(s.thr)
+	cnt, s1, s2, approx := s.left[:k+1], b.s1[:k+1], b.s2[:k+1], s.approx[:k]
 	clear(cnt)
 	clear(s1)
 	clear(s2)
@@ -403,14 +422,14 @@ func (b *treeBuilder) approxGains(n int, parentSSE float64) float64 {
 		s1[j] += z
 		s2[j] += z * z
 	}
-	// Right of threshold j is bins j+1..k, summed from the right: b.approx[j]
+	// Right of threshold j is bins j+1..k, summed from the right: approx[j]
 	// holds the right side's SSE until the left side's is known.
 	nR, sR, qR := 0, 0.0, 0.0
 	for j := k - 1; j >= 0; j-- {
 		nR += cnt[j+1]
 		sR += s1[j+1]
 		qR += s2[j+1]
-		b.approx[j] = qR - sR*sR/float64(nR)
+		approx[j] = qR - sR*sR/float64(nR)
 	}
 	// Left of it is bins 0..j: prefix sums in place.
 	top := math.Inf(-1)
@@ -424,8 +443,8 @@ func (b *treeBuilder) approxGains(n int, parentSSE float64) float64 {
 			continue
 		}
 		sseL := s2[j] - s1[j]*s1[j]/float64(cnt[j])
-		g := parentSSE - sseL - b.approx[j]
-		b.approx[j] = g
+		g := parentSSE - sseL - approx[j]
+		approx[j] = g
 		if g > top {
 			top = g
 		}
@@ -433,9 +452,24 @@ func (b *treeBuilder) approxGains(n int, parentSSE float64) float64 {
 	return top
 }
 
+// moments are what a Welford pass over a run of labels leaves: their count,
+// mean and sum of squared deviations.
+type moments struct {
+	n        int
+	mean, m2 float64
+}
+
+// sse is the SSE meanSSE computes from the same pass, rounding included.
+func (m moments) sse() float64 {
+	if m.n < 2 {
+		return 0
+	}
+	return m.m2 / float64(m.n-1) * float64(m.n-1)
+}
+
 // splitGain computes the SSE reduction of splitting rows on X[f] <= t using
-// a single streaming pass.
-func (b *treeBuilder) splitGain(rows []int, f int, t, parentSSE float64) float64 {
+// a single streaming pass, and returns that pass's moments of each side.
+func (b *treeBuilder) splitGain(rows []int, f int, t, parentSSE float64) (gain float64, left, right moments) {
 	col := b.X.col(f)
 	var nL, nR int
 	var meanL, meanR, m2L, m2R float64
@@ -453,10 +487,11 @@ func (b *treeBuilder) splitGain(rows []int, f int, t, parentSSE float64) float64
 			m2R += d * (v - meanR)
 		}
 	}
+	left, right = moments{nL, meanL, m2L}, moments{nR, meanR, m2R}
 	if nL < b.p.MinLeaf || nR < b.p.MinLeaf {
-		return 0
+		return 0, left, right
 	}
-	return parentSSE - m2L - m2R
+	return parentSSE - m2L - m2R, left, right
 }
 
 func meanSSE(y []float64, rows []int) (mean, sse float64) {
@@ -484,28 +519,4 @@ func (t *Tree) Predict(x []float64) float64 {
 		}
 	}
 	return n.value
-}
-
-// Depth returns the maximum depth of the fitted tree.
-func (t *Tree) Depth() int { return depth(t.root) }
-
-func depth(n *treeNode) int {
-	if n == nil || n.leaf {
-		return 0
-	}
-	l, r := depth(n.left), depth(n.right)
-	return 1 + int(math.Max(float64(l), float64(r)))
-}
-
-// Leaves returns the number of leaf nodes.
-func (t *Tree) Leaves() int { return leaves(t.root) }
-
-func leaves(n *treeNode) int {
-	if n == nil {
-		return 0
-	}
-	if n.leaf {
-		return 1
-	}
-	return leaves(n.left) + leaves(n.right)
 }

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Summary accumulates streaming moments of a sequence of float64 samples
 // using Welford's algorithm, which is numerically stable for large n.
@@ -11,22 +8,10 @@ type Summary struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add incorporates one sample.
 func (s *Summary) Add(x float64) {
-	if s.n == 0 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
 	s.n++
 	d := x - s.mean
 	s.mean += d / float64(s.n)
@@ -50,12 +35,6 @@ func (s *Summary) Var() float64 {
 // StdDev returns the unbiased sample standard deviation.
 func (s *Summary) StdDev() float64 { return math.Sqrt(s.Var()) }
 
-// Min returns the smallest sample (0 when empty).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest sample (0 when empty).
-func (s *Summary) Max() float64 { return s.max }
-
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -66,28 +45,4 @@ func Mean(xs []float64) float64 {
 		t += x
 	}
 	return t / float64(len(xs))
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs by linear
-// interpolation on the sorted copy. It returns NaN for empty input.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
