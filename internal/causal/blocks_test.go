@@ -116,11 +116,11 @@ func TestGroundGraphAndIndependence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Product 1's price must reach review 0's rating (FK grounding).
-	if !g.ConnectedTo("Product[0].Price", "Review[0].Rating") {
+	if !connectedTo(g, "Product[0].Price", "Review[0].Rating") {
 		t.Error("p1 price should ground-connect to its review")
 	}
 	// Cross edge: product 0 and 1 share category A.
-	if !g.ConnectedTo("Product[0].Price", "Product[1].Price") {
+	if !connectedTo(g, "Product[0].Price", "Product[1].Price") {
 		t.Error("same-category prices should connect")
 	}
 	// Products 0 (cat A) and 3 (cat C) are independent.

@@ -71,13 +71,13 @@ func TestAncestorsDescendants(t *testing.T) {
 	if !g.IsDescendant("C", "A") || g.IsDescendant("A", "C") {
 		t.Error("IsDescendant misbehaves")
 	}
-	if !g.ConnectedTo("A", "X") { // undirected path via C
+	if !connectedTo(g, "A", "X") { // undirected path via C
 		t.Error("A and X connect through C undirected")
 	}
 	g2 := NewGraph()
 	g2.AddNode("L")
 	g2.AddNode("R")
-	if g2.ConnectedTo("L", "R") {
+	if connectedTo(g2, "L", "R") {
 		t.Error("isolated nodes are not connected")
 	}
 }

@@ -174,40 +174,6 @@ func (g *Graph) IsDescendant(b, a string) bool {
 	return seen[bi]
 }
 
-// ConnectedTo reports whether any undirected path connects a and b.
-func (g *Graph) ConnectedTo(a, b string) bool {
-	ai, ok := g.index[a]
-	if !ok {
-		return false
-	}
-	bi, ok := g.index[b]
-	if !ok {
-		return false
-	}
-	if ai == bi {
-		return true
-	}
-	seen := make([]bool, len(g.nodes))
-	seen[ai] = true
-	stack := []int{ai}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, adj := range [][]int{g.out[n], g.in[n]} {
-			for _, m := range adj {
-				if !seen[m] {
-					if m == bi {
-						return true
-					}
-					seen[m] = true
-					stack = append(stack, m)
-				}
-			}
-		}
-	}
-	return false
-}
-
 // RemoveOutEdges returns a copy of the graph with all edges leaving the
 // named nodes deleted; used by the backdoor test.
 func (g *Graph) RemoveOutEdges(names ...string) *Graph {

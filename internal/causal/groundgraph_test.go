@@ -110,10 +110,44 @@ func Independent(g *Graph, db *relation.Database, relA string, rowA int, relB st
 			if !g.Has(nb) {
 				continue
 			}
-			if g.ConnectedTo(na, nb) {
+			if connectedTo(g, na, nb) {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// connectedTo reports whether any undirected path connects a and b in g.
+func connectedTo(g *Graph, a, b string) bool {
+	ai, ok := g.index[a]
+	if !ok {
+		return false
+	}
+	bi, ok := g.index[b]
+	if !ok {
+		return false
+	}
+	if ai == bi {
+		return true
+	}
+	seen := make([]bool, len(g.nodes))
+	seen[ai] = true
+	stack := []int{ai}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, adj := range [][]int{g.out[n], g.in[n]} {
+			for _, m := range adj {
+				if !seen[m] {
+					if m == bi {
+						return true
+					}
+					seen[m] = true
+					stack = append(stack, m)
+				}
+			}
+		}
+	}
+	return false
 }

@@ -131,6 +131,95 @@ func newColumn() *CodedColumn {
 	return &CodedColumn{Numeric: true, Exact: true, enc: new(encoding)}
 }
 
+// ColumnOf returns the column Insert builds from vals, one row per value in
+// order.
+func ColumnOf(vals []Value) *CodedColumn {
+	c := newColumn()
+	for _, v := range vals {
+		k := keyOf(v)
+		code, seen := c.dict.get(k)
+		if !seen {
+			code = uint32(len(c.Values))
+		}
+		c.push(v, k, code, seen)
+	}
+	return c
+}
+
+// Gather returns the column whose row i holds row rows[i] of src, exactly as
+// Insert builds it from those values: codes renumbered in first-seen order
+// through a table indexed by src's codes, each code's value the first such
+// row's own, the rows that differ from it in bits kept aside, and the
+// dictionary and summary built once per distinct value. It reads only src's
+// first rows and values, which no later version of src writes.
+func Gather(src *CodedColumn, rows []int32) *CodedColumn {
+	null, hasNull := src.dict.get(valueKey{})
+	remap := make([]uint32, len(src.Values)) // src code -> code+1
+	var firsts []int32                       // per code: the src row that first holds it
+	c := newColumn()
+	for _, r := range rows {
+		code := src.At(int(r))
+		if remap[code] == 0 {
+			firsts = append(firsts, r)
+			remap[code] = uint32(len(firsts))
+		}
+		if hasNull && code == null {
+			c.Nulls++
+		}
+	}
+	c.Values = make([]Value, len(firsts))
+	for code, r := range firsts {
+		c.Values[code] = src.value(int(r))
+	}
+	c.intern()
+	if len(c.Values) <= 256 {
+		c.narrow = gatherCodes[uint8](src, rows, remap)
+	} else {
+		c.wide = gatherCodes[uint32](src, rows, remap)
+	}
+	if !src.Exact {
+		for i, r := range rows {
+			v, w := src.value(int(r)), c.Values[c.At(i)]
+			if v.kind != w.kind || math.Float64bits(v.f) != math.Float64bits(w.f) {
+				c.offRows, c.offVals = append(c.offRows, i), append(c.offVals, v)
+				c.Exact = false
+			}
+		}
+	}
+	return c
+}
+
+func gatherCodes[C uint8 | uint32](src *CodedColumn, rows []int32, remap []uint32) []C {
+	out := make([]C, len(rows))
+	for i, r := range rows {
+		out[i] = C(remap[src.At(int(r))] - 1)
+	}
+	return out
+}
+
+// intern puts each of c's Values in the dictionary under its code, into maps
+// sized up front, and folds it into the summary, in code order as push does.
+func (c *CodedColumn) intern() {
+	var n [3]int // values per mapped tag: 2, 3, 4
+	for _, v := range c.Values {
+		if k := keyOf(v); k.tag >= 2 {
+			n[k.tag-2]++
+		}
+	}
+	for i := range c.dict.nums {
+		if n[i] > 0 {
+			c.dict.nums[i].delta = make(map[uint64]uint32, n[i])
+		}
+	}
+	if n[2] > 0 {
+		c.dict.strs.delta = make(map[string]uint32, n[2])
+	}
+	for code, v := range c.Values {
+		c.dict.put(keyOf(v), uint32(code))
+		c.summarize(v)
+	}
+}
+
 // Card returns the number of distinct non-null values.
 func (c *CodedColumn) Card() int {
 	if c.Nulls > 0 {

@@ -62,19 +62,23 @@ func (m layered[K]) fork() layered[K] {
 // are radix-packed into a uint64 when the alphabets' product fits and keyed
 // by their bytes otherwise (the packing ml's frame keys use). Either way
 // distinct tuples have distinct keys: unlike concatenated per-value key
-// strings, they cannot collide. sqlmini groups and joins through it, and a
-// relation whose key spans several columns keeps its key's code tuples in
-// one, shared between its versions like the column dictionaries.
+// strings, they cannot collide. A packed key space no larger than the rows
+// the caller will index is a flat table (id+1 per packed key, at most 4 B per
+// row) instead of a map. sqlmini groups and joins through it, and a relation
+// whose key spans several columns keeps its key's code tuples in one, shared
+// between its versions like the column dictionaries (over MaxInt32
+// alphabets, so never in a table).
 type TupleIndex struct {
 	stride []uint64 // nil: the alphabets are too wide to pack
+	dense  []int32  // id+1 per packed key; nil: the packed keys are mapped
 	packed layered[uint64]
 	wide   layered[string]
 	n      int32
 }
 
 // NewTupleIndex returns an empty index over tuples whose digit d is below
-// alphabet[d].
-func NewTupleIndex(alphabet []int) *TupleIndex {
+// alphabet[d], sized for rows tuples to be indexed.
+func NewTupleIndex(alphabet []int, rows int) *TupleIndex {
 	stride := make([]uint64, len(alphabet))
 	acc := uint64(1)
 	for d, a := range alphabet {
@@ -84,6 +88,9 @@ func NewTupleIndex(alphabet []int) *TupleIndex {
 			return &TupleIndex{}
 		}
 		acc *= a
+	}
+	if acc <= uint64(rows) {
+		return &TupleIndex{stride: stride, dense: make([]int32, acc)}
 	}
 	return &TupleIndex{stride: stride}
 }
@@ -97,6 +104,14 @@ func (x *TupleIndex) ID(digits []uint32, add bool) (id int32, ok bool) {
 		key := uint64(0)
 		for d, v := range digits {
 			key += uint64(v) * x.stride[d]
+		}
+		if x.dense != nil {
+			slot := &x.dense[key]
+			if *slot == 0 && add {
+				x.n++
+				*slot = x.n
+			}
+			return max(*slot-1, 0), *slot != 0
 		}
 		if code, ok = x.packed.get(key); !ok && add {
 			code = uint32(x.n)
@@ -119,7 +134,8 @@ func (x *TupleIndex) ID(digits []uint32, add bool) (id int32, ok bool) {
 	return int32(code), ok || add
 }
 
-// fork returns the index of a version extending x's (see layered.fork).
+// fork returns the index of a version extending x's (see layered.fork). Only
+// a relation's key index is forked, and it is never dense.
 func (x *TupleIndex) fork() *TupleIndex {
 	return &TupleIndex{stride: x.stride, packed: x.packed.fork(), wide: x.wide.fork(), n: x.n}
 }

@@ -44,19 +44,69 @@ type pending struct {
 
 // NewRelation creates an empty relation with the given name and schema.
 func NewRelation(name string, schema *Schema) *Relation {
-	r := &Relation{name: name, schema: schema, cols: make([]*CodedColumn, schema.Len()), key: schema.KeyIndexes()}
-	for i := range r.cols {
-		r.cols[i] = newColumn()
+	cols := make([]*CodedColumn, schema.Len())
+	for i := range cols {
+		cols[i] = newColumn()
 	}
+	return newRelation(name, schema, cols)
+}
+
+func newRelation(name string, schema *Schema, cols []*CodedColumn) *Relation {
+	r := &Relation{name: name, schema: schema, cols: cols, key: schema.KeyIndexes()}
 	if len(r.key) == 0 {
 		for i := range schema.Len() {
 			r.key = append(r.key, i)
 		}
 	}
 	if len(r.key) != 1 { // codes are below MaxInt32, as rows are
-		r.tuples = NewTupleIndex(slices.Repeat([]int{math.MaxInt32}, len(r.key)))
+		r.tuples = NewTupleIndex(slices.Repeat([]int{math.MaxInt32}, len(r.key)), 0)
 	}
 	return r
+}
+
+// FromColumns returns the relation over schema whose column i is cols[i], as
+// if its rows had been inserted in order: column i must hold only values of
+// schema column i's kind (or NULL), which is what Insert's coercion leaves,
+// and every column the same number of rows. The key is checked as Insert
+// checks it, and a duplicate returns Insert's error for the first row that
+// repeats a key. The columns become the relation's storage.
+func FromColumns(name string, schema *Schema, cols []*CodedColumn) (*Relation, error) {
+	if len(cols) != schema.Len() {
+		return nil, fmt.Errorf("relation %s: %d columns != schema arity %d", name, len(cols), schema.Len())
+	}
+	r := newRelation(name, schema, cols)
+	if len(cols) > 0 {
+		r.n = cols[0].rows()
+	}
+	for ci, c := range cols {
+		if c.rows() != r.n {
+			return nil, fmt.Errorf("relation %s: column %s has %d rows, not %d", name, schema.Col(ci).Name, c.rows(), r.n)
+		}
+	}
+	if r.tuples == nil {
+		key := cols[r.key[0]]
+		for i := range r.n {
+			if key.At(i) != uint32(i) { // each row has a key code of its own, in row order
+				return nil, r.duplicate(r.Row(i))
+			}
+		}
+		return r, nil
+	}
+	digits := make([]uint32, len(r.key))
+	for i := range r.n {
+		for d, ci := range r.key {
+			digits[d] = cols[ci].At(i)
+		}
+		if id, _ := r.tuples.ID(digits, true); int(id) != i {
+			return nil, r.duplicate(r.Row(i))
+		}
+	}
+	return r, nil
+}
+
+// duplicate is the error of a tuple whose key a row of r already holds.
+func (r *Relation) duplicate(t Tuple) error {
+	return fmt.Errorf("relation %s: duplicate primary key %v", r.name, t)
 }
 
 // Name returns the relation name.
@@ -123,7 +173,7 @@ func (r *Relation) Insert(t Tuple) error {
 		for i, p := range r.pend {
 			row[i] = p.v
 		}
-		return fmt.Errorf("relation %s: duplicate primary key %v", r.name, row)
+		return r.duplicate(row)
 	}
 	for i, p := range r.pend {
 		r.cols[i].push(p.v, p.k, p.code, p.seen)

@@ -2,6 +2,7 @@ package sqlmini
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"hyper/internal/hyperql"
@@ -199,7 +200,7 @@ func (j *joiner) equiJoin(cur []int32, t int, conds []joinCond) []int32 {
 
 	// Bucket the right rows by key, each bucket in row order (a counting
 	// sort over the ids of the distinct keys).
-	keys := relation.NewTupleIndex(alphabet)
+	keys := relation.NewTupleIndex(alphabet, rt.Len())
 	digits := make([]uint32, len(conds))
 	ids := make([]int32, rt.Len())
 	var fill []int32 // per key id: its row count, then its write cursor
@@ -233,16 +234,29 @@ build:
 		}
 	}
 
-	next := make([]int32, 0, len(cur))
-	for k := 0; k < len(cur); k += nt {
-		tuple := cur[k : k+nt]
+	// Probe each left tuple once for its key id (-1: no match), counting the
+	// output, then emit into a slice of exactly that size.
+	probes := make([]int32, len(cur)/nt)
+	matches := 0
+	for p := range probes {
+		tuple := cur[p*nt : (p+1)*nt]
 		for c, cond := range conds {
 			digits[c] = left[c].At(int(tuple[cond.left.table]))
 		}
 		id, ok := keys.ID(digits, false)
 		if !ok {
+			probes[p] = -1
 			continue
 		}
+		probes[p] = id
+		matches += int(start[id+1] - start[id])
+	}
+	next := make([]int32, 0, matches*nt)
+	for p, id := range probes {
+		if id < 0 {
+			continue
+		}
+		tuple := cur[p*nt : (p+1)*nt]
 		for _, ri := range byKey[start[id]:start[id+1]] {
 			next = append(next, tuple...)
 			next[len(next)-nt+t] = ri
@@ -300,7 +314,8 @@ func (e *tupleEnv) Lookup(table, name string, _ hyperql.Temporal) (relation.Valu
 	return e.j.value(e.tuple, r.col), nil
 }
 
-// project materializes a non-grouped select (columns only).
+// project materializes a non-grouped select (columns only): each output
+// column gathers its source column over the joined rows.
 func (j *joiner) project(name string) (*relation.Relation, error) {
 	var cols []relation.Column
 	var refs []colRef
@@ -324,21 +339,65 @@ func (j *joiner) project(name string) (*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := relation.NewRelation(name, schema)
-	nt := len(j.tables)
-	t := make(relation.Tuple, len(refs)) // Insert copies it
-	for k := 0; k < len(j.rows); k += nt {
-		for i, ref := range refs {
-			t[i] = j.value(j.rows[k:k+nt], ref)
-		}
-		if err := out.Insert(t); err != nil {
-			return nil, err
-		}
+	every := make([]int, len(j.rows)/len(j.tables))
+	for k := range every {
+		every[k] = k * len(j.tables)
 	}
-	return out, nil
+	return relation.FromColumns(name, schema, j.gather(refs, every))
 }
 
-// groupProject materializes a grouped select with aggregates.
+// gather returns, per column reference, its column over the joined rows at
+// the given offsets of j.rows: a relation.Gather over the rows its FROM table
+// contributes to them.
+func (j *joiner) gather(refs []colRef, offsets []int) []*relation.CodedColumn {
+	rowsOf := make([][]int32, len(j.tables))
+	out := make([]*relation.CodedColumn, len(refs))
+	for i, ref := range refs {
+		rows := rowsOf[ref.table]
+		if rows == nil {
+			rows = make([]int32, len(offsets))
+			for o, k := range offsets {
+				rows[o] = j.rows[k+ref.table]
+			}
+			rowsOf[ref.table] = rows
+		}
+		out[i] = relation.Gather(j.tables[ref.table].Coded(ref.col), rows)
+	}
+	return out
+}
+
+// aggregate is one aggregate select item.
+type aggregate struct {
+	item int // its position among the select items
+	fn   hyperql.AggFunc
+	star bool   // over *
+	arg  colRef // the argument column otherwise
+	// When the argument column holds each code's value to the bit and no
+	// NaN, a row's addend is its code's: byCode holds each code's float and
+	// null the NULL code (MaxUint32 when there is none).
+	codes  *relation.CodedColumn
+	byCode []float64
+	null   uint32
+}
+
+// readByCode sets a up to read its argument through the column's codes when
+// every row of the column is its code's value.
+func (a *aggregate) readByCode(col *relation.CodedColumn) {
+	if !col.Exact || col.HasNaN {
+		return
+	}
+	a.codes, a.byCode, a.null = col, make([]float64, len(col.Values)), math.MaxUint32
+	for code, v := range col.Values {
+		a.byCode[code] = v.AsFloat()
+	}
+	if code, ok := col.Code(relation.Null); ok {
+		a.null = code
+	}
+}
+
+// groupProject materializes a grouped select with aggregates: a grouped
+// column gathers its source column over each group's first joined row, and
+// an aggregate column is built from the per-group values.
 func (j *joiner) groupProject(name string) (*relation.Relation, error) {
 	groupRefs := make([]colRef, len(j.sel.GroupBy))
 	for i, g := range j.sel.GroupBy {
@@ -349,15 +408,11 @@ func (j *joiner) groupProject(name string) (*relation.Relation, error) {
 		groupRefs[i] = ref
 	}
 	// Classify select items: each must be a group-by column or an aggregate.
-	type itemPlan struct {
-		isAgg bool
-		ref   colRef             // the group-by column, or the aggregate's argument
-		agg   *hyperql.Aggregate // for aggregates
-		star  bool               // aggregate over *
-		col   relation.Column
-	}
-	var plans []itemPlan
-	for _, item := range j.sel.Items {
+	cols := make([]relation.Column, len(j.sel.Items))
+	var keyed []int        // the group-by column items ...
+	var keyedRefs []colRef // ... and their columns
+	var aggs []aggregate
+	for i, item := range j.sel.Items {
 		switch x := item.Expr.(type) {
 		case *hyperql.ColRef:
 			ref, err := j.resolve(x.Table, x.Name)
@@ -375,12 +430,13 @@ func (j *joiner) groupProject(name string) (*relation.Relation, error) {
 			if cn == "" {
 				cn = x.Name
 			}
-			plans = append(plans, itemPlan{ref: ref, col: j.outputCol(ref, cn)})
+			cols[i] = j.outputCol(ref, cn)
+			keyed, keyedRefs = append(keyed, i), append(keyedRefs, ref)
 		case *hyperql.Aggregate:
 			if !x.Func.Valid() {
 				return nil, fmt.Errorf("sqlmini: unsupported aggregate %q", x.Func)
 			}
-			p := itemPlan{isAgg: true, agg: x, star: x.Expr == nil}
+			a := aggregate{item: i, fn: x.Func, star: x.Expr == nil}
 			if x.Expr != nil {
 				c, ok := x.Expr.(*hyperql.ColRef)
 				if !ok {
@@ -390,7 +446,8 @@ func (j *joiner) groupProject(name string) (*relation.Relation, error) {
 				if err != nil {
 					return nil, err
 				}
-				p.ref = ref
+				a.arg = ref
+				a.readByCode(j.tables[ref.table].Coded(ref.col))
 			}
 			cn := item.Alias
 			if cn == "" {
@@ -400,21 +457,16 @@ func (j *joiner) groupProject(name string) (*relation.Relation, error) {
 			if x.Func == hyperql.AggCount {
 				kind = relation.KindInt
 			}
-			p.col = relation.Column{Name: cn, Kind: kind, Mutable: true}
-			plans = append(plans, p)
+			cols[i] = relation.Column{Name: cn, Kind: kind, Mutable: true}
+			aggs = append(aggs, a)
 		default:
 			return nil, fmt.Errorf("sqlmini: unsupported select item %s", item.Expr)
 		}
-	}
-	var cols []relation.Column
-	for _, p := range plans {
-		cols = append(cols, p.col)
 	}
 	schema, err := relation.NewSchema(cols...)
 	if err != nil {
 		return nil, err
 	}
-	out := relation.NewRelation(name, schema)
 
 	// Group the joined rows: per row a tuple of digits, one per group source.
 	sources := j.groupSources(groupRefs)
@@ -425,12 +477,12 @@ func (j *joiner) groupProject(name string) (*relation.Relation, error) {
 			alphabet[d] = len(s.codes.Values)
 		}
 	}
-	groups := relation.NewTupleIndex(alphabet)
+	nt, na := len(j.tables), len(aggs)
+	groups := relation.NewTupleIndex(alphabet, len(j.rows)/nt)
 	digits := make([]uint32, len(sources))
 	var first []int    // per group: offset in j.rows of its first joined row
-	var sums []float64 // per group, per select item
+	var sums []float64 // per group, per aggregate
 	var counts []int
-	nt, np := len(j.tables), len(plans)
 	for k := 0; k < len(j.rows); k += nt {
 		tuple := j.rows[k : k+nt]
 		for d, s := range sources {
@@ -443,44 +495,50 @@ func (j *joiner) groupProject(name string) (*relation.Relation, error) {
 		g := int(id)
 		if g == len(first) {
 			first = append(first, k)
-			sums = append(sums, make([]float64, np)...)
-			counts = append(counts, make([]int, np)...)
+			for range na {
+				sums, counts = append(sums, 0), append(counts, 0)
+			}
 		}
-		for pi, p := range plans {
+		for a := range aggs {
+			x, at := &aggs[a], g*na+a
 			switch {
-			case !p.isAgg:
-			case p.star:
-				counts[g*np+pi]++
+			case x.star:
+				counts[at]++
+			case x.codes != nil:
+				if code := x.codes.At(int(tuple[x.arg.table])); code != x.null {
+					sums[at] += x.byCode[code]
+					counts[at]++
+				}
 			default:
-				if v := j.value(tuple, p.ref); !v.IsNull() {
-					sums[g*np+pi] += v.AsFloat()
-					counts[g*np+pi]++
+				if v := j.value(tuple, x.arg); !v.IsNull() {
+					sums[at] += v.AsFloat()
+					counts[at]++
 				}
 			}
 		}
 	}
-	t := make(relation.Tuple, np) // Insert copies it
-	for g, k := range first {
-		for pi, p := range plans {
-			sum, n := sums[g*np+pi], counts[g*np+pi]
+	out := make([]*relation.CodedColumn, len(cols))
+	for i, c := range j.gather(keyedRefs, first) {
+		out[keyed[i]] = c
+	}
+	vals := make([]relation.Value, len(first))
+	for a, x := range aggs {
+		for g := range first {
+			sum, n := sums[g*na+a], counts[g*na+a]
 			switch {
-			case !p.isAgg:
-				t[pi] = j.value(j.rows[k:k+nt], p.ref)
-			case p.agg.Func == hyperql.AggCount:
-				t[pi] = relation.Int(int64(n))
-			case p.agg.Func == hyperql.AggSum:
-				t[pi] = relation.Float(sum)
+			case x.fn == hyperql.AggCount:
+				vals[g] = relation.Int(int64(n))
+			case x.fn == hyperql.AggSum:
+				vals[g] = relation.Float(sum)
 			case n == 0: // AVG over no non-NULL value
-				t[pi] = relation.Null
+				vals[g] = relation.Null
 			default:
-				t[pi] = relation.Float(sum / float64(n))
+				vals[g] = relation.Float(sum / float64(n))
 			}
 		}
-		if err := out.Insert(t); err != nil {
-			return nil, err
-		}
+		out[x.item] = relation.ColumnOf(vals)
 	}
-	return out, nil
+	return relation.FromColumns(name, schema, out)
 }
 
 // groupSource is one digit of a group key: a column's code, or — codes nil —
