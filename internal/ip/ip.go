@@ -38,12 +38,6 @@ func (m *Model) AddVar(name string, objCoef float64) int {
 	return len(m.names) - 1
 }
 
-// NumVars returns the number of variables.
-func (m *Model) NumVars() int { return len(m.names) }
-
-// VarName returns the name of variable i.
-func (m *Model) VarName(i int) string { return m.names[i] }
-
 // AddLE adds a constraint sum(coef_i * x_idx_i) <= rhs.
 func (m *Model) AddLE(idx []int, coef []float64, rhs float64) error {
 	if len(idx) != len(coef) {
@@ -68,14 +62,6 @@ func (m *Model) AddGE(idx []int, coef []float64, rhs float64) error {
 		neg[i] = -c
 	}
 	return m.AddLE(idx, neg, -rhs)
-}
-
-// AddEQ adds an equality as a <= and >= pair.
-func (m *Model) AddEQ(idx []int, coef []float64, rhs float64) error {
-	if err := m.AddLE(idx, coef, rhs); err != nil {
-		return err
-	}
-	return m.AddGE(idx, coef, rhs)
 }
 
 // AddAtMostOne adds the SOS-1 row sum(x_idx) <= 1 used for "pick at most one

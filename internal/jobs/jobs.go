@@ -155,15 +155,10 @@ type Job struct {
 	cancelRun context.CancelFunc
 	ctx       context.Context // set when the job starts running
 	heapIdx   int             // index in the queued heap, -1 once popped
-
-	done chan struct{} // closed on terminal state
 }
 
 // ID returns the job's identifier.
 func (j *Job) ID() string { return j.id }
-
-// Done returns a channel closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Snapshot is a point-in-time copy of a job's externally visible state.
 type Snapshot struct {
@@ -367,7 +362,6 @@ func (m *Manager) Submit(opts SubmitOptions, run Runner) (*Job, error) {
 		seq:         m.seq,
 		submitted:   time.Now(),
 		state:       StateQueued,
-		done:        make(chan struct{}),
 	}
 	m.byID[j.id] = j
 	m.perSess[j.session]++
@@ -519,7 +513,6 @@ func (m *Manager) finishLocked(j *Job, res any, err error, state State) {
 		m.terminal = m.terminal[1:]
 		delete(m.byID, old)
 	}
-	close(j.done)
 }
 
 // Cancel requests cancellation of a job. A queued job goes terminal

@@ -506,10 +506,12 @@ func TestJobIDsAreUniqueAndStatsConsistent(t *testing.T) {
 			}
 			seen[j.ID()] = true
 			mu.Unlock()
-			<-j.Done()
 		}(i)
 	}
 	wg.Wait()
+	for id := range seen {
+		waitTerminal(t, m, id, 5*time.Second)
+	}
 	st := m.Stats()
 	if int(st.Completed+st.Rejected) != n {
 		t.Errorf("completed(%d) + rejected(%d) != %d", st.Completed, st.Rejected, n)

@@ -16,6 +16,12 @@
 // used (splitGain) then decides among the few that remain, so the fitted
 // trees are bit for bit those of evaluating it on every candidate (see
 // bestSplit and splitEps in tree.go).
+//
+// The frequency estimator and the support set are fitted on a frame's
+// interned codes: each level of their index (the exact combination, each
+// backoff feature, the protected prefix) is a relation.TupleIndex giving the
+// level's code tuples dense ids, the one code-tuple index sqlmini's groups
+// and joins use too.
 package ml
 
 import "hyper/internal/relation"

@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"encoding/binary"
 	"math"
 	"runtime"
 	"slices"
@@ -16,8 +15,8 @@ import (
 // one float64 column per feature (all rows of the relevant view) plus, per
 // column, an interned integer code for each value. Codes are what make the
 // frequency estimator's support index string-free — a feature combination
-// becomes a row of small integers, packed into a single uint64 key where the
-// column cardinalities allow it.
+// becomes a row of small integers, which a relation.TupleIndex turns into a
+// dense id.
 //
 // A frame over a relation does not own its columns: each is the relation
 // column's one encoding (relation.CodedColumn.Encoded), shared with every
@@ -288,172 +287,128 @@ func (f *Frame) codeRow(r int, dst []uint32) {
 	}
 }
 
-// Per-column code space: real codes are 0..card-1; two extra symbols are
-// reserved per column for prediction-time unseen values and for the backoff
-// wildcard. codeUnseen must differ per column (it is card[c]); the wildcard
-// is the all-ones sentinel in wide keys and card[c]+1 in packed keys.
-const wideWildcard = ^uint32(0)
-
-// keyer packs interned code rows into map keys. When the product of the
-// per-column alphabets (cardinality + unseen + wildcard) fits in a uint64,
-// keys are exact packed integers (radix encoding, collision-free by
-// construction) and backoff keys are O(1) digit substitutions. Otherwise it
-// falls back to the wide representation — the little-endian bytes of the
-// code row — which is equally collision-free, just heap-allocated on
-// insertion (lookups reuse a scratch buffer and stay allocation-free via the
-// compiler's map[string(bytes)] optimization).
+// keyer interns raw feature vectors into code rows with the frame's
+// per-column dictionaries.
 type keyer struct {
-	dim    int
-	dicts  []dict
-	card   []uint32
-	stride []uint64 // nil => wide mode
+	dicts []dict
+	card  []uint32
 }
 
-func newKeyer(f *Frame) keyer {
-	k := keyer{dim: f.dim, dicts: f.dicts, card: f.card}
-	stride := make([]uint64, f.dim)
-	acc := uint64(1)
-	for c := 0; c < f.dim; c++ {
-		stride[c] = acc
-		alpha := uint64(f.card[c]) + 2 // + unseen + wildcard
-		if acc > math.MaxUint64/alpha {
-			return k // product overflows: wide mode
-		}
-		acc *= alpha
+// encode interns the raw feature vector x into buf — stack space for up to
+// 16 features, heap past that — and returns the code slice. A value never
+// seen at frame construction gets its column's unseen code card[c]: it can
+// match no training key, which is exactly the semantics of zero support.
+func (k *keyer) encode(x []float64, buf *[16]uint32) []uint32 {
+	codes := buf[:0]
+	if len(k.card) > len(buf) {
+		codes = make([]uint32, 0, len(k.card))
 	}
-	k.stride = stride
-	return k
-}
-
-func (k *keyer) packed() bool { return k.stride != nil }
-
-// encode interns the raw feature vector x into dst; values never seen at
-// frame construction get the per-column unseen sentinel (they can match no
-// training key, which is exactly the semantics of zero support).
-func (k *keyer) encode(x []float64, dst []uint32) {
 	for c, v := range x {
-		if code, ok := k.dicts[c][canonBits(v)]; ok {
-			dst[c] = code
-		} else {
-			dst[c] = k.card[c] // unseen sentinel
+		code, ok := k.dicts[c][canonBits(v)]
+		if !ok {
+			code = k.card[c]
 		}
+		codes = append(codes, code)
 	}
-}
-
-// encodeScratch interns x into buf — stack space for up to 16 features,
-// heap past that — and returns the code slice. Small enough to inline, so
-// the caller's buffer never escapes in the common case.
-func (k *keyer) encodeScratch(x []float64, buf *[16]uint32) []uint32 {
-	var codes []uint32
-	if k.dim > len(buf) {
-		codes = make([]uint32, k.dim)
-	} else {
-		codes = buf[:k.dim]
-	}
-	k.encode(x, codes)
 	return codes
 }
 
-// packKey radix-packs a full code row.
-func (k *keyer) packKey(codes []uint32) uint64 {
-	key := uint64(0)
-	for c, code := range codes {
-		key += uint64(code) * k.stride[c]
+// index is one level of the non-zero support index of A.4: the dense ids a
+// relation.TupleIndex gives the level keys of the code rows it is shown. A
+// row's level key is its first width codes, with column wild (when not -1)
+// held at 0 — the backoff wildcard, a digit over an alphabet of one. The
+// other alphabets are card+1, so the unseen code of a prediction is a valid
+// digit that no fitted row has.
+type index struct {
+	ids         *relation.TupleIndex
+	width, wild int
+	n           int // ids given so far
+
+	// first[id] is the frame row that first produced id. Only a shard part
+	// keeps it (track), so that its ids can be re-keyed into the index it is
+	// merged into.
+	track bool
+	first []int32
+}
+
+// newIndex returns an empty level over a frame with the given cardinalities.
+// rows only decides whether the level is a flat table (a key space no larger
+// than the rows to be indexed); a map grows with the combinations seen, since
+// discrete rows repeat and a map sized for rows retained ~140 KB of empty
+// slots per cached model fitted on 5,000 of them.
+func newIndex(card []uint32, width, wild, rows int, track bool) index {
+	alphabet := make([]int, width)
+	for c := range alphabet {
+		alphabet[c] = int(card[c]) + 1
 	}
-	return key
-}
-
-// packPrefix packs only the first n columns (the keepFirst marginal).
-func (k *keyer) packPrefix(codes []uint32, n int) uint64 {
-	key := uint64(0)
-	for c := 0; c < n; c++ {
-		key += uint64(codes[c]) * k.stride[c]
+	if wild >= 0 {
+		alphabet[wild] = 1
 	}
-	return key
+	return index{ids: relation.NewTupleIndex(alphabet, rows), width: width, wild: wild, track: track}
 }
 
-// wildcardAt substitutes the wildcard digit for column c in a packed key.
-func (k *keyer) wildcardAt(key uint64, codes []uint32, c int) uint64 {
-	return key + uint64(k.card[c]+1-codes[c])*k.stride[c]
-}
-
-// wideKey appends the little-endian bytes of the first n codes to buf.
-func wideKey(buf []byte, codes []uint32, n int) []byte {
-	buf = buf[:0]
-	for c := 0; c < n; c++ {
-		buf = binary.LittleEndian.AppendUint32(buf, codes[c])
+// id returns the id of the code row's level key. A key not seen before gets
+// the next id when add is set, and ok false otherwise; only an id that adds
+// writes the index, so concurrent lookups are safe. codes is the caller's
+// own scratch: the wildcard digit is patched into it and restored.
+func (x *index) id(codes []uint32, add bool) (id int32, ok bool) {
+	if x.wild < 0 {
+		return x.ids.ID(codes[:x.width], add)
 	}
-	return buf
+	c := codes[x.wild]
+	codes[x.wild] = 0
+	id, ok = x.ids.ID(codes[:x.width], add)
+	codes[x.wild] = c
+	return id, ok
 }
 
-// wideWildcardAt patches the 4 bytes of column c to the wildcard sentinel.
-func wideWildcardAt(buf []byte, c int) {
-	binary.LittleEndian.PutUint32(buf[c*4:], wideWildcard)
-}
-
-// wideRestoreAt restores column c's code after a wildcard substitution.
-func wideRestoreAt(buf []byte, codes []uint32, c int) {
-	binary.LittleEndian.PutUint32(buf[c*4:], codes[c])
+// add indexes the code row of frame row r and reports whether its level key
+// is new.
+func (x *index) add(codes []uint32, r int) (id int32, fresh bool) {
+	id, _ = x.id(codes, true)
+	if int(id) < x.n {
+		return id, false
+	}
+	x.n++
+	if x.track {
+		x.first = append(x.first, int32(r))
+	}
+	return id, true
 }
 
 // SupportSet is the non-zero-support membership index of A.4 detached from
 // any estimator: the engine probes it to decide whether a hypothetical
 // feature combination occurs in the training data at all (the freq→forest
-// fallback check) without training a regressor first.
+// fallback check) without training a regressor first. It is the frequency
+// estimator's exact level without the labels.
 type SupportSet struct {
 	keyer
-	set  map[uint64]struct{}
-	setW map[string]struct{}
+	index
 }
 
 // NewSupportSet indexes the exact feature combinations of the given frame
 // rows.
 func NewSupportSet(f *Frame, rows []int) *SupportSet {
+	return newSupportSet(f, rows, false)
+}
+
+func newSupportSet(f *Frame, rows []int, track bool) *SupportSet {
 	f.Intern()
-	s := &SupportSet{keyer: newKeyer(f)}
+	s := &SupportSet{keyer: keyer{f.dicts, f.card}, index: newIndex(f.card, f.dim, -1, len(rows), track)}
 	codes := make([]uint32, f.dim)
-	// The maps grow as combinations appear instead of being sized for
-	// len(rows) of them: discrete rows repeat (German-Syn: a few hundred
-	// combinations in 5,000 rows), and the engine caches this set, so a
-	// row-count hint is empty slots retained per estimator set.
-	if s.packed() {
-		s.set = make(map[uint64]struct{})
-		for _, r := range rows {
-			f.codeRow(r, codes)
-			s.set[s.packKey(codes)] = struct{}{}
-		}
-		return s
-	}
-	s.setW = make(map[string]struct{})
-	buf := make([]byte, 0, 4*f.dim)
 	for _, r := range rows {
 		f.codeRow(r, codes)
-		buf = wideKey(buf, codes, f.dim)
-		if _, ok := s.setW[string(buf)]; !ok {
-			s.setW[string(buf)] = struct{}{}
-		}
+		s.add(codes, r)
 	}
 	return s
 }
 
 // Has reports whether the exact combination x occurs in the indexed rows.
 func (s *SupportSet) Has(x []float64) bool {
-	var stack [16]uint32
-	codes := s.encodeScratch(x, &stack)
-	if s.packed() {
-		_, ok := s.set[s.packKey(codes)]
-		return ok
-	}
-	var bstack [64]byte
-	buf := wideKey(bstack[:0], codes, s.dim)
-	_, ok := s.setW[string(buf)]
+	var buf [16]uint32
+	_, ok := s.id(s.encode(x, &buf), false)
 	return ok
 }
 
 // Len returns the number of distinct indexed combinations.
-func (s *SupportSet) Len() int {
-	if s.packed() {
-		return len(s.set)
-	}
-	return len(s.setW)
-}
+func (s *SupportSet) Len() int { return s.n }

@@ -37,12 +37,12 @@ func FitFreqFrameSharded(fr *Frame, rows []int, y []float64, keepFirst int, plan
 	// mid-shard (a partially merged index would poison the shared cache),
 	// and callers observe their contexts between estimator fits.
 	_ = shard.Run(context.Background(), plan, workers, func(_, s, lo, hi int) error {
-		parts[s] = FitFreqFrame(fr, rows[lo:hi], y[lo:hi], keepFirst)
+		parts[s] = fitFreq(fr, rows[lo:hi], y[lo:hi], keepFirst, s > 0)
 		return nil
 	})
 	out := parts[0]
 	for _, p := range parts[1:] {
-		out.merge(p)
+		out.merge(fr, p)
 	}
 	return out
 }
@@ -58,65 +58,46 @@ func NewSupportSetSharded(f *Frame, rows []int, plan shard.Plan, workers int) *S
 	f.Intern()
 	parts := make([]*SupportSet, plan.Shards())
 	_ = shard.Run(context.Background(), plan, workers, func(_, s, lo, hi int) error {
-		parts[s] = NewSupportSet(f, rows[lo:hi])
+		parts[s] = newSupportSet(f, rows[lo:hi], s > 0)
 		return nil
 	})
 	out := parts[0]
+	codes := make([]uint32, f.dim)
 	for _, p := range parts[1:] {
-		out.union(p)
+		for _, r := range p.first {
+			f.codeRow(int(r), codes)
+			out.add(codes, int(r))
+		}
 	}
 	return out
 }
 
-// merge folds other's cells into f. Both must be fitted over the same frame
-// (same keyer), which guarantees they agree on packed vs. wide keys. For a
-// key present in both, counts add exactly and sums add once per merge call,
-// so folding parts in shard order yields a deterministic index.
-func (f *FreqEstimator) merge(other *FreqEstimator) {
+// merge folds other's cells into f. Both must be fitted over the frame fr;
+// other's ids are re-keyed into f's through the rows that first produced
+// them. A cell new to f starts at other's sum and a cell in both adds it
+// once, so folding parts in shard order yields a deterministic index.
+func (f *FreqEstimator) merge(fr *Frame, other *FreqEstimator) {
 	f.global.sum += other.global.sum
 	f.global.n += other.global.n
-	if f.packed() {
-		mergeCells(f.exact, other.exact)
-		for i := f.keepFirst; i < f.dim; i++ {
-			mergeCells(f.backoff[i], other.backoff[i])
+	codes := make([]uint32, fr.dim)
+	f.exact.merge(fr, &other.exact, codes)
+	for i := range f.backoff {
+		f.backoff[i].merge(fr, &other.backoff[i], codes)
+	}
+	if f.keepFirst > 0 {
+		f.firstOnly.merge(fr, &other.firstOnly, codes)
+	}
+}
+
+func (l *freqLevel) merge(fr *Frame, other *freqLevel, codes []uint32) {
+	for j, r := range other.first {
+		fr.codeRow(int(r), codes)
+		src := other.cells[j]
+		if id, fresh := l.index.add(codes, int(r)); fresh {
+			l.cells = append(l.cells, src)
+		} else {
+			l.cells[id].sum += src.sum
+			l.cells[id].n += src.n
 		}
-		mergeCells(f.firstOnly, other.firstOnly)
-		return
-	}
-	mergeCells(f.exactW, other.exactW)
-	for i := f.keepFirst; i < f.dim; i++ {
-		mergeCells(f.backoffW[i], other.backoffW[i])
-	}
-	mergeCells(f.firstOnlyW, other.firstOnlyW)
-}
-
-// mergeCells folds src's cells into dst (adopting the cell pointer for keys
-// dst has not seen; src is discarded after a merge, so sharing is safe).
-// One definition serves the packed (uint64) and wide (string) key spaces so
-// the merge semantics cannot drift between them.
-func mergeCells[K comparable](dst, src map[K]*cell) {
-	for k, c := range src {
-		d := dst[k]
-		if d == nil {
-			dst[k] = c
-			continue
-		}
-		d.sum += c.sum
-		d.n += c.n
-	}
-}
-
-// union folds other's keys into s (same-frame support sets only).
-func (s *SupportSet) union(other *SupportSet) {
-	if s.packed() {
-		unionKeys(s.set, other.set)
-		return
-	}
-	unionKeys(s.setW, other.setW)
-}
-
-func unionKeys[K comparable](dst, src map[K]struct{}) {
-	for k := range src {
-		dst[k] = struct{}{}
 	}
 }

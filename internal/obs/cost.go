@@ -392,17 +392,3 @@ func (j *MeterJSON) Add(o *MeterJSON) {
 	j.WorkerFitsCached += o.WorkerFitsCached
 	j.WorkerBytes += o.WorkerBytes
 }
-
-// Reconciled reports whether the cross-process ledgers agree: vacuously true
-// when nothing ran remotely or retries make double-counting legitimate,
-// otherwise the coordinator-side dispatch totals must equal the summed
-// worker-reported ones exactly.
-func (j *MeterJSON) Reconciled() bool {
-	if j == nil {
-		return true
-	}
-	if j.Retries > 0 {
-		return true
-	}
-	return j.RemoteShards == j.WorkerShardsRun && j.DistBytesShipped == j.WorkerBytes
-}

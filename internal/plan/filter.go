@@ -28,7 +28,7 @@ func (p *WhatIfPlan) Apply(when hyperql.Expr, rel *relation.Relation, inS []bool
 	if when == nil {
 		return 0, nil
 	}
-	conjs, prog := SplitAnd(when), p.Conjuncts
+	conjs, prog := sqlmini.SplitAnd(when), p.Conjuncts
 	if p.Fallback || len(conjs) != len(prog) {
 		conjs, prog = []hyperql.Expr{when}, wholeTree
 	}

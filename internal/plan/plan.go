@@ -32,6 +32,7 @@ import (
 
 	"hyper/internal/hyperql"
 	"hyper/internal/relation"
+	"hyper/internal/sqlmini"
 )
 
 // maxExactAbs bounds the numeric magnitude for which relation.Value.Key
@@ -82,7 +83,7 @@ func (o Op) String() string {
 // conjunct in the flattened AND of the WHEN clause; execution re-reads the
 // literal values from the live query's AST at that position.
 type Conjunct struct {
-	// Pos is the conjunct's position in AST (splitAnd) order.
+	// Pos is the conjunct's position in AST (sqlmini.SplitAnd) order.
 	Pos int
 	// Op is the compiled operator.
 	Op Op
@@ -139,18 +140,6 @@ func (p *WhatIfPlan) Pushed() int {
 // literal values, so the same shape against the same data always renders
 // identically.
 func (p *WhatIfPlan) Explain() string { return p.explain }
-
-// SplitAnd flattens a conjunction into its conjuncts in left-to-right
-// order, matching sqlmini's short-circuit evaluation order.
-func SplitAnd(e hyperql.Expr) []hyperql.Expr {
-	if b, ok := e.(*hyperql.Binary); ok && b.Op == "AND" {
-		return append(SplitAnd(b.L), SplitAnd(b.R)...)
-	}
-	if e == nil {
-		return nil
-	}
-	return []hyperql.Expr{e}
-}
 
 // validate proves e error-free under sqlmini.EvalBool with a RowEnv over
 // rel: every node type is evaluable and every column reference resolves.
@@ -219,7 +208,7 @@ func Compile(rel *relation.Relation, when hyperql.Expr) *WhatIfPlan {
 		p.FallbackReason = err.Error()
 		return p
 	}
-	conjs := SplitAnd(when)
+	conjs := sqlmini.SplitAnd(when)
 	p.Conjuncts = make([]Conjunct, len(conjs))
 	for i, e := range conjs {
 		p.Conjuncts[i] = classify(e, i, rel)

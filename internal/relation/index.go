@@ -60,14 +60,15 @@ func (m layered[K]) fork() layered[K] {
 // TupleIndex gives the distinct tuples of small integers it is shown dense
 // ids in first-seen order. Digit d of a tuple is below alphabet[d]; tuples
 // are radix-packed into a uint64 when the alphabets' product fits and keyed
-// by their bytes otherwise (the packing ml's frame keys use). Either way
-// distinct tuples have distinct keys: unlike concatenated per-value key
-// strings, they cannot collide. A packed key space no larger than the rows
-// the caller will index is a flat table (id+1 per packed key, at most 4 B per
-// row) instead of a map. sqlmini groups and joins through it, and a relation
-// whose key spans several columns keeps its key's code tuples in one, shared
-// between its versions like the column dictionaries (over MaxInt32
-// alphabets, so never in a table).
+// by their bytes otherwise. Either way distinct tuples have distinct keys:
+// unlike concatenated per-value key strings, they cannot collide. A packed
+// key space no larger than the rows the caller will index is a flat table
+// (id+1 per packed key, at most 4 B per row) instead of a map. sqlmini groups
+// and joins through it, each level of ml's frequency estimator and support
+// set keys its feature-code combinations through one (lookups only read, so
+// they may run concurrently), and a relation whose key spans several columns
+// keeps its key's code tuples in one, shared between its versions like the
+// column dictionaries (over MaxInt32 alphabets, so never in a table).
 type TupleIndex struct {
 	stride []uint64 // nil: the alphabets are too wide to pack
 	dense  []int32  // id+1 per packed key; nil: the packed keys are mapped

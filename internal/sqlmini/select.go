@@ -124,7 +124,7 @@ func (j *joiner) run() error {
 	var residual []hyperql.Expr
 	// joinsFor[t] holds equi-join conditions usable when table t joins in.
 	joinsFor := make([][]joinCond, nt)
-	for _, c := range splitAnd(j.sel.Where) {
+	for _, c := range SplitAnd(j.sel.Where) {
 		if jc, ok := j.asJoinCond(c); ok {
 			joinsFor[jc.right.table] = append(joinsFor[jc.right.table], jc)
 			continue
@@ -582,13 +582,14 @@ func (j *joiner) groupSources(groupRefs []colRef) []groupSource {
 	return sources
 }
 
-// splitAnd flattens a conjunction into its conjuncts.
-func splitAnd(e hyperql.Expr) []hyperql.Expr {
+// SplitAnd flattens a conjunction into its conjuncts in left-to-right
+// order, the order EvalBool short-circuits in.
+func SplitAnd(e hyperql.Expr) []hyperql.Expr {
 	if e == nil {
 		return nil
 	}
 	if b, ok := e.(*hyperql.Binary); ok && b.Op == "AND" {
-		return append(splitAnd(b.L), splitAnd(b.R)...)
+		return append(SplitAnd(b.L), SplitAnd(b.R)...)
 	}
 	return []hyperql.Expr{e}
 }

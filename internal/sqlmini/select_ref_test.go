@@ -4,7 +4,7 @@ package sqlmini
 // tuples, kept as the oracle: joined rows are copied []Value rows, join and
 // group keys are Key()+"|" concatenations in string-keyed maps (which is the
 // one place it is known to be wrong: see TestCompositeKeysDoNotCollide). It
-// shares splitAnd and the expression evaluator with the executor under test
+// shares SplitAnd and the expression evaluator with the executor under test
 // and nothing else.
 
 import (
@@ -111,7 +111,7 @@ type refJoinCond struct {
 
 // run executes the joins and the residual filter, returning combined rows.
 func (j *refJoiner) run() ([][]relation.Value, error) {
-	conjuncts := splitAnd(j.sel.Where)
+	conjuncts := SplitAnd(j.sel.Where)
 	var residual []hyperql.Expr
 	// joinsFor[t] holds equi-join conditions usable when table t joins in.
 	joinsFor := make([][]refJoinCond, len(j.tables))
