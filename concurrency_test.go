@@ -1,11 +1,13 @@
 package hyper
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
 
 	"hyper/internal/dataset"
+	"hyper/internal/obs"
 )
 
 // TestSessionConcurrentQueries hammers one cache-sharing Session from many
@@ -105,30 +107,45 @@ func TestSessionConcurrentQueries(t *testing.T) {
 
 // TestSessionCacheSpeedsUpRepeatWhatIf checks the serving-path property the
 // daemon relies on: a repeated what-if against a cache-sharing session skips
-// view construction and estimator training, so the warm run is measurably
-// faster than the cold run.
+// view construction, block decomposition and estimator training. It reads
+// that off the warm run's own telemetry — each of those stages' spans reports
+// a cache hit, and its meter counts no trained model — rather than comparing
+// two wall-clock readings of one run each.
 func TestSessionCacheSpeedsUpRepeatWhatIf(t *testing.T) {
 	g := dataset.GermanSyn(8000, 7)
 	s := NewSessionWithCache(g.DB, g.Model, nil)
 	s.SetOptions(Options{Seed: 7})
 	const src = `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1) FOR PRE(Age) = 2`
 
-	cold, err := s.WhatIf(src)
-	if err != nil {
-		t.Fatal(err)
+	run := func() (*WhatIfResult, *obs.MeterJSON, *obs.SpanJSON) {
+		t.Helper()
+		meter, tr := obs.NewMeter(), obs.NewTrace("whatif")
+		res, err := s.WhatIfContext(obs.ContextWithMeter(tr.Context(context.Background()), meter), src, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Finish()
+		return res, meter.JSON(), tr.Root().JSON()
 	}
-	warm, err := s.WhatIf(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold, coldMeter, _ := run()
+	warm, warmMeter, warmSpans := run()
 	if warm.Value != cold.Value {
 		t.Fatalf("warm value %v != cold value %v", warm.Value, cold.Value)
 	}
-	if warm.TrainTime >= cold.TrainTime && cold.TrainTime > 0 {
-		t.Errorf("warm training %v not faster than cold %v (estimator not reused?)", warm.TrainTime, cold.TrainTime)
+	if coldMeter.FitsTrained == 0 {
+		t.Fatal("the cold run trained no model")
 	}
-	if warm.Total > cold.Total {
-		t.Errorf("warm run %v slower than cold run %v", warm.Total, cold.Total)
+	if warmMeter.FitsTrained != 0 {
+		t.Errorf("warm run trained %d models, want 0 (estimator not reused?)", warmMeter.FitsTrained)
+	}
+	for _, stage := range []string{"view", "blocks", "train"} {
+		sp := spanNamed(warmSpans, stage)
+		if sp == nil {
+			t.Fatalf("warm run has no %q span", stage)
+		}
+		if sp.Attrs["cache_hit"] != true {
+			t.Errorf("warm run's %q stage: cache_hit = %v, want true", stage, sp.Attrs["cache_hit"])
+		}
 	}
 	st := s.Cache().Stats()
 	if st.Hits < 3 {
@@ -140,4 +157,17 @@ func TestSessionCacheSpeedsUpRepeatWhatIf(t *testing.T) {
 	if plain.Cache() != nil {
 		t.Error("NewSession should not attach a cache")
 	}
+}
+
+// spanNamed returns the first span of the given name in a depth-first walk.
+func spanNamed(sj *obs.SpanJSON, name string) *obs.SpanJSON {
+	if sj == nil || sj.Name == name {
+		return sj
+	}
+	for _, c := range sj.Children {
+		if found := spanNamed(c, name); found != nil {
+			return found
+		}
+	}
+	return nil
 }

@@ -28,11 +28,13 @@ type estimatorSet struct {
 	coded     []*relation.CodedColumn // per feature, its view column; nil for a ψ summary
 	frame     *ml.Frame
 	trainRows []int
-	keys      *ml.SupportSet // exact feature combinations seen (freq only)
-	kind      string
-	seed      int64 // Options.Seed: forest seeds derive from it and the model key
+	// keys indexes the feature combinations of trainRows (freq only): every
+	// freq model of the set is fitted on it, and it answers hasSupport.
+	keys *ml.FreqIndex
+	kind string
+	seed int64 // Options.Seed: forest seeds derive from it and the model key
 	// fitPlan is the canonical shard plan over trainRows. Shard-mergeable
-	// estimators (ml.ShardMergeable) fit per shard and merge in plan order;
+	// estimators (ml.ShardMergeable) fit per shard and fold in plan order;
 	// the others fit whole-frame. The plan depends only on the training-set
 	// size and Options.ShardRows, so fitted models are independent of the
 	// worker fan-out.
@@ -67,7 +69,7 @@ func newEstimatorSet(v *view, featCols []string, summaries []summaryFeature, kee
 	for _, sf := range summaries {
 		cols[s.featureIndex(sf.name)] = sf.pre
 	}
-	s.frame = ml.FrameOfColumns(cols, opts.Shards)
+	s.frame = ml.FrameOfColumns(cols, s.coded, opts.Shards)
 	n := v.rel.Len()
 	if opts.SampleSize > 0 && opts.SampleSize < n {
 		rng := stats.NewRNG(opts.Seed ^ 0x5ab0)
@@ -78,7 +80,7 @@ func newEstimatorSet(v *view, featCols []string, summaries []summaryFeature, kee
 	s.kind = chooseKind(opts.Estimator, continuous)
 	s.fitPlan = shard.Rows(len(s.trainRows), opts.ShardRows)
 	if s.kind == "freq" {
-		s.keys = ml.NewSupportSetSharded(s.frame, s.trainRows, s.fitPlan, opts.Shards)
+		s.keys = ml.NewFreqIndex(s.frame, s.trainRows, keepFirst)
 	}
 	return s
 }
@@ -149,7 +151,7 @@ func (s *estimatorSet) model(ctx context.Context, key string, workers int, weigh
 		var m ml.Regressor
 		switch s.kind {
 		case "freq":
-			m = ml.FitFreqFrameSharded(s.frame, s.trainRows, y, s.keepFirst, s.fitPlan, workers)
+			m = s.keys.Fit(y, s.fitPlan, workers)
 		case "linear":
 			m = ml.FitLinearFrame(s.frame, s.trainRows, y, 1e-6)
 		default:

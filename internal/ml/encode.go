@@ -17,11 +17,13 @@
 // trees are bit for bit those of evaluating it on every candidate (see
 // bestSplit and splitEps in tree.go).
 //
-// The frequency estimator and the support set are fitted on a frame's
-// interned codes: each level of their index (the exact combination, each
-// backoff feature, the protected prefix) is a relation.TupleIndex giving the
-// level's code tuples dense ids, the one code-tuple index sqlmini's groups
-// and joins use too.
+// The frequency estimator is fitted on a FreqIndex over a frame's interned
+// codes, built once per frame and training set and shared by every label
+// fitted on it: each level of the index (the exact combination, each backoff
+// feature, the protected prefix) is a relation.TupleIndex giving the level's
+// code tuples dense ids, the one code-tuple index sqlmini's groups and joins
+// use too. A frame column over a relation column interns through that
+// column's codes.
 package ml
 
 import "hyper/internal/relation"

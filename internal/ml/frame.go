@@ -27,13 +27,16 @@ type Frame struct {
 	rows, dim int
 	workers   int         // construction/intern fan-out hint (0 = GOMAXPROCS)
 	cols      [][]float64 // cols[c][r]: value of column c at row r
+	// coded[c], when set, is the relation column whose row codes column c's
+	// values are a function of; interning goes through its codes.
+	coded []*relation.CodedColumn
 
 	// Interned codes, built lazily by Intern (tree/forest/linear fits never
-	// need them; the freq estimator and the support set do).
+	// need them; the freq index does).
 	internOnce sync.Once
-	codes      []codeColumn // per column: interned code of each row's value
-	dicts      []dict       // per-column value (canonical bits) -> code
-	card       []uint32     // distinct values per column
+	codes      []columnCodes
+	dicts      []dict   // per-column value (canonical bits) -> code
+	card       []uint32 // distinct values per column
 
 	// Per-column order index, built lazily by rankStore the first time a
 	// tree is fitted on the frame (freq and linear fits never need it).
@@ -69,11 +72,14 @@ func NewFrame(enc *Encoder, rel *relation.Relation) *Frame {
 // encoding; only under an encoder learned elsewhere does the frame fill a
 // column of its own. Either equals EncodeInto per row because values sharing
 // a canonical key encode alike (up to the sign of zero and NaN payload, which
-// canonBits erases and no fit reads).
+// canonBits erases and no fit reads), and either is a function of rel's row
+// codes, which the frame interns through.
 func NewFrameWorkers(enc *Encoder, rel *relation.Relation, workers int) *Frame {
 	cols := make([][]float64, enc.Dim())
+	coded := make([]*relation.CodedColumn, enc.Dim())
 	for c, name := range enc.cols {
 		cc := rel.Coded(rel.Schema().MustIndex(name))
+		coded[c] = cc
 		if cc == enc.coded[c] {
 			cols[c] = cc.Encoded()
 			continue
@@ -83,13 +89,16 @@ func NewFrameWorkers(enc *Encoder, rel *relation.Relation, workers int) *Frame {
 			cols[c][r] = enc.EncodeValue(c, cc.Values[cc.At(r)])
 		}
 	}
-	return FrameOfColumns(cols, workers)
+	return FrameOfColumns(cols, coded, workers)
 }
 
 // FrameOfColumns is the frame over the given equal-length columns, which it
 // keeps without copying and, like every reader of a frame, never writes.
-func FrameOfColumns(cols [][]float64, workers int) *Frame {
-	f := &Frame{dim: len(cols), workers: workers, cols: cols}
+// coded may be nil, or name per column the relation column (nil: none) whose
+// row codes the column's values are a function of: cols[c][r] must depend on
+// coded[c].At(r) alone, as an encoding of the column does.
+func FrameOfColumns(cols [][]float64, coded []*relation.CodedColumn, workers int) *Frame {
+	f := &Frame{dim: len(cols), workers: workers, cols: cols, coded: coded}
 	if len(cols) > 0 {
 		f.rows = len(cols[0])
 	}
@@ -114,59 +123,116 @@ func FrameFromRows(X [][]float64) *Frame {
 			cols[c][r] = v
 		}
 	}
-	return FrameOfColumns(cols, 0)
+	return FrameOfColumns(cols, nil, 0)
 }
 
 // Intern assigns per-column integer codes to every value (idempotent, safe
 // for concurrent use). Codes are dense, in first-seen row order per column.
 func (f *Frame) Intern() { f.internOnce.Do(f.intern) }
 
-// codeColumn holds one column's row codes at the width
-// relation.CodedColumn stores its own: a byte per row while the column has
-// at most 256 distinct values, four bytes once it has more. A cached
-// estimator set keeps its frame's codes alive — they, not the shared columns,
-// are what a set costs per cell — and discrete features, the only ones the
-// freq estimator and the support set are chosen for, rarely leave the narrow
-// form.
+// columnCodes gives each row of a frame column its interned code. A column
+// over a relation column reads the relation's row code and maps it through
+// remap, so the frame keeps nothing per row; any other column (a ψ summary, a
+// FrameFromRows matrix) keeps codes of its own.
+type columnCodes struct {
+	rel   *relation.CodedColumn
+	remap []uint32 // relation code -> frame code
+	own   codeColumn
+}
+
+func (c *columnCodes) at(r int) uint32 {
+	if c.rel != nil {
+		return c.remap[c.rel.At(r)]
+	}
+	return c.own.at(r)
+}
+
+// codeColumn holds a small integer per row the way relation.CodedColumn holds
+// its codes: a byte per row while every value is below 256, four bytes once
+// one is not (exactly one of the two is set).
 type codeColumn struct {
-	narrow []uint8  // while the column has at most 256 distinct values ...
-	wide   []uint32 // ... and past that (exactly one of the two is set)
+	narrow []uint8
+	wide   []uint32
+}
+
+func (s *codeColumn) at(i int) uint32 {
+	if s.wide != nil {
+		return s.wide[i]
+	}
+	return uint32(s.narrow[i])
+}
+
+// set stores v at row i, widening the rows so far at the first v past a byte.
+func (s *codeColumn) set(i int, v uint32) {
+	if s.wide == nil && v > math.MaxUint8 {
+		s.wide = make([]uint32, len(s.narrow))
+		for j, b := range s.narrow[:i] {
+			s.wide[j] = uint32(b)
+		}
+		s.narrow = nil
+	}
+	if s.wide != nil {
+		s.wide[i] = v
+	} else {
+		s.narrow[i] = uint8(v)
+	}
 }
 
 func (f *Frame) intern() {
-	f.codes = make([]codeColumn, f.dim)
+	f.codes = make([]columnCodes, f.dim)
 	f.dicts = make([]dict, f.dim)
 	f.card = make([]uint32, f.dim)
-	internCol := func(c int) {
-		d := make(dict)
-		f.dicts[c] = d
-		codes := codeColumn{narrow: make([]uint8, f.rows)}
-		for r, v := range f.Col(c) {
-			b := canonBits(v)
-			code, ok := d[b]
-			if !ok {
-				code = f.card[c]
-				d[b] = code
-				f.card[c]++
-				if code == 256 { // the 257th distinct value: widen the codes so far
-					codes.wide = make([]uint32, f.rows)
-					for j, code := range codes.narrow[:r] {
-						codes.wide[j] = uint32(code)
-					}
-					codes.narrow = nil
-				}
-			}
-			if codes.wide != nil {
-				codes.wide[r] = code
-			} else {
-				codes.narrow[r] = uint8(code)
-			}
-		}
-		f.codes[c] = codes
-	}
 	// Columns intern independently (codes are per-column, assigned in row
 	// order), so interning fans out across columns without changing any code.
-	f.eachColumn(internCol)
+	f.eachColumn(func(c int) {
+		f.dicts[c] = make(dict)
+		if c < len(f.coded) && f.coded[c] != nil {
+			f.codes[c] = f.internThrough(c, f.coded[c])
+		} else {
+			f.codes[c] = f.internRows(c)
+		}
+	})
+}
+
+// internValue returns column c's code for v, giving it the next code when the
+// column has not held its canonical value before.
+func (f *Frame) internValue(c int, v float64) uint32 {
+	b := canonBits(v)
+	code, ok := f.dicts[c][b]
+	if !ok {
+		code = f.card[c]
+		f.dicts[c][b] = code
+		f.card[c]++
+	}
+	return code
+}
+
+// internThrough interns column c through the relation column rel: the
+// dictionary is probed once per distinct relation code, at the first row
+// holding it, so codes keep first-seen row order and equal internRows'.
+// Relation codes whose values encode alike — NULL and 0 of a numeric column,
+// integers past 2^53 that round to one float — get one frame code.
+func (f *Frame) internThrough(c int, rel *relation.CodedColumn) columnCodes {
+	remap := make([]uint32, len(rel.Values)) // code+1; 0 while unseen
+	for r, left := 0, len(remap); r < f.rows && left > 0; r++ {
+		if k := rel.At(r); remap[k] == 0 {
+			remap[k] = f.internValue(c, f.cols[c][r]) + 1
+			left--
+		}
+	}
+	for k := range remap {
+		remap[k]-- // a code no row holds wraps, and is never read
+	}
+	return columnCodes{rel: rel, remap: remap}
+}
+
+// internRows interns column c value by value, keeping each row's code.
+func (f *Frame) internRows(c int) columnCodes {
+	codes := codeColumn{narrow: make([]uint8, f.rows)}
+	for r, v := range f.cols[c] {
+		codes.set(r, f.internValue(c, v))
+	}
+	return columnCodes{own: codes}
 }
 
 // eachColumn runs fn once per column, fanned out over a pool bounded by the
@@ -274,141 +340,3 @@ func (f *Frame) Gather(r int, dst []float64) {
 		dst[c] = col[r]
 	}
 }
-
-// codeRow copies the interned codes of row r into dst, which must have
-// length Dim(). The frame must be interned.
-func (f *Frame) codeRow(r int, dst []uint32) {
-	for c, col := range f.codes {
-		if col.wide != nil {
-			dst[c] = col.wide[r]
-		} else {
-			dst[c] = uint32(col.narrow[r])
-		}
-	}
-}
-
-// keyer interns raw feature vectors into code rows with the frame's
-// per-column dictionaries.
-type keyer struct {
-	dicts []dict
-	card  []uint32
-}
-
-// encode interns the raw feature vector x into buf — stack space for up to
-// 16 features, heap past that — and returns the code slice. A value never
-// seen at frame construction gets its column's unseen code card[c]: it can
-// match no training key, which is exactly the semantics of zero support.
-func (k *keyer) encode(x []float64, buf *[16]uint32) []uint32 {
-	codes := buf[:0]
-	if len(k.card) > len(buf) {
-		codes = make([]uint32, 0, len(k.card))
-	}
-	for c, v := range x {
-		code, ok := k.dicts[c][canonBits(v)]
-		if !ok {
-			code = k.card[c]
-		}
-		codes = append(codes, code)
-	}
-	return codes
-}
-
-// index is one level of the non-zero support index of A.4: the dense ids a
-// relation.TupleIndex gives the level keys of the code rows it is shown. A
-// row's level key is its first width codes, with column wild (when not -1)
-// held at 0 — the backoff wildcard, a digit over an alphabet of one. The
-// other alphabets are card+1, so the unseen code of a prediction is a valid
-// digit that no fitted row has.
-type index struct {
-	ids         *relation.TupleIndex
-	width, wild int
-	n           int // ids given so far
-
-	// first[id] is the frame row that first produced id. Only a shard part
-	// keeps it (track), so that its ids can be re-keyed into the index it is
-	// merged into.
-	track bool
-	first []int32
-}
-
-// newIndex returns an empty level over a frame with the given cardinalities.
-// rows only decides whether the level is a flat table (a key space no larger
-// than the rows to be indexed); a map grows with the combinations seen, since
-// discrete rows repeat and a map sized for rows retained ~140 KB of empty
-// slots per cached model fitted on 5,000 of them.
-func newIndex(card []uint32, width, wild, rows int, track bool) index {
-	alphabet := make([]int, width)
-	for c := range alphabet {
-		alphabet[c] = int(card[c]) + 1
-	}
-	if wild >= 0 {
-		alphabet[wild] = 1
-	}
-	return index{ids: relation.NewTupleIndex(alphabet, rows), width: width, wild: wild, track: track}
-}
-
-// id returns the id of the code row's level key. A key not seen before gets
-// the next id when add is set, and ok false otherwise; only an id that adds
-// writes the index, so concurrent lookups are safe. codes is the caller's
-// own scratch: the wildcard digit is patched into it and restored.
-func (x *index) id(codes []uint32, add bool) (id int32, ok bool) {
-	if x.wild < 0 {
-		return x.ids.ID(codes[:x.width], add)
-	}
-	c := codes[x.wild]
-	codes[x.wild] = 0
-	id, ok = x.ids.ID(codes[:x.width], add)
-	codes[x.wild] = c
-	return id, ok
-}
-
-// add indexes the code row of frame row r and reports whether its level key
-// is new.
-func (x *index) add(codes []uint32, r int) (id int32, fresh bool) {
-	id, _ = x.id(codes, true)
-	if int(id) < x.n {
-		return id, false
-	}
-	x.n++
-	if x.track {
-		x.first = append(x.first, int32(r))
-	}
-	return id, true
-}
-
-// SupportSet is the non-zero-support membership index of A.4 detached from
-// any estimator: the engine probes it to decide whether a hypothetical
-// feature combination occurs in the training data at all (the freq→forest
-// fallback check) without training a regressor first. It is the frequency
-// estimator's exact level without the labels.
-type SupportSet struct {
-	keyer
-	index
-}
-
-// NewSupportSet indexes the exact feature combinations of the given frame
-// rows.
-func NewSupportSet(f *Frame, rows []int) *SupportSet {
-	return newSupportSet(f, rows, false)
-}
-
-func newSupportSet(f *Frame, rows []int, track bool) *SupportSet {
-	f.Intern()
-	s := &SupportSet{keyer: keyer{f.dicts, f.card}, index: newIndex(f.card, f.dim, -1, len(rows), track)}
-	codes := make([]uint32, f.dim)
-	for _, r := range rows {
-		f.codeRow(r, codes)
-		s.add(codes, r)
-	}
-	return s
-}
-
-// Has reports whether the exact combination x occurs in the indexed rows.
-func (s *SupportSet) Has(x []float64) bool {
-	var buf [16]uint32
-	_, ok := s.id(s.encode(x, &buf), false)
-	return ok
-}
-
-// Len returns the number of distinct indexed combinations.
-func (s *SupportSet) Len() int { return s.n }

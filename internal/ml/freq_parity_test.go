@@ -7,13 +7,27 @@ package ml
 // and the wide-key fallback past 64 bits of packed key space.
 
 import (
+	"maps"
 	"math"
 	"strconv"
 	"strings"
 	"testing"
 
+	"hyper/internal/relation"
+	"hyper/internal/shard"
 	"hyper/internal/stats"
 )
+
+// FitFreq indexes (X, y) and fits y on it.
+func FitFreq(X [][]float64, y []float64) *FreqEstimator {
+	return FitFreqKeep(X, y, 0)
+}
+
+// FitFreqKeep is FitFreq with the first keepFirst features protected from
+// backoff.
+func FitFreqKeep(X [][]float64, y []float64, keepFirst int) *FreqEstimator {
+	return FitFreqFrame(FrameFromRows(X), identityRows(len(X)), y, keepFirst)
+}
 
 // refFreq is the string-keyed reference estimator.
 type refFreq struct {
@@ -23,6 +37,19 @@ type refFreq struct {
 	backoff   []map[string]*cell
 	firstOnly map[string]*cell
 	global    cell
+}
+
+// cell is one reference cell: its rows' label sum and count.
+type cell struct {
+	sum float64
+	n   int
+}
+
+func (c *cell) mean() float64 {
+	if c.n == 0 {
+		return 0
+	}
+	return c.sum / float64(c.n)
 }
 
 func refFkey(v float64) string {
@@ -140,7 +167,7 @@ func comparePredictions(t *testing.T, f *FreqEstimator, ref *refFreq, probes [][
 	t.Helper()
 	for _, x := range probes {
 		got, want := f.Predict(x), ref.predict(x)
-		if got != want {
+		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s: Predict(%v) = %v, reference %v", label, x, got, want)
 		}
 		if gs, ws := f.SupportOf(x), ref.supportOf(x); gs != ws {
@@ -214,23 +241,19 @@ func TestFreqParityWideKeys(t *testing.T) {
 	comparePredictions(t, f, ref, probesFor(rng, X, 6), "wide")
 }
 
-// TestSupportSetMatchesEstimator checks the detached support index against
-// the estimator's exact-match counts on hits and misses.
-func TestSupportSetMatchesEstimator(t *testing.T) {
+// TestFreqIndexHasMatchesEstimator checks the index's membership probe
+// against the exact-match counts of an estimator fitted on it, on hits and
+// misses.
+func TestFreqIndexHasMatchesEstimator(t *testing.T) {
 	rng := stats.NewRNG(7)
 	X, y := discreteData(rng, 300, 4, 5)
-	fr := FrameFromRows(X)
-	rows := make([]int, len(X))
-	for i := range rows {
-		rows[i] = i
-	}
-	set := NewSupportSet(fr, rows)
-	f := FitFreqFrame(fr, rows, y, 0)
-	if set.Len() != f.Support() {
-		t.Fatalf("SupportSet.Len = %d, estimator support %d", set.Len(), f.Support())
+	ix := NewFreqIndex(FrameFromRows(X), identityRows(len(X)), 0)
+	f := ix.Fit(y, shard.Plan{}, 1)
+	if ix.Len() != f.Support() {
+		t.Fatalf("Len = %d, estimator support %d", ix.Len(), f.Support())
 	}
 	for _, x := range probesFor(rng, X, 4) {
-		if has, n := set.Has(x), f.SupportOf(x); has != (n > 0) {
+		if has, n := ix.Has(x), f.SupportOf(x); has != (n > 0) {
 			t.Fatalf("Has(%v) = %v, SupportOf = %d", x, has, n)
 		}
 	}
@@ -259,11 +282,11 @@ func refInternFlat(f *Frame) (codes []uint32, card []uint32) {
 	return codes, card
 }
 
-// TestFrameCodesNarrowWide: a column stays one byte per row through its
-// 256th distinct value and widens at the 257th, and at either width the
-// frame hands out the codes of the flat layout — so the estimator fitted on
-// it, its support counts and the support set are those of the reference,
-// packed and wide keys alike.
+// TestFrameCodesNarrowWide: a column of its own (no relation column) stays
+// one byte per row through its 256th distinct value and widens at the 257th,
+// and at either width the frame hands out the codes of the flat layout — so
+// the estimator fitted on it, its support counts and the index's membership
+// are those of the reference, packed and wide keys alike.
 func TestFrameCodesNarrowWide(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -291,19 +314,17 @@ func TestFrameCodesNarrowWide(t *testing.T) {
 			X[n-1][0], X[n-1][1] = 255, 256
 			fr := FrameFromRows(X)
 			fr.Intern()
-			if fr.card[0] != 256 || fr.codes[0].narrow == nil || fr.codes[0].wide != nil {
-				t.Fatalf("256-value column: card %d, narrow %v, wide %v", fr.card[0], fr.codes[0].narrow != nil, fr.codes[0].wide != nil)
+			if own := fr.codes[0].own; fr.card[0] != 256 || own.narrow == nil || own.wide != nil {
+				t.Fatalf("256-value column: card %d, narrow %v, wide %v", fr.card[0], own.narrow != nil, own.wide != nil)
 			}
-			if fr.card[1] != 257 || fr.codes[1].narrow != nil || fr.codes[1].wide == nil {
-				t.Fatalf("257-value column: card %d, narrow %v, wide %v", fr.card[1], fr.codes[1].narrow != nil, fr.codes[1].wide != nil)
+			if own := fr.codes[1].own; fr.card[1] != 257 || own.narrow != nil || own.wide == nil {
+				t.Fatalf("257-value column: card %d, narrow %v, wide %v", fr.card[1], own.narrow != nil, own.wide != nil)
 			}
 			flat, card := refInternFlat(fr)
-			got := make([]uint32, dim)
 			for r := 0; r < n; r++ {
-				fr.codeRow(r, got)
-				for c := range got {
-					if got[c] != flat[c*n+r] {
-						t.Fatalf("row %d column %d: code %d, flat layout %d", r, c, got[c], flat[c*n+r])
+				for c := range dim {
+					if got := fr.codes[c].at(r); got != flat[c*n+r] {
+						t.Fatalf("row %d column %d: code %d, flat layout %d", r, c, got, flat[c*n+r])
 					}
 				}
 			}
@@ -313,26 +334,74 @@ func TestFrameCodesNarrowWide(t *testing.T) {
 				}
 			}
 
-			rows := make([]int, n)
-			for i := range rows {
-				rows[i] = i
-			}
-			f := FitFreqFrame(fr, rows, y, 1)
+			ix := NewFreqIndex(fr, identityRows(n), 1)
+			f := ix.Fit(y, shard.Plan{}, 1)
 			ref := refFitFreq(X, y, 1)
 			if f.Support() != len(ref.exact) {
 				t.Fatalf("Support = %d, reference %d", f.Support(), len(ref.exact))
 			}
 			probes := probesFor(rng, X, dim)
 			comparePredictions(t, f, ref, probes, tc.name)
-			set := NewSupportSet(fr, rows)
-			if set.Len() != len(ref.exact) {
-				t.Fatalf("SupportSet.Len = %d, reference %d", set.Len(), len(ref.exact))
-			}
 			for _, x := range probes {
-				if has, n := set.Has(x), ref.supportOf(x); has != (n > 0) {
+				if has, n := ix.Has(x), ref.supportOf(x); has != (n > 0) {
 					t.Fatalf("Has(%v) = %v, reference support %d", x, has, n)
 				}
 			}
 		})
+	}
+}
+
+// TestFrameInternThroughRelation holds a frame interning through its relation
+// columns' codes to one interning the same columns value by value (the map
+// path of a column without a relation column): every row's code, every
+// dictionary and every cardinality. Several relation codes may encode to one
+// float, so they must share a frame code: NULL, Int 0 and 0.0 of a numeric
+// column encode to 0, and Int 2^53 and 2^53+1 to one float. -0.0 beside +0.0
+// and two NaN payloads share a relation code already; a 257th distinct value
+// makes both the relation column and the frame codes wide; a string column
+// encodes by rank, NULL at -1.
+func TestFrameInternThroughRelation(t *testing.T) {
+	const n = 700
+	rng := stats.NewRNG(3)
+	specials := []relation.Value{
+		relation.Int(5), relation.Null, relation.Int(0),
+		relation.Float(math.Copysign(0, -1)), relation.Float(0),
+		relation.Int(1 << 53), relation.Int(1<<53 + 1),
+		relation.Float(math.Float64frombits(0x7ff8000000000001)),
+		relation.Float(math.Float64frombits(0x7ff80000000abcde)),
+		relation.Float(2.5),
+	}
+	strs := []relation.Value{relation.String("b"), relation.Null, relation.String("a"), relation.String("c")}
+	vals := make([][]relation.Value, 3)
+	for r := range n {
+		vals[0] = append(vals[0], specials[rng.Intn(len(specials))])
+		vals[1] = append(vals[1], relation.Int(int64(r*7%300))) // 300 values, the 257th at row 256
+		vals[2] = append(vals[2], strs[rng.Intn(len(strs))])
+	}
+	coded := make([]*relation.CodedColumn, len(vals))
+	cols := make([][]float64, len(vals))
+	for c, v := range vals {
+		coded[c] = relation.ColumnOf(v)
+		cols[c] = coded[c].Encoded()
+	}
+	via := FrameOfColumns(cols, coded, 2)
+	own := FrameOfColumns(cols, nil, 1)
+	via.Intern()
+	own.Intern()
+	if len(coded[0].Values) <= int(via.card[0]) {
+		t.Fatalf("no two relation codes share a frame code: %d relation codes, %d frame codes", len(coded[0].Values), via.card[0])
+	}
+	if via.card[1] != 300 || via.codes[1].rel == nil {
+		t.Fatalf("wide column: %d frame codes, through the relation %v", via.card[1], via.codes[1].rel != nil)
+	}
+	for c := range cols {
+		if via.card[c] != own.card[c] || !maps.Equal(via.dicts[c], own.dicts[c]) {
+			t.Fatalf("column %d: card %d, dictionary %v; value by value %d, %v", c, via.card[c], via.dicts[c], own.card[c], own.dicts[c])
+		}
+		for r := range n {
+			if got, want := via.codes[c].at(r), own.codes[c].at(r); got != want {
+				t.Fatalf("column %d row %d (%v): code %d, value by value %d", c, r, vals[c][r], got, want)
+			}
+		}
 	}
 }

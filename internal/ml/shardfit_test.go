@@ -8,7 +8,7 @@ import (
 
 // shardTestData builds a discrete 3-feature training set with integer
 // labels: integer sums are exact under any regrouping, so per-shard fits
-// merged in plan order must reproduce the whole-range fit bit for bit.
+// folded in plan order must reproduce the whole-range fit bit for bit.
 func shardTestData(n int) ([][]float64, []float64) {
 	X := make([][]float64, n)
 	y := make([]float64, n)
@@ -19,15 +19,11 @@ func shardTestData(n int) ([][]float64, []float64) {
 	return X, y
 }
 
-func TestFitFreqFrameShardedMatchesWholeFit(t *testing.T) {
+func TestFreqIndexShardedFitMatchesWholeFit(t *testing.T) {
 	const n = 1000
 	X, y := shardTestData(n)
-	fr := FrameFromRows(X)
-	rows := make([]int, n)
-	for i := range rows {
-		rows[i] = i
-	}
-	whole := FitFreqFrame(fr, rows, y, 1)
+	ix := NewFreqIndex(FrameFromRows(X), identityRows(n), 1)
+	whole := ix.Fit(y, shard.Plan{}, 1)
 
 	probes := append([][]float64{
 		{99, 99, 99}, // unseen everywhere: global-mean fallback
@@ -37,7 +33,7 @@ func TestFitFreqFrameShardedMatchesWholeFit(t *testing.T) {
 
 	for _, k := range []int{1, 2, 3, 7, n + 5} { // n+5: empty trailing shards
 		for _, workers := range []int{1, 4} {
-			sharded := FitFreqFrameSharded(fr, rows, y, 1, shard.Fixed(n, k), workers)
+			sharded := ix.Fit(y, shard.Fixed(n, k), workers)
 			if got, want := sharded.Support(), whole.Support(); got != want {
 				t.Fatalf("k=%d workers=%d: support %d, want %d", k, workers, got, want)
 			}
@@ -53,25 +49,24 @@ func TestFitFreqFrameShardedMatchesWholeFit(t *testing.T) {
 	}
 }
 
-// TestFitFreqFrameShardedDeterministicFloatSums pins the plan-order merge
+// TestFreqIndexShardedFitDeterministicFloatSums pins the plan-order fold
 // with non-integer labels: different plans may legitimately regroup sums,
 // but a fixed plan must produce identical bits for every worker count.
-func TestFitFreqFrameShardedDeterministicFloatSums(t *testing.T) {
+func TestFreqIndexShardedFitDeterministicFloatSums(t *testing.T) {
 	const n = 999
 	X, _ := shardTestData(n)
 	y := make([]float64, n)
 	for i := range y {
 		y[i] = 0.1 * float64(i%17) / 3.0
 	}
-	fr := FrameFromRows(X)
-	rows := make([]int, n)
-	for i := range rows {
-		rows[i] = i
-	}
+	ix := NewFreqIndex(FrameFromRows(X), identityRows(n), 1)
 	plan := shard.Fixed(n, 7)
-	base := FitFreqFrameSharded(fr, rows, y, 1, plan, 1)
+	base := ix.Fit(y, plan, 1)
 	for _, workers := range []int{2, 3, 8} {
-		got := FitFreqFrameSharded(fr, rows, y, 1, plan, workers)
+		got := ix.Fit(y, plan, workers)
+		if !sameFit(got, base) {
+			t.Fatalf("workers=%d: cell sums differ from workers=1", workers)
+		}
 		for _, x := range X[:100] {
 			if got.Predict(x) != base.Predict(x) {
 				t.Fatalf("workers=%d: Predict(%v) = %v, want %v", workers, x, got.Predict(x), base.Predict(x))
@@ -80,28 +75,31 @@ func TestFitFreqFrameShardedDeterministicFloatSums(t *testing.T) {
 	}
 }
 
-func TestNewSupportSetShardedMatchesWhole(t *testing.T) {
+// TestFreqIndexHasTrainingRows: an index over a subset of the frame rows,
+// as a sampled estimator set builds, holds exactly the combinations of those
+// rows — whichever rows of the frame hold them — and no other. The data
+// repeats every 60 rows; 30 rows a step of 7 apart hold half its
+// combinations.
+func TestFreqIndexHasTrainingRows(t *testing.T) {
 	const n = 500
 	X, _ := shardTestData(n)
-	fr := FrameFromRows(X)
-	rows := make([]int, n)
-	for i := range rows {
-		rows[i] = i
+	var rows []int
+	want := map[[3]float64]bool{}
+	for r := n - 1; len(rows) < 30; r -= 7 {
+		rows = append(rows, r)
+		want[[3]float64(X[r])] = true
 	}
-	whole := NewSupportSet(fr, rows)
-	for _, k := range []int{1, 3, n + 2} {
-		sharded := NewSupportSetSharded(fr, rows, shard.Fixed(n, k), 4)
-		if sharded.Len() != whole.Len() {
-			t.Fatalf("k=%d: %d distinct combos, want %d", k, sharded.Len(), whole.Len())
+	ix := NewFreqIndex(FrameFromRows(X), rows, 1)
+	if len(want) != 30 || ix.Len() != len(want) {
+		t.Fatalf("%d distinct combos, want %d", ix.Len(), len(want))
+	}
+	for _, x := range X {
+		if ix.Has(x) != want[[3]float64(x)] {
+			t.Errorf("Has(%v) = %v, want %v", x, ix.Has(x), want[[3]float64(x)])
 		}
-		for _, x := range X[:80] {
-			if !sharded.Has(x) {
-				t.Errorf("k=%d: missing support for %v", k, x)
-			}
-		}
-		if sharded.Has([]float64{99, 99, 99}) {
-			t.Errorf("k=%d: phantom support", k)
-		}
+	}
+	if ix.Has([]float64{99, 99, 99}) {
+		t.Error("phantom support")
 	}
 }
 

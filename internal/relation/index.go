@@ -64,9 +64,9 @@ func (m layered[K]) fork() layered[K] {
 // unlike concatenated per-value key strings, they cannot collide. A packed
 // key space no larger than the rows the caller will index is a flat table
 // (id+1 per packed key, at most 4 B per row) instead of a map. sqlmini groups
-// and joins through it, each level of ml's frequency estimator and support
-// set keys its feature-code combinations through one (lookups only read, so
-// they may run concurrently), and a relation whose key spans several columns
+// and joins through it, each level of ml's frequency index keys its
+// feature-code combinations through one (lookups only read, so they may run
+// concurrently), and a relation whose key spans several columns
 // keeps its key's code tuples in one, shared between its versions like the
 // column dictionaries (over MaxInt32 alphabets, so never in a table).
 type TupleIndex struct {
