@@ -194,7 +194,7 @@ func randomClassQuery(rng *stats.RNG) string {
 	case 10:
 		src += " FOR PRE(Nope) = 1" // a missing column
 	default:
-		src += " FOR L1(PRE(F), POST(F)) >= 0 AND PRE(Z) IN (0, 2)"
+		src += " FOR PRE(F) >= 0 AND PRE(Z) IN (0, 2)"
 	}
 	return src
 }
@@ -342,8 +342,8 @@ func TestClassEvalMatchesPerRow(t *testing.T) {
 			`USE T WHEN Z + X >= 2 UPDATE(X) = 1 + PRE(X) OUTPUT SUM(POST(Y)) FOR PRE(Z) = 1 OR POST(Y) >= 1`, Options{Seed: 3}, true, ""},
 		{"string column", "base",
 			`USE T WHEN S = 'a' UPDATE(W) = 1 OUTPUT COUNT(POST(Y) > 0.5 AND S != 'c') FOR PRE(S) != 'b'`, Options{Seed: 3}, true, ""},
-		{"L1 reads a column without a ColRef", "base",
-			`USE T UPDATE(X) = 0 OUTPUT SUM(POST(Y)) FOR L1(PRE(F), POST(F)) >= 0 AND PRE(Z) IN (0, 2)`, Options{Seed: 3}, true, ""},
+		{"pre-only FOR with an IN list", "base",
+			`USE T UPDATE(X) = 0 OUTPUT SUM(POST(Y)) FOR PRE(F) >= 0 AND PRE(Z) IN (0, 2)`, Options{Seed: 3}, true, ""},
 		{"sampled freq", "base",
 			`USE T UPDATE(X) = 1 OUTPUT AVG(POST(Y)) FOR POST(Y) >= 0.5`, Options{Seed: 3, SampleSize: 400, Estimator: EstimatorFreq}, true, ""},
 		{"psi summaries", "psi",

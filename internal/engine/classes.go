@@ -60,27 +60,16 @@ func (e *evaluator) classColumns() (cols []int, ok bool) {
 	for _, d := range e.disjuncts {
 		exprs = append(append(exprs, d.pre...), d.post...)
 	}
-	missing := false
 	for _, x := range exprs {
-		hyperql.Walk(x, func(n hyperql.Expr) bool {
-			name := ""
-			switch n := n.(type) {
-			case *hyperql.ColRef:
-				name = n.Name
-			case *hyperql.L1Dist:
-				name = n.Attr
-			default:
-				return true
+		for _, c := range hyperql.ColRefs(x) {
+			ci, isCol := sch.Index(c.Name)
+			if !isCol {
+				return cols, false
 			}
-			if ci, isCol := sch.Index(name); isCol {
-				add(ci)
-			} else {
-				missing = true
-			}
-			return true
-		})
+			add(ci)
+		}
 	}
-	return cols, !missing
+	return cols, true
 }
 
 // classKey packs the class columns, or reports that the rows must be

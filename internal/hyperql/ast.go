@@ -1,11 +1,6 @@
 package hyperql
 
-import (
-	"fmt"
-	"strings"
-
-	"hyper/internal/relation"
-)
+import "hyper/internal/relation"
 
 // Temporal marks whether a column reference reads the pre-update value (the
 // database instance D) or the post-update value (the possible world I). The
@@ -44,26 +39,12 @@ type ColRef struct {
 	Time  Temporal
 }
 
-func (c *ColRef) String() string {
-	n := c.Name
-	if c.Table != "" {
-		n = c.Table + "." + n
-	}
-	if c.Time != TimeDefault {
-		return fmt.Sprintf("%s(%s)", c.Time, n)
-	}
-	return n
-}
+func (c *ColRef) String() string { return text((*printer).expr, Expr(c)) }
 
 // Literal holds a constant value.
 type Literal struct{ Val relation.Value }
 
-func (l *Literal) String() string {
-	if l.Val.Kind() == relation.KindString {
-		return "'" + strings.ReplaceAll(l.Val.AsString(), "'", "''") + "'"
-	}
-	return l.Val.String()
-}
+func (l *Literal) String() string { return text((*printer).expr, Expr(l)) }
 
 // Binary is a binary operation. Op is one of: OR AND = != < <= > >= + - * /.
 type Binary struct {
@@ -71,9 +52,7 @@ type Binary struct {
 	L, R Expr
 }
 
-func (b *Binary) String() string {
-	return fmt.Sprintf("(%s %s %s)", b.L, b.Op, b.R)
-}
+func (b *Binary) String() string { return text((*printer).expr, Expr(b)) }
 
 // Unary is NOT x or -x.
 type Unary struct {
@@ -81,12 +60,7 @@ type Unary struct {
 	X  Expr
 }
 
-func (u *Unary) String() string {
-	if u.Op == "NOT" {
-		return fmt.Sprintf("(NOT %s)", u.X)
-	}
-	return fmt.Sprintf("(%s%s)", u.Op, u.X)
-}
+func (u *Unary) String() string { return text((*printer).expr, Expr(u)) }
 
 // InList is x IN (v1, v2, ...) or x NOT IN (...).
 type InList struct {
@@ -95,26 +69,7 @@ type InList struct {
 	Neg  bool
 }
 
-func (i *InList) String() string {
-	parts := make([]string, len(i.Vals))
-	for k, v := range i.Vals {
-		parts[k] = v.String()
-	}
-	op := "IN"
-	if i.Neg {
-		op = "NOT IN"
-	}
-	return fmt.Sprintf("(%s %s (%s))", i.X, op, strings.Join(parts, ", "))
-}
-
-// L1Dist is the L1(PRE(A), POST(A)) distance operator of the LIMIT clause.
-type L1Dist struct {
-	Attr string
-}
-
-func (l *L1Dist) String() string {
-	return fmt.Sprintf("L1(PRE(%s), POST(%s))", l.Attr, l.Attr)
-}
+func (i *InList) String() string { return text((*printer).expr, Expr(i)) }
 
 // AggFunc names an aggregate.
 type AggFunc string
@@ -138,12 +93,7 @@ type Aggregate struct {
 	Expr Expr // nil means *
 }
 
-func (a *Aggregate) String() string {
-	if a.Expr == nil {
-		return string(a.Func) + "(*)"
-	}
-	return fmt.Sprintf("%s(%s)", a.Func, a.Expr)
-}
+func (a *Aggregate) String() string { return text((*printer).expr, Expr(a)) }
 
 // SelectItem is one projection of the USE sub-select.
 type SelectItem struct {
@@ -151,12 +101,7 @@ type SelectItem struct {
 	Alias string
 }
 
-func (s SelectItem) String() string {
-	if s.Alias != "" {
-		return fmt.Sprintf("%s AS %s", s.Expr, s.Alias)
-	}
-	return s.Expr.String()
-}
+func (s SelectItem) String() string { return text((*printer).item, s) }
 
 // TableRef is FROM table [AS alias].
 type TableRef struct {
@@ -164,12 +109,7 @@ type TableRef struct {
 	Alias string
 }
 
-func (t TableRef) String() string {
-	if t.Alias != "" {
-		return t.Name + " AS " + t.Alias
-	}
-	return t.Name
-}
+func (t TableRef) String() string { return text((*printer).table, t) }
 
 // SelectStmt is the SQL query allowed inside USE: select with optional
 // joins (via WHERE equality), filtering, and group-by with aggregates.
@@ -180,37 +120,7 @@ type SelectStmt struct {
 	GroupBy []*ColRef
 }
 
-func (s *SelectStmt) String() string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
-	for i, it := range s.Items {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(it.String())
-	}
-	b.WriteString(" FROM ")
-	for i, t := range s.From {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(t.String())
-	}
-	if s.Where != nil {
-		b.WriteString(" WHERE ")
-		b.WriteString(s.Where.String())
-	}
-	if len(s.GroupBy) > 0 {
-		b.WriteString(" GROUP BY ")
-		for i, g := range s.GroupBy {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(g.String())
-		}
-	}
-	return b.String()
-}
+func (s *SelectStmt) String() string { return text((*printer).selectStmt, s) }
 
 // UseClause is either a bare table name or a sub-select defining the
 // relevant view.
@@ -219,12 +129,7 @@ type UseClause struct {
 	Select *SelectStmt // non-nil for USE ( SELECT ... )
 }
 
-func (u *UseClause) String() string {
-	if u.Select != nil {
-		return "USE (" + u.Select.String() + ")"
-	}
-	return "USE " + u.Table
-}
+func (u *UseClause) String() string { return text((*printer).use, u) }
 
 // UpdateForm classifies the hypothetical update function f of Definition 2.
 type UpdateForm int
@@ -254,17 +159,7 @@ type UpdateSpec struct {
 	Const relation.Value
 }
 
-func (u UpdateSpec) String() string {
-	switch u.Form {
-	case UpdateScale:
-		return fmt.Sprintf("UPDATE(%s) = %s * PRE(%s)", u.Attr, u.Const, u.Attr)
-	case UpdateShift:
-		return fmt.Sprintf("UPDATE(%s) = %s + PRE(%s)", u.Attr, u.Const, u.Attr)
-	default:
-		lit := &Literal{Val: u.Const}
-		return fmt.Sprintf("UPDATE(%s) = %s", u.Attr, lit)
-	}
-}
+func (u UpdateSpec) String() string { return text((*printer).update, u) }
 
 // Apply computes f(v) for the update.
 func (u UpdateSpec) Apply(v relation.Value) relation.Value {
@@ -287,29 +182,7 @@ type WhatIf struct {
 	For     Expr // nil means all tuples
 }
 
-func (q *WhatIf) String() string {
-	var b strings.Builder
-	b.WriteString(q.Use.String())
-	if q.When != nil {
-		b.WriteString(" WHEN ")
-		b.WriteString(q.When.String())
-	}
-	for i, u := range q.Updates {
-		if i == 0 {
-			b.WriteString(" ")
-		} else {
-			b.WriteString(" AND ")
-		}
-		b.WriteString(u.String())
-	}
-	b.WriteString(" OUTPUT ")
-	b.WriteString(q.Output.String())
-	if q.For != nil {
-		b.WriteString(" FOR ")
-		b.WriteString(q.For.String())
-	}
-	return b.String()
-}
+func (q *WhatIf) String() string { return text((*printer).query, Query(q)) }
 
 // LimitKind classifies one LIMIT constraint.
 type LimitKind int
@@ -332,29 +205,7 @@ type LimitSpec struct {
 	K      int              // for Budget
 }
 
-func (l LimitSpec) String() string {
-	switch l.Kind {
-	case LimitL1:
-		return fmt.Sprintf("L1(PRE(%s), POST(%s)) <= %g", l.Attr, l.Attr, l.Theta)
-	case LimitIn:
-		parts := make([]string, len(l.Vals))
-		for i, v := range l.Vals {
-			parts[i] = (&Literal{Val: v}).String()
-		}
-		return fmt.Sprintf("POST(%s) IN (%s)", l.Attr, strings.Join(parts, ", "))
-	case LimitBudget:
-		return fmt.Sprintf("UPDATES <= %d", l.K)
-	default:
-		switch {
-		case l.Lo.IsNull():
-			return fmt.Sprintf("POST(%s) <= %s", l.Attr, l.Hi)
-		case l.Hi.IsNull():
-			return fmt.Sprintf("%s <= POST(%s)", l.Lo, l.Attr)
-		default:
-			return fmt.Sprintf("%s <= POST(%s) <= %s", l.Lo, l.Attr, l.Hi)
-		}
-	}
-}
+func (l LimitSpec) String() string { return text((*printer).limit, l) }
 
 // HowTo is a parsed how-to query (Section 4.1).
 type HowTo struct {
@@ -367,36 +218,7 @@ type HowTo struct {
 	For      Expr
 }
 
-func (q *HowTo) String() string {
-	var b strings.Builder
-	b.WriteString(q.Use.String())
-	if q.When != nil {
-		b.WriteString(" WHEN ")
-		b.WriteString(q.When.String())
-	}
-	b.WriteString(" HOWTOUPDATE ")
-	b.WriteString(strings.Join(q.Attrs, ", "))
-	if len(q.Limits) > 0 {
-		b.WriteString(" LIMIT ")
-		for i, l := range q.Limits {
-			if i > 0 {
-				b.WriteString(" AND ")
-			}
-			b.WriteString(l.String())
-		}
-	}
-	if q.Maximize {
-		b.WriteString(" TOMAXIMIZE ")
-	} else {
-		b.WriteString(" TOMINIMIZE ")
-	}
-	b.WriteString(q.Obj.String())
-	if q.For != nil {
-		b.WriteString(" FOR ")
-		b.WriteString(q.For.String())
-	}
-	return b.String()
-}
+func (q *HowTo) String() string { return text((*printer).query, Query(q)) }
 
 // Query is either a *WhatIf or a *HowTo.
 type Query interface {

@@ -3,13 +3,75 @@ package hyperql
 import (
 	"strings"
 	"testing"
+
+	"hyper/internal/relation"
 )
+
+// otherValue returns a different constant of v's kind (NULL has only one).
+func otherValue(v relation.Value) relation.Value {
+	switch v.Kind() {
+	case relation.KindInt:
+		return relation.Int(v.AsInt() ^ 0x5a5)
+	case relation.KindFloat:
+		return relation.Float(-3*v.AsFloat() + 0.5)
+	case relation.KindString:
+		return relation.String(v.AsString() + "'x")
+	case relation.KindBool:
+		return relation.Bool(!v.AsBool())
+	}
+	return v
+}
+
+// rewriteLiterals replaces every constant of q in place with another value of
+// the same kind: each Literal node (USE sub-select included), update constant
+// and LIMIT bound, threshold, list value and budget. An absent range bound
+// stays absent, since which bounds exist is structure.
+func rewriteLiterals(q Query) {
+	lits := func(e Expr) {
+		Walk(e, func(x Expr) bool {
+			if l, ok := x.(*Literal); ok {
+				l.Val = otherValue(l.Val)
+			}
+			return true
+		})
+	}
+	var use *UseClause
+	switch x := q.(type) {
+	case *WhatIf:
+		use = x.Use
+		lits(x.When)
+		lits(x.Output)
+		lits(x.For)
+		for i := range x.Updates {
+			x.Updates[i].Const = otherValue(x.Updates[i].Const)
+		}
+	case *HowTo:
+		use = x.Use
+		lits(x.When)
+		lits(x.Obj)
+		lits(x.For)
+		for i := range x.Limits {
+			l := &x.Limits[i]
+			l.Lo, l.Hi, l.Theta, l.K = otherValue(l.Lo), otherValue(l.Hi), l.Theta+1, l.K+1
+			for j := range l.Vals {
+				l.Vals[j] = otherValue(l.Vals[j])
+			}
+		}
+	}
+	if s := use.Select; s != nil {
+		for _, it := range s.Items {
+			lits(it.Expr)
+		}
+		lits(s.Where)
+	}
+}
 
 // FuzzParse drives arbitrary input through the parser and checks the
 // canonicalization contract on everything that parses: String() must be a
-// fixpoint (re-parsing the canonical form reproduces it exactly), and the
-// shape fingerprint — the plan-cache key — must be stable across the
-// round-trip. CI runs this as a 30s smoke in the fuzz job; locally:
+// fixpoint (re-parsing the canonical form reproduces it exactly), the shape
+// fingerprint — the plan-cache key — must be stable across the round-trip,
+// and rewriting every constant to another of its kind must leave Shape and
+// Fingerprint unchanged. CI runs this as a 30s smoke in the fuzz job; locally:
 //
 //	go test -fuzz=FuzzParse -fuzztime=30s ./internal/hyperql
 func FuzzParse(f *testing.F) {
@@ -25,6 +87,8 @@ func FuzzParse(f *testing.F) {
 		"USE German HOWTOUPDATE Status, Savings LIMIT UPDATES <= 1 TOMAXIMIZE COUNT(Credit = 1)",
 		"USE German WHEN Age != 3 HOWTOUPDATE Housing TOMAXIMIZE AVG(POST(Credit))",
 		"USE German UPDATE(CreditAmount) = -2.5 OUTPUT COUNT(Credit = 1) FOR PRE(Age) IN (0, 1, 2)",
+		"USE T HOWTOUPDATE A, B LIMIT 1 <= POST(A) <= 9.5 AND POST(B) >= -2 AND L1(PRE(A), POST(A)) <= 4 AND POST(B) IN ('x', TRUE, NULL) AND UPDATES <= 1 TOMINIMIZE SUM(POST(Y) * 2)",
+		"USE (SELECT K, SUM(V * 2) AS S FROM T AS U WHERE V > 'a''b' GROUP BY K) WHEN NOT K IN (1.5e3, -2) UPDATE(K) = 'z' OUTPUT AVG(S) FOR -PRE(K) < 0",
 		"", "USE", "USE German", "WHEN OUTPUT", "USE German UPDATE() = OUTPUT",
 	}
 	for _, s := range seeds {
@@ -48,6 +112,14 @@ func FuzzParse(f *testing.F) {
 		}
 		if len(strings.TrimSpace(canonical)) == 0 {
 			t.Fatalf("parsed query %q canonicalizes to whitespace", src)
+		}
+		shape, fp := Shape(q), Fingerprint("fuzz", q)
+		rewriteLiterals(q)
+		if s := Shape(q); s != shape {
+			t.Fatalf("shape depends on constants:\n input %q\n before %q\n after  %q", src, shape, s)
+		}
+		if f := Fingerprint("fuzz", q); f != fp {
+			t.Fatalf("fingerprint depends on constants: %s vs %s for %q", fp, f, canonical)
 		}
 	})
 }

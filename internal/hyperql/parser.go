@@ -10,9 +10,10 @@ import (
 
 // Parser is a recursive-descent parser over the token stream.
 type Parser struct {
-	toks []Token
-	pos  int
-	src  string
+	toks   []Token
+	pos    int
+	src    string
+	inWhen bool // parsing WHEN, which reads pre-update values only
 }
 
 // Parse parses a full HypeR query (what-if or how-to).
@@ -148,7 +149,9 @@ func (p *Parser) parseQuery() (Query, error) {
 	}
 	var when Expr
 	if p.acceptKeyword("WHEN") {
+		p.inWhen = true
 		when, err = p.parseExpr()
+		p.inWhen = false
 		if err != nil {
 			return nil, err
 		}
@@ -312,7 +315,11 @@ func (p *Parser) parseColRef() (*ColRef, error) {
 	time := TimeDefault
 	if p.acceptKeyword("PRE") {
 		time = TimePre
-	} else if p.acceptKeyword("POST") {
+	} else if p.isKeyword("POST") {
+		if p.inWhen {
+			return nil, p.errorf("POST() is not allowed in WHEN, which selects tuples by their pre-update values")
+		}
+		p.pos++
 		time = TimePost
 	}
 	if time != TimeDefault {
@@ -357,6 +364,9 @@ func (p *Parser) parseBareColRef() (*ColRef, error) {
 //	mul     := unary { (*|/) unary }
 //	unary   := - unary | primary
 //	primary := literal | colref | PRE(colref) | POST(colref) | AGG(...) | ( expr )
+//
+// L1(PRE(A), POST(A)) is a LIMIT constraint only (parseLimitSpec), and WHEN
+// selects tuples by their pre-update values, so POST() there is an error.
 func (p *Parser) parseExpr() (Expr, error) { return p.parseOr() }
 
 func (p *Parser) parseOr() (Expr, error) {
@@ -569,7 +579,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			ag, _, err := p.tryParseAggregate()
 			return ag, err
 		case "L1":
-			return p.parseL1()
+			return nil, p.errorf("L1(PRE(A), POST(A)) is allowed only as a LIMIT constraint")
 		}
 		return nil, p.errorf("unexpected keyword %q in expression", t.Text)
 	case TokIdent:
@@ -590,32 +600,32 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	return nil, p.errorf("unexpected token %q in expression", t.String())
 }
 
-// parseL1 parses L1(PRE(A), POST(A)).
-func (p *Parser) parseL1() (Expr, error) {
+// parseL1 parses L1(PRE(A), POST(A)) and returns A.
+func (p *Parser) parseL1() (string, error) {
 	if err := p.expectKeyword("L1"); err != nil {
-		return nil, err
+		return "", err
 	}
 	if err := p.expectOp("("); err != nil {
-		return nil, err
+		return "", err
 	}
 	a, err := p.parseColRef()
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	if err := p.expectOp(","); err != nil {
-		return nil, err
+		return "", err
 	}
 	b, err := p.parseColRef()
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	if err := p.expectOp(")"); err != nil {
-		return nil, err
+		return "", err
 	}
 	if a.Name != b.Name {
-		return nil, p.errorf("L1 operands must name the same attribute, got %s and %s", a.Name, b.Name)
+		return "", p.errorf("L1 operands must name the same attribute, got %s and %s", a.Name, b.Name)
 	}
-	return &L1Dist{Attr: a.Name}, nil
+	return a.Name, nil
 }
 
 // parseWhatIfTail parses UPDATE...OUTPUT...FOR after USE/WHEN.
@@ -777,11 +787,10 @@ func (p *Parser) parseHowToTail(use *UseClause, when Expr) (*HowTo, error) {
 func (p *Parser) parseLimitSpec() (*LimitSpec, error) {
 	// L1(PRE(A), POST(A)) <= theta
 	if p.isKeyword("L1") {
-		l1e, err := p.parseL1()
+		attr, err := p.parseL1()
 		if err != nil {
 			return nil, err
 		}
-		l1 := l1e.(*L1Dist)
 		if !p.acceptOp("<=") && !p.acceptOp("<") {
 			return nil, p.errorf("L1 constraint requires <= bound")
 		}
@@ -789,7 +798,7 @@ func (p *Parser) parseLimitSpec() (*LimitSpec, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &LimitSpec{Kind: LimitL1, Attr: l1.Attr, Theta: v.AsFloat()}, nil
+		return &LimitSpec{Kind: LimitL1, Attr: attr, Theta: v.AsFloat()}, nil
 	}
 	// UPDATES <= k
 	if p.acceptKeyword("UPDATES") {

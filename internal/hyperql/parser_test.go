@@ -224,6 +224,41 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseL1AndPostPlacement pins where the grammar admits L1() and POST():
+// L1 is a LIMIT constraint only, and WHEN selects on pre-update values, so
+// POST() there is an error. Both errors name the construct, for what-if and
+// how-to queries alike.
+func TestParseL1AndPostPlacement(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{`USE T UPDATE(S) = 3 OUTPUT COUNT(C = 1) FOR L1(PRE(S), POST(S)) >= 1`, "L1(PRE(A), POST(A)) is allowed only as a LIMIT constraint"},
+		{`USE T UPDATE(S) = 3 OUTPUT COUNT(L1(PRE(S), POST(S)) >= 1)`, "L1(PRE(A), POST(A)) is allowed only as a LIMIT constraint"},
+		{`USE T WHEN L1(PRE(S), POST(S)) < 1 UPDATE(S) = 3 OUTPUT COUNT(*)`, "L1(PRE(A), POST(A)) is allowed only as a LIMIT constraint"},
+		{`USE T HOWTOUPDATE S TOMAXIMIZE AVG(POST(Y)) FOR L1(PRE(S), POST(S)) <= 2`, "L1(PRE(A), POST(A)) is allowed only as a LIMIT constraint"},
+		{`USE T WHEN POST(S) = 3 UPDATE(S) = 3 OUTPUT COUNT(C = 1)`, "POST() is not allowed in WHEN"},
+		{`USE T WHEN A = 1 AND NOT POST(T.S) IN (1, 2) UPDATE(S) = 3 OUTPUT COUNT(*)`, "POST() is not allowed in WHEN"},
+		{`USE T WHEN POST(S) = 3 HOWTOUPDATE S TOMAXIMIZE AVG(POST(Y))`, "POST() is not allowed in WHEN"},
+	}
+	for _, c := range cases {
+		_, err := Parse(c.src)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Parse(%q) = %v, want an error containing %q", c.src, err, c.want)
+		}
+	}
+	if _, err := ParseExpr(`L1(PRE(S), POST(S)) >= 1`); err == nil {
+		t.Error("ParseExpr accepted L1 outside LIMIT")
+	}
+	// The same constructs stay legal where they belong: L1 in LIMIT, POST()
+	// in FOR, OUTPUT and the objective, PRE() in WHEN.
+	for _, src := range []string{
+		`USE T WHEN PRE(S) = 1 HOWTOUPDATE S LIMIT L1(PRE(S), POST(S)) <= 2 TOMAXIMIZE AVG(POST(Y)) FOR POST(S) > 0`,
+		`USE T WHEN PRE(S) = 1 UPDATE(S) = 3 OUTPUT COUNT(POST(C) = 1) FOR POST(S) = 3 AND PRE(S) < 3`,
+	} {
+		if _, err := Parse(src); err != nil {
+			t.Errorf("Parse(%q): %v", src, err)
+		}
+	}
+}
+
 func TestParseExprPrecedence(t *testing.T) {
 	e, err := ParseExpr(`a + b * c = d OR NOT e AND f < 2`)
 	if err != nil {

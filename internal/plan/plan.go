@@ -183,11 +183,6 @@ func validate(e hyperql.Expr, rel *relation.Relation) error {
 			}
 		}
 		return nil
-	case *hyperql.L1Dist:
-		if !rel.Schema().Has(x.Attr) {
-			return fmt.Errorf("unknown column %q", x.Attr)
-		}
-		return nil
 	default:
 		return fmt.Errorf("unsupported expression %T", e)
 	}

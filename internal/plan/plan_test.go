@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -450,5 +451,48 @@ func TestConcurrentPlanners(t *testing.T) {
 	}
 	if st.Compiles == 0 || st.Hits == 0 {
 		t.Errorf("stats = %+v, want both compiles and hits under contention", st)
+	}
+}
+
+// BenchmarkApply times the WHEN stage alone — a compiled plan's Apply over a
+// 20,000-row relation — for three pushed conjunct kinds and the row-loop
+// residual: equality and a range on a 4-value column, a range on a column of
+// 20,000 distinct floats, and the two-column residual A + B >= 3.
+//
+//	go test -run '^$' -bench BenchmarkApply -benchtime 200x ./internal/plan
+func BenchmarkApply(b *testing.B) {
+	const n = 20000
+	rel := relation.NewRelation("T", relation.MustSchema(
+		relation.Column{Name: "A", Mutable: true},
+		relation.Column{Name: "B", Mutable: true},
+		relation.Column{Name: "F", Mutable: true},
+	))
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < n; i++ {
+		rel.MustInsert(relation.Int(int64(i%4)), relation.Int(int64(i/4%4)), relation.Float(rng.Float64()))
+	}
+	inS := make([]bool, n)
+	for _, c := range []struct {
+		name, when string
+		pushed     int
+	}{
+		{"eq/4-values", "A = 2", 1},
+		{"range/4-values", "A >= 2", 1},
+		{"range/20000-distinct", "F < 0.5", 1},
+		{"residual/A+B", "A + B >= 3", 0},
+	} {
+		when, err := hyperql.ParseExpr(c.when)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p := Compile(rel, when)
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				pushed, err := p.Apply(when, rel, inS)
+				if err != nil || pushed != c.pushed {
+					b.Fatalf("Apply = %d, %v; want %d pushed", pushed, err, c.pushed)
+				}
+			}
+		})
 	}
 }

@@ -69,20 +69,6 @@ func Eval(e hyperql.Expr, env Env) (relation.Value, error) {
 			}
 		}
 		return relation.Bool(found != x.Neg), nil
-	case *hyperql.L1Dist:
-		pre, err := env.Lookup("", x.Attr, hyperql.TimePre)
-		if err != nil {
-			return relation.Null, err
-		}
-		post, err := env.Lookup("", x.Attr, hyperql.TimePost)
-		if err != nil {
-			return relation.Null, err
-		}
-		d := post.AsFloat() - pre.AsFloat()
-		if d < 0 {
-			d = -d
-		}
-		return relation.Float(d), nil
 	case *hyperql.Aggregate:
 		return relation.Null, fmt.Errorf("sqlmini: aggregate %s not allowed in scalar context", x)
 	default:
