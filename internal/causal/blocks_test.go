@@ -42,21 +42,55 @@ func productModel() *Model {
 	return m
 }
 
-func TestDecomposeFKOnly(t *testing.T) {
-	db := twoTableDB(t)
-	dec, err := Decompose(db, productModel())
+// blocksOf runs RowBlocks and groups its ids into blocks: blocks[b][rel]
+// lists block b's rows of rel in ascending order. It fails the test unless
+// every relation has one id per row, every id lies in [0, n), every block
+// holds a tuple and the ids are numbered by each block's smallest (relation,
+// row) member in db.Names() order.
+func blocksOf(t *testing.T, db *relation.Database, m *Model) []map[string][]int {
+	t.Helper()
+	ids, n, err := RowBlocks(db, m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	blocks := make([]map[string][]int, n)
+	next := 0
+	for _, rel := range db.Names() {
+		if len(ids[rel]) != db.Relation(rel).Len() {
+			t.Fatalf("%s: %d block ids for %d rows", rel, len(ids[rel]), db.Relation(rel).Len())
+		}
+		for row, b := range ids[rel] {
+			if b < 0 || b >= n {
+				t.Fatalf("%s row %d: block %d outside [0, %d)", rel, row, b, n)
+			}
+			if blocks[b] == nil {
+				if b != next {
+					t.Fatalf("%s row %d opens block %d, want %d (smallest-member order)", rel, row, b, next)
+				}
+				next++
+				blocks[b] = map[string][]int{}
+			}
+			blocks[b][rel] = append(blocks[b][rel], row)
+		}
+	}
+	if next != n {
+		t.Fatalf("%d of %d blocks hold a tuple", next, n)
+	}
+	return blocks
+}
+
+func TestDecomposeFKOnly(t *testing.T) {
+	db := twoTableDB(t)
+	blocks := blocksOf(t, db, productModel())
 	// Products 1..4 each form their own block; reviews join their product:
 	// blocks {p1,r1}, {p2}, {p3,r2,r3}, {p4}.
-	if dec.NumBlocks() != 4 {
-		t.Fatalf("blocks = %d, want 4", dec.NumBlocks())
+	if len(blocks) != 4 {
+		t.Fatalf("blocks = %d, want 4", len(blocks))
 	}
 	sizes := map[int]int{}
-	for _, b := range dec.Blocks {
+	for _, b := range blocks {
 		n := 0
-		for _, rows := range b.Rows {
+		for _, rows := range b {
 			n += len(rows)
 		}
 		sizes[n]++
@@ -70,13 +104,10 @@ func TestDecomposeWithCrossEdges(t *testing.T) {
 	db := twoTableDB(t)
 	m := productModel()
 	m.AddCross(CrossEdge{FromRel: "Product", FromAttr: "Price", ToRel: "Product", ToAttr: "Price", GroupBy: "Product.Category"})
-	dec, err := Decompose(db, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blocks := blocksOf(t, db, m)
 	// Category A merges products 1 and 2: blocks {p1,p2,r1}, {p3,r2,r3}, {p4}.
-	if dec.NumBlocks() != 3 {
-		t.Fatalf("blocks = %d, want 3", dec.NumBlocks())
+	if len(blocks) != 3 {
+		t.Fatalf("blocks = %d, want 3", len(blocks))
 	}
 }
 
@@ -84,14 +115,10 @@ func TestDecomposeIsPartition(t *testing.T) {
 	db := twoTableDB(t)
 	m := productModel()
 	m.AddCross(CrossEdge{FromRel: "Product", FromAttr: "Price", ToRel: "Product", ToAttr: "Price", GroupBy: "Product.Category"})
-	dec, err := Decompose(db, m)
-	if err != nil {
-		t.Fatal(err)
-	}
 	seen := map[string]bool{}
 	total := 0
-	for _, b := range dec.Blocks {
-		for rel, rows := range b.Rows {
+	for _, b := range blocksOf(t, db, m) {
+		for rel, rows := range b {
 			for _, r := range rows {
 				key := rel + ":" + string(rune('0'+r))
 				if seen[key] {
@@ -139,17 +166,14 @@ func TestBlocksMatchGroundGraph(t *testing.T) {
 	db := twoTableDB(t)
 	m := productModel()
 	m.AddCross(CrossEdge{FromRel: "Product", FromAttr: "Price", ToRel: "Product", ToAttr: "Price", GroupBy: "Product.Category"})
-	dec, err := Decompose(db, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blocks := blocksOf(t, db, m)
 	g, err := GroundGraph(db, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	blockOf := map[string]int{}
-	for bi, b := range dec.Blocks {
-		for rel, rows := range b.Rows {
+	for bi, b := range blocks {
+		for rel, rows := range b {
 			for _, r := range rows {
 				blockOf[keyOf(rel, r)] = bi
 			}

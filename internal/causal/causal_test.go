@@ -277,10 +277,13 @@ func TestUnionFind(t *testing.T) {
 	if uf.Union(0, 2) {
 		t.Error("re-union should report no merge")
 	}
-	groups := uf.Groups()
+	groups := map[int]int{} // representative -> set size
+	for i := 0; i < 10; i++ {
+		groups[uf.Find(i)]++
+	}
 	sizes := []int{}
-	for _, m := range groups {
-		sizes = append(sizes, len(m))
+	for _, n := range groups {
+		sizes = append(sizes, n)
 	}
 	sort.Ints(sizes)
 	if !reflect.DeepEqual(sizes, []int{1, 1, 1, 1, 1, 1, 1, 3}) {

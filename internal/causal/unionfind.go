@@ -49,14 +49,3 @@ func (u *UnionFind) Same(a, b int) bool { return u.Find(a) == u.Find(b) }
 
 // Sets returns the current number of disjoint sets.
 func (u *UnionFind) Sets() int { return u.sets }
-
-// Groups returns the members of each set, keyed by representative, with
-// members in ascending order.
-func (u *UnionFind) Groups() map[int][]int {
-	g := make(map[int][]int)
-	for i := range u.parent {
-		r := u.Find(i)
-		g[r] = append(g[r], i)
-	}
-	return g
-}

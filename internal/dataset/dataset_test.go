@@ -143,12 +143,12 @@ func TestStudentSynStructure(t *testing.T) {
 		t.Error("FK missing")
 	}
 	// Block decomposition: every student + their participations is a block.
-	dec, err := causal.Decompose(st.DB, st.Model)
+	_, blocks, err := causal.RowBlocks(st.DB, st.Model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.NumBlocks() != 500 {
-		t.Errorf("blocks = %d, want 500", dec.NumBlocks())
+	if blocks != 500 {
+		t.Errorf("blocks = %d, want 500", blocks)
 	}
 }
 
@@ -301,11 +301,11 @@ func TestToyMatchesFigure1(t *testing.T) {
 		t.Error("Asus laptop at 529 missing")
 	}
 	// Example 7: decomposition into laptops(+reviews), camera(+review), books.
-	dec, err := causal.Decompose(db, model)
+	_, blocks, err := causal.RowBlocks(db, model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.NumBlocks() != 3 {
-		t.Errorf("toy blocks = %d, want 3 (Example 7)", dec.NumBlocks())
+	if blocks != 3 {
+		t.Errorf("toy blocks = %d, want 3 (Example 7)", blocks)
 	}
 }

@@ -516,7 +516,7 @@ func (c *Coordinator) postWorker(ctx context.Context, run *queryRun, w *remoteWo
 				// Charge the bytes of the one request the worker accepted —
 				// the exact Content-Length the worker metered on its side, so
 				// a retry-free query reconciles shipped == received.
-				obs.MeterFromContext(ctx).AddDistBytesShipped(len(body))
+				obs.MeterFromContext(ctx).Charge(obs.MeterJSON{DistBytesShipped: uint64(len(body))})
 				return nil
 			case status == http.StatusNotFound && errCode(raw) == codeFrameMissing:
 				// Not a failed attempt: the next turn of the loop re-ships.
@@ -659,7 +659,7 @@ func (c *Coordinator) shipFrame(ctx context.Context, w *remoteWorker, frame *Fra
 	if status != http.StatusOK {
 		return fmt.Errorf("dist: shipping frame to %s: %s", w.id, errMessage(raw, status))
 	}
-	obs.MeterFromContext(ctx).AddFrameBytes(len(body))
+	obs.MeterFromContext(ctx).Charge(obs.MeterJSON{FrameBytesShipped: uint64(len(body))})
 	c.framesShipped.Inc()
 	c.logf("dist: shipped frame %.12s to worker %s (%d bytes)", id, w.id, len(body))
 	return nil
@@ -821,7 +821,7 @@ func (c *Coordinator) scatter(ctx context.Context, op *evalOp) error {
 					if serr := shapeError(resp, chunk); serr != nil {
 						err = fmt.Errorf("dist: worker %s eval shape mismatch (%v)", w.id, serr)
 					} else {
-						meter.AddRemoteShards(len(chunk))
+						meter.Charge(obs.MeterJSON{RemoteShards: uint64(len(chunk))})
 						op.usedRemote[w.id] = true
 						err = op.take(w.id, &resp.PartialResult)
 					}

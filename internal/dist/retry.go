@@ -193,7 +193,7 @@ func (c *Coordinator) retry(ctx context.Context, run *queryRun, fn func(context.
 		c.retries.Inc()
 		// A retried RPC breaks the exact shipped==received accounting for
 		// this query; charging the meter waives its reconciliation invariant.
-		obs.MeterFromContext(ctx).AddRetries(1)
+		obs.MeterFromContext(ctx).Charge(obs.MeterJSON{Retries: 1})
 		wait := c.jitteredBackoff(pol, attempt)
 		c.logf("dist: retrying after %v (attempt %d/%d): %v", wait, attempt, pol.MaxAttempts, err)
 		select {

@@ -344,7 +344,7 @@ func (w *Worker) handleEval(rw http.ResponseWriter, r *http.Request) {
 	opts.Cache = f.cache
 	ctx, finish := w.traceRequest(r, "eval")
 	meter := obs.NewMeter()
-	meter.AddDistBytesReceived(int(r.ContentLength))
+	meter.Charge(obs.MeterJSON{DistBytesReceived: uint64(max(r.ContentLength, 0))}) // ContentLength is -1 when unknown
 	res, err := engine.EvaluatePartialContext(obs.ContextWithMeter(ctx, meter), f.db, f.model, q, opts, req.Shards)
 	if err != nil {
 		writeError(rw, http.StatusBadRequest, "", "%v", err)

@@ -166,7 +166,7 @@ func (s *estimatorSet) model(ctx context.Context, key string, workers int, weigh
 		}
 		// Charged only from the single-flight training path (like the fit span),
 		// so the meter's fits_trained equals trainedModels() at any fan-out.
-		obs.MeterFromContext(ctx).AddFitTrained()
+		obs.MeterFromContext(ctx).Charge(obs.MeterJSON{FitsTrained: 1})
 		return m, nil
 	})
 	return m, err

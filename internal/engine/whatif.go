@@ -316,7 +316,7 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 			// Set-level hits are the fan-out-independent "served from cache"
 			// signal; per-model hits inside the tuple loop are worker-local
 			// memo traffic and deliberately not charged.
-			meter.AddFitCached()
+			meter.Charge(obs.MeterJSON{FitsCached: 1})
 		}
 		return est, err
 	}
@@ -438,10 +438,8 @@ func (p *evalPrep) evalShards(ctx context.Context, ids []int) ([]ShardPartial, e
 	// Charge the meter with fan-out-independent totals: the plan, the shards
 	// actually executed here, and the rows they cover. The golden tests pin
 	// these against Result.ShardPlan/ViewRows at any worker count.
-	meter := obs.MeterFromContext(ctx)
-	meter.SetPlanShards(k)
-	meter.AddShards(len(ids))
-	meter.AddTuples(total)
+	obs.MeterFromContext(ctx).Charge(obs.MeterJSON{
+		PlanShards: uint64(k), ShardsRun: uint64(len(ids)), TuplesEvaluated: uint64(total)})
 	// The class partition covers the whole view whichever shards run here:
 	// lazy fits label every training row. It belongs to this evaluation alone
 	// and is garbage once the request returns.

@@ -197,9 +197,8 @@ func BruteForce(ctx context.Context, db *relation.Database, model *causal.Model,
 	if err != nil {
 		return nil, err
 	}
-	meter := obs.MeterFromContext(ctx)
-	meter.AddCandidates(res.Candidates)
-	meter.AddWhatIfEvals(res.WhatIfEvals)
+	obs.MeterFromContext(ctx).Charge(obs.MeterJSON{
+		HowToCandidates: uint64(res.Candidates), WhatIfEvals: uint64(res.WhatIfEvals)})
 	res.Base = base
 	res.Total = time.Since(start)
 	return res, nil

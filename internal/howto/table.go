@@ -66,9 +66,8 @@ func newTable(ctx context.Context, db *relation.Database, model *causal.Model, q
 			t.deltas[oi][vi] = s.vals[oi] - t.bases[oi]
 		}
 	}
-	meter := obs.MeterFromContext(ctx)
-	meter.AddCandidates(len(t.vars))
-	meter.AddWhatIfEvals(t.whatIfEvals())
+	obs.MeterFromContext(ctx).Charge(obs.MeterJSON{
+		HowToCandidates: uint64(len(t.vars)), WhatIfEvals: uint64(t.whatIfEvals())})
 	return t, nil
 }
 

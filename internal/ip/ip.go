@@ -207,7 +207,7 @@ func (m *Model) SolveContext(ctx context.Context) (*Solution, error) {
 		return nil, err
 	}
 	sp.Set("nodes", nodes)
-	obs.MeterFromContext(ctx).AddIPNodes(nodes)
+	obs.MeterFromContext(ctx).Charge(obs.MeterJSON{IPNodes: uint64(nodes)})
 	best.Nodes = nodes
 	if best.Status == lp.Infeasible {
 		return best, nil

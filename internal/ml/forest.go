@@ -1,9 +1,9 @@
 package ml
 
 import (
-	"runtime"
-	"sync"
+	"context"
 
+	"hyper/internal/shard"
 	"hyper/internal/stats"
 )
 
@@ -48,28 +48,13 @@ func FitForestFrame(fr *Frame, sel []int, y []float64, p ForestParams) *Forest {
 	for i := range rngs {
 		rngs[i] = root.Split()
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > p.NumTrees {
-		workers = p.NumTrees
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				rng := rngs[i]
-				rows := rng.Bootstrap(len(y))
-				f.trees[i] = FitTreeFrame(fr, sel, y, rows, p.Tree, rng)
-			}
-		}()
-	}
-	for i := 0; i < p.NumTrees; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	// One tree per shard, GOMAXPROCS wide. Never cancelled and no tree fit
+	// fails, so Run has no error to return.
+	_ = shard.Run(context.Background(), shard.Fixed(p.NumTrees, p.NumTrees), 0, func(_, i, _, _ int) error {
+		rng := rngs[i]
+		f.trees[i] = FitTreeFrame(fr, sel, y, rng.Bootstrap(len(y)), p.Tree, rng)
+		return nil
+	})
 	return f
 }
 

@@ -1,14 +1,14 @@
 package ml
 
 import (
+	"context"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"hyper/internal/relation"
+	"hyper/internal/shard"
 )
 
 // Frame is the columnar encoded view shared by every estimator of a query:
@@ -238,35 +238,14 @@ func (f *Frame) internRows(c int) columnCodes {
 // eachColumn runs fn once per column, fanned out over a pool bounded by the
 // frame's construction fan-out hint. fn must touch only its own column.
 func (f *Frame) eachColumn(fn func(c int)) {
-	w := f.workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+	if f.dim == 0 {
+		return // shard.Fixed would hand fn one empty shard, column 0
 	}
-	if w > f.dim {
-		w = f.dim
-	}
-	if w <= 1 {
-		for c := 0; c < f.dim; c++ {
-			fn(c)
-		}
-		return
-	}
-	var nextCol atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(nextCol.Add(1)) - 1
-				if c >= f.dim {
-					return
-				}
-				fn(c)
-			}
-		}()
-	}
-	wg.Wait()
+	// Never cancelled and fn never fails, so Run has no error to return.
+	_ = shard.Run(context.Background(), shard.Fixed(f.dim, f.dim), f.workers, func(_, c, _, _ int) error {
+		fn(c)
+		return nil
+	})
 }
 
 // rankStore is a frame's per-column order index, the substrate of the tree

@@ -369,6 +369,16 @@ func TestFrameRanksOnce(t *testing.T) {
 	}
 }
 
+// TestFrameZeroColumns: interning and ranking a frame without feature
+// columns run no per-column work (the column pool is handed no shard).
+func TestFrameZeroColumns(t *testing.T) {
+	fr := FrameOfColumns(nil, nil, 4)
+	fr.Intern()
+	if s := fr.rankStore(); fr.Dim() != 0 || len(fr.codes) != 0 || len(s.vals) != 0 || s.maxCard != 0 {
+		t.Errorf("zero-column frame: dim %d, %d code columns, %d rank columns", fr.Dim(), len(fr.codes), len(s.vals))
+	}
+}
+
 func identityRows(n int) []int {
 	rows := make([]int, n)
 	for i := range rows {

@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -16,6 +15,10 @@ import (
 // pointer check when metering is off, and a metered evaluation returns
 // bit-identical results to an unmetered one (the benchmark's traced run
 // reports its cost as obs.meter_overhead_pct, like tracing).
+//
+// The counters are declared once, as MeterJSON's fields: a charge site calls
+// Charge with a MeterJSON delta, which folds in through MeterJSON.Add. Adding
+// a counter is one field plus one line in Add.
 //
 // In dist mode each worker runs its request under a fresh Meter and returns
 // it in the eval/fit response; the coordinator Folds the child meters into
@@ -32,34 +35,7 @@ type Meter struct {
 	shape     string // normalized shape fingerprint (hyperql.Fingerprint)
 	shapeText string // normalized shape text (hyperql.Shape), for display
 	stages    map[string]time.Duration
-
-	tuples      atomic.Uint64
-	shards      atomic.Uint64
-	planShards  atomic.Uint64
-	fitsTrained atomic.Uint64
-	fitsCached  atomic.Uint64
-	ipNodes     atomic.Uint64
-	candidates  atomic.Uint64
-	whatifEvals atomic.Uint64
-
-	// MVCC append accounting: strided plan shards holding new rows vs.
-	// shards sealed by earlier versions.
-	appendShardsFit    atomic.Uint64
-	appendShardsReused atomic.Uint64
-
-	frameBytes        atomic.Uint64 // frame snapshot bytes shipped to workers
-	distBytesShipped  atomic.Uint64 // eval/fit request bytes posted to workers
-	distBytesReceived atomic.Uint64 // eval/fit request bytes a worker received
-	remoteShards      atomic.Uint64 // shards dispatched remotely (coordinator ledger)
-	retries           atomic.Uint64
-
-	// Folded worker-reported totals (see Fold).
-	workers         atomic.Uint64
-	workerShards    atomic.Uint64
-	workerTuples    atomic.Uint64
-	workerFits      atomic.Uint64
-	workerFitsCache atomic.Uint64
-	workerBytes     atomic.Uint64
+	cost      MeterJSON // the counters; its StagesMs stays nil (see stages)
 }
 
 // NewMeter returns an empty meter.
@@ -116,119 +92,18 @@ func (m *Meter) addStage(name string, d time.Duration) {
 	m.mu.Unlock()
 }
 
-func add(c *atomic.Uint64, n int) {
-	if n > 0 {
-		c.Add(uint64(n))
-	}
-}
-
-// AddTuples charges n evaluated tuples.
-func (m *Meter) AddTuples(n int) {
-	if m != nil {
-		add(&m.tuples, n)
-	}
-}
-
-// AddShards charges n executed plan shards.
-func (m *Meter) AddShards(n int) {
-	if m != nil {
-		add(&m.shards, n)
-	}
-}
-
-// SetPlanShards records the canonical plan size (kept as a max across
-// calls: a how-to evaluates many candidate what-ifs over the same plan).
-func (m *Meter) SetPlanShards(n int) {
-	if m == nil || n <= 0 {
+// Charge folds the delta d into the meter through MeterJSON.Add: PlanShards
+// keeps the max (a how-to evaluates many candidate what-ifs over one plan),
+// every other counter sums. d.StagesMs is ignored: stage time comes only
+// from Stage.End and Fold.
+func (m *Meter) Charge(d MeterJSON) {
+	if m == nil {
 		return
 	}
-	for {
-		old := m.planShards.Load()
-		if uint64(n) <= old || m.planShards.CompareAndSwap(old, uint64(n)) {
-			return
-		}
-	}
-}
-
-// AddFitTrained charges one single-flight estimator training.
-func (m *Meter) AddFitTrained() {
-	if m != nil {
-		m.fitsTrained.Add(1)
-	}
-}
-
-// AddFitCached charges one estimator cache hit.
-func (m *Meter) AddFitCached() {
-	if m != nil {
-		m.fitsCached.Add(1)
-	}
-}
-
-// AddAppendShards charges a session append's strided shard split: fitted
-// counts shards holding new rows, reused counts shards sealed before it.
-func (m *Meter) AddAppendShards(fitted, reused int) {
-	if m != nil {
-		add(&m.appendShardsFit, fitted)
-		add(&m.appendShardsReused, reused)
-	}
-}
-
-// AddIPNodes charges n branch-and-bound nodes.
-func (m *Meter) AddIPNodes(n int) {
-	if m != nil {
-		add(&m.ipNodes, n)
-	}
-}
-
-// AddCandidates charges n how-to candidates enumerated.
-func (m *Meter) AddCandidates(n int) {
-	if m != nil {
-		add(&m.candidates, n)
-	}
-}
-
-// AddWhatIfEvals charges n candidate what-if evaluations.
-func (m *Meter) AddWhatIfEvals(n int) {
-	if m != nil {
-		add(&m.whatifEvals, n)
-	}
-}
-
-// AddFrameBytes charges n frame snapshot bytes shipped to a worker.
-func (m *Meter) AddFrameBytes(n int) {
-	if m != nil {
-		add(&m.frameBytes, n)
-	}
-}
-
-// AddDistBytesShipped charges n request body bytes posted to a worker.
-func (m *Meter) AddDistBytesShipped(n int) {
-	if m != nil {
-		add(&m.distBytesShipped, n)
-	}
-}
-
-// AddDistBytesReceived charges n request body bytes received from a
-// coordinator (the worker-side mirror of AddDistBytesShipped).
-func (m *Meter) AddDistBytesReceived(n int) {
-	if m != nil {
-		add(&m.distBytesReceived, n)
-	}
-}
-
-// AddRemoteShards charges n shards dispatched to (and answered by) a remote
-// worker — the coordinator-side ledger of the reconciliation invariant.
-func (m *Meter) AddRemoteShards(n int) {
-	if m != nil {
-		add(&m.remoteShards, n)
-	}
-}
-
-// AddRetries charges n RPC retries.
-func (m *Meter) AddRetries(n int) {
-	if m != nil {
-		add(&m.retries, n)
-	}
+	d.StagesMs = nil
+	m.mu.Lock()
+	m.cost.Add(&d)
+	m.mu.Unlock()
 }
 
 // Fold merges a worker-reported meter into this query's vector, mirroring
@@ -239,12 +114,8 @@ func (m *Meter) Fold(mj *MeterJSON) {
 	if m == nil || mj == nil {
 		return
 	}
-	m.workers.Add(1)
-	add(&m.workerShards, int(mj.ShardsRun))
-	add(&m.workerTuples, int(mj.TuplesEvaluated))
-	add(&m.workerFits, int(mj.FitsTrained))
-	add(&m.workerFitsCache, int(mj.FitsCached))
-	add(&m.workerBytes, int(mj.DistBytesReceived))
+	m.Charge(MeterJSON{Workers: 1, WorkerShardsRun: mj.ShardsRun, WorkerTuples: mj.TuplesEvaluated,
+		WorkerFitsTrained: mj.FitsTrained, WorkerFitsCached: mj.FitsCached, WorkerBytes: mj.DistBytesReceived})
 	for name, ms := range mj.StagesMs {
 		m.addStage("worker_"+name, time.Duration(ms*float64(time.Millisecond)))
 	}
@@ -287,7 +158,7 @@ func (s Stage) End() time.Duration {
 	return d
 }
 
-// MeterJSON is the wire and aggregation form of a cost vector: what dist
+// MeterJSON is the cost vector: the counters a Meter accumulates, what dist
 // workers return in eval/fit responses, what the slow-query log and the
 // usage table carry, and what /v1/usage serves. Zero fields are omitted so
 // a local-only query renders compactly.
@@ -295,20 +166,20 @@ type MeterJSON struct {
 	StagesMs          map[string]float64 `json:"stages_ms,omitempty"`
 	TuplesEvaluated   uint64             `json:"tuples_evaluated,omitempty"`
 	ShardsRun         uint64             `json:"shards_run,omitempty"`
-	PlanShards        uint64             `json:"plan_shards,omitempty"`
+	PlanShards        uint64             `json:"plan_shards,omitempty"` // canonical plan size, kept as a max
 	FitsTrained       uint64             `json:"fits_trained,omitempty"`
 	FitsCached        uint64             `json:"fits_cached,omitempty"`
-	AppendShardsFit   uint64             `json:"append_shards_fitted,omitempty"`
-	AppendShardsReuse uint64             `json:"append_shards_reused,omitempty"`
+	AppendShardsFit   uint64             `json:"append_shards_fitted,omitempty"` // strided shards holding appended rows
+	AppendShardsReuse uint64             `json:"append_shards_reused,omitempty"` // shards sealed by earlier versions
 	IPNodes           uint64             `json:"ip_nodes,omitempty"`
 	HowToCandidates   uint64             `json:"howto_candidates,omitempty"`
 	WhatIfEvals       uint64             `json:"whatif_evals,omitempty"`
-	FrameBytesShipped uint64             `json:"frame_bytes_shipped,omitempty"`
-	DistBytesShipped  uint64             `json:"dist_bytes_shipped,omitempty"`
-	DistBytesReceived uint64             `json:"dist_bytes_received,omitempty"`
-	RemoteShards      uint64             `json:"remote_shards,omitempty"`
+	FrameBytesShipped uint64             `json:"frame_bytes_shipped,omitempty"` // frame snapshot bytes shipped to workers
+	DistBytesShipped  uint64             `json:"dist_bytes_shipped,omitempty"`  // eval request bytes a worker accepted
+	DistBytesReceived uint64             `json:"dist_bytes_received,omitempty"` // eval request bytes a worker received
+	RemoteShards      uint64             `json:"remote_shards,omitempty"`       // shards answered remotely (coordinator ledger)
 	Retries           uint64             `json:"retries,omitempty"`
-	Workers           uint64             `json:"workers,omitempty"`
+	Workers           uint64             `json:"workers,omitempty"` // folded worker meters (see Fold)
 	WorkerShardsRun   uint64             `json:"worker_shards_run,omitempty"`
 	WorkerTuples      uint64             `json:"worker_tuples,omitempty"`
 	WorkerFitsTrained uint64             `json:"worker_fits_trained,omitempty"`
@@ -322,30 +193,8 @@ func (m *Meter) JSON() *MeterJSON {
 	if m == nil {
 		return nil
 	}
-	mj := &MeterJSON{
-		TuplesEvaluated:   m.tuples.Load(),
-		ShardsRun:         m.shards.Load(),
-		PlanShards:        m.planShards.Load(),
-		FitsTrained:       m.fitsTrained.Load(),
-		FitsCached:        m.fitsCached.Load(),
-		AppendShardsFit:   m.appendShardsFit.Load(),
-		AppendShardsReuse: m.appendShardsReused.Load(),
-		IPNodes:           m.ipNodes.Load(),
-		HowToCandidates:   m.candidates.Load(),
-		WhatIfEvals:       m.whatifEvals.Load(),
-		FrameBytesShipped: m.frameBytes.Load(),
-		DistBytesShipped:  m.distBytesShipped.Load(),
-		DistBytesReceived: m.distBytesReceived.Load(),
-		RemoteShards:      m.remoteShards.Load(),
-		Retries:           m.retries.Load(),
-		Workers:           m.workers.Load(),
-		WorkerShardsRun:   m.workerShards.Load(),
-		WorkerTuples:      m.workerTuples.Load(),
-		WorkerFitsTrained: m.workerFits.Load(),
-		WorkerFitsCached:  m.workerFitsCache.Load(),
-		WorkerBytes:       m.workerBytes.Load(),
-	}
 	m.mu.Lock()
+	mj := m.cost
 	if len(m.stages) > 0 {
 		mj.StagesMs = make(map[string]float64, len(m.stages))
 		for k, d := range m.stages {
@@ -353,11 +202,12 @@ func (m *Meter) JSON() *MeterJSON {
 		}
 	}
 	m.mu.Unlock()
-	return mj
+	return &mj
 }
 
-// Add accumulates another cost vector into this one (usage-table
-// aggregation). PlanShards keeps the max, everything else sums.
+// Add accumulates another cost vector into this one (a Meter's Charge and
+// the usage-table aggregation). PlanShards keeps the max, everything else
+// sums.
 func (j *MeterJSON) Add(o *MeterJSON) {
 	if j == nil || o == nil {
 		return

@@ -3,6 +3,8 @@ package obs
 import (
 	"context"
 	"net/url"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 )
@@ -17,19 +19,10 @@ func TestMeterNilSafe(t *testing.T) {
 	_, st := StartStage(context.Background(), "view") // neither traced nor metered
 	st.Set("rows", 1)
 	st.End()
-	m.AddTuples(1)
-	m.AddShards(1)
-	m.SetPlanShards(1)
-	m.AddFitTrained()
-	m.AddFitCached()
-	m.AddIPNodes(1)
-	m.AddCandidates(1)
-	m.AddWhatIfEvals(1)
-	m.AddFrameBytes(1)
-	m.AddDistBytesShipped(1)
-	m.AddDistBytesReceived(1)
-	m.AddRemoteShards(1)
-	m.AddRetries(1)
+	m.Charge(MeterJSON{TuplesEvaluated: 1, ShardsRun: 1, PlanShards: 1, FitsTrained: 1, FitsCached: 1,
+		AppendShardsFit: 1, AppendShardsReuse: 1, IPNodes: 1, HowToCandidates: 1, WhatIfEvals: 1,
+		FrameBytesShipped: 1, DistBytesShipped: 1, DistBytesReceived: 1, RemoteShards: 1, Retries: 1,
+		StagesMs: map[string]float64{"view": 1}})
 	m.Fold(&MeterJSON{ShardsRun: 3})
 	if m.JSON() != nil {
 		t.Error("nil meter should snapshot to nil")
@@ -49,14 +42,14 @@ func TestMeterNilSafe(t *testing.T) {
 func TestMeterChargesAndJSON(t *testing.T) {
 	m := NewMeter()
 	m.SetShape("sess", "whatif", "abcd", "USE T ...")
-	m.AddTuples(100)
-	m.AddTuples(50)
-	m.AddShards(2)
-	m.SetPlanShards(4)
-	m.SetPlanShards(2) // lower ask must not shrink the recorded plan
-	m.AddFitTrained()
-	m.AddFitCached()
-	m.AddFitCached()
+	m.Charge(MeterJSON{TuplesEvaluated: 100})
+	m.Charge(MeterJSON{TuplesEvaluated: 50})
+	m.Charge(MeterJSON{ShardsRun: 2})
+	m.Charge(MeterJSON{PlanShards: 4})
+	m.Charge(MeterJSON{PlanShards: 2}) // lower ask must not shrink the recorded plan
+	m.Charge(MeterJSON{FitsTrained: 1})
+	m.Charge(MeterJSON{FitsCached: 1})
+	m.Charge(MeterJSON{FitsCached: 1})
 	m.addStage("eval_shards", 2*time.Millisecond)
 	m.addStage("eval_shards", 3*time.Millisecond)
 	mj := m.JSON()
@@ -80,10 +73,10 @@ func TestMeterChargesAndJSON(t *testing.T) {
 func TestMeterFoldAndReconcile(t *testing.T) {
 	m := NewMeter()
 	// Coordinator side: 3 shards dispatched in two requests of 60 + 40 bytes.
-	m.AddRemoteShards(2)
-	m.AddRemoteShards(1)
-	m.AddDistBytesShipped(60)
-	m.AddDistBytesShipped(40)
+	m.Charge(MeterJSON{RemoteShards: 2})
+	m.Charge(MeterJSON{RemoteShards: 1})
+	m.Charge(MeterJSON{DistBytesShipped: 60})
+	m.Charge(MeterJSON{DistBytesShipped: 40})
 	// Worker side, as returned in the two responses.
 	m.Fold(&MeterJSON{ShardsRun: 2, TuplesEvaluated: 200, DistBytesReceived: 60,
 		StagesMs: map[string]float64{"eval_shards": 1.5}})
@@ -105,7 +98,7 @@ func TestMeterFoldAndReconcile(t *testing.T) {
 	}
 
 	// An extra dispatched shard with no worker report shows as a mismatch.
-	m.AddRemoteShards(1)
+	m.Charge(MeterJSON{RemoteShards: 1})
 	if mj := m.JSON(); mj.RemoteShards == mj.WorkerShardsRun {
 		t.Errorf("mismatched ledgers should differ: %+v", mj)
 	}
@@ -129,6 +122,82 @@ func TestMeterJSONAdd(t *testing.T) {
 	b.Add(a)
 	if b.StagesMs["view"] != 3 {
 		t.Error("Add into a zero vector should allocate the stage map")
+	}
+}
+
+// TestMeterConcurrentCharges charges one meter from many goroutines, as a
+// how-to's candidate what-ifs do, while another goroutine snapshots it: the
+// final vector must equal the same charges made serially, field for field,
+// and every snapshot must be monotone, hold whole Folds and stay within the
+// final totals.
+func TestMeterConcurrentCharges(t *testing.T) {
+	const goroutines, rounds = 8, 1000
+	charge := func(m *Meter, g, i int) {
+		m.Charge(MeterJSON{PlanShards: uint64(g*rounds + i), FitsTrained: 1, TuplesEvaluated: uint64(i),
+			StagesMs: map[string]float64{"ignored": 1}})
+		m.Fold(&MeterJSON{ShardsRun: 2, TuplesEvaluated: 3, DistBytesReceived: 5,
+			StagesMs: map[string]float64{"eval_shards": 0.25}})
+		m.addStage("eval_shards", time.Duration(g+1)*time.Microsecond)
+	}
+	serial := NewMeter()
+	for g := 0; g < goroutines; g++ {
+		for i := 0; i < rounds; i++ {
+			charge(serial, g, i)
+		}
+	}
+
+	m := NewMeter()
+	done := make(chan struct{})
+	last := make(chan MeterJSON, 1)
+	go func() {
+		var prev MeterJSON
+		for {
+			s := m.JSON()
+			if s.FitsTrained < prev.FitsTrained || s.Workers < prev.Workers || s.PlanShards < prev.PlanShards {
+				t.Errorf("snapshot went backwards: %+v after %+v", s, prev)
+			}
+			if s.WorkerShardsRun != 2*s.Workers || s.WorkerBytes != 5*s.Workers {
+				t.Errorf("snapshot holds part of a Fold: %+v", s)
+			}
+			prev = *s
+			select {
+			case <-done:
+				last <- prev
+				return
+			default:
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				charge(m, g, i)
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(done)
+
+	got, want := m.JSON(), serial.JSON()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("concurrent vector differs from serial:\n got %+v\nwant %+v", got, want)
+	}
+	if got.PlanShards != goroutines*rounds-1 || got.FitsTrained != goroutines*rounds ||
+		got.Workers != goroutines*rounds || got.WorkerShardsRun != 2*goroutines*rounds ||
+		got.WorkerBytes != 5*goroutines*rounds || got.ShardsRun != 0 {
+		t.Errorf("totals = %+v", got)
+	}
+	if _, ok := got.StagesMs["ignored"]; ok {
+		t.Error("Charge must ignore the delta's stage times")
+	}
+	if ms := got.StagesMs["worker_eval_shards"]; ms != 0.25*goroutines*rounds {
+		t.Errorf("worker_eval_shards = %v ms, want %v", ms, 0.25*goroutines*rounds)
+	}
+	if s := <-last; s.FitsTrained > got.FitsTrained || s.Workers > got.Workers || s.PlanShards > got.PlanShards {
+		t.Errorf("snapshot ran ahead of the final totals: %+v", s)
 	}
 }
 

@@ -256,7 +256,7 @@ func stampAppend(ctx context.Context, e *sessionEntry, appends map[string][]rela
 	if meter == nil {
 		return
 	}
-	meter.AddAppendShards(fitted, reused)
+	meter.Charge(obs.MeterJSON{AppendShardsFit: uint64(fitted), AppendShardsReuse: uint64(reused)})
 	names := make([]string, 0, len(appends))
 	for name := range appends {
 		names = append(names, name)
