@@ -12,6 +12,7 @@ import (
 
 	"hyper/internal/dataset"
 	"hyper/internal/hyperql"
+	"hyper/internal/sqlmini"
 )
 
 func benchQuery(b *testing.B, src string) *hyperql.WhatIf {
@@ -81,7 +82,7 @@ func BenchmarkEstimatorFit(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s := newEstimatorSet(&view{rel: rel}, featCols, nil, 1, opts)
+				s := newEstimatorSet(newView(sqlmini.TableView(rel)), featCols, nil, 1, opts)
 				for k, eval := range bc.labels {
 					m, err := s.model(context.Background(), strconv.Itoa(k), 1, false, &labeler{eval: eval})
 					if err != nil || m == nil {

@@ -30,7 +30,7 @@ type boundRef struct {
 // affected loop of evaluator.prepare over p's view, WHEN set and updates.
 // ignoreWhen doctors it: every row counts as selected.
 func materialise(p *evalPrep, model *causal.Model, ignoreWhen bool) (boundRef, error) {
-	rel, e := p.v.rel, p.ev
+	rel, e := p.v.Rel, p.ev
 	ref := boundRef{postVals: make(map[string][]relation.Value)}
 	for _, u := range e.q.Updates {
 		ci := rel.Schema().MustIndex(u.Attr)
@@ -50,16 +50,19 @@ func materialise(p *evalPrep, model *causal.Model, ignoreWhen bool) (boundRef, e
 			src := causal.Qualify(ce.FromRel, ce.FromAttr)
 			var attr string
 			for _, a := range e.updateAttrs {
-				if p.v.qualified[a] == src {
+				if p.v.qualified[rel.Schema().MustIndex(a)] == src {
 					attr = a
 				}
 			}
 			if attr == "" {
 				continue
 			}
-			_, gAttr := causal.SplitQualified(ce.GroupBy)
-			gi, ok := rel.Schema().Index(gAttr)
-			if !ok {
+			gRel, gAttr := causal.SplitQualified(ce.GroupBy)
+			if gRel == "" {
+				gRel = ce.FromRel
+			}
+			gi := p.v.column(gRel, gAttr)
+			if gi < 0 {
 				return ref, fmt.Errorf("engine: cross-edge group attribute %q is not in the relevant view", gAttr)
 			}
 			ai := rel.Schema().MustIndex(attr)
@@ -82,7 +85,7 @@ func materialise(p *evalPrep, model *causal.Model, ignoreWhen bool) (boundRef, e
 				a.postSum += ref.postVals[attr][i].AsFloat()
 				a.n++
 			}
-			sf := summaryFeature{name: "psi_" + attr + "_by_" + gAttr, group: gi, pre: make([]float64, n), post: make([]float64, n)}
+			sf := summaryFeature{name: "psi_" + attr + "_by_" + rel.Schema().Col(gi).Name, group: gi, pre: make([]float64, n), post: make([]float64, n)}
 			for i := 0; i < n; i++ {
 				a := groups[keys[i]]
 				sf.pre[i] = a.preSum / float64(a.n)
@@ -114,8 +117,8 @@ func materialise(p *evalPrep, model *causal.Model, ignoreWhen bool) (boundRef, e
 
 // tuple is evaluator.tuple as it read the materialised arrays.
 func (ref boundRef) tuple(e *evaluator, i int) (sum, count float64, err error) {
-	row := e.v.rel.Row(i)
-	env := sqlmini.RowEnv{Rel: e.v.rel, Row: i}
+	row := e.v.Rel.Row(i)
+	env := sqlmini.RowEnv{Rel: e.v.Rel, Row: i}
 	var active []int
 	for k, d := range e.disjuncts {
 		ok := true
@@ -168,7 +171,7 @@ func (ref boundRef) tuple(e *evaluator, i int) (sum, count float64, err error) {
 
 // supportedFraction is the freq → forest probe as it read postVals.
 func (ref boundRef) supportedFraction(e *evaluator) float64 {
-	n := e.v.rel.Len()
+	n := e.v.Rel.Len()
 	if n == 0 {
 		return 1
 	}
@@ -231,7 +234,7 @@ func runBoundRef(db *relation.Database, model *causal.Model, q *hyperql.WhatIf, 
 			return classRun{}, 0, fmt.Errorf("supported fraction %v, materialised %v", got, want)
 		}
 	}
-	n := p.v.rel.Len()
+	n := p.v.Rel.Len()
 	sum, cnt := make([]float64, n), make([]float64, n)
 	for i := 0; i < n; i++ {
 		var rerr error
@@ -252,12 +255,12 @@ func runBoundRef(db *relation.Database, model *causal.Model, q *hyperql.WhatIf, 
 		lo, hi := p.plan.Bounds(s)
 		minB, maxB := p.nBlocks, -1
 		for i := lo; i < hi; i++ {
-			minB, maxB = min(minB, p.blockOf[i]), max(maxB, p.blockOf[i])
+			minB, maxB = min(minB, p.blockAt(i)), max(maxB, p.blockAt(i))
 		}
 		parts[s] = ShardPartial{Shard: s, MinBlock: minB, Sum: make([]float64, maxB-minB+1), Cnt: make([]float64, maxB-minB+1)}
 		for i := lo; i < hi; i++ {
-			parts[s].Sum[p.blockOf[i]-minB] += sum[i]
-			parts[s].Cnt[p.blockOf[i]-minB] += cnt[i]
+			parts[s].Sum[p.blockAt(i)-minB] += sum[i]
+			parts[s].Cnt[p.blockAt(i)-minB] += cnt[i]
 		}
 	}
 	foldPartials(p.res, parts, p.nBlocks, p.agg)

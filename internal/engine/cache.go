@@ -34,7 +34,6 @@ type Cache = lru.Cache[any]
 const (
 	kindView      = "v\x00" // + view key: the relevant view of a USE
 	kindRowBlocks = "r\x00" // + version tag: the database's block decomposition
-	kindBlocks    = "b\x00" // + view key + R: a materialized view's rows → R's blocks
 	kindEst       = "e\x00"
 )
 

@@ -62,9 +62,9 @@ func TestCacheSharedEvaluate(t *testing.T) {
 // TestCacheOneViewPerUse: the view and the block decomposition are functions
 // of USE (and the snapshot), not of what a query updates. What-ifs over one
 // USE that update different attributes — a how-to's candidates, a session's
-// templates — add an estimator set each and nothing else: a bare-table view
-// reads its blocks off the database's decomposition, a sub-select view maps
-// its rows to the updated relation once.
+// templates — add an estimator set each and nothing else: every view, bare
+// table or sub-select, reads its rows' blocks off the database's
+// decomposition through its base rows.
 func TestCacheOneViewPerUse(t *testing.T) {
 	g := dataset.GermanSyn(1000, 7)
 	a := dataset.AmazonSyn(200, 4, 7)
@@ -83,7 +83,7 @@ func TestCacheOneViewPerUse(t *testing.T) {
 			amazonUse + ` UPDATE(Price) = 0.9 * PRE(Price) OUTPUT AVG(POST(Rtng))`,
 			amazonUse + ` UPDATE(Color) = 'Red' OUTPUT AVG(POST(Rtng))`,
 			amazonUse + ` UPDATE(Color) = 'Blue' AND UPDATE(Price) = 500 OUTPUT AVG(POST(Rtng))`,
-		}, 4}, // ... and the view rows' block ids
+		}, 3}, // view, database blocks, estimator set
 	} {
 		c := NewCache()
 		for i, src := range tc.queries {
@@ -108,62 +108,77 @@ func TestCacheOneViewPerUse(t *testing.T) {
 
 // TestCacheConcurrentEvaluate hammers one shared cache from many goroutines
 // running a mix of what-if queries; run under -race this is the engine-level
-// concurrency stress test.
+// concurrency stress test. The sub-select input has concurrent queries read
+// one cached view's base rows.
 func TestCacheConcurrentEvaluate(t *testing.T) {
 	g := dataset.GermanSyn(2000, 7)
-	srcs := []string{
-		`USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`,
-		`USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1) FOR PRE(Age) = 2`,
-		`USE German UPDATE(Savings) = 2 OUTPUT COUNT(Credit = 1)`,
-		`USE German UPDATE(Housing) = 1 OUTPUT COUNT(Credit = 1) FOR POST(Credit) = 1 OR PRE(Age) = 1`,
-	}
-	qs := make([]*hyperql.WhatIf, len(srcs))
-	for i, s := range srcs {
-		q, err := hyperql.ParseWhatIf(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qs[i] = q
-	}
-	// A small bound forces concurrent eviction alongside concurrent reuse.
-	c := NewCacheBounded(4)
-	want := make([]float64, len(qs))
-	for i, q := range qs {
-		res, err := Evaluate(g.DB, g.Model, q, Options{Mode: ModeFull, Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = res.Value
-	}
-	const goroutines = 8
-	const iters = 4
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
-	for w := 0; w < goroutines; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for it := 0; it < iters; it++ {
-				k := (w + it) % len(qs)
-				res, err := Evaluate(g.DB, g.Model, qs[k], Options{Mode: ModeFull, Seed: 7, Cache: c})
-				if err != nil {
-					errs <- err
-					return
-				}
-				if math.Abs(res.Value-want[k]) > 1e-9 {
-					errs <- fmt.Errorf("query %d: got %v want %v", k, res.Value, want[k])
-					return
-				}
+	a := dataset.AmazonSyn(200, 4, 7)
+	for _, in := range []struct {
+		name string
+		data *dataset.Single
+		srcs []string
+	}{
+		{"bare table", g, []string{
+			`USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`,
+			`USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1) FOR PRE(Age) = 2`,
+			`USE German UPDATE(Savings) = 2 OUTPUT COUNT(Credit = 1)`,
+			`USE German UPDATE(Housing) = 1 OUTPUT COUNT(Credit = 1) FOR POST(Credit) = 1 OR PRE(Age) = 1`,
+		}},
+		{"sub-select", &dataset.Single{DB: a.DB, Model: a.Model}, []string{
+			amazonUse + ` UPDATE(Price) = 0.9 * PRE(Price) OUTPUT AVG(POST(Rtng))`,
+			amazonUse + ` UPDATE(Color) = 'Red' OUTPUT AVG(POST(Rtng))`,
+			amazonUse + ` UPDATE(Color) = 'Blue' AND UPDATE(Price) = 500 OUTPUT AVG(POST(Rtng))`,
+			amazonUse + ` WHEN Brand = 'Asus' UPDATE(Price) = 1.1 * PRE(Price) OUTPUT COUNT(POST(Rtng) >= 4)`,
+		}},
+	} {
+		qs := make([]*hyperql.WhatIf, len(in.srcs))
+		for i, s := range in.srcs {
+			q, err := hyperql.ParseWhatIf(s)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.Entries > 4 {
-		t.Errorf("bound violated under concurrency: %d entries", st.Entries)
+			qs[i] = q
+		}
+		// A small bound forces concurrent eviction alongside concurrent reuse.
+		c := NewCacheBounded(4)
+		want := make([]float64, len(qs))
+		for i, q := range qs {
+			res, err := Evaluate(in.data.DB, in.data.Model, q, Options{Mode: ModeFull, Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = res.Value
+		}
+		const goroutines = 8
+		const iters = 4
+		var wg sync.WaitGroup
+		errs := make(chan error, goroutines)
+		for w := 0; w < goroutines; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for it := 0; it < iters; it++ {
+					k := (w + it) % len(qs)
+					res, err := Evaluate(in.data.DB, in.data.Model, qs[k], Options{Mode: ModeFull, Seed: 7, Cache: c})
+					if err != nil {
+						errs <- err
+						return
+					}
+					if math.Abs(res.Value-want[k]) > 1e-9 {
+						errs <- fmt.Errorf("%s query %d: got %v want %v", in.name, k, res.Value, want[k])
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		if st := c.Stats(); st.Entries > 4 {
+			t.Errorf("%s: bound violated under concurrency: %d entries", in.name, st.Entries)
+		}
 	}
 }
 

@@ -483,8 +483,8 @@ func TestClassLabelsMatchPerRow(t *testing.T) {
 			t.Fatal("the base world must partition")
 		}
 		rows := p.ev.est.trainRows
-		if (sample == 0) != (len(rows) == p.v.rel.Len()) {
-			t.Fatalf("sample=%d trains on %d of %d rows", sample, len(rows), p.v.rel.Len())
+		if (sample == 0) != (len(rows) == p.v.Rel.Len()) {
+			t.Fatalf("sample=%d trains on %d of %d rows", sample, len(rows), p.v.Rel.Len())
 		}
 		perRow := *p.ev
 		p.ev.classOf, p.ev.classes = key.partition(p.ev.inS)

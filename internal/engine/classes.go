@@ -34,7 +34,7 @@ type classKey struct {
 // literals and the OUTPUT condition reference. ok is false when an expression
 // names a column the view lacks: every row then fails the way it does today.
 func (e *evaluator) classColumns() (cols []int, ok bool) {
-	sch := e.v.rel.Schema()
+	sch := e.v.Rel.Schema()
 	seen := make([]bool, sch.Len())
 	add := func(ci int) {
 		if !seen[ci] {
@@ -85,7 +85,7 @@ func (e *evaluator) classKey() (classKey, bool) {
 	if !ok {
 		return classKey{}, false
 	}
-	rel := e.v.rel
+	rel := e.v.Rel
 	k := classKey{cols: make([]*relation.CodedColumn, len(cols)), stride: make([]uint64, len(cols)), space: 2}
 	for j, ci := range cols {
 		cc := rel.Coded(ci)

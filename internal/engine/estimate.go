@@ -60,17 +60,17 @@ func newEstimatorSet(v *view, featCols []string, summaries []summaryFeature, kee
 	cols := make([][]float64, len(featCols))
 	continuous := len(summaries) > 0 // a group mean is a float
 	for i, name := range featCols {
-		if ci, ok := v.rel.Schema().Index(name); ok {
-			s.coded[i] = v.rel.Coded(ci)
+		if ci, ok := v.Rel.Schema().Index(name); ok {
+			s.coded[i] = v.Rel.Coded(ci)
 			cols[i] = s.coded[i].Encoded()
-			continuous = continuous || v.rel.Schema().Col(ci).Kind == relation.KindFloat
+			continuous = continuous || v.Rel.Schema().Col(ci).Kind == relation.KindFloat
 		}
 	}
 	for _, sf := range summaries {
 		cols[s.featureIndex(sf.name)] = sf.pre
 	}
 	s.frame = ml.FrameOfColumns(cols, s.coded, opts.Shards)
-	n := v.rel.Len()
+	n := v.Rel.Len()
 	if opts.SampleSize > 0 && opts.SampleSize < n {
 		rng := stats.NewRNG(opts.Seed ^ 0x5ab0)
 		s.trainRows = rng.SampleIndexes(n, opts.SampleSize)

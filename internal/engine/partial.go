@@ -134,8 +134,8 @@ func PlanContext(ctx context.Context, db *relation.Database, model *causal.Model
 	if err != nil {
 		return 0, 0, err
 	}
-	plan := shard.Rows(v.rel.Len(), o.ShardRows)
-	return plan.Shards(), v.rel.Len(), nil
+	plan := shard.Rows(v.Rel.Len(), o.ShardRows)
+	return plan.Shards(), v.Rel.Len(), nil
 }
 
 // EvaluatePartialContext runs the full evaluation pipeline but evaluates

@@ -139,11 +139,11 @@ func FuzzPlanParity(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%q: view: %v", src, err)
 		}
-		want, wantErr := oracleMask(q.When, v.rel)
+		want, wantErr := oracleMask(q.When, v.Rel)
 		var noCache *plan.Cache
-		qp, _ := noCache.WhatIf(g.DB, "", q, v.rel)
-		inS := make([]bool, v.rel.Len())
-		if _, err := qp.Apply(q.When, v.rel, inS); fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		qp, _ := noCache.WhatIf(g.DB, "", q, v.Rel)
+		inS := make([]bool, v.Rel.Len())
+		if _, err := qp.Apply(q.When, v.Rel, inS); fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			t.Fatalf("%q: planner err=%v, oracle err=%v; plan:\n%s", src, err, wantErr, qp.Explain())
 		}
 		wantRows := 0

@@ -70,8 +70,8 @@ func TestSharedColumns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.v.rel != rel || p.ev.est.kind != tc.kind {
-			t.Fatalf("%s: view is the relation = %v, estimator %s, want %s", tc.query, p.v.rel == rel, p.ev.est.kind, tc.kind)
+		if p.v.Rel != rel || p.ev.est.kind != tc.kind {
+			t.Fatalf("%s: view is the relation = %v, estimator %s, want %s", tc.query, p.v.Rel == rel, p.ev.est.kind, tc.kind)
 		}
 		preps = append(preps, p)
 	}

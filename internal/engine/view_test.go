@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -10,10 +11,12 @@ import (
 	"hyper/internal/relation"
 )
 
-// TestViewBlockIDsCompositeKey: under a USE (SELECT …) view, rows find their
-// base tuple — and so their block — through the update relation's own key
-// index, also when the key has several columns whose strings hold the bytes a
-// naive concatenation would separate them with.
+// TestViewBlockIDsCompositeKey: under a USE (SELECT …) view, each row's
+// block is that of the base tuple it was selected from, also when the key has
+// several columns whose strings hold the bytes a naive concatenation would
+// separate them with, and also when the view does not project the whole key.
+// The oracle finds each view row's base tuple by brute force, matching every
+// projected column.
 func TestViewBlockIDsCompositeKey(t *testing.T) {
 	item := relation.NewRelation("Item", relation.MustSchema(
 		relation.Column{Name: "Store", Kind: relation.KindString, Key: true},
@@ -39,19 +42,6 @@ func TestViewBlockIDsCompositeKey(t *testing.T) {
 	// Tuples of one category share a block, so block ids are not row indexes.
 	model.AddCross(causal.CrossEdge{FromRel: "Item", FromAttr: "Price",
 		ToRel: "Item", ToAttr: "Price", GroupBy: "Item.Cat"})
-
-	q, err := hyperql.ParseWhatIf(`USE (SELECT T.Store, T.SKU, T.Cat, T.Price, T.Sold FROM Item AS T)
-		UPDATE(Price) = 1.1 * PRE(Price) OUTPUT AVG(POST(Sold))`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := buildView(db, q.Use)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.rel == item || v.rel.Len() != item.Len() {
-		t.Fatalf("want a materialized view of %d rows, got %d (identity=%v)", item.Len(), v.rel.Len(), v.rel == item)
-	}
 	byRel, nBlocks, err := causal.RowBlocks(db, model)
 	if err != nil {
 		t.Fatal(err)
@@ -59,36 +49,38 @@ func TestViewBlockIDsCompositeKey(t *testing.T) {
 	if nBlocks != 3 {
 		t.Fatalf("%d blocks, want one per category", nBlocks)
 	}
-	ids, err := v.blockIDs(item, byRel["Item"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range v.rel.Len() {
-		row := v.rel.Row(i)
-		base := -1
-		for j := range item.Len() {
-			b := item.Row(j)
-			if b[0].Equal(row[0]) && b[1].Equal(row[1]) {
-				base = j
+
+	for _, sel := range []string{
+		`SELECT T.Store, T.SKU, T.Cat, T.Price, T.Sold FROM Item AS T WHERE T.Sold >= 1`,
+		`SELECT T.Store, T.Cat, T.Price, T.Sold FROM Item AS T WHERE T.Sold <> 2`, // no SKU
+	} {
+		q, err := hyperql.ParseWhatIf(`USE (` + sel + `) UPDATE(Price) = 1.1 * PRE(Price) OUTPUT AVG(POST(Sold))`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := prepareEvaluation(context.Background(), db, model, q, Options{Seed: 7})
+		if err != nil {
+			t.Fatalf("%s: %v", sel, err)
+		}
+		v := p.v.Rel
+		if v == item || v.Len() != item.Len()-1 {
+			t.Fatalf("%s: want a materialized view of %d rows, got %d (identity=%v)", sel, item.Len()-1, v.Len(), v == item)
+		}
+		for i := range v.Len() {
+			base := -1
+			for j := range item.Len() {
+				match := true
+				for c, col := range v.Schema().Columns() {
+					match = match && v.Value(i, c).Equal(item.Value(j, item.Schema().MustIndex(col.Name)))
+				}
+				if match {
+					base = j
+				}
+			}
+			if base < 0 || p.blockAt(i) != byRel["Item"][base] {
+				t.Errorf("%s: view row %d %v: block %d, want that of base row %d in %v", sel, i, v.Row(i), p.blockAt(i), base, byRel["Item"])
 			}
 		}
-		if base < 0 || ids[i] != byRel["Item"][base] {
-			t.Errorf("view row %d %v: block %d, want that of base row %d in %v", i, row[:2], ids[i], base, byRel["Item"])
-		}
-	}
-
-	// A view without the update relation's key columns cannot be mapped back.
-	q2, err := hyperql.ParseWhatIf(`USE (SELECT T.Store, T.Price, T.Sold FROM Item AS T)
-		UPDATE(Price) = 1.1 * PRE(Price) OUTPUT AVG(POST(Sold))`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := buildView(db, q2.Use)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v2.blockIDs(item, byRel["Item"]); err == nil {
-		t.Error("a view missing key column SKU mapped its rows to blocks")
 	}
 }
 
@@ -116,6 +108,13 @@ func TestWhatIfValidatesEveryUpdate(t *testing.T) {
 		{"aggregate of another relation", a.DB, a.Model,
 			amazonUse + ` UPDATE(Price) = 1.1 * PRE(Price) AND UPDATE(Rtng) = 5 OUTPUT COUNT(POST(Rtng) >= 4)`,
 			"engine: update attribute Review.Rating is outside the updated relation Product"},
+		{"aggregate alone", a.DB, a.Model,
+			amazonUse + ` UPDATE(Rtng) = 5 OUTPUT COUNT(POST(Rtng) >= 4)`,
+			`engine: update attribute "Rtng" is an aggregate of Review.Rating, not a plain view column`},
+		{"two aliases of one relation", a.DB, a.Model,
+			`USE (SELECT T1.PID, T1.Price, T2.PID AS PID2, T2.Price AS Price2 FROM Product AS T1, Product AS T2
+				WHERE T1.Category = T2.Category) UPDATE(Price) = 500 AND UPDATE(Price2) = 600 OUTPUT AVG(POST(Price))`,
+			`engine: update attribute "Price2" reads a second FROM entry of Product; every update must read one`},
 		{"not a view column", g.DB, g.Model,
 			`USE German UPDATE(Status) = 3 AND UPDATE(Nope) = 1 OUTPUT COUNT(Credit = 1)`,
 			`engine: update attribute "Nope" is not a column of the relevant view`},
@@ -130,6 +129,57 @@ func TestWhatIfValidatesEveryUpdate(t *testing.T) {
 			_, err = Evaluate(tc.db, tc.model, q, opts)
 			if got := fmt.Sprint(err); (tc.wantErr == "" && err != nil) || (tc.wantErr != "" && got != tc.wantErr) {
 				t.Errorf("%s, run %d: err = %v, want %q", tc.name, run, err, tc.wantErr)
+			}
+		}
+	}
+}
+
+// TestViewSourcesAliased: a view column is its source whatever the select
+// names it. Aliasing R's key, the ψ group column or the update column
+// answers exactly as the unaliased Figure-1 query does, in the same blocks.
+func TestViewSourcesAliased(t *testing.T) {
+	a := dataset.AmazonSyn(200, 4, 7)
+	const use = `USE (SELECT %s, %s, %s, T1.Brand, T1.Color, T1.Quality, AVG(T2.Rating) AS Rtng
+		FROM Product AS T1, Review AS T2 WHERE T1.PID = T2.PID
+		GROUP BY T1.PID, T1.Category, T1.Price, T1.Brand, T1.Color, T1.Quality)
+		WHEN %s = 'Laptop' UPDATE(%s) = 0.9 * PRE(%s) OUTPUT AVG(POST(Rtng))`
+	query := func(pid, cat, price string) *hyperql.WhatIf {
+		catName, priceName := "Category", "Price"
+		if cat != "" {
+			catName = cat
+			cat = " AS " + cat
+		}
+		if price != "" {
+			priceName = price
+			price = " AS " + price
+		}
+		if pid != "" {
+			pid = " AS " + pid
+		}
+		q, err := hyperql.ParseWhatIf(fmt.Sprintf(use, "T1.PID"+pid, "T1.Category"+cat, "T1.Price"+price,
+			catName, priceName, priceName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	for _, mode := range []Mode{ModeFull, ModeNB} {
+		want, err := Evaluate(a.DB, a.Model, query("", "", ""), Options{Mode: mode, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct{ name, pid, cat, price string }{
+			{"aliased key", "Id", "", ""},
+			{"aliased group column", "", "Cat", ""},
+			{"aliased update column", "", "", "P"},
+		} {
+			got, err := Evaluate(a.DB, a.Model, query(tc.pid, tc.cat, tc.price), Options{Mode: mode, Seed: 7})
+			if err != nil {
+				t.Errorf("mode %v, %s: %v", mode, tc.name, err)
+				continue
+			}
+			if !bitsEqual(got.Value, want.Value) || got.Blocks != want.Blocks {
+				t.Errorf("mode %v, %s: %v in %d blocks, unaliased %v in %d", mode, tc.name, got.Value, got.Blocks, want.Value, want.Blocks)
 			}
 		}
 	}

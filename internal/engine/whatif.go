@@ -57,60 +57,80 @@ func EvaluateContext(ctx context.Context, db *relation.Database, model *causal.M
 	p.res.TrainedModels = p.ev.est.trainedModels()
 	p.res.Total = time.Since(p.start)
 	if p.o.Progress != nil {
-		total := p.v.rel.Len()
+		total := p.v.Rel.Len()
 		p.o.Progress("tuples", total, total)
 	}
 	return p.res, nil
 }
 
-// resolveView materializes (or fetches from cache) the relevant view of the
-// query, validating the UPDATE clause on the way. It returns the view, its
-// cache key, the distinct update attributes and the one base relation R they
-// all update. The view is a function of USE alone, so the candidates of a
-// how-to and a session's query templates share it whatever they update.
-func resolveView(db *relation.Database, q *hyperql.WhatIf, o Options) (v *view, viewKey string, updateAttrs []string, updateRel *relation.Relation, hit bool, err error) {
-	if len(q.Updates) == 0 {
-		return nil, "", nil, nil, false, fmt.Errorf("engine: what-if query has no UPDATE clause")
-	}
-	if q.Output == nil || !q.Output.Func.Valid() {
-		return nil, "", nil, nil, false, fmt.Errorf("engine: what-if query has no valid OUTPUT aggregate")
-	}
+// cachedView materializes (or fetches from the cache) the relevant view of
+// use, returning it with its cache key. The view is a function of USE alone,
+// so the candidates of a how-to and a session's query templates share it
+// whatever they update.
+func cachedView(db *relation.Database, use *hyperql.UseClause, c *Cache) (v *view, viewKey string, hit bool, err error) {
 	// MVCC: a versioned database folds its snapshot version into the view
 	// key, which transitively versions every artifact keyed off it — the
-	// view itself, block decompositions and estimator sets — so a query
-	// pinned to snapshot v keeps hitting v's artifacts after appends while
-	// the new head never reads stale ones. Version 0 (bare-library
-	// databases) keeps historical keys.
-	viewKey = q.Use.String()
+	// view itself and estimator sets — so a query pinned to snapshot v keeps
+	// hitting v's artifacts after appends while the new head never reads
+	// stale ones. Version 0 (bare-library databases) keeps historical keys.
+	viewKey = use.String()
 	if tag := db.VersionTag(); tag != "" {
 		viewKey = tag + "\x00" + viewKey
 	}
 	// buildView takes no context — neither its builder nor a waiter gives up
 	// mid-view; both observe cancellation right after this stage.
-	v, hit, err = memo(context.Background(), o.Cache, kindView+viewKey, func() (*view, error) {
-		return buildView(db, q.Use)
+	v, hit, err = memo(context.Background(), c, kindView+viewKey, func() (*view, error) {
+		return buildView(db, use)
 	})
+	return v, viewKey, hit, err
+}
+
+// UpdateSource validates attr as an update attribute of the relevant view of
+// use — a plain view column whose source is a mutable base column — and
+// returns that base relation and column. It is the check every what-if
+// UPDATE passes; a how-to resolves its HOWTOUPDATE attributes through it.
+// The view comes from (and is left in) opts.Cache.
+func UpdateSource(db *relation.Database, use *hyperql.UseClause, attr string, opts Options) (*relation.Relation, int, error) {
+	v, _, _, err := cachedView(db, use, opts.Cache)
 	if err != nil {
-		return nil, "", nil, nil, false, err
+		return nil, 0, err
+	}
+	s, err := v.updateSource(attr, -1)
+	if err != nil {
+		return nil, 0, err
+	}
+	return v.Tables[s.Table], s.Col, nil
+}
+
+// resolveView materializes (or fetches from cache) the relevant view of the
+// query, validating the UPDATE clause on the way. It returns the view, its
+// cache key, the distinct update attributes and the FROM entry of R, the
+// one base relation they all update.
+func resolveView(db *relation.Database, q *hyperql.WhatIf, o Options) (v *view, viewKey string, updateAttrs []string, from int, hit bool, err error) {
+	if len(q.Updates) == 0 {
+		return nil, "", nil, 0, false, fmt.Errorf("engine: what-if query has no UPDATE clause")
+	}
+	if q.Output == nil || !q.Output.Func.Valid() {
+		return nil, "", nil, 0, false, fmt.Errorf("engine: what-if query has no valid OUTPUT aggregate")
+	}
+	if v, viewKey, hit, err = cachedView(db, q.Use, o.Cache); err != nil {
+		return nil, "", nil, 0, false, err
 	}
 	// Every update attribute is this query's own to validate: distinct, and
-	// all in the one relation R.
+	// all read from the one FROM entry of R.
+	from = -1
 	for _, u := range q.Updates {
 		if slices.Contains(updateAttrs, u.Attr) {
-			return nil, "", nil, nil, false, fmt.Errorf("engine: attribute %q updated twice", u.Attr)
+			return nil, "", nil, 0, false, fmt.Errorf("engine: attribute %q updated twice", u.Attr)
 		}
 		updateAttrs = append(updateAttrs, u.Attr)
-		base, err := v.updateSource(db, u.Attr)
+		s, err := v.updateSource(u.Attr, from)
 		if err != nil {
-			return nil, "", nil, nil, false, err
+			return nil, "", nil, 0, false, err
 		}
-		if updateRel == nil {
-			updateRel = base
-		} else if base != updateRel {
-			return nil, "", nil, nil, false, fmt.Errorf("engine: update attribute %s is outside the updated relation %s", v.qualified[u.Attr], updateRel.Name())
-		}
+		from = s.Table
 	}
-	return v, viewKey, updateAttrs, updateRel, hit, nil
+	return v, viewKey, updateAttrs, from, hit, nil
 }
 
 // evalPrep is a fully prepared what-if evaluation: everything up to (but not
@@ -119,16 +139,19 @@ func resolveView(db *relation.Database, q *hyperql.WhatIf, o Options) (v *view, 
 // agree on the shard plan, the block decomposition, and every trained
 // estimator — the property the distributed execution path relies on.
 type evalPrep struct {
-	o       Options
-	res     *Result
-	v       *view
-	blockOf []int
-	nBlocks int
-	ev      *evaluator
-	agg     hyperql.AggFunc
-	plan    shard.Plan
-	start   time.Time
-	perRow  bool // tests only: evaluate without tuple classes
+	o   Options
+	res *Result
+	v   *view
+	// blockOf is R's tuples' block ids (nil: one block) and baseRows R's row
+	// behind each view row (nil: view row i is R's row i).
+	blockOf  []int
+	baseRows []int32
+	nBlocks  int
+	ev       *evaluator
+	agg      hyperql.AggFunc
+	plan     shard.Plan
+	start    time.Time
+	perRow   bool // tests only: evaluate without tuple classes
 }
 
 func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal.Model, q *hyperql.WhatIf, opts Options) (*evalPrep, error) {
@@ -150,11 +173,11 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 	// Step 1: relevant view (USE), memoized across candidate queries when a
 	// cache is provided.
 	_, stage := obs.StartStage(ctx, "view")
-	v, viewKey, updateAttrs, updateRel, viewHit, err := resolveView(db, q, o)
+	v, viewKey, updateAttrs, from, viewHit, err := resolveView(db, q, o)
 	if err != nil {
 		return nil, err
 	}
-	res.ViewRows = v.rel.Len()
+	res.ViewRows = v.Rel.Len()
 	stage.Set("rows", res.ViewRows)
 	stage.Set("cache_hit", viewHit)
 	res.ViewTime = stage.End()
@@ -164,8 +187,8 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 
 	// Step 2: block-independent decomposition (memoized likewise). The
 	// decomposition of the database is the model's alone — one per version,
-	// whatever the query — and a view that is R itself reads R's slice of it;
-	// only a materialized view maps its rows to R's tuples, once per (view, R).
+	// whatever the query — and a view row's block is that of its base tuple
+	// of R (blockAt).
 	_, stage = obs.StartStage(ctx, "blocks")
 	blocksHit := false
 	var blockOf []int
@@ -179,20 +202,7 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 		if err != nil {
 			return nil, err
 		}
-		ofR := rb.byRel[updateRel.Name()]
-		blockOf, res.Blocks = ofR, rb.nBlocks
-		if v.rel != updateRel {
-			var idsHit bool
-			blockOf, idsHit, err = memo(ctx, o.Cache, kindBlocks+viewKey+"\x00"+updateRel.Name(), func() ([]int, error) {
-				return v.blockIDs(updateRel, ofR)
-			})
-			if err != nil {
-				return nil, err
-			}
-			blocksHit = blocksHit && idsHit
-		}
-	} else {
-		blockOf = make([]int, v.rel.Len())
+		blockOf, res.Blocks = rb.byRel[v.Tables[from].Name()], rb.nBlocks
 	}
 	stage.Set("blocks", res.Blocks)
 	stage.Set("cache_hit", blocksHit)
@@ -206,12 +216,12 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 	// as the degenerate whole-tree program, so S and any error are those of
 	// a row-at-a-time sqlmini.EvalBool loop to the bit.
 	_, stage = obs.StartStage(ctx, "plan")
-	qp, planHit := o.Plans.WhatIf(db, viewKey, q, v.rel)
+	qp, planHit := o.Plans.WhatIf(db, viewKey, q, v.Rel)
 	res.PlanFingerprint = qp.Fingerprint
 	res.PlanCacheHit = planHit
 	res.PlanText = qp.Explain()
-	inS := make([]bool, v.rel.Len())
-	res.PlanPushed, err = o.Plans.Apply(qp, q, v.rel, inS)
+	inS := make([]bool, v.Rel.Len())
+	res.PlanPushed, err = o.Plans.Apply(qp, q, v.Rel, inS)
 	stage.Set("cache_hit", planHit)
 	stage.Set("pushed", res.PlanPushed)
 	stage.Set("fallback", qp.Fallback)
@@ -251,7 +261,7 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 			return nil, fmt.Errorf("engine: OUTPUT reads post-update values; PRE(%s) is not allowed", c.Name)
 		}
 		yCol = c.Name
-		if !v.rel.Schema().Has(yCol) {
+		if !v.Rel.Schema().Has(yCol) {
 			return nil, fmt.Errorf("engine: output attribute %q is not a column of the relevant view", yCol)
 		}
 	case hyperql.AggCount:
@@ -268,14 +278,14 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 	// query complexity, not data) and 64 distinct values per mixed Pre/Post
 	// literal (A.2.4). Distinct post events never outnumber disjuncts, so an
 	// event subset always fits a 64-bit mask.
-	disjuncts, err := normalizeFor(q.For, v.rel, 64, 64)
+	disjuncts, err := normalizeFor(q.For, v.Rel, 64, 64)
 	if err != nil {
 		return nil, err
 	}
 	res.Disjuncts = len(disjuncts)
 
 	// Step 8: backdoor set.
-	backdoor, err := backdoorColumns(v, updateRel, model, updateAttrs, yCol, outCond, disjuncts, o.Mode)
+	backdoor, err := backdoorColumns(v, from, model, updateAttrs, yCol, outCond, disjuncts, o.Mode)
 	if err != nil {
 		return nil, err
 	}
@@ -296,7 +306,7 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 		featCols = append(featCols, s.name)
 	}
 	if o.Mode != ModeIndep {
-		featCols = appendPredicateAttrs(featCols, v.rel, q.When, disjuncts, updateAttrs)
+		featCols = appendPredicateAttrs(featCols, v.Rel, q.When, disjuncts, updateAttrs)
 	}
 	estHit := false
 	makeEst := func(eo Options) (*estimatorSet, error) {
@@ -369,13 +379,13 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 	if err := ev.prepare(); err != nil {
 		return nil, err
 	}
-	plan := shard.Rows(v.rel.Len(), o.ShardRows)
+	plan := shard.Rows(v.Rel.Len(), o.ShardRows)
 	res.ShardPlan = plan.Shards()
 	res.ShardWorkers = plan.Workers(o.Shards)
 	res.ShardedFit = est.shardedFit()
 	return &evalPrep{
 		o: o, res: res, v: v,
-		blockOf: blockOf, nBlocks: res.Blocks,
+		blockOf: blockOf, baseRows: v.Rows[from], nBlocks: res.Blocks,
 		ev: ev, agg: outAgg, plan: plan, start: start,
 	}, nil
 }
@@ -452,13 +462,6 @@ func (p *evalPrep) evalShards(ctx context.Context, ids []int) ([]ShardPartial, e
 	locals := make([]*evaluator, workers)
 	parts := make([]ShardPartial, len(ids))
 	nBlocks := p.nBlocks
-	// blockAt clamps defensively: rows outside the decomposition map to 0.
-	blockAt := func(i int) int {
-		if b := p.blockOf[i]; b < nBlocks {
-			return b
-		}
-		return 0
-	}
 	// Cancellation and progress work on a stride so neither the ctx check
 	// nor the shared counter touches the per-tuple fast path.
 	const stride = 512
@@ -482,7 +485,7 @@ func (p *evalPrep) evalShards(ctx context.Context, ids []int) ([]ShardPartial, e
 		// shards × blocks.
 		minB, maxB := nBlocks, -1
 		for i := lo; i < hi; i++ {
-			b := blockAt(i)
+			b := p.blockAt(i)
 			if b < minB {
 				minB = b
 			}
@@ -524,7 +527,7 @@ func (p *evalPrep) evalShards(ctx context.Context, ids []int) ([]ShardPartial, e
 				local.evaluated++
 				*slot = classVal{sum: ts, cnt: tc, seen: classOf != nil}
 			}
-			b := blockAt(i) - minB
+			b := p.blockAt(i) - minB
 			sum[b] += slot.sum
 			cnt[b] += slot.cnt
 		}
@@ -545,6 +548,22 @@ func (p *evalPrep) evalShards(ctx context.Context, ids []int) ([]ShardPartial, e
 	}
 	stage.Set("evaluated", evaluated)
 	return parts, nil
+}
+
+// blockAt is view row i's block: that of its base tuple of R. It clamps
+// defensively: tuples outside the decomposition map to 0.
+func (p *evalPrep) blockAt(i int) int {
+	if p.blockOf == nil {
+		return 0
+	}
+	r := i
+	if p.baseRows != nil {
+		r = int(p.baseRows[i])
+	}
+	if b := p.blockOf[r]; b < p.nBlocks {
+		return b
+	}
+	return 0
 }
 
 // foldPartials reduces block-window partials (which must already be in plan
@@ -639,10 +658,10 @@ type memoKey struct {
 func (e *evaluator) prepare() error {
 	e.yIdx = -1
 	if e.yCol != "" {
-		e.yIdx = e.v.rel.Schema().MustIndex(e.yCol)
+		e.yIdx = e.v.Rel.Schema().MustIndex(e.yCol)
 	}
 	for _, a := range e.updateAttrs {
-		e.updIdx = append(e.updIdx, e.v.rel.Schema().MustIndex(a))
+		e.updIdx = append(e.updIdx, e.v.Rel.Schema().MustIndex(a))
 		fi := e.est.featureIndex(a)
 		if fi < 0 {
 			return fmt.Errorf("engine: update attribute %q missing from features", a)
@@ -693,7 +712,7 @@ func postUpdate(u hyperql.UpdateSpec, inS bool, pre relation.Value) relation.Val
 func (e *evaluator) isAffected(i int) bool {
 	if e.inS[i] {
 		for ai, ci := range e.updIdx {
-			if pre := e.v.rel.Value(i, ci); !e.q.Updates[ai].Apply(pre).Equal(pre) {
+			if pre := e.v.Rel.Value(i, ci); !e.q.Updates[ai].Apply(pre).Equal(pre) {
 				return true
 			}
 		}
@@ -710,7 +729,7 @@ func (e *evaluator) isAffected(i int) bool {
 // i: count is Pr(FOR-post ∧ OUTPUT-cond | do(U), pre-state), sum is
 // E[Y · 1{...}] under the same distribution (Propositions 4 and 5).
 func (e *evaluator) tuple(i int) (sum, count float64, err error) {
-	env := sqlmini.RowEnv{Rel: e.v.rel, Row: i}
+	env := sqlmini.RowEnv{Rel: e.v.Rel, Row: i}
 	// Active disjuncts: pre conditions are deterministic on D.
 	e.activeBuf = e.activeBuf[:0]
 	for k, d := range e.disjuncts {
@@ -745,7 +764,7 @@ func (e *evaluator) tuple(i int) (sum, count float64, err error) {
 		}
 		y := 1.0
 		if e.yIdx >= 0 {
-			y = e.v.rel.Value(i, e.yIdx).AsFloat()
+			y = e.v.Rel.Value(i, e.yIdx).AsFloat()
 		}
 		return y, 1, nil
 	}
@@ -760,7 +779,7 @@ func (e *evaluator) tuple(i int) (sum, count float64, err error) {
 	x := e.xBuf
 	e.est.featureVectorInto(i, x)
 	for ai, ci := range e.updIdx {
-		x[e.featUpd[ai]] = e.est.encodeAt(e.featUpd[ai], postUpdate(e.q.Updates[ai], e.inS[i], e.v.rel.Value(i, ci)))
+		x[e.featUpd[ai]] = e.est.encodeAt(e.featUpd[ai], postUpdate(e.q.Updates[ai], e.inS[i], e.v.Rel.Value(i, ci)))
 	}
 	for si, s := range e.summaries {
 		x[e.featSum[si]] = s.post[i]
@@ -785,7 +804,7 @@ func (e *evaluator) tuple(i int) (sum, count float64, err error) {
 // observedEvent evaluates (∨_active post-conj) ∧ outCond on the observed
 // tuple, returning 0 or 1.
 func (e *evaluator) observedEvent(i int, active []int) (float64, error) {
-	env := sqlmini.RowEnv{Rel: e.v.rel, Row: i}
+	env := sqlmini.RowEnv{Rel: e.v.Rel, Row: i}
 	if e.outCond != nil {
 		ok, err := sqlmini.EvalBool(e.outCond, env)
 		if err != nil {
@@ -928,7 +947,7 @@ func (e *evaluator) eventModel(mask uint64, weighted bool) (ml.Regressor, error)
 // class columns, so it labels by class when the rows are partitioned.
 func (e *evaluator) labelFor(all []hyperql.Expr, weighted bool) *labeler {
 	return &labeler{classOf: e.classOf, classes: e.classes, eval: func(r int) (float64, error) {
-		env := sqlmini.RowEnv{Rel: e.v.rel, Row: r}
+		env := sqlmini.RowEnv{Rel: e.v.Rel, Row: r}
 		for _, lit := range all {
 			ok, err := sqlmini.EvalBool(lit, env)
 			if err != nil {
@@ -939,7 +958,7 @@ func (e *evaluator) labelFor(all []hyperql.Expr, weighted bool) *labeler {
 			}
 		}
 		if weighted {
-			return e.v.rel.Value(r, e.yIdx).AsFloat(), nil
+			return e.v.Rel.Value(r, e.yIdx).AsFloat(), nil
 		}
 		return 1, nil
 	}}
@@ -955,8 +974,9 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-// backdoorColumns derives the conditioning set as view column names.
-func backdoorColumns(v *view, updateRel *relation.Relation, model *causal.Model, updateAttrs []string, yCol string, outCond hyperql.Expr, disjuncts []disjunct, mode Mode) ([]string, error) {
+// backdoorColumns derives the conditioning set as view column names. R's key
+// columns are the plain view columns read from R's FROM entry from.
+func backdoorColumns(v *view, from int, model *causal.Model, updateAttrs []string, yCol string, outCond hyperql.Expr, disjuncts []disjunct, mode Mode) ([]string, error) {
 	if mode == ModeIndep {
 		return nil, nil
 	}
@@ -980,46 +1000,42 @@ func backdoorColumns(v *view, updateRel *relation.Relation, model *causal.Model,
 	for _, a := range updateAttrs {
 		isUpdate[a] = true
 	}
-	keyCols := map[string]bool{}
-	for _, ki := range updateRel.Schema().KeyIndexes() {
-		keyCols[updateRel.Schema().Col(ki).Name] = true
+	// excluded: updates, outcomes and R's key (Section 2.2).
+	cols := v.Rel.Schema().Columns()
+	excluded := func(c int) bool {
+		s := v.Cols[c]
+		isKey := s.Table == from && !s.Agg && v.Tables[from].Schema().Col(s.Col).Key
+		return isKey || isUpdate[cols[c].Name] || outcomeCols[cols[c].Name]
 	}
 
 	if mode == ModeNB || model == nil {
-		// All attributes except updates, outcomes, and keys (Section 2.2).
+		// All attributes except the excluded ones.
 		var out []string
-		for _, c := range v.rel.Schema().Columns() {
-			if isUpdate[c.Name] || outcomeCols[c.Name] || keyCols[c.Name] {
-				continue
+		for c, col := range cols {
+			if !excluded(c) {
+				out = append(out, col.Name)
 			}
-			out = append(out, c.Name)
 		}
 		return out, nil
 	}
 
 	// ModeFull: minimal backdoor set on the attribute-level causal graph,
 	// restricted to attributes representable in the view.
-	qualToView := map[string]string{}
-	var candidates []string
-	for col, q := range v.qualified {
-		qualToView[q] = col
-		if !isUpdate[col] && !outcomeCols[col] && !keyCols[col] {
-			candidates = append(candidates, q)
-		}
-	}
-	var qualOutcomes []string
-	for col := range outcomeCols {
-		if q, ok := v.qualified[col]; ok {
+	var candidates, qualOutcomes []string
+	for c, col := range cols {
+		q := v.qualified[c]
+		switch {
+		case q == "":
+		case outcomeCols[col.Name]:
 			qualOutcomes = append(qualOutcomes, q)
+		case !excluded(c):
+			candidates = append(candidates, q)
 		}
 	}
 	// Union of minimal backdoor sets per update attribute.
 	chosen := map[string]bool{}
 	for _, a := range updateAttrs {
-		qa, ok := v.qualified[a]
-		if !ok {
-			return nil, fmt.Errorf("engine: update attribute %q has no qualified source", a)
-		}
+		qa := v.qualified[v.Rel.Schema().MustIndex(a)]
 		set, ok := model.Attr.BackdoorSet(qa, qualOutcomes, candidates)
 		if !ok {
 			// No valid backdoor within view attributes: fall back to all
@@ -1039,9 +1055,9 @@ func backdoorColumns(v *view, updateRel *relation.Relation, model *causal.Model,
 		}
 	}
 	var out []string
-	for _, c := range v.rel.Schema().Columns() {
-		if q, ok := v.qualified[c.Name]; ok && chosen[q] {
-			out = append(out, c.Name)
+	for c, col := range cols {
+		if q := v.qualified[c]; q != "" && chosen[q] {
+			out = append(out, col.Name)
 		}
 	}
 	return out, nil
@@ -1050,7 +1066,7 @@ func backdoorColumns(v *view, updateRel *relation.Relation, model *causal.Model,
 // supportedFraction samples up to 200 updated rows and reports the fraction
 // whose post-update feature combination occurs exactly in the training data.
 func supportedFraction(est *estimatorSet, v *view, updates []hyperql.UpdateSpec, summaries []summaryFeature, inS []bool) float64 {
-	n := v.rel.Len()
+	n := v.Rel.Len()
 	if n == 0 {
 		return 1
 	}
@@ -1067,7 +1083,7 @@ func supportedFraction(est *estimatorSet, v *view, updates []hyperql.UpdateSpec,
 		est.featureVectorInto(i, x)
 		for _, u := range updates {
 			fi := est.featureIndex(u.Attr)
-			x[fi] = est.encodeAt(fi, u.Apply(v.rel.Value(i, v.rel.Schema().MustIndex(u.Attr))))
+			x[fi] = est.encodeAt(fi, u.Apply(v.Rel.Value(i, v.Rel.Schema().MustIndex(u.Attr))))
 		}
 		for _, s := range summaries {
 			fi := est.featureIndex(s.name)
@@ -1137,37 +1153,39 @@ func buildSummaries(v *view, model *causal.Model, updates []hyperql.UpdateSpec, 
 	var out []summaryFeature
 	for _, ce := range model.Cross {
 		src := causal.Qualify(ce.FromRel, ce.FromAttr)
-		ui := -1
+		ui, ai := -1, 0
 		for i, u := range updates {
-			if v.qualified[u.Attr] == src {
-				ui = i
+			if c := v.Rel.Schema().MustIndex(u.Attr); v.qualified[c] == src {
+				ui, ai = i, c
 			}
 		}
 		if ui < 0 {
 			continue
 		}
 		u := updates[ui]
-		_, gAttr := causal.SplitQualified(ce.GroupBy)
-		gi, ok := v.rel.Schema().Index(gAttr)
-		if !ok {
+		gRel, gAttr := causal.SplitQualified(ce.GroupBy)
+		if gRel == "" {
+			gRel = ce.FromRel
+		}
+		gi := v.column(gRel, gAttr)
+		if gi < 0 {
 			return nil, fmt.Errorf("engine: cross-edge group attribute %q is not in the relevant view", gAttr)
 		}
-		ai := v.rel.Schema().MustIndex(u.Attr)
-		n := v.rel.Len()
+		n := v.Rel.Len()
 		type acc struct {
 			preSum, postSum float64
 			n               int
 		}
-		group := v.rel.Coded(gi)
+		group := v.Rel.Coded(gi)
 		groups := make([]acc, len(group.Values))
 		for i := range n {
-			a, pre := &groups[group.At(i)], v.rel.Value(i, ai)
+			a, pre := &groups[group.At(i)], v.Rel.Value(i, ai)
 			a.preSum += pre.AsFloat()
 			a.postSum += postUpdate(u, inS[i], pre).AsFloat()
 			a.n++
 		}
 		sf := summaryFeature{
-			name:  "psi_" + u.Attr + "_by_" + gAttr,
+			name:  "psi_" + u.Attr + "_by_" + v.Rel.Schema().Col(gi).Name,
 			group: gi,
 			pre:   make([]float64, n),
 			post:  make([]float64, n),

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"hyper/internal/engine"
 	"hyper/internal/hyperql"
 	"hyper/internal/ml"
 	"hyper/internal/plan"
@@ -18,34 +19,43 @@ import (
 // constraints filter the set: range bounds, IN lists, and the normalized L1
 // distance over the WHEN tuples.
 func Candidates(db *relation.Database, q *hyperql.HowTo, o Options) (map[string][]hyperql.UpdateSpec, error) {
-	return candidates(db, q, o, whenSets{})
+	cands, _, err := candidates(db, q, o, whenSets{})
+	return cands, err
 }
 
-func candidates(db *relation.Database, q *hyperql.HowTo, o Options, ws whenSets) (map[string][]hyperql.UpdateSpec, error) {
+// source is the base column a HOWTOUPDATE attribute updates.
+type source struct {
+	rel *relation.Relation
+	col int
+}
+
+// candidates enumerates the candidates of each HOWTOUPDATE attribute and
+// resolves each attribute to its base column through the relevant view, as
+// a what-if UPDATE is (engine.UpdateSource); the view lands in the how-to's
+// engine cache, where its candidate what-ifs find it.
+func candidates(db *relation.Database, q *hyperql.HowTo, o Options, ws whenSets) (map[string][]hyperql.UpdateSpec, map[string]source, error) {
 	o = o.withDefaults()
 	out := make(map[string][]hyperql.UpdateSpec, len(q.Attrs))
+	srcs := make(map[string]source, len(q.Attrs))
 	for _, attr := range q.Attrs {
-		rel, err := db.FindRelationOf(attr)
+		rel, col, err := engine.UpdateSource(db, q.Use, attr, o.Engine)
 		if err != nil {
-			return nil, fmt.Errorf("howto: %w", err)
+			return nil, nil, fmt.Errorf("howto: %w", err)
 		}
-		ci := rel.Schema().MustIndex(attr)
-		if !rel.Schema().Col(ci).Mutable {
-			return nil, fmt.Errorf("howto: attribute %q is immutable", attr)
-		}
-		specs, err := candidatesFor(rel, attr, q, o, ws)
+		src := source{rel, col}
+		specs, err := candidatesFor(src, attr, q, o, ws)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if len(specs) > o.MaxCandidatesPerAttr {
 			specs = specs[:o.MaxCandidatesPerAttr]
 		}
-		out[attr] = specs
+		out[attr], srcs[attr] = specs, src
 	}
-	return out, nil
+	return out, srcs, nil
 }
 
-func candidatesFor(rel *relation.Relation, attr string, q *hyperql.HowTo, o Options, ws whenSets) ([]hyperql.UpdateSpec, error) {
+func candidatesFor(src source, attr string, q *hyperql.HowTo, o Options, ws whenSets) ([]hyperql.UpdateSpec, error) {
 	rangeLo, rangeHi := math.Inf(-1), math.Inf(1)
 	var inVals []relation.Value
 	theta := math.Inf(1)
@@ -69,7 +79,7 @@ func candidatesFor(rel *relation.Relation, attr string, q *hyperql.HowTo, o Opti
 	}
 
 	// Pre-update values of the WHEN tuples, for the L1 feasibility check.
-	pres, err := ws.values(rel, attr, q.When)
+	pres, err := ws.values(src, q.When)
 	if err != nil {
 		return nil, err
 	}
@@ -106,10 +116,9 @@ func candidatesFor(rel *relation.Relation, attr string, q *hyperql.HowTo, o Opti
 		return specs, nil
 	}
 
-	ci := rel.Schema().MustIndex(attr)
-	kind := rel.Schema().Col(ci).Kind
-	if kind == relation.KindFloat {
-		lo, hi, ok := rel.MinMax(attr)
+	base := src.rel.Schema().Col(src.col)
+	if base.Kind == relation.KindFloat {
+		lo, hi, ok := src.rel.MinMax(base.Name)
 		if !ok {
 			return nil, fmt.Errorf("howto: attribute %q has no numeric values", attr)
 		}
@@ -127,7 +136,7 @@ func candidatesFor(rel *relation.Relation, attr string, q *hyperql.HowTo, o Opti
 	}
 
 	// Discrete attribute: one candidate per observed domain value.
-	for _, v := range rel.Domain(attr) {
+	for _, v := range src.rel.Domain(base.Name) {
 		if v.IsNull() {
 			continue
 		}
@@ -141,12 +150,12 @@ func candidatesFor(rel *relation.Relation, attr string, q *hyperql.HowTo, o Opti
 // however many attributes and passes (L1 feasibility, update costs) read it.
 type whenSets map[*relation.Relation][]bool
 
-// values returns the pre-update float values of attr for the rows of rel in
-// the WHEN set, which the planner's program decides over the base relation
-// (the how-to syntax guarantees it contains the update attribute). A WHEN
-// the plan cannot validate there — it may name view-only columns such as
-// aggregates — selects all rows, as does a nil one.
-func (ws whenSets) values(rel *relation.Relation, attr string, when hyperql.Expr) ([]float64, error) {
+// values returns the pre-update float values of src's column for the rows of
+// its relation in the WHEN set, which the planner's program decides over the
+// base relation. A WHEN the plan cannot validate there — it may name
+// view-only columns such as aggregates — selects all rows, as does a nil one.
+func (ws whenSets) values(src source, when hyperql.Expr) ([]float64, error) {
+	rel := src.rel
 	inS, ok := ws[rel]
 	if !ok {
 		inS = make([]bool, rel.Len())
@@ -159,11 +168,10 @@ func (ws whenSets) values(rel *relation.Relation, attr string, when hyperql.Expr
 		}
 		ws[rel] = inS
 	}
-	ci := rel.Schema().MustIndex(attr)
 	var out []float64
 	for i, in := range inS {
 		if in {
-			out = append(out, rel.Value(i, ci).AsFloat())
+			out = append(out, rel.Value(i, src.col).AsFloat())
 		}
 	}
 	return out, nil

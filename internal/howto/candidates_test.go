@@ -102,7 +102,7 @@ func TestCandidatesL1WithViewOnlyWhen(t *testing.T) {
 		TOMAXIMIZE AVG(POST(Rtng))`
 	q := parseHT(t, use+`WHEN Rtng >= 3 `+tail)
 	ws := whenSets{}
-	got, err := candidates(db, q, Options{Buckets: 8}, ws)
+	got, srcs, err := candidates(db, q, Options{Buckets: 8}, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestCandidatesL1WithViewOnlyWhen(t *testing.T) {
 	if len(want["Price"]) != 1 || want["Price"][0] != got["Price"][0] {
 		t.Errorf("view-only WHEN candidates %v differ from the no-WHEN candidates %v", got["Price"], want["Price"])
 	}
-	costs, err := updateCosts(db, q, "Price", got["Price"], ws)
+	costs, err := updateCosts(q, srcs["Price"], got["Price"], ws)
 	if err != nil {
 		t.Fatal(err)
 	}

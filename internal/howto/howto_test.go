@@ -2,6 +2,7 @@ package howto
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -227,5 +228,58 @@ func TestLexicographic(t *testing.T) {
 	// The first objective must be preserved by the lexicographic solve.
 	if math.Abs(multi.Objective-single.Objective) > 1e-6*math.Abs(single.Objective)+1e-6 {
 		t.Errorf("lexicographic first objective %.4f != single-objective optimum %.4f", multi.Objective, single.Objective)
+	}
+}
+
+// TestHowToAliasedUpdate: a HOWTOUPDATE attribute is a view column, found
+// through the relevant view's sources as a what-if UPDATE is — so updating
+// Price under the alias P chooses the same updates, at the same objective, as
+// updating it by its base name, by the IP and by brute force alike.
+func TestHowToAliasedUpdate(t *testing.T) {
+	a := dataset.AmazonSyn(200, 4, 7)
+	const src = `
+		USE (SELECT T1.PID, T1.Category, T1.Price%s, T1.Brand, T1.Color, T1.Quality, AVG(T2.Rating) AS Rtng
+		     FROM Product AS T1, Review AS T2 WHERE T1.PID = T2.PID
+		     GROUP BY T1.PID, T1.Category, T1.Price, T1.Brand, T1.Color, T1.Quality)
+		WHEN Category = 'Laptop'
+		HOWTOUPDATE %s, Color
+		LIMIT 300 <= POST(%[2]s) <= 1200
+		TOMAXIMIZE AVG(POST(Rtng))`
+	parse := func(alias, attr string) *hyperql.HowTo {
+		q, err := hyperql.ParseHowTo(fmt.Sprintf(src, alias, attr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	for _, method := range []struct {
+		name string
+		run  func(*hyperql.HowTo) (*Result, error)
+	}{
+		{"ip", func(q *hyperql.HowTo) (*Result, error) {
+			return Evaluate(context.Background(), a.DB, a.Model, q, Options{Engine: engine.Options{Seed: 7}})
+		}},
+		{"brute", func(q *hyperql.HowTo) (*Result, error) {
+			return BruteForce(context.Background(), a.DB, a.Model, q, Options{Engine: engine.Options{Seed: 7}})
+		}},
+	} {
+		want, err := method.run(parse("", "Price"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := method.run(parse(" AS P", "P"))
+		if err != nil {
+			t.Fatalf("%s: %v", method.name, err)
+		}
+		if math.Float64bits(got.Objective) != math.Float64bits(want.Objective) || math.Float64bits(got.Base) != math.Float64bits(want.Base) || len(got.Choices) != len(want.Choices) {
+			t.Fatalf("%s: aliased %v, unaliased %v", method.name, got, want)
+		}
+		for i, c := range got.Choices {
+			w := want.Choices[i]
+			if (c.Update == nil) != (w.Update == nil) || c.Update != nil &&
+				(c.Update.Form != w.Update.Form || !c.Update.Const.Equal(w.Update.Const)) {
+				t.Errorf("%s: choice %d is %v, unaliased %v", method.name, i, c, w)
+			}
+		}
 	}
 }

@@ -25,7 +25,7 @@ func MinimizeCost(ctx context.Context, db *relation.Database, model *causal.Mode
 	if err != nil {
 		return nil, err
 	}
-	m, err := t.minCostModel(db, target)
+	m, err := t.minCostModel(target)
 	if err != nil {
 		return nil, err
 	}
@@ -53,11 +53,11 @@ func MinimizeCost(ctx context.Context, db *relation.Database, model *causal.Mode
 // minCostModel is: minimize Σ cost_i·δ_i  s.t.  Σ Δ_i·δ_i >= target - base,
 // then the budget — expressed as maximization of negated costs for the 0/1
 // solver.
-func (t *table) minCostModel(db *relation.Database, target float64) (*ip.Model, error) {
+func (t *table) minCostModel(target float64) (*ip.Model, error) {
 	q := t.qs[0]
 	obj := make([]float64, len(t.vars))
 	for _, attr := range q.Attrs {
-		costs, err := updateCosts(db, q, attr, t.cands[attr], t.ws)
+		costs, err := updateCosts(q, t.srcs[attr], t.cands[attr], t.ws)
 		if err != nil {
 			return nil, err
 		}
@@ -80,13 +80,9 @@ func (t *table) minCostModel(db *relation.Database, target float64) (*ip.Model, 
 
 // updateCosts computes the normalized L1 cost of each candidate: the mean
 // absolute change it applies to the WHEN tuples (Section 4.1's cost model).
-func updateCosts(db *relation.Database, q *hyperql.HowTo, attr string, specs []hyperql.UpdateSpec, ws whenSets) ([]float64, error) {
-	rel, err := db.FindRelationOf(attr)
-	if err != nil {
-		return nil, err
-	}
-	numeric := rel.Schema().Col(rel.Schema().MustIndex(attr)).Kind.Numeric()
-	pres, err := ws.values(rel, attr, q.When)
+func updateCosts(q *hyperql.HowTo, src source, specs []hyperql.UpdateSpec, ws whenSets) ([]float64, error) {
+	numeric := src.rel.Schema().Col(src.col).Kind.Numeric()
+	pres, err := ws.values(src, q.When)
 	if err != nil {
 		return nil, err
 	}

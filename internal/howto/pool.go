@@ -8,7 +8,6 @@ import (
 	"hyper/internal/causal"
 	"hyper/internal/hyperql"
 	"hyper/internal/obs"
-	"hyper/internal/plan"
 	"hyper/internal/relation"
 	"hyper/internal/shard"
 )
@@ -39,7 +38,7 @@ type scored struct {
 // candidate's engine evaluation); o.Progress, when set, receives one
 // "candidates" update per scored candidate.
 func scoreCandidates(ctx context.Context, db *relation.Database, model *causal.Model, qs []*hyperql.HowTo,
-	attrs []string, cands map[string][]hyperql.UpdateSpec, o Options) ([]scored, error) {
+	attrs []string, cands map[string][]hyperql.UpdateSpec, srcs map[string]source, o Options) ([]scored, error) {
 	type job struct {
 		attr string
 		spec hyperql.UpdateSpec
@@ -60,21 +59,20 @@ func scoreCandidates(ctx context.Context, db *relation.Database, model *causal.M
 	defer sp.End()
 	sp.Set("candidates", len(jobs))
 	sp.Set("attrs", len(attrs))
-	// Cost-based scheduling: run low-cardinality attributes first — their
-	// frequency estimators are cheapest to train and their candidates
-	// complete fastest, so the pool drains the cheap work while the expensive
-	// estimators warm. This reorders only the dispatch queue; out is indexed
-	// by the original job order, so results (and the deterministic
-	// first-error choice) are unchanged.
-	if rank := plan.AttrRank(db, qs[0].Use, attrs); rank != nil {
-		byRank := func(idxs []int) {
-			sort.SliceStable(idxs, func(a, b int) bool {
-				return rank[jobs[idxs[a]].attr] < rank[jobs[idxs[b]].attr]
-			})
-		}
-		byRank(first)
-		byRank(rest)
-		sp.Set("cost_ordered", true)
+	// Cost-based scheduling: run attributes of low base-column cardinality
+	// first — their frequency estimators are cheapest to train and their
+	// candidates complete fastest, so the pool drains the cheap work while
+	// the expensive estimators warm, query order breaking ties. This reorders
+	// only the dispatch queue; out is indexed by the original job order, so
+	// results (and the deterministic first-error choice) are unchanged.
+	card := make(map[string]int, len(attrs))
+	for _, attr := range attrs {
+		card[attr] = srcs[attr].rel.Coded(srcs[attr].col).Card()
+	}
+	for _, idxs := range [][]int{first, rest} {
+		sort.SliceStable(idxs, func(a, b int) bool {
+			return card[jobs[idxs[a]].attr] < card[jobs[idxs[b]].attr]
+		})
 	}
 	queue := append(first, rest...)
 	// The shard fan-out knob governs candidate-level parallelism too: a

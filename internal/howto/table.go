@@ -19,10 +19,11 @@ import (
 type table struct {
 	qs    []*hyperql.HowTo
 	start time.Time
-	// cands are the enumerated updates per attribute and ws the WHEN-set
-	// memo enumeration filled; the min-cost formulation prices the same
-	// updates over the same sets.
+	// cands are the enumerated updates per attribute, srcs the base column
+	// each attribute updates and ws the WHEN-set memo enumeration filled; the
+	// min-cost formulation prices the same updates over the same sets.
 	cands map[string][]hyperql.UpdateSpec
+	srcs  map[string]source
 	ws    whenSets
 	// vars are the candidates scored, in (attribute, candidate) order — the
 	// order of the IP's variables; byAttr groups their indexes per attribute
@@ -43,7 +44,7 @@ func newTable(ctx context.Context, db *relation.Database, model *causal.Model, q
 	o := opts.withDefaults()
 	t := &table{qs: qs, start: time.Now(), ws: whenSets{}, byAttr: map[string][]int{}}
 	var err error
-	if t.cands, err = candidates(db, qs[0], o, t.ws); err != nil {
+	if t.cands, t.srcs, err = candidates(db, qs[0], o, t.ws); err != nil {
 		return nil, err
 	}
 	t.bases = make([]float64, len(qs))
@@ -52,7 +53,7 @@ func newTable(ctx context.Context, db *relation.Database, model *causal.Model, q
 			return nil, err
 		}
 	}
-	if t.vars, err = scoreCandidates(ctx, db, model, qs, qs[0].Attrs, t.cands, o); err != nil {
+	if t.vars, err = scoreCandidates(ctx, db, model, qs, qs[0].Attrs, t.cands, t.srcs, o); err != nil {
 		return nil, err
 	}
 	t.deltas = make([][]float64, len(qs))

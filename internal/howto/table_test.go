@@ -112,7 +112,7 @@ func TestFormulationsMatchEnumeration(t *testing.T) {
 			nodes := 0
 			switch c.method {
 			case "mincost":
-				m, err := tab.minCostModel(db, c.target)
+				m, err := tab.minCostModel(c.target)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"context"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -156,38 +155,4 @@ func (c *Cache) WhatIf(db *relation.Database, _ string, q *hyperql.WhatIf, rel *
 // p.Apply(q.When, rel, inS) and reads no cache state, so a nil c is fine.
 func (c *Cache) Apply(p *WhatIfPlan, q *hyperql.WhatIf, rel *relation.Relation, inS []bool) (pushed int, err error) {
 	return p.Apply(q.When, rel, inS)
-}
-
-// AttrRank orders HOWTOUPDATE attributes for candidate scoring by ascending
-// base-relation cardinality (most selective attribute first — its frequency
-// estimators are cheapest and its candidates prune fastest), original order
-// breaking ties. It returns nil — meaning "keep the query order" — when the
-// USE clause is a sub-select (no base relation to read cardinalities from)
-// or an attribute is missing. Only the named attributes' columns are
-// projected, and the candidate what-ifs' encoders reuse those projections.
-func AttrRank(db *relation.Database, use *hyperql.UseClause, attrs []string) map[string]int {
-	if use == nil || use.Table == "" {
-		return nil
-	}
-	rel := db.Relation(use.Table)
-	if rel == nil {
-		return nil
-	}
-	card := make(map[string]int, len(attrs))
-	for _, a := range attrs {
-		ci, ok := rel.Schema().Index(a)
-		if !ok {
-			return nil
-		}
-		card[a] = rel.Coded(ci).Card()
-	}
-	order := append([]string(nil), attrs...)
-	sort.SliceStable(order, func(i, j int) bool {
-		return card[order[i]] < card[order[j]]
-	})
-	rank := make(map[string]int, len(order))
-	for i, a := range order {
-		rank[a] = i
-	}
-	return rank
 }

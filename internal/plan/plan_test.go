@@ -377,26 +377,6 @@ func TestSchemaSignatureInvalidation(t *testing.T) {
 	}
 }
 
-func TestAttrRank(t *testing.T) {
-	db, _ := testDB(t)
-	use := &hyperql.UseClause{Table: "Items"}
-	// Cards: Cat=4, Qty=4 (NULL excluded), Price=8. Ascending cardinality,
-	// original order breaking the Cat/Qty tie.
-	rank := AttrRank(db, use, []string{"Price", "Cat", "Qty"})
-	if rank == nil {
-		t.Fatal("AttrRank returned nil for a base relation")
-	}
-	if rank["Cat"] != 0 || rank["Qty"] != 1 || rank["Price"] != 2 {
-		t.Errorf("rank = %v, want Cat=0 Qty=1 Price=2", rank)
-	}
-	if r := AttrRank(db, &hyperql.UseClause{}, []string{"Cat"}); r != nil {
-		t.Errorf("sub-select USE ranked to %v, want nil (keep query order)", r)
-	}
-	if r := AttrRank(db, use, []string{"Cat", "Nope"}); r != nil {
-		t.Errorf("missing attribute ranked to %v, want nil", r)
-	}
-}
-
 // TestConcurrentPlanners hammers one shared cache from many goroutines —
 // compiles, hits, evictions, and Apply all interleave — and checks every
 // produced mask against the row loop. Run under -race in CI's test job.

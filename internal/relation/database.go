@@ -78,26 +78,6 @@ func (d *Database) AddForeignKey(fk ForeignKey) error {
 // ForeignKeys returns the declared foreign keys.
 func (d *Database) ForeignKeys() []ForeignKey { return append([]ForeignKey(nil), d.fks...) }
 
-// FindRelationOf returns the (unique) relation containing the named
-// attribute. The paper assumes update and output attributes appear in a
-// single relation; ambiguity is an error.
-func (d *Database) FindRelationOf(attr string) (*Relation, error) {
-	var found *Relation
-	for _, name := range d.order {
-		r := d.rels[name]
-		if r.Schema().Has(attr) {
-			if found != nil {
-				return nil, fmt.Errorf("database: attribute %q is ambiguous (in %s and %s)", attr, found.Name(), r.Name())
-			}
-			found = r
-		}
-	}
-	if found == nil {
-		return nil, fmt.Errorf("database: attribute %q not found in any relation", attr)
-	}
-	return found, nil
-}
-
 // Version returns the database's snapshot version (0 until SetVersion or
 // Extend).
 func (d *Database) Version() int64 { return d.version }

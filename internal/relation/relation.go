@@ -246,13 +246,6 @@ func (r *Relation) LookupKey(t Tuple) int {
 		}
 		codes[j] = c
 	}
-	return r.KeyRow(codes)
-}
-
-// KeyRow returns the row whose key columns (the declared key, or every column
-// when none is declared) hold the given codes, one per key column in order,
-// or -1.
-func (r *Relation) KeyRow(codes []uint32) int {
 	if r.tuples == nil {
 		return int(codes[0]) // each row has a key code of its own, in row order
 	}

@@ -190,15 +190,6 @@ func TestDatabase(t *testing.T) {
 	if err := db.AddForeignKey(ForeignKey{Child: "Z", ChildCol: "AID", Parent: "A", ParentCol: "ID"}); err == nil {
 		t.Error("bad FK relation should fail")
 	}
-	if r, err := db.FindRelationOf("X"); err != nil || r.Name() != "A" {
-		t.Errorf("FindRelationOf(X) = %v, %v", r, err)
-	}
-	if _, err := db.FindRelationOf("ID"); err == nil {
-		t.Error("ambiguous attribute should fail")
-	}
-	if _, err := db.FindRelationOf("Nope"); err == nil {
-		t.Error("missing attribute should fail")
-	}
 	a.MustInsert(Int(1), Int(10))
 	bRel.MustInsert(Int(1), Int(1))
 	if db.TotalRows() != 2 {

@@ -9,8 +9,51 @@ import (
 	"hyper/internal/relation"
 )
 
-// RunSelect evaluates a USE sub-select against db and materializes the
-// relevant view as a relation named name.
+// View is a materialized select and its provenance: where each of its
+// columns and rows came from. It is what maps the relevant view of a USE
+// clause back to the base attributes and base tuples the causal model, the
+// updates and the block decomposition are stated over (Sections 3.1-3.2).
+type View struct {
+	Rel    *relation.Relation
+	Tables []*relation.Relation // the FROM tables, in FROM order
+	// Cols[c] is the source of view column c: the FROM table and column a
+	// plain column reads, or an aggregate's argument.
+	Cols []Source
+	// Rows[t][i] is the row of Tables[t] behind view row i — for a grouped
+	// select, the first joined row of its group. It is nil for a table no
+	// plain column reads, and for the one table of a view that is the table
+	// itself (TableView), whose row i is view row i.
+	Rows [][]int32
+}
+
+// Source is where a view column came from: column Col of FROM table Table.
+// Agg marks an aggregate of that column; COUNT(*) has Table -1.
+type Source struct {
+	Table, Col int
+	Agg        bool
+}
+
+// TableView is the view of a bare table: the table itself, each column its
+// own source.
+func TableView(r *relation.Relation) *View {
+	cols := make([]Source, r.Schema().Len())
+	for c := range cols {
+		cols[c] = Source{Col: c}
+	}
+	return &View{Rel: r, Tables: []*relation.Relation{r}, Cols: cols, Rows: make([][]int32, 1)}
+}
+
+// RunSelect is Select's relation alone.
+func RunSelect(db *relation.Database, sel *hyperql.SelectStmt, name string) (*relation.Relation, error) {
+	v, err := Select(db, sel, name)
+	if err != nil {
+		return nil, err
+	}
+	return v.Rel, nil
+}
+
+// Select evaluates a USE sub-select against db and materializes the
+// relevant view as a relation named name, with its provenance.
 //
 // A joined row is never built: it is a tuple of base-row indexes, one per
 // FROM table, and every later step reads the base rows through it. Joins run
@@ -24,7 +67,7 @@ import (
 // residual predicate filters them in that order; GROUP BY forms groups in
 // first-seen order and every aggregate adds its rows in that order, so SUM
 // and AVG are summed in one fixed order whatever the key representation.
-func RunSelect(db *relation.Database, sel *hyperql.SelectStmt, name string) (*relation.Relation, error) {
+func Select(db *relation.Database, sel *hyperql.SelectStmt, name string) (*View, error) {
 	j, err := newJoiner(db, sel)
 	if err != nil {
 		return nil, err
@@ -316,7 +359,7 @@ func (e *tupleEnv) Lookup(table, name string, _ hyperql.Temporal) (relation.Valu
 
 // project materializes a non-grouped select (columns only): each output
 // column gathers its source column over the joined rows.
-func (j *joiner) project(name string) (*relation.Relation, error) {
+func (j *joiner) project(name string) (*View, error) {
 	var cols []relation.Column
 	var refs []colRef
 	for _, item := range j.sel.Items {
@@ -343,15 +386,30 @@ func (j *joiner) project(name string) (*relation.Relation, error) {
 	for k := range every {
 		every[k] = k * len(j.tables)
 	}
-	return relation.FromColumns(name, schema, j.gather(refs, every))
+	srcs := make([]Source, len(refs))
+	for c, ref := range refs {
+		srcs[c] = Source{Table: ref.table, Col: ref.col}
+	}
+	out, rows := j.gather(refs, every)
+	return j.view(name, schema, out, srcs, rows)
+}
+
+// view wraps a select's output columns, their sources and its base rows.
+func (j *joiner) view(name string, schema *relation.Schema, out []*relation.CodedColumn, srcs []Source, rows [][]int32) (*View, error) {
+	rel, err := relation.FromColumns(name, schema, out)
+	if err != nil {
+		return nil, err
+	}
+	return &View{Rel: rel, Tables: j.tables, Cols: srcs, Rows: rows}, nil
 }
 
 // gather returns, per column reference, its column over the joined rows at
 // the given offsets of j.rows: a relation.Gather over the rows its FROM table
-// contributes to them.
-func (j *joiner) gather(refs []colRef, offsets []int) []*relation.CodedColumn {
-	rowsOf := make([][]int32, len(j.tables))
-	out := make([]*relation.CodedColumn, len(refs))
+// contributes to them. rowsOf holds those rows per FROM table, nil for a
+// table no reference reads.
+func (j *joiner) gather(refs []colRef, offsets []int) (out []*relation.CodedColumn, rowsOf [][]int32) {
+	rowsOf = make([][]int32, len(j.tables))
+	out = make([]*relation.CodedColumn, len(refs))
 	for i, ref := range refs {
 		rows := rowsOf[ref.table]
 		if rows == nil {
@@ -363,7 +421,7 @@ func (j *joiner) gather(refs []colRef, offsets []int) []*relation.CodedColumn {
 		}
 		out[i] = relation.Gather(j.tables[ref.table].Coded(ref.col), rows)
 	}
-	return out
+	return out, rowsOf
 }
 
 // aggregate is one aggregate select item.
@@ -398,7 +456,7 @@ func (a *aggregate) readByCode(col *relation.CodedColumn) {
 // groupProject materializes a grouped select with aggregates: a grouped
 // column gathers its source column over each group's first joined row, and
 // an aggregate column is built from the per-group values.
-func (j *joiner) groupProject(name string) (*relation.Relation, error) {
+func (j *joiner) groupProject(name string) (*View, error) {
 	groupRefs := make([]colRef, len(j.sel.GroupBy))
 	for i, g := range j.sel.GroupBy {
 		ref, err := j.resolve(g.Table, g.Name)
@@ -409,6 +467,7 @@ func (j *joiner) groupProject(name string) (*relation.Relation, error) {
 	}
 	// Classify select items: each must be a group-by column or an aggregate.
 	cols := make([]relation.Column, len(j.sel.Items))
+	srcs := make([]Source, len(j.sel.Items))
 	var keyed []int        // the group-by column items ...
 	var keyedRefs []colRef // ... and their columns
 	var aggs []aggregate
@@ -431,12 +490,14 @@ func (j *joiner) groupProject(name string) (*relation.Relation, error) {
 				cn = x.Name
 			}
 			cols[i] = j.outputCol(ref, cn)
+			srcs[i] = Source{Table: ref.table, Col: ref.col}
 			keyed, keyedRefs = append(keyed, i), append(keyedRefs, ref)
 		case *hyperql.Aggregate:
 			if !x.Func.Valid() {
 				return nil, fmt.Errorf("sqlmini: unsupported aggregate %q", x.Func)
 			}
 			a := aggregate{item: i, fn: x.Func, star: x.Expr == nil}
+			srcs[i] = Source{Table: -1, Agg: true}
 			if x.Expr != nil {
 				c, ok := x.Expr.(*hyperql.ColRef)
 				if !ok {
@@ -447,6 +508,7 @@ func (j *joiner) groupProject(name string) (*relation.Relation, error) {
 					return nil, err
 				}
 				a.arg = ref
+				srcs[i] = Source{Table: ref.table, Col: ref.col, Agg: true}
 				a.readByCode(j.tables[ref.table].Coded(ref.col))
 			}
 			cn := item.Alias
@@ -518,7 +580,8 @@ func (j *joiner) groupProject(name string) (*relation.Relation, error) {
 		}
 	}
 	out := make([]*relation.CodedColumn, len(cols))
-	for i, c := range j.gather(keyedRefs, first) {
+	keyedCols, rows := j.gather(keyedRefs, first)
+	for i, c := range keyedCols {
 		out[keyed[i]] = c
 	}
 	vals := make([]relation.Value, len(first))
@@ -538,7 +601,7 @@ func (j *joiner) groupProject(name string) (*relation.Relation, error) {
 		}
 		out[x.item] = relation.ColumnOf(vals)
 	}
-	return relation.FromColumns(name, schema, out)
+	return j.view(name, schema, out, srcs, rows)
 }
 
 // groupSource is one digit of a group key: a column's code, or — codes nil —

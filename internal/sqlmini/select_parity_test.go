@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -132,26 +133,121 @@ func parseSelect(t testing.TB, src string) *hyperql.SelectStmt {
 	return q.(*hyperql.WhatIf).Use.Select
 }
 
-// checkSelectParity holds RunSelect to the []Value-row executor on one
+// checkSelectParity holds Select to the []Value-row executor on one
 // database: the same error, or the same schema and, column by column, the
-// relation Insert built from the reference's rows (sameColumns).
+// relation Insert built from the reference's rows (sameColumns), with a
+// provenance that holds (checkProvenance).
 func checkSelectParity(t testing.TB, db *relation.Database, src string) {
 	t.Helper()
 	sel := parseSelect(t, src)
 	want, wantErr := refRunSelect(db, sel, "V")
-	got, gotErr := RunSelect(db, sel, "V")
+	v, gotErr := Select(db, sel, "V")
 	if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
 		t.Fatalf("%s\n  error %v, reference %v", src, gotErr, wantErr)
 	}
 	if wantErr != nil {
 		return
 	}
+	got := v.Rel
 	if !reflect.DeepEqual(got.Schema().Columns(), want.Schema().Columns()) {
 		t.Fatalf("%s\n  schema %v, reference %v", src, got.Schema(), want.Schema())
 	}
 	if err := sameColumns(got, want); err != nil {
 		t.Fatalf("%s\n  %v\n%v\nreference:\n%v", src, err, got, want)
 	}
+	if err := checkProvenance(v, sel); err != nil {
+		t.Fatalf("%s\n  %v", src, err)
+	}
+}
+
+// checkProvenance holds a View's source map to its select: a plain column's
+// source is the column the item names and its value at view row i is, by
+// bits, its source's at Rows[t][i]; an aggregate's source is its argument
+// (Table -1 for COUNT(*)); and a grouped select whose GROUP BY reads only
+// tables whose whole key it covers reads distinct base rows of those tables
+// per view row.
+func checkProvenance(v *View, sel *hyperql.SelectStmt) error {
+	// ref finds the FROM table and column a reference names, independently
+	// of the executor's resolver.
+	ref := func(c *hyperql.ColRef) (int, int) {
+		for t, tr := range sel.From {
+			if c.Table != "" && c.Table != tr.Alias && c.Table != tr.Name {
+				continue
+			}
+			if ci, ok := v.Tables[t].Schema().Index(c.Name); ok {
+				return t, ci
+			}
+		}
+		return -1, -1
+	}
+	if len(v.Tables) != len(sel.From) || len(v.Rows) != len(sel.From) || len(v.Cols) != v.Rel.Schema().Len() {
+		return fmt.Errorf("%d tables, %d row lists and %d sources for %d FROM entries and %d columns",
+			len(v.Tables), len(v.Rows), len(v.Cols), len(sel.From), v.Rel.Schema().Len())
+	}
+	for c, item := range sel.Items {
+		s, want := v.Cols[c], Source{Table: -1, Agg: true}
+		switch x := item.Expr.(type) {
+		case *hyperql.ColRef:
+			want.Table, want.Col = ref(x)
+			want.Agg = false
+		case *hyperql.Aggregate:
+			if arg, ok := x.Expr.(*hyperql.ColRef); ok {
+				want.Table, want.Col = ref(arg)
+			}
+		}
+		if s != want {
+			return fmt.Errorf("column %d (%s): source %+v, want %+v", c, item.Expr, s, want)
+		}
+		if s.Agg {
+			continue
+		}
+		rows := v.Rows[s.Table]
+		if len(rows) != v.Rel.Len() {
+			return fmt.Errorf("column %d (%s): %d base rows for %d view rows", c, item.Expr, len(rows), v.Rel.Len())
+		}
+		for i, r := range rows {
+			if got, base := v.Rel.Value(i, c), v.Tables[s.Table].Value(int(r), s.Col); !sameValue(got, base) {
+				return fmt.Errorf("column %d (%s) row %d: %#v, its base row %d holds %#v", c, item.Expr, i, got, r, base)
+			}
+		}
+	}
+	// The key-covered tables, when every GROUP BY column reads one of them
+	// and a plain column reads each: their base rows name the group.
+	var covered []int
+	for t, rows := range v.Rows {
+		keys := v.Tables[t].Schema().KeyIndexes()
+		all := len(keys) > 0
+		for _, k := range keys {
+			grouped := false
+			for _, g := range sel.GroupBy {
+				gt, gc := ref(g)
+				grouped = grouped || gt == t && gc == k
+			}
+			all = all && grouped
+		}
+		if all && rows != nil {
+			covered = append(covered, t)
+		}
+	}
+	for _, g := range sel.GroupBy {
+		if gt, _ := ref(g); !slices.Contains(covered, gt) {
+			covered = nil
+		}
+	}
+	if len(covered) > 0 {
+		seen := make(map[string]int, v.Rel.Len())
+		for i := range v.Rel.Len() {
+			key := ""
+			for _, t := range covered {
+				key += fmt.Sprintf("%d,", v.Rows[t][i])
+			}
+			if j, dup := seen[key]; dup {
+				return fmt.Errorf("the GROUP BY covers the keys of tables %v, yet view rows %d and %d read their rows %s", covered, j, i, key)
+			}
+			seen[key] = i
+		}
+	}
+	return nil
 }
 
 // sameColumns compares two relations over one schema through everything a
@@ -242,7 +338,8 @@ func FuzzRunSelectParity(f *testing.F) {
 // place, past the relation's rows. Selects over one database run while
 // another goroutine extends its Product and Review (first extensions,
 // extensions of those, and siblings); every view must equal the one taken
-// before any extension. Run under -race.
+// before any extension, its provenance read through the base relations it
+// was selected from. Run under -race.
 func TestRunSelectConcurrentExtend(t *testing.T) {
 	db := dataset.AmazonSyn(400, 4, 3).DB
 	queries := []string{figure1Select,
@@ -251,10 +348,14 @@ func TestRunSelectConcurrentExtend(t *testing.T) {
 	wants := make([]*relation.Relation, len(queries))
 	for i, q := range queries {
 		sels[i] = parseSelect(t, q)
-		var err error
-		if wants[i], err = RunSelect(db, sels[i], "V"); err != nil {
+		v, err := Select(db, sels[i], "V")
+		if err != nil {
 			t.Fatal(err)
 		}
+		if err := checkProvenance(v, sels[i]); err != nil {
+			t.Fatal(err)
+		}
+		wants[i] = v.Rel
 	}
 	const readers = 4
 	errs := make(chan error, readers+1) // each goroutine sends at most one
@@ -293,9 +394,12 @@ func TestRunSelectConcurrentExtend(t *testing.T) {
 			<-start
 			for range 3 {
 				for i, sel := range sels {
-					got, err := RunSelect(db, sel, "V")
+					got, err := Select(db, sel, "V")
 					if err == nil {
-						err = sameColumns(got, wants[i])
+						err = sameColumns(got.Rel, wants[i])
+					}
+					if err == nil {
+						err = checkProvenance(got, sel)
 					}
 					if err != nil {
 						errs <- fmt.Errorf("%s: %v", queries[i], err)
