@@ -27,12 +27,12 @@ type boundRef struct {
 }
 
 // materialise runs the former Steps 4 and 5 of prepareEvaluation and the
-// affected loop of evaluator.prepare over p's view, WHEN set and updates.
+// affected loop the evaluator once prepared, over p's view, WHEN set and updates.
 // ignoreWhen doctors it: every row counts as selected.
 func materialise(p *evalPrep, model *causal.Model, ignoreWhen bool) (boundRef, error) {
 	rel, e := p.v.Rel, p.ev
 	ref := boundRef{postVals: make(map[string][]relation.Value)}
-	for _, u := range e.q.Updates {
+	for _, u := range e.updates {
 		ci := rel.Schema().MustIndex(u.Attr)
 		vals := make([]relation.Value, rel.Len())
 		for i := 0; i < rel.Len(); i++ {

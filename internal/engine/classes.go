@@ -33,8 +33,8 @@ type classKey struct {
 // the WHEN bit and the pre-update value), Y, and whatever the normalised FOR
 // literals and the OUTPUT condition reference. ok is false when an expression
 // names a column the view lacks: every row then fails the way it does today.
-func (e *evaluator) classColumns() (cols []int, ok bool) {
-	sch := e.v.Rel.Schema()
+func (p *Prepared) classColumns() (cols []int, ok bool) {
+	sch := p.v.Rel.Schema()
 	seen := make([]bool, sch.Len())
 	add := func(ci int) {
 		if !seen[ci] {
@@ -42,22 +42,22 @@ func (e *evaluator) classColumns() (cols []int, ok bool) {
 			cols = append(cols, ci)
 		}
 	}
-	for _, name := range e.est.featCols {
+	for _, name := range p.featCols {
 		if ci, isCol := sch.Index(name); isCol { // otherwise a ψ feature
 			add(ci)
 		}
 	}
-	for _, s := range e.summaries {
+	for _, s := range p.psi {
 		add(s.group)
 	}
-	for _, ci := range e.updIdx {
+	for _, ci := range p.updIdx {
 		add(ci)
 	}
-	if e.yIdx >= 0 {
-		add(e.yIdx)
+	if p.yIdx >= 0 {
+		add(p.yIdx)
 	}
-	exprs := []hyperql.Expr{e.outCond}
-	for _, d := range e.disjuncts {
+	exprs := []hyperql.Expr{p.outCond}
+	for _, d := range p.disjuncts {
 		exprs = append(append(exprs, d.pre...), d.post...)
 	}
 	for _, x := range exprs {
@@ -80,12 +80,12 @@ func (e *evaluator) classColumns() (cols []int, ok bool) {
 // row's in bits); a column alone has more distinct values than half the rows
 // (continuous attributes: nothing would collapse); or the alphabets' product
 // overflows the key. The view must not be empty.
-func (e *evaluator) classKey() (classKey, bool) {
-	cols, ok := e.classColumns()
+func (p *Prepared) classKey() (classKey, bool) {
+	cols, ok := p.classColumns()
 	if !ok {
 		return classKey{}, false
 	}
-	rel := e.v.Rel
+	rel := p.v.Rel
 	k := classKey{cols: make([]*relation.CodedColumn, len(cols)), stride: make([]uint64, len(cols)), space: 2}
 	for j, ci := range cols {
 		cc := rel.Coded(ci)

@@ -1,0 +1,409 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"slices"
+	"sync"
+	"time"
+
+	"hyper/internal/causal"
+	"hyper/internal/hyperql"
+	"hyper/internal/obs"
+	"hyper/internal/relation"
+	"hyper/internal/shard"
+)
+
+// Prepared is a what-if evaluation prepared up to its update constants. Every
+// part of it is a function of USE, WHEN, FOR, OUTPUT, the options and which
+// attributes are updated: the view, the blocks, the WHEN plan and set, the
+// normalised FOR, the backdoor set, the feature columns and the tuple-class
+// key. Evaluate binds one update of those attributes to it — the ψ post
+// means, the support check with its forest fallback, the estimator-set
+// lookup — and runs the tuple loop and the fold. The class partition is
+// built by the first Evaluate and shared by the rest.
+//
+// A how-to's candidate what-ifs for one attribute are updates of one
+// Prepared (Section 4.3). A Prepared holds request state (the WHEN set, the
+// partition) and no cache keeps it: it lives as long as its holder. It is
+// safe for concurrent Evaluate calls.
+type Prepared struct {
+	o    Options
+	diag Result // what the shape decides: each bound Result starts from a copy
+
+	v                        *view
+	viewKey, whenKey, forKey string // estimator-set identity, less features and options
+	updateAttrs              []string
+	// blockOf is R's tuples' block ids (nil: one block) and baseRows R's row
+	// behind each view row (nil: view row i is R's row i).
+	blockOf  []int
+	baseRows []int32
+	nBlocks  int
+	inS      []bool // the WHEN set
+	agg      hyperql.AggFunc
+	yCol     string
+	outCond  hyperql.Expr
+	// disjuncts is the normalised FOR; psi the ψ summaries with their
+	// pre-update means (post means are per update).
+	disjuncts []disjunct
+	psi       []summaryFeature
+	featCols  []string
+	plan      shard.Plan
+
+	yIdx    int   // view column index of Y (-1 when COUNT)
+	updIdx  []int // view column indexes of update attrs
+	featUpd []int // feature positions of update attrs
+	featSum []int // feature positions of summary features
+
+	// Distinct post events across all disjuncts, identified once so the
+	// per-tuple inclusion-exclusion works on small integer ids: the hot
+	// path resolves an event subset to its trained regressor through a
+	// worker-local memo, touching neither literal strings nor the shared
+	// estimator lock.
+	events  [][]hyperql.Expr
+	eventID []int // disjunct index -> event id (-1 = empty post)
+
+	key   classKey
+	keyed bool // false: the rows evaluate one by one
+	part  struct {
+		once    sync.Once
+		classOf []uint32
+		classes int
+	}
+}
+
+// Prepare resolves the update-constant-independent half of the what-if q:
+// every step of EvaluateContext up to the estimator-set lookup. q's updates
+// name the attributes later updates must update, in the same order; their
+// constants are not read.
+func Prepare(ctx context.Context, db *relation.Database, model *causal.Model, q *hyperql.WhatIf, opts Options) (*Prepared, error) {
+	ctx, sp := obs.Start(ctx, "prepare")
+	defer sp.End()
+	return prepare(ctx, db, model, q, opts)
+}
+
+// Evaluate answers the prepared what-if with updates in place of the
+// prepared query's: bit for bit what EvaluateContext returns for that query.
+// updates must update the prepared attributes in the prepared order. The
+// view, block and plan diagnostics of the Result are the Prepared's, and
+// Total counts from this call.
+func (p *Prepared) Evaluate(ctx context.Context, updates []hyperql.UpdateSpec) (*Result, error) {
+	ep, err := p.bind(ctx, updates, time.Now())
+	if err != nil {
+		return nil, err
+	}
+	return ep.run(ctx)
+}
+
+func prepare(ctx context.Context, db *relation.Database, model *causal.Model, q *hyperql.WhatIf, opts Options) (*Prepared, error) {
+	o := opts.withDefaults()
+	if model == nil && o.Mode == ModeFull {
+		o.Mode = ModeNB
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	p := &Prepared{o: o, diag: Result{Mode: o.Mode}}
+	res := &p.diag
+
+	// Step 1: relevant view (USE), memoized across candidate queries when a
+	// cache is provided. Each stage below is timed once, by an obs.Stage,
+	// for its span, its meter entry and its Result field.
+	_, stage := obs.StartStage(ctx, "view")
+	v, viewKey, updateAttrs, from, viewHit, err := resolveView(db, q, o)
+	if err != nil {
+		return nil, err
+	}
+	p.v, p.viewKey, p.updateAttrs = v, viewKey, updateAttrs
+	res.ViewRows = v.Rel.Len()
+	stage.Set("rows", res.ViewRows)
+	stage.Set("cache_hit", viewHit)
+	res.ViewTime = stage.End()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+
+	// Step 2: block-independent decomposition (memoized likewise). The
+	// decomposition of the database is the model's alone — one per version,
+	// whatever the query — and a view row's block is that of its base tuple
+	// of R (blockAt).
+	_, stage = obs.StartStage(ctx, "blocks")
+	blocksHit := false
+	res.Blocks = 1
+	if model != nil && !o.DisableBlocks {
+		var rb rowBlocks
+		rb, blocksHit, err = memo(ctx, o.Cache, kindRowBlocks+db.VersionTag(), func() (rowBlocks, error) {
+			byRel, nBlocks, err := causal.RowBlocks(db, model)
+			return rowBlocks{byRel: byRel, nBlocks: nBlocks}, err
+		})
+		if err != nil {
+			return nil, err
+		}
+		p.blockOf, res.Blocks = rb.byRel[v.Tables[from].Name()], rb.nBlocks
+	}
+	p.baseRows, p.nBlocks = v.Rows[from], res.Blocks
+	stage.Set("blocks", res.Blocks)
+	stage.Set("cache_hit", blocksHit)
+	res.BlockTime = stage.End()
+
+	// Step 3: WHEN defines the update set S (pre-update values only). The
+	// planner owns the whole step: the clause compiles — once per shape when
+	// a plan cache is attached, per call otherwise — into a cost-ordered
+	// pushdown program scanning the view's column codes
+	// (relation.Relation.Coded), and a tree it cannot prove error-free runs
+	// as the degenerate whole-tree program, so S and any error are those of
+	// a row-at-a-time sqlmini.EvalBool loop to the bit.
+	_, stage = obs.StartStage(ctx, "plan")
+	qp, planHit := o.Plans.WhatIf(db, viewKey, q, v.Rel)
+	res.PlanFingerprint = qp.Fingerprint
+	res.PlanCacheHit = planHit
+	res.PlanText = qp.Explain()
+	p.inS = make([]bool, v.Rel.Len())
+	res.PlanPushed, err = o.Plans.Apply(qp, q, v.Rel, p.inS)
+	stage.Set("cache_hit", planHit)
+	stage.Set("pushed", res.PlanPushed)
+	stage.Set("fallback", qp.Fallback)
+	res.PlanTime = stage.End()
+	if err != nil {
+		return nil, fmt.Errorf("engine: WHEN: %w", err)
+	}
+	for _, s := range p.inS {
+		if s {
+			res.UpdatedRows++
+		}
+	}
+
+	// Step 4, post-update values, is not a stage: a row's is postUpdate of its
+	// WHEN bit and pre-update value, computed where tuple() reads it.
+
+	// Step 5: cross-tuple summary features (the ψ functions of Section 2.2):
+	// when the model declares a cross-tuple edge out of an update attribute,
+	// the group mean of that attribute becomes a feature, and its post-update
+	// shift (bindSummaries) propagates the update to non-updated tuples in the
+	// same group.
+	if p.psi, err = buildSummaries(v, model, updateAttrs); err != nil {
+		return nil, err
+	}
+
+	// Step 6: parse the OUTPUT aggregate.
+	p.agg = q.Output.Func
+	switch p.agg {
+	case hyperql.AggAvg, hyperql.AggSum:
+		c, ok := q.Output.Expr.(*hyperql.ColRef)
+		if !ok {
+			return nil, fmt.Errorf("engine: %s requires a column argument, got %v", p.agg, q.Output.Expr)
+		}
+		if c.Time == hyperql.TimePre {
+			return nil, fmt.Errorf("engine: OUTPUT reads post-update values; PRE(%s) is not allowed", c.Name)
+		}
+		p.yCol = c.Name
+		if !v.Rel.Schema().Has(p.yCol) {
+			return nil, fmt.Errorf("engine: output attribute %q is not a column of the relevant view", p.yCol)
+		}
+	case hyperql.AggCount:
+		if q.Output.Expr != nil {
+			p.outCond = q.Output.Expr
+			if _, hasPre := prePresent(p.outCond); hasPre {
+				return nil, fmt.Errorf("engine: OUTPUT condition reads post-update values; PRE() is not allowed")
+			}
+		}
+	}
+
+	// Step 7: normalize FOR into disjoint pre/post disjuncts.
+	// The caps are fixed: at most 64 disjuncts (A.2.3 — the 2^t blowup is in
+	// query complexity, not data) and 64 distinct values per mixed Pre/Post
+	// literal (A.2.4). Distinct post events never outnumber disjuncts, so an
+	// event subset always fits a 64-bit mask.
+	if p.disjuncts, err = normalizeFor(q.For, v.Rel, 64, 64); err != nil {
+		return nil, err
+	}
+	res.Disjuncts = len(p.disjuncts)
+
+	// Step 8: backdoor set.
+	if res.Backdoor, err = backdoorColumns(v, from, model, updateAttrs, p.yCol, p.outCond, p.disjuncts, o.Mode); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+
+	// Step 9: the feature columns. Proposition 2 conditions the post-update
+	// probabilities on μ_When and μ_For,Pre, so the attributes those
+	// predicates reference join the conditioning features (this is what
+	// makes runtime grow with the number of FOR attributes, Figure 11a).
+	p.featCols = append(slices.Clone(updateAttrs), res.Backdoor...)
+	for _, s := range p.psi {
+		p.featCols = append(p.featCols, s.name)
+	}
+	if o.Mode != ModeIndep {
+		p.featCols = appendPredicateAttrs(p.featCols, v.Rel, q.When, p.disjuncts, updateAttrs)
+	}
+	if q.When != nil {
+		p.whenKey = q.When.String()
+	}
+	if q.For != nil {
+		p.forKey = q.For.String()
+	}
+	p.forKey += "\x00" + q.Output.String()
+
+	// Step 10 is the per-tuple loop (evalShards); resolve its columns, post
+	// events, class key and the canonical shard plan here so every update
+	// shares one construction.
+	p.resolveColumns()
+	if v.Rel.Len() > 0 {
+		p.key, p.keyed = p.classKey()
+	}
+	p.plan = shard.Rows(v.Rel.Len(), o.ShardRows)
+	res.ShardPlan = p.plan.Shards()
+	res.ShardWorkers = p.plan.Workers(o.Shards)
+	return p, nil
+}
+
+// resolveColumns locates Y, the update attributes and the ψ features among
+// the view columns and the features, and numbers the distinct post events
+// (by canonical key) so tuples refer to them by id.
+func (p *Prepared) resolveColumns() {
+	sch := p.v.Rel.Schema()
+	p.yIdx = -1
+	if p.yCol != "" {
+		p.yIdx = sch.MustIndex(p.yCol)
+	}
+	// featCols starts with the update attributes and holds every ψ name.
+	for ai, a := range p.updateAttrs {
+		p.updIdx = append(p.updIdx, sch.MustIndex(a))
+		p.featUpd = append(p.featUpd, ai)
+	}
+	for _, s := range p.psi {
+		p.featSum = append(p.featSum, slices.Index(p.featCols, s.name))
+	}
+	p.eventID = make([]int, len(p.disjuncts))
+	seenEvents := map[string]int{}
+	for k, d := range p.disjuncts {
+		if len(d.post) == 0 {
+			p.eventID[k] = -1
+			continue
+		}
+		key := eventKey(d.post)
+		id, ok := seenEvents[key]
+		if !ok {
+			id = len(p.events)
+			seenEvents[key] = id
+			p.events = append(p.events, d.post)
+		}
+		p.eventID[k] = id
+	}
+}
+
+// partition returns the class partition of the view rows, building it on the
+// first call; built reports whether this call did. It is nil when the rows
+// evaluate one by one.
+func (p *Prepared) partition() (classOf []uint32, classes int, built bool) {
+	if !p.keyed {
+		return nil, 0, false
+	}
+	p.part.once.Do(func() {
+		p.part.classOf, p.part.classes = p.key.partition(p.inS)
+		built = true
+	})
+	return p.part.classOf, p.part.classes, built
+}
+
+// bind is Evaluate's first half: the update's ψ post means, the
+// estimator-set lookup (the train stage) and the evaluator. start is when the
+// evaluation began, for Result.Total.
+func (p *Prepared) bind(ctx context.Context, updates []hyperql.UpdateSpec, start time.Time) (*evalPrep, error) {
+	if !slices.EqualFunc(updates, p.updateAttrs, func(u hyperql.UpdateSpec, a string) bool { return u.Attr == a }) {
+		attrs := make([]string, len(updates))
+		for i, u := range updates {
+			attrs[i] = u.Attr
+		}
+		return nil, fmt.Errorf("engine: prepared for updates of %v, got updates of %v", p.updateAttrs, attrs)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	res := p.diag
+	summaries := bindSummaries(p.v, p.psi, updates, p.inS)
+	meter := obs.MeterFromContext(ctx)
+
+	_, stage := obs.StartStage(ctx, "train")
+	estHit := false
+	makeEst := func(eo Options) (*estimatorSet, error) {
+		key := kindEst + estKey(p.viewKey, p.whenKey, p.forKey, p.featCols, eo)
+		est, hit, err := memo(ctx, eo.Cache, key, func() (*estimatorSet, error) {
+			return newEstimatorSet(p.v, p.featCols, summaries, len(p.updateAttrs), eo), nil
+		})
+		if estHit = hit; hit {
+			// Set-level hits are the fan-out-independent "served from cache"
+			// signal; per-model hits inside the tuple loop are worker-local
+			// memo traffic and deliberately not charged.
+			meter.Charge(obs.MeterJSON{FitsCached: 1})
+		}
+		return est, err
+	}
+	endTrain := func(est *estimatorSet) {
+		res.EstimatorUsed = est.kind
+		res.SampledRows = len(est.trainRows)
+		stage.Set("estimator", est.kind)
+		stage.Set("sampled_rows", res.SampledRows)
+		stage.Set("cache_hit", estHit)
+		res.TrainTime = stage.End()
+	}
+	est, err := makeEst(p.o)
+	if err != nil {
+		return nil, err
+	}
+	if p.o.DryRun {
+		endTrain(est)
+		res.Total = time.Since(start)
+		return &evalPrep{Prepared: p, res: &res, start: start}, nil
+	}
+	if est.kind == "freq" && p.o.Estimator != EstimatorFreq {
+		// The exact frequency estimator cannot extrapolate to update values
+		// with no support in the data; when most prediction points are
+		// unsupported, fall back to the generalizing forest (the paper's
+		// default estimator).
+		if frac := supportedFraction(est, p.v, updates, summaries, p.inS); frac < 0.8 {
+			o2 := p.o
+			o2.Estimator = EstimatorForest
+			if est, err = makeEst(o2); err != nil {
+				return nil, err
+			}
+		}
+	}
+	endTrain(est)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	res.ShardedFit = est.shardedFit()
+	ev := &evaluator{Prepared: p, ctx: ctx, est: est, updates: updates, summaries: summaries}
+	return &evalPrep{Prepared: p, res: &res, ev: ev, start: start}, nil
+}
+
+// run is Evaluate's second half: the tuple loop over every shard and the
+// fold in plan order.
+func (p *evalPrep) run(ctx context.Context) (*Result, error) {
+	if p.o.DryRun {
+		return p.res, nil
+	}
+	parts, err := p.evalShards(ctx, nil)
+	if err != nil {
+		return nil, err
+	}
+	// Reduce in plan order. Folding shard windows in ascending shard order
+	// adds each block's partials in exactly the same sequence for every
+	// worker count (and matches a per-block fold over shards), so the block
+	// sums — and the final aggregate, accumulated in block order — are
+	// reproducible to the bit.
+	_, fold := obs.StartStage(ctx, "fold")
+	foldPartials(p.res, parts, p.nBlocks, p.agg)
+	fold.Set("blocks", p.nBlocks)
+	p.res.EvalTime += fold.End()
+	p.res.TrainedModels = p.ev.est.trainedModels()
+	p.res.Total = time.Since(p.start)
+	if p.o.Progress != nil {
+		total := p.v.Rel.Len()
+		p.o.Progress("tuples", total, total)
+	}
+	return p.res, nil
+}

@@ -38,29 +38,7 @@ func EvaluateContext(ctx context.Context, db *relation.Database, model *causal.M
 	if err != nil {
 		return nil, err
 	}
-	if p.o.DryRun {
-		return p.res, nil
-	}
-	parts, err := p.evalShards(ctx, nil)
-	if err != nil {
-		return nil, err
-	}
-	// Reduce in plan order. Folding shard windows in ascending shard order
-	// adds each block's partials in exactly the same sequence for every
-	// worker count (and matches a per-block fold over shards), so the block
-	// sums — and the final aggregate, accumulated in block order — are
-	// reproducible to the bit.
-	_, fold := obs.StartStage(ctx, "fold")
-	foldPartials(p.res, parts, p.nBlocks, p.agg)
-	fold.Set("blocks", p.nBlocks)
-	p.res.EvalTime += fold.End()
-	p.res.TrainedModels = p.ev.est.trainedModels()
-	p.res.Total = time.Since(p.start)
-	if p.o.Progress != nil {
-		total := p.v.Rel.Len()
-		p.o.Progress("tuples", total, total)
-	}
-	return p.res, nil
+	return p.run(ctx)
 }
 
 // cachedView materializes (or fetches from the cache) the relevant view of
@@ -133,261 +111,30 @@ func resolveView(db *relation.Database, q *hyperql.WhatIf, o Options) (v *view, 
 	return v, viewKey, updateAttrs, from, hit, nil
 }
 
-// evalPrep is a fully prepared what-if evaluation: everything up to (but not
-// including) the per-tuple loop. Preparation is deterministic in the query,
-// data, and semantic options, so two processes preparing the same evaluation
-// agree on the shard plan, the block decomposition, and every trained
-// estimator — the property the distributed execution path relies on.
+// evalPrep is a fully prepared what-if evaluation: a Prepared bound to one
+// update, everything up to (but not including) the per-tuple loop.
+// Preparation is deterministic in the query, data, and semantic options, so
+// two processes preparing the same evaluation agree on the shard plan, the
+// block decomposition, and every trained estimator — the property the
+// distributed execution path relies on.
 type evalPrep struct {
-	o   Options
-	res *Result
-	v   *view
-	// blockOf is R's tuples' block ids (nil: one block) and baseRows R's row
-	// behind each view row (nil: view row i is R's row i).
-	blockOf  []int
-	baseRows []int32
-	nBlocks  int
-	ev       *evaluator
-	agg      hyperql.AggFunc
-	plan     shard.Plan
-	start    time.Time
-	perRow   bool // tests only: evaluate without tuple classes
+	*Prepared
+	res    *Result
+	ev     *evaluator
+	start  time.Time
+	perRow bool // tests only: evaluate without tuple classes
 }
 
+// prepareEvaluation prepares q and binds its own updates: one Prepare and one
+// bind, which is all EvaluateContext and EvaluatePartialContext do before the
+// tuple loop.
 func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal.Model, q *hyperql.WhatIf, opts Options) (*evalPrep, error) {
-	o := opts.withDefaults()
-	if model == nil && o.Mode == ModeFull {
-		o.Mode = ModeNB
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	start := time.Now()
-	res := &Result{Mode: o.Mode}
-	// The meter rides the context like the span: absent, every charge is a
-	// nil check; present, it accumulates the query's cost vector without
-	// touching cache identity or results. Each stage below is timed once, by
-	// an obs.Stage, for its span, its meter entry and its Result field.
-	meter := obs.MeterFromContext(ctx)
-
-	// Step 1: relevant view (USE), memoized across candidate queries when a
-	// cache is provided.
-	_, stage := obs.StartStage(ctx, "view")
-	v, viewKey, updateAttrs, from, viewHit, err := resolveView(db, q, o)
+	p, err := prepare(ctx, db, model, q, opts)
 	if err != nil {
 		return nil, err
 	}
-	res.ViewRows = v.Rel.Len()
-	stage.Set("rows", res.ViewRows)
-	stage.Set("cache_hit", viewHit)
-	res.ViewTime = stage.End()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Step 2: block-independent decomposition (memoized likewise). The
-	// decomposition of the database is the model's alone — one per version,
-	// whatever the query — and a view row's block is that of its base tuple
-	// of R (blockAt).
-	_, stage = obs.StartStage(ctx, "blocks")
-	blocksHit := false
-	var blockOf []int
-	res.Blocks = 1
-	if model != nil && !o.DisableBlocks {
-		var rb rowBlocks
-		rb, blocksHit, err = memo(ctx, o.Cache, kindRowBlocks+db.VersionTag(), func() (rowBlocks, error) {
-			byRel, nBlocks, err := causal.RowBlocks(db, model)
-			return rowBlocks{byRel: byRel, nBlocks: nBlocks}, err
-		})
-		if err != nil {
-			return nil, err
-		}
-		blockOf, res.Blocks = rb.byRel[v.Tables[from].Name()], rb.nBlocks
-	}
-	stage.Set("blocks", res.Blocks)
-	stage.Set("cache_hit", blocksHit)
-	res.BlockTime = stage.End()
-
-	// Step 3: WHEN defines the update set S (pre-update values only). The
-	// planner owns the whole step: the clause compiles — once per shape when
-	// a plan cache is attached, per call otherwise — into a cost-ordered
-	// pushdown program scanning the view's column codes
-	// (relation.Relation.Coded), and a tree it cannot prove error-free runs
-	// as the degenerate whole-tree program, so S and any error are those of
-	// a row-at-a-time sqlmini.EvalBool loop to the bit.
-	_, stage = obs.StartStage(ctx, "plan")
-	qp, planHit := o.Plans.WhatIf(db, viewKey, q, v.Rel)
-	res.PlanFingerprint = qp.Fingerprint
-	res.PlanCacheHit = planHit
-	res.PlanText = qp.Explain()
-	inS := make([]bool, v.Rel.Len())
-	res.PlanPushed, err = o.Plans.Apply(qp, q, v.Rel, inS)
-	stage.Set("cache_hit", planHit)
-	stage.Set("pushed", res.PlanPushed)
-	stage.Set("fallback", qp.Fallback)
-	res.PlanTime = stage.End()
-	if err != nil {
-		return nil, fmt.Errorf("engine: WHEN: %w", err)
-	}
-	for _, s := range inS {
-		if s {
-			res.UpdatedRows++
-		}
-	}
-
-	// Step 4, post-update values, is not a stage: a row's is postUpdate of its
-	// WHEN bit and pre-update value, computed where tuple() reads it.
-
-	// Step 5: cross-tuple summary features (the ψ functions of Section 2.2):
-	// when the model declares a cross-tuple edge out of an update attribute,
-	// the group mean of that attribute becomes a feature, and its post-update
-	// shift propagates the update to non-updated tuples in the same group.
-	summaries, err := buildSummaries(v, model, q.Updates, inS)
-	if err != nil {
-		return nil, err
-	}
-
-	// Step 6: parse the OUTPUT aggregate.
-	outAgg := q.Output.Func
-	var yCol string
-	var outCond hyperql.Expr
-	switch outAgg {
-	case hyperql.AggAvg, hyperql.AggSum:
-		c, ok := q.Output.Expr.(*hyperql.ColRef)
-		if !ok {
-			return nil, fmt.Errorf("engine: %s requires a column argument, got %v", outAgg, q.Output.Expr)
-		}
-		if c.Time == hyperql.TimePre {
-			return nil, fmt.Errorf("engine: OUTPUT reads post-update values; PRE(%s) is not allowed", c.Name)
-		}
-		yCol = c.Name
-		if !v.Rel.Schema().Has(yCol) {
-			return nil, fmt.Errorf("engine: output attribute %q is not a column of the relevant view", yCol)
-		}
-	case hyperql.AggCount:
-		if q.Output.Expr != nil {
-			outCond = q.Output.Expr
-			if _, hasPre := prePresent(outCond); hasPre {
-				return nil, fmt.Errorf("engine: OUTPUT condition reads post-update values; PRE() is not allowed")
-			}
-		}
-	}
-
-	// Step 7: normalize FOR into disjoint pre/post disjuncts.
-	// The caps are fixed: at most 64 disjuncts (A.2.3 — the 2^t blowup is in
-	// query complexity, not data) and 64 distinct values per mixed Pre/Post
-	// literal (A.2.4). Distinct post events never outnumber disjuncts, so an
-	// event subset always fits a 64-bit mask.
-	disjuncts, err := normalizeFor(q.For, v.Rel, 64, 64)
-	if err != nil {
-		return nil, err
-	}
-	res.Disjuncts = len(disjuncts)
-
-	// Step 8: backdoor set.
-	backdoor, err := backdoorColumns(v, from, model, updateAttrs, yCol, outCond, disjuncts, o.Mode)
-	if err != nil {
-		return nil, err
-	}
-	res.Backdoor = backdoor
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Step 9: the feature columns and the estimator.
-	// Proposition 2 conditions the post-update probabilities on μ_When and
-	// μ_For,Pre, so the attributes those predicates reference join the
-	// conditioning features (this is what makes runtime grow with the number
-	// of FOR attributes, Figure 11a).
-	_, stage = obs.StartStage(ctx, "train")
-	featCols := append(append([]string{}, updateAttrs...), backdoor...)
-	for _, s := range summaries {
-		featCols = append(featCols, s.name)
-	}
-	if o.Mode != ModeIndep {
-		featCols = appendPredicateAttrs(featCols, v.Rel, q.When, disjuncts, updateAttrs)
-	}
-	estHit := false
-	makeEst := func(eo Options) (*estimatorSet, error) {
-		whenKey, forKey := "", ""
-		if q.When != nil {
-			whenKey = q.When.String()
-		}
-		if q.For != nil {
-			forKey = q.For.String()
-		}
-		forKey += "\x00" + q.Output.String()
-		key := kindEst + estKey(viewKey, whenKey, forKey, featCols, eo)
-		est, hit, err := memo(ctx, eo.Cache, key, func() (*estimatorSet, error) {
-			return newEstimatorSet(v, featCols, summaries, len(updateAttrs), eo), nil
-		})
-		if estHit = hit; hit {
-			// Set-level hits are the fan-out-independent "served from cache"
-			// signal; per-model hits inside the tuple loop are worker-local
-			// memo traffic and deliberately not charged.
-			meter.Charge(obs.MeterJSON{FitsCached: 1})
-		}
-		return est, err
-	}
-	endTrain := func(est *estimatorSet) {
-		res.EstimatorUsed = est.kind
-		res.SampledRows = len(est.trainRows)
-		stage.Set("estimator", est.kind)
-		stage.Set("sampled_rows", res.SampledRows)
-		stage.Set("cache_hit", estHit)
-		res.TrainTime = stage.End()
-	}
-	est, err := makeEst(o)
-	if err != nil {
-		return nil, err
-	}
-	if o.DryRun {
-		endTrain(est)
-		res.Total = time.Since(start)
-		return &evalPrep{o: o, res: res, v: v, start: start}, nil
-	}
-	if est.kind == "freq" && o.Estimator != EstimatorFreq {
-		// The exact frequency estimator cannot extrapolate to update values
-		// with no support in the data; when most prediction points are
-		// unsupported, fall back to the generalizing forest (the paper's
-		// default estimator).
-		if frac := supportedFraction(est, v, q.Updates, summaries, inS); frac < 0.8 {
-			o2 := o
-			o2.Estimator = EstimatorForest
-			if est, err = makeEst(o2); err != nil {
-				return nil, err
-			}
-		}
-	}
-	endTrain(est)
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Step 10 is the per-tuple loop (evalShards); prepare its evaluator and
-	// the canonical shard plan here so partial and full evaluations share one
-	// construction.
-	ev := &evaluator{
-		ctx: ctx,
-		v:   v, est: est, q: q, opts: o,
-		updateAttrs: updateAttrs, summaries: summaries,
-		yCol: yCol, outCond: outCond,
-		disjuncts: disjuncts, inS: inS,
-	}
-	if err := ev.prepare(); err != nil {
-		return nil, err
-	}
-	plan := shard.Rows(v.Rel.Len(), o.ShardRows)
-	res.ShardPlan = plan.Shards()
-	res.ShardWorkers = plan.Workers(o.Shards)
-	res.ShardedFit = est.shardedFit()
-	return &evalPrep{
-		o: o, res: res, v: v,
-		blockOf: blockOf, baseRows: v.Rows[from], nBlocks: res.Blocks,
-		ev: ev, agg: outAgg, plan: plan, start: start,
-	}, nil
+	return p.bind(ctx, q.Updates, start)
 }
 
 // evalShards runs the per-tuple loop over the listed shards of the canonical
@@ -451,11 +198,14 @@ func (p *evalPrep) evalShards(ctx context.Context, ids []int) ([]ShardPartial, e
 	obs.MeterFromContext(ctx).Charge(obs.MeterJSON{
 		PlanShards: uint64(k), ShardsRun: uint64(len(ids)), TuplesEvaluated: uint64(total)})
 	// The class partition covers the whole view whichever shards run here:
-	// lazy fits label every training row. It belongs to this evaluation alone
-	// and is garbage once the request returns.
+	// lazy fits label every training row. The first evaluation of the
+	// Prepared builds it and the rest share it; it is garbage once the
+	// Prepared is.
 	if !p.perRow {
-		if key, ok := p.ev.classKey(); ok {
-			p.ev.classOf, p.ev.classes = key.partition(p.ev.inS)
+		var built bool
+		p.ev.classOf, p.ev.classes, built = p.partition()
+		if built {
+			stage.Set("partitioned", true)
 		}
 	}
 	stage.Set("classes", p.ev.classes)
@@ -570,18 +320,30 @@ func (p *evalPrep) blockAt(i int) int {
 // order) into res and computes the aggregate value. It is the single
 // reduction used by local evaluation and by the distributed merge, so the
 // two cannot drift.
+//
+// Windows that ascend without overlapping (every single-shard plan, every
+// view whose rows are their own blocks) give each block at most one
+// partial, so they fold straight into the totals. That is the per-block
+// fold to the bit: a block sum there is 0 + its one partial, which differs
+// from the partial only for -0 (0 + -0 = +0), and a block no window covers
+// adds +0; the totals start at +0 and never become -0, so adding ±0 leaves
+// them as they are. (Where two NaNs meet, which payload an add keeps is the
+// compiler's choice, in either fold.)
 func foldPartials(res *Result, parts []ShardPartial, nBlocks int, agg hyperql.AggFunc) {
-	sumByBlock := make([]float64, nBlocks)
-	cntByBlock := make([]float64, nBlocks)
-	for _, p := range parts {
-		for j, ps := range p.Sum {
-			sumByBlock[p.MinBlock+j] += ps
-			cntByBlock[p.MinBlock+j] += p.Cnt[j]
+	if disjointWindows(parts) {
+		for _, p := range parts {
+			addBlocks(res, p.Sum, p.Cnt)
 		}
-	}
-	for b := 0; b < nBlocks; b++ {
-		res.Sum += sumByBlock[b]
-		res.Count += cntByBlock[b]
+	} else {
+		sumByBlock := make([]float64, nBlocks)
+		cntByBlock := make([]float64, nBlocks)
+		for _, p := range parts {
+			for j, ps := range p.Sum {
+				sumByBlock[p.MinBlock+j] += ps
+				cntByBlock[p.MinBlock+j] += p.Cnt[j]
+			}
+		}
+		addBlocks(res, sumByBlock, cntByBlock)
 	}
 	switch agg {
 	case hyperql.AggCount:
@@ -593,6 +355,30 @@ func foldPartials(res *Result, parts []ShardPartial, nBlocks int, agg hyperql.Ag
 			res.Value = res.Sum / res.Count
 		}
 	}
+}
+
+// addBlocks adds block sums and counts, in block order, to the totals.
+func addBlocks(res *Result, sum, cnt []float64) {
+	for b := range sum {
+		res.Sum += sum[b]
+		res.Count += cnt[b]
+	}
+}
+
+// disjointWindows reports whether the partials' block windows ascend
+// without overlapping, empty partials aside.
+func disjointWindows(parts []ShardPartial) bool {
+	next := 0
+	for _, p := range parts {
+		if len(p.Sum) == 0 {
+			continue
+		}
+		if p.MinBlock < next {
+			return false
+		}
+		next = p.MinBlock + len(p.Sum)
+	}
+	return true
 }
 
 func prePresent(e hyperql.Expr) (hasPost, hasPre bool) {
@@ -607,34 +393,17 @@ func prePresent(e hyperql.Expr) (hasPost, hasPre bool) {
 	return
 }
 
-// evaluator holds the per-query state for tuple-level evaluation.
+// evaluator is one bound evaluation's tuple-level state: the Prepared shape,
+// the update, its ψ features and estimator set, and per-worker scratch.
 type evaluator struct {
-	ctx         context.Context
-	v           *view
-	est         *estimatorSet
-	q           *hyperql.WhatIf
-	opts        Options
-	updateAttrs []string
-	summaries   []summaryFeature
-	yCol        string
-	outCond     hyperql.Expr
-	disjuncts   []disjunct
-	inS         []bool
+	*Prepared
+	ctx       context.Context
+	est       *estimatorSet
+	updates   []hyperql.UpdateSpec
+	summaries []summaryFeature // the Prepared's ψ with this update's post means
 
-	yIdx      int   // view column index of Y (-1 when COUNT)
-	updIdx    []int // view column indexes of update attrs
-	featUpd   []int // feature positions of update attrs
-	featSum   []int // feature positions of summary features
 	activeBuf []int
-	xBuf      []float64 // prediction-point scratch, reused across tuples
-
-	// Distinct post events across all disjuncts, identified once so the
-	// per-tuple inclusion-exclusion works on small integer ids: the hot
-	// path resolves an event subset to its trained regressor through a
-	// worker-local memo, touching neither literal strings nor the shared
-	// estimator lock.
-	events    [][]hyperql.Expr
-	eventID   []int                    // disjunct index -> event id (-1 = empty post)
+	xBuf      []float64                // prediction-point scratch, reused across tuples
 	evBuf     []int                    // per-tuple active event ids (scratch)
 	modelMemo map[memoKey]ml.Regressor // per-worker event-subset -> model
 
@@ -655,47 +424,6 @@ type memoKey struct {
 	weighted bool
 }
 
-func (e *evaluator) prepare() error {
-	e.yIdx = -1
-	if e.yCol != "" {
-		e.yIdx = e.v.Rel.Schema().MustIndex(e.yCol)
-	}
-	for _, a := range e.updateAttrs {
-		e.updIdx = append(e.updIdx, e.v.Rel.Schema().MustIndex(a))
-		fi := e.est.featureIndex(a)
-		if fi < 0 {
-			return fmt.Errorf("engine: update attribute %q missing from features", a)
-		}
-		e.featUpd = append(e.featUpd, fi)
-	}
-	for _, s := range e.summaries {
-		fi := e.est.featureIndex(s.name)
-		if fi < 0 {
-			return fmt.Errorf("engine: summary feature %q missing from features", s.name)
-		}
-		e.featSum = append(e.featSum, fi)
-	}
-	// Identify the distinct post events (by canonical key) so tuples refer
-	// to them by id.
-	e.eventID = make([]int, len(e.disjuncts))
-	seenEvents := map[string]int{}
-	for k, d := range e.disjuncts {
-		if len(d.post) == 0 {
-			e.eventID[k] = -1
-			continue
-		}
-		key := eventKey(d.post)
-		id, ok := seenEvents[key]
-		if !ok {
-			id = len(e.events)
-			seenEvents[key] = id
-			e.events = append(e.events, d.post)
-		}
-		e.eventID[k] = id
-	}
-	return nil
-}
-
 // postUpdate is a view row's value of an update attribute after the update:
 // the rows WHEN selected take u's function of their pre-update value, the
 // rest keep it.
@@ -712,7 +440,7 @@ func postUpdate(u hyperql.UpdateSpec, inS bool, pre relation.Value) relation.Val
 func (e *evaluator) isAffected(i int) bool {
 	if e.inS[i] {
 		for ai, ci := range e.updIdx {
-			if pre := e.v.Rel.Value(i, ci); !e.q.Updates[ai].Apply(pre).Equal(pre) {
+			if pre := e.v.Rel.Value(i, ci); !e.updates[ai].Apply(pre).Equal(pre) {
 				return true
 			}
 		}
@@ -779,7 +507,7 @@ func (e *evaluator) tuple(i int) (sum, count float64, err error) {
 	x := e.xBuf
 	e.est.featureVectorInto(i, x)
 	for ai, ci := range e.updIdx {
-		x[e.featUpd[ai]] = e.est.encodeAt(e.featUpd[ai], postUpdate(e.q.Updates[ai], e.inS[i], e.v.Rel.Value(i, ci)))
+		x[e.featUpd[ai]] = e.est.encodeAt(e.featUpd[ai], postUpdate(e.updates[ai], e.inS[i], e.v.Rel.Value(i, ci)))
 	}
 	for si, s := range e.summaries {
 		x[e.featSum[si]] = s.post[i]
@@ -939,7 +667,7 @@ func (e *evaluator) eventModel(mask uint64, weighted bool) (ml.Regressor, error)
 	if weighted {
 		key = "Y*" + key
 	}
-	return e.est.model(e.ctx, key, e.opts.Shards, weighted, e.labelFor(all, weighted))
+	return e.est.model(e.ctx, key, e.o.Shards, weighted, e.labelFor(all, weighted))
 }
 
 // labelFor builds the training-label function of the event conjunction
@@ -1137,16 +865,19 @@ func appendPredicateAttrs(featCols []string, rel *relation.Relation, when hyperq
 // attribute over the tuples sharing a GroupBy value, before and after the
 // update.
 type summaryFeature struct {
-	name  string
-	group int // view column the means are grouped by
-	pre   []float64
-	post  []float64
+	name   string
+	update int // index of the update attribute among the query's updates
+	attr   int // view column of that attribute
+	group  int // view column the means are grouped by
+	pre    []float64
+	post   []float64
 }
 
 // buildSummaries derives ψ features from the model's cross-tuple edges whose
-// source is an update attribute. Groups are the codes of the GroupBy column
-// (relation.Coded: Value.Key() identity), summed in row order.
-func buildSummaries(v *view, model *causal.Model, updates []hyperql.UpdateSpec, inS []bool) ([]summaryFeature, error) {
+// source is an update attribute, with their pre-update group means. Groups
+// are the codes of the GroupBy column (relation.Coded: Value.Key() identity),
+// summed in row order.
+func buildSummaries(v *view, model *causal.Model, updateAttrs []string) ([]summaryFeature, error) {
 	if model == nil {
 		return nil, nil
 	}
@@ -1154,15 +885,14 @@ func buildSummaries(v *view, model *causal.Model, updates []hyperql.UpdateSpec, 
 	for _, ce := range model.Cross {
 		src := causal.Qualify(ce.FromRel, ce.FromAttr)
 		ui, ai := -1, 0
-		for i, u := range updates {
-			if c := v.Rel.Schema().MustIndex(u.Attr); v.qualified[c] == src {
+		for i, a := range updateAttrs {
+			if c := v.Rel.Schema().MustIndex(a); v.qualified[c] == src {
 				ui, ai = i, c
 			}
 		}
 		if ui < 0 {
 			continue
 		}
-		u := updates[ui]
 		gRel, gAttr := causal.SplitQualified(ce.GroupBy)
 		if gRel == "" {
 			gRel = ce.FromRel
@@ -1171,31 +901,52 @@ func buildSummaries(v *view, model *causal.Model, updates []hyperql.UpdateSpec, 
 		if gi < 0 {
 			return nil, fmt.Errorf("engine: cross-edge group attribute %q is not in the relevant view", gAttr)
 		}
-		n := v.Rel.Len()
-		type acc struct {
-			preSum, postSum float64
-			n               int
-		}
-		group := v.Rel.Coded(gi)
-		groups := make([]acc, len(group.Values))
-		for i := range n {
-			a, pre := &groups[group.At(i)], v.Rel.Value(i, ai)
-			a.preSum += pre.AsFloat()
-			a.postSum += postUpdate(u, inS[i], pre).AsFloat()
-			a.n++
-		}
 		sf := summaryFeature{
-			name:  "psi_" + u.Attr + "_by_" + v.Rel.Schema().Col(gi).Name,
-			group: gi,
-			pre:   make([]float64, n),
-			post:  make([]float64, n),
+			name:   "psi_" + updateAttrs[ui] + "_by_" + v.Rel.Schema().Col(gi).Name,
+			update: ui,
+			attr:   ai,
+			group:  gi,
 		}
-		for i := range sf.pre {
-			a := groups[group.At(i)]
-			sf.pre[i] = a.preSum / float64(a.n)
-			sf.post[i] = a.postSum / float64(a.n)
-		}
+		sf.pre = groupMeans(v.Rel, gi, func(i int) float64 { return v.Rel.Value(i, ai).AsFloat() })
 		out = append(out, sf)
 	}
 	return out, nil
+}
+
+// bindSummaries is psi with each summary's post-update group means under
+// updates: a row WHEN selected contributes its updated value, the rest their
+// own.
+func bindSummaries(v *view, psi []summaryFeature, updates []hyperql.UpdateSpec, inS []bool) []summaryFeature {
+	if len(psi) == 0 {
+		return nil
+	}
+	out := slices.Clone(psi)
+	for k := range out {
+		s := &out[k]
+		u := updates[s.update]
+		s.post = groupMeans(v.Rel, s.group, func(i int) float64 { return postUpdate(u, inS[i], v.Rel.Value(i, s.attr)).AsFloat() })
+	}
+	return out
+}
+
+// groupMeans is, per row, the mean of val over the rows sharing the row's
+// code in column group, summed in row order.
+func groupMeans(rel *relation.Relation, group int, val func(i int) float64) []float64 {
+	type acc struct {
+		sum float64
+		n   int
+	}
+	codes := rel.Coded(group)
+	groups := make([]acc, len(codes.Values))
+	for i := range rel.Len() {
+		a := &groups[codes.At(i)]
+		a.sum += val(i)
+		a.n++
+	}
+	means := make([]float64, rel.Len())
+	for i := range means {
+		a := groups[codes.At(i)]
+		means[i] = a.sum / float64(a.n)
+	}
+	return means
 }

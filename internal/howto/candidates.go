@@ -78,17 +78,22 @@ func candidatesFor(src source, attr string, q *hyperql.HowTo, o Options, ws when
 		}
 	}
 
-	// Pre-update values of the WHEN tuples, for the L1 feasibility check.
-	pres, err := ws.values(src, q.When)
+	// Pre-update values of the WHEN tuples, for the L1 feasibility check; a
+	// WHEN the planner rejects fails here whether or not there is one.
+	inS, err := ws.mask(src.rel, q.When)
 	if err != nil {
 		return nil, err
+	}
+	var pres []float64
+	if !math.IsInf(theta, 1) {
+		pres = gather(src, inS)
 	}
 	feasible := func(v relation.Value) bool {
 		f := v.AsFloat()
 		if v.Kind().Numeric() && (f < rangeLo || f > rangeHi) {
 			return false
 		}
-		if !math.IsInf(theta, 1) && len(pres) > 0 {
+		if len(pres) > 0 {
 			// Normalized L1 distance between the original value vector and
 			// the update vector (Section 4.1).
 			d := 0.0
@@ -150,29 +155,32 @@ func candidatesFor(src source, attr string, q *hyperql.HowTo, o Options, ws when
 // however many attributes and passes (L1 feasibility, update costs) read it.
 type whenSets map[*relation.Relation][]bool
 
-// values returns the pre-update float values of src's column for the rows of
-// its relation in the WHEN set, which the planner's program decides over the
-// base relation. A WHEN the plan cannot validate there — it may name
+// mask returns the WHEN set over rel, which the planner's program decides
+// over the base relation. A WHEN the plan cannot validate there — it may name
 // view-only columns such as aggregates — selects all rows, as does a nil one.
-func (ws whenSets) values(src source, when hyperql.Expr) ([]float64, error) {
-	rel := src.rel
-	inS, ok := ws[rel]
-	if !ok {
-		inS = make([]bool, rel.Len())
-		p := plan.Compile(rel, when)
-		if p.Fallback {
-			when = nil // undecidable on the base relation: Apply(nil) keeps every row
-		}
-		if _, err := p.Apply(when, rel, inS); err != nil {
-			return nil, fmt.Errorf("howto: WHEN: %w", err)
-		}
-		ws[rel] = inS
+func (ws whenSets) mask(rel *relation.Relation, when hyperql.Expr) ([]bool, error) {
+	if inS, ok := ws[rel]; ok {
+		return inS, nil
 	}
+	inS := make([]bool, rel.Len())
+	p := plan.Compile(rel, when)
+	if p.Fallback {
+		when = nil // undecidable on the base relation: Apply(nil) keeps every row
+	}
+	if _, err := p.Apply(when, rel, inS); err != nil {
+		return nil, fmt.Errorf("howto: WHEN: %w", err)
+	}
+	ws[rel] = inS
+	return inS, nil
+}
+
+// gather is src's column as floats over the rows inS selects.
+func gather(src source, inS []bool) []float64 {
 	var out []float64
 	for i, in := range inS {
 		if in {
-			out = append(out, rel.Value(i, src.col).AsFloat())
+			out = append(out, src.rel.Value(i, src.col).AsFloat())
 		}
 	}
-	return out, nil
+	return out
 }

@@ -298,33 +298,37 @@ func bruteForceOver(q *hyperql.HowTo, cands map[string][]hyperql.UpdateSpec,
 	return res, nil
 }
 
+// whatIf is the candidate what-if query of Definition 7: q's USE, WHEN,
+// objective and FOR under updates.
+func whatIf(q *hyperql.HowTo, updates []hyperql.UpdateSpec) *hyperql.WhatIf {
+	return &hyperql.WhatIf{Use: q.Use, When: q.When, Updates: updates, Output: q.Obj, For: q.For}
+}
+
 // evalCandidate evaluates the candidate what-if query of Definition 7.
 func evalCandidate(ctx context.Context, db *relation.Database, model *causal.Model, q *hyperql.HowTo,
 	updates []hyperql.UpdateSpec, o Options) (float64, error) {
-	wi := &hyperql.WhatIf{
-		Use:     q.Use,
-		When:    q.When,
-		Updates: updates,
-		Output:  q.Obj,
-		For:     q.For,
-	}
 	// The per-candidate engine progress is intentionally not forwarded: a
 	// how-to reports candidate-level progress, not the tuples of each
 	// underlying what-if.
 	eo := o.Engine
 	eo.Progress = nil
-	res, err := engine.EvaluateContext(ctx, db, model, wi, eo)
+	res, err := engine.EvaluateContext(ctx, db, model, whatIf(q, updates), eo)
 	if err != nil {
 		return 0, err
 	}
 	return res.Value, nil
 }
 
-// baseObjective evaluates the objective with an identity update (scale by
-// 1), which the engine computes exactly since no tuple is affected.
+// identity is the no-op update of attr (scale by 1), which the engine
+// evaluates exactly since no tuple is affected.
+func identity(attr string) hyperql.UpdateSpec {
+	return hyperql.UpdateSpec{Attr: attr, Form: hyperql.UpdateScale, Const: relation.Int(1)}
+}
+
+// baseObjective evaluates the objective with the identity update of the
+// first attribute.
 func baseObjective(ctx context.Context, db *relation.Database, model *causal.Model, q *hyperql.HowTo, o Options) (float64, error) {
-	id := hyperql.UpdateSpec{Attr: q.Attrs[0], Form: hyperql.UpdateScale, Const: relation.Int(1)}
-	return evalCandidate(ctx, db, model, q, []hyperql.UpdateSpec{id}, o)
+	return evalCandidate(ctx, db, model, q, []hyperql.UpdateSpec{identity(q.Attrs[0])}, o)
 }
 
 // budget returns the UPDATES <= k constraint if present.

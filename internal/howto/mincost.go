@@ -82,10 +82,11 @@ func (t *table) minCostModel(target float64) (*ip.Model, error) {
 // absolute change it applies to the WHEN tuples (Section 4.1's cost model).
 func updateCosts(q *hyperql.HowTo, src source, specs []hyperql.UpdateSpec, ws whenSets) ([]float64, error) {
 	numeric := src.rel.Schema().Col(src.col).Kind.Numeric()
-	pres, err := ws.values(src, q.When)
+	inS, err := ws.mask(src.rel, q.When)
 	if err != nil {
 		return nil, err
 	}
+	pres := gather(src, inS)
 	costs := make([]float64, len(specs))
 	for si, spec := range specs {
 		if !numeric {

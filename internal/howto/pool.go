@@ -3,9 +3,11 @@ package howto
 import (
 	"context"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"hyper/internal/causal"
+	"hyper/internal/engine"
 	"hyper/internal/hyperql"
 	"hyper/internal/obs"
 	"hyper/internal/relation"
@@ -20,16 +22,21 @@ type scored struct {
 	vals []float64
 }
 
-// scoreCandidates evaluates every candidate's what-if value across a worker
-// pool sized by GOMAXPROCS. Candidates are independent what-if queries that
-// share the artifact cache in o.Engine (views, blocks, and trained
-// estimators are concurrency-safe), so scoring parallelizes without
-// changing any result; the returned slice is in deterministic
-// (attribute, candidate) order regardless of completion order.
+// score evaluates every objective's base and every candidate's what-if value
+// across a worker pool sized by GOMAXPROCS, filling t.bases and t.vars (in
+// deterministic (attribute, candidate) order regardless of completion
+// order). A job binds its update to the engine.Prepared of its objective and
+// attribute, which the first job needing it builds while the others wait,
+// so the view lookup, WHEN set, backdoor set and tuple-class partition are
+// computed once per (objective, attribute), not per candidate; the base
+// objective is the identity update of the first attribute's. They live
+// until scoring returns. The jobs share the artifact cache in o.Engine
+// (views, blocks, and trained estimators are concurrency-safe), so scoring
+// parallelizes without changing any result.
 //
-// The dispatch queue puts the first candidate of each attribute ahead of the
-// rest, so the pool starts every attribute's estimator set as early as it
-// can. No barrier follows them: the shared cache builds each cold artifact
+// The dispatch queue puts the base and then the first candidate of each
+// attribute ahead of the rest, so the pool starts every attribute's
+// estimator set as early as it can. No barrier follows them: the shared cache builds each cold artifact
 // single-flight, so a worker that reaches a candidate whose set another
 // worker is still training waits inside the cache for exactly that set
 // while the rest of the pool keeps scoring.
@@ -37,16 +44,19 @@ type scored struct {
 // ctx cancellation is observed between candidates (and inside each
 // candidate's engine evaluation); o.Progress, when set, receives one
 // "candidates" update per scored candidate.
-func scoreCandidates(ctx context.Context, db *relation.Database, model *causal.Model, qs []*hyperql.HowTo,
-	attrs []string, cands map[string][]hyperql.UpdateSpec, srcs map[string]source, o Options) ([]scored, error) {
+func (t *table) score(ctx context.Context, db *relation.Database, model *causal.Model, o Options) error {
 	type job struct {
 		attr string
 		spec hyperql.UpdateSpec
 	}
-	var jobs []job
+	attrs := t.qs[0].Attrs
+	// Job 0 is the base objective. It is dispatched first and its error is
+	// first in job order, so a failing base fails the how-to as it did when
+	// it ran before the pool.
+	jobs := []job{{attr: attrs[0], spec: identity(attrs[0])}}
 	var first, rest []int
 	for _, attr := range attrs {
-		for ci, spec := range cands[attr] {
+		for ci, spec := range t.cands[attr] {
 			if ci == 0 {
 				first = append(first, len(jobs))
 			} else {
@@ -57,7 +67,7 @@ func scoreCandidates(ctx context.Context, db *relation.Database, model *causal.M
 	}
 	ctx, sp := obs.Start(ctx, "score_candidates")
 	defer sp.End()
-	sp.Set("candidates", len(jobs))
+	sp.Set("candidates", len(jobs)-1)
 	sp.Set("attrs", len(attrs))
 	// Cost-based scheduling: run attributes of low base-column cardinality
 	// first — their frequency estimators are cheapest to train and their
@@ -67,14 +77,14 @@ func scoreCandidates(ctx context.Context, db *relation.Database, model *causal.M
 	// results (and the deterministic first-error choice) are unchanged.
 	card := make(map[string]int, len(attrs))
 	for _, attr := range attrs {
-		card[attr] = srcs[attr].rel.Coded(srcs[attr].col).Card()
+		card[attr] = t.srcs[attr].rel.Coded(t.srcs[attr].col).Card()
 	}
 	for _, idxs := range [][]int{first, rest} {
 		sort.SliceStable(idxs, func(a, b int) bool {
 			return card[jobs[idxs[a]].attr] < card[jobs[idxs[b]].attr]
 		})
 	}
-	queue := append(first, rest...)
+	queue := append(append([]int{0}, first...), rest...)
 	// The shard fan-out knob governs candidate-level parallelism too: a
 	// how-to is shard-parallel across candidates, each candidate a what-if
 	// over the shared cache. Results are independent of the pool width (the
@@ -82,26 +92,48 @@ func scoreCandidates(ctx context.Context, db *relation.Database, model *causal.M
 	// engine evaluation reduces over the canonical shard plan).
 	pool := shard.Rows(len(queue), 1) // one candidate per slot
 	workers := pool.Workers(o.Engine.Shards)
+	eo := o.Engine
 	if workers > 1 {
 		// Candidate-level parallelism already saturates the cores; keep the
 		// engine's nested tuple-evaluation fan-out from multiplying it.
-		o.Engine = o.Engine.WithShards(1)
+		eo = eo.WithShards(1)
 	}
-	out := make([]scored, len(jobs))
+	// The per-candidate engine progress is intentionally not forwarded: a
+	// how-to reports candidate-level progress, not the tuples of each
+	// underlying what-if.
+	eo.Progress = nil
+	preps := make([]map[string]func() (*engine.Prepared, error), len(t.qs))
+	for oi, q := range t.qs {
+		preps[oi] = make(map[string]func() (*engine.Prepared, error), len(attrs))
+		for _, attr := range attrs {
+			preps[oi][attr] = sync.OnceValues(func() (*engine.Prepared, error) {
+				return engine.Prepare(ctx, db, model, whatIf(q, []hyperql.UpdateSpec{identity(attr)}), eo)
+			})
+		}
+	}
+	out := make([][]float64, len(jobs))
 	errs := make([]error, len(jobs))
 	var scoredCount atomic.Int64
 	poolErr := shard.Run(ctx, pool, workers, func(_, qi, _, _ int) error {
 		ji := queue[qi]
 		j := jobs[ji]
-		vals := make([]float64, len(qs))
-		for oi, q := range qs {
-			if vals[oi], errs[ji] = evalCandidate(ctx, db, model, q, []hyperql.UpdateSpec{j.spec}, o); errs[ji] != nil {
-				return errs[ji]
+		vals := make([]float64, len(t.qs))
+		for oi := range t.qs {
+			p, err := preps[oi][j.attr]()
+			if err != nil {
+				errs[ji] = err
+				return err
 			}
+			res, err := p.Evaluate(ctx, []hyperql.UpdateSpec{j.spec})
+			if err != nil {
+				errs[ji] = err
+				return err
+			}
+			vals[oi] = res.Value
 		}
-		out[ji] = scored{attr: j.attr, spec: j.spec, vals: vals}
-		if o.Progress != nil {
-			o.Progress("candidates", int(scoredCount.Add(1)), len(jobs))
+		out[ji] = vals
+		if ji > 0 && o.Progress != nil {
+			o.Progress("candidates", int(scoredCount.Add(1)), len(jobs)-1)
 		}
 		return nil
 	})
@@ -109,8 +141,13 @@ func scoreCandidates(ctx context.Context, db *relation.Database, model *causal.M
 	// poolErr alone means the context ended before any candidate failed.
 	for _, err := range append(errs, poolErr) {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return out, nil
+	t.bases = out[0]
+	t.vars = make([]scored, len(jobs)-1)
+	for ji, j := range jobs[1:] {
+		t.vars[ji] = scored{attr: j.attr, spec: j.spec, vals: out[ji+1]}
+	}
+	return nil
 }

@@ -47,13 +47,7 @@ func newTable(ctx context.Context, db *relation.Database, model *causal.Model, q
 	if t.cands, t.srcs, err = candidates(db, qs[0], o, t.ws); err != nil {
 		return nil, err
 	}
-	t.bases = make([]float64, len(qs))
-	for oi, q := range qs {
-		if t.bases[oi], err = baseObjective(ctx, db, model, q, o); err != nil {
-			return nil, err
-		}
-	}
-	if t.vars, err = scoreCandidates(ctx, db, model, qs, qs[0].Attrs, t.cands, t.srcs, o); err != nil {
+	if err := t.score(ctx, db, model, o); err != nil {
 		return nil, err
 	}
 	t.deltas = make([][]float64, len(qs))
