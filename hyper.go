@@ -273,7 +273,9 @@ func (s *Session) Version() int64 { return s.db.Version() }
 // any earlier version) are never perturbed — and the derived session shares
 // the receiver's causal model, caches, and options, so artifacts fitted for
 // earlier snapshots keep serving queries pinned to them while the new
-// version's cache identity is distinct from the first query on.
+// version's cache identity is distinct from the first query on. The new
+// version's artifacts are built from the newest cached earlier version's plus
+// the appended rows wherever that gives the same answer bit for bit.
 //
 // Appended tuples are validated under the same rules as building the
 // relation row by row (arity, kind coercion, primary-key uniqueness); any

@@ -12,6 +12,7 @@ import (
 
 	"hyper/internal/dataset"
 	"hyper/internal/hyperql"
+	"hyper/internal/obs"
 	"hyper/internal/sqlmini"
 )
 
@@ -82,9 +83,9 @@ func BenchmarkEstimatorFit(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s := newEstimatorSet(newView(sqlmini.TableView(rel)), featCols, nil, 1, opts)
+				s := newEstimatorSet(newView(sqlmini.TableView(rel)), featCols, nil, 1, opts, lineage{}, obs.Stage{})
 				for k, eval := range bc.labels {
-					m, err := s.model(context.Background(), strconv.Itoa(k), 1, false, &labeler{eval: eval})
+					m, err := s.model(context.Background(), strconv.Itoa(k), 1, false, &labeler{eval: eval}, lineage{})
 					if err != nil || m == nil {
 						b.Fatalf("no model: %v", err)
 					}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"hyper/internal/lru"
+	"hyper/internal/relation"
 )
 
 // Cache memoizes the expensive, update-constant-independent artifacts of
@@ -33,16 +34,9 @@ type Cache = lru.Cache[any]
 // are kind-prefixed and cannot collide.
 const (
 	kindView      = "v\x00" // + view key: the relevant view of a USE
-	kindRowBlocks = "r\x00" // + version tag: the database's block decomposition
+	kindRowBlocks = "r\x00" // + version tag: the database's block decomposition (causal.Blocks)
 	kindEst       = "e\x00"
 )
-
-// rowBlocks is causal.RowBlocks' answer: every base tuple's block id by
-// relation, and the block count.
-type rowBlocks struct {
-	byRel   map[string][]int
-	nBlocks int
-}
 
 // NewCache returns an empty, unbounded cache (the right choice for a single
 // how-to evaluation or a short-lived batch of related queries).
@@ -70,6 +64,44 @@ func memo[T any](ctx context.Context, c *Cache, key string, build func() (T, err
 		return v, false, err
 	}
 	return a.(T), hit, nil
+}
+
+// lineage locates the versions an artifact can derive from: the cache
+// holding them, the database whose ancestors they are, and the artifact's
+// key at a version tag.
+type lineage struct {
+	c   *Cache
+	db  *relation.Database
+	key func(tag string) string
+}
+
+// fromAncestor is the one way a version's artifact derives from an earlier
+// version's. It probes the cache for the artifact at each version db extends,
+// newest first, and hands each one it holds to derive with that version's
+// row counts, until derive reports that it is done. The probe (Peek) moves no
+// hit or miss counter and no recency, and whatever derive builds must hold no
+// pointer to the artifact it read: a derived artifact outlives its ancestor
+// in the cache, and must not keep it (or its own ancestors) alive.
+func fromAncestor[T any](l lineage, derive func(from T, anc relation.Ancestor) (done bool)) {
+	if l.c == nil {
+		return
+	}
+	for _, anc := range l.db.Ancestors() {
+		if a, ok := l.c.Peek(l.key(anc.Tag())); ok {
+			if from, ok := a.(T); ok && derive(from, anc) {
+				return
+			}
+		}
+	}
+}
+
+// versioned is a key qualified by a snapshot version tag; version 0 (tag "")
+// keeps the historical, unqualified key.
+func versioned(tag, key string) string {
+	if tag == "" {
+		return key
+	}
+	return tag + "\x00" + key
 }
 
 // estKey builds the identity of an estimator set: everything that affects

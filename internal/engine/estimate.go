@@ -33,6 +33,11 @@ type estimatorSet struct {
 	keys *ml.FreqIndex
 	kind string
 	seed int64 // Options.Seed: forest seeds derive from it and the model key
+	// prefix marks a set whose training rows are all the rows of a base
+	// table's view and whose features are the table's columns (no ψ): a set
+	// of a later version holds its rows, codes and cells as a prefix, so it
+	// can derive its index and integer-label models from this one.
+	prefix bool
 	// fitPlan is the canonical shard plan over trainRows. Shard-mergeable
 	// estimators (ml.ShardMergeable) fit per shard and fold in plan order;
 	// the others fit whole-frame. The plan depends only on the training-set
@@ -48,8 +53,11 @@ type estimatorSet struct {
 // without replacement, and an unsampled set trains on v's shared identity
 // list. Of opts the set keeps the seed and the estimator kind it chose: it
 // lives in the session's engine cache long after the request that built it,
-// so it must not hold that request's Progress, Cache or Plans.
-func newEstimatorSet(v *view, featCols []string, summaries []summaryFeature, keepFirst int, opts Options) *estimatorSet {
+// so it must not hold that request's Progress, Cache or Plans. A freq set
+// extends the index of the set l names at the newest earlier version the
+// cache holds, when both are prefix sets (recorded on stage), and builds it
+// whole otherwise.
+func newEstimatorSet(v *view, featCols []string, summaries []summaryFeature, keepFirst int, opts Options, l lineage, stage obs.Stage) *estimatorSet {
 	s := &estimatorSet{
 		featCols:  append([]string(nil), featCols...),
 		keepFirst: keepFirst,
@@ -76,13 +84,34 @@ func newEstimatorSet(v *view, featCols []string, summaries []summaryFeature, kee
 		s.trainRows = rng.SampleIndexes(n, opts.SampleSize)
 	} else {
 		s.trainRows = v.identityRows()
+		s.prefix = v.table() && len(summaries) == 0
 	}
 	s.kind = chooseKind(opts.Estimator, continuous)
 	s.fitPlan = shard.Rows(len(s.trainRows), opts.ShardRows)
 	if s.kind == "freq" {
-		s.keys = ml.NewFreqIndex(s.frame, s.trainRows, keepFirst)
+		if s.prefix {
+			fromAncestor(l, func(a *estimatorSet, anc relation.Ancestor) bool {
+				if a.prefix && a.keys != nil {
+					var ok bool
+					if s.keys, ok = a.keys.Extend(s.frame, s.trainRows); ok {
+						setDerived(stage, anc.Version, len(s.trainRows)-len(a.trainRows))
+					}
+				}
+				return true
+			})
+		}
+		if s.keys == nil {
+			s.keys = ml.NewFreqIndex(s.frame, s.trainRows, keepFirst)
+		}
 	}
 	return s
+}
+
+// setDerived records on a stage or span that its artifact derived from
+// version from, which lacked rows of its rows.
+func setDerived(sp interface{ Set(string, any) }, from int64, rows int) {
+	sp.Set("derived_from", from)
+	sp.Set("derived_rows", rows)
 }
 
 // hasSupport reports whether the exact feature combination x occurs in the
@@ -123,7 +152,12 @@ func chooseKind(want EstimatorKind, continuous bool) string {
 // attribute) are the calling request's, passed per call and never stored: a
 // cached set outlives the request that built it. Results cannot differ either
 // way; the fit plan is fixed.
-func (s *estimatorSet) model(ctx context.Context, key string, workers int, weighted bool, lab *labeler) (ml.Regressor, error) {
+//
+// A freq model of a prefix set derives from the same model of the newest
+// ancestor set l names that holds it: only the rows past the ancestor's are
+// labelled, and their labels added to its cells (ml.FreqEstimator.Extend,
+// integer labels only). It still opens its fit span and charges its fit.
+func (s *estimatorSet) model(ctx context.Context, key string, workers int, weighted bool, lab *labeler, l lineage) (ml.Regressor, error) {
 	m, _, err := s.models.Do(ctx, key, func() (ml.Regressor, error) {
 		// Training is the expensive step of the estimator fitting loop; a
 		// cancelled query stops here rather than fitting another regressor it
@@ -139,16 +173,29 @@ func (s *estimatorSet) model(ctx context.Context, key string, workers int, weigh
 		fsp.Set("estimator", s.kind)
 		fsp.Set("weighted", weighted)
 
-		y := make([]float64, len(s.trainRows))
-		for i, r := range s.trainRows {
-			v, err := lab.label(r)
-			if err != nil {
-				return nil, err
+		labels := func(rows []int) ([]float64, error) {
+			y := make([]float64, len(rows))
+			for i, r := range rows {
+				v, err := lab.label(r)
+				if err != nil {
+					return nil, err
+				}
+				y[i] = v
 			}
-			y[i] = v
+			fsp.Set("label_evals", lab.evals)
+			return y, nil
 		}
-		fsp.Set("label_evals", lab.evals)
-		var m ml.Regressor
+		m, err := s.deriveModel(key, l, labels, fsp)
+		if err != nil || m != nil {
+			if m != nil {
+				obs.MeterFromContext(ctx).Charge(obs.MeterJSON{FitsTrained: 1})
+			}
+			return m, err
+		}
+		y, err := labels(s.trainRows)
+		if err != nil {
+			return nil, err
+		}
 		switch s.kind {
 		case "freq":
 			m = s.keys.Fit(y, s.fitPlan, workers)
@@ -168,6 +215,37 @@ func (s *estimatorSet) model(ctx context.Context, key string, workers int, weigh
 		// so the meter's fits_trained equals trainedModels() at any fan-out.
 		obs.MeterFromContext(ctx).Charge(obs.MeterJSON{FitsTrained: 1})
 		return m, nil
+	})
+	return m, err
+}
+
+// deriveModel returns the freq model key names derived from the newest
+// ancestor set that holds it, labelling only the rows past that set's, or nil
+// when there is none to derive from or its labels are not all integers.
+func (s *estimatorSet) deriveModel(key string, l lineage, labels func(rows []int) ([]float64, error), sp *obs.Span) (ml.Regressor, error) {
+	if s.kind != "freq" || !s.prefix {
+		return nil, nil
+	}
+	var m ml.Regressor
+	var err error
+	fromAncestor(l, func(a *estimatorSet, anc relation.Ancestor) bool {
+		am, ok := a.models.Peek(key)
+		if !ok || !a.prefix {
+			return false // an older version may hold it
+		}
+		fm, ok := am.(*ml.FreqEstimator)
+		if !ok || len(a.trainRows) > len(s.trainRows) {
+			return true
+		}
+		var y []float64
+		if y, err = labels(s.trainRows[len(a.trainRows):]); err != nil {
+			return true
+		}
+		if d, ok := fm.Extend(s.keys, y); ok {
+			m = d
+			setDerived(sp, anc.Version, len(y))
+		}
+		return true
 	})
 	return m, err
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -31,6 +32,7 @@ type Prepared struct {
 	o    Options
 	diag Result // what the shape decides: each bound Result starts from a copy
 
+	db                       *relation.Database
 	v                        *view
 	viewKey, whenKey, forKey string // estimator-set identity, less features and options
 	updateAttrs              []string
@@ -114,7 +116,7 @@ func prepare(ctx context.Context, db *relation.Database, model *causal.Model, q 
 	if err != nil {
 		return nil, err
 	}
-	p.v, p.viewKey, p.updateAttrs = v, viewKey, updateAttrs
+	p.db, p.v, p.viewKey, p.updateAttrs = db, v, viewKey, updateAttrs
 	res.ViewRows = v.Rel.Len()
 	stage.Set("rows", res.ViewRows)
 	stage.Set("cache_hit", viewHit)
@@ -131,15 +133,28 @@ func prepare(ctx context.Context, db *relation.Database, model *causal.Model, q 
 	blocksHit := false
 	res.Blocks = 1
 	if model != nil && !o.DisableBlocks {
-		var rb rowBlocks
-		rb, blocksHit, err = memo(ctx, o.Cache, kindRowBlocks+db.VersionTag(), func() (rowBlocks, error) {
-			byRel, nBlocks, err := causal.RowBlocks(db, model)
-			return rowBlocks{byRel: byRel, nBlocks: nBlocks}, err
+		var b *causal.Blocks
+		b, blocksHit, err = memo(ctx, o.Cache, kindRowBlocks+db.VersionTag(), func() (*causal.Blocks, error) {
+			// The newest cached decomposition of an earlier version, extended
+			// by the rows appended since, when that cannot renumber a block.
+			var b *causal.Blocks
+			fromAncestor(lineage{o.Cache, db, func(tag string) string { return kindRowBlocks + tag }},
+				func(a *causal.Blocks, anc relation.Ancestor) bool {
+					var ok bool
+					if b, ok = a.Extend(db, model, anc); ok {
+						setDerived(stage, anc.Version, db.TotalRows()-anc.TotalRows())
+					}
+					return true
+				})
+			if b != nil {
+				return b, nil
+			}
+			return causal.Decompose(db, model)
 		})
 		if err != nil {
 			return nil, err
 		}
-		p.blockOf, res.Blocks = rb.byRel[v.Tables[from].Name()], rb.nBlocks
+		p.blockOf, res.Blocks = b.ByRel[v.Tables[from].Name()], b.N
 	}
 	p.baseRows, p.nBlocks = v.Rows[from], res.Blocks
 	stage.Set("blocks", res.Blocks)
@@ -328,10 +343,11 @@ func (p *Prepared) bind(ctx context.Context, updates []hyperql.UpdateSpec, start
 
 	_, stage := obs.StartStage(ctx, "train")
 	estHit := false
+	var estLineage lineage
 	makeEst := func(eo Options) (*estimatorSet, error) {
-		key := kindEst + estKey(p.viewKey, p.whenKey, p.forKey, p.featCols, eo)
-		est, hit, err := memo(ctx, eo.Cache, key, func() (*estimatorSet, error) {
-			return newEstimatorSet(p.v, p.featCols, summaries, len(p.updateAttrs), eo), nil
+		estLineage = p.estLineage(eo)
+		est, hit, err := memo(ctx, eo.Cache, estLineage.key(p.db.VersionTag()), func() (*estimatorSet, error) {
+			return newEstimatorSet(p.v, p.featCols, summaries, len(p.updateAttrs), eo, estLineage, stage), nil
 		})
 		if estHit = hit; hit {
 			// Set-level hits are the fan-out-independent "served from cache"
@@ -376,8 +392,17 @@ func (p *Prepared) bind(ctx context.Context, updates []hyperql.UpdateSpec, start
 		return nil, err
 	}
 	res.ShardedFit = est.shardedFit()
-	ev := &evaluator{Prepared: p, ctx: ctx, est: est, updates: updates, summaries: summaries}
+	ev := &evaluator{Prepared: p, ctx: ctx, est: est, lineage: estLineage, updates: updates, summaries: summaries}
 	return &evalPrep{Prepared: p, res: &res, ev: ev, start: start}, nil
+}
+
+// estLineage names the estimator set of this shape under eo at any version
+// of the database.
+func (p *Prepared) estLineage(eo Options) lineage {
+	use := strings.TrimPrefix(p.viewKey, versioned(p.db.VersionTag(), ""))
+	return lineage{eo.Cache, p.db, func(tag string) string {
+		return kindEst + estKey(versioned(tag, use), p.whenKey, p.forKey, p.featCols, eo)
+	}}
 }
 
 // run is Evaluate's second half: the tuple loop over every shard and the

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"hyper/internal/causal"
 	"hyper/internal/hyperql"
@@ -21,24 +22,48 @@ type view struct {
 	qualified []string // per view column, its source's "Rel.Attr" ("" for COUNT(*))
 
 	// The identity row list [0, Len): what an unsampled estimator set trains
-	// on. Built on first use and shared by every set over this view — at 8
-	// bytes a row it would otherwise be each cached set's second-largest
-	// allocation — and collected with the view.
+	// on. Built on first use — or, for a table's view, lengthened from an
+	// earlier version's (cachedView) — and shared by every set over this
+	// view: at 8 bytes a row it would otherwise be each cached set's
+	// second-largest allocation. It is collected with the views sharing it.
 	identityOnce sync.Once
 	identity     []int
+	identityDone atomic.Bool // identity is built
+	claimed      atomic.Bool // a later version's view fills the room past identity
 }
 
 // identityRows returns the shared list of all view rows in order. Callers
 // must not write to it.
 func (v *view) identityRows() []int {
 	v.identityOnce.Do(func() {
-		v.identity = make([]int, v.Rel.Len())
-		for i := range v.identity {
-			v.identity[i] = i
+		if v.identity == nil {
+			v.identity = make([]int, v.Rel.Len())
+			for i := range v.identity {
+				v.identity[i] = i
+			}
 		}
+		v.identityDone.Store(true)
 	})
 	return v.identity
 }
+
+// deriveIdentity gives v, a table's view, the identity list of a, the view
+// of an earlier version of the table, lengthened by v's new rows — when a
+// has built one.
+func (v *view) deriveIdentity(a *view) {
+	if !v.table() || !a.table() || !a.identityDone.Load() || len(a.identity) > v.Rel.Len() {
+		return
+	}
+	v.identity = relation.Lengthen(a.identity, v.Rel.Len(), a.claimed.CompareAndSwap(false, true))
+	for i := len(a.identity); i < len(v.identity); i++ {
+		v.identity[i] = i
+	}
+}
+
+// table reports whether the view is a base table itself (sqlmini.TableView):
+// its rows are the table's, in order, so a later version's view of the table
+// holds this one's rows as a prefix.
+func (v *view) table() bool { return len(v.Tables) == 1 && v.Rel == v.Tables[0] }
 
 // buildView materializes the USE clause (step 1 of Section 3.2).
 func buildView(db *relation.Database, use *hyperql.UseClause) (*view, error) {

@@ -51,14 +51,20 @@ func cachedView(db *relation.Database, use *hyperql.UseClause, c *Cache) (v *vie
 	// view itself and estimator sets — so a query pinned to snapshot v keeps
 	// hitting v's artifacts after appends while the new head never reads
 	// stale ones. Version 0 (bare-library databases) keeps historical keys.
-	viewKey = use.String()
-	if tag := db.VersionTag(); tag != "" {
-		viewKey = tag + "\x00" + viewKey
-	}
+	useKey := use.String()
+	viewKey = versioned(db.VersionTag(), useKey)
 	// buildView takes no context — neither its builder nor a waiter gives up
 	// mid-view; both observe cancellation right after this stage.
 	v, hit, err = memo(context.Background(), c, kindView+viewKey, func() (*view, error) {
-		return buildView(db, use)
+		v, err := buildView(db, use)
+		if err == nil {
+			fromAncestor(lineage{c, db, func(tag string) string { return kindView + versioned(tag, useKey) }},
+				func(a *view, _ relation.Ancestor) bool {
+					v.deriveIdentity(a)
+					return true
+				})
+		}
+		return v, err
 	})
 	return v, viewKey, hit, err
 }
@@ -399,6 +405,7 @@ type evaluator struct {
 	*Prepared
 	ctx       context.Context
 	est       *estimatorSet
+	lineage   lineage // est's at other versions
 	updates   []hyperql.UpdateSpec
 	summaries []summaryFeature // the Prepared's ψ with this update's post means
 
@@ -667,7 +674,7 @@ func (e *evaluator) eventModel(mask uint64, weighted bool) (ml.Regressor, error)
 	if weighted {
 		key = "Y*" + key
 	}
-	return e.est.model(e.ctx, key, e.o.Shards, weighted, e.labelFor(all, weighted))
+	return e.est.model(e.ctx, key, e.o.Shards, weighted, e.labelFor(all, weighted), e.lineage)
 }
 
 // labelFor builds the training-label function of the event conjunction

@@ -1,7 +1,7 @@
 // Package fault is HypeR's deterministic fault-injection substrate: seeded,
 // rule-based injectors attached to named injection points across the dist
 // stack (worker dials, eval RPCs, frame ships, heartbeats, coordinator
-// state persistence). A chaos run configures rules like "fail the first
+// state persistence) and the stages of a local evaluation. A chaos run configures rules like "fail the first
 // frame ship" or "kill the process on the third eval"; the instrumented call
 // sites consult the injector and act on its decision, so the failure modes
 // the resilience layer claims to survive are reproducibly triggerable — in
@@ -18,6 +18,7 @@
 package fault
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -49,6 +50,12 @@ const (
 	PointHeartbeat Point = "heartbeat"
 	// PointPersist is the coordinator's state-file write.
 	PointPersist Point = "persist"
+	// PointStage is the start of an obs stage (view, blocks, plan, train,
+	// eval_shards, fold) of an evaluation whose context carries the injector
+	// (WithInjector): the server's local what-if. A rule there is a delay,
+	// at the stage its Stage field names (every stage when empty), inside
+	// that stage's clock.
+	PointStage Point = "stage"
 )
 
 // Mode is what happens when a rule fires.
@@ -88,6 +95,8 @@ type Rule struct {
 	Prob float64
 	// Delay is the ModeDelay sleep.
 	Delay time.Duration
+	// Stage names the obs stage a PointStage rule delays ("" = every one).
+	Stage string
 }
 
 func (r Rule) validate() error {
@@ -98,9 +107,16 @@ func (r Rule) validate() error {
 	}
 	switch r.Point {
 	case PointWorkerDial, PointEval, PointFrameShip, PointHeartbeat, PointPersist:
+		if r.Stage != "" {
+			return fmt.Errorf("fault: name=%s applies to the stage point only", r.Stage)
+		}
+	case PointStage:
+		if r.Mode != ModeDelay {
+			return fmt.Errorf("fault: a stage rule delays; mode %q is not supported there", r.Mode)
+		}
 	default:
 		// No call site consults any other name: the rule could never fire.
-		return fmt.Errorf("fault: unknown point %q (want worker_dial|eval|frame_ship|heartbeat|persist)", r.Point)
+		return fmt.Errorf("fault: unknown point %q (want worker_dial|eval|frame_ship|heartbeat|persist|stage)", r.Point)
 	}
 	if r.Mode == ModeDelay && r.Delay <= 0 {
 		return fmt.Errorf("fault: delay rule at %s needs ms=<positive>", r.Point)
@@ -164,10 +180,11 @@ func New(seed int64, rules ...Rule) (*Injector, error) {
 //	frame_ship:error:count=1
 //	worker_dial:delay:ms=20:count=8
 //	heartbeat:drop:prob=0.5
+//	stage:delay:ms=5:name=eval_shards
 //
 // Keys: after (skip the first N hits), count (max firings), prob (firing
-// probability), ms (delay milliseconds). An empty spec returns nil (faults
-// disabled).
+// probability), ms (delay milliseconds), name (the stage of a stage rule).
+// An empty spec returns nil (faults disabled).
 func Parse(spec string, seed int64) (*Injector, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -210,6 +227,8 @@ func Parse(spec string, seed int64) (*Injector, error) {
 					return nil, fmt.Errorf("fault: rule %q: bad ms=%q", raw, v)
 				}
 				r.Delay = time.Duration(n) * time.Millisecond
+			case "name":
+				r.Stage = v
 			default:
 				return nil, fmt.Errorf("fault: rule %q: unknown option %q", raw, k)
 			}
@@ -255,14 +274,18 @@ func (in *Injector) Fired() uint64 {
 // process, ModeError/ModeDrop return a Decision whose Err the call site
 // surfaces. A nil injector (or no matching armed rule) returns the zero
 // Decision: proceed.
-func (in *Injector) Decide(p Point) Decision {
+func (in *Injector) Decide(p Point) Decision { return in.decide(p, "") }
+
+// decide is Decide at the start of the named stage (PointStage) or at
+// another point (stage "").
+func (in *Injector) decide(p Point, stage string) Decision {
 	if in == nil {
 		return Decision{}
 	}
 	in.mu.Lock()
 	var fire *armedRule
 	for _, r := range in.rules {
-		if r.Point != p {
+		if r.Point != p || (r.Stage != "" && r.Stage != stage) {
 			continue
 		}
 		r.hits++
@@ -316,6 +339,26 @@ func (in *Injector) Hit(p Point) error {
 	return in.Decide(p).Err
 }
 
+type injectorKey struct{}
+
+// WithInjector returns ctx carrying in, so the stages of an evaluation run
+// under ctx cross PointStage (Stage).
+func WithInjector(ctx context.Context, in *Injector) context.Context {
+	if in == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, injectorKey{}, in)
+}
+
+// Stage is the PointStage crossing at the start of the named stage of an
+// evaluation under ctx: it sleeps when a rule there fires. Without an
+// injector on ctx it does nothing.
+func Stage(ctx context.Context, name string) {
+	if in, _ := ctx.Value(injectorKey{}).(*Injector); in != nil {
+		in.decide(PointStage, name)
+	}
+}
+
 // String summarizes the armed rules (for startup logs); nil-safe.
 func (in *Injector) String() string {
 	if in == nil {
@@ -326,6 +369,9 @@ func (in *Injector) String() string {
 	parts := make([]string, len(in.rules))
 	for i, r := range in.rules {
 		parts[i] = fmt.Sprintf("%s:%s(after=%d count=%d fired=%d)", r.Point, r.Mode, r.After, r.Count, r.fired)
+		if r.Stage != "" {
+			parts[i] = fmt.Sprintf("%s:%s(name=%s after=%d count=%d fired=%d)", r.Point, r.Mode, r.Stage, r.After, r.Count, r.fired)
+		}
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, ", ")

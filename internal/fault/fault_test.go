@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -111,6 +112,31 @@ func TestDelayProceeds(t *testing.T) {
 	}
 	if d := time.Since(start); d < 5*time.Millisecond {
 		t.Fatalf("delay slept only %v", d)
+	}
+}
+
+// TestStageDelay: a stage rule delays only the stage it names, only under a
+// context carrying its injector, and only delays; name= belongs to it alone.
+func TestStageDelay(t *testing.T) {
+	in, err := Parse("stage:delay:ms=5:name=train", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Stage(context.Background(), "train") // no injector on the context
+	ctx := WithInjector(context.Background(), in)
+	Stage(ctx, "view")
+	if in.Fired() != 0 {
+		t.Fatalf("fired %d times before reaching the named stage", in.Fired())
+	}
+	start := time.Now()
+	Stage(ctx, "train")
+	if d := time.Since(start); in.Fired() != 1 || d < 5*time.Millisecond {
+		t.Fatalf("train stage: fired %d, slept %v", in.Fired(), d)
+	}
+	for _, spec := range []string{"stage:error", "stage:kill:name=train", "eval:error:name=train"} {
+		if _, err := Parse(spec, 1); err == nil {
+			t.Errorf("Parse(%q) accepted a rule no stage crossing can honour", spec)
+		}
 	}
 }
 

@@ -123,6 +123,20 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	return v, ok
 }
 
+// Peek returns key's value if it is cached, and never waits for a build in
+// flight. Unlike Get it counts neither a hit nor a miss and leaves the
+// recency order alone: it is a probe made on behalf of another key (the
+// engine's lookup of an artifact's ancestor version), not a lookup of its own.
+func (c *Cache[V]) Peek(key string) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		return el.Value.(*entry[V]).val, true
+	}
+	var zero V
+	return zero, false
+}
+
 // Forget drops key's value, if cached, so the next Do rebuilds it. It is an
 // invalidation by the caller, not an eviction: no counter moves and onEvict
 // is not called. A build in flight for key is left alone and its value is

@@ -162,6 +162,20 @@ func (s *codeColumn) at(i int) uint32 {
 	return uint32(s.narrow[i])
 }
 
+func (s *codeColumn) len() int { return max(len(s.narrow), len(s.wide)) }
+
+// grow returns a copy of s holding n rows, s's first.
+func (s *codeColumn) grow(n int) codeColumn {
+	if s.wide != nil {
+		w := make([]uint32, n)
+		copy(w, s.wide)
+		return codeColumn{wide: w}
+	}
+	b := make([]uint8, n)
+	copy(b, s.narrow)
+	return codeColumn{narrow: b}
+}
+
 // set stores v at row i, widening the rows so far at the first v past a byte.
 func (s *codeColumn) set(i int, v uint32) {
 	if s.wide == nil && v > math.MaxUint8 {

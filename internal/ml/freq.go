@@ -2,6 +2,8 @@ package ml
 
 import (
 	"context"
+	"math"
+	"slices"
 
 	"hyper/internal/relation"
 	"hyper/internal/shard"
@@ -176,6 +178,71 @@ func NewFreqIndex(fr *Frame, rows []int, keepFirst int) *FreqIndex {
 	return x
 }
 
+// Extend returns NewFreqIndex(fr, rows, x's keepFirst) built from x, or
+// false when fr's alphabets are not x's. fr must extend x's frame (its first
+// rows are that frame's rows) and rows must begin with the rows x indexes.
+// Codes, exact ids and level ids are given in first-seen row order, so x's
+// are a prefix of the full build's: only the rows past x's and the
+// combinations they add are indexed, and counts, cell offsets and each exact
+// id's level cells are recomputed over the combinations, never the rows. A
+// grown alphabet builds fresh: a value x's frame never held would take the
+// code x reserves for unseen values. The levels read through x's frozen ones
+// (relation.TupleIndex.Fork).
+func (x *FreqIndex) Extend(fr *Frame, rows []int) (*FreqIndex, bool) {
+	fr.Intern()
+	old := x.ids.len()
+	if len(rows) < old || !slices.Equal(fr.card, x.card) {
+		return nil, false
+	}
+	y := &FreqIndex{dicts: fr.dicts, card: fr.card, keepFirst: x.keepFirst, levels: slices.Clone(x.levels)}
+	for l := range y.levels {
+		y.levels[l].ids = x.levels[l].ids.Fork()
+	}
+
+	// The exact level over the new rows, as NewFreqIndex does it.
+	nb, oldExact := len(x.levels)-1, x.levels[0].n
+	y.ids = x.ids.grow(len(rows))
+	y.n = append(make([]int32, 0, oldExact), x.n[:oldExact]...)
+	codes := make([]uint32, fr.dim)
+	var tuples []uint32 // the new combinations' code tuples
+	for i := old; i < len(rows); i++ {
+		for c := range codes {
+			codes[c] = fr.codes[c].at(rows[i])
+		}
+		id, fresh := y.levels[0].add(codes)
+		if fresh {
+			tuples = append(tuples, codes...)
+			y.n = append(y.n, 0)
+		}
+		y.ids.set(i, uint32(id))
+		y.n[id]++
+	}
+
+	// The other levels: x's exact ids keep their level ids, the new ones are
+	// looked up (and given new ids) in id order, and each level's counts are
+	// summed afresh from the exact counts.
+	ne := y.levels[0].n
+	y.off = make([]int, len(y.levels))
+	y.up = make([]int32, ne*nb)
+	for l := 1; l <= nb; l++ {
+		ids := make([]int32, ne) // exact id -> level id
+		for e := range oldExact {
+			ids[e] = x.up[e*nb+l-1] - int32(x.off[l])
+		}
+		for e := oldExact; e < ne; e++ {
+			ids[e], _ = y.levels[l].add(tuples[(e-oldExact)*fr.dim : (e-oldExact+1)*fr.dim])
+		}
+		y.off[l] = len(y.n)
+		y.n = append(y.n, make([]int32, y.levels[l].n)...)
+		for e, id := range ids {
+			c := y.off[l] + int(id)
+			y.up[e*nb+l-1] = int32(c)
+			y.n[c] += y.n[e]
+		}
+	}
+	return y, true
+}
+
 // Has reports whether the exact combination v occurs in the indexed rows.
 func (x *FreqIndex) Has(v []float64) bool {
 	var buf [16]uint32
@@ -194,7 +261,7 @@ func (x *FreqIndex) Len() int { return x.levels[0].n }
 // (index, y, plan), independent of the worker count. A plan of fewer than
 // two shards is one pass over all rows.
 func (x *FreqIndex) Fit(y []float64, plan shard.Plan, workers int) *FreqEstimator {
-	f := &FreqEstimator{ix: x, sums: make([]float64, len(x.n))}
+	f := &FreqEstimator{ix: x, sums: make([]float64, len(x.n)), bound: integerBound(y, 0)}
 	if plan.Shards() <= 1 {
 		x.add(f.sums, y, 0)
 		return f
@@ -245,6 +312,51 @@ func addRows[I uint8 | uint32](sums, y []float64, ids []I, up []int32, nb int) {
 	}
 }
 
+// integerBound returns the largest |v| over y and m when every v is an
+// integer below 2^53, and -1 otherwise.
+func integerBound(y []float64, m float64) float64 {
+	for _, v := range y {
+		a := math.Abs(v)
+		if !(a < 1<<53) || a != float64(int64(a)) {
+			return -1
+		}
+		if a > m {
+			m = a
+		}
+	}
+	return m
+}
+
+// Extend returns the estimator fitted on ix, an index extending f's
+// (FreqIndex.Extend), for f's labels followed by y, the labels of the rows ix
+// adds — and false unless every label is an integer and the largest |label|
+// times ix's rows is below 2^53. Then every partial sum of every cell, in any
+// order of addition, is an integer below 2^53 and so exact: the cells are
+// those of Fit over all the labels under any shard plan, and only y is added.
+// Other labels refuse, since re-associating their sums can change bits.
+func (f *FreqEstimator) Extend(ix *FreqIndex, y []float64) (*FreqEstimator, bool) {
+	old := f.ix.ids.len()
+	if f.bound < 0 || len(ix.levels) != len(f.ix.levels) || ix.ids.len() != old+len(y) {
+		return nil, false
+	}
+	bound := integerBound(y, f.bound)
+	if bound < 0 || bound*float64(ix.ids.len()) >= 1<<53 {
+		return nil, false
+	}
+	return f.extend(ix, y, bound), true
+}
+
+// extend is Extend without its guard: f's cells moved to ix's layout, plus
+// the labels y of the rows past f's.
+func (f *FreqEstimator) extend(ix *FreqIndex, y []float64, bound float64) *FreqEstimator {
+	g := &FreqEstimator{ix: ix, sums: make([]float64, len(ix.n)), bound: bound}
+	for l := range f.ix.levels {
+		copy(g.sums[ix.off[l]:], f.sums[f.ix.off[l]:f.ix.off[l]+f.ix.levels[l].n])
+	}
+	ix.add(g.sums, y, f.ix.ids.len())
+	return g
+}
+
 // ShardMergeable reports whether the named estimator kind ("freq",
 // "forest", "linear", ...) fits per shard with an exact merge. Only the
 // frequency estimator does: its cells are sums of per-row labels, so shard
@@ -261,8 +373,9 @@ func ShardMergeable(kind string) bool { return kind == "freq" }
 // reason runtime stays linear in the database size rather than exponential
 // in |Dom(C)|.
 type FreqEstimator struct {
-	ix   *FreqIndex
-	sums []float64 // per cell of ix
+	ix    *FreqIndex
+	sums  []float64 // per cell of ix
+	bound float64   // integerBound of the labels
 }
 
 // FitFreqFrame builds the support index over the frame rows selected by rows

@@ -4,6 +4,8 @@ import (
 	"context"
 	"sync"
 	"time"
+
+	"hyper/internal/fault"
 )
 
 // Meter accumulates the per-query cost vector: wall time per pipeline stage,
@@ -134,13 +136,15 @@ type Stage struct {
 }
 
 // StartStage opens the named stage under ctx's span and meter and returns a
-// context carrying the stage's span (ctx itself when untraced).
+// context carrying the stage's span (ctx itself when untraced). The stage's
+// start is the fault injector's stage point (fault.Stage).
 func StartStage(ctx context.Context, name string) (context.Context, Stage) {
 	st := Stage{name: name, start: time.Now(), meter: MeterFromContext(ctx)}
 	if parent := SpanFromContext(ctx); parent != nil {
 		st.span = parent.childAt(name, st.start)
 		ctx = ContextWithSpan(ctx, st.span)
 	}
+	fault.Stage(ctx, name) // an injected delay counts in this stage
 	return ctx, st
 }
 

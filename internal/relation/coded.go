@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // valueKey is the typed, allocation-free form of Value.Key: two values have
@@ -120,11 +121,34 @@ type CodedColumn struct {
 }
 
 // encoding is a column's feature encoding, built by the first Encode or
-// Encoded of one version of the column.
+// Encoded of one version of the column. A version's encoding derives from
+// the newest built encoding of an earlier version when its codes still
+// encode alike (derive). Until it is built, from is the encoding of the
+// version it extends, itself unbuilt or built; once built, it lets go.
 type encoding struct {
-	once   sync.Once
-	byCode []float64 // Encode of each code's value
-	rows   []float64 // byCode gathered over the rows
+	once    sync.Once
+	built   atomic.Bool
+	claimed atomic.Bool // a later version's encoding fills the room past this one's slices
+	from    atomic.Pointer[encoding]
+	numeric bool      // built over a Numeric column
+	byCode  []float64 // Encode of each code's value
+	rows    []float64 // byCode gathered over the rows
+}
+
+// next returns the unbuilt encoding of a version extending e's column.
+func (e *encoding) next() *encoding {
+	n := new(encoding)
+	n.from.Store(e)
+	return n
+}
+
+// ancestor returns the newest built encoding e extends, or nil.
+func (e *encoding) ancestor() *encoding {
+	a := e.from.Load()
+	for a != nil && !a.built.Load() {
+		a = a.from.Load()
+	}
+	return a
 }
 
 func newColumn() *CodedColumn {
@@ -277,35 +301,87 @@ func (c *CodedColumn) Encode(v Value) float64 {
 // Encoded returns Encode of every row's value (of its code's first-seen
 // value, which encodes alike up to the sign of zero and a NaN's payload). It
 // is built once per version of the column and shared by every frame over
-// that version: callers must not write to it.
+// that version: callers must not write to it. A version whose column an
+// earlier version's built encoding still describes copies that encoding and
+// encodes only the rows and codes past it (derive); the result is the same.
 func (c *CodedColumn) Encoded() []float64 { return c.encoding().rows }
 
 func (c *CodedColumn) encoding() *encoding {
 	e := c.enc
 	e.once.Do(func() {
-		e.byCode = make([]float64, len(c.Values))
-		keys := make([]string, len(c.Values))
-		var ranked []int // the codes Key() ranks: a non-numeric column's non-null values
-		for code, v := range c.Values {
-			switch {
-			case c.Numeric:
-				e.byCode[code] = c.Encode(v)
-			case v.IsNull():
-				e.byCode[code] = -1
-			default:
-				keys[code], ranked = v.Key(), append(ranked, code)
-			}
+		if !c.derive(e, e.ancestor()) {
+			c.encode(e)
 		}
-		sort.Slice(ranked, func(i, j int) bool { return keys[ranked[i]] < keys[ranked[j]] })
-		for rank, code := range ranked {
-			e.byCode[code] = float64(rank)
-		}
-		e.rows = make([]float64, c.rows())
-		for i := range e.rows {
-			e.rows[i] = e.byCode[c.At(i)]
-		}
+		e.numeric = c.Numeric
+		e.from.Store(nil)
+		e.built.Store(true)
 	})
 	return e
+}
+
+// derive builds e from a, the built encoding of an earlier version of the
+// column, and reports whether it could. Codes are first-seen, so a's codes
+// are a prefix of c's and a's rows of c's rows. A numeric column encodes each
+// value by itself, so a's byCode extends by the new codes' values; any other
+// column encodes a value by its rank among the distinct keys, which a new
+// code can shift, so only a column without new codes derives.
+func (c *CodedColumn) derive(e, a *encoding) bool {
+	if a == nil || a.numeric != c.Numeric || len(a.rows) > c.rows() ||
+		len(a.byCode) > len(c.Values) || (!c.Numeric && len(a.byCode) != len(c.Values)) {
+		return false
+	}
+	// The first version to derive from a takes the room past a's slices and
+	// writes there, where no reader of a reads; any other copies them.
+	own := a.claimed.CompareAndSwap(false, true)
+	e.byCode = Lengthen(a.byCode, len(c.Values), own)
+	for code := len(a.byCode); code < len(e.byCode); code++ {
+		e.byCode[code] = c.Encode(c.Values[code])
+	}
+	e.rows = Lengthen(a.rows, c.rows(), own)
+	for i := len(a.rows); i < len(e.rows); i++ {
+		e.rows[i] = e.byCode[c.At(i)]
+	}
+	return true
+}
+
+// Lengthen returns s lengthened to n elements for the caller to fill past
+// s's: in place when own and s has the capacity, else a copy with room for
+// later versions to fill in place. It is how an artifact of a version grows
+// from an earlier version's without copying it: own means the caller holds
+// the room past s — the first taker of a CAS-guarded claim on it — so it
+// writes where no reader of s reads, as Relation.Extend appends codes.
+func Lengthen[T any](s []T, n int, own bool) []T {
+	if own && cap(s) >= n {
+		return s[:n]
+	}
+	out := make([]T, n, n+n/4)
+	copy(out, s)
+	return out
+}
+
+// encode builds e over every code and row of c.
+func (c *CodedColumn) encode(e *encoding) {
+	e.byCode = make([]float64, len(c.Values))
+	keys := make([]string, len(c.Values))
+	var ranked []int // the codes Key() ranks: a non-numeric column's non-null values
+	for code, v := range c.Values {
+		switch {
+		case c.Numeric:
+			e.byCode[code] = c.Encode(v)
+		case v.IsNull():
+			e.byCode[code] = -1
+		default:
+			keys[code], ranked = v.Key(), append(ranked, code)
+		}
+	}
+	sort.Slice(ranked, func(i, j int) bool { return keys[ranked[i]] < keys[ranked[j]] })
+	for rank, code := range ranked {
+		e.byCode[code] = float64(rank)
+	}
+	e.rows = make([]float64, c.rows())
+	for i := range e.rows {
+		e.rows[i] = e.byCode[c.At(i)]
+	}
 }
 
 // Narrow clears set[i] for every row whose code has keep[code] false.
@@ -366,8 +442,8 @@ func (c *CodedColumn) push(v Value, k valueKey, code uint32, seen bool) {
 	if v.kind == KindNull {
 		c.Nulls++
 	}
-	if c.enc.rows != nil { // encoded before this row: start over
-		c.enc = new(encoding)
+	if c.enc.built.Load() { // encoded before this row: start over from it
+		c.enc = c.enc.next()
 	}
 }
 
@@ -398,7 +474,7 @@ func (c *CodedColumn) summarize(v Value) {
 func (c *CodedColumn) fork(inPlace bool) *CodedColumn {
 	d := *c
 	d.dict = c.dict.fork()
-	d.enc = new(encoding)
+	d.enc = c.enc.next()
 	if !inPlace {
 		d.Values, d.narrow, d.wide = slices.Clip(d.Values), slices.Clip(d.narrow), slices.Clip(d.wide)
 		d.offRows, d.offVals = slices.Clip(d.offRows), slices.Clip(d.offVals)

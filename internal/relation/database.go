@@ -26,7 +26,38 @@ type Database struct {
 	// (nothing is folded into plan fingerprints or view keys); serving
 	// layers opt in with SetVersion and every Extend bumps it by one.
 	version int64
+	// ancestors are the versions this one extends, newest first, at most
+	// maxAncestors of them (Ancestors).
+	ancestors []Ancestor
 }
+
+// Ancestor is a version a database extends, as numbers: its snapshot version
+// and, per relation in Names() order, its row count. Those rows are a prefix
+// of the same relation in every version extending it, so an artifact derived
+// from a version is that version's artifact plus what the rows past it add.
+// A database records its ancestors this way rather than by pointer, so a
+// version keeps none of the older ones alive.
+type Ancestor struct {
+	Version int64
+	Rows    []int
+}
+
+// Tag is the ancestor's version as every cache identity spells it
+// (Database.VersionTag).
+func (a Ancestor) Tag() string { return versionTag(a.Version) }
+
+// TotalRows returns the ancestor's number of tuples across all relations.
+func (a Ancestor) TotalRows() int {
+	n := 0
+	for _, r := range a.Rows {
+		n += r
+	}
+	return n
+}
+
+// maxAncestors bounds the lineage a version records: a cache probes at most
+// this many older versions for an artifact to derive from.
+const maxAncestors = 16
 
 // NewDatabase returns an empty database.
 func NewDatabase() *Database {
@@ -85,12 +116,19 @@ func (d *Database) Version() int64 { return d.version }
 // VersionTag is the snapshot version as every cache identity spells it:
 // "@v<version>", or "" at version 0 so unversioned (bare-library) databases
 // keep their historical keys.
-func (d *Database) VersionTag() string {
-	if d.version <= 0 {
+func (d *Database) VersionTag() string { return versionTag(d.version) }
+
+func versionTag(v int64) string {
+	if v <= 0 {
 		return ""
 	}
-	return "@v" + strconv.FormatInt(d.version, 10)
+	return "@v" + strconv.FormatInt(v, 10)
 }
+
+// Ancestors returns the versions this database extends, newest (its parent)
+// first: none for a database that no Extend produced. Callers must not write
+// to it.
+func (d *Database) Ancestors() []Ancestor { return d.ancestors }
 
 // SetVersion overrides the snapshot version. Serving layers call it once at
 // session creation so every published snapshot — including the first — has
@@ -104,11 +142,16 @@ func (d *Database) SetVersion(v int64) { d.version = v }
 // storage without writing it, so readers holding the old version are never
 // perturbed.
 func (d *Database) Extend(appends map[string][]Tuple) (*Database, error) {
+	self := Ancestor{Version: d.version, Rows: make([]int, len(d.order))}
+	for i, name := range d.order {
+		self.Rows[i] = d.rels[name].Len()
+	}
 	out := &Database{
-		rels:    make(map[string]*Relation, len(d.rels)),
-		order:   append([]string(nil), d.order...),
-		fks:     append([]ForeignKey(nil), d.fks...),
-		version: d.version + 1,
+		rels:      make(map[string]*Relation, len(d.rels)),
+		order:     append([]string(nil), d.order...),
+		fks:       append([]ForeignKey(nil), d.fks...),
+		version:   d.version + 1,
+		ancestors: append([]Ancestor{self}, d.ancestors[:min(len(d.ancestors), maxAncestors-1)]...),
 	}
 	for name, r := range d.rels {
 		out.rels[name] = r

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"maps"
 	"math"
+	"slices"
 )
 
 // layered is a map that the versions of a relation share instead of copying.
@@ -135,8 +136,10 @@ func (x *TupleIndex) ID(digits []uint32, add bool) (id int32, ok bool) {
 	return int32(code), ok || add
 }
 
-// fork returns the index of a version extending x's (see layered.fork). Only
-// a relation's key index is forked, and it is never dense.
-func (x *TupleIndex) fork() *TupleIndex {
-	return &TupleIndex{stride: x.stride, packed: x.packed.fork(), wide: x.wide.fork(), n: x.n}
+// Fork returns an index holding x's tuples, with x's ids, that takes new
+// ones without writing x, which must never take another (see layered.fork):
+// a relation's key index for the version extending it, a frequency-index
+// level for the index extending it. A flat table is copied.
+func (x *TupleIndex) Fork() *TupleIndex {
+	return &TupleIndex{stride: x.stride, dense: slices.Clone(x.dense), packed: x.packed.fork(), wide: x.wide.fork(), n: x.n}
 }

@@ -201,7 +201,7 @@ func (r *Relation) fork(inPlace bool) *Relation {
 		out.cols[i] = c.fork(inPlace)
 	}
 	if r.tuples != nil {
-		out.tuples = r.tuples.fork()
+		out.tuples = r.tuples.Fork()
 	}
 	return out
 }

@@ -9,6 +9,7 @@ import (
 
 	"hyper"
 	"hyper/internal/dist"
+	"hyper/internal/fault"
 	"hyper/internal/obs"
 )
 
@@ -285,7 +286,7 @@ func (e *sessionEntry) whatIf(ctx context.Context, sn *snapshotEntry, req QueryR
 			Query: query, Options: sess.EngineOptions(), Progress: progress,
 		})
 	} else {
-		res, err = sess.WhatIfContext(ctx, query, progress)
+		res, err = sess.WhatIfContext(fault.WithInjector(ctx, e.fault), query, progress)
 	}
 	if err != nil {
 		return nil, queryError(ctx, err)

@@ -122,7 +122,8 @@ type Config struct {
 	// DistBreakerCooldown is a quarantined worker's cooldown (default 30s).
 	DistBreakerCooldown time.Duration
 	// Fault, when non-nil, arms the deterministic fault injector at the
-	// coordinator's injection points (chaos testing; nil in production).
+	// coordinator's injection points and at the stages of local what-ifs
+	// (chaos and telemetry testing; nil in production).
 	Fault *fault.Injector
 	// TraceCapacity bounds the in-process trace ring served by /v1/traces
 	// (default obs.DefaultTraceCapacity).

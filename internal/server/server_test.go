@@ -10,6 +10,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"hyper/internal/fault"
 )
 
 // newTestServer starts an httptest server over a fresh Server.
@@ -59,13 +62,17 @@ func createSession(t *testing.T, ts *httptest.Server, name string) {
 	createSessionScale(t, ts, name, 0.3) // 1500 rows: fast but non-trivial
 }
 
-// createSlowSession makes a 20k-row session for the slow-query-log tests: a
-// cold what-if over it takes several times the 1 ms threshold (the smallest
-// the config can express), where the 1,500-row session answers in about
-// 1 ms and would log only sometimes.
-func createSlowSession(t *testing.T, ts *httptest.Server, name string) {
+// slowStage is the injector of the slow-query-log tests: a 5 ms delay at the
+// start of every eval_shards stage (the fault package's stage point). With
+// the threshold at 1 ms, the smallest the config can express, every local
+// what-if is slow however fast the host evaluates it.
+func slowStage(t *testing.T) *fault.Injector {
 	t.Helper()
-	createSessionScale(t, ts, name, 4)
+	in, err := fault.New(1, fault.Rule{Point: fault.PointStage, Mode: fault.ModeDelay, Stage: "eval_shards", Delay: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
 }
 
 func createSessionScale(t *testing.T, ts *httptest.Server, name string, scale float64) {

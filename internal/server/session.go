@@ -11,6 +11,7 @@ import (
 	"hyper"
 	"hyper/internal/dataset"
 	"hyper/internal/dist"
+	"hyper/internal/fault"
 	"hyper/internal/relation"
 	"hyper/internal/shard"
 )
@@ -30,6 +31,7 @@ type sessionEntry struct {
 	created   time.Time
 	queries   atomic.Int64
 	dist      *dist.Coordinator // shard transport (placement knob)
+	fault     *fault.Injector   // the stage point of local what-ifs (nil in production)
 	shardRows int               // the strided plan's rows per shard (append accounting)
 
 	// mu guards the version chain; snaps[i] is version i+1 and the last
@@ -350,7 +352,7 @@ func (s *Server) handleCreateSession(r *http.Request) (any, error) {
 	e := &sessionEntry{
 		name: req.Name, dataset: from, created: time.Now(),
 		schemaSig: strings.Join(db.Names(), ","),
-		dist:      s.dist, shardRows: opts.ShardRows,
+		dist:      s.dist, fault: s.cfg.Fault, shardRows: opts.ShardRows,
 	}
 	e.snaps = []*snapshotEntry{{
 		version: db.Version(), sess: sess, frame: dist.NewFrame(db, model),

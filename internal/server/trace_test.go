@@ -85,10 +85,10 @@ func childNamed(sj *obs.SpanJSON, name string) *obs.SpanJSON {
 func TestTraceRingMetricsAndSlowLog(t *testing.T) {
 	var slow strings.Builder
 	var slowMu sync.Mutex
-	srv := New(Config{SlowQueryMs: 1, SlowQueryLog: syncWriter{&slowMu, &slow}})
+	srv := New(Config{SlowQueryMs: 1, SlowQueryLog: syncWriter{&slowMu, &slow}, Fault: slowStage(t)})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	createSlowSession(t, ts, "g")
+	createSession(t, ts, "g")
 
 	req, _ := json.Marshal(QueryRequest{Query: germanCount})
 	resp, err := http.Post(ts.URL+"/v1/sessions/g/whatif", "application/json", strings.NewReader(string(req)))

@@ -198,10 +198,10 @@ func TestTraceListFilters(t *testing.T) {
 func TestSlowLogCarriesCostAndShape(t *testing.T) {
 	var slow strings.Builder
 	var slowMu sync.Mutex
-	srv := New(Config{SlowQueryMs: 1, SlowQueryLog: syncWriter{&slowMu, &slow}})
+	srv := New(Config{SlowQueryMs: 1, SlowQueryLog: syncWriter{&slowMu, &slow}, Fault: slowStage(t)})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	createSlowSession(t, ts, "g")
+	createSession(t, ts, "g")
 	if code := do(t, "POST", ts.URL+"/v1/sessions/g/whatif", QueryRequest{Query: germanCount}, nil); code != http.StatusOK {
 		t.Fatalf("whatif: status %d", code)
 	}
@@ -221,6 +221,10 @@ func TestSlowLogCarriesCostAndShape(t *testing.T) {
 	}
 	if line.Cost != nil && len(line.Cost.StagesMs) == 0 {
 		t.Errorf("slow line cost has no stage breakdown: %+v", line.Cost)
+	}
+	// The injected delay is localised: it lands in the stage it was armed at.
+	if line.Cost != nil && line.Cost.StagesMs["eval_shards"] < 5 {
+		t.Errorf("slow line eval_shards = %v ms, want the injected 5 ms in it", line.Cost.StagesMs["eval_shards"])
 	}
 }
 
