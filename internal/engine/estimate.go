@@ -209,7 +209,14 @@ func (s *estimatorSet) model(ctx context.Context, key string, workers int, weigh
 			// Forest over linear residuals: the forest captures nonlinearity
 			// in-distribution while the linear trend extrapolates at the edges
 			// of the observed support, where hypothetical updates often land.
-			m = ml.FitBoostedFrame(s.frame, s.trainRows, y, p)
+			//
+			// An unsampled set's training rows are every frame row in order
+			// (a sample draws fewer), so the fit reads the frame directly.
+			sel := s.trainRows
+			if len(sel) == s.frame.Rows() {
+				sel = nil
+			}
+			m = ml.FitBoostedFrame(s.frame, sel, y, p)
 		}
 		// Charged only from the single-flight training path (like the fit span),
 		// so the meter's fits_trained equals trainedModels() at any fan-out.

@@ -40,17 +40,31 @@ func BenchmarkFreqFit(b *testing.B) {
 
 // BenchmarkForestFit is the fit a continuous Figure-1 what-if pays: the
 // linear stage, then 20 trees over the 4,000-product view at default
-// parameters. Tree induction is most of it. Run with -cpu 1 to time one
-// core's work rather than the forest's fan-out.
+// parameters. Tree induction is most of it. Rtng is the label of
+// AVG(POST(Rtng)); Rtng>=4 the 0/1 label of COUNT(POST(Rtng) >= 4), the same
+// query shape's other forest. Run with -cpu 1 to time one core's work rather
+// than the forest's fan-out.
 func BenchmarkForestFit(b *testing.B) {
-	fr, y := figure1Frame(b, 4000)
-	p := DefaultForestParams()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if m := FitBoostedFrame(fr, nil, y, p); len(m.forest.trees) != p.NumTrees {
-			b.Fatalf("%d trees, want %d", len(m.forest.trees), p.NumTrees)
+	fr, rtng := figure1Frame(b, 4000)
+	atLeast4 := make([]float64, len(rtng))
+	for i, v := range rtng {
+		if v >= 4 {
+			atLeast4[i] = 1
 		}
+	}
+	for _, c := range []struct {
+		name string
+		y    []float64
+	}{{"Rtng", rtng}, {"Rtng>=4", atLeast4}} {
+		b.Run(c.name, func(b *testing.B) {
+			p := DefaultForestParams()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if m := FitBoostedFrame(fr, nil, c.y, p); len(m.forest.trees) != p.NumTrees {
+					b.Fatalf("%d trees, want %d", len(m.forest.trees), p.NumTrees)
+				}
+			}
+		})
 	}
 }
 

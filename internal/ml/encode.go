@@ -10,12 +10,15 @@
 // rank store (per column: the distinct values ascending and every row's rank
 // among them), which every later tree, forest and how-to candidate on that
 // frame shares. The split search reads a node's distinct values off those
-// ranks instead of sorting them, bins the node's rows by candidate threshold
-// in one pass, and from the bin sums discards every threshold whose gain is
-// provably below the best one; the single-pass gain the trees have always
-// used (splitGain) then decides among the few that remain, so the fitted
+// ranks instead of sorting them (a column of at most MaxThresholds+1 values
+// in the same pass that sums the node's rows per rank), bins the node's
+// rows by candidate threshold, and from the bin sums discards every
+// threshold whose gain is provably below the best one; the single-pass gain
+// the trees have always used (splitGain) then decides among the few that
+// remain, and the winner's pass hands the node its partition, so the fitted
 // trees are bit for bit those of evaluating it on every candidate (see
-// bestSplit and splitEps in tree.go).
+// bestSplit and splitEps in tree.go). A forest keeps one tree builder, and
+// so one set of scratch buffers, per fitting worker.
 //
 // The frequency estimator is fitted on a FreqIndex over a frame's interned
 // codes, built once per frame and training set and shared by every label

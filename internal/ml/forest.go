@@ -33,7 +33,8 @@ type Forest struct {
 // three or fewer it stays 0, and every split tries every feature. Trees are
 // trained in parallel; determinism is preserved by deriving one RNG per tree
 // from the seed. The trees share the frame's rank store (built by the first
-// of them) and each keeps one set of scratch buffers for all of its nodes.
+// of them), and each fitting worker keeps one tree builder, whose bootstrap
+// sample and search scratch serve every tree the worker grows.
 func FitForestFrame(fr *Frame, sel []int, y []float64, p ForestParams) *Forest {
 	if p.NumTrees <= 0 {
 		p.NumTrees = 20
@@ -50,9 +51,17 @@ func FitForestFrame(fr *Frame, sel []int, y []float64, p ForestParams) *Forest {
 	}
 	// One tree per shard, GOMAXPROCS wide. Never cancelled and no tree fit
 	// fails, so Run has no error to return.
-	_ = shard.Run(context.Background(), shard.Fixed(p.NumTrees, p.NumTrees), 0, func(_, i, _, _ int) error {
-		rng := rngs[i]
-		f.trees[i] = FitTreeFrame(fr, sel, y, rng.Bootstrap(len(y)), p.Tree, rng)
+	plan := shard.Fixed(p.NumTrees, p.NumTrees)
+	workers := plan.Workers(0)
+	builders := make([]*treeBuilder, workers)
+	_ = shard.Run(context.Background(), plan, workers, func(w, i, _, _ int) error {
+		b := builders[w]
+		if b == nil {
+			b = newTreeBuilder(fr, sel, y, len(y), p.Tree, nil)
+			builders[w] = b
+		}
+		b.rows = rngs[i].BootstrapInto(b.rows, len(y))
+		f.trees[i] = b.fit(b.rows, rngs[i])
 		return nil
 	})
 	return f

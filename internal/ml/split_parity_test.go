@@ -25,6 +25,9 @@ const (
 	colAdjacent         // consecutive floats: a midpoint rounds onto a neighbour
 	colCopyFirst        // a copy of column 0: exact ties across features
 	colHuge             // magnitudes whose pairwise sums overflow
+	colSmallNaN         // five distinct values and NaN rows: binned per rank
+	colAtBound          // MaxThresholds+1 distinct values: the most binned per rank
+	colPastBound        // MaxThresholds+2 distinct values: the fewest binned through the bitset
 	numColKinds
 )
 
@@ -88,6 +91,23 @@ func (c splitCase) gen() (fr *Frame, sel []int, y []float64, rows []int) {
 				v = X[r][0]
 			case colHuge:
 				v = []float64{-1.7e308, -1e308, 1e308, 1.2e308, 1.7e308}[rng.Intn(5)]
+			case colSmallNaN:
+				v = float64(rng.Intn(5))
+				if rng.Intn(6) == 0 {
+					v = math.NaN()
+				}
+			case colAtBound, colPastBound:
+				// The first rows take every value once, so a frame of as
+				// many rows holds exactly card distinct values.
+				card := c.p.MaxThresholds + 1
+				if c.p.MaxThresholds <= 0 {
+					card = DefaultTreeParams().MaxThresholds + 1
+				}
+				card += kind - colAtBound
+				v = float64(rng.Intn(card)) / 4
+				if r < card {
+					v = float64(r) / 4
+				}
 			}
 			X[r][ci] = v
 		}
@@ -162,6 +182,8 @@ var splitCases = []splitCase{
 	{name: "bootstrap-duplicates", n: 200, cols: []int{colUniform, colNaN, colSmallInt}, label: labelSignal, seed: 17, bootstrap: true},
 	{name: "through-sel", n: 150, cols: []int{colUniform, colSmallInt}, label: labelSignal, seed: 18, sel: true, bootstrap: true},
 	{name: "feature-subsets", n: 200, cols: []int{colUniform, colSmallInt, colNaN, colAdjacent, colUniform}, label: labelSignal, seed: 19, p: TreeParams{MaxFeatures: 2}, bootstrap: true},
+	{name: "at-per-rank-bound", n: 200, cols: []int{colAtBound, colSmallNaN}, label: labelSignal, seed: 20, bootstrap: true},
+	{name: "past-per-rank-bound", n: 200, cols: []int{colPastBound, colSmallNaN}, label: labelSignal, seed: 23, bootstrap: true},
 }
 
 // checkSplitParity grows the case's tree node by node and holds the split
@@ -251,6 +273,49 @@ func TestForestMatchesReference(t *testing.T) {
 			for i := range want {
 				if !sameTree(got.trees[i].root, want[i]) {
 					t.Errorf("%s GOMAXPROCS=%d: tree %d differs from the reference builder's", c.name, procs, i)
+				}
+			}
+		}
+	}
+}
+
+// TestForestScratchReuse holds FitForestFrame to refFitForest tree by tree
+// while each fitting worker grows an uneven run of trees on one builder: 7
+// trees on 1, 2 and 3 workers at the default MaxThresholds, over the columns
+// at and just past the bound of per-rank binning, a low-cardinality column
+// with NaN, a column with both infinities and a continuous one, trained
+// through sel nil, a permutation of the frame and a strided subset shorter
+// than it.
+func TestForestScratchReuse(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	c := splitCase{n: 1500, cols: []int{colSmallNaN, colAtBound, colPastBound, colInf, colUniform}, label: labelSignal, seed: 37}
+	fr, _, frameY, _ := c.gen()
+	subset := make([]int, 0, fr.Rows()/2)
+	for r := 1; r < fr.Rows(); r += 2 {
+		subset = append(subset, r)
+	}
+	// MinLeaf 2 searches nodes of 4 to 7 rows, which find their ranks of
+	// the uniform column by sorting instead of walking its 24 bitset words.
+	p := ForestParams{NumTrees: 7, Seed: 38, Tree: DefaultTreeParams()}
+	p.Tree.MinLeaf = 2
+	for _, tc := range []struct {
+		name string
+		sel  []int
+	}{{"identity", nil}, {"permutation", stats.NewRNG(39).Perm(fr.Rows())}, {"subset", subset}} {
+		y := frameY
+		if tc.sel != nil {
+			y = make([]float64, len(tc.sel))
+			for pos, r := range tc.sel {
+				y[pos] = frameY[r]
+			}
+		}
+		want := refFitForest(fr, tc.sel, y, p)
+		for _, procs := range []int{1, 2, 3} {
+			runtime.GOMAXPROCS(procs)
+			got := FitForestFrame(fr, tc.sel, y, p)
+			for i := range want {
+				if !sameTree(got.trees[i].root, want[i]) {
+					t.Errorf("%s GOMAXPROCS=%d: tree %d differs from the reference builder's", tc.name, procs, i)
 				}
 			}
 		}

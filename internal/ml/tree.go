@@ -83,38 +83,51 @@ func FitTreeFrame(fr *Frame, sel []int, y []float64, rows []int, p TreeParams, r
 
 // fitTreeOwned is FitTreeFrame over a row list the builder may reorder.
 func fitTreeOwned(fr *Frame, sel []int, y []float64, rows []int, p TreeParams, rng *stats.RNG) *Tree {
-	b := newTreeBuilder(fr, sel, y, len(rows), p, rng)
-	mean, sse := meanSSE(y, rows)
-	return &Tree{dim: fr.dim, root: b.build(rows, 0, mean, sse)}
+	return newTreeBuilder(fr, sel, y, len(rows), p, nil).fit(rows, rng)
 }
 
-// treeBuilder grows one tree. Everything below the frame and label fields
-// is scratch sized once per tree and reused by every node and feature, so
-// induction allocates tree nodes and nothing else.
+// treeBuilder grows trees over one training set: the one tree of
+// FitTreeFrame, or every tree one FitForestFrame worker takes. Everything
+// below the training-set fields is scratch, sized on the first search for
+// up to n rows and reused by every later node, feature and tree, so
+// induction allocates tree nodes and nothing else; a tree whose root is a
+// leaf touches none of it. A search leaves every word of seen zero, so a
+// reused builder starts each tree as a fresh one would.
 type treeBuilder struct {
 	X     frameView
 	y     []float64
 	p     TreeParams
-	rng   *stats.RNG
+	rng   *stats.RNG // the current tree's feature draws
 	dim   int
+	n     int // the most rows a root holds
 	ranks *rankStore
 
+	rows  []int // a forest worker's bootstrap sample, redrawn per tree
 	feats []int // the current node's candidate features
-	spill []int // right-hand rows while a node's row list is partitioned
 
+	// part and best hold a split's rows as splitGain classifies them: the
+	// left side from the front in row order, the right side from the back,
+	// so reversed. part is the candidate splitGain last evaluated, best the
+	// node's winner so far: bestSplit swaps them when a candidate wins.
+	part, best []int
 	// Per node: z[i] = y[rows[i]] - node mean.
 	z []float64
-	// Per (node, feature): the rank of each node row, a bitset marking the
-	// ranks that occur (all zero between features), those ranks ascending,
-	// and each one's bin.
-	rk      []uint32
-	seen    []uint64
+	// Per (node, feature) of a column with more than MaxThresholds+1
+	// distinct values: the rank of each node row, a bitset marking the
+	// ranks that occur (all zero between searches), and each rank's bin.
+	rk    []uint32
+	seen  []uint64
+	binOf []int32
+	// Per (node, feature) of any other column: the rows, sum of z and sum
+	// of z^2 of each rank.
+	rn     []int
+	r1, r2 []float64
+	// Per (node, feature): the ranks the node holds, ascending, and the sum
+	// of z and sum of z^2 of each bin (bin j holds the values that first go
+	// left at threshold j; the last bin never goes left). The bins' row
+	// counts are in the feature's splits.left.
 	present []uint32
-	binOf   []int32
-	// Per (node, feature): the rows, sum of z and sum of z^2 of each bin
-	// (bin j holds the values that first go left at threshold j; the last
-	// bin never goes left).
-	s1, s2 []float64
+	s1, s2  []float64
 	// Per node: the i-th candidate feature's thresholds and gains.
 	splits      []featureSplits
 	searches    int // (node, feature) searches run
@@ -138,21 +151,30 @@ func newTreeBuilder(fr *Frame, sel []int, y []float64, n int, p TreeParams, rng 
 	if p.MinLeaf <= 0 {
 		p.MinLeaf = 1
 	}
-	ranks := fr.rankStore()
-	k := p.MaxThresholds
-	b := &treeBuilder{
-		X: frameView{fr: fr, sel: sel}, y: y, p: p, rng: rng, dim: fr.dim, ranks: ranks,
-		feats: make([]int, 0, fr.dim), spill: make([]int, 0, n),
-		z: make([]float64, n), rk: make([]uint32, n),
-		seen: make([]uint64, (ranks.maxCard+63)/64), present: make([]uint32, 0, min(n, ranks.maxCard)),
-		binOf: make([]int32, ranks.maxCard),
-		s1:    make([]float64, k+1), s2: make([]float64, k+1),
-		splits: make([]featureSplits, fr.dim),
-	}
+	return &treeBuilder{X: frameView{fr: fr, sel: sel}, y: y, p: p, rng: rng, dim: fr.dim, n: n, ranks: fr.rankStore()}
+}
+
+// grow sizes the search scratch; the first search calls it.
+func (b *treeBuilder) grow() {
+	n, k, maxCard := b.n, b.p.MaxThresholds, b.ranks.maxCard
+	b.feats = make([]int, 0, b.dim)
+	b.part, b.best, b.z = make([]int, n), make([]int, n), make([]float64, n)
+	b.rk, b.seen, b.binOf = make([]uint32, n), make([]uint64, (maxCard+63)/64), make([]int32, maxCard)
+	b.rn, b.r1, b.r2 = make([]int, k+1), make([]float64, k+1), make([]float64, k+1)
+	b.present = make([]uint32, 0, min(n, maxCard))
+	b.s1, b.s2 = make([]float64, k+1), make([]float64, k+1)
+	b.splits = make([]featureSplits, b.dim)
 	for i := range b.splits {
 		b.splits[i] = featureSplits{thr: make([]float64, 0, k), left: make([]int, k+1), approx: make([]float64, k)}
 	}
-	return b
+}
+
+// fit grows a tree over rows, which it may reorder, drawing its feature
+// subsets from rng.
+func (b *treeBuilder) fit(rows []int, rng *stats.RNG) *Tree {
+	b.rng = rng
+	mean, sse := meanSSE(b.y, rows)
+	return &Tree{dim: b.dim, root: b.build(rows, 0, mean, sse)}
 }
 
 // build grows the subtree over rows, whose labels have the given mean and
@@ -165,25 +187,18 @@ func (b *treeBuilder) build(rows []int, depth int, mean, sse float64) *treeNode 
 	if gain <= 1e-12 {
 		return &treeNode{leaf: true, value: mean}
 	}
-	// Stable partition in place: both sides keep the node's row order, which
-	// the order-sensitive exact pass of the children depends on, and which
-	// is the order splitGain accumulated l and r in. Both sides reach
-	// MinLeaf: splitGain returns 0 otherwise.
-	col, nl, spill := b.X.col(feat), 0, b.spill[:0]
-	for _, row := range rows {
-		if col[b.X.rowOf(row)] <= thr {
-			rows[nl] = row
-			nl++
-		} else {
-			spill = append(spill, row)
-		}
-	}
-	copy(rows[nl:], spill)
+	// The winner's pass left the rows in b.best, the right side reversed.
+	// Copied back with it turned round, both sides keep the node's row
+	// order, which the order-sensitive exact pass of the children depends
+	// on, and which is the order splitGain accumulated l and r in. Both
+	// sides reach MinLeaf: splitGain returns 0 otherwise.
+	copy(rows, b.best[:len(rows)])
+	slices.Reverse(rows[l.n:])
 	return &treeNode{
 		feature:   feat,
 		threshold: thr,
-		left:      b.build(rows[:nl], depth+1, l.mean, l.sse()),
-		right:     b.build(rows[nl:], depth+1, r.mean, r.sse()),
+		left:      b.build(rows[:l.n], depth+1, l.mean, l.sse()),
+		right:     b.build(rows[l.n:], depth+1, r.mean, r.sse()),
 	}
 }
 
@@ -216,7 +231,11 @@ func (b *treeBuilder) build(rows []int, depth int, mean, sse float64) *treeNode 
 // The survivors go through splitGain in the original order, so the winner,
 // its threshold bits and its gain bits are those of running splitGain on
 // every candidate. The comparisons are written so that a NaN g~ survives.
+// The winner's partition of rows is left in b.best.
 func (b *treeBuilder) bestSplit(rows []int, mean, parentSSE float64) (feat int, thr, bestGain float64, l, r moments) {
+	if b.z == nil {
+		b.grow()
+	}
 	sumY2 := 0.0
 	for i, row := range rows {
 		v := b.y[row]
@@ -249,6 +268,7 @@ func (b *treeBuilder) bestSplit(rows []int, mean, parentSSE float64) (feat int, 
 			b.exactPasses++
 			if g, gl, gr := b.splitGain(rows, f, t, parentSSE); g > bestGain {
 				feat, thr, bestGain, l, r = f, t, g, gl, gr
+				b.part, b.best = b.best, b.part
 			}
 		}
 	}
@@ -273,7 +293,13 @@ func (b *treeBuilder) bestSplit(rows []int, mean, parentSSE float64) (feat int, 
 //   - The centred sums over a side. A prefix or suffix sum is a chain of at
 //     most k additions per term, k <= n + MaxThresholds <= 2n (rows into
 //     bins, bins into sums; both sides are accumulated, neither is obtained
-//     by subtraction, so there is no cancellation term). sum z^2 errs by
+//     by subtraction, so there is no cancellation term). binByRank's rows
+//     go into ranks and ranks into bins, a longer chain than rows into
+//     bins but not a longer worst case: a bin's rank sums partition its
+//     rows, each rank holding one at least, so a term of a rank of c rows,
+//     in a bin of r ranks and n_j rows, meets (c-1) + (r-1) <= n_j - 1
+//     roundings before the bin total, no more than when the bin's rows are
+//     added directly. So k, and eps below, still bound it. sum z^2 errs by
 //     (k+1) u sum z^2, (sum z)^2/n by (2k+2) u sum z^2 (Cauchy-Schwarz),
 //     their difference by u sum z^2 more, and rounding z = y - mean itself
 //     moves the side's SSE by 2u sum z^2. sum z^2 over the node is its SSE
@@ -311,8 +337,8 @@ func (b *treeBuilder) candidateFeatures() []int {
 }
 
 // binThresholds writes feature f's candidate thresholds for the node into
-// s.thr and assigns every value the node holds to its bin, leaving b.rk and
-// b.binOf set for approxGains.
+// s.thr, and the row count, sum of z and sum of z^2 of each of their bins
+// into s.left, b.s1 and b.s2 for approxGains.
 //
 // The candidates are the midpoints (d[i]+d[i+1])/2 of the node's distinct
 // values d in ascending order — all of them when there are at most
@@ -322,6 +348,11 @@ func (b *treeBuilder) candidateFeatures() []int {
 // row, or between -Inf and +Inf) takes no row left and is never a candidate,
 // but it holds its place in the index arithmetic. The rest are written
 // ascending.
+//
+// A column of at most MaxThresholds+1 distinct values (NaN counting as one)
+// is binned in one pass over the node's rows, which sums them per rank
+// (binByRank); any other column in two, which find the ranks present and
+// then sum the rows per bin (binByBitset).
 func (b *treeBuilder) binThresholds(rows []int, f int, s *featureSplits) {
 	vals := b.ranks.vals[f]
 	rank := b.ranks.rank[f*b.X.fr.rows : (f+1)*b.X.fr.rows]
@@ -329,12 +360,56 @@ func (b *treeBuilder) binThresholds(rows []int, f int, s *featureSplits) {
 	if n := len(vals); n > 0 && vals[n-1] != vals[n-1] {
 		nanRank = uint32(n - 1)
 	}
+	if len(vals) <= b.p.MaxThresholds+1 {
+		b.binByRank(rows, vals, rank, nanRank, s)
+	} else {
+		b.binByBitset(rows, vals, rank, nanRank, s)
+	}
+}
 
-	// The ranks present in the node, ascending: each is marked in the
-	// bitset, and the marks are read back a word at a time, clearing each
-	// word for the next search. A node with too few rows to pay for a walk
-	// over the column's words sorts its ranks instead and clears only the
-	// words they marked.
+// binByRank bins a low-cardinality column: every row adds to its rank's
+// count and sums, the ranks with a count are the values the node holds, and
+// each rank's count and sums fold into its bin.
+func (b *treeBuilder) binByRank(rows []int, vals []float64, rank []uint32, nanRank uint32, s *featureSplits) {
+	rn, r1, r2 := b.rn[:len(vals)], b.r1[:len(vals)], b.r2[:len(vals)]
+	clear(rn)
+	clear(r1)
+	clear(r2)
+	for i, r := range rows {
+		k, z := rank[b.X.rowOf(r)], b.z[i]
+		rn[k]++
+		r1[k] += z
+		r2[k] += z * z
+	}
+	present, nans := b.present[:0], 0
+	for k, c := range rn {
+		if c > 0 {
+			present = append(present, uint32(k))
+		}
+	}
+	if int(nanRank) < len(rn) {
+		nans = rn[nanRank]
+	}
+	b.present = present
+	thr := b.thresholds(vals, present, nans, s)
+	cnt, s1, s2 := b.bins(len(thr), s)
+	j := 0
+	for _, k := range present {
+		j = binAt(vals[k], thr, j)
+		cnt[j] += rn[k]
+		s1[j] += r1[k]
+		s2[j] += r2[k]
+	}
+}
+
+// binByBitset bins any other column: the node's ranks are marked in the
+// bitset and read back ascending, which gives the thresholds and each
+// rank's bin, and then every row adds to its bin.
+func (b *treeBuilder) binByBitset(rows []int, vals []float64, rank []uint32, nanRank uint32, s *featureSplits) {
+	// The marks are read back a word at a time, clearing each word for the
+	// next search. A node with too few rows to pay for a walk over the
+	// column's words sorts its ranks instead and clears only the words they
+	// marked.
 	n, nans := len(rows), 0
 	present, words := b.present[:0], b.seen[:(len(vals)+63)/64]
 	for i, r := range rows {
@@ -364,9 +439,29 @@ func (b *treeBuilder) binThresholds(rows []int, f int, s *featureSplits) {
 		}
 	}
 	b.present = present
+	thr := b.thresholds(vals, present, nans, s)
+	if len(thr) == 0 {
+		return
+	}
+	j := 0
+	for _, k := range present {
+		j = binAt(vals[k], thr, j)
+		b.binOf[k] = int32(j)
+	}
+	cnt, s1, s2 := b.bins(len(thr), s)
+	for i, k := range b.rk[:n] {
+		j, z := b.binOf[k], b.z[i]
+		cnt[j]++
+		s1[j] += z
+		s2[j] += z * z
+	}
+}
 
-	// d = nans NaN entries, then the real values present; mids[i] pairs
-	// d[i] with d[i+1].
+// thresholds writes into s.thr, and returns, the candidates over d = nans
+// NaN entries followed by the real values among vals[present[i]], where
+// present holds the node's ranks ascending (NaN's, which ranks last, among
+// them when nans > 0); mids[i] pairs d[i] with d[i+1].
+func (b *treeBuilder) thresholds(vals []float64, present []uint32, nans int, s *featureSplits) []float64 {
 	thr := s.thr[:0]
 	real := len(present)
 	if nans > 0 {
@@ -391,37 +486,39 @@ func (b *treeBuilder) binThresholds(rows []int, f int, s *featureSplits) {
 		}
 	}
 	s.thr = thr
-
-	// A value's bin is the first threshold it is <= to, compared against
-	// the thresholds themselves: the midpoint of adjacent floats can round
-	// onto its upper neighbour, so positions alone do not decide it. NaN is
-	// <= nothing and lands in the last bin, which never goes left.
-	j := 0
-	for _, k := range present {
-		for j < len(thr) && !(vals[k] <= thr[j]) {
-			j++
-		}
-		b.binOf[k] = int32(j)
-	}
+	return thr
 }
 
-// approxGains accumulates the node's rows into the bins binThresholds
-// assigned and leaves, per threshold j, the exact row count left of it in
-// s.left[j] (the rest of the n rows are right of it) and the approximate
-// gain in s.approx[j]. It returns the largest approximate gain among
-// thresholds both of whose sides reach MinLeaf (-Inf when there is none).
-func (b *treeBuilder) approxGains(n int, parentSSE float64, s *featureSplits) float64 {
-	k := len(s.thr)
-	cnt, s1, s2, approx := s.left[:k+1], b.s1[:k+1], b.s2[:k+1], s.approx[:k]
+// binAt returns the bin of value v, the first threshold v is <= to, given
+// that no value below v was past bin j. It compares against the thresholds
+// themselves: the midpoint of adjacent floats can round onto its upper
+// neighbour, so positions alone do not decide it. NaN is <= nothing and
+// lands in the last bin, which never goes left.
+func binAt(v float64, thr []float64, j int) int {
+	for j < len(thr) && !(v <= thr[j]) {
+		j++
+	}
+	return j
+}
+
+// bins returns the row counts and sums of the k+1 bins of k thresholds,
+// zeroed.
+func (b *treeBuilder) bins(k int, s *featureSplits) (cnt []int, s1, s2 []float64) {
+	cnt, s1, s2 = s.left[:k+1], b.s1[:k+1], b.s2[:k+1]
 	clear(cnt)
 	clear(s1)
 	clear(s2)
-	for i, r := range b.rk[:n] {
-		j, z := b.binOf[r], b.z[i]
-		cnt[j]++
-		s1[j] += z
-		s2[j] += z * z
-	}
+	return cnt, s1, s2
+}
+
+// approxGains turns the bin counts and sums binThresholds left into, per
+// threshold j, the exact row count left of it in s.left[j] (the rest of the
+// n rows are right of it) and the approximate gain in s.approx[j]. It
+// returns the largest approximate gain among thresholds both of whose sides
+// reach MinLeaf (-Inf when there is none).
+func (b *treeBuilder) approxGains(n int, parentSSE float64, s *featureSplits) float64 {
+	k := len(s.thr)
+	cnt, s1, s2, approx := s.left[:k+1], b.s1[:k+1], b.s2[:k+1], s.approx[:k]
 	// Right of threshold j is bins j+1..k, summed from the right: approx[j]
 	// holds the right side's SSE until the left side's is known.
 	nR, sR, qR := 0, 0.0, 0.0
@@ -467,31 +564,54 @@ func (m moments) sse() float64 {
 	return m.m2 / float64(m.n-1) * float64(m.n-1)
 }
 
-// splitGain computes the SSE reduction of splitting rows on X[f] <= t using
-// a single streaming pass, and returns that pass's moments of each side.
+// add is one step of Welford's update: v joins the run.
+func (m moments) add(v float64) moments {
+	m.n++
+	d := v - m.mean
+	m.mean += d / float64(m.n)
+	m.m2 += d * (v - m.mean)
+	return m
+}
+
+// splitGain computes the SSE reduction of splitting rows on X[f] <= t and
+// returns the moments of each side. One pass classifies the rows into
+// b.part without a branch, the left side from the front and the right side
+// from the back; a second runs the two sides' Welford chains interleaved,
+// each over its rows in their order in rows, so with the bits a lone pass
+// over that side would give.
 func (b *treeBuilder) splitGain(rows []int, f int, t, parentSSE float64) (gain float64, left, right moments) {
-	col := b.X.col(f)
-	var nL, nR int
-	var meanL, meanR, m2L, m2R float64
-	for _, r := range rows {
-		v := b.y[r]
-		if col[b.X.rowOf(r)] <= t {
-			nL++
-			d := v - meanL
-			meanL += d / float64(nL)
-			m2L += d * (v - meanL)
-		} else {
-			nR++
-			d := v - meanR
-			meanR += d / float64(nR)
-			m2R += d * (v - meanR)
-		}
+	if b.z == nil {
+		b.grow()
 	}
-	left, right = moments{nL, meanL, m2L}, moments{nR, meanR, m2R}
-	if nL < b.p.MinLeaf || nR < b.p.MinLeaf {
+	col, part := b.X.col(f), b.part[:len(rows)]
+	lo, hi := 0, len(rows)-1
+	for _, r := range rows {
+		in := 0
+		if col[b.X.rowOf(r)] <= t {
+			in = 1
+		}
+		// Both ends take r and only its side's advances: the other end is
+		// written again by the next row of that side, or is this row's own
+		// place when it is the last.
+		part[lo], part[hi] = r, r
+		lo += in
+		hi -= 1 - in
+	}
+	l, r := part[:lo], part[lo:]
+	i, j := 0, len(r)-1
+	for ; i < len(l) && j >= 0; i, j = i+1, j-1 {
+		left, right = left.add(b.y[l[i]]), right.add(b.y[r[j]])
+	}
+	for ; i < len(l); i++ {
+		left = left.add(b.y[l[i]])
+	}
+	for ; j >= 0; j-- {
+		right = right.add(b.y[r[j]])
+	}
+	if left.n < b.p.MinLeaf || right.n < b.p.MinLeaf {
 		return 0, left, right
 	}
-	return parentSSE - m2L - m2R, left, right
+	return parentSSE - left.m2 - right.m2, left, right
 }
 
 func meanSSE(y []float64, rows []int) (mean, sse float64) {

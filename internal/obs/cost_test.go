@@ -244,16 +244,18 @@ func TestParseTraceFilter(t *testing.T) {
 
 // TestListFiltered pins the filtered listing semantics on a live recorder:
 // kind matches exactly, min_ms drops fast traces, limit caps newest-first.
+// Every trace closes at an explicit duration (10 ms, then 1 ms each), so the
+// min_ms cut does not depend on how fast the host runs the test.
 func TestListFiltered(t *testing.T) {
 	rec := NewRecorder(8)
-	slow := NewTrace("whatif")
-	time.Sleep(10 * time.Millisecond)
-	slow.Finish()
-	rec.Record(slow)
-	for i := 0; i < 3; i++ {
-		tr := NewTrace("howto")
-		tr.Finish()
+	finish := func(tr *Trace, d time.Duration) {
+		tr.Root().EndAt(tr.Root().start.Add(d))
 		rec.Record(tr)
+	}
+	slow := NewTrace("whatif")
+	finish(slow, 10*time.Millisecond)
+	for i := 0; i < 3; i++ {
+		finish(NewTrace("howto"), time.Millisecond)
 	}
 
 	if got := len(rec.ListFiltered(TraceFilter{})); got != 4 {

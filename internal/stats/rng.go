@@ -150,8 +150,16 @@ func (r *RNG) SampleIndexesInto(dst []int, n, k int) []int {
 }
 
 // Bootstrap returns n indexes drawn uniformly with replacement from [0, n).
-func (r *RNG) Bootstrap(n int) []int {
-	out := make([]int, n)
+func (r *RNG) Bootstrap(n int) []int { return r.BootstrapInto(nil, n) }
+
+// BootstrapInto is Bootstrap writing into dst[:n], so a caller that draws
+// one sample after another (a forest worker, one per tree) allocates only
+// when dst lacks capacity n. The draws do not depend on dst.
+func (r *RNG) BootstrapInto(dst []int, n int) []int {
+	if cap(dst) < n {
+		dst = make([]int, n)
+	}
+	out := dst[:n]
 	for i := range out {
 		out[i] = r.Intn(n)
 	}
