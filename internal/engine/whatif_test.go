@@ -125,6 +125,65 @@ func TestWhenRestrictsUpdateSet(t *testing.T) {
 	}
 }
 
+// TestNaNUpdateAttribute evaluates over a view whose update attribute F
+// holds NaN (one payload, then two sharing a code), where a NaN is one value
+// equal only to itself and above every number: UPDATE(F) = 1.5 changes every
+// NaN row, so each is affected, and a WHEN selects a NaN row only where the
+// order puts NaN.
+func TestNaNUpdateAttribute(t *testing.T) {
+	for _, kind := range []string{"nan-one", "nan"} {
+		db, model := classWorld(kind)
+		q, err := hyperql.ParseWhatIf(`USE T UPDATE(F) = 1.5 OUTPUT AVG(POST(Y))`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := prepareEvaluation(context.Background(), db, model, q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		view := p.v.Rel
+		fi := view.Schema().MustIndex("F")
+		nans, halves, big := 0, 0, 0 // rows holding NaN, 1.5, and a number >= 2
+		for i := range view.Len() {
+			f := view.Value(i, fi).AsFloat()
+			switch {
+			case math.IsNaN(f):
+				nans++
+			case f == 1.5:
+				halves++
+			case f >= 2:
+				big++
+			}
+			if got, want := p.ev.isAffected(i), f != 1.5; got != want {
+				t.Fatalf("%s: row %d holding %v affected = %v, want %v", kind, i, f, got, want)
+			}
+		}
+		if nans == 0 || halves == 0 {
+			t.Fatalf("%s: world holds %d NaN rows and %d rows of 1.5", kind, nans, halves)
+		}
+		for when, want := range map[string]int{
+			"F = 5":         0,
+			"F = 1.5":       halves,
+			"F != 1.5":      nans + big,
+			"F >= 2":        nans + big,
+			"F < 100":       halves + big,
+			"F IN (1.5, 5)": halves,
+		} {
+			q, err := hyperql.ParseWhatIf("USE T WHEN " + when + " UPDATE(F) = 1.5 OUTPUT AVG(POST(Y))")
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Evaluate(db, model, q, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.UpdatedRows != want {
+				t.Errorf("%s: WHEN %s updates %d rows, want %d", kind, when, res.UpdatedRows, want)
+			}
+		}
+	}
+}
+
 func TestForPreFiltersPopulation(t *testing.T) {
 	g := dataset.GermanSyn(5000, 3)
 	res := evalGerman(t, g,

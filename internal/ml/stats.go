@@ -1,14 +1,15 @@
 package ml
 
-import "hyper/internal/relation"
+import (
+	"math"
 
-// ColumnStats summarizes one relation column for the planner's cost model:
-// the distinct-value count drives selectivity estimates for equality and IN
-// predicates, the numeric range drives range-predicate interpolation, and
-// the remaining flags are the exactness guards a columnar filter needs to
-// stay bit-identical to row-at-a-time evaluation (NaN compares "equal" to
-// every number under relation.Value.Compare, and integer/float identity via
-// canonical keys only holds below 1e15).
+	"hyper/internal/relation"
+)
+
+// ColumnStats summarizes one relation column: its distinct-value count, NULL
+// share, kind and numeric range. The planner reads none of it — it reads the
+// relation's per-column projections directly — so this summary is the
+// benchmark's probe of the column store.
 type ColumnStats struct {
 	// Name is the column name.
 	Name string `json:"name"`
@@ -44,8 +45,16 @@ func CollectStats(rel *relation.Relation) []ColumnStats {
 		col := rel.Coded(c)
 		st := ColumnStats{
 			Name: cols[c].Name, Rows: n, Card: col.Card(),
-			Numeric: col.Numeric, HasNaN: col.HasNaN, MaxAbs: col.MaxAbs,
-			Min: col.Min, Max: col.Max,
+			Numeric: col.Numeric, Min: col.Min, Max: col.Max,
+		}
+		for _, v := range col.Values { // values sharing a code share a float
+			switch f := v.AsFloat(); {
+			case !v.Kind().Numeric():
+			case math.IsNaN(f):
+				st.HasNaN = true
+			default:
+				st.MaxAbs = math.Max(st.MaxAbs, math.Abs(f))
+			}
 		}
 		if n > 0 {
 			st.NullFrac = float64(col.Nulls) / float64(n)

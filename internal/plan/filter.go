@@ -1,8 +1,6 @@
 package plan
 
 import (
-	"math"
-
 	"hyper/internal/hyperql"
 	"hyper/internal/relation"
 	"hyper/internal/sqlmini"
@@ -39,8 +37,8 @@ func (p *WhatIfPlan) Apply(when hyperql.Expr, rel *relation.Relation, inS []bool
 			pushed++
 			continue
 		}
-		// Residual (or guard-demoted) conjunct: evaluate its own AST on the
-		// rows still in the set.
+		// Residual conjunct: evaluate its own AST on the rows still in the
+		// set.
 		env := sqlmini.RowEnv{Rel: rel}
 		for i := range inS {
 			if !inS[i] {
@@ -57,28 +55,25 @@ func (p *WhatIfPlan) Apply(when hyperql.Expr, rel *relation.Relation, inS []bool
 	return pushed, nil
 }
 
-// litGuard reports whether interned-code identity against this column is
-// exact for literal v: numeric literals must be finite, below the
-// key-exactness threshold, and the column NaN-free (NaN compares equal to
-// every number under Value.Compare, but its canonical key is distinct).
-// Non-numeric literals are always exact — cross-kind comparisons never
-// report equality and never collide on keys.
-func litGuard(v relation.Value, colNaN bool) bool {
-	if !v.Kind().Numeric() {
-		return true
-	}
-	f := v.AsFloat()
-	return !math.IsNaN(f) && math.Abs(f) < maxExactAbs && !colNaN
+// rangeAccept says, per order operator, which results of Value.Compare(row,
+// literal) — -1, 0, +1, indexed from 0 — keep the row.
+var rangeAccept = [...][3]bool{
+	OpLt: {true, false, false},
+	OpLe: {true, true, false},
+	OpGt: {false, false, true},
+	OpGe: {false, true, true},
 }
 
 // applyPushed runs one columnar conjunct, narrowing inS. Every operator
 // reduces to the same scan: decide once per distinct value (per code) whether
-// rows holding it stay, then filter the rows through their codes. NULL rows
-// carry NULL's own code, so a NULL literal in an IN list matches them and no
-// other literal does — exactly Value.Equal. It returns false when the node's
-// shape mismatches the compiled conjunct or the column or a bound literal
-// violates an exactness guard; the caller then evaluates the conjunct's AST
-// residually, which is always exact.
+// rows holding it stay, then filter the rows through their codes. Codes are
+// Value.Compare identity, so one decision per code is every row's decision.
+// Equality, != and IN look the literal's code up; NULL rows carry NULL's own
+// code, so a NULL literal in an IN list matches them and no other literal
+// does — exactly Value.Equal. A range compares each code's value with the
+// literal, NULL on either side deciding false — exactly sqlmini's comparison.
+// It returns false only when the node's shape mismatches the compiled
+// conjunct; the caller then evaluates the conjunct's AST residually.
 func applyPushed(c Conjunct, node hyperql.Expr, col *relation.CodedColumn, inS []bool) bool {
 	keep := make([]bool, len(col.Values))
 	switch c.Op {
@@ -94,7 +89,7 @@ func applyPushed(c Conjunct, node hyperql.Expr, col *relation.CodedColumn, inS [
 		}
 		for _, ve := range in.Vals {
 			lit, ok := ve.(*hyperql.Literal)
-			if !ok || !litGuard(lit.Val, col.HasNaN) {
+			if !ok {
 				return false
 			}
 			// Values absent from the column's code space can never match.
@@ -119,8 +114,6 @@ func applyPushed(c Conjunct, node hyperql.Expr, col *relation.CodedColumn, inS [
 		switch {
 		case v.IsNull():
 			// Any comparison against NULL is false for every row.
-		case !litGuard(v, col.HasNaN):
-			return false
 		case c.Op == OpEq:
 			if code, present := col.Code(v); present {
 				keep[code] = true
@@ -133,24 +126,9 @@ func applyPushed(c Conjunct, node hyperql.Expr, col *relation.CodedColumn, inS [
 				keep[code] = false
 			}
 		default: // OpLt, OpLe, OpGt, OpGe
-			// Cross-kind ordering follows kind ranks, not magnitudes; leave
-			// it to the exact residual path.
-			if !v.Kind().Numeric() || !rangeExact(col) {
-				return false
-			}
-			f := v.AsFloat()
+			accept := rangeAccept[c.Op] // by Compare's result + 1
 			for code, cv := range col.Values {
-				x := cv.AsFloat() // NaN for NULL: every comparison is false
-				switch c.Op {
-				case OpLt:
-					keep[code] = x < f
-				case OpLe:
-					keep[code] = x <= f
-				case OpGt:
-					keep[code] = x > f
-				default:
-					keep[code] = x >= f
-				}
+				keep[code] = !cv.IsNull() && accept[cv.Compare(v)+1]
 			}
 		}
 	}

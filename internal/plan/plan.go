@@ -11,17 +11,15 @@
 //
 // The planner's contract is bit-identity: a program must produce exactly the
 // update set, and exactly the error, of a row-at-a-time sqlmini.EvalBool loop
-// over the whole tree (kept only as the oracle in tests). Two mechanisms
-// enforce it. First, a plan only reorders or pushes conjuncts when the whole
-// WHEN tree is provably error-free (every column resolves, only evaluable
-// node types appear); otherwise it marks itself a fallback and runs the
-// whole tree as one residual conjunct in row order — that loop itself,
-// error behaviour included. Second, every pushed predicate carries exactness
-// guards: interned-code equality matches relation.Value.Compare only when
-// neither side is NaN and numeric magnitudes stay below 1e15 (where
-// canonical keys merge ints with whole floats), and range scans require an
-// all-numeric column. A conjunct whose bound literal violates a guard
-// demotes to residual evaluation of its own AST — same rows, same answer.
+// over the whole tree (kept only as the oracle in tests). A plan only
+// reorders or pushes conjuncts when the whole WHEN tree is provably
+// error-free (every column resolves, only evaluable node types appear);
+// otherwise it marks itself a fallback and runs the whole tree as one
+// residual conjunct in row order — that loop itself, error behaviour
+// included. A pushed conjunct is exact on any column because code identity is
+// relation.Value.Compare equality: values share a code exactly when Compare
+// finds them equal, so deciding a predicate once per code decides it for
+// every row holding the code.
 package plan
 
 import (
@@ -34,12 +32,6 @@ import (
 	"hyper/internal/relation"
 	"hyper/internal/sqlmini"
 )
-
-// maxExactAbs bounds the numeric magnitude for which relation.Value.Key
-// equality coincides with Value.Compare equality (Key formats whole floats
-// below 1e15 as ints) and for which float64 ordering of int64 values is
-// exact. At or above it, equality and range conjuncts stay residual.
-const maxExactAbs = 1e15
 
 // Op classifies one WHEN conjunct of a pushdown program.
 type Op uint8
@@ -123,8 +115,7 @@ type WhatIfPlan struct {
 	explain string
 }
 
-// Pushed counts the conjuncts compiled to columnar scans (execution may
-// demote individual conjuncts whose bound literal violates a guard).
+// Pushed counts the conjuncts compiled to columnar scans.
 func (p *WhatIfPlan) Pushed() int {
 	n := 0
 	for _, c := range p.Conjuncts {
@@ -217,19 +208,9 @@ func Compile(rel *relation.Relation, when hyperql.Expr) *WhatIfPlan {
 	return p
 }
 
-// rangeExact reports whether float ordering over col's values coincides with
-// Value.Compare: ordering a column with non-numeric values through floats
-// diverges from Compare's kind ranking, NaN compares equal to every number,
-// and int64 magnitudes at or past maxExactAbs round.
-func rangeExact(col *relation.CodedColumn) bool {
-	return col.Numeric && !col.HasNaN && col.MaxAbs < maxExactAbs
-}
-
 // classify compiles one conjunct: a comparison or IN between a bare column
 // reference and literals becomes a columnar filter, anything else stays
-// residual. Guards that depend only on the column apply here (and again at
-// bind time, against the column then scanned); guards that depend on the
-// literal value apply at bind time only.
+// residual.
 func classify(e hyperql.Expr, pos int, rel *relation.Relation) Conjunct {
 	c := Conjunct{Pos: pos, Op: OpResidual, Sel: 0.5, shape: hyperql.ShapeExpr(e)}
 	switch x := e.(type) {
@@ -251,17 +232,13 @@ func classify(e hyperql.Expr, pos int, rel *relation.Relation) Conjunct {
 		if col == nil {
 			return c
 		}
-		op, isRange := compileOp(x.Op, flip)
+		op := compileOp(x.Op, flip)
 		if op == OpResidual {
 			return c
 		}
 		ci := rel.Schema().MustIndex(col.Name)
-		cc := rel.Coded(ci)
-		if isRange && !rangeExact(cc) {
-			return c
-		}
 		c.Op, c.Col, c.Flip, c.colIdx = op, col.Name, flip, ci
-		c.Sel = selectivity(op, cc, rel.Len(), 1)
+		c.Sel = selectivity(op, rel.Coded(ci), rel.Len(), 1)
 	case *hyperql.InList:
 		col, ok := x.X.(*hyperql.ColRef)
 		if !ok {
@@ -283,9 +260,8 @@ func classify(e hyperql.Expr, pos int, rel *relation.Relation) Conjunct {
 }
 
 // compileOp maps a comparison operator (mirrored when the literal was on
-// the left) to a pushdown op; isRange marks order comparisons, which need
-// the numeric-column guard.
-func compileOp(op string, flip bool) (Op, bool) {
+// the left) to a pushdown op.
+func compileOp(op string, flip bool) Op {
 	if flip {
 		switch op {
 		case "<":
@@ -300,19 +276,19 @@ func compileOp(op string, flip bool) (Op, bool) {
 	}
 	switch op {
 	case "=":
-		return OpEq, false
+		return OpEq
 	case "!=":
-		return OpNe, false
+		return OpNe
 	case "<":
-		return OpLt, true
+		return OpLt
 	case "<=":
-		return OpLe, true
+		return OpLe
 	case ">":
-		return OpGt, true
+		return OpGt
 	case ">=":
-		return OpGe, true
+		return OpGe
 	default:
-		return OpResidual, false
+		return OpResidual
 	}
 }
 

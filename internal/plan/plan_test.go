@@ -13,10 +13,10 @@ import (
 	"hyper/internal/sqlmini"
 )
 
-// testDB builds a small database whose one relation exercises every planner
-// guard: a clean string column, clean numerics, a NULL-bearing column, a
-// NaN-bearing column, magnitudes past the key-exactness threshold, and a
-// mixed-kind column that must never be range-scanned.
+// testDB builds a small database whose one relation exercises where value
+// identity is subtle: a clean string column, clean numerics, a NULL-bearing
+// column, a NaN-bearing column, whole floats past float64's integer
+// precision, and a mixed-kind column.
 func testDB(t testing.TB) (*relation.Database, *relation.Relation) {
 	t.Helper()
 	schema := relation.MustSchema(
@@ -122,16 +122,16 @@ func TestCompileClassification(t *testing.T) {
 		0: OpEq,       // Cat = 'a'
 		1: OpGt,       // Price > 25
 		2: OpIn,       // Qty IN (1, 2)
-		3: OpResidual, // Mix < 3: mixed-kind column, ordering must stay exact
+		3: OpLt,       // Mix < 3: a mixed-kind column orders by Value.Compare
 		4: OpResidual, // ID + 1 = 2: arithmetic left side
-		5: OpResidual, // Wild >= 1: NaN in column breaks float ordering
+		5: OpGe,       // Wild >= 1: NaN is one value above every number
 	}
 	for pos, op := range want {
 		if got := byPos[pos].Op; got != op {
 			t.Errorf("conjunct %d: op = %s, want %s", pos, got, op)
 		}
 	}
-	if got, wantN := p.Pushed(), 3; got != wantN {
+	if got, wantN := p.Pushed(), 5; got != wantN {
 		t.Errorf("Pushed() = %d, want %d", got, wantN)
 	}
 }
@@ -172,10 +172,10 @@ func TestFallbackOnUnresolvableWhen(t *testing.T) {
 }
 
 // TestApplyMatchesRowLoop is the bit-identity property at the mask level:
-// for every WHEN shape (pushed, residual, guard-demoted, absent values,
-// NULLs, NaN columns, oversized magnitudes, and trees that fall back), Apply
-// must produce exactly the row-at-a-time EvalBool mask — or exactly its
-// error — with a plan cache and without one.
+// for every WHEN shape (pushed, residual, absent values, NULLs, NaN columns,
+// magnitudes past 2⁵³, mixed kinds, and trees that fall back), Apply must
+// produce exactly the row-at-a-time EvalBool mask — or exactly its error —
+// with a plan cache and without one.
 func TestApplyMatchesRowLoop(t *testing.T) {
 	db, full := testDB(t)
 	empty := relation.NewRelation("Items", full.Schema())
@@ -196,13 +196,33 @@ func TestApplyMatchesRowLoop(t *testing.T) {
 		{"Cat IN ('a', 'd')", 1, false, full},
 		{"Cat NOT IN ('a')", 1, false, full},
 		{"Qty IN (1, 3)", 1, false, full},
-		{"Wild > 2", 0, false, full},                // NaN column: compile-time demotion
-		{"Big = 20000000000000000", 0, false, full}, // literal >= 1e15: bind-time demotion
-		{"Mix < 3", 0, false, full},                 // mixed kinds: ordering stays residual
-		{"NOT (Cat = 'a')", 0, false, full},         // unary NOT is residual
-		{"ID + 1 = 3", 0, false, full},              // arithmetic is residual
+		// A NaN column: NaN is one value, above every number.
+		{"Wild > 2", 1, false, full},
+		{"Wild = 5", 1, false, full},
+		{"Wild != 5", 1, false, full},
+		{"Wild < 3", 1, false, full},
+		{"Wild >= 100", 1, false, full},
+		{"Wild IN (1, 3)", 1, false, full},
+		{"Wild NOT IN (1, 3)", 1, false, full},
+		// Whole floats past 2⁵³ against ints: one they equal, one just past.
+		{"Big = 20000000000000000", 1, false, full},
+		{"Big = 10000000000000001", 1, false, full},
+		{"Big != 10000000000000001", 1, false, full},
+		{"Big < 10000000000000001", 1, false, full},
+		{"Big >= 10000000000000001", 1, false, full},
+		{"Big IN (10000000000000001, 20000000000000000)", 1, false, full},
+		{"Big NOT IN (10000000000000001, 20000000000000000)", 1, false, full},
+		// Mixed kinds order by kind rank first.
+		{"Mix < 3", 1, false, full},
+		{"Mix = 2", 1, false, full},
+		{"Mix != 'x'", 1, false, full},
+		{"Mix >= 'y'", 1, false, full},
+		{"Mix IN (1, 'z')", 1, false, full},
+		{"Mix NOT IN (1, 'z')", 1, false, full},
+		{"NOT (Cat = 'a')", 0, false, full}, // unary NOT is residual
+		{"ID + 1 = 3", 0, false, full},      // arithmetic is residual
 		{"Cat = 'a' AND Price > 25 AND Qty IN (1, 2)", 3, false, full},
-		{"Price > 25 AND Wild > 2 AND Cat != 'b'", 2, false, full},
+		{"Price > 25 AND Wild > 2 AND Cat != 'b'", 3, false, full},
 		{"Cat IN ('a', 'b') AND ID + 1 = 3 AND Qty != 2", 2, false, full},
 		// Fallback shapes: the whole tree runs as one residual conjunct in
 		// row order, so the oracle's error behaviour is the plan's.
@@ -245,6 +265,131 @@ func TestApplyMatchesRowLoop(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestPushdownValueOrder pins the masks of conjuncts over testDB's NaN,
+// huge-magnitude and mixed-kind columns to rows worked out by hand: a NaN is
+// equal only to itself and above every number, an int literal past 2⁵³ does
+// not equal the float it rounds to, and kinds order NULL < bool < number <
+// string.
+func TestPushdownValueOrder(t *testing.T) {
+	_, rel := testDB(t)
+	for _, tc := range []struct {
+		when string
+		rows []int // 0-based rows of testDB that hold
+	}{
+		{"Wild = 5", []int{5}},
+		{"Wild <= 0", nil},
+		{"Wild >= 100", []int{1}},
+		{"Wild > 6", []int{1, 7}},
+		{"Wild IN (1, 3)", []int{0, 3}},
+		{"Wild != 1", []int{1, 2, 3, 4, 5, 6, 7}},
+		{"Big = 10000000000000001", nil},
+		{"Big = 10000000000000000", []int{0, 2, 4, 6}},
+		{"Big > 10000000000000001", []int{1, 3, 5, 7}},
+		{"Big <= 10000000000000001", []int{0, 2, 4, 6}},
+		{"Mix < 3", []int{0, 2, 6}},
+		{"Mix > 3", []int{1, 3, 5, 7}},
+		{"Mix >= 'y'", []int{3, 5}},
+	} {
+		when, err := hyperql.ParseExpr(tc.when)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := Compile(rel, when)
+		inS := make([]bool, rel.Len())
+		pushed, err := p.Apply(when, rel, inS)
+		if err != nil || pushed != 1 {
+			t.Fatalf("%s: Apply = %d pushed, %v; want 1 pushed", tc.when, pushed, err)
+		}
+		want := make([]bool, rel.Len())
+		for _, r := range tc.rows {
+			want[r] = true
+		}
+		if fmt.Sprint(inS) != fmt.Sprint(want) {
+			t.Errorf("%s: mask %v, want %v", tc.when, inS, want)
+		}
+		if rowLoop := rowLoopMask(t, when, rel); fmt.Sprint(rowLoop) != fmt.Sprint(want) {
+			t.Errorf("%s: row loop %v, want %v", tc.when, rowLoop, want)
+		}
+	}
+}
+
+// pushdownPool mirrors the values relation's FuzzColumnKeyParity draws, where
+// value identity and order are subtle: NULL, the bools, ints beside the
+// floats they round to near ±2⁵³ and at the ends of int64's range, NaN
+// payloads, the signed zeros, the infinities, and strings.
+func pushdownPool() []relation.Value {
+	return []relation.Value{
+		relation.Null, relation.Bool(false), relation.Bool(true),
+		relation.Int(0), relation.Int(5), relation.Int(-5),
+		relation.Int(1 << 53), relation.Int(1<<53 + 1), relation.Int(-(1<<53 + 1)),
+		relation.Int(math.MaxInt64), relation.Int(math.MinInt64), relation.Int(math.MinInt64 + 1),
+		relation.Float(0), relation.Float(math.Copysign(0, -1)), relation.Float(5), relation.Float(2.5),
+		relation.Float(1 << 53), relation.Float(-(1 << 53)), relation.Float(1 << 63), relation.Float(-(1 << 63)),
+		relation.Float(math.Nextafter(1<<63, 0)), relation.Float(1e300),
+		relation.Float(math.NaN()), relation.Float(math.Float64frombits(0xfff8000000000abc)),
+		relation.Float(math.Inf(1)), relation.Float(math.Inf(-1)),
+		relation.String(""), relation.String("5"), relation.String("NaN"), relation.String("x"),
+	}
+}
+
+// FuzzPushdownParity holds every pushed operator to the row loop on columns
+// drawn from pushdownPool: the first byte picks the operator (and whether the
+// literal sits on the left), the next the literals, the rest one row each.
+// The conjunct must compile pushed, run pushed, and keep exactly the rows
+// sqlmini.EvalBool keeps.
+func FuzzPushdownParity(f *testing.F) {
+	f.Add([]byte{0, 22, 4, 22, 23, 14, 0, 3})
+	f.Add([]byte{3, 7, 16, 7, 6, 22, 0})
+	f.Add([]byte{10, 10, 18, 9, 10, 19, 20})
+	f.Add([]byte{6, 0, 2, 3, 22, 26, 29, 0, 1})
+	f.Add([]byte{8, 4, 12, 13, 14, 4, 22})
+	f.Add([]byte{13, 26, 25, 2, 26, 27, 28, 29})
+	ops := []string{"=", "!=", "<", "<=", ">", ">=", "IN", "NOT IN"}
+	pool := pushdownPool()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		op, flip := ops[int(data[0])%len(ops)], data[0]&0x80 != 0
+		lits := []relation.Value{pool[int(data[1])%len(pool)]}
+		if strings.HasSuffix(op, "IN") {
+			lits = append(lits, pool[int(data[1]/3)%len(pool)], pool[int(data[1]/7)%len(pool)])
+		}
+		rel := relation.NewRelation("T", relation.MustSchema(relation.Column{Name: "ID", Key: true}, relation.Column{Name: "V"}))
+		for i, b := range data[2:] {
+			rel.MustInsert(relation.Int(int64(i)), pool[int(b)%len(pool)])
+		}
+		col := &hyperql.ColRef{Name: "V"}
+		var when hyperql.Expr
+		if strings.HasSuffix(op, "IN") {
+			in := &hyperql.InList{X: col, Neg: op == "NOT IN"}
+			for _, v := range lits {
+				in.Vals = append(in.Vals, &hyperql.Literal{Val: v})
+			}
+			when = in
+		} else if lit := (&hyperql.Literal{Val: lits[0]}); flip {
+			when = &hyperql.Binary{Op: op, L: lit, R: col}
+		} else {
+			when = &hyperql.Binary{Op: op, L: col, R: lit}
+		}
+		p := Compile(rel, when)
+		if p.Fallback || p.Pushed() != 1 {
+			t.Fatalf("%s compiled with %d pushed (fallback %v)", when, p.Pushed(), p.Fallback)
+		}
+		inS := make([]bool, rel.Len())
+		pushed, err := p.Apply(when, rel, inS)
+		if err != nil || pushed != 1 {
+			t.Fatalf("%s: Apply = %d pushed, %v", when, pushed, err)
+		}
+		want := rowLoopMask(t, when, rel)
+		for i := range want {
+			if inS[i] != want[i] {
+				t.Fatalf("%s row %d (%#v): pushed %v, row loop %v", when, i, rel.Value(i, 1), inS[i], want[i])
+			}
+		}
+	})
 }
 
 func TestCacheHitReusesPlanAndRebindsLiterals(t *testing.T) {

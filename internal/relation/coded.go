@@ -9,9 +9,10 @@ import (
 )
 
 // valueKey is the typed, allocation-free form of Value.Key: two values have
-// equal valueKeys exactly when their Key() strings are equal. tag is Key()'s
-// leading kind byte; whole floats below 1e15 share the int tag, and every
-// NaN payload shares one key, exactly as Key() formats them.
+// equal valueKeys exactly when their Key() strings are equal, so exactly when
+// Value.Compare finds them equal. tag is Key()'s leading kind byte; whole
+// floats in int64's range share the int tag, and every NaN payload shares one
+// key, exactly as Key() formats them.
 type valueKey struct {
 	tag  uint8
 	bits uint64
@@ -30,7 +31,7 @@ func keyOf(v Value) valueKey {
 	case KindInt:
 		return valueKey{tag: 2, bits: uint64(v.i)}
 	case KindFloat:
-		if v.f == math.Trunc(v.f) && math.Abs(v.f) < 1e15 {
+		if wholeInt(v.f) {
 			return valueKey{tag: 2, bits: uint64(int64(v.f))}
 		}
 		if v.f != v.f {
@@ -82,12 +83,11 @@ func (d dict) fork() dict {
 // value interned to a dense code (first-seen order, NULL taking a code of its
 // own) under Value.Key() identity without formatting a key string, the value
 // of each code, the rows whose value differs in bits from their code's, and
-// the summary the planner's cost model and exactness guards read, all kept by
-// Insert. Row codes are stored one byte each while the column has at most 256
-// distinct values, four bytes otherwise. Every consumer shares it — the
-// planner's stats and pushdown scans, the encoder's dictionaries, the frame
-// encode and every estimator frame, which points at Encoded. Fields must not
-// be mutated.
+// the summary the planner's cost model reads, all kept by Insert. Row codes
+// are stored one byte each while the column has at most 256 distinct values,
+// four bytes otherwise. Every consumer shares it — the planner's stats and
+// pushdown scans, the encoder's dictionaries, the frame encode and every
+// estimator frame, which points at Encoded. Fields must not be mutated.
 type CodedColumn struct {
 	// Values holds the first-seen value of each code.
 	Values []Value
@@ -95,11 +95,9 @@ type CodedColumn struct {
 	Nulls int
 	// Numeric reports that every non-null value is an int or a float.
 	Numeric bool
-	// HasNaN reports that some value is a floating-point NaN.
-	HasNaN bool
-	// MaxAbs, Min and Max summarize the non-NaN numeric values (all 0 when
-	// there are none).
-	MaxAbs, Min, Max float64
+	// Min and Max bound the non-NaN numeric values (both 0 when there are
+	// none).
+	Min, Max float64
 	// Exact reports that every row holds its code's entry in Values to the
 	// bit. Value.Key() identity is coarser than that: -0.0, +0.0 and Int 0
 	// share a code, as do Int 3 and Float 3.0 and every NaN payload, so only
@@ -457,11 +455,9 @@ func (c *CodedColumn) summarize(v Value) {
 	case !v.kind.Numeric():
 		c.Numeric = false
 	case math.IsNaN(f):
-		c.HasNaN = true
 	case !c.ranged:
-		c.MaxAbs, c.Min, c.Max, c.ranged = math.Abs(f), f, f, true
+		c.Min, c.Max, c.ranged = f, f, true
 	default:
-		c.MaxAbs = math.Max(c.MaxAbs, math.Abs(f))
 		c.Min = math.Min(c.Min, f)
 		c.Max = math.Max(c.Max, f)
 	}

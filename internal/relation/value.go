@@ -6,6 +6,7 @@
 package relation
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -142,12 +143,18 @@ func (v Value) String() string {
 }
 
 // Equal reports whether two values are equal. Numeric values compare across
-// int/float kinds; NULL equals only NULL.
+// int/float kinds; NULL equals only NULL, and NaN equals only NaN.
 func (v Value) Equal(o Value) bool { return v.Compare(o) == 0 }
 
-// Compare orders two values: NULL < bool < numeric < string across kinds,
-// with numeric kinds compared by magnitude. It returns -1, 0, or +1.
+// Compare is the total order on values: NULL < bool < number < string across
+// kinds. Numbers compare by exact value, an int against a float without
+// rounding either through the other; -0 equals +0, and NaN (every payload
+// alike) is one value above every other number, as in PostgreSQL. It returns
+// -1, 0 or +1, and 0 exactly when the two values share a Key.
 func (v Value) Compare(o Value) int {
+	if v.kind == KindFloat && o.kind == KindFloat { // first: a float column's range scan
+		return cmpFloat(v.f, o.f)
+	}
 	vr, or := v.rank(), o.rank()
 	if vr != or {
 		if vr < or {
@@ -158,23 +165,14 @@ func (v Value) Compare(o Value) int {
 	switch {
 	case v.kind == KindNull:
 		return 0
-	case v.kind == KindBool && o.kind == KindBool:
-		return cmpInt64(v.i, o.i)
 	case v.kind == KindString:
 		return strings.Compare(v.s, o.s)
-	default: // numeric
-		if v.kind == KindInt && o.kind == KindInt {
-			return cmpInt64(v.i, o.i)
-		}
-		a, b := v.AsFloat(), o.AsFloat()
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		default:
-			return 0
-		}
+	case v.kind == KindBool, v.kind == KindInt && o.kind == KindInt:
+		return cmp.Compare(v.i, o.i)
+	case v.kind == KindInt: // against a float
+		return -cmpFloatInt(o.f, v.i)
+	default: // a float against an int
+		return cmpFloatInt(v.f, o.i)
 	}
 }
 
@@ -191,19 +189,44 @@ func (v Value) rank() int {
 	}
 }
 
-func cmpInt64(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
+// cmpFloat is cmp.Compare with NaN above every other float, not below.
+func cmpFloat(a, b float64) int {
+	c := cmp.Compare(a, b)
+	if a != a || b != b {
+		return -c
 	}
+	return c
 }
 
-// Key returns a canonical comparable representation usable as a map key.
-// Numerically equal ints and floats map to the same key.
+// cmpFloatInt compares float f with int i exactly: a whole f inside int64's
+// range converts without loss, and its fraction settles a tie on the whole
+// part.
+func cmpFloatInt(f float64, i int64) int {
+	switch {
+	case f != f || f >= twoTo63:
+		return 1
+	case f < -twoTo63:
+		return -1
+	}
+	t := math.Trunc(f)
+	if c := cmp.Compare(int64(t), i); c != 0 {
+		return c
+	}
+	return cmpFloat(f, t)
+}
+
+// twoTo63 is 2⁶³: every float in [-2⁶³, 2⁶³) truncates to an int64 exactly.
+const twoTo63 = 1 << 63
+
+// wholeInt reports whether f is a whole number inside int64's range, the
+// floats that share their int's Key.
+func wholeInt(f float64) bool {
+	return f == math.Trunc(f) && f >= -twoTo63 && f < twoTo63
+}
+
+// Key returns a canonical comparable representation usable as a map key: two
+// values share a Key exactly when Compare finds them equal. A whole float in
+// int64's range takes its int's key; every NaN shares one key.
 func (v Value) Key() string {
 	switch v.kind {
 	case KindNull:
@@ -216,7 +239,7 @@ func (v Value) Key() string {
 	case KindInt:
 		return "\x02" + strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		if v.f == math.Trunc(v.f) && math.Abs(v.f) < 1e15 {
+		if wholeInt(v.f) {
 			return "\x02" + strconv.FormatInt(int64(v.f), 10)
 		}
 		return "\x03" + strconv.FormatFloat(v.f, 'b', -1, 64)

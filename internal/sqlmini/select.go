@@ -430,9 +430,9 @@ type aggregate struct {
 	fn   hyperql.AggFunc
 	star bool   // over *
 	arg  colRef // the argument column otherwise
-	// When the argument column holds each code's value to the bit and no
-	// NaN, a row's addend is its code's: byCode holds each code's float and
-	// null the NULL code (MaxUint32 when there is none).
+	// When the argument column holds each code's value to the bit, a row's
+	// addend is its code's: byCode holds each code's float and null the NULL
+	// code (MaxUint32 when there is none).
 	codes  *relation.CodedColumn
 	byCode []float64
 	null   uint32
@@ -441,7 +441,7 @@ type aggregate struct {
 // readByCode sets a up to read its argument through the column's codes when
 // every row of the column is its code's value.
 func (a *aggregate) readByCode(col *relation.CodedColumn) {
-	if !col.Exact || col.HasNaN {
+	if !col.Exact {
 		return
 	}
 	a.codes, a.byCode, a.null = col, make([]float64, len(col.Values)), math.MaxUint32
