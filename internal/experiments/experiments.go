@@ -341,13 +341,20 @@ func combinations(q *hyperql.HowTo, cands map[string][]hyperql.UpdateSpec) int {
 
 // semCount is the one ground-truth helper over World.Counterfactual: the
 // number of rows with outcome = 1 once the structural equations are
-// re-evaluated, with the recorded noise, under the updates.
+// re-evaluated, with the recorded noise, under the updates (the observed
+// count with none).
 func semCount(g *dataset.Single, outcome string, updates []hyperql.UpdateSpec) float64 {
 	ivs := make([]prcm.Intervention, len(updates))
 	for i, u := range updates {
 		ivs[i] = prcm.Intervention{Attr: u.Attr, Fn: applyTo(u)}
 	}
-	return countOnes(g.World.Counterfactual(ivs...), outcome)
+	n := 0
+	for _, v := range g.World.CounterfactualValues(outcome, ivs...) {
+		if v == 1 {
+			n++
+		}
+	}
+	return float64(n)
 }
 
 // gtSearch is Opt-HowTo proper: the exhaustive search over q's candidates on
@@ -381,16 +388,4 @@ func applyTo(u hyperql.UpdateSpec) func(pre float64) float64 {
 func semShare(g *dataset.Single, outcome, attr string, v int) float64 {
 	set := hyperql.UpdateSpec{Attr: attr, Form: hyperql.UpdateSet, Const: relation.Int(int64(v))}
 	return semCount(g, outcome, []hyperql.UpdateSpec{set}) / float64(g.Rel().Len())
-}
-
-// countOnes counts the rows of rel with col = 1.
-func countOnes(rel *relation.Relation, col string) float64 {
-	ci := rel.Schema().MustIndex(col)
-	n := 0
-	for i := range rel.Len() {
-		if rel.Value(i, ci).AsInt() == 1 {
-			n++
-		}
-	}
-	return float64(n)
 }

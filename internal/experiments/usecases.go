@@ -25,7 +25,7 @@ func UseCases(cfg Config) ([]Row, error) {
 	row.Query, row.Truth = "Status = 3 and CreditHistory = 4", none
 	r.add(r.whatIf(row, g.DB, g.Model,
 		`USE German UPDATE(Status) = 3 AND UPDATE(CreditHistory) = 4 OUTPUT COUNT(Credit = 1)`, r.options(HypeR)))
-	observed := countOnes(g.Rel(), "Credit") / float64(g.Rel().Len())
+	observed := semCount(g, "Credit", nil) / float64(g.Rel().Len())
 	r.add(Row{Exp: row.Exp, Dataset: row.Dataset, Query: "(no update)", Arm: "observed", Estimate: observed, Truth: observed})
 
 	a := dataset.AdultSyn(r.n(32000), r.Seed+1)
@@ -34,7 +34,7 @@ func UseCases(cfg Config) ([]Row, error) {
 		row.Query, row.Truth = label, semShare(a, "Income", "MaritalStatus", v)
 		r.add(r.whatIf(row, a.DB, a.Model, fmt.Sprintf(adultCountSrc, v), r.options(HypeR)))
 	}
-	observed = countOnes(a.Rel(), "Income") / float64(a.Rel().Len())
+	observed = semCount(a, "Income", nil) / float64(a.Rel().Len())
 	r.add(Row{Exp: row.Exp, Dataset: row.Dataset, Query: "(no update)", Arm: "observed", Estimate: observed, Truth: observed})
 
 	// Share of products with average rating >= 4 as all prices move up or

@@ -1,14 +1,15 @@
 // Package prcm implements probabilistic relational causal models (Section
-// 2.2): structural equations over attributes, forward generation of
-// relational data with recorded exogenous noise, and counterfactual
-// re-evaluation under interventions. The dataset generators use it to
-// produce synthetic data, and the experiment harness uses its counterfactual
-// mode to compute the exact ground truth the paper obtains "using the
-// structural equations of the causal DAG" (Section 5.4).
+// 2.2): structural equations over attributes, and one evaluator of them that
+// generates relational data with recorded exogenous noise, re-evaluates it
+// counterfactually under interventions, and samples possible worlds. The
+// dataset generators use it for synthetic data, and the experiments for the
+// exact ground truth the paper obtains "using the structural equations of
+// the causal DAG" (Section 5.4).
 package prcm
 
 import (
 	"fmt"
+	"slices"
 
 	"hyper/internal/causal"
 	"hyper/internal/relation"
@@ -40,8 +41,7 @@ type SEM struct {
 	index   map[string]int
 }
 
-// NewSEM builds a SEM after validating that parents are declared before
-// children (i.e., the declaration order is topological).
+// NewSEM builds a SEM, checking that its declaration order is topological.
 func NewSEM(relName string, attrs []Attr) (*SEM, error) {
 	s := &SEM{RelName: relName, Attrs: attrs, index: make(map[string]int, len(attrs))}
 	for i, a := range attrs {
@@ -72,8 +72,7 @@ func MustSEM(relName string, attrs []Attr) *SEM {
 
 // Schema returns the relation schema generated by the SEM.
 func (s *SEM) Schema() *relation.Schema {
-	cols := make([]relation.Column, 0, len(s.Attrs)+1)
-	cols = append(cols, relation.Column{Name: "ID", Kind: relation.KindInt, Key: true})
+	cols := []relation.Column{{Name: "ID", Kind: relation.KindInt, Key: true}}
 	for _, a := range s.Attrs {
 		k := relation.KindFloat
 		if a.Card > 0 {
@@ -84,8 +83,8 @@ func (s *SEM) Schema() *relation.Schema {
 	return relation.MustSchema(cols...)
 }
 
-// CausalModel returns the attribute-level causal model implied by the SEM,
-// with nodes qualified by the relation name.
+// CausalModel returns the SEM's attribute-level causal model, with nodes
+// qualified by the relation name.
 func (s *SEM) CausalModel() *causal.Model {
 	m := causal.NewModel()
 	for _, a := range s.Attrs {
@@ -105,54 +104,19 @@ type World struct {
 	Noise [][]float64 // Noise[row][attr]
 }
 
-// Generate samples n tuples from the SEM with the given seed, recording all
-// noise draws.
+// Generate samples n tuples with the given seed, recording every noise draw.
 func (s *SEM) Generate(n int, seed int64) *World {
-	rel := relation.NewRelation(s.RelName, s.Schema())
-	noise := make([][]float64, n)
-	rng := stats.NewRNG(seed)
-	vals := make(map[string]float64, len(s.Attrs))
-	t := make(relation.Tuple, len(s.Attrs)+1) // Insert keeps none of it
-	for row := 0; row < n; row++ {
-		noise[row] = make([]float64, len(s.Attrs))
-		t[0] = relation.Int(int64(row))
+	rng, w := stats.NewRNG(seed), &World{SEM: s, Noise: make([][]float64, n)}
+	for row := range w.Noise {
+		w.Noise[row] = make([]float64, len(s.Attrs))
 		for ai, a := range s.Attrs {
-			var nz float64
 			if a.Noise != nil {
-				nz = a.Noise.Sample(rng)
+				w.Noise[row][ai] = a.Noise.Sample(rng)
 			}
-			noise[row][ai] = nz
-			v := a.Fn(vals, nz)
-			v = s.clampAttr(a, v)
-			vals[a.Name] = v
-			t[ai+1] = s.encode(a, v)
-		}
-		if err := rel.Insert(t); err != nil {
-			panic(err) // keys are sequential; cannot collide
 		}
 	}
-	return &World{SEM: s, Rel: rel, Noise: noise}
-}
-
-func (s *SEM) clampAttr(a Attr, v float64) float64 {
-	if a.Card > 0 {
-		iv := float64(int(v))
-		if iv < 0 {
-			iv = 0
-		}
-		if iv > float64(a.Card-1) {
-			iv = float64(a.Card - 1)
-		}
-		return iv
-	}
-	return v
-}
-
-func (s *SEM) encode(a Attr, v float64) relation.Value {
-	if a.Card > 0 {
-		return relation.Int(int64(v))
-	}
-	return relation.Float(v)
+	w.Rel = w.relation(w.evaluate(n, nil, nil))
+	return w
 }
 
 // Intervention fixes the named attribute for the selected rows (nil rows
@@ -169,37 +133,98 @@ type Intervention struct {
 // intervened attributes take their forced values; all other attributes are
 // recomputed from their (possibly changed) parents with the original noise.
 func (w *World) Counterfactual(interventions ...Intervention) *relation.Relation {
-	s := w.SEM
-	byAttr := make(map[string]*Intervention, len(interventions))
-	for i := range interventions {
-		byAttr[interventions[i].Attr] = &interventions[i]
-	}
-	out := relation.NewRelation(s.RelName, s.Schema())
-	vals := make(map[string]float64, len(s.Attrs))
-	t := make(relation.Tuple, len(s.Attrs)+1) // Insert keeps none of it
-	for row := 0; row < w.Rel.Len(); row++ {
-		t[0] = w.Rel.Value(row, 0)
-		for ai, a := range s.Attrs {
-			var v float64
-			if iv, ok := byAttr[a.Name]; ok && (iv.Rows == nil || iv.Rows[row]) {
-				v = s.clampAttr(a, iv.Fn(w.Rel.Value(row, ai+1).AsFloat()))
-			} else {
-				v = s.clampAttr(a, a.Fn(vals, w.Noise[row][ai]))
-			}
-			vals[a.Name] = v
-			t[ai+1] = s.encode(a, v)
-		}
-		if err := out.Insert(t); err != nil {
-			panic(err)
-		}
-	}
-	return out
+	return w.relation(w.evaluate(w.Rel.Len(), nil, interventions))
 }
 
-// AttrIndex returns the declaration index of the named attribute, or -1.
-func (s *SEM) AttrIndex(name string) int {
-	if i, ok := s.index[name]; ok {
-		return i
+// CounterfactualValues is the named attribute's column of
+// Counterfactual(interventions...) as floats, without building a relation.
+func (w *World) CounterfactualValues(attr string, interventions ...Intervention) []float64 {
+	cols, _ := w.evaluate(w.Rel.Len(), nil, interventions)
+	return cols[w.SEM.mustIndex(attr)+1]
+}
+
+// SampleIntervention draws one possible world of the post-update distribution
+// (Definitions 1-3): Counterfactual with fresh noise, on covered rows only.
+// Averaging a query over such worlds is Definition 5 by simulation.
+func (w *World) SampleIntervention(rng *stats.RNG, interventions ...Intervention) *relation.Relation {
+	return w.relation(w.evaluate(w.Rel.Len(), rng, interventions))
+}
+
+// evaluate is the one evaluator of the structural equations: over n rows,
+// then the attributes in order, it returns a value column per schema column
+// and which may change (intervened attributes and their descendants; all,
+// while w has no relation). An attribute is forced (its intervention's Fn of
+// the observed value) where that intervention covers the row, recomputed (Fn
+// of parents and noise, recorded or, given rng, fresh) where it may change
+// and some intervention covers the row, else observed; then clamped.
+func (w *World) evaluate(n int, rng *stats.RNG, ivs []Intervention) (cols [][]float64, changed []bool) {
+	s := w.SEM
+	forced := make([]*Intervention, len(s.Attrs)+1)
+	for i := range ivs {
+		forced[s.mustIndex(ivs[i].Attr)+1] = &ivs[i]
 	}
-	return -1
+	covers := func(iv *Intervention, row int) bool { return iv != nil && (iv.Rows == nil || iv.Rows[row]) }
+	cols, changed = make([][]float64, len(forced)), make([]bool, len(forced))
+	for ci := range cols {
+		cols[ci], changed[ci] = make([]float64, n), w.Rel == nil || forced[ci] != nil ||
+			ci > 0 && slices.ContainsFunc(s.Attrs[ci-1].Parents, func(p string) bool { return changed[s.index[p]+1] })
+	}
+	vals := make(map[string]float64, len(s.Attrs))
+	for row := range n {
+		touched := w.Rel == nil || slices.ContainsFunc(forced, func(iv *Intervention) bool { return covers(iv, row) })
+		cols[0][row] = float64(row)
+		for ci := 1; ci < len(cols); ci++ {
+			a, v := &s.Attrs[ci-1], 0.0
+			switch {
+			case covers(forced[ci], row):
+				v = forced[ci].Fn(w.Rel.Value(row, ci).AsFloat())
+			case !touched || !changed[ci]:
+				v = w.Rel.Value(row, ci).AsFloat()
+			case rng == nil:
+				v = a.Fn(vals, w.Noise[row][ci-1])
+			case a.Noise != nil:
+				v = a.Fn(vals, a.Noise.Sample(rng))
+			default:
+				v = a.Fn(vals, 0)
+			}
+			if a.Card > 0 {
+				v = float64(min(max(int(v), 0), a.Card-1))
+			}
+			vals[a.Name], cols[ci][row] = v, v
+		}
+	}
+	return cols, changed
+}
+
+// relation builds the relation of cols, gathering the unchanged from w.Rel.
+func (w *World) relation(cols [][]float64, changed []bool) *relation.Relation {
+	schema, rows := w.SEM.Schema(), make([]int32, len(cols[0]))
+	for row := range rows {
+		rows[row] = int32(row)
+	}
+	out, vals := make([]*relation.CodedColumn, len(cols)), make([]relation.Value, len(rows))
+	for ci, col := range cols {
+		if !changed[ci] {
+			out[ci] = relation.Gather(w.Rel.Coded(ci), rows)
+			continue
+		}
+		for row, v := range col {
+			vals[row] = relation.Coerce(relation.Float(v), schema.Col(ci).Kind)
+		}
+		out[ci] = relation.ColumnOf(vals)
+	}
+	rel, err := relation.FromColumns(w.SEM.RelName, schema, out)
+	if err != nil {
+		panic(err) // w.Rel's keys or the row numbers: they cannot collide
+	}
+	return rel
+}
+
+// mustIndex is the index of a declared attribute; any other name panics.
+func (s *SEM) mustIndex(name string) int {
+	i, ok := s.index[name]
+	if !ok {
+		panic(fmt.Errorf("prcm: %s has no attribute %q", s.RelName, name))
+	}
+	return i
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -11,6 +10,7 @@ import (
 	"hyper/internal/dist"
 	"hyper/internal/fault"
 	"hyper/internal/obs"
+	"hyper/internal/shard"
 )
 
 // QueryRequest targets one session with one HypeRQL query. The zero Method
@@ -441,48 +441,35 @@ func (s *Server) batchWorkers(want int) int {
 	return want
 }
 
-// runBatch fans the queries across a bounded worker pool. ctx cancellation
-// stops in-flight evaluations (their elements report the context error) and
-// skips unstarted ones; progress, when non-nil, counts completed elements.
-// It is shared by the synchronous batch handler and batch jobs.
+// runBatch fans the queries across a bounded worker pool, one shard.Run
+// shard per query. ctx cancellation stops in-flight evaluations (their
+// elements report the context error) and skips unstarted ones, which report
+// it too; progress, when non-nil, counts completed elements. It is shared by
+// the synchronous batch handler and batch jobs.
 func (e *sessionEntry) runBatch(ctx context.Context, queries []BatchQuery, workers int, progress hyper.Progress) *BatchResponse {
-	if workers > len(queries) {
-		workers = len(queries)
-	}
 	start := time.Now()
+	plan := shard.Rows(len(queries), 1)
 	results := make([]BatchResult, len(queries))
-	idx := make(chan int)
-	var wg sync.WaitGroup
+	started := make([]bool, len(queries))
 	var done atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if err := ctx.Err(); err != nil {
-					results[i] = BatchResult{Index: i, Error: err.Error()}
-					continue
-				}
-				results[i] = e.runBatchQuery(ctx, i, queries[i])
-				if progress != nil {
-					progress("queries", int(done.Add(1)), len(queries))
-				}
-			}
-		}()
-	}
-	for i := range queries {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-
+	err := shard.Run(ctx, plan, workers, func(_, i, _, _ int) error {
+		started[i] = true
+		results[i] = e.runBatchQuery(ctx, i, queries[i])
+		if progress != nil {
+			progress("queries", int(done.Add(1)), len(queries))
+		}
+		return nil
+	})
 	resp := &BatchResponse{
 		Results: results,
-		Workers: workers,
+		Workers: plan.Workers(workers),
 		TotalMs: float64(time.Since(start)) / float64(time.Millisecond),
 	}
-	for _, r := range results {
-		if r.Error != "" {
+	for i := range results {
+		if !started[i] { // only a cancelled ctx skips an element, and Run returns its error
+			results[i] = BatchResult{Index: i, Error: err.Error()}
+		}
+		if results[i].Error != "" {
 			resp.Errors++
 		}
 	}

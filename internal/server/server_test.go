@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -225,6 +226,46 @@ func TestServerBatchMixedAndConcurrent(t *testing.T) {
 	for i, v := range values {
 		if v != values[0] {
 			t.Errorf("concurrent batch %d returned %v, batch 0 returned %v", i, v, values[0])
+		}
+	}
+}
+
+// TestBatchCancelMidRun cancels a batch from its first progress report, at
+// one and two workers: every element is then either answered or carries the
+// context's error, no element starts after the cancel, and the response
+// counts the errors and reports the pool it ran on.
+func TestBatchCancelMidRun(t *testing.T) {
+	srv := New(Config{BatchWorkers: 2})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	createSession(t, ts, "g")
+	e, err := srv.session("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := make([]BatchQuery, 8)
+	for i := range queries {
+		queries[i] = BatchQuery{Query: fmt.Sprintf(
+			`USE German UPDATE(Status) = %d OUTPUT COUNT(Credit = 1) FOR PRE(Age) = %d`, i%4, i/4)}
+	}
+	for _, workers := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		res := e.runBatch(ctx, queries, workers, func(string, int, int) { cancel() })
+		cancel()
+		answered := 0
+		for i, r := range res.Results {
+			switch {
+			case r.Index != i:
+				t.Errorf("workers=%d: result %d has index %d", workers, i, r.Index)
+			case r.Error == "" && r.WhatIf != nil:
+				answered++
+			case !strings.Contains(r.Error, ctx.Err().Error()):
+				t.Errorf("workers=%d: element %d: error %q, want an answer or %q", workers, i, r.Error, ctx.Err())
+			}
+		}
+		if answered == 0 || answered > workers || res.Errors != len(queries)-answered || res.Workers != workers {
+			t.Errorf("workers=%d: %d answered, %d errors, pool %d; want 1..%d answered, the rest errors, pool %d",
+				workers, answered, res.Errors, res.Workers, workers, workers)
 		}
 	}
 }
