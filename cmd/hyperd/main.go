@@ -35,25 +35,24 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"math/rand"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"net/http/pprof"
+	"net/url"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
-	"net"
-	"net/url"
-
-	"hyper/internal/dataset"
 	"hyper/internal/dist"
 	"hyper/internal/fault"
 	"hyper/internal/server"
@@ -186,16 +185,11 @@ func main() {
 }
 
 // runWorker serves the dist compute API and keeps a registration alive with
-// the coordinator: register (with retry), heartbeat every interval (backing
-// off with jitter on transient coordinator errors), re-register when the
-// coordinator forgets us (restart). On SIGTERM it drains in-flight shard
+// the coordinator (dist.Worker.Join). On SIGTERM it drains in-flight shard
 // RPCs (bounded by drainTimeout, heartbeats still flowing so the lease
 // survives the drain) before deregistering, so the coordinator requeues
 // proactively instead of timing out a lease mid-RPC.
 func runWorker(logger *log.Logger, addr, coordinatorURL, advertiseURL, id, secret string, hb, drainTimeout time.Duration, maxFrames int, quiet bool, inj *fault.Injector) error {
-	if hb <= 0 {
-		hb = 5 * time.Second
-	}
 	if id == "" {
 		host, err := os.Hostname()
 		if err != nil || host == "" {
@@ -210,7 +204,6 @@ func runWorker(logger *log.Logger, addr, coordinatorURL, advertiseURL, id, secre
 			advertiseURL = "http://" + addr
 		}
 	}
-	coordinatorURL = strings.TrimRight(coordinatorURL, "/")
 	// A loopback/unspecified advertise URL is only reachable from the
 	// worker's own machine. With a remote coordinator it would register
 	// fine and then fail every dial-back — an endless register/drop/requeue
@@ -226,13 +219,11 @@ func runWorker(logger *log.Logger, addr, coordinatorURL, advertiseURL, id, secre
 		wcfg.Logf = logger.Printf
 	}
 	w := dist.NewWorker(wcfg)
+	// The worker's handler serves the compute routes and the same
+	// observability paths as the serving daemon (/metrics, /v1/traces), so
+	// one scrape config covers coordinator and workers alike.
 	mux := http.NewServeMux()
-	mux.Handle("/dist/v1/", w.Handler())
-	// Observability surface, same paths as the serving daemon so one scrape
-	// config covers coordinator and workers alike.
-	mux.Handle("GET /metrics", w.Metrics().Handler())
-	mux.Handle("GET /v1/traces", w.Traces().ListHandler())
-	mux.Handle("GET /v1/traces/{id}", w.Traces().GetHandler())
+	mux.Handle("/", w.Handler())
 	mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, _ *http.Request) {
 		rw.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(rw, `{"ok":true,"worker":%q,"frames":%d}`, id, len(w.FrameIDs()))
@@ -244,104 +235,11 @@ func runWorker(logger *log.Logger, addr, coordinatorURL, advertiseURL, id, secre
 		errc <- httpSrv.ListenAndServe()
 	}()
 
-	client := &http.Client{Timeout: 10 * time.Second}
-	coordPost := func(path string, body string) (int, error) {
-		var rd io.Reader
-		if body != "" {
-			rd = strings.NewReader(body)
-		}
-		req, err := http.NewRequest(http.MethodPost, coordinatorURL+path, rd)
-		if err != nil {
-			return 0, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		if secret != "" {
-			req.Header.Set("Authorization", "Bearer "+secret)
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			return 0, err
-		}
-		defer resp.Body.Close()
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return resp.StatusCode, nil
-	}
-	register := func() error {
-		status, err := coordPost("/dist/v1/workers", fmt.Sprintf(`{"id":%q,"url":%q}`, id, advertiseURL))
-		if err != nil {
-			return err
-		}
-		if status != http.StatusOK {
-			return fmt.Errorf("register: status %d", status)
-		}
-		return nil
-	}
-	beat := func() (int, error) {
-		if err := inj.Hit(fault.PointHeartbeat); err != nil {
-			return 0, err
-		}
-		return coordPost("/dist/v1/workers/"+id+"/beat", "")
-	}
-
-	stopBeats := make(chan struct{})
-	beatsDone := make(chan struct{})
+	joinCtx, leave := context.WithCancel(context.Background())
+	left := make(chan struct{})
 	go func() {
-		defer close(beatsDone)
-		registered := false
-		for backoff := time.Second; !registered; {
-			if err := register(); err != nil {
-				logger.Printf("registering with %s: %v (retrying in %s)", coordinatorURL, err, backoff)
-				select {
-				case <-time.After(backoff):
-				case <-stopBeats:
-					return
-				}
-				if backoff < 30*time.Second {
-					backoff *= 2
-				}
-				continue
-			}
-			registered = true
-			logger.Printf("registered with coordinator %s", coordinatorURL)
-		}
-		// Transient coordinator errors back the heartbeat off exponentially
-		// (with jitter, so a restarted coordinator is not hit by every worker
-		// in lockstep) instead of hammering a struggling peer at full rate.
-		rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-		fails := 0
-		timer := time.NewTimer(hb)
-		defer timer.Stop()
-		for {
-			select {
-			case <-timer.C:
-				status, err := beat()
-				switch {
-				case err != nil:
-					fails++
-					logger.Printf("heartbeat: %v (backing off to %s)", err, nextBeatDelay(hb, fails, 0.5).Round(time.Millisecond))
-				case status == http.StatusNotFound:
-					// Coordinator restarted (or dropped us after a failure):
-					// re-register so shards flow again.
-					fails = 0
-					if err := register(); err != nil {
-						logger.Printf("re-registering: %v", err)
-					} else {
-						logger.Printf("re-registered with coordinator")
-					}
-				case status >= 500:
-					fails++
-					logger.Printf("heartbeat: status %d (backing off to %s)", status, nextBeatDelay(hb, fails, 0.5).Round(time.Millisecond))
-				case status != http.StatusOK:
-					fails = 0
-					logger.Printf("heartbeat: status %d", status)
-				default:
-					fails = 0
-				}
-				timer.Reset(nextBeatDelay(hb, fails, rng.Float64()))
-			case <-stopBeats:
-				return
-			}
-		}
+		defer close(left)
+		w.Join(joinCtx, coordinatorURL, advertiseURL, id, hb, logger.Printf)
 	}()
 
 	stop := make(chan os.Signal, 1)
@@ -358,16 +256,8 @@ func runWorker(logger *log.Logger, addr, coordinatorURL, advertiseURL, id, secre
 		}
 		cancelDrain()
 		logger.Printf("drained, deregistering")
-		close(stopBeats)
-		<-beatsDone
-		if req, err := http.NewRequest(http.MethodDelete, coordinatorURL+"/dist/v1/workers/"+id, nil); err == nil {
-			if secret != "" {
-				req.Header.Set("Authorization", "Bearer "+secret)
-			}
-			if resp, err := client.Do(req); err == nil {
-				resp.Body.Close()
-			}
-		}
+		leave()
+		<-left
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := httpSrv.Shutdown(ctx); err != nil {
@@ -375,35 +265,13 @@ func runWorker(logger *log.Logger, addr, coordinatorURL, advertiseURL, id, secre
 		}
 		return nil
 	case err := <-errc:
-		close(stopBeats)
-		<-beatsDone
+		leave()
+		<-left
 		if !errors.Is(err, http.ErrServerClosed) {
 			return err
 		}
 		return nil
 	}
-}
-
-// nextBeatDelay is the interval until the next heartbeat: the configured
-// base after a success, doubling per consecutive transient failure (capped
-// at 8x base or 30s, whichever is smaller — the lease should outlive a
-// short coordinator blip, and backing off further would forfeit it for no
-// gain). jitter in [0,1) spreads the delay over ±20% so a fleet of workers
-// doesn't probe a recovering coordinator in lockstep. Pure for testing.
-func nextBeatDelay(base time.Duration, fails int, jitter float64) time.Duration {
-	d := base
-	for i := 0; i < fails && i < 3; i++ {
-		d *= 2
-	}
-	if max := 30 * time.Second; d > max {
-		d = max
-	}
-	// Scale into [0.8, 1.2).
-	d = time.Duration(float64(d) * (0.8 + 0.4*jitter))
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	return d
 }
 
 // servePprof exposes the net/http/pprof profiling endpoints on their own
@@ -444,29 +312,14 @@ func loopbackURL(raw string) bool {
 // preloadSession creates a session named after a registry dataset by driving
 // the same path the HTTP API uses.
 func preloadSession(srv *server.Server, name string, scale float64, seed int64) error {
-	if _, err := dataset.Lookup(name); err != nil {
-		return err
-	}
-	body := fmt.Sprintf(`{"name":%q,"dataset":%q,"scale":%g,"seed":%d}`, name, name, scale, seed)
-	req, err := http.NewRequest("POST", "/v1/sessions", strings.NewReader(body))
+	body, err := json.Marshal(server.CreateSessionRequest{Name: name, Dataset: name, Scale: scale, Seed: seed})
 	if err != nil {
 		return err
 	}
-	rec := &statusRecorder{status: http.StatusOK}
-	srv.Handler().ServeHTTP(rec, req)
-	if rec.status != http.StatusOK {
-		return fmt.Errorf("create returned status %d: %s", rec.status, strings.TrimSpace(rec.body.String()))
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		return fmt.Errorf("create returned status %d: %s", rec.Code, strings.TrimSpace(rec.Body.String()))
 	}
 	return nil
 }
-
-// statusRecorder captures a handler's status and body without a network
-// round-trip.
-type statusRecorder struct {
-	status int
-	body   strings.Builder
-}
-
-func (r *statusRecorder) Header() http.Header         { return http.Header{} }
-func (r *statusRecorder) WriteHeader(code int)        { r.status = code }
-func (r *statusRecorder) Write(b []byte) (int, error) { return r.body.Write(b) }

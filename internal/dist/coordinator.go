@@ -552,7 +552,7 @@ func (c *Coordinator) postWorker(ctx context.Context, run *queryRun, w *remoteWo
 // once per (worker, frame) at a time: the ship is the single-flight build of
 // the worker's ledger entry, so concurrent cold requests (a batch fan-out,
 // several clients on one new session) wait for the one in-flight
-// upload instead of each PUTting the full snapshot, a failed ship records
+// upload instead of each PUTting the frame, a failed ship records
 // nothing and the next waiter ships, and a waiter whose context ends returns.
 func (c *Coordinator) ensureFrame(ctx context.Context, w *remoteWorker, frame *Frame) error {
 	id, _, err := frame.Payload()
@@ -564,13 +564,13 @@ func (c *Coordinator) ensureFrame(ctx context.Context, w *remoteWorker, frame *F
 		// ancestors, so the version chain below it is not looked at.
 		return nil
 	}
-	// A delta frame is only applicable on a worker that holds its parent:
-	// ensure the chain bottom-up before shipping the delta, so an append on
+	// A child frame is only applicable on a worker that holds its parent:
+	// ensure the chain bottom-up before shipping the child, so an append on
 	// top of an already-shipped base moves only the new rows. (A worker that
 	// evicted the base between the two PUTs answers frame_missing, handled
 	// in shipFrame.) The parents are ensured here, not inside the build: a
 	// build must not call Do on the cache it fills.
-	if p := frame.Parent(); p != nil {
+	if p := frame.parent; p != nil {
 		if err := c.ensureFrame(ctx, w, p); err != nil {
 			return err
 		}
@@ -646,17 +646,15 @@ func (c *Coordinator) shipFrame(ctx context.Context, w *remoteWorker, frame *Fra
 	if err != nil {
 		return err
 	}
-	if status == http.StatusNotFound && errCode(raw) == codeFrameMissing && frame.Parent() != nil {
-		// The worker evicted (or never durably held) the delta's base
-		// between the chain ship and this PUT. Forget the parent's ledger
-		// entry so the next ensureFrame re-ships the chain; report the miss
-		// retryable so the caller's retry policy drives that re-ship.
-		if pid, perr := frame.Parent().ID(); perr == nil {
+	if status != http.StatusOK {
+		if p := frame.parent; p != nil && status == http.StatusNotFound && errCode(raw) == codeFrameMissing {
+			// The worker evicted (or never durably held) the parent between
+			// the chain ship and this PUT. Forget the parent's ledger entry
+			// so the next ensureFrame re-ships the chain; the miss is
+			// retryable, so the caller's retry policy drives that re-ship.
+			pid, _ := p.ID() // encoded already: the child's body names it
 			w.frames.Forget(pid)
 		}
-		return fmt.Errorf("dist: shipping delta frame to %s: %s", w.id, errMessage(raw, status))
-	}
-	if status != http.StatusOK {
 		return fmt.Errorf("dist: shipping frame to %s: %s", w.id, errMessage(raw, status))
 	}
 	obs.MeterFromContext(ctx).Charge(obs.MeterJSON{FrameBytesShipped: uint64(len(body))})

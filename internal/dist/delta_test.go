@@ -10,13 +10,14 @@ import (
 	"strings"
 	"testing"
 
+	"hyper/internal/causal"
 	"hyper/internal/dataset"
 	"hyper/internal/engine"
 	"hyper/internal/hyperql"
 	"hyper/internal/relation"
 )
 
-func deltaBase(t *testing.T) (*relation.Database, map[string][]relation.Tuple) {
+func deltaBase(t testing.TB) (*relation.Database, map[string][]relation.Tuple) {
 	t.Helper()
 	rel, err := relation.ReadCSVKeyed("T",
 		strings.NewReader("ID,V,Tag\n1,1.5,a\n2,2.25,b\n3,0.125,c\n"), []string{"ID"})
@@ -33,14 +34,39 @@ func deltaBase(t *testing.T) (*relation.Database, map[string][]relation.Tuple) {
 	return db, appends
 }
 
-// TestFrameDeltaRoundTrip pins the delta wire contract: the body names the
-// parent frame, carries only the appended rows, and rebuilding
-// parent-snapshot + delta yields a database snapshot byte-identical to
+// rebuildChain decodes the frames' bodies in order the way a worker does,
+// each child extending the one before it, and returns the last frame's
+// database and model.
+func rebuildChain(t *testing.T, frames ...*Frame) (*relation.Database, *causal.Model) {
+	t.Helper()
+	resident := map[string]*workerFrame{}
+	var last *workerFrame
+	for _, f := range frames {
+		id, body, err := f.Payload()
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, model, err := buildFrame(body, func(id string) (*workerFrame, bool) {
+			p, ok := resident[id]
+			return p, ok
+		})
+		if err != nil {
+			t.Fatalf("frame %.12s does not rebuild: %v", id, err)
+		}
+		last = &workerFrame{db: db, model: model}
+		resident[id] = last
+	}
+	return last.db, last.model
+}
+
+// TestFrameDeltaRoundTrip pins the child frame's wire contract: the body
+// names the parent frame and carries only the appended rows, and rebuilding
+// root + child yields a database whose encoding is byte-identical to
 // encoding the post-append database directly.
 func TestFrameDeltaRoundTrip(t *testing.T) {
 	db, appends := deltaBase(t)
 	base := NewFrame(db, nil)
-	baseID, baseBody, err := base.Payload()
+	baseID, err := base.ID()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +74,7 @@ func TestFrameDeltaRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta := NewFrameDelta(base, db2, nil, appends)
+	delta := NewFrameDelta(base, db2)
 	deltaID, deltaBody, err := delta.Payload()
 	if err != nil {
 		t.Fatal(err)
@@ -56,40 +82,30 @@ func TestFrameDeltaRoundTrip(t *testing.T) {
 	if deltaID == baseID {
 		t.Fatal("delta frame must have its own content address")
 	}
-	d, decoded, err := DecodeDelta(deltaBody)
-	if err != nil {
+	var b frameBody
+	if err := json.Unmarshal(deltaBody, &b); err != nil {
 		t.Fatal(err)
 	}
-	if d.Base != baseID || d.Version != 2 {
-		t.Fatalf("delta header = {%s v%d}, want {%s v2}", d.Base, d.Version, baseID)
+	if b.Parent != baseID || b.Version != 2 || len(b.Relations) != 1 || b.HasModel || b.ForeignKeys != nil {
+		t.Fatalf("delta header = {%s v%d, %d relations}, want {%s v2, 1 relation}", b.Parent, b.Version, len(b.Relations), baseID)
 	}
-	if !reflect.DeepEqual(decoded, appends) {
-		t.Fatalf("decoded appends diverge:\n got %v\nwant %v", decoded, appends)
+	want := [][]string{{"i4", "d4.75", "sd"}, {"i5", "_", "se"}}
+	if r := b.Relations[0]; r.Name != "T" || r.Columns != nil || !reflect.DeepEqual(r.Rows, want) {
+		t.Fatalf("delta relation = %+v, want T's appended rows %v and no schema", r, want)
 	}
 
-	// Worker-side reconstruction: base snapshot + delta == full snapshot.
-	var snap Snapshot
-	if err := json.Unmarshal(baseBody, &snap); err != nil {
-		t.Fatal(err)
-	}
-	baseDB, _, err := snap.Build()
+	// Worker-side reconstruction: root + child == the direct encoding.
+	rebuilt, _ := rebuildChain(t, base, delta)
+	_, wantBody, err := NewFrame(db2, nil).Payload()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, err := baseDB.Extend(decoded)
+	_, gotBody, err := NewFrame(rebuilt, nil).Payload()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(EncodeSnapshot(db2, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := json.Marshal(EncodeSnapshot(rebuilt, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("rebuilt snapshot diverges from direct encoding:\n got %s\nwant %s", got, want)
+	if !bytes.Equal(gotBody, wantBody) {
+		t.Fatalf("rebuilt database diverges from direct encoding:\n got %s\nwant %s", gotBody, wantBody)
 	}
 }
 
@@ -103,11 +119,11 @@ func TestFrameDeltaAddressChainsParent(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := NewFrame(db, nil)
-	id1, err := NewFrameDelta(base, db2, nil, appends).ID()
+	id1, err := NewFrameDelta(base, db2).ID()
 	if err != nil {
 		t.Fatal(err)
 	}
-	id2, err := NewFrameDelta(NewFrame(db, nil), db2, nil, appends).ID()
+	id2, err := NewFrameDelta(NewFrame(db, nil), db2).ID()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +143,7 @@ func TestFrameDeltaAddressChainsParent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id3, err := NewFrameDelta(NewFrame(mid, nil), mid2, nil, appends).ID()
+	id3, err := NewFrameDelta(NewFrame(mid, nil), mid2).ID()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +180,7 @@ func TestDistributedDeltaEval(t *testing.T) {
 	workers := []*testWorker{newTestWorker(t), newTestWorker(t)}
 	c, _ := newTestCoordinator(t, workers...)
 	baseFrame := NewFrame(db, model)
-	deltaFrame := NewFrameDelta(baseFrame, db2, model, appends)
+	deltaFrame := NewFrameDelta(baseFrame, db2)
 
 	q, err := hyperql.ParseWhatIf(src)
 	if err != nil {
@@ -219,7 +235,7 @@ func TestDistributedDeltaColdWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deltaFrame := NewFrameDelta(NewFrame(db, base.Model), db2, base.Model, appends)
+	deltaFrame := NewFrameDelta(NewFrame(db, base.Model), db2)
 
 	tw := newTestWorker(t)
 	c, _ := newTestCoordinator(t, tw)
@@ -269,7 +285,7 @@ func TestWarmDispatchSkipsVersionChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		db, head = next, NewFrameDelta(head, next, model, appends)
+		db, head = next, NewFrameDelta(head, next)
 	}
 	spec := EvalSpec{DB: db, Model: model, Frame: head, Query: src, Options: opts}
 

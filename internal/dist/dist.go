@@ -6,10 +6,12 @@
 //
 // The division of labour:
 //
-//   - A worker (cmd/hyperd -worker) holds content-addressed frame snapshots
-//     (a session's database + causal model, shipped on first touch), and
-//     serves one stateless computation over them: per-shard what-if
-//     evaluation (engine.EvaluatePartialContext → block-window partials).
+//   - A worker (cmd/hyperd -worker) holds content-addressed frames (one
+//     snapshot version of a session's database + causal model each, shipped
+//     on first touch; a frame's body is its rows past its parent frame,
+//     frame.go), serves one stateless computation over them: per-shard
+//     what-if evaluation (engine.EvaluatePartialContext → block-window
+//     partials), and keeps itself registered with a coordinator (Join).
 //
 //   - The coordinator registers workers (registration + heartbeats with a
 //     lease TTL), assigns contiguous plan shard ranges to the live workers,
@@ -34,9 +36,10 @@
 //     tick), and with no worker left the coordinator evaluates the pending
 //     shards itself.
 //
-//   - roundTrip is the one HTTP exchange (secret, trace header, fault
-//     point): postWorker sends an eval request's bytes through it under the
-//     retry policy, shipFrame a frame body.
+//   - roundTrip is the one coordinator→worker HTTP exchange (secret, trace
+//     header, fault point): postWorker sends an eval request's bytes through
+//     it under the retry policy, shipFrame a frame body. The other direction,
+//     registration and heartbeats, is the worker's Join.
 //
 //   - Each registered worker's shipped-frame ledger is an unbounded
 //     internal/lru cache whose single-flight build is the ship: a hit means

@@ -554,23 +554,17 @@ func TestHeartbeatLease(t *testing.T) {
 	}
 }
 
-// TestFrameRoundTrip proves the snapshot codec is bit-exact: every value of
+// TestFrameRoundTrip proves the frame codec is bit-exact: every value of
 // every relation, the foreign keys, and the model survive the trip, and the
 // rebuilt database reproduces a golden evaluation exactly.
 func TestFrameRoundTrip(t *testing.T) {
 	db, model := distDataset(t, "toy")
-	id1, body, err := NewFrame(db, model).Payload()
+	frame := NewFrame(db, model)
+	id1, err := frame.ID()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		t.Fatal(err)
-	}
-	db2, model2, err := snap.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	db2, model2 := rebuildChain(t, frame)
 	// Content addressing: the rebuilt database re-encodes to the same id.
 	id2, _, err := NewFrame(db2, model2).Payload()
 	if err != nil {

@@ -12,46 +12,52 @@ import (
 	"hyper/internal/relation"
 )
 
-// A frame snapshot is the self-contained, bit-exact serialization of a
-// session's data: every relation (schema + typed rows), the foreign keys,
-// and the causal model. Workers rebuild the database from it, so value
-// fidelity is absolute — values are tagged scalars, not CSV text, because a
-// CSV round-trip re-infers kinds (2.0 → "2" → int) and would break the
-// bit-identity contract. Frames are content-addressed (sha256 of the
-// canonical JSON), so a session rebuilt with different data is a different
-// frame and can never alias a worker's warm copy.
+// A frame is the content-addressed, bit-exact serialization of one snapshot
+// version of a session's data, and every frame body has one shape: the rows
+// its version holds past its parent frame's, per relation in database
+// order. A root frame has no parent, so it holds every row, and only a root
+// also carries the schemas, the foreign keys and the causal model; a child
+// names its parent's id instead, and a worker extends the resident parent by
+// the child's rows. Values are tagged scalars, not CSV text, because a CSV
+// round-trip re-infers kinds (2.0 -> "2" -> int) and would break the
+// bit-identity contract. The id is the sha256 of the body, and a child's body
+// names its parent's id, so an id covers the whole version chain: identical
+// data has one identity everywhere, and changed data can never alias a
+// worker's warm copy.
 
-// ColumnSnapshot is the wire form of a schema column.
-type ColumnSnapshot struct {
+// frameBody is the wire form of a frame.
+type frameBody struct {
+	// Parent is the id of the frame this one extends ("" for a root).
+	Parent string `json:"parent,omitempty"`
+	// Version is the MVCC snapshot version of the frame's database (0 for
+	// unversioned instances, omitted on the wire).
+	Version   int64           `json:"version,omitempty"`
+	Relations []frameRelation `json:"relations"`
+	// Root only. The model graph: nodes in insertion order, edges sorted
+	// (edge-set semantics; every graph algorithm downstream is
+	// order-insensitive).
+	ForeignKeys []relation.ForeignKey `json:"foreign_keys,omitempty"`
+	HasModel    bool                  `json:"has_model,omitempty"`
+	Nodes       []string              `json:"nodes,omitempty"`
+	Edges       [][2]string           `json:"edges,omitempty"`
+	Cross       []causal.CrossEdge    `json:"cross,omitempty"`
+}
+
+// frameRelation is one relation's rows past the parent frame, in insertion
+// order (row order is part of the determinism contract: the canonical shard
+// plan partitions rows by position), and in a root its schema.
+type frameRelation struct {
+	Name    string        `json:"name"`
+	Columns []frameColumn `json:"columns,omitempty"`
+	Rows    [][]string    `json:"rows"`
+}
+
+// frameColumn is the wire form of a schema column.
+type frameColumn struct {
 	Name    string `json:"name"`
 	Kind    uint8  `json:"kind"`
 	Key     bool   `json:"key,omitempty"`
 	Mutable bool   `json:"mutable,omitempty"`
-}
-
-// RelationSnapshot is the wire form of one relation: schema plus rows in
-// insertion order (row order is part of the determinism contract — the
-// canonical shard plan partitions rows by position).
-type RelationSnapshot struct {
-	Name    string           `json:"name"`
-	Columns []ColumnSnapshot `json:"columns"`
-	Rows    [][]string       `json:"rows"`
-}
-
-// Snapshot is a serialized database + causal model.
-type Snapshot struct {
-	// Version is the MVCC snapshot version of the serialized database (0
-	// for unversioned instances, omitted on the wire — pre-MVCC frame
-	// bodies and their content addresses are unchanged).
-	Version     int64                 `json:"version,omitempty"`
-	Relations   []RelationSnapshot    `json:"relations"`
-	ForeignKeys []relation.ForeignKey `json:"foreign_keys,omitempty"`
-	// Model graph: nodes in insertion order, edges sorted (edge-set
-	// semantics; every graph algorithm downstream is order-insensitive).
-	HasModel bool               `json:"has_model,omitempty"`
-	Nodes    []string           `json:"nodes,omitempty"`
-	Edges    [][2]string        `json:"edges,omitempty"`
-	Cross    []causal.CrossEdge `json:"cross,omitempty"`
 }
 
 // encodeValue renders a typed value as a tagged scalar: "_" NULL, "T"/"F"
@@ -105,124 +111,15 @@ func decodeValue(s string) (relation.Value, error) {
 	}
 }
 
-// EncodeSnapshot serializes a database and (optional) causal model.
-func EncodeSnapshot(db *relation.Database, model *causal.Model) *Snapshot {
-	s := &Snapshot{Version: db.Version(), ForeignKeys: db.ForeignKeys()}
-	for _, name := range db.Names() {
-		rel := db.Relation(name)
-		rs := RelationSnapshot{Name: name}
-		for _, c := range rel.Schema().Columns() {
-			rs.Columns = append(rs.Columns, ColumnSnapshot{
-				Name: c.Name, Kind: uint8(c.Kind), Key: c.Key, Mutable: c.Mutable,
-			})
-		}
-		rs.Rows = make([][]string, rel.Len())
-		for i := 0; i < rel.Len(); i++ {
-			enc := make([]string, len(rs.Columns))
-			for j := range enc {
-				enc[j] = encodeValue(rel.Value(i, j))
-			}
-			rs.Rows[i] = enc
-		}
-		s.Relations = append(s.Relations, rs)
-	}
-	if model != nil {
-		s.HasModel = true
-		s.Nodes = model.Attr.Nodes()
-		s.Edges = model.Attr.Edges()
-		s.Cross = append([]causal.CrossEdge(nil), model.Cross...)
-	}
-	return s
-}
-
-// Build reconstructs the database and model from a snapshot.
-func (s *Snapshot) Build() (*relation.Database, *causal.Model, error) {
-	db := relation.NewDatabase()
-	db.SetVersion(s.Version)
-	for _, rs := range s.Relations {
-		cols := make([]relation.Column, len(rs.Columns))
-		for i, c := range rs.Columns {
-			cols[i] = relation.Column{Name: c.Name, Kind: relation.Kind(c.Kind), Key: c.Key, Mutable: c.Mutable}
-		}
-		schema, err := relation.NewSchema(cols...)
-		if err != nil {
-			return nil, nil, fmt.Errorf("dist: relation %q: %w", rs.Name, err)
-		}
-		rel := relation.NewRelation(rs.Name, schema)
-		for ri, enc := range rs.Rows {
-			t := make(relation.Tuple, len(enc))
-			if len(enc) != len(cols) {
-				return nil, nil, fmt.Errorf("dist: relation %q row %d has %d values, schema has %d columns",
-					rs.Name, ri, len(enc), len(cols))
-			}
-			for j, v := range enc {
-				val, err := decodeValue(v)
-				if err != nil {
-					return nil, nil, fmt.Errorf("dist: relation %q row %d: %w", rs.Name, ri, err)
-				}
-				t[j] = val
-			}
-			if err := rel.Insert(t); err != nil {
-				return nil, nil, fmt.Errorf("dist: relation %q row %d: %w", rs.Name, ri, err)
-			}
-		}
-		if err := db.Add(rel); err != nil {
-			return nil, nil, err
-		}
-	}
-	for _, fk := range s.ForeignKeys {
-		if err := db.AddForeignKey(fk); err != nil {
-			return nil, nil, err
-		}
-	}
-	if !s.HasModel {
-		return db, nil, nil
-	}
-	m := causal.NewModel()
-	for _, n := range s.Nodes {
-		m.Attr.AddNode(n)
-	}
-	for _, e := range s.Edges {
-		m.Attr.AddEdge(e[0], e[1])
-	}
-	// Cross edges are assigned directly: their attribute-level edges are
-	// already in Edges, and AddCross would record them twice.
-	m.Cross = append([]causal.CrossEdge(nil), s.Cross...)
-	return db, m, nil
-}
-
-// RelationDelta is the wire form of one relation's appended rows (tagged
-// scalars, same encoding as RelationSnapshot rows).
-type RelationDelta struct {
-	Name string     `json:"name"`
-	Rows [][]string `json:"rows"`
-}
-
-// Delta is the wire form of an incremental frame: the parent frame it
-// extends, the MVCC version the extension publishes, and the appended rows
-// per relation. Only new segments cross the wire — a session that appended
-// 100 rows to a million-row base ships 100 rows, not a fresh snapshot. The
-// delta body is content-addressed like a full snapshot, and because it
-// names its parent's id, the address covers the whole version chain: two
-// deltas agree iff their bases and their appended rows agree.
-type Delta struct {
-	Base    string          `json:"base"`
-	Version int64           `json:"version"`
-	Delta   []RelationDelta `json:"delta"`
-}
-
-// Frame is a lazily materialized, content-addressed snapshot of a session's
-// data, shared by every distributed evaluation against that session. The
-// encoding runs once; the id is the sha256 of the canonical JSON body, so
-// identical data has one identity everywhere and changed data can never hit
-// a stale worker copy. A frame built with NewFrameDelta encodes only the
-// appended rows and names its parent frame, which the shipping path ensures
-// is resident on the worker first.
+// Frame is a lazily encoded snapshot version of a session's data, shared by
+// every distributed evaluation against that version. The encoding runs once.
+// A frame built with NewFrameDelta encodes only the rows its database holds
+// past its parent's, and the shipping path makes the parent resident on a
+// worker first.
 type Frame struct {
-	db       *relation.Database
-	model    *causal.Model
-	parent   *Frame
-	appended map[string][]relation.Tuple
+	db     *relation.Database
+	model  *causal.Model
+	parent *Frame
 
 	once sync.Once
 	id   string
@@ -230,34 +127,23 @@ type Frame struct {
 	err  error
 }
 
-// NewFrame wraps a session's database and model. Encoding is deferred to
-// the first Payload call.
+// NewFrame wraps a session's database and model as a root frame. Encoding is
+// deferred to the first Payload call.
 func NewFrame(db *relation.Database, model *causal.Model) *Frame {
 	return &Frame{db: db, model: model}
 }
 
-// NewFrameDelta wraps an appended session version as an incremental frame:
-// db is the full post-append database (what workers must end up holding),
-// parent is the frame of the version the append extended, and appended
-// holds exactly the new tuples per relation. The wire body is the delta
-// alone; workers that miss the parent are shipped the chain first.
-func NewFrameDelta(parent *Frame, db *relation.Database, model *causal.Model, appended map[string][]relation.Tuple) *Frame {
-	return &Frame{db: db, model: model, parent: parent, appended: appended}
+// NewFrameDelta wraps an appended snapshot version as a child of parent: db
+// is the full database after the append, extending parent's, so its rows
+// past parent's are the appended ones. The child shares parent's model.
+func NewFrameDelta(parent *Frame, db *relation.Database) *Frame {
+	return &Frame{db: db, model: parent.model, parent: parent}
 }
-
-// Parent returns the frame this delta extends (nil for full snapshots).
-func (f *Frame) Parent() *Frame { return f.parent }
 
 // Payload returns the frame id and canonical JSON body.
 func (f *Frame) Payload() (string, []byte, error) {
 	f.once.Do(func() {
-		var raw []byte
-		var err error
-		if f.parent != nil {
-			raw, err = f.encodeDelta()
-		} else {
-			raw, err = json.Marshal(EncodeSnapshot(f.db, f.model))
-		}
+		raw, err := f.encode()
 		if err != nil {
 			f.err = err
 			return
@@ -269,65 +155,150 @@ func (f *Frame) Payload() (string, []byte, error) {
 	return f.id, f.body, f.err
 }
 
-// encodeDelta renders the delta body: relations in database order (the
-// deterministic order every encoding in this package uses), empty appends
-// skipped.
-func (f *Frame) encodeDelta() ([]byte, error) {
-	base, _, err := f.parent.Payload()
-	if err != nil {
-		return nil, err
-	}
-	d := Delta{Base: base, Version: f.db.Version()}
-	for _, name := range f.db.Names() {
-		tuples := f.appended[name]
-		if len(tuples) == 0 {
-			continue
-		}
-		rd := RelationDelta{Name: name, Rows: make([][]string, len(tuples))}
-		for i, t := range tuples {
-			enc := make([]string, len(t))
-			for j, v := range t {
-				enc[j] = encodeValue(v)
-			}
-			rd.Rows[i] = enc
-		}
-		d.Delta = append(d.Delta, rd)
-	}
-	return json.Marshal(d)
-}
-
 // ID returns the content-addressed frame id.
 func (f *Frame) ID() (string, error) {
 	id, _, err := f.Payload()
 	return id, err
 }
 
-// DecodeDelta parses a delta body into the appended-tuple map keyed by
-// relation name. Tuples are decoded with full value fidelity; schema
-// validation happens when the caller extends the base database.
-func DecodeDelta(body []byte) (*Delta, map[string][]relation.Tuple, error) {
-	var d Delta
-	if err := json.Unmarshal(body, &d); err != nil {
-		return nil, nil, fmt.Errorf("dist: decoding frame delta: %w", err)
+// encode renders the frame body: relations in database order, each with its
+// rows past the parent's. A child skips the relations that gained no rows.
+func (f *Frame) encode() ([]byte, error) {
+	b := frameBody{Version: f.db.Version()}
+	var parent *relation.Database
+	if f.parent != nil {
+		id, err := f.parent.ID()
+		if err != nil {
+			return nil, err
+		}
+		b.Parent, parent = id, f.parent.db
+	} else {
+		b.ForeignKeys = f.db.ForeignKeys()
+		if f.model != nil {
+			b.HasModel = true
+			b.Nodes = f.model.Attr.Nodes()
+			b.Edges = f.model.Attr.Edges()
+			b.Cross = f.model.Cross
+		}
 	}
-	if d.Base == "" {
-		return nil, nil, fmt.Errorf("dist: frame delta has no base")
+	for _, name := range f.db.Names() {
+		rel, from := f.db.Relation(name), 0
+		fr := frameRelation{Name: name}
+		if parent != nil {
+			if from = parent.Relation(name).Len(); from == rel.Len() {
+				continue
+			}
+		} else {
+			for _, c := range rel.Schema().Columns() {
+				fr.Columns = append(fr.Columns, frameColumn{Name: c.Name, Kind: uint8(c.Kind), Key: c.Key, Mutable: c.Mutable})
+			}
+		}
+		fr.Rows = make([][]string, rel.Len()-from)
+		for i := range fr.Rows {
+			enc := make([]string, rel.Schema().Len())
+			for j := range enc {
+				enc[j] = encodeValue(rel.Value(from+i, j))
+			}
+			fr.Rows[i] = enc
+		}
+		b.Relations = append(b.Relations, fr)
 	}
-	appends := make(map[string][]relation.Tuple, len(d.Delta))
-	for _, rd := range d.Delta {
-		tuples := make([]relation.Tuple, len(rd.Rows))
-		for i, enc := range rd.Rows {
+	return json.Marshal(b)
+}
+
+// parentMissing is buildFrame's error for a child whose parent frame is not
+// resident; the worker answers it with frame_missing.
+type parentMissing string
+
+func (id parentMissing) Error() string {
+	return fmt.Sprintf("parent frame %.12s not on this worker", string(id))
+}
+
+// buildFrame decodes a frame body into the database and model it holds, with
+// full value fidelity. A root builds them from its own schemas; a child
+// extends the database of the parent frame that parentOf returns (Extend
+// shares the parent's relations as frozen prefixes, so queries running
+// against the parent are never perturbed) and shares its model.
+func buildFrame(body []byte, parentOf func(id string) (*workerFrame, bool)) (*relation.Database, *causal.Model, error) {
+	var b frameBody
+	if err := json.Unmarshal(body, &b); err != nil {
+		return nil, nil, fmt.Errorf("dist: decoding frame: %w", err)
+	}
+	rows := make(map[string][]relation.Tuple, len(b.Relations))
+	for _, fr := range b.Relations {
+		if _, dup := rows[fr.Name]; dup {
+			return nil, nil, fmt.Errorf("dist: frame lists relation %q twice", fr.Name)
+		}
+		tuples := make([]relation.Tuple, len(fr.Rows))
+		for i, enc := range fr.Rows {
 			t := make(relation.Tuple, len(enc))
 			for j, s := range enc {
 				v, err := decodeValue(s)
 				if err != nil {
-					return nil, nil, fmt.Errorf("dist: delta relation %q row %d: %w", rd.Name, i, err)
+					return nil, nil, fmt.Errorf("dist: relation %q row %d: %w", fr.Name, i, err)
 				}
 				t[j] = v
 			}
 			tuples[i] = t
 		}
-		appends[rd.Name] = tuples
+		rows[fr.Name] = tuples
 	}
-	return &d, appends, nil
+	if b.Parent != "" {
+		parent, ok := parentOf(b.Parent)
+		if !ok {
+			return nil, nil, parentMissing(b.Parent)
+		}
+		db, err := parent.db.Extend(rows)
+		if err != nil {
+			return nil, nil, err
+		}
+		if db.Version() != b.Version {
+			return nil, nil, fmt.Errorf("dist: frame publishes version %d, but parent %.12s extends to version %d",
+				b.Version, b.Parent, db.Version())
+		}
+		return db, parent.model, nil
+	}
+	db := relation.NewDatabase()
+	db.SetVersion(b.Version)
+	for _, fr := range b.Relations {
+		cols := make([]relation.Column, len(fr.Columns))
+		for i, c := range fr.Columns {
+			if relation.Kind(c.Kind) > relation.KindString {
+				return nil, nil, fmt.Errorf("dist: relation %q column %q has unknown kind %d", fr.Name, c.Name, c.Kind)
+			}
+			cols[i] = relation.Column{Name: c.Name, Kind: relation.Kind(c.Kind), Key: c.Key, Mutable: c.Mutable}
+		}
+		schema, err := relation.NewSchema(cols...)
+		if err != nil {
+			return nil, nil, fmt.Errorf("dist: relation %q: %w", fr.Name, err)
+		}
+		rel := relation.NewRelation(fr.Name, schema)
+		for i, t := range rows[fr.Name] {
+			if err := rel.Insert(t); err != nil {
+				return nil, nil, fmt.Errorf("dist: relation %q row %d: %w", fr.Name, i, err)
+			}
+		}
+		if err := db.Add(rel); err != nil {
+			return nil, nil, err
+		}
+	}
+	for _, fk := range b.ForeignKeys {
+		if err := db.AddForeignKey(fk); err != nil {
+			return nil, nil, err
+		}
+	}
+	if !b.HasModel {
+		return db, nil, nil
+	}
+	m := causal.NewModel()
+	for _, n := range b.Nodes {
+		m.Attr.AddNode(n)
+	}
+	for _, e := range b.Edges {
+		m.Attr.AddEdge(e[0], e[1])
+	}
+	// Cross edges are assigned directly: their attribute-level edges are
+	// already in Edges, and AddCross would record them twice.
+	m.Cross = b.Cross
+	return db, m, nil
 }

@@ -2,10 +2,14 @@ package dist
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
+	"encoding/hex"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"unicode/utf8"
 
@@ -143,8 +147,8 @@ func sameBits(a, b []float64) bool {
 
 // FuzzReadCSVKeyed feeds arbitrary CSV bytes to the upload reader, with no
 // key (the synthetic RowID), one declared key or two. Nothing may panic, and
-// an accepted upload survives the frame codec — EncodeSnapshot, the JSON
-// body a worker receives, Build — with the same rows, kinds and keys. Bytes
+// an accepted upload survives the frame codec — the root frame body a
+// worker receives, and buildFrame — with the same rows, kinds and keys. Bytes
 // that are not UTF-8 are skipped: an upload arrives inside a JSON string.
 func FuzzReadCSVKeyed(f *testing.F) {
 	for _, seed := range []struct {
@@ -169,15 +173,11 @@ func FuzzReadCSVKeyed(f *testing.F) {
 		if err := db.Add(rel); err != nil {
 			t.Fatal(err)
 		}
-		body, err := json.Marshal(EncodeSnapshot(db, nil))
+		_, body, err := NewFrame(db, nil).Payload()
 		if err != nil {
 			t.Fatal(err)
 		}
-		var snap Snapshot
-		if err := json.Unmarshal(body, &snap); err != nil {
-			t.Fatal(err)
-		}
-		db2, _, err := snap.Build()
+		db2, _, err := buildFrame(body, nil)
 		if err != nil {
 			t.Fatalf("an accepted upload does not rebuild: %v", err)
 		}
@@ -202,4 +202,92 @@ func FuzzReadCSVKeyed(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzFrameBody feeds arbitrary bytes, under their true sha256 id, to the
+// frame upload of a worker with an empty store and of one holding a root
+// frame, the one input a peer hands a worker unasked. Nothing may panic, and
+// every upload a worker accepts stores a frame whose database survives the
+// codec: encoded again as a root and rebuilt, it holds the same relations,
+// schemas, rows, kinds, value keys and key lookups.
+func FuzzFrameBody(f *testing.F) {
+	db, appends := deltaBase(f)
+	root := NewFrame(db, nil)
+	rootID, rootBody, err := root.Payload()
+	if err != nil {
+		f.Fatal(err)
+	}
+	db2, err := db.Extend(appends)
+	if err != nil {
+		f.Fatal(err)
+	}
+	_, childBody, err := NewFrameDelta(root, db2).Payload()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(rootBody)
+	f.Add(childBody)
+	f.Add(bytes.Replace(childBody, []byte(rootID), []byte(strings.Repeat("0", len(rootID))), 1)) // its parent is nowhere
+	f.Add([]byte(`{"relations":[{"name":"T","columns":[{"name":"A","kind":2}],"rows":[["i1"]]},{"name":"T","columns":[{"name":"A","kind":2}],"rows":[]}]}`))
+	f.Add([]byte(`{"relations":[{"name":"T","columns":[{"name":"A","kind":5}],"rows":[["_"],["i1"]]}]}`))
+	f.Add([]byte(`{"parent":"` + rootID + `","version":2,"relations":[{"name":"T","rows":[["i1","d1","sa"]]},{"name":"T","rows":[]}]}`))
+
+	put := func(w *Worker, id string, body []byte) int {
+		rec := httptest.NewRecorder()
+		w.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPut, pathFrames+id, bytes.NewReader(body)))
+		return rec.Code
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		sum := sha256.Sum256(body)
+		id := hex.EncodeToString(sum[:])
+		holding := NewWorker(WorkerConfig{})
+		if code := put(holding, rootID, rootBody); code != http.StatusOK {
+			t.Fatalf("the root frame was refused: %d", code)
+		}
+		for _, w := range []*Worker{NewWorker(WorkerConfig{}), holding} {
+			if put(w, id, body) != http.StatusOK {
+				continue
+			}
+			stored, ok := w.frames.Get(id)
+			if !ok {
+				t.Fatal("an accepted frame is not in the store")
+			}
+			_, again, err := NewFrame(stored.db, stored.model).Payload()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rebuilt, _, err := buildFrame(again, nil)
+			if err != nil {
+				t.Fatalf("a stored frame does not rebuild from its own encoding: %v", err)
+			}
+			sameDatabase(t, stored.db, rebuilt)
+		}
+	})
+}
+
+// sameDatabase fails unless b holds a's relations in a's order, with the same
+// schemas and, row by row, the same value kinds and keys, each row's key
+// resolving to the same row.
+func sameDatabase(t *testing.T, a, b *relation.Database) {
+	t.Helper()
+	if !reflect.DeepEqual(a.Names(), b.Names()) || a.Version() != b.Version() {
+		t.Fatalf("relations %v at v%d rebuilt as %v at v%d", a.Names(), a.Version(), b.Names(), b.Version())
+	}
+	for _, name := range a.Names() {
+		ra, rb := a.Relation(name), b.Relation(name)
+		if ra.Len() != rb.Len() || !reflect.DeepEqual(ra.Schema().Columns(), rb.Schema().Columns()) {
+			t.Fatalf("%s: %d rows of %+v rebuilt as %d of %+v", name, ra.Len(), ra.Schema().Columns(), rb.Len(), rb.Schema().Columns())
+		}
+		for i := range ra.Len() {
+			row := ra.Row(i)
+			for c, v := range row {
+				if w := rb.Value(i, c); w.Kind() != v.Kind() || w.Key() != v.Key() {
+					t.Fatalf("%s row %d column %d: %v (%s) rebuilt as %v (%s)", name, i, c, v, v.Kind(), w, w.Kind())
+				}
+			}
+			if ka, kb := ra.LookupKey(row), rb.LookupKey(row); ka != kb {
+				t.Fatalf("%s row %d: its key resolves to row %d, and to row %d once rebuilt", name, i, ka, kb)
+			}
+		}
+	}
 }

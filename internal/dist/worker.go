@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -36,8 +37,8 @@ type WorkerConfig struct {
 	// Logf, when non-nil, receives one line per request.
 	Logf func(format string, args ...any)
 	// Fault, when non-nil, is the armed fault injector consulted at the
-	// worker-side injection point (eval). Nil — the production default —
-	// costs one pointer check per request.
+	// worker-side injection points (eval, and heartbeat in Join). Nil — the
+	// production default — costs one pointer check per request.
 	Fault *fault.Injector
 }
 
@@ -157,9 +158,6 @@ func (w *Worker) injectFault(rw http.ResponseWriter, p fault.Point) (proceed boo
 // Metrics returns the worker's metric registry (served at GET /metrics).
 func (w *Worker) Metrics() *obs.Registry { return w.metrics }
 
-// Traces returns the worker's trace ring.
-func (w *Worker) Traces() *obs.Recorder { return w.traces }
-
 // Handler returns the worker's HTTP surface.
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -249,66 +247,22 @@ func (w *Worker) handlePutFrame(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusBadRequest, "", "frame body hashes to %.12s, not %.12s", got, id)
 		return
 	}
-	// Delta sniff: incremental frames carry a "base" field naming their
-	// parent; full snapshots never do.
-	var probe struct {
-		Base string `json:"base"`
-	}
-	if json.Unmarshal(body, &probe) == nil && probe.Base != "" {
-		w.putDeltaFrame(rw, id, body)
+	db, model, err := buildFrame(body, w.frames.Get)
+	var missing parentMissing
+	if errors.As(err, &missing) {
+		// The coordinator ships version chains bottom-up, so a missing
+		// parent was evicted in between; frame_missing makes the
+		// coordinator re-ship the chain and retry.
+		writeError(rw, http.StatusNotFound, codeFrameMissing, "%v", err)
 		return
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		writeError(rw, http.StatusBadRequest, "", "decoding frame: %v", err)
-		return
-	}
-	db, model, err := snap.Build()
 	if err != nil {
 		writeError(rw, http.StatusBadRequest, "", "building frame: %v", err)
 		return
 	}
 	w.store(id, &workerFrame{db: db, model: model, cache: engine.NewCacheBounded(w.cfg.CacheEntries)})
 	w.frameBytes.Add(len(body))
-	w.logf("dist worker: stored frame %.12s (%d rows)", id, db.TotalRows())
-	writeJSON(rw, http.StatusOK, map[string]any{"ok": true})
-}
-
-// putDeltaFrame applies an incremental frame: the appended rows extend the
-// resident base frame's database into a new MVCC version under a fresh
-// content address. The base's relations are frozen prefixes (Extend shares
-// them), so queries running against the base frame are never perturbed.
-func (w *Worker) putDeltaFrame(rw http.ResponseWriter, id string, body []byte) {
-	d, appends, err := DecodeDelta(body)
-	if err != nil {
-		writeError(rw, http.StatusBadRequest, "", "decoding frame delta: %v", err)
-		return
-	}
-	base, ok := w.frames.Get(d.Base)
-	if !ok {
-		// The coordinator ships version chains bottom-up, so a missing base
-		// means it was evicted in between; frame_missing makes the
-		// coordinator re-ship the chain and retry.
-		writeError(rw, http.StatusNotFound, codeFrameMissing, "delta base frame %.12s not on this worker", d.Base)
-		return
-	}
-	db, err := base.db.Extend(appends)
-	if err != nil {
-		writeError(rw, http.StatusBadRequest, "", "applying frame delta: %v", err)
-		return
-	}
-	if db.Version() != d.Version {
-		writeError(rw, http.StatusBadRequest, "", "frame delta publishes version %d, but base %.12s extends to version %d",
-			d.Version, d.Base, db.Version())
-		return
-	}
-	rows := 0
-	for _, tuples := range appends {
-		rows += len(tuples)
-	}
-	w.store(id, &workerFrame{db: db, model: base.model, cache: engine.NewCacheBounded(w.cfg.CacheEntries)})
-	w.frameBytes.Add(len(body))
-	w.logf("dist worker: stored delta frame %.12s (v%d, +%d rows on %.12s)", id, d.Version, rows, d.Base)
+	w.logf("dist worker: stored frame %.12s (v%d, %d rows)", id, db.Version(), db.TotalRows())
 	writeJSON(rw, http.StatusOK, map[string]any{"ok": true})
 }
 

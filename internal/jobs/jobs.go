@@ -155,6 +155,7 @@ type Job struct {
 	cancelRun context.CancelFunc
 	ctx       context.Context // set when the job starts running
 	heapIdx   int             // index in the queued heap, -1 once popped
+	expiry    *time.Timer     // expires the job if its deadline passes while queued
 }
 
 // ID returns the job's identifier.
@@ -366,6 +367,13 @@ func (m *Manager) Submit(opts SubmitOptions, run Runner) (*Job, error) {
 	m.byID[j.id] = j
 	m.perSess[j.session]++
 	heap.Push(&m.queue, j)
+	if !j.deadline.IsZero() {
+		j.expiry = time.AfterFunc(time.Until(j.deadline), func() {
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			m.removeQueuedLocked(j, context.DeadlineExceeded, StateExpired)
+		})
+	}
 	m.cond.Signal()
 	return j, nil
 }
@@ -488,6 +496,9 @@ func (m *Manager) finishLocked(j *Job, res any, err error, state State) {
 	j.result = res
 	j.err = err
 	j.finished = time.Now()
+	if j.expiry != nil {
+		j.expiry.Stop()
+	}
 	// Release the runner closure and context: retained terminal jobs must
 	// not pin the session (database, cache) their runner captured.
 	j.runner = nil
@@ -533,20 +544,29 @@ func (m *Manager) Cancel(id string) (*Job, bool) {
 func (m *Manager) cancelLocked(j *Job) {
 	switch j.state {
 	case StateQueued:
-		// Remove from the heap now so the slot frees up for admission
-		// control immediately — a cancelled job must not count toward
-		// QueueDepth until a worker happens to pop it.
-		if j.heapIdx >= 0 {
-			heap.Remove(&m.queue, j.heapIdx)
-		}
 		j.cancelled = true
-		m.finishLocked(j, nil, context.Canceled, StateCancelled)
+		m.removeQueuedLocked(j, context.Canceled, StateCancelled)
 	case StateRunning:
 		if !j.cancelled {
 			j.cancelled = true
 			j.cancelRun()
 		}
 	}
+}
+
+// removeQueuedLocked takes a still-queued job off the heap into a terminal
+// state, so its queue and per-session slots free up for admission control
+// at once rather than when a worker happens to pop it (a cancel, or a
+// deadline passing in the queue). It is a no-op once the job has left the
+// queue. Caller holds m.mu.
+func (m *Manager) removeQueuedLocked(j *Job, err error, state State) {
+	if j.state != StateQueued {
+		return
+	}
+	if j.heapIdx >= 0 {
+		heap.Remove(&m.queue, j.heapIdx)
+	}
+	m.finishLocked(j, nil, err, state)
 }
 
 // CancelSession cancels every live job of a session (used when the session

@@ -136,7 +136,9 @@ func TestQueueFullAndSessionLimitRejection(t *testing.T) {
 
 	gate := make(chan struct{})
 	defer close(gate)
-	started := make(chan struct{})
+	// Buffered: the first job may start before the test waits on started,
+	// and its non-blocking send must not be lost.
+	started := make(chan struct{}, 1)
 	block := func(ctx context.Context, p *Progress) (any, error) {
 		select {
 		case started <- struct{}{}:
@@ -326,6 +328,39 @@ func TestDeadlineExpiresQueuedJob(t *testing.T) {
 	s := waitTerminal(t, m, j.ID(), 5*time.Second)
 	if s.State != StateExpired {
 		t.Fatalf("state = %s, want expired (deadline passed in queue)", s.State)
+	}
+}
+
+// TestDeadlineExpiresJobStillQueued pins that a queued job expires at its
+// deadline, not when a worker pops it: with the only worker blocked, the job
+// reads expired and its queue slot admits the next submission.
+func TestDeadlineExpiresJobStillQueued(t *testing.T) {
+	m := NewManager(Config{Workers: 1, QueueDepth: 1})
+	defer m.Drain(context.Background())
+	gate := make(chan struct{})
+	defer close(gate)
+	started := make(chan struct{})
+	m.Submit(SubmitOptions{}, func(ctx context.Context, p *Progress) (any, error) {
+		close(started)
+		<-gate
+		return nil, nil
+	})
+	<-started
+	j, err := m.Submit(SubmitOptions{Deadline: time.Now().Add(10 * time.Millisecond)}, func(ctx context.Context, p *Progress) (any, error) {
+		return "should not run", nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := waitTerminal(t, m, j.ID(), 5*time.Second)
+	if s.State != StateExpired || !errors.Is(s.Err, context.DeadlineExceeded) || !s.Started.IsZero() {
+		t.Fatalf("snapshot = %+v, want expired without starting", s)
+	}
+	if st := m.Stats(); st.Expired != 1 || st.Queued != 0 {
+		t.Fatalf("stats = %+v, want 1 expired and none queued", st)
+	}
+	if _, err := m.Submit(SubmitOptions{}, func(ctx context.Context, p *Progress) (any, error) { return nil, nil }); err != nil {
+		t.Fatalf("submit after the queued job expired: %v", err)
 	}
 }
 

@@ -461,7 +461,7 @@ func (s *Server) handleAppendRows(r *http.Request) (any, error) {
 
 	sn := &snapshotEntry{
 		version: sess.Version(), sess: sess,
-		frame:    dist.NewFrameDelta(head.frame, newDB, sess.Model(), appends),
+		frame:    dist.NewFrameDelta(head.frame, newDB),
 		rows:     newDB.TotalRows(),
 		appended: total,
 		created:  time.Now(),
