@@ -19,7 +19,8 @@ import (
 // connected by a foreign key merge (their ground variables are linked
 // through the FK join used by the USE view), and tuples of the relations
 // named in a cross-tuple edge merge when they agree on the edge's GroupBy
-// attribute.
+// attribute. With neither, nothing links and no union-find is made: each
+// tuple is its own block, numbered in dense-id order by the same scan.
 func RowBlocks(db *relation.Database, m *Model) (map[string][]int, int, error) {
 	b, err := Decompose(db, m)
 	if err != nil {
@@ -86,11 +87,14 @@ func Decompose(db *relation.Database, m *Model) (*Blocks, error) {
 		offset[n] = total
 		total += db.Relation(n).Len()
 	}
-	uf := NewUnionFind(total)
 	b := &Blocks{}
+	fks := db.ForeignKeys()
+	var uf *UnionFind
+	if len(fks) > 0 || (m != nil && len(m.Cross) > 0) {
+		uf = NewUnionFind(total)
+	}
 
 	// 1. Foreign-key links: child tuple ~ parent tuple.
-	fks := db.ForeignKeys()
 	lasts := make([][]int, len(fks))
 	for f, fk := range fks {
 		pc, cc := fkColumns(db, fk)
@@ -138,22 +142,20 @@ func Decompose(db *relation.Database, m *Model) (*Blocks, error) {
 	// hot path (the scan runs once per view build, over every tuple of the
 	// database).
 	blockOf := make([]int, total)
-	rootBlock := make([]int32, total)
-	for i := range rootBlock {
-		rootBlock[i] = -1
-	}
+	rootBlock := make([]int32, total) // by root: block id + 1; 0 while unnumbered
 	b.ByRel = make(map[string][]int, len(names))
 	for _, n := range names {
 		o, end := offset[n], offset[n]+db.Relation(n).Len()
 		for id := o; id < end; id++ {
-			root := uf.Find(id)
-			blk := rootBlock[root]
-			if blk < 0 {
-				blk = int32(b.N)
-				rootBlock[root] = blk
-				b.N++
+			root := id
+			if uf != nil {
+				root = uf.Find(id)
 			}
-			blockOf[id] = int(blk)
+			if rootBlock[root] == 0 {
+				b.N++
+				rootBlock[root] = int32(b.N)
+			}
+			blockOf[id] = int(rootBlock[root] - 1)
 		}
 		b.ByRel[n] = blockOf[o:end:end]
 		b.firstIn = append(b.firstIn, b.N)

@@ -1,6 +1,7 @@
 package causal
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -98,6 +99,75 @@ func TestDecomposeFKOnly(t *testing.T) {
 	if sizes[1] != 2 || sizes[2] != 1 || sizes[3] != 1 {
 		t.Errorf("block size histogram = %v", sizes)
 	}
+}
+
+// TestDecomposeLinkFree: with neither a foreign key nor a cross edge no
+// tuples link, and Decompose, which then makes no union-find, must number
+// them as the union-find did (unionFindBlocks): one relation, and several
+// with an empty one between them, under no model and under one whose edge
+// stays inside a tuple.
+func TestDecomposeLinkFree(t *testing.T) {
+	rel := func(name string, rows int) *relation.Relation {
+		r := relation.NewRelation(name, relation.MustSchema(
+			relation.Column{Name: "K", Kind: relation.KindInt, Key: true},
+			relation.Column{Name: "V", Kind: relation.KindInt},
+		))
+		for i := range rows {
+			r.MustInsert(relation.Int(int64(i)), relation.Int(int64(i%2)))
+		}
+		return r
+	}
+	one := relation.NewDatabase()
+	one.MustAdd(rel("A", 5))
+	several := relation.NewDatabase()
+	several.MustAdd(rel("A", 3))
+	several.MustAdd(rel("Empty", 0))
+	several.MustAdd(rel("B", 4))
+	inTuple := NewModel()
+	inTuple.AddEdge("A.K", "A.V")
+	for _, tc := range []struct {
+		name string
+		db   *relation.Database
+		m    *Model
+	}{{"one relation", one, nil}, {"several relations", several, nil}, {"in-tuple edge", several, inTuple}} {
+		got, err := Decompose(tc.db, tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byRel, n, firstIn := unionFindBlocks(tc.db)
+		if got.N != n || !slices.Equal(got.firstIn, firstIn) || len(got.claimed) != len(firstIn) ||
+			len(got.parentBlock) != 0 || len(got.groupBlock) != 0 || len(got.ByRel) != len(byRel) {
+			t.Fatalf("%s: %d blocks, firstIn %v, tables %v %v; union-find %d, %v", tc.name, got.N, got.firstIn, got.parentBlock, got.groupBlock, n, firstIn)
+		}
+		for name, ids := range byRel {
+			if !slices.Equal(got.ByRel[name], ids) {
+				t.Fatalf("%s: %s block ids %v, union-find %v", tc.name, name, got.ByRel[name], ids)
+			}
+		}
+	}
+}
+
+// unionFindBlocks numbers db's tuples as Decompose did before it skipped the
+// union-find over link-free databases: by smallest member of their
+// union-find sets, which are singletons when nothing links.
+func unionFindBlocks(db *relation.Database) (byRel map[string][]int, n int, firstIn []int) {
+	uf := NewUnionFind(db.TotalRows())
+	block := map[int]int{} // by root
+	byRel, id := map[string][]int{}, 0
+	for _, name := range db.Names() {
+		ids := make([]int, db.Relation(name).Len())
+		for i := range ids {
+			root := uf.Find(id)
+			if _, ok := block[root]; !ok {
+				block[root] = len(block)
+			}
+			ids[i] = block[root]
+			id++
+		}
+		byRel[name] = ids
+		firstIn = append(firstIn, len(block))
+	}
+	return byRel, len(block), firstIn
 }
 
 func TestDecomposeWithCrossEdges(t *testing.T) {

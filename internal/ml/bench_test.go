@@ -6,11 +6,16 @@ package ml
 // engine's hot path. BenchmarkForestFit is the other estimator's: a
 // continuous view's fit is mostly tree induction.
 
-import "testing"
+import (
+	"testing"
+
+	"hyper/internal/relation"
+	"hyper/internal/shard"
+)
 
 // benchFreqData builds a discrete feature matrix shaped like the German
-// conditioning set: dim features with small integer domains.
-func benchFreqData(rows, dim int) ([][]float64, []float64) {
+// conditioning set: dim features with domain values each, and 0/1 labels.
+func benchFreqData(rows, dim, domain int) ([][]float64, []float64) {
 	X := make([][]float64, rows)
 	y := make([]float64, rows)
 	flat := make([]float64, rows*dim)
@@ -19,21 +24,62 @@ func benchFreqData(rows, dim int) ([][]float64, []float64) {
 		X[r] = flat[r*dim : (r+1)*dim]
 		for c := 0; c < dim; c++ {
 			state = state*6364136223846793005 + 1442695040888963407
-			X[r][c] = float64((state >> 33) % 4)
+			X[r][c] = float64((state >> 33) % uint64(domain))
 		}
 		y[r] = float64((state >> 17) % 2)
 	}
 	return X, y
 }
 
+// BenchmarkFreqFit times the two halves of a cold freq model over 20,000
+// rows of six features, each column a relation column as in the engine:
+// index builds the support index, fit/integer fits 0/1 labels on it and
+// fit/float fractional ones. Four values per column make the exact level a
+// flat table (dense), five a map of packed keys (packed).
 func BenchmarkFreqFit(b *testing.B) {
-	X, y := benchFreqData(20000, 6)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := FitFreqKeep(X, y, 1)
-		if f.Support() == 0 {
-			b.Fatal("empty support")
+	for _, regime := range []struct {
+		name   string
+		domain int
+	}{{"dense", 4}, {"packed", 5}} {
+		X, integer := benchFreqData(20000, 6, regime.domain)
+		cols := make([][]float64, len(X[0]))
+		coded := make([]*relation.CodedColumn, len(cols))
+		for c := range cols {
+			vals := make([]relation.Value, len(X))
+			for r, x := range X {
+				vals[r] = relation.Int(int64(x[c]))
+			}
+			coded[c] = relation.ColumnOf(vals)
+			cols[c] = coded[c].Encoded()
+		}
+		fr := FrameOfColumns(cols, coded, 1)
+		fr.Intern()
+		rows := identityRows(len(X))
+		float := make([]float64, len(integer))
+		for i, v := range integer {
+			float[i] = v + 0.25*float64(i%3)
+		}
+		b.Run(regime.name+"/index", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if NewFreqIndex(fr, rows, 1).Len() == 0 {
+					b.Fatal("empty support")
+				}
+			}
+		})
+		ix := NewFreqIndex(fr, rows, 1)
+		for _, labels := range []struct {
+			name string
+			y    []float64
+		}{{"integer", integer}, {"float", float}} {
+			b.Run(regime.name+"/fit/"+labels.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if ix.Fit(labels.y, shard.Plan{}, 1).Support() == 0 {
+						b.Fatal("empty support")
+					}
+				}
+			})
 		}
 	}
 }
@@ -69,7 +115,7 @@ func BenchmarkForestFit(b *testing.B) {
 }
 
 func BenchmarkFreqPredict(b *testing.B) {
-	X, y := benchFreqData(20000, 6)
+	X, y := benchFreqData(20000, 6, 4)
 	f := FitFreqKeep(X, y, 1)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -147,6 +147,23 @@ func (c *columnCodes) at(r int) uint32 {
 	return c.own.at(r)
 }
 
+// addKeys adds scale times the code of row rows[i] of column c to keys[i],
+// through a table of each relation code's addend over a relation column.
+func (f *Frame) addKeys(c int, keys []uint64, rows []int, scale uint64) {
+	cc := &f.codes[c]
+	if cc.rel == nil {
+		for i, r := range rows {
+			keys[i] += uint64(cc.own.at(r)) * scale
+		}
+		return
+	}
+	table := make([]uint64, len(cc.remap))
+	for k, code := range cc.remap {
+		table[k] = uint64(code) * scale // wraps for a code no row holds, never read
+	}
+	cc.rel.AddCodes(keys, rows, table)
+}
+
 // codeColumn holds a small integer per row the way relation.CodedColumn holds
 // its codes: a byte per row while every value is below 256, four bytes once
 // one is not (exactly one of the two is set).

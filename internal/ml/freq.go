@@ -21,10 +21,11 @@ import (
 // interned to a small per-column code by the training frame, and each level
 // of the index — the exact combination, each single-feature wildcard, the
 // protected prefix — is a relation.TupleIndex giving the level's code tuples
-// dense ids, all filled in first-seen row order. The index keeps one exact id
-// per training row and, per level, the level id of each exact id, so a fit
-// hashes nothing: it adds each row's label to its exact cell and through
-// those tables to one cell per level.
+// dense ids, all in first-seen row order; the exact level reads each feature
+// column once, into the training rows' packed keys. The index
+// keeps one exact id per training row and, per level, the level cell of each
+// exact id, so a fit hashes nothing: through those tables it rolls the exact
+// cells up (integer labels) or adds each label to one cell per level.
 // Grouping is by exact float64 value (canonical bits): the engine only
 // selects this estimator for discrete features, where that matches the
 // historical 12-significant-digit string keys; forcing it onto continuous
@@ -138,43 +139,7 @@ func NewFreqIndex(fr *Frame, rows []int, keepFirst int) *FreqIndex {
 		x.levels = append(x.levels, newIndex(fr.card, keepFirst, -1, len(rows)))
 	}
 	x.levels = append(x.levels, newIndex(fr.card, 0, -1, len(rows)))
-
-	// The exact level, row by row; each new combination keeps its code tuple
-	// and every row counts towards its exact cell.
-	x.ids.narrow = make([]uint8, len(rows))
-	codes := make([]uint32, fr.dim)
-	var tuples []uint32
-	for i, r := range rows {
-		for c := range codes {
-			codes[c] = fr.codes[c].at(r)
-		}
-		id, fresh := x.levels[0].add(codes)
-		if fresh {
-			tuples = append(tuples, codes...)
-			x.n = append(x.n, 0)
-		}
-		x.ids.set(i, uint32(id))
-		x.n[id]++
-	}
-
-	// The other levels, over the exact combinations in id order — which is
-	// first-seen row order, so their ids are in first-seen row order too. Each
-	// level's cells follow the previous level's, so a new id is a new last cell.
-	nb, ne := len(x.levels)-1, x.levels[0].n
-	x.off = make([]int, len(x.levels))
-	x.up = make([]int32, ne*nb)
-	for l := 1; l <= nb; l++ {
-		x.off[l] = len(x.n)
-		for e := range ne {
-			id, fresh := x.levels[l].add(tuples[e*fr.dim : (e+1)*fr.dim])
-			if fresh {
-				x.n = append(x.n, 0)
-			}
-			c := x.off[l] + int(id)
-			x.up[e*nb+l-1] = int32(c)
-			x.n[c] += x.n[e]
-		}
-	}
+	x.grow(&FreqIndex{}, fr, rows)
 	return x
 }
 
@@ -190,57 +155,82 @@ func NewFreqIndex(fr *Frame, rows []int, keepFirst int) *FreqIndex {
 // (relation.TupleIndex.Fork).
 func (x *FreqIndex) Extend(fr *Frame, rows []int) (*FreqIndex, bool) {
 	fr.Intern()
-	old := x.ids.len()
-	if len(rows) < old || !slices.Equal(fr.card, x.card) {
+	if len(rows) < x.ids.len() || !slices.Equal(fr.card, x.card) {
 		return nil, false
 	}
 	y := &FreqIndex{dicts: fr.dicts, card: fr.card, keepFirst: x.keepFirst, levels: slices.Clone(x.levels)}
 	for l := range y.levels {
 		y.levels[l].ids = x.levels[l].ids.Fork()
 	}
+	y.grow(x, fr, rows)
+	return y, true
+}
 
-	// The exact level over the new rows, as NewFreqIndex does it.
+// grow makes x, whose levels hold prev's keys (forks of prev's, or empty
+// when prev is), the index of rows, which begin with prev's. The other levels
+// take the exact combinations the rows past prev's add in id order, which is
+// first-seen row order, and their counts are summed from the exact counts.
+func (x *FreqIndex) grow(prev *FreqIndex, fr *Frame, rows []int) {
 	nb, oldExact := len(x.levels)-1, x.levels[0].n
-	y.ids = x.ids.grow(len(rows))
-	y.n = append(make([]int32, 0, oldExact), x.n[:oldExact]...)
-	codes := make([]uint32, fr.dim)
-	var tuples []uint32 // the new combinations' code tuples
-	for i := old; i < len(rows); i++ {
-		for c := range codes {
-			codes[c] = fr.codes[c].at(rows[i])
-		}
-		id, fresh := y.levels[0].add(codes)
-		if fresh {
-			tuples = append(tuples, codes...)
-			y.n = append(y.n, 0)
-		}
-		y.ids.set(i, uint32(id))
-		y.n[id]++
-	}
+	x.ids = prev.ids.grow(len(rows))
+	x.n = append(make([]int32, 0, oldExact), prev.n[:oldExact]...)
+	tuples := x.indexExact(fr, rows, prev.ids.len())
 
-	// The other levels: x's exact ids keep their level ids, the new ones are
-	// looked up (and given new ids) in id order, and each level's counts are
-	// summed afresh from the exact counts.
-	ne := y.levels[0].n
-	y.off = make([]int, len(y.levels))
-	y.up = make([]int32, ne*nb)
+	ne := x.levels[0].n
+	x.off = make([]int, len(x.levels))
+	x.up = make([]int32, ne*nb)
+	ids := make([]int32, ne) // exact id -> level id
 	for l := 1; l <= nb; l++ {
-		ids := make([]int32, ne) // exact id -> level id
 		for e := range oldExact {
-			ids[e] = x.up[e*nb+l-1] - int32(x.off[l])
+			ids[e] = prev.up[e*nb+l-1] - int32(prev.off[l])
 		}
 		for e := oldExact; e < ne; e++ {
-			ids[e], _ = y.levels[l].add(tuples[(e-oldExact)*fr.dim : (e-oldExact+1)*fr.dim])
+			ids[e], _ = x.levels[l].add(tuples[(e-oldExact)*fr.dim : (e-oldExact+1)*fr.dim])
 		}
-		y.off[l] = len(y.n)
-		y.n = append(y.n, make([]int32, y.levels[l].n)...)
+		x.off[l] = len(x.n)
+		x.n = append(x.n, make([]int32, x.levels[l].n)...)
 		for e, id := range ids {
-			c := y.off[l] + int(id)
-			y.up[e*nb+l-1] = int32(c)
-			y.n[c] += y.n[e]
+			c := x.off[l] + int(id)
+			x.up[e*nb+l-1] = int32(c)
+			x.n[c] += x.n[e]
 		}
 	}
-	return y, true
+}
+
+// indexExact gives the frame rows rows[from:] their exact ids, counts them
+// in their exact cells and returns the code tuples of the combinations they
+// add, in id order. Each feature column is read once over the rows into
+// their radix-packed keys, then one pass in row order gives the keys ids, so
+// ids stay in first-seen row order; past 64 bits a row keys its code bytes.
+func (x *FreqIndex) indexExact(fr *Frame, rows []int, from int) []uint32 {
+	exact, sel := &x.levels[0], rows[from:]
+	keys, stride := make([]uint64, len(sel)), exact.ids.Strides()
+	for c := range stride {
+		fr.addKeys(c, keys, sel, stride[c])
+	}
+	codes := make([]uint32, fr.dim)
+	var tuples []uint32
+	for i, r := range sel {
+		var id int32
+		if stride != nil {
+			id, _ = exact.ids.KeyID(keys[i], true)
+		} else {
+			for c := range codes {
+				codes[c] = fr.codes[c].at(r)
+			}
+			id, _ = exact.ids.ID(codes, true)
+		}
+		if int(id) == exact.n { // ids come in first-seen order: a new one is the next
+			exact.n++
+			x.n = append(x.n, 0)
+			for c := range fr.dim {
+				tuples = append(tuples, fr.codes[c].at(r))
+			}
+		}
+		x.ids.set(from+i, uint32(id))
+		x.n[id]++
+	}
+	return tuples
 }
 
 // Has reports whether the exact combination v occurs in the indexed rows.
@@ -254,17 +244,28 @@ func (x *FreqIndex) Has(v []float64) bool {
 func (x *FreqIndex) Len() int { return x.levels[0].n }
 
 // Fit returns the estimator of the labels y, parallel to the indexed rows.
-// Each shard of plan adds its rows' labels in row order, the shards run
-// across at most workers goroutines, and their partial sums fold in shard
-// order: the addends and their order are those of fitting each shard apart
-// and merging the parts in plan order, so the model is a pure function of
-// (index, y, plan), independent of the worker count. A plan of fewer than
-// two shards is one pass over all rows.
+// Labels that sum exactly in any order (exactSums) go to their exact cells,
+// which then roll up into the other levels. Other labels sum per row and
+// level: each shard of plan adds its rows' labels in row order across at most
+// workers goroutines, and the partial sums fold in shard order, as fitting
+// the shards apart and merging them in plan order did. Either way the model
+// is a pure function of (index, y, plan), independent of the worker count.
 func (x *FreqIndex) Fit(y []float64, plan shard.Plan, workers int) *FreqEstimator {
 	f := &FreqEstimator{ix: x, sums: make([]float64, len(x.n)), bound: integerBound(y, 0)}
+	if exactSums(f.bound, len(y)) {
+		x.addExact(f.sums, y, 0)
+	} else {
+		x.fitRows(f.sums, y, plan, workers)
+	}
+	return f
+}
+
+// fitRows adds the labels y to sums, all zero, per row and level, by shard.
+func (x *FreqIndex) fitRows(sums, y []float64, plan shard.Plan, workers int) {
+	nb := len(x.levels) - 1
 	if plan.Shards() <= 1 {
-		x.add(f.sums, y, 0)
-		return f
+		x.add(sums, y, 0, nb)
+		return
 	}
 	parts := make([][]float64, plan.Shards())
 	// The background context is deliberate: fitting is not cancellable
@@ -272,42 +273,54 @@ func (x *FreqIndex) Fit(y []float64, plan shard.Plan, workers int) *FreqEstimato
 	// callers observe their contexts between estimator fits.
 	_ = shard.Run(context.Background(), plan, workers, func(_, s, lo, hi int) error {
 		if s == 0 {
-			parts[s] = f.sums // 0 + shard 0's sum is its sum: add in place
+			parts[s] = sums // 0 + shard 0's sum is its sum: add in place
 		} else if lo < hi {
 			parts[s] = make([]float64, len(x.n))
 		}
-		x.add(parts[s], y[lo:hi], lo)
+		x.add(parts[s], y[lo:hi], lo, nb)
 		return nil
 	})
 	// A running sum from +0 is never -0, so adding a shard's zero to a cell
 	// it never touched leaves the cell's bits alone.
 	for _, part := range parts[1:] {
 		for c, v := range part {
-			f.sums[c] += v
+			sums[c] += v
 		}
 	}
-	return f
 }
 
-// add adds the labels y of the indexed rows from lo on to their cells in
-// sums, in row order.
-func (x *FreqIndex) add(sums, y []float64, lo int) {
+// add adds the labels y of the indexed rows from lo on to their exact cells
+// in sums, in row order, and to their cells in the first nb other levels.
+func (x *FreqIndex) add(sums, y []float64, lo, nb int) {
 	hi := lo + len(y)
 	if x.ids.wide != nil {
-		addRows(sums, y, x.ids.wide[lo:hi], x.up, len(x.levels)-1)
+		addRows(sums, y, x.ids.wide[lo:hi], x.up, len(x.levels)-1, nb)
 	} else {
-		addRows(sums, y, x.ids.narrow[lo:hi], x.up, len(x.levels)-1)
+		addRows(sums, y, x.ids.narrow[lo:hi], x.up, len(x.levels)-1, nb)
 	}
 }
 
 // addRows adds y[i] to the exact cell ids[i] — the first cells are the exact
-// level's, in id order — and to its cell in each of the nb other levels.
-func addRows[I uint8 | uint32](sums, y []float64, ids []I, up []int32, nb int) {
+// level's, in id order — and to its cell in the first nb of stride levels.
+func addRows[I uint8 | uint32](sums, y []float64, ids []I, up []int32, stride, nb int) {
 	for i, e := range ids {
 		yy := y[i]
 		sums[e] += yy
-		for _, c := range up[int(e)*nb : (int(e)+1)*nb] {
+		for _, c := range up[int(e)*stride : int(e)*stride+nb] {
 			sums[c] += yy
+		}
+	}
+}
+
+// addExact adds the labels y of the indexed rows from lo on to their exact
+// cells in sums, then each exact cell to its cell in every other level, which
+// must hold zero.
+func (x *FreqIndex) addExact(sums, y []float64, lo int) {
+	nb := len(x.levels) - 1
+	x.add(sums, y, lo, 0)
+	for e := range x.levels[0].n {
+		for _, c := range x.up[e*nb : (e+1)*nb] {
+			sums[c] += sums[e]
 		}
 	}
 }
@@ -327,6 +340,12 @@ func integerBound(y []float64, m float64) float64 {
 	return m
 }
 
+// exactSums reports whether labels of integerBound bound sum exactly over
+// rows rows in any order: every partial sum is an integer below 2^53.
+func exactSums(bound float64, rows int) bool {
+	return bound >= 0 && bound*float64(rows) < 1<<53
+}
+
 // Extend returns the estimator fitted on ix, an index extending f's
 // (FreqIndex.Extend), for f's labels followed by y, the labels of the rows ix
 // adds — and false unless every label is an integer and the largest |label|
@@ -340,20 +359,18 @@ func (f *FreqEstimator) Extend(ix *FreqIndex, y []float64) (*FreqEstimator, bool
 		return nil, false
 	}
 	bound := integerBound(y, f.bound)
-	if bound < 0 || bound*float64(ix.ids.len()) >= 1<<53 {
+	if !exactSums(bound, ix.ids.len()) {
 		return nil, false
 	}
 	return f.extend(ix, y, bound), true
 }
 
-// extend is Extend without its guard: f's cells moved to ix's layout, plus
-// the labels y of the rows past f's.
+// extend is Extend without its guard: f's exact cells, which are ix's first,
+// plus the labels y of the rows past f's, rolled up into ix's other levels.
 func (f *FreqEstimator) extend(ix *FreqIndex, y []float64, bound float64) *FreqEstimator {
 	g := &FreqEstimator{ix: ix, sums: make([]float64, len(ix.n)), bound: bound}
-	for l := range f.ix.levels {
-		copy(g.sums[ix.off[l]:], f.sums[f.ix.off[l]:f.ix.off[l]+f.ix.levels[l].n])
-	}
-	ix.add(g.sums, y, f.ix.ids.len())
+	copy(g.sums, f.sums[:f.ix.Len()])
+	ix.addExact(g.sums, y, f.ix.ids.len())
 	return g
 }
 

@@ -6,8 +6,9 @@ package ml
 // FuzzFreqParity holds every regime to the string-keyed reference: several
 // label vectors fitted on one index, whole and per shard, to the reference
 // fitted whole and merged in shard order, and the index's membership to the
-// reference's exact keys. TestFreqIndexConcurrentReaders holds the read-only
-// lookups to their serial answers under concurrency, and
+// reference's exact keys; its 0/1 and integer labels take Fit's per-cell
+// path, its fractional labels the per-row one. TestFreqIndexConcurrentReaders
+// holds the read-only lookups to their serial answers under concurrency, and
 // TestFreqIndexConcurrentFits fits on one index while others read it.
 
 import (
@@ -144,7 +145,14 @@ func FuzzFreqParity(f *testing.F) {
 				t.Fatalf("Has(%v) = %v, reference support %d", x, ix.Has(x), ref.supportOf(x))
 			}
 		}
-		for _, y := range [][]float64{binary, float} {
+		integer := make([]float64, n) // labels up to 7 of either sign, -0 among them
+		for i := range integer {
+			integer[i] = float64(rng.Intn(15) - 7)
+			if integer[i] == 0 && i%2 == 0 {
+				integer[i] = math.Copysign(0, -1)
+			}
+		}
+		for _, y := range [][]float64{binary, float, integer} {
 			comparePredictions(t, ix.Fit(y, shard.Plan{}, 1), refFitFreq(X, y, keepFirst), probes, name)
 			for k := 1; k <= 3; k++ {
 				plan := shard.Fixed(n, k)

@@ -1,9 +1,11 @@
 package ml
 
 import (
+	"math"
 	"testing"
 
 	"hyper/internal/shard"
+	"hyper/internal/stats"
 )
 
 // shardTestData builds a discrete 3-feature training set with integer
@@ -112,6 +114,103 @@ func TestShardMergeableCapability(t *testing.T) {
 	for _, kind := range []string{"forest", "linear", "boosted", ""} {
 		if ShardMergeable(kind) {
 			t.Errorf("%q must not be shard-mergeable", kind)
+		}
+	}
+}
+
+// TestFreqIndexIntegerFitMatchesRowFit: labels that sum exactly in any order
+// (exactSums) fit per exact cell and roll up, and must give the cells of the
+// per-row, per-shard fit to the bit — so the reference fitted per shard and
+// merged in shard order predicts alike — at shard plans of 1 to 3 shards
+// and 1 or 2 workers. The cases pin -0 labels (a cell must read +0, as a
+// running sum from +0 does), all-zero labels, labels up to 7 of either sign,
+// and the guard's edge: bound × rows = 2^53 − 1 takes the cell path, 2^53
+// and fractional labels the row path, where the cell path would change the
+// fractional cells' bits.
+func TestFreqIndexIntegerFitMatchesRowFit(t *testing.T) {
+	const bound53 = 1416003655831 // 6361 × 1416003655831 = 2^53 − 1
+	for _, tc := range []struct {
+		name  string
+		n     int
+		label func(i int) float64
+		cells bool // the labels take the cell path
+	}{
+		{"negative-zero", 600, func(i int) float64 {
+			if i%3 == 0 {
+				return math.Copysign(0, -1)
+			}
+			return float64(i % 2)
+		}, true},
+		{"all-zero", 600, func(int) float64 { return 0 }, true},
+		{"up-to-7", 600, func(i int) float64 { return float64((i*i+3)%15 - 7) }, true},
+		{"bound-times-rows-2^53-1", 6361, func(i int) float64 {
+			return float64(1-2*(i%2)) * float64(bound53-i%1000)
+		}, true},
+		{"bound-times-rows-2^53", 4096, func(i int) float64 {
+			return float64(1-2*(i%2)) * float64(1<<41-i%1000)
+		}, false},
+		{"fractional", 600, func(i int) float64 { return float64(i%7) / 10 }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			X, _ := shardTestData(tc.n)
+			y := make([]float64, tc.n)
+			for i := range y {
+				y[i] = tc.label(i)
+			}
+			if got := exactSums(integerBound(y, 0), tc.n); got != tc.cells {
+				t.Fatalf("exactSums = %v, want %v", got, tc.cells)
+			}
+			ix := NewFreqIndex(FrameFromRows(X), identityRows(tc.n), 1)
+			probes := probesFor(stats.NewRNG(5), X, 3)
+			cellsDiffer := false
+			for k := 1; k <= 3; k++ {
+				plan := shard.Fixed(tc.n, k)
+				rowFit := make([]float64, len(ix.n))
+				ix.fitRows(rowFit, y, plan, 1)
+				cellFit := make([]float64, len(ix.n))
+				ix.addExact(cellFit, y, 0)
+				cellsDiffer = cellsDiffer || !sameBits(cellFit, rowFit)
+				for workers := 1; workers <= 2; workers++ {
+					f := ix.Fit(y, plan, workers)
+					if !sameBits(f.sums, rowFit) {
+						t.Fatalf("plan %d workers %d: cells differ from the per-row fit", k, workers)
+					}
+					comparePredictions(t, f, refFitSharded(X, y, 1, plan), probes, tc.name)
+				}
+			}
+			if tc.name == "fractional" && !cellsDiffer {
+				t.Fatal("the fractional labels sum alike per cell and per row: they cannot show the row path is kept")
+			}
+		})
+	}
+}
+
+// TestIntegerBound pins the guard of the per-cell fit: the largest |label|
+// when every label is an integer below 2^53, and -1 for a fraction, NaN,
+// ±Inf or an integer at or past 2^53, wherever it sits among the labels.
+func TestIntegerBound(t *testing.T) {
+	for _, tc := range []struct {
+		y    []float64
+		m    float64
+		want float64
+	}{
+		{nil, 0, 0},
+		{[]float64{1, -3, 2}, 0, 3},
+		{[]float64{1, -3, 2}, 5, 5},
+		{[]float64{math.Copysign(0, -1), 0}, 0, 0},
+		{[]float64{1<<53 - 1, 2}, 0, 1<<53 - 1},
+		{[]float64{2, -(1<<53 - 1)}, 0, 1<<53 - 1},
+		{[]float64{1, 1 << 53}, 0, -1},
+		{[]float64{1e300, 1}, 0, -1},
+		{[]float64{1, 0.5}, 0, -1},
+		{[]float64{-2.5, 1}, 0, -1},
+		{[]float64{1, 1<<51 + 0.5}, 0, -1},
+		{[]float64{math.NaN(), 1}, 0, -1},
+		{[]float64{1, math.Inf(1)}, 0, -1},
+		{[]float64{math.Inf(-1)}, 0, -1},
+	} {
+		if got := integerBound(tc.y, tc.m); got != tc.want {
+			t.Errorf("integerBound(%v, %v) = %v, want %v", tc.y, tc.m, got, tc.want)
 		}
 	}
 }

@@ -264,6 +264,20 @@ func (c *CodedColumn) At(i int) uint32 {
 	return uint32(c.narrow[i])
 }
 
+// AddCodes adds table[c] to dst[i] for each i, where c is the code of row
+// rows[i].
+func (c *CodedColumn) AddCodes(dst []uint64, rows []int, table []uint64) {
+	if c.wide != nil {
+		for i, r := range rows {
+			dst[i] += table[c.wide[r]]
+		}
+		return
+	}
+	for i, r := range rows {
+		dst[i] += table[c.narrow[r]]
+	}
+}
+
 // value returns row i's value exactly as it was inserted.
 func (c *CodedColumn) value(i int) Value {
 	if !c.Exact {

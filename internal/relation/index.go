@@ -101,36 +101,44 @@ func NewTupleIndex(alphabet []int, rows int) *TupleIndex {
 // number of distinct tuples so far) when add is set, and ok false otherwise;
 // only an ID that adds writes the index.
 func (x *TupleIndex) ID(digits []uint32, add bool) (id int32, ok bool) {
-	var code uint32
 	if x.stride != nil {
 		key := uint64(0)
 		for d, v := range digits {
 			key += uint64(v) * x.stride[d]
 		}
-		if x.dense != nil {
-			slot := &x.dense[key]
-			if *slot == 0 && add {
-				x.n++
-				*slot = x.n
-			}
-			return max(*slot-1, 0), *slot != 0
-		}
-		if code, ok = x.packed.get(key); !ok && add {
-			code = uint32(x.n)
-			x.packed.put(key, code)
-		}
-	} else {
-		var buf [64]byte
-		b := buf[:0]
-		for _, v := range digits {
-			b = binary.LittleEndian.AppendUint32(b, v)
-		}
-		if code, ok = x.wide.get(string(b)); !ok && add {
-			code = uint32(x.n)
-			x.wide.put(string(b), code)
-		}
+		return x.KeyID(key, add)
 	}
+	var buf [64]byte
+	b := buf[:0]
+	for _, v := range digits {
+		b = binary.LittleEndian.AppendUint32(b, v)
+	}
+	code, ok := x.wide.get(string(b))
 	if !ok && add {
+		code = uint32(x.n)
+		x.wide.put(string(b), code)
+		x.n++
+	}
+	return int32(code), ok || add
+}
+
+// Strides returns the digits' weights in a packed key (nil: keyed by bytes).
+func (x *TupleIndex) Strides() []uint64 { return x.stride }
+
+// KeyID is ID of the tuple whose packed key (digits times Strides) is key.
+func (x *TupleIndex) KeyID(key uint64, add bool) (id int32, ok bool) {
+	if x.dense != nil {
+		slot := &x.dense[key]
+		if *slot == 0 && add {
+			x.n++
+			*slot = x.n
+		}
+		return max(*slot-1, 0), *slot != 0
+	}
+	code, ok := x.packed.get(key)
+	if !ok && add {
+		code = uint32(x.n)
+		x.packed.put(key, code)
 		x.n++
 	}
 	return int32(code), ok || add
