@@ -14,14 +14,13 @@ import (
 // blocks are numbered by their smallest (relation, row) member, relations
 // in db.Names() order.
 //
-// This is the linear-time procedure of the paper: a single union-find pass
-// assigns each tuple to a component; no per-query work is needed. Tuples
-// connected by a foreign key merge (their ground variables are linked
+// This is the linear-time procedure of the paper, one pass (Decompose):
+// tuples connected by a foreign key merge (their ground variables are linked
 // through the FK join used by the USE view), and tuples of the relations
 // named in a cross-tuple edge merge when they agree on the edge's GroupBy
 // attribute. With neither, nothing links and no union-find is made: each
-// tuple is its own block, numbered in dense-id order by the same scan.
-func RowBlocks(db *relation.Database, m *Model) (map[string][]int, int, error) {
+// tuple is its own block, numbered in scan order.
+func RowBlocks(db *relation.Database, m *Model) (map[string][]int32, int, error) {
 	b, err := Decompose(db, m)
 	if err != nil {
 		return nil, 0, err
@@ -33,8 +32,8 @@ func RowBlocks(db *relation.Database, m *Model) (map[string][]int, int, error) {
 // what Extend reads to decompose a later version from it: all of it numbers,
 // none of it a reference to the version's relations.
 type Blocks struct {
-	ByRel map[string][]int // per relation, each tuple's block id
-	N     int              // the block count
+	ByRel map[string][]int32 // per relation, each tuple's block id
+	N     int                // the block count
 
 	// firstIn[k] counts the blocks whose smallest member is a tuple of the
 	// first k+1 relations: blocks are numbered by smallest member, so those
@@ -51,6 +50,13 @@ type Blocks struct {
 	// claimed[k] is set by the first Extend, which fills the room past
 	// ByRel's k-th relation's ids in place.
 	claimed []atomic.Bool
+}
+
+func crossEdges(m *Model) []CrossEdge {
+	if m == nil {
+		return nil
+	}
+	return m.Cross
 }
 
 // crossGroup resolves a cross edge's GroupBy attribute to its relation and
@@ -77,287 +83,207 @@ func fkColumns(db *relation.Database, fk relation.ForeignKey) (pc, cc *relation.
 	return parent.Coded(parent.Schema().MustIndex(fk.ParentCol)), child.Coded(child.Schema().MustIndex(fk.ChildCol))
 }
 
-// Decompose is RowBlocks with the state Extend needs.
+// Decompose is RowBlocks with the state Extend needs: Extend from the
+// decomposition of db's relations with no rows, the one builder of both.
 func Decompose(db *relation.Database, m *Model) (*Blocks, error) {
-	// Assign a dense id to every tuple across relations.
-	offset := make(map[string]int)
-	total := 0
-	names := db.Names()
-	for _, n := range names {
-		offset[n] = total
-		total += db.Relation(n).Len()
+	names, fks := db.Names(), db.ForeignKeys()
+	empty := &Blocks{
+		firstIn:     make([]int, len(names)),
+		parentBlock: make([][]int32, len(fks)),
+		childCodes:  make([]int, len(fks)),
+		groupBlock:  make([][]int32, len(crossEdges(m))),
+		claimed:     make([]atomic.Bool, len(names)),
 	}
-	b := &Blocks{}
-	fks := db.ForeignKeys()
-	var uf *UnionFind
-	if len(fks) > 0 || (m != nil && len(m.Cross) > 0) {
-		uf = NewUnionFind(total)
-	}
-
-	// 1. Foreign-key links: child tuple ~ parent tuple.
-	lasts := make([][]int, len(fks))
-	for f, fk := range fks {
-		pc, cc := fkColumns(db, fk)
-		// The parent row of each key (the last holding it), and each child
-		// code's parent code.
-		last := make([]int, len(pc.Values))
-		for i := range db.Relation(fk.Parent).Len() {
-			last[pc.At(i)] = i
-		}
-		lasts[f] = last
-		toParent := cc.Recode(pc)
-		for i := range db.Relation(fk.Child).Len() {
-			if p := toParent[cc.At(i)]; p >= 0 {
-				uf.Union(offset[fk.Child]+i, offset[fk.Parent]+last[p])
-			}
-		}
-		b.childCodes = append(b.childCodes, len(cc.Values))
-	}
-
-	// 2. Cross-tuple causal edges: all tuples sharing a GroupBy value merge.
-	var firsts [][]int
-	if m != nil {
-		for _, ce := range m.Cross {
-			gRel, col, err := crossGroup(db, ce)
-			if err != nil {
-				return nil, err
-			}
-			first := make([]int, len(col.Values)) // first row + 1 per code
-			for i := range db.Relation(gRel).Len() {
-				if f := first[col.At(i)]; f > 0 {
-					uf.Union(offset[gRel]+f-1, offset[gRel]+i)
-				} else {
-					first[col.At(i)] = i + 1
-				}
-			}
-			for g := range first {
-				first[g] += offset[gRel] - 1
-			}
-			firsts = append(firsts, first)
-		}
-	}
-
-	// Scanning dense ids in order assigns block ids by smallest member.
-	// Roots are dense tuple ids, so a flat slice replaces the map on this
-	// hot path (the scan runs once per view build, over every tuple of the
-	// database).
-	blockOf := make([]int, total)
-	rootBlock := make([]int32, total) // by root: block id + 1; 0 while unnumbered
-	b.ByRel = make(map[string][]int, len(names))
-	for _, n := range names {
-		o, end := offset[n], offset[n]+db.Relation(n).Len()
-		for id := o; id < end; id++ {
-			root := id
-			if uf != nil {
-				root = uf.Find(id)
-			}
-			if rootBlock[root] == 0 {
-				b.N++
-				rootBlock[root] = int32(b.N)
-			}
-			blockOf[id] = int(rootBlock[root] - 1)
-		}
-		b.ByRel[n] = blockOf[o:end:end]
-		b.firstIn = append(b.firstIn, b.N)
-	}
-	b.claimed = make([]atomic.Bool, len(names))
-	for f, fk := range fks {
-		pb := make([]int32, len(lasts[f]))
-		for p, row := range lasts[f] {
-			pb[p] = int32(blockOf[offset[fk.Parent]+row])
-		}
-		b.parentBlock = append(b.parentBlock, pb)
-	}
-	for _, first := range firsts {
-		gb := make([]int32, len(first))
-		for g, id := range first {
-			gb[g] = int32(blockOf[id])
-		}
-		b.groupBlock = append(b.groupBlock, gb)
-	}
-	return b, nil
+	b, _, err := empty.Extend(db, m, relation.Ancestor{Rows: make([]int, len(names))})
+	return b, err
 }
 
 // Extend returns the decomposition of db, a version extending the one b
 // decomposes (that one's row counts are from.Rows), and false when the rows
 // past from cannot be decomposed on top of b: b's block ids and count must
-// stay what Decompose gives db. It reads only the appended rows and the codes
-// they add, joining them to b's blocks through its tables, and refuses — the
-// caller then decomposes db whole — when
-//   - an appended row joins two of b's blocks;
-//   - an appended row joins a block whose smallest member lies in a later
+// stay what Decompose gives db. It reads only the rows past from and the
+// codes they add, joining them to b's blocks through its tables, and refuses
+// — the caller then decomposes db whole — when
+//   - a row past from joins two of b's blocks;
+//   - a row past from joins a block whose smallest member lies in a later
 //     relation, or starts a block while some block's smallest member does
 //     (either would renumber blocks);
-//   - an appended parent row holds a key that an earlier parent row or an
+//   - a parent row past from holds a key that an earlier parent row or an
 //     earlier child row holds (which parent row earlier children join moves).
-func (b *Blocks) Extend(db *relation.Database, m *Model, from relation.Ancestor) (*Blocks, bool) {
-	names := db.Names()
-	fks := db.ForeignKeys()
-	var cross []CrossEdge
-	if m != nil {
-		cross = m.Cross
-	}
+//
+// The error is a cross edge's GroupBy attribute missing from db.
+func (b *Blocks) Extend(db *relation.Database, m *Model, from relation.Ancestor) (*Blocks, bool, error) {
+	names, fks, cross := db.Names(), db.ForeignKeys(), crossEdges(m)
 	if len(from.Rows) != len(names) || len(b.firstIn) != len(names) ||
 		len(b.parentBlock) != len(fks) || len(b.groupBlock) != len(cross) {
-		return nil, false
+		return nil, false, nil
 	}
-	// The appended rows are nodes base[k] + (row - from.Rows[k]).
+	// The rows past from are nodes base[k] + (row - from.Rows[k]).
 	rel := make(map[string]int, len(names))
 	base := make([]int, len(names)+1)
 	for k, n := range names {
 		rel[n] = k
 		d := db.Relation(n).Len() - from.Rows[k]
 		if d < 0 {
-			return nil, false
+			return nil, false, nil
 		}
 		base[k+1] = base[k] + d
 	}
 	node := func(k, row int) int { return base[k] + row - from.Rows[k] }
-	d := newDelta(base[len(names)])
+	// Without a foreign key or a cross edge nothing links tuples: no
+	// union-find, and every row past from starts a block of its own.
+	var d *delta
+	if len(fks) > 0 || len(cross) > 0 {
+		d = &delta{uf: NewUnionFind(base[len(names)]), anchor: make([]int32, base[len(names)])}
+	}
 
-	out := &Blocks{ByRel: make(map[string][]int, len(names)), N: b.N, claimed: make([]atomic.Bool, len(names))}
+	out := &Blocks{ByRel: make(map[string][]int32, len(names)), claimed: make([]atomic.Bool, len(names))}
 	for f, fk := range fks {
 		pc, cc := fkColumns(db, fk)
 		kp, kc := rel[fk.Parent], rel[fk.Child]
 		old := b.parentBlock[f]
-		// The last appended parent row of each key that is new.
-		last := make([]int, len(pc.Values)-len(old))
+		// b's table, then each new key's last parent row until numbered.
+		pb := make([]int32, len(pc.Values))
+		copy(pb, old)
 		for i, end := from.Rows[kp], db.Relation(fk.Parent).Len(); i < end; i++ {
 			p := pc.At(i)
 			if int(p) < len(old) {
-				return nil, false
+				return nil, false, nil
 			}
-			if c, ok := cc.Code(pc.Values[p]); ok && int(c) < b.childCodes[f] {
-				return nil, false
-			}
-			last[int(p)-len(old)] = i
+			pb[p] = int32(i)
 		}
-		toParent := make(map[uint32]int32)
-		for i, end := from.Rows[kc], db.Relation(fk.Child).Len(); i < end; i++ {
-			code := cc.At(i)
-			p, seen := toParent[code]
-			if !seen {
-				p = -1
-				if pcode, ok := pc.Code(cc.Values[code]); ok {
-					p = int32(pcode)
-				}
-				toParent[code] = p
+		toParent := cc.Recode(pc)
+		for _, p := range toParent[:b.childCodes[f]] {
+			if int(p) >= len(old) { // an earlier child's key, now a new parent row's
+				return nil, false, nil
 			}
-			switch {
+		}
+		for i, end := from.Rows[kc], db.Relation(fk.Child).Len(); i < end; i++ {
+			switch p := toParent[cc.At(i)]; {
 			case p < 0:
 			case int(p) < len(old):
 				d.attach(node(kc, i), old[p])
 			default:
-				d.union(node(kc, i), node(kp, last[int(p)-len(old)]))
+				d.union(node(kc, i), node(kp, int(pb[p])))
 			}
-		}
-		pb := append(make([]int32, 0, len(pc.Values)), old...)
-		for _, row := range last {
-			pb = append(pb, int32(node(kp, row))) // a node until numbered below
 		}
 		out.parentBlock = append(out.parentBlock, pb)
 		out.childCodes = append(out.childCodes, len(cc.Values))
 	}
+	groupRel := make([]int, len(cross))
 	for e, ce := range cross {
 		gRel, col, err := crossGroup(db, ce)
 		if err != nil {
-			return nil, false
+			return nil, false, err
 		}
 		k, old := rel[gRel], b.groupBlock[e]
-		first := make([]int, len(col.Values)-len(old)) // first appended row + 1 per new code
+		// b's table, then each new code's first row past from + 1 until
+		// numbered.
+		gb := make([]int32, len(col.Values))
+		copy(gb, old)
 		for i, end := from.Rows[k], db.Relation(gRel).Len(); i < end; i++ {
-			g := int(col.At(i))
-			switch {
-			case g < len(old):
+			switch g := col.At(i); {
+			case int(g) < len(old):
 				d.attach(node(k, i), old[g])
-			case first[g-len(old)] > 0:
-				d.union(node(k, i), node(k, first[g-len(old)]-1))
+			case gb[g] > 0:
+				d.union(node(k, i), node(k, int(gb[g])-1))
 			default:
-				first[g-len(old)] = i + 1
+				gb[g] = int32(i) + 1
 			}
 		}
-		gb := append(make([]int32, 0, len(col.Values)), old...)
-		for _, row := range first {
-			gb = append(gb, int32(node(k, row-1)))
-		}
+		groupRel[e] = k
 		out.groupBlock = append(out.groupBlock, gb)
 	}
-	if d.failed {
-		return nil, false
+	if d != nil && d.failed {
+		return nil, false, nil
 	}
 
-	// Number the appended rows in scan order: a row joined to one of b's
-	// blocks takes its id, the first row of a new block the next id.
-	blockOf := make([]int32, base[len(names)])
-	newBlock := make([]int32, len(blockOf)) // by root: id + 1 of its new block
+	// Number the rows past from in scan order, so by smallest member.
+	next := int32(b.N)
 	for k, n := range names {
 		// The first decomposition extending b takes the room past each
 		// relation's ids and writes there, where no reader of b reads.
 		ids := relation.Lengthen(b.ByRel[n], db.Relation(n).Len(), b.claimed[k].CompareAndSwap(false, true))
-		for i, end := from.Rows[k], len(ids); i < end; i++ {
-			x := node(k, i)
-			root := d.uf.Find(x)
-			switch blk := d.anchor[root]; {
-			case blk >= 0:
-				if int(blk) >= b.firstIn[k] {
-					return nil, false
-				}
-				blockOf[x] = blk
-			case newBlock[root] > 0:
-				blockOf[x] = newBlock[root] - 1
-			default:
-				if b.firstIn[k] != b.N {
-					return nil, false
-				}
-				blockOf[x] = int32(out.N)
-				newBlock[root] = blockOf[x] + 1
-				out.N++
-			}
-			ids[i] = int(blockOf[x])
+		var ok bool
+		if next, ok = d.number(ids[from.Rows[k]:], base[k], int32(b.N), int32(b.firstIn[k]), next); !ok {
+			return nil, false, nil
 		}
 		out.ByRel[n] = ids
-		out.firstIn = append(out.firstIn, b.firstIn[k]+out.N-b.N)
+		out.firstIn = append(out.firstIn, b.firstIn[k]+int(next)-b.N)
 	}
+	out.N = int(next)
 	for f, pb := range out.parentBlock {
+		ids := out.ByRel[fks[f].Parent]
 		for p := len(b.parentBlock[f]); p < len(pb); p++ {
-			pb[p] = blockOf[pb[p]]
+			pb[p] = ids[pb[p]]
 		}
 	}
 	for e, gb := range out.groupBlock {
+		ids := out.ByRel[names[groupRel[e]]]
 		for g := len(b.groupBlock[e]); g < len(gb); g++ {
-			gb[g] = blockOf[gb[g]]
+			gb[g] = ids[gb[g]-1]
 		}
 	}
-	return out, true
+	return out, true, nil
 }
 
-// delta joins the appended rows of Extend: a union-find over them in which
-// each component remembers the earlier block it joined (anchor, by root; -1:
-// none), and failed records a join of two earlier blocks.
+// delta joins the rows past Extend's ancestor: a union-find over them in
+// which each component remembers the block it joined (anchor, by root: block
+// id + 1; 0: none), and failed records a join of two of the ancestor's
+// blocks.
 type delta struct {
 	uf     *UnionFind
 	anchor []int32
 	failed bool
 }
 
-func newDelta(n int) *delta {
-	d := &delta{uf: NewUnionFind(n), anchor: make([]int32, n)}
-	for i := range d.anchor {
-		d.anchor[i] = -1
-	}
-	return d
-}
-
 // attach joins node x's component to the earlier block blk.
 func (d *delta) attach(x int, blk int32) {
 	r := d.uf.Find(x)
 	switch d.anchor[r] {
-	case -1:
-		d.anchor[r] = blk
-	case blk:
+	case 0:
+		d.anchor[r] = blk + 1
+	case blk + 1:
 	default:
 		d.failed = true
 	}
+}
+
+// number gives ids, the rows of one relation that are nodes from, from+1,
+// ..., their block ids in scan order, and returns the next new block's id,
+// next after the blocks it opened, or false when that would renumber one of
+// the ancestor's blocks (old of them, the first firstIn of which have their
+// smallest member in this relation or an earlier one). A row joined to one of
+// the ancestor's blocks takes its id, the first row of a new block the next
+// id, and the new block's other rows that one. A nil d links no rows: every
+// row opens a block. (The loop is a function of its own because written
+// inline in Extend it kept its variables on the stack and ran at half the
+// speed.)
+func (d *delta) number(ids []int32, from int, old, firstIn, next int32) (int32, bool) {
+	for i := range ids {
+		blk, root := int32(-1), 0
+		if d != nil {
+			root = d.uf.Find(from + i)
+			blk = d.anchor[root] - 1
+		}
+		switch {
+		case blk >= old: // a new block, numbered at an earlier row
+		case blk >= 0:
+			if blk >= firstIn {
+				return 0, false
+			}
+		case firstIn != old:
+			return 0, false
+		default:
+			blk = next
+			next++
+			if d != nil {
+				d.anchor[root] = blk + 1
+			}
+		}
+		ids[i] = blk
+	}
+	return next, true
 }
 
 // union joins the components of nodes x and y.
@@ -367,7 +293,7 @@ func (d *delta) union(x, y int) {
 		return
 	}
 	ax, ay := d.anchor[rx], d.anchor[ry]
-	if ax >= 0 && ay >= 0 && ax != ay {
+	if ax > 0 && ay > 0 && ax != ay {
 		d.failed = true
 	}
 	d.uf.Union(rx, ry)

@@ -1,7 +1,6 @@
 package causal
 
 import (
-	"slices"
 	"strings"
 	"testing"
 
@@ -61,11 +60,11 @@ func blocksOf(t *testing.T, db *relation.Database, m *Model) []map[string][]int 
 			t.Fatalf("%s: %d block ids for %d rows", rel, len(ids[rel]), db.Relation(rel).Len())
 		}
 		for row, b := range ids[rel] {
-			if b < 0 || b >= n {
+			if b < 0 || int(b) >= n {
 				t.Fatalf("%s row %d: block %d outside [0, %d)", rel, row, b, n)
 			}
 			if blocks[b] == nil {
-				if b != next {
+				if int(b) != next {
 					t.Fatalf("%s row %d opens block %d, want %d (smallest-member order)", rel, row, b, next)
 				}
 				next++
@@ -102,10 +101,11 @@ func TestDecomposeFKOnly(t *testing.T) {
 }
 
 // TestDecomposeLinkFree: with neither a foreign key nor a cross edge no
-// tuples link, and Decompose, which then makes no union-find, must number
-// them as the union-find did (unionFindBlocks): one relation, and several
-// with an empty one between them, under no model and under one whose edge
-// stays inside a tuple.
+// tuples link, and Decompose, which then makes no union-find, must equal the
+// fresh decomposition it replaced (refDecompose), and so must Extend from
+// the version before rows were appended to the last relation: one relation,
+// and several with an empty one between them, under no model and under one
+// whose edge stays inside a tuple.
 func TestDecomposeLinkFree(t *testing.T) {
 	rel := func(name string, rows int) *relation.Relation {
 		r := relation.NewRelation(name, relation.MustSchema(
@@ -130,44 +130,36 @@ func TestDecomposeLinkFree(t *testing.T) {
 		db   *relation.Database
 		m    *Model
 	}{{"one relation", one, nil}, {"several relations", several, nil}, {"in-tuple edge", several, inTuple}} {
-		got, err := Decompose(tc.db, tc.m)
+		names := tc.db.Names()
+		next, err := tc.db.Extend(map[string][]relation.Tuple{names[len(names)-1]: {
+			{relation.Int(100), relation.Int(0)}, {relation.Int(101), relation.Int(1)},
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		byRel, n, firstIn := unionFindBlocks(tc.db)
-		if got.N != n || !slices.Equal(got.firstIn, firstIn) || len(got.claimed) != len(firstIn) ||
-			len(got.parentBlock) != 0 || len(got.groupBlock) != 0 || len(got.ByRel) != len(byRel) {
-			t.Fatalf("%s: %d blocks, firstIn %v, tables %v %v; union-find %d, %v", tc.name, got.N, got.firstIn, got.parentBlock, got.groupBlock, n, firstIn)
-		}
-		for name, ids := range byRel {
-			if !slices.Equal(got.ByRel[name], ids) {
-				t.Fatalf("%s: %s block ids %v, union-find %v", tc.name, name, got.ByRel[name], ids)
+		for _, db := range []*relation.Database{tc.db, next} {
+			got, err := Decompose(db, tc.m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := refDecompose(db, tc.m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := sameBlocks(got, want); diff != "" {
+				t.Fatalf("%s, %d rows: fresh %s", tc.name, db.TotalRows(), diff)
 			}
 		}
-	}
-}
-
-// unionFindBlocks numbers db's tuples as Decompose did before it skipped the
-// union-find over link-free databases: by smallest member of their
-// union-find sets, which are singletons when nothing links.
-func unionFindBlocks(db *relation.Database) (byRel map[string][]int, n int, firstIn []int) {
-	uf := NewUnionFind(db.TotalRows())
-	block := map[int]int{} // by root
-	byRel, id := map[string][]int{}, 0
-	for _, name := range db.Names() {
-		ids := make([]int, db.Relation(name).Len())
-		for i := range ids {
-			root := uf.Find(id)
-			if _, ok := block[root]; !ok {
-				block[root] = len(block)
-			}
-			ids[i] = block[root]
-			id++
+		from, _ := Decompose(tc.db, tc.m)
+		got, ok, err := from.Extend(next, tc.m, next.Ancestors()[0])
+		if err != nil || !ok {
+			t.Fatalf("%s: Extend refused (%v)", tc.name, err)
 		}
-		byRel[name] = ids
-		firstIn = append(firstIn, len(block))
+		want, _ := refDecompose(next, tc.m)
+		if diff := sameBlocks(got, want); diff != "" {
+			t.Fatalf("%s: derived %s", tc.name, diff)
+		}
 	}
-	return byRel, len(block), firstIn
 }
 
 func TestDecomposeWithCrossEdges(t *testing.T) {

@@ -9,11 +9,11 @@ import (
 	"hyper/internal/relation"
 )
 
-// randomChain builds Product/Review, with a foreign key from Review.PID to
-// Product.PID when fk is set, then extends it by batches of random products
-// and reviews. Reviews may reference products that arrive later, categories
-// repeat or are new, and a product's key may be one a review already named,
-// so every refusal rule of Extend gets exercised.
+// randomChain builds Product/Review, in either order, with a foreign key
+// from Review.PID to Product.PID when fk is set, then extends it by batches
+// of random products and reviews. Reviews may reference products that
+// arrive later, categories repeat or are new, and a product's key may be one
+// a review already named, so every refusal rule of Extend gets exercised.
 func randomChain(t *testing.T, rng *rand.Rand, steps int, fk bool) []*relation.Database {
 	t.Helper()
 	prod := relation.NewRelation("Product", relation.MustSchema(
@@ -25,8 +25,13 @@ func randomChain(t *testing.T, rng *rand.Rand, steps int, fk bool) []*relation.D
 		relation.Column{Name: "PID", Kind: relation.KindInt},
 	))
 	db := relation.NewDatabase()
-	db.MustAdd(prod)
-	db.MustAdd(rev)
+	if rng.Intn(2) == 0 {
+		db.MustAdd(prod)
+		db.MustAdd(rev)
+	} else { // children first: a review can join a block a product opened
+		db.MustAdd(rev)
+		db.MustAdd(prod)
+	}
 	if fk {
 		if err := db.AddForeignKey(relation.ForeignKey{Child: "Review", ChildCol: "PID", Parent: "Product", ParentCol: "PID"}); err != nil {
 			t.Fatal(err)
@@ -65,21 +70,48 @@ func randomChain(t *testing.T, rng *rand.Rand, steps int, fk bool) []*relation.D
 	return chain
 }
 
-// TestBlocksExtendMatchesDecompose is the oracle of Extend: over random
-// chains — with the foreign key, with it and the cross edge grouping
-// products by category, and link-free (neither, so Decompose makes no
-// union-find and every tuple is a block, the derivation a single-relation
-// view takes) — every decomposition Extend accepts, from the parent and from
-// older ancestors, equals Decompose of the version: block ids, count and the
-// tables the next Extend reads.
+// sameBlocks describes how got differs from want — block ids, count and
+// the tables the next Extend reads — or returns "".
+func sameBlocks(got, want *Blocks) string {
+	if got.N != want.N || !slices.Equal(got.firstIn, want.firstIn) ||
+		!slices.Equal(got.childCodes, want.childCodes) ||
+		!slices.EqualFunc(got.parentBlock, want.parentBlock, slices.Equal) ||
+		!slices.EqualFunc(got.groupBlock, want.groupBlock, slices.Equal) ||
+		len(got.claimed) != len(want.claimed) || len(got.ByRel) != len(want.ByRel) {
+		return fmt.Sprintf("state differs:\n got %+v\nwant %+v", got, want)
+	}
+	for name, ids := range want.ByRel {
+		if !slices.Equal(got.ByRel[name], ids) {
+			return fmt.Sprintf("%s block ids %v, want %v", name, got.ByRel[name], ids)
+		}
+	}
+	return ""
+}
+
+// crossModel groups products by category through a cross edge.
+func crossModel() *Model {
+	m := NewModel()
+	m.AddCross(CrossEdge{FromRel: "Product", FromAttr: "Category", ToRel: "Product", ToAttr: "Category", GroupBy: "Product.Category"})
+	return m
+}
+
+// chainCases are randomChain's link shapes: the foreign key, it and the
+// cross edge, and link-free (neither, so no union-find is made and every
+// tuple is a block, the derivation a single-relation view takes).
+var chainCases = []struct {
+	name string
+	fk   bool
+	m    *Model
+}{{"fk", true, nil}, {"fk+cross", true, crossModel()}, {"link-free", false, nil}}
+
+// TestBlocksExtendMatchesDecompose holds Decompose and Extend, one builder,
+// to the fresh decomposition it replaced (refDecompose): over random chains
+// of every chainCases shape, every version's Decompose and every
+// decomposition Extend accepts, from the parent and from older ancestors,
+// equals refDecompose of the version — block ids, count and the tables the
+// next Extend reads.
 func TestBlocksExtendMatchesDecompose(t *testing.T) {
-	cross := NewModel()
-	cross.AddCross(CrossEdge{FromRel: "Product", FromAttr: "Category", ToRel: "Product", ToAttr: "Category", GroupBy: "Product.Category"})
-	for _, tc := range []struct {
-		name string
-		fk   bool
-		m    *Model
-	}{{"fk", true, nil}, {"fk+cross", true, cross}, {"link-free", false, nil}} {
+	for _, tc := range chainCases {
 		derived, refused := 0, 0
 		for seed := range int64(30) {
 			rng := rand.New(rand.NewSource(seed))
@@ -90,28 +122,29 @@ func TestBlocksExtendMatchesDecompose(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				want, err := refDecompose(db, tc.m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if diff := sameBlocks(b, want); diff != "" {
+					t.Fatalf("%s seed %d v%d: fresh %s", tc.name, seed, db.Version(), diff)
+				}
 				fresh[v] = b
 			}
 			for v := 1; v < len(chain); v++ {
+				want, _ := refDecompose(chain[v], tc.m)
 				for back, anc := range chain[v].Ancestors() {
-					from := fresh[v-1-back]
-					got, ok := from.Extend(chain[v], tc.m, anc)
+					got, ok, err := fresh[v-1-back].Extend(chain[v], tc.m, anc)
+					if err != nil {
+						t.Fatal(err)
+					}
 					if !ok {
 						refused++
 						continue
 					}
 					derived++
-					want := fresh[v]
-					if got.N != want.N || !slices.Equal(got.firstIn, want.firstIn) ||
-						!slices.Equal(got.childCodes, want.childCodes) ||
-						!slices.EqualFunc(got.parentBlock, want.parentBlock, slices.Equal) ||
-						!slices.EqualFunc(got.groupBlock, want.groupBlock, slices.Equal) {
-						t.Fatalf("%s seed %d v%d from v%d: derived state differs:\n got %+v\nwant %+v", tc.name, seed, v, anc.Version, got, want)
-					}
-					for name, ids := range want.ByRel {
-						if !slices.Equal(got.ByRel[name], ids) {
-							t.Fatalf("%s seed %d v%d from v%d: %s block ids %v, want %v", tc.name, seed, v, anc.Version, name, got.ByRel[name], ids)
-						}
+					if diff := sameBlocks(got, want); diff != "" {
+						t.Fatalf("%s seed %d v%d from v%d: derived %s", tc.name, seed, chain[v].Version(), anc.Version, diff)
 					}
 				}
 			}
@@ -121,4 +154,56 @@ func TestBlocksExtendMatchesDecompose(t *testing.T) {
 			t.Fatalf("%s: derived %d, refused %d: the chains must exercise both", tc.name, derived, refused)
 		}
 	}
+}
+
+// FuzzBlocksParity decomposes each version of a random chain (of the shape
+// chainCases[mode%3]) the way the engine does: Extend from the decomposition
+// of a random ancestor — itself fresh or derived — and Decompose when Extend
+// refuses. Every fresh and every accepted derived decomposition must equal
+// refDecompose of its version, and after the chain every version's, which
+// later Extends may have grown in place, must still.
+func FuzzBlocksParity(f *testing.F) {
+	for mode := range uint8(3) {
+		f.Add(int64(mode), uint8(8), mode)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, steps, mode uint8) {
+		tc := chainCases[mode%3]
+		rng := rand.New(rand.NewSource(seed))
+		chain := randomChain(t, rng, int(steps%16), tc.fk)
+		blocks := make([]*Blocks, len(chain))
+		wants := make([]*Blocks, len(chain))
+		for v, db := range chain {
+			want, err := refDecompose(db, tc.m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wants[v] = want
+			b, ok := (*Blocks)(nil), false
+			if ancs := db.Ancestors(); len(ancs) > 0 {
+				back := rng.Intn(len(ancs))
+				if b, ok, err = blocks[v-1-back].Extend(db, tc.m, ancs[back]); err != nil {
+					t.Fatal(err)
+				}
+				if ok {
+					if diff := sameBlocks(b, want); diff != "" {
+						t.Fatalf("%s v%d from v%d: derived %s", tc.name, db.Version(), ancs[back].Version, diff)
+					}
+				}
+			}
+			if !ok {
+				if b, err = Decompose(db, tc.m); err != nil {
+					t.Fatal(err)
+				}
+				if diff := sameBlocks(b, want); diff != "" {
+					t.Fatalf("%s v%d: fresh %s", tc.name, db.Version(), diff)
+				}
+			}
+			blocks[v] = b
+		}
+		for v, b := range blocks {
+			if diff := sameBlocks(b, wants[v]); diff != "" {
+				t.Fatalf("%s v%d after the chain: %s", tc.name, chain[v].Version(), diff)
+			}
+		}
+	})
 }

@@ -38,7 +38,7 @@ type Prepared struct {
 	updateAttrs              []string
 	// blockOf is R's tuples' block ids (nil: one block) and baseRows R's row
 	// behind each view row (nil: view row i is R's row i).
-	blockOf  []int
+	blockOf  []int32
 	baseRows []int32
 	nBlocks  int
 	inS      []bool // the WHEN set
@@ -138,16 +138,17 @@ func prepare(ctx context.Context, db *relation.Database, model *causal.Model, q 
 			// The newest cached decomposition of an earlier version, extended
 			// by the rows appended since, when that cannot renumber a block.
 			var b *causal.Blocks
+			var err error
 			fromAncestor(lineage{o.Cache, db, func(tag string) string { return kindRowBlocks + tag }},
 				func(a *causal.Blocks, anc relation.Ancestor) bool {
 					var ok bool
-					if b, ok = a.Extend(db, model, anc); ok {
+					if b, ok, err = a.Extend(db, model, anc); ok {
 						setDerived(stage, anc.Version, db.TotalRows()-anc.TotalRows())
 					}
 					return true
 				})
-			if b != nil {
-				return b, nil
+			if b != nil || err != nil {
+				return b, err
 			}
 			return causal.Decompose(db, model)
 		})

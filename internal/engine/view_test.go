@@ -77,7 +77,7 @@ func TestViewBlockIDsCompositeKey(t *testing.T) {
 					base = j
 				}
 			}
-			if base < 0 || p.blockAt(i) != byRel["Item"][base] {
+			if base < 0 || p.blockAt(i) != int(byRel["Item"][base]) {
 				t.Errorf("%s: view row %d %v: block %d, want that of base row %d in %v", sel, i, v.Row(i), p.blockAt(i), base, byRel["Item"])
 			}
 		}

@@ -316,7 +316,7 @@ func (p *evalPrep) blockAt(i int) int {
 	if p.baseRows != nil {
 		r = int(p.baseRows[i])
 	}
-	if b := p.blockOf[r]; b < p.nBlocks {
+	if b := int(p.blockOf[r]); b < p.nBlocks {
 		return b
 	}
 	return 0

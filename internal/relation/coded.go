@@ -121,8 +121,9 @@ type CodedColumn struct {
 // encoding is a column's feature encoding, built by the first Encode or
 // Encoded of one version of the column. A version's encoding derives from
 // the newest built encoding of an earlier version when its codes still
-// encode alike (derive). Until it is built, from is the encoding of the
-// version it extends, itself unbuilt or built; once built, it lets go.
+// encode alike, and from the empty encoding otherwise (build). Until it is
+// built, from is the encoding of the version it extends, itself unbuilt or
+// built; once built, it lets go.
 type encoding struct {
 	once    sync.Once
 	built   atomic.Bool
@@ -315,15 +316,13 @@ func (c *CodedColumn) Encode(v Value) float64 {
 // is built once per version of the column and shared by every frame over
 // that version: callers must not write to it. A version whose column an
 // earlier version's built encoding still describes copies that encoding and
-// encodes only the rows and codes past it (derive); the result is the same.
+// encodes only the rows and codes past it (build); the result is the same.
 func (c *CodedColumn) Encoded() []float64 { return c.encoding().rows }
 
 func (c *CodedColumn) encoding() *encoding {
 	e := c.enc
 	e.once.Do(func() {
-		if !c.derive(e, e.ancestor()) {
-			c.encode(e)
-		}
+		c.build(e, e.ancestor())
 		e.numeric = c.Numeric
 		e.from.Store(nil)
 		e.built.Store(true)
@@ -331,69 +330,65 @@ func (c *CodedColumn) encoding() *encoding {
 	return e
 }
 
-// derive builds e from a, the built encoding of an earlier version of the
-// column, and reports whether it could. Codes are first-seen, so a's codes
-// are a prefix of c's and a's rows of c's rows. A numeric column encodes each
-// value by itself, so a's byCode extends by the new codes' values; any other
-// column encodes a value by its rank among the distinct keys, which a new
-// code can shift, so only a column without new codes derives.
-func (c *CodedColumn) derive(e, a *encoding) bool {
+// build builds e from a, the built encoding of an earlier version of the
+// column (nil: none), encoding only the codes and rows past a's; a fresh
+// encoding is the one from the empty encoding. Codes are first-seen, so a's
+// codes are a prefix of c's and a's rows of c's rows. A numeric column
+// encodes each value by itself, so a's byCode extends by the new codes'
+// values; any other column encodes a value by its rank among the distinct
+// keys, which a new code can shift, so one that gained a code ranks every
+// code from the empty encoding.
+func (c *CodedColumn) build(e, a *encoding) {
 	if a == nil || a.numeric != c.Numeric || len(a.rows) > c.rows() ||
 		len(a.byCode) > len(c.Values) || (!c.Numeric && len(a.byCode) != len(c.Values)) {
-		return false
+		a = new(encoding)
 	}
 	// The first version to derive from a takes the room past a's slices and
 	// writes there, where no reader of a reads; any other copies them.
 	own := a.claimed.CompareAndSwap(false, true)
 	e.byCode = Lengthen(a.byCode, len(c.Values), own)
-	for code := len(a.byCode); code < len(e.byCode); code++ {
-		e.byCode[code] = c.Encode(c.Values[code])
+	if c.Numeric {
+		for code := len(a.byCode); code < len(e.byCode); code++ {
+			e.byCode[code] = c.Encode(c.Values[code])
+		}
+	} else if len(a.byCode) == 0 {
+		keys := make([]string, len(c.Values))
+		var ranked []int // the codes Key() ranks: the non-null values
+		for code, v := range c.Values {
+			if v.IsNull() {
+				e.byCode[code] = -1
+			} else {
+				keys[code], ranked = v.Key(), append(ranked, code)
+			}
+		}
+		sort.Slice(ranked, func(i, j int) bool { return keys[ranked[i]] < keys[ranked[j]] })
+		for rank, code := range ranked {
+			e.byCode[code] = float64(rank)
+		}
 	}
 	e.rows = Lengthen(a.rows, c.rows(), own)
 	for i := len(a.rows); i < len(e.rows); i++ {
 		e.rows[i] = e.byCode[c.At(i)]
 	}
-	return true
 }
 
 // Lengthen returns s lengthened to n elements for the caller to fill past
 // s's: in place when own and s has the capacity, else a copy with room for
-// later versions to fill in place. It is how an artifact of a version grows
-// from an earlier version's without copying it: own means the caller holds
-// the room past s — the first taker of a CAS-guarded claim on it — so it
-// writes where no reader of s reads, as Relation.Extend appends codes.
+// later versions to fill in place — unless s is empty, a fresh build, which
+// reserves none. It is how an artifact of a version grows from an earlier
+// version's without copying it: own means the caller holds the room past s
+// — the first taker of a CAS-guarded claim on it — so it writes where no
+// reader of s reads, as Relation.Extend appends codes.
 func Lengthen[T any](s []T, n int, own bool) []T {
 	if own && cap(s) >= n {
 		return s[:n]
 	}
+	if len(s) == 0 {
+		return make([]T, n)
+	}
 	out := make([]T, n, n+n/4)
 	copy(out, s)
 	return out
-}
-
-// encode builds e over every code and row of c.
-func (c *CodedColumn) encode(e *encoding) {
-	e.byCode = make([]float64, len(c.Values))
-	keys := make([]string, len(c.Values))
-	var ranked []int // the codes Key() ranks: a non-numeric column's non-null values
-	for code, v := range c.Values {
-		switch {
-		case c.Numeric:
-			e.byCode[code] = c.Encode(v)
-		case v.IsNull():
-			e.byCode[code] = -1
-		default:
-			keys[code], ranked = v.Key(), append(ranked, code)
-		}
-	}
-	sort.Slice(ranked, func(i, j int) bool { return keys[ranked[i]] < keys[ranked[j]] })
-	for rank, code := range ranked {
-		e.byCode[code] = float64(rank)
-	}
-	e.rows = make([]float64, c.rows())
-	for i := range e.rows {
-		e.rows[i] = e.byCode[c.At(i)]
-	}
 }
 
 // Narrow clears set[i] for every row whose code has keep[code] false.

@@ -7,8 +7,9 @@ import (
 	"testing"
 )
 
-// TestEncodedDerivesFromAncestor holds every version's Encoded to the
-// encoding of the same rows inserted into a fresh relation, bit for bit,
+// TestEncodedDerivesFromAncestor holds every version's encoding, and that of
+// the same rows inserted into a fresh relation, to the fresh encoding
+// builder the one builder replaced (refEncode), codes and rows bit for bit,
 // along random chains of Extends in which some versions are encoded and some
 // are not. Numeric columns gain values (NULL, -0, NaN, new integers) and so
 // derive with new codes; the string column sometimes gains a value, which
@@ -68,13 +69,19 @@ func TestEncodedDerivesFromAncestor(t *testing.T) {
 						newString++
 					}
 				}
-				got, want := c.Encoded(), fresh.Coded(ci).Encoded()
-				if len(got) != len(want) {
-					t.Fatalf("seed %d column %d: %d encoded rows, want %d", seed, ci, len(got), len(want))
-				}
-				for i := range want {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("seed %d column %d row %d: encoded %v, fresh %v", seed, ci, i, got[i], want[i])
+				var want encoding
+				fresh.Coded(ci).refEncode(&want)
+				for build, col := range map[string]*CodedColumn{"derived": c, "fresh": fresh.Coded(ci)} {
+					col.Encoded()
+					for what, got := range map[string][2][]float64{"rows": {col.enc.rows, want.rows}, "codes": {col.enc.byCode, want.byCode}} {
+						if len(got[0]) != len(got[1]) {
+							t.Fatalf("seed %d column %d: %s encoding has %d %s, want %d", seed, ci, build, len(got[0]), what, len(got[1]))
+						}
+						for i := range got[1] {
+							if math.Float64bits(got[0][i]) != math.Float64bits(got[1][i]) {
+								t.Fatalf("seed %d column %d: %s encoding of %s %d is %v, want %v", seed, ci, build, what, i, got[0][i], got[1][i])
+							}
+						}
 					}
 				}
 				if c.enc.from.Load() != nil {
