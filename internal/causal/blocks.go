@@ -47,8 +47,8 @@ type Blocks struct {
 	// Per cross edge (m.Cross order): per code of the GroupBy column, the
 	// block of the rows holding it.
 	groupBlock [][]int32
-	// claimed[k] is set by the first Extend, which fills the room past
-	// ByRel's k-th relation's ids in place.
+	// claimed[k] is set by the first Extend to accept, which fills the room
+	// past ByRel's k-th relation's ids in place.
 	claimed []atomic.Bool
 }
 
@@ -200,12 +200,22 @@ func (b *Blocks) Extend(db *relation.Database, m *Model, from relation.Ancestor)
 
 	// Number the rows past from in scan order, so by smallest member.
 	next := int32(b.N)
+	var took []int
 	for k, n := range names {
 		// The first decomposition extending b takes the room past each
-		// relation's ids and writes there, where no reader of b reads.
-		ids := relation.Lengthen(b.ByRel[n], db.Relation(n).Len(), b.claimed[k].CompareAndSwap(false, true))
+		// relation's ids and writes there, where no reader of b reads. A
+		// refusal gives back the room it took, so the next accepted
+		// derivation from b writes in place.
+		own := b.claimed[k].CompareAndSwap(false, true)
+		if own {
+			took = append(took, k)
+		}
+		ids := relation.Lengthen(b.ByRel[n], db.Relation(n).Len(), own)
 		var ok bool
 		if next, ok = d.number(ids[from.Rows[k]:], base[k], int32(b.N), int32(b.firstIn[k]), next); !ok {
+			for _, k := range took {
+				b.claimed[k].Store(false)
+			}
 			return nil, false, nil
 		}
 		out.ByRel[n] = ids

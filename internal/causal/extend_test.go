@@ -207,3 +207,47 @@ func FuzzBlocksParity(f *testing.F) {
 		}
 	})
 }
+
+// TestBlocksExtendRefusalReleasesClaim holds Extend to giving back the room
+// past the ancestor's ids when it refuses: a derivation refused while
+// numbering (a new A row would open a block below B's) must leave the next
+// accepted derivation from the same ancestor free to write in place, sharing
+// the ancestor's backing array, and that one must equal refDecompose.
+func TestBlocksExtendRefusalReleasesClaim(t *testing.T) {
+	db := relation.NewDatabase()
+	for _, name := range []string{"A", "B"} {
+		r := relation.NewRelation(name, relation.MustSchema(relation.Column{Name: "ID", Kind: relation.KindInt, Key: true}))
+		r.MustInsert(relation.Int(1))
+		db.MustAdd(r)
+	}
+	db.SetVersion(1)
+	anc, err := Decompose(db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grow := func(name string) *relation.Database {
+		next, err := db.Extend(map[string][]relation.Tuple{name: {{relation.Int(2)}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return next
+	}
+	refusedDB, acceptedDB := grow("A"), grow("B")
+	if _, ok, err := anc.Extend(refusedDB, nil, refusedDB.Ancestors()[0]); err != nil || ok {
+		t.Fatalf("appending to A: ok %v, err %v; want a refusal", ok, err)
+	}
+	got, ok, err := anc.Extend(acceptedDB, nil, acceptedDB.Ancestors()[0])
+	if err != nil || !ok {
+		t.Fatalf("appending to B: ok %v, err %v; want it derived", ok, err)
+	}
+	if &got.ByRel["A"][0] != &anc.ByRel["A"][0] {
+		t.Fatal("the accepted derivation copied A's ids: the refused one kept its claim")
+	}
+	want, err := refDecompose(acceptedDB, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := sameBlocks(got, want); diff != "" {
+		t.Fatal(diff)
+	}
+}

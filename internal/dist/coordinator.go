@@ -125,10 +125,8 @@ type Coordinator struct {
 
 	// requeueEvents labels each worker failure that requeued shards with
 	// who failed and why (reason: lease_expired | dial_fail |
-	// frame_missing). faultInjected counts injector firings by point and
-	// mode.
-	requeueEvents *obs.CounterVec
-	faultInjected *obs.CounterVec
+	// frame_missing).
+	requeueEvents *obs.Vec[*obs.Counter]
 }
 
 // remoteWorker is one registered worker. frames is the ledger of frames this
@@ -184,13 +182,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	c.localFallbacks = r.Counter("hyper_dist_local_fallbacks_total", "Times pending shards fell back to local evaluation.")
 	c.requeueEvents = r.CounterVec("hyper_dist_requeue_events_total",
 		"Worker failures that requeued shards, by worker and failure reason.", "worker", "reason")
-	c.faultInjected = r.CounterVec("hyper_fault_injected_total",
-		"Faults fired by the deterministic injector, by point and mode.", "point", "mode")
-	// The injector observer increments the vec; with no injector armed the
-	// family still exists (at zero) so the metric schema is role-stable.
-	c.cfg.Fault.SetOnFire(func(p fault.Point, m fault.Mode) {
-		c.faultInjected.With(string(p), string(m)).Inc()
-	})
+	registerFaultMetric(r, c.cfg.Fault)
 	if c.cfg.StatePath != "" {
 		if err := c.loadState(); err != nil {
 			// Never discard operator state silently: move the unreadable
@@ -202,6 +194,16 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		}
 	}
 	return c
+}
+
+// registerFaultMetric registers hyper_fault_injected_total{point,mode} in r
+// and counts every firing of in there. Both roles register it, and with no
+// injector armed the family still exists (at zero), so the metric schema is
+// role-stable.
+func registerFaultMetric(r *obs.Registry, in *fault.Injector) {
+	fired := r.CounterVec("hyper_fault_injected_total",
+		"Faults fired by the deterministic injector, by point and mode.", "point", "mode")
+	in.SetOnFire(func(p fault.Point, m fault.Mode) { fired.With(string(p), string(m)).Inc() })
 }
 
 // newRemoteWorker builds a registry entry: a breaker with the coordinator's

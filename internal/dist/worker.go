@@ -110,11 +110,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	w.metrics.GaugeFunc("hyper_worker_inflight", "Eval requests currently executing.",
 		func() float64 { return float64(w.inflight.Load()) })
 	obs.RegisterRuntimeMetrics(w.metrics)
-	faultInjected := w.metrics.CounterVec("hyper_fault_injected_total",
-		"Faults fired by the deterministic injector, by point and mode.", "point", "mode")
-	w.cfg.Fault.SetOnFire(func(p fault.Point, m fault.Mode) {
-		faultInjected.With(string(p), string(m)).Inc()
-	})
+	registerFaultMetric(w.metrics, w.cfg.Fault)
 	return w
 }
 

@@ -280,7 +280,7 @@ type Manager struct {
 
 	mu        sync.Mutex
 	cond      *sync.Cond
-	queue     jobHeap
+	queue     jobHeap // exactly the jobs in StateQueued
 	byID      map[string]*Job
 	terminal  []string // terminal job ids, oldest first, for retention
 	perSess   map[string]int
@@ -390,9 +390,9 @@ func (m *Manager) worker() {
 	}
 }
 
-// next blocks until a queued job is available (skipping jobs that went
-// terminal while queued and expiring stale deadlines), or returns nil when
-// the manager stops.
+// next blocks until a queued job is available (expiring one whose deadline
+// passed before its timer took it off the heap), or returns nil when the
+// manager stops.
 func (m *Manager) next() *Job {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -404,9 +404,6 @@ func (m *Manager) next() *Job {
 			return nil
 		}
 		j := heap.Pop(&m.queue).(*Job)
-		if j.state != StateQueued {
-			continue // cancelled while queued
-		}
 		if !j.deadline.IsZero() && !time.Now().Before(j.deadline) {
 			m.finishLocked(j, nil, context.DeadlineExceeded, StateExpired)
 			continue
@@ -563,9 +560,7 @@ func (m *Manager) removeQueuedLocked(j *Job, err error, state State) {
 	if j.state != StateQueued {
 		return
 	}
-	if j.heapIdx >= 0 {
-		heap.Remove(&m.queue, j.heapIdx)
-	}
+	heap.Remove(&m.queue, j.heapIdx)
 	m.finishLocked(j, nil, err, state)
 }
 
@@ -643,14 +638,8 @@ func (m *Manager) snapshotLocked(j *Job) Snapshot {
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	queued := 0
-	for _, j := range m.queue {
-		if j.state == StateQueued {
-			queued++
-		}
-	}
 	return Stats{
-		Queued:    queued,
+		Queued:    m.queue.Len(),
 		Running:   m.running,
 		Completed: m.completed,
 		Failed:    m.failed,
@@ -676,10 +665,8 @@ func (m *Manager) Drain(ctx context.Context) error {
 	m.draining = true
 	for m.queue.Len() > 0 {
 		j := heap.Pop(&m.queue).(*Job)
-		if j.state == StateQueued {
-			j.cancelled = true
-			m.finishLocked(j, nil, context.Canceled, StateCancelled)
-		}
+		j.cancelled = true
+		m.finishLocked(j, nil, context.Canceled, StateCancelled)
 	}
 	var drainErr error
 	if m.running == 0 {

@@ -552,3 +552,65 @@ func TestJobIDsAreUniqueAndStatsConsistent(t *testing.T) {
 		t.Errorf("completed(%d) + rejected(%d) != %d", st.Completed, st.Rejected, n)
 	}
 }
+
+// TestStatsQueuedMatchesList holds Stats().Queued, the heap's length, to the
+// jobs List reports queued while queued jobs leave by expiry, by cancel, by
+// session deletion and by drain, with the one worker held busy throughout.
+func TestStatsQueuedMatchesList(t *testing.T) {
+	m := NewManager(Config{Workers: 1, QueueDepth: 64, Retention: 256})
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	m.Submit(SubmitOptions{Session: "a"}, func(ctx context.Context, p *Progress) (any, error) {
+		close(started)
+		select {
+		case <-gate:
+		case <-ctx.Done():
+		}
+		return nil, nil
+	})
+	<-started
+	check := func(step string, want int) {
+		t.Helper()
+		queued := len(m.List("", StateQueued, true))
+		if got := m.Stats().Queued; got != want || queued != want {
+			t.Fatalf("%s: Stats().Queued %d, List queued %d, want %d", step, got, queued, want)
+		}
+	}
+	noop := func(ctx context.Context, p *Progress) (any, error) { return nil, nil }
+	var ids, expiring []string
+	for i := range 12 {
+		opts := SubmitOptions{Session: fmt.Sprint("s", i%3), Priority: i % 4}
+		if i%4 == 0 {
+			opts.Deadline = time.Now().Add(5 * time.Millisecond)
+		}
+		j, err := m.Submit(opts, noop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%4 == 0 {
+			expiring = append(expiring, j.ID())
+		} else {
+			ids = append(ids, j.ID())
+		}
+	}
+	for _, id := range expiring {
+		waitTerminal(t, m, id, 5*time.Second)
+	}
+	check("after expiry", 9)
+	m.Cancel(ids[0])
+	m.Cancel(ids[0])
+	m.Cancel(ids[len(ids)-1])
+	check("after cancels", 7)
+	m.CancelSession("s1")
+	check("after deleting a session", 5)
+	for range 3 {
+		if _, err := m.Submit(SubmitOptions{Session: "s2"}, noop); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after more submissions", 8)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	m.Drain(ctx)
+	check("after drain", 0)
+}

@@ -23,17 +23,12 @@ type Registry struct {
 	families []*family
 }
 
+// family is one registered metric family: what Lint reads (name, help,
+// type, label names) and render, which writes the family's samples.
 type family struct {
 	name, help, typ string // typ: counter | gauge | histogram
 	labels          []string
-
-	counter   *Counter
-	counterFn func() float64
-	gaugeFn   func() float64
-	hist      *Histogram
-	vec       *CounterVec
-	gaugeVec  *GaugeVec
-	histVec   *HistogramVec
+	render          func(b *strings.Builder)
 }
 
 // NewRegistry returns an empty registry.
@@ -78,11 +73,16 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Counter registers and returns a new counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	r.register(&family{name: name, help: help, typ: "counter", counter: c})
-	return c
+// Counter registers and returns a new counter: the one series of a
+// label-less counter family.
+func (r *Registry) Counter(name, help string) *Counter { return r.CounterVec(name, help).With() }
+
+// CounterVec registers and returns a labeled counter family.
+func (r *Registry) CounterVec(name, help string, labels ...string) *Vec[*Counter] {
+	return registerVec(r, name, help, "counter", labels, func() *Counter { return &Counter{} },
+		func(b *strings.Builder, name, labels string, c *Counter) {
+			writeSample(b, name, labels, float64(c.Value()))
+		})
 }
 
 // CounterFunc registers a counter whose value is read from fn at scrape
@@ -90,117 +90,91 @@ func (r *Registry) Counter(name, help string) *Counter {
 // CounterFunc is only for sums over state another component owns (jobs'
 // terminal counts, caches summed over sessions).
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	r.register(&family{name: name, help: help, typ: "counter", counterFn: fn})
+	r.scrapeFunc(name, help, "counter", fn)
 }
 
 // GaugeFunc registers a gauge read from fn at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.register(&family{name: name, help: help, typ: "gauge", gaugeFn: fn})
+	r.scrapeFunc(name, help, "gauge", fn)
 }
 
-// CounterVec is a family of counters keyed by label values.
-type CounterVec struct {
-	labels []string
-	mu     sync.RWMutex
-	series map[string]*Counter
+func (r *Registry) scrapeFunc(name, help, typ string, fn func() float64) {
+	r.register(&family{name: name, help: help, typ: typ, render: func(b *strings.Builder) {
+		writeSample(b, name, "", fn())
+	}})
 }
 
-// CounterVec registers and returns a labeled counter family.
-func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	v := &CounterVec{labels: labels, series: make(map[string]*Counter)}
-	r.register(&family{name: name, help: help, typ: "counter", labels: labels, vec: v})
+// Vec is a metric family's series keyed by label values: counters,
+// histograms, or the constant 1 of an info series. A label-less Vec holds
+// at most one series, an unlabeled family's.
+type Vec[T any] struct {
+	labels    []string
+	newSeries func() T
+	mu        sync.RWMutex
+	series    map[string]T
+}
+
+// registerVec adds a family whose series are a Vec's: newSeries makes a label
+// tuple's series on first use, and write renders one series with its label
+// pairs ("" for none).
+func registerVec[T any](r *Registry, name, help, typ string, labels []string, newSeries func() T,
+	write func(b *strings.Builder, name, labels string, s T)) *Vec[T] {
+	v := &Vec[T]{labels: labels, newSeries: newSeries, series: make(map[string]T)}
+	r.register(&family{name: name, help: help, typ: typ, labels: labels, render: func(b *strings.Builder) {
+		v.Each(func(values []string, s T) { write(b, name, labelPairs(labels, values), s) })
+	}})
 	return v
 }
 
 const labelSep = "\x1f"
 
-// With returns the counter for the given label values (len must match the
-// registered label names), creating it on first use.
-func (v *CounterVec) With(values ...string) *Counter {
+// With returns the series for the given label values (len must match the
+// registered label names), creating it on first use. For a series that
+// exists it takes one read lock and one map probe, and a key of at most one
+// label value allocates nothing.
+func (v *Vec[T]) With(values ...string) T {
 	if v == nil {
-		return nil
+		var zero T
+		return zero
 	}
 	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("obs: counter vec wants %d label values, got %d", len(v.labels), len(values)))
+		panic(fmt.Sprintf("obs: vec wants %d label values, got %d", len(v.labels), len(values)))
 	}
 	key := strings.Join(values, labelSep)
 	v.mu.RLock()
-	c := v.series[key]
+	s, ok := v.series[key]
 	v.mu.RUnlock()
-	if c != nil {
-		return c
+	if ok {
+		return s
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if c = v.series[key]; c == nil {
-		c = &Counter{}
-		v.series[key] = c
+	if s, ok = v.series[key]; !ok {
+		s = v.newSeries()
+		v.series[key] = s
 	}
-	return c
+	return s
 }
 
 // Each calls fn for every live series in sorted key order.
-func (v *CounterVec) Each(fn func(values []string, c *Counter)) {
+func (v *Vec[T]) Each(fn func(values []string, s T)) {
 	if v == nil {
 		return
 	}
 	v.mu.RLock()
+	defer v.mu.RUnlock()
 	keys := make([]string, 0, len(v.series))
 	for k := range v.series {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fn(strings.Split(k, labelSep), v.series[k])
+		values := []string(nil)
+		if len(v.labels) > 0 {
+			values = strings.Split(k, labelSep)
+		}
+		fn(values, v.series[k])
 	}
-	v.mu.RUnlock()
-}
-
-// GaugeVec is a family of settable gauges keyed by label values — the shape
-// behind constant info series like hyper_build_info{go_version="..."} 1.
-type GaugeVec struct {
-	labels []string
-	mu     sync.RWMutex
-	series map[string]float64
-}
-
-// GaugeVec registers and returns a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	v := &GaugeVec{labels: labels, series: make(map[string]float64)}
-	r.register(&family{name: name, help: help, typ: "gauge", labels: labels, gaugeVec: v})
-	return v
-}
-
-// Set sets the gauge for the given label values (len must match the
-// registered label names), creating the series on first use.
-func (v *GaugeVec) Set(val float64, values ...string) {
-	if v == nil {
-		return
-	}
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("obs: gauge vec wants %d label values, got %d", len(v.labels), len(values)))
-	}
-	key := strings.Join(values, labelSep)
-	v.mu.Lock()
-	v.series[key] = val
-	v.mu.Unlock()
-}
-
-// Each calls fn for every live series in sorted key order.
-func (v *GaugeVec) Each(fn func(values []string, val float64)) {
-	if v == nil {
-		return
-	}
-	v.mu.RLock()
-	keys := make([]string, 0, len(v.series))
-	for k := range v.series {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fn(strings.Split(k, labelSep), v.series[k])
-	}
-	v.mu.RUnlock()
 }
 
 // Histogram is a fixed-bucket histogram: cumulative-style exposition with
@@ -236,11 +210,16 @@ func NewHistogram(bounds []float64) *Histogram {
 }
 
 // Histogram registers and returns a histogram with the given upper bounds
-// (nil uses LatencyBucketsMs).
+// (nil uses LatencyBucketsMs): the one series of a label-less histogram
+// family.
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	h := NewHistogram(bounds)
-	r.register(&family{name: name, help: help, typ: "histogram", hist: h})
-	return h
+	return r.HistogramVec(name, help, bounds).With()
+}
+
+// HistogramVec registers and returns a labeled histogram family whose
+// series share the given upper bounds (nil uses LatencyBucketsMs).
+func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) *Vec[*Histogram] {
+	return registerVec(r, name, help, "histogram", labels, func() *Histogram { return NewHistogram(bounds) }, writeHistogram)
 }
 
 // Observe records one value.
@@ -309,66 +288,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
-// HistogramVec is a family of histograms keyed by label values.
-type HistogramVec struct {
-	labels []string
-	bounds []float64
-	mu     sync.RWMutex
-	series map[string]*Histogram
-}
-
-// HistogramVec registers and returns a labeled histogram family.
-func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
-	if len(bounds) == 0 {
-		bounds = LatencyBucketsMs
-	}
-	v := &HistogramVec{labels: labels, bounds: bounds, series: make(map[string]*Histogram)}
-	r.register(&family{name: name, help: help, typ: "histogram", labels: labels, histVec: v})
-	return v
-}
-
-// With returns the histogram for the given label values, creating it on
-// first use.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	if v == nil {
-		return nil
-	}
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("obs: histogram vec wants %d label values, got %d", len(v.labels), len(values)))
-	}
-	key := strings.Join(values, labelSep)
-	v.mu.RLock()
-	h := v.series[key]
-	v.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h = v.series[key]; h == nil {
-		h = NewHistogram(v.bounds)
-		v.series[key] = h
-	}
-	return h
-}
-
-// Each calls fn for every live series in sorted key order.
-func (v *HistogramVec) Each(fn func(values []string, h *Histogram)) {
-	if v == nil {
-		return
-	}
-	v.mu.RLock()
-	keys := make([]string, 0, len(v.series))
-	for k := range v.series {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fn(strings.Split(k, labelSep), v.series[k])
-	}
-	v.mu.RUnlock()
-}
-
 // WritePrometheus renders every family in text exposition format.
 func (r *Registry) WritePrometheus(w io.Writer) {
 	r.mu.Lock()
@@ -378,28 +297,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	var b strings.Builder
 	for _, f := range fams {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
-		switch {
-		case f.counter != nil:
-			fmt.Fprintf(&b, "%s %s\n", f.name, formatValue(float64(f.counter.Value())))
-		case f.counterFn != nil:
-			fmt.Fprintf(&b, "%s %s\n", f.name, formatValue(f.counterFn()))
-		case f.gaugeFn != nil:
-			fmt.Fprintf(&b, "%s %s\n", f.name, formatValue(f.gaugeFn()))
-		case f.hist != nil:
-			writeHistogram(&b, f.name, "", f.hist)
-		case f.vec != nil:
-			f.vec.Each(func(values []string, c *Counter) {
-				fmt.Fprintf(&b, "%s{%s} %s\n", f.name, labelPairs(f.labels, values), formatValue(float64(c.Value())))
-			})
-		case f.gaugeVec != nil:
-			f.gaugeVec.Each(func(values []string, val float64) {
-				fmt.Fprintf(&b, "%s{%s} %s\n", f.name, labelPairs(f.labels, values), formatValue(val))
-			})
-		case f.histVec != nil:
-			f.histVec.Each(func(values []string, h *Histogram) {
-				writeHistogram(&b, f.name, labelPairs(f.labels, values), h)
-			})
-		}
+		f.render(&b)
 	}
 	io.WriteString(w, b.String())
 }
@@ -421,26 +319,28 @@ func formatValue(v float64) string {
 	return fmt.Sprintf("%g", v)
 }
 
-func writeHistogram(b *strings.Builder, name, labels string, h *Histogram) {
-	cum := uint64(0)
-	for i, bound := range h.bounds {
-		cum += h.counts[i].Load()
-		fmt.Fprintf(b, "%s_bucket{%sle=%q} %d\n", name, histLabelPrefix(labels), formatValue(bound), cum)
-	}
-	cum += h.counts[len(h.bounds)].Load()
-	fmt.Fprintf(b, "%s_bucket{%sle=\"+Inf\"} %d\n", name, histLabelPrefix(labels), cum)
+// writeSample writes one sample line, with its label pairs when it has any.
+func writeSample(b *strings.Builder, name, labels string, v float64) {
 	if labels != "" {
 		labels = "{" + labels + "}"
 	}
-	fmt.Fprintf(b, "%s_sum%s %s\n", name, labels, formatValue(h.Sum()))
-	fmt.Fprintf(b, "%s_count%s %d\n", name, labels, h.Count())
+	fmt.Fprintf(b, "%s%s %s\n", name, labels, formatValue(v))
 }
 
-func histLabelPrefix(labels string) string {
-	if labels == "" {
-		return ""
+func writeHistogram(b *strings.Builder, name, labels string, h *Histogram) {
+	le := ""
+	if labels != "" {
+		le = labels + ","
 	}
-	return labels + ","
+	cum := uint64(0)
+	for i, bound := range h.bounds {
+		cum += h.counts[i].Load()
+		fmt.Fprintf(b, "%s_bucket{%sle=%q} %d\n", name, le, formatValue(bound), cum)
+	}
+	cum += h.counts[len(h.bounds)].Load()
+	fmt.Fprintf(b, "%s_bucket{%sle=\"+Inf\"} %d\n", name, le, cum)
+	writeSample(b, name+"_sum", labels, h.Sum())
+	writeSample(b, name+"_count", labels, float64(h.Count()))
 }
 
 // Lint checks every registered family against the stack's naming scheme and

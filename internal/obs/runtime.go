@@ -15,6 +15,7 @@ func RegisterRuntimeMetrics(reg *Registry) {
 			runtime.ReadMemStats(&ms)
 			return float64(ms.HeapAlloc)
 		})
-	reg.GaugeVec("hyper_build_info", "Constant 1; labels carry build metadata.",
-		"go_version").Set(1, runtime.Version())
+	// Every series of the info family is the constant 1.
+	registerVec(reg, "hyper_build_info", "Constant 1; labels carry build metadata.", "gauge",
+		[]string{"go_version"}, func() float64 { return 1 }, writeSample).With(runtime.Version())
 }

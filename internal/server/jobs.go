@@ -303,7 +303,7 @@ func (s *Server) handleListJobs(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	var afterSeq int64 = -1
+	var afterSeq int64
 	if page.after != "" {
 		n, ok := jobSeq(page.after)
 		if !ok {
@@ -326,21 +326,10 @@ func (s *Server) handleListJobs(r *http.Request) (any, error) {
 		// Pagination runs in numeric-id order — the stable submission order
 		// a cursor can resume in. The unpaginated listing keeps the
 		// manager's native order.
-		sort.Slice(snaps, func(i, j int) bool {
-			a, _ := jobSeq(snaps[i].ID)
-			b, _ := jobSeq(snaps[j].ID)
-			return a < b
-		})
-		start := 0
-		for start < len(snaps) {
-			if n, ok := jobSeq(snaps[start].ID); ok && n > afterSeq {
-				break
-			}
-			start++
-		}
-		snaps = snaps[start:]
-		if page.limit > 0 && len(snaps) > page.limit {
-			snaps = snaps[:page.limit]
+		seq := func(sn jobs.Snapshot) int64 { n, _ := jobSeq(sn.ID); return n }
+		sort.Slice(snaps, func(i, j int) bool { return seq(snaps[i]) < seq(snaps[j]) })
+		var last int64
+		if snaps, last = paginate(snaps, seq, afterSeq, page); last != 0 {
 			next = snaps[len(snaps)-1].ID
 		}
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"net/http"
 	"strconv"
 )
@@ -41,12 +42,13 @@ func errBadCursor(format string, args ...any) error {
 }
 
 // paginate slices items (already sorted ascending by key) to the page after
-// the cursor, returning the page and the next cursor ("" when the listing
-// is exhausted).
-func paginate[T any](items []T, key func(T) string, p pageParams) ([]T, string) {
+// the cursor, whose key is after (read only when p carries a cursor),
+// returning the page and the key of its last item when more remain (the
+// zero key when the listing is exhausted).
+func paginate[T any, K cmp.Ordered](items []T, key func(T) K, after K, p pageParams) ([]T, K) {
 	start := 0
 	if p.after != "" {
-		for start < len(items) && key(items[start]) <= p.after {
+		for start < len(items) && key(items[start]) <= after {
 			start++
 		}
 	}
@@ -54,5 +56,6 @@ func paginate[T any](items []T, key func(T) string, p pageParams) ([]T, string) 
 	if p.limit > 0 && len(items) > p.limit {
 		return items[:p.limit], key(items[p.limit-1])
 	}
-	return items, ""
+	var none K
+	return items, none
 }

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -138,5 +140,29 @@ func TestPaginationStableWalk(t *testing.T) {
 	}
 	if len(seen) != len(all.Shapes) {
 		t.Fatalf("usage walk covered %d shapes, unpaginated listing has %d", len(seen), len(all.Shapes))
+	}
+}
+
+// TestPaginateJobSeqOrder walks job ids past j9 through paginate keyed by
+// sequence number, as GET /v1/jobs does: j10 follows j9 (as a string it
+// would sort before j2), and the walk ends on the zero key.
+func TestPaginateJobSeqOrder(t *testing.T) {
+	var ids []string
+	for i := 1; i <= 12; i++ {
+		ids = append(ids, fmt.Sprintf("j%d", i))
+	}
+	seq := func(id string) int64 { n, _ := jobSeq(id); return n }
+	var walk []string
+	p, after := pageParams{limit: 5}, int64(0)
+	for {
+		page, last := paginate(ids, seq, after, p)
+		walk = append(walk, page...)
+		if last == 0 {
+			break
+		}
+		p.after, after = fmt.Sprintf("j%d", last), last
+	}
+	if !slices.Equal(walk, ids) {
+		t.Fatalf("walk %v, want %v", walk, ids)
 	}
 }

@@ -209,8 +209,8 @@ type Server struct {
 	slowMu  sync.Mutex   // serializes SlowQueryLog writes
 
 	// Per-query cost histograms, observed by recordUsage per endpoint.
-	costTuples *obs.HistogramVec
-	costShards *obs.HistogramVec
+	costTuples *obs.Vec[*obs.Histogram]
+	costShards *obs.Vec[*obs.Histogram]
 
 	// planCompile observes each plan compilation's latency (every session's
 	// plan cache feeds it through its compile observer).

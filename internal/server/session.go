@@ -239,7 +239,7 @@ func (s *Server) handleListSessions(r *http.Request) (any, error) {
 		return nil, err
 	}
 	entries := s.sortedEntries()
-	entries, next := paginate(entries, func(e *sessionEntry) string { return e.name }, page)
+	entries, next := paginate(entries, func(e *sessionEntry) string { return e.name }, page.after, page)
 	out := make([]SessionInfo, len(entries))
 	for i, e := range entries {
 		out[i] = e.info()

@@ -17,9 +17,9 @@ import (
 // bucket-interpolated estimates (bounded by the bucket resolution) instead
 // of exact order statistics over a sliding window.
 type statsRecorder struct {
-	reqs *obs.CounterVec
-	errs *obs.CounterVec
-	lat  *obs.HistogramVec
+	reqs *obs.Vec[*obs.Counter]
+	errs *obs.Vec[*obs.Counter]
+	lat  *obs.Vec[*obs.Histogram]
 }
 
 func (s *statsRecorder) init(reg *obs.Registry) {

@@ -181,7 +181,7 @@ func (s *Server) usagePage(r *http.Request, session string) (any, error) {
 		page.after = string(raw)
 	}
 	sort.Slice(shapes, func(i, j int) bool { return usageKey(shapes[i]) < usageKey(shapes[j]) })
-	shapes, next := paginate(shapes, usageKey, page)
+	shapes, next := paginate(shapes, usageKey, page.after, page)
 	if next != "" {
 		next = base64.RawURLEncoding.EncodeToString([]byte(next))
 	}
