@@ -303,13 +303,9 @@ func (s *Server) handleListJobs(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	var afterSeq int64
-	if page.after != "" {
-		n, ok := jobSeq(page.after)
-		if !ok {
-			return nil, errBadCursor("job cursor %q is not a job id", page.after)
-		}
-		afterSeq = n
+	afterSeq, ok := jobSeq(page.after)
+	if page.after != "" && !ok {
+		return nil, errBadCursor("job cursor %q is not a job id", page.after)
 	}
 	var state jobs.State
 	filter := false
