@@ -152,13 +152,29 @@ func (b *Blocks) Extend(db *relation.Database, m *Model, from relation.Ancestor)
 			}
 			pb[p] = int32(i)
 		}
-		toParent := cc.Recode(pc)
-		for _, p := range toParent[:b.childCodes[f]] {
-			if int(p) >= len(old) { // an earlier child's key, now a new parent row's
-				return nil, false, nil
+		if n := b.childCodes[f]; n > 0 {
+			for _, v := range pc.Values[len(old):] {
+				if c, ok := cc.Code(v); ok && int(c) < n { // an earlier child's key, now a new parent row's
+					return nil, false, nil
+				}
 			}
 		}
-		for i, end := from.Rows[kc], db.Relation(fk.Child).Len(); i < end; i++ {
+		// The parent code of each child code the rows past from hold (-1:
+		// none), probed once per code, in code order; no other is read.
+		toParent := make([]int32, len(cc.Values))
+		childRows := db.Relation(fk.Child).Len()
+		for i := from.Rows[kc]; i < childRows; i++ {
+			toParent[cc.At(i)] = 1
+		}
+		for k, held := range toParent {
+			if held != 0 {
+				toParent[k] = -1
+				if p, ok := pc.Code(cc.Values[k]); ok {
+					toParent[k] = int32(p)
+				}
+			}
+		}
+		for i := from.Rows[kc]; i < childRows; i++ {
 			switch p := toParent[cc.At(i)]; {
 			case p < 0:
 			case int(p) < len(old):

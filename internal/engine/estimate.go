@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"hash/fnv"
+	"slices"
 
 	"hyper/internal/lru"
 	"hyper/internal/ml"
@@ -74,10 +75,14 @@ func newEstimatorSet(v *view, featCols []string, summaries []summaryFeature, kee
 			continuous = continuous || v.Rel.Schema().Col(ci).Kind == relation.KindFloat
 		}
 	}
+	// A ψ column interns through its GroupBy column, whose codes its group
+	// means are a function of; s.coded stays nil there, for encodeAt.
+	by := slices.Clone(s.coded)
 	for _, sf := range summaries {
-		cols[s.featureIndex(sf.name)] = sf.pre
+		i := s.featureIndex(sf.name)
+		cols[i], by[i] = sf.pre, v.Rel.Coded(sf.group)
 	}
-	s.frame = ml.FrameOfColumns(cols, s.coded, opts.Shards)
+	s.frame = ml.FrameOfColumns(cols, by, opts.Shards)
 	n := v.Rel.Len()
 	if opts.SampleSize > 0 && opts.SampleSize < n {
 		rng := stats.NewRNG(opts.Seed ^ 0x5ab0)

@@ -56,8 +56,8 @@ func TestFreqIndexExtendMatchesNew(t *testing.T) {
 		}
 		extended++
 		for i := range n {
-			if got.ids.at(i) != fresh.ids.at(i) {
-				t.Fatalf("seed %d row %d: exact id %d, want %d", seed, i, got.ids.at(i), fresh.ids.at(i))
+			if got.ids.At(i) != fresh.ids.At(i) {
+				t.Fatalf("seed %d row %d: exact id %d, want %d", seed, i, got.ids.At(i), fresh.ids.At(i))
 			}
 		}
 		if !slices.Equal(got.n, fresh.n) || !slices.Equal(got.off, fresh.off) || !slices.Equal(got.up, fresh.up) || got.Len() != fresh.Len() {

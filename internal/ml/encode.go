@@ -25,8 +25,8 @@
 // fitted on it: each level of the index (the exact combination, each backoff
 // feature, the protected prefix) is a relation.TupleIndex giving the level's
 // code tuples dense ids, the one code-tuple index sqlmini's groups and joins
-// use too. A frame column over a relation column interns through that
-// column's codes.
+// use too. Every frame column interns through the codes of a relation
+// column it is a function of, and keeps none of its own.
 package ml
 
 import "hyper/internal/relation"

@@ -18,25 +18,28 @@ import (
 // becomes a row of small integers, which a relation.TupleIndex turns into a
 // dense id.
 //
-// A frame over a relation does not own its columns: each is the relation
-// column's one encoding (relation.CodedColumn.Encoded), shared with every
-// other frame over that column, so nothing — no fit, no caller of Col — may
-// write to a column. A Frame is immutable after construction and safe for
-// concurrent use.
+// Every column is a function of a relation column's row codes, and the frame
+// keeps no codes per row: a row's frame code is its relation code mapped
+// through a table. A frame over a relation does not own its columns either:
+// each is the relation column's one encoding (relation.CodedColumn.Encoded),
+// shared with every other frame over that column, so nothing — no fit, no
+// caller of Col — may write to a column. A Frame is immutable after
+// construction and safe for concurrent use.
 type Frame struct {
 	rows, dim int
 	workers   int         // construction/intern fan-out hint (0 = GOMAXPROCS)
 	cols      [][]float64 // cols[c][r]: value of column c at row r
-	// coded[c], when set, is the relation column whose row codes column c's
-	// values are a function of; interning goes through its codes.
+	// coded[c] is the relation column whose row codes column c's values are
+	// a function of; interning goes through its codes.
 	coded []*relation.CodedColumn
 
 	// Interned codes, built lazily by Intern (tree/forest/linear fits never
-	// need them; the freq index does).
+	// need them; the freq index does): row r of column c has the frame code
+	// remap[c][coded[c].At(r)].
 	internOnce sync.Once
-	codes      []columnCodes
-	dicts      []dict   // per-column value (canonical bits) -> code
-	card       []uint32 // distinct values per column
+	remap      [][]uint32 // per column, relation code -> frame code
+	dicts      []dict     // per-column value (canonical bits) -> code
+	card       []uint32   // distinct values per column
 
 	// Per-column order index, built lazily by rankStore the first time a
 	// tree is fitted on the frame (freq and linear fits never need it).
@@ -94,9 +97,10 @@ func NewFrameWorkers(enc *Encoder, rel *relation.Relation, workers int) *Frame {
 
 // FrameOfColumns is the frame over the given equal-length columns, which it
 // keeps without copying and, like every reader of a frame, never writes.
-// coded may be nil, or name per column the relation column (nil: none) whose
-// row codes the column's values are a function of: cols[c][r] must depend on
-// coded[c].At(r) alone, as an encoding of the column does.
+// coded names per column the relation column whose row codes the column's
+// values are a function of: cols[c][r] must depend on coded[c].At(r) alone,
+// as an encoding of the column or a group mean over its codes does, up to
+// the sign of zero and a NaN's payload.
 func FrameOfColumns(cols [][]float64, coded []*relation.CodedColumn, workers int) *Frame {
 	f := &Frame{dim: len(cols), workers: workers, cols: cols, coded: coded}
 	if len(cols) > 0 {
@@ -105,165 +109,78 @@ func FrameOfColumns(cols [][]float64, coded []*relation.CodedColumn, workers int
 	return f
 }
 
-// FrameFromRows builds a frame from an already-encoded row matrix. It is the
-// adapter behind the historical [][]float64 fit entry points.
+// FrameFromRows builds a frame from an already-encoded row matrix, each
+// column coded by relation.ColumnOf. It is the adapter behind the historical
+// [][]float64 fit entry points.
 func FrameFromRows(X [][]float64) *Frame {
-	n := len(X)
 	dim := 0
-	if n > 0 {
+	if len(X) > 0 {
 		dim = len(X[0])
 	}
-	data := make([]float64, n*dim)
 	cols := make([][]float64, dim)
+	coded := make([]*relation.CodedColumn, dim)
+	vals := make([]relation.Value, len(X))
 	for c := range cols {
-		cols[c] = data[c*n : (c+1)*n]
-	}
-	for r, x := range X {
-		for c, v := range x {
-			cols[c][r] = v
+		cols[c] = make([]float64, len(X))
+		for r, x := range X {
+			cols[c][r], vals[r] = x[c], relation.Float(x[c])
 		}
+		coded[c] = relation.ColumnOf(vals)
 	}
-	return FrameOfColumns(cols, nil, 0)
+	return FrameOfColumns(cols, coded, 0)
 }
 
 // Intern assigns per-column integer codes to every value (idempotent, safe
 // for concurrent use). Codes are dense, in first-seen row order per column.
 func (f *Frame) Intern() { f.internOnce.Do(f.intern) }
 
-// columnCodes gives each row of a frame column its interned code. A column
-// over a relation column reads the relation's row code and maps it through
-// remap, so the frame keeps nothing per row; any other column (a ψ summary, a
-// FrameFromRows matrix) keeps codes of its own.
-type columnCodes struct {
-	rel   *relation.CodedColumn
-	remap []uint32 // relation code -> frame code
-	own   codeColumn
-}
-
-func (c *columnCodes) at(r int) uint32 {
-	if c.rel != nil {
-		return c.remap[c.rel.At(r)]
-	}
-	return c.own.at(r)
-}
+// code returns the frame code of row r of column c.
+func (f *Frame) code(c, r int) uint32 { return f.remap[c][f.coded[c].At(r)] }
 
 // addKeys adds scale times the code of row rows[i] of column c to keys[i],
-// through a table of each relation code's addend over a relation column.
+// through a table of each relation code's addend.
 func (f *Frame) addKeys(c int, keys []uint64, rows []int, scale uint64) {
-	cc := &f.codes[c]
-	if cc.rel == nil {
-		for i, r := range rows {
-			keys[i] += uint64(cc.own.at(r)) * scale
-		}
-		return
-	}
-	table := make([]uint64, len(cc.remap))
-	for k, code := range cc.remap {
+	table := make([]uint64, len(f.remap[c]))
+	for k, code := range f.remap[c] {
 		table[k] = uint64(code) * scale // wraps for a code no row holds, never read
 	}
-	cc.rel.AddCodes(keys, rows, table)
-}
-
-// codeColumn holds a small integer per row the way relation.CodedColumn holds
-// its codes: a byte per row while every value is below 256, four bytes once
-// one is not (exactly one of the two is set).
-type codeColumn struct {
-	narrow []uint8
-	wide   []uint32
-}
-
-func (s *codeColumn) at(i int) uint32 {
-	if s.wide != nil {
-		return s.wide[i]
-	}
-	return uint32(s.narrow[i])
-}
-
-func (s *codeColumn) len() int { return max(len(s.narrow), len(s.wide)) }
-
-// grow returns a copy of s holding n rows, s's first.
-func (s *codeColumn) grow(n int) codeColumn {
-	if s.wide != nil {
-		w := make([]uint32, n)
-		copy(w, s.wide)
-		return codeColumn{wide: w}
-	}
-	b := make([]uint8, n)
-	copy(b, s.narrow)
-	return codeColumn{narrow: b}
-}
-
-// set stores v at row i, widening the rows so far at the first v past a byte.
-func (s *codeColumn) set(i int, v uint32) {
-	if s.wide == nil && v > math.MaxUint8 {
-		s.wide = make([]uint32, len(s.narrow))
-		for j, b := range s.narrow[:i] {
-			s.wide[j] = uint32(b)
-		}
-		s.narrow = nil
-	}
-	if s.wide != nil {
-		s.wide[i] = v
-	} else {
-		s.narrow[i] = uint8(v)
-	}
+	f.coded[c].AddCodes(keys, rows, table)
 }
 
 func (f *Frame) intern() {
-	f.codes = make([]columnCodes, f.dim)
+	f.remap = make([][]uint32, f.dim)
 	f.dicts = make([]dict, f.dim)
 	f.card = make([]uint32, f.dim)
 	// Columns intern independently (codes are per-column, assigned in row
 	// order), so interning fans out across columns without changing any code.
-	f.eachColumn(func(c int) {
-		f.dicts[c] = make(dict)
-		if c < len(f.coded) && f.coded[c] != nil {
-			f.codes[c] = f.internThrough(c, f.coded[c])
-		} else {
-			f.codes[c] = f.internRows(c)
-		}
-	})
+	f.eachColumn(f.internThrough)
 }
 
-// internValue returns column c's code for v, giving it the next code when the
-// column has not held its canonical value before.
-func (f *Frame) internValue(c int, v float64) uint32 {
-	b := canonBits(v)
-	code, ok := f.dicts[c][b]
-	if !ok {
-		code = f.card[c]
-		f.dicts[c][b] = code
-		f.card[c]++
-	}
-	return code
-}
-
-// internThrough interns column c through the relation column rel: the
+// internThrough interns column c through its relation column: the
 // dictionary is probed once per distinct relation code, at the first row
-// holding it, so codes keep first-seen row order and equal internRows'.
-// Relation codes whose values encode alike — NULL and 0 of a numeric column,
-// integers past 2^53 that round to one float — get one frame code.
-func (f *Frame) internThrough(c int, rel *relation.CodedColumn) columnCodes {
+// holding it, so codes keep first-seen row order, those of interning the
+// column value by value. Relation codes whose values encode alike — NULL and
+// 0 of a numeric column, integers past 2^53 that round to one float — get
+// one frame code.
+func (f *Frame) internThrough(c int) {
+	rel, d := f.coded[c], make(dict)
 	remap := make([]uint32, len(rel.Values)) // code+1; 0 while unseen
 	for r, left := 0, len(remap); r < f.rows && left > 0; r++ {
 		if k := rel.At(r); remap[k] == 0 {
-			remap[k] = f.internValue(c, f.cols[c][r]) + 1
+			b := canonBits(f.cols[c][r])
+			code, ok := d[b]
+			if !ok {
+				code = uint32(len(d))
+				d[b] = code
+			}
+			remap[k] = code + 1
 			left--
 		}
 	}
 	for k := range remap {
 		remap[k]-- // a code no row holds wraps, and is never read
 	}
-	return columnCodes{rel: rel, remap: remap}
-}
-
-// internRows interns column c value by value, keeping each row's code.
-func (f *Frame) internRows(c int) columnCodes {
-	codes := codeColumn{narrow: make([]uint8, f.rows)}
-	for r, v := range f.cols[c] {
-		codes.set(r, f.internValue(c, v))
-	}
-	return columnCodes{own: codes}
+	f.remap[c], f.dicts[c], f.card[c] = remap, d, uint32(len(d))
 }
 
 // eachColumn runs fn once per column, fanned out over a pool bounded by the

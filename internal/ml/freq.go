@@ -42,9 +42,9 @@ type FreqIndex struct {
 	// starting at off[l].
 	levels []index
 	off    []int
-	ids    codeColumn // per training row, its exact id
-	up     []int32    // up[e*(len(levels)-1)+l-1]: the cell of exact id e in level l > 0
-	n      []int32    // training rows per cell
+	ids    relation.Codes // per training row, its exact id
+	up     []int32        // up[e*(len(levels)-1)+l-1]: the cell of exact id e in level l > 0
+	n      []int32        // training rows per cell
 }
 
 // encode interns the raw feature vector v into buf — stack space for up to
@@ -155,7 +155,7 @@ func NewFreqIndex(fr *Frame, rows []int, keepFirst int) *FreqIndex {
 // (relation.TupleIndex.Fork).
 func (x *FreqIndex) Extend(fr *Frame, rows []int) (*FreqIndex, bool) {
 	fr.Intern()
-	if len(rows) < x.ids.len() || !slices.Equal(fr.card, x.card) {
+	if len(rows) < x.ids.Len() || !slices.Equal(fr.card, x.card) {
 		return nil, false
 	}
 	y := &FreqIndex{dicts: fr.dicts, card: fr.card, keepFirst: x.keepFirst, levels: slices.Clone(x.levels)}
@@ -172,9 +172,9 @@ func (x *FreqIndex) Extend(fr *Frame, rows []int) (*FreqIndex, bool) {
 // first-seen row order, and their counts are summed from the exact counts.
 func (x *FreqIndex) grow(prev *FreqIndex, fr *Frame, rows []int) {
 	nb, oldExact := len(x.levels)-1, x.levels[0].n
-	x.ids = prev.ids.grow(len(rows))
+	x.ids = prev.ids.Grow(len(rows))
 	x.n = append(make([]int32, 0, oldExact), prev.n[:oldExact]...)
-	tuples := x.indexExact(fr, rows, prev.ids.len())
+	tuples := x.indexExact(fr, rows, prev.ids.Len())
 
 	ne := x.levels[0].n
 	x.off = make([]int, len(x.levels))
@@ -216,7 +216,7 @@ func (x *FreqIndex) indexExact(fr *Frame, rows []int, from int) []uint32 {
 			id, _ = exact.ids.KeyID(keys[i], true)
 		} else {
 			for c := range codes {
-				codes[c] = fr.codes[c].at(r)
+				codes[c] = fr.code(c, r)
 			}
 			id, _ = exact.ids.ID(codes, true)
 		}
@@ -224,10 +224,10 @@ func (x *FreqIndex) indexExact(fr *Frame, rows []int, from int) []uint32 {
 			exact.n++
 			x.n = append(x.n, 0)
 			for c := range fr.dim {
-				tuples = append(tuples, fr.codes[c].at(r))
+				tuples = append(tuples, fr.code(c, r))
 			}
 		}
-		x.ids.set(from+i, uint32(id))
+		x.ids.Set(from+i, uint32(id))
 		x.n[id]++
 	}
 	return tuples
@@ -290,23 +290,14 @@ func (x *FreqIndex) fitRows(sums, y []float64, plan shard.Plan, workers int) {
 }
 
 // add adds the labels y of the indexed rows from lo on to their exact cells
-// in sums, in row order, and to their cells in the first nb other levels.
+// in sums, in row order — the first cells are the exact level's, in id order
+// — and to their cells in the first nb other levels.
 func (x *FreqIndex) add(sums, y []float64, lo, nb int) {
-	hi := lo + len(y)
-	if x.ids.wide != nil {
-		addRows(sums, y, x.ids.wide[lo:hi], x.up, len(x.levels)-1, nb)
-	} else {
-		addRows(sums, y, x.ids.narrow[lo:hi], x.up, len(x.levels)-1, nb)
-	}
-}
-
-// addRows adds y[i] to the exact cell ids[i] — the first cells are the exact
-// level's, in id order — and to its cell in the first nb of stride levels.
-func addRows[I uint8 | uint32](sums, y []float64, ids []I, up []int32, stride, nb int) {
-	for i, e := range ids {
-		yy := y[i]
+	stride := len(x.levels) - 1
+	for i, yy := range y {
+		e := int(x.ids.At(lo + i))
 		sums[e] += yy
-		for _, c := range up[int(e)*stride : int(e)*stride+nb] {
+		for _, c := range x.up[e*stride : e*stride+nb] {
 			sums[c] += yy
 		}
 	}
@@ -354,12 +345,12 @@ func exactSums(bound float64, rows int) bool {
 // those of Fit over all the labels under any shard plan, and only y is added.
 // Other labels refuse, since re-associating their sums can change bits.
 func (f *FreqEstimator) Extend(ix *FreqIndex, y []float64) (*FreqEstimator, bool) {
-	old := f.ix.ids.len()
-	if f.bound < 0 || len(ix.levels) != len(f.ix.levels) || ix.ids.len() != old+len(y) {
+	old := f.ix.ids.Len()
+	if f.bound < 0 || len(ix.levels) != len(f.ix.levels) || ix.ids.Len() != old+len(y) {
 		return nil, false
 	}
 	bound := integerBound(y, f.bound)
-	if !exactSums(bound, ix.ids.len()) {
+	if !exactSums(bound, ix.ids.Len()) {
 		return nil, false
 	}
 	return f.extend(ix, y, bound), true
@@ -370,7 +361,7 @@ func (f *FreqEstimator) Extend(ix *FreqIndex, y []float64) (*FreqEstimator, bool
 func (f *FreqEstimator) extend(ix *FreqIndex, y []float64, bound float64) *FreqEstimator {
 	g := &FreqEstimator{ix: ix, sums: make([]float64, len(ix.n)), bound: bound}
 	copy(g.sums, f.sums[:f.ix.Len()])
-	ix.addExact(g.sums, y, f.ix.ids.len())
+	ix.addExact(g.sums, y, f.ix.ids.Len())
 	return g
 }
 

@@ -259,34 +259,49 @@ func TestFreqIndexHasMatchesEstimator(t *testing.T) {
 	}
 }
 
-// refInternFlat is the frame's code layout before codes narrowed to a byte:
-// one flat []uint32, codes[c*rows+r], assigned in first-seen row order per
-// column. Kept here as the reference the per-column narrow/wide columns are
-// held to.
-func refInternFlat(f *Frame) (codes []uint32, card []uint32) {
-	codes = make([]uint32, f.rows*f.dim)
-	card = make([]uint32, f.dim)
-	for c := 0; c < f.dim; c++ {
-		d := make(dict)
-		for r, v := range f.Col(c) {
-			b := canonBits(v)
-			code, ok := d[b]
-			if !ok {
-				code = card[c]
-				d[b] = code
-				card[c]++
-			}
-			codes[c*f.rows+r] = code
+// refInternRows is the interning a frame column without a relation column
+// had before every column interned through one, kept as the reference
+// internThrough is held to: column c interned value by value in row order
+// under canonical bits, each row keeping its code. It returns the row codes,
+// the dictionary and the cardinality.
+func refInternRows(f *Frame, c int) (codes []uint32, d dict, card uint32) {
+	codes, d = make([]uint32, f.rows), make(dict)
+	for r, v := range f.Col(c) {
+		b := canonBits(v)
+		code, ok := d[b]
+		if !ok {
+			code = card
+			d[b] = code
+			card++
 		}
+		codes[r] = code
 	}
-	return codes, card
+	return codes, d, card
 }
 
-// TestFrameCodesNarrowWide: a column of its own (no relation column) stays
-// one byte per row through its 256th distinct value and widens at the 257th,
-// and at either width the frame hands out the codes of the flat layout — so
-// the estimator fitted on it, its support counts and the index's membership
-// are those of the reference, packed and wide keys alike.
+// checkInternRows holds every column of the interned frame f to
+// refInternRows: each row's code, the dictionary and the cardinality.
+func checkInternRows(t *testing.T, f *Frame) {
+	t.Helper()
+	for c := range f.dim {
+		codes, d, card := refInternRows(f, c)
+		if f.card[c] != card || !maps.Equal(f.dicts[c], d) {
+			t.Fatalf("column %d: card %d, %d dictionary entries; value by value %d, %d", c, f.card[c], len(f.dicts[c]), card, len(d))
+		}
+		for r, want := range codes {
+			if got := f.code(c, r); got != want {
+				t.Fatalf("column %d row %d (%v): code %d, value by value %d", c, r, f.Col(c)[r], got, want)
+			}
+		}
+	}
+}
+
+// TestFrameCodesNarrowWide: a FrameFromRows column is coded by a relation
+// column, one byte per row through its 256th distinct value and four bytes
+// from the 257th on, and at either width the frame hands out the codes of
+// interning it value by value — so the estimator fitted on it, its support
+// counts and the index's membership are those of the reference, packed and
+// wide keys alike.
 func TestFrameCodesNarrowWide(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -314,25 +329,12 @@ func TestFrameCodesNarrowWide(t *testing.T) {
 			X[n-1][0], X[n-1][1] = 255, 256
 			fr := FrameFromRows(X)
 			fr.Intern()
-			if own := fr.codes[0].own; fr.card[0] != 256 || own.narrow == nil || own.wide != nil {
-				t.Fatalf("256-value column: card %d, narrow %v, wide %v", fr.card[0], own.narrow != nil, own.wide != nil)
-			}
-			if own := fr.codes[1].own; fr.card[1] != 257 || own.narrow != nil || own.wide == nil {
-				t.Fatalf("257-value column: card %d, narrow %v, wide %v", fr.card[1], own.narrow != nil, own.wide != nil)
-			}
-			flat, card := refInternFlat(fr)
-			for r := 0; r < n; r++ {
-				for c := range dim {
-					if got := fr.codes[c].at(r); got != flat[c*n+r] {
-						t.Fatalf("row %d column %d: code %d, flat layout %d", r, c, got, flat[c*n+r])
-					}
+			for c, want := range []uint32{256, 257} {
+				if fr.card[c] != want || fr.coded[c].Card() != int(want) {
+					t.Fatalf("%d-value column: card %d, relation column of %d values", want, fr.card[c], fr.coded[c].Card())
 				}
 			}
-			for c := range card {
-				if fr.card[c] != card[c] {
-					t.Fatalf("column %d: card %d, flat layout %d", c, fr.card[c], card[c])
-				}
-			}
+			checkInternRows(t, fr)
 
 			ix := NewFreqIndex(fr, identityRows(n), 1)
 			f := ix.Fit(y, shard.Plan{}, 1)
@@ -352,14 +354,13 @@ func TestFrameCodesNarrowWide(t *testing.T) {
 }
 
 // TestFrameInternThroughRelation holds a frame interning through its relation
-// columns' codes to one interning the same columns value by value (the map
-// path of a column without a relation column): every row's code, every
-// dictionary and every cardinality. Several relation codes may encode to one
-// float, so they must share a frame code: NULL, Int 0 and 0.0 of a numeric
-// column encode to 0, and Int 2^53 and 2^53+1 to one float. -0.0 beside +0.0
-// and two NaN payloads share a relation code already; a 257th distinct value
-// makes both the relation column and the frame codes wide; a string column
-// encodes by rank, NULL at -1.
+// columns' codes to refInternRows: every row's code, every dictionary and
+// every cardinality. Several relation codes may encode to one float, so they
+// must share a frame code: NULL, Int 0 and 0.0 of a numeric column encode to
+// 0, and Int 2^53 and 2^53+1 to one float. -0.0 beside +0.0 and two NaN
+// payloads share a relation code already; a 257th distinct value makes both
+// the relation column and the frame codes wide; a string column encodes by
+// rank, NULL at -1.
 func TestFrameInternThroughRelation(t *testing.T) {
 	const n = 700
 	rng := stats.NewRNG(3)
@@ -385,23 +386,66 @@ func TestFrameInternThroughRelation(t *testing.T) {
 		cols[c] = coded[c].Encoded()
 	}
 	via := FrameOfColumns(cols, coded, 2)
-	own := FrameOfColumns(cols, nil, 1)
 	via.Intern()
-	own.Intern()
 	if len(coded[0].Values) <= int(via.card[0]) {
 		t.Fatalf("no two relation codes share a frame code: %d relation codes, %d frame codes", len(coded[0].Values), via.card[0])
 	}
-	if via.card[1] != 300 || via.codes[1].rel == nil {
-		t.Fatalf("wide column: %d frame codes, through the relation %v", via.card[1], via.codes[1].rel != nil)
+	if via.card[1] != 300 || len(via.remap[1]) != 300 {
+		t.Fatalf("wide column: %d frame codes, %d relation codes", via.card[1], len(via.remap[1]))
 	}
-	for c := range cols {
-		if via.card[c] != own.card[c] || !maps.Equal(via.dicts[c], own.dicts[c]) {
-			t.Fatalf("column %d: card %d, dictionary %v; value by value %d, %v", c, via.card[c], via.dicts[c], own.card[c], own.dicts[c])
-		}
-		for r := range n {
-			if got, want := via.codes[c].at(r), own.codes[c].at(r); got != want {
-				t.Fatalf("column %d row %d (%v): code %d, value by value %d", c, r, vals[c][r], got, want)
-			}
+	checkInternRows(t, via)
+}
+
+// TestFrameInternGroupMeans holds ψ-like columns — per row, a mean over the
+// rows sharing the row's group — interned through their GroupBy column to
+// refInternRows, as the engine's estimator sets intern them. In one column
+// every group's mean is chosen: groups share means, so several relation
+// codes take one frame code, and some means are NaN (with different
+// payloads), -0 or +0. The other sums fractional values per group in row
+// order, as the engine does. Both hold more than 256 distinct means over 700
+// groups, so relation codes and frame codes are past a byte.
+func TestFrameInternGroupMeans(t *testing.T) {
+	const groups, n = 700, 6000
+	rng := stats.NewRNG(5)
+	chosen := make([]float64, groups)
+	for g := range chosen {
+		switch g % 40 {
+		case 0:
+			chosen[g] = math.Float64frombits(0x7ff8000000000001 + uint64(g))
+		case 1:
+			chosen[g] = math.Copysign(0, -1)
+		case 2:
+			chosen[g] = 0
+		default:
+			chosen[g] = float64(g%311) / 4
 		}
 	}
+	keys, group := make([]relation.Value, n), make([]int, n)
+	vals := make([]float64, n)
+	for r := range n {
+		group[r] = rng.Intn(groups)
+		keys[r] = relation.Int(int64(group[r]*7919%100003 - 5000))
+		vals[r] = float64(rng.Intn(1000)) / 8
+	}
+	type acc struct {
+		sum float64
+		n   int
+	}
+	sums := make([]acc, groups)
+	for r, g := range group {
+		sums[g].sum += vals[r]
+		sums[g].n++
+	}
+	cols := [][]float64{make([]float64, n), make([]float64, n)}
+	for r, g := range group {
+		cols[0][r] = chosen[g]
+		cols[1][r] = sums[g].sum / float64(sums[g].n)
+	}
+	by := relation.ColumnOf(keys)
+	f := FrameOfColumns(cols, []*relation.CodedColumn{by, by}, 2)
+	f.Intern()
+	if by.Card() <= 256 || f.card[0] <= 256 || f.card[1] <= 256 || int(f.card[0]) >= by.Card() {
+		t.Fatalf("%d groups; %d and %d frame codes", by.Card(), f.card[0], f.card[1])
+	}
+	checkInternRows(t, f)
 }

@@ -439,8 +439,8 @@ func TestFrameRanksOnce(t *testing.T) {
 func TestFrameZeroColumns(t *testing.T) {
 	fr := FrameOfColumns(nil, nil, 4)
 	fr.Intern()
-	if s := fr.rankStore(); fr.Dim() != 0 || len(fr.codes) != 0 || len(s.vals) != 0 || s.maxCard != 0 {
-		t.Errorf("zero-column frame: dim %d, %d code columns, %d rank columns", fr.Dim(), len(fr.codes), len(s.vals))
+	if s := fr.rankStore(); fr.Dim() != 0 || len(fr.remap) != 0 || len(s.vals) != 0 || s.maxCard != 0 {
+		t.Errorf("zero-column frame: dim %d, %d code columns, %d rank columns", fr.Dim(), len(fr.remap), len(s.vals))
 	}
 }
 

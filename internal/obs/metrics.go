@@ -302,12 +302,14 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	io.WriteString(w, b.String())
 }
 
+// labelEscaper escapes a label value as the exposition format does: a
+// backslash, a double quote and a line feed, and every other byte raw.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 func labelPairs(names, values []string) string {
 	parts := make([]string, len(names))
 	for i := range names {
-		// %q escaping (backslash, quote, \n) matches the exposition format's
-		// label value escaping rules.
-		parts[i] = fmt.Sprintf("%s=%q", names[i], values[i])
+		parts[i] = names[i] + `="` + labelEscaper.Replace(values[i]) + `"`
 	}
 	return strings.Join(parts, ",")
 }

@@ -64,3 +64,25 @@ func TestMetricsExpositionGolden(t *testing.T) {
 		t.Fatalf("lint problems: %v", problems)
 	}
 }
+
+// TestLabelValueEscaping renders a label value holding a tab, a control byte
+// and a non-ASCII letter beside the three characters the exposition format
+// escapes. Only a backslash, a double quote and a line feed take a
+// backslash; every other byte goes out raw, since the format has no \t or
+// \x escapes and a scraper would misread them.
+func TestLabelValueEscaping(t *testing.T) {
+	r := NewRegistry()
+	vec := r.CounterVec("hyper_escape_total", "Label escaping.", "worker")
+	vec.With("a\tb\x01é").Inc()
+	vec.With("q\"b\\n\nz").Add(2)
+	var b strings.Builder
+	r.WritePrometheus(&b)
+	for _, want := range []string{
+		"hyper_escape_total{worker=\"a\tb\x01é\"} 1\n",
+		`hyper_escape_total{worker="q\"b\\n\nz"} 2` + "\n",
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Fatalf("exposition lacks %q:\n%s", want, b.String())
+		}
+	}
+}

@@ -29,10 +29,10 @@ func TestRelationExtendCopyOnWrite(t *testing.T) {
 	// (past the base's rows, in spare capacity); a sibling copies it.
 	for ci := range base.Schema().Len() {
 		b, g, s := base.Coded(ci), grown.Coded(ci), sibling.Coded(ci)
-		if &b.Values[0] != &g.Values[0] || &b.narrow[0] != &g.narrow[0] {
+		if &b.Values[0] != &g.Values[0] || &b.codes.narrow[0] != &g.codes.narrow[0] {
 			t.Fatalf("column %d storage not shared", ci)
 		}
-		if &b.narrow[0] == &s.narrow[0] {
+		if &b.codes.narrow[0] == &s.codes.narrow[0] {
 			t.Fatalf("column %d storage shared by two extensions", ci)
 		}
 	}

@@ -83,11 +83,11 @@ func (d dict) fork() dict {
 // value interned to a dense code (first-seen order, NULL taking a code of its
 // own) under Value.Key() identity without formatting a key string, the value
 // of each code, the rows whose value differs in bits from their code's, and
-// the summary the planner's cost model reads, all kept by Insert. Row codes
-// are stored one byte each while the column has at most 256 distinct values,
-// four bytes otherwise. Every consumer shares it — the planner's stats and
+// the summary the planner's cost model reads, all kept by Insert; the row
+// codes are a Codes. Every consumer shares it — the planner's stats and
 // pushdown scans, the encoder's dictionaries, the frame encode and every
-// estimator frame, which points at Encoded. Fields must not be mutated.
+// estimator frame, which points at Encoded and interns through the codes.
+// Fields must not be mutated.
 type CodedColumn struct {
 	// Values holds the first-seen value of each code.
 	Values []Value
@@ -105,8 +105,7 @@ type CodedColumn struct {
 	// the row's own value and expect the row's result.
 	Exact bool
 
-	narrow []uint8  // row codes while len(Values) <= 256 ...
-	wide   []uint32 // ... and past that
+	codes  Codes
 	dict   dict
 	ranged bool // Min and Max hold a value
 
@@ -195,11 +194,7 @@ func Gather(src *CodedColumn, rows []int32) *CodedColumn {
 		c.Values[code] = src.value(int(r))
 	}
 	c.intern()
-	if len(c.Values) <= 256 {
-		c.narrow = gatherCodes[uint8](src, rows, remap)
-	} else {
-		c.wide = gatherCodes[uint32](src, rows, remap)
-	}
+	c.codes = src.codes.Gather(rows, remap)
 	if !src.Exact {
 		for i, r := range rows {
 			v, w := src.value(int(r)), c.Values[c.At(i)]
@@ -210,14 +205,6 @@ func Gather(src *CodedColumn, rows []int32) *CodedColumn {
 		}
 	}
 	return c
-}
-
-func gatherCodes[C uint8 | uint32](src *CodedColumn, rows []int32, remap []uint32) []C {
-	out := make([]C, len(rows))
-	for i, r := range rows {
-		out[i] = C(remap[src.At(int(r))] - 1)
-	}
-	return out
 }
 
 // intern puts each of c's Values in the dictionary under its code, into maps
@@ -258,25 +245,12 @@ func (c *CodedColumn) Code(v Value) (uint32, bool) {
 }
 
 // At returns the code of row i.
-func (c *CodedColumn) At(i int) uint32 {
-	if c.wide != nil {
-		return c.wide[i]
-	}
-	return uint32(c.narrow[i])
-}
+func (c *CodedColumn) At(i int) uint32 { return c.codes.At(i) }
 
 // AddCodes adds table[c] to dst[i] for each i, where c is the code of row
 // rows[i].
 func (c *CodedColumn) AddCodes(dst []uint64, rows []int, table []uint64) {
-	if c.wide != nil {
-		for i, r := range rows {
-			dst[i] += table[c.wide[r]]
-		}
-		return
-	}
-	for i, r := range rows {
-		dst[i] += table[c.narrow[r]]
-	}
+	c.codes.AddCodes(dst, rows, table)
 }
 
 // value returns row i's value exactly as it was inserted.
@@ -289,7 +263,7 @@ func (c *CodedColumn) value(i int) Value {
 	return c.Values[c.At(i)]
 }
 
-func (c *CodedColumn) rows() int { return max(len(c.narrow), len(c.wide)) }
+func (c *CodedColumn) rows() int { return c.codes.Len() }
 
 // Encode maps v to the float the estimators read for this column, a function
 // of the column alone. Over a Numeric column numbers pass through, a bool is
@@ -392,19 +366,7 @@ func Lengthen[T any](s []T, n int, own bool) []T {
 }
 
 // Narrow clears set[i] for every row whose code has keep[code] false.
-func (c *CodedColumn) Narrow(keep, set []bool) {
-	if c.wide != nil {
-		narrow(c.wide, keep, set)
-	} else {
-		narrow(c.narrow, keep, set)
-	}
-}
-
-func narrow[C uint8 | uint32](codes []C, keep, set []bool) {
-	for i, code := range codes {
-		set[i] = set[i] && keep[code]
-	}
-}
+func (c *CodedColumn) Narrow(keep, set []bool) { c.codes.Narrow(keep, set) }
 
 // Recode maps each code of c to the code other gives the same value, -1
 // where other holds none: a join, foreign-key or key probe between two
@@ -428,24 +390,13 @@ func (c *CodedColumn) push(v Value, k valueKey, code uint32, seen bool) {
 		c.dict.put(k, code)
 		c.Values = append(c.Values, v)
 		c.summarize(v)
-		if code == 256 { // the 257th distinct value: widen the codes so far
-			c.wide = make([]uint32, row, row+row/4+1)
-			for j, b := range c.narrow {
-				c.wide[j] = uint32(b)
-			}
-			c.narrow = nil
-		}
 	} else if w := c.Values[code]; v.kind != w.kind || math.Float64bits(v.f) != math.Float64bits(w.f) {
 		// Same key, so ints, bools and strings agree already; what a key
 		// leaves open is the kind and a float's bits.
 		c.offRows, c.offVals = append(c.offRows, row), append(c.offVals, v)
 		c.Exact = false
 	}
-	if c.wide != nil {
-		c.wide = append(c.wide, code)
-	} else {
-		c.narrow = append(c.narrow, uint8(code))
-	}
+	c.codes.Append(code)
 	if v.kind == KindNull {
 		c.Nulls++
 	}
@@ -481,7 +432,7 @@ func (c *CodedColumn) fork(inPlace bool) *CodedColumn {
 	d.dict = c.dict.fork()
 	d.enc = c.enc.next()
 	if !inPlace {
-		d.Values, d.narrow, d.wide = slices.Clip(d.Values), slices.Clip(d.narrow), slices.Clip(d.wide)
+		d.Values, d.codes = slices.Clip(d.Values), d.codes.Clip()
 		d.offRows, d.offVals = slices.Clip(d.offRows), slices.Clip(d.offVals)
 	}
 	return &d

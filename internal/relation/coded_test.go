@@ -37,11 +37,14 @@ func keyParityValues() []Value {
 }
 
 // codeAt returns the code of row i at whichever width the column stores.
-func codeAt(c *CodedColumn, i int) uint32 {
-	if c.wide != nil {
-		return c.wide[i]
+func codeAt(c *CodedColumn, i int) uint32 { return storedCode(&c.codes, i) }
+
+// storedCode reads row i of s from whichever slice holds it, apart from At.
+func storedCode(s *Codes, i int) uint32 {
+	if s.wide != nil {
+		return s.wide[i]
 	}
-	return uint32(c.narrow[i])
+	return uint32(s.narrow[i])
 }
 
 // checkKeyParity asserts the one identity of values: Compare finds a and b
@@ -305,34 +308,85 @@ func TestCodedColumn(t *testing.T) {
 	}
 }
 
-// TestCodedWidths drives a column across the one-byte code limit (the 257th
-// distinct value widens the codes already assigned) and holds the codes,
-// Encoded and Narrow to the same answers at both widths.
+// TestCodedWidths drives row codes across the one-byte limit — the 257th
+// distinct code widens the codes already stored — through every way they are
+// written: Insert, an in-place Relation.Extend fork and a copying sibling,
+// and the Codes store's Append, Set and grown copy. Each holds the codes of
+// row i%distinct at the width they need, and a version or copy made before
+// the widening still reads its own narrow codes. Encoded and Narrow give the
+// same answers at both widths.
 func TestCodedWidths(t *testing.T) {
+	const rows, split = 1000, 200 // split: the rows before the extension
 	for _, distinct := range []int{256, 257, 300} {
-		rel := NewRelation("T", MustSchema(Column{Name: "ID", Key: true}, Column{Name: "V"}))
-		const rows = 1000
-		for i := 0; i < rows; i++ {
-			rel.MustInsert(Int(int64(i)), Int(int64(i%distinct)))
+		check := func(how string, s *Codes, n int) {
+			t.Helper()
+			if wide := min(n, distinct) > 256; s.Len() != n || (s.wide != nil) != wide || (s.wide == nil) == (s.narrow == nil) {
+				t.Fatalf("%d distinct values, %s: %d rows, wide=%v narrow=%v", distinct, how, s.Len(), s.wide != nil, s.narrow != nil)
+			}
+			for i := range n {
+				if storedCode(s, i) != uint32(i%distinct) || s.At(i) != uint32(i%distinct) {
+					t.Fatalf("%d distinct values, %s, row %d: code %d (At %d)", distinct, how, i, storedCode(s, i), s.At(i))
+				}
+			}
+		}
+		schema := MustSchema(Column{Name: "ID", Key: true}, Column{Name: "V"})
+		tuples := make([]Tuple, rows)
+		for i := range tuples {
+			tuples[i] = Tuple{Int(int64(i)), Int(int64(i % distinct))}
+		}
+		rel, base := NewRelation("T", schema), NewRelation("T", schema)
+		for i, tu := range tuples {
+			rel.MustInsert(tu...)
+			if i < split {
+				base.MustInsert(tu...)
+			}
 		}
 		c := rel.Coded(1)
-		if (c.wide != nil) != (distinct > 256) || (c.wide == nil) == (c.narrow == nil) {
-			t.Fatalf("%d distinct values: wide=%v narrow=%v", distinct, c.wide != nil, c.narrow != nil)
+		check("Insert", &c.codes, rows)
+		ext, err := base.Extend(tuples[split:]) // the first extension: in place
+		if err != nil {
+			t.Fatal(err)
 		}
+		sibling, err := base.Extend(tuples[split:]) // the second copies
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("in-place Extend", &ext.Coded(1).codes, rows)
+		check("sibling Extend", &sibling.Coded(1).codes, rows)
+		check("Extend's parent", &base.Coded(1).codes, split)
+
+		var appended, prefix Codes
+		set := prefix.Grow(rows) // the empty store grown: narrow zeros
+		for i := range rows {
+			appended.Append(uint32(i % distinct))
+			set.Set(i, uint32(i%distinct))
+			if i < split {
+				prefix.Append(uint32(i % distinct))
+			}
+		}
+		grown := prefix.Grow(rows)
+		for i := split; i < rows; i++ {
+			grown.Set(i, uint32(i%distinct))
+		}
+		check("Append", &appended, rows)
+		check("Set", &set, rows)
+		check("grown copy", &grown, rows)
+		check("grown copy's source", &prefix, split)
+
 		keep := make([]bool, len(c.Values))
 		for code := range keep {
 			keep[code] = code%3 == 0
 		}
 		got := c.Encoded() // an int column: every row's own value
-		set := make([]bool, rows)
-		for i := range set {
-			set[i] = i%2 == 0
+		on := make([]bool, rows)
+		for i := range on {
+			on[i] = i%2 == 0
 		}
-		c.Narrow(keep, set)
+		c.Narrow(keep, on)
 		for i := 0; i < rows; i++ {
 			code := i % distinct // first-seen order
-			if codeAt(c, i) != uint32(code) || got[i] != float64(code) || set[i] != (i%2 == 0 && code%3 == 0) {
-				t.Fatalf("%d distinct values, row %d: code %d encoded %v set %v", distinct, i, codeAt(c, i), got[i], set[i])
+			if got[i] != float64(code) || on[i] != (i%2 == 0 && code%3 == 0) {
+				t.Fatalf("%d distinct values, row %d: encoded %v set %v", distinct, i, got[i], on[i])
 			}
 		}
 	}

@@ -23,8 +23,8 @@ func insertedColumn(vals []Value) *CodedColumn {
 // and the rows kept aside to the bit, the dictionary over every value, and
 // the summary.
 func sameColumnState(got, want *CodedColumn, rows int) error {
-	if (got.wide != nil) != (want.wide != nil) {
-		return fmt.Errorf("wide = %v, Insert's %v", got.wide != nil, want.wide != nil)
+	if (got.codes.wide != nil) != (want.codes.wide != nil) {
+		return fmt.Errorf("wide = %v, Insert's %v", got.codes.wide != nil, want.codes.wide != nil)
 	}
 	if got.rows() != rows || want.rows() != rows {
 		return fmt.Errorf("%d rows, Insert's %d, want %d", got.rows(), want.rows(), rows)

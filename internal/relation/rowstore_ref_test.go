@@ -140,8 +140,8 @@ func (r *refRelation) MinMax(ci int) (min, max float64, ok bool) {
 // buildCoded codes column ci of rows in one pass: the projection the row
 // store built lazily per column and dropped on every Insert.
 func buildCoded(rows []Tuple, ci int) *CodedColumn {
+	narrow, wide := make([]uint8, len(rows)), []uint32(nil)
 	c := &CodedColumn{
-		narrow:  make([]uint8, len(rows)),
 		Numeric: true,
 		Exact:   true,
 		Min:     math.Inf(1),
@@ -156,24 +156,25 @@ func buildCoded(rows []Tuple, ci int) *CodedColumn {
 			c.dict.put(k, code)
 			c.Values = append(c.Values, v)
 			if code == 256 {
-				c.wide = make([]uint32, len(rows))
-				for j, b := range c.narrow[:i] {
-					c.wide[j] = uint32(b)
+				wide = make([]uint32, len(rows))
+				for j, b := range narrow[:i] {
+					wide[j] = uint32(b)
 				}
-				c.narrow = nil
+				narrow = nil
 			}
 		} else if w := c.Values[code]; v.kind != w.kind || math.Float64bits(v.f) != math.Float64bits(w.f) {
 			c.Exact = false
 		}
-		if c.wide != nil {
-			c.wide[i] = code
+		if wide != nil {
+			wide[i] = code
 		} else {
-			c.narrow[i] = uint8(code)
+			narrow[i] = uint8(code)
 		}
 		if v.kind == KindNull {
 			c.Nulls++
 		}
 	}
+	c.codes = Codes{narrow: narrow, wide: wide}
 	for _, v := range c.Values {
 		f := v.AsFloat()
 		switch {
