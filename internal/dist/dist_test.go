@@ -630,6 +630,38 @@ func TestValueCodec(t *testing.T) {
 	}
 }
 
+// TestWorkerBodyCap: MaxBodyBytes caps every request body a worker reads, an
+// eval request as well as a frame upload; one byte over is a 413.
+func TestWorkerBodyCap(t *testing.T) {
+	const limit = 64
+	ts := httptest.NewServer(NewWorker(WorkerConfig{MaxBodyBytes: limit}).Handler())
+	defer ts.Close()
+	const head, tail = `{"frame":"f","query":"`, `"}`
+	eval := head + strings.Repeat("x", limit+1-len(head)-len(tail)) + tail // one JSON value
+	for _, c := range []struct {
+		name, method, path, body string
+	}{
+		{"eval", http.MethodPost, pathEval, eval},
+		{"frame", http.MethodPut, pathFrames + "abc", strings.Repeat("x", limit+1)},
+	} {
+		if len(c.body) != limit+1 {
+			t.Fatalf("%s body is %d bytes, want %d", c.name, len(c.body), limit+1)
+		}
+		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s body of %d bytes over a cap of %d: status %d, want 413", c.name, len(c.body), limit, resp.StatusCode)
+		}
+	}
+}
+
 // TestDistSecret pins the shared-secret gate on both ends: registration
 // without the secret is rejected, worker compute endpoints reject
 // unauthenticated callers, and a matched pair works end to end.

@@ -26,7 +26,7 @@ import (
 type WorkerConfig struct {
 	// MaxFrames bounds the frame store (LRU eviction). Default 8.
 	MaxFrames int
-	// MaxBodyBytes caps frame uploads. Default 256MB.
+	// MaxBodyBytes caps request bodies. Default 256MB.
 	MaxBodyBytes int64
 	// CacheEntries bounds each frame's engine artifact cache. Default 256.
 	CacheEntries int
@@ -276,7 +276,12 @@ func (w *Worker) handleEval(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req EvalRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, w.cfg.MaxBodyBytes)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(rw, http.StatusRequestEntityTooLarge, "", "eval request exceeds %d bytes", w.cfg.MaxBodyBytes)
+			return
+		}
 		writeError(rw, http.StatusBadRequest, "", "decoding eval request: %v", err)
 		return
 	}

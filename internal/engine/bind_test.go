@@ -269,7 +269,9 @@ func runBoundRef(db *relation.Database, model *causal.Model, q *hyperql.WhatIf, 
 }
 
 // checkBindParity holds the engine's evaluation of src — partitioned and row
-// by row, serial and parallel — to the materialised reference.
+// by row, serial and parallel — to the materialised reference, and
+// Prepared.Evaluate (the class gather where every row is a block of its own,
+// the tuple loop and fold elsewhere) to EvaluateContext.
 func checkBindParity(t testing.TB, db *relation.Database, model *causal.Model, src string, opts Options) {
 	t.Helper()
 	q, err := hyperql.ParseWhatIf(src)
@@ -288,7 +290,38 @@ func checkBindParity(t testing.TB, db *relation.Database, model *causal.Model, s
 				t.Fatalf("%q shards=%d perRow=%v against the materialised loops: %v", src, shards, perRow, err)
 			}
 		}
+		if err := diffPrepared(db, model, q, opts); err != nil {
+			t.Fatalf("%q shards=%d: Prepared.Evaluate against EvaluateContext: %v", src, shards, err)
+		}
 	}
+}
+
+// diffPrepared compares Prepared.Evaluate of q's own updates with
+// EvaluateContext of q, each on cold caches of its own: the same error, or
+// the same value, sum, count (NaN payloads aside, see sameFloat) and trained
+// models.
+func diffPrepared(db *relation.Database, model *causal.Model, q *hyperql.WhatIf, opts Options) error {
+	ctx := context.Background()
+	want, werr := EvaluateContext(ctx, db, model, q, opts)
+	got, gerr := func() (*Result, error) {
+		p, err := Prepare(ctx, db, model, q, opts)
+		if err != nil {
+			return nil, err
+		}
+		return p.Evaluate(ctx, q.Updates)
+	}()
+	if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+		return fmt.Errorf("error %q, alone %q", fmt.Sprint(gerr), fmt.Sprint(werr))
+	}
+	if werr != nil {
+		return nil
+	}
+	if !sameFloat(got.Value, want.Value) || !sameFloat(got.Sum, want.Sum) || !sameFloat(got.Count, want.Count) || got.TrainedModels != want.TrainedModels {
+		return fmt.Errorf("value/sum/count/trained %x/%x/%x/%d, alone %x/%x/%x/%d",
+			math.Float64bits(got.Value), math.Float64bits(got.Sum), math.Float64bits(got.Count), got.TrainedModels,
+			math.Float64bits(want.Value), math.Float64bits(want.Sum), math.Float64bits(want.Count), want.TrainedModels)
+	}
+	return nil
 }
 
 func TestBindOnReadMatchesMaterialised(t *testing.T) {

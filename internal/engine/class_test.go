@@ -487,7 +487,8 @@ func TestClassLabelsMatchPerRow(t *testing.T) {
 			t.Fatalf("sample=%d trains on %d of %d rows", sample, len(rows), p.v.Rel.Len())
 		}
 		perRow := *p.ev
-		p.ev.classOf, p.ev.classes = key.partition(p.ev.inS)
+		classOf, first := key.partition(p.ev.inS)
+		p.ev.classOf, p.ev.classes = classOf, len(first)
 		if p.ev.classOf == nil {
 			t.Fatal("the base world must partition")
 		}

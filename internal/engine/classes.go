@@ -101,9 +101,10 @@ func (p *Prepared) classKey() (classKey, bool) {
 
 // partition assigns every view row its class: dense ids in first-seen row
 // order, through a direct-index table while the key space is small and a map
-// past that. It gives up (nil) once the classes outnumber half the rows — the
+// past that. first[c] is class c's first row, so len(first) is the class
+// count. It gives up (nil) once the classes outnumber half the rows — the
 // table lookups would cost what they save.
-func (k classKey) partition(inS []bool) (classOf []uint32, classes int) {
+func (k classKey) partition(inS []bool) (classOf, first []uint32) {
 	n := len(inS)
 	var direct []uint32 // class id + 1 by key
 	var sparse map[uint64]uint32
@@ -128,10 +129,11 @@ func (k classKey) partition(inS []bool) (classOf []uint32, classes int) {
 			id = sparse[key]
 		}
 		if id == 0 {
-			if classes++; classes > n/2 {
-				return nil, 0
+			if len(first) >= n/2 {
+				return nil, nil
 			}
-			id = uint32(classes)
+			first = append(first, uint32(i))
+			id = uint32(len(first))
 			if direct != nil {
 				direct[key] = id
 			} else {
@@ -140,7 +142,7 @@ func (k classKey) partition(inS []bool) (classOf []uint32, classes int) {
 		}
 		classOf[i] = id - 1
 	}
-	return classOf, classes
+	return classOf, first
 }
 
 // classVal is what a function of the tuple class returned for one class:

@@ -21,8 +21,10 @@ import (
 // normalised FOR, the backdoor set, the feature columns and the tuple-class
 // key. Evaluate binds one update of those attributes to it — the ψ post
 // means, the support check with its forest fallback, the estimator-set
-// lookup — and runs the tuple loop and the fold. The class partition is
-// built by the first Evaluate and shared by the rest.
+// lookup — and folds the tuples' contributions: by class when every row is a
+// block of its own, through the tuple loop's block windows otherwise. The
+// class partition (with each class's first row) and whether the rows are
+// their own blocks are found by the first Evaluate and shared by the rest.
 //
 // A how-to's candidate what-ifs for one attribute are updates of one
 // Prepared (Section 4.3). A Prepared holds request state (the WHEN set, the
@@ -68,9 +70,14 @@ type Prepared struct {
 	key   classKey
 	keyed bool // false: the rows evaluate one by one
 	part  struct {
-		once    sync.Once
-		classOf []uint32
-		classes int
+		once           sync.Once
+		classOf, first []uint32
+	}
+	// ownBlocks: every view row is a block of its own, in ascending block
+	// order (blockAt strictly increases over the rows).
+	ownBlocks struct {
+		once sync.Once
+		ok   bool
 	}
 }
 
@@ -89,10 +96,19 @@ func Prepare(ctx context.Context, db *relation.Database, model *causal.Model, q 
 // updates must update the prepared attributes in the prepared order. The
 // view, block and plan diagnostics of the Result are the Prepared's, and
 // Total counts from this call.
+//
+// When the rows have a class key and each row is a block of its own, in
+// ascending block order (German-Syn's shape), the fold goes through the
+// classes (gather): tuple() once per class, then one pass adding each row's
+// class value into the totals, with no per-shard block windows. Every other
+// shape, and a dry run, runs the tuple loop and the fold of EvaluateContext.
 func (p *Prepared) Evaluate(ctx context.Context, updates []hyperql.UpdateSpec) (*Result, error) {
 	ep, err := p.bind(ctx, updates, time.Now())
 	if err != nil {
 		return nil, err
+	}
+	if !p.o.DryRun && p.keyed && p.rowsOwnBlocks() {
+		return ep.gather(ctx)
 	}
 	return ep.run(ctx)
 }
@@ -310,18 +326,51 @@ func (p *Prepared) resolveColumns() {
 	}
 }
 
-// partition returns the class partition of the view rows, building it on the
-// first call; built reports whether this call did. It is nil when the rows
-// evaluate one by one.
-func (p *Prepared) partition() (classOf []uint32, classes int, built bool) {
+// partition returns the class partition of the view rows and each class's
+// first row (classKey.partition), building them on the first call; built
+// reports whether this call did. It is nil when the rows evaluate one by one.
+func (p *Prepared) partition() (classOf, first []uint32, built bool) {
 	if !p.keyed {
-		return nil, 0, false
+		return nil, nil, false
 	}
 	p.part.once.Do(func() {
-		p.part.classOf, p.part.classes = p.key.partition(p.inS)
+		p.part.classOf, p.part.first = p.key.partition(p.inS)
 		built = true
 	})
-	return p.part.classOf, p.part.classes, built
+	return p.part.classOf, p.part.first, built
+}
+
+// rowsOwnBlocks reports whether every view row is a block of its own, in
+// ascending block order, finding out on the first call.
+func (p *Prepared) rowsOwnBlocks() bool {
+	p.ownBlocks.once.Do(func() {
+		prev := -1
+		for i := range p.v.Rel.Len() {
+			b := p.blockAt(i)
+			if b <= prev {
+				return
+			}
+			prev = b
+		}
+		p.ownBlocks.ok = true
+	})
+	return p.ownBlocks.ok
+}
+
+// blockAt is view row i's block: that of its base tuple of R. It clamps
+// defensively: tuples outside the decomposition map to 0.
+func (p *Prepared) blockAt(i int) int {
+	if p.blockOf == nil {
+		return 0
+	}
+	r := i
+	if p.baseRows != nil {
+		r = int(p.baseRows[i])
+	}
+	if b := int(p.blockOf[r]); b < p.nBlocks {
+		return b
+	}
+	return 0
 }
 
 // bind is Evaluate's first half: the update's ψ post means, the
@@ -406,8 +455,8 @@ func (p *Prepared) estLineage(eo Options) lineage {
 	}}
 }
 
-// run is Evaluate's second half: the tuple loop over every shard and the
-// fold in plan order.
+// run is EvaluateContext's second half, and Evaluate's outside the class
+// gather's shape: the tuple loop over every shard and the fold in plan order.
 func (p *evalPrep) run(ctx context.Context) (*Result, error) {
 	if p.o.DryRun {
 		return p.res, nil
@@ -423,6 +472,12 @@ func (p *evalPrep) run(ctx context.Context) (*Result, error) {
 	// reproducible to the bit.
 	_, fold := obs.StartStage(ctx, "fold")
 	foldPartials(p.res, parts, p.nBlocks, p.agg)
+	return p.finish(fold), nil
+}
+
+// finish ends the fold stage and completes the Result of a folded
+// evaluation.
+func (p *evalPrep) finish(fold obs.Stage) *Result {
 	fold.Set("blocks", p.nBlocks)
 	p.res.EvalTime += fold.End()
 	p.res.TrainedModels = p.ev.est.trainedModels()
@@ -431,5 +486,5 @@ func (p *evalPrep) run(ctx context.Context) (*Result, error) {
 		total := p.v.Rel.Len()
 		p.o.Progress("tuples", total, total)
 	}
-	return p.res, nil
+	return p.res
 }

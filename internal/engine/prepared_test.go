@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -59,12 +60,27 @@ var preparedCases = []preparedCase{
 			amazonUse + ` WHEN Category = 'Laptop' UPDATE(Price) = 500 OUTPUT AVG(POST(Rtng)) FOR PRE(Category) = 'Laptop'`,
 			amazonUse + ` WHEN Category = 'Laptop' UPDATE(Price) = 50 + PRE(Price) OUTPUT AVG(POST(Rtng)) FOR PRE(Category) = 'Laptop'`,
 		}},
+	{"64 rows a shard: many block windows", "german", Options{Seed: 7, ShardRows: 64},
+		`USE German WHEN Age >= 1 UPDATE(Status) = 3 OUTPUT SUM(POST(Credit)) FOR POST(Credit) = 1 OR PRE(Sex) = 0`, []string{
+			`USE German WHEN Age >= 1 UPDATE(Status) = 3 OUTPUT SUM(POST(Credit)) FOR POST(Credit) = 1 OR PRE(Sex) = 0`,
+			`USE German WHEN Age >= 1 UPDATE(Status) = 0 OUTPUT SUM(POST(Credit)) FOR POST(Credit) = 1 OR PRE(Sex) = 0`,
+			`USE German WHEN Age >= 1 UPDATE(Status) = 1 + PRE(Status) OUTPUT SUM(POST(Credit)) FOR POST(Credit) = 1 OR PRE(Sex) = 0`,
+		}},
+	{"classes over multi-row blocks", "psi", Options{Seed: 3, ShardRows: 128},
+		`USE T WHEN S = 'a' UPDATE(X) = 1 + PRE(X) OUTPUT AVG(POST(Y)) FOR PRE(Z) = 1 OR POST(Y) >= 1`, []string{
+			`USE T WHEN S = 'a' UPDATE(X) = 1 + PRE(X) OUTPUT AVG(POST(Y)) FOR PRE(Z) = 1 OR POST(Y) >= 1`,
+			`USE T WHEN S = 'a' UPDATE(X) = 2 OUTPUT AVG(POST(Y)) FOR PRE(Z) = 1 OR POST(Y) >= 1`,
+			`USE T WHEN S = 'a' UPDATE(X) = 0 OUTPUT AVG(POST(Y)) FOR PRE(Z) = 1 OR POST(Y) >= 1`,
+		}},
 }
 
 func preparedData(name string) (*relation.Database, *causal.Model) {
-	if name == "amazon" {
+	switch name {
+	case "amazon":
 		a := dataset.AmazonSyn(300, 6, 7)
 		return a.DB, a.Model
+	case "psi":
+		return classWorld(name)
 	}
 	g := dataset.GermanSyn(1000, 7)
 	return g.DB, g.Model
@@ -96,9 +112,12 @@ func diffResults(got, want *Result) error {
 // TestPreparedMatchesEvaluate: every update bound to one Prepared answers
 // what EvaluateContext answers for that query alone, to the bit, at any
 // fan-out — including the updates whose support sends the frequency
-// estimator to the forest and the ψ means that move with the update.
+// estimator to the forest and the ψ means that move with the update — on
+// both of Evaluate's folds: the class gather (rows their own blocks) and the
+// block windows (a class key over multi-row blocks, or none).
 func TestPreparedMatchesEvaluate(t *testing.T) {
 	fallbacks := 0
+	folds := map[string]int{} // which fold Evaluate takes -> cases
 	for _, c := range preparedCases {
 		db, model := preparedData(c.dataset)
 		for _, shards := range []int{1, 4} {
@@ -107,6 +126,14 @@ func TestPreparedMatchesEvaluate(t *testing.T) {
 			p, err := Prepare(context.Background(), db, model, mustWhatIf(t, c.prepared), o)
 			if err != nil {
 				t.Fatalf("%s: prepare: %v", c.name, err)
+			}
+			switch {
+			case !p.keyed:
+				folds["windows, no class key"]++
+			case p.rowsOwnBlocks():
+				folds["class gather"]++
+			default:
+				folds["windows, multi-row blocks"]++
 			}
 			for _, src := range c.variants {
 				q := mustWhatIf(t, src)
@@ -132,6 +159,9 @@ func TestPreparedMatchesEvaluate(t *testing.T) {
 	if fallbacks == 0 {
 		t.Error("no German variant fell back to the forest; the test proved nothing about the fallback")
 	}
+	if folds["class gather"] == 0 || folds["windows, multi-row blocks"] == 0 {
+		t.Errorf("folds taken %v: want the class gather and classes over multi-row blocks covered", folds)
+	}
 
 	// The attributes are the Prepared's: another set, another order or none
 	// is an error, not a silently different estimator.
@@ -153,6 +183,37 @@ func TestPreparedMatchesEvaluate(t *testing.T) {
 	}
 	if _, err := p.Evaluate(context.Background(), nil); err == nil {
 		t.Error("no updates: want an error")
+	}
+}
+
+// TestPreparedEvaluateAllocationFlat: a warm Evaluate over German-Syn, whose
+// rows are each a block of their own, folds through its tuple classes, so
+// what it allocates follows the classes, not the rows: it may grow by at most
+// half from 5,000 to 25,000 rows. (Per-shard block windows cost 16 B a row.)
+func TestPreparedEvaluateAllocationFlat(t *testing.T) {
+	q := mustWhatIf(t, `USE German UPDATE(Status) = 2 OUTPUT COUNT(Credit = 1)`)
+	warmBytes := func(rows int) uint64 {
+		g := dataset.GermanSyn(rows, 7)
+		p, err := Prepare(context.Background(), g.DB, g.Model, q, Options{Seed: 7, Shards: 1, Cache: NewCache()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var least uint64 = math.MaxUint64
+		var before, after runtime.MemStats
+		for range 5 { // the first call builds the partition, the set and its models
+			runtime.ReadMemStats(&before)
+			if _, err := p.Evaluate(context.Background(), q.Updates); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	small, large := warmBytes(5000), warmBytes(25000)
+	t.Logf("warm Evaluate allocates %d B over 5,000 rows, %d B over 25,000", small, large)
+	if float64(large) > 1.5*float64(small) {
+		t.Errorf("warm Evaluate allocates %d B over 5,000 rows and %d B over 25,000: it grows with the rows", small, large)
 	}
 }
 

@@ -194,41 +194,16 @@ func (p *evalPrep) evalShards(ctx context.Context, ids []int) ([]ShardPartial, e
 	// shards, not row ranges.
 	runPlan := shard.Fixed(len(ids), len(ids))
 	workers := runPlan.Workers(p.o.Shards)
-	stage.Set("plan", k)
-	stage.Set("shards", len(ids))
-	stage.Set("rows", total)
-	stage.Set("workers", workers)
-	// Charge the meter with fan-out-independent totals: the plan, the shards
-	// actually executed here, and the rows they cover. The golden tests pin
-	// these against Result.ShardPlan/ViewRows at any worker count.
-	obs.MeterFromContext(ctx).Charge(obs.MeterJSON{
-		PlanShards: uint64(k), ShardsRun: uint64(len(ids)), TuplesEvaluated: uint64(total)})
-	// The class partition covers the whole view whichever shards run here:
-	// lazy fits label every training row. The first evaluation of the
-	// Prepared builds it and the rest share it; it is garbage once the
-	// Prepared is.
-	if !p.perRow {
-		var built bool
-		p.ev.classOf, p.ev.classes, built = p.partition()
-		if built {
-			stage.Set("partitioned", true)
-		}
-	}
-	stage.Set("classes", p.ev.classes)
+	p.openEval(ctx, stage, len(ids), total, workers)
 	locals := make([]*evaluator, workers)
 	parts := make([]ShardPartial, len(ids))
 	nBlocks := p.nBlocks
-	// Cancellation and progress work on a stride so neither the ctx check
-	// nor the shared counter touches the per-tuple fast path.
-	const stride = 512
 	var tuplesDone, shardsDone atomic.Int64
 	err := shard.Run(ctx, runPlan, workers, func(w, idx, _, _ int) error {
 		local := locals[w]
 		if local == nil {
-			cp := *p.ev
-			cp.activeBuf, cp.xBuf, cp.evBuf, cp.modelMemo = nil, nil, nil, nil
-			cp.byClass = make([]classVal, cp.classes)
-			local = &cp
+			local = p.ev.fork()
+			local.byClass = make([]classVal, local.classes)
 			locals[w] = local
 		}
 		s := ids[idx]
@@ -296,6 +271,45 @@ func (p *evalPrep) evalShards(ctx context.Context, ids []int) ([]ShardPartial, e
 	if err != nil {
 		return nil, err
 	}
+	setEvaluated(stage, locals)
+	return parts, nil
+}
+
+// Cancellation and progress work on a stride so neither the ctx check nor
+// the shared counter touches the per-tuple fast path.
+const stride = 512
+
+// openEval labels the eval_shards stage of a loop over shards of the plan
+// covering rows on workers goroutines, charges the meter with those
+// fan-out-independent totals — the plan, the shards run here and the rows
+// they cover, which the golden tests pin against Result.ShardPlan/ViewRows at
+// any worker count — and binds the class partition to the evaluator. It
+// returns each class's first row. The partition covers the whole view
+// whichever shards run here: lazy fits label every training row. The first
+// evaluation of the Prepared builds it and the rest share it; it is garbage
+// once the Prepared is.
+func (p *evalPrep) openEval(ctx context.Context, stage obs.Stage, shards, rows, workers int) (first []uint32) {
+	k := p.plan.Shards()
+	stage.Set("plan", k)
+	stage.Set("shards", shards)
+	stage.Set("rows", rows)
+	stage.Set("workers", workers)
+	obs.MeterFromContext(ctx).Charge(obs.MeterJSON{
+		PlanShards: uint64(k), ShardsRun: uint64(shards), TuplesEvaluated: uint64(rows)})
+	if !p.perRow {
+		var built bool
+		p.ev.classOf, first, built = p.partition()
+		if built {
+			stage.Set("partitioned", true)
+		}
+	}
+	p.ev.classes = len(first)
+	stage.Set("classes", p.ev.classes)
+	return first
+}
+
+// setEvaluated records the workers' tuple() calls on the eval_shards stage.
+func setEvaluated(stage obs.Stage, locals []*evaluator) {
 	evaluated := 0
 	for _, local := range locals {
 		if local != nil {
@@ -303,23 +317,93 @@ func (p *evalPrep) evalShards(ctx context.Context, ids []int) ([]ShardPartial, e
 		}
 	}
 	stage.Set("evaluated", evaluated)
-	return parts, nil
 }
 
-// blockAt is view row i's block: that of its base tuple of R. It clamps
-// defensively: tuples outside the decomposition map to 0.
-func (p *evalPrep) blockAt(i int) int {
-	if p.blockOf == nil {
-		return 0
+// gather is run for an evaluation whose view rows are each a block of their
+// own, in ascending block order (Prepared.Evaluate). Each class's (sum, cnt)
+// is tuple() of its first row, computed once, in parallel over class ranges
+// (a row is its own class when the partition gave up); then the rows add
+// their class's value straight into the totals, in row order. That is run()'s
+// answer to the bit: there every block window holds at most one row, the
+// windows ascend without overlapping, and foldPartials adds each row's 0 + v
+// in row order, which is adding v (foldPartials' comment). It allocates no
+// block windows, no per-worker class tables and no partials. A tuple() error
+// is the first failing class's in class order: the row EvaluateContext fails
+// at with Shards=1.
+func (p *evalPrep) gather(ctx context.Context) (*Result, error) {
+	vals, err := p.evalClasses(ctx)
+	if err != nil {
+		return nil, err
 	}
-	r := i
-	if p.baseRows != nil {
-		r = int(p.baseRows[i])
+	_, fold := obs.StartStage(ctx, "fold")
+	res, classOf := p.res, p.ev.classOf
+	n := p.v.Rel.Len()
+	for i := range n {
+		if i%stride == 0 && i > 0 {
+			if err := ctx.Err(); err != nil {
+				fold.End()
+				return nil, err
+			}
+			if p.o.Progress != nil {
+				p.o.Progress("tuples", i, n)
+			}
+		}
+		c := i
+		if classOf != nil {
+			c = int(classOf[i])
+		}
+		res.Sum += vals[c].sum
+		res.Count += vals[c].cnt
 	}
-	if b := int(p.blockOf[r]); b < p.nBlocks {
-		return b
+	setValue(res, p.agg)
+	return p.finish(fold), nil
+}
+
+// evalClasses is gather's eval_shards stage: tuple() once per class, on the
+// class's first row, over class ranges on the plan's workers.
+func (p *evalPrep) evalClasses(ctx context.Context) ([]classVal, error) {
+	ctx, stage := obs.StartStage(ctx, "eval_shards")
+	defer func() { p.res.EvalTime = stage.End() }()
+	p.ev.ctx = ctx // as in evalShards: lazy fits nest under this stage
+	n, k := p.v.Rel.Len(), p.plan.Shards()
+	workers := p.plan.Workers(p.o.Shards)
+	first := p.openEval(ctx, stage, k, n, workers)
+	classes := n
+	if first != nil {
+		classes = len(first)
 	}
-	return 0
+	vals := make([]classVal, classes)
+	locals := make([]*evaluator, workers)
+	err := shard.Run(ctx, shard.Fixed(classes, workers), workers, func(w, _, lo, hi int) error {
+		local := locals[w]
+		if local == nil {
+			local = p.ev.fork()
+			locals[w] = local
+		}
+		for c := lo; c < hi; c++ {
+			if (c-lo)%stride == 0 && c > lo {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			row := c
+			if first != nil {
+				row = int(first[c])
+			}
+			s, cnt, err := local.tuple(row)
+			if err != nil {
+				return err
+			}
+			local.evaluated++
+			vals[c] = classVal{sum: s, cnt: cnt}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	setEvaluated(stage, locals)
+	return vals, nil
 }
 
 // foldPartials reduces block-window partials (which must already be in plan
@@ -351,6 +435,11 @@ func foldPartials(res *Result, parts []ShardPartial, nBlocks int, agg hyperql.Ag
 		}
 		addBlocks(res, sumByBlock, cntByBlock)
 	}
+	setValue(res, agg)
+}
+
+// setValue computes the aggregate from the folded totals.
+func setValue(res *Result, agg hyperql.AggFunc) {
 	switch agg {
 	case hyperql.AggCount:
 		res.Value = res.Count
@@ -422,6 +511,13 @@ type evaluator struct {
 	classes   int
 	byClass   []classVal
 	evaluated int
+}
+
+// fork copies the evaluator for one worker, with scratch of its own.
+func (e *evaluator) fork() *evaluator {
+	cp := *e
+	cp.activeBuf, cp.xBuf, cp.evBuf, cp.modelMemo = nil, nil, nil, nil
+	return &cp
 }
 
 // memoKey identifies a model by its post-event subset (a bitmask over

@@ -32,16 +32,19 @@ func benchFreqData(rows, dim, domain int) ([][]float64, []float64) {
 }
 
 // BenchmarkFreqFit times the two halves of a cold freq model over 20,000
-// rows of six features, each column a relation column as in the engine:
-// index builds the support index, fit/integer fits 0/1 labels on it and
-// fit/float fractional ones. Four values per column make the exact level a
-// flat table (dense), five a map of packed keys (packed).
+// rows of features, each column a relation column as in the engine: index
+// builds the support index, fit/integer fits 0/1 labels on it and fit/float
+// fractional ones. Six columns of four values make the exact level a flat
+// table (dense), of five a map of packed keys (packed); both index more than
+// 256 combinations, so their exact ids take four bytes a row. Four columns of
+// four values (narrow) have at most 256, held one byte a row.
 func BenchmarkFreqFit(b *testing.B) {
 	for _, regime := range []struct {
-		name   string
-		domain int
-	}{{"dense", 4}, {"packed", 5}} {
-		X, integer := benchFreqData(20000, 6, regime.domain)
+		name        string
+		dim, domain int
+		narrow      bool // at most 256 exact combinations
+	}{{"dense", 6, 4, false}, {"packed", 6, 5, false}, {"narrow", 4, 4, true}} {
+		X, integer := benchFreqData(20000, regime.dim, regime.domain)
 		cols := make([][]float64, len(X[0]))
 		coded := make([]*relation.CodedColumn, len(cols))
 		for c := range cols {
@@ -68,6 +71,9 @@ func BenchmarkFreqFit(b *testing.B) {
 			}
 		})
 		ix := NewFreqIndex(fr, rows, 1)
+		if exact := ix.levels[0].n; (exact <= 256) != regime.narrow {
+			b.Fatalf("%s: %d exact combinations", regime.name, exact)
+		}
 		for _, labels := range []struct {
 			name string
 			y    []float64
