@@ -55,6 +55,7 @@ import (
 
 	"hyper/internal/dist"
 	"hyper/internal/fault"
+	"hyper/internal/httpapi"
 	"hyper/internal/server"
 )
 
@@ -224,10 +225,7 @@ func runWorker(logger *log.Logger, addr, coordinatorURL, advertiseURL, id, secre
 	// one scrape config covers coordinator and workers alike.
 	mux := http.NewServeMux()
 	mux.Handle("/", w.Handler())
-	mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, _ *http.Request) {
-		rw.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(rw, `{"ok":true,"worker":%q,"frames":%d}`, id, len(w.FrameIDs()))
-	})
+	mux.Handle("GET /healthz", workerHealth(id, w))
 	httpSrv := &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 	errc := make(chan error, 1)
 	go func() {
@@ -292,6 +290,21 @@ func servePprof(logger *log.Logger, addr string) {
 			logger.Printf("pprof: %v", err)
 		}
 	}()
+}
+
+// workerHealthResponse is a worker's GET /healthz payload.
+type workerHealthResponse struct {
+	OK     bool   `json:"ok"`
+	Worker string `json:"worker"`
+	Frames int    `json:"frames"`
+}
+
+// workerHealth serves a worker's liveness probe: its id and how many frames
+// it holds.
+func workerHealth(id string, w *dist.Worker) httpapi.Func {
+	return func(*http.Request) (any, error) {
+		return workerHealthResponse{OK: true, Worker: id, Frames: len(w.FrameIDs())}, nil
+	}
 }
 
 // loopbackURL reports whether a base URL points at a loopback or

@@ -16,6 +16,7 @@ import (
 	"hyper/internal/causal"
 	"hyper/internal/engine"
 	"hyper/internal/fault"
+	"hyper/internal/httpapi"
 	"hyper/internal/hyperql"
 	"hyper/internal/lru"
 	"hyper/internal/obs"
@@ -235,72 +236,70 @@ func (c *Coordinator) logf(format string, args ...any) {
 	}
 }
 
+// registerBodyCap caps every request body the coordinator's routes read. A
+// RegisterRequest is two strings (an id and a URL), so no configuration
+// needs more.
+const registerBodyCap = 64 << 10
+
 // Handler returns the coordinator's registration surface, mountable next to
 // the serving API (hyperd serves it on the same listener).
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST "+pathWorkers, func(rw http.ResponseWriter, r *http.Request) {
-		if !checkSecret(rw, r, c.cfg.Secret) {
-			return
-		}
-		var req RegisterRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(rw, http.StatusBadRequest, "", "decoding register request: %v", err)
-			return
-		}
-		if req.ID == "" || req.URL == "" {
-			writeError(rw, http.StatusBadRequest, "", "register requires id and url")
-			return
-		}
-		c.Register(req.ID, req.URL)
-		writeJSON(rw, http.StatusOK, map[string]any{"ok": true, "ttl_ms": c.cfg.TTL.Milliseconds()})
-	})
-	mux.HandleFunc("POST "+pathWorkers+"/{id}/beat", func(rw http.ResponseWriter, r *http.Request) {
-		if !checkSecret(rw, r, c.cfg.Secret) {
-			return
-		}
-		id := r.PathValue("id")
-		c.mu.Lock()
-		w, ok := c.workers[id]
-		c.mu.Unlock()
-		if !ok {
-			// Unknown (deregistered or never-seen) worker: it must
-			// re-register, which also re-announces its URL.
-			writeError(rw, http.StatusNotFound, "", "unknown worker %q", id)
-			return
-		}
-		w.beat()
-		if w.breaker.state() == breakerHalfOpen {
-			// The cooldown has elapsed and the worker is demonstrably
-			// alive: close the circuit rather than waiting for the next
-			// query to probe it.
-			w.breaker.onSuccess()
-			c.logf("dist: worker %s rehabilitated after quarantine cooldown", id)
-			c.saveState()
-		}
-		writeJSON(rw, http.StatusOK, map[string]any{"ok": true})
-	})
-	mux.HandleFunc("DELETE "+pathWorkers+"/{id}", func(rw http.ResponseWriter, r *http.Request) {
-		if !checkSecret(rw, r, c.cfg.Secret) {
-			return
-		}
-		id := r.PathValue("id")
-		c.mu.Lock()
-		_, ok := c.workers[id]
-		delete(c.workers, id)
-		c.mu.Unlock()
-		if !ok {
-			writeError(rw, http.StatusNotFound, "", "unknown worker %q", id)
-			return
-		}
-		c.logf("dist: worker %s deregistered", id)
+	mux.Handle("POST "+pathWorkers, guarded(c.cfg.Secret, c.handleRegister))
+	mux.Handle("POST "+pathWorkers+"/{id}/beat", guarded(c.cfg.Secret, c.handleBeat))
+	mux.Handle("DELETE "+pathWorkers+"/{id}", guarded(c.cfg.Secret, c.handleDeregister))
+	mux.Handle("GET "+pathWorkers, httpapi.Func(func(*http.Request) (any, error) {
+		return map[string]any{"workers": c.WorkerInfos()}, nil
+	}))
+	return httpapi.Serve(registerBodyCap, mux)
+}
+
+func (c *Coordinator) handleRegister(r *http.Request) (any, error) {
+	var req RegisterRequest
+	if err := httpapi.Decode(r, &req); err != nil {
+		return nil, err
+	}
+	if req.ID == "" || req.URL == "" {
+		return nil, httpapi.Errorf(http.StatusBadRequest, "register requires id and url")
+	}
+	c.Register(req.ID, req.URL)
+	return map[string]any{"ok": true, "ttl_ms": c.cfg.TTL.Milliseconds()}, nil
+}
+
+func (c *Coordinator) handleBeat(r *http.Request) (any, error) {
+	id := r.PathValue("id")
+	c.mu.Lock()
+	w, ok := c.workers[id]
+	c.mu.Unlock()
+	if !ok {
+		// Unknown (deregistered or never-seen) worker: it must
+		// re-register, which also re-announces its URL.
+		return nil, httpapi.Errorf(http.StatusNotFound, "unknown worker %q", id)
+	}
+	w.beat()
+	if w.breaker.state() == breakerHalfOpen {
+		// The cooldown has elapsed and the worker is demonstrably
+		// alive: close the circuit rather than waiting for the next
+		// query to probe it.
+		w.breaker.onSuccess()
+		c.logf("dist: worker %s rehabilitated after quarantine cooldown", id)
 		c.saveState()
-		writeJSON(rw, http.StatusOK, map[string]any{"ok": true})
-	})
-	mux.HandleFunc("GET "+pathWorkers, func(rw http.ResponseWriter, r *http.Request) {
-		writeJSON(rw, http.StatusOK, map[string]any{"workers": c.WorkerInfos()})
-	})
-	return mux
+	}
+	return map[string]any{"ok": true}, nil
+}
+
+func (c *Coordinator) handleDeregister(r *http.Request) (any, error) {
+	id := r.PathValue("id")
+	c.mu.Lock()
+	_, ok := c.workers[id]
+	delete(c.workers, id)
+	c.mu.Unlock()
+	if !ok {
+		return nil, httpapi.Errorf(http.StatusNotFound, "unknown worker %q", id)
+	}
+	c.logf("dist: worker %s deregistered", id)
+	c.saveState()
+	return map[string]any{"ok": true}, nil
 }
 
 // Register adds (or refreshes) a worker and starts its lease. A
@@ -509,8 +508,7 @@ func (c *Coordinator) postWorker(ctx context.Context, run *queryRun, w *remoteWo
 			if err != nil {
 				return err
 			}
-			switch {
-			case status == http.StatusOK:
+			if status == http.StatusOK {
 				if resp, err = decodeEvalReply(raw); err != nil {
 					return fmt.Errorf("dist: decoding %s reply from %s: %w", pathEval, w.id, err)
 				}
@@ -520,14 +518,16 @@ func (c *Coordinator) postWorker(ctx context.Context, run *queryRun, w *remoteWo
 				// a retry-free query reconciles shipped == received.
 				obs.MeterFromContext(ctx).Charge(obs.MeterJSON{DistBytesShipped: uint64(len(body))})
 				return nil
-			case status == http.StatusNotFound && errCode(raw) == codeFrameMissing:
+			}
+			switch e := httpapi.ReadError(status, raw); {
+			case status == http.StatusNotFound && e.Code == codeFrameMissing:
 				// Not a failed attempt: the next turn of the loop re-ships.
 				frameMissing = true
 				return nil
 			case status >= 400 && status < 500:
-				return terminalError{fmt.Errorf("dist: worker %s: %s", w.id, errMessage(raw, status))}
+				return terminalError{fmt.Errorf("dist: worker %s: %v", w.id, e)}
 			default:
-				return fmt.Errorf("dist: worker %s: %s", w.id, errMessage(raw, status))
+				return fmt.Errorf("dist: worker %s: %v", w.id, e)
 			}
 		})
 		if err != nil {
@@ -588,20 +588,6 @@ func (c *Coordinator) ensureFrame(ctx context.Context, w *remoteWorker, frame *F
 	return err
 }
 
-func errCode(body []byte) string {
-	var e errorBody
-	_ = json.Unmarshal(body, &e)
-	return e.Code
-}
-
-func errMessage(body []byte, status int) string {
-	var e errorBody
-	if json.Unmarshal(body, &e) == nil && e.Error != "" {
-		return fmt.Sprintf("status %d: %s", status, e.Error)
-	}
-	return fmt.Sprintf("status %d", status)
-}
-
 // roundTrip is the one coordinator→worker HTTP exchange: it consults the
 // caller's fault point (worker_dial for compute RPCs, frame_ship for ships —
 // chaos rules count hits per point), sends body, and returns the status and
@@ -649,7 +635,8 @@ func (c *Coordinator) shipFrame(ctx context.Context, w *remoteWorker, frame *Fra
 		return err
 	}
 	if status != http.StatusOK {
-		if p := frame.parent; p != nil && status == http.StatusNotFound && errCode(raw) == codeFrameMissing {
+		e := httpapi.ReadError(status, raw)
+		if p := frame.parent; p != nil && status == http.StatusNotFound && e.Code == codeFrameMissing {
 			// The worker evicted (or never durably held) the parent between
 			// the chain ship and this PUT. Forget the parent's ledger entry
 			// so the next ensureFrame re-ships the chain; the miss is
@@ -657,7 +644,7 @@ func (c *Coordinator) shipFrame(ctx context.Context, w *remoteWorker, frame *Fra
 			pid, _ := p.ID() // encoded already: the child's body names it
 			w.frames.Forget(pid)
 		}
-		return fmt.Errorf("dist: shipping frame to %s: %s", w.id, errMessage(raw, status))
+		return fmt.Errorf("dist: shipping frame to %s: %v", w.id, e)
 	}
 	obs.MeterFromContext(ctx).Charge(obs.MeterJSON{FrameBytesShipped: uint64(len(body))})
 	c.framesShipped.Inc()

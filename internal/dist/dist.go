@@ -63,6 +63,7 @@ import (
 	"strings"
 
 	"hyper/internal/engine"
+	"hyper/internal/httpapi"
 	"hyper/internal/obs"
 )
 
@@ -168,12 +169,6 @@ type WorkerInfo struct {
 	Fails       int     `json:"fails,omitempty"`       // consecutive dispatch failures
 }
 
-// errorBody is the JSON error envelope shared by both ends of the protocol.
-type errorBody struct {
-	Error string `json:"error"`
-	Code  string `json:"code,omitempty"`
-}
-
 // setSecret attaches the shared dist secret (when configured) as a bearer
 // token.
 func setSecret(r *http.Request, secret string) {
@@ -182,18 +177,16 @@ func setSecret(r *http.Request, secret string) {
 	}
 }
 
-// checkSecret enforces the shared dist secret on an incoming request,
-// writing a 401 and returning false on mismatch. An empty configured secret
-// disables the check (trusted-network deployments; the default). The
-// comparison is constant-time so the secret cannot be guessed byte by byte.
-func checkSecret(rw http.ResponseWriter, r *http.Request, secret string) bool {
-	if secret == "" {
-		return true
+// guarded gates fn behind the shared dist secret: a request that does not
+// present it is a 401. An empty configured secret disables the check
+// (trusted-network deployments; the default). The comparison is
+// constant-time so the secret cannot be guessed byte by byte.
+func guarded(secret string, fn httpapi.Func) httpapi.Func {
+	return func(r *http.Request) (any, error) {
+		got := strings.TrimPrefix(r.Header.Get("Authorization"), "Bearer ")
+		if secret != "" && subtle.ConstantTimeCompare([]byte(got), []byte(secret)) != 1 {
+			return nil, httpapi.Errorf(http.StatusUnauthorized, "missing or invalid dist secret")
+		}
+		return fn(r)
 	}
-	got := strings.TrimPrefix(r.Header.Get("Authorization"), "Bearer ")
-	if subtle.ConstantTimeCompare([]byte(got), []byte(secret)) == 1 {
-		return true
-	}
-	writeError(rw, http.StatusUnauthorized, "", "missing or invalid dist secret")
-	return false
 }

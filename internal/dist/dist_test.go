@@ -20,6 +20,7 @@ import (
 	"hyper/internal/causal"
 	"hyper/internal/dataset"
 	"hyper/internal/engine"
+	"hyper/internal/httpapi"
 	"hyper/internal/hyperql"
 	"hyper/internal/obs"
 	"hyper/internal/relation"
@@ -720,6 +721,65 @@ func TestDistSecret(t *testing.T) {
 	}
 	if res.RemoteWorkers != 1 {
 		t.Fatalf("secured pair did not distribute: %+v", res)
+	}
+}
+
+// TestDistErrorEnvelope pins the error envelope on the worker's and the
+// coordinator's routes: status, Content-Type, code and retryable, the same
+// shape hyperd's /v1 routes answer.
+func TestDistErrorEnvelope(t *testing.T) {
+	const secret = "s3cret"
+	wts := httptest.NewServer(NewWorker(WorkerConfig{Secret: secret}).Handler())
+	defer wts.Close()
+	cts := httptest.NewServer(NewCoordinator(CoordinatorConfig{TTL: time.Minute, Secret: secret}).Handler())
+	defer cts.Close()
+
+	cases := []struct {
+		name, base, method, path, body string
+		auth                           bool
+		want                           int
+		code                           string
+	}{
+		{"worker eval without secret", wts.URL, "POST", pathEval, `{}`, false, 401, "unauthorized"},
+		{"worker frame without secret", wts.URL, "PUT", pathFrames + "abc", `x`, false, 401, "unauthorized"},
+		{"worker eval unknown frame", wts.URL, "POST", pathEval, `{"frame":"nope","query":"x"}`, true, 404, "frame_missing"},
+		{"worker eval malformed body", wts.URL, "POST", pathEval, `{"frame":`, true, 400, "bad_request"},
+		{"worker traces bad limit", wts.URL, "GET", "/v1/traces?limit=-1", "", false, 400, "bad_request"},
+		{"worker unknown trace", wts.URL, "GET", "/v1/traces/nope", "", false, 404, "not_found"},
+		{"register without secret", cts.URL, "POST", pathWorkers, `{"id":"w","url":"http://127.0.0.1:1"}`, false, 401, "unauthorized"},
+		{"register without id", cts.URL, "POST", pathWorkers, `{"url":"http://127.0.0.1:1"}`, true, 400, "bad_request"},
+		{"beat unknown worker", cts.URL, "POST", pathWorkers + "/nope/beat", "", true, 404, "not_found"},
+		{"delete unknown worker", cts.URL, "DELETE", pathWorkers + "/nope", "", true, 404, "not_found"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			req, err := http.NewRequest(tc.method, tc.base+tc.path, strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.auth {
+				setSecret(req, secret)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Fatalf("%s %s: status %d, want %d (body %s)", tc.method, tc.path, resp.StatusCode, tc.want, raw)
+			}
+			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+				t.Errorf("Content-Type = %q, want application/json", ct)
+			}
+			var body httpapi.ErrorResponse
+			if err := json.Unmarshal(raw, &body); err != nil {
+				t.Fatalf("error body %q does not decode as the envelope: %v", raw, err)
+			}
+			if body.Error == "" || body.Code != tc.code || body.Retryable {
+				t.Errorf("envelope = %+v, want code %q, not retryable", body, tc.code)
+			}
+		})
 	}
 }
 

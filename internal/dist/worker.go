@@ -4,18 +4,16 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"time"
-
 	"sync/atomic"
+	"time"
 
 	"hyper/internal/causal"
 	"hyper/internal/engine"
 	"hyper/internal/fault"
+	"hyper/internal/httpapi"
 	"hyper/internal/hyperql"
 	"hyper/internal/lru"
 	"hyper/internal/obs"
@@ -139,41 +137,33 @@ func (w *Worker) Drain(ctx context.Context) error {
 // status); ModeDrop — and a kill a test survived — aborts the connection
 // without a response, what a crashed worker looks like on the wire. A real
 // ModeKill exits the process inside Decide and never returns.
-func (w *Worker) injectFault(rw http.ResponseWriter, p fault.Point) (proceed bool) {
+func (w *Worker) injectFault(p fault.Point) error {
 	switch d := w.cfg.Fault.Decide(p); d.Mode {
 	case fault.ModeError:
-		writeError(rw, http.StatusInternalServerError, "", "%v", d.Err)
-		return false
+		return httpapi.Errorf(http.StatusInternalServerError, "%v", d.Err)
 	case fault.ModeDrop, fault.ModeKill:
 		panic(http.ErrAbortHandler)
 	default:
-		return true
+		return nil
 	}
 }
 
 // Metrics returns the worker's metric registry (served at GET /metrics).
 func (w *Worker) Metrics() *obs.Registry { return w.metrics }
 
-// Handler returns the worker's HTTP surface.
+// Handler returns the worker's HTTP surface; every request body it reads is
+// capped at MaxBodyBytes.
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
-	guarded := func(fn http.HandlerFunc) http.HandlerFunc {
-		return func(rw http.ResponseWriter, r *http.Request) {
-			if !checkSecret(rw, r, w.cfg.Secret) {
-				return
-			}
-			fn(rw, r)
-		}
-	}
-	mux.HandleFunc("GET "+pathPing, w.handlePing)
-	mux.HandleFunc("PUT "+pathFrames+"{id}", guarded(w.handlePutFrame))
-	mux.HandleFunc("POST "+pathEval, guarded(w.handleEval))
+	mux.Handle("GET "+pathPing, httpapi.Func(w.handlePing))
+	mux.Handle("PUT "+pathFrames+"{id}", guarded(w.cfg.Secret, w.handlePutFrame))
+	mux.Handle("POST "+pathEval, guarded(w.cfg.Secret, w.handleEval))
 	// Observability surface, unauthenticated like the ping: metric values
 	// and span shapes carry no session data.
 	mux.Handle("GET /metrics", w.metrics.Handler())
-	mux.Handle("GET /v1/traces", w.traces.ListHandler())
-	mux.Handle("GET /v1/traces/{id}", w.traces.GetHandler())
-	return mux
+	mux.Handle("GET /v1/traces", httpapi.Func(w.traces.HandleList))
+	mux.Handle("GET /v1/traces/{id}", httpapi.Func(w.traces.HandleGet))
+	return httpapi.Serve(w.cfg.MaxBodyBytes, mux)
 }
 
 func (w *Worker) logf(format string, args ...any) {
@@ -209,39 +199,21 @@ func (w *Worker) traceRequest(r *http.Request, name string) (ctx context.Context
 	}
 }
 
-func writeJSON(rw http.ResponseWriter, status int, payload any) {
-	rw.Header().Set("Content-Type", "application/json")
-	rw.WriteHeader(status)
-	enc := json.NewEncoder(rw)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(payload)
+func (w *Worker) handlePing(*http.Request) (any, error) {
+	return map[string]any{"ok": true, "frames": w.FrameIDs()}, nil
 }
 
-func writeError(rw http.ResponseWriter, status int, code, format string, args ...any) {
-	writeJSON(rw, status, errorBody{Error: fmt.Sprintf(format, args...), Code: code})
-}
-
-func (w *Worker) handlePing(rw http.ResponseWriter, _ *http.Request) {
-	writeJSON(rw, http.StatusOK, map[string]any{"ok": true, "frames": w.FrameIDs()})
-}
-
-func (w *Worker) handlePutFrame(rw http.ResponseWriter, r *http.Request) {
+func (w *Worker) handlePutFrame(r *http.Request) (any, error) {
 	id := r.PathValue("id")
-	body, err := io.ReadAll(io.LimitReader(r.Body, w.cfg.MaxBodyBytes+1))
+	body, err := httpapi.ReadBody(r)
 	if err != nil {
-		writeError(rw, http.StatusBadRequest, "", "reading frame body: %v", err)
-		return
-	}
-	if int64(len(body)) > w.cfg.MaxBodyBytes {
-		writeError(rw, http.StatusRequestEntityTooLarge, "", "frame exceeds %d bytes", w.cfg.MaxBodyBytes)
-		return
+		return nil, err
 	}
 	sum := sha256.Sum256(body)
 	if got := hex.EncodeToString(sum[:]); got != id {
 		// The id is the integrity check: a frame that does not hash to its
 		// name was corrupted in transit (or the coordinator is buggy).
-		writeError(rw, http.StatusBadRequest, "", "frame body hashes to %.12s, not %.12s", got, id)
-		return
+		return nil, httpapi.Errorf(http.StatusBadRequest, "frame body hashes to %.12s, not %.12s", got, id)
 	}
 	db, model, err := buildFrame(body, w.frames.Get)
 	var missing parentMissing
@@ -249,17 +221,15 @@ func (w *Worker) handlePutFrame(rw http.ResponseWriter, r *http.Request) {
 		// The coordinator ships version chains bottom-up, so a missing
 		// parent was evicted in between; frame_missing makes the
 		// coordinator re-ship the chain and retry.
-		writeError(rw, http.StatusNotFound, codeFrameMissing, "%v", err)
-		return
+		return nil, httpapi.CodeErrorf(http.StatusNotFound, codeFrameMissing, "%v", err)
 	}
 	if err != nil {
-		writeError(rw, http.StatusBadRequest, "", "building frame: %v", err)
-		return
+		return nil, httpapi.Errorf(http.StatusBadRequest, "building frame: %v", err)
 	}
 	w.store(id, &workerFrame{db: db, model: model, cache: engine.NewCacheBounded(w.cfg.CacheEntries)})
 	w.frameBytes.Add(len(body))
 	w.logf("dist worker: stored frame %.12s (v%d, %d rows)", id, db.Version(), db.TotalRows())
-	writeJSON(rw, http.StatusOK, map[string]any{"ok": true})
+	return map[string]any{"ok": true}, nil
 }
 
 // handleEval serves the compute route: the in-flight count Drain waits on,
@@ -269,31 +239,23 @@ func (w *Worker) handlePutFrame(rw http.ResponseWriter, r *http.Request) {
 // per-request meter that the engine charges through the context and the
 // coordinator folds into the query's. An evaluation error answers 400; the
 // reply is the binary body of evalreply.go.
-func (w *Worker) handleEval(rw http.ResponseWriter, r *http.Request) {
+func (w *Worker) handleEval(r *http.Request) (any, error) {
 	w.inflight.Add(1)
 	defer w.inflight.Add(-1)
-	if !w.injectFault(rw, fault.PointEval) {
-		return
+	if err := w.injectFault(fault.PointEval); err != nil {
+		return nil, err
 	}
 	var req EvalRequest
-	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, w.cfg.MaxBodyBytes)).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(rw, http.StatusRequestEntityTooLarge, "", "eval request exceeds %d bytes", w.cfg.MaxBodyBytes)
-			return
-		}
-		writeError(rw, http.StatusBadRequest, "", "decoding eval request: %v", err)
-		return
+	if err := httpapi.Decode(r, &req); err != nil {
+		return nil, err
 	}
 	f, ok := w.frames.Get(req.Frame)
 	if !ok {
-		writeError(rw, http.StatusNotFound, codeFrameMissing, "frame %.12s not on this worker", req.Frame)
-		return
+		return nil, httpapi.CodeErrorf(http.StatusNotFound, codeFrameMissing, "frame %.12s not on this worker", req.Frame)
 	}
 	q, err := hyperql.ParseWhatIf(req.Query)
 	if err != nil {
-		writeError(rw, http.StatusBadRequest, "", "%v", err)
-		return
+		return nil, httpapi.Errorf(http.StatusBadRequest, "%v", err)
 	}
 	opts := req.Options.EngineOptions()
 	opts.Cache = f.cache
@@ -302,19 +264,16 @@ func (w *Worker) handleEval(rw http.ResponseWriter, r *http.Request) {
 	meter.Charge(obs.MeterJSON{DistBytesReceived: uint64(max(r.ContentLength, 0))}) // ContentLength is -1 when unknown
 	res, err := engine.EvaluatePartialContext(obs.ContextWithMeter(ctx, meter), f.db, f.model, q, opts, req.Shards)
 	if err != nil {
-		writeError(rw, http.StatusBadRequest, "", "%v", err)
-		return
+		return nil, httpapi.Errorf(http.StatusBadRequest, "%v", err)
 	}
 	// Encoded whole before the status goes out: a failure is a 500 envelope,
 	// never a 200 with a truncated body.
 	body, err := encodeEvalReply(&EvalResponse{PartialResult: *res, Spans: finish(), Meter: meter.JSON()})
 	if err != nil {
-		writeError(rw, http.StatusInternalServerError, "", "%v", err)
-		return
+		return nil, httpapi.Errorf(http.StatusInternalServerError, "%v", err)
 	}
 	w.evals.Inc()
 	w.evalShards.Add(len(req.Shards))
 	w.logf("dist worker: eval frame=%.12s shards=%v plan=%d", req.Frame, req.Shards, res.Meta.Plan)
-	rw.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = rw.Write(body) // a failed write is the coordinator's transport error
+	return httpapi.Blob{ContentType: "application/octet-stream", Body: body}, nil
 }

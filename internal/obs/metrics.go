@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"regexp"
 	"sort"
 	"strings"
@@ -286,6 +287,15 @@ func (h *Histogram) Quantile(q float64) float64 {
 		cum += c
 	}
 	return h.bounds[len(h.bounds)-1]
+}
+
+// Handler serves the registry in Prometheus text exposition format — mount
+// at GET /metrics.
+func (r *Registry) Handler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		r.WritePrometheus(w)
+	})
 }
 
 // WritePrometheus renders every family in text exposition format.

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"hyper/internal/httpapi"
 )
 
 // TraceJSON is a finished trace in wire form: identity plus the rendered
@@ -174,28 +176,30 @@ func (r *Recorder) Recorded() uint64 {
 	return r.recorded
 }
 
-// ListHandler serves the trace listing as {"traces": [...]}, honoring the
-// ?kind= / ?min_ms= / ?limit= filters (400 on malformed values).
-func (r *Recorder) ListHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		f, err := ParseTraceFilter(req.URL.Query())
-		if err != nil {
-			writeJSONResponse(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-			return
-		}
-		writeJSONResponse(w, http.StatusOK, map[string]any{"traces": r.ListFiltered(f)})
-	})
+// TraceList is the GET /v1/traces payload (newest first).
+type TraceList struct {
+	Traces []TraceSummary `json:"traces"`
 }
 
-// GetHandler serves one trace by the {id} path value.
-func (r *Recorder) GetHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		id := req.PathValue("id")
-		tj, ok := r.Get(id)
-		if !ok {
-			writeJSONResponse(w, http.StatusNotFound, map[string]string{"error": "unknown trace " + id})
-			return
-		}
-		writeJSONResponse(w, http.StatusOK, tj)
-	})
+// HandleList serves GET /v1/traces, on the daemon and on its workers: the
+// ring's summaries filtered by the optional ?kind=, ?min_ms= and ?limit=
+// query parameters (a malformed value is a 400).
+func (r *Recorder) HandleList(req *http.Request) (any, error) {
+	f, err := ParseTraceFilter(req.URL.Query())
+	if err != nil {
+		return nil, httpapi.Errorf(http.StatusBadRequest, "%v", err)
+	}
+	return &TraceList{Traces: r.ListFiltered(f)}, nil
+}
+
+// HandleGet serves GET /v1/traces/{id}: one buffered trace, or a 404.
+func (r *Recorder) HandleGet(req *http.Request) (any, error) {
+	id := req.PathValue("id")
+	if tj, ok := r.Get(id); ok {
+		return tj, nil
+	}
+	r.mu.Lock()
+	capacity := cap(r.ring)
+	r.mu.Unlock()
+	return nil, httpapi.Errorf(http.StatusNotFound, "unknown trace %q (the ring keeps the most recent %d)", id, capacity)
 }

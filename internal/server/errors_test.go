@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"hyper/internal/httpapi"
 )
 
 // TestErrorStatusTable drives every /v1/* endpoint through its error paths
@@ -98,7 +100,7 @@ func TestErrorStatusTable(t *testing.T) {
 				t.Fatalf("%s %s: status %d, want %d (body %s)", tc.method, tc.path, resp.StatusCode, tc.want, raw)
 			}
 			if tc.want >= 400 {
-				var body ErrorResponse
+				var body httpapi.ErrorResponse
 				if err := json.Unmarshal(raw, &body); err != nil || body.Error == "" {
 					t.Errorf("error body %q is not structured JSON with an error field", raw)
 				}
@@ -117,7 +119,7 @@ func TestErrorStatusTable(t *testing.T) {
 // the 500 envelope naming the encoding error, never a 200 with an empty body.
 func requireEncodingEnvelope(t *testing.T, status int, contentType string, raw []byte) {
 	t.Helper()
-	var body ErrorResponse
+	var body httpapi.ErrorResponse
 	if err := json.Unmarshal(raw, &body); err != nil {
 		t.Fatalf("status %d, body %q is not the error envelope: %v", status, raw, err)
 	}
@@ -127,11 +129,11 @@ func requireEncodingEnvelope(t *testing.T, status int, contentType string, raw [
 	}
 }
 
-// TestWriteJSONUnencodable: a NaN cannot be JSON-encoded, so writeJSON must
-// not have sent its status before finding out.
+// TestWriteJSONUnencodable: a NaN cannot be JSON-encoded, so
+// httpapi.WriteJSON must not have sent its status before finding out.
 func TestWriteJSONUnencodable(t *testing.T) {
 	rec := httptest.NewRecorder()
-	writeJSON(rec, http.StatusOK, WhatIfResponse{Value: math.NaN()})
+	httpapi.WriteJSON(rec, http.StatusOK, WhatIfResponse{Value: math.NaN()})
 	requireEncodingEnvelope(t, rec.Code, rec.Header().Get("Content-Type"), rec.Body.Bytes())
 }
 
@@ -169,7 +171,7 @@ func TestNaNAnswerIsAnEnvelope(t *testing.T) {
 // TestErrorEnvelopeTable pins the full envelope — code and retryable, not
 // just status — across the resource-oriented surface, including the two
 // error pages net/http writes itself (unrouted path, wrong method), which
-// envelopeErrors must convert to the same JSON shape.
+// httpapi.Serve must convert to the same JSON shape.
 func TestErrorEnvelopeTable(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	createSession(t, ts, "g")
@@ -229,7 +231,7 @@ func TestErrorEnvelopeTable(t *testing.T) {
 			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 				t.Errorf("Content-Type = %q, want application/json", ct)
 			}
-			var body ErrorResponse
+			var body httpapi.ErrorResponse
 			if err := json.Unmarshal(raw, &body); err != nil {
 				t.Fatalf("error body %q does not decode as the envelope: %v", raw, err)
 			}
@@ -242,11 +244,51 @@ func TestErrorEnvelopeTable(t *testing.T) {
 	// Admission pressure is the one retryable client error on this surface.
 	small := newTestServer(t, Config{MaxSessions: 1})
 	createSession(t, small, "only")
-	var envelope ErrorResponse
+	var envelope httpapi.ErrorResponse
 	if code := do(t, "POST", small.URL+"/v1/sessions", CreateSessionRequest{Name: "more", Dataset: "german", Scale: 0.1}, &envelope); code != http.StatusTooManyRequests {
 		t.Fatalf("session over limit: status %d", code)
 	}
 	if envelope.Code != "session_limit" || !envelope.Retryable {
 		t.Fatalf("session-limit envelope = %+v, want retryable session_limit", envelope)
+	}
+}
+
+// TestServerBodyCap: MaxBodyBytes caps every body hyperd reads, the
+// coordinator's registration route included; one byte over is the 413
+// body_too_large envelope, not a decoding 400.
+func TestServerBodyCap(t *testing.T) {
+	const limit = 64
+	ts := newTestServer(t, Config{MaxBodyBytes: limit})
+	var info SessionInfo
+	if code := do(t, "POST", ts.URL+"/v1/sessions", CreateSessionRequest{Name: "g", Dataset: "german", Scale: 0.1}, &info); code != http.StatusOK {
+		t.Fatalf("create session under the cap: status %d", code)
+	}
+	// Each body is one JSON value of the route's own request shape, padded
+	// to limit+1 bytes.
+	over := func(head, tail string) string { return head + strings.Repeat("x", limit+1-len(head)-len(tail)) + tail }
+	for _, c := range []struct{ path, body string }{
+		{"/v1/sessions", over(`{"name":"`, `"}`)},
+		{"/v1/sessions/g/whatif", over(`{"query":"`, `"}`)},
+		{"/v1/sessions/g/howto", over(`{"query":"`, `"}`)},
+		{"/v1/sessions/g/explain", over(`{"query":"`, `"}`)},
+		{"/v1/sessions/g/batch", over(`{"queries":[{"query":"`, `"}]}`)},
+		{"/v1/sessions/g/rows", over(`{"tables":[{"name":"`, `"}]}`)},
+		{"/v1/jobs", over(`{"session":"g","query":"`, `"}`)},
+		{"/dist/v1/workers", over(`{"id":"w","url":"`, `"}`)},
+	} {
+		if len(c.body) != limit+1 {
+			t.Fatalf("%s body is %d bytes, want %d", c.path, len(c.body), limit+1)
+		}
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var env httpapi.ErrorResponse
+		if err := json.Unmarshal(raw, &env); err != nil || resp.StatusCode != http.StatusRequestEntityTooLarge ||
+			resp.Header.Get("Content-Type") != "application/json" || env.Code != "body_too_large" || env.Error == "" || env.Retryable {
+			t.Errorf("POST %s with %d bytes over a cap of %d: status %d, body %s; want 413 body_too_large", c.path, len(c.body), limit, resp.StatusCode, raw)
+		}
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"hyper/internal/httpapi"
 )
 
 // FuzzRequestDecode sends arbitrary bodies to every route that decodes one —
@@ -98,7 +100,7 @@ func FuzzRequestDecode(f *testing.F) {
 			t.Fatalf("POST %s %q: status %d: %s", path, body, rec.Code, rec.Body)
 		}
 		if rec.Code >= 400 {
-			var env ErrorResponse
+			var env httpapi.ErrorResponse
 			if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 				t.Fatalf("POST %s %q: status %d with Content-Type %q", path, body, rec.Code, ct)
 			}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"hyper/internal/httpapi"
 	"hyper/internal/hyperql"
 	"hyper/internal/jobs"
 )
@@ -130,7 +131,7 @@ const jobKinds = "whatif|howto|explain|batch"
 
 func (s *Server) handleSubmitJob(r *http.Request) (any, error) {
 	var req JobRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := httpapi.Decode(r, &req); err != nil {
 		return nil, err
 	}
 	e, err := s.session(req.Session)
@@ -150,7 +151,7 @@ func (s *Server) handleSubmitJob(r *http.Request) (any, error) {
 	}
 	if req.DeltaVs != 0 {
 		if kind != "whatif" {
-			return nil, errf(http.StatusBadRequest, "delta_vs applies to what-if jobs only")
+			return nil, httpapi.Errorf(http.StatusBadRequest, "delta_vs applies to what-if jobs only")
 		}
 		// Validate the comparison version at submission, like the pin.
 		if _, err := e.resolve(req.DeltaVs); err != nil {
@@ -166,18 +167,18 @@ func (s *Server) handleSubmitJob(r *http.Request) (any, error) {
 	switch kind {
 	case "whatif", "explain":
 		if _, err := hyperql.ParseWhatIf(req.Query); err != nil {
-			return nil, errf(http.StatusBadRequest, "%v", err)
+			return nil, httpapi.Errorf(http.StatusBadRequest, "%v", err)
 		}
 	case "howto":
 		if _, err := hyperql.ParseHowTo(req.Query); err != nil {
-			return nil, errf(http.StatusBadRequest, "%v", err)
+			return nil, httpapi.Errorf(http.StatusBadRequest, "%v", err)
 		}
 		if _, err := howToMethod(sn.sess, req.Method, req.Target); err != nil {
 			return nil, err
 		}
 	case "batch":
 		if len(req.Queries) == 0 {
-			return nil, errf(http.StatusBadRequest, "batch job has no queries")
+			return nil, httpapi.Errorf(http.StatusBadRequest, "batch job has no queries")
 		}
 		workers := s.batchWorkers(req.Workers)
 		// Pin every element: job-level shards and snapshot are defaults, an
@@ -202,7 +203,7 @@ func (s *Server) handleSubmitJob(r *http.Request) (any, error) {
 			return e.runBatch(ctx, queries, workers, p.Report), nil
 		}
 	default:
-		return nil, errf(http.StatusBadRequest, "unknown job kind %q (want %s)", req.Kind, jobKinds)
+		return nil, httpapi.Errorf(http.StatusBadRequest, "unknown job kind %q (want %s)", req.Kind, jobKinds)
 	}
 	if run == nil {
 		if err := e.checkPlacement(req.Placement, kind); err != nil {
@@ -227,13 +228,13 @@ func (s *Server) handleSubmitJob(r *http.Request) (any, error) {
 	j, err := s.jobs.Submit(opts, run)
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull):
-		return nil, errcf(http.StatusTooManyRequests, "queue_full",
+		return nil, httpapi.CodeErrorf(http.StatusTooManyRequests, "queue_full",
 			"job queue is full (%d queued); retry later", s.cfg.JobQueueDepth)
 	case errors.Is(err, jobs.ErrSessionLimit):
-		return nil, errcf(http.StatusTooManyRequests, "session_limit",
+		return nil, httpapi.CodeErrorf(http.StatusTooManyRequests, "session_limit",
 			"session %q already has %d live jobs; retry later", req.Session, s.cfg.JobsPerSession)
 	case errors.Is(err, jobs.ErrDraining):
-		return nil, errcf(http.StatusServiceUnavailable, "draining", "server is draining; not accepting jobs")
+		return nil, httpapi.CodeErrorf(http.StatusServiceUnavailable, "draining", "server is draining; not accepting jobs")
 	case err != nil:
 		return nil, err
 	}
@@ -264,7 +265,7 @@ func (e *sessionEntry) checkPlacement(placement, kind string) error {
 func (s *Server) handleGetJob(r *http.Request) (any, error) {
 	snap, ok := s.jobs.Get(r.PathValue("id"))
 	if !ok {
-		return nil, errf(http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		return nil, httpapi.Errorf(http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 	}
 	return toJobInfo(snap), nil
 }
@@ -272,7 +273,7 @@ func (s *Server) handleGetJob(r *http.Request) (any, error) {
 func (s *Server) handleCancelJob(r *http.Request) (any, error) {
 	id := r.PathValue("id")
 	if _, ok := s.jobs.Cancel(id); !ok {
-		return nil, errf(http.StatusNotFound, "unknown job %q", id)
+		return nil, httpapi.Errorf(http.StatusNotFound, "unknown job %q", id)
 	}
 	snap, _ := s.jobs.Get(id)
 	return toJobInfo(snap), nil
@@ -344,5 +345,5 @@ func parseJobState(name string) (jobs.State, error) {
 			return st, nil
 		}
 	}
-	return 0, errf(http.StatusBadRequest, "unknown job state %q (want queued|running|done|failed|cancelled|expired)", name)
+	return 0, httpapi.Errorf(http.StatusBadRequest, "unknown job state %q (want queued|running|done|failed|cancelled|expired)", name)
 }

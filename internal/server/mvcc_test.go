@@ -16,6 +16,7 @@ import (
 
 	"hyper"
 	"hyper/internal/histcheck"
+	"hyper/internal/httpapi"
 )
 
 // loansRow renders row i of the deterministic synthetic Loans table the
@@ -193,7 +194,7 @@ func TestMVCCWhatIfDelta(t *testing.T) {
 	}
 
 	// delta_vs is a what-if concept; explain and how-to reject it.
-	var errResp ErrorResponse
+	var errResp httpapi.ErrorResponse
 	if code := do(t, "POST", ts.URL+"/v1/sessions/d/explain", QueryRequest{Query: loansQuery, DeltaVs: 1}, &errResp); code != http.StatusBadRequest {
 		t.Fatalf("explain with delta_vs: status %d", code)
 	}
@@ -262,7 +263,7 @@ func TestMVCCJobsPinVersion(t *testing.T) {
 		t.Fatalf("explicit pin = %d, want 2", pinned.Snapshot)
 	}
 	// Unknown versions are rejected at submit, not at run time.
-	var errResp ErrorResponse
+	var errResp httpapi.ErrorResponse
 	if code := do(t, "POST", ts.URL+"/v1/jobs", JobRequest{
 		Session: "j", Kind: "whatif", Query: loansQuery, Snapshot: 99,
 	}, &errResp); code != http.StatusNotFound || errResp.Code != "snapshot_not_found" {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"net/http"
 	"time"
 
 	"hyper"
@@ -165,28 +164,4 @@ func (s *Server) logSlowQuery(endpoint, traceID string, elapsed time.Duration, s
 	s.slowMu.Lock()
 	defer s.slowMu.Unlock()
 	s.cfg.SlowQueryLog.Write(append(line, '\n'))
-}
-
-// TraceListResponse is the GET /v1/traces payload (newest first).
-type TraceListResponse struct {
-	Traces []obs.TraceSummary `json:"traces"`
-}
-
-// handleListTraces serves the trace ring, filtered by the optional ?kind=,
-// ?min_ms= and ?limit= query parameters; malformed values are a 400.
-func (s *Server) handleListTraces(r *http.Request) (any, error) {
-	f, err := obs.ParseTraceFilter(r.URL.Query())
-	if err != nil {
-		return nil, errf(http.StatusBadRequest, "%v", err)
-	}
-	return &TraceListResponse{Traces: s.traces.ListFiltered(f)}, nil
-}
-
-func (s *Server) handleGetTrace(r *http.Request) (any, error) {
-	id := r.PathValue("id")
-	tj, ok := s.traces.Get(id)
-	if !ok {
-		return nil, errf(http.StatusNotFound, "unknown trace %q (the ring keeps the most recent %d)", id, s.cfg.TraceCapacity)
-	}
-	return tj, nil
 }

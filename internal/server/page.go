@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"net/http"
 	"strconv"
+
+	"hyper/internal/httpapi"
 )
 
 // pageParams is the wire pagination contract shared by the list endpoints
@@ -28,7 +30,7 @@ func parsePage(r *http.Request) (pageParams, error) {
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			return p, errf(http.StatusBadRequest, "limit must be a non-negative integer, got %q", v)
+			return p, httpapi.Errorf(http.StatusBadRequest, "limit must be a non-negative integer, got %q", v)
 		}
 		p.limit = n
 	}
@@ -38,7 +40,7 @@ func parsePage(r *http.Request) (pageParams, error) {
 
 // errBadCursor is the shared malformed-cursor error shape.
 func errBadCursor(format string, args ...any) error {
-	return errcf(http.StatusBadRequest, "bad_cursor", format, args...)
+	return httpapi.CodeErrorf(http.StatusBadRequest, "bad_cursor", format, args...)
 }
 
 // paginate slices items (already sorted ascending by key) to the page after

@@ -9,6 +9,7 @@ import (
 	"hyper"
 	"hyper/internal/dist"
 	"hyper/internal/fault"
+	"hyper/internal/httpapi"
 	"hyper/internal/obs"
 	"hyper/internal/shard"
 )
@@ -164,12 +165,12 @@ func toHowToResponse(r *hyper.HowToResult) *HowToResponse {
 // copy-pasted body can't silently target the wrong session.
 func (s *Server) sessionScopedQuery(r *http.Request) (*sessionEntry, QueryRequest, error) {
 	var req QueryRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := httpapi.Decode(r, &req); err != nil {
 		return nil, req, err
 	}
 	name := r.PathValue("name")
 	if req.Session != "" && req.Session != name {
-		return nil, req, errcf(http.StatusBadRequest, "session_mismatch",
+		return nil, req, httpapi.CodeErrorf(http.StatusBadRequest, "session_mismatch",
 			"body targets session %q but the path targets %q", req.Session, name)
 	}
 	req.Session = name
@@ -203,7 +204,7 @@ func (e *sessionEntry) run(ctx context.Context, kind string, req QueryRequest, p
 		kind = "whatif"
 	}
 	if req.DeltaVs != 0 && kind != "whatif" {
-		return nil, errf(http.StatusBadRequest, "delta_vs applies to what-if queries only")
+		return nil, httpapi.Errorf(http.StatusBadRequest, "delta_vs applies to what-if queries only")
 	}
 	switch kind {
 	case "whatif":
@@ -230,7 +231,7 @@ func (e *sessionEntry) run(ctx context.Context, kind string, req QueryRequest, p
 	case "explain":
 		return e.explain(sn, req.Query)
 	default:
-		return nil, errf(http.StatusBadRequest, "unknown query kind %q (want whatif|howto|explain)", kind)
+		return nil, httpapi.Errorf(http.StatusBadRequest, "unknown query kind %q (want whatif|howto|explain)", kind)
 	}
 }
 
@@ -258,11 +259,11 @@ func (e *sessionEntry) resolvePlacement(placement, kind string) (string, error) 
 		return placement, nil
 	case "workers":
 		if kind != "whatif" {
-			return "", errf(http.StatusBadRequest, "placement %q applies to what-if queries only", placement)
+			return "", httpapi.Errorf(http.StatusBadRequest, "placement %q applies to what-if queries only", placement)
 		}
 		return placement, nil
 	default:
-		return "", errf(http.StatusBadRequest, "unknown placement %q (want local|workers)", placement)
+		return "", httpapi.Errorf(http.StatusBadRequest, "unknown placement %q (want local|workers)", placement)
 	}
 }
 
@@ -309,7 +310,7 @@ func howToMethod(sess *hyper.Session, method string, target float64) (func(conte
 			return sess.HowToMinimizeCost(ctx, src, target, progress)
 		}, nil
 	default:
-		return nil, errf(http.StatusBadRequest, "unknown how-to method %q (want ip|brute|mincost)", method)
+		return nil, httpapi.Errorf(http.StatusBadRequest, "unknown how-to method %q (want ip|brute|mincost)", method)
 	}
 }
 
@@ -345,7 +346,7 @@ func (e *sessionEntry) explain(sn *snapshotEntry, query string) (*ExplainRespons
 	e.queries.Add(1)
 	plan, err := sn.sess.Explain(query)
 	if err != nil {
-		return nil, errf(http.StatusBadRequest, "%v", err)
+		return nil, httpapi.Errorf(http.StatusBadRequest, "%v", err)
 	}
 	return &ExplainResponse{Plan: plan, Snapshot: sn.version}, nil
 }
@@ -358,7 +359,7 @@ func queryError(ctx context.Context, err error) error {
 	if ctx.Err() != nil {
 		return ctx.Err()
 	}
-	return errf(http.StatusBadRequest, "%v", err)
+	return httpapi.Errorf(http.StatusBadRequest, "%v", err)
 }
 
 // BatchQuery is one element of a batch request.
@@ -413,12 +414,12 @@ type BatchResponse struct {
 
 func (s *Server) handleSessionBatch(r *http.Request) (any, error) {
 	var req BatchRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := httpapi.Decode(r, &req); err != nil {
 		return nil, err
 	}
 	name := r.PathValue("name")
 	if req.Session != "" && req.Session != name {
-		return nil, errcf(http.StatusBadRequest, "session_mismatch",
+		return nil, httpapi.CodeErrorf(http.StatusBadRequest, "session_mismatch",
 			"body targets session %q but the path targets %q", req.Session, name)
 	}
 	req.Session = name
@@ -427,7 +428,7 @@ func (s *Server) handleSessionBatch(r *http.Request) (any, error) {
 		return nil, err
 	}
 	if len(req.Queries) == 0 {
-		return nil, errf(http.StatusBadRequest, "batch has no queries")
+		return nil, httpapi.Errorf(http.StatusBadRequest, "batch has no queries")
 	}
 	stampBatchShape(r.Context(), e, req.Queries)
 	return e.runBatch(r.Context(), req.Queries, s.batchWorkers(req.Workers), nil), nil

@@ -28,8 +28,10 @@
 //	GET    /v1/usage                          per-query-shape usage analytics (?limit=, ?after=)
 //	GET    /v1/usage/{session}                usage analytics filtered to one session's shapes
 //
-// Every error, on every /v1 route (including the mux's own 404/405), is the
-// same JSON envelope: {"error": ..., "code": ..., "retryable": ...}.
+// Every error, on every route (/dist/v1/* and the mux's own 404/405
+// included), is the one JSON envelope of internal/httpapi:
+// {"error": ..., "code": ..., "retryable": ...}, and every route reads its
+// body under MaxBodyBytes (413 body_too_large past it).
 //
 // Sessions are independent: each owns a bounded LRU engine cache
 // (engine.NewCacheBounded), so repeat queries with shared USE/WHEN/FOR
@@ -53,10 +55,7 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -68,6 +67,7 @@ import (
 	"hyper"
 	"hyper/internal/dist"
 	"hyper/internal/fault"
+	"hyper/internal/httpapi"
 	"hyper/internal/jobs"
 	"hyper/internal/obs"
 )
@@ -283,7 +283,7 @@ type HealthResponse struct {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, HealthResponse{OK: true, UptimeS: time.Since(s.start).Seconds()})
+		httpapi.WriteJSON(w, http.StatusOK, HealthResponse{OK: true, UptimeS: time.Since(s.start).Seconds()})
 	})
 	mux.Handle("GET /v1/datasets", s.instrument("datasets", s.handleDatasets))
 
@@ -307,37 +307,18 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /v1/stats", s.instrument("stats", s.handleStats))
 	mux.Handle("GET /v1/usage", s.instrument("usage", s.handleUsage))
 	mux.Handle("GET /v1/usage/{session}", s.instrument("usage", s.handleUsageSession))
-	mux.Handle("GET /v1/traces", s.instrument("traces", s.handleListTraces))
-	mux.Handle("GET /v1/traces/{id}", s.instrument("traces", s.handleGetTrace))
+	mux.Handle("GET /v1/traces", s.instrument("traces", s.traces.HandleList))
+	mux.Handle("GET /v1/traces/{id}", s.instrument("traces", s.traces.HandleGet))
 	mux.Handle("GET /metrics", s.metrics.Handler())
 	// Shard-transport registration surface: workers announce themselves and
 	// heartbeat here; the coordinator dials them back for shard work.
 	dh := s.dist.Handler()
 	mux.Handle("/dist/v1/workers", dh)
 	mux.Handle("/dist/v1/workers/", dh)
-	// envelopeErrors folds the mux's own plain-text 404/405 pages into the
-	// JSON error envelope, so no route — known or not — answers shapeless.
-	return envelopeErrors(mux)
-}
-
-// apiError carries an HTTP status (and an optional machine-readable code)
-// through the handler helpers.
-type apiError struct {
-	status int
-	code   string // e.g. "queue_full"; optional
-	msg    string
-}
-
-func (e *apiError) Error() string { return e.msg }
-
-func errf(status int, format string, args ...any) error {
-	return &apiError{status: status, msg: fmt.Sprintf(format, args...)}
-}
-
-// errcf is errf with a machine-readable error code rendered alongside the
-// message ({"error": ..., "code": ...}).
-func errcf(status int, code, format string, args ...any) error {
-	return &apiError{status: status, code: code, msg: fmt.Sprintf(format, args...)}
+	// Every route, /dist/v1/* included, reads its body under MaxBodyBytes,
+	// and the mux's own plain-text 404/405 pages come out in the JSON error
+	// envelope, so no route — known or not — answers shapeless.
+	return httpapi.Serve(s.cfg.MaxBodyBytes, mux)
 }
 
 // tracedEndpoints are the query-evaluation endpoints that get a span tree
@@ -348,8 +329,8 @@ var tracedEndpoints = map[string]bool{"whatif": true, "howto": true, "explain": 
 
 // instrument wraps a handler with panic recovery, latency recording, error
 // mapping, request tracing, and request logging. Handlers return (payload,
-// error); payloads are rendered as JSON, errors as {"error": ...} with the
-// apiError status (500 default, 400 for body decode errors). A handler
+// error); both are written by httpapi.Respond, errors as the envelope of
+// httpapi.StatusOf (an *httpapi.Error's status, else 499/504/500). A handler
 // panic becomes a JSON 500 (counted in hyper_server_panics_total, stack
 // logged, trace annotated) instead of tearing down the connection — the
 // response is written centrally after fn returns, so nothing has touched
@@ -357,7 +338,7 @@ var tracedEndpoints = map[string]bool{"whatif": true, "howto": true, "explain": 
 // answer with an X-Hyper-Trace-Id header; tracing is an execution-only
 // layer, so payloads are byte-identical to an untraced server's unless
 // ?trace=1 explicitly asks for the inline tree.
-func (s *Server) instrument(endpoint string, fn func(r *http.Request) (any, error)) http.Handler {
+func (s *Server) instrument(endpoint string, fn httpapi.Func) http.Handler {
 	call := func(r *http.Request) (payload any, err error) {
 		defer func() {
 			p := recover()
@@ -380,13 +361,12 @@ func (s *Server) instrument(endpoint string, fn func(r *http.Request) (any, erro
 			} else {
 				fmt.Fprintf(os.Stderr, "hyperd: panic in /v1/%s handler: %v\n%s\n", endpoint, p, stack)
 			}
-			payload, err = nil, errcf(http.StatusInternalServerError, "panic", "internal server error")
+			payload, err = nil, httpapi.CodeErrorf(http.StatusInternalServerError, "panic", "internal server error")
 		}()
 		return fn(r)
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		var tr *obs.Trace
 		var meter *obs.Meter
 		if tracedEndpoints[endpoint] {
@@ -402,23 +382,8 @@ func (s *Server) instrument(endpoint string, fn func(r *http.Request) (any, erro
 		payload, err := call(r)
 		elapsed := time.Since(start)
 		status := http.StatusOK
-		errCode := ""
 		if err != nil {
-			var ae *apiError
-			switch {
-			case errors.As(err, &ae):
-				status = ae.status
-				errCode = ae.code
-			case errors.Is(err, context.Canceled):
-				// A disconnected client cancelled its own evaluation; that
-				// is not a server fault, so don't record a 5xx (499 is the
-				// de-facto "client closed request" status).
-				status = 499
-			case errors.Is(err, context.DeadlineExceeded):
-				status = http.StatusGatewayTimeout
-			default:
-				status = http.StatusInternalServerError
-			}
+			status, _ = httpapi.StatusOf(err)
 		}
 		if tr != nil {
 			tr.Root().Set("status", status)
@@ -435,11 +400,7 @@ func (s *Server) instrument(endpoint string, fn func(r *http.Request) (any, erro
 		s.recordUsage(endpoint, meter, elapsed, err != nil)
 		// Every error, from any handler, renders through the one envelope
 		// writer; successes render their typed payloads.
-		if err != nil {
-			writeError(w, status, errCode, err.Error())
-		} else {
-			writeJSON(w, status, payload)
-		}
+		httpapi.Respond(w, payload, err)
 		s.stats.record(endpoint, elapsed, err != nil)
 		if s.cfg.Logf != nil {
 			s.cfg.Logf("%s %s -> %d (%s)", r.Method, r.URL.Path, status, elapsed.Round(time.Microsecond))
@@ -447,42 +408,16 @@ func (s *Server) instrument(endpoint string, fn func(r *http.Request) (any, erro
 	})
 }
 
-// writeJSON encodes payload whole before the status goes out, so a payload
-// that cannot be encoded (a NaN answer) is a 500 envelope, not a 200 with an
-// empty body.
-func writeJSON(w http.ResponseWriter, status int, payload any) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(payload); err != nil {
-		writeError(w, http.StatusInternalServerError, "", fmt.Sprintf("encoding response: %v", err))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes()) // a failed write is the client's lost connection
-}
-
-// decodeBody strictly decodes the request body into dst.
-func decodeBody(r *http.Request, dst any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return errf(http.StatusBadRequest, "decoding request body: %v", err)
-	}
-	return nil
-}
-
 // session looks up a live session by name.
 func (s *Server) session(name string) (*sessionEntry, error) {
 	if name == "" {
-		return nil, errf(http.StatusBadRequest, "missing session name")
+		return nil, httpapi.Errorf(http.StatusBadRequest, "missing session name")
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	e, ok := s.sessions[name]
 	if !ok {
-		return nil, errf(http.StatusNotFound, "unknown session %q", name)
+		return nil, httpapi.Errorf(http.StatusNotFound, "unknown session %q", name)
 	}
 	return e, nil
 }
@@ -497,6 +432,6 @@ func parseMode(name string) (hyper.Mode, error) {
 	case "indep":
 		return hyper.ModeIndep, nil
 	default:
-		return 0, errf(http.StatusBadRequest, "unknown mode %q (want full|nb|indep)", name)
+		return 0, httpapi.Errorf(http.StatusBadRequest, "unknown mode %q (want full|nb|indep)", name)
 	}
 }

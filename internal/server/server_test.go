@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"hyper/internal/fault"
+	"hyper/internal/httpapi"
 )
 
 // newTestServer starts an httptest server over a fresh Server.
@@ -302,7 +303,7 @@ func TestServerSessionLifecycleAndErrors(t *testing.T) {
 	ts := newTestServer(t, Config{MaxSessions: 2})
 
 	// Query against a missing session.
-	var errResp ErrorResponse
+	var errResp httpapi.ErrorResponse
 	if code := do(t, "POST", ts.URL+"/v1/sessions/nope/whatif", QueryRequest{Query: germanCount}, &errResp); code != http.StatusNotFound {
 		t.Errorf("missing session: status %d, want 404", code)
 	}
@@ -366,7 +367,7 @@ func TestWhatIfValidatesEveryUpdate(t *testing.T) {
 		`USE German UPDATE(Status) = 3 AND UPDATE(Age) = 1 OUTPUT COUNT(Credit = 1)`,
 		`USE German UPDATE(Age) = 1 AND UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`,
 	} {
-		var errResp ErrorResponse
+		var errResp httpapi.ErrorResponse
 		code := do(t, "POST", ts.URL+"/v1/sessions/g/whatif", QueryRequest{Query: q}, &errResp)
 		if code != http.StatusBadRequest || !strings.Contains(errResp.Error, "German.Age is immutable") {
 			t.Errorf("%s: status %d, error %q; want 400 naming German.Age", q, code, errResp.Error)

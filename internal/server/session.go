@@ -12,6 +12,7 @@ import (
 	"hyper/internal/dataset"
 	"hyper/internal/dist"
 	"hyper/internal/fault"
+	"hyper/internal/httpapi"
 	"hyper/internal/relation"
 	"hyper/internal/shard"
 )
@@ -77,7 +78,7 @@ func (e *sessionEntry) resolve(v int64) (*snapshotEntry, error) {
 	if v >= 1 && v <= int64(len(e.snaps)) {
 		return e.snaps[v-1], nil
 	}
-	return nil, errcf(http.StatusNotFound, "snapshot_not_found",
+	return nil, httpapi.CodeErrorf(http.StatusNotFound, "snapshot_not_found",
 		"session %q has no snapshot version %d (head is %d)", e.name, v, len(e.snaps))
 }
 
@@ -257,14 +258,14 @@ func (s *Server) handleGetSession(r *http.Request) (any, error) {
 
 func (s *Server) handleCreateSession(r *http.Request) (any, error) {
 	var req CreateSessionRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := httpapi.Decode(r, &req); err != nil {
 		return nil, err
 	}
 	if strings.TrimSpace(req.Name) == "" {
-		return nil, errf(http.StatusBadRequest, "session name is required")
+		return nil, httpapi.Errorf(http.StatusBadRequest, "session name is required")
 	}
 	if (req.Dataset == "") == (req.CSV == nil) {
-		return nil, errf(http.StatusBadRequest, "exactly one of dataset or csv is required")
+		return nil, httpapi.Errorf(http.StatusBadRequest, "exactly one of dataset or csv is required")
 	}
 	// Cheap pre-check so a doomed request doesn't pay for a dataset build
 	// or CSV parse; the authoritative check re-runs under the write lock
@@ -281,7 +282,7 @@ func (s *Server) handleCreateSession(r *http.Request) (any, error) {
 	if req.Dataset != "" {
 		b, err := dataset.Lookup(req.Dataset)
 		if err != nil {
-			return nil, errf(http.StatusBadRequest, "%v", err)
+			return nil, httpapi.Errorf(http.StatusBadRequest, "%v", err)
 		}
 		scale := req.Scale
 		if scale <= 0 {
@@ -303,7 +304,7 @@ func (s *Server) handleCreateSession(r *http.Request) (any, error) {
 	}
 	if model != nil {
 		if err := model.Validate(db); err != nil {
-			return nil, errf(http.StatusBadRequest, "causal model does not validate: %v", err)
+			return nil, httpapi.Errorf(http.StatusBadRequest, "causal model does not validate: %v", err)
 		}
 	}
 
@@ -314,7 +315,7 @@ func (s *Server) handleCreateSession(r *http.Request) (any, error) {
 			return nil, err
 		}
 		if o.ShardRows != 0 && o.ShardRows < minShardRows {
-			return nil, errf(http.StatusBadRequest, "shard_rows must be 0 (default) or >= %d", minShardRows)
+			return nil, httpapi.Errorf(http.StatusBadRequest, "shard_rows must be 0 (default) or >= %d", minShardRows)
 		}
 		opts = hyper.Options{
 			Mode: mode, SampleSize: o.SampleSize, Seed: o.Seed, Buckets: o.Buckets,
@@ -405,11 +406,11 @@ func (s *Server) handleAppendRows(r *http.Request) (any, error) {
 		return nil, err
 	}
 	var req AppendRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := httpapi.Decode(r, &req); err != nil {
 		return nil, err
 	}
 	if len(req.Tables) == 0 {
-		return nil, errf(http.StatusBadRequest, "append has no tables")
+		return nil, httpapi.Errorf(http.StatusBadRequest, "append has no tables")
 	}
 
 	e.appendMu.Lock()
@@ -421,25 +422,25 @@ func (s *Server) handleAppendRows(r *http.Request) (any, error) {
 	for _, t := range req.Tables {
 		rel := db.Relation(t.Name)
 		if rel == nil {
-			return nil, errf(http.StatusBadRequest, "session %q has no relation %q", e.name, t.Name)
+			return nil, httpapi.Errorf(http.StatusBadRequest, "session %q has no relation %q", e.name, t.Name)
 		}
 		prior := len(appends[t.Name])
 		tuples, err := rel.ParseAppendRows(strings.NewReader(t.Data), prior)
 		if err != nil {
-			return nil, errf(http.StatusBadRequest, "%v", err)
+			return nil, httpapi.Errorf(http.StatusBadRequest, "%v", err)
 		}
 		appends[t.Name] = append(appends[t.Name], tuples...)
 		total += len(tuples)
 	}
 	if total == 0 {
-		return nil, errf(http.StatusBadRequest, "append has no rows")
+		return nil, httpapi.Errorf(http.StatusBadRequest, "append has no rows")
 	}
 
 	sess, err := head.sess.Append(appends)
 	if err != nil {
 		// Extend validates arity, coercion and key uniqueness; failures are
 		// client data errors and nothing has been published.
-		return nil, errf(http.StatusBadRequest, "%v", err)
+		return nil, httpapi.Errorf(http.StatusBadRequest, "%v", err)
 	}
 	newDB := sess.DB()
 
@@ -519,10 +520,10 @@ func (s *Server) checkAdmissible(name string) error {
 
 func (s *Server) checkAdmissibleLocked(name string) error {
 	if _, exists := s.sessions[name]; exists {
-		return errf(http.StatusConflict, "session %q already exists", name)
+		return httpapi.Errorf(http.StatusConflict, "session %q already exists", name)
 	}
 	if len(s.sessions) >= s.cfg.MaxSessions {
-		return errcf(http.StatusTooManyRequests, "session_limit", "session limit reached (%d)", s.cfg.MaxSessions)
+		return httpapi.CodeErrorf(http.StatusTooManyRequests, "session_limit", "session limit reached (%d)", s.cfg.MaxSessions)
 	}
 	return nil
 }
@@ -550,7 +551,7 @@ func (s *Server) handleDeleteSession(r *http.Request) (any, error) {
 	s.mu.Lock()
 	if _, ok := s.sessions[name]; !ok {
 		s.mu.Unlock()
-		return nil, errf(http.StatusNotFound, "unknown session %q", name)
+		return nil, httpapi.Errorf(http.StatusNotFound, "unknown session %q", name)
 	}
 	delete(s.sessions, name)
 	s.mu.Unlock()
@@ -565,19 +566,19 @@ func (s *Server) handleDeleteSession(r *http.Request) (any, error) {
 // column can be the target of UPDATE/HOWTOUPDATE.
 func buildCSVDatabase(c *CSVDatabase) (*hyper.Database, *hyper.CausalModel, error) {
 	if len(c.Tables) == 0 {
-		return nil, nil, errf(http.StatusBadRequest, "csv upload has no tables")
+		return nil, nil, httpapi.Errorf(http.StatusBadRequest, "csv upload has no tables")
 	}
 	db := hyper.NewDatabase()
 	for _, t := range c.Tables {
 		if strings.TrimSpace(t.Name) == "" {
-			return nil, nil, errf(http.StatusBadRequest, "csv table has no name")
+			return nil, nil, httpapi.Errorf(http.StatusBadRequest, "csv table has no name")
 		}
 		rel, err := hyper.ReadCSVKeyed(t.Name, strings.NewReader(t.Data), t.Keys)
 		if err != nil {
-			return nil, nil, errf(http.StatusBadRequest, "table %q: %v", t.Name, err)
+			return nil, nil, httpapi.Errorf(http.StatusBadRequest, "table %q: %v", t.Name, err)
 		}
 		if err := db.Add(rel); err != nil {
-			return nil, nil, errf(http.StatusBadRequest, "%v", err)
+			return nil, nil, httpapi.Errorf(http.StatusBadRequest, "%v", err)
 		}
 	}
 	for _, fk := range c.ForeignKeys {
@@ -586,7 +587,7 @@ func buildCSVDatabase(c *CSVDatabase) (*hyper.Database, *hyper.CausalModel, erro
 			Parent: fk.Parent, ParentCol: fk.ParentCol,
 		})
 		if err != nil {
-			return nil, nil, errf(http.StatusBadRequest, "foreign key: %v", err)
+			return nil, nil, httpapi.Errorf(http.StatusBadRequest, "foreign key: %v", err)
 		}
 	}
 	if c.Model == nil {

@@ -103,7 +103,7 @@ func TestTraceRingMetricsAndSlowLog(t *testing.T) {
 	}
 
 	// The trace ring serves the listing and the individual tree.
-	var list TraceListResponse
+	var list obs.TraceList
 	if code := do(t, "GET", ts.URL+"/v1/traces", nil, &list); code != http.StatusOK || len(list.Traces) == 0 {
 		t.Fatalf("traces list: code %d, %d traces", code, len(list.Traces))
 	}

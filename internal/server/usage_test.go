@@ -160,7 +160,7 @@ func TestTraceListFilters(t *testing.T) {
 		t.Fatalf("explain: status %d", code)
 	}
 
-	var list TraceListResponse
+	var list obs.TraceList
 	if code := do(t, "GET", ts.URL+"/v1/traces", nil, &list); code != http.StatusOK || len(list.Traces) != 3 {
 		t.Fatalf("unfiltered traces: code %d, %d rows", code, len(list.Traces))
 	}
