@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"sort"
 	"sync"
@@ -21,6 +22,7 @@ import (
 	"hyper/internal/lru"
 	"hyper/internal/obs"
 	"hyper/internal/relation"
+	"hyper/internal/shard"
 	"hyper/internal/stats"
 )
 
@@ -262,6 +264,9 @@ func (c *Coordinator) handleRegister(r *http.Request) (any, error) {
 	if req.ID == "" || req.URL == "" {
 		return nil, httpapi.Errorf(http.StatusBadRequest, "register requires id and url")
 	}
+	if u, err := url.Parse(req.URL); err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+		return nil, httpapi.Errorf(http.StatusBadRequest, "register url %q: want an http or https URL with a host", req.URL)
+	}
 	c.Register(req.ID, req.URL)
 	return map[string]any{"ok": true, "ttl_ms": c.cfg.TTL.Milliseconds()}, nil
 }
@@ -479,8 +484,8 @@ func (e terminalError) Error() string { return e.err.Error() }
 // 4xx response other than the frame_missing miss is terminal; transport
 // failures, 5xx and a reply that does not decode are retryable — the policy
 // retries in place, and only once it gives up does the caller exclude the
-// worker and requeue.
-func (c *Coordinator) postWorker(ctx context.Context, run *queryRun, w *remoteWorker, frame *Frame, request EvalRequest) (*EvalResponse, error) {
+// worker and requeue. replyLimit caps the reply (readReply).
+func (c *Coordinator) postWorker(ctx context.Context, run *queryRun, w *remoteWorker, frame *Frame, request EvalRequest, replyLimit int64) (*EvalResponse, error) {
 	frameID, _, err := frame.Payload()
 	if err != nil {
 		return nil, terminalError{err}
@@ -504,7 +509,7 @@ func (c *Coordinator) postWorker(ctx context.Context, run *queryRun, w *remoteWo
 		)
 		err := c.retry(ctx, run, func(actx context.Context) error {
 			frameMissing = false
-			status, raw, err := c.roundTrip(actx, w, fault.PointWorkerDial, http.MethodPost, pathEval, body)
+			status, raw, err := c.roundTrip(actx, w, fault.PointWorkerDial, http.MethodPost, pathEval, body, replyLimit)
 			if err != nil {
 				return err
 			}
@@ -591,14 +596,18 @@ func (c *Coordinator) ensureFrame(ctx context.Context, w *remoteWorker, frame *F
 // roundTrip is the one coordinator→worker HTTP exchange: it consults the
 // caller's fault point (worker_dial for compute RPCs, frame_ship for ships —
 // chaos rules count hits per point), sends body, and returns the status and
-// response body.
-func (c *Coordinator) roundTrip(ctx context.Context, w *remoteWorker, point fault.Point, method, path string, body []byte) (int, []byte, error) {
+// the response body, read under replyLimit (readReply).
+func (c *Coordinator) roundTrip(ctx context.Context, w *remoteWorker, point fault.Point, method, path string, body []byte, replyLimit int64) (int, []byte, error) {
 	if err := c.faultHit(point); err != nil {
 		return 0, nil, err
 	}
 	req, err := http.NewRequestWithContext(ctx, method, w.url+path, bytes.NewReader(body))
 	if err != nil {
-		return 0, nil, terminalError{err}
+		// A stored URL that does not parse (registration checks it, but a
+		// -dist-state file or a direct Register does not) is this worker's
+		// fault, not the query's: it fails like a dial, so the breaker
+		// counts it and the shards requeue.
+		return 0, nil, fmt.Errorf("dist: worker %s: %w", w.id, err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	setSecret(req, c.cfg.Secret)
@@ -613,11 +622,40 @@ func (c *Coordinator) roundTrip(ctx context.Context, w *remoteWorker, point faul
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	raw, err := readReply(resp.Body, resp.ContentLength, replyLimit)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, fmt.Errorf("dist: worker %s reply: %w", w.id, err)
 	}
 	return resp.StatusCode, raw, nil
+}
+
+// A worker's reply is read under a limit that its request fixes. An eval
+// reply carries one Sum and one Cnt float64 per block of each shard's block
+// window, which is one block per row when every tuple is a block of its own
+// and fewer on every dataset with multi-row blocks measured so far, plus a
+// JSON header (meta, meter and, when traced, the worker's span tree) within
+// replyAllowance. Any other reply is a small JSON object.
+const (
+	replyBytesPerRow = 16
+	replyAllowance   = 1 << 20
+)
+
+// readReply reads a reply body of at most limit bytes. The buffer is sized
+// once, from Content-Length (unknown: grown as read), so a large binary reply
+// is not regrown by doubling; a longer reply, or a Content-Length claiming
+// one, is an error, which the retry policy treats as a failed attempt.
+func readReply(body io.Reader, contentLength, limit int64) ([]byte, error) {
+	if contentLength > limit {
+		return nil, fmt.Errorf("Content-Length %d exceeds the %d-byte limit", contentLength, limit)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, max(contentLength, 0)+bytes.MinRead))
+	if _, err := buf.ReadFrom(io.LimitReader(body, limit+1)); err != nil {
+		return nil, err
+	}
+	if int64(buf.Len()) > limit {
+		return nil, fmt.Errorf("longer than the %d-byte limit", limit)
+	}
+	return buf.Bytes(), nil
 }
 
 // shipFrame PUTs the frame body to a worker (first touch co-location).
@@ -630,7 +668,7 @@ func (c *Coordinator) shipFrame(ctx context.Context, w *remoteWorker, frame *Fra
 	defer ssp.End()
 	ssp.Set("worker", w.id)
 	ssp.Set("bytes", len(body))
-	status, raw, err := c.roundTrip(ctx, w, fault.PointFrameShip, http.MethodPut, pathFrames+id, body)
+	status, raw, err := c.roundTrip(ctx, w, fault.PointFrameShip, http.MethodPut, pathFrames+id, body, replyAllowance)
 	if err != nil {
 		return err
 	}
@@ -686,14 +724,25 @@ type EvalSpec struct {
 type evalOp struct {
 	spec EvalSpec
 	q    *hyperql.WhatIf
-	run  *queryRun // budget, bad set, degradation ladder
-	plan int       // shard ids 0..plan-1 are scattered
+	run  *queryRun  // budget, bad set, degradation ladder
+	plan shard.Plan // the canonical plan: shard ids 0..plan.Shards()-1 are scattered
 
 	// The merge so far; take is never called concurrently.
 	partials   []engine.ShardPartial
 	meta       engine.PartialMeta
 	usedRemote map[string]bool
 	localDone  int
+}
+
+// replyLimit is the byte limit of a worker's reply to an eval of shards:
+// replyBytesPerRow for each of their rows, plus replyAllowance.
+func (op *evalOp) replyLimit(shards []int) int64 {
+	rows := 0
+	for _, s := range shards {
+		lo, hi := op.plan.Bounds(s)
+		rows += hi - lo
+	}
+	return replyBytesPerRow*int64(rows) + replyAllowance
 }
 
 // take adds one partial result — a worker's reply or the local fallback's —
@@ -711,7 +760,7 @@ func (op *evalOp) take(from string, pr *engine.PartialResult) error {
 	}
 	op.partials = append(op.partials, pr.Partials...)
 	if op.spec.Progress != nil {
-		op.spec.Progress("shards", len(op.partials), op.plan)
+		op.spec.Progress("shards", len(op.partials), op.plan.Shards())
 	}
 	return nil
 }
@@ -743,7 +792,7 @@ func (c *Coordinator) scatter(ctx context.Context, op *evalOp) error {
 	// A frame that cannot be encoded has no id; postWorker reports it.
 	frameID, _ := op.spec.Frame.ID()
 	wire := WireOptionsFrom(op.spec.Options)
-	pending := make([]int, op.plan)
+	pending := make([]int, op.plan.Shards())
 	for i := range pending {
 		pending[i] = i
 	}
@@ -782,7 +831,7 @@ func (c *Coordinator) scatter(ctx context.Context, op *evalOp) error {
 				wsp.Set("worker", w.id)
 				wsp.Set("shards", len(chunk))
 				resp, err := c.postWorker(wctx, op.run, w, op.spec.Frame,
-					EvalRequest{Frame: frameID, Query: op.spec.Query, Options: wire, Shards: chunk})
+					EvalRequest{Frame: frameID, Query: op.spec.Query, Options: wire, Shards: chunk}, op.replyLimit(chunk))
 				wsp.Set("error", err != nil)
 				if err == nil {
 					wsp.Graft(resp.Spans)
@@ -844,7 +893,7 @@ func (c *Coordinator) EvaluateWhatIf(ctx context.Context, spec EvalSpec) (*engin
 	if err != nil {
 		return nil, err
 	}
-	planShards, _, err := engine.PlanContext(ctx, spec.DB, spec.Model, q, spec.Options)
+	planShards, viewRows, err := engine.PlanContext(ctx, spec.DB, spec.Model, q, spec.Options)
 	if err != nil {
 		return nil, err
 	}
@@ -859,7 +908,7 @@ func (c *Coordinator) EvaluateWhatIf(ctx context.Context, spec EvalSpec) (*engin
 	defer dsp.End()
 	dsp.Set("plan", planShards)
 	op := &evalOp{
-		spec: spec, q: q, run: newQueryRun(c.cfg.Retry), plan: planShards,
+		spec: spec, q: q, run: newQueryRun(c.cfg.Retry), plan: shard.Rows(viewRows, spec.Options.ShardRows),
 		partials:   make([]engine.ShardPartial, 0, planShards),
 		usedRemote: map[string]bool{},
 	}

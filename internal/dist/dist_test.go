@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -15,6 +16,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"hyper/internal/causal"
@@ -98,9 +100,11 @@ func newTestCoordinatorCfg(t *testing.T, cfg CoordinatorConfig, workers ...*test
 // 2 real HTTP workers, each rebuilding the database from the shipped frame,
 // must reproduce the pinned value to the last bit and agree with a local
 // evaluation on every result bit. Workers carry no plan cache, and need none:
-// a direct POST /dist/v1/eval shows the worker computing the WHEN set through
-// the planner's pushdown (a plan stage in its meter and trace) and selecting
-// the coordinator's number of rows.
+// a frame's first direct POST /dist/v1/eval shows the worker computing the
+// WHEN set through the planner's pushdown (a plan stage in its meter and
+// trace) and selecting the coordinator's number of rows, and the repeat
+// finds that preparation in the frame's cache (a prepare stage with
+// cache_hit and no plan stage) and selects the same rows.
 func TestDistributedEvalGolden(t *testing.T) {
 	const toyQuery = `USE (SELECT T1.PID, T1.Category, T1.Price, T1.Brand,
 			AVG(T2.Rating) AS Rtng
@@ -154,48 +158,83 @@ func TestDistributedEvalGolden(t *testing.T) {
 				t.Fatalf("local evaluation pushed %d conjuncts, want %d", local.PlanPushed, g.pushed)
 			}
 
-			// The worker side of the same query, asked directly.
-			id, err := frame.ID()
+			// The worker side of the same query, asked directly of a worker
+			// that holds the frame but has evaluated nothing on it.
+			id, frameBody, err := frame.Payload()
 			if err != nil {
 				t.Fatal(err)
+			}
+			w3 := newTestWorker(t)
+			put, err := http.NewRequest(http.MethodPut, w3.ts.URL+pathFrames+id, bytes.NewReader(frameBody))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp, err := client.Do(put); err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("frame put: %v %v", resp, err)
+			} else {
+				resp.Body.Close()
 			}
 			body, err := json.Marshal(EvalRequest{Frame: id, Query: g.query, Options: WireOptionsFrom(opts), Shards: []int{0}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			req, err := http.NewRequest(http.MethodPost, w1.ts.URL+pathEval, bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			req.Header.Set(obs.TraceIDHeader, "golden-"+g.name)
-			resp, err := client.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			raw, err := io.ReadAll(resp.Body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			er, err := decodeEvalReply(raw)
-			if err != nil || resp.StatusCode != http.StatusOK {
-				t.Fatalf("worker eval: status %d, decode err %v", resp.StatusCode, err)
-			}
-			if er.Meta.UpdatedRows != res.UpdatedRows {
-				t.Fatalf("worker selected %d rows, coordinator %d", er.Meta.UpdatedRows, res.UpdatedRows)
-			}
-			if _, ok := er.Meter.StagesMs["plan"]; !ok {
-				t.Fatalf("worker meter has no plan stage: %v", er.Meter.StagesMs)
-			}
-			planSpan := findSpan(er.Spans, "plan")
-			if planSpan == nil {
-				t.Fatal("worker trace has no plan span")
-			}
-			if got, _ := planSpan.Attrs["pushed"].(float64); int(got) != g.pushed {
-				t.Fatalf("worker plan span pushed=%v, want %d", planSpan.Attrs["pushed"], g.pushed)
+			for _, repeat := range []bool{false, true} {
+				er := directEval(t, client, w3.ts.URL, body, fmt.Sprintf("golden-%s-%v", g.name, repeat))
+				if er.Meta.UpdatedRows != res.UpdatedRows {
+					t.Fatalf("worker selected %d rows, coordinator %d", er.Meta.UpdatedRows, res.UpdatedRows)
+				}
+				prep := findSpan(er.Spans, "prepare")
+				if prep == nil || prep.Attrs["cache_hit"] != repeat {
+					t.Fatalf("repeat=%v: worker prepare span %v, want cache_hit %v: %s", repeat, prep, repeat, obs.Skeleton(er.Spans))
+				}
+				if _, ok := er.Meter.StagesMs["prepare"]; !ok {
+					t.Fatalf("repeat=%v: worker meter has no prepare stage: %v", repeat, er.Meter.StagesMs)
+				}
+				_, planned := er.Meter.StagesMs["plan"]
+				planSpan := findSpan(er.Spans, "plan")
+				if repeat {
+					if planned || planSpan != nil {
+						t.Fatalf("the repeat planned WHEN again: meter %v, trace %s", er.Meter.StagesMs, obs.Skeleton(er.Spans))
+					}
+					continue
+				}
+				if !planned {
+					t.Fatalf("worker meter has no plan stage: %v", er.Meter.StagesMs)
+				}
+				if planSpan == nil {
+					t.Fatal("worker trace has no plan span")
+				}
+				if got, _ := planSpan.Attrs["pushed"].(float64); int(got) != g.pushed {
+					t.Fatalf("worker plan span pushed=%v, want %d", planSpan.Attrs["pushed"], g.pushed)
+				}
 			}
 		})
 	}
+}
+
+// directEval POSTs an eval request body to the worker at base, traced under
+// traceID, and decodes its reply.
+func directEval(t *testing.T, client *http.Client, base string, body []byte, traceID string) *EvalResponse {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, base+pathEval, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(obs.TraceIDHeader, traceID)
+	resp, err := client.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	er, err := decodeEvalReply(raw)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("worker eval: status %d, decode err %v", resp.StatusCode, err)
+	}
+	return er
 }
 
 // findSpan returns the first span named name in the tree under s.
@@ -748,6 +787,8 @@ func TestDistErrorEnvelope(t *testing.T) {
 		{"worker unknown trace", wts.URL, "GET", "/v1/traces/nope", "", false, 404, "not_found"},
 		{"register without secret", cts.URL, "POST", pathWorkers, `{"id":"w","url":"http://127.0.0.1:1"}`, false, 401, "unauthorized"},
 		{"register without id", cts.URL, "POST", pathWorkers, `{"url":"http://127.0.0.1:1"}`, true, 400, "bad_request"},
+		{"register non-http url", cts.URL, "POST", pathWorkers, `{"id":"w","url":"ftp://127.0.0.1:1"}`, true, 400, "bad_request"},
+		{"register url without host", cts.URL, "POST", pathWorkers, `{"id":"w","url":"http:///dist"}`, true, 400, "bad_request"},
 		{"beat unknown worker", cts.URL, "POST", pathWorkers + "/nope/beat", "", true, 404, "not_found"},
 		{"delete unknown worker", cts.URL, "DELETE", pathWorkers + "/nope", "", true, 404, "not_found"},
 	}
@@ -814,5 +855,176 @@ func TestFrameShipSingleFlight(t *testing.T) {
 	}
 	if got := tw.puts.Load(); got != 1 {
 		t.Fatalf("frame shipped %d times under %d concurrent cold evals, want exactly 1", got, conc)
+	}
+}
+
+// mustParse parses a what-if query.
+func mustParse(t *testing.T, src string) *hyperql.WhatIf {
+	t.Helper()
+	q, err := hyperql.ParseWhatIf(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// TestBadStoredWorkerURL: a stored worker URL that does not parse — which
+// registration refuses, but a -dist-state file or a direct Register can
+// still hold — fails that worker like a dial failure: its breaker counts it
+// and its shards requeue. The query is answered through the other worker,
+// or through the local fallback when there is none, bit for bit.
+func TestBadStoredWorkerURL(t *testing.T) {
+	opts := engine.Options{Seed: 7, ShardRows: 256} // 1000 rows -> 4 plan shards
+	src := `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`
+	db, model := distDataset(t, "german")
+	want, err := engine.EvaluateContext(context.Background(), db, model, mustParse(t, src), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		good   bool
+		reason string
+	}{
+		{"other worker", true, "worker_lost"},
+		{"local fallback", false, "worker_lost,local_fallback"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var workers []*testWorker
+			if tc.good {
+				workers = append(workers, newTestWorker(t)) // w1
+			}
+			c, _ := newTestCoordinatorCfg(t, CoordinatorConfig{Retry: RetryPolicy{MaxAttempts: 1}}, workers...)
+			c.Register("w0", "http://[::1") // sorts first, so it is given shards
+			res, err := c.EvaluateWhatIf(context.Background(), EvalSpec{
+				DB: db, Model: model, Frame: NewFrame(db, model), Query: src, Options: opts,
+			})
+			if err != nil {
+				t.Fatalf("a bad stored URL failed the query: %v", err)
+			}
+			if g17(res.Value) != g17(want.Value) || g17(res.Sum) != g17(want.Sum) || g17(res.Count) != g17(want.Count) {
+				t.Fatalf("answer %s/%s/%s, local %s/%s/%s", g17(res.Value), g17(res.Sum), g17(res.Count),
+					g17(want.Value), g17(want.Sum), g17(want.Count))
+			}
+			if res.DegradedReason != tc.reason {
+				t.Errorf("degraded reason %q, want %q", res.DegradedReason, tc.reason)
+			}
+			if tc.good && res.RemoteWorkers != 1 {
+				t.Errorf("%d remote workers answered, want the good one", res.RemoteWorkers)
+			}
+			for _, wi := range c.WorkerInfos() {
+				if wi.ID == "w0" && wi.Fails == 0 && !wi.Quarantined {
+					t.Errorf("the bad URL's breaker counted nothing: %+v", wi)
+				}
+			}
+		})
+	}
+}
+
+// TestEvalReplyLimit: the coordinator reads an eval reply under the limit
+// its request fixes, replyBytesPerRow a row of the assigned shards plus
+// replyAllowance. A fake worker that answers one byte past the limit, or
+// that claims a huge Content-Length, fails like a dropped connection: each
+// attempt is refused, the shards fall back to local evaluation and the
+// answer is the local one.
+func TestEvalReplyLimit(t *testing.T) {
+	opts := engine.Options{Seed: 7}
+	src := `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`
+	db, model := distDataset(t, "german")
+	q := mustParse(t, src)
+	want, err := engine.EvaluateContext(context.Background(), db, model, q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rows, err := engine.PlanContext(context.Background(), db, model, q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := replyBytesPerRow*rows + replyAllowance
+	for _, tc := range []struct {
+		name  string
+		reply func(http.ResponseWriter)
+	}{
+		{"one byte over", func(w http.ResponseWriter) {
+			w.Header().Set("Content-Type", "application/octet-stream")
+			_, _ = w.Write(make([]byte, limit+1))
+		}},
+		{"huge Content-Length", func(w http.ResponseWriter) {
+			w.Header().Set("Content-Type", "application/octet-stream")
+			w.Header().Set("Content-Length", strconv.FormatInt(1<<40, 10))
+			_, _ = w.Write(evalMagic[:])
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var evals atomic.Int64
+			fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Method == http.MethodPut {
+					_, _ = io.Copy(io.Discard, r.Body)
+					httpapi.WriteJSON(w, http.StatusOK, map[string]any{"ok": true})
+					return
+				}
+				evals.Add(1)
+				tc.reply(w)
+			}))
+			defer fake.Close()
+			var logMu sync.Mutex
+			var logged []string
+			client := &http.Client{}
+			defer client.CloseIdleConnections()
+			c := NewCoordinator(CoordinatorConfig{TTL: time.Minute, Client: client,
+				Retry: RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond},
+				Logf: func(format string, args ...any) {
+					logMu.Lock()
+					logged = append(logged, fmt.Sprintf(format, args...))
+					logMu.Unlock()
+				}})
+			c.Register("fake", fake.URL)
+			res, err := c.EvaluateWhatIf(context.Background(), EvalSpec{
+				DB: db, Model: model, Frame: NewFrame(db, model), Query: src, Options: opts,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g17(res.Value) != g17(want.Value) || res.DegradedReason != "worker_lost,local_fallback" {
+				t.Fatalf("answer %s (%q), want the local %s through the fallback", g17(res.Value), res.DegradedReason, g17(want.Value))
+			}
+			if n := evals.Load(); n != 2 {
+				t.Errorf("the fake worker was asked %d times, want both attempts", n)
+			}
+			logMu.Lock()
+			defer logMu.Unlock()
+			if !strings.Contains(strings.Join(logged, "\n"), fmt.Sprintf("%d-byte limit", limit)) {
+				t.Errorf("no attempt was refused at the %d-byte limit: %q", limit, logged)
+			}
+		})
+	}
+}
+
+// TestReadReplyBounds: a reply of exactly the limit is read, with a known
+// Content-Length into one buffer of that size; one byte more, or a Content-Length past the
+// limit, is refused, the latter before any of the body is read.
+func TestReadReplyBounds(t *testing.T) {
+	const limit = 1 << 20
+	body := bytes.Repeat([]byte{7}, limit)
+	for _, cl := range []int64{limit, -1} {
+		got, err := readReply(bytes.NewReader(body), cl, limit)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("Content-Length %d: a reply of exactly the limit: %d bytes, %v", cl, len(got), err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := readReply(bytes.NewReader(body), limit, limit); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit+64<<10 {
+		t.Errorf("reading %d bytes of declared length allocated %d B: the buffer was regrown", limit, got)
+	}
+	if _, err := readReply(bytes.NewReader(append(body, 7)), -1, limit); err == nil {
+		t.Error("a reply one byte past the limit was read")
+	}
+	if _, err := readReply(iotest.ErrReader(errors.New("read")), limit+1, limit); err == nil || !strings.Contains(err.Error(), "Content-Length") {
+		t.Errorf("a Content-Length past the limit: %v, want it refused unread", err)
 	}
 }

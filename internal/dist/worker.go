@@ -56,9 +56,10 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 // Worker serves the shard-transport compute endpoints: it stores shipped
 // frames (content-addressed, LRU-bounded) and evaluates per-shard what-if
 // partials against them. A worker is stateless
-// beyond its frame cache: every computation re-derives the deterministic
-// evaluation state from frame + query + options, so workers can join, die,
-// and rejoin freely without affecting any result.
+// beyond its frame cache: every computation derives the deterministic
+// evaluation state from frame + query + options, or finds it in that
+// frame's cache, so workers can join, die, and rejoin freely without
+// affecting any result.
 type Worker struct {
 	cfg    WorkerConfig
 	frames *lru.Cache[*workerFrame] // by content address
@@ -79,7 +80,8 @@ type Worker struct {
 }
 
 // workerFrame is one decoded frame plus its engine cache (views, blocks,
-// trained estimators are shared across the queries hitting this frame).
+// trained estimators and each query shape's engine.Prepared are shared
+// across the queries hitting this frame).
 type workerFrame struct {
 	db    *relation.Database
 	model *causal.Model

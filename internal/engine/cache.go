@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"hyper/internal/hyperql"
 	"hyper/internal/lru"
 	"hyper/internal/relation"
 )
@@ -36,6 +37,7 @@ const (
 	kindView      = "v\x00" // + view key: the relevant view of a USE
 	kindRowBlocks = "r\x00" // + version tag: the database's block decomposition (causal.Blocks)
 	kindEst       = "e\x00"
+	kindPrepared  = "p\x00" // + preparedKey: a partial evaluation's Prepared
 )
 
 // NewCache returns an empty, unbounded cache (the right choice for a single
@@ -142,4 +144,22 @@ func estKey(useKey, whenKey, forKey string, featCols []string, o Options) string
 	b.WriteString("|g")
 	b.WriteString(strconv.Itoa(o.ShardRows))
 	return b.String()
+}
+
+// preparedKey is the identity of q's Prepared under o (withDefaults applied):
+// the versioned USE, the WHEN, FOR and OUTPUT text with their literals, the
+// update attributes without their constants, the semantic options estKey
+// encodes and DisableBlocks. The execution knobs (Shards, Progress) and the
+// caches are not part of it.
+func preparedKey(db *relation.Database, q *hyperql.WhatIf, o Options) string {
+	whenKey, forKey := shapeKeys(q)
+	attrs := make([]string, len(q.Updates))
+	for i, u := range q.Updates {
+		attrs[i] = u.Attr
+	}
+	key := kindPrepared + estKey(versioned(db.VersionTag(), q.Use.String()), whenKey, forKey, attrs, o)
+	if o.DisableBlocks {
+		key += "|b"
+	}
+	return key
 }

@@ -206,7 +206,7 @@ type classRun struct {
 	parts   []ShardPartial
 	res     *Result // folded; nil for a shard subset
 	meta    PartialMeta
-	classOf []uint32
+	classOf *relation.Codes
 	classes int
 }
 
@@ -607,9 +607,13 @@ func TestPartitionCollapses(t *testing.T) {
 	}
 }
 
-// TestPartitionDoesNotOutliveRequest: the partition belongs to one
-// evaluation. Nothing the engine cache keeps — the view, the blocks, the
-// estimator set and the models a labeler trained — may hold on to it.
+// TestPartitionDoesNotOutliveRequest: the partition belongs to its
+// Prepared, and on the local path (prepareEvaluation, as EvaluateContext)
+// no cache keeps the Prepared, so the partition belongs to one evaluation.
+// Nothing the engine cache keeps — the view, the blocks, the estimator set
+// and the models a labeler trained — may hold on to it. A partial
+// evaluation's cached Prepared keeps its partition until it is evicted
+// (TestPartialPreparedEvictionFreesPartition).
 func TestPartitionDoesNotOutliveRequest(t *testing.T) {
 	g := dataset.GermanSyn(500, 7)
 	q, err := hyperql.ParseWhatIf(`USE German UPDATE(Status) = 3 OUTPUT AVG(POST(Credit)) FOR POST(Credit) = 1 OR PRE(Age) = 0`)
@@ -629,7 +633,7 @@ func TestPartitionDoesNotOutliveRequest(t *testing.T) {
 		if p.ev.classOf == nil || p.ev.est.trainedModels() == 0 {
 			t.Fatal("no partition or no lazy fit; the test proved nothing")
 		}
-		runtime.SetFinalizer(&p.ev.classOf[0], func(*uint32) { close(collected) })
+		runtime.SetFinalizer(p.ev.classOf, func(*relation.Codes) { close(collected) })
 	}()
 	for i := 0; i < 20; i++ {
 		runtime.GC()

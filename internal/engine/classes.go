@@ -101,10 +101,11 @@ func (p *Prepared) classKey() (classKey, bool) {
 
 // partition assigns every view row its class: dense ids in first-seen row
 // order, through a direct-index table while the key space is small and a map
-// past that. first[c] is class c's first row, so len(first) is the class
-// count. It gives up (nil) once the classes outnumber half the rows — the
-// table lookups would cost what they save.
-func (k classKey) partition(inS []bool) (classOf, first []uint32) {
+// past that, kept as relation.Codes (a byte a row while the ids fit one).
+// first[c] is class c's first row, so len(first) is the class count. It gives
+// up (nil) once the classes outnumber half the rows — the table lookups would
+// cost what they save.
+func (k classKey) partition(inS []bool) (classOf *relation.Codes, first []uint32) {
 	n := len(inS)
 	var direct []uint32 // class id + 1 by key
 	var sparse map[uint64]uint32
@@ -113,7 +114,8 @@ func (k classKey) partition(inS []bool) (classOf, first []uint32) {
 	} else {
 		sparse = make(map[uint64]uint32)
 	}
-	classOf = make([]uint32, n)
+	classOf = new(relation.Codes)
+	*classOf = classOf.Grow(n)
 	for i, s := range inS {
 		key := uint64(0)
 		if s {
@@ -140,7 +142,7 @@ func (k classKey) partition(inS []bool) (classOf, first []uint32) {
 				sparse[key] = id
 			}
 		}
-		classOf[i] = id - 1
+		classOf.Set(i, id-1)
 	}
 	return classOf, first
 }
@@ -158,7 +160,7 @@ type classVal struct {
 // that fit's goroutine, so its table needs no lock.
 type labeler struct {
 	eval    func(viewRow int) (float64, error)
-	classOf []uint32 // nil: every row evaluates
+	classOf *relation.Codes // nil: every row evaluates
 	classes int
 	byClass []classVal // allocated by the first label: most labelers never fit
 	evals   int        // eval calls made
@@ -171,7 +173,7 @@ func (l *labeler) label(viewRow int) (float64, error) {
 		if l.byClass == nil {
 			l.byClass = make([]classVal, l.classes)
 		}
-		slot = &l.byClass[l.classOf[viewRow]]
+		slot = &l.byClass[l.classOf.At(viewRow)]
 	}
 	if !slot.seen {
 		y, err := l.eval(viewRow)

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"hyper/internal/causal"
 	"hyper/internal/hyperql"
@@ -144,6 +145,11 @@ func PlanContext(ctx context.Context, db *relation.Database, model *causal.Model
 // distinct and within the plan. The partials (and every Meta field except
 // TrainedModels) are bit-identical to what any other process evaluating the
 // same (data, query, semantic options) would produce for the same shards.
+//
+// The Prepared comes from opts.Cache (cachedPrepare): a dist worker, which
+// passes its frame's cache, prepares each query shape once per frame and
+// then only binds the update and runs its shards. opts.Shards, opts.Progress
+// and ctx's trace and meter are this call's even on a cache hit.
 func EvaluatePartialContext(ctx context.Context, db *relation.Database, model *causal.Model, q *hyperql.WhatIf, opts Options, shards []int) (*PartialResult, error) {
 	if opts.DryRun {
 		return nil, fmt.Errorf("engine: partial evaluation has no dry-run form")
@@ -151,7 +157,12 @@ func EvaluatePartialContext(ctx context.Context, db *relation.Database, model *c
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("engine: no shards requested")
 	}
-	p, err := prepareEvaluation(ctx, db, model, q, opts)
+	start := time.Now()
+	prep, err := cachedPrepare(ctx, db, model, q, opts)
+	if err != nil {
+		return nil, err
+	}
+	p, err := prep.bind(ctx, q.Updates, start, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -27,10 +27,18 @@ import (
 // their own blocks are found by the first Evaluate and shared by the rest.
 //
 // A how-to's candidate what-ifs for one attribute are updates of one
-// Prepared (Section 4.3). A Prepared holds request state (the WHEN set, the
-// partition) and no cache keeps it: it lives as long as its holder. It is
-// safe for concurrent Evaluate calls.
+// Prepared (Section 4.3). Beyond what the cache already holds (the view, the
+// blocks) a Prepared keeps 2 B per view row, 5 past 256 classes: the WHEN
+// set (one bool a row) and, once evaluated, the partition (a byte a row, or
+// four). Prepare's caller owns the Prepared it returns;
+// EvaluatePartialContext keeps its Prepared in Options.Cache under its
+// identity (preparedKey), so a dist worker prepares each shape once per
+// frame and the frame's cache bound evicts it. Neither Options.Shards nor
+// Options.Progress is part of it: bind takes them from each call. It is safe
+// for concurrent Evaluate calls.
 type Prepared struct {
+	// o is the options the Prepared was prepared under. Its Shards and
+	// Progress are read only by Evaluate, as its own call's.
 	o    Options
 	diag Result // what the shape decides: each bound Result starts from a copy
 
@@ -70,8 +78,9 @@ type Prepared struct {
 	key   classKey
 	keyed bool // false: the rows evaluate one by one
 	part  struct {
-		once           sync.Once
-		classOf, first []uint32
+		once    sync.Once
+		classOf *relation.Codes
+		first   []uint32
 	}
 	// ownBlocks: every view row is a block of its own, in ascending block
 	// order (blockAt strictly increases over the rows).
@@ -103,7 +112,7 @@ func Prepare(ctx context.Context, db *relation.Database, model *causal.Model, q 
 // class value into the totals, with no per-shard block windows. Every other
 // shape, and a dry run, runs the tuple loop and the fold of EvaluateContext.
 func (p *Prepared) Evaluate(ctx context.Context, updates []hyperql.UpdateSpec) (*Result, error) {
-	ep, err := p.bind(ctx, updates, time.Now())
+	ep, err := p.bind(ctx, updates, time.Now(), p.o)
 	if err != nil {
 		return nil, err
 	}
@@ -270,13 +279,7 @@ func prepare(ctx context.Context, db *relation.Database, model *causal.Model, q 
 	if o.Mode != ModeIndep {
 		p.featCols = appendPredicateAttrs(p.featCols, v.Rel, q.When, p.disjuncts, updateAttrs)
 	}
-	if q.When != nil {
-		p.whenKey = q.When.String()
-	}
-	if q.For != nil {
-		p.forKey = q.For.String()
-	}
-	p.forKey += "\x00" + q.Output.String()
+	p.whenKey, p.forKey = shapeKeys(q)
 
 	// Step 10 is the per-tuple loop (evalShards); resolve its columns, post
 	// events, class key and the canonical shard plan here so every update
@@ -287,8 +290,42 @@ func prepare(ctx context.Context, db *relation.Database, model *causal.Model, q 
 	}
 	p.plan = shard.Rows(v.Rel.Len(), o.ShardRows)
 	res.ShardPlan = p.plan.Shards()
-	res.ShardWorkers = p.plan.Workers(o.Shards)
 	return p, nil
+}
+
+// shapeKeys renders q's WHEN clause, and its FOR and OUTPUT clauses, with
+// their literals: the text part of the estimator-set and Prepared
+// identities.
+func shapeKeys(q *hyperql.WhatIf) (whenKey, forKey string) {
+	if q.When != nil {
+		whenKey = q.When.String()
+	}
+	if q.For != nil {
+		forKey = q.For.String()
+	}
+	forKey += "\x00"
+	if q.Output != nil { // prepare refuses the query without one
+		forKey += q.Output.String()
+	}
+	return whenKey, forKey
+}
+
+// cachedPrepare returns the Prepared of q under opts from opts.Cache,
+// preparing it on a miss (a nil cache prepares every call). The lookup is the
+// prepare stage, with cache_hit; a miss's view, blocks and plan stages nest
+// under it. The Prepared is built without opts.Shards and opts.Progress,
+// which bind takes per call, so it keeps no caller's callback. A failed or
+// cancelled preparation caches nothing (lru.Cache.Do).
+func cachedPrepare(ctx context.Context, db *relation.Database, model *causal.Model, q *hyperql.WhatIf, opts Options) (*Prepared, error) {
+	ctx, stage := obs.StartStage(ctx, "prepare")
+	defer stage.End()
+	shape := opts.withDefaults()
+	shape.Shards, shape.Progress = 0, nil
+	p, hit, err := memo(ctx, opts.Cache, preparedKey(db, q, shape), func() (*Prepared, error) {
+		return prepare(ctx, db, model, q, shape)
+	})
+	stage.Set("cache_hit", hit)
+	return p, err
 }
 
 // resolveColumns locates Y, the update attributes and the ψ features among
@@ -329,7 +366,7 @@ func (p *Prepared) resolveColumns() {
 // partition returns the class partition of the view rows and each class's
 // first row (classKey.partition), building them on the first call; built
 // reports whether this call did. It is nil when the rows evaluate one by one.
-func (p *Prepared) partition() (classOf, first []uint32, built bool) {
+func (p *Prepared) partition() (classOf *relation.Codes, first []uint32, built bool) {
 	if !p.keyed {
 		return nil, nil, false
 	}
@@ -375,8 +412,10 @@ func (p *Prepared) blockAt(i int) int {
 
 // bind is Evaluate's first half: the update's ψ post means, the
 // estimator-set lookup (the train stage) and the evaluator. start is when the
-// evaluation began, for Result.Total.
-func (p *Prepared) bind(ctx context.Context, updates []hyperql.UpdateSpec, start time.Time) (*evalPrep, error) {
+// evaluation began, for Result.Total. call supplies the execution knobs,
+// Shards and Progress, which the bound evaluation reads in place of the
+// Prepared's: a cached Prepared serves calls that differ in them.
+func (p *Prepared) bind(ctx context.Context, updates []hyperql.UpdateSpec, start time.Time, call Options) (*evalPrep, error) {
 	if !slices.EqualFunc(updates, p.updateAttrs, func(u hyperql.UpdateSpec, a string) bool { return u.Attr == a }) {
 		attrs := make([]string, len(updates))
 		for i, u := range updates {
@@ -387,7 +426,10 @@ func (p *Prepared) bind(ctx context.Context, updates []hyperql.UpdateSpec, start
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	o := p.o
+	o.Shards, o.Progress = call.Shards, call.Progress
 	res := p.diag
+	res.ShardWorkers = p.plan.Workers(o.Shards)
 	summaries := bindSummaries(p.v, p.psi, updates, p.inS)
 	meter := obs.MeterFromContext(ctx)
 
@@ -415,22 +457,22 @@ func (p *Prepared) bind(ctx context.Context, updates []hyperql.UpdateSpec, start
 		stage.Set("cache_hit", estHit)
 		res.TrainTime = stage.End()
 	}
-	est, err := makeEst(p.o)
+	est, err := makeEst(o)
 	if err != nil {
 		return nil, err
 	}
-	if p.o.DryRun {
+	if o.DryRun {
 		endTrain(est)
 		res.Total = time.Since(start)
-		return &evalPrep{Prepared: p, res: &res, start: start}, nil
+		return &evalPrep{Prepared: p, o: o, res: &res, start: start}, nil
 	}
-	if est.kind == "freq" && p.o.Estimator != EstimatorFreq {
+	if est.kind == "freq" && o.Estimator != EstimatorFreq {
 		// The exact frequency estimator cannot extrapolate to update values
 		// with no support in the data; when most prediction points are
 		// unsupported, fall back to the generalizing forest (the paper's
 		// default estimator).
 		if frac := supportedFraction(est, p.v, updates, summaries, p.inS); frac < 0.8 {
-			o2 := p.o
+			o2 := o
 			o2.Estimator = EstimatorForest
 			if est, err = makeEst(o2); err != nil {
 				return nil, err
@@ -442,8 +484,8 @@ func (p *Prepared) bind(ctx context.Context, updates []hyperql.UpdateSpec, start
 		return nil, err
 	}
 	res.ShardedFit = est.shardedFit()
-	ev := &evaluator{Prepared: p, ctx: ctx, est: est, lineage: estLineage, updates: updates, summaries: summaries}
-	return &evalPrep{Prepared: p, res: &res, ev: ev, start: start}, nil
+	ev := &evaluator{Prepared: p, o: o, ctx: ctx, est: est, lineage: estLineage, updates: updates, summaries: summaries}
+	return &evalPrep{Prepared: p, o: o, res: &res, ev: ev, start: start}, nil
 }
 
 // estLineage names the estimator set of this shape under eo at any version

@@ -125,6 +125,7 @@ func resolveView(db *relation.Database, q *hyperql.WhatIf, o Options) (v *view, 
 // distributed execution path relies on.
 type evalPrep struct {
 	*Prepared
+	o      Options // the Prepared's, with this call's Shards and Progress (bind)
 	res    *Result
 	ev     *evaluator
 	start  time.Time
@@ -140,7 +141,7 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 	if err != nil {
 		return nil, err
 	}
-	return p.bind(ctx, q.Updates, start)
+	return p.bind(ctx, q.Updates, start, opts)
 }
 
 // evalShards runs the per-tuple loop over the listed shards of the canonical
@@ -248,7 +249,7 @@ func (p *evalPrep) evalShards(ctx context.Context, ids []int) ([]ShardPartial, e
 			var own classVal // the per-row path's slot: never marked seen
 			slot := &own
 			if classOf != nil {
-				slot = &byClass[classOf[i]]
+				slot = &byClass[classOf.At(i)]
 			}
 			if !slot.seen {
 				ts, tc, err := local.tuple(i)
@@ -350,7 +351,7 @@ func (p *evalPrep) gather(ctx context.Context) (*Result, error) {
 		}
 		c := i
 		if classOf != nil {
-			c = int(classOf[i])
+			c = int(classOf.At(i))
 		}
 		res.Sum += vals[c].sum
 		res.Count += vals[c].cnt
@@ -492,6 +493,7 @@ func prePresent(e hyperql.Expr) (hasPost, hasPre bool) {
 // the update, its ψ features and estimator set, and per-worker scratch.
 type evaluator struct {
 	*Prepared
+	o         Options // the call's, as evalPrep.o
 	ctx       context.Context
 	est       *estimatorSet
 	lineage   lineage // est's at other versions
@@ -507,7 +509,7 @@ type evaluator struct {
 	// classOf[i] is the class of view row i, nil when the rows evaluate one
 	// by one. byClass is the worker-local table of tuple() by class and
 	// evaluated the worker's count of tuple() calls.
-	classOf   []uint32
+	classOf   *relation.Codes
 	classes   int
 	byClass   []classVal
 	evaluated int

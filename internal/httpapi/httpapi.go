@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 )
 
 // ErrorResponse is the one JSON error envelope every route of every listener
@@ -129,6 +130,8 @@ func Respond(w http.ResponseWriter, payload any, err error) {
 	}
 	if b, ok := payload.(Blob); ok {
 		w.Header().Set("Content-Type", b.ContentType)
+		// A reader can size its buffer once, and bound it (dist's readReply).
+		w.Header().Set("Content-Length", strconv.Itoa(len(b.Body)))
 		_, _ = w.Write(b.Body) // a failed write is the client's lost connection
 		return
 	}

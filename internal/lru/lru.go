@@ -14,9 +14,12 @@ import (
 // Cache holds at most max values, evicting the least recently used past the
 // bound. All methods are safe for concurrent use.
 //
-// A build must not call Do on the cache it is filling for: with every
-// goroutine of a bounded pool waiting on a key, the builder would have none
-// left to wait on. Callers issue their Do calls one after another instead.
+// A build must not wait, directly or through other goroutines, on its own
+// key: with every goroutine of a bounded pool waiting on a key, the builder
+// would have none left to wait on. So a build calls Do on the cache it is
+// filling only for keys whose builds never wait on its own (the engine's
+// Prepared build looks up its view and blocks, whose builds call no Do);
+// otherwise callers issue their Do calls one after another.
 type Cache[V any] struct {
 	mu       sync.Mutex
 	entries  map[string]*list.Element // of *entry[V]
