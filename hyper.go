@@ -71,8 +71,9 @@ type (
 	// Kind is the dynamic type of a Value.
 	Kind = relation.Kind
 	// Progress receives coarse evaluation progress: stage is "tuples"
-	// (engine per-tuple loop), "candidates" (how-to scoring pool) or
-	// "combos" (brute-force search); total <= 0 means unknown.
+	// (engine per-tuple loop), "shards" (plan shards finished, locally or on
+	// workers), "candidates" (how-to scoring pool), "combos" (brute-force
+	// search) or "queries" (a server batch); total <= 0 means unknown.
 	// Implementations must be safe for concurrent use.
 	Progress = engine.ProgressFunc
 )

@@ -51,9 +51,12 @@ type CoordinatorConfig struct {
 	// back, registry gauges, the per-worker requeue events) and
 	// hyper_fault_injected_total. Nil keeps them in a private registry.
 	Metrics *obs.Registry
-	// Retry is the unified failure policy for every worker RPC (frame
-	// ships included); the zero value takes the RetryPolicy defaults.
-	Retry RetryPolicy
+	// MaxAttempts caps the tries of one worker RPC (frame ships included),
+	// the first included. Default 3.
+	MaxAttempts int
+	// RPCTimeout bounds each attempt (evaluations can be legitimately long;
+	// this is a liveness bound, not a latency target). Default 2m.
+	RPCTimeout time.Duration
 	// BreakerFailures is K: consecutive dispatch failures that quarantine a
 	// worker. Default 3.
 	BreakerFailures int
@@ -68,10 +71,6 @@ type CoordinatorConfig struct {
 	// coordinator-side injection points (worker_dial, frame_ship, persist).
 	// Nil — the production default — costs one pointer check per point.
 	Fault *fault.Injector
-	// JitterSeed seeds the retry-backoff jitter stream (0 picks a fixed
-	// default; any value keeps results deterministic — jitter shapes only
-	// sleep durations).
-	JitterSeed int64
 }
 
 func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
@@ -81,15 +80,17 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	if c.Client == nil {
 		c.Client = http.DefaultClient
 	}
-	c.Retry = c.Retry.withDefaults()
+	if c.MaxAttempts <= 0 {
+		c.MaxAttempts = 3
+	}
+	if c.RPCTimeout <= 0 {
+		c.RPCTimeout = 2 * time.Minute
+	}
 	if c.BreakerFailures <= 0 {
 		c.BreakerFailures = 3
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 30 * time.Second
-	}
-	if c.JitterSeed == 0 {
-		c.JitterSeed = 1
 	}
 	return c
 }
@@ -162,7 +163,7 @@ func (w *remoteWorker) aliveAt(ttl time.Duration) bool {
 // fleet when the configured state file exists.
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	c := &Coordinator{cfg: cfg.withDefaults(), workers: make(map[string]*remoteWorker)}
-	c.jitter = stats.NewRNG(c.cfg.JitterSeed)
+	c.jitter = stats.NewRNG(jitterSeed)
 	r := c.cfg.Metrics
 	if r == nil {
 		r = obs.NewRegistry()
@@ -908,7 +909,7 @@ func (c *Coordinator) EvaluateWhatIf(ctx context.Context, spec EvalSpec) (*engin
 	defer dsp.End()
 	dsp.Set("plan", planShards)
 	op := &evalOp{
-		spec: spec, q: q, run: newQueryRun(c.cfg.Retry), plan: shard.Rows(viewRows, spec.Options.ShardRows),
+		spec: spec, q: q, run: newQueryRun(), plan: shard.Rows(viewRows, spec.Options.ShardRows),
 		partials:   make([]engine.ShardPartial, 0, planShards),
 		usedRemote: map[string]bool{},
 	}

@@ -323,3 +323,70 @@ func TestWarmDispatchSkipsVersionChain(t *testing.T) {
 		t.Fatalf("dispatch against a resident head re-sent %d ancestor frames, want 0", n)
 	}
 }
+
+// TestSiblingFramesKeepTheirOwnAnswers ships one root frame and two child
+// frames over it that append different rows. Both children are version 2,
+// so a worker cache keyed by version alone would serve one sibling's
+// artifacts to the other; each answer must instead match its own local
+// evaluation bit for bit, whichever sibling the workers saw first.
+func TestSiblingFramesKeepTheirOwnAnswers(t *testing.T) {
+	const src = `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`
+	opts := engine.Options{Seed: 7, ShardRows: 256}
+
+	base := dataset.GermanSyn(1000, 7)
+	db, model := base.DB, base.Model
+	db.SetVersion(1)
+	root := NewFrame(db, model)
+	q, err := hyperql.ParseWhatIf(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type sibling struct {
+		db    *relation.Database
+		frame *Frame
+		want  *engine.Result
+	}
+	var sibs []sibling
+	for _, seed := range []int64{7, 8} {
+		more := dataset.GermanSyn(1300, seed).DB.Relation("German")
+		var rows []relation.Tuple
+		for i := 1000; i < 1300; i++ {
+			rows = append(rows, more.Row(i))
+		}
+		child, err := db.Extend(map[string][]relation.Tuple{"German": rows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if child.Version() != 2 {
+			t.Fatalf("child frame at version %d, want 2", child.Version())
+		}
+		want, err := engine.EvaluateContext(context.Background(), child, model, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sibs = append(sibs, sibling{child, NewFrameDelta(root, child), want})
+	}
+	if g17(sibs[0].want.Value) == g17(sibs[1].want.Value) {
+		t.Fatalf("both siblings answer %s locally: the test cannot tell them apart", g17(sibs[0].want.Value))
+	}
+
+	c, _ := newTestCoordinator(t, newTestWorker(t), newTestWorker(t))
+	for round := 1; round <= 2; round++ {
+		for i, s := range sibs {
+			got, err := c.EvaluateWhatIf(context.Background(), EvalSpec{
+				DB: s.db, Model: model, Frame: s.frame, Query: src, Options: opts,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.RemoteWorkers != 2 {
+				t.Fatalf("round %d, sibling %d: evaluated on %d workers, want 2", round, i+1, got.RemoteWorkers)
+			}
+			if g17(got.Value) != g17(s.want.Value) || g17(got.Sum) != g17(s.want.Sum) || g17(got.Count) != g17(s.want.Count) {
+				t.Fatalf("round %d, sibling %d: distributed %s/%s/%s != local %s/%s/%s", round, i+1,
+					g17(got.Value), g17(got.Sum), g17(got.Count), g17(s.want.Value), g17(s.want.Sum), g17(s.want.Count))
+			}
+		}
+	}
+}

@@ -70,7 +70,6 @@ import (
 // Protocol paths. Worker-side endpoints are served by Worker.Handler;
 // coordinator-side registration endpoints by Coordinator.Handler.
 const (
-	pathPing    = "/dist/v1/ping"
 	pathFrames  = "/dist/v1/frames/" // + frame id (PUT)
 	pathEval    = "/dist/v1/eval"
 	pathWorkers = "/dist/v1/workers" // coordinator: register/beat/list
@@ -81,9 +80,9 @@ const (
 // reacts by shipping the frame and retrying (frame shipping on first touch).
 const codeFrameMissing = "frame_missing"
 
-// WireOptions is the JSON form of the semantic engine options. It carries
-// exactly the fields the serving layer can set (hyper.Options);
-// Cache/Plans/Progress are process-local.
+// WireOptions is the JSON form of the engine options a worker's evaluation
+// reads: every engine.Options field but DryRun (a distributed evaluation
+// never stops at planning) and the process-local Cache, Plans and Progress.
 type WireOptions struct {
 	Mode          int   `json:"mode,omitempty"`
 	SampleSize    int   `json:"sample_size,omitempty"`
@@ -109,8 +108,9 @@ func WireOptionsFrom(o engine.Options) WireOptions {
 
 // EngineOptions rebuilds the engine options on the worker side. The worker
 // attaches its own per-frame cache; it keeps no plan cache, which changes
-// nothing it computes — the engine compiles the WHEN program per request and
-// pushes it down exactly as the coordinator does.
+// nothing it computes — the engine compiles the WHEN program once per query
+// shape per frame, inside the Prepared that frame's cache holds, and pushes
+// it down exactly as the coordinator does.
 func (w WireOptions) EngineOptions() engine.Options {
 	return engine.Options{
 		Mode:          engine.Mode(w.Mode),

@@ -395,7 +395,7 @@ func TestWorkerLossRequeue(t *testing.T) {
 		// hit exactly once and every later round skips it.
 		c, client := newTestCoordinatorCfg(t, CoordinatorConfig{
 			BreakerFailures: 1,
-			Retry:           RetryPolicy{MaxAttempts: 1},
+			MaxAttempts:     1,
 			Logf: func(format string, args ...any) {
 				logMu.Lock()
 				logged = append(logged, fmt.Sprintf(format, args...))
@@ -894,7 +894,7 @@ func TestBadStoredWorkerURL(t *testing.T) {
 			if tc.good {
 				workers = append(workers, newTestWorker(t)) // w1
 			}
-			c, _ := newTestCoordinatorCfg(t, CoordinatorConfig{Retry: RetryPolicy{MaxAttempts: 1}}, workers...)
+			c, _ := newTestCoordinatorCfg(t, CoordinatorConfig{MaxAttempts: 1}, workers...)
 			c.Register("w0", "http://[::1") // sorts first, so it is given shards
 			res, err := c.EvaluateWhatIf(context.Background(), EvalSpec{
 				DB: db, Model: model, Frame: NewFrame(db, model), Query: src, Options: opts,
@@ -972,7 +972,7 @@ func TestEvalReplyLimit(t *testing.T) {
 			client := &http.Client{}
 			defer client.CloseIdleConnections()
 			c := NewCoordinator(CoordinatorConfig{TTL: time.Minute, Client: client,
-				Retry: RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond},
+				MaxAttempts: 2,
 				Logf: func(format string, args ...any) {
 					logMu.Lock()
 					logged = append(logged, fmt.Sprintf(format, args...))

@@ -44,7 +44,7 @@ func TestCoordinatorStateReAdoption(t *testing.T) {
 		StatePath:       statePath,
 		BreakerFailures: 1,
 		BreakerCooldown: time.Hour, // quarantine must outlive the test
-		Retry:           RetryPolicy{MaxAttempts: 1},
+		MaxAttempts:     1,
 	}
 
 	w1, w2 := newTestWorker(t), newTestWorker(t)

@@ -11,62 +11,32 @@ import (
 	"hyper/internal/stats"
 )
 
-// RetryPolicy is the unified failure-handling knob for every
-// coordinator->worker RPC (frame ships and evals). One policy replaces
-// the ad-hoc per-call retry logic: each RPC gets a per-attempt timeout and
-// up to MaxAttempts tries with capped exponential backoff and seeded
-// jitter, and each distributed operation (one what-if) gets a
-// Budget of retries across all of its RPCs so a systemically failing
-// cluster degrades to requeue/local-fallback instead of retrying forever.
-// The zero value takes the defaults below.
-type RetryPolicy struct {
-	// MaxAttempts is the per-RPC attempt cap (first try included).
-	// Default 3.
-	MaxAttempts int
-	// BaseBackoff is the first retry's backoff ceiling; attempt n waits up
-	// to BaseBackoff<<n (half of it fixed, half jittered). Default 25ms.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth. Default 1s.
-	MaxBackoff time.Duration
-	// RPCTimeout bounds each attempt (evaluations can be legitimately
-	// long; this is a liveness bound, not a latency target). Default 2m.
-	RPCTimeout time.Duration
-	// Budget caps retries per distributed operation across all workers and
-	// RPCs. Default 16.
-	Budget int
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 3
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 25 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = time.Second
-	}
-	if p.RPCTimeout <= 0 {
-		p.RPCTimeout = 2 * time.Minute
-	}
-	if p.Budget <= 0 {
-		p.Budget = 16
-	}
-	return p
-}
+// The retry schedule every coordinator->worker RPC (frame ships and evals)
+// runs under: each attempt gets its own RPCTimeout, up to MaxAttempts tries
+// (both CoordinatorConfig fields) back off exponentially from baseBackoff,
+// capped at maxBackoff, with seeded jitter, and each distributed operation
+// (one what-if) gets a budget of retryBudget retries across all of its RPCs,
+// so a systemically failing cluster degrades to requeue/local-fallback
+// instead of retrying forever.
+const (
+	baseBackoff = 25 * time.Millisecond
+	maxBackoff  = time.Second
+	retryBudget = 16
+	// jitterSeed seeds the backoff jitter stream; jitter shapes only sleep
+	// durations, never results.
+	jitterSeed = 1
+)
 
 // backoff returns the wait before retry number attempt (1-based): capped
 // exponential with half-jitter from the seeded stream, so two coordinators
-// configured with the same seed sleep the same schedule (reproducible chaos
-// runs) while distinct RPCs still decorrelate.
-func (p RetryPolicy) backoff(attempt int, rng *stats.RNG) time.Duration {
-	d := p.BaseBackoff
-	for i := 1; i < attempt && d < p.MaxBackoff; i++ {
+// sleep the same schedule (reproducible chaos runs) while distinct RPCs
+// still decorrelate.
+func backoff(attempt int, rng *stats.RNG) time.Duration {
+	d := baseBackoff
+	for i := 1; i < attempt && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
+	d = min(d, maxBackoff)
 	half := d / 2
 	return half + time.Duration(rng.Float64()*float64(half))
 }
@@ -87,17 +57,14 @@ const (
 // breaker does), and the degradation events that make up the response's
 // degraded/degraded_reason report.
 type queryRun struct {
-	pol RetryPolicy
-
 	mu     sync.Mutex
 	budget int
 	bad    map[string]bool
 	events map[string]bool
 }
 
-func newQueryRun(pol RetryPolicy) *queryRun {
-	pol = pol.withDefaults()
-	return &queryRun{pol: pol, budget: pol.Budget}
+func newQueryRun() *queryRun {
+	return &queryRun{budget: retryBudget}
 }
 
 // note records one degradation event.
@@ -163,15 +130,14 @@ func (r *queryRun) degraded() (bool, string) {
 	return true, out
 }
 
-// retry runs fn under the policy: each attempt gets its own RPCTimeout
-// deadline, terminal errors and parent-context cancellation return
+// retry runs fn under the retry schedule: each attempt gets its own
+// RPCTimeout deadline, terminal errors and parent-context cancellation return
 // immediately, and retryable errors back off (seeded jitter) and spend one
 // unit of the operation's budget. fn sees the per-attempt context.
 func (c *Coordinator) retry(ctx context.Context, run *queryRun, fn func(context.Context) error) error {
-	pol := run.pol
 	var err error
 	for attempt := 1; ; attempt++ {
-		actx, cancel := context.WithTimeout(ctx, pol.RPCTimeout)
+		actx, cancel := context.WithTimeout(ctx, c.cfg.RPCTimeout)
 		err = fn(actx)
 		cancel()
 		if err == nil {
@@ -187,15 +153,15 @@ func (c *Coordinator) retry(ctx context.Context, run *queryRun, fn func(context.
 			// stays retryable.
 			return ctx.Err()
 		}
-		if attempt >= pol.MaxAttempts || !run.spend() {
+		if attempt >= c.cfg.MaxAttempts || !run.spend() {
 			return err
 		}
 		c.retries.Inc()
 		// A retried RPC breaks the exact shipped==received accounting for
 		// this query; charging the meter waives its reconciliation invariant.
 		obs.MeterFromContext(ctx).Charge(obs.MeterJSON{Retries: 1})
-		wait := c.jitteredBackoff(pol, attempt)
-		c.logf("dist: retrying after %v (attempt %d/%d): %v", wait, attempt, pol.MaxAttempts, err)
+		wait := c.jitteredBackoff(attempt)
+		c.logf("dist: retrying after %v (attempt %d/%d): %v", wait, attempt, c.cfg.MaxAttempts, err)
 		select {
 		case <-time.After(wait):
 		case <-ctx.Done():
@@ -206,10 +172,10 @@ func (c *Coordinator) retry(ctx context.Context, run *queryRun, fn func(context.
 
 // jitteredBackoff draws the next backoff from the coordinator's seeded
 // jitter stream.
-func (c *Coordinator) jitteredBackoff(pol RetryPolicy, attempt int) time.Duration {
+func (c *Coordinator) jitteredBackoff(attempt int) time.Duration {
 	c.jitterMu.Lock()
 	defer c.jitterMu.Unlock()
-	return pol.backoff(attempt, c.jitter)
+	return backoff(attempt, c.jitter)
 }
 
 // faultHit consults the coordinator's injector at a client-side point.

@@ -26,8 +26,6 @@ type WorkerConfig struct {
 	MaxFrames int
 	// MaxBodyBytes caps request bodies. Default 256MB.
 	MaxBodyBytes int64
-	// CacheEntries bounds each frame's engine artifact cache. Default 256.
-	CacheEntries int
 	// Secret, when non-empty, requires every compute request (frames, eval)
 	// to present the shared dist secret — set it when untrusted peers
 	// can reach the worker's listener, mirroring the coordinator's Secret.
@@ -46,9 +44,6 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 256 << 20
-	}
-	if c.CacheEntries <= 0 {
-		c.CacheEntries = 256
 	}
 	return c
 }
@@ -79,6 +74,9 @@ type Worker struct {
 	evictions  *obs.Counter // frames evicted by the LRU bound
 }
 
+// frameCacheEntries bounds each frame's engine artifact cache.
+const frameCacheEntries = 256
+
 // workerFrame is one decoded frame plus its engine cache (views, blocks,
 // trained estimators and each query shape's engine.Prepared are shared
 // across the queries hitting this frame).
@@ -93,7 +91,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	w := &Worker{
 		cfg:     cfg.withDefaults(),
 		metrics: obs.NewRegistry(),
-		traces:  obs.NewRecorder(obs.DefaultTraceCapacity),
+		traces:  obs.NewRecorder(obs.TraceRingSize),
 	}
 	w.evals = w.metrics.Counter("hyper_worker_evals_total", "Eval requests answered successfully.")
 	w.evalShards = w.metrics.Counter("hyper_worker_eval_shards_total", "Plan shards evaluated by this worker (successful evals only).")
@@ -157,11 +155,10 @@ func (w *Worker) Metrics() *obs.Registry { return w.metrics }
 // capped at MaxBodyBytes.
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("GET "+pathPing, httpapi.Func(w.handlePing))
 	mux.Handle("PUT "+pathFrames+"{id}", guarded(w.cfg.Secret, w.handlePutFrame))
 	mux.Handle("POST "+pathEval, guarded(w.cfg.Secret, w.handleEval))
-	// Observability surface, unauthenticated like the ping: metric values
-	// and span shapes carry no session data.
+	// Observability surface, unauthenticated: metric values and span
+	// shapes carry no session data.
 	mux.Handle("GET /metrics", w.metrics.Handler())
 	mux.Handle("GET /v1/traces", httpapi.Func(w.traces.HandleList))
 	mux.Handle("GET /v1/traces/{id}", httpapi.Func(w.traces.HandleGet))
@@ -201,10 +198,6 @@ func (w *Worker) traceRequest(r *http.Request, name string) (ctx context.Context
 	}
 }
 
-func (w *Worker) handlePing(*http.Request) (any, error) {
-	return map[string]any{"ok": true, "frames": w.FrameIDs()}, nil
-}
-
 func (w *Worker) handlePutFrame(r *http.Request) (any, error) {
 	id := r.PathValue("id")
 	body, err := httpapi.ReadBody(r)
@@ -228,7 +221,7 @@ func (w *Worker) handlePutFrame(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, httpapi.Errorf(http.StatusBadRequest, "building frame: %v", err)
 	}
-	w.store(id, &workerFrame{db: db, model: model, cache: engine.NewCacheBounded(w.cfg.CacheEntries)})
+	w.store(id, &workerFrame{db: db, model: model, cache: engine.NewCacheBounded(frameCacheEntries)})
 	w.frameBytes.Add(len(body))
 	w.logf("dist worker: stored frame %.12s (v%d, %d rows)", id, db.Version(), db.TotalRows())
 	return map[string]any{"ok": true}, nil

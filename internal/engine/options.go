@@ -66,9 +66,11 @@ const (
 )
 
 // ProgressFunc receives coarse progress updates during evaluation: stage is
-// a short label ("tuples" for the engine's per-tuple loop, "candidates" for
-// how-to scoring, "combos" for the brute-force search), done/total count
-// units of that stage (total <= 0 means unknown). Implementations must be
+// a short label ("tuples" for the engine's per-tuple loop, "shards" for the
+// plan shards the engine or the dist coordinator has finished, "candidates"
+// for how-to scoring, "combos" for the brute-force search, "queries" for a
+// server batch), done/total count units of that stage (total <= 0 means
+// unknown). Implementations must be
 // safe for concurrent use — the engine reports from parallel workers — and
 // cheap, since they sit near hot loops.
 type ProgressFunc func(stage string, done, total int)
@@ -119,9 +121,9 @@ type Options struct {
 	// Excluded from estimator cache identity. Like Cache it must only be
 	// shared across queries on the same database.
 	Plans *plan.Cache
-	// Progress, when non-nil, receives tuple-evaluation progress updates
-	// (stage "tuples"). It does not participate in cache identity: progress
-	// reporting never changes a result.
+	// Progress, when non-nil, receives evaluation progress updates (stage
+	// "tuples", and "shards" as plan shards finish). It does not participate
+	// in cache identity: progress reporting never changes a result.
 	Progress ProgressFunc
 }
 

@@ -23,6 +23,9 @@ func Candidates(db *relation.Database, q *hyperql.HowTo, o Options) (map[string]
 	return cands, err
 }
 
+// maxCandidatesPerAttr caps the candidate set of one HOWTOUPDATE attribute.
+const maxCandidatesPerAttr = 64
+
 // source is the base column a HOWTOUPDATE attribute updates.
 type source struct {
 	rel *relation.Relation
@@ -47,8 +50,8 @@ func candidates(db *relation.Database, q *hyperql.HowTo, o Options, ws whenSets)
 		if err != nil {
 			return nil, nil, err
 		}
-		if len(specs) > o.MaxCandidatesPerAttr {
-			specs = specs[:o.MaxCandidatesPerAttr]
+		if len(specs) > maxCandidatesPerAttr {
+			specs = specs[:maxCandidatesPerAttr]
 		}
 		out[attr], srcs[attr] = specs, src
 	}

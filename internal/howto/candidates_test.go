@@ -140,11 +140,11 @@ func TestCandidatesErrors(t *testing.T) {
 func TestCandidatesCapped(t *testing.T) {
 	g := dataset.GermanSynContinuous(2000, 97)
 	q := parseHT(t, `USE German HOWTOUPDATE CreditAmount LIMIT 0 <= POST(CreditAmount) <= 5000 TOMAXIMIZE COUNT(Credit = 1)`)
-	cands, err := Candidates(g.DB, q, Options{Buckets: 40, MaxCandidatesPerAttr: 10})
+	cands, err := Candidates(g.DB, q, Options{Buckets: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cands["CreditAmount"]) != 10 {
+	if len(cands["CreditAmount"]) != 64 {
 		t.Errorf("cap ignored: %d candidates", len(cands["CreditAmount"]))
 	}
 }

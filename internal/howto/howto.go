@@ -44,8 +44,6 @@ type Options struct {
 	// Buckets is the equi-width bucket count used to discretize continuous
 	// update attributes (default 8; Figure 9 sweeps this).
 	Buckets int
-	// MaxCandidatesPerAttr caps the candidate set per attribute (default 64).
-	MaxCandidatesPerAttr int
 	// Progress, when non-nil, receives candidate-scoring progress (stage
 	// "candidates" for the pooled scorers, "combos" for the brute-force
 	// search). Must be safe for concurrent use.
@@ -56,9 +54,6 @@ func (o *Options) withDefaults() Options {
 	out := *o
 	if out.Buckets <= 0 {
 		out.Buckets = 8
-	}
-	if out.MaxCandidatesPerAttr <= 0 {
-		out.MaxCandidatesPerAttr = 64
 	}
 	if out.Engine.Estimator == engine.EstimatorAuto {
 		// The IP objective is a linear function of the updates (Section

@@ -42,15 +42,11 @@ type Recorder struct {
 	recorded uint64
 }
 
-// DefaultTraceCapacity is the per-process trace ring size.
-const DefaultTraceCapacity = 256
+// TraceRingSize is the per-process trace ring size hyperd and workers use.
+const TraceRingSize = 256
 
-// NewRecorder returns a Recorder holding up to capacity traces
-// (<= 0 uses DefaultTraceCapacity).
+// NewRecorder returns a Recorder holding up to capacity (> 0) traces.
 func NewRecorder(capacity int) *Recorder {
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
-	}
 	return &Recorder{ring: make([]*TraceJSON, 0, capacity)}
 }
 

@@ -207,6 +207,32 @@ func TestMVCCWhatIfDelta(t *testing.T) {
 	}
 }
 
+// TestUnknownDeltaVsEvaluatesNothing: a what-if whose delta_vs names no
+// version answers 404 before the head query is evaluated, so the session's
+// query count does not move.
+func TestUnknownDeltaVsEvaluatesNothing(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	createLoansSession(t, ts.URL, "d", 600)
+
+	var before, after SessionInfo
+	if code := do(t, "GET", ts.URL+"/v1/sessions/d", nil, &before); code != http.StatusOK {
+		t.Fatalf("session info: status %d", code)
+	}
+	var errResp httpapi.ErrorResponse
+	if code := do(t, "POST", ts.URL+"/v1/sessions/d/whatif", QueryRequest{Query: loansQuery, DeltaVs: 9}, &errResp); code != http.StatusNotFound {
+		t.Fatalf("delta_vs=9: status %d", code)
+	}
+	if errResp.Code != "snapshot_not_found" {
+		t.Fatalf("delta_vs=9 code = %q, want snapshot_not_found", errResp.Code)
+	}
+	if code := do(t, "GET", ts.URL+"/v1/sessions/d", nil, &after); code != http.StatusOK {
+		t.Fatalf("session info: status %d", code)
+	}
+	if after.Queries != before.Queries {
+		t.Fatalf("queries went from %d to %d: the head query ran before delta_vs was resolved", before.Queries, after.Queries)
+	}
+}
+
 // TestMVCCJobsPinVersion: a job submitted before an append runs against the
 // version that was head at submit time, not whatever head is when the
 // runner gets to it.

@@ -191,7 +191,7 @@ func (s *Server) handleSessionQuery(kind string) func(*http.Request) (any, error
 }
 
 // run is the one query dispatch behind the scoped routes, batch elements and
-// jobs: it resolves the snapshot pin (an unknown version is a 404), rejects
+// jobs: it resolves the snapshot pins (an unknown version is a 404), rejects
 // delta_vs on anything but a what-if, and evaluates the query as kind
 // (whatif|howto|explain, "" = whatif). The result is a *WhatIfResponse,
 // *HowToResponse or *ExplainResponse; progress may be nil.
@@ -208,17 +208,20 @@ func (e *sessionEntry) run(ctx context.Context, kind string, req QueryRequest, p
 	}
 	switch kind {
 	case "whatif":
+		// Both evaluations are pinned, so the delta is a pure function of the
+		// two immutable versions; an unknown comparison version answers 404
+		// before either is evaluated.
+		var vs *snapshotEntry
+		if req.DeltaVs != 0 {
+			if vs, err = e.resolve(req.DeltaVs); err != nil {
+				return nil, err
+			}
+		}
 		resp, err := e.whatIf(ctx, sn, req, progress)
 		if err != nil {
 			return nil, err
 		}
-		if req.DeltaVs != 0 {
-			// Both evaluations are pinned, so the delta is a pure function of
-			// the two immutable versions.
-			vs, err := e.resolve(req.DeltaVs)
-			if err != nil {
-				return nil, err
-			}
+		if vs != nil {
 			vsResp, err := e.whatIf(ctx, vs, req, nil)
 			if err != nil {
 				return nil, err

@@ -114,7 +114,7 @@ type Config struct {
 	// file so a restarted daemon re-adopts its fleet.
 	DistStatePath string
 	// DistRPCTimeout bounds each coordinator->worker RPC attempt (default
-	// 2m via dist.RetryPolicy).
+	// 2m, dist.CoordinatorConfig.RPCTimeout).
 	DistRPCTimeout time.Duration
 	// DistBreakerFailures is K: consecutive dispatch failures that
 	// quarantine a worker (default 3).
@@ -125,9 +125,6 @@ type Config struct {
 	// coordinator's injection points and at the stages of local what-ifs
 	// (chaos and telemetry testing; nil in production).
 	Fault *fault.Injector
-	// TraceCapacity bounds the in-process trace ring served by /v1/traces
-	// (default obs.DefaultTraceCapacity).
-	TraceCapacity int
 	// UsageEntries bounds the query-shape usage table served by /v1/usage;
 	// when full, a new shape evicts the least-used row (default 256).
 	UsageEntries int
@@ -177,9 +174,6 @@ func (c Config) withDefaults() Config {
 	if c.JobRetention <= 0 {
 		c.JobRetention = 256
 	}
-	if c.TraceCapacity <= 0 {
-		c.TraceCapacity = obs.DefaultTraceCapacity
-	}
 	if c.UsageEntries <= 0 {
 		c.UsageEntries = 256
 	}
@@ -228,7 +222,7 @@ func New(cfg Config) *Server {
 		start:    time.Now(),
 		sessions: make(map[string]*sessionEntry),
 		metrics:  obs.NewRegistry(),
-		traces:   obs.NewRecorder(cfg.TraceCapacity),
+		traces:   obs.NewRecorder(obs.TraceRingSize),
 		usage:    newUsageTable(cfg.UsageEntries),
 	}
 	s.stats.init(s.metrics)
@@ -251,7 +245,7 @@ func New(cfg Config) *Server {
 		Secret:          cfg.DistSecret,
 		Logf:            cfg.Logf,
 		Metrics:         s.metrics,
-		Retry:           dist.RetryPolicy{RPCTimeout: cfg.DistRPCTimeout},
+		RPCTimeout:      cfg.DistRPCTimeout,
 		BreakerFailures: cfg.DistBreakerFailures,
 		BreakerCooldown: cfg.DistBreakerCooldown,
 		StatePath:       cfg.DistStatePath,
