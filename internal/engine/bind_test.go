@@ -203,7 +203,8 @@ func (ref boundRef) supportedFraction(e *evaluator) float64 {
 
 // runBoundRef evaluates q from the materialised arrays: every row through
 // ref.tuple — held on the way to the engine's own tuple(), row by row —, then
-// evalShards' block windows over the canonical plan and the one fold.
+// each shard's block window over the canonical plan and the per-block fold
+// written out (refFoldPartials).
 // differs counts the rows on which a doctored reference parts from tuple().
 func runBoundRef(db *relation.Database, model *causal.Model, q *hyperql.WhatIf, opts Options, doctored bool) (run classRun, differs int, err error) {
 	p, perr := prepareEvaluation(context.Background(), db, model, q, opts)
@@ -263,15 +264,15 @@ func runBoundRef(db *relation.Database, model *causal.Model, q *hyperql.WhatIf, 
 			parts[s].Cnt[p.blockAt(i)-minB] += cnt[i]
 		}
 	}
-	foldPartials(p.res, parts, p.nBlocks, p.agg)
+	refFoldPartials(p.res, parts, p.nBlocks, p.agg)
 	p.res.TrainedModels = e.est.trainedModels()
 	return classRun{parts: parts, res: p.res, meta: p.meta()}, differs, nil
 }
 
-// checkBindParity holds the engine's evaluation of src — partitioned and row
-// by row, serial and parallel — to the materialised reference, and
-// Prepared.Evaluate (the class gather where every row is a block of its own,
-// the tuple loop and fold elsewhere) to EvaluateContext.
+// checkBindParity holds the engine's evaluation of src — partitioned and
+// with no class key, serial and parallel — to the materialised reference,
+// and Prepared.Evaluate and the distributed form (the even and the odd
+// shards evaluated apart and merged) to EvaluateContext.
 func checkBindParity(t testing.TB, db *relation.Database, model *causal.Model, src string, opts Options) {
 	t.Helper()
 	q, err := hyperql.ParseWhatIf(src)
@@ -285,13 +286,30 @@ func checkBindParity(t testing.TB, db *relation.Database, model *causal.Model, s
 	}
 	for _, shards := range []int{1, 4} {
 		opts.Shards = shards
-		for _, perRow := range []bool{false, true} {
-			if err := diffClassRuns(runClassEval(db, model, q, opts, nil, perRow), want); err != nil {
-				t.Fatalf("%q shards=%d perRow=%v against the materialised loops: %v", src, shards, perRow, err)
+		// The folded answer, and every shard's window as a worker returns it.
+		folded, windows := want, want
+		folded.parts, windows.res = nil, nil
+		plan, _, _ := PlanContext(context.Background(), db, model, q, opts)
+		all := make([]int, plan)
+		for s := range all {
+			all[s] = s
+		}
+		for _, unkeyed := range []bool{false, true} {
+			if err := diffClassRuns(runClassEval(db, model, q, opts, nil, unkeyed), folded); err != nil {
+				t.Fatalf("%q shards=%d unkeyed=%v against the materialised loops: %v", src, shards, unkeyed, err)
+			}
+			if plan == 0 {
+				continue
+			}
+			if err := diffClassRuns(runClassEval(db, model, q, opts, all, unkeyed), windows); err != nil {
+				t.Fatalf("%q shards=%d unkeyed=%v, every shard's window, against the materialised loops: %v", src, shards, unkeyed, err)
 			}
 		}
 		if err := diffPrepared(db, model, q, opts); err != nil {
 			t.Fatalf("%q shards=%d: Prepared.Evaluate against EvaluateContext: %v", src, shards, err)
+		}
+		if err := diffDistributed(db, model, q, opts); err != nil {
+			t.Fatalf("%q shards=%d: merged even and odd shards against EvaluateContext: %v", src, shards, err)
 		}
 	}
 }
@@ -324,6 +342,61 @@ func diffPrepared(db *relation.Database, model *causal.Model, q *hyperql.WhatIf,
 	return nil
 }
 
+// diffDistributed evaluates q's even shards and its odd shards apart, each
+// by EvaluatePartialContext on a cold cache of its own as two workers would,
+// merges them with MergePartials and compares the merged answer with
+// EvaluateContext: the same error (the even shards' first, as a coordinator
+// that heard from them first would report), or the same value, sum and
+// count, NaN payloads aside (sameFloat). An empty view has no distributed
+// form: with no shard to assign, it is not compared.
+func diffDistributed(db *relation.Database, model *causal.Model, q *hyperql.WhatIf, opts Options) error {
+	ctx := context.Background()
+	want, werr := EvaluateContext(ctx, db, model, q, opts)
+	plan, _, err := PlanContext(ctx, db, model, q, opts)
+	if err == nil && plan == 0 {
+		return nil
+	}
+	got, gerr := func() (*Result, error) {
+		if err != nil {
+			return nil, err
+		}
+		var meta PartialMeta
+		var parts []ShardPartial
+		for odd := range 2 {
+			var ids []int
+			for s := odd; s < plan; s += 2 {
+				ids = append(ids, s)
+			}
+			if ids == nil {
+				continue
+			}
+			o := opts
+			o.Cache = NewCache()
+			pr, err := EvaluatePartialContext(ctx, db, model, q, o, ids)
+			if err != nil {
+				return nil, err
+			}
+			if odd == 1 && !meta.Consistent(pr.Meta) {
+				return nil, fmt.Errorf("the odd shards' meta %+v, the even shards' %+v", pr.Meta, meta)
+			}
+			meta, parts = pr.Meta, append(parts, pr.Partials...)
+		}
+		return MergePartials(meta, parts)
+	}()
+	if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+		return fmt.Errorf("error %q, alone %q", fmt.Sprint(gerr), fmt.Sprint(werr))
+	}
+	if werr != nil {
+		return nil
+	}
+	if !sameFloat(got.Value, want.Value) || !sameFloat(got.Sum, want.Sum) || !sameFloat(got.Count, want.Count) {
+		return fmt.Errorf("value/sum/count %x/%x/%x, alone %x/%x/%x",
+			math.Float64bits(got.Value), math.Float64bits(got.Sum), math.Float64bits(got.Count),
+			math.Float64bits(want.Value), math.Float64bits(want.Sum), math.Float64bits(want.Count))
+	}
+	return nil
+}
+
 func TestBindOnReadMatchesMaterialised(t *testing.T) {
 	amazon := dataset.AmazonSyn(300, 6, 7)
 	for _, tc := range []struct {
@@ -344,6 +417,8 @@ func TestBindOnReadMatchesMaterialised(t *testing.T) {
 		{"Int 3 beside Float 3.0, shift", "mixed", `USE T WHEN S != 'b' UPDATE(F) = 2 + PRE(F) OUTPUT COUNT(Y >= 0.75)`},
 		{"NaN payloads, set", "nan", `USE T UPDATE(F) = 1.5 OUTPUT AVG(POST(Y))`},
 		{"NaN payloads, scale", "nan", `USE T WHEN G >= 1 UPDATE(F) = 2 * PRE(F) OUTPUT SUM(POST(Y))`},
+		{"foreign key: blocks met out of order", "fk", `USE T WHEN G >= 1 UPDATE(X) = 1 + PRE(X) OUTPUT AVG(POST(Y)) FOR PRE(Z) = 1 OR POST(Y) >= 1`},
+		{"foreign key, SUM", "fk", `USE T UPDATE(X) = 2 * PRE(X) AND UPDATE(W) = 0 OUTPUT SUM(POST(Y)) FOR POST(Y) > 0.5 AND S != 'c'`},
 		{"Amazon, cross-tuple edge", "amazon", amazonUse + ` WHEN Category = 'Laptop' UPDATE(Price) = 0.90 * PRE(Price) OUTPUT AVG(POST(Rtng)) FOR PRE(Category) = 'Laptop'`},
 		{"Amazon, every product", "amazon", amazonUse + ` UPDATE(Price) = 50 + PRE(Price) OUTPUT COUNT(POST(Rtng) >= 4)`},
 		{"Amazon, no product", "amazon", amazonUse + ` WHEN Category = 'Nope' UPDATE(Price) = 500 OUTPUT AVG(POST(Rtng))`},

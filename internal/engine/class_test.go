@@ -1,8 +1,9 @@
 package engine
 
 // Oracles of the tuple-class partition (classes.go): the same prepared
-// evaluation, run once with the partition and once with evalPrep.perRow
-// forcing today's row-by-row loop, must agree on every bit and every error.
+// evaluation, run once with the partition and once with the class key
+// cleared (every row its own class, the producer's unkeyed form), must agree
+// on every bit and every error.
 
 import (
 	"context"
@@ -35,6 +36,7 @@ var classWorldKinds = []string{
 	"wide",     // F has rows/3 values: no column over rows/2, classes over it
 	"highcard", // F is distinct per row
 	"empty",    // no rows
+	"fk",       // base plus a parent relation P: T's rows meet P's blocks out of order
 }
 
 type classWorldData struct {
@@ -59,16 +61,21 @@ func classWorld(kind string) (*relation.Database, *causal.Model) {
 	case "nan", "nan-one":
 		fKind = relation.KindFloat
 	}
-	rel := relation.NewRelation("T", relation.MustSchema(
-		relation.Column{Name: "ID", Kind: relation.KindInt, Key: true},
-		relation.Column{Name: "G", Kind: relation.KindInt},
-		relation.Column{Name: "S", Kind: relation.KindString},
-		relation.Column{Name: "Z", Kind: relation.KindInt},
-		relation.Column{Name: "X", Kind: relation.KindInt, Mutable: true},
-		relation.Column{Name: "W", Kind: relation.KindInt, Mutable: true},
-		relation.Column{Name: "F", Kind: fKind, Mutable: true},
-		relation.Column{Name: "Y", Kind: relation.KindFloat, Mutable: true},
-	))
+	cols := []relation.Column{
+		{Name: "ID", Kind: relation.KindInt, Key: true},
+		{Name: "G", Kind: relation.KindInt},
+		{Name: "S", Kind: relation.KindString},
+		{Name: "Z", Kind: relation.KindInt},
+		{Name: "X", Kind: relation.KindInt, Mutable: true},
+		{Name: "W", Kind: relation.KindInt, Mutable: true},
+		{Name: "F", Kind: fKind, Mutable: true},
+		{Name: "Y", Kind: relation.KindFloat, Mutable: true},
+	}
+	const parents = 10
+	if kind == "fk" {
+		cols = append(cols, relation.Column{Name: "PID", Kind: relation.KindInt})
+	}
+	rel := relation.NewRelation("T", relation.MustSchema(cols...))
 	negZero := math.Copysign(0, -1)
 	nanA, nanB := math.NaN(), math.Float64frombits(0x7ff8000000000abc)
 	rng := stats.NewRNG(41)
@@ -98,11 +105,35 @@ func classWorld(kind string) (*relation.Database, *causal.Model) {
 			f = relation.Int(int64(u % 3))
 		}
 		y := 0.25 * float64(x+2*w+u%4+rng.Intn(2))
-		rel.MustInsert(relation.Int(int64(i)), relation.Int(int64(u%4)), relation.String("abc"[u%3:u%3+1]),
-			z, relation.Int(int64(x)), relation.Int(int64(w)), f, relation.Float(y))
+		row := []relation.Value{relation.Int(int64(i)), relation.Int(int64(u % 4)), relation.String("abc"[u%3 : u%3+1]),
+			z, relation.Int(int64(x)), relation.Int(int64(w)), f, relation.Float(y)}
+		if kind == "fk" {
+			// Y of ±2^30 by the parent's parity: block totals far larger
+			// than the answer they cancel to, so a block total whose
+			// addends came in another order shows in the answer's bits.
+			pid := rng.Intn(parents)
+			row[7] = relation.Float(y + float64(1-2*(pid%2))*(1<<30))
+			row = append(row, relation.Int(int64(pid)))
+		}
+		rel.MustInsert(row...)
 	}
 	db := relation.NewDatabase()
+	if kind == "fk" {
+		// P comes first, so a block is numbered by its parent row, and the
+		// rows of T, which reference parents at random, meet the blocks out
+		// of order and share each with other shards.
+		p := relation.NewRelation("P", relation.MustSchema(relation.Column{Name: "PID", Kind: relation.KindInt, Key: true}))
+		for k := range parents {
+			p.MustInsert(relation.Int(int64(k)))
+		}
+		db.MustAdd(p)
+	}
 	db.MustAdd(rel)
+	if kind == "fk" {
+		if err := db.AddForeignKey(relation.ForeignKey{Child: "T", ChildCol: "PID", Parent: "P", ParentCol: "PID"}); err != nil {
+			panic(err)
+		}
+	}
 	model := causal.NewModel()
 	for _, e := range [][2]string{{"G", "X"}, {"S", "X"}, {"F", "X"}, {"Z", "W"}, {"X", "Y"}, {"W", "Y"}, {"G", "Y"}, {"F", "Y"}, {"Z", "Y"}} {
 		model.AddEdge("T."+e[0], "T."+e[1])
@@ -199,8 +230,8 @@ func randomClassQuery(rng *stats.RNG) string {
 	return src
 }
 
-// classRun is one evaluation of a prepared query, class-partitioned or row
-// by row.
+// classRun is one evaluation of a prepared query, class-partitioned or with
+// every row its own class.
 type classRun struct {
 	err     error
 	parts   []ShardPartial
@@ -211,24 +242,26 @@ type classRun struct {
 }
 
 // runClassEval mirrors EvaluateContext (ids == nil) or EvaluatePartialContext
-// (a shard subset) around the test-only switch.
-func runClassEval(db *relation.Database, model *causal.Model, q *hyperql.WhatIf, opts Options, ids []int, perRow bool) classRun {
+// (a shard subset); unkeyed clears the Prepared's class key first.
+func runClassEval(db *relation.Database, model *causal.Model, q *hyperql.WhatIf, opts Options, ids []int, unkeyed bool) classRun {
 	ctx := context.Background()
 	p, err := prepareEvaluation(ctx, db, model, q, opts)
 	if err != nil {
 		return classRun{err: err}
 	}
-	p.perRow = perRow
-	parts, err := p.evalShards(ctx, ids)
+	if unkeyed {
+		p.keyed = false
+	}
+	var out classRun
+	if ids == nil {
+		out.res, err = p.evaluate(ctx)
+	} else {
+		out.parts, err = p.partials(ctx, ids)
+	}
 	if err != nil {
 		return classRun{err: err}
 	}
-	out := classRun{parts: parts, meta: p.meta(), classOf: p.ev.classOf, classes: p.ev.classes}
-	if ids == nil {
-		foldPartials(p.res, parts, p.nBlocks, p.agg)
-		p.res.TrainedModels = p.ev.est.trainedModels()
-		out.res = p.res
-	}
+	out.meta, out.classOf, out.classes = p.meta(), p.ev.classOf, p.ev.classes
 	return out
 }
 
@@ -258,8 +291,12 @@ func diffClassRuns(got, want classRun) error {
 	if (got.res == nil) != (want.res == nil) {
 		return fmt.Errorf("folded result present = %v, per-row %v", got.res != nil, want.res != nil)
 	}
+	// A folded answer is held to its bits, NaN payloads aside (sameFloat):
+	// the reference folds windows where rows that are their own blocks add
+	// straight into the totals, and which payload an add keeps where two NaNs
+	// meet is the compiler's choice. The windows above keep every bit.
 	if g, w := got.res, want.res; g != nil {
-		if !bitsEqual(g.Value, w.Value) || !bitsEqual(g.Sum, w.Sum) || !bitsEqual(g.Count, w.Count) || g.TrainedModels != w.TrainedModels {
+		if !sameFloat(g.Value, w.Value) || !sameFloat(g.Sum, w.Sum) || !sameFloat(g.Count, w.Count) || g.TrainedModels != w.TrainedModels {
 			return fmt.Errorf("value/sum/count/trained %v/%v/%v/%d, per-row %v/%v/%v/%d",
 				g.Value, g.Sum, g.Count, g.TrainedModels, w.Value, w.Sum, w.Count, w.TrainedModels)
 		}
@@ -295,7 +332,7 @@ func checkClassParity(t testing.TB, db *relation.Database, model *causal.Model, 
 			got := runClassEval(db, model, q, opts, ids, false)
 			want := runClassEval(db, model, q, opts, ids, true)
 			if want.classOf != nil {
-				t.Fatalf("%q: the per-row switch left a partition in place", src)
+				t.Fatalf("%q: clearing the class key left a partition in place", src)
 			}
 			if err := diffClassRuns(got, want); err != nil {
 				t.Fatalf("%q shards=%d subset=%v (classes=%d): %v", src, shards, ids, got.classes, err)
@@ -627,7 +664,7 @@ func TestPartitionDoesNotOutliveRequest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.evalShards(context.Background(), nil); err != nil {
+		if _, err := p.evaluate(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		if p.ev.classOf == nil || p.ev.est.trainedModels() == 0 {

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"hyper/internal/causal"
@@ -63,19 +64,11 @@ type PartialResult struct {
 // the cross-worker determinism check. TrainedModels is execution-dependent
 // and ignored.
 func (m PartialMeta) Consistent(o PartialMeta) bool {
-	if m.Plan != o.Plan || m.Blocks != o.Blocks || m.Agg != o.Agg || m.Mode != o.Mode ||
-		m.EstimatorUsed != o.EstimatorUsed || m.ShardedFit != o.ShardedFit ||
-		m.Disjuncts != o.Disjuncts || m.ViewRows != o.ViewRows ||
-		m.UpdatedRows != o.UpdatedRows || m.SampledRows != o.SampledRows ||
-		len(m.Backdoor) != len(o.Backdoor) {
-		return false
-	}
-	for i := range m.Backdoor {
-		if m.Backdoor[i] != o.Backdoor[i] {
-			return false
-		}
-	}
-	return true
+	return m.Plan == o.Plan && m.Blocks == o.Blocks && m.Agg == o.Agg && m.Mode == o.Mode &&
+		m.EstimatorUsed == o.EstimatorUsed && m.ShardedFit == o.ShardedFit &&
+		m.Disjuncts == o.Disjuncts && m.ViewRows == o.ViewRows &&
+		m.UpdatedRows == o.UpdatedRows && m.SampledRows == o.SampledRows &&
+		slices.Equal(m.Backdoor, o.Backdoor)
 }
 
 func aggName(a hyperql.AggFunc) string {
@@ -166,7 +159,7 @@ func EvaluatePartialContext(ctx context.Context, db *relation.Database, model *c
 	if err != nil {
 		return nil, err
 	}
-	parts, err := p.evalShards(ctx, shards)
+	parts, err := p.partials(ctx, shards)
 	if err != nil {
 		return nil, err
 	}
@@ -175,8 +168,9 @@ func EvaluatePartialContext(ctx context.Context, db *relation.Database, model *c
 
 // MergePartials reduces a complete set of shard partials (every shard of the
 // plan exactly once, in any arrival order) into the final Result, folding
-// strictly in plan order so the reduction tree — and therefore every bit of
-// the result — matches a single-process evaluation.
+// them strictly in plan order through the per-shard step of a local
+// evaluation (blockTotals.add), so every bit of the result matches a
+// single-process evaluation.
 func MergePartials(meta PartialMeta, parts []ShardPartial) (*Result, error) {
 	agg, err := aggFromName(meta.Agg)
 	if err != nil {
@@ -223,6 +217,10 @@ func MergePartials(meta PartialMeta, parts []ShardPartial) (*Result, error) {
 		ShardPlan:     meta.Plan,
 		ShardedFit:    meta.ShardedFit,
 	}
-	foldPartials(res, ordered, meta.Blocks, agg)
+	totals := blockTotals{make([]float64, meta.Blocks), make([]float64, meta.Blocks)}
+	for _, p := range ordered {
+		totals.add(p)
+	}
+	totals.fold(res, agg)
 	return res, nil
 }

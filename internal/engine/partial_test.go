@@ -8,7 +8,10 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"strconv"
+	"sync"
 	"testing"
 
 	"hyper/internal/causal"
@@ -177,5 +180,73 @@ func TestEmptyViewEvaluates(t *testing.T) {
 	}
 	if _, _, err := PlanContext(context.Background(), db, nil, q, Options{}); err != nil {
 		t.Fatalf("PlanContext on empty view: %v", err)
+	}
+}
+
+// progressLog records Progress reports; a parallel evaluation may call it
+// from several goroutines.
+type progressLog struct {
+	mu      sync.Mutex
+	reports [][3]any // stage, done, total
+}
+
+func (l *progressLog) report(stage string, done, total int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.reports = append(l.reports, [3]any{stage, done, total})
+}
+
+// shards checks the "shards" reports: one per shard of want, each out of
+// len(want), whose done counts are 1..len(want).
+func (l *progressLog) shards(want int) error {
+	seen := make([]bool, want+1)
+	for _, r := range l.reports {
+		if r[0] != "shards" {
+			continue
+		}
+		done, total := r[1].(int), r[2].(int)
+		if total != want || done < 1 || done > want || seen[done] {
+			return fmt.Errorf("report %v, want each of 1..%d once out of %d: %v", r, want, want, l.reports)
+		}
+		seen[done] = true
+	}
+	if slices.Contains(seen[1:], false) {
+		return fmt.Errorf("shards reports %v, want 1..%d", l.reports, want)
+	}
+	return nil
+}
+
+// TestEvaluateProgress pins the Progress reports jobs read (shards_done /
+// shards_total, tuples): EvaluateContext reports every shard of the plan and
+// ends with ("tuples", n, n); EvaluatePartialContext reports exactly the
+// shards it was given.
+func TestEvaluateProgress(t *testing.T) {
+	ctx := context.Background()
+	db, model := partialDataset(t, "german")
+	q := mustWhatIf(t, `USE German WHEN Age >= 1 UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1) FOR POST(Credit) = 1 OR PRE(Sex) = 0`)
+	for _, shards := range []int{1, 4} {
+		var local progressLog
+		o := Options{Seed: 7, ShardRows: 128, Shards: shards, Progress: local.report}
+		res, err := EvaluateContext(ctx, db, model, q, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := local.shards(res.ShardPlan); err != nil {
+			t.Errorf("shards=%d EvaluateContext: %v", shards, err)
+		}
+		n := res.ViewRows
+		if last := local.reports[len(local.reports)-1]; last != [3]any{"tuples", n, n} {
+			t.Errorf("shards=%d EvaluateContext: last report %v, want (tuples, %d, %d)", shards, last, n, n)
+		}
+
+		var part progressLog
+		o.Progress, o.Cache = part.report, NewCache()
+		subset := []int{1, 2, 5}
+		if _, err := EvaluatePartialContext(ctx, db, model, q, o, subset); err != nil {
+			t.Fatal(err)
+		}
+		if err := part.shards(len(subset)); err != nil {
+			t.Errorf("shards=%d EvaluatePartialContext(%v): %v", shards, subset, err)
+		}
 	}
 }

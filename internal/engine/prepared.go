@@ -21,10 +21,11 @@ import (
 // normalised FOR, the backdoor set, the feature columns and the tuple-class
 // key. Evaluate binds one update of those attributes to it — the ψ post
 // means, the support check with its forest fallback, the estimator-set
-// lookup — and folds the tuples' contributions: by class when every row is a
-// block of its own, through the tuple loop's block windows otherwise. The
-// class partition (with each class's first row) and whether the rows are
-// their own blocks are found by the first Evaluate and shared by the rest.
+// lookup — and runs the one evaluation path: each tuple class's value once,
+// then one fold of the rows in plan order (evalPrep.evaluate). The class
+// partition (with each class's first row) and whether the rows are their own
+// blocks, which picks the fold's regime, are found by the first evaluation
+// and shared by the rest.
 //
 // A how-to's candidate what-ifs for one attribute are updates of one
 // Prepared (Section 4.3). Beyond what the cache already holds (the view, the
@@ -76,18 +77,15 @@ type Prepared struct {
 	eventID []int // disjunct index -> event id (-1 = empty post)
 
 	key   classKey
-	keyed bool // false: the rows evaluate one by one
+	keyed bool // false: every row is its own class
 	part  struct {
 		once    sync.Once
 		classOf *relation.Codes
 		first   []uint32
 	}
-	// ownBlocks: every view row is a block of its own, in ascending block
-	// order (blockAt strictly increases over the rows).
-	ownBlocks struct {
-		once sync.Once
-		ok   bool
-	}
+	// rowsOwnBlocks reports whether every view row is a block of its own, in
+	// ascending block order, finding out on the first call.
+	rowsOwnBlocks func() bool
 }
 
 // Prepare resolves the update-constant-independent half of the what-if q:
@@ -101,25 +99,17 @@ func Prepare(ctx context.Context, db *relation.Database, model *causal.Model, q 
 }
 
 // Evaluate answers the prepared what-if with updates in place of the
-// prepared query's: bit for bit what EvaluateContext returns for that query.
-// updates must update the prepared attributes in the prepared order. The
-// view, block and plan diagnostics of the Result are the Prepared's, and
-// Total counts from this call.
-//
-// When the rows have a class key and each row is a block of its own, in
-// ascending block order (German-Syn's shape), the fold goes through the
-// classes (gather): tuple() once per class, then one pass adding each row's
-// class value into the totals, with no per-shard block windows. Every other
-// shape, and a dry run, runs the tuple loop and the fold of EvaluateContext.
+// prepared query's: bit for bit what EvaluateContext returns for that query,
+// since it is EvaluateContext's evaluation after the preparation. updates
+// must update the prepared attributes in the prepared order. The view, block
+// and plan diagnostics of the Result are the Prepared's, and Total counts
+// from this call.
 func (p *Prepared) Evaluate(ctx context.Context, updates []hyperql.UpdateSpec) (*Result, error) {
 	ep, err := p.bind(ctx, updates, time.Now(), p.o)
 	if err != nil {
 		return nil, err
 	}
-	if !p.o.DryRun && p.keyed && p.rowsOwnBlocks() {
-		return ep.gather(ctx)
-	}
-	return ep.run(ctx)
+	return ep.evaluate(ctx)
 }
 
 func prepare(ctx context.Context, db *relation.Database, model *causal.Model, q *hyperql.WhatIf, opts Options) (*Prepared, error) {
@@ -281,7 +271,7 @@ func prepare(ctx context.Context, db *relation.Database, model *causal.Model, q 
 	}
 	p.whenKey, p.forKey = shapeKeys(q)
 
-	// Step 10 is the per-tuple loop (evalShards); resolve its columns, post
+	// Step 10 is the evaluation (evalPrep.evaluate); resolve its columns, post
 	// events, class key and the canonical shard plan here so every update
 	// shares one construction.
 	p.resolveColumns()
@@ -290,6 +280,7 @@ func prepare(ctx context.Context, db *relation.Database, model *causal.Model, q 
 	}
 	p.plan = shard.Rows(v.Rel.Len(), o.ShardRows)
 	res.ShardPlan = p.plan.Shards()
+	p.rowsOwnBlocks = sync.OnceValue(p.blocksAscend)
 	return p, nil
 }
 
@@ -365,7 +356,7 @@ func (p *Prepared) resolveColumns() {
 
 // partition returns the class partition of the view rows and each class's
 // first row (classKey.partition), building them on the first call; built
-// reports whether this call did. It is nil when the rows evaluate one by one.
+// reports whether this call did. It is nil when every row is its own class.
 func (p *Prepared) partition() (classOf *relation.Codes, first []uint32, built bool) {
 	if !p.keyed {
 		return nil, nil, false
@@ -377,21 +368,17 @@ func (p *Prepared) partition() (classOf *relation.Codes, first []uint32, built b
 	return p.part.classOf, p.part.first, built
 }
 
-// rowsOwnBlocks reports whether every view row is a block of its own, in
-// ascending block order, finding out on the first call.
-func (p *Prepared) rowsOwnBlocks() bool {
-	p.ownBlocks.once.Do(func() {
-		prev := -1
-		for i := range p.v.Rel.Len() {
-			b := p.blockAt(i)
-			if b <= prev {
-				return
-			}
-			prev = b
+// blocksAscend reports whether blockAt strictly increases over the rows.
+func (p *Prepared) blocksAscend() bool {
+	prev := -1
+	for i := range p.v.Rel.Len() {
+		b := p.blockAt(i)
+		if b <= prev {
+			return false
 		}
-		p.ownBlocks.ok = true
-	})
-	return p.ownBlocks.ok
+		prev = b
+	}
+	return true
 }
 
 // blockAt is view row i's block: that of its base tuple of R. It clamps
@@ -443,7 +430,7 @@ func (p *Prepared) bind(ctx context.Context, updates []hyperql.UpdateSpec, start
 		})
 		if estHit = hit; hit {
 			// Set-level hits are the fan-out-independent "served from cache"
-			// signal; per-model hits inside the tuple loop are worker-local
+			// signal; per-model hits inside tuple() are worker-local
 			// memo traffic and deliberately not charged.
 			meter.Charge(obs.MeterJSON{FitsCached: 1})
 		}
@@ -495,38 +482,4 @@ func (p *Prepared) estLineage(eo Options) lineage {
 	return lineage{eo.Cache, p.db, func(tag string) string {
 		return kindEst + estKey(versioned(tag, use), p.whenKey, p.forKey, p.featCols, eo)
 	}}
-}
-
-// run is EvaluateContext's second half, and Evaluate's outside the class
-// gather's shape: the tuple loop over every shard and the fold in plan order.
-func (p *evalPrep) run(ctx context.Context) (*Result, error) {
-	if p.o.DryRun {
-		return p.res, nil
-	}
-	parts, err := p.evalShards(ctx, nil)
-	if err != nil {
-		return nil, err
-	}
-	// Reduce in plan order. Folding shard windows in ascending shard order
-	// adds each block's partials in exactly the same sequence for every
-	// worker count (and matches a per-block fold over shards), so the block
-	// sums — and the final aggregate, accumulated in block order — are
-	// reproducible to the bit.
-	_, fold := obs.StartStage(ctx, "fold")
-	foldPartials(p.res, parts, p.nBlocks, p.agg)
-	return p.finish(fold), nil
-}
-
-// finish ends the fold stage and completes the Result of a folded
-// evaluation.
-func (p *evalPrep) finish(fold obs.Stage) *Result {
-	fold.Set("blocks", p.nBlocks)
-	p.res.EvalTime += fold.End()
-	p.res.TrainedModels = p.ev.est.trainedModels()
-	p.res.Total = time.Since(p.start)
-	if p.o.Progress != nil {
-		total := p.v.Rel.Len()
-		p.o.Progress("tuples", total, total)
-	}
-	return p.res
 }

@@ -267,7 +267,7 @@ func TestPartialPreparedEvictionFreesPartition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ep.evalShards(ctx, []int{0}); err != nil {
+		if _, err := ep.partials(ctx, []int{0}); err != nil {
 			t.Fatal(err)
 		}
 		if p.part.classOf == nil || ep.ev.est.trainedModels() == 0 {

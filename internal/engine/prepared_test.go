@@ -112,12 +112,12 @@ func diffResults(got, want *Result) error {
 // TestPreparedMatchesEvaluate: every update bound to one Prepared answers
 // what EvaluateContext answers for that query alone, to the bit, at any
 // fan-out — including the updates whose support sends the frequency
-// estimator to the forest and the ψ means that move with the update — on
-// both of Evaluate's folds: the class gather (rows their own blocks) and the
-// block windows (a class key over multi-row blocks, or none).
+// estimator to the forest and the ψ means that move with the update — in
+// both of the fold's regimes: rows that are their own blocks (added straight
+// into the totals) and block windows over multi-row blocks.
 func TestPreparedMatchesEvaluate(t *testing.T) {
 	fallbacks := 0
-	folds := map[string]int{} // which fold Evaluate takes -> cases
+	folds := map[string]int{} // which regime the fold takes -> cases
 	for _, c := range preparedCases {
 		db, model := preparedData(c.dataset)
 		for _, shards := range []int{1, 4} {
@@ -127,13 +127,10 @@ func TestPreparedMatchesEvaluate(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: prepare: %v", c.name, err)
 			}
-			switch {
-			case !p.keyed:
-				folds["windows, no class key"]++
-			case p.rowsOwnBlocks():
-				folds["class gather"]++
-			default:
-				folds["windows, multi-row blocks"]++
+			if p.rowsOwnBlocks() {
+				folds["rows their own blocks"]++
+			} else {
+				folds["windows over multi-row blocks"]++
 			}
 			for _, src := range c.variants {
 				q := mustWhatIf(t, src)
@@ -159,8 +156,8 @@ func TestPreparedMatchesEvaluate(t *testing.T) {
 	if fallbacks == 0 {
 		t.Error("no German variant fell back to the forest; the test proved nothing about the fallback")
 	}
-	if folds["class gather"] == 0 || folds["windows, multi-row blocks"] == 0 {
-		t.Errorf("folds taken %v: want the class gather and classes over multi-row blocks covered", folds)
+	if folds["rows their own blocks"] == 0 || folds["windows over multi-row blocks"] == 0 {
+		t.Errorf("fold regimes taken %v: want rows their own blocks and windows over multi-row blocks covered", folds)
 	}
 
 	// The attributes are the Prepared's: another set, another order or none
@@ -217,6 +214,36 @@ func TestPreparedEvaluateAllocationFlat(t *testing.T) {
 	}
 }
 
+// TestEvaluateContextAllocationFlat: a warm EvaluateContext over German-Syn
+// prepares on every call, so it allocates a WHEN set and a class partition
+// (a byte a row each) afresh, but its evaluation allocates no per-row
+// windows: from 5,000 to 25,000 rows it may grow by at most 4 B per added
+// row. (Per-shard block windows cost 16 B a row.)
+func TestEvaluateContextAllocationFlat(t *testing.T) {
+	q := mustWhatIf(t, `USE German UPDATE(Status) = 2 OUTPUT COUNT(Credit = 1)`)
+	warmBytes := func(rows int) uint64 {
+		g := dataset.GermanSyn(rows, 7)
+		o := Options{Seed: 7, Shards: 1, Cache: NewCache()}
+		var least uint64 = math.MaxUint64
+		var before, after runtime.MemStats
+		for range 5 { // the first call fills the cache: view, blocks, set, models
+			runtime.ReadMemStats(&before)
+			if _, err := EvaluateContext(context.Background(), g.DB, g.Model, q, o); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	small, large := warmBytes(5000), warmBytes(25000)
+	perRow := (float64(large) - float64(small)) / 20000
+	t.Logf("warm EvaluateContext allocates %d B over 5,000 rows, %d B over 25,000 (%.1f B per added row)", small, large, perRow)
+	if perRow > 4 {
+		t.Errorf("warm EvaluateContext allocates %d B over 5,000 rows and %d B over 25,000: %.1f B per added row, want at most 4", small, large, perRow)
+	}
+}
+
 // TestPreparedConcurrentEvaluate: many goroutines bind updates to one
 // Prepared at once — the partition is built once, the estimator sets and
 // lazy fits single-flight — and every answer is the serial one. Run under
@@ -258,9 +285,8 @@ func TestPreparedConcurrentEvaluate(t *testing.T) {
 	}
 }
 
-// refFoldPartials is foldPartials as it was before disjoint windows folded
-// straight into the totals: every partial into per-block sums, then the
-// blocks in order.
+// refFoldPartials is the per-block fold, written out: every partial into
+// per-block sums, then the blocks in order.
 func refFoldPartials(res *Result, parts []ShardPartial, nBlocks int, agg hyperql.AggFunc) {
 	sumByBlock := make([]float64, nBlocks)
 	cntByBlock := make([]float64, nBlocks)
@@ -292,10 +318,13 @@ func refFoldPartials(res *Result, parts []ShardPartial, nBlocks int, agg hyperql
 // other under -race.
 func sameFloat(a, b float64) bool { return bitsEqual(a, b) || a != a && b != b }
 
-// TestFoldPartialsDisjointMatchesPerBlock fuzzes block windows — gaps,
-// empty shards, overlaps — over addends that include ±0, NaN payloads and
-// ±Inf, and holds the fold to the per-block reference on the bits of Sum,
-// Count and Value under every aggregate (-0 included; NaN payloads aside).
+// TestFoldPartialsDisjointMatchesPerBlock fuzzes block windows — disjoint
+// ones, gaps, empty shards, overlaps — over addends that include ±0, NaN
+// payloads and ±Inf, delivers them to MergePartials in a shuffled arrival
+// order, and holds its fold (the one per-shard step, blockTotals.add, that a
+// local evaluation also takes) to the per-block reference in plan order on
+// the bits of Sum, Count and Value under every aggregate (-0 included; NaN
+// payloads aside).
 func TestFoldPartialsDisjointMatchesPerBlock(t *testing.T) {
 	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
 		math.Float64frombits(0x7ff8000000000123), math.Float64frombits(0xfff8000000000001),
@@ -332,12 +361,20 @@ func TestFoldPartialsDisjointMatchesPerBlock(t *testing.T) {
 			parts = append(parts, p)
 			next = max(next, lo+n)
 		}
+		if len(parts) == 0 {
+			continue // no plan to merge
+		}
 		if disjointWindows(parts) {
 			disjoint++
 		}
+		arrived := slices.Clone(parts)
+		rng.Shuffle(len(arrived), func(i, j int) { arrived[i], arrived[j] = arrived[j], arrived[i] })
 		for _, agg := range []hyperql.AggFunc{hyperql.AggCount, hyperql.AggSum, hyperql.AggAvg} {
-			var got, want Result
-			foldPartials(&got, parts, nBlocks, agg)
+			var want Result
+			got, err := MergePartials(PartialMeta{Plan: len(parts), Blocks: nBlocks, Agg: aggName(agg)}, arrived)
+			if err != nil {
+				t.Fatal(err)
+			}
 			refFoldPartials(&want, parts, nBlocks, agg)
 			if !sameFloat(got.Sum, want.Sum) || !sameFloat(got.Count, want.Count) || !sameFloat(got.Value, want.Value) {
 				t.Fatalf("%s over %d blocks, windows %v: sum/count/value %x/%x/%x, per block %x/%x/%x", agg, nBlocks, parts,
@@ -347,6 +384,22 @@ func TestFoldPartialsDisjointMatchesPerBlock(t *testing.T) {
 		}
 	}
 	if disjoint < 10000 || disjoint == 20000 {
-		t.Fatalf("%d of 20000 draws disjoint: the fuzz missed a path", disjoint)
+		t.Fatalf("%d of 20000 draws disjoint: the fuzz missed a shape", disjoint)
 	}
+}
+
+// disjointWindows reports whether the partials' block windows ascend
+// without overlapping, empty partials aside.
+func disjointWindows(parts []ShardPartial) bool {
+	next := 0
+	for _, p := range parts {
+		if len(p.Sum) == 0 {
+			continue
+		}
+		if p.MinBlock < next {
+			return false
+		}
+		next = p.MinBlock + len(p.Sum)
+	}
+	return true
 }

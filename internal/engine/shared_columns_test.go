@@ -114,7 +114,7 @@ func TestSharedColumns(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := p.evalShards(context.Background(), nil); err != nil {
+			if _, err := p.evaluate(context.Background()); err != nil {
 				t.Error(err)
 			}
 		}()

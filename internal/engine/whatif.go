@@ -21,8 +21,11 @@ import (
 // causal model (nil model falls back to the canonical no-background behaviour
 // of ModeNB). It implements the computation of Section 3.3: relevant view →
 // WHEN set → block decomposition → FOR normalization → backdoor adjustment →
-// per-block aggregation. ctx is observed between pipeline stages, before each
-// estimator training, and inside the parallel per-tuple loop, so a cancelled
+// per-block aggregation. It prepares on every call, then runs the evaluation
+// that Prepared.Evaluate and a dist worker run: each tuple class's
+// contribution once, then one fold of the rows in plan order. ctx is
+// observed between pipeline stages, before each estimator training, and in
+// the class loop and the fold on a 512-row stride, so a cancelled
 // or deadline-expired context stops the evaluation mid-solve (returning
 // ctx.Err()) instead of running to completion. Artifacts already placed in
 // the cache (views, blocks, fully trained estimators) remain valid — training
@@ -38,7 +41,7 @@ func EvaluateContext(ctx context.Context, db *relation.Database, model *causal.M
 	if err != nil {
 		return nil, err
 	}
-	return p.run(ctx)
+	return p.evaluate(ctx)
 }
 
 // cachedView materializes (or fetches from the cache) the relevant view of
@@ -118,23 +121,25 @@ func resolveView(db *relation.Database, q *hyperql.WhatIf, o Options) (v *view, 
 }
 
 // evalPrep is a fully prepared what-if evaluation: a Prepared bound to one
-// update, everything up to (but not including) the per-tuple loop.
+// update, everything up to (but not including) the tuple values.
 // Preparation is deterministic in the query, data, and semantic options, so
 // two processes preparing the same evaluation agree on the shard plan, the
 // block decomposition, and every trained estimator — the property the
 // distributed execution path relies on.
 type evalPrep struct {
 	*Prepared
-	o      Options // the Prepared's, with this call's Shards and Progress (bind)
-	res    *Result
-	ev     *evaluator
-	start  time.Time
-	perRow bool // tests only: evaluate without tuple classes
+	o     Options // the Prepared's, with this call's Shards and Progress (bind)
+	res   *Result
+	ev    *evaluator
+	start time.Time
+	// rows counts the rows of the shards valued (values), passed those the
+	// fold has passed, on the stride (tick).
+	rows, passed int
 }
 
 // prepareEvaluation prepares q and binds its own updates: one Prepare and one
 // bind, which is all EvaluateContext and EvaluatePartialContext do before the
-// tuple loop.
+// tuple values.
 func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal.Model, q *hyperql.WhatIf, opts Options) (*evalPrep, error) {
 	start := time.Now()
 	p, err := prepare(ctx, db, model, q, opts)
@@ -144,248 +149,183 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 	return p.bind(ctx, q.Updates, start, opts)
 }
 
-// evalShards runs the per-tuple loop over the listed shards of the canonical
-// plan (nil = every shard), returning one block-window partial per listed
-// shard, in the order listed. Tuple contributions are independent, so the
-// loop runs shard-parallel: each shard accumulates into its own per-block
-// partials; workers own an evaluator copy (scratch buffers, model memo)
-// reused across the shards they pick up. Shard placement is
-// scheduling-dependent but cannot influence any partial: a shard's partial
-// is a pure function of the prepared evaluation and its row range, which is
-// what makes partials portable across processes. The stage's duration, failed
-// or not, is the evaluation's EvalTime so far (EvaluateContext adds the fold).
-func (p *evalPrep) evalShards(ctx context.Context, ids []int) ([]ShardPartial, error) {
-	ctx, stage := obs.StartStage(ctx, "eval_shards")
-	defer func() { p.res.EvalTime = stage.End() }()
-	// Lazily trained models fit from inside the tuple loop through the
-	// evaluator's stored context; repointing it here nests their fit spans
-	// under eval_shards (cancellation semantics are unchanged — both contexts
-	// share the same Done chain).
-	p.ev.ctx = ctx
+// evaluate is the one evaluation after bind, for a local what-if and a how-to
+// candidate; a dist worker's (partials) differs only in returning its
+// windows. values computes each tuple class's contribution once, then the
+// fold stage walks the shards in plan order adding every row's class value.
+// Its regime is the data's, found once per Prepared: when every view row is
+// a block of its own, in ascending block order, each row adds its class value
+// straight into the totals in row order; otherwise each shard's rows add into
+// the shard's block window, which then folds through the per-shard step that
+// MergePartials also takes (blockTotals.add). The two agree to the bit where
+// both apply: a one-row block's total is 0 + v, which differs from v only
+// for -0, and the totals start at +0 and never become -0, so adding either
+// leaves them the same.
+func (p *evalPrep) evaluate(ctx context.Context) (*Result, error) {
+	if p.o.DryRun {
+		return p.res, nil
+	}
 	k := p.plan.Shards()
-	if ids == nil {
-		ids = make([]int, k)
-		for i := range ids {
-			ids[i] = i
-		}
-	} else {
-		seen := make([]bool, k)
-		for _, s := range ids {
-			if s < 0 || s >= k {
-				return nil, fmt.Errorf("engine: shard %d out of plan range [0,%d)", s, k)
-			}
-			if seen[s] {
-				return nil, fmt.Errorf("engine: shard %d requested twice", s)
-			}
-			seen[s] = true
-		}
+	ids := make([]int, k)
+	for s := range ids {
+		ids[s] = s
 	}
-	if len(ids) == 0 {
-		// Empty view: a zero-shard plan has no partials, and the fold below
-		// produces the zero-value aggregate (shard.Fixed would coerce an
-		// empty run plan to one slot and index past ids).
-		return nil, ctx.Err()
-	}
-	total := 0
-	for _, s := range ids {
-		lo, hi := p.plan.Bounds(s)
-		total += hi - lo
-	}
-	// One run-plan slot per requested shard: the worker pool claims listed
-	// shards, not row ranges.
-	runPlan := shard.Fixed(len(ids), len(ids))
-	workers := runPlan.Workers(p.o.Shards)
-	p.openEval(ctx, stage, len(ids), total, workers)
-	locals := make([]*evaluator, workers)
-	parts := make([]ShardPartial, len(ids))
-	nBlocks := p.nBlocks
-	var tuplesDone, shardsDone atomic.Int64
-	err := shard.Run(ctx, runPlan, workers, func(w, idx, _, _ int) error {
-		local := locals[w]
-		if local == nil {
-			local = p.ev.fork()
-			local.byClass = make([]classVal, local.classes)
-			locals[w] = local
-		}
-		s := ids[idx]
-		lo, hi := p.plan.Bounds(s)
-		parts[idx] = ShardPartial{Shard: s}
-		// A shard's partial accumulators cover only the window of block ids
-		// its rows touch (for the common one-block-per-tuple decomposition a
-		// contiguous row shard touches a narrow, near-contiguous id range),
-		// so memory and merge cost stay proportional to the data, not to
-		// shards × blocks.
-		minB, maxB := nBlocks, -1
-		for i := lo; i < hi; i++ {
-			b := p.blockAt(i)
-			if b < minB {
-				minB = b
-			}
-			if b > maxB {
-				maxB = b
-			}
-		}
-		if maxB < minB {
-			if p.o.Progress != nil {
-				p.o.Progress("shards", int(shardsDone.Add(1)), len(ids))
-			}
-			return nil // empty shard
-		}
-		sum := make([]float64, maxB-minB+1)
-		cnt := make([]float64, maxB-minB+1)
-		classOf, byClass := local.classOf, local.byClass
-		for i := lo; i < hi; i++ {
-			if (i-lo)%stride == 0 && i > lo {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				if p.o.Progress != nil {
-					p.o.Progress("tuples", int(tuplesDone.Add(stride)), total)
-				}
-			}
-			// A class's first row in this worker computes the class's
-			// contribution; the rest read it. Either way this row adds its
-			// own addends here, in row order.
-			var own classVal // the per-row path's slot: never marked seen
-			slot := &own
-			if classOf != nil {
-				slot = &byClass[classOf.At(i)]
-			}
-			if !slot.seen {
-				ts, tc, err := local.tuple(i)
-				if err != nil {
-					return err
-				}
-				local.evaluated++
-				*slot = classVal{sum: ts, cnt: tc, seen: classOf != nil}
-			}
-			b := p.blockAt(i) - minB
-			sum[b] += slot.sum
-			cnt[b] += slot.cnt
-		}
-		parts[idx] = ShardPartial{Shard: s, MinBlock: minB, Sum: sum, Cnt: cnt}
-		if p.o.Progress != nil {
-			p.o.Progress("shards", int(shardsDone.Add(1)), len(ids))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	setEvaluated(stage, locals)
-	return parts, nil
-}
-
-// Cancellation and progress work on a stride so neither the ctx check nor
-// the shared counter touches the per-tuple fast path.
-const stride = 512
-
-// openEval labels the eval_shards stage of a loop over shards of the plan
-// covering rows on workers goroutines, charges the meter with those
-// fan-out-independent totals — the plan, the shards run here and the rows
-// they cover, which the golden tests pin against Result.ShardPlan/ViewRows at
-// any worker count — and binds the class partition to the evaluator. It
-// returns each class's first row. The partition covers the whole view
-// whichever shards run here: lazy fits label every training row. The first
-// evaluation of the Prepared builds it and the rest share it; it is garbage
-// once the Prepared is.
-func (p *evalPrep) openEval(ctx context.Context, stage obs.Stage, shards, rows, workers int) (first []uint32) {
-	k := p.plan.Shards()
-	stage.Set("plan", k)
-	stage.Set("shards", shards)
-	stage.Set("rows", rows)
-	stage.Set("workers", workers)
-	obs.MeterFromContext(ctx).Charge(obs.MeterJSON{
-		PlanShards: uint64(k), ShardsRun: uint64(shards), TuplesEvaluated: uint64(rows)})
-	if !p.perRow {
-		var built bool
-		p.ev.classOf, first, built = p.partition()
-		if built {
-			stage.Set("partitioned", true)
-		}
-	}
-	p.ev.classes = len(first)
-	stage.Set("classes", p.ev.classes)
-	return first
-}
-
-// setEvaluated records the workers' tuple() calls on the eval_shards stage.
-func setEvaluated(stage obs.Stage, locals []*evaluator) {
-	evaluated := 0
-	for _, local := range locals {
-		if local != nil {
-			evaluated += local.evaluated
-		}
-	}
-	stage.Set("evaluated", evaluated)
-}
-
-// gather is run for an evaluation whose view rows are each a block of their
-// own, in ascending block order (Prepared.Evaluate). Each class's (sum, cnt)
-// is tuple() of its first row, computed once, in parallel over class ranges
-// (a row is its own class when the partition gave up); then the rows add
-// their class's value straight into the totals, in row order. That is run()'s
-// answer to the bit: there every block window holds at most one row, the
-// windows ascend without overlapping, and foldPartials adds each row's 0 + v
-// in row order, which is adding v (foldPartials' comment). It allocates no
-// block windows, no per-worker class tables and no partials. A tuple() error
-// is the first failing class's in class order: the row EvaluateContext fails
-// at with Shards=1.
-func (p *evalPrep) gather(ctx context.Context) (*Result, error) {
-	vals, err := p.evalClasses(ctx)
+	vctx, stage := obs.StartStage(ctx, "eval_shards")
+	vals, err := p.values(vctx, stage, ids)
+	p.res.EvalTime = stage.End()
 	if err != nil {
 		return nil, err
 	}
 	_, fold := obs.StartStage(ctx, "fold")
-	res, classOf := p.res, p.ev.classOf
-	n := p.v.Rel.Len()
-	for i := range n {
-		if i%stride == 0 && i > 0 {
-			if err := ctx.Err(); err != nil {
-				fold.End()
-				return nil, err
-			}
-			if p.o.Progress != nil {
-				p.o.Progress("tuples", i, n)
-			}
-		}
-		c := i
-		if classOf != nil {
-			c = int(classOf.At(i))
-		}
-		res.Sum += vals[c].sum
-		res.Count += vals[c].cnt
+	res, own := p.res, p.rowsOwnBlocks()
+	var totals blockTotals
+	if !own {
+		totals = blockTotals{make([]float64, p.nBlocks), make([]float64, p.nBlocks)}
 	}
-	setValue(res, p.agg)
-	return p.finish(fold), nil
+	for s := range k {
+		if own {
+			err = p.addRows(ctx, s, vals)
+		} else {
+			var w ShardPartial
+			w, err = p.window(ctx, s, vals)
+			totals.add(w)
+		}
+		if err != nil {
+			fold.End()
+			return nil, err
+		}
+		p.report("shards", s+1, k)
+	}
+	totals.fold(res, p.agg)
+	fold.Set("blocks", p.nBlocks)
+	res.EvalTime += fold.End()
+	res.TrainedModels = p.ev.est.trainedModels()
+	res.Total = time.Since(p.start)
+	p.report("tuples", p.v.Rel.Len(), p.v.Rel.Len())
+	return res, nil
 }
 
-// evalClasses is gather's eval_shards stage: tuple() once per class, on the
-// class's first row, over class ranges on the plan's workers.
-func (p *evalPrep) evalClasses(ctx context.Context) ([]classVal, error) {
+// partials values the listed shards of the canonical plan and returns their
+// block windows, in the order listed; ids must be distinct and within the
+// plan. A shard's window is a pure function of the prepared evaluation and
+// its row range, whichever process computes it, which is what makes windows
+// portable. The whole of it is the eval_shards stage.
+func (p *evalPrep) partials(ctx context.Context, ids []int) ([]ShardPartial, error) {
+	k := p.plan.Shards()
+	seen := make([]bool, k)
+	for _, s := range ids {
+		if s < 0 || s >= k {
+			return nil, fmt.Errorf("engine: shard %d out of plan range [0,%d)", s, k)
+		}
+		if seen[s] {
+			return nil, fmt.Errorf("engine: shard %d requested twice", s)
+		}
+		seen[s] = true
+	}
 	ctx, stage := obs.StartStage(ctx, "eval_shards")
-	defer func() { p.res.EvalTime = stage.End() }()
-	p.ev.ctx = ctx // as in evalShards: lazy fits nest under this stage
-	n, k := p.v.Rel.Len(), p.plan.Shards()
-	workers := p.plan.Workers(p.o.Shards)
-	first := p.openEval(ctx, stage, k, n, workers)
-	classes := n
+	defer stage.End()
+	vals, err := p.values(ctx, stage, ids)
+	if err != nil {
+		return nil, err
+	}
+	parts := make([]ShardPartial, len(ids))
+	for j, s := range ids {
+		if parts[j], err = p.window(ctx, s, vals); err != nil {
+			return nil, err
+		}
+		p.report("shards", j+1, len(ids))
+	}
+	return parts, nil
+}
+
+// Cancellation and progress work on a stride so neither the ctx check nor
+// the progress report touches the per-row fast path.
+const stride = 512
+
+// tick is the row loops' stride: it reports the rows passed and checks ctx.
+func (p *evalPrep) tick(ctx context.Context) error {
+	p.passed += stride
+	p.report("tuples", p.passed, p.rows)
+	return ctx.Err()
+}
+
+func (p *evalPrep) report(stage string, done, total int) {
+	if p.o.Progress != nil {
+		p.o.Progress(stage, done, total)
+	}
+}
+
+// values is the producer: tuple() once for each class a row of the listed
+// shards belongs to, on the class's first row (without a class key every row
+// is its own class), in parallel over class ranges, indexed by class. It
+// labels the eval_shards stage, charges the meter with the
+// fan-out-independent totals (the plan, the shards run and their rows) and
+// binds the class partition, which covers the whole view since lazy fits
+// label every training row, to the evaluator. A tuple() error is the failing
+// class's that comes first in class order: with every shard listed, the row
+// EvaluateContext fails at with Shards=1.
+func (p *evalPrep) values(ctx context.Context, stage obs.Stage, ids []int) ([]classVal, error) {
+	// Lazy fits run in tuple() under the evaluator's stored context: this
+	// one nests their fit spans under eval_shards (same Done chain).
+	p.ev.ctx = ctx
+	for _, s := range ids {
+		lo, hi := p.plan.Bounds(s)
+		p.rows += hi - lo
+	}
+	k := p.plan.Shards()
+	workers := max(min(p.plan.Workers(p.o.Shards), len(ids)), 1)
+	stage.Set("plan", k)
+	stage.Set("shards", len(ids))
+	stage.Set("rows", p.rows)
+	stage.Set("workers", workers)
+	obs.MeterFromContext(ctx).Charge(obs.MeterJSON{
+		PlanShards: uint64(k), ShardsRun: uint64(len(ids)), TuplesEvaluated: uint64(p.rows)})
+	classOf, first, built := p.partition()
+	if built {
+		stage.Set("partitioned", true)
+	}
+	p.ev.classOf, p.ev.classes = classOf, len(first)
+	stage.Set("classes", p.ev.classes)
+	classes := p.v.Rel.Len()
 	if first != nil {
 		classes = len(first)
 	}
+	// A shard subset values only the classes its rows belong to, ascending.
+	var todo []int32
+	units := classes
+	if len(ids) < k {
+		need := make([]bool, classes)
+		for _, s := range ids {
+			lo, hi := p.plan.Bounds(s)
+			for i := lo; i < hi; i++ {
+				need[p.ev.classAt(i)] = true
+			}
+		}
+		for c, ok := range need {
+			if ok {
+				todo = append(todo, int32(c))
+			}
+		}
+		units = len(todo)
+	}
 	vals := make([]classVal, classes)
 	locals := make([]*evaluator, workers)
-	err := shard.Run(ctx, shard.Fixed(classes, workers), workers, func(w, _, lo, hi int) error {
+	var evaluated atomic.Int64
+	err := shard.Run(ctx, shard.Fixed(units, workers), workers, func(w, _, lo, hi int) error {
 		local := locals[w]
 		if local == nil {
 			local = p.ev.fork()
 			locals[w] = local
 		}
-		for c := lo; c < hi; c++ {
-			if (c-lo)%stride == 0 && c > lo {
+		for u := lo; u < hi; u++ {
+			if (u-lo)%stride == 0 && u > lo {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
+			}
+			c := u
+			if todo != nil {
+				c = int(todo[u])
 			}
 			row := c
 			if first != nil {
@@ -395,52 +335,84 @@ func (p *evalPrep) evalClasses(ctx context.Context) ([]classVal, error) {
 			if err != nil {
 				return err
 			}
-			local.evaluated++
 			vals[c] = classVal{sum: s, cnt: cnt}
 		}
+		evaluated.Add(int64(hi - lo))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	setEvaluated(stage, locals)
+	stage.Set("evaluated", int(evaluated.Load()))
 	return vals, nil
 }
 
-// foldPartials reduces block-window partials (which must already be in plan
-// order) into res and computes the aggregate value. It is the single
-// reduction used by local evaluation and by the distributed merge, so the
-// two cannot drift.
-//
-// Windows that ascend without overlapping (every single-shard plan, every
-// view whose rows are their own blocks) give each block at most one
-// partial, so they fold straight into the totals. That is the per-block
-// fold to the bit: a block sum there is 0 + its one partial, which differs
-// from the partial only for -0 (0 + -0 = +0), and a block no window covers
-// adds +0; the totals start at +0 and never become -0, so adding ±0 leaves
-// them as they are. (Where two NaNs meet, which payload an add keeps is the
-// compiler's choice, in either fold.)
-func foldPartials(res *Result, parts []ShardPartial, nBlocks int, agg hyperql.AggFunc) {
-	if disjointWindows(parts) {
-		for _, p := range parts {
-			addBlocks(res, p.Sum, p.Cnt)
-		}
-	} else {
-		sumByBlock := make([]float64, nBlocks)
-		cntByBlock := make([]float64, nBlocks)
-		for _, p := range parts {
-			for j, ps := range p.Sum {
-				sumByBlock[p.MinBlock+j] += ps
-				cntByBlock[p.MinBlock+j] += p.Cnt[j]
+// addRows adds plan shard s's rows' class values straight into the totals,
+// in row order: the fold of rows that are their own blocks.
+func (p *evalPrep) addRows(ctx context.Context, s int, vals []classVal) error {
+	lo, hi := p.plan.Bounds(s)
+	ev, sum, cnt := p.ev, p.res.Sum, p.res.Count
+	for i := lo; i < hi; i++ {
+		if (i-lo)%stride == 0 && i > lo {
+			if err := p.tick(ctx); err != nil {
+				return err
 			}
 		}
-		addBlocks(res, sumByBlock, cntByBlock)
+		v := vals[ev.classAt(i)]
+		sum += v.sum
+		cnt += v.cnt
 	}
-	setValue(res, agg)
+	p.res.Sum, p.res.Count = sum, cnt
+	return nil
 }
 
-// setValue computes the aggregate from the folded totals.
-func setValue(res *Result, agg hyperql.AggFunc) {
+// window is plan shard s's block window: the (sum, count) of each block its
+// rows touch, over the window of block ids they span (for the common
+// one-block-per-tuple decomposition a contiguous row shard touches a narrow,
+// near-contiguous id range), each row adding its class value in row order.
+func (p *evalPrep) window(ctx context.Context, s int, vals []classVal) (ShardPartial, error) {
+	lo, hi := p.plan.Bounds(s)
+	minB, maxB := p.nBlocks, -1
+	for i := lo; i < hi; i++ {
+		b := p.blockAt(i)
+		minB, maxB = min(minB, b), max(maxB, b)
+	}
+	w := ShardPartial{Shard: s, MinBlock: minB, Sum: make([]float64, maxB-minB+1), Cnt: make([]float64, maxB-minB+1)}
+	for i := lo; i < hi; i++ {
+		if (i-lo)%stride == 0 && i > lo {
+			if err := p.tick(ctx); err != nil {
+				return w, err
+			}
+		}
+		v := vals[p.ev.classAt(i)]
+		b := p.blockAt(i) - minB
+		w.Sum[b] += v.sum
+		w.Cnt[b] += v.cnt
+	}
+	return w, nil
+}
+
+// blockTotals is the per-block (sum, count) that block windows add into in
+// plan order (add: the one per-shard step of a local evaluation and of
+// MergePartials), then added into the totals in block order (fold; a zero
+// blockTotals adds none): the same addends in the same order anywhere.
+type blockTotals struct{ sum, cnt []float64 }
+
+// add folds one shard's window into the block totals.
+func (t blockTotals) add(w ShardPartial) {
+	for j, s := range w.Sum {
+		t.sum[w.MinBlock+j] += s
+		t.cnt[w.MinBlock+j] += w.Cnt[j]
+	}
+}
+
+// fold adds the block totals, in block order, to the result's totals and
+// computes the aggregate from them.
+func (t blockTotals) fold(res *Result, agg hyperql.AggFunc) {
+	for b := range t.sum {
+		res.Sum += t.sum[b]
+		res.Count += t.cnt[b]
+	}
 	switch agg {
 	case hyperql.AggCount:
 		res.Value = res.Count
@@ -451,30 +423,6 @@ func setValue(res *Result, agg hyperql.AggFunc) {
 			res.Value = res.Sum / res.Count
 		}
 	}
-}
-
-// addBlocks adds block sums and counts, in block order, to the totals.
-func addBlocks(res *Result, sum, cnt []float64) {
-	for b := range sum {
-		res.Sum += sum[b]
-		res.Count += cnt[b]
-	}
-}
-
-// disjointWindows reports whether the partials' block windows ascend
-// without overlapping, empty partials aside.
-func disjointWindows(parts []ShardPartial) bool {
-	next := 0
-	for _, p := range parts {
-		if len(p.Sum) == 0 {
-			continue
-		}
-		if p.MinBlock < next {
-			return false
-		}
-		next = p.MinBlock + len(p.Sum)
-	}
-	return true
 }
 
 func prePresent(e hyperql.Expr) (hasPost, hasPre bool) {
@@ -505,14 +453,19 @@ type evaluator struct {
 	evBuf     []int                    // per-tuple active event ids (scratch)
 	modelMemo map[memoKey]ml.Regressor // per-worker event-subset -> model
 
-	// Tuple classes (classes.go), set by evalShards for one evaluation:
-	// classOf[i] is the class of view row i, nil when the rows evaluate one
-	// by one. byClass is the worker-local table of tuple() by class and
-	// evaluated the worker's count of tuple() calls.
-	classOf   *relation.Codes
-	classes   int
-	byClass   []classVal
-	evaluated int
+	// Tuple classes (classes.go), set by values for one evaluation:
+	// classOf[i] is the class of view row i, nil when every row is its own
+	// class.
+	classOf *relation.Codes
+	classes int
+}
+
+// classAt is view row i's class: its row index without a class key.
+func (e *evaluator) classAt(i int) int {
+	if e.classOf == nil {
+		return i
+	}
+	return int(e.classOf.At(i))
 }
 
 // fork copies the evaluator for one worker, with scratch of its own.

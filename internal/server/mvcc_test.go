@@ -233,6 +233,38 @@ func TestUnknownDeltaVsEvaluatesNothing(t *testing.T) {
 	}
 }
 
+// TestRejectedQueryCountsNothing: a what-if or how-to answered 400 for its
+// placement or method was never evaluated, so the session's query count
+// stays where it was.
+func TestRejectedQueryCountsNothing(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	createLoansSession(t, ts.URL, "d", 600)
+	const howTo = `USE Loans HOWTOUPDATE Status LIMIT UPDATES <= 1 TOMAXIMIZE COUNT(Credit = 1)`
+	for _, tc := range []struct {
+		name, path string
+		req        QueryRequest
+	}{
+		{"what-if placement", "whatif", QueryRequest{Query: loansQuery, Placement: "bogus"}},
+		{"how-to placement", "howto", QueryRequest{Query: howTo, Placement: "bogus"}},
+		{"how-to method", "howto", QueryRequest{Query: howTo, Method: "bogus"}},
+	} {
+		var before, after SessionInfo
+		if code := do(t, "GET", ts.URL+"/v1/sessions/d", nil, &before); code != http.StatusOK {
+			t.Fatalf("session info: status %d", code)
+		}
+		var errResp httpapi.ErrorResponse
+		if code := do(t, "POST", ts.URL+"/v1/sessions/d/"+tc.path, tc.req, &errResp); code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", tc.name, code)
+		}
+		if code := do(t, "GET", ts.URL+"/v1/sessions/d", nil, &after); code != http.StatusOK {
+			t.Fatalf("session info: status %d", code)
+		}
+		if after.Queries != before.Queries {
+			t.Errorf("%s: queries went from %d to %d on a request answered 400", tc.name, before.Queries, after.Queries)
+		}
+	}
+}
+
 // TestMVCCJobsPinVersion: a job submitted before an append runs against the
 // version that was head at submit time, not whatever head is when the
 // runner gets to it.

@@ -276,12 +276,12 @@ func (e *sessionEntry) resolvePlacement(placement, kind string) (string, error) 
 // req.Placement selects where the evaluation runs (results are identical
 // everywhere); progress may be nil.
 func (e *sessionEntry) whatIf(ctx context.Context, sn *snapshotEntry, req QueryRequest, progress hyper.Progress) (*WhatIfResponse, error) {
-	e.queries.Add(1)
 	query, shards := req.Query, req.Shards
 	pl, err := e.resolvePlacement(req.Placement, "whatif")
 	if err != nil {
 		return nil, err
 	}
+	e.queries.Add(1)
 	var res *hyper.WhatIfResult
 	sess := e.sessionFor(sn, shards)
 	if pl == "workers" {
@@ -318,7 +318,6 @@ func howToMethod(sess *hyper.Session, method string, target float64) (func(conte
 }
 
 func (e *sessionEntry) howTo(ctx context.Context, sn *snapshotEntry, req QueryRequest, progress hyper.Progress) (*HowToResponse, error) {
-	e.queries.Add(1)
 	if _, err := e.resolvePlacement(req.Placement, "howto"); err != nil {
 		return nil, err
 	}
@@ -326,6 +325,7 @@ func (e *sessionEntry) howTo(ctx context.Context, sn *snapshotEntry, req QueryRe
 	if err != nil {
 		return nil, err
 	}
+	e.queries.Add(1)
 	res, err := solve(ctx, req.Query, progress)
 	if err != nil {
 		return nil, queryError(ctx, err)
