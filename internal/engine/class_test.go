@@ -265,7 +265,10 @@ func runClassEval(db *relation.Database, model *causal.Model, q *hyperql.WhatIf,
 	return out
 }
 
-func diffClassRuns(got, want classRun) error {
+// diffClassRuns compares two runs: the same error, or the same meta and
+// every window bit for bit, and a folded answer whose value, sum and count
+// agree under same.
+func diffClassRuns(got, want classRun, same func(a, b float64) bool) error {
 	if fmt.Sprint(got.err) != fmt.Sprint(want.err) {
 		return fmt.Errorf("error %q, per-row %q", fmt.Sprint(got.err), fmt.Sprint(want.err))
 	}
@@ -291,12 +294,8 @@ func diffClassRuns(got, want classRun) error {
 	if (got.res == nil) != (want.res == nil) {
 		return fmt.Errorf("folded result present = %v, per-row %v", got.res != nil, want.res != nil)
 	}
-	// A folded answer is held to its bits, NaN payloads aside (sameFloat):
-	// the reference folds windows where rows that are their own blocks add
-	// straight into the totals, and which payload an add keeps where two NaNs
-	// meet is the compiler's choice. The windows above keep every bit.
 	if g, w := got.res, want.res; g != nil {
-		if !sameFloat(g.Value, w.Value) || !sameFloat(g.Sum, w.Sum) || !sameFloat(g.Count, w.Count) || g.TrainedModels != w.TrainedModels {
+		if !same(g.Value, w.Value) || !same(g.Sum, w.Sum) || !same(g.Count, w.Count) || g.TrainedModels != w.TrainedModels {
 			return fmt.Errorf("value/sum/count/trained %v/%v/%v/%d, per-row %v/%v/%v/%d",
 				g.Value, g.Sum, g.Count, g.TrainedModels, w.Value, w.Sum, w.Count, w.TrainedModels)
 		}
@@ -334,7 +333,8 @@ func checkClassParity(t testing.TB, db *relation.Database, model *causal.Model, 
 			if want.classOf != nil {
 				t.Fatalf("%q: clearing the class key left a partition in place", src)
 			}
-			if err := diffClassRuns(got, want); err != nil {
+			// Both sides fold through the same code: every bit agrees.
+			if err := diffClassRuns(got, want, bitsEqual); err != nil {
 				t.Fatalf("%q shards=%d subset=%v (classes=%d): %v", src, shards, ids, got.classes, err)
 			}
 			if shards == 1 && ids == nil {

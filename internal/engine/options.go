@@ -66,7 +66,7 @@ const (
 )
 
 // ProgressFunc receives coarse progress updates during evaluation: stage is
-// a short label ("tuples" for the rows the engine has folded, "shards" for the
+// a short label ("tuples" for the rows the engine has valued, "shards" for the
 // plan shards the engine or the dist coordinator has finished, "candidates"
 // for how-to scoring, "combos" for the brute-force search, "queries" for a
 // server batch), done/total count units of that stage (total <= 0 means

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 
 	"hyper/internal/causal"
@@ -71,30 +72,15 @@ func (m PartialMeta) Consistent(o PartialMeta) bool {
 		slices.Equal(m.Backdoor, o.Backdoor)
 }
 
-func aggName(a hyperql.AggFunc) string {
-	switch a {
-	case hyperql.AggCount:
-		return "count"
-	case hyperql.AggSum:
-		return "sum"
-	case hyperql.AggAvg:
-		return "avg"
-	default:
-		return fmt.Sprintf("agg(%s)", string(a))
-	}
-}
+// aggName is an aggregate's wire name ("count", "sum" or "avg") and
+// aggFromName its inverse.
+func aggName(a hyperql.AggFunc) string { return strings.ToLower(string(a)) }
 
 func aggFromName(s string) (hyperql.AggFunc, error) {
-	switch s {
-	case "count":
-		return hyperql.AggCount, nil
-	case "sum":
-		return hyperql.AggSum, nil
-	case "avg":
-		return hyperql.AggAvg, nil
-	default:
-		return "", fmt.Errorf("engine: unknown aggregate %q (want count|sum|avg)", s)
+	if a := hyperql.AggFunc(strings.ToUpper(s)); a.Valid() && s == aggName(a) {
+		return a, nil
 	}
+	return "", fmt.Errorf("engine: unknown aggregate %q (want count|sum|avg)", s)
 }
 
 func (p *evalPrep) meta() PartialMeta {
@@ -168,9 +154,9 @@ func EvaluatePartialContext(ctx context.Context, db *relation.Database, model *c
 
 // MergePartials reduces a complete set of shard partials (every shard of the
 // plan exactly once, in any arrival order) into the final Result, folding
-// them strictly in plan order through the per-shard step of a local
-// evaluation (blockTotals.add), so every bit of the result matches a
-// single-process evaluation.
+// them strictly in plan order as a local evaluation folds its windows
+// (foldWindows), so every bit of the result matches a single-process
+// evaluation.
 func MergePartials(meta PartialMeta, parts []ShardPartial) (*Result, error) {
 	agg, err := aggFromName(meta.Agg)
 	if err != nil {
@@ -217,10 +203,7 @@ func MergePartials(meta PartialMeta, parts []ShardPartial) (*Result, error) {
 		ShardPlan:     meta.Plan,
 		ShardedFit:    meta.ShardedFit,
 	}
-	totals := blockTotals{make([]float64, meta.Blocks), make([]float64, meta.Blocks)}
-	for _, p := range ordered {
-		totals.add(p)
-	}
-	totals.fold(res, agg)
+	foldWindows(res, ordered, meta.Blocks)
+	res.setValue(agg)
 	return res, nil
 }

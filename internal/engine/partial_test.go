@@ -12,11 +12,14 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hyper/internal/causal"
 	"hyper/internal/dataset"
 	"hyper/internal/hyperql"
+	"hyper/internal/obs"
 	"hyper/internal/relation"
 )
 
@@ -219,7 +222,9 @@ func (l *progressLog) shards(want int) error {
 // TestEvaluateProgress pins the Progress reports jobs read (shards_done /
 // shards_total, tuples): EvaluateContext reports every shard of the plan and
 // ends with ("tuples", n, n); EvaluatePartialContext reports exactly the
-// shards it was given.
+// shards it was given; and where the producer values more than a stride of
+// rows (a view without a class key, at Shards 1), "tuples" advances while it
+// runs, before the fold starts, instead of jumping to n at the end.
 func TestEvaluateProgress(t *testing.T) {
 	ctx := context.Background()
 	db, model := partialDataset(t, "german")
@@ -248,5 +253,38 @@ func TestEvaluateProgress(t *testing.T) {
 		if err := part.shards(len(subset)); err != nil {
 			t.Errorf("shards=%d EvaluatePartialContext(%v): %v", shards, subset, err)
 		}
+	}
+
+	// One 600-row shard of a view without a class key: every row is valued,
+	// and a mid-way report must come while they are, before the fold starts.
+	db, model = classWorld("highcard")
+	q = mustWhatIf(t, `USE T WHEN G >= 1 UPDATE(X) = 2 OUTPUT AVG(POST(Y))`)
+	var live progressLog
+	var midAt atomic.Int64 // unix µs of the first report with 0 < done < total
+	o := Options{Seed: 7, ShardRows: 1024, Shards: 1, Progress: func(stage string, done, total int) {
+		if stage == "tuples" && done > 0 && done < total {
+			midAt.CompareAndSwap(0, time.Now().UnixMicro())
+		}
+		live.report(stage, done, total)
+	}}
+	if p, err := Prepare(ctx, db, model, q, o); err != nil || p.keyed {
+		t.Fatalf("highcard: keyed=%v, err %v: want every row its own class", p != nil && p.keyed, err)
+	}
+	tr := obs.NewTrace("whatif")
+	res, err := EvaluateContext(tr.Context(ctx), db, model, q, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	foldAt := int64(-1)
+	for _, c := range tr.Root().JSON().Children {
+		if c.Name == "fold" {
+			foldAt = c.StartUnixUs
+		}
+	}
+	n := res.ViewRows
+	if n <= stride || midAt.Load() == 0 || midAt.Load() >= foldAt || live.reports[len(live.reports)-1] != [3]any{"tuples", n, n} {
+		t.Errorf("%d rows valued row by row: first report with 0 < done < %d at %d µs, fold started at %d µs; reports %v, want one before the fold and (tuples, %d, %d) last",
+			n, n, midAt.Load(), foldAt, live.reports, n, n)
 	}
 }

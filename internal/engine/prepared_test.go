@@ -321,10 +321,12 @@ func sameFloat(a, b float64) bool { return bitsEqual(a, b) || a != a && b != b }
 // TestFoldPartialsDisjointMatchesPerBlock fuzzes block windows — disjoint
 // ones, gaps, empty shards, overlaps — over addends that include ±0, NaN
 // payloads and ±Inf, delivers them to MergePartials in a shuffled arrival
-// order, and holds its fold (the one per-shard step, blockTotals.add, that a
-// local evaluation also takes) to the per-block reference in plan order on
-// the bits of Sum, Count and Value under every aggregate (-0 included; NaN
-// payloads aside).
+// order, and holds its fold (foldWindows, which a local evaluation's windows
+// also take) to the per-block reference in plan order on the bits of Sum,
+// Count and Value under every aggregate (-0 included; NaN payloads aside).
+// The draws cover windows that all add straight through, windows that wait
+// from the first, and a first window that adds straight through before a
+// later one waits.
 func TestFoldPartialsDisjointMatchesPerBlock(t *testing.T) {
 	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
 		math.Float64frombits(0x7ff8000000000123), math.Float64frombits(0xfff8000000000001),
@@ -336,7 +338,7 @@ func TestFoldPartialsDisjointMatchesPerBlock(t *testing.T) {
 		}
 		return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
 	}
-	disjoint := 0
+	disjoint, mixed := 0, 0
 	for iter := 0; iter < 20000; iter++ {
 		nBlocks := 1 + rng.Intn(12)
 		var parts []ShardPartial
@@ -366,6 +368,8 @@ func TestFoldPartialsDisjointMatchesPerBlock(t *testing.T) {
 		}
 		if disjointWindows(parts) {
 			disjoint++
+		} else if firstStraight(parts) {
+			mixed++
 		}
 		arrived := slices.Clone(parts)
 		rng.Shuffle(len(arrived), func(i, j int) { arrived[i], arrived[j] = arrived[j], arrived[i] })
@@ -383,9 +387,25 @@ func TestFoldPartialsDisjointMatchesPerBlock(t *testing.T) {
 			}
 		}
 	}
-	if disjoint < 10000 || disjoint == 20000 {
-		t.Fatalf("%d of 20000 draws disjoint: the fuzz missed a shape", disjoint)
+	if disjoint < 10000 || disjoint == 20000 || mixed < 100 {
+		t.Fatalf("%d of 20000 draws disjoint, %d straight then waiting: the fuzz missed a shape", disjoint, mixed)
 	}
+}
+
+// firstStraight reports whether the first non-empty window ends at or before
+// the first block of every later non-empty window.
+func firstStraight(parts []ShardPartial) bool {
+	end := -1
+	for _, p := range parts {
+		switch {
+		case len(p.Sum) == 0:
+		case end < 0:
+			end = p.MinBlock + len(p.Sum)
+		case p.MinBlock < end:
+			return false
+		}
+	}
+	return true
 }
 
 // disjointWindows reports whether the partials' block windows ascend

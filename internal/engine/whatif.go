@@ -120,26 +120,22 @@ func resolveView(db *relation.Database, q *hyperql.WhatIf, o Options) (v *view, 
 	return v, viewKey, updateAttrs, from, hit, nil
 }
 
-// evalPrep is a fully prepared what-if evaluation: a Prepared bound to one
-// update, everything up to (but not including) the tuple values.
-// Preparation is deterministic in the query, data, and semantic options, so
-// two processes preparing the same evaluation agree on the shard plan, the
-// block decomposition, and every trained estimator — the property the
-// distributed execution path relies on.
+// evalPrep is a Prepared bound to one update: everything up to the tuple
+// values. Preparation is deterministic in the query, data and semantic
+// options, so two processes agree on the shard plan, the blocks and every
+// trained estimator, which the distributed path relies on.
 type evalPrep struct {
 	*Prepared
 	o     Options // the Prepared's, with this call's Shards and Progress (bind)
 	res   *Result
 	ev    *evaluator
 	start time.Time
-	// rows counts the rows of the shards valued (values), passed those the
-	// fold has passed, on the stride (tick).
-	rows, passed int
+	rows  int   // the rows of the shards valued (values)
+	off   []int // without a class key on a shard subset: see values
 }
 
-// prepareEvaluation prepares q and binds its own updates: one Prepare and one
-// bind, which is all EvaluateContext and EvaluatePartialContext do before the
-// tuple values.
+// prepareEvaluation prepares q and binds its own updates, as EvaluateContext
+// does before the tuple values.
 func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal.Model, q *hyperql.WhatIf, opts Options) (*evalPrep, error) {
 	start := time.Now()
 	p, err := prepare(ctx, db, model, q, opts)
@@ -150,17 +146,12 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 }
 
 // evaluate is the one evaluation after bind, for a local what-if and a how-to
-// candidate; a dist worker's (partials) differs only in returning its
-// windows. values computes each tuple class's contribution once, then the
-// fold stage walks the shards in plan order adding every row's class value.
-// Its regime is the data's, found once per Prepared: when every view row is
-// a block of its own, in ascending block order, each row adds its class value
-// straight into the totals in row order; otherwise each shard's rows add into
-// the shard's block window, which then folds through the per-shard step that
-// MergePartials also takes (blockTotals.add). The two agree to the bit where
-// both apply: a one-row block's total is 0 + v, which differs from v only
-// for -0, and the totals start at +0 and never become -0, so adding either
-// leaves them the same.
+// candidate (a dist worker's, partials, returns its windows instead): values,
+// then the fold stage over the shards in plan order. The regime is found once
+// per Prepared: where every view row is a block of its own, in ascending
+// block order, each row adds its class value straight into the totals, with
+// the bits of the other regime (see foldWindows); otherwise each shard's rows
+// add into its block window and the windows fold as MergePartials folds them.
 func (p *evalPrep) evaluate(ctx context.Context) (*Result, error) {
 	if p.o.DryRun {
 		return p.res, nil
@@ -177,18 +168,15 @@ func (p *evalPrep) evaluate(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	_, fold := obs.StartStage(ctx, "fold")
-	res, own := p.res, p.rowsOwnBlocks()
-	var totals blockTotals
-	if !own {
-		totals = blockTotals{make([]float64, p.nBlocks), make([]float64, p.nBlocks)}
+	var parts []ShardPartial
+	if !p.rowsOwnBlocks() {
+		parts = make([]ShardPartial, k)
 	}
 	for s := range k {
-		if own {
+		if parts == nil {
 			err = p.addRows(ctx, s, vals)
 		} else {
-			var w ShardPartial
-			w, err = p.window(ctx, s, vals)
-			totals.add(w)
+			parts[s], err = p.window(ctx, s, vals)
 		}
 		if err != nil {
 			fold.End()
@@ -196,13 +184,14 @@ func (p *evalPrep) evaluate(ctx context.Context) (*Result, error) {
 		}
 		p.report("shards", s+1, k)
 	}
-	totals.fold(res, p.agg)
+	foldWindows(p.res, parts, p.nBlocks)
+	p.res.setValue(p.agg)
 	fold.Set("blocks", p.nBlocks)
-	res.EvalTime += fold.End()
-	res.TrainedModels = p.ev.est.trainedModels()
-	res.Total = time.Since(p.start)
+	p.res.EvalTime += fold.End()
+	p.res.TrainedModels = p.ev.est.trainedModels()
+	p.res.Total = time.Since(p.start)
 	p.report("tuples", p.v.Rel.Len(), p.v.Rel.Len())
-	return res, nil
+	return p.res, nil
 }
 
 // partials values the listed shards of the canonical plan and returns their
@@ -242,13 +231,6 @@ func (p *evalPrep) partials(ctx context.Context, ids []int) ([]ShardPartial, err
 // the progress report touches the per-row fast path.
 const stride = 512
 
-// tick is the row loops' stride: it reports the rows passed and checks ctx.
-func (p *evalPrep) tick(ctx context.Context) error {
-	p.passed += stride
-	p.report("tuples", p.passed, p.rows)
-	return ctx.Err()
-}
-
 func (p *evalPrep) report(stage string, done, total int) {
 	if p.o.Progress != nil {
 		p.o.Progress(stage, done, total)
@@ -258,12 +240,12 @@ func (p *evalPrep) report(stage string, done, total int) {
 // values is the producer: tuple() once for each class a row of the listed
 // shards belongs to, on the class's first row (without a class key every row
 // is its own class), in parallel over class ranges, indexed by class. It
-// labels the eval_shards stage, charges the meter with the
-// fan-out-independent totals (the plan, the shards run and their rows) and
-// binds the class partition, which covers the whole view since lazy fits
-// label every training row, to the evaluator. A tuple() error is the failing
-// class's that comes first in class order: with every shard listed, the row
-// EvaluateContext fails at with Shards=1.
+// labels eval_shards, charges the meter the fan-out-independent totals, and
+// binds the class partition (the whole view's: lazy fits label every
+// training row) to the evaluator. Its stride is the classes of 512 rows: it
+// checks ctx and reports "tuples" as the share of classes valued times the
+// rows. A tuple() error is the first failing class's: with every shard
+// listed, the row EvaluateContext fails at with Shards=1.
 func (p *evalPrep) values(ctx context.Context, stage obs.Stage, ids []int) ([]classVal, error) {
 	// Lazy fits run in tuple() under the evaluator's stored context: this
 	// one nests their fit spans under eval_shards (same Done chain).
@@ -286,19 +268,29 @@ func (p *evalPrep) values(ctx context.Context, stage obs.Stage, ids []int) ([]cl
 	}
 	p.ev.classOf, p.ev.classes = classOf, len(first)
 	stage.Set("classes", p.ev.classes)
+	// A shard subset values only the classes its rows belong to, ascending;
+	// without a class key, its rows, packed in plan order (p.off).
 	classes := p.v.Rel.Len()
 	if first != nil {
 		classes = len(first)
 	}
-	// A shard subset values only the classes its rows belong to, ascending.
-	var todo []int32
-	units := classes
-	if len(ids) < k {
+	units, todo := classes, []int32(nil)
+	if len(ids) < k && first == nil {
+		p.off = make([]int, k)
+		for _, s := range slices.Sorted(slices.Values(ids)) {
+			lo, hi := p.plan.Bounds(s)
+			for i := lo; i < hi; i++ {
+				todo = append(todo, int32(i))
+			}
+			p.off[s] = hi - len(todo)
+		}
+		classes, units = len(todo), len(todo)
+	} else if len(ids) < k {
 		need := make([]bool, classes)
 		for _, s := range ids {
 			lo, hi := p.plan.Bounds(s)
 			for i := lo; i < hi; i++ {
-				need[p.ev.classAt(i)] = true
+				need[classOf.At(i)] = true
 			}
 		}
 		for c, ok := range need {
@@ -310,7 +302,8 @@ func (p *evalPrep) values(ctx context.Context, stage obs.Stage, ids []int) ([]cl
 	}
 	vals := make([]classVal, classes)
 	locals := make([]*evaluator, workers)
-	var evaluated atomic.Int64
+	var valued atomic.Int64                      // classes valued, by the stride
+	every := max(1, stride*units/max(p.rows, 1)) // the stride: the classes of 512 rows
 	err := shard.Run(ctx, shard.Fixed(units, workers), workers, func(w, _, lo, hi int) error {
 		local := locals[w]
 		if local == nil {
@@ -318,18 +311,18 @@ func (p *evalPrep) values(ctx context.Context, stage obs.Stage, ids []int) ([]cl
 			locals[w] = local
 		}
 		for u := lo; u < hi; u++ {
-			if (u-lo)%stride == 0 && u > lo {
+			if u%every == 0 && u > 0 { // at any fan-out, the same reports
 				if err := ctx.Err(); err != nil {
 					return err
 				}
+				p.report("tuples", int(valued.Add(int64(every))*int64(p.rows)/int64(units)), p.rows)
 			}
-			c := u
+			c, row := u, u
 			if todo != nil {
-				c = int(todo[u])
+				row = int(todo[u])
 			}
-			row := c
 			if first != nil {
-				row = int(first[c])
+				c, row = row, int(first[row])
 			}
 			s, cnt, err := local.tuple(row)
 			if err != nil {
@@ -337,13 +330,12 @@ func (p *evalPrep) values(ctx context.Context, stage obs.Stage, ids []int) ([]cl
 			}
 			vals[c] = classVal{sum: s, cnt: cnt}
 		}
-		evaluated.Add(int64(hi - lo))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	stage.Set("evaluated", int(evaluated.Load()))
+	stage.Set("evaluated", units)
 	return vals, nil
 }
 
@@ -354,7 +346,7 @@ func (p *evalPrep) addRows(ctx context.Context, s int, vals []classVal) error {
 	ev, sum, cnt := p.ev, p.res.Sum, p.res.Count
 	for i := lo; i < hi; i++ {
 		if (i-lo)%stride == 0 && i > lo {
-			if err := p.tick(ctx); err != nil {
+			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
@@ -372,19 +364,22 @@ func (p *evalPrep) addRows(ctx context.Context, s int, vals []classVal) error {
 // near-contiguous id range), each row adding its class value in row order.
 func (p *evalPrep) window(ctx context.Context, s int, vals []classVal) (ShardPartial, error) {
 	lo, hi := p.plan.Bounds(s)
-	minB, maxB := p.nBlocks, -1
+	minB, maxB, off := p.nBlocks, -1, 0
 	for i := lo; i < hi; i++ {
 		b := p.blockAt(i)
 		minB, maxB = min(minB, b), max(maxB, b)
 	}
+	if p.off != nil {
+		off = p.off[s]
+	}
 	w := ShardPartial{Shard: s, MinBlock: minB, Sum: make([]float64, maxB-minB+1), Cnt: make([]float64, maxB-minB+1)}
 	for i := lo; i < hi; i++ {
 		if (i-lo)%stride == 0 && i > lo {
-			if err := p.tick(ctx); err != nil {
+			if err := ctx.Err(); err != nil {
 				return w, err
 			}
 		}
-		v := vals[p.ev.classAt(i)]
+		v := vals[p.ev.classAt(i)-off]
 		b := p.blockAt(i) - minB
 		w.Sum[b] += v.sum
 		w.Cnt[b] += v.cnt
@@ -392,35 +387,57 @@ func (p *evalPrep) window(ctx context.Context, s int, vals []classVal) (ShardPar
 	return w, nil
 }
 
-// blockTotals is the per-block (sum, count) that block windows add into in
-// plan order (add: the one per-shard step of a local evaluation and of
-// MergePartials), then added into the totals in block order (fold; a zero
-// blockTotals adds none): the same addends in the same order anywhere.
-type blockTotals struct{ sum, cnt []float64 }
-
-// add folds one shard's window into the block totals.
-func (t blockTotals) add(w ShardPartial) {
-	for j, s := range w.Sum {
-		t.sum[w.MinBlock+j] += s
-		t.cnt[w.MinBlock+j] += w.Cnt[j]
+// foldWindows adds block windows, in plan order, into res's totals, as a
+// local evaluation and MergePartials both do: each block's total adds its
+// windows' entries in plan order, and the block totals add into res in block
+// order. A block goes into res once no later window reaches it, so windows
+// that ascend without overlapping add straight through and the per-block
+// totals are allocated only when a block must wait. Adding a lone entry e for
+// its block's total 0 + e, as evaluate's own-block regime adds rows, keeps
+// the bits: they differ only for -0, and res's totals start at +0 and never
+// become -0, so adding either leaves them the same.
+func foldWindows(res *Result, parts []ShardPartial, nBlocks int) {
+	next := make([]int, len(parts)) // the first block a later window reaches
+	reach, done := nBlocks, 0       // held blocks below done are in res
+	for s := len(parts) - 1; s >= 0; s-- {
+		next[s] = reach
+		if len(parts[s].Sum) > 0 {
+			reach = min(reach, parts[s].MinBlock)
+		}
+	}
+	var sum, cnt []float64 // the held block totals
+	for s, w := range parts {
+		if sum == nil && (len(w.Sum) == 0 || w.MinBlock+len(w.Sum) <= next[s]) {
+			for j, v := range w.Sum {
+				res.Sum += v
+				res.Count += w.Cnt[j]
+			}
+			continue
+		}
+		if sum == nil {
+			sum, cnt = make([]float64, nBlocks), make([]float64, nBlocks)
+		}
+		for j, v := range w.Sum {
+			sum[w.MinBlock+j] += v
+			cnt[w.MinBlock+j] += w.Cnt[j]
+		}
+		for ; done < next[s]; done++ {
+			res.Sum += sum[done]
+			res.Count += cnt[done]
+		}
 	}
 }
 
-// fold adds the block totals, in block order, to the result's totals and
-// computes the aggregate from them.
-func (t blockTotals) fold(res *Result, agg hyperql.AggFunc) {
-	for b := range t.sum {
-		res.Sum += t.sum[b]
-		res.Count += t.cnt[b]
-	}
+// setValue computes the aggregate from the totals.
+func (r *Result) setValue(agg hyperql.AggFunc) {
 	switch agg {
 	case hyperql.AggCount:
-		res.Value = res.Count
+		r.Value = r.Count
 	case hyperql.AggSum:
-		res.Value = res.Sum
+		r.Value = r.Sum
 	case hyperql.AggAvg:
-		if res.Count > 0 {
-			res.Value = res.Sum / res.Count
+		if r.Count > 0 {
+			r.Value = r.Sum / r.Count
 		}
 	}
 }
