@@ -792,7 +792,6 @@ func shapeError(resp *EvalResponse, chunk []int) error {
 func (c *Coordinator) scatter(ctx context.Context, op *evalOp) error {
 	// A frame that cannot be encoded has no id; postWorker reports it.
 	frameID, _ := op.spec.Frame.ID()
-	wire := WireOptionsFrom(op.spec.Options)
 	pending := make([]int, op.plan.Shards())
 	for i := range pending {
 		pending[i] = i
@@ -832,7 +831,7 @@ func (c *Coordinator) scatter(ctx context.Context, op *evalOp) error {
 				wsp.Set("worker", w.id)
 				wsp.Set("shards", len(chunk))
 				resp, err := c.postWorker(wctx, op.run, w, op.spec.Frame,
-					EvalRequest{Frame: frameID, Query: op.spec.Query, Options: wire, Shards: chunk}, op.replyLimit(chunk))
+					EvalRequest{Frame: frameID, Query: op.spec.Query, Options: op.spec.Options, Shards: chunk}, op.replyLimit(chunk))
 				wsp.Set("error", err != nil)
 				if err == nil {
 					wsp.Graft(resp.Spans)

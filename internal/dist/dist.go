@@ -80,56 +80,17 @@ const (
 // reacts by shipping the frame and retrying (frame shipping on first touch).
 const codeFrameMissing = "frame_missing"
 
-// WireOptions is the JSON form of the engine options a worker's evaluation
-// reads: every engine.Options field but DryRun (a distributed evaluation
-// never stops at planning) and the process-local Cache, Plans and Progress.
-type WireOptions struct {
-	Mode          int   `json:"mode,omitempty"`
-	SampleSize    int   `json:"sample_size,omitempty"`
-	Seed          int64 `json:"seed,omitempty"`
-	Estimator     int   `json:"estimator,omitempty"`
-	Shards        int   `json:"shards,omitempty"`
-	ShardRows     int   `json:"shard_rows,omitempty"`
-	DisableBlocks bool  `json:"disable_blocks,omitempty"`
-}
-
-// WireOptionsFrom strips an engine option set to its wire form.
-func WireOptionsFrom(o engine.Options) WireOptions {
-	return WireOptions{
-		Mode:          int(o.Mode),
-		SampleSize:    o.SampleSize,
-		Seed:          o.Seed,
-		Estimator:     int(o.Estimator),
-		Shards:        o.Shards,
-		ShardRows:     o.ShardRows,
-		DisableBlocks: o.DisableBlocks,
-	}
-}
-
-// EngineOptions rebuilds the engine options on the worker side. The worker
-// attaches its own per-frame cache; it keeps no plan cache, which changes
-// nothing it computes — the engine compiles the WHEN program once per query
-// shape per frame, inside the Prepared that frame's cache holds, and pushes
-// it down exactly as the coordinator does.
-func (w WireOptions) EngineOptions() engine.Options {
-	return engine.Options{
-		Mode:          engine.Mode(w.Mode),
-		SampleSize:    w.SampleSize,
-		Seed:          w.Seed,
-		Estimator:     engine.EstimatorKind(w.Estimator),
-		Shards:        w.Shards,
-		ShardRows:     w.ShardRows,
-		DisableBlocks: w.DisableBlocks,
-	}
-}
-
 // EvalRequest asks a worker to evaluate the listed plan shards of a what-if
 // query against a previously shipped frame.
 type EvalRequest struct {
-	Frame   string      `json:"frame"`
-	Query   string      `json:"query"`
-	Options WireOptions `json:"options"`
-	Shards  []int       `json:"shards"`
+	Frame string `json:"frame"`
+	Query string `json:"query"`
+	// Options travel in their JSON form; the worker attaches its own
+	// per-frame cache and keeps no plan cache, which changes nothing it
+	// computes (the engine compiles the WHEN program once per query shape per
+	// frame, inside the Prepared that frame's cache holds).
+	Options engine.Options `json:"options"`
+	Shards  []int          `json:"shards"`
 }
 
 // EvalResponse is the worker's answer to an eval: the engine's partial

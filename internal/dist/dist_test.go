@@ -174,7 +174,7 @@ func TestDistributedEvalGolden(t *testing.T) {
 			} else {
 				resp.Body.Close()
 			}
-			body, err := json.Marshal(EvalRequest{Frame: id, Query: g.query, Options: WireOptionsFrom(opts), Shards: []int{0}})
+			body, err := json.Marshal(EvalRequest{Frame: id, Query: g.query, Options: opts, Shards: []int{0}})
 			if err != nil {
 				t.Fatal(err)
 			}

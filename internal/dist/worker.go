@@ -252,7 +252,7 @@ func (w *Worker) handleEval(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, httpapi.Errorf(http.StatusBadRequest, "%v", err)
 	}
-	opts := req.Options.EngineOptions()
+	opts := req.Options
 	opts.Cache = f.cache
 	ctx, finish := w.traceRequest(r, "eval")
 	meter := obs.NewMeter()

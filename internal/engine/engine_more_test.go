@@ -162,6 +162,34 @@ OUTPUT AVG(POST(Grade))`)
 	}
 }
 
+// TestDryRunNamesFallbackEstimator: a dry run reports the estimator the
+// evaluation uses, after the freq -> forest fallback. Updating MaritalStatus
+// to 0 on Adult-Syn leaves most prediction points without support, so the
+// evaluation falls back to the forest; a plan naming freq would describe an
+// estimator that never answers the query.
+func TestDryRunNamesFallbackEstimator(t *testing.T) {
+	a := dataset.AdultSyn(8000, 7)
+	q, err := hyperql.ParseWhatIf(`USE Adult UPDATE(MaritalStatus) = 0 OUTPUT COUNT(*) FOR POST(Income) = 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Evaluate(a.DB, a.Model, q, Options{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dry, err := Evaluate(a.DB, a.Model, q, Options{Seed: 7, DryRun: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.EstimatorUsed != "forest" {
+		t.Fatalf("evaluation used %q; the query no longer exercises the fallback", res.EstimatorUsed)
+	}
+	if dry.EstimatorUsed != res.EstimatorUsed || dry.SampledRows != res.SampledRows {
+		t.Errorf("dry run names %s over %d rows, the evaluation used %s over %d",
+			dry.EstimatorUsed, dry.SampledRows, res.EstimatorUsed, res.SampledRows)
+	}
+}
+
 func TestSampledDeterministicPerSeed(t *testing.T) {
 	g := dataset.GermanSyn(10000, 39)
 	opts := Options{Seed: 5, SampleSize: 2000}

@@ -75,44 +75,46 @@ const (
 // cheap, since they sit near hot loops.
 type ProgressFunc func(stage string, done, total int)
 
-// Options configures a what-if evaluation.
+// Options configures a what-if evaluation. Its JSON form is what a dist
+// worker's evaluation reads: every field but DryRun (a distributed evaluation
+// never stops at planning) and the process-local Cache, Plans and Progress.
 type Options struct {
-	Mode Mode
+	Mode Mode `json:"mode,omitempty"`
 	// SampleSize > 0 trains estimators on a random sample of at most this
 	// many view rows (the HypeR-sampled variant, Section 5.2). 0 uses all.
-	SampleSize int
+	SampleSize int `json:"sample_size,omitempty"`
 	// Seed drives sampling and forest training for reproducibility.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 	// Estimator selects the conditional estimator.
-	Estimator EstimatorKind
+	Estimator EstimatorKind `json:"estimator,omitempty"`
 	// DisableBlocks turns off block-independent decomposition (used by the
 	// ablation benchmarks; results must not change).
-	DisableBlocks bool
+	DisableBlocks bool `json:"disable_blocks,omitempty"`
 	// Shards caps the worker fan-out of the shard-parallel stages: the
 	// per-tuple evaluation loop, per-shard estimator fitting, and the
 	// how-to candidate-scoring pool (0 = GOMAXPROCS, 1 = serial). It is
 	// purely an execution knob: work is partitioned by the canonical shard
 	// plan (see ShardRows) and partial results reduce in plan order, so
 	// every value of Shards produces bit-identical results.
-	Shards int
+	Shards int `json:"shards,omitempty"`
 	// ShardRows is the target rows per shard of the canonical plan
 	// (default 4096). Unlike Shards it is part of evaluation semantics:
 	// the plan fixes the reduction tree of every floating-point merge, so
 	// changing the granularity can shift results by an ulp — which is why
 	// ShardRows participates in estimator cache identity and Shards does
 	// not.
-	ShardRows int
+	ShardRows int `json:"shard_rows,omitempty"`
 	// DryRun stops after planning (view, blocks, backdoor set, FOR
 	// normalization, estimator selection) without evaluating any tuple;
 	// Result.Value is zero and the diagnostics describe the plan. Used by
 	// Explain.
-	DryRun bool
+	DryRun bool `json:"-"`
 	// Cache, when non-nil, memoizes views, block decompositions and trained
 	// estimators across queries that share USE/WHEN/FOR clauses (the how-to
 	// engine passes one cache across all candidate what-if queries). The
 	// cache must only be shared across queries on the same database and
 	// causal model.
-	Cache *Cache
+	Cache *Cache `json:"-"`
 	// Plans, when non-nil, keeps compiled query plans — WHEN pushdown
 	// programs in cost-based conjunct order — keyed by shape fingerprint +
 	// schema signature, so structurally identical queries skip planning. It
@@ -120,11 +122,11 @@ type Options struct {
 	// either way, and nil only means every query compiles its own plan.
 	// Excluded from estimator cache identity. Like Cache it must only be
 	// shared across queries on the same database.
-	Plans *plan.Cache
+	Plans *plan.Cache `json:"-"`
 	// Progress, when non-nil, receives evaluation progress updates (stage
 	// "tuples", and "shards" as plan shards finish). It does not participate
 	// in cache identity: progress reporting never changes a result.
-	Progress ProgressFunc
+	Progress ProgressFunc `json:"-"`
 }
 
 // WithShards returns a copy of o with the execution fan-out set; results

@@ -448,11 +448,6 @@ func (p *Prepared) bind(ctx context.Context, updates []hyperql.UpdateSpec, start
 	if err != nil {
 		return nil, err
 	}
-	if o.DryRun {
-		endTrain(est)
-		res.Total = time.Since(start)
-		return &evalPrep{Prepared: p, o: o, res: &res, start: start}, nil
-	}
 	if est.kind == "freq" && o.Estimator != EstimatorFreq {
 		// The exact frequency estimator cannot extrapolate to update values
 		// with no support in the data; when most prediction points are
@@ -467,6 +462,12 @@ func (p *Prepared) bind(ctx context.Context, updates []hyperql.UpdateSpec, start
 		}
 	}
 	endTrain(est)
+	if o.DryRun {
+		// After the fallback, so a plan names the estimator the evaluation
+		// would use.
+		res.Total = time.Since(start)
+		return &evalPrep{Prepared: p, o: o, res: &res, start: start}, nil
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

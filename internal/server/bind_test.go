@@ -1,0 +1,124 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+	"time"
+
+	"hyper/internal/fault"
+	"hyper/internal/httpapi"
+)
+
+// TestBindEveryWayIn: a query hyperd cannot run is refused alike however it
+// arrives. Each malformed request goes in through its scoped route, as a
+// synchronous batch element, as a single job and as a batch-job element, and
+// each answers with the same status and message: the batch element in its
+// own error field beside an answered sibling, the batch job prefixed with
+// the element's index.
+func TestBindEveryWayIn(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	createLoansSession(t, ts.URL, "d", 600)
+	const howTo = `USE Loans HOWTOUPDATE Status LIMIT UPDATES <= 1 TOMAXIMIZE COUNT(Credit = 1)`
+	for _, tc := range []struct {
+		name, kind string
+		req        QueryRequest
+		status     int
+	}{
+		{"bad placement", "whatif", QueryRequest{Query: loansQuery, Placement: "bogus"}, http.StatusBadRequest},
+		{"unknown method", "howto", QueryRequest{Query: howTo, Method: "bogus"}, http.StatusBadRequest},
+		{"delta_vs on a how-to", "howto", QueryRequest{Query: howTo, DeltaVs: 1}, http.StatusBadRequest},
+		{"unknown snapshot", "whatif", QueryRequest{Query: loansQuery, Snapshot: 9}, http.StatusNotFound},
+		{"unknown delta_vs", "whatif", QueryRequest{Query: loansQuery, DeltaVs: 9}, http.StatusNotFound},
+		{"unparsable text", "whatif", QueryRequest{Query: `not hyperql`}, http.StatusBadRequest},
+		{"how-to text as a what-if", "whatif", QueryRequest{Query: howTo}, http.StatusBadRequest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := tc.req
+			var scoped httpapi.ErrorResponse
+			if code := do(t, "POST", ts.URL+"/v1/sessions/d/"+tc.kind, q, &scoped); code != tc.status || scoped.Error == "" {
+				t.Fatalf("scoped route: status %d %+v, want %d", code, scoped, tc.status)
+			}
+			want := scoped.Error
+
+			element := BatchQuery{
+				Kind: tc.kind, Query: q.Query, Method: q.Method, Target: q.Target,
+				Snapshot: q.Snapshot, DeltaVs: q.DeltaVs, Shards: q.Shards, Placement: q.Placement,
+			}
+			good := BatchQuery{Query: loansQuery}
+			var batch BatchResponse
+			if code := do(t, "POST", ts.URL+"/v1/sessions/d/batch", BatchRequest{Queries: []BatchQuery{element, good}}, &batch); code != http.StatusOK {
+				t.Fatalf("batch: status %d", code)
+			}
+			if batch.Results[0].Error != want || batch.Errors != 1 || batch.Results[1].WhatIf == nil {
+				t.Errorf("batch element error %q (%d errors, sibling %+v), want %q alone", batch.Results[0].Error, batch.Errors, batch.Results[1], want)
+			}
+
+			var job httpapi.ErrorResponse
+			if code := do(t, "POST", ts.URL+"/v1/jobs", JobRequest{
+				Session: "d", Kind: tc.kind, Query: q.Query, Method: q.Method, Target: q.Target,
+				Snapshot: q.Snapshot, DeltaVs: q.DeltaVs, Shards: q.Shards, Placement: q.Placement,
+			}, &job); code != tc.status || job.Error != want {
+				t.Errorf("job: status %d error %q, want %d %q", code, job.Error, tc.status, want)
+			}
+
+			var batchJob httpapi.ErrorResponse
+			if code := do(t, "POST", ts.URL+"/v1/jobs", JobRequest{
+				Session: "d", Kind: "batch", Queries: []BatchQuery{good, element},
+			}, &batchJob); code != tc.status || batchJob.Error != "queries[1]: "+want {
+				t.Errorf("batch job: status %d error %q, want %d %q", code, batchJob.Error, tc.status, "queries[1]: "+want)
+			}
+		})
+	}
+}
+
+// TestBatchPinsOneSnapshot: a synchronous batch binds every element when it
+// arrives, so its head elements read one version even when an append lands
+// while the batch runs. One worker runs the elements in turn; the first is
+// held 300 ms in eval_shards, and the append lands while it is held.
+func TestBatchPinsOneSnapshot(t *testing.T) {
+	in, err := fault.New(1, fault.Rule{Point: fault.PointStage, Mode: fault.ModeDelay, Stage: "eval_shards", Delay: 300 * time.Millisecond, Count: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(Config{Fault: in}).Handler())
+	t.Cleanup(ts.Close)
+	createLoansSession(t, ts.URL, "d", 600)
+
+	rows, err := json.Marshal(AppendRequest{Tables: []AppendTable{{Name: "Loans", Data: loansCSV(600, 700)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make(chan struct{})
+	in.SetOnFire(func(fault.Point, fault.Mode) { close(held) }) // Count 1: fires once
+	appended := make(chan error, 1)
+	go func() {
+		<-held
+		resp, err := http.Post(ts.URL+"/v1/sessions/d/rows", "application/json", bytes.NewReader(rows))
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("status %d", resp.StatusCode)
+			}
+		}
+		appended <- err
+	}()
+	var batch BatchResponse
+	if code := do(t, "POST", ts.URL+"/v1/sessions/d/batch", BatchRequest{
+		Workers: 1, Queries: []BatchQuery{{Query: loansQuery}, {Query: loansQuery}},
+	}, &batch); code != http.StatusOK {
+		t.Fatalf("batch: status %d", code)
+	}
+	if err := <-appended; err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	if batch.Errors != 0 {
+		t.Fatalf("batch: %+v", batch.Results)
+	}
+	if a, b := batch.Results[0].WhatIf.Snapshot, batch.Results[1].WhatIf.Snapshot; a != 1 || b != 1 {
+		t.Errorf("head elements read snapshots %d and %d, want both 1 (head at arrival)", a, b)
+	}
+}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"net/http"
@@ -10,7 +11,6 @@ import (
 	"time"
 
 	"hyper/internal/httpapi"
-	"hyper/internal/hyperql"
 	"hyper/internal/jobs"
 )
 
@@ -30,7 +30,9 @@ type JobRequest struct {
 	// DeltaVs reports the what-if delta against this version (whatif jobs
 	// only; see QueryRequest.DeltaVs).
 	DeltaVs int64 `json:"delta_vs,omitempty"`
-	// Queries and Workers configure batch jobs (see BatchRequest).
+	// Queries and Workers configure batch jobs (see BatchRequest). A batch
+	// job reads Snapshot and Shards as its elements' defaults and no other
+	// single-query field; each element carries its own.
 	Queries []BatchQuery `json:"queries,omitempty"`
 	Workers int          `json:"workers,omitempty"`
 	// Shards overrides the evaluation fan-out for the job (see
@@ -126,9 +128,6 @@ func toJobInfo(s jobs.Snapshot) JobInfo {
 	return info
 }
 
-// jobKinds are the accepted values of JobRequest.Kind.
-const jobKinds = "whatif|howto|explain|batch"
-
 func (s *Server) handleSubmitJob(r *http.Request) (any, error) {
 	var req JobRequest
 	if err := httpapi.Decode(r, &req); err != nil {
@@ -138,90 +137,52 @@ func (s *Server) handleSubmitJob(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	kind := req.Kind
-	if kind == "" {
-		kind = "whatif"
-	}
-	// The job pins its data version now: the runner below evaluates
-	// sn.version, no matter how long the job queues or how many appends land
-	// meanwhile.
-	sn, err := e.resolve(req.Snapshot)
-	if err != nil {
-		return nil, err
-	}
-	if req.DeltaVs != 0 {
-		if kind != "whatif" {
-			return nil, httpapi.Errorf(http.StatusBadRequest, "delta_vs applies to what-if jobs only")
-		}
-		// Validate the comparison version at submission, like the pin.
-		if _, err := e.resolve(req.DeltaVs); err != nil {
-			return nil, err
-		}
-	}
-
-	// Reject malformed submissions now (HTTP 400) rather than queueing a
-	// job doomed to fail: the query must parse as the submitted kind, the
-	// how-to method must be known, the placement must be one the kind can
-	// run under, a batch must have elements.
+	// A job binds at submission, like a synchronous query on arrival: it
+	// pins its data version now, so the runner evaluates that version no
+	// matter how long the job queues or how many appends land meanwhile, and
+	// a request that cannot run is rejected now rather than queued to fail.
+	kind := cmp.Or(req.Kind, "whatif")
 	var run jobs.Runner
-	switch kind {
-	case "whatif", "explain":
-		if _, err := hyperql.ParseWhatIf(req.Query); err != nil {
-			return nil, httpapi.Errorf(http.StatusBadRequest, "%v", err)
-		}
-	case "howto":
-		if _, err := hyperql.ParseHowTo(req.Query); err != nil {
-			return nil, httpapi.Errorf(http.StatusBadRequest, "%v", err)
-		}
-		if _, err := howToMethod(sn.sess, req.Method, req.Target); err != nil {
-			return nil, err
-		}
-	case "batch":
+	var version int64
+	if kind == "batch" {
 		if len(req.Queries) == 0 {
 			return nil, httpapi.Errorf(http.StatusBadRequest, "batch job has no queries")
 		}
-		workers := s.batchWorkers(req.Workers)
-		// Pin every element: job-level shards and snapshot are defaults, an
-		// element's own fields still win. Explicit element snapshots are
-		// validated now so a doomed batch is rejected at submission.
-		queries := append([]BatchQuery(nil), req.Queries...)
-		for i := range queries {
-			if queries[i].Shards == 0 {
-				queries[i].Shards = req.Shards
-			}
-			if queries[i].Snapshot == 0 {
-				queries[i].Snapshot = sn.version
-			} else if _, err := e.resolve(queries[i].Snapshot); err != nil {
-				return nil, err
-			}
-			if err := e.checkPlacement(queries[i].Placement, queries[i].Kind); err != nil {
-				return nil, err
-			}
-		}
-		run = func(ctx context.Context, p *jobs.Progress) (any, error) {
-			stampBatchShape(ctx, e, queries)
-			return e.runBatch(ctx, queries, workers, p.Report), nil
-		}
-	default:
-		return nil, httpapi.Errorf(http.StatusBadRequest, "unknown job kind %q (want %s)", req.Kind, jobKinds)
-	}
-	if run == nil {
-		if err := e.checkPlacement(req.Placement, kind); err != nil {
+		// The job's snapshot and shards are defaults; an element's own
+		// fields win. One element that fails to bind rejects the job.
+		pin, err := e.resolve(req.Snapshot)
+		if err != nil {
 			return nil, err
 		}
-		// A single query runs through the dispatch the scoped routes use,
-		// with the snapshot pinned above.
-		qr := QueryRequest{
-			Query: req.Query, Method: req.Method, Target: req.Target,
-			Snapshot: sn.version, DeltaVs: req.DeltaVs, Shards: req.Shards, Placement: req.Placement,
+		elems := e.bindBatch(req.Queries, pin, req.Shards)
+		for i, el := range elems {
+			if el.err != nil {
+				status, code := httpapi.StatusOf(el.err)
+				return nil, httpapi.CodeErrorf(status, code, "queries[%d]: %v", i, el.err)
+			}
 		}
+		workers := s.batchWorkers(req.Workers)
+		version = pin.version
 		run = func(ctx context.Context, p *jobs.Progress) (any, error) {
-			stampShape(ctx, e, kind, req.Query)
-			return e.run(ctx, kind, qr, p.Report)
+			stampBatchShape(ctx, e, elems)
+			return e.runBound(ctx, elems, workers, p.Report), nil
+		}
+	} else {
+		b, err := e.bind(kind, QueryRequest{
+			Query: req.Query, Method: req.Method, Target: req.Target,
+			Snapshot: req.Snapshot, DeltaVs: req.DeltaVs, Shards: req.Shards, Placement: req.Placement,
+		})
+		if err != nil {
+			return nil, err
+		}
+		version = b.sn.version
+		run = func(ctx context.Context, p *jobs.Progress) (any, error) {
+			stampShape(ctx, e, b)
+			return e.run(ctx, b, p.Report)
 		}
 	}
 
-	opts := jobs.SubmitOptions{Session: req.Session, Kind: kind, Priority: req.Priority, DataVersion: sn.version}
+	opts := jobs.SubmitOptions{Session: req.Session, Kind: kind, Priority: req.Priority, DataVersion: version}
 	if req.TimeoutMs > 0 {
 		opts.Deadline = time.Now().Add(time.Duration(req.TimeoutMs) * time.Millisecond)
 	}
@@ -247,19 +208,6 @@ func (s *Server) handleSubmitJob(r *http.Request) (any, error) {
 	}
 	snap, _ := s.jobs.Get(j.ID())
 	return toJobInfo(snap), nil
-}
-
-// checkPlacement reports the error run would answer a query of this kind
-// with because of its placement (explain does not read the knob).
-func (e *sessionEntry) checkPlacement(placement, kind string) error {
-	if kind == "explain" {
-		return nil
-	}
-	if kind == "" {
-		kind = "whatif"
-	}
-	_, err := e.resolvePlacement(placement, kind)
-	return err
 }
 
 func (s *Server) handleGetJob(r *http.Request) (any, error) {

@@ -297,7 +297,7 @@ func TestJobKinds(t *testing.T) {
 	var bj JobInfo
 	do(t, "POST", ts.URL+"/v1/jobs", JobRequest{
 		Session: "g", Kind: "batch",
-		Queries: []BatchQuery{{Query: germanCount}, {Query: `not hyperql`}},
+		Queries: []BatchQuery{{Query: germanCount}, {Query: `USE German UPDATE(NoSuchColumn) = 3 OUTPUT COUNT(Credit = 1)`}},
 	}, &bj)
 	final = pollJob(t, ts, bj.ID, 30*time.Second, terminal)
 	if final.State != "done" {
@@ -305,7 +305,7 @@ func TestJobKinds(t *testing.T) {
 	}
 	bres := final.Result.(map[string]any)
 	if errs, _ := bres["errors"].(float64); errs != 1 {
-		t.Errorf("batch job errors = %v, want 1 (bad element)", bres["errors"])
+		t.Errorf("batch job errors = %v, want 1 (the element naming no column)", bres["errors"])
 	}
 	if final.Progress.Stage != "queries" || final.Progress.Done != 2 {
 		t.Errorf("batch progress = %+v, want queries 2/2", final.Progress)

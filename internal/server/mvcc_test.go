@@ -233,9 +233,9 @@ func TestUnknownDeltaVsEvaluatesNothing(t *testing.T) {
 	}
 }
 
-// TestRejectedQueryCountsNothing: a what-if or how-to answered 400 for its
-// placement or method was never evaluated, so the session's query count
-// stays where it was.
+// TestRejectedQueryCountsNothing: a query answered 400 for its placement,
+// its method or text that does not parse was never evaluated, so the
+// session's query count stays where it was.
 func TestRejectedQueryCountsNothing(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	createLoansSession(t, ts.URL, "d", 600)
@@ -247,6 +247,9 @@ func TestRejectedQueryCountsNothing(t *testing.T) {
 		{"what-if placement", "whatif", QueryRequest{Query: loansQuery, Placement: "bogus"}},
 		{"how-to placement", "howto", QueryRequest{Query: howTo, Placement: "bogus"}},
 		{"how-to method", "howto", QueryRequest{Query: howTo, Method: "bogus"}},
+		{"what-if text", "whatif", QueryRequest{Query: `not hyperql`}},
+		{"how-to text", "howto", QueryRequest{Query: `not hyperql`}},
+		{"explain text", "explain", QueryRequest{Query: `not hyperql`}},
 	} {
 		var before, after SessionInfo
 		if code := do(t, "GET", ts.URL+"/v1/sessions/d", nil, &before); code != http.StatusOK {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"net/http"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 	"hyper/internal/dist"
 	"hyper/internal/fault"
 	"hyper/internal/httpapi"
+	"hyper/internal/hyperql"
 	"hyper/internal/obs"
 	"hyper/internal/shard"
 )
@@ -43,8 +45,8 @@ type QueryRequest struct {
 	// Placement selects where the evaluation runs; like Shards it can never
 	// change a result. "" = auto (distribute what-if plan shards over live
 	// registered workers, local otherwise), "local" = this process only,
-	// "workers" = distribute plan shards (what-if only; a how-to always runs
-	// in this process).
+	// "workers" = distribute plan shards (what-if only; a how-to or an
+	// explain always runs in this process).
 	Placement string `json:"placement,omitempty"`
 }
 
@@ -185,56 +187,108 @@ func (s *Server) handleSessionQuery(kind string) func(*http.Request) (any, error
 		if err != nil {
 			return nil, err
 		}
-		stampShape(r.Context(), e, kind, req.Query)
-		return e.run(r.Context(), kind, req, nil)
-	}
-}
-
-// run is the one query dispatch behind the scoped routes, batch elements and
-// jobs: it resolves the snapshot pins (an unknown version is a 404), rejects
-// delta_vs on anything but a what-if, and evaluates the query as kind
-// (whatif|howto|explain, "" = whatif). The result is a *WhatIfResponse,
-// *HowToResponse or *ExplainResponse; progress may be nil.
-func (e *sessionEntry) run(ctx context.Context, kind string, req QueryRequest, progress hyper.Progress) (any, error) {
-	sn, err := e.resolve(req.Snapshot)
-	if err != nil {
-		return nil, err
-	}
-	if kind == "" {
-		kind = "whatif"
-	}
-	if req.DeltaVs != 0 && kind != "whatif" {
-		return nil, httpapi.Errorf(http.StatusBadRequest, "delta_vs applies to what-if queries only")
-	}
-	switch kind {
-	case "whatif":
-		// Both evaluations are pinned, so the delta is a pure function of the
-		// two immutable versions; an unknown comparison version answers 404
-		// before either is evaluated.
-		var vs *snapshotEntry
-		if req.DeltaVs != 0 {
-			if vs, err = e.resolve(req.DeltaVs); err != nil {
-				return nil, err
-			}
-		}
-		resp, err := e.whatIf(ctx, sn, req, progress)
+		b, err := e.bind(kind, req)
 		if err != nil {
 			return nil, err
 		}
-		if vs != nil {
-			vsResp, err := e.whatIf(ctx, vs, req, nil)
+		stampShape(r.Context(), e, b)
+		return e.run(r.Context(), b, nil)
+	}
+}
+
+// boundQuery is a query bind has checked and pinned: its kind, the
+// snapshots it reads (vs is the delta_vs version, nil without one), its
+// parsed text and, for a how-to, the solver its method names.
+type boundQuery struct {
+	kind   string
+	req    QueryRequest
+	sn, vs *snapshotEntry
+	ast    hyperql.Query
+	solve  func(context.Context, string, hyper.Progress) (*hyper.HowToResult, error)
+}
+
+// bind is the one check of a query hyperd accepts, however it arrives (a
+// scoped route, a batch element, a job). It defaults kind
+// (whatif|howto|explain, "" = whatif), resolves the snapshot and delta_vs
+// pins (an unknown version is a 404), rejects delta_vs on anything but a
+// what-if, a placement the kind cannot run under and an unknown how-to
+// method, and parses the text as its kind (400). It counts and evaluates
+// nothing.
+func (e *sessionEntry) bind(kind string, req QueryRequest) (*boundQuery, error) {
+	b := &boundQuery{kind: cmp.Or(kind, "whatif"), req: req}
+	var err error
+	if b.sn, err = e.resolve(req.Snapshot); err != nil {
+		return nil, err
+	}
+	if req.DeltaVs != 0 {
+		if b.kind != "whatif" {
+			return nil, httpapi.Errorf(http.StatusBadRequest, "delta_vs applies to what-if queries only")
+		}
+		if b.vs, err = e.resolve(req.DeltaVs); err != nil {
+			return nil, err
+		}
+	}
+	switch req.Placement {
+	case "", "local":
+	case "workers":
+		if b.kind != "whatif" {
+			return nil, httpapi.Errorf(http.StatusBadRequest, "placement %q applies to what-if queries only", req.Placement)
+		}
+	default:
+		return nil, httpapi.Errorf(http.StatusBadRequest, "unknown placement %q (want local|workers)", req.Placement)
+	}
+	switch b.kind {
+	case "whatif", "explain":
+		b.ast, err = hyperql.ParseWhatIf(req.Query)
+	case "howto":
+		if b.solve, err = howToMethod(e.sessionFor(b.sn, req.Shards), req.Method, req.Target); err != nil {
+			return nil, err
+		}
+		b.ast, err = hyperql.ParseHowTo(req.Query)
+	default:
+		return nil, httpapi.Errorf(http.StatusBadRequest, "unknown query kind %q (want whatif|howto|explain)", kind)
+	}
+	if err != nil {
+		return nil, httpapi.Errorf(http.StatusBadRequest, "%v", err)
+	}
+	return b, nil
+}
+
+// run counts a bound query and evaluates it under ctx (cancelled requests
+// and cancelled jobs stop the engine mid-evaluation); progress may be nil.
+// The result is a *WhatIfResponse, *HowToResponse or *ExplainResponse.
+func (e *sessionEntry) run(ctx context.Context, b *boundQuery, progress hyper.Progress) (any, error) {
+	e.queries.Add(1)
+	switch b.kind {
+	case "whatif":
+		resp, err := e.whatIf(ctx, b.sn, b.req, progress)
+		if err != nil {
+			return nil, err
+		}
+		if b.vs != nil {
+			// Both evaluations are pinned, so the delta is a pure function
+			// of the two immutable versions.
+			vsResp, err := e.whatIf(ctx, b.vs, b.req, nil)
 			if err != nil {
 				return nil, err
 			}
-			resp.Delta = &WhatIfDelta{VsSnapshot: vs.version, VsValue: vsResp.Value, Delta: resp.Value - vsResp.Value}
+			resp.Delta = &WhatIfDelta{VsSnapshot: b.vs.version, VsValue: vsResp.Value, Delta: resp.Value - vsResp.Value}
 		}
 		return resp, nil
 	case "howto":
-		return e.howTo(ctx, sn, req, progress)
-	case "explain":
-		return e.explain(sn, req.Query)
-	default:
-		return nil, httpapi.Errorf(http.StatusBadRequest, "unknown query kind %q (want whatif|howto|explain)", kind)
+		res, err := b.solve(ctx, b.req.Query, progress)
+		if err != nil {
+			return nil, queryError(ctx, err)
+		}
+		out := toHowToResponse(res)
+		out.Snapshot = b.sn.version
+		return out, nil
+	default: // explain
+		plan, err := b.sn.sess.Explain(b.req.Query)
+		if err != nil {
+			return nil, httpapi.Errorf(http.StatusBadRequest, "%v", err)
+		}
+		return &ExplainResponse{Plan: plan, Snapshot: b.sn.version}, nil
 	}
 }
 
@@ -248,49 +302,23 @@ func (e *sessionEntry) sessionFor(sn *snapshotEntry, shards int) *hyper.Session 
 	return sn.sess.With(sn.sess.Options().WithShards(shards))
 }
 
-// resolvePlacement validates the placement knob against the query kind and
-// resolves "" (auto): what-if queries distribute over live workers when any
-// are registered; everything else runs in this process.
-func (e *sessionEntry) resolvePlacement(placement, kind string) (string, error) {
-	switch placement {
-	case "":
-		if kind == "whatif" && e.dist != nil && e.dist.WorkersAlive() > 0 {
-			return "workers", nil
-		}
-		return "local", nil
-	case "local":
-		return placement, nil
-	case "workers":
-		if kind != "whatif" {
-			return "", httpapi.Errorf(http.StatusBadRequest, "placement %q applies to what-if queries only", placement)
-		}
-		return placement, nil
-	default:
-		return "", httpapi.Errorf(http.StatusBadRequest, "unknown placement %q (want local|workers)", placement)
-	}
-}
-
-// whatIf evaluates one what-if query against a pinned snapshot under ctx
-// (cancelled requests and cancelled jobs stop the engine mid-evaluation);
+// whatIf evaluates one what-if query against a pinned snapshot.
 // req.Shards > 0 overrides the session's worker fan-out for this request;
 // req.Placement selects where the evaluation runs (results are identical
-// everywhere); progress may be nil.
+// everywhere), and "" (auto) resolves now, when the query runs: it
+// distributes over the live registered workers when there are any, so a
+// queued job whose workers have gone runs locally.
 func (e *sessionEntry) whatIf(ctx context.Context, sn *snapshotEntry, req QueryRequest, progress hyper.Progress) (*WhatIfResponse, error) {
-	query, shards := req.Query, req.Shards
-	pl, err := e.resolvePlacement(req.Placement, "whatif")
-	if err != nil {
-		return nil, err
-	}
-	e.queries.Add(1)
 	var res *hyper.WhatIfResult
-	sess := e.sessionFor(sn, shards)
-	if pl == "workers" {
+	var err error
+	sess := e.sessionFor(sn, req.Shards)
+	if req.Placement == "workers" || req.Placement == "" && e.dist != nil && e.dist.WorkersAlive() > 0 {
 		res, err = e.dist.EvaluateWhatIf(ctx, dist.EvalSpec{
 			DB: sess.DB(), Model: sess.Model(), Frame: sn.frame,
-			Query: query, Options: sess.EngineOptions(), Progress: progress,
+			Query: req.Query, Options: sess.EngineOptions(), Progress: progress,
 		})
 	} else {
-		res, err = sess.WhatIfContext(fault.WithInjector(ctx, e.fault), query, progress)
+		res, err = sess.WhatIfContext(fault.WithInjector(ctx, e.fault), req.Query, progress)
 	}
 	if err != nil {
 		return nil, queryError(ctx, err)
@@ -300,8 +328,7 @@ func (e *sessionEntry) whatIf(ctx context.Context, sn *snapshotEntry, req QueryR
 	return out, nil
 }
 
-// howToMethod binds the formulation QueryRequest.Method names to sess; job
-// submission validates with it and execution dispatches through it.
+// howToMethod binds the formulation QueryRequest.Method names to sess.
 func howToMethod(sess *hyper.Session, method string, target float64) (func(context.Context, string, hyper.Progress) (*hyper.HowToResult, error), error) {
 	switch method {
 	case "", "ip":
@@ -317,24 +344,6 @@ func howToMethod(sess *hyper.Session, method string, target float64) (func(conte
 	}
 }
 
-func (e *sessionEntry) howTo(ctx context.Context, sn *snapshotEntry, req QueryRequest, progress hyper.Progress) (*HowToResponse, error) {
-	if _, err := e.resolvePlacement(req.Placement, "howto"); err != nil {
-		return nil, err
-	}
-	solve, err := howToMethod(e.sessionFor(sn, req.Shards), req.Method, req.Target)
-	if err != nil {
-		return nil, err
-	}
-	e.queries.Add(1)
-	res, err := solve(ctx, req.Query, progress)
-	if err != nil {
-		return nil, queryError(ctx, err)
-	}
-	out := toHowToResponse(res)
-	out.Snapshot = sn.version
-	return out, nil
-}
-
 // ExplainResponse is the wire form of an explain result.
 type ExplainResponse struct {
 	Plan string `json:"plan"`
@@ -343,15 +352,6 @@ type ExplainResponse struct {
 	Snapshot int64 `json:"snapshot,omitempty"`
 	// Trace is the request's rendered span tree (?trace=1 only).
 	Trace *obs.TraceJSON `json:"trace,omitempty"`
-}
-
-func (e *sessionEntry) explain(sn *snapshotEntry, query string) (*ExplainResponse, error) {
-	e.queries.Add(1)
-	plan, err := sn.sess.Explain(query)
-	if err != nil {
-		return nil, httpapi.Errorf(http.StatusBadRequest, "%v", err)
-	}
-	return &ExplainResponse{Plan: plan, Snapshot: sn.version}, nil
 }
 
 // queryError maps an evaluation failure: a cancelled/expired context
@@ -433,7 +433,6 @@ func (s *Server) handleSessionBatch(r *http.Request) (any, error) {
 	if len(req.Queries) == 0 {
 		return nil, httpapi.Errorf(http.StatusBadRequest, "batch has no queries")
 	}
-	stampBatchShape(r.Context(), e, req.Queries)
 	return e.runBatch(r.Context(), req.Queries, s.batchWorkers(req.Workers), nil), nil
 }
 
@@ -445,22 +444,53 @@ func (s *Server) batchWorkers(want int) int {
 	return want
 }
 
-// runBatch fans the queries across a bounded worker pool, one shard.Run
-// shard per query. ctx cancellation stops in-flight evaluations (their
-// elements report the context error) and skips unstarted ones, which report
-// it too; progress, when non-nil, counts completed elements. It is shared by
-// the synchronous batch handler and batch jobs.
+// batchElem is one batch element after bind: the bound query, or the error
+// it failed to bind with.
+type batchElem struct {
+	q   *boundQuery
+	err error
+}
+
+// bindBatch binds every element of a batch. An element's own snapshot and
+// shards win; 0 takes pin's version and shards, so the elements that name no
+// version all read pin.
+func (e *sessionEntry) bindBatch(queries []BatchQuery, pin *snapshotEntry, shards int) []batchElem {
+	elems := make([]batchElem, len(queries))
+	for i, q := range queries {
+		elems[i].q, elems[i].err = e.bind(q.Kind, QueryRequest{
+			Query: q.Query, Method: q.Method, Target: q.Target,
+			Snapshot: cmp.Or(q.Snapshot, pin.version), DeltaVs: q.DeltaVs,
+			Shards: cmp.Or(q.Shards, shards), Placement: q.Placement,
+		})
+	}
+	return elems
+}
+
+// runBatch is the synchronous batch: it binds every element against the
+// head as of now, so head means head at arrival for all of them and an
+// element that fails to bind fails on its own, then runs them.
 func (e *sessionEntry) runBatch(ctx context.Context, queries []BatchQuery, workers int, progress hyper.Progress) *BatchResponse {
+	elems := e.bindBatch(queries, e.head(), 0)
+	stampBatchShape(ctx, e, elems)
+	return e.runBound(ctx, elems, workers, progress)
+}
+
+// runBound fans bound batch elements across a bounded worker pool, one
+// shard.Run shard per element. ctx cancellation stops in-flight evaluations
+// (their elements report the context error) and skips unstarted ones, which
+// report it too; progress, when non-nil, counts completed elements. It is
+// shared by the synchronous batch and batch jobs.
+func (e *sessionEntry) runBound(ctx context.Context, elems []batchElem, workers int, progress hyper.Progress) *BatchResponse {
 	start := time.Now()
-	plan := shard.Rows(len(queries), 1)
-	results := make([]BatchResult, len(queries))
-	started := make([]bool, len(queries))
+	plan := shard.Rows(len(elems), 1)
+	results := make([]BatchResult, len(elems))
+	started := make([]bool, len(elems))
 	var done atomic.Int64
 	err := shard.Run(ctx, plan, workers, func(_, i, _, _ int) error {
 		started[i] = true
-		results[i] = e.runBatchQuery(ctx, i, queries[i])
+		results[i] = e.runBatchQuery(ctx, i, elems[i])
 		if progress != nil {
-			progress("queries", int(done.Add(1)), len(queries))
+			progress("queries", int(done.Add(1)), len(elems))
 		}
 		return nil
 	})
@@ -481,16 +511,15 @@ func (e *sessionEntry) runBatch(ctx context.Context, queries []BatchQuery, worke
 }
 
 // runBatchQuery evaluates one batch element, converting failures into the
-// element's error field so one bad query cannot sink its siblings. Each
-// element resolves its own snapshot pin; an unknown version is an
-// element-local error.
-func (e *sessionEntry) runBatchQuery(ctx context.Context, i int, q BatchQuery) BatchResult {
+// element's error field so one bad query cannot sink its siblings.
+func (e *sessionEntry) runBatchQuery(ctx context.Context, i int, el batchElem) BatchResult {
 	start := time.Now()
 	out := BatchResult{Index: i}
-	res, err := e.run(ctx, q.Kind, QueryRequest{
-		Query: q.Query, Method: q.Method, Target: q.Target,
-		Snapshot: q.Snapshot, DeltaVs: q.DeltaVs, Shards: q.Shards, Placement: q.Placement,
-	}, nil)
+	var res any
+	err := el.err
+	if err == nil {
+		res, err = e.run(ctx, el.q, nil)
+	}
 	if err != nil {
 		out.Error = err.Error()
 	} else {

@@ -207,45 +207,36 @@ func (s *Server) recordUsage(endpoint string, m *obs.Meter, elapsed time.Duratio
 	s.usage.record(session, kind, fingerprint, shape, mj, float64(elapsed)/float64(time.Millisecond), failed)
 }
 
-// stampShape parses query and stamps the request's meter with the shape
-// identity the usage table aggregates under: session, kind, and the
-// schema-qualified structural fingerprint. A query that does not parse
-// leaves the meter unstamped — the request is about to fail with a 400, and
-// malformed text has no shape to aggregate.
-func stampShape(ctx context.Context, e *sessionEntry, kind, query string) {
-	meter := obs.MeterFromContext(ctx)
-	if meter == nil {
-		return
+// stampShape stamps the request's meter with the shape identity the usage
+// table aggregates a bound query under: session, kind, and the
+// schema-qualified structural fingerprint.
+func stampShape(ctx context.Context, e *sessionEntry, b *boundQuery) {
+	if meter := obs.MeterFromContext(ctx); meter != nil {
+		meter.SetShape(e.name, b.kind, hyperql.Fingerprint(e.schemaSig, b.ast), hyperql.Shape(b.ast))
 	}
-	q, err := hyperql.Parse(query)
-	if err != nil {
-		return
-	}
-	meter.SetShape(e.name, kind, hyperql.Fingerprint(e.schemaSig, q), hyperql.Shape(q))
 }
 
 // stampBatchShape stamps a batch request's meter with a composite shape:
 // the fingerprint hashes the ordered element fingerprints, so two batches
 // running the same query shapes in the same order aggregate together
-// (batch arity is structural, like IN-list arity). Unparseable elements are
-// skipped — they fail element-locally without sinking the batch.
-func stampBatchShape(ctx context.Context, e *sessionEntry, queries []BatchQuery) {
+// (batch arity is structural, like IN-list arity). Elements that failed to
+// bind are skipped — they fail element-locally without sinking the batch.
+func stampBatchShape(ctx context.Context, e *sessionEntry, elems []batchElem) {
 	meter := obs.MeterFromContext(ctx)
 	if meter == nil {
 		return
 	}
 	h := fnv.New64a()
 	io.WriteString(h, e.schemaSig)
-	for _, bq := range queries {
-		q, err := hyperql.Parse(bq.Query)
-		if err != nil {
+	for _, el := range elems {
+		if el.err != nil {
 			continue
 		}
 		io.WriteString(h, "\x00")
-		io.WriteString(h, hyperql.Fingerprint(e.schemaSig, q))
+		io.WriteString(h, hyperql.Fingerprint(e.schemaSig, el.q.ast))
 	}
 	meter.SetShape(e.name, "batch",
-		fmt.Sprintf("%016x", h.Sum64()), fmt.Sprintf("BATCH(%d)", len(queries)))
+		fmt.Sprintf("%016x", h.Sum64()), fmt.Sprintf("BATCH(%d)", len(elems)))
 }
 
 // stampAppend stamps an append's meter: the shape aggregates appends by
