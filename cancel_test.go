@@ -47,7 +47,7 @@ func TestHowToCancelMidSolve(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	res, err := sess.HowToBruteForce(ctx, slowBrute, progress)
+	res, err := sess.HowToBruteForce(ctx, mustParse[*HowToQuery](t, slowBrute), progress)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v (res %v), want context.Canceled", err, res)
@@ -184,7 +184,7 @@ func TestHowToCancelShardedPool(t *testing.T) {
 			cancel()
 		}
 	}
-	if _, err := sess.HowToBruteForce(ctx, slowBrute, progress); !errors.Is(err, context.Canceled) {
+	if _, err := sess.HowToBruteForce(ctx, mustParse[*HowToQuery](t, slowBrute), progress); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -208,10 +208,11 @@ func TestWhatIfCancelled(t *testing.T) {
 	if _, err := sess.HowToContext(ctx, `USE German HOWTOUPDATE Status TOMAXIMIZE COUNT(Credit = 1)`, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("howto err = %v, want context.Canceled", err)
 	}
-	if _, err := sess.HowToMinimizeCost(ctx, `USE German HOWTOUPDATE Status TOMAXIMIZE COUNT(Credit = 1)`, 0.9, nil); !errors.Is(err, context.Canceled) {
+	howTo := mustParse[*HowToQuery](t, `USE German HOWTOUPDATE Status TOMAXIMIZE COUNT(Credit = 1)`)
+	if _, err := sess.HowToMinimizeCost(ctx, howTo, 0.9, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("mincost err = %v, want context.Canceled", err)
 	}
-	if _, err := sess.HowToLexicographic(ctx, nil, `USE German HOWTOUPDATE Status TOMAXIMIZE COUNT(Credit = 1)`); !errors.Is(err, context.Canceled) {
+	if _, err := sess.HowToLexicographic(ctx, nil, howTo); !errors.Is(err, context.Canceled) {
 		t.Errorf("lexicographic err = %v, want context.Canceled", err)
 	}
 }

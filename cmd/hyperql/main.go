@@ -99,7 +99,12 @@ func main() {
 	s.SetOptions(opts)
 
 	run := func(src string) {
-		res, err := s.Query(context.Background(), src, nil)
+		q, err := hyper.Parse(src)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "error:", err)
+			return
+		}
+		res, err := s.Run(context.Background(), q, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			return

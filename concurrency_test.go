@@ -27,12 +27,13 @@ func TestSessionConcurrentQueries(t *testing.T) {
 		`USE German UPDATE(Housing) = 1 OUTPUT AVG(POST(Credit))`,
 	}
 	want := make([]float64, len(whatifs))
+	parsed := make([]*WhatIfQuery, len(whatifs))
 	for i, src := range whatifs {
 		res, err := s.WhatIf(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = res.Value
+		want[i], parsed[i] = res.Value, mustParse[*WhatIfQuery](t, src)
 	}
 	const howtoSrc = `USE German HOWTOUPDATE Status LIMIT UPDATES <= 1 TOMAXIMIZE COUNT(Credit = 1)`
 	wantHowTo, err := s.HowTo(howtoSrc)
@@ -67,7 +68,7 @@ func TestSessionConcurrentQueries(t *testing.T) {
 						t.Errorf("whatif %d: got %v want %v", k, res.Value, want[k])
 					}
 				case 2:
-					if _, err := s.Explain(whatifs[it%len(whatifs)]); err != nil {
+					if _, err := s.Explain(parsed[it%len(parsed)]); err != nil {
 						fail(err)
 						return
 					}

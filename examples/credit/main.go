@@ -50,27 +50,35 @@ TOMAXIMIZE COUNT(Credit = 1)`)
 	fmt.Printf("  %s\n", ht)
 
 	fmt.Println("\nCheapest way to reach 70% good credit (cost-minimizing how-to):")
-	mc, err := s.HowToMinimizeCost(context.Background(), `
+	mc, err := s.HowToMinimizeCost(context.Background(), parse(`
 USE German
 HOWTOUPDATE Status, Savings, Housing, CreditAmount
-TOMAXIMIZE COUNT(Credit = 1)`, 0.70*n, nil)
+TOMAXIMIZE COUNT(Credit = 1)`), 0.70*n, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  %s\n", mc)
 
 	fmt.Println("\nLexicographic: first maximize good credit, then prefer high savings:")
-	lex, err := s.HowToLexicographic(context.Background(), nil, `
+	lex, err := s.HowToLexicographic(context.Background(), nil, parse(`
 USE German
 HOWTOUPDATE Status, Savings
-TOMAXIMIZE COUNT(Credit = 1)`, `
+TOMAXIMIZE COUNT(Credit = 1)`), parse(`
 USE German
 HOWTOUPDATE Status, Savings
-TOMAXIMIZE AVG(POST(Savings))`)
+TOMAXIMIZE AVG(POST(Savings))`))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  %s\n", lex)
+}
+
+func parse(src string) *hyper.HowToQuery {
+	q, err := hyper.Parse(src)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return q.(*hyper.HowToQuery)
 }
 
 func countGood(rel *hyper.Relation) float64 {

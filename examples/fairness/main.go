@@ -85,7 +85,11 @@ func main() {
 	}
 
 	fmt.Println("\nPlan for the marriage query:")
-	plan, err := s.Explain(`USE Adult UPDATE(MaritalStatus) = 1 OUTPUT COUNT(Income = 1)`)
+	q, err := hyper.Parse(`USE Adult UPDATE(MaritalStatus) = 1 OUTPUT COUNT(Income = 1)`)
+	if err != nil {
+		log.Fatal(err)
+	}
+	plan, err := s.Explain(q.(*hyper.WhatIfQuery))
 	if err != nil {
 		log.Fatal(err)
 	}

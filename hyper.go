@@ -70,6 +70,13 @@ type (
 	Mode = engine.Mode
 	// Kind is the dynamic type of a Value.
 	Kind = relation.Kind
+	// Query is a parsed HypeRQL query (Parse): a *WhatIfQuery or a
+	// *HowToQuery.
+	Query = hyperql.Query
+	// WhatIfQuery is a parsed what-if query.
+	WhatIfQuery = hyperql.WhatIf
+	// HowToQuery is a parsed how-to query.
+	HowToQuery = hyperql.HowTo
 	// Progress receives coarse evaluation progress: stage is "tuples"
 	// (engine per-tuple loop), "shards" (plan shards finished, locally or on
 	// workers), "candidates" (how-to scoring pool), "combos" (brute-force
@@ -196,17 +203,6 @@ func NewCacheBounded(max int) *Cache { return engine.NewCacheBounded(max) }
 // artifacts past max entries (max <= 0 means unbounded).
 func NewPlanCache(max int) *PlanCache { return plan.NewCache(max) }
 
-// PlanFingerprint returns the 16-hex shape fingerprint that keys src's
-// compiled plan for sessions over db (plan-cache identity is this
-// fingerprint computed over the schema signature).
-func PlanFingerprint(db *Database, src string) (string, error) {
-	q, err := hyperql.Parse(src)
-	if err != nil {
-		return "", err
-	}
-	return plan.Fingerprint(db, q), nil
-}
-
 // NewSession creates a session. model may be nil, in which case queries run
 // in no-background mode (all attributes are treated as potential
 // confounders). The session has no shared cache: each query (re)builds its
@@ -320,10 +316,12 @@ func (s *Session) Validate() error {
 	return s.model.Validate(s.db)
 }
 
-// engineOpts snapshots the session options into engine options; the snapshot
-// (not the live session state) flows through the whole evaluation, so a
-// concurrent SetOptions cannot tear a running query.
-func (s *Session) engineOpts() engine.Options {
+// EngineOptions snapshots the session options into the engine's option form
+// (including the shared caches). A query runs on one snapshot, not the live
+// session state, so a concurrent SetOptions cannot tear it; the serving layer
+// hands the snapshot to a distribution coordinator so locally prepared plans
+// and remote workers agree on the semantic options.
+func (s *Session) EngineOptions() engine.Options {
 	return engineOptsFrom(s.Options(), s.cache, s.PlanCache())
 }
 
@@ -339,43 +337,52 @@ func engineOptsFrom(o Options, cache *engine.Cache, plans *plan.Cache) engine.Op
 	}
 }
 
-// EngineOptions snapshots the session options into the engine's option form
-// (including the shared cache). The serving layer hands it to a distribution
-// coordinator so locally prepared plans and remote workers agree on the
-// semantic options.
-func (s *Session) EngineOptions() engine.Options {
-	return s.engineOpts()
-}
-
-// howtoOpts snapshots the session options into how-to options (one snapshot
-// for the whole query, so a concurrent SetOptions cannot mix two option
-// versions).
-func (s *Session) howtoOpts() howto.Options {
+// howtoOpts snapshots the session options into how-to options reporting to
+// progress (one snapshot for the whole query, so a concurrent SetOptions
+// cannot mix two option versions).
+func (s *Session) howtoOpts(progress Progress) howto.Options {
 	o := s.Options()
 	return howto.Options{
-		Engine:  engineOptsFrom(o, s.cache, s.PlanCache()),
-		Buckets: o.Buckets,
+		Engine:   engineOptsFrom(o, s.cache, s.PlanCache()),
+		Buckets:  o.Buckets,
+		Progress: progress,
 	}
 }
 
-// WhatIf parses and evaluates a what-if query. (WhatIf / WhatIfContext and
-// HowTo / HowToContext stay paired until bench/ stops compiling against both.)
+// Parse parses a HypeRQL query without evaluating it; its String is the
+// canonical text. Evaluating a parsed query first resolves every name it uses
+// against the session's database: a name the database lacks fails there, at
+// its source offset.
+func Parse(src string) (Query, error) { return hyperql.Parse(src) }
+
+// Run evaluates a parsed query: a what-if answers a *WhatIfResult, a how-to
+// (the integer program) a *HowToResult. ctx is observed inside the
+// evaluation, so a cancelled or expired context stops it mid-solve with
+// ctx.Err(); progress, when non-nil, receives tuple updates for a what-if and
+// one "candidates" update per scored candidate for a how-to.
+func (s *Session) Run(ctx context.Context, q Query, progress Progress) (any, error) {
+	switch q := q.(type) {
+	case *WhatIfQuery:
+		opts := s.EngineOptions()
+		opts.Progress = progress
+		return engine.EvaluateContext(ctx, s.db, s.model, q, opts)
+	case *HowToQuery:
+		return howto.Evaluate(ctx, s.db, s.model, q, s.howtoOpts(progress))
+	}
+	return nil, fmt.Errorf("hyper: unknown query type %T", q)
+}
+
+// WhatIf, WhatIfContext, HowTo and HowToContext are text helpers: Parse plus
+// Run. They stay while the benchmark module compiles against them.
+
+// WhatIf parses and evaluates a what-if query.
 func (s *Session) WhatIf(src string) (*WhatIfResult, error) {
 	return s.WhatIfContext(context.Background(), src, nil)
 }
 
-// WhatIfContext is WhatIf with cancellation and observability: ctx is
-// observed inside the evaluation pipeline (tuple loop, estimator training),
-// so a cancelled or deadline-expired context stops the query mid-solve with
-// ctx.Err(); progress, when non-nil, receives tuple-evaluation updates.
+// WhatIfContext is WhatIf with cancellation and observability, as Run.
 func (s *Session) WhatIfContext(ctx context.Context, src string, progress Progress) (*WhatIfResult, error) {
-	q, err := hyperql.ParseWhatIf(src)
-	if err != nil {
-		return nil, err
-	}
-	opts := s.engineOpts()
-	opts.Progress = progress
-	return engine.EvaluateContext(ctx, s.db, s.model, q, opts)
+	return runText[*WhatIfQuery, *WhatIfResult](ctx, s, src, progress)
 }
 
 // HowTo parses and evaluates a how-to query via the integer-program
@@ -384,78 +391,55 @@ func (s *Session) HowTo(src string) (*HowToResult, error) {
 	return s.HowToContext(context.Background(), src, nil)
 }
 
-// HowToContext is HowTo with cancellation and observability: ctx flows into
-// candidate scoring and the IP branch and bound; progress, when non-nil,
-// receives one "candidates" update per scored candidate.
+// HowToContext is HowTo with cancellation and observability, as Run.
 func (s *Session) HowToContext(ctx context.Context, src string, progress Progress) (*HowToResult, error) {
-	q, err := hyperql.ParseHowTo(src)
-	if err != nil {
-		return nil, err
+	return runText[*HowToQuery, *HowToResult](ctx, s, src, progress)
+}
+
+// runText parses src (Parse) as a query of kind Q and runs it (Run), which
+// answers an R.
+func runText[Q Query, R any](ctx context.Context, s *Session, src string, progress Progress) (R, error) {
+	q, err := Parse(src)
+	if err == nil {
+		_, err = hyperql.As[Q](q)
 	}
-	opts := s.howtoOpts()
-	opts.Progress = progress
-	return howto.Evaluate(ctx, s.db, s.model, q, opts)
+	var res any
+	if err == nil {
+		res, err = s.Run(ctx, q, progress)
+	}
+	r, _ := res.(R)
+	return r, err
 }
 
 // HowToBruteForce evaluates a how-to query with the exhaustive Opt-HowTo
 // baseline (exponential in the number of update attributes; for comparison
 // and testing). ctx cancels it mid-search; progress, when non-nil, receives
 // one "combos" update per evaluated combination.
-func (s *Session) HowToBruteForce(ctx context.Context, src string, progress Progress) (*HowToResult, error) {
-	q, err := hyperql.ParseHowTo(src)
-	if err != nil {
-		return nil, err
-	}
-	opts := s.howtoOpts()
-	opts.Progress = progress
-	return howto.BruteForce(ctx, s.db, s.model, q, opts)
+func (s *Session) HowToBruteForce(ctx context.Context, q *HowToQuery, progress Progress) (*HowToResult, error) {
+	return howto.BruteForce(ctx, s.db, s.model, q, s.howtoOpts(progress))
 }
 
 // HowToMinimizeCost solves the alternate how-to formulation (Section 4.3,
 // footnote 3): minimize the total normalized L1 update cost subject to the
 // query's TOMAXIMIZE aggregate reaching at least target. ctx and progress are
-// HowToContext's.
-func (s *Session) HowToMinimizeCost(ctx context.Context, src string, target float64, progress Progress) (*HowToResult, error) {
-	q, err := hyperql.ParseHowTo(src)
-	if err != nil {
-		return nil, err
-	}
-	opts := s.howtoOpts()
-	opts.Progress = progress
-	return howto.MinimizeCost(ctx, s.db, s.model, q, target, opts)
+// Run's.
+func (s *Session) HowToMinimizeCost(ctx context.Context, q *HowToQuery, target float64, progress Progress) (*HowToResult, error) {
+	return howto.MinimizeCost(ctx, s.db, s.model, q, target, s.howtoOpts(progress))
 }
 
 // HowToLexicographic evaluates a preferential multi-objective how-to query:
-// sources are complete how-to queries sharing USE/WHEN/HOWTOUPDATE/LIMIT
-// whose objectives are optimized in the given priority order. ctx and
-// progress are HowToContext's.
-func (s *Session) HowToLexicographic(ctx context.Context, progress Progress, srcs ...string) (*HowToResult, error) {
-	if len(srcs) == 0 {
-		return nil, fmt.Errorf("hyper: no objectives")
-	}
-	qs := make([]*hyperql.HowTo, len(srcs))
-	for i, src := range srcs {
-		q, err := hyperql.ParseHowTo(src)
-		if err != nil {
-			return nil, err
-		}
-		qs[i] = q
-	}
-	opts := s.howtoOpts()
-	opts.Progress = progress
-	return howto.Lexicographic(ctx, s.db, s.model, qs, opts)
+// qs share USE/WHEN/HOWTOUPDATE/LIMIT and their objectives are optimized in
+// the given priority order. ctx and progress are Run's.
+func (s *Session) HowToLexicographic(ctx context.Context, progress Progress, qs ...*HowToQuery) (*HowToResult, error) {
+	return howto.Lexicographic(ctx, s.db, s.model, qs, s.howtoOpts(progress))
 }
 
 // Explain plans a what-if query without evaluating it, returning a
 // human-readable description of the relevant view, the block decomposition,
 // the FOR normalization, the conditioning (backdoor) set, and the chosen
 // estimator.
-func (s *Session) Explain(src string) (string, error) {
-	q, err := hyperql.ParseWhatIf(src)
-	if err != nil {
-		return "", err
-	}
-	opts := s.engineOpts()
+func (s *Session) Explain(q *WhatIfQuery) (string, error) {
+	opts := s.EngineOptions()
 	opts.DryRun = true
 	res, err := engine.EvaluateContext(context.Background(), s.db, s.model, q, opts)
 	if err != nil {
@@ -474,35 +458,4 @@ func (s *Session) Explain(src string) (string, error) {
 		fmt.Fprintf(&b, "    %s\n", line)
 	}
 	return b.String(), nil
-}
-
-// Query parses src and dispatches to WhatIfContext or HowToContext; the
-// result is either a *WhatIfResult or a *HowToResult.
-func (s *Session) Query(ctx context.Context, src string, progress Progress) (any, error) {
-	q, err := hyperql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	switch qq := q.(type) {
-	case *hyperql.WhatIf:
-		opts := s.engineOpts()
-		opts.Progress = progress
-		return engine.EvaluateContext(ctx, s.db, s.model, qq, opts)
-	case *hyperql.HowTo:
-		opts := s.howtoOpts()
-		opts.Progress = progress
-		return howto.Evaluate(ctx, s.db, s.model, qq, opts)
-	default:
-		return nil, fmt.Errorf("hyper: unknown query type %T", q)
-	}
-}
-
-// Parse parses a HypeRQL query without evaluating it, returning its
-// canonical string form; useful for validation and tooling.
-func Parse(src string) (string, error) {
-	q, err := hyperql.Parse(src)
-	if err != nil {
-		return "", err
-	}
-	return q.String(), nil
 }

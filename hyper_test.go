@@ -85,14 +85,14 @@ func TestFigure5QueryOnToyDatabase(t *testing.T) {
 func TestQueryDispatch(t *testing.T) {
 	db, model := dataset.Toy()
 	s := NewSession(db, model)
-	r1, err := s.Query(context.Background(), `USE Product UPDATE(Price) = 500 OUTPUT AVG(POST(Quality))`, nil)
+	r1, err := s.Run(context.Background(), mustParse[Query](t, `USE Product UPDATE(Price) = 500 OUTPUT AVG(POST(Quality))`), nil)
 	if err != nil {
 		t.Fatalf("what-if dispatch: %v", err)
 	}
 	if _, ok := r1.(*WhatIfResult); !ok {
 		t.Errorf("expected *WhatIfResult, got %T", r1)
 	}
-	r2, err := s.Query(context.Background(), `USE Product HOWTOUPDATE Price LIMIT 100 <= POST(Price) <= 1000 TOMAXIMIZE AVG(POST(Quality))`, nil)
+	r2, err := s.Run(context.Background(), mustParse[Query](t, `USE Product HOWTOUPDATE Price LIMIT 100 <= POST(Price) <= 1000 TOMAXIMIZE AVG(POST(Quality))`), nil)
 	if err != nil {
 		t.Fatalf("how-to dispatch: %v", err)
 	}
@@ -101,22 +101,26 @@ func TestQueryDispatch(t *testing.T) {
 	}
 }
 
-func TestParseRoundTrip(t *testing.T) {
-	canon, err := Parse(figure4Query)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
+// mustParse parses src as a query of kind Q or fails the test.
+func mustParse[Q Query](t testing.TB, src string) Q {
+	t.Helper()
+	q, err := Parse(src)
+	k, ok := q.(Q)
+	if err != nil || !ok {
+		t.Fatalf("parse %q as %T: %v", src, k, err)
 	}
+	return k
+}
+
+func TestParseRoundTrip(t *testing.T) {
+	canon := mustParse[Query](t, figure4Query).String()
 	for _, want := range []string{"USE (SELECT", "WHEN", "UPDATE(Price)", "OUTPUT AVG", "FOR"} {
 		if !strings.Contains(canon, want) {
 			t.Errorf("canonical form missing %q: %s", want, canon)
 		}
 	}
 	// The canonical form must itself parse to the same canonical form.
-	again, err := Parse(canon)
-	if err != nil {
-		t.Fatalf("reparse: %v", err)
-	}
-	if again != canon {
+	if again := mustParse[Query](t, canon).String(); again != canon {
 		t.Errorf("canonical form is not a fixed point:\n%s\n%s", canon, again)
 	}
 }

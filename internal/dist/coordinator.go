@@ -708,12 +708,12 @@ func splitContiguous(ids []int, n int) [][]int {
 	return chunks
 }
 
-// EvalSpec carries one distributed what-if evaluation.
+// EvalSpec carries one distributed what-if evaluation of a parsed query.
 type EvalSpec struct {
 	DB      *relation.Database
 	Model   *causal.Model
 	Frame   *Frame
-	Query   string
+	Query   *hyperql.WhatIf
 	Options engine.Options
 	// Progress, when non-nil, receives "shards" updates as remote shard
 	// batches complete (the jobs layer surfaces them as shards_done/total).
@@ -724,7 +724,7 @@ type EvalSpec struct {
 // resilience scope, and the merge so far.
 type evalOp struct {
 	spec EvalSpec
-	q    *hyperql.WhatIf
+	text string     // the query's canonical text, which every worker parses
 	run  *queryRun  // budget, bad set, degradation ladder
 	plan shard.Plan // the canonical plan: shard ids 0..plan.Shards()-1 are scattered
 
@@ -806,7 +806,7 @@ func (c *Coordinator) scatter(ctx context.Context, op *evalOp) error {
 			c.localFallbacks.Inc()
 			lopts := op.spec.Options
 			lopts.Progress = nil
-			pr, err := engine.EvaluatePartialContext(ctx, op.spec.DB, op.spec.Model, op.q, lopts, pending)
+			pr, err := engine.EvaluatePartialContext(ctx, op.spec.DB, op.spec.Model, op.spec.Query, lopts, pending)
 			if err != nil {
 				return err
 			}
@@ -831,7 +831,7 @@ func (c *Coordinator) scatter(ctx context.Context, op *evalOp) error {
 				wsp.Set("worker", w.id)
 				wsp.Set("shards", len(chunk))
 				resp, err := c.postWorker(wctx, op.run, w, op.spec.Frame,
-					EvalRequest{Frame: frameID, Query: op.spec.Query, Options: op.spec.Options, Shards: chunk}, op.replyLimit(chunk))
+					EvalRequest{Frame: frameID, Query: op.text, Options: op.spec.Options, Shards: chunk}, op.replyLimit(chunk))
 				wsp.Set("error", err != nil)
 				if err == nil {
 					wsp.Graft(resp.Spans)
@@ -883,23 +883,21 @@ func (c *Coordinator) scatter(ctx context.Context, op *evalOp) error {
 
 // EvaluateWhatIf runs one what-if query with its plan shards distributed
 // over the live workers. The canonical plan is resolved locally (the view is
-// cached), contiguous shard ranges go to the workers sorted by id, lost
-// workers' ranges are requeued onto the survivors — or evaluated locally
-// when none remain — and the partials reduce in plan order, making the
-// result bit-identical to a local run for every membership history.
+// cached, and the query's names resolve against it first), contiguous shard
+// ranges go to the workers sorted by id with the query's canonical text,
+// rendered once, lost workers' ranges are requeued onto the survivors — or
+// evaluated locally when none remain — and the partials reduce in plan
+// order, making the result bit-identical to a local run for every membership
+// history.
 func (c *Coordinator) EvaluateWhatIf(ctx context.Context, spec EvalSpec) (*engine.Result, error) {
 	start := time.Now()
-	q, err := hyperql.ParseWhatIf(spec.Query)
-	if err != nil {
-		return nil, err
-	}
-	planShards, viewRows, err := engine.PlanContext(ctx, spec.DB, spec.Model, q, spec.Options)
+	planShards, viewRows, err := engine.PlanContext(ctx, spec.DB, spec.Model, spec.Query, spec.Options)
 	if err != nil {
 		return nil, err
 	}
 	if planShards == 0 {
 		// Empty view: nothing to distribute.
-		return engine.EvaluateContext(ctx, spec.DB, spec.Model, q, spec.Options)
+		return engine.EvaluateContext(ctx, spec.DB, spec.Model, spec.Query, spec.Options)
 	}
 	// dist_eval is the distributed fan-out's span: one worker_eval child per
 	// assigned shard range (grafting the worker's own tree when it returned
@@ -908,7 +906,7 @@ func (c *Coordinator) EvaluateWhatIf(ctx context.Context, spec EvalSpec) (*engin
 	defer dsp.End()
 	dsp.Set("plan", planShards)
 	op := &evalOp{
-		spec: spec, q: q, run: newQueryRun(), plan: shard.Rows(viewRows, spec.Options.ShardRows),
+		spec: spec, text: spec.Query.String(), run: newQueryRun(), plan: shard.Rows(viewRows, spec.Options.ShardRows),
 		partials:   make([]engine.ShardPartial, 0, planShards),
 		usedRemote: map[string]bool{},
 	}

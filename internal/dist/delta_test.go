@@ -198,7 +198,7 @@ func TestDistributedDeltaEval(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, err := c.EvaluateWhatIf(context.Background(), EvalSpec{
-			DB: tc.db, Model: model, Frame: tc.frame, Query: src, Options: opts,
+			DB: tc.db, Model: model, Frame: tc.frame, Query: mustParse(t, src), Options: opts,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -248,7 +248,7 @@ func TestDistributedDeltaColdWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := c.EvaluateWhatIf(context.Background(), EvalSpec{
-		DB: db2, Model: base.Model, Frame: deltaFrame, Query: src, Options: opts,
+		DB: db2, Model: base.Model, Frame: deltaFrame, Query: mustParse(t, src), Options: opts,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +287,7 @@ func TestWarmDispatchSkipsVersionChain(t *testing.T) {
 		}
 		db, head = next, NewFrameDelta(head, next)
 	}
-	spec := EvalSpec{DB: db, Model: model, Frame: head, Query: src, Options: opts}
+	spec := EvalSpec{DB: db, Model: model, Frame: head, Query: mustParse(t, src), Options: opts}
 
 	tw := newTestWorker(t)
 	c1, _ := newTestCoordinator(t, tw)
@@ -375,7 +375,7 @@ func TestSiblingFramesKeepTheirOwnAnswers(t *testing.T) {
 	for round := 1; round <= 2; round++ {
 		for i, s := range sibs {
 			got, err := c.EvaluateWhatIf(context.Background(), EvalSpec{
-				DB: s.db, Model: model, Frame: s.frame, Query: src, Options: opts,
+				DB: s.db, Model: model, Frame: s.frame, Query: mustParse(t, src), Options: opts,
 			})
 			if err != nil {
 				t.Fatal(err)

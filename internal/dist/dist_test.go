@@ -130,7 +130,7 @@ func TestDistributedEvalGolden(t *testing.T) {
 			db, model := distDataset(t, g.ds)
 			frame, opts := NewFrame(db, model), engine.Options{Seed: 7}
 			res, err := c.EvaluateWhatIf(context.Background(), EvalSpec{
-				DB: db, Model: model, Frame: frame, Query: g.query, Options: opts,
+				DB: db, Model: model, Frame: frame, Query: mustParse(t, g.query), Options: opts,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -276,7 +276,7 @@ func TestDistributedEvalParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, err := c.EvaluateWhatIf(context.Background(), EvalSpec{
-			DB: db, Model: model, Frame: frame, Query: src, Options: opts,
+			DB: db, Model: model, Frame: frame, Query: mustParse(t, src), Options: opts,
 			Progress: func(stage string, done, total int) {
 				if stage == "shards" && int64(done) > progressMax.Load() {
 					progressMax.Store(int64(done))
@@ -351,7 +351,7 @@ func TestDistributedNaNPartial(t *testing.T) {
 
 	c, _ := newTestCoordinator(t, newTestWorker(t), newTestWorker(t))
 	res, err := c.EvaluateWhatIf(context.Background(), EvalSpec{
-		DB: db, Model: model, Frame: NewFrame(db, model), Query: src, Options: opts,
+		DB: db, Model: model, Frame: NewFrame(db, model), Query: mustParse(t, src), Options: opts,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -408,7 +408,7 @@ func TestWorkerLossRequeue(t *testing.T) {
 		run := func() *engine.Result {
 			t.Helper()
 			res, err := c.EvaluateWhatIf(context.Background(), EvalSpec{
-				DB: db, Model: model, Frame: NewFrame(db, model), Query: src, Options: opts,
+				DB: db, Model: model, Frame: NewFrame(db, model), Query: mustParse(t, src), Options: opts,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -486,7 +486,7 @@ func TestDistLedgerReconciles(t *testing.T) {
 	meter := obs.NewMeter()
 	res, err := c.EvaluateWhatIf(obs.ContextWithMeter(context.Background(), meter), EvalSpec{
 		DB: db, Model: model, Frame: NewFrame(db, model),
-		Query: `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`, Options: opts,
+		Query: mustParse(t, `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`), Options: opts,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -533,7 +533,7 @@ func TestEvalReplyShapeChecked(t *testing.T) {
 	db, model := distDataset(t, "german")
 	_, err := c.EvaluateWhatIf(context.Background(), EvalSpec{
 		DB: db, Model: model, Frame: NewFrame(db, model),
-		Query:   `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`,
+		Query:   mustParse(t, `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`),
 		Options: engine.Options{Seed: 7, ShardRows: 256}, // 4 plan shards
 	})
 	if err == nil || !strings.Contains(err.Error(), "worker w2 eval shape mismatch") {
@@ -753,7 +753,7 @@ func TestDistSecret(t *testing.T) {
 	opts := engine.Options{Seed: 7, ShardRows: 256}
 	res, err := c.EvaluateWhatIf(context.Background(), EvalSpec{
 		DB: db, Model: model, Frame: NewFrame(db, model),
-		Query: `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`, Options: opts,
+		Query: mustParse(t, `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`), Options: opts,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -837,13 +837,13 @@ func TestFrameShipSingleFlight(t *testing.T) {
 	const conc = 8
 	var wg sync.WaitGroup
 	errs := make([]error, conc)
+	q := mustParse(t, `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`)
 	for i := 0; i < conc; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			_, errs[i] = c.EvaluateWhatIf(context.Background(), EvalSpec{
-				DB: db, Model: model, Frame: frame, Options: opts,
-				Query: `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`,
+				DB: db, Model: model, Frame: frame, Options: opts, Query: q,
 			})
 		}(i)
 	}
@@ -897,7 +897,7 @@ func TestBadStoredWorkerURL(t *testing.T) {
 			c, _ := newTestCoordinatorCfg(t, CoordinatorConfig{MaxAttempts: 1}, workers...)
 			c.Register("w0", "http://[::1") // sorts first, so it is given shards
 			res, err := c.EvaluateWhatIf(context.Background(), EvalSpec{
-				DB: db, Model: model, Frame: NewFrame(db, model), Query: src, Options: opts,
+				DB: db, Model: model, Frame: NewFrame(db, model), Query: mustParse(t, src), Options: opts,
 			})
 			if err != nil {
 				t.Fatalf("a bad stored URL failed the query: %v", err)
@@ -980,7 +980,7 @@ func TestEvalReplyLimit(t *testing.T) {
 				}})
 			c.Register("fake", fake.URL)
 			res, err := c.EvaluateWhatIf(context.Background(), EvalSpec{
-				DB: db, Model: model, Frame: NewFrame(db, model), Query: src, Options: opts,
+				DB: db, Model: model, Frame: NewFrame(db, model), Query: mustParse(t, src), Options: opts,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -52,13 +52,13 @@ func TestCoordinatorStateReAdoption(t *testing.T) {
 	db, model := distDataset(t, "german")
 	frame := NewFrame(db, model)
 	if _, err := c1.EvaluateWhatIf(context.Background(), EvalSpec{
-		DB: db, Model: model, Frame: frame, Query: chaosQuery, Options: opts,
+		DB: db, Model: model, Frame: frame, Query: mustParse(t, chaosQuery), Options: opts,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	w2.killEval.Store(true)
 	if _, err := c1.EvaluateWhatIf(context.Background(), EvalSpec{
-		DB: db, Model: model, Frame: frame, Query: chaosQuery, Options: opts,
+		DB: db, Model: model, Frame: frame, Query: mustParse(t, chaosQuery), Options: opts,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCoordinatorStateReAdoption(t *testing.T) {
 
 	w2.killEval.Store(false) // alive again, but still quarantined
 	res, err := c2.EvaluateWhatIf(context.Background(), EvalSpec{
-		DB: db, Model: model, Frame: frame, Query: chaosQuery, Options: opts,
+		DB: db, Model: model, Frame: frame, Query: mustParse(t, chaosQuery), Options: opts,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestChaosInjectedFaults(t *testing.T) {
 	eval := func() *engine.Result {
 		t.Helper()
 		res, err := c.EvaluateWhatIf(context.Background(), EvalSpec{
-			DB: db, Model: model, Frame: frame, Query: chaosQuery, Options: opts,
+			DB: db, Model: model, Frame: frame, Query: mustParse(t, chaosQuery), Options: opts,
 		})
 		if err != nil {
 			t.Fatal(err)

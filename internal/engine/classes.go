@@ -31,9 +31,9 @@ type classKey struct {
 // constant, before and after the update, and stands for its group column),
 // the update attributes (post-update values and the affected bit derive from
 // the WHEN bit and the pre-update value), Y, and whatever the normalised FOR
-// literals and the OUTPUT condition reference. ok is false when an expression
-// names a column the view lacks: every row then fails the way it does today.
-func (p *Prepared) classColumns() (cols []int, ok bool) {
+// literals and the OUTPUT condition reference, all of them view columns
+// (Resolve).
+func (p *Prepared) classColumns() (cols []int) {
 	sch := p.v.Rel.Schema()
 	seen := make([]bool, sch.Len())
 	add := func(ci int) {
@@ -62,29 +62,22 @@ func (p *Prepared) classColumns() (cols []int, ok bool) {
 	}
 	for _, x := range exprs {
 		for _, c := range hyperql.ColRefs(x) {
-			ci, isCol := sch.Index(c.Name)
-			if !isCol {
-				return cols, false
-			}
-			add(ci)
+			add(sch.MustIndex(c.Name))
 		}
 	}
-	return cols, true
+	return cols
 }
 
 // classKey packs the class columns, or reports that the rows must be
 // evaluated one by one. Every rule reads the data, none is a setting: a
-// referenced column is missing; a column is not exact (its codes follow
+// column is not exact (its codes follow
 // Value.Key(), which merges -0.0 with +0.0 and Int 0, Int 3 with Float 3.0 and
 // all NaNs, so a class representative's Y or arithmetic could differ from the
 // row's in bits); a column alone has more distinct values than half the rows
 // (continuous attributes: nothing would collapse); or the alphabets' product
 // overflows the key. The view must not be empty.
 func (p *Prepared) classKey() (classKey, bool) {
-	cols, ok := p.classColumns()
-	if !ok {
-		return classKey{}, false
-	}
+	cols := p.classColumns()
 	rel := p.v.Rel
 	k := classKey{cols: make([]*relation.CodedColumn, len(cols)), stride: make([]uint64, len(cols)), space: 2}
 	for j, ci := range cols {

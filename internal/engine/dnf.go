@@ -201,9 +201,6 @@ func classifyConjunct(conj []hyperql.Expr, view *relation.Relation, maxDisjuncts
 		for a := range attrs {
 			attr = a
 		}
-		if !view.Schema().Has(attr) {
-			return nil, fmt.Errorf("engine: FOR literal %s references unknown attribute %q", lit, attr)
-		}
 		dom := view.Domain(attr)
 		if len(dom) > maxDomain {
 			return nil, fmt.Errorf("engine: FOR literal %s requires expanding PRE(%s) over %d values (limit %d); discretize the attribute first",

@@ -229,13 +229,13 @@ func TestErrorPaths(t *testing.T) {
 		want string
 	}{
 		{`USE Nope UPDATE(Status) = 3 OUTPUT COUNT(*)`, "unknown table"},
-		{`USE German UPDATE(Nope) = 3 OUTPUT COUNT(*)`, "not a column"},
+		{`USE German UPDATE(Nope) = 3 OUTPUT COUNT(*)`, `offset 18: unknown column "Nope" in German`},
 		{`USE German UPDATE(ID) = 3 OUTPUT COUNT(*)`, "immutable"},
-		{`USE German UPDATE(Status) = 3 OUTPUT AVG(POST(Nope))`, "not a column"},
+		{`USE German UPDATE(Status) = 3 OUTPUT AVG(POST(Nope))`, `offset 46: unknown column "Nope" in German`},
 		{`USE German UPDATE(Status) = 3 AND UPDATE(Status) = 2 OUTPUT COUNT(*)`, "updated twice"},
 		{`USE German UPDATE(Status) = 3 OUTPUT AVG(PRE(Credit))`, "PRE"},
-		{`USE German UPDATE(Status) = 3 OUTPUT COUNT(*) FOR PRE(Nope) = 1`, "unknown column"},
-		{`USE German WHEN Nope = 1 UPDATE(Status) = 3 OUTPUT COUNT(*)`, `engine: WHEN: sqlmini: unknown column "Nope" in German`},
+		{`USE German UPDATE(Status) = 3 OUTPUT COUNT(*) FOR PRE(Nope) = 1`, `offset 54: unknown column "Nope" in German`},
+		{`USE German WHEN Nope = 1 UPDATE(Status) = 3 OUTPUT COUNT(*)`, `offset 16: unknown column "Nope" in German`},
 	}
 	for _, c := range cases {
 		q, err := hyperql.ParseWhatIf(c.src)

@@ -110,7 +110,10 @@ func PlanContext(ctx context.Context, db *relation.Database, model *causal.Model
 	if err := ctx.Err(); err != nil {
 		return 0, 0, err
 	}
-	v, _, _, _, _, err := resolveView(db, q, o)
+	v, _, _, err := cachedView(db, q.Use, o.Cache)
+	if err == nil {
+		_, err = v.resolveWhatIf(q)
+	}
 	if err != nil {
 		return 0, 0, err
 	}

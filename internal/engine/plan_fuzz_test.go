@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -23,8 +24,8 @@ var fuzzData = sync.OnceValue(func() *dataset.Single {
 // randomPlannedQuery generates a well-formed what-if whose WHEN clause
 // deliberately walks the planner's classification space: pushable equality,
 // inequality, ranges, IN/NOT IN, AND chains, residual shapes (NOT,
-// arithmetic), an unknown column (the plan falls back; the query fails unless
-// an earlier never-true conjunct short-circuits it) and no WHEN at all.
+// arithmetic), an unknown column (the plan falls back; the query always
+// fails to resolve, planned or not) and no WHEN at all.
 func randomPlannedQuery(rng *stats.RNG) string {
 	conj := func() string {
 		switch rng.Intn(9) {
@@ -43,7 +44,7 @@ func randomPlannedQuery(rng *stats.RNG) string {
 		case 6:
 			return fmt.Sprintf("NOT (Sex = %d)", rng.Intn(2)) // residual (unary NOT)
 		case 7:
-			return fmt.Sprintf("Nope = %d", rng.Intn(2)) // unknown column: fallback
+			return fmt.Sprintf("Nope = %d", rng.Intn(2)) // unknown column: fallback, and a resolve error
 		default:
 			return fmt.Sprintf("Age + Sex = %d", rng.Intn(4)) // residual (arithmetic)
 		}
@@ -118,9 +119,10 @@ func oracleMask(when hyperql.Expr, rel *relation.Relation) ([]bool, error) {
 // well-formed what-if it holds the planner's update-set mask and error to
 // oracleMask over the relevant view, then evaluates the query three ways —
 // without a plan cache, through a cold one, and cache-warm — at a serial and
-// a parallel fan-out: all three must fail with the oracle's error or agree
-// bit-for-bit on Value, Sum and Count, select the oracle's number of rows and
-// push the same conjuncts. CI runs this as a 30s smoke; locally:
+// a parallel fan-out: all three must fail with the resolve error of a query
+// naming Nope, or agree bit-for-bit on Value, Sum and Count, select the
+// oracle's number of rows and push the same conjuncts. CI runs this as a 30s
+// smoke; locally:
 //
 //	go test -fuzz=FuzzPlanParity -fuzztime=30s ./internal/engine
 func FuzzPlanParity(f *testing.F) {
@@ -135,10 +137,11 @@ func FuzzPlanParity(f *testing.F) {
 		if err != nil {
 			t.Fatalf("generated query does not parse: %q: %v", src, err)
 		}
-		v, _, _, _, _, err := resolveView(g.DB, q, Options{})
+		v, _, _, err := cachedView(g.DB, q.Use, nil)
 		if err != nil {
 			t.Fatalf("%q: view: %v", src, err)
 		}
+		_, resolveErr := v.resolveWhatIf(q)
 		want, wantErr := oracleMask(q.When, v.Rel)
 		var noCache *plan.Cache
 		qp, _ := noCache.WhatIf(g.DB, "", q, v.Rel)
@@ -167,9 +170,9 @@ func FuzzPlanParity(f *testing.F) {
 				{"warm", cached},
 			} {
 				got, err := Evaluate(g.DB, g.Model, q, run.opts)
-				if wantErr != nil {
-					if err == nil || err.Error() != "engine: WHEN: "+wantErr.Error() {
-						t.Fatalf("%q shards=%d %s: err=%v, oracle err=%v", src, shards, run.label, err, wantErr)
+				if resolveErr != nil {
+					if err == nil || err.Error() != resolveErr.Error() || !strings.Contains(err.Error(), `unknown column "Nope"`) {
+						t.Fatalf("%q shards=%d %s: err=%v, resolve err=%v", src, shards, run.label, err, resolveErr)
 					}
 					continue
 				}

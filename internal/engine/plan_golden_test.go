@@ -20,9 +20,11 @@ const plansGoldenPath = "testdata/plans.golden"
 
 // planOnlyCases extends the golden corpus past the parity queries with WHEN
 // shapes that exercise every planner classification: equality and range
-// pushdown with cost-based reordering, IN/NOT IN over interned codes,
-// residual conjuncts (arithmetic, NOT) that must stay row-evaluated, and a
-// tree that cannot be validated and runs whole.
+// pushdown with cost-based reordering, IN/NOT IN over interned codes and
+// residual conjuncts (arithmetic, NOT) that must stay row-evaluated. A tree
+// the planner cannot validate names a column the view lacks, so its query
+// fails to resolve before it plans (TestNameErrorsEveryWayIn); internal/plan
+// covers the whole-tree fallback itself.
 var planOnlyCases = []parityCase{
 	{
 		name:    "german-when-reordered",
@@ -54,14 +56,6 @@ var planOnlyCases = []parityCase{
 			UPDATE(Price) = 0.9 * PRE(Price)
 			OUTPUT AVG(POST(Rtng))`,
 		opts: Options{Seed: 7},
-	},
-	{
-		name:    "german-when-fallback",
-		dataset: "german",
-		// Nope is no column of the view, so nothing is pushed or reordered;
-		// the OR short-circuits before reaching it on every row.
-		query: `USE German WHEN Age >= 0 OR Nope = 1 UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`,
-		opts:  Options{Seed: 7},
 	},
 }
 

@@ -46,7 +46,7 @@ type Prepared struct {
 	db                       *relation.Database
 	v                        *view
 	viewKey, whenKey, forKey string // estimator-set identity, less features and options
-	updateAttrs              []string
+	resolved
 	// blockOf is R's tuples' block ids (nil: one block) and baseRows R's row
 	// behind each view row (nil: view row i is R's row i).
 	blockOf  []int32
@@ -54,8 +54,6 @@ type Prepared struct {
 	nBlocks  int
 	inS      []bool // the WHEN set
 	agg      hyperql.AggFunc
-	yCol     string
-	outCond  hyperql.Expr
 	// disjuncts is the normalised FOR; psi the ψ summaries with their
 	// pre-update means (post means are per update).
 	disjuncts []disjunct
@@ -125,17 +123,21 @@ func prepare(ctx context.Context, db *relation.Database, model *causal.Model, q 
 
 	// Step 1: relevant view (USE), memoized across candidate queries when a
 	// cache is provided. Each stage below is timed once, by an obs.Stage,
-	// for its span, its meter entry and its Result field.
+	// for its span, its meter entry and its Result field. Right after it
+	// every name the query uses resolves against the view, or nothing runs.
 	_, stage := obs.StartStage(ctx, "view")
-	v, viewKey, updateAttrs, from, viewHit, err := resolveView(db, q, o)
+	v, viewKey, viewHit, err := cachedView(db, q.Use, o.Cache)
 	if err != nil {
 		return nil, err
 	}
-	p.db, p.v, p.viewKey, p.updateAttrs = db, v, viewKey, updateAttrs
 	res.ViewRows = v.Rel.Len()
 	stage.Set("rows", res.ViewRows)
 	stage.Set("cache_hit", viewHit)
 	res.ViewTime = stage.End()
+	if p.resolved, err = v.resolveWhatIf(q); err != nil {
+		return nil, err
+	}
+	p.db, p.v, p.viewKey, p.agg = db, v, viewKey, q.Output.Func
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -170,9 +172,9 @@ func prepare(ctx context.Context, db *relation.Database, model *causal.Model, q 
 		if err != nil {
 			return nil, err
 		}
-		p.blockOf, res.Blocks = b.ByRel[v.Tables[from].Name()], b.N
+		p.blockOf, res.Blocks = b.ByRel[v.Tables[p.from].Name()], b.N
 	}
-	p.baseRows, p.nBlocks = v.Rows[from], res.Blocks
+	p.baseRows, p.nBlocks = v.Rows[p.from], res.Blocks
 	stage.Set("blocks", res.Blocks)
 	stage.Set("cache_hit", blocksHit)
 	res.BlockTime = stage.End()
@@ -212,33 +214,12 @@ func prepare(ctx context.Context, db *relation.Database, model *causal.Model, q 
 	// the group mean of that attribute becomes a feature, and its post-update
 	// shift (bindSummaries) propagates the update to non-updated tuples in the
 	// same group.
-	if p.psi, err = buildSummaries(v, model, updateAttrs); err != nil {
+	if p.psi, err = buildSummaries(v, model, p.updateAttrs); err != nil {
 		return nil, err
 	}
 
-	// Step 6: parse the OUTPUT aggregate.
-	p.agg = q.Output.Func
-	switch p.agg {
-	case hyperql.AggAvg, hyperql.AggSum:
-		c, ok := q.Output.Expr.(*hyperql.ColRef)
-		if !ok {
-			return nil, fmt.Errorf("engine: %s requires a column argument, got %v", p.agg, q.Output.Expr)
-		}
-		if c.Time == hyperql.TimePre {
-			return nil, fmt.Errorf("engine: OUTPUT reads post-update values; PRE(%s) is not allowed", c.Name)
-		}
-		p.yCol = c.Name
-		if !v.Rel.Schema().Has(p.yCol) {
-			return nil, fmt.Errorf("engine: output attribute %q is not a column of the relevant view", p.yCol)
-		}
-	case hyperql.AggCount:
-		if q.Output.Expr != nil {
-			p.outCond = q.Output.Expr
-			if _, hasPre := prePresent(p.outCond); hasPre {
-				return nil, fmt.Errorf("engine: OUTPUT condition reads post-update values; PRE() is not allowed")
-			}
-		}
-	}
+	// Step 6, the OUTPUT aggregate (Y or the COUNT condition), is resolved
+	// with the names in step 1.
 
 	// Step 7: normalize FOR into disjoint pre/post disjuncts.
 	// The caps are fixed: at most 64 disjuncts (A.2.3 — the 2^t blowup is in
@@ -251,7 +232,7 @@ func prepare(ctx context.Context, db *relation.Database, model *causal.Model, q 
 	res.Disjuncts = len(p.disjuncts)
 
 	// Step 8: backdoor set.
-	if res.Backdoor, err = backdoorColumns(v, from, model, updateAttrs, p.yCol, p.outCond, p.disjuncts, o.Mode); err != nil {
+	if res.Backdoor, err = backdoorColumns(v, p.from, model, p.updateAttrs, p.yCol, p.outCond, p.disjuncts, o.Mode); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -262,12 +243,12 @@ func prepare(ctx context.Context, db *relation.Database, model *causal.Model, q 
 	// probabilities on μ_When and μ_For,Pre, so the attributes those
 	// predicates reference join the conditioning features (this is what
 	// makes runtime grow with the number of FOR attributes, Figure 11a).
-	p.featCols = append(slices.Clone(updateAttrs), res.Backdoor...)
+	p.featCols = append(slices.Clone(p.updateAttrs), res.Backdoor...)
 	for _, s := range p.psi {
 		p.featCols = append(p.featCols, s.name)
 	}
 	if o.Mode != ModeIndep {
-		p.featCols = appendPredicateAttrs(p.featCols, v.Rel, q.When, p.disjuncts, updateAttrs)
+		p.featCols = appendPredicateAttrs(p.featCols, q.When, p.disjuncts, p.updateAttrs)
 	}
 	p.whenKey, p.forKey = shapeKeys(q)
 

@@ -70,7 +70,7 @@ func buildView(db *relation.Database, use *hyperql.UseClause) (*view, error) {
 	if use.Table != "" {
 		r := db.Relation(use.Table)
 		if r == nil {
-			return nil, fmt.Errorf("engine: USE references unknown table %q", use.Table)
+			return nil, &hyperql.SemanticError{Pos: use.Pos, Msg: fmt.Sprintf("unknown table %q", use.Table)}
 		}
 		return newView(sqlmini.TableView(r)), nil
 	}
@@ -93,15 +93,16 @@ func newView(sv *sqlmini.View) *view {
 	return v
 }
 
-// updateSource validates one update attribute against the model of Section
-// 3.1 — a plain view column whose source is a mutable column of a base
-// relation — and returns its source. from is the FROM entry the query's
-// other updates read (-1 for none): every update of a query reads one.
-func (v *view) updateSource(attr string, from int) (sqlmini.Source, error) {
-	c, ok := v.Rel.Schema().Index(attr)
-	if !ok {
-		return sqlmini.Source{}, fmt.Errorf("engine: update attribute %q is not a column of the relevant view", attr)
+// updateSource validates one update attribute, named at offset pos, against
+// the model of Section 3.1 — a plain view column whose source is a mutable
+// column of a base relation — and returns its source. from is the FROM entry
+// the query's other updates read (-1 for none): every update of a query
+// reads one.
+func (v *view) updateSource(attr string, pos, from int) (sqlmini.Source, error) {
+	if err := v.name("", attr, pos); err != nil {
+		return sqlmini.Source{}, err
 	}
+	c := v.Rel.Schema().MustIndex(attr)
 	s := v.Cols[c]
 	if s.Table < 0 {
 		return s, fmt.Errorf("engine: update attribute %q has no source mapping", attr)

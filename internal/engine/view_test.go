@@ -117,7 +117,7 @@ func TestWhatIfValidatesEveryUpdate(t *testing.T) {
 			`engine: update attribute "Price2" reads a second FROM entry of Product; every update must read one`},
 		{"not a view column", g.DB, g.Model,
 			`USE German UPDATE(Status) = 3 AND UPDATE(Nope) = 1 OUTPUT COUNT(Credit = 1)`,
-			`engine: update attribute "Nope" is not a column of the relevant view`},
+			`offset 41: unknown column "Nope" in German`},
 	} {
 		q, err := hyperql.ParseWhatIf(tc.query)
 		if err != nil {

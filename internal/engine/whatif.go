@@ -72,52 +72,16 @@ func cachedView(db *relation.Database, use *hyperql.UseClause, c *Cache) (v *vie
 	return v, viewKey, hit, err
 }
 
-// UpdateSource validates attr as an update attribute of the relevant view of
-// use — a plain view column whose source is a mutable base column — and
-// returns that base relation and column. It is the check every what-if
-// UPDATE passes; a how-to resolves its HOWTOUPDATE attributes through it.
-// The view comes from (and is left in) opts.Cache.
+// UpdateSource returns the base relation and column that attr, an update
+// attribute of the relevant view of use that Resolve accepted, writes. The
+// view comes from (and is left in) opts.Cache.
 func UpdateSource(db *relation.Database, use *hyperql.UseClause, attr string, opts Options) (*relation.Relation, int, error) {
 	v, _, _, err := cachedView(db, use, opts.Cache)
 	if err != nil {
 		return nil, 0, err
 	}
-	s, err := v.updateSource(attr, -1)
-	if err != nil {
-		return nil, 0, err
-	}
+	s := v.Cols[v.Rel.Schema().MustIndex(attr)]
 	return v.Tables[s.Table], s.Col, nil
-}
-
-// resolveView materializes (or fetches from cache) the relevant view of the
-// query, validating the UPDATE clause on the way. It returns the view, its
-// cache key, the distinct update attributes and the FROM entry of R, the
-// one base relation they all update.
-func resolveView(db *relation.Database, q *hyperql.WhatIf, o Options) (v *view, viewKey string, updateAttrs []string, from int, hit bool, err error) {
-	if len(q.Updates) == 0 {
-		return nil, "", nil, 0, false, fmt.Errorf("engine: what-if query has no UPDATE clause")
-	}
-	if q.Output == nil || !q.Output.Func.Valid() {
-		return nil, "", nil, 0, false, fmt.Errorf("engine: what-if query has no valid OUTPUT aggregate")
-	}
-	if v, viewKey, hit, err = cachedView(db, q.Use, o.Cache); err != nil {
-		return nil, "", nil, 0, false, err
-	}
-	// Every update attribute is this query's own to validate: distinct, and
-	// all read from the one FROM entry of R.
-	from = -1
-	for _, u := range q.Updates {
-		if slices.Contains(updateAttrs, u.Attr) {
-			return nil, "", nil, 0, false, fmt.Errorf("engine: attribute %q updated twice", u.Attr)
-		}
-		updateAttrs = append(updateAttrs, u.Attr)
-		s, err := v.updateSource(u.Attr, from)
-		if err != nil {
-			return nil, "", nil, 0, false, err
-		}
-		from = s.Table
-	}
-	return v, viewKey, updateAttrs, from, hit, nil
 }
 
 // evalPrep is a Prepared bound to one update: everything up to the tuple
@@ -440,18 +404,6 @@ func (r *Result) setValue(agg hyperql.AggFunc) {
 			r.Value = r.Sum / r.Count
 		}
 	}
-}
-
-func prePresent(e hyperql.Expr) (hasPost, hasPre bool) {
-	for _, c := range hyperql.ColRefs(e) {
-		switch c.Time {
-		case hyperql.TimePre:
-			hasPre = true
-		case hyperql.TimePost:
-			hasPost = true
-		}
-	}
-	return
 }
 
 // evaluator is one bound evaluation's tuple-level state: the Prepared shape,
@@ -907,8 +859,8 @@ func supportedFraction(est *estimatorSet, v *view, updates []hyperql.UpdateSpec,
 
 // appendPredicateAttrs extends the feature set with the view attributes
 // referenced by WHEN and by the pre parts of the normalized FOR predicate,
-// skipping duplicates, update attributes and columns absent from the view.
-func appendPredicateAttrs(featCols []string, rel *relation.Relation, when hyperql.Expr, disjuncts []disjunct, updateAttrs []string) []string {
+// skipping duplicates and update attributes.
+func appendPredicateAttrs(featCols []string, when hyperql.Expr, disjuncts []disjunct, updateAttrs []string) []string {
 	have := map[string]bool{}
 	for _, c := range featCols {
 		have[c] = true
@@ -921,7 +873,7 @@ func appendPredicateAttrs(featCols []string, rel *relation.Relation, when hyperq
 			if c.Time == hyperql.TimePost {
 				continue
 			}
-			if !have[c.Name] && rel.Schema().Has(c.Name) {
+			if !have[c.Name] {
 				have[c.Name] = true
 				featCols = append(featCols, c.Name)
 			}

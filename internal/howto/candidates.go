@@ -32,18 +32,22 @@ type source struct {
 	col int
 }
 
-// candidates enumerates the candidates of each HOWTOUPDATE attribute and
-// resolves each attribute to its base column through the relevant view, as
-// a what-if UPDATE is (engine.UpdateSource); the view lands in the how-to's
-// engine cache, where its candidate what-ifs find it.
+// candidates resolves q's names (engine.Resolve: every how-to entry starts
+// here), enumerates the candidates of each HOWTOUPDATE attribute and maps
+// each attribute to its base column through the relevant view
+// (engine.UpdateSource); the view lands in the how-to's engine cache, where
+// its candidate what-ifs find it.
 func candidates(db *relation.Database, q *hyperql.HowTo, o Options, ws whenSets) (map[string][]hyperql.UpdateSpec, map[string]source, error) {
 	o = o.withDefaults()
+	if err := engine.Resolve(db, q, o.Engine); err != nil {
+		return nil, nil, err
+	}
 	out := make(map[string][]hyperql.UpdateSpec, len(q.Attrs))
 	srcs := make(map[string]source, len(q.Attrs))
 	for _, attr := range q.Attrs {
 		rel, col, err := engine.UpdateSource(db, q.Use, attr, o.Engine)
 		if err != nil {
-			return nil, nil, fmt.Errorf("howto: %w", err)
+			return nil, nil, err
 		}
 		src := source{rel, col}
 		specs, err := candidatesFor(src, attr, q, o, ws)

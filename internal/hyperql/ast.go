@@ -32,11 +32,13 @@ type Expr interface {
 }
 
 // ColRef references a column, optionally qualified by a table alias and
-// wrapped in PRE()/POST().
+// wrapped in PRE()/POST(). Pos, like every Pos, is a name's source offset,
+// which no printing (and so no key or fingerprint) reads.
 type ColRef struct {
 	Table string
 	Name  string
 	Time  Temporal
+	Pos   int
 }
 
 func (c *ColRef) String() string { return text((*printer).expr, Expr(c)) }
@@ -103,10 +105,11 @@ type SelectItem struct {
 
 func (s SelectItem) String() string { return text((*printer).item, s) }
 
-// TableRef is FROM table [AS alias].
+// TableRef is FROM table [AS alias]; Pos is the offset of Name.
 type TableRef struct {
 	Name  string
 	Alias string
+	Pos   int
 }
 
 func (t TableRef) String() string { return text((*printer).table, t) }
@@ -126,6 +129,7 @@ func (s *SelectStmt) String() string { return text((*printer).selectStmt, s) }
 // relevant view.
 type UseClause struct {
 	Table  string      // non-empty for USE <table>
+	Pos    int         // the offset of Table
 	Select *SelectStmt // non-nil for USE ( SELECT ... )
 }
 
@@ -152,11 +156,12 @@ func (f UpdateForm) String() string {
 	}
 }
 
-// UpdateSpec is one UPDATE(B) = f(PRE(B)) assignment.
+// UpdateSpec is one UPDATE(B) = f(PRE(B)) assignment; Pos is B's offset.
 type UpdateSpec struct {
 	Attr  string
 	Form  UpdateForm
 	Const relation.Value
+	Pos   int
 }
 
 func (u UpdateSpec) String() string { return text((*printer).update, u) }
@@ -199,6 +204,7 @@ const (
 type LimitSpec struct {
 	Kind   LimitKind
 	Attr   string           // for Range/L1/In
+	Pos    int              // the offset of Attr
 	Lo, Hi relation.Value   // for Range (Null means unbounded)
 	Theta  float64          // for L1
 	Vals   []relation.Value // for In
@@ -212,6 +218,7 @@ type HowTo struct {
 	Use      *UseClause
 	When     Expr
 	Attrs    []string // HOWTOUPDATE attributes
+	AttrPos  []int    // the offset of each of Attrs, in step with them
 	Limits   []LimitSpec
 	Maximize bool
 	Obj      *Aggregate

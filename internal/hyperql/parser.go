@@ -33,30 +33,41 @@ func Parse(src string) (Query, error) {
 }
 
 // ParseWhatIf parses src and requires a what-if query.
-func ParseWhatIf(src string) (*WhatIf, error) {
-	q, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	w, ok := q.(*WhatIf)
-	if !ok {
-		return nil, fmt.Errorf("hyperql: expected a what-if query, got a how-to query")
-	}
-	return w, nil
-}
+func ParseWhatIf(src string) (*WhatIf, error) { return parseAs[*WhatIf](src) }
 
 // ParseHowTo parses src and requires a how-to query.
-func ParseHowTo(src string) (*HowTo, error) {
+func ParseHowTo(src string) (*HowTo, error) { return parseAs[*HowTo](src) }
+
+func parseAs[Q Query](src string) (Q, error) {
 	q, err := Parse(src)
 	if err != nil {
-		return nil, err
+		var none Q
+		return none, err
 	}
-	h, ok := q.(*HowTo)
-	if !ok {
-		return nil, fmt.Errorf("hyperql: expected a how-to query, got a what-if query")
-	}
-	return h, nil
+	return As[Q](q)
 }
+
+// As returns q as the query kind Q (*WhatIf or *HowTo), or an error naming
+// the kind it is.
+func As[Q Query](q Query) (Q, error) {
+	k, ok := q.(Q)
+	if !ok {
+		_, howTo := q.(*HowTo)
+		kind := map[bool]string{false: "what-if", true: "how-to"}
+		return k, fmt.Errorf("hyperql: expected a %s query, got a %s query", kind[!howTo], kind[howTo])
+	}
+	return k, nil
+}
+
+// SemanticError is a name in a well-formed query that the database it is
+// bound to does not resolve, at the name's source offset: what binding
+// reports, as a parse error reports bad syntax.
+type SemanticError struct {
+	Pos int
+	Msg string
+}
+
+func (e *SemanticError) Error() string { return fmt.Sprintf("offset %d: %s", e.Pos, e.Msg) }
 
 // ParseExpr parses a standalone predicate/expression (used by tests and by
 // programmatic query construction).
@@ -180,11 +191,12 @@ func (p *Parser) parseUse() (*UseClause, error) {
 		}
 		return &UseClause{Select: sel}, nil
 	}
+	pos := p.peek().Pos
 	name, err := p.expectIdent()
 	if err != nil {
 		return nil, err
 	}
-	return &UseClause{Table: name}, nil
+	return &UseClause{Table: name, Pos: pos}, nil
 }
 
 func (p *Parser) parseSelect() (*SelectStmt, error) {
@@ -206,11 +218,12 @@ func (p *Parser) parseSelect() (*SelectStmt, error) {
 		return nil, err
 	}
 	for {
+		pos := p.peek().Pos
 		name, err := p.expectIdent()
 		if err != nil {
 			return nil, err
 		}
-		tr := TableRef{Name: name}
+		tr := TableRef{Name: name, Pos: pos}
 		if p.acceptKeyword("AS") {
 			tr.Alias, err = p.expectIdent()
 			if err != nil {
@@ -340,6 +353,7 @@ func (p *Parser) parseColRef() (*ColRef, error) {
 }
 
 func (p *Parser) parseBareColRef() (*ColRef, error) {
+	pos := p.peek().Pos
 	a, err := p.expectIdent()
 	if err != nil {
 		return nil, err
@@ -349,9 +363,9 @@ func (p *Parser) parseBareColRef() (*ColRef, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ColRef{Table: a, Name: b}, nil
+		return &ColRef{Table: a, Name: b, Pos: pos}, nil
 	}
-	return &ColRef{Name: a}, nil
+	return &ColRef{Name: a, Pos: pos}, nil
 }
 
 // Expression grammar, loosest binding first:
@@ -600,32 +614,32 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	return nil, p.errorf("unexpected token %q in expression", t.String())
 }
 
-// parseL1 parses L1(PRE(A), POST(A)) and returns A.
-func (p *Parser) parseL1() (string, error) {
+// parseL1 parses L1(PRE(A), POST(A)) and returns PRE(A).
+func (p *Parser) parseL1() (*ColRef, error) {
 	if err := p.expectKeyword("L1"); err != nil {
-		return "", err
+		return nil, err
 	}
 	if err := p.expectOp("("); err != nil {
-		return "", err
+		return nil, err
 	}
 	a, err := p.parseColRef()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if err := p.expectOp(","); err != nil {
-		return "", err
+		return nil, err
 	}
 	b, err := p.parseColRef()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if err := p.expectOp(")"); err != nil {
-		return "", err
+		return nil, err
 	}
 	if a.Name != b.Name {
-		return "", p.errorf("L1 operands must name the same attribute, got %s and %s", a.Name, b.Name)
+		return nil, p.errorf("L1 operands must name the same attribute, got %s and %s", a.Name, b.Name)
 	}
-	return a.Name, nil
+	return a, nil
 }
 
 // parseWhatIfTail parses UPDATE...OUTPUT...FOR after USE/WHEN.
@@ -674,6 +688,7 @@ func (p *Parser) parseUpdateSpec() (*UpdateSpec, error) {
 	if err := p.expectOp("("); err != nil {
 		return nil, err
 	}
+	pos := p.peek().Pos
 	attr, err := p.expectIdent()
 	if err != nil {
 		return nil, err
@@ -688,7 +703,12 @@ func (p *Parser) parseUpdateSpec() (*UpdateSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	return classifyUpdate(attr, rhs)
+	u, err := classifyUpdate(attr, rhs)
+	if err != nil {
+		return nil, err
+	}
+	u.Pos = pos
+	return u, nil
 }
 
 // classifyUpdate maps the parsed RHS expression onto one of the three update
@@ -736,6 +756,7 @@ func (p *Parser) parseHowToTail(use *UseClause, when Expr) (*HowTo, error) {
 	}
 	q := &HowTo{Use: use, When: when}
 	for {
+		q.AttrPos = append(q.AttrPos, p.peek().Pos)
 		a, err := p.expectIdent()
 		if err != nil {
 			return nil, err
@@ -787,7 +808,7 @@ func (p *Parser) parseHowToTail(use *UseClause, when Expr) (*HowTo, error) {
 func (p *Parser) parseLimitSpec() (*LimitSpec, error) {
 	// L1(PRE(A), POST(A)) <= theta
 	if p.isKeyword("L1") {
-		attr, err := p.parseL1()
+		c, err := p.parseL1()
 		if err != nil {
 			return nil, err
 		}
@@ -798,7 +819,7 @@ func (p *Parser) parseLimitSpec() (*LimitSpec, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &LimitSpec{Kind: LimitL1, Attr: attr, Theta: v.AsFloat()}, nil
+		return &LimitSpec{Kind: LimitL1, Attr: c.Name, Pos: c.Pos, Theta: v.AsFloat()}, nil
 	}
 	// UPDATES <= k
 	if p.acceptKeyword("UPDATES") {
@@ -821,11 +842,11 @@ func (p *Parser) parseLimitSpec() (*LimitSpec, error) {
 		if !p.acceptOp("<=") && !p.acceptOp("<") {
 			return nil, p.errorf("expected <= after range lower bound, found %q", op1)
 		}
-		attr, err := p.parsePostAttr()
+		c, err := p.parsePostAttr()
 		if err != nil {
 			return nil, err
 		}
-		spec := &LimitSpec{Kind: LimitRange, Attr: attr, Lo: lo, Hi: relation.Null}
+		spec := &LimitSpec{Kind: LimitRange, Attr: c.Name, Pos: c.Pos, Lo: lo, Hi: relation.Null}
 		if p.acceptOp("<=") || p.acceptOp("<") {
 			hi, err := p.parseLiteralValue()
 			if err != nil {
@@ -836,7 +857,7 @@ func (p *Parser) parseLimitSpec() (*LimitSpec, error) {
 		return spec, nil
 	}
 	// POST(A) <= hi | POST(A) >= lo | POST(A) IN (...)
-	attr, err := p.parsePostAttr()
+	c, err := p.parsePostAttr()
 	if err != nil {
 		return nil, err
 	}
@@ -846,18 +867,18 @@ func (p *Parser) parseLimitSpec() (*LimitSpec, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &LimitSpec{Kind: LimitRange, Attr: attr, Lo: relation.Null, Hi: hi}, nil
+		return &LimitSpec{Kind: LimitRange, Attr: c.Name, Pos: c.Pos, Lo: relation.Null, Hi: hi}, nil
 	case p.acceptOp(">="), p.acceptOp(">"):
 		lo, err := p.parseLiteralValue()
 		if err != nil {
 			return nil, err
 		}
-		return &LimitSpec{Kind: LimitRange, Attr: attr, Lo: lo, Hi: relation.Null}, nil
+		return &LimitSpec{Kind: LimitRange, Attr: c.Name, Pos: c.Pos, Lo: lo, Hi: relation.Null}, nil
 	case p.acceptKeyword("IN"):
 		if err := p.expectOp("("); err != nil {
 			return nil, err
 		}
-		spec := &LimitSpec{Kind: LimitIn, Attr: attr}
+		spec := &LimitSpec{Kind: LimitIn, Attr: c.Name, Pos: c.Pos}
 		for {
 			v, err := p.parseLiteralValue()
 			if err != nil {
@@ -878,15 +899,15 @@ func (p *Parser) parseLimitSpec() (*LimitSpec, error) {
 }
 
 // parsePostAttr parses POST(A) (or a bare attribute, treated as POST).
-func (p *Parser) parsePostAttr() (string, error) {
+func (p *Parser) parsePostAttr() (*ColRef, error) {
 	c, err := p.parseColRef()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if c.Time == TimePre {
-		return "", p.errorf("LIMIT constrains post-update values; use POST(%s)", c.Name)
+		return nil, p.errorf("LIMIT constrains post-update values; use POST(%s)", c.Name)
 	}
-	return c.Name, nil
+	return c, nil
 }
 
 // parseLiteralValue parses a literal (with optional leading minus).

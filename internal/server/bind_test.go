@@ -27,20 +27,33 @@ func TestBindEveryWayIn(t *testing.T) {
 		name, kind string
 		req        QueryRequest
 		status     int
+		msg        string // the message every way in answers ("" = any)
 	}{
-		{"bad placement", "whatif", QueryRequest{Query: loansQuery, Placement: "bogus"}, http.StatusBadRequest},
-		{"unknown method", "howto", QueryRequest{Query: howTo, Method: "bogus"}, http.StatusBadRequest},
-		{"delta_vs on a how-to", "howto", QueryRequest{Query: howTo, DeltaVs: 1}, http.StatusBadRequest},
-		{"unknown snapshot", "whatif", QueryRequest{Query: loansQuery, Snapshot: 9}, http.StatusNotFound},
-		{"unknown delta_vs", "whatif", QueryRequest{Query: loansQuery, DeltaVs: 9}, http.StatusNotFound},
-		{"unparsable text", "whatif", QueryRequest{Query: `not hyperql`}, http.StatusBadRequest},
-		{"how-to text as a what-if", "whatif", QueryRequest{Query: howTo}, http.StatusBadRequest},
+		{"bad placement", "whatif", QueryRequest{Query: loansQuery, Placement: "bogus"}, http.StatusBadRequest, ""},
+		{"unknown method", "howto", QueryRequest{Query: howTo, Method: "bogus"}, http.StatusBadRequest, ""},
+		{"delta_vs on a how-to", "howto", QueryRequest{Query: howTo, DeltaVs: 1}, http.StatusBadRequest, ""},
+		{"unknown snapshot", "whatif", QueryRequest{Query: loansQuery, Snapshot: 9}, http.StatusNotFound, ""},
+		{"unknown delta_vs", "whatif", QueryRequest{Query: loansQuery, DeltaVs: 9}, http.StatusNotFound, ""},
+		{"unparsable text", "whatif", QueryRequest{Query: `not hyperql`}, http.StatusBadRequest, ""},
+		{"how-to text as a what-if", "whatif", QueryRequest{Query: howTo}, http.StatusBadRequest, ""},
+		// A name the snapshot's view lacks is refused at bind, at its offset.
+		{"unknown UPDATE column", "whatif", QueryRequest{Query: `USE Loans UPDATE(NoSuchColumn) = 3 OUTPUT COUNT(Credit = 1)`},
+			http.StatusBadRequest, `offset 17: unknown column "NoSuchColumn" in Loans`},
+		{"unknown WHEN column", "whatif", QueryRequest{Query: `USE Loans WHEN Zip = 3 UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`, Placement: "workers"},
+			http.StatusBadRequest, `offset 15: unknown column "Zip" in Loans`},
+		{"unknown FOR column", "explain", QueryRequest{Query: `USE Loans UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1) FOR PRE(Foo) = 1`},
+			http.StatusBadRequest, `offset 62: unknown column "Foo" in Loans`},
+		{"unknown OUTPUT column", "howto", QueryRequest{Query: `USE Loans HOWTOUPDATE Status TOMAXIMIZE COUNT(Nope = 1)`},
+			http.StatusBadRequest, `offset 46: unknown column "Nope" in Loans`},
+		{"unknown table", "whatif", QueryRequest{Query: `USE Nope UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`},
+			http.StatusBadRequest, `offset 4: unknown table "Nope"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			q := tc.req
 			var scoped httpapi.ErrorResponse
-			if code := do(t, "POST", ts.URL+"/v1/sessions/d/"+tc.kind, q, &scoped); code != tc.status || scoped.Error == "" {
-				t.Fatalf("scoped route: status %d %+v, want %d", code, scoped, tc.status)
+			if code := do(t, "POST", ts.URL+"/v1/sessions/d/"+tc.kind, q, &scoped); code != tc.status || scoped.Error == "" ||
+				tc.msg != "" && scoped.Error != tc.msg {
+				t.Fatalf("scoped route: status %d %+v, want %d %q", code, scoped, tc.status, tc.msg)
 			}
 			want := scoped.Error
 

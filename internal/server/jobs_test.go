@@ -297,7 +297,9 @@ func TestJobKinds(t *testing.T) {
 	var bj JobInfo
 	do(t, "POST", ts.URL+"/v1/jobs", JobRequest{
 		Session: "g", Kind: "batch",
-		Queries: []BatchQuery{{Query: germanCount}, {Query: `USE German UPDATE(NoSuchColumn) = 3 OUTPUT COUNT(Credit = 1)`}},
+		// The second element binds, then fails in evaluation: a FOR literal
+		// may mix POST with one PRE attribute only.
+		Queries: []BatchQuery{{Query: germanCount}, {Query: `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1) FOR POST(Credit) = PRE(Age) + PRE(Sex)`}},
 	}, &bj)
 	final = pollJob(t, ts, bj.ID, 30*time.Second, terminal)
 	if final.State != "done" {
@@ -305,7 +307,7 @@ func TestJobKinds(t *testing.T) {
 	}
 	bres := final.Result.(map[string]any)
 	if errs, _ := bres["errors"].(float64); errs != 1 {
-		t.Errorf("batch job errors = %v, want 1 (the element naming no column)", bres["errors"])
+		t.Errorf("batch job errors = %v, want 1 (the element mixing two PRE attributes)", bres["errors"])
 	}
 	if final.Progress.Stage != "queries" || final.Progress.Done != 2 {
 		t.Errorf("batch progress = %+v, want queries 2/2", final.Progress)

@@ -9,6 +9,7 @@ import (
 
 	"hyper"
 	"hyper/internal/dist"
+	"hyper/internal/engine"
 	"hyper/internal/fault"
 	"hyper/internal/httpapi"
 	"hyper/internal/hyperql"
@@ -198,13 +199,14 @@ func (s *Server) handleSessionQuery(kind string) func(*http.Request) (any, error
 
 // boundQuery is a query bind has checked and pinned: its kind, the
 // snapshots it reads (vs is the delta_vs version, nil without one), its
-// parsed text and, for a how-to, the solver its method names.
+// resolved syntax tree, which is all run evaluates, and, for a how-to, the
+// solver its method names.
 type boundQuery struct {
 	kind   string
 	req    QueryRequest
 	sn, vs *snapshotEntry
 	ast    hyperql.Query
-	solve  func(context.Context, string, hyper.Progress) (*hyper.HowToResult, error)
+	solve  func(context.Context, *hyper.HowToQuery, hyper.Progress) (*hyper.HowToResult, error)
 }
 
 // bind is the one check of a query hyperd accepts, however it arrives (a
@@ -212,8 +214,9 @@ type boundQuery struct {
 // (whatif|howto|explain, "" = whatif), resolves the snapshot and delta_vs
 // pins (an unknown version is a 404), rejects delta_vs on anything but a
 // what-if, a placement the kind cannot run under and an unknown how-to
-// method, and parses the text as its kind (400). It counts and evaluates
-// nothing.
+// method, parses the text as its kind once and resolves every name it uses
+// against the pinned snapshot (engine.Resolve; either failing is a 400). It
+// counts and evaluates nothing.
 func (e *sessionEntry) bind(kind string, req QueryRequest) (*boundQuery, error) {
 	b := &boundQuery{kind: cmp.Or(kind, "whatif"), req: req}
 	var err error
@@ -248,6 +251,9 @@ func (e *sessionEntry) bind(kind string, req QueryRequest) (*boundQuery, error) 
 	default:
 		return nil, httpapi.Errorf(http.StatusBadRequest, "unknown query kind %q (want whatif|howto|explain)", kind)
 	}
+	if err == nil {
+		err = engine.Resolve(b.sn.sess.DB(), b.ast, b.sn.sess.EngineOptions())
+	}
 	if err != nil {
 		return nil, httpapi.Errorf(http.StatusBadRequest, "%v", err)
 	}
@@ -261,14 +267,14 @@ func (e *sessionEntry) run(ctx context.Context, b *boundQuery, progress hyper.Pr
 	e.queries.Add(1)
 	switch b.kind {
 	case "whatif":
-		resp, err := e.whatIf(ctx, b.sn, b.req, progress)
+		resp, err := e.whatIf(ctx, b.sn, b, progress)
 		if err != nil {
 			return nil, err
 		}
 		if b.vs != nil {
 			// Both evaluations are pinned, so the delta is a pure function
 			// of the two immutable versions.
-			vsResp, err := e.whatIf(ctx, b.vs, b.req, nil)
+			vsResp, err := e.whatIf(ctx, b.vs, b, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -276,7 +282,7 @@ func (e *sessionEntry) run(ctx context.Context, b *boundQuery, progress hyper.Pr
 		}
 		return resp, nil
 	case "howto":
-		res, err := b.solve(ctx, b.req.Query, progress)
+		res, err := b.solve(ctx, b.ast.(*hyper.HowToQuery), progress)
 		if err != nil {
 			return nil, queryError(ctx, err)
 		}
@@ -284,7 +290,7 @@ func (e *sessionEntry) run(ctx context.Context, b *boundQuery, progress hyper.Pr
 		out.Snapshot = b.sn.version
 		return out, nil
 	default: // explain
-		plan, err := b.sn.sess.Explain(b.req.Query)
+		plan, err := b.sn.sess.Explain(b.ast.(*hyper.WhatIfQuery))
 		if err != nil {
 			return nil, httpapi.Errorf(http.StatusBadRequest, "%v", err)
 		}
@@ -302,23 +308,26 @@ func (e *sessionEntry) sessionFor(sn *snapshotEntry, shards int) *hyper.Session 
 	return sn.sess.With(sn.sess.Options().WithShards(shards))
 }
 
-// whatIf evaluates one what-if query against a pinned snapshot.
-// req.Shards > 0 overrides the session's worker fan-out for this request;
-// req.Placement selects where the evaluation runs (results are identical
+// whatIf evaluates the bound what-if b against a pinned snapshot.
+// Shards > 0 overrides the session's worker fan-out for this request;
+// Placement selects where the evaluation runs (results are identical
 // everywhere), and "" (auto) resolves now, when the query runs: it
 // distributes over the live registered workers when there are any, so a
 // queued job whose workers have gone runs locally.
-func (e *sessionEntry) whatIf(ctx context.Context, sn *snapshotEntry, req QueryRequest, progress hyper.Progress) (*WhatIfResponse, error) {
+func (e *sessionEntry) whatIf(ctx context.Context, sn *snapshotEntry, b *boundQuery, progress hyper.Progress) (*WhatIfResponse, error) {
 	var res *hyper.WhatIfResult
 	var err error
+	req := b.req
 	sess := e.sessionFor(sn, req.Shards)
 	if req.Placement == "workers" || req.Placement == "" && e.dist != nil && e.dist.WorkersAlive() > 0 {
 		res, err = e.dist.EvaluateWhatIf(ctx, dist.EvalSpec{
 			DB: sess.DB(), Model: sess.Model(), Frame: sn.frame,
-			Query: req.Query, Options: sess.EngineOptions(), Progress: progress,
+			Query: b.ast.(*hyper.WhatIfQuery), Options: sess.EngineOptions(), Progress: progress,
 		})
 	} else {
-		res, err = sess.WhatIfContext(fault.WithInjector(ctx, e.fault), req.Query, progress)
+		var r any
+		r, err = sess.Run(fault.WithInjector(ctx, e.fault), b.ast, progress)
+		res, _ = r.(*hyper.WhatIfResult)
 	}
 	if err != nil {
 		return nil, queryError(ctx, err)
@@ -329,15 +338,19 @@ func (e *sessionEntry) whatIf(ctx context.Context, sn *snapshotEntry, req QueryR
 }
 
 // howToMethod binds the formulation QueryRequest.Method names to sess.
-func howToMethod(sess *hyper.Session, method string, target float64) (func(context.Context, string, hyper.Progress) (*hyper.HowToResult, error), error) {
+func howToMethod(sess *hyper.Session, method string, target float64) (func(context.Context, *hyper.HowToQuery, hyper.Progress) (*hyper.HowToResult, error), error) {
 	switch method {
 	case "", "ip":
-		return sess.HowToContext, nil
+		return func(ctx context.Context, q *hyper.HowToQuery, progress hyper.Progress) (*hyper.HowToResult, error) {
+			r, err := sess.Run(ctx, q, progress)
+			res, _ := r.(*hyper.HowToResult)
+			return res, err
+		}, nil
 	case "brute":
 		return sess.HowToBruteForce, nil
 	case "mincost":
-		return func(ctx context.Context, src string, progress hyper.Progress) (*hyper.HowToResult, error) {
-			return sess.HowToMinimizeCost(ctx, src, target, progress)
+		return func(ctx context.Context, q *hyper.HowToQuery, progress hyper.Progress) (*hyper.HowToResult, error) {
+			return sess.HowToMinimizeCost(ctx, q, target, progress)
 		}, nil
 	default:
 		return nil, httpapi.Errorf(http.StatusBadRequest, "unknown how-to method %q (want ip|brute|mincost)", method)

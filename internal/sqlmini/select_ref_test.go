@@ -45,7 +45,7 @@ func newRefJoiner(db *relation.Database, sel *hyperql.SelectStmt) (*refJoiner, e
 	for _, tr := range sel.From {
 		r := db.Relation(tr.Name)
 		if r == nil {
-			return nil, fmt.Errorf("sqlmini: unknown table %q", tr.Name)
+			return nil, &hyperql.SemanticError{Pos: tr.Pos, Msg: fmt.Sprintf("unknown table %q", tr.Name)}
 		}
 		alias := tr.Alias
 		if alias == "" {

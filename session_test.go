@@ -24,7 +24,7 @@ func TestSessionHowToBruteForceAgreesWithIP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf, err := s.HowToBruteForce(context.Background(), src, nil)
+	bf, err := s.HowToBruteForce(context.Background(), mustParse[*HowToQuery](t, src), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestSessionHowToBruteForceAgreesWithIP(t *testing.T) {
 
 func TestSessionHowToMinimizeCost(t *testing.T) {
 	s, n := germanSession(t)
-	res, err := s.HowToMinimizeCost(context.Background(), `USE German HOWTOUPDATE Status, Savings TOMAXIMIZE COUNT(Credit = 1)`, 0.65*n, nil)
+	res, err := s.HowToMinimizeCost(context.Background(), mustParse[*HowToQuery](t, `USE German HOWTOUPDATE Status, Savings TOMAXIMIZE COUNT(Credit = 1)`), 0.65*n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +51,8 @@ func TestSessionHowToMinimizeCost(t *testing.T) {
 func TestSessionHowToLexicographic(t *testing.T) {
 	s, _ := germanSession(t)
 	res, err := s.HowToLexicographic(context.Background(), nil,
-		`USE German HOWTOUPDATE Status, Savings TOMAXIMIZE COUNT(Credit = 1)`,
-		`USE German HOWTOUPDATE Status, Savings TOMINIMIZE AVG(POST(Savings))`)
+		mustParse[*HowToQuery](t, `USE German HOWTOUPDATE Status, Savings TOMAXIMIZE COUNT(Credit = 1)`),
+		mustParse[*HowToQuery](t, `USE German HOWTOUPDATE Status, Savings TOMINIMIZE AVG(POST(Savings))`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestSessionAccessorsAndOptions(t *testing.T) {
 
 func TestSessionExplain(t *testing.T) {
 	s, _ := germanSession(t)
-	plan, err := s.Explain(`USE German WHEN Age = 0 UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1) FOR PRE(Sex) = 1`)
+	plan, err := s.Explain(mustParse[*WhatIfQuery](t, `USE German WHEN Age = 0 UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1) FOR PRE(Sex) = 1`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +102,8 @@ func TestSessionExplain(t *testing.T) {
 			t.Errorf("plan missing %q:\n%s", want, plan)
 		}
 	}
-	if _, err := s.Explain(`garbage`); err == nil {
-		t.Error("bad query should fail")
+	if _, err := s.Explain(mustParse[*WhatIfQuery](t, `USE German UPDATE(Nope) = 3 OUTPUT COUNT(*)`)); err == nil {
+		t.Error("a query naming an unknown column should not explain")
 	}
 }
 
@@ -119,20 +119,17 @@ func TestParseErrorsSurface(t *testing.T) {
 	for _, call := range []func() error{
 		func() error { _, err := s.WhatIf(`garbage`); return err },
 		func() error { _, err := s.HowTo(`garbage`); return err },
-		func() error { _, err := s.HowToBruteForce(context.Background(), `garbage`, nil); return err },
-		func() error { _, err := s.HowToMinimizeCost(context.Background(), `garbage`, 1, nil); return err },
-		func() error { _, err := s.Query(context.Background(), `garbage`, nil); return err },
 		func() error { _, err := Parse(`garbage`); return err },
 	} {
 		if err := call(); err == nil || !strings.Contains(err.Error(), "hyperql") {
 			t.Errorf("parse error should surface, got %v", err)
 		}
 	}
-	// Type mismatches between WhatIf/HowTo entry points.
-	if _, err := s.WhatIf(`USE German HOWTOUPDATE Status TOMAXIMIZE COUNT(Credit = 1)`); err == nil {
-		t.Error("WhatIf on a how-to query should fail")
+	// Kind mismatches between the what-if and how-to text entry points.
+	if _, err := s.WhatIf(`USE German HOWTOUPDATE Status TOMAXIMIZE COUNT(Credit = 1)`); err == nil || !strings.Contains(err.Error(), "hyperql: expected a what-if") {
+		t.Errorf("WhatIf on a how-to query should fail, got %v", err)
 	}
-	if _, err := s.HowTo(`USE German UPDATE(Status) = 3 OUTPUT COUNT(*)`); err == nil {
-		t.Error("HowTo on a what-if query should fail")
+	if _, err := s.HowTo(`USE German UPDATE(Status) = 3 OUTPUT COUNT(*)`); err == nil || !strings.Contains(err.Error(), "hyperql: expected a how-to") {
+		t.Errorf("HowTo on a what-if query should fail, got %v", err)
 	}
 }
