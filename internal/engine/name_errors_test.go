@@ -16,7 +16,7 @@ import (
 // offset — whether the query is evaluated, explained, asked as a how-to of
 // the same shape or handed to the distribution coordinator. The fallback case
 // is the WHEN tree the planner cannot validate: its OR once hid the unknown
-// column on every row.
+// column on every row. An aggregate inside a per-row predicate fails alike.
 func TestNameErrorsEveryWayIn(t *testing.T) {
 	g := dataset.GermanSyn(500, 7)
 	s := hyper.NewSession(g.DB, g.Model)
@@ -47,6 +47,31 @@ func TestNameErrorsEveryWayIn(t *testing.T) {
 		{"german-when-fallback", `USE German WHEN Age >= 0 OR Nope = 1 UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`,
 			`USE German WHEN Age >= 0 OR Nope = 1 HOWTOUPDATE Status TOMAXIMIZE COUNT(Credit = 1)`,
 			"Nope", `unknown column "Nope" in German`},
+		// An aggregate is not a per-row predicate: WHEN, FOR and a COUNT
+		// condition refuse one at its offset, as they refuse a name.
+		{"WHEN aggregate", `USE German WHEN SUM(Age) > 3 UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`,
+			`USE German WHEN SUM(Age) > 3 HOWTOUPDATE Status TOMAXIMIZE COUNT(Credit = 1)`,
+			"SUM(Age)", `aggregate SUM(Age) not allowed in WHEN`},
+		{"FOR aggregate", `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1) FOR COUNT(*) > 0`,
+			`USE German HOWTOUPDATE Status TOMAXIMIZE COUNT(Credit = 1) FOR COUNT(*) > 0`,
+			"COUNT(*)", `aggregate COUNT(*) not allowed in FOR`},
+		{"COUNT condition aggregate", `USE German UPDATE(Status) = 3 OUTPUT COUNT(AVG(POST(Credit)) > 0)`,
+			`USE German HOWTOUPDATE Status TOMAXIMIZE COUNT(AVG(POST(Credit)) > 0)`,
+			"AVG(", `aggregate AVG(POST(Credit)) not allowed in COUNT`},
+		// The first bad node wins over a good column after it in the same
+		// predicate.
+		{"WHEN unknown, then a column", `USE German WHEN Nope = Age UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`,
+			`USE German WHEN Nope = Age HOWTOUPDATE Status TOMAXIMIZE COUNT(Credit = 1)`,
+			"Nope", `unknown column "Nope" in German`},
+		{"OUTPUT unknown, then a column", `USE German UPDATE(Status) = 3 OUTPUT COUNT(Nope = Credit)`,
+			`USE German HOWTOUPDATE Status TOMAXIMIZE COUNT(Nope = Credit)`,
+			"Nope", `unknown column "Nope" in German`},
+		{"OUTPUT PRE, then a column", `USE German UPDATE(Status) = 3 OUTPUT COUNT(PRE(Credit) = Age)`,
+			`USE German HOWTOUPDATE Status TOMAXIMIZE COUNT(PRE(Credit) = Age)`,
+			"Credit", `PRE(Credit) is not allowed in OUTPUT, which reads post-update values`},
+		{"FOR aggregate, then a column", `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1) FOR COUNT(*) > Age`,
+			`USE German HOWTOUPDATE Status TOMAXIMIZE COUNT(Credit = 1) FOR COUNT(*) > Age`,
+			"COUNT(*)", `aggregate COUNT(*) not allowed in FOR`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := func(src string) string {

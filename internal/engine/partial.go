@@ -100,25 +100,18 @@ func (p *evalPrep) meta() PartialMeta {
 	}
 }
 
-// PlanContext resolves the canonical shard plan of a what-if query without
-// evaluating it: it materializes (or fetches from cache) the relevant view
-// and derives the plan from the view's row count and the ShardRows
+// PlanContext resolves the what-if q (the view stage and its names, as
+// prepare's step 1) and returns its canonical shard plan without evaluating
+// it: the plan follows from the view's row count and the ShardRows
 // granularity. A coordinator calls this to know how many shards it is
 // assigning before any worker does real work.
 func PlanContext(ctx context.Context, db *relation.Database, model *causal.Model, q *hyperql.WhatIf, opts Options) (planShards, viewRows int, err error) {
 	o := opts.withDefaults()
-	if err := ctx.Err(); err != nil {
-		return 0, 0, err
-	}
-	v, _, _, err := cachedView(db, q.Use, o.Cache)
-	if err == nil {
-		_, err = v.resolveWhatIf(q)
-	}
+	b, err := resolve(ctx, db, q, o.Cache)
 	if err != nil {
 		return 0, 0, err
 	}
-	plan := shard.Rows(v.Rel.Len(), o.ShardRows)
-	return plan.Shards(), v.Rel.Len(), nil
+	return shard.Rows(b.v.Rel.Len(), o.ShardRows).Shards(), b.v.Rel.Len(), nil
 }
 
 // EvaluatePartialContext runs the full evaluation pipeline but evaluates

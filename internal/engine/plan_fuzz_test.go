@@ -141,7 +141,7 @@ func FuzzPlanParity(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%q: view: %v", src, err)
 		}
-		_, resolveErr := v.resolveWhatIf(q)
+		resolveErr := (&bound{v: v}).resolveWhatIf(q)
 		want, wantErr := oracleMask(q.When, v.Rel)
 		var noCache *plan.Cache
 		qp, _ := noCache.WhatIf(g.DB, "", q, v.Rel)

@@ -43,10 +43,9 @@ type Prepared struct {
 	o    Options
 	diag Result // what the shape decides: each bound Result starts from a copy
 
-	db                       *relation.Database
-	v                        *view
-	viewKey, whenKey, forKey string // estimator-set identity, less features and options
-	resolved
+	db              *relation.Database
+	bound                  // the view and the names resolve found in it
+	whenKey, forKey string // with viewKey, the estimator-set identity, less features and options
 	// blockOf is R's tuples' block ids (nil: one block) and baseRows R's row
 	// behind each view row (nil: view row i is R's row i).
 	blockOf  []int32
@@ -115,29 +114,19 @@ func prepare(ctx context.Context, db *relation.Database, model *causal.Model, q 
 	if model == nil && o.Mode == ModeFull {
 		o.Mode = ModeNB
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	p := &Prepared{o: o, diag: Result{Mode: o.Mode}}
 	res := &p.diag
 
-	// Step 1: relevant view (USE), memoized across candidate queries when a
-	// cache is provided. Each stage below is timed once, by an obs.Stage,
-	// for its span, its meter entry and its Result field. Right after it
-	// every name the query uses resolves against the view, or nothing runs.
-	_, stage := obs.StartStage(ctx, "view")
-	v, viewKey, viewHit, err := cachedView(db, q.Use, o.Cache)
-	if err != nil {
+	// Step 1 (resolve): the relevant view of USE, memoized when a cache is
+	// given, with every name q uses resolved against it. Each stage is timed
+	// once, by an obs.Stage, for its span, meter entry and Result field.
+	var err error
+	if p.bound, err = resolve(ctx, db, q, o.Cache); err != nil {
 		return nil, err
 	}
-	res.ViewRows = v.Rel.Len()
-	stage.Set("rows", res.ViewRows)
-	stage.Set("cache_hit", viewHit)
-	res.ViewTime = stage.End()
-	if p.resolved, err = v.resolveWhatIf(q); err != nil {
-		return nil, err
-	}
-	p.db, p.v, p.viewKey, p.agg = db, v, viewKey, q.Output.Func
+	v := p.v
+	res.ViewRows, res.ViewTime = v.Rel.Len(), p.viewTime
+	p.db, p.agg = db, q.Output.Func
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -146,7 +135,7 @@ func prepare(ctx context.Context, db *relation.Database, model *causal.Model, q 
 	// decomposition of the database is the model's alone — one per version,
 	// whatever the query — and a view row's block is that of its base tuple
 	// of R (blockAt).
-	_, stage = obs.StartStage(ctx, "blocks")
+	_, stage := obs.StartStage(ctx, "blocks")
 	blocksHit := false
 	res.Blocks = 1
 	if model != nil && !o.DisableBlocks {
@@ -187,7 +176,7 @@ func prepare(ctx context.Context, db *relation.Database, model *causal.Model, q 
 	// as the degenerate whole-tree program, so S and any error are those of
 	// a row-at-a-time sqlmini.EvalBool loop to the bit.
 	_, stage = obs.StartStage(ctx, "plan")
-	qp, planHit := o.Plans.WhatIf(db, viewKey, q, v.Rel)
+	qp, planHit := o.Plans.WhatIf(db, p.viewKey, q, v.Rel)
 	res.PlanFingerprint = qp.Fingerprint
 	res.PlanCacheHit = planHit
 	res.PlanText = qp.Explain()
@@ -232,9 +221,7 @@ func prepare(ctx context.Context, db *relation.Database, model *causal.Model, q 
 	res.Disjuncts = len(p.disjuncts)
 
 	// Step 8: backdoor set.
-	if res.Backdoor, err = backdoorColumns(v, p.from, model, p.updateAttrs, p.yCol, p.outCond, p.disjuncts, o.Mode); err != nil {
-		return nil, err
-	}
+	res.Backdoor = backdoorColumns(v, p.from, model, p.updateAttrs, p.yCol, p.outCond, p.disjuncts, o.Mode)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -248,7 +235,7 @@ func prepare(ctx context.Context, db *relation.Database, model *causal.Model, q 
 		p.featCols = append(p.featCols, s.name)
 	}
 	if o.Mode != ModeIndep {
-		p.featCols = appendPredicateAttrs(p.featCols, q.When, p.disjuncts, p.updateAttrs)
+		p.featCols = appendPredicateAttrs(p.featCols, q.When, p.disjuncts)
 	}
 	p.whenKey, p.forKey = shapeKeys(q)
 

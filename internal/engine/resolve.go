@@ -1,89 +1,126 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"slices"
+	"time"
 
 	"hyper/internal/hyperql"
+	"hyper/internal/obs"
 	"hyper/internal/relation"
 )
 
-// Resolve binds a parsed query to db: every name it uses must be a column of
-// the relevant view of its USE clause (built or fetched through opts.Cache),
-// else it fails with the first unknown name's hyperql.SemanticError, and the
-// checks the tree alone decides ride along. prepare, PlanContext, the how-to
-// entries and hyperd's bind run it right after the view.
-func Resolve(db *relation.Database, q hyperql.Query, opts Options) error {
-	switch q := q.(type) {
-	case *hyperql.WhatIf:
-		v, _, _, err := cachedView(db, q.Use, opts.Cache)
-		if err == nil {
-			_, err = v.resolveWhatIf(q)
-		}
-		return err
-	case *hyperql.HowTo:
-		v, _, _, err := cachedView(db, q.Use, opts.Cache)
-		if err == nil {
-			err = v.resolveHowTo(q)
-		}
-		return err
-	}
-	return fmt.Errorf("engine: cannot resolve %T", q)
+// BaseColumn is the base relation column an update attribute writes.
+type BaseColumn struct {
+	Rel *relation.Relation
+	Col int
 }
 
-// resolved is a what-if's names as its view resolves them: the distinct
+// Resolve binds a parsed query to db, the first step of every query: the
+// relevant view of its USE clause, built or fetched through opts.Cache in a
+// view stage of ctx's trace and meter, must hold every name the query uses,
+// else it fails with the first unknown name's hyperql.SemanticError; the
+// checks the tree alone decides ride along. For a how-to it returns the base
+// column each HOWTOUPDATE attribute writes, in order.
+func Resolve(ctx context.Context, db *relation.Database, q hyperql.Query, opts Options) ([]BaseColumn, error) {
+	b, err := resolve(ctx, db, q, opts.Cache)
+	return b.bases, err
+}
+
+// bound is a query resolved against its relevant view: the view, its key and
+// the view stage's duration (Result.ViewTime); for a what-if its distinct
 // update attributes, the FROM entry of R they all read, Y (the AVG or SUM
-// column, "" for COUNT) and the COUNT condition.
-type resolved struct {
+// column, "" for COUNT) and the COUNT condition; for a how-to the base column
+// each HOWTOUPDATE attribute writes.
+type bound struct {
+	v           *view
+	viewKey     string
+	viewTime    time.Duration
 	updateAttrs []string
 	from        int
 	yCol        string
 	outCond     hyperql.Expr
+	bases       []BaseColumn
+}
+
+// resolve is the one read of the view memo (cachedView): once ctx is checked,
+// the view stage (its span's rows and cache_hit, its meter entry, its
+// duration), then the query's names resolved against the view.
+func resolve(ctx context.Context, db *relation.Database, q hyperql.Query, c *Cache) (b bound, err error) {
+	var use *hyperql.UseClause
+	switch q := q.(type) {
+	case *hyperql.WhatIf:
+		use = q.Use
+	case *hyperql.HowTo:
+		use = q.Use
+	default:
+		return b, fmt.Errorf("engine: cannot resolve %T", q)
+	}
+	if err = ctx.Err(); err != nil {
+		return b, err
+	}
+	_, stage := obs.StartStage(ctx, "view")
+	var hit bool
+	if b.v, b.viewKey, hit, err = cachedView(db, use, c); err == nil {
+		stage.Set("rows", b.v.Rel.Len())
+		stage.Set("cache_hit", hit)
+	}
+	if b.viewTime = stage.End(); err != nil {
+		return b, err
+	}
+	if w, ok := q.(*hyperql.WhatIf); ok {
+		return b, b.resolveWhatIf(w)
+	}
+	return b, b.resolveHowTo(q.(*hyperql.HowTo))
 }
 
 // resolveWhatIf checks the updates (distinct mutable columns of one relation
 // R), then the other clauses.
-func (v *view) resolveWhatIf(q *hyperql.WhatIf) (r resolved, err error) {
+func (b *bound) resolveWhatIf(q *hyperql.WhatIf) (err error) {
 	if len(q.Updates) == 0 {
-		return r, fmt.Errorf("engine: what-if query has no UPDATE clause")
+		return fmt.Errorf("engine: what-if query has no UPDATE clause")
 	}
-	r.from = -1
+	b.from = -1
 	for _, u := range q.Updates {
-		if slices.Contains(r.updateAttrs, u.Attr) {
-			return r, fmt.Errorf("engine: attribute %q updated twice", u.Attr)
+		if slices.Contains(b.updateAttrs, u.Attr) {
+			return fmt.Errorf("engine: attribute %q updated twice", u.Attr)
 		}
-		s, err := v.updateSource(u.Attr, u.Pos, r.from)
+		s, err := b.v.updateSource(u.Attr, u.Pos, b.from)
 		if err != nil {
-			return r, err
-		}
-		r.updateAttrs, r.from = append(r.updateAttrs, u.Attr), s.Table
-	}
-	r.yCol, r.outCond, err = v.clauses(q.When, q.Output, q.For)
-	return r, err
-}
-
-// resolveHowTo checks HOWTOUPDATE (each attribute on its own: a candidate
-// updates one) and LIMIT, then the other clauses.
-func (v *view) resolveHowTo(q *hyperql.HowTo) error {
-	for i, a := range q.Attrs {
-		if _, err := v.updateSource(a, q.AttrPos[i], -1); err != nil {
 			return err
 		}
+		b.updateAttrs, b.from = append(b.updateAttrs, u.Attr), s.Table
 	}
-	for _, l := range q.Limits {
-		if l.Kind == hyperql.LimitBudget {
-			continue
-		}
-		if err := v.name("", l.Attr, l.Pos); err != nil {
-			return err
-		}
-	}
-	_, _, err := v.clauses(q.When, q.Obj, q.For)
+	b.yCol, b.outCond, err = b.v.clauses(q.When, q.Output, q.For)
 	return err
 }
 
-// clauses checks the OUTPUT aggregate (a how-to's objective), then the
-// names WHEN, the aggregate and FOR use. The aggregate reads post-update
+// resolveHowTo checks HOWTOUPDATE (each attribute on its own: a candidate
+// updates one), noting each one's base column, and LIMIT, then the other
+// clauses.
+func (b *bound) resolveHowTo(q *hyperql.HowTo) error {
+	for i, a := range q.Attrs {
+		s, err := b.v.updateSource(a, q.AttrPos[i], -1)
+		if err != nil {
+			return err
+		}
+		b.bases = append(b.bases, BaseColumn{b.v.Tables[s.Table], s.Col})
+	}
+	for _, l := range q.Limits {
+		if l.Kind != hyperql.LimitBudget {
+			if err := b.v.name("", l.Attr, l.Pos); err != nil {
+				return err
+			}
+		}
+	}
+	_, _, err := b.v.clauses(q.When, q.Obj, q.For)
+	return err
+}
+
+// clauses checks the OUTPUT aggregate (a how-to's objective), then WHEN, the
+// aggregate's argument and FOR: each names view columns and holds no
+// aggregate (those are per-row predicates). The aggregate reads post-update
 // values: AVG and SUM read a column, Y, and COUNT the rows meeting its
 // condition, if any.
 func (v *view) clauses(when hyperql.Expr, a *hyperql.Aggregate, forExpr hyperql.Expr) (yCol string, cond hyperql.Expr, err error) {
@@ -98,16 +135,23 @@ func (v *view) clauses(when hyperql.Expr, a *hyperql.Aggregate, forExpr hyperql.
 	default:
 		yCol = c.Name
 	}
-	for _, c := range hyperql.ColRefs(a.Expr) {
-		if c.Time == hyperql.TimePre {
-			return "", nil, fmt.Errorf("engine: OUTPUT reads post-update values; PRE(%s) is not allowed", c.Name)
-		}
-	}
-	for _, e := range []hyperql.Expr{when, a.Expr, forExpr} {
-		for _, c := range hyperql.ColRefs(e) {
-			if err := v.name(c.Table, c.Name, c.Pos); err != nil {
-				return "", nil, err
+	for i, e := range []hyperql.Expr{when, a.Expr, forExpr} {
+		hyperql.Walk(e, func(x hyperql.Expr) bool {
+			if err != nil { // false only stops descent: later siblings still come
+				return false
 			}
+			switch x := x.(type) {
+			case *hyperql.Aggregate:
+				err = &hyperql.SemanticError{Pos: x.Pos, Msg: fmt.Sprintf("aggregate %s not allowed in %s", x, [...]string{"WHEN", "COUNT", "FOR"}[i])}
+			case *hyperql.ColRef:
+				if err = v.name(x.Table, x.Name, x.Pos); err == nil && i == 1 && x.Time == hyperql.TimePre {
+					err = &hyperql.SemanticError{Pos: x.Pos, Msg: fmt.Sprintf("PRE(%s) is not allowed in OUTPUT, which reads post-update values", x.Name)}
+				}
+			}
+			return err == nil
+		})
+		if err != nil {
+			return "", nil, err
 		}
 	}
 	return yCol, cond, nil

@@ -72,18 +72,6 @@ func cachedView(db *relation.Database, use *hyperql.UseClause, c *Cache) (v *vie
 	return v, viewKey, hit, err
 }
 
-// UpdateSource returns the base relation and column that attr, an update
-// attribute of the relevant view of use that Resolve accepted, writes. The
-// view comes from (and is left in) opts.Cache.
-func UpdateSource(db *relation.Database, use *hyperql.UseClause, attr string, opts Options) (*relation.Relation, int, error) {
-	v, _, _, err := cachedView(db, use, opts.Cache)
-	if err != nil {
-		return nil, 0, err
-	}
-	s := v.Cols[v.Rel.Schema().MustIndex(attr)]
-	return v.Tables[s.Table], s.Col, nil
-}
-
 // evalPrep is a Prepared bound to one update: everything up to the tuple
 // values. Preparation is deterministic in the query, data and semantic
 // options, so two processes agree on the shard plan, the blocks and every
@@ -731,9 +719,9 @@ func clamp01(x float64) float64 {
 
 // backdoorColumns derives the conditioning set as view column names. R's key
 // columns are the plain view columns read from R's FROM entry from.
-func backdoorColumns(v *view, from int, model *causal.Model, updateAttrs []string, yCol string, outCond hyperql.Expr, disjuncts []disjunct, mode Mode) ([]string, error) {
+func backdoorColumns(v *view, from int, model *causal.Model, updateAttrs []string, yCol string, outCond hyperql.Expr, disjuncts []disjunct, mode Mode) []string {
 	if mode == ModeIndep {
-		return nil, nil
+		return nil
 	}
 	// Outcome attributes: Y, the OUTPUT condition's columns, and every
 	// column referenced by a post literal.
@@ -751,16 +739,12 @@ func backdoorColumns(v *view, from int, model *causal.Model, updateAttrs []strin
 			}
 		}
 	}
-	isUpdate := map[string]bool{}
-	for _, a := range updateAttrs {
-		isUpdate[a] = true
-	}
 	// excluded: updates, outcomes and R's key (Section 2.2).
 	cols := v.Rel.Schema().Columns()
 	excluded := func(c int) bool {
 		s := v.Cols[c]
 		isKey := s.Table == from && !s.Agg && v.Tables[from].Schema().Col(s.Col).Key
-		return isKey || isUpdate[cols[c].Name] || outcomeCols[cols[c].Name]
+		return isKey || slices.Contains(updateAttrs, cols[c].Name) || outcomeCols[cols[c].Name]
 	}
 
 	if mode == ModeNB || model == nil {
@@ -771,7 +755,7 @@ func backdoorColumns(v *view, from int, model *causal.Model, updateAttrs []strin
 				out = append(out, col.Name)
 			}
 		}
-		return out, nil
+		return out
 	}
 
 	// ModeFull: minimal backdoor set on the attribute-level causal graph,
@@ -815,7 +799,7 @@ func backdoorColumns(v *view, from int, model *causal.Model, updateAttrs []strin
 			out = append(out, col.Name)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // supportedFraction samples up to 200 updated rows and reports the fraction
@@ -857,16 +841,13 @@ func supportedFraction(est *estimatorSet, v *view, updates []hyperql.UpdateSpec,
 	return float64(supported) / float64(checked)
 }
 
-// appendPredicateAttrs extends the feature set with the view attributes
-// referenced by WHEN and by the pre parts of the normalized FOR predicate,
-// skipping duplicates and update attributes.
-func appendPredicateAttrs(featCols []string, when hyperql.Expr, disjuncts []disjunct, updateAttrs []string) []string {
+// appendPredicateAttrs extends the feature set, which holds the update
+// attributes, with the view attributes referenced by WHEN and by the pre
+// parts of the normalized FOR predicate, skipping duplicates.
+func appendPredicateAttrs(featCols []string, when hyperql.Expr, disjuncts []disjunct) []string {
 	have := map[string]bool{}
 	for _, c := range featCols {
 		have[c] = true
-	}
-	for _, a := range updateAttrs {
-		have[a] = true
 	}
 	add := func(e hyperql.Expr) {
 		for _, c := range hyperql.ColRefs(e) {

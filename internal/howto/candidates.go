@@ -1,6 +1,7 @@
 package howto
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -19,50 +20,39 @@ import (
 // constraints filter the set: range bounds, IN lists, and the normalized L1
 // distance over the WHEN tuples.
 func Candidates(db *relation.Database, q *hyperql.HowTo, o Options) (map[string][]hyperql.UpdateSpec, error) {
-	cands, _, err := candidates(db, q, o, whenSets{})
+	cands, _, err := candidates(context.Background(), db, q, o, whenSets{})
 	return cands, err
 }
 
 // maxCandidatesPerAttr caps the candidate set of one HOWTOUPDATE attribute.
 const maxCandidatesPerAttr = 64
 
-// source is the base column a HOWTOUPDATE attribute updates.
-type source struct {
-	rel *relation.Relation
-	col int
-}
-
-// candidates resolves q's names (engine.Resolve: every how-to entry starts
-// here), enumerates the candidates of each HOWTOUPDATE attribute and maps
-// each attribute to its base column through the relevant view
-// (engine.UpdateSource); the view lands in the how-to's engine cache, where
-// its candidate what-ifs find it.
-func candidates(db *relation.Database, q *hyperql.HowTo, o Options, ws whenSets) (map[string][]hyperql.UpdateSpec, map[string]source, error) {
+// candidates resolves q (engine.Resolve: every how-to entry starts here, and
+// it looks the relevant view up once, in a view stage of ctx, leaving it in
+// the how-to's engine cache for the candidate what-ifs), then enumerates the
+// candidates of each HOWTOUPDATE attribute over the base column it writes.
+func candidates(ctx context.Context, db *relation.Database, q *hyperql.HowTo, o Options, ws whenSets) (map[string][]hyperql.UpdateSpec, map[string]engine.BaseColumn, error) {
 	o = o.withDefaults()
-	if err := engine.Resolve(db, q, o.Engine); err != nil {
+	bases, err := engine.Resolve(ctx, db, q, o.Engine)
+	if err != nil {
 		return nil, nil, err
 	}
 	out := make(map[string][]hyperql.UpdateSpec, len(q.Attrs))
-	srcs := make(map[string]source, len(q.Attrs))
-	for _, attr := range q.Attrs {
-		rel, col, err := engine.UpdateSource(db, q.Use, attr, o.Engine)
-		if err != nil {
-			return nil, nil, err
-		}
-		src := source{rel, col}
-		specs, err := candidatesFor(src, attr, q, o, ws)
+	srcs := make(map[string]engine.BaseColumn, len(q.Attrs))
+	for i, attr := range q.Attrs {
+		specs, err := candidatesFor(bases[i], attr, q, o, ws)
 		if err != nil {
 			return nil, nil, err
 		}
 		if len(specs) > maxCandidatesPerAttr {
 			specs = specs[:maxCandidatesPerAttr]
 		}
-		out[attr], srcs[attr] = specs, src
+		out[attr], srcs[attr] = specs, bases[i]
 	}
 	return out, srcs, nil
 }
 
-func candidatesFor(src source, attr string, q *hyperql.HowTo, o Options, ws whenSets) ([]hyperql.UpdateSpec, error) {
+func candidatesFor(src engine.BaseColumn, attr string, q *hyperql.HowTo, o Options, ws whenSets) ([]hyperql.UpdateSpec, error) {
 	rangeLo, rangeHi := math.Inf(-1), math.Inf(1)
 	var inVals []relation.Value
 	theta := math.Inf(1)
@@ -87,7 +77,7 @@ func candidatesFor(src source, attr string, q *hyperql.HowTo, o Options, ws when
 
 	// Pre-update values of the WHEN tuples, for the L1 feasibility check; a
 	// WHEN the planner rejects fails here whether or not there is one.
-	inS, err := ws.mask(src.rel, q.When)
+	inS, err := ws.mask(src.Rel, q.When)
 	if err != nil {
 		return nil, err
 	}
@@ -128,9 +118,9 @@ func candidatesFor(src source, attr string, q *hyperql.HowTo, o Options, ws when
 		return specs, nil
 	}
 
-	base := src.rel.Schema().Col(src.col)
+	base := src.Rel.Schema().Col(src.Col)
 	if base.Kind == relation.KindFloat {
-		lo, hi, ok := src.rel.MinMax(base.Name)
+		lo, hi, ok := src.Rel.MinMax(base.Name)
 		if !ok {
 			return nil, fmt.Errorf("howto: attribute %q has no numeric values", attr)
 		}
@@ -148,7 +138,7 @@ func candidatesFor(src source, attr string, q *hyperql.HowTo, o Options, ws when
 	}
 
 	// Discrete attribute: one candidate per observed domain value.
-	for _, v := range src.rel.Domain(base.Name) {
+	for _, v := range src.Rel.Domain(base.Name) {
 		if v.IsNull() {
 			continue
 		}
@@ -182,11 +172,11 @@ func (ws whenSets) mask(rel *relation.Relation, when hyperql.Expr) ([]bool, erro
 }
 
 // gather is src's column as floats over the rows inS selects.
-func gather(src source, inS []bool) []float64 {
+func gather(src engine.BaseColumn, inS []bool) []float64 {
 	var out []float64
 	for i, in := range inS {
 		if in {
-			out = append(out, src.rel.Value(i, src.col).AsFloat())
+			out = append(out, src.Rel.Value(i, src.Col).AsFloat())
 		}
 	}
 	return out

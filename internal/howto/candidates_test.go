@@ -1,10 +1,12 @@
 package howto
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"hyper/internal/dataset"
+	"hyper/internal/engine"
 	"hyper/internal/hyperql"
 	"hyper/internal/relation"
 )
@@ -32,6 +34,25 @@ func TestCandidatesCategoricalDomain(t *testing.T) {
 		if c.Form != hyperql.UpdateSet {
 			t.Errorf("categorical candidate should be a set update: %v", c)
 		}
+	}
+}
+
+// TestHowToLooksViewUpOnce: a how-to's names and every HOWTOUPDATE
+// attribute's base column come from one resolve, so enumerating the
+// candidates of four attributes reads the view memo once.
+func TestHowToLooksViewUpOnce(t *testing.T) {
+	g := dataset.GermanSyn(500, 7)
+	q := parseHT(t, `USE German HOWTOUPDATE Status, Savings, Housing, CreditAmount TOMAXIMIZE COUNT(Credit = 1)`)
+	c := engine.NewCache()
+	cands, err := Candidates(g.DB, q, Options{Engine: engine.Options{Cache: c}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cands) != 4 {
+		t.Fatalf("candidates for %d attributes, want 4", len(cands))
+	}
+	if st := c.Stats(); st.Hits+st.Misses != 1 {
+		t.Errorf("view memo read %d times (%d hits, %d misses), want once", st.Hits+st.Misses, st.Hits, st.Misses)
 	}
 }
 
@@ -102,7 +123,7 @@ func TestCandidatesL1WithViewOnlyWhen(t *testing.T) {
 		TOMAXIMIZE AVG(POST(Rtng))`
 	q := parseHT(t, use+`WHEN Rtng >= 3 `+tail)
 	ws := whenSets{}
-	got, srcs, err := candidates(db, q, Options{Buckets: 8}, ws)
+	got, srcs, err := candidates(context.Background(), db, q, Options{Buckets: 8}, ws)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,7 +171,7 @@ func Evaluate(ctx context.Context, db *relation.Database, model *causal.Model, q
 func BruteForce(ctx context.Context, db *relation.Database, model *causal.Model, q *hyperql.HowTo, opts Options) (*Result, error) {
 	o := opts.withDefaults()
 	start := time.Now()
-	cands, err := Candidates(db, q, o)
+	cands, _, err := candidates(ctx, db, q, o, whenSets{})
 	if err != nil {
 		return nil, err
 	}

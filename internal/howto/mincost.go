@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"hyper/internal/causal"
+	"hyper/internal/engine"
 	"hyper/internal/hyperql"
 	"hyper/internal/ip"
 	"hyper/internal/relation"
@@ -80,9 +81,9 @@ func (t *table) minCostModel(target float64) (*ip.Model, error) {
 
 // updateCosts computes the normalized L1 cost of each candidate: the mean
 // absolute change it applies to the WHEN tuples (Section 4.1's cost model).
-func updateCosts(q *hyperql.HowTo, src source, specs []hyperql.UpdateSpec, ws whenSets) ([]float64, error) {
-	numeric := src.rel.Schema().Col(src.col).Kind.Numeric()
-	inS, err := ws.mask(src.rel, q.When)
+func updateCosts(q *hyperql.HowTo, src engine.BaseColumn, specs []hyperql.UpdateSpec, ws whenSets) ([]float64, error) {
+	numeric := src.Rel.Schema().Col(src.Col).Kind.Numeric()
+	inS, err := ws.mask(src.Rel, q.When)
 	if err != nil {
 		return nil, err
 	}

@@ -77,7 +77,7 @@ func (t *table) score(ctx context.Context, db *relation.Database, model *causal.
 	// results (and the deterministic first-error choice) are unchanged.
 	card := make(map[string]int, len(attrs))
 	for _, attr := range attrs {
-		card[attr] = t.srcs[attr].rel.Coded(t.srcs[attr].col).Card()
+		card[attr] = t.srcs[attr].Rel.Coded(t.srcs[attr].Col).Card()
 	}
 	for _, idxs := range [][]int{first, rest} {
 		sort.SliceStable(idxs, func(a, b int) bool {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hyper/internal/causal"
+	"hyper/internal/engine"
 	"hyper/internal/hyperql"
 	"hyper/internal/ip"
 	"hyper/internal/obs"
@@ -23,7 +24,7 @@ type table struct {
 	// each attribute updates and ws the WHEN-set memo enumeration filled; the
 	// min-cost formulation prices the same updates over the same sets.
 	cands map[string][]hyperql.UpdateSpec
-	srcs  map[string]source
+	srcs  map[string]engine.BaseColumn
 	ws    whenSets
 	// vars are the candidates scored, in (attribute, candidate) order — the
 	// order of the IP's variables; byAttr groups their indexes per attribute
@@ -44,7 +45,7 @@ func newTable(ctx context.Context, db *relation.Database, model *causal.Model, q
 	o := opts.withDefaults()
 	t := &table{qs: qs, start: time.Now(), ws: whenSets{}, byAttr: map[string][]int{}}
 	var err error
-	if t.cands, t.srcs, err = candidates(db, qs[0], o, t.ws); err != nil {
+	if t.cands, t.srcs, err = candidates(ctx, db, qs[0], o, t.ws); err != nil {
 		return nil, err
 	}
 	if err := t.score(ctx, db, model, o); err != nil {

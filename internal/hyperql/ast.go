@@ -93,6 +93,7 @@ func (a AggFunc) Valid() bool { return a == AggAvg || a == AggSum || a == AggCou
 type Aggregate struct {
 	Func AggFunc
 	Expr Expr // nil means *
+	Pos  int  // source offset of the function name
 }
 
 func (a *Aggregate) String() string { return text((*printer).expr, Expr(a)) }

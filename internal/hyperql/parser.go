@@ -308,7 +308,7 @@ func (p *Parser) tryParseAggregate() (*Aggregate, bool, error) {
 	if err := p.expectOp("("); err != nil {
 		return nil, false, err
 	}
-	ag := &Aggregate{Func: fn}
+	ag := &Aggregate{Func: fn, Pos: t.Pos}
 	if p.acceptOp("*") {
 		// COUNT(*)
 	} else {

@@ -47,6 +47,21 @@ func TestBindEveryWayIn(t *testing.T) {
 			http.StatusBadRequest, `offset 46: unknown column "Nope" in Loans`},
 		{"unknown table", "whatif", QueryRequest{Query: `USE Nope UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`},
 			http.StatusBadRequest, `offset 4: unknown table "Nope"`},
+		// So is an aggregate inside a per-row predicate; at submission a job
+		// of any of these was accepted and failed when it ran.
+		{"aggregate in FOR", "whatif", QueryRequest{Query: `USE Loans UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1) FOR COUNT(*) > 0`},
+			http.StatusBadRequest, `offset 58: aggregate COUNT(*) not allowed in FOR`},
+		{"aggregate in a COUNT condition", "explain", QueryRequest{Query: `USE Loans UPDATE(Status) = 3 OUTPUT COUNT(SUM(Credit) > 0)`},
+			http.StatusBadRequest, `offset 42: aggregate SUM(Credit) not allowed in COUNT`},
+		{"aggregate in WHEN", "howto", QueryRequest{Query: `USE Loans WHEN AVG(Savings) > 1 HOWTOUPDATE Status LIMIT UPDATES <= 1 TOMAXIMIZE COUNT(Credit = 1)`},
+			http.StatusBadRequest, `offset 15: aggregate AVG(Savings) not allowed in WHEN`},
+		// The first bad node wins over a good column after it.
+		{"unknown WHEN column, then a column", "whatif", QueryRequest{Query: `USE Loans WHEN Zip = Credit UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`},
+			http.StatusBadRequest, `offset 15: unknown column "Zip" in Loans`},
+		{"PRE in OUTPUT, then a column", "whatif", QueryRequest{Query: `USE Loans UPDATE(Status) = 3 OUTPUT COUNT(PRE(Credit) = Savings)`},
+			http.StatusBadRequest, `offset 46: PRE(Credit) is not allowed in OUTPUT, which reads post-update values`},
+		{"aggregate in FOR, then a column", "explain", QueryRequest{Query: `USE Loans UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1) FOR COUNT(*) > Savings`},
+			http.StatusBadRequest, `offset 58: aggregate COUNT(*) not allowed in FOR`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			q := tc.req

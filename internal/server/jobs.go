@@ -154,7 +154,7 @@ func (s *Server) handleSubmitJob(r *http.Request) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		elems := e.bindBatch(req.Queries, pin, req.Shards)
+		elems := e.bindBatch(r.Context(), req.Queries, pin, req.Shards)
 		for i, el := range elems {
 			if el.err != nil {
 				status, code := httpapi.StatusOf(el.err)
@@ -168,7 +168,7 @@ func (s *Server) handleSubmitJob(r *http.Request) (any, error) {
 			return e.runBound(ctx, elems, workers, p.Report), nil
 		}
 	} else {
-		b, err := e.bind(kind, QueryRequest{
+		b, err := e.bind(r.Context(), kind, QueryRequest{
 			Query: req.Query, Method: req.Method, Target: req.Target,
 			Snapshot: req.Snapshot, DeltaVs: req.DeltaVs, Shards: req.Shards, Placement: req.Placement,
 		})

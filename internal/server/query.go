@@ -188,7 +188,7 @@ func (s *Server) handleSessionQuery(kind string) func(*http.Request) (any, error
 		if err != nil {
 			return nil, err
 		}
-		b, err := e.bind(kind, req)
+		b, err := e.bind(r.Context(), kind, req)
 		if err != nil {
 			return nil, err
 		}
@@ -216,8 +216,9 @@ type boundQuery struct {
 // what-if, a placement the kind cannot run under and an unknown how-to
 // method, parses the text as its kind once and resolves every name it uses
 // against the pinned snapshot (engine.Resolve; either failing is a 400). It
-// counts and evaluates nothing.
-func (e *sessionEntry) bind(kind string, req QueryRequest) (*boundQuery, error) {
+// counts and evaluates nothing; a view it builds or fetches is a view stage
+// of ctx's trace and meter.
+func (e *sessionEntry) bind(ctx context.Context, kind string, req QueryRequest) (*boundQuery, error) {
 	b := &boundQuery{kind: cmp.Or(kind, "whatif"), req: req}
 	var err error
 	if b.sn, err = e.resolve(req.Snapshot); err != nil {
@@ -252,7 +253,7 @@ func (e *sessionEntry) bind(kind string, req QueryRequest) (*boundQuery, error) 
 		return nil, httpapi.Errorf(http.StatusBadRequest, "unknown query kind %q (want whatif|howto|explain)", kind)
 	}
 	if err == nil {
-		err = engine.Resolve(b.sn.sess.DB(), b.ast, b.sn.sess.EngineOptions())
+		_, err = engine.Resolve(ctx, b.sn.sess.DB(), b.ast, b.sn.sess.EngineOptions())
 	}
 	if err != nil {
 		return nil, httpapi.Errorf(http.StatusBadRequest, "%v", err)
@@ -467,10 +468,10 @@ type batchElem struct {
 // bindBatch binds every element of a batch. An element's own snapshot and
 // shards win; 0 takes pin's version and shards, so the elements that name no
 // version all read pin.
-func (e *sessionEntry) bindBatch(queries []BatchQuery, pin *snapshotEntry, shards int) []batchElem {
+func (e *sessionEntry) bindBatch(ctx context.Context, queries []BatchQuery, pin *snapshotEntry, shards int) []batchElem {
 	elems := make([]batchElem, len(queries))
 	for i, q := range queries {
-		elems[i].q, elems[i].err = e.bind(q.Kind, QueryRequest{
+		elems[i].q, elems[i].err = e.bind(ctx, q.Kind, QueryRequest{
 			Query: q.Query, Method: q.Method, Target: q.Target,
 			Snapshot: cmp.Or(q.Snapshot, pin.version), DeltaVs: q.DeltaVs,
 			Shards: cmp.Or(q.Shards, shards), Placement: q.Placement,
@@ -483,7 +484,7 @@ func (e *sessionEntry) bindBatch(queries []BatchQuery, pin *snapshotEntry, shard
 // head as of now, so head means head at arrival for all of them and an
 // element that fails to bind fails on its own, then runs them.
 func (e *sessionEntry) runBatch(ctx context.Context, queries []BatchQuery, workers int, progress hyper.Progress) *BatchResponse {
-	elems := e.bindBatch(queries, e.head(), 0)
+	elems := e.bindBatch(ctx, queries, e.head(), 0)
 	stampBatchShape(ctx, e, elems)
 	return e.runBound(ctx, elems, workers, progress)
 }

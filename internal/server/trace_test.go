@@ -16,13 +16,14 @@ import (
 )
 
 // whatIfSkeleton is the stage skeleton a traced local what-if must render
-// to (children sorted lexicographically at every level): prepare resolves
-// the view, compiles or fetches the query plan (server sessions always
-// carry a plan cache), decomposes blocks, and builds the estimator set;
-// eval_shards runs the tuple loop (training one fit per cold model,
-// single-flight, so the fit count equals the trained-model count at ANY
-// fan-out); fold reduces in plan order.
-var whatIfSkeleton = regexp.MustCompile(`^whatif\(eval_shards\(fit(,fit)*\),fold,prepare\(blocks,plan,train,view\)\)$`)
+// to (children sorted lexicographically at every level): the view stage of
+// bind's resolve builds or fetches the view and checks the query's names;
+// prepare fetches the view again, compiles or fetches the query plan
+// (server sessions always carry a plan cache), decomposes blocks, and builds
+// the estimator set; eval_shards runs the tuple loop (training one fit per
+// cold model, single-flight, so the fit count equals the trained-model count
+// at ANY fan-out); fold reduces in plan order.
+var whatIfSkeleton = regexp.MustCompile(`^whatif\(eval_shards\(fit(,fit)*\),fold,prepare\(blocks,plan,train,view\),view\)$`)
 
 // tracedWhatIf posts one what-if with ?trace=1 to req.Session and returns
 // the response.
@@ -69,6 +70,49 @@ func TestWhatIfTraceSkeletonStableAcrossShards(t *testing.T) {
 		if got := es.Attrs["workers"]; got != float64(res.ShardWorkers) {
 			t.Errorf("eval_shards workers attr = %v, response reports %d", got, res.ShardWorkers)
 		}
+	}
+}
+
+// TestColdViewBuildIsAStage: a fresh session's first what-if builds its
+// relevant view when bind resolves the query's names, and that build is a
+// view stage of the request that pays for it: one view span reads
+// cache_hit=false with the view's rows, and /v1/usage charges the shape's
+// view stage with at least that span's time.
+func TestColdViewBuildIsAStage(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	createSession(t, ts, "g")
+	res := tracedWhatIf(t, ts.URL, QueryRequest{Session: "g", Query: germanCount})
+
+	var views []*obs.SpanJSON
+	var walk func(*obs.SpanJSON)
+	walk = func(sj *obs.SpanJSON) {
+		if sj.Name == "view" {
+			views = append(views, sj)
+		}
+		for _, c := range sj.Children {
+			walk(c)
+		}
+	}
+	walk(res.Trace.Root)
+	var cold []*obs.SpanJSON
+	for _, v := range views {
+		if v.Attrs["cache_hit"] == false {
+			cold = append(cold, v)
+		}
+	}
+	if len(cold) != 1 || cold[0].Attrs["rows"] != float64(res.ViewRows) {
+		t.Fatalf("cold view spans %v (of %d view spans), want one with rows %d: %s", cold, len(views), res.ViewRows, obs.Skeleton(res.Trace.Root))
+	}
+
+	var usage UsageResponse
+	if code := do(t, "GET", ts.URL+"/v1/usage/g", nil, &usage); code != http.StatusOK {
+		t.Fatalf("usage: status %d", code)
+	}
+	if len(usage.Shapes) != 1 || usage.Shapes[0].Cost == nil {
+		t.Fatalf("usage rows = %+v", usage.Shapes)
+	}
+	if got := usage.Shapes[0].Cost.StagesMs["view"]; got <= 0 || got < cold[0].DurMs {
+		t.Errorf("usage stages_ms.view = %v, want > 0 and at least the cold build's %v ms", got, cold[0].DurMs)
 	}
 }
 
