@@ -68,7 +68,7 @@ func TestSessionConcurrentQueries(t *testing.T) {
 						t.Errorf("whatif %d: got %v want %v", k, res.Value, want[k])
 					}
 				case 2:
-					if _, err := s.Explain(parsed[it%len(parsed)]); err != nil {
+					if _, err := s.Explain(context.Background(), parsed[it%len(parsed)]); err != nil {
 						fail(err)
 						return
 					}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -89,7 +90,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan, err := s.Explain(q.(*hyper.WhatIfQuery))
+	plan, err := s.Explain(context.Background(), q.(*hyper.WhatIfQuery))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -437,11 +437,12 @@ func (s *Session) HowToLexicographic(ctx context.Context, progress Progress, qs 
 // Explain plans a what-if query without evaluating it, returning a
 // human-readable description of the relevant view, the block decomposition,
 // the FOR normalization, the conditioning (backdoor) set, and the chosen
-// estimator.
-func (s *Session) Explain(q *WhatIfQuery) (string, error) {
+// estimator. ctx carries the trace and meter the preparation's stages are
+// recorded in, and stops it between stages.
+func (s *Session) Explain(ctx context.Context, q *WhatIfQuery) (string, error) {
 	opts := s.EngineOptions()
 	opts.DryRun = true
-	res, err := engine.EvaluateContext(context.Background(), s.db, s.model, q, opts)
+	res, err := engine.EvaluateContext(ctx, s.db, s.model, q, opts)
 	if err != nil {
 		return "", err
 	}

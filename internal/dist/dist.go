@@ -10,8 +10,9 @@
 //     snapshot version of a session's database + causal model each, shipped
 //     on first touch; a frame's body is its rows past its parent frame,
 //     frame.go), serves one stateless computation over them: per-shard
-//     what-if evaluation (engine.EvaluatePartialContext → block-window
-//     partials), and keeps itself registered with a coordinator (Join).
+//     what-if evaluation (engine.EvaluatePartialContext → class-coded rows
+//     or block-window partials), and keeps itself registered with a
+//     coordinator (Join).
 //
 //   - The coordinator registers workers (registration + heartbeats with a
 //     lease TTL), assigns contiguous plan shard ranges to the live workers,

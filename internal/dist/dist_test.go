@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -26,6 +28,7 @@ import (
 	"hyper/internal/hyperql"
 	"hyper/internal/obs"
 	"hyper/internal/relation"
+	"hyper/internal/shard"
 )
 
 func g17(v float64) string { return strconv.FormatFloat(v, 'g', 17, 64) }
@@ -216,6 +219,13 @@ func TestDistributedEvalGolden(t *testing.T) {
 // traceID, and decodes its reply.
 func directEval(t *testing.T, client *http.Client, base string, body []byte, traceID string) *EvalResponse {
 	t.Helper()
+	er, _ := directEvalRaw(t, client, base, body, traceID)
+	return er
+}
+
+// directEvalRaw is directEval that also returns the reply body as it came.
+func directEvalRaw(t *testing.T, client *http.Client, base string, body []byte, traceID string) (*EvalResponse, []byte) {
+	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, base+pathEval, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +244,7 @@ func directEval(t *testing.T, client *http.Client, base string, body []byte, tra
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("worker eval: status %d, decode err %v", resp.StatusCode, err)
 	}
-	return er
+	return er, raw
 }
 
 // findSpan returns the first span named name in the tree under s.
@@ -362,6 +372,141 @@ func TestDistributedNaNPartial(t *testing.T) {
 	if st := c.Stats(); res.Degraded || st.Retries != 0 || res.RemoteWorkers != 2 {
 		t.Fatalf("degraded=%v (%q), retries %d, remote workers %d; want an undegraded answer from both workers with no retry",
 			res.Degraded, res.DegradedReason, st.Retries, res.RemoteWorkers)
+	}
+
+	// On the wire the NaNs are class values: each shard's rows go as
+	// one-byte codes against fewer classes, and the reply decodes and merges
+	// to the local bits.
+	pr, err := engine.EvaluatePartialContext(context.Background(), db, model, q, opts, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nans := 0
+	for _, p := range pr.Partials {
+		if p.Width != 1 || len(p.Sum) >= len(p.Codes) {
+			t.Fatalf("shard %d went as %d values at code width %d over %d code bytes, want fewer classes than rows in 1-byte codes",
+				p.Shard, len(p.Sum), p.Width, len(p.Codes))
+		}
+		for _, v := range p.Sum {
+			if math.IsNaN(v) {
+				nans++
+			}
+		}
+	}
+	if nans == 0 {
+		t.Fatal("no NaN class sum travels")
+	}
+	body, err := encodeEvalReply(&EvalResponse{PartialResult: *pr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	er, err := decodeEvalReply(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := engine.MergePartials(er.Meta, er.Partials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(merged.Value) != math.Float64bits(local.Value) {
+		t.Fatalf("merged value bits %#x != local %#x", math.Float64bits(merged.Value), math.Float64bits(local.Value))
+	}
+}
+
+// TestEvalReplyBytes: a worker replies with what its producer computed, not
+// two floats a row. Asked for 3 of the 5 shards of German-Syn at 20,000 rows,
+// under one update attribute (1-byte codes) and two (2-byte codes), and for 3
+// of the 4 shards of a world whose first shard has a class a row and whose
+// second has nearly that many (where codes do not pay, the rows' values go
+// as they are), the body after the header holds at most 4 B a row of those
+// shards plus 16 B a class their rows reference (the classes the worker's
+// eval_shards stage valued), and never more than replyBytesPerRow a row.
+func TestEvalReplyBytes(t *testing.T) {
+	german := dataset.GermanSyn(20000, 7)
+	var csv strings.Builder
+	csv.WriteString("F,X,Y\n")
+	for i := range 2000 {
+		f := 0
+		if i < 900 {
+			f = i
+		}
+		fmt.Fprintf(&csv, "%d,%d,%d\n", f, i%2, i%3)
+	}
+	rel, err := relation.ReadCSVKeyed("T", strings.NewReader(csv.String()), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skewed := relation.NewDatabase()
+	if err := skewed.Add(rel); err != nil {
+		t.Fatal(err)
+	}
+	skewedModel := causal.NewModel()
+	skewedModel.AddEdge("T.F", "T.X")
+	skewedModel.AddEdge("T.F", "T.Y")
+	skewedModel.AddEdge("T.X", "T.Y")
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+	for _, tc := range []struct {
+		name   string
+		db     *relation.Database
+		model  *causal.Model
+		query  string
+		opts   engine.Options
+		widths []int // the code width of each partial
+	}{
+		{"german, 1-byte codes", german.DB, german.Model, `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`,
+			engine.Options{Seed: 7}, []int{1, 1, 1}},
+		{"german, 2-byte codes", german.DB, german.Model,
+			`USE German UPDATE(Status) = 3 AND UPDATE(Savings) = 1 OUTPUT COUNT(Credit = 1) FOR PRE(Age) = 2 OR PRE(Housing) = 1`,
+			engine.Options{Seed: 7}, []int{2, 2, 2}},
+		{"a class a row, then fewer", skewed, skewedModel, `USE T UPDATE(X) = 1 OUTPUT AVG(POST(Y))`,
+			engine.Options{Seed: 7, ShardRows: 500}, []int{0, 2, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			id, frameBody, err := NewFrame(tc.db, tc.model).Payload()
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := newTestWorker(t)
+			put, err := http.NewRequest(http.MethodPut, w.ts.URL+pathFrames+id, bytes.NewReader(frameBody))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp, err := client.Do(put); err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("frame put: %v %v", resp, err)
+			} else {
+				resp.Body.Close()
+			}
+			shards := []int{0, 1, 2}
+			body, err := json.Marshal(EvalRequest{Frame: id, Query: tc.query, Options: tc.opts, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			er, raw := directEvalRaw(t, client, w.ts.URL, body, "reply-bytes")
+			plan := shard.Rows(er.Meta.ViewRows, tc.opts.ShardRows)
+			rows := 0
+			for _, s := range shards {
+				lo, hi := plan.Bounds(s)
+				rows += hi - lo
+			}
+			stage := findSpan(er.Spans, "eval_shards")
+			if stage == nil {
+				t.Fatalf("no eval_shards span: %s", obs.Skeleton(er.Spans))
+			}
+			classes, _ := stage.Attrs["evaluated"].(float64)
+			payload := len(raw) - len(evalMagic) - 4 - int(binary.LittleEndian.Uint32(raw[len(evalMagic):]))
+			if limit := 4*rows + 16*int(classes); payload > limit || payload > replyBytesPerRow*rows {
+				t.Errorf("%d bytes after the header for %d rows over %v classes, want at most %d and at most %d",
+					payload, rows, classes, limit, replyBytesPerRow*rows)
+			}
+			var widths []int
+			for _, p := range er.Partials {
+				widths = append(widths, p.Width)
+			}
+			if !slices.Equal(widths, tc.widths) {
+				t.Errorf("partials went at code widths %v, want %v", widths, tc.widths)
+			}
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -20,11 +21,15 @@ import (
 
 // FuzzEvalResponseDecode holds the eval reply codec to two properties. Any
 // bytes, read as a reply body, either fail to decode or decode to no more
-// floats than the body holds, and never panic. Any reply the encoder renders
-// — partials cut from the same bytes read as float64 bits, so NaN payloads,
-// ±0, ±Inf and subnormals come through — decodes to the same Meta, Spans,
-// Meter, shard ids, windows and float bits, while the body cut short by one
-// byte, one byte longer or with a foreign magic is refused.
+// floats and codes than the body holds, and never panic, nor does merging
+// what they decode to. Any reply the encoder renders — partials cut from the
+// same bytes read as float64 bits, so NaN payloads, ±0, ±Inf and subnormals
+// come through, as block windows or as rows coded at both code widths —
+// decodes to the same Meta, Spans, Meter, shard ids, windows, codes and float
+// bits, while the body cut short by one byte, one byte longer or with a
+// foreign magic is refused. The hostile seeds, among them a code at or past
+// its class count, codes that overrun the body and a format 1 body, are
+// refused.
 func FuzzEvalResponseDecode(f *testing.F) {
 	bits := func(ws ...uint64) []byte {
 		var b []byte
@@ -41,35 +46,50 @@ func FuzzEvalResponseDecode(f *testing.F) {
 		nil, // empty partials
 	}
 	for _, fl := range floatSeeds {
-		for _, parts := range []uint8{0, 1, 3} { // zero partials, one, several
+		for _, parts := range []uint8{0, 1, 3, 5, 7} { // zero partials, one, several; windows, then coded rows
 			f.Add(fl, parts)
 			if body, err := encodeEvalReply(fuzzReply(fl, parts)); err == nil {
 				f.Add(body, parts)
 			}
 		}
 	}
-	header := func(h string) []byte {
-		return append(binary.LittleEndian.AppendUint32([]byte("HPE\x01"), uint32(len(h))), h...)
+	headerOf := func(magic, h string) []byte {
+		return append(binary.LittleEndian.AppendUint32([]byte(magic), uint32(len(h))), h...)
 	}
+	header := func(h string) []byte { return headerOf("HPE\x02", h) }
+	const coded = `{"meta":{"rows_own_blocks":true},"partials":[{"shard":0,"n":1,"width":%d,"rows":%d}]}`
 	for _, hostile := range [][]byte{
-		[]byte("HPE\x02\x00\x00\x00\x00"), // a future format version
-		binary.LittleEndian.AppendUint32([]byte("HPE\x01"), math.MaxUint32),
+		[]byte("HPE\x03\x00\x00\x00\x00"),                // a future format version
+		headerOf("HPE\x01", `{"meta":{},"partials":[]}`), // format 1
+		binary.LittleEndian.AppendUint32([]byte("HPE\x02"), math.MaxUint32),
 		header(`{"meta":{},"partials":[{"shard":0,"min_block":0,"n":1000000000000}]}`),
 		header(`{"meta":{},"partials":[{"shard":0,"min_block":0,"n":-1}]}`),
-		append(header(`{"meta":{},"partials":[{"shard":0,"min_block":0,"n":1}]}`), bits(1)...), // short float section
-		append(header(`{"meta":{},"partials":[]}`), 0),                                         // trailing byte
+		append(header(`{"meta":{"blocks":1},"partials":[{"shard":0,"min_block":0,"n":1}]}`), bits(1)...), // short float section
+		append(header(`{"meta":{},"partials":[]}`), 0),                                                   // trailing byte
+		append(header(fmt.Sprintf(coded, 1, 2)), append(bits(1, 1), 0, 1)...),                            // code 1 of 1 class
+		append(header(fmt.Sprintf(coded, 2, 1)), append(bits(1, 1), 1, 0)...),                            // 2-byte code 1 of 1 class
+		append(header(fmt.Sprintf(coded, 1, 3)), append(bits(1, 1), 0, 0)...),                            // codes overrun the body
+		append(header(fmt.Sprintf(coded, 2, 1<<40)), bits(1, 1)...),                                      // and far past it
+		append(header(fmt.Sprintf(coded, 1, -1)), bits(1, 1)...),
+		append(header(fmt.Sprintf(coded, 3, 1)), append(bits(1, 1), 0, 0, 0)...),                                            // 3-byte codes
+		append(header(fmt.Sprintf(coded, 0, 1)), append(bits(1, 1), 0)...),                                                  // codes of no width
+		append(header(`{"meta":{"blocks":1},"partials":[{"shard":0,"n":1,"width":1,"rows":1}]}`), append(bits(1, 1), 0)...), // codes where blocks span rows
 	} {
+		if _, err := decodeEvalReply(hostile); err == nil {
+			f.Fatalf("hostile body %q decoded", hostile)
+		}
 		f.Add(hostile, uint8(0))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, parts uint8) {
 		if resp, err := decodeEvalReply(data); err == nil {
-			floats := 0
+			size := 0
 			for _, p := range resp.Partials {
-				floats += len(p.Sum) + len(p.Cnt)
+				size += 8*(len(p.Sum)+len(p.Cnt)) + len(p.Codes)
 			}
-			if 8*floats > len(data) {
-				t.Fatalf("a %d-byte body decoded to %d floats", len(data), floats)
+			if size > len(data) {
+				t.Fatalf("a %d-byte body decoded to %d bytes of floats and codes", len(data), size)
 			}
+			_, _ = engine.MergePartials(resp.Meta, resp.Partials) // must not panic
 		}
 
 		want := fuzzReply(data, parts)
@@ -89,7 +109,8 @@ func FuzzEvalResponseDecode(f *testing.F) {
 		}
 		for i, w := range want.Partials {
 			g := got.Partials[i]
-			if g.Shard != w.Shard || g.MinBlock != w.MinBlock || !sameBits(g.Sum, w.Sum) || !sameBits(g.Cnt, w.Cnt) {
+			if g.Shard != w.Shard || g.MinBlock != w.MinBlock || g.Width != w.Width || !bytes.Equal(g.Codes, w.Codes) ||
+				!sameBits(g.Sum, w.Sum) || !sameBits(g.Cnt, w.Cnt) {
 				t.Fatalf("partial %d: %+v decoded as %+v", i, w, g)
 			}
 		}
@@ -106,15 +127,22 @@ func FuzzEvalResponseDecode(f *testing.F) {
 }
 
 // fuzzReply builds an eval reply whose floats are data read as float64 bits,
-// cut into parts%4 partials of even length (sums, then counts).
+// cut into parts%4 partials of even length (sums, then counts). Without
+// parts&4 they are block windows, each from its first float's index. With
+// it, they are rows that are their own blocks, coded against the partial's
+// classes: one row per byte of data, whose code is the byte modulo the class
+// count, in 1-byte codes for an even partial and 2-byte codes for an odd one.
+// A partial of no classes holds no rows.
 func fuzzReply(data []byte, parts uint8) *EvalResponse {
 	vals := make([]float64, len(data)/8)
 	for i := range vals {
 		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
 	}
+	rows := parts&4 != 0
 	resp := &EvalResponse{
 		PartialResult: engine.PartialResult{Meta: engine.PartialMeta{
 			Plan: int(parts%4) + 1, Blocks: len(vals), Agg: "avg", Backdoor: []string{"T.X"}, EstimatorUsed: "freq", ViewRows: len(data),
+			RowsOwnBlocks: rows,
 		}},
 		Spans: &obs.SpanJSON{Name: "eval", StartUnixUs: int64(len(data)), DurMs: 0.25,
 			Attrs: map[string]any{"shards": float64(parts), "error": false}, Children: []*obs.SpanJSON{{Name: "eval_shards"}}},
@@ -122,11 +150,25 @@ func fuzzReply(data []byte, parts uint8) *EvalResponse {
 	}
 	n := int(parts % 4)
 	for i := range n {
-		chunk := vals[i*len(vals)/n : (i+1)*len(vals)/n]
+		from := i * len(vals) / n
+		chunk := vals[from : (i+1)*len(vals)/n]
 		half := len(chunk) / 2
-		p := engine.ShardPartial{Shard: i, MinBlock: 7 * i}
+		p := engine.ShardPartial{Shard: i}
 		if half > 0 {
 			p.Sum, p.Cnt = chunk[:half], chunk[half:2*half]
+		}
+		switch {
+		case !rows:
+			p.MinBlock = from
+		case half > 0:
+			p.Width = 1 + i%2
+			for _, b := range data {
+				if code := uint16(int(b) % half); p.Width == 1 {
+					p.Codes = append(p.Codes, byte(code))
+				} else {
+					p.Codes = binary.LittleEndian.AppendUint16(p.Codes, code)
+				}
+			}
 		}
 		resp.Partials = append(resp.Partials, p)
 	}

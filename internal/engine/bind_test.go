@@ -204,7 +204,8 @@ func (ref boundRef) supportedFraction(e *evaluator) float64 {
 // runBoundRef evaluates q from the materialised arrays: every row through
 // ref.tuple — held on the way to the engine's own tuple(), row by row —, then
 // each shard's block window over the canonical plan and the per-block fold
-// written out (refFoldPartials).
+// written out (refFoldPartials). Its partials are those windows, or, where
+// every view row is a block of its own, each shard's rows' values.
 // differs counts the rows on which a doctored reference parts from tuple().
 func runBoundRef(db *relation.Database, model *causal.Model, q *hyperql.WhatIf, opts Options, doctored bool) (run classRun, differs int, err error) {
 	p, perr := prepareEvaluation(context.Background(), db, model, q, opts)
@@ -266,6 +267,13 @@ func runBoundRef(db *relation.Database, model *causal.Model, q *hyperql.WhatIf, 
 	}
 	refFoldPartials(p.res, parts, p.nBlocks, p.agg)
 	p.res.TrainedModels = e.est.trainedModels()
+	if p.rowsOwnBlocks() {
+		// The rows' own values, which the engine's coded rows must expand to.
+		for s := range parts {
+			lo, hi := p.plan.Bounds(s)
+			parts[s] = ShardPartial{Shard: s, Sum: sum[lo:hi], Cnt: cnt[lo:hi]}
+		}
+	}
 	return classRun{parts: parts, res: p.res, meta: p.meta()}, differs, nil
 }
 
@@ -286,7 +294,7 @@ func checkBindParity(t testing.TB, db *relation.Database, model *causal.Model, s
 	}
 	for _, shards := range []int{1, 4} {
 		opts.Shards = shards
-		// The folded answer, and every shard's window as a worker returns it.
+		// The folded answer, and every shard's partial as a worker returns it.
 		folded, windows := want, want
 		folded.parts, windows.res = nil, nil
 		plan, _, _ := PlanContext(context.Background(), db, model, q, opts)
@@ -299,15 +307,29 @@ func checkBindParity(t testing.TB, db *relation.Database, model *causal.Model, s
 			// aside (sameFloat): the reference folds windows where rows that
 			// are their own blocks add straight into the totals, and which
 			// payload an add keeps where two NaNs meet is the compiler's
-			// choice. Every window keeps every bit.
+			// choice. Every partial keeps every bit: a block window, or a
+			// row's value, coded or not.
 			if err := diffClassRuns(runClassEval(db, model, q, opts, nil, unkeyed), folded, sameFloat); err != nil {
 				t.Fatalf("%q shards=%d unkeyed=%v against the materialised loops: %v", src, shards, unkeyed, err)
 			}
 			if plan == 0 {
 				continue
 			}
-			if err := diffClassRuns(runClassEval(db, model, q, opts, all, unkeyed), windows, bitsEqual); err != nil {
-				t.Fatalf("%q shards=%d unkeyed=%v, every shard's window, against the materialised loops: %v", src, shards, unkeyed, err)
+			parts := runClassEval(db, model, q, opts, all, unkeyed)
+			if err := diffClassRuns(parts, windows, bitsEqual); err != nil {
+				t.Fatalf("%q shards=%d unkeyed=%v, every shard's partial, against the materialised loops: %v", src, shards, unkeyed, err)
+			}
+			// And they merge to the reference's fold, NaN payloads aside as
+			// above.
+			if parts.err == nil {
+				merged, err := MergePartials(parts.meta, parts.parts)
+				parts.parts, parts.res = nil, merged
+				if err == nil {
+					err = diffClassRuns(parts, folded, sameFloat)
+				}
+				if err != nil {
+					t.Fatalf("%q shards=%d unkeyed=%v, every shard's partial merged, against the materialised fold: %v", src, shards, unkeyed, err)
+				}
 			}
 		}
 		if err := diffPrepared(db, model, q, opts); err != nil {

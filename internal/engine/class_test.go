@@ -7,6 +7,7 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -21,6 +22,7 @@ import (
 	"hyper/internal/hyperql"
 	"hyper/internal/obs"
 	"hyper/internal/relation"
+	"hyper/internal/shard"
 	"hyper/internal/stats"
 )
 
@@ -267,19 +269,40 @@ func runClassEval(db *relation.Database, model *causal.Model, q *hyperql.WhatIf,
 }
 
 // diffClassRuns compares two runs: the same error, or the same meta and
-// every window bit for bit, and a folded answer whose value, sum and count
-// agree under same.
+// every partial bit for bit, and a folded answer whose value, sum and count
+// agree under same. Where every view row is a block of its own, partials are
+// compared row by row: a coded row's class value against the other side's
+// value for that row, whether coded or per row.
 func diffClassRuns(got, want classRun, same func(a, b float64) bool) error {
 	if fmt.Sprint(got.err) != fmt.Sprint(want.err) {
 		return fmt.Errorf("error %q, per-row %q", fmt.Sprint(got.err), fmt.Sprint(want.err))
+	}
+	if got.meta.TrainedModels != want.meta.TrainedModels || !got.meta.Consistent(want.meta) {
+		return fmt.Errorf("meta %+v, per-row %+v", got.meta, want.meta)
 	}
 	if len(got.parts) != len(want.parts) {
 		return fmt.Errorf("%d partials, per-row %d", len(got.parts), len(want.parts))
 	}
 	for i, g := range got.parts {
 		w := want.parts[i]
-		if g.Shard != w.Shard || g.MinBlock != w.MinBlock || len(g.Sum) != len(w.Sum) || len(g.Cnt) != len(w.Cnt) {
-			return fmt.Errorf("partial %d: shard/min/len %d/%d/%d, per-row %d/%d/%d", i, g.Shard, g.MinBlock, len(g.Sum), w.Shard, w.MinBlock, len(w.Sum))
+		if got.meta.RowsOwnBlocks {
+			gs, gc := rowsOf(g)
+			ws, wc := rowsOf(w)
+			if g.Shard != w.Shard || len(gs) != len(ws) {
+				return fmt.Errorf("partial %d: shard %d of %d rows, per-row shard %d of %d", i, g.Shard, len(gs), w.Shard, len(ws))
+			}
+			for j := range gs {
+				if !bitsEqual(gs[j], ws[j]) || !bitsEqual(gc[j], wc[j]) {
+					return fmt.Errorf("shard %d row %d (code width %d): (%v,%v) bits (%x,%x), per-row (%v,%v) bits (%x,%x)", g.Shard, j, g.Width,
+						gs[j], gc[j], math.Float64bits(gs[j]), math.Float64bits(gc[j]),
+						ws[j], wc[j], math.Float64bits(ws[j]), math.Float64bits(wc[j]))
+				}
+			}
+			continue
+		}
+		if g.Shard != w.Shard || g.MinBlock != w.MinBlock || len(g.Sum) != len(w.Sum) || len(g.Cnt) != len(w.Cnt) || g.Codes != nil || w.Codes != nil {
+			return fmt.Errorf("partial %d: shard/min/len/codes %d/%d/%d/%d, per-row %d/%d/%d/%d", i,
+				g.Shard, g.MinBlock, len(g.Sum), len(g.Codes), w.Shard, w.MinBlock, len(w.Sum), len(w.Codes))
 		}
 		for j := range g.Sum {
 			if !bitsEqual(g.Sum[j], w.Sum[j]) || !bitsEqual(g.Cnt[j], w.Cnt[j]) {
@@ -289,9 +312,6 @@ func diffClassRuns(got, want classRun, same func(a, b float64) bool) error {
 			}
 		}
 	}
-	if got.meta.TrainedModels != want.meta.TrainedModels || !got.meta.Consistent(want.meta) {
-		return fmt.Errorf("meta %+v, per-row %+v", got.meta, want.meta)
-	}
 	if (got.res == nil) != (want.res == nil) {
 		return fmt.Errorf("folded result present = %v, per-row %v", got.res != nil, want.res != nil)
 	}
@@ -299,6 +319,55 @@ func diffClassRuns(got, want classRun, same func(a, b float64) bool) error {
 		if !same(g.Value, w.Value) || !same(g.Sum, w.Sum) || !same(g.Count, w.Count) || g.TrainedModels != w.TrainedModels {
 			return fmt.Errorf("value/sum/count/trained %v/%v/%v/%d, per-row %v/%v/%v/%d",
 				g.Value, g.Sum, g.Count, g.TrainedModels, w.Value, w.Sum, w.Count, w.TrainedModels)
+		}
+	}
+	return nil
+}
+
+// rowsOf expands a partial of the own-block regime into its rows' (sum,
+// count) values in row order: a coded row's are its class's.
+func rowsOf(w ShardPartial) (sum, cnt []float64) {
+	if w.Width == 0 {
+		return w.Sum, w.Cnt
+	}
+	for j := 0; j < len(w.Codes); j += w.Width {
+		c := int(w.Codes[j])
+		if w.Width == 2 {
+			c = int(binary.LittleEndian.Uint16(w.Codes[j:]))
+		}
+		sum, cnt = append(sum, w.Sum[c]), append(cnt, w.Cnt[c])
+	}
+	return sum, cnt
+}
+
+// codingError says how a run's own-block partials break the coding rule: a
+// shard's rows travel as class codes exactly when they reference at most
+// 65,536 classes and the codes (16 B a class, and a byte a row under 256
+// classes, two above) come to fewer bytes than the rows' values, 16 a row;
+// a coded partial then holds each referenced class once.
+func codingError(run classRun, plan shard.Plan) error {
+	if !run.meta.RowsOwnBlocks {
+		return nil
+	}
+	for _, w := range run.parts {
+		lo, hi := plan.Bounds(w.Shard)
+		want, classes := 0, 0
+		if run.classOf != nil {
+			seen := map[uint32]bool{}
+			for i := lo; i < hi; i++ {
+				seen[run.classOf.At(i)] = true
+			}
+			classes, want = len(seen), 1
+			if classes > 1<<8 {
+				want = 2
+			}
+			if classes > 1<<16 || 16*classes+want*(hi-lo) >= 16*(hi-lo) {
+				want = 0
+			}
+		}
+		if w.Width != want || want > 0 && len(w.Sum) != classes {
+			return fmt.Errorf("shard %d: %d rows over %d classes went as %d values at code width %d, want width %d",
+				w.Shard, hi-lo, classes, len(w.Sum), w.Width, want)
 		}
 	}
 	return nil
@@ -333,6 +402,11 @@ func checkClassParity(t testing.TB, db *relation.Database, model *causal.Model, 
 			want := runClassEval(db, model, q, opts, ids, true)
 			if want.classOf != nil {
 				t.Fatalf("%q: clearing the class key left a partition in place", src)
+			}
+			for _, run := range []classRun{got, want} {
+				if err := codingError(run, shard.Rows(run.meta.ViewRows, opts.ShardRows)); err != nil {
+					t.Fatalf("%q shards=%d subset=%v (classes=%d): %v", src, shards, ids, run.classes, err)
+				}
 			}
 			// Both sides fold through the same code: every bit agrees.
 			if err := diffClassRuns(got, want, bitsEqual); err != nil {

@@ -89,7 +89,7 @@ func TestNameErrorsEveryWayIn(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = s.Explain(q.(*hyper.WhatIfQuery))
+			_, err = s.Explain(context.Background(), q.(*hyper.WhatIfQuery))
 			check("Explain", tc.whatIf, err)
 			_, err = s.HowTo(tc.howTo)
 			check("HowTo", tc.howTo, err)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
@@ -14,22 +15,64 @@ import (
 )
 
 // Partial evaluation: the engine's distributed-execution surface. A what-if
-// evaluation decomposes over the canonical shard plan into block-window
-// partials that are pure functions of (data, query, semantic options, shard
-// id) — independent of which process computes them. A coordinator can
-// therefore hand disjoint shard subsets to remote workers, collect their
-// PartialResults, and MergePartials them in plan order to reconstruct the
-// exact Result a single process would produce.
+// evaluation decomposes over the canonical shard plan into partials (rows or
+// block windows, see ShardPartial) that are pure functions of (data, query,
+// semantic options, shard id) — independent of which process computes them.
+// A coordinator can therefore hand disjoint shard subsets to remote workers,
+// collect their PartialResults, and MergePartials them in plan order to
+// reconstruct the exact Result a single process would produce.
 
-// ShardPartial is the block-window partial of one plan shard: the per-block
+// ShardPartial is the partial of one plan shard, in the regime of its
+// PartialMeta. Where blocks span rows, it is a block window: the per-block
 // (sum, count) accumulators over the window of block ids the shard's rows
-// touch. An empty shard has nil Sum/Cnt. (internal/dist ships it as raw
-// float64 bits: JSON cannot carry a NaN or ±Inf accumulator.)
+// touch, from MinBlock; an empty shard has nil Sum/Cnt. Where every view row
+// is a block of its own (RowsOwnBlocks), it is the shard's rows in row order:
+// with Width 0, Sum/Cnt hold each row's (sum, count); with Width 1 or 2,
+// they hold the (sum, count) of each tuple class the rows reference, once,
+// and Codes holds each row's index into them, Width bytes little-endian.
+// (internal/dist ships the floats as raw bits, since JSON cannot carry a NaN
+// or ±Inf accumulator, and the codes as they are.)
 type ShardPartial struct {
 	Shard    int
 	MinBlock int
 	Sum      []float64
 	Cnt      []float64
+	Codes    []byte
+	Width    int
+}
+
+// rows is the number of view rows a partial of the own-block regime holds.
+func (w ShardPartial) rows() int {
+	if w.Width == 0 {
+		return len(w.Sum)
+	}
+	return len(w.Codes) / w.Width
+}
+
+// addRows adds the rows of a partial of the own-block regime into res's
+// totals in row order: the addends and the order of evalPrep.addRows, so a
+// merge keeps a local evaluation's bits.
+func (w ShardPartial) addRows(res *Result) {
+	sum, cnt := res.Sum, res.Count
+	switch w.Width {
+	case 0:
+		for j, v := range w.Sum {
+			sum += v
+			cnt += w.Cnt[j]
+		}
+	case 1:
+		for _, c := range w.Codes {
+			sum += w.Sum[c]
+			cnt += w.Cnt[c]
+		}
+	case 2:
+		for j := 0; j < len(w.Codes); j += 2 {
+			c := binary.LittleEndian.Uint16(w.Codes[j:])
+			sum += w.Sum[c]
+			cnt += w.Cnt[c]
+		}
+	}
+	res.Sum, res.Count = sum, cnt
 }
 
 // PartialMeta is the evaluation metadata a partial evaluation derives
@@ -49,6 +92,7 @@ type PartialMeta struct {
 	ShardedFit    bool     `json:"sharded_fit,omitempty"`
 	Disjuncts     int      `json:"disjuncts"`
 	ViewRows      int      `json:"view_rows"`
+	RowsOwnBlocks bool     `json:"rows_own_blocks,omitempty"`
 	UpdatedRows   int      `json:"updated_rows"`
 	SampledRows   int      `json:"sampled_rows"`
 	TrainedModels int      `json:"trained_models"`
@@ -67,9 +111,55 @@ type PartialResult struct {
 func (m PartialMeta) Consistent(o PartialMeta) bool {
 	return m.Plan == o.Plan && m.Blocks == o.Blocks && m.Agg == o.Agg && m.Mode == o.Mode &&
 		m.EstimatorUsed == o.EstimatorUsed && m.ShardedFit == o.ShardedFit &&
-		m.Disjuncts == o.Disjuncts && m.ViewRows == o.ViewRows &&
+		m.Disjuncts == o.Disjuncts && m.ViewRows == o.ViewRows && m.RowsOwnBlocks == o.RowsOwnBlocks &&
 		m.UpdatedRows == o.UpdatedRows && m.SampledRows == o.SampledRows &&
 		slices.Equal(m.Backdoor, o.Backdoor)
+}
+
+// Check reports how w fails to be a partial of m's regime: sums and counts
+// of different lengths; where blocks span rows, codes, or a block window
+// outside [0, Blocks); where every row is a block of its own, a code width
+// other than 0, 1 or 2, codes that are not whole, or a code at or past the
+// class count. MergePartials checks every partial with it, and a decoder can
+// check one as it arrives, before anything indexes its codes.
+func (m PartialMeta) Check(w ShardPartial) error {
+	if len(w.Sum) != len(w.Cnt) {
+		return fmt.Errorf("engine: shard %d has %d sums but %d counts", w.Shard, len(w.Sum), len(w.Cnt))
+	}
+	if !m.RowsOwnBlocks {
+		if w.Width != 0 || w.Codes != nil {
+			return fmt.Errorf("engine: shard %d is class-coded, but its blocks span rows", w.Shard)
+		}
+		if w.MinBlock < 0 || w.MinBlock+len(w.Sum) > m.Blocks {
+			return fmt.Errorf("engine: shard %d block window [%d,%d) outside [0,%d)",
+				w.Shard, w.MinBlock, w.MinBlock+len(w.Sum), m.Blocks)
+		}
+		return nil
+	}
+	top := 0 // the largest code
+	switch w.Width {
+	case 0:
+		if w.Codes != nil {
+			return fmt.Errorf("engine: shard %d has codes but no code width", w.Shard)
+		}
+	case 1:
+		if len(w.Codes) > 0 {
+			top = int(slices.Max(w.Codes))
+		}
+	case 2:
+		if len(w.Codes)%2 != 0 {
+			return fmt.Errorf("engine: shard %d has %d bytes of 2-byte codes", w.Shard, len(w.Codes))
+		}
+		for j := 0; j < len(w.Codes); j += 2 {
+			top = max(top, int(binary.LittleEndian.Uint16(w.Codes[j:])))
+		}
+	default:
+		return fmt.Errorf("engine: shard %d has %d-byte codes (want 1 or 2)", w.Shard, w.Width)
+	}
+	if len(w.Codes) > 0 && top >= len(w.Sum) {
+		return fmt.Errorf("engine: shard %d has code %d, past its %d classes", w.Shard, top, len(w.Sum))
+	}
+	return nil
 }
 
 // aggName is an aggregate's wire name ("count", "sum" or "avg") and
@@ -94,6 +184,7 @@ func (p *evalPrep) meta() PartialMeta {
 		ShardedFit:    p.res.ShardedFit,
 		Disjuncts:     p.res.Disjuncts,
 		ViewRows:      p.res.ViewRows,
+		RowsOwnBlocks: p.rowsOwnBlocks(),
 		UpdatedRows:   p.res.UpdatedRows,
 		SampledRows:   p.res.SampledRows,
 		TrainedModels: p.ev.est.trainedModels(),
@@ -150,9 +241,10 @@ func EvaluatePartialContext(ctx context.Context, db *relation.Database, model *c
 
 // MergePartials reduces a complete set of shard partials (every shard of the
 // plan exactly once, in any arrival order) into the final Result, folding
-// them strictly in plan order as a local evaluation folds its windows
-// (foldWindows), so every bit of the result matches a single-process
-// evaluation.
+// them strictly in plan order as a local evaluation folds them: rows that
+// are their own blocks add straight into the totals (addRows), and block
+// windows fold as foldWindows does, so every bit of the result matches a
+// single-process evaluation.
 func MergePartials(meta PartialMeta, parts []ShardPartial) (*Result, error) {
 	agg, err := aggFromName(meta.Agg)
 	if err != nil {
@@ -169,6 +261,7 @@ func MergePartials(meta PartialMeta, parts []ShardPartial) (*Result, error) {
 	}
 	ordered := make([]ShardPartial, meta.Plan)
 	seen := make([]bool, meta.Plan)
+	rows := 0
 	for _, p := range parts {
 		if p.Shard < 0 || p.Shard >= meta.Plan {
 			return nil, fmt.Errorf("engine: merge: shard %d out of plan range [0,%d)", p.Shard, meta.Plan)
@@ -176,15 +269,15 @@ func MergePartials(meta PartialMeta, parts []ShardPartial) (*Result, error) {
 		if seen[p.Shard] {
 			return nil, fmt.Errorf("engine: merge: shard %d delivered twice", p.Shard)
 		}
-		if len(p.Sum) != len(p.Cnt) {
-			return nil, fmt.Errorf("engine: merge: shard %d has %d sums but %d counts", p.Shard, len(p.Sum), len(p.Cnt))
-		}
-		if p.MinBlock < 0 || p.MinBlock+len(p.Sum) > meta.Blocks {
-			return nil, fmt.Errorf("engine: merge: shard %d block window [%d,%d) outside [0,%d)",
-				p.Shard, p.MinBlock, p.MinBlock+len(p.Sum), meta.Blocks)
+		if err := meta.Check(p); err != nil {
+			return nil, fmt.Errorf("engine: merge: %w", err)
 		}
 		seen[p.Shard] = true
 		ordered[p.Shard] = p
+		rows += p.rows()
+	}
+	if meta.RowsOwnBlocks && rows != meta.ViewRows {
+		return nil, fmt.Errorf("engine: merge: partials hold %d rows, the view %d", rows, meta.ViewRows)
 	}
 	res := &Result{
 		Mode:          meta.Mode,
@@ -199,7 +292,13 @@ func MergePartials(meta PartialMeta, parts []ShardPartial) (*Result, error) {
 		ShardPlan:     meta.Plan,
 		ShardedFit:    meta.ShardedFit,
 	}
-	foldWindows(res, ordered, meta.Blocks)
+	if meta.RowsOwnBlocks {
+		for _, w := range ordered {
+			w.addRows(res)
+		}
+	} else {
+		foldWindows(res, ordered, meta.Blocks)
+	}
 	res.setValue(agg)
 	return res, nil
 }

@@ -157,6 +157,40 @@ func TestMergePartialsValidation(t *testing.T) {
 	if _, err := MergePartials(PartialMeta{Plan: 2, Blocks: 3, Agg: "median"}, ok); err == nil {
 		t.Error("unknown aggregate accepted")
 	}
+
+	// Rows that are their own blocks: 3 coded rows, then 2 rows' own values.
+	rows := PartialMeta{Plan: 2, Blocks: 5, Agg: "sum", RowsOwnBlocks: true, ViewRows: 5}
+	coded := ShardPartial{Shard: 0, Sum: []float64{1, 2}, Cnt: []float64{1, 1}, Codes: []byte{0, 1, 1}, Width: 1}
+	perRow := ShardPartial{Shard: 1, Sum: []float64{4, 8}, Cnt: []float64{1, 1}}
+	wide := coded
+	wide.Codes, wide.Width = []byte{0, 0, 1, 0, 1, 0}, 2
+	for _, parts := range [][]ShardPartial{{coded, perRow}, {perRow, wide}} {
+		if res, err := MergePartials(rows, parts); err != nil || res.Value != 17 || res.Count != 5 {
+			t.Fatalf("valid merge of rows failed: %v %+v", err, res)
+		}
+	}
+	with := func(p ShardPartial, edit func(*ShardPartial)) ShardPartial {
+		edit(&p)
+		return p
+	}
+	for _, b := range []struct {
+		name  string
+		meta  PartialMeta
+		parts []ShardPartial
+	}{
+		{"code past its class count", rows, []ShardPartial{with(coded, func(p *ShardPartial) { p.Codes = []byte{0, 2, 1} }), perRow}},
+		{"2-byte code past its class count", rows, []ShardPartial{with(wide, func(p *ShardPartial) { p.Codes = []byte{0, 0, 0, 1, 1, 0} }), perRow}},
+		{"half a 2-byte code", rows, []ShardPartial{with(wide, func(p *ShardPartial) { p.Codes = p.Codes[:5] }), perRow}},
+		{"3-byte codes", rows, []ShardPartial{with(coded, func(p *ShardPartial) { p.Width = 3 }), perRow}},
+		{"codes without a width", rows, []ShardPartial{with(coded, func(p *ShardPartial) { p.Width = 0 }), perRow}},
+		{"rows short of the view", rows, []ShardPartial{with(coded, func(p *ShardPartial) { p.Codes = p.Codes[:2] }), perRow}},
+		{"coded rows under block windows", meta, []ShardPartial{ok[0], with(coded, func(p *ShardPartial) { p.Shard = 1 })}},
+		{"arity of rows", rows, []ShardPartial{coded, with(perRow, func(p *ShardPartial) { p.Cnt = p.Cnt[:1] })}},
+	} {
+		if _, err := MergePartials(b.meta, b.parts); err == nil {
+			t.Errorf("%s: merge accepted invalid partials", b.name)
+		}
+	}
 }
 
 // TestEmptyViewEvaluates pins the empty-relevant-view path: zero rows must

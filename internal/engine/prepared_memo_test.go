@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"reflect"
@@ -51,10 +52,10 @@ func diffPartials(got, want *PartialResult) error {
 	}
 	for i, g := range got.Partials {
 		w := want.Partials[i]
-		if g.Shard != w.Shard || g.MinBlock != w.MinBlock ||
+		if g.Shard != w.Shard || g.MinBlock != w.MinBlock || g.Width != w.Width || !bytes.Equal(g.Codes, w.Codes) ||
 			!slices.EqualFunc(g.Sum, w.Sum, bitsEqual) || !slices.EqualFunc(g.Cnt, w.Cnt, bitsEqual) {
-			return fmt.Errorf("shard %d: window %d+%d, want shard %d window %d+%d, or different bits",
-				g.Shard, g.MinBlock, len(g.Sum), w.Shard, w.MinBlock, len(w.Sum))
+			return fmt.Errorf("shard %d: window %d+%d, %d-byte codes %d, want shard %d window %d+%d, %d-byte codes %d, or different bits",
+				g.Shard, g.MinBlock, len(g.Sum), g.Width, len(g.Codes), w.Shard, w.MinBlock, len(w.Sum), w.Width, len(w.Codes))
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -147,10 +148,11 @@ func (p *evalPrep) evaluate(ctx context.Context) (*Result, error) {
 }
 
 // partials values the listed shards of the canonical plan and returns their
-// block windows, in the order listed; ids must be distinct and within the
-// plan. A shard's window is a pure function of the prepared evaluation and
-// its row range, whichever process computes it, which is what makes windows
-// portable. The whole of it is the eval_shards stage.
+// partials, in the order listed: the rows (rowValues) where every view row is
+// a block of its own, block windows otherwise. ids must be distinct and
+// within the plan. A shard's partial is a pure function of the prepared
+// evaluation and its row range, whichever process computes it, which is what
+// makes partials portable. The whole of it is the eval_shards stage.
 func (p *evalPrep) partials(ctx context.Context, ids []int) ([]ShardPartial, error) {
 	k := p.plan.Shards()
 	seen := make([]bool, k)
@@ -169,9 +171,21 @@ func (p *evalPrep) partials(ctx context.Context, ids []int) ([]ShardPartial, err
 	if err != nil {
 		return nil, err
 	}
-	parts := make([]ShardPartial, len(ids))
+	parts, own := make([]ShardPartial, len(ids)), p.rowsOwnBlocks()
+	var code []int32 // rowValues' scratch: each class's code in the partial at hand, -1 for none
+	if own && p.ev.classOf != nil {
+		code = make([]int32, p.ev.classes)
+		for c := range code {
+			code[c] = -1
+		}
+	}
 	for j, s := range ids {
-		if parts[j], err = p.window(ctx, s, vals); err != nil {
+		if own {
+			parts[j], err = p.rowValues(ctx, s, vals, code)
+		} else {
+			parts[j], err = p.window(ctx, s, vals)
+		}
+		if err != nil {
 			return nil, err
 		}
 		p.report("shards", j+1, len(ids))
@@ -308,6 +322,73 @@ func (p *evalPrep) addRows(ctx context.Context, s int, vals []classVal) error {
 	}
 	p.res.Sum, p.res.Count = sum, cnt
 	return nil
+}
+
+// rowValues is plan shard s's partial where every view row is a block of its
+// own: its rows' values in row order, which a merge adds straight into the
+// totals as addRows does. Under a class key they go as class codes: the
+// (sum, count) of each class the rows reference, once, in the order of first
+// reference, and each row's code, one byte under 256 classes and two under
+// 65,536. Where codes would take no fewer bytes than 16 a row, the values go
+// per row: without a class key, or with nearly as many classes as rows. code
+// is -1 for every class on entry, and again on a return without an error.
+func (p *evalPrep) rowValues(ctx context.Context, s int, vals []classVal, code []int32) (ShardPartial, error) {
+	lo, hi := p.plan.Bounds(s)
+	w, n := ShardPartial{Shard: s}, hi-lo
+	if code != nil {
+		var refs []uint32 // the classes referenced, by code
+		for i := lo; i < hi; i++ {
+			if c := p.ev.classOf.At(i); code[c] < 0 {
+				code[c] = int32(len(refs))
+				refs = append(refs, c)
+			}
+		}
+		width := 1
+		if len(refs) > 1<<8 {
+			width = 2
+		}
+		coded := len(refs) <= 1<<16 && 16*len(refs)+width*n < 16*n
+		if coded {
+			w.Width, w.Codes = width, make([]byte, width*n)
+			w.Sum, w.Cnt = make([]float64, len(refs)), make([]float64, len(refs))
+			for k, c := range refs {
+				w.Sum[k], w.Cnt[k] = vals[c].sum, vals[c].cnt
+			}
+			for i := lo; i < hi; i++ {
+				if (i-lo)%stride == 0 && i > lo {
+					if err := ctx.Err(); err != nil {
+						return w, err
+					}
+				}
+				if k := code[p.ev.classOf.At(i)]; width == 1 {
+					w.Codes[i-lo] = byte(k)
+				} else {
+					binary.LittleEndian.PutUint16(w.Codes[2*(i-lo):], uint16(k))
+				}
+			}
+		}
+		for _, c := range refs {
+			code[c] = -1
+		}
+		if coded {
+			return w, nil
+		}
+	}
+	off := 0
+	if p.off != nil {
+		off = p.off[s]
+	}
+	w.Sum, w.Cnt = make([]float64, n), make([]float64, n)
+	for i := lo; i < hi; i++ {
+		if (i-lo)%stride == 0 && i > lo {
+			if err := ctx.Err(); err != nil {
+				return w, err
+			}
+		}
+		v := vals[p.ev.classAt(i)-off]
+		w.Sum[i-lo], w.Cnt[i-lo] = v.sum, v.cnt
+	}
+	return w, nil
 }
 
 // window is plan shard s's block window: the (sum, count) of each block its

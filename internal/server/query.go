@@ -291,9 +291,9 @@ func (e *sessionEntry) run(ctx context.Context, b *boundQuery, progress hyper.Pr
 		out.Snapshot = b.sn.version
 		return out, nil
 	default: // explain
-		plan, err := b.sn.sess.Explain(b.ast.(*hyper.WhatIfQuery))
+		plan, err := b.sn.sess.Explain(ctx, b.ast.(*hyper.WhatIfQuery))
 		if err != nil {
-			return nil, httpapi.Errorf(http.StatusBadRequest, "%v", err)
+			return nil, queryError(ctx, err)
 		}
 		return &ExplainResponse{Plan: plan, Snapshot: b.sn.version}, nil
 	}

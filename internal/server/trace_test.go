@@ -116,6 +116,42 @@ func TestColdViewBuildIsAStage(t *testing.T) {
 	}
 }
 
+// TestExplainTracesItsPreparation: an explain prepares the query, and its
+// trace and usage row say so: a traced explain on a fresh session has a
+// prepare span holding the view, blocks, plan and train stages, and
+// /v1/usage/{session} charges those stages.
+func TestExplainTracesItsPreparation(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	createSession(t, ts, "g")
+	var res ExplainResponse
+	if code := do(t, "POST", ts.URL+"/v1/sessions/g/explain?trace=1", QueryRequest{Query: germanCount}, &res); code != http.StatusOK {
+		t.Fatalf("traced explain: status %d", code)
+	}
+	if res.Trace == nil || res.Trace.Root == nil {
+		t.Fatalf("?trace=1 returned no trace: %+v", res)
+	}
+	stages := []string{"view", "blocks", "plan", "train"}
+	prep := childNamed(res.Trace.Root, "prepare")
+	for _, name := range stages {
+		if prep == nil || childNamed(prep, name) == nil {
+			t.Fatalf("no %s stage under a prepare span: %s", name, obs.Skeleton(res.Trace.Root))
+		}
+	}
+
+	var usage UsageResponse
+	if code := do(t, "GET", ts.URL+"/v1/usage/g", nil, &usage); code != http.StatusOK {
+		t.Fatalf("usage: status %d", code)
+	}
+	if len(usage.Shapes) != 1 || usage.Shapes[0].Cost == nil {
+		t.Fatalf("usage rows = %+v", usage.Shapes)
+	}
+	for _, name := range stages {
+		if _, ok := usage.Shapes[0].Cost.StagesMs[name]; !ok {
+			t.Errorf("usage stages_ms %v has no %s", usage.Shapes[0].Cost.StagesMs, name)
+		}
+	}
+}
+
 // childNamed returns the first direct child with the given name.
 func childNamed(sj *obs.SpanJSON, name string) *obs.SpanJSON {
 	for _, c := range sj.Children {

@@ -93,7 +93,7 @@ func TestSessionAccessorsAndOptions(t *testing.T) {
 
 func TestSessionExplain(t *testing.T) {
 	s, _ := germanSession(t)
-	plan, err := s.Explain(mustParse[*WhatIfQuery](t, `USE German WHEN Age = 0 UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1) FOR PRE(Sex) = 1`))
+	plan, err := s.Explain(context.Background(), mustParse[*WhatIfQuery](t, `USE German WHEN Age = 0 UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1) FOR PRE(Sex) = 1`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestSessionExplain(t *testing.T) {
 			t.Errorf("plan missing %q:\n%s", want, plan)
 		}
 	}
-	if _, err := s.Explain(mustParse[*WhatIfQuery](t, `USE German UPDATE(Nope) = 3 OUTPUT COUNT(*)`)); err == nil {
+	if _, err := s.Explain(context.Background(), mustParse[*WhatIfQuery](t, `USE German UPDATE(Nope) = 3 OUTPUT COUNT(*)`)); err == nil {
 		t.Error("a query naming an unknown column should not explain")
 	}
 }
