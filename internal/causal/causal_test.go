@@ -263,16 +263,23 @@ func TestRandomDAGTopoProperty(t *testing.T) {
 
 func TestUnionFind(t *testing.T) {
 	uf := NewUnionFind(10)
-	if uf.Sets() != 10 {
-		t.Errorf("Sets = %d", uf.Sets())
+	sets := func() int {
+		roots := map[int]bool{}
+		for i := range 10 {
+			roots[uf.Find(i)] = true
+		}
+		return len(roots)
+	}
+	if n := sets(); n != 10 {
+		t.Errorf("%d sets", n)
 	}
 	uf.Union(0, 1)
 	uf.Union(1, 2)
-	if !uf.Same(0, 2) || uf.Same(0, 3) {
-		t.Error("Same misbehaves")
+	if uf.Find(0) != uf.Find(2) || uf.Find(0) == uf.Find(3) {
+		t.Error("Find misbehaves")
 	}
-	if uf.Sets() != 8 {
-		t.Errorf("Sets = %d", uf.Sets())
+	if n := sets(); n != 8 {
+		t.Errorf("%d sets", n)
 	}
 	if uf.Union(0, 2) {
 		t.Error("re-union should report no merge")
@@ -325,7 +332,7 @@ func TestUnionFindConnectivityProperty(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if uf.Same(i, j) != reach[i][j] {
+				if (uf.Find(i) == uf.Find(j)) != reach[i][j] {
 					return false
 				}
 			}

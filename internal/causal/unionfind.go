@@ -6,12 +6,11 @@ package causal
 type UnionFind struct {
 	parent []int
 	rank   []byte
-	sets   int
 }
 
 // NewUnionFind creates n singleton sets.
 func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{parent: make([]int, n), rank: make([]byte, n), sets: n}
+	uf := &UnionFind{parent: make([]int, n), rank: make([]byte, n)}
 	for i := range uf.parent {
 		uf.parent[i] = i
 	}
@@ -40,12 +39,5 @@ func (u *UnionFind) Union(a, b int) bool {
 	if u.rank[ra] == u.rank[rb] {
 		u.rank[ra]++
 	}
-	u.sets--
 	return true
 }
-
-// Same reports whether a and b are in the same set.
-func (u *UnionFind) Same(a, b int) bool { return u.Find(a) == u.Find(b) }
-
-// Sets returns the current number of disjoint sets.
-func (u *UnionFind) Sets() int { return u.sets }

@@ -630,12 +630,16 @@ func (c *Coordinator) roundTrip(ctx context.Context, w *remoteWorker, point faul
 	return resp.StatusCode, raw, nil
 }
 
-// A worker's reply is read under a limit that its request fixes. An eval
-// reply carries one Sum and one Cnt float64 per block of each shard's block
-// window, which is one block per row when every tuple is a block of its own
-// and fewer on every dataset with multi-row blocks measured so far, plus a
-// JSON header (meta, meter and, when traced, the worker's span tree) within
-// replyAllowance. Any other reply is a small JSON object.
+// A worker's reply is read under a limit that its request fixes:
+// replyBytesPerRow for each row of the assigned shards, plus replyAllowance
+// for the JSON header (meta, meter and, when traced, the worker's span
+// tree). An eval reply (format 2) holds, where blocks span rows, one Sum and
+// one Cnt float64 per block of each shard's block window, which spans fewer
+// blocks than rows on every such dataset measured so far. Where every row is
+// a block of its own, the rows go as 1- or 2-byte class codes beside one
+// (Sum, Cnt) per class referenced, or as a (Sum, Cnt) per row where codes do
+// not pay: at most 16 B a row, and usually under 2. Any other reply is a
+// small JSON object.
 const (
 	replyBytesPerRow = 16
 	replyAllowance   = 1 << 20

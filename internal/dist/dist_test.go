@@ -190,8 +190,10 @@ func TestDistributedEvalGolden(t *testing.T) {
 				if prep == nil || prep.Attrs["cache_hit"] != repeat {
 					t.Fatalf("repeat=%v: worker prepare span %v, want cache_hit %v: %s", repeat, prep, repeat, obs.Skeleton(er.Spans))
 				}
-				if _, ok := er.Meter.StagesMs["prepare"]; !ok {
-					t.Fatalf("repeat=%v: worker meter has no prepare stage: %v", repeat, er.Meter.StagesMs)
+				// The prepare lookup is a span, not a metered stage: on a miss
+				// the view, blocks and plan stages it nests are metered once.
+				if _, ok := er.Meter.StagesMs["prepare"]; ok {
+					t.Fatalf("repeat=%v: worker meter counts prepare beside the stages it nests: %v", repeat, er.Meter.StagesMs)
 				}
 				_, planned := er.Meter.StagesMs["plan"]
 				planSpan := findSpan(er.Spans, "plan")

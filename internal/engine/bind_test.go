@@ -27,10 +27,10 @@ type boundRef struct {
 }
 
 // materialise runs the former Steps 4 and 5 of prepareEvaluation and the
-// affected loop the evaluator once prepared, over p's view, WHEN set and updates.
+// affected loop the evaluator once prepared, over e's view, WHEN set and updates.
 // ignoreWhen doctors it: every row counts as selected.
-func materialise(p *evalPrep, model *causal.Model, ignoreWhen bool) (boundRef, error) {
-	rel, e := p.v.Rel, p.ev
+func materialise(e *evaluator, model *causal.Model, ignoreWhen bool) (boundRef, error) {
+	rel := e.v.Rel
 	ref := boundRef{postVals: make(map[string][]relation.Value)}
 	for _, u := range e.updates {
 		ci := rel.Schema().MustIndex(u.Attr)
@@ -50,7 +50,7 @@ func materialise(p *evalPrep, model *causal.Model, ignoreWhen bool) (boundRef, e
 			src := causal.Qualify(ce.FromRel, ce.FromAttr)
 			var attr string
 			for _, a := range e.updateAttrs {
-				if p.v.qualified[rel.Schema().MustIndex(a)] == src {
+				if e.v.qualified[rel.Schema().MustIndex(a)] == src {
 					attr = a
 				}
 			}
@@ -61,7 +61,7 @@ func materialise(p *evalPrep, model *causal.Model, ignoreWhen bool) (boundRef, e
 			if gRel == "" {
 				gRel = ce.FromRel
 			}
-			gi := p.v.column(gRel, gAttr)
+			gi := e.v.column(gRel, gAttr)
 			if gi < 0 {
 				return ref, fmt.Errorf("engine: cross-edge group attribute %q is not in the relevant view", gAttr)
 			}
@@ -208,15 +208,14 @@ func (ref boundRef) supportedFraction(e *evaluator) float64 {
 // every view row is a block of its own, each shard's rows' values.
 // differs counts the rows on which a doctored reference parts from tuple().
 func runBoundRef(db *relation.Database, model *causal.Model, q *hyperql.WhatIf, opts Options, doctored bool) (run classRun, differs int, err error) {
-	p, perr := prepareEvaluation(context.Background(), db, model, q, opts)
+	e, perr := prepareEvaluation(context.Background(), db, model, q, opts)
 	if perr != nil {
 		return classRun{err: perr}, 0, nil
 	}
-	ref, err := materialise(p, model, doctored)
+	ref, err := materialise(e, model, doctored)
 	if err != nil {
 		return classRun{}, 0, err
 	}
-	e := p.ev
 	if len(ref.summaries) != len(e.summaries) {
 		return classRun{}, 0, fmt.Errorf("%d summaries, materialised %d", len(e.summaries), len(ref.summaries))
 	}
@@ -232,11 +231,11 @@ func runBoundRef(db *relation.Database, model *causal.Model, q *hyperql.WhatIf, 
 		}
 	}
 	if e.est.kind == "freq" && !doctored {
-		if got, want := supportedFraction(e.est, p.v, q.Updates, e.summaries, e.inS), ref.supportedFraction(e); got != want {
+		if got, want := supportedFraction(e.est, e.v, q.Updates, e.summaries, e.inS), ref.supportedFraction(e); got != want {
 			return classRun{}, 0, fmt.Errorf("supported fraction %v, materialised %v", got, want)
 		}
 	}
-	n := p.v.Rel.Len()
+	n := e.v.Rel.Len()
 	sum, cnt := make([]float64, n), make([]float64, n)
 	for i := 0; i < n; i++ {
 		var rerr error
@@ -252,29 +251,29 @@ func runBoundRef(db *relation.Database, model *causal.Model, q *hyperql.WhatIf, 
 			return classRun{err: rerr}, differs, nil
 		}
 	}
-	parts := make([]ShardPartial, p.plan.Shards())
+	parts := make([]ShardPartial, e.plan.Shards())
 	for s := range parts {
-		lo, hi := p.plan.Bounds(s)
-		minB, maxB := p.nBlocks, -1
+		lo, hi := e.plan.Bounds(s)
+		minB, maxB := e.nBlocks, -1
 		for i := lo; i < hi; i++ {
-			minB, maxB = min(minB, p.blockAt(i)), max(maxB, p.blockAt(i))
+			minB, maxB = min(minB, e.blockAt(i)), max(maxB, e.blockAt(i))
 		}
 		parts[s] = ShardPartial{Shard: s, MinBlock: minB, Sum: make([]float64, maxB-minB+1), Cnt: make([]float64, maxB-minB+1)}
 		for i := lo; i < hi; i++ {
-			parts[s].Sum[p.blockAt(i)-minB] += sum[i]
-			parts[s].Cnt[p.blockAt(i)-minB] += cnt[i]
+			parts[s].Sum[e.blockAt(i)-minB] += sum[i]
+			parts[s].Cnt[e.blockAt(i)-minB] += cnt[i]
 		}
 	}
-	refFoldPartials(p.res, parts, p.nBlocks, p.agg)
-	p.res.TrainedModels = e.est.trainedModels()
-	if p.rowsOwnBlocks() {
+	refFoldPartials(e.res, parts, e.nBlocks, e.agg)
+	e.res.TrainedModels = e.est.trainedModels()
+	if e.rowsOwnBlocks() {
 		// The rows' own values, which the engine's coded rows must expand to.
 		for s := range parts {
-			lo, hi := p.plan.Bounds(s)
+			lo, hi := e.plan.Bounds(s)
 			parts[s] = ShardPartial{Shard: s, Sum: sum[lo:hi], Cnt: cnt[lo:hi]}
 		}
 	}
-	return classRun{parts: parts, res: p.res, meta: p.meta()}, differs, nil
+	return classRun{parts: parts, res: e.res, meta: e.meta()}, differs, nil
 }
 
 // checkBindParity holds the engine's evaluation of src — partitioned and
@@ -353,7 +352,7 @@ func diffPrepared(db *relation.Database, model *causal.Model, q *hyperql.WhatIf,
 		if err != nil {
 			return nil, err
 		}
-		return p.Evaluate(ctx, q.Updates)
+		return p.Evaluate(ctx, q.Updates, opts)
 	}()
 	if fmt.Sprint(gerr) != fmt.Sprint(werr) {
 		return fmt.Errorf("error %q, alone %q", fmt.Sprint(gerr), fmt.Sprint(werr))

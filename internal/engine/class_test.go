@@ -264,7 +264,7 @@ func runClassEval(db *relation.Database, model *causal.Model, q *hyperql.WhatIf,
 	if err != nil {
 		return classRun{err: err}
 	}
-	out.meta, out.classOf, out.classes = p.meta(), p.ev.classOf, p.ev.classes
+	out.meta, out.classOf, out.classes = p.meta(), p.classOf, p.classes
 	return out
 }
 
@@ -588,27 +588,27 @@ func TestClassLabelsMatchPerRow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		key, ok := p.ev.classKey()
+		key, ok := p.classKey()
 		if !ok {
 			t.Fatal("the base world must partition")
 		}
-		rows := p.ev.est.trainRows
+		rows := p.est.trainRows
 		if (sample == 0) != (len(rows) == p.v.Rel.Len()) {
 			t.Fatalf("sample=%d trains on %d of %d rows", sample, len(rows), p.v.Rel.Len())
 		}
-		perRow := *p.ev
-		classOf, first := key.partition(p.ev.inS)
-		p.ev.classOf, p.ev.classes = classOf, len(first)
-		if p.ev.classOf == nil {
+		perRow := *p
+		classOf, first := key.partition(p.inS)
+		p.classOf, p.classes = classOf, len(first)
+		if p.classOf == nil {
 			t.Fatal("the base world must partition")
 		}
-		if len(p.ev.events) != 2 {
-			t.Fatalf("%d post events, want 2", len(p.ev.events))
+		if len(p.events) != 2 {
+			t.Fatalf("%d post events, want 2", len(p.events))
 		}
 		for mask := uint64(0); mask < 4; mask++ {
 			for _, weighted := range []bool{false, true} {
-				lits := p.ev.eventLits(mask)
-				got, want := p.ev.labelFor(lits, weighted), perRow.labelFor(lits, weighted)
+				lits := p.eventLits(mask)
+				got, want := p.labelFor(lits, weighted), perRow.labelFor(lits, weighted)
 				for _, r := range rows {
 					g, gerr := got.label(r)
 					w, werr := want.label(r)
@@ -616,9 +616,9 @@ func TestClassLabelsMatchPerRow(t *testing.T) {
 						t.Fatalf("sample=%d mask=%d weighted=%v row %d: label %v (%v), per-row %v (%v)", sample, mask, weighted, r, g, gerr, w, werr)
 					}
 				}
-				if want.evals != len(rows) || got.evals > p.ev.classes || got.evals == 0 {
+				if want.evals != len(rows) || got.evals > p.classes || got.evals == 0 {
 					t.Fatalf("sample=%d mask=%d: %d label evaluations for %d classes; per-row %d for %d rows",
-						sample, mask, got.evals, p.ev.classes, want.evals, len(rows))
+						sample, mask, got.evals, p.classes, want.evals, len(rows))
 				}
 			}
 		}
@@ -708,7 +708,7 @@ func TestPartitionCollapses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := p.ev.classKey(); ok {
+	if _, ok := p.classKey(); ok {
 		t.Error("the Amazon view has a class key: its continuous Price should have ruled one out")
 	}
 	res, es := tracedEval(t, a.DB, a.Model, src, Options{Seed: 7})
@@ -740,10 +740,10 @@ func TestPartitionDoesNotOutliveRequest(t *testing.T) {
 		if _, err := p.evaluate(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if p.ev.classOf == nil || p.ev.est.trainedModels() == 0 {
+		if p.classOf == nil || p.est.trainedModels() == 0 {
 			t.Fatal("no partition or no lazy fit; the test proved nothing")
 		}
-		runtime.SetFinalizer(p.ev.classOf, func(*relation.Codes) { close(collected) })
+		runtime.SetFinalizer(p.classOf, func(*relation.Codes) { close(collected) })
 	}()
 	for i := 0; i < 20; i++ {
 		runtime.GC()

@@ -50,7 +50,7 @@ func (w ShardPartial) rows() int {
 }
 
 // addRows adds the rows of a partial of the own-block regime into res's
-// totals in row order: the addends and the order of evalPrep.addRows, so a
+// totals in row order: the addends and the order of evaluator.addRows, so a
 // merge keeps a local evaluation's bits.
 func (w ShardPartial) addRows(res *Result) {
 	sum, cnt := res.Sum, res.Count
@@ -173,21 +173,21 @@ func aggFromName(s string) (hyperql.AggFunc, error) {
 	return "", fmt.Errorf("engine: unknown aggregate %q (want count|sum|avg)", s)
 }
 
-func (p *evalPrep) meta() PartialMeta {
+func (e *evaluator) meta() PartialMeta {
 	return PartialMeta{
-		Plan:          p.plan.Shards(),
-		Blocks:        p.nBlocks,
-		Agg:           aggName(p.agg),
-		Mode:          p.res.Mode,
-		Backdoor:      p.res.Backdoor,
-		EstimatorUsed: p.res.EstimatorUsed,
-		ShardedFit:    p.res.ShardedFit,
-		Disjuncts:     p.res.Disjuncts,
-		ViewRows:      p.res.ViewRows,
-		RowsOwnBlocks: p.rowsOwnBlocks(),
-		UpdatedRows:   p.res.UpdatedRows,
-		SampledRows:   p.res.SampledRows,
-		TrainedModels: p.ev.est.trainedModels(),
+		Plan:          e.plan.Shards(),
+		Blocks:        e.nBlocks,
+		Agg:           aggName(e.agg),
+		Mode:          e.res.Mode,
+		Backdoor:      e.res.Backdoor,
+		EstimatorUsed: e.res.EstimatorUsed,
+		ShardedFit:    e.res.ShardedFit,
+		Disjuncts:     e.res.Disjuncts,
+		ViewRows:      e.res.ViewRows,
+		RowsOwnBlocks: e.rowsOwnBlocks(),
+		UpdatedRows:   e.res.UpdatedRows,
+		SampledRows:   e.res.SampledRows,
+		TrainedModels: e.est.trainedModels(),
 	}
 }
 
@@ -212,10 +212,10 @@ func PlanContext(ctx context.Context, db *relation.Database, model *causal.Model
 // TrainedModels) are bit-identical to what any other process evaluating the
 // same (data, query, semantic options) would produce for the same shards.
 //
-// The Prepared comes from opts.Cache (cachedPrepare): a dist worker, which
-// passes its frame's cache, prepares each query shape once per frame and
-// then only binds the update and runs its shards. opts.Shards, opts.Progress
-// and ctx's trace and meter are this call's even on a cache hit.
+// The Prepared comes from opts.Cache (Prepare): a dist worker, which passes
+// its frame's cache, prepares each query shape once per frame and then only
+// binds the update and runs its shards. opts.Shards, opts.Progress and ctx's
+// trace and meter are this call's even on a cache hit.
 func EvaluatePartialContext(ctx context.Context, db *relation.Database, model *causal.Model, q *hyperql.WhatIf, opts Options, shards []int) (*PartialResult, error) {
 	if opts.DryRun {
 		return nil, fmt.Errorf("engine: partial evaluation has no dry-run form")
@@ -224,19 +224,19 @@ func EvaluatePartialContext(ctx context.Context, db *relation.Database, model *c
 		return nil, fmt.Errorf("engine: no shards requested")
 	}
 	start := time.Now()
-	prep, err := cachedPrepare(ctx, db, model, q, opts)
+	p, err := Prepare(ctx, db, model, q, opts)
 	if err != nil {
 		return nil, err
 	}
-	p, err := prep.bind(ctx, q.Updates, start, opts)
+	e, err := p.bind(ctx, q.Updates, start, opts)
 	if err != nil {
 		return nil, err
 	}
-	parts, err := p.partials(ctx, shards)
+	parts, err := e.partials(ctx, shards)
 	if err != nil {
 		return nil, err
 	}
-	return &PartialResult{Meta: p.meta(), Partials: parts}, nil
+	return &PartialResult{Meta: e.meta(), Partials: parts}, nil
 }
 
 // MergePartials reduces a complete set of shard partials (every shard of the

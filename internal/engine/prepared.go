@@ -22,7 +22,7 @@ import (
 // key. Evaluate binds one update of those attributes to it — the ψ post
 // means, the support check with its forest fallback, the estimator-set
 // lookup — and runs the one evaluation path: each tuple class's value once,
-// then one fold of the rows in plan order (evalPrep.evaluate). The class
+// then one fold of the rows in plan order (evaluator.evaluate). The class
 // partition (with each class's first row) and whether the rows are their own
 // blocks, which picks the fold's regime, are found by the first evaluation
 // and shared by the rest.
@@ -31,15 +31,14 @@ import (
 // Prepared (Section 4.3). Beyond what the cache already holds (the view, the
 // blocks) a Prepared keeps 2 B per view row, 5 past 256 classes: the WHEN
 // set (one bool a row) and, once evaluated, the partition (a byte a row, or
-// four). Prepare's caller owns the Prepared it returns;
-// EvaluatePartialContext keeps its Prepared in Options.Cache under its
-// identity (preparedKey), so a dist worker prepares each shape once per
-// frame and the frame's cache bound evicts it. Neither Options.Shards nor
-// Options.Progress is part of it: bind takes them from each call. It is safe
-// for concurrent Evaluate calls.
+// four). Prepare keeps it in Options.Cache under its identity (preparedKey),
+// so every caller with a cache — a dist worker's frame, a session's how-to —
+// prepares each shape once and the cache's bound evicts it. None of
+// Options.Shards, Options.Progress and Options.DryRun is part of it: bind
+// takes them from each call. It is safe for concurrent Evaluate calls.
 type Prepared struct {
-	// o is the options the Prepared was prepared under. Its Shards and
-	// Progress are read only by Evaluate, as its own call's.
+	// o is the options the Prepared was prepared under. Its Shards,
+	// Progress and DryRun are never read: bind takes them from its call.
 	o    Options
 	diag Result // what the shape decides: each bound Result starts from a copy
 
@@ -88,25 +87,38 @@ type Prepared struct {
 // Prepare resolves the update-constant-independent half of the what-if q:
 // every step of EvaluateContext up to the estimator-set lookup. q's updates
 // name the attributes later updates must update, in the same order; their
-// constants are not read.
+// constants are not read. With opts.Cache set it returns the shape's
+// Prepared from the cache, preparing it on a miss, so every caller shares
+// one per shape; without one it prepares per call. The lookup is a prepare
+// span with cache_hit (a miss's view, blocks and plan stages nest under
+// it), not a metered stage, so the meter's stages stay disjoint. A failed or
+// cancelled preparation caches nothing (lru.Cache.Do).
 func Prepare(ctx context.Context, db *relation.Database, model *causal.Model, q *hyperql.WhatIf, opts Options) (*Prepared, error) {
 	ctx, sp := obs.Start(ctx, "prepare")
 	defer sp.End()
-	return prepare(ctx, db, model, q, opts)
+	shape := opts.withDefaults()
+	shape.Shards, shape.Progress, shape.DryRun = 0, nil, false
+	p, hit, err := memo(ctx, opts.Cache, preparedKey(db, q, shape), func() (*Prepared, error) {
+		return prepare(ctx, db, model, q, shape)
+	})
+	sp.Set("cache_hit", hit)
+	return p, err
 }
 
 // Evaluate answers the prepared what-if with updates in place of the
 // prepared query's: bit for bit what EvaluateContext returns for that query,
 // since it is EvaluateContext's evaluation after the preparation. updates
-// must update the prepared attributes in the prepared order. The view, block
-// and plan diagnostics of the Result are the Prepared's, and Total counts
-// from this call.
-func (p *Prepared) Evaluate(ctx context.Context, updates []hyperql.UpdateSpec) (*Result, error) {
-	ep, err := p.bind(ctx, updates, time.Now(), p.o)
+// must update the prepared attributes in the prepared order. opts is the
+// call's: only its Shards, Progress and DryRun are read, so callers sharing
+// a cached Prepared each keep their own fan-out and callback. The view,
+// block and plan diagnostics of the Result are the Prepared's, and Total
+// counts from this call.
+func (p *Prepared) Evaluate(ctx context.Context, updates []hyperql.UpdateSpec, opts Options) (*Result, error) {
+	e, err := p.bind(ctx, updates, time.Now(), opts)
 	if err != nil {
 		return nil, err
 	}
-	return ep.evaluate(ctx)
+	return e.evaluate(ctx)
 }
 
 func prepare(ctx context.Context, db *relation.Database, model *causal.Model, q *hyperql.WhatIf, opts Options) (*Prepared, error) {
@@ -239,7 +251,7 @@ func prepare(ctx context.Context, db *relation.Database, model *causal.Model, q 
 	}
 	p.whenKey, p.forKey = shapeKeys(q)
 
-	// Step 10 is the evaluation (evalPrep.evaluate); resolve its columns, post
+	// Step 10 is the evaluation (evaluator.evaluate); resolve its columns, post
 	// events, class key and the canonical shard plan here so every update
 	// shares one construction.
 	p.resolveColumns()
@@ -267,24 +279,6 @@ func shapeKeys(q *hyperql.WhatIf) (whenKey, forKey string) {
 		forKey += q.Output.String()
 	}
 	return whenKey, forKey
-}
-
-// cachedPrepare returns the Prepared of q under opts from opts.Cache,
-// preparing it on a miss (a nil cache prepares every call). The lookup is the
-// prepare stage, with cache_hit; a miss's view, blocks and plan stages nest
-// under it. The Prepared is built without opts.Shards and opts.Progress,
-// which bind takes per call, so it keeps no caller's callback. A failed or
-// cancelled preparation caches nothing (lru.Cache.Do).
-func cachedPrepare(ctx context.Context, db *relation.Database, model *causal.Model, q *hyperql.WhatIf, opts Options) (*Prepared, error) {
-	ctx, stage := obs.StartStage(ctx, "prepare")
-	defer stage.End()
-	shape := opts.withDefaults()
-	shape.Shards, shape.Progress = 0, nil
-	p, hit, err := memo(ctx, opts.Cache, preparedKey(db, q, shape), func() (*Prepared, error) {
-		return prepare(ctx, db, model, q, shape)
-	})
-	stage.Set("cache_hit", hit)
-	return p, err
 }
 
 // resolveColumns locates Y, the update attributes and the ψ features among
@@ -368,9 +362,9 @@ func (p *Prepared) blockAt(i int) int {
 // bind is Evaluate's first half: the update's ψ post means, the
 // estimator-set lookup (the train stage) and the evaluator. start is when the
 // evaluation began, for Result.Total. call supplies the execution knobs,
-// Shards and Progress, which the bound evaluation reads in place of the
-// Prepared's: a cached Prepared serves calls that differ in them.
-func (p *Prepared) bind(ctx context.Context, updates []hyperql.UpdateSpec, start time.Time, call Options) (*evalPrep, error) {
+// Shards, Progress and DryRun, which the bound evaluation reads in place of
+// the Prepared's: a cached Prepared serves calls that differ in them.
+func (p *Prepared) bind(ctx context.Context, updates []hyperql.UpdateSpec, start time.Time, call Options) (*evaluator, error) {
 	if !slices.EqualFunc(updates, p.updateAttrs, func(u hyperql.UpdateSpec, a string) bool { return u.Attr == a }) {
 		attrs := make([]string, len(updates))
 		for i, u := range updates {
@@ -382,7 +376,7 @@ func (p *Prepared) bind(ctx context.Context, updates []hyperql.UpdateSpec, start
 		return nil, err
 	}
 	o := p.o
-	o.Shards, o.Progress = call.Shards, call.Progress
+	o.Shards, o.Progress, o.DryRun = call.Shards, call.Progress, call.DryRun
 	res := p.diag
 	res.ShardWorkers = p.plan.Workers(o.Shards)
 	summaries := bindSummaries(p.v, p.psi, updates, p.inS)
@@ -434,14 +428,14 @@ func (p *Prepared) bind(ctx context.Context, updates []hyperql.UpdateSpec, start
 		// After the fallback, so a plan names the estimator the evaluation
 		// would use.
 		res.Total = time.Since(start)
-		return &evalPrep{Prepared: p, o: o, res: &res, start: start}, nil
+		return &evaluator{Prepared: p, o: o, res: &res, start: start}, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	res.ShardedFit = est.shardedFit()
-	ev := &evaluator{Prepared: p, o: o, ctx: ctx, est: est, lineage: estLineage, updates: updates, summaries: summaries}
-	return &evalPrep{Prepared: p, o: o, res: &res, ev: ev, start: start}, nil
+	return &evaluator{Prepared: p, o: o, res: &res, start: start, ctx: ctx, est: est, lineage: estLineage,
+		updates: updates, summaries: summaries}, nil
 }
 
 // estLineage names the estimator set of this shape under eo at any version

@@ -257,21 +257,21 @@ func TestPartialPreparedEvictionFreesPartition(t *testing.T) {
 	key := preparedKey(g.DB, q, o.withDefaults())
 	collected := make(chan struct{})
 	func() {
-		p, err := cachedPrepare(ctx, g.DB, g.Model, q, o)
+		p, err := Prepare(ctx, g.DB, g.Model, q, o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if held, ok := c.Peek(key); !ok || held != p {
 			t.Fatal("the cache does not hold the Prepared; the test proved nothing")
 		}
-		ep, err := p.bind(ctx, q.Updates, time.Now(), o)
+		e, err := p.bind(ctx, q.Updates, time.Now(), o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ep.partials(ctx, []int{0}); err != nil {
+		if _, err := e.partials(ctx, []int{0}); err != nil {
 			t.Fatal(err)
 		}
-		if p.part.classOf == nil || ep.ev.est.trainedModels() == 0 {
+		if p.part.classOf == nil || e.est.trainedModels() == 0 {
 			t.Fatal("no partition or no lazy fit; the test proved nothing")
 		}
 		runtime.SetFinalizer(p.part.classOf, func(*relation.Codes) { close(collected) })

@@ -9,11 +9,13 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hyper/internal/causal"
 	"hyper/internal/dataset"
 	"hyper/internal/hyperql"
+	"hyper/internal/obs"
 	"hyper/internal/relation"
 )
 
@@ -140,7 +142,7 @@ func TestPreparedMatchesEvaluate(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %s: %v", c.name, src, err)
 				}
-				got, err := p.Evaluate(context.Background(), q.Updates)
+				got, err := p.Evaluate(context.Background(), q.Updates, o)
 				if err != nil {
 					t.Fatalf("%s: %s: bound: %v", c.name, src, err)
 				}
@@ -173,12 +175,12 @@ func TestPreparedMatchesEvaluate(t *testing.T) {
 		`USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`,
 		`USE German UPDATE(Status) = 3 AND UPDATE(Housing) = 1 OUTPUT COUNT(Credit = 1)`,
 	} {
-		_, err := p.Evaluate(context.Background(), mustWhatIf(t, src).Updates)
+		_, err := p.Evaluate(context.Background(), mustWhatIf(t, src).Updates, Options{})
 		if err == nil || !strings.Contains(err.Error(), "prepared for updates of [Status Savings]") {
 			t.Errorf("%s: err = %v, want the prepared attributes named", src, err)
 		}
 	}
-	if _, err := p.Evaluate(context.Background(), nil); err == nil {
+	if _, err := p.Evaluate(context.Background(), nil, Options{}); err == nil {
 		t.Error("no updates: want an error")
 	}
 }
@@ -191,7 +193,8 @@ func TestPreparedEvaluateAllocationFlat(t *testing.T) {
 	q := mustWhatIf(t, `USE German UPDATE(Status) = 2 OUTPUT COUNT(Credit = 1)`)
 	warmBytes := func(rows int) uint64 {
 		g := dataset.GermanSyn(rows, 7)
-		p, err := Prepare(context.Background(), g.DB, g.Model, q, Options{Seed: 7, Shards: 1, Cache: NewCache()})
+		o := Options{Seed: 7, Shards: 1, Cache: NewCache()}
+		p, err := Prepare(context.Background(), g.DB, g.Model, q, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +202,7 @@ func TestPreparedEvaluateAllocationFlat(t *testing.T) {
 		var before, after runtime.MemStats
 		for range 5 { // the first call builds the partition, the set and its models
 			runtime.ReadMemStats(&before)
-			if _, err := p.Evaluate(context.Background(), q.Updates); err != nil {
+			if _, err := p.Evaluate(context.Background(), q.Updates, o); err != nil {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&after)
@@ -270,7 +273,7 @@ func TestPreparedConcurrentEvaluate(t *testing.T) {
 				defer wg.Done()
 				for k := range c.variants {
 					i := (g + k) % len(c.variants)
-					got, err := p.Evaluate(context.Background(), mustWhatIf(t, c.variants[i]).Updates)
+					got, err := p.Evaluate(context.Background(), mustWhatIf(t, c.variants[i]).Updates, o)
 					if err != nil {
 						t.Error(err)
 						return
@@ -282,6 +285,73 @@ func TestPreparedConcurrentEvaluate(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+	}
+}
+
+// TestPreparedEvaluatePerCall: a Prepared kept in the cache holds no
+// caller's execution knobs. Prepare on the same cache returns the same
+// Prepared, its prepare span reading cache_hit: true. Two concurrent
+// Evaluate calls on it with Shards 1 and 3 and callbacks of their own answer
+// a third call's bits, each runs on its own fan-out (the eval_shards
+// workers), and each callback hears exactly what the third call's heard.
+// Run under -race.
+func TestPreparedEvaluatePerCall(t *testing.T) {
+	ctx := context.Background()
+	c := preparedCases[5] // 64-row shards: a plan of many shards
+	db, model := preparedData(c.dataset)
+	q := mustWhatIf(t, c.prepared)
+	o := c.opts
+	o.Cache = NewCache()
+	p, err := Prepare(ctx, db, model, q, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace("prepare again")
+	again, err := Prepare(tr.Context(ctx), db, model, q, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	if prep := spanNamed(tr.Root().JSON(), "prepare"); again != p || prep == nil || prep.Attrs["cache_hit"] != true {
+		t.Fatalf("the second Prepare is not the cached Prepared (same %v): %s", again == p, obs.Skeleton(tr.Root().JSON()))
+	}
+	var soloHeard atomic.Int64
+	solo := o
+	solo.Shards, solo.Progress = 2, func(string, int, int) { soloHeard.Add(1) }
+	want, err := p.Evaluate(ctx, q.Updates, solo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if soloHeard.Load() == 0 {
+		t.Fatal("the solo call's Progress heard nothing")
+	}
+	var heard [2]atomic.Int64
+	var wg sync.WaitGroup
+	for i, shards := range []int{1, 3} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			call := o
+			call.Shards, call.Progress = shards, func(string, int, int) { heard[i].Add(1) }
+			tr := obs.NewTrace("call")
+			got, err := p.Evaluate(tr.Context(ctx), q.Updates, call)
+			tr.Finish()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := diffResults(got, want); err != nil {
+				t.Errorf("Shards=%d: %v", shards, err)
+			}
+			es := spanNamed(tr.Root().JSON(), "eval_shards")
+			if w, _ := es.Attrs["workers"].(int64); int(w) != shards {
+				t.Errorf("the call with Shards=%d ran on %v workers", shards, es.Attrs["workers"])
+			}
+		}()
+	}
+	wg.Wait()
+	if h1, h2, solo := heard[0].Load(), heard[1].Load(), soloHeard.Load(); h1 != solo || h2 != solo {
+		t.Errorf("the concurrent calls' callbacks heard %d and %d updates, the solo call's %d", h1, h2, solo)
 	}
 }
 

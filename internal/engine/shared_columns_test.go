@@ -49,7 +49,7 @@ func TestSharedColumns(t *testing.T) {
 
 	cache := NewCache()
 	const psi = "psi_X_by_G"
-	var preps []*evalPrep
+	var preps []*evaluator
 	for _, tc := range []struct {
 		query string
 		opts  Options
@@ -70,8 +70,8 @@ func TestSharedColumns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.v.Rel != rel || p.ev.est.kind != tc.kind {
-			t.Fatalf("%s: view is the relation = %v, estimator %s, want %s", tc.query, p.v.Rel == rel, p.ev.est.kind, tc.kind)
+		if p.v.Rel != rel || p.est.kind != tc.kind {
+			t.Fatalf("%s: view is the relation = %v, estimator %s, want %s", tc.query, p.v.Rel == rel, p.est.kind, tc.kind)
 		}
 		preps = append(preps, p)
 	}
@@ -81,7 +81,7 @@ func TestSharedColumns(t *testing.T) {
 	sets := map[*estimatorSet]bool{}
 	shared := 0
 	for _, p := range preps {
-		est := p.ev.est
+		est := p.est
 		sets[est] = true
 		for c, name := range est.featCols {
 			at := &est.frame.Col(c)[0]
@@ -104,7 +104,7 @@ func TestSharedColumns(t *testing.T) {
 	if len(sets) != len(preps) || shared == 0 || owner["C"] == nil {
 		t.Fatalf("%d distinct sets of %d, %d shared columns: the test proved nothing", len(sets), len(preps), shared)
 	}
-	hasPsi := preps[len(preps)-1].ev.est
+	hasPsi := preps[len(preps)-1].est
 	if hasPsi.featureIndex(psi) < 0 {
 		t.Fatalf("no ψ feature in %v", hasPsi.featCols)
 	}
@@ -129,7 +129,7 @@ func TestSharedColumns(t *testing.T) {
 		rowsOf[row[1].AsInt()]++
 	}
 	for _, p := range preps {
-		est := p.ev.est
+		est := p.est
 		if est.trainedModels() == 0 {
 			t.Errorf("%v: nothing was fitted", est.featCols)
 		}

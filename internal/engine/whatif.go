@@ -73,23 +73,9 @@ func cachedView(db *relation.Database, use *hyperql.UseClause, c *Cache) (v *vie
 	return v, viewKey, hit, err
 }
 
-// evalPrep is a Prepared bound to one update: everything up to the tuple
-// values. Preparation is deterministic in the query, data and semantic
-// options, so two processes agree on the shard plan, the blocks and every
-// trained estimator, which the distributed path relies on.
-type evalPrep struct {
-	*Prepared
-	o     Options // the Prepared's, with this call's Shards and Progress (bind)
-	res   *Result
-	ev    *evaluator
-	start time.Time
-	rows  int   // the rows of the shards valued (values)
-	off   []int // without a class key on a shard subset: see values
-}
-
 // prepareEvaluation prepares q and binds its own updates, as EvaluateContext
 // does before the tuple values.
-func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal.Model, q *hyperql.WhatIf, opts Options) (*evalPrep, error) {
+func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal.Model, q *hyperql.WhatIf, opts Options) (*evaluator, error) {
 	start := time.Now()
 	p, err := prepare(ctx, db, model, q, opts)
 	if err != nil {
@@ -105,46 +91,46 @@ func prepareEvaluation(ctx context.Context, db *relation.Database, model *causal
 // block order, each row adds its class value straight into the totals, with
 // the bits of the other regime (see foldWindows); otherwise each shard's rows
 // add into its block window and the windows fold as MergePartials folds them.
-func (p *evalPrep) evaluate(ctx context.Context) (*Result, error) {
-	if p.o.DryRun {
-		return p.res, nil
+func (e *evaluator) evaluate(ctx context.Context) (*Result, error) {
+	if e.o.DryRun {
+		return e.res, nil
 	}
-	k := p.plan.Shards()
+	k := e.plan.Shards()
 	ids := make([]int, k)
 	for s := range ids {
 		ids[s] = s
 	}
 	vctx, stage := obs.StartStage(ctx, "eval_shards")
-	vals, err := p.values(vctx, stage, ids)
-	p.res.EvalTime = stage.End()
+	vals, err := e.values(vctx, stage, ids)
+	e.res.EvalTime = stage.End()
 	if err != nil {
 		return nil, err
 	}
 	_, fold := obs.StartStage(ctx, "fold")
 	var parts []ShardPartial
-	if !p.rowsOwnBlocks() {
+	if !e.rowsOwnBlocks() {
 		parts = make([]ShardPartial, k)
 	}
 	for s := range k {
 		if parts == nil {
-			err = p.addRows(ctx, s, vals)
+			err = e.addRows(ctx, s, vals)
 		} else {
-			parts[s], err = p.window(ctx, s, vals)
+			parts[s], err = e.window(ctx, s, vals)
 		}
 		if err != nil {
 			fold.End()
 			return nil, err
 		}
-		p.report("shards", s+1, k)
+		e.report("shards", s+1, k)
 	}
-	foldWindows(p.res, parts, p.nBlocks)
-	p.res.setValue(p.agg)
-	fold.Set("blocks", p.nBlocks)
-	p.res.EvalTime += fold.End()
-	p.res.TrainedModels = p.ev.est.trainedModels()
-	p.res.Total = time.Since(p.start)
-	p.report("tuples", p.v.Rel.Len(), p.v.Rel.Len())
-	return p.res, nil
+	foldWindows(e.res, parts, e.nBlocks)
+	e.res.setValue(e.agg)
+	fold.Set("blocks", e.nBlocks)
+	e.res.EvalTime += fold.End()
+	e.res.TrainedModels = e.est.trainedModels()
+	e.res.Total = time.Since(e.start)
+	e.report("tuples", e.v.Rel.Len(), e.v.Rel.Len())
+	return e.res, nil
 }
 
 // partials values the listed shards of the canonical plan and returns their
@@ -153,8 +139,8 @@ func (p *evalPrep) evaluate(ctx context.Context) (*Result, error) {
 // within the plan. A shard's partial is a pure function of the prepared
 // evaluation and its row range, whichever process computes it, which is what
 // makes partials portable. The whole of it is the eval_shards stage.
-func (p *evalPrep) partials(ctx context.Context, ids []int) ([]ShardPartial, error) {
-	k := p.plan.Shards()
+func (e *evaluator) partials(ctx context.Context, ids []int) ([]ShardPartial, error) {
+	k := e.plan.Shards()
 	seen := make([]bool, k)
 	for _, s := range ids {
 		if s < 0 || s >= k {
@@ -167,28 +153,28 @@ func (p *evalPrep) partials(ctx context.Context, ids []int) ([]ShardPartial, err
 	}
 	ctx, stage := obs.StartStage(ctx, "eval_shards")
 	defer stage.End()
-	vals, err := p.values(ctx, stage, ids)
+	vals, err := e.values(ctx, stage, ids)
 	if err != nil {
 		return nil, err
 	}
-	parts, own := make([]ShardPartial, len(ids)), p.rowsOwnBlocks()
+	parts, own := make([]ShardPartial, len(ids)), e.rowsOwnBlocks()
 	var code []int32 // rowValues' scratch: each class's code in the partial at hand, -1 for none
-	if own && p.ev.classOf != nil {
-		code = make([]int32, p.ev.classes)
+	if own && e.classOf != nil {
+		code = make([]int32, e.classes)
 		for c := range code {
 			code[c] = -1
 		}
 	}
 	for j, s := range ids {
 		if own {
-			parts[j], err = p.rowValues(ctx, s, vals, code)
+			parts[j], err = e.rowValues(ctx, s, vals, code)
 		} else {
-			parts[j], err = p.window(ctx, s, vals)
+			parts[j], err = e.window(ctx, s, vals)
 		}
 		if err != nil {
 			return nil, err
 		}
-		p.report("shards", j+1, len(ids))
+		e.report("shards", j+1, len(ids))
 	}
 	return parts, nil
 }
@@ -197,9 +183,9 @@ func (p *evalPrep) partials(ctx context.Context, ids []int) ([]ShardPartial, err
 // the progress report touches the per-row fast path.
 const stride = 512
 
-func (p *evalPrep) report(stage string, done, total int) {
-	if p.o.Progress != nil {
-		p.o.Progress(stage, done, total)
+func (e *evaluator) report(stage string, done, total int) {
+	if e.o.Progress != nil {
+		e.o.Progress(stage, done, total)
 	}
 }
 
@@ -212,49 +198,49 @@ func (p *evalPrep) report(stage string, done, total int) {
 // checks ctx and reports "tuples" as the share of classes valued times the
 // rows. A tuple() error is the first failing class's: with every shard
 // listed, the row EvaluateContext fails at with Shards=1.
-func (p *evalPrep) values(ctx context.Context, stage obs.Stage, ids []int) ([]classVal, error) {
+func (e *evaluator) values(ctx context.Context, stage obs.Stage, ids []int) ([]classVal, error) {
 	// Lazy fits run in tuple() under the evaluator's stored context: this
 	// one nests their fit spans under eval_shards (same Done chain).
-	p.ev.ctx = ctx
+	e.ctx = ctx
 	for _, s := range ids {
-		lo, hi := p.plan.Bounds(s)
-		p.rows += hi - lo
+		lo, hi := e.plan.Bounds(s)
+		e.rows += hi - lo
 	}
-	k := p.plan.Shards()
-	workers := max(min(p.plan.Workers(p.o.Shards), len(ids)), 1)
+	k := e.plan.Shards()
+	workers := max(min(e.plan.Workers(e.o.Shards), len(ids)), 1)
 	stage.Set("plan", k)
 	stage.Set("shards", len(ids))
-	stage.Set("rows", p.rows)
+	stage.Set("rows", e.rows)
 	stage.Set("workers", workers)
 	obs.MeterFromContext(ctx).Charge(obs.MeterJSON{
-		PlanShards: uint64(k), ShardsRun: uint64(len(ids)), TuplesEvaluated: uint64(p.rows)})
-	classOf, first, built := p.partition()
+		PlanShards: uint64(k), ShardsRun: uint64(len(ids)), TuplesEvaluated: uint64(e.rows)})
+	classOf, first, built := e.partition()
 	if built {
 		stage.Set("partitioned", true)
 	}
-	p.ev.classOf, p.ev.classes = classOf, len(first)
-	stage.Set("classes", p.ev.classes)
+	e.classOf, e.classes = classOf, len(first)
+	stage.Set("classes", e.classes)
 	// A shard subset values only the classes its rows belong to, ascending;
-	// without a class key, its rows, packed in plan order (p.off).
-	classes := p.v.Rel.Len()
+	// without a class key, its rows, packed in plan order (e.off).
+	classes := e.v.Rel.Len()
 	if first != nil {
 		classes = len(first)
 	}
 	units, todo := classes, []int32(nil)
 	if len(ids) < k && first == nil {
-		p.off = make([]int, k)
+		e.off = make([]int, k)
 		for _, s := range slices.Sorted(slices.Values(ids)) {
-			lo, hi := p.plan.Bounds(s)
+			lo, hi := e.plan.Bounds(s)
 			for i := lo; i < hi; i++ {
 				todo = append(todo, int32(i))
 			}
-			p.off[s] = hi - len(todo)
+			e.off[s] = hi - len(todo)
 		}
 		classes, units = len(todo), len(todo)
 	} else if len(ids) < k {
 		need := make([]bool, classes)
 		for _, s := range ids {
-			lo, hi := p.plan.Bounds(s)
+			lo, hi := e.plan.Bounds(s)
 			for i := lo; i < hi; i++ {
 				need[classOf.At(i)] = true
 			}
@@ -269,11 +255,11 @@ func (p *evalPrep) values(ctx context.Context, stage obs.Stage, ids []int) ([]cl
 	vals := make([]classVal, classes)
 	locals := make([]*evaluator, workers)
 	var valued atomic.Int64                      // classes valued, by the stride
-	every := max(1, stride*units/max(p.rows, 1)) // the stride: the classes of 512 rows
+	every := max(1, stride*units/max(e.rows, 1)) // the stride: the classes of 512 rows
 	err := shard.Run(ctx, shard.Fixed(units, workers), workers, func(w, _, lo, hi int) error {
 		local := locals[w]
 		if local == nil {
-			local = p.ev.fork()
+			local = e.fork()
 			locals[w] = local
 		}
 		for u := lo; u < hi; u++ {
@@ -281,7 +267,7 @@ func (p *evalPrep) values(ctx context.Context, stage obs.Stage, ids []int) ([]cl
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				p.report("tuples", int(valued.Add(int64(every))*int64(p.rows)/int64(units)), p.rows)
+				e.report("tuples", int(valued.Add(int64(every))*int64(e.rows)/int64(units)), e.rows)
 			}
 			c, row := u, u
 			if todo != nil {
@@ -307,20 +293,20 @@ func (p *evalPrep) values(ctx context.Context, stage obs.Stage, ids []int) ([]cl
 
 // addRows adds plan shard s's rows' class values straight into the totals,
 // in row order: the fold of rows that are their own blocks.
-func (p *evalPrep) addRows(ctx context.Context, s int, vals []classVal) error {
-	lo, hi := p.plan.Bounds(s)
-	ev, sum, cnt := p.ev, p.res.Sum, p.res.Count
+func (e *evaluator) addRows(ctx context.Context, s int, vals []classVal) error {
+	lo, hi := e.plan.Bounds(s)
+	sum, cnt := e.res.Sum, e.res.Count
 	for i := lo; i < hi; i++ {
 		if (i-lo)%stride == 0 && i > lo {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		v := vals[ev.classAt(i)]
+		v := vals[e.classAt(i)]
 		sum += v.sum
 		cnt += v.cnt
 	}
-	p.res.Sum, p.res.Count = sum, cnt
+	e.res.Sum, e.res.Count = sum, cnt
 	return nil
 }
 
@@ -332,13 +318,13 @@ func (p *evalPrep) addRows(ctx context.Context, s int, vals []classVal) error {
 // 65,536. Where codes would take no fewer bytes than 16 a row, the values go
 // per row: without a class key, or with nearly as many classes as rows. code
 // is -1 for every class on entry, and again on a return without an error.
-func (p *evalPrep) rowValues(ctx context.Context, s int, vals []classVal, code []int32) (ShardPartial, error) {
-	lo, hi := p.plan.Bounds(s)
+func (e *evaluator) rowValues(ctx context.Context, s int, vals []classVal, code []int32) (ShardPartial, error) {
+	lo, hi := e.plan.Bounds(s)
 	w, n := ShardPartial{Shard: s}, hi-lo
 	if code != nil {
 		var refs []uint32 // the classes referenced, by code
 		for i := lo; i < hi; i++ {
-			if c := p.ev.classOf.At(i); code[c] < 0 {
+			if c := e.classOf.At(i); code[c] < 0 {
 				code[c] = int32(len(refs))
 				refs = append(refs, c)
 			}
@@ -360,7 +346,7 @@ func (p *evalPrep) rowValues(ctx context.Context, s int, vals []classVal, code [
 						return w, err
 					}
 				}
-				if k := code[p.ev.classOf.At(i)]; width == 1 {
+				if k := code[e.classOf.At(i)]; width == 1 {
 					w.Codes[i-lo] = byte(k)
 				} else {
 					binary.LittleEndian.PutUint16(w.Codes[2*(i-lo):], uint16(k))
@@ -375,8 +361,8 @@ func (p *evalPrep) rowValues(ctx context.Context, s int, vals []classVal, code [
 		}
 	}
 	off := 0
-	if p.off != nil {
-		off = p.off[s]
+	if e.off != nil {
+		off = e.off[s]
 	}
 	w.Sum, w.Cnt = make([]float64, n), make([]float64, n)
 	for i := lo; i < hi; i++ {
@@ -385,7 +371,7 @@ func (p *evalPrep) rowValues(ctx context.Context, s int, vals []classVal, code [
 				return w, err
 			}
 		}
-		v := vals[p.ev.classAt(i)-off]
+		v := vals[e.classAt(i)-off]
 		w.Sum[i-lo], w.Cnt[i-lo] = v.sum, v.cnt
 	}
 	return w, nil
@@ -395,15 +381,15 @@ func (p *evalPrep) rowValues(ctx context.Context, s int, vals []classVal, code [
 // rows touch, over the window of block ids they span (for the common
 // one-block-per-tuple decomposition a contiguous row shard touches a narrow,
 // near-contiguous id range), each row adding its class value in row order.
-func (p *evalPrep) window(ctx context.Context, s int, vals []classVal) (ShardPartial, error) {
-	lo, hi := p.plan.Bounds(s)
-	minB, maxB, off := p.nBlocks, -1, 0
+func (e *evaluator) window(ctx context.Context, s int, vals []classVal) (ShardPartial, error) {
+	lo, hi := e.plan.Bounds(s)
+	minB, maxB, off := e.nBlocks, -1, 0
 	for i := lo; i < hi; i++ {
-		b := p.blockAt(i)
+		b := e.blockAt(i)
 		minB, maxB = min(minB, b), max(maxB, b)
 	}
-	if p.off != nil {
-		off = p.off[s]
+	if e.off != nil {
+		off = e.off[s]
 	}
 	w := ShardPartial{Shard: s, MinBlock: minB, Sum: make([]float64, maxB-minB+1), Cnt: make([]float64, maxB-minB+1)}
 	for i := lo; i < hi; i++ {
@@ -412,8 +398,8 @@ func (p *evalPrep) window(ctx context.Context, s int, vals []classVal) (ShardPar
 				return w, err
 			}
 		}
-		v := vals[p.ev.classAt(i)-off]
-		b := p.blockAt(i) - minB
+		v := vals[e.classAt(i)-off]
+		b := e.blockAt(i) - minB
 		w.Sum[b] += v.sum
 		w.Cnt[b] += v.cnt
 	}
@@ -475,16 +461,24 @@ func (r *Result) setValue(agg hyperql.AggFunc) {
 	}
 }
 
-// evaluator is one bound evaluation's tuple-level state: the Prepared shape,
-// the update, its ψ features and estimator set, and per-worker scratch.
+// evaluator is a Prepared bound to one update, for one call: the call's
+// options, the update, its ψ features and estimator set, the Result it
+// fills, and per-worker scratch. Preparation is deterministic in the query,
+// data and semantic options, so two processes agree on the shard plan, the
+// blocks and every trained estimator, which the distributed path relies on.
+// The producer's workers each value classes on a fork of it.
 type evaluator struct {
 	*Prepared
-	o         Options // the call's, as evalPrep.o
+	o         Options // the Prepared's, with this call's Shards, Progress and DryRun (bind)
+	res       *Result
+	start     time.Time
 	ctx       context.Context
 	est       *estimatorSet
 	lineage   lineage // est's at other versions
 	updates   []hyperql.UpdateSpec
 	summaries []summaryFeature // the Prepared's ψ with this update's post means
+	rows      int              // the rows of the shards valued (values)
+	off       []int            // without a class key on a shard subset: see values
 
 	activeBuf []int
 	xBuf      []float64                // prediction-point scratch, reused across tuples

@@ -154,7 +154,7 @@ func TestNaNUpdateAttribute(t *testing.T) {
 			case f >= 2:
 				big++
 			}
-			if got, want := p.ev.isAffected(i), f != 1.5; got != want {
+			if got, want := p.isAffected(i), f != 1.5; got != want {
 				t.Fatalf("%s: row %d holding %v affected = %v, want %v", kind, i, f, got, want)
 			}
 		}

@@ -3,7 +3,6 @@ package howto
 import (
 	"context"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"hyper/internal/causal"
@@ -26,13 +25,14 @@ type scored struct {
 // across a worker pool sized by GOMAXPROCS, filling t.bases and t.vars (in
 // deterministic (attribute, candidate) order regardless of completion
 // order). A job binds its update to the engine.Prepared of its objective and
-// attribute, which the first job needing it builds while the others wait,
-// so the view lookup, WHEN set, backdoor set and tuple-class partition are
-// computed once per (objective, attribute), not per candidate; the base
-// objective is the identity update of the first attribute's. They live
-// until scoring returns. The jobs share the artifact cache in o.Engine
-// (views, blocks, and trained estimators are concurrency-safe), so scoring
-// parallelizes without changing any result.
+// attribute, which engine.Prepare keeps in the cache in o.Engine (the first
+// job needing it builds it while the others wait), so the view lookup, WHEN
+// set, backdoor set and tuple-class partition are computed once per
+// (objective, attribute), not per candidate, and a session's repeated
+// how-to prepares nothing; the base objective is the identity update of the
+// first attribute's. The jobs share that cache (views, blocks, Prepareds and
+// trained estimators are concurrency-safe), so scoring parallelizes without
+// changing any result.
 //
 // The dispatch queue puts the base and then the first candidate of each
 // attribute ahead of the rest, so the pool starts every attribute's
@@ -102,15 +102,6 @@ func (t *table) score(ctx context.Context, db *relation.Database, model *causal.
 	// how-to reports candidate-level progress, not the tuples of each
 	// underlying what-if.
 	eo.Progress = nil
-	preps := make([]map[string]func() (*engine.Prepared, error), len(t.qs))
-	for oi, q := range t.qs {
-		preps[oi] = make(map[string]func() (*engine.Prepared, error), len(attrs))
-		for _, attr := range attrs {
-			preps[oi][attr] = sync.OnceValues(func() (*engine.Prepared, error) {
-				return engine.Prepare(ctx, db, model, whatIf(q, []hyperql.UpdateSpec{identity(attr)}), eo)
-			})
-		}
-	}
 	out := make([][]float64, len(jobs))
 	errs := make([]error, len(jobs))
 	var scoredCount atomic.Int64
@@ -118,13 +109,13 @@ func (t *table) score(ctx context.Context, db *relation.Database, model *causal.
 		ji := queue[qi]
 		j := jobs[ji]
 		vals := make([]float64, len(t.qs))
-		for oi := range t.qs {
-			p, err := preps[oi][j.attr]()
+		for oi, q := range t.qs {
+			p, err := engine.Prepare(ctx, db, model, whatIf(q, []hyperql.UpdateSpec{identity(j.attr)}), eo)
 			if err != nil {
 				errs[ji] = err
 				return err
 			}
-			res, err := p.Evaluate(ctx, []hyperql.UpdateSpec{j.spec})
+			res, err := p.Evaluate(ctx, []hyperql.UpdateSpec{j.spec}, eo)
 			if err != nil {
 				errs[ji] = err
 				return err

@@ -81,7 +81,7 @@ func BenchmarkFreqFit(b *testing.B) {
 			b.Run(regime.name+"/fit/"+labels.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if ix.Fit(labels.y, shard.Plan{}, 1).Support() == 0 {
+					if ix.Fit(labels.y, shard.Plan{}, 1).ix.Len() == 0 {
 						b.Fatal("empty support")
 					}
 				}

@@ -43,10 +43,8 @@ type Regressor interface {
 // from the data (sorted order, so codes are deterministic). Unseen categories
 // map to -1.
 type Encoder struct {
-	cols   []string
-	coded  []*relation.CodedColumn // the columns the encoding was learned from
-	schema *relation.Schema        // schema the column indexes were resolved on
-	idxs   []int                   // schema column index per feature
+	cols  []string
+	coded []*relation.CodedColumn // the columns the encoding was learned from
 }
 
 // NewEncoder learns an encoding for the given columns from all rows of rel:
@@ -54,14 +52,11 @@ type Encoder struct {
 // so encoders over one relation agree and none formats a per-row key.
 func NewEncoder(rel *relation.Relation, cols []string) *Encoder {
 	e := &Encoder{
-		cols:   append([]string(nil), cols...),
-		coded:  make([]*relation.CodedColumn, len(cols)),
-		schema: rel.Schema(),
-		idxs:   make([]int, len(cols)),
+		cols:  append([]string(nil), cols...),
+		coded: make([]*relation.CodedColumn, len(cols)),
 	}
 	for ci, col := range cols {
-		e.idxs[ci] = rel.Schema().MustIndex(col)
-		e.coded[ci] = rel.Coded(e.idxs[ci])
+		e.coded[ci] = rel.Coded(rel.Schema().MustIndex(col))
 	}
 	return e
 }
@@ -71,18 +66,3 @@ func (e *Encoder) Dim() int { return len(e.cols) }
 
 // EncodeValue encodes the value of feature i.
 func (e *Encoder) EncodeValue(i int, v relation.Value) float64 { return e.coded[i].Encode(v) }
-
-// EncodeInto encodes one tuple into dst, which must have length Dim().
-// Column positions are precomputed at construction; a relation with a
-// schema other than the encoder's resolves them per call.
-func (e *Encoder) EncodeInto(rel *relation.Relation, row relation.Tuple, dst []float64) {
-	if rel.Schema() == e.schema {
-		for i, idx := range e.idxs {
-			dst[i] = e.EncodeValue(i, row[idx])
-		}
-		return
-	}
-	for i, col := range e.cols {
-		dst[i] = e.EncodeValue(i, row[rel.Schema().MustIndex(col)])
-	}
-}

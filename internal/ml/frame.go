@@ -109,27 +109,6 @@ func FrameOfColumns(cols [][]float64, coded []*relation.CodedColumn, workers int
 	return f
 }
 
-// FrameFromRows builds a frame from an already-encoded row matrix, each
-// column coded by relation.ColumnOf. It is the adapter behind the historical
-// [][]float64 fit entry points.
-func FrameFromRows(X [][]float64) *Frame {
-	dim := 0
-	if len(X) > 0 {
-		dim = len(X[0])
-	}
-	cols := make([][]float64, dim)
-	coded := make([]*relation.CodedColumn, dim)
-	vals := make([]relation.Value, len(X))
-	for c := range cols {
-		cols[c] = make([]float64, len(X))
-		for r, x := range X {
-			cols[c][r], vals[r] = x[c], relation.Float(x[c])
-		}
-		coded[c] = relation.ColumnOf(vals)
-	}
-	return FrameOfColumns(cols, coded, 0)
-}
-
 // Intern assigns per-column integer codes to every value (idempotent, safe
 // for concurrent use). Codes are dense, in first-seen row order per column.
 func (f *Frame) Intern() { f.internOnce.Do(f.intern) }

@@ -431,16 +431,3 @@ func (f *FreqEstimator) Predict(x []float64) float64 {
 	}
 	return 0 // no rows
 }
-
-// Support returns the number of distinct feature combinations observed; the
-// engine uses it to decide between the frequency estimator and a forest.
-func (f *FreqEstimator) Support() int { return f.ix.Len() }
-
-// SupportOf returns the number of training rows exactly matching x.
-func (f *FreqEstimator) SupportOf(x []float64) int {
-	var buf [16]uint32
-	if c, ok := f.ix.cell(0, f.ix.encode(x, &buf)); ok {
-		return int(f.ix.n[c])
-	}
-	return 0
-}

@@ -190,7 +190,7 @@ func TestFreqIndexConcurrentReaders(t *testing.T) {
 			}
 			want := make([]answer, len(probes))
 			for i, x := range probes {
-				want[i] = answer{est.Predict(x), est.SupportOf(x), ix.Has(x)}
+				want[i] = answer{est.Predict(x), exactSupport(est, x), ix.Has(x)}
 			}
 			var wg sync.WaitGroup
 			for g := 0; g < 8; g++ {
@@ -201,7 +201,7 @@ func TestFreqIndexConcurrentReaders(t *testing.T) {
 						for i := range probes {
 							x := probes[(i+g*7)%len(probes)]
 							w := want[(i+g*7)%len(probes)]
-							if got := (answer{est.Predict(x), est.SupportOf(x), ix.Has(x)}); got != w {
+							if got := (answer{est.Predict(x), exactSupport(est, x), ix.Has(x)}); got != w {
 								t.Errorf("goroutine %d: %v answered %+v, serially %+v", g, x, got, w)
 								return
 							}
@@ -284,7 +284,7 @@ func TestFreqIndexConcurrentFits(t *testing.T) {
 								t.Errorf("goroutine %d: Predict(%v) = %v, serially %v", g, x, got, want[g][i])
 								return
 							}
-							if got, n := ix.Has(x), serial[g].SupportOf(x); got != (n > 0) {
+							if got, n := ix.Has(x), exactSupport(serial[g], x); got != (n > 0) {
 								t.Errorf("goroutine %d: Has(%v) = %v, SupportOf %d", g, x, got, n)
 								return
 							}

@@ -170,7 +170,7 @@ func comparePredictions(t *testing.T, f *FreqEstimator, ref *refFreq, probes [][
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s: Predict(%v) = %v, reference %v", label, x, got, want)
 		}
-		if gs, ws := f.SupportOf(x), ref.supportOf(x); gs != ws {
+		if gs, ws := exactSupport(f, x), ref.supportOf(x); gs != ws {
 			t.Fatalf("%s: SupportOf(%v) = %d, reference %d", label, x, gs, ws)
 		}
 	}
@@ -218,8 +218,8 @@ func TestFreqParityWithStringKeys(t *testing.T) {
 				X, y := discreteData(rng, tc.n, tc.dim, tc.domain)
 				f := FitFreqKeep(X, y, tc.keepFirst)
 				ref := refFitFreq(X, y, tc.keepFirst)
-				if f.Support() != len(ref.exact) {
-					t.Fatalf("Support = %d, reference %d", f.Support(), len(ref.exact))
+				if f.ix.Len() != len(ref.exact) {
+					t.Fatalf("Support = %d, reference %d", f.ix.Len(), len(ref.exact))
 				}
 				comparePredictions(t, f, ref, probesFor(rng, X, tc.dim), tc.name)
 			}
@@ -235,8 +235,8 @@ func TestFreqParityWideKeys(t *testing.T) {
 	X, y := discreteData(rng, 12000, 6, 2000)
 	f := FitFreqKeep(X, y, 1)
 	ref := refFitFreq(X, y, 1)
-	if f.Support() != len(ref.exact) {
-		t.Fatalf("Support = %d, reference %d", f.Support(), len(ref.exact))
+	if f.ix.Len() != len(ref.exact) {
+		t.Fatalf("Support = %d, reference %d", f.ix.Len(), len(ref.exact))
 	}
 	comparePredictions(t, f, ref, probesFor(rng, X, 6), "wide")
 }
@@ -249,11 +249,11 @@ func TestFreqIndexHasMatchesEstimator(t *testing.T) {
 	X, y := discreteData(rng, 300, 4, 5)
 	ix := NewFreqIndex(FrameFromRows(X), identityRows(len(X)), 0)
 	f := ix.Fit(y, shard.Plan{}, 1)
-	if ix.Len() != f.Support() {
-		t.Fatalf("Len = %d, estimator support %d", ix.Len(), f.Support())
+	if ix.Len() != f.ix.Len() {
+		t.Fatalf("Len = %d, estimator support %d", ix.Len(), f.ix.Len())
 	}
 	for _, x := range probesFor(rng, X, 4) {
-		if has, n := ix.Has(x), f.SupportOf(x); has != (n > 0) {
+		if has, n := ix.Has(x), exactSupport(f, x); has != (n > 0) {
 			t.Fatalf("Has(%v) = %v, SupportOf = %d", x, has, n)
 		}
 	}
@@ -339,8 +339,8 @@ func TestFrameCodesNarrowWide(t *testing.T) {
 			ix := NewFreqIndex(fr, identityRows(n), 1)
 			f := ix.Fit(y, shard.Plan{}, 1)
 			ref := refFitFreq(X, y, 1)
-			if f.Support() != len(ref.exact) {
-				t.Fatalf("Support = %d, reference %d", f.Support(), len(ref.exact))
+			if f.ix.Len() != len(ref.exact) {
+				t.Fatalf("Support = %d, reference %d", f.ix.Len(), len(ref.exact))
 			}
 			probes := probesFor(rng, X, dim)
 			comparePredictions(t, f, ref, probes, tc.name)

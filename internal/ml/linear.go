@@ -10,18 +10,11 @@ type Linear struct {
 	b float64   // intercept
 }
 
-// FitLinear solves (XᵀX + λI) w = Xᵀy with an intercept column (the
-// intercept is not regularized). It uses dense normal equations with
-// Gaussian elimination, which is exact and fast for the small feature
-// counts HypeR conditions on.
-func FitLinear(X [][]float64, y []float64, ridge float64) *Linear {
-	return FitLinearFrame(FrameFromRows(X), nil, y, ridge)
-}
-
-// FitLinearFrame fits the ridge regression over frame rows. sel maps
-// training positions to frame rows (nil for identity); y is parallel to
-// positions. The accumulation order matches the row-matrix path exactly, so
-// coefficients are bit-identical.
+// FitLinearFrame solves (XᵀX + λI) w = Xᵀy with an intercept column (the
+// intercept is not regularized) over frame rows. sel maps training positions
+// to frame rows (nil for identity); y is parallel to positions. It uses dense
+// normal equations with Gaussian elimination, which is exact and fast for
+// the small feature counts HypeR conditions on.
 func FitLinearFrame(fr *Frame, sel []int, y []float64, ridge float64) *Linear {
 	if len(y) == 0 {
 		return &Linear{}

@@ -121,10 +121,10 @@ func TestFreqExactAndBackoff(t *testing.T) {
 	if got := f.Predict([]float64{1, 1}); got != 15 {
 		t.Errorf("exact cell = %g, want 15", got)
 	}
-	if f.Support() != 3 {
-		t.Errorf("Support = %d", f.Support())
+	if f.ix.Len() != 3 {
+		t.Errorf("Support = %d", f.ix.Len())
 	}
-	if f.SupportOf([]float64{1, 2}) != 1 || f.SupportOf([]float64{9, 9}) != 0 {
+	if exactSupport(f, []float64{1, 2}) != 1 || exactSupport(f, []float64{9, 9}) != 0 {
 		t.Error("SupportOf misbehaves")
 	}
 	// Unseen (2,2): single-feature wildcards (2,*) -> 40 and (*,2) -> 30,
@@ -158,7 +158,7 @@ func TestLinearRecoversCoefficients(t *testing.T) {
 	X, y := makeXY(2000, 3, 6, func(x []float64) float64 {
 		return 2*x[0] - 3*x[1] + 0.5*x[2] + 7
 	}, 0.1)
-	l := FitLinear(X, y, 1e-6)
+	l := FitLinearFrame(FrameFromRows(X), nil, y, 1e-6)
 	// The fit is affine: its value at 0 is the intercept, and a unit step
 	// along feature i adds weight i.
 	b := l.Predict([]float64{0, 0, 0})
@@ -178,11 +178,11 @@ func TestLinearDegenerate(t *testing.T) {
 	// A constant feature makes XtX singular without ridge; ridge handles it.
 	X := [][]float64{{1, 5}, {1, 6}, {1, 7}}
 	y := []float64{5, 6, 7}
-	l := FitLinear(X, y, 1e-6)
+	l := FitLinearFrame(FrameFromRows(X), nil, y, 1e-6)
 	if math.Abs(l.Predict([]float64{1, 6.5})-6.5) > 0.01 {
 		t.Errorf("predict = %g", l.Predict([]float64{1, 6.5}))
 	}
-	empty := FitLinear(nil, nil, 1)
+	empty := FitLinearFrame(FrameFromRows(nil), nil, nil, 1)
 	if empty.Predict([]float64{1}) != 0 {
 		t.Error("empty fit should predict 0")
 	}

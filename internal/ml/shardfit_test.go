@@ -36,7 +36,7 @@ func TestFreqIndexShardedFitMatchesWholeFit(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 7, n + 5} { // n+5: empty trailing shards
 		for _, workers := range []int{1, 4} {
 			sharded := ix.Fit(y, shard.Fixed(n, k), workers)
-			if got, want := sharded.Support(), whole.Support(); got != want {
+			if got, want := sharded.ix.Len(), whole.ix.Len(); got != want {
 				t.Fatalf("k=%d workers=%d: support %d, want %d", k, workers, got, want)
 			}
 			for _, x := range probes {
@@ -44,7 +44,7 @@ func TestFreqIndexShardedFitMatchesWholeFit(t *testing.T) {
 					t.Errorf("k=%d workers=%d: Predict(%v) = %v, want %v", k, workers, x, got, want)
 				}
 			}
-			if got, want := sharded.SupportOf(X[0]), whole.SupportOf(X[0]); got != want {
+			if got, want := exactSupport(sharded, X[0]), exactSupport(whole, X[0]); got != want {
 				t.Errorf("k=%d workers=%d: SupportOf = %d, want %d", k, workers, got, want)
 			}
 		}

@@ -242,7 +242,7 @@ func checkSplitParity(t testing.TB, c splitCase) {
 
 	// And whole trees: the builder (in-place partition, scratch reuse across
 	// nodes) against the reference builder.
-	got := fitTreeOwned(fr, sel, y, append([]int(nil), rows...), p, stats.NewRNG(c.seed))
+	got := FitTreeFrame(fr, sel, y, rows, p, stats.NewRNG(c.seed))
 	want := newTreeBuilder(fr, sel, y, len(rows), p, stats.NewRNG(c.seed)).refBuild(rows, 0)
 	if !sameTree(got.root, want) {
 		t.Fatalf("%s: tree differs from the reference builder's", c.name)

@@ -65,29 +65,8 @@ func (v frameView) rowOf(pos int) int {
 	return v.sel[pos]
 }
 
-// FitTreeFrame trains a regression tree over frame rows. sel maps training
-// positions to frame rows (nil for identity); y is parallel to positions;
-// rows selects positions (with repetition, enabling bootstrap) and may be
-// nil for all. rows is not modified. rng drives feature subsampling and may
-// be nil when MaxFeatures is 0.
-func FitTreeFrame(fr *Frame, sel []int, y []float64, rows []int, p TreeParams, rng *stats.RNG) *Tree {
-	own := slices.Clone(rows)
-	if rows == nil {
-		own = make([]int, len(y))
-		for i := range own {
-			own[i] = i
-		}
-	}
-	return fitTreeOwned(fr, sel, y, own, p, rng)
-}
-
-// fitTreeOwned is FitTreeFrame over a row list the builder may reorder.
-func fitTreeOwned(fr *Frame, sel []int, y []float64, rows []int, p TreeParams, rng *stats.RNG) *Tree {
-	return newTreeBuilder(fr, sel, y, len(rows), p, nil).fit(rows, rng)
-}
-
-// treeBuilder grows trees over one training set: the one tree of
-// FitTreeFrame, or every tree one FitForestFrame worker takes. Everything
+// treeBuilder grows trees over one training set: every tree one
+// FitForestFrame worker takes. Everything
 // below the training-set fields is scratch, sized on the first search for
 // up to n rows and reused by every later node, feature and tree, so
 // induction allocates tree nodes and nothing else; a tree whose root is a
