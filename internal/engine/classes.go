@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"encoding/binary"
 	"math"
+	"sync"
 
 	"hyper/internal/hyperql"
 	"hyper/internal/relation"
@@ -138,6 +140,49 @@ func (k classKey) partition(inS []bool) (classOf *relation.Codes, first []uint32
 		classOf.Set(i, id-1)
 	}
 	return classOf, first
+}
+
+// shardLayout is how one plan shard's rows reference the tuple classes, a
+// function of the partition alone, so a Prepared builds it once a shard
+// (evaluator.layout): refs lists the classes the rows reference, in the
+// order of first reference; where every view row is a block of its own and
+// codes pay (rowValues), codes holds each row's index into refs, width bytes
+// little-endian. width is 0 where the rows go as their own values, or their
+// blocks span rows.
+type shardLayout struct {
+	once  sync.Once
+	refs  []uint32
+	codes []byte
+	width int
+}
+
+// build lays out rows [lo, hi) of classOf, a partition into classes classes;
+// own reports whether every view row is a block of its own. Codes are a byte
+// a row up to 256 classes referenced, two up to 65,536, and pay when they
+// and 16 B a class come to fewer bytes than 16 a row.
+func (l *shardLayout) build(classOf *relation.Codes, classes, lo, hi int, own bool) {
+	code := make([]int32, classes) // each class's index in refs, plus one
+	for i := lo; i < hi; i++ {
+		if c := classOf.At(i); code[c] == 0 {
+			l.refs = append(l.refs, c)
+			code[c] = int32(len(l.refs))
+		}
+	}
+	n, width := hi-lo, 1
+	if len(l.refs) > 1<<8 {
+		width = 2
+	}
+	if !own || len(l.refs) > 1<<16 || 16*len(l.refs)+width*n >= 16*n {
+		return
+	}
+	l.width, l.codes = width, make([]byte, width*n)
+	for i := lo; i < hi; i++ {
+		if k := code[classOf.At(i)] - 1; width == 1 {
+			l.codes[i-lo] = byte(k)
+		} else {
+			binary.LittleEndian.PutUint16(l.codes[2*(i-lo):], uint16(k))
+		}
+	}
 }
 
 // classVal is what a function of the tuple class returned for one class:

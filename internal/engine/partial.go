@@ -30,8 +30,10 @@ import (
 // with Width 0, Sum/Cnt hold each row's (sum, count); with Width 1 or 2,
 // they hold the (sum, count) of each tuple class the rows reference, once,
 // and Codes holds each row's index into them, Width bytes little-endian.
-// (internal/dist ships the floats as raw bits, since JSON cannot carry a NaN
-// or ±Inf accumulator, and the codes as they are.)
+// Codes is the shard's layout's, shared by every partial of one cached
+// Prepared: read it, never write it. (internal/dist ships the floats as raw
+// bits, since JSON cannot carry a NaN or ±Inf accumulator, and the codes as
+// they are.)
 type ShardPartial struct {
 	Shard    int
 	MinBlock int

@@ -3,10 +3,13 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
+	"weak"
 
 	"hyper/internal/causal"
 	"hyper/internal/hyperql"
@@ -31,8 +34,10 @@ import (
 // Prepared (Section 4.3). Beyond what the cache already holds (the view, the
 // blocks) a Prepared keeps 2 B per view row, 5 past 256 classes: the WHEN
 // set (one bool a row) and, once evaluated, the partition (a byte a row, or
-// four). Prepare keeps it in Options.Cache under its identity (preparedKey),
-// so every caller with a cache — a dist worker's frame, a session's how-to —
+// four). Partial evaluations add each plan shard's class layout (a byte or
+// two a row where codes pay), and bind keeps its last support check there.
+// Prepare keeps it in Options.Cache under its identity (preparedKey), so
+// every caller with a cache — a dist worker's frame, a session's how-to —
 // prepares each shape once and the cache's bound evicts it. None of
 // Options.Shards, Options.Progress and Options.DryRun is part of it: bind
 // takes them from each call. It is safe for concurrent Evaluate calls.
@@ -79,6 +84,11 @@ type Prepared struct {
 		classOf *relation.Codes
 		first   []uint32
 	}
+	// layouts is each plan shard's class layout, built on the shard's first
+	// partial evaluation (evaluator.layout); nil without a class key.
+	layouts []shardLayout
+	// support is bind's last support check (supported).
+	support atomic.Pointer[supportCheck]
 	// rowsOwnBlocks reports whether every view row is a block of its own, in
 	// ascending block order, finding out on the first call.
 	rowsOwnBlocks func() bool
@@ -259,6 +269,9 @@ func prepare(ctx context.Context, db *relation.Database, model *causal.Model, q 
 		p.key, p.keyed = p.classKey()
 	}
 	p.plan = shard.Rows(v.Rel.Len(), o.ShardRows)
+	if p.keyed {
+		p.layouts = make([]shardLayout, p.plan.Shards())
+	}
 	res.ShardPlan = p.plan.Shards()
 	p.rowsOwnBlocks = sync.OnceValue(p.blocksAscend)
 	return p, nil
@@ -415,7 +428,10 @@ func (p *Prepared) bind(ctx context.Context, updates []hyperql.UpdateSpec, start
 		// with no support in the data; when most prediction points are
 		// unsupported, fall back to the generalizing forest (the paper's
 		// default estimator).
-		if frac := supportedFraction(est, p.v, updates, summaries, p.inS); frac < 0.8 {
+		frac, cached := p.supported(est, updates, summaries)
+		stage.Set("support", frac)
+		stage.Set("support_cached", cached)
+		if frac < 0.8 {
 			o2 := o
 			o2.Estimator = EstimatorForest
 			if est, err = makeEst(o2); err != nil {
@@ -436,6 +452,35 @@ func (p *Prepared) bind(ctx context.Context, updates []hyperql.UpdateSpec, start
 	res.ShardedFit = est.shardedFit()
 	return &evaluator{Prepared: p, o: o, res: &res, start: start, ctx: ctx, est: est, lineage: estLineage,
 		updates: updates, summaries: summaries}, nil
+}
+
+// supportCheck is a support check bind made: the supportedFraction of
+// updates against the estimator set est. It is immutable once stored.
+type supportCheck struct {
+	est     weak.Pointer[estimatorSet] // weak: the cache, not the Prepared, keeps the set
+	updates []hyperql.UpdateSpec
+	frac    float64
+}
+
+// supported is the supportedFraction of updates against est, the freq
+// estimator set they bound to. A repeat of the last check, the same set and
+// the same updates, answers without the sample; cached reports whether it
+// did. Any other check replaces the last.
+func (p *Prepared) supported(est *estimatorSet, updates []hyperql.UpdateSpec, summaries []summaryFeature) (frac float64, cached bool) {
+	id := weak.Make(est)
+	if last := p.support.Load(); last != nil && last.est == id && slices.EqualFunc(last.updates, updates, sameUpdate) {
+		return last.frac, true
+	}
+	frac = supportedFraction(est, p.v, updates, summaries, p.inS)
+	p.support.Store(&supportCheck{est: id, updates: slices.Clone(updates), frac: frac})
+	return frac, false
+}
+
+// sameUpdate reports whether two updates apply the same function to the same
+// attribute: their constants alike to the bit (a -0 is not a +0).
+func sameUpdate(a, b hyperql.UpdateSpec) bool {
+	return a.Attr == b.Attr && a.Form == b.Form && a.Const == b.Const &&
+		math.Float64bits(a.Const.AsFloat()) == math.Float64bits(b.Const.AsFloat())
 }
 
 // estLineage names the estimator set of this shape under eo at any version

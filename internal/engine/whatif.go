@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -158,16 +157,9 @@ func (e *evaluator) partials(ctx context.Context, ids []int) ([]ShardPartial, er
 		return nil, err
 	}
 	parts, own := make([]ShardPartial, len(ids)), e.rowsOwnBlocks()
-	var code []int32 // rowValues' scratch: each class's code in the partial at hand, -1 for none
-	if own && e.classOf != nil {
-		code = make([]int32, e.classes)
-		for c := range code {
-			code[c] = -1
-		}
-	}
 	for j, s := range ids {
 		if own {
-			parts[j], err = e.rowValues(ctx, s, vals, code)
+			parts[j], err = e.rowValues(ctx, s, vals)
 		} else {
 			parts[j], err = e.window(ctx, s, vals)
 		}
@@ -175,6 +167,9 @@ func (e *evaluator) partials(ctx context.Context, ids []int) ([]ShardPartial, er
 			return nil, err
 		}
 		e.report("shards", j+1, len(ids))
+	}
+	if e.classOf != nil {
+		stage.Set("layouts_built", e.layoutsBuilt)
 	}
 	return parts, nil
 }
@@ -220,8 +215,9 @@ func (e *evaluator) values(ctx context.Context, stage obs.Stage, ids []int) ([]c
 	}
 	e.classOf, e.classes = classOf, len(first)
 	stage.Set("classes", e.classes)
-	// A shard subset values only the classes its rows belong to, ascending;
-	// without a class key, its rows, packed in plan order (e.off).
+	// A shard subset values only the classes its rows belong to, ascending,
+	// as its shards' layouts list them; without a class key, its rows,
+	// packed in plan order (e.off).
 	classes := e.v.Rel.Len()
 	if first != nil {
 		classes = len(first)
@@ -240,9 +236,8 @@ func (e *evaluator) values(ctx context.Context, stage obs.Stage, ids []int) ([]c
 	} else if len(ids) < k {
 		need := make([]bool, classes)
 		for _, s := range ids {
-			lo, hi := e.plan.Bounds(s)
-			for i := lo; i < hi; i++ {
-				need[classOf.At(i)] = true
+			for _, c := range e.layout(s).refs {
+				need[c] = true
 			}
 		}
 		for c, ok := range need {
@@ -312,51 +307,21 @@ func (e *evaluator) addRows(ctx context.Context, s int, vals []classVal) error {
 
 // rowValues is plan shard s's partial where every view row is a block of its
 // own: its rows' values in row order, which a merge adds straight into the
-// totals as addRows does. Under a class key they go as class codes: the
-// (sum, count) of each class the rows reference, once, in the order of first
-// reference, and each row's code, one byte under 256 classes and two under
-// 65,536. Where codes would take no fewer bytes than 16 a row, the values go
-// per row: without a class key, or with nearly as many classes as rows. code
-// is -1 for every class on entry, and again on a return without an error.
-func (e *evaluator) rowValues(ctx context.Context, s int, vals []classVal, code []int32) (ShardPartial, error) {
+// totals as addRows does. Under a class key they go as the shard's layout
+// codes them: the (sum, count) of each class the rows reference, once, in the
+// order of first reference, and the layout's row codes, shared by every call.
+// Where codes would take no fewer bytes than 16 a row, the values go per
+// row: without a class key, or with nearly as many classes as rows.
+func (e *evaluator) rowValues(ctx context.Context, s int, vals []classVal) (ShardPartial, error) {
 	lo, hi := e.plan.Bounds(s)
 	w, n := ShardPartial{Shard: s}, hi-lo
-	if code != nil {
-		var refs []uint32 // the classes referenced, by code
-		for i := lo; i < hi; i++ {
-			if c := e.classOf.At(i); code[c] < 0 {
-				code[c] = int32(len(refs))
-				refs = append(refs, c)
-			}
-		}
-		width := 1
-		if len(refs) > 1<<8 {
-			width = 2
-		}
-		coded := len(refs) <= 1<<16 && 16*len(refs)+width*n < 16*n
-		if coded {
-			w.Width, w.Codes = width, make([]byte, width*n)
-			w.Sum, w.Cnt = make([]float64, len(refs)), make([]float64, len(refs))
-			for k, c := range refs {
+	if e.classOf != nil {
+		if l := e.layout(s); l.width > 0 {
+			w.Width, w.Codes = l.width, l.codes
+			w.Sum, w.Cnt = make([]float64, len(l.refs)), make([]float64, len(l.refs))
+			for k, c := range l.refs {
 				w.Sum[k], w.Cnt[k] = vals[c].sum, vals[c].cnt
 			}
-			for i := lo; i < hi; i++ {
-				if (i-lo)%stride == 0 && i > lo {
-					if err := ctx.Err(); err != nil {
-						return w, err
-					}
-				}
-				if k := code[e.classOf.At(i)]; width == 1 {
-					w.Codes[i-lo] = byte(k)
-				} else {
-					binary.LittleEndian.PutUint16(w.Codes[2*(i-lo):], uint16(k))
-				}
-			}
-		}
-		for _, c := range refs {
-			code[c] = -1
-		}
-		if coded {
 			return w, nil
 		}
 	}
@@ -487,9 +452,22 @@ type evaluator struct {
 
 	// Tuple classes (classes.go), set by values for one evaluation:
 	// classOf[i] is the class of view row i, nil when every row is its own
-	// class.
-	classOf *relation.Codes
-	classes int
+	// class. layoutsBuilt counts the shard layouts this call built.
+	classOf      *relation.Codes
+	classes      int
+	layoutsBuilt int
+}
+
+// layout is plan shard s's class layout, built by the first call for s on
+// the Prepared and shared by the rest. The partition must be bound (values).
+func (e *evaluator) layout(s int) *shardLayout {
+	l := &e.layouts[s]
+	l.once.Do(func() {
+		lo, hi := e.plan.Bounds(s)
+		l.build(e.classOf, e.classes, lo, hi, e.rowsOwnBlocks())
+		e.layoutsBuilt++
+	})
+	return l
 }
 
 // classAt is view row i's class: its row index without a class key.
@@ -888,6 +866,15 @@ func supportedFraction(est *estimatorSet, v *view, updates []hyperql.UpdateSpec,
 	if step < 1 {
 		step = 1
 	}
+	// Each update's feature and view column, and each summary's feature (-1:
+	// not a feature), found once for every sampled row.
+	updFeat, updCol, sumFeat := make([]int, len(updates)), make([]int, len(updates)), make([]int, len(summaries))
+	for k, u := range updates {
+		updFeat[k], updCol[k] = est.featureIndex(u.Attr), v.Rel.Schema().MustIndex(u.Attr)
+	}
+	for k, s := range summaries {
+		sumFeat[k] = est.featureIndex(s.name)
+	}
 	checked, supported := 0, 0
 	x := make([]float64, len(est.featCols))
 	for i := 0; i < n; i += step {
@@ -895,13 +882,11 @@ func supportedFraction(est *estimatorSet, v *view, updates []hyperql.UpdateSpec,
 			continue
 		}
 		est.featureVectorInto(i, x)
-		for _, u := range updates {
-			fi := est.featureIndex(u.Attr)
-			x[fi] = est.encodeAt(fi, u.Apply(v.Rel.Value(i, v.Rel.Schema().MustIndex(u.Attr))))
+		for k, u := range updates {
+			x[updFeat[k]] = est.encodeAt(updFeat[k], u.Apply(v.Rel.Value(i, updCol[k])))
 		}
-		for _, s := range summaries {
-			fi := est.featureIndex(s.name)
-			if fi >= 0 {
+		for k, s := range summaries {
+			if fi := sumFeat[k]; fi >= 0 {
 				x[fi] = s.post[i]
 			}
 		}
