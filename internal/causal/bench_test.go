@@ -109,3 +109,21 @@ func BenchmarkDecompose(b *testing.B) {
 	}
 	b.Run("fk-extend", derived(am.DB, am.Model, newReviews(0, 1_000_000), newReviews(1, 2_000_000), want.N))
 }
+
+// BenchmarkBackdoorSet times the greedy backdoor search of a German-Syn
+// what-if: Status → Credit, every other node of the model a candidate.
+func BenchmarkBackdoorSet(b *testing.B) {
+	m := dataset.GermanSyn(100, 7).Model
+	var cand []string
+	for _, n := range m.Attr.Nodes() {
+		if n != "German.Status" && n != "German.Credit" {
+			cand = append(cand, n)
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, ok := m.Attr.BackdoorSet("German.Status", []string{"German.Credit"}, cand); !ok {
+			b.Fatal("no backdoor set")
+		}
+	}
+}

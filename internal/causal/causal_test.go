@@ -2,7 +2,9 @@ package causal
 
 import (
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -39,7 +41,7 @@ func TestTopoSortAndCycles(t *testing.T) {
 	g.AddEdge("A", "C")
 	order, err := g.TopoSort()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("chain should be acyclic: %v", err)
 	}
 	nodes, pos := g.Nodes(), map[string]int{}
 	for i, id := range order {
@@ -50,15 +52,11 @@ func TestTopoSortAndCycles(t *testing.T) {
 			t.Errorf("edge %v violates topological order %v", e, order)
 		}
 	}
-	if !g.IsAcyclic() {
-		t.Error("chain should be acyclic")
-	}
 	g.AddEdge("D", "A")
-	if g.IsAcyclic() {
-		t.Error("cycle not detected")
-	}
 	if _, err := g.TopoSort(); err == nil {
-		t.Error("TopoSort should report the cycle")
+		t.Error("cycle not detected: TopoSort should report the cycle")
+	} else if !strings.Contains(err.Error(), "cycle through") {
+		t.Errorf("TopoSort's error %q does not name the cycle", err)
 	}
 }
 
@@ -68,8 +66,8 @@ func TestAncestorsDescendants(t *testing.T) {
 	if got := g.Descendants("A"); !reflect.DeepEqual(got, []string{"B", "C"}) {
 		t.Errorf("Descendants(A) = %v", got)
 	}
-	if !g.IsDescendant("C", "A") || g.IsDescendant("A", "C") {
-		t.Error("IsDescendant misbehaves")
+	if !slices.Contains(g.Descendants("A"), "C") || slices.Contains(g.Descendants("C"), "A") {
+		t.Error("C descends from A, not A from C")
 	}
 	if !connectedTo(g, "A", "X") { // undirected path via C
 		t.Error("A and X connect through C undirected")
@@ -248,9 +246,7 @@ func TestRandomDAGTopoProperty(t *testing.T) {
 			pos[id] = i
 		}
 		for _, e := range g.Edges() {
-			fi, _ := g.ID(e[0])
-			ti, _ := g.ID(e[1])
-			if pos[fi] >= pos[ti] {
+			if pos[g.index[e[0]]] >= pos[g.index[e[1]]] {
 				return false
 			}
 		}

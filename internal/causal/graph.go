@@ -57,12 +57,6 @@ func (g *Graph) Len() int { return len(g.nodes) }
 // Nodes returns all node names in insertion order.
 func (g *Graph) Nodes() []string { return append([]string(nil), g.nodes...) }
 
-// ID returns the id of the named node and whether it exists.
-func (g *Graph) ID(name string) (int, bool) {
-	i, ok := g.index[name]
-	return i, ok
-}
-
 // Has reports whether the named node exists.
 func (g *Graph) Has(name string) bool { _, ok := g.index[name]; return ok }
 
@@ -128,21 +122,15 @@ func (g *Graph) TopoSort() ([]int, error) {
 	return order, nil
 }
 
-// IsAcyclic reports whether the graph has no directed cycles.
-func (g *Graph) IsAcyclic() bool {
-	_, err := g.TopoSort()
-	return err == nil
-}
-
-// descendantsOf returns the set (as bool slice) of nodes reachable from any
-// seed by directed edges, excluding the seeds themselves unless reachable.
-func (g *Graph) reach(seeds []int, adj [][]int) []bool {
+// descendants marks the nodes reachable from any seed by directed edges,
+// excluding the seeds themselves unless reachable.
+func (g *Graph) descendants(seeds []int) []bool {
 	seen := make([]bool, len(g.nodes))
 	stack := append([]int(nil), seeds...)
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, m := range adj[n] {
+		for _, m := range g.out[n] {
 			if !seen[m] {
 				seen[m] = true
 				stack = append(stack, m)
@@ -155,49 +143,17 @@ func (g *Graph) reach(seeds []int, adj [][]int) []bool {
 // Descendants returns the names of all strict descendants of the named
 // nodes, sorted.
 func (g *Graph) Descendants(names ...string) []string {
-	seeds := g.ids(names)
-	seen := g.reach(seeds, g.out)
-	return g.selectNames(seen)
-}
-
-// IsDescendant reports whether b is a strict descendant of a.
-func (g *Graph) IsDescendant(b, a string) bool {
-	ai, ok := g.index[a]
-	if !ok {
-		return false
-	}
-	bi, ok := g.index[b]
-	if !ok {
-		return false
-	}
-	seen := g.reach([]int{ai}, g.out)
-	return seen[bi]
-}
-
-// RemoveOutEdges returns a copy of the graph with all edges leaving the
-// named nodes deleted; used by the backdoor test.
-func (g *Graph) RemoveOutEdges(names ...string) *Graph {
-	drop := make(map[int]bool)
-	for _, n := range names {
-		if i, ok := g.index[n]; ok {
-			drop[i] = true
+	var out []string
+	for i, s := range g.descendants(g.ids(names)) {
+		if s {
+			out = append(out, g.nodes[i])
 		}
 	}
-	ng := NewGraph()
-	for _, n := range g.nodes {
-		ng.AddNode(n)
-	}
-	for f, cs := range g.out {
-		if drop[f] {
-			continue
-		}
-		for _, c := range cs {
-			ng.AddEdge(g.nodes[f], g.nodes[c])
-		}
-	}
-	return ng
+	sort.Strings(out)
+	return out
 }
 
+// ids resolves names to node ids, skipping unknown names.
 func (g *Graph) ids(names []string) []int {
 	var out []int
 	for _, n := range names {
@@ -205,16 +161,5 @@ func (g *Graph) ids(names []string) []int {
 			out = append(out, i)
 		}
 	}
-	return out
-}
-
-func (g *Graph) selectNames(seen []bool) []string {
-	var out []string
-	for i, s := range seen {
-		if s {
-			out = append(out, g.nodes[i])
-		}
-	}
-	sort.Strings(out)
 	return out
 }

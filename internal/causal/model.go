@@ -78,9 +78,6 @@ func (m *Model) Validate(db *relation.Database) error {
 			return fmt.Errorf("causal: model node %q references unknown attribute %q of %q", n, attr, rel)
 		}
 	}
-	if !m.Attr.IsAcyclic() {
-		_, err := m.Attr.TopoSort()
-		return err
-	}
-	return nil
+	_, err := m.Attr.TopoSort()
+	return err
 }

@@ -61,8 +61,7 @@ func ParseModel(r io.Reader) (*Model, []relation.ForeignKey, error) {
 	if err := sc.Err(); err != nil {
 		return nil, nil, err
 	}
-	if !m.Attr.IsAcyclic() {
-		_, err := m.Attr.TopoSort()
+	if _, err := m.Attr.TopoSort(); err != nil {
 		return nil, nil, err
 	}
 	return m, fks, nil

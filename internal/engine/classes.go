@@ -185,41 +185,41 @@ func (l *shardLayout) build(classOf *relation.Codes, classes, lo, hi int, own bo
 	}
 }
 
-// classVal is what a function of the tuple class returned for one class:
-// tuple()'s (sum, count), or a training label in sum.
+// classVal is tuple()'s (sum, count) for one class.
 type classVal struct {
 	sum, cnt float64
-	seen     bool
 }
 
 // labeler yields the training labels of one post-event conjunction: eval runs
 // the label expressions on a view row; label answers from the row's class
 // after the class's first row. One labeler serves one single-flight fit, on
-// that fit's goroutine, so its table needs no lock.
+// that fit's goroutine, so its tables need no lock.
 type labeler struct {
 	eval    func(viewRow int) (float64, error)
 	classOf *relation.Codes // nil: every row evaluates
 	classes int
-	byClass []classVal // allocated by the first label: most labelers never fit
-	evals   int        // eval calls made
+	byClass []float64 // each class's label, allocated by the first label: most labelers never fit
+	seen    []bool    // whether byClass holds the class's label
+	evals   int       // eval calls made
 }
 
 func (l *labeler) label(viewRow int) (float64, error) {
-	var own classVal // the per-row path's slot: never marked seen
-	slot := &own
+	c := -1 // the per-row path: no class to remember
 	if l.classOf != nil {
 		if l.byClass == nil {
-			l.byClass = make([]classVal, l.classes)
+			l.byClass, l.seen = make([]float64, l.classes), make([]bool, l.classes)
 		}
-		slot = &l.byClass[l.classOf.At(viewRow)]
-	}
-	if !slot.seen {
-		y, err := l.eval(viewRow)
-		if err != nil {
-			return 0, err
+		if c = int(l.classOf.At(viewRow)); l.seen[c] {
+			return l.byClass[c], nil
 		}
-		l.evals++
-		slot.sum, slot.seen = y, l.classOf != nil
 	}
-	return slot.sum, nil
+	y, err := l.eval(viewRow)
+	if err != nil {
+		return 0, err
+	}
+	l.evals++
+	if c >= 0 {
+		l.byClass[c], l.seen[c] = y, true
+	}
+	return y, nil
 }

@@ -247,6 +247,51 @@ func TestEvaluateContextAllocationFlat(t *testing.T) {
 	}
 }
 
+// TestPartialUnkeyedAllocation: a warm EvaluatePartialContext over an
+// Amazon-Syn view with no class key (a continuous Price: every row its own
+// class), through a plan of one shard, values every row. A row's value is
+// tuple()'s (sum, count), 16 B, and tuple() allocates about 24 B more a row
+// (16 B of it the FOR literal's boxed row environment), so from 1,000 to 4,000 products what
+// it allocates may grow by at most 44 B per added row. (A value that also
+// carried the labeler's seen mark made it 49 B.)
+func TestPartialUnkeyedAllocation(t *testing.T) {
+	q := mustWhatIf(t, amazonUse+` WHEN Category = 'Laptop' UPDATE(Price) = 0.90 * PRE(Price) OUTPUT AVG(POST(Rtng)) FOR PRE(Category) = 'Laptop'`)
+	warmBytes := func(products int) (uint64, int) {
+		a := dataset.AmazonSyn(products, 6, 7)
+		o := Options{Seed: 7, Shards: 1, ShardRows: 1 << 20, Cache: NewCache()}
+		plan, rows, err := PlanContext(context.Background(), a.DB, a.Model, q, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan != 1 {
+			t.Fatalf("a plan of %d shards over %d rows, want one", plan, rows)
+		}
+		key := preparedKey(a.DB, q, o.withDefaults())
+		var least uint64 = math.MaxUint64
+		var before, after runtime.MemStats
+		for range 5 { // the first call prepares, and fits the set and its models
+			runtime.ReadMemStats(&before)
+			if _, err := EvaluatePartialContext(context.Background(), a.DB, a.Model, q, o, []int{0}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if held, _ := o.Cache.Peek(key); held == nil || held.(*Prepared).keyed {
+			t.Fatal("the view has a class key, or no Prepared is cached; the test proved nothing")
+		}
+		return least, rows
+	}
+	small, smallRows := warmBytes(1000)
+	large, largeRows := warmBytes(4000)
+	perRow := (float64(large) - float64(small)) / float64(largeRows-smallRows)
+	t.Logf("warm EvaluatePartialContext allocates %d B over %d rows, %d B over %d (%.1f B per added row)", small, smallRows, large, largeRows, perRow)
+	if perRow > 44 {
+		t.Errorf("warm EvaluatePartialContext allocates %d B over %d rows and %d B over %d: %.1f B per added row, want at most 44",
+			small, smallRows, large, largeRows, perRow)
+	}
+}
+
 // TestPreparedConcurrentEvaluate: many goroutines bind updates to one
 // Prepared at once — the partition is built once, the estimator sets and
 // lazy fits single-flight — and every answer is the serial one. Run under
